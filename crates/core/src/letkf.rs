@@ -18,12 +18,10 @@
 //! with the inverse and symmetric square root from the Jacobi
 //! eigendecomposition in ensemble space (`N × N`, small).
 
-use crate::local::{AnalysisGranularity, LocalObsIndex, LocalObservations};
+use crate::local::{par_point_rows, AnalysisGranularity, LocalObsIndex, LocalObservations};
 use crate::{EnkfError, Ensemble, Observations, Result};
 use enkf_grid::{Decomposition, GridPoint, LocalizationRadius, Mesh, RegionRect};
 use enkf_linalg::{EigenWorkspace, Matrix};
-use rayon::prelude::*;
-use std::sync::Mutex;
 
 /// The LETKF local analysis kernel. Interface mirrors
 /// [`crate::LocalAnalysis`]; observations are used *unperturbed* (the
@@ -150,41 +148,12 @@ impl LetkfAnalysis {
         xb: &Matrix,
         obs: &LocalObservations,
     ) -> Result<Matrix> {
-        let nens = xb.ncols();
-        let npoints = target.npoints();
-        let mut out = Matrix::zeros(npoints, nens);
-        if npoints == 0 || nens == 0 {
-            return Ok(out);
-        }
+        let mut out = Matrix::zeros(target.npoints(), xb.ncols());
         let cell = self.radius.xi.max(self.radius.eta).max(1);
         let index = LocalObsIndex::build(obs, expansion, cell);
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let chunk_rows = npoints.div_ceil(workers).max(1);
-        let first_err: Mutex<Option<EnkfError>> = Mutex::new(None);
-        out.as_mut_slice()
-            .par_chunks_mut(chunk_rows * nens)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let mut ws = LetkfWorkspace::new();
-                let base = ci * chunk_rows;
-                for (i, row) in chunk.chunks_mut(nens).enumerate() {
-                    let p = target.point_at(base + i);
-                    if let Err(e) =
-                        self.analyze_point_into(mesh, p, expansion, xb, obs, &index, &mut ws, row)
-                    {
-                        let mut slot = first_err.lock().unwrap();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        if let Some(e) = first_err.lock().unwrap().take() {
-            return Err(e);
-        }
+        par_point_rows(&mut out, target, LetkfWorkspace::new, |p, ws, row| {
+            self.analyze_point_into(mesh, p, expansion, xb, obs, &index, ws, row)
+        })?;
         Ok(out)
     }
 

@@ -35,7 +35,8 @@ pub use ensemble::Ensemble;
 pub use inflation::{inflate_ensemble, inflated, mean_variance};
 pub use letkf::{serial_letkf, serial_letkf_decomposed, LetkfAnalysis, LetkfWorkspace};
 pub use local::{
-    AnalysisGranularity, LocalAnalysis, LocalAnalysisWorkspace, LocalObsIndex, LocalObservations,
+    AnalysisGranularity, AnomalyGram, LocalAnalysis, LocalAnalysisWorkspace, LocalObsIndex,
+    LocalObservations,
 };
 pub use observation::{ObservationOperator, Observations, PerturbedObservations};
 pub use serial::{serial_enkf, serial_enkf_decomposed};

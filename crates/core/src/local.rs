@@ -2,14 +2,15 @@
 
 use crate::{EnkfError, Result};
 use enkf_grid::{GridPoint, LocalizationRadius, Mesh, RegionRect};
-use enkf_linalg::{CholWorkspace, Cholesky, Matrix, ModifiedCholesky};
+use enkf_linalg::kernel::gemm::dot;
+use enkf_linalg::{CholWorkspace, Cholesky, Matrix, ModCholWorkspace, ModifiedCholesky};
 use rayon::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Observations restricted to an expansion region: the local pieces
 /// `H_{[i,j]}`, `Yˢ_{[i,j]}`, `R_{[i,j]}` of Eq. 6. Built by
 /// [`crate::Observations::localize`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LocalObservations {
     /// Expansion-local point index observed by each local row of `H`.
     pub local_rows: Vec<usize>,
@@ -339,8 +340,9 @@ impl LocalAnalysis {
 
     /// Point-wise Eq. 6: each target point analyzed from its own local box.
     ///
-    /// Parallelized with `par_chunks_mut` directly over the output matrix
-    /// rows; each worker allocates one [`LocalAnalysisWorkspace`] and reuses
+    /// The expansion's anomalies and their banded Gram table
+    /// ([`AnomalyGram`]) are computed once and shared read-only by the
+    /// workers; each worker owns one [`LocalAnalysisWorkspace`] and reuses
     /// it across all its grid points.
     fn analyze_pointwise(
         &self,
@@ -350,41 +352,22 @@ impl LocalAnalysis {
         xb: &Matrix,
         obs: &LocalObservations,
     ) -> Result<Matrix> {
-        let nens = xb.ncols();
-        let npoints = target.npoints();
-        let mut out = Matrix::zeros(npoints, nens);
-        if npoints == 0 || nens == 0 {
-            return Ok(out);
+        if obs.is_empty() {
+            // No information anywhere in reach: X^a = X^b on the target.
+            return Ok(xb.select_rows(&expansion.local_indices_of(target)));
         }
+        let mut out = Matrix::zeros(target.npoints(), xb.ncols());
         let cell = self.radius.xi.max(self.radius.eta).max(1);
         let index = LocalObsIndex::build(obs, expansion, cell);
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let chunk_rows = npoints.div_ceil(workers).max(1);
-        let first_err: Mutex<Option<EnkfError>> = Mutex::new(None);
-        out.as_mut_slice()
-            .par_chunks_mut(chunk_rows * nens)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let mut ws = LocalAnalysisWorkspace::new();
-                let base = ci * chunk_rows;
-                for (i, row) in chunk.chunks_mut(nens).enumerate() {
-                    let p = target.point_at(base + i);
-                    if let Err(e) =
-                        self.analyze_point_into(mesh, p, expansion, xb, obs, &index, &mut ws, row)
-                    {
-                        let mut slot = first_err.lock().unwrap();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        if let Some(e) = first_err.lock().unwrap().take() {
-            return Err(e);
-        }
+        let gram = AnomalyGram::build(xb, expansion, self.radius);
+        par_point_rows(
+            &mut out,
+            target,
+            LocalAnalysisWorkspace::new,
+            |p, ws, row| {
+                self.analyze_point_into(mesh, p, expansion, xb, obs, &index, &gram, ws, row)
+            },
+        )?;
         Ok(out)
     }
 
@@ -394,9 +377,11 @@ impl LocalAnalysis {
     /// point's box, but only the target row of `δX = A⁻¹ Z` is formed:
     /// since `A` is symmetric, `δX[t,·] = (A⁻¹ eₜ)ᵀ Z`, so a single
     /// triangular solve replaces one per ensemble member and `Z` is never
-    /// materialized.
+    /// materialized. The box is never copied out either: its anomaly rows
+    /// and every regression's normal equations are read from `gram`, which
+    /// must have been built from the same `xb`, `expansion` and radius.
     #[allow(clippy::too_many_arguments)]
-    fn analyze_point_into(
+    pub fn analyze_point_into(
         &self,
         mesh: Mesh,
         p: GridPoint,
@@ -404,94 +389,251 @@ impl LocalAnalysis {
         xb: &Matrix,
         obs: &LocalObservations,
         index: &LocalObsIndex,
+        gram: &AnomalyGram,
         ws: &mut LocalAnalysisWorkspace,
         out_row: &mut [f64],
     ) -> Result<()> {
         let single = RegionRect::new(p.ix, p.ix + 1, p.iy, p.iy + 1);
         let boxr = single.expand(self.radius, mesh);
         debug_assert!(expansion.contains_rect(&boxr));
-        ws.box_rows.clear();
-        for q in boxr.iter_points() {
-            ws.box_rows.push(expansion.local_index(q));
-        }
-        xb.select_rows_into(&ws.box_rows, &mut ws.xb_box);
         index.sub_localize_into(obs, &boxr, &mut ws.obs_scratch, &mut ws.obs_box);
-        let t = boxr.local_index(p);
+        out_row.copy_from_slice(xb.row(expansion.local_index(p)));
         if ws.obs_box.is_empty() {
-            out_row.copy_from_slice(ws.xb_box.row(t));
             return Ok(());
         }
-        let nbar = boxr.npoints();
-        let nens = ws.xb_box.ncols();
-        // Anomalies and the adaptive ridge, as in `analyze_region`.
-        ws.u.copy_from(&ws.xb_box);
-        ws.u.row_means_into(&mut ws.means);
-        ws.u.subtract_row_vector(&ws.means);
-        let denom = (nens - 1).max(1) as f64;
-        let mean_var = ws.u.as_slice().iter().map(|&v| v * v).sum::<f64>() / (denom * nbar as f64);
-        let lambda = (self.ridge * mean_var).max(f64::MIN_POSITIVE);
-        let mc = ModifiedCholesky::estimate(&ws.u, box_predecessors(&boxr, self.radius), lambda)?;
-        let mut a = mc.inverse_covariance();
-        for (r, &row) in ws.obs_box.local_rows.iter().enumerate() {
-            a[(row, row)] += 1.0 / ws.obs_box.error_var[r];
+        let LocalAnalysisWorkspace {
+            box_rows,
+            box_keys,
+            obs_box,
+            mc,
+            mc_ws,
+            a,
+            chol,
+            w,
+            ..
+        } = ws;
+        box_rows.clear();
+        box_keys.clear();
+        for q in boxr.iter_points() {
+            box_rows.push(expansion.local_index(q));
+            box_keys.push(gram.key(expansion, q));
         }
-        ws.chol.factor(&a)?;
-        ws.w.clear();
-        ws.w.resize(nbar, 0.0);
-        ws.w[t] = 1.0;
-        ws.chol.solve_in_place(&mut ws.w)?;
+        let nbar = box_rows.len();
+        let nens = xb.ncols();
+        // The adaptive ridge, as in `analyze_region`: one running sum over
+        // the box's anomalies in row-major order.
+        let mut sum_sq = 0.0;
+        for &r in box_rows.iter() {
+            for &v in gram.anomalies.row(r) {
+                sum_sq += v * v;
+            }
+        }
+        let denom = (nens - 1).max(1) as f64;
+        let mean_var = sum_sq / (denom * nbar as f64);
+        let lambda = (self.ridge * mean_var).max(f64::MIN_POSITIVE);
+        mc.estimate_into(
+            mc_ws,
+            nbar,
+            |j| gram.anomalies.row(box_rows[j]),
+            |ja, jb| gram.entry(box_rows[ja], box_keys[ja], box_keys[jb]),
+            |i, preds| push_box_predecessors(&boxr, self.radius, i, preds),
+            lambda,
+        )?;
+        mc.inverse_covariance_into(mc_ws, a);
+        for (r, &row) in obs_box.local_rows.iter().enumerate() {
+            a[(row, row)] += 1.0 / obs_box.error_var[r];
+        }
+        chol.factor(a)?;
+        w.clear();
+        w.resize(nbar, 0.0);
+        w[boxr.local_index(p)] = 1.0;
+        chol.solve_in_place(w)?;
         // X^a[t,·] = X^b[t,·] + wᵀ Z with Z's rows formed on the fly.
-        out_row.copy_from_slice(ws.xb_box.row(t));
-        for (r, &row) in ws.obs_box.local_rows.iter().enumerate() {
-            let c = ws.w[row] / ws.obs_box.error_var[r];
-            for (k, o) in out_row.iter_mut().enumerate() {
-                *o += c * (ws.obs_box.perturbed[(r, k)] - ws.xb_box[(row, k)]);
+        for (r, &row) in obs_box.local_rows.iter().enumerate() {
+            let c = w[row] / obs_box.error_var[r];
+            let background = xb.row(box_rows[row]);
+            let perturbed = obs_box.perturbed.row(r);
+            for ((o, &y), &x) in out_row.iter_mut().zip(perturbed).zip(background) {
+                *o += c * (y - x);
             }
         }
         Ok(())
     }
 }
 
+/// Run `f(point, workspace, output row)` over every point of `target`,
+/// whose analysis `out` holds one row per point: the rows are split into
+/// one contiguous chunk per rayon worker, each worker creating a single
+/// workspace for its whole chunk. Returns the first error any worker hit.
+pub(crate) fn par_point_rows<W>(
+    out: &mut Matrix,
+    target: &RegionRect,
+    new_workspace: impl Fn() -> W + Sync,
+    f: impl Fn(GridPoint, &mut W, &mut [f64]) -> Result<()> + Sync,
+) -> Result<()> {
+    let nens = out.ncols();
+    if out.nrows() == 0 || nens == 0 {
+        return Ok(());
+    }
+    let chunk_rows = out.nrows().div_ceil(rayon::current_num_threads()).max(1);
+    let first_err: Mutex<Option<EnkfError>> = Mutex::new(None);
+    out.as_mut_slice()
+        .par_chunks_mut(chunk_rows * nens)
+        .enumerate()
+        .for_each(|(ci, chunk)| {
+            let mut ws = new_workspace();
+            for (i, row) in chunk.chunks_mut(nens).enumerate() {
+                if let Err(e) = f(target.point_at(ci * chunk_rows + i), &mut ws, row) {
+                    // The slot is a plain `Option`, valid whatever a
+                    // panicking holder did, so a poisoned lock is still
+                    // good to use.
+                    first_err
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .get_or_insert(e);
+                    return;
+                }
+            }
+        });
+    match first_err
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
+}
+
+/// The anomalies of an expansion's background and the banded table of
+/// their inner products, computed once per point-wise
+/// [`LocalAnalysis::analyze`] call and shared read-only by its workers.
+///
+/// Every entry of every modified-Cholesky regression's normal equations is
+/// an inner product `uₐ · u_b` of two anomaly rows, and a row's anomalies
+/// depend on that row alone — so the number for a mesh pair `(a, b)` is the
+/// same in every regression of every box holding both. Predictors of a
+/// point lie within `ξ` columns of it and at most `η` rows above it, so
+/// with `a` the earlier point in row-major order only the offsets
+/// `0 ≤ dy ≤ η`, `|dx| ≤ 2ξ` ever occur: `(η + 1)(4ξ + 1)` slots per
+/// expansion point.
+///
+/// Each entry is [`dot`] of the two rows — folded from `0.0` in ascending
+/// member order, exactly the value `Xᵀ X` (the `gemm::tn` kernel) holds for
+/// that pair in a gathered design matrix — so analyses are bit-identical to
+/// re-forming the products per regression.
+#[derive(Debug, Clone, Default)]
+pub struct AnomalyGram {
+    /// `U = X̄ᵇ − mean`, one row per expansion point.
+    anomalies: Matrix,
+    means: Vec<f64>,
+    /// Slots per table row of one `dy`: `4ξ + 1`.
+    band: usize,
+    /// `2ξ`, the slot of `dx = 0`.
+    centre: usize,
+    /// Slots per expansion point: `(η + 1) · band`.
+    stride: usize,
+    table: Vec<f64>,
+}
+
+impl AnomalyGram {
+    /// Anomalies and Gram table of `xb` (`expansion.npoints() × N`, in
+    /// expansion-local row-priority order) for localization `radius`.
+    pub fn build(xb: &Matrix, expansion: &RegionRect, radius: LocalizationRadius) -> Self {
+        let mut gram = AnomalyGram::default();
+        gram.rebuild(xb, expansion, radius);
+        gram
+    }
+
+    /// [`AnomalyGram::build`] in place, reusing this table's buffers (a
+    /// caller cycling over same-shaped backgrounds allocates nothing).
+    pub fn rebuild(&mut self, xb: &Matrix, expansion: &RegionRect, radius: LocalizationRadius) {
+        assert_eq!(xb.nrows(), expansion.npoints(), "xb rows vs expansion");
+        self.anomalies.copy_from(xb);
+        self.anomalies.row_means_into(&mut self.means);
+        self.anomalies.subtract_row_vector(&self.means);
+        let (width, height) = (expansion.width(), expansion.height());
+        self.centre = 2 * radius.xi;
+        self.band = 2 * self.centre + 1;
+        self.stride = (radius.eta + 1) * self.band;
+        self.table.clear();
+        self.table.resize(xb.nrows() * self.stride, 0.0);
+        let (band, centre) = (self.band, self.centre);
+        for (a, slots) in self.table.chunks_mut(self.stride).enumerate() {
+            let (x, y) = (a % width, a / width);
+            let ua = self.anomalies.row(a);
+            for dy in 0..=radius.eta.min(height - 1 - y) {
+                // On its own row a point only ever pairs with later ones.
+                let x_lo = if dy == 0 { x } else { x.saturating_sub(centre) };
+                let x_hi = (x + centre).min(width - 1);
+                for bx in x_lo..=x_hi {
+                    let b = (y + dy) * width + bx;
+                    slots[dy * band + centre + bx - x] = dot(ua, self.anomalies.row(b));
+                }
+            }
+        }
+    }
+
+    /// Position of mesh point `q` in the table's offset arithmetic: the
+    /// difference of two keys is `dy · band + dx`.
+    fn key(&self, expansion: &RegionRect, q: GridPoint) -> usize {
+        (q.iy - expansion.y0) * self.band + (q.ix - expansion.x0)
+    }
+
+    /// `u_a · u_b` for expansion-local row `a` with key `key_a` and a point
+    /// with key `key_b` that is not before `a` in row-major order and lies
+    /// inside the band.
+    #[inline]
+    fn entry(&self, a: usize, key_a: usize, key_b: usize) -> f64 {
+        self.table[a * self.stride + self.centre + key_b - key_a]
+    }
+}
+
 /// Per-thread scratch buffers for the point-wise local analysis.
 ///
 /// One instance per worker, reused across every grid point the worker
-/// analyzes; at steady state the per-point loop performs no heap
-/// allocation outside the modified-Cholesky estimator.
-#[derive(Debug, Clone)]
+/// analyzes; once the buffers have grown to the largest box, the per-point
+/// kernel performs no heap allocation (`tests/alloc_free.rs`).
+#[derive(Debug, Clone, Default)]
 pub struct LocalAnalysisWorkspace {
+    /// Expansion-local row of each box point, and its [`AnomalyGram`] key.
     box_rows: Vec<usize>,
-    xb_box: Matrix,
-    u: Matrix,
-    means: Vec<f64>,
+    box_keys: Vec<usize>,
     obs_box: LocalObservations,
     obs_scratch: Vec<usize>,
+    mc: ModifiedCholesky,
+    mc_ws: ModCholWorkspace,
+    /// `A = B̂⁻¹ + Hᵀ R⁻¹ H` of the box.
+    a: Matrix,
     chol: CholWorkspace,
     w: Vec<f64>,
-}
-
-impl Default for LocalAnalysisWorkspace {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl LocalAnalysisWorkspace {
     /// An empty workspace; buffers grow on first use and are then reused.
     pub fn new() -> Self {
-        LocalAnalysisWorkspace {
-            box_rows: Vec::new(),
-            xb_box: Matrix::zeros(0, 0),
-            u: Matrix::zeros(0, 0),
-            means: Vec::new(),
-            obs_box: LocalObservations {
-                local_rows: Vec::new(),
-                values: Vec::new(),
-                error_var: Vec::new(),
-                perturbed: Matrix::zeros(0, 0),
-            },
-            obs_scratch: Vec::new(),
-            chol: CholWorkspace::new(),
-            w: Vec::new(),
+        Self::default()
+    }
+}
+
+/// Push onto `preds` the predecessors of local index `i` in `rect`: the
+/// local indices `j < i`, ascending, whose points lie inside `i`'s local
+/// box.
+fn push_box_predecessors(
+    rect: &RegionRect,
+    radius: LocalizationRadius,
+    i: usize,
+    preds: &mut Vec<usize>,
+) {
+    let p = rect.point_at(i);
+    let y_lo = p.iy.saturating_sub(radius.eta).max(rect.y0);
+    let x_lo = p.ix.saturating_sub(radius.xi).max(rect.x0);
+    let x_hi = (p.ix + radius.xi + 1).min(rect.x1);
+    for iy in y_lo..=p.iy {
+        for ix in x_lo..x_hi {
+            let j = rect.local_index(GridPoint { ix, iy });
+            if j < i {
+                preds.push(j);
+            }
         }
     }
 }
@@ -506,19 +648,8 @@ pub fn box_predecessors(
 ) -> impl FnMut(usize) -> Vec<usize> + '_ {
     let rect = *rect;
     move |i| {
-        let p = rect.point_at(i);
-        let y_lo = p.iy.saturating_sub(radius.eta).max(rect.y0);
-        let x_lo = p.ix.saturating_sub(radius.xi).max(rect.x0);
-        let x_hi = (p.ix + radius.xi + 1).min(rect.x1);
         let mut preds = Vec::new();
-        for iy in y_lo..=p.iy {
-            for ix in x_lo..x_hi {
-                let j = rect.local_index(enkf_grid::GridPoint { ix, iy });
-                if j < i {
-                    preds.push(j);
-                }
-            }
-        }
+        push_box_predecessors(&rect, radius, i, &mut preds);
         preds
     }
 }
@@ -574,6 +705,49 @@ mod tests {
         // Full box minus self and successors: row above (3) + left neighbor (1).
         assert_eq!(got.len(), 4);
         assert!(preds(0).is_empty());
+    }
+
+    #[test]
+    fn gram_table_entries_equal_tr_matmul_entries_bitwise() {
+        // Anisotropic radius on an expansion clamped at two mesh edges.
+        let mesh = Mesh::new(9, 7);
+        let radius = LocalizationRadius { xi: 2, eta: 1 };
+        let expansion = RegionRect::new(0, 8, 2, 7);
+        let xb = random_xb(expansion.npoints(), 11, 29);
+        let gram = AnomalyGram::build(&xb, &expansion, radius);
+        let mut u = xb.clone();
+        let means = u.row_means();
+        u.subtract_row_vector(&means);
+        assert_eq!(gram.anomalies, u);
+        // XᵀX of the design matrix whose columns are *all* the expansion's
+        // anomaly rows: entry (a, b) is the inner product a regression
+        // with both as predictors would have formed.
+        let x = u.transpose();
+        let xtx = x.tr_matmul(&x).unwrap();
+        let mut checked = 0;
+        for p in expansion.iter_points() {
+            let boxr = RegionRect::new(p.ix, p.ix + 1, p.iy, p.iy + 1)
+                .expand(radius, mesh)
+                .intersect(&expansion);
+            let i = expansion.local_index(p);
+            // Every pair the regressions of `p` can ask for: two of its
+            // predecessors, or a predecessor and `p` itself.
+            let mut preds: Vec<GridPoint> = boxr
+                .iter_points()
+                .filter(|q| q.iy <= p.iy && expansion.local_index(*q) <= i)
+                .collect();
+            preds.sort_by_key(|q| expansion.local_index(*q));
+            for (k, qa) in preds.iter().enumerate() {
+                for qb in &preds[k..] {
+                    let (a, b) = (expansion.local_index(*qa), expansion.local_index(*qb));
+                    let got = gram.entry(a, gram.key(&expansion, *qa), gram.key(&expansion, *qb));
+                    assert_eq!(got.to_bits(), xtx[(a, b)].to_bits(), "pair {qa:?} {qb:?}");
+                    assert_eq!(got.to_bits(), xtx[(b, a)].to_bits());
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 500);
     }
 
     #[test]

@@ -1,27 +1,40 @@
-//! Counting-allocator proof that the steady-state per-grid-point LETKF
-//! loop performs no heap allocation.
+//! Counting-allocator proof that the steady-state per-grid-point loops —
+//! the modified-Cholesky [`LocalAnalysis`] kernel every executor runs, and
+//! the LETKF kernel — perform no heap allocation.
 //!
 //! The workspace buffers grow to their high-water mark during a warm pass
 //! over every grid point; a second pass over the same points must then
 //! complete without a single call into the global allocator.
 
 use enkf_core::{
-    LetkfAnalysis, LetkfWorkspace, LocalObsIndex, ObservationOperator, Observations,
-    PerturbedObservations,
+    AnomalyGram, LetkfAnalysis, LetkfWorkspace, LocalAnalysis, LocalAnalysisWorkspace,
+    LocalObsIndex, LocalObservations, ObservationOperator, Observations, PerturbedObservations,
 };
 use enkf_grid::{LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
 use enkf_linalg::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper counting every allocation-side call.
+/// System allocator wrapper counting every allocation-side call of the
+/// calling thread (the harness runs this file's tests side by side).
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,12 +43,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -43,12 +56,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn letkf_point_loop_is_allocation_free_at_steady_state() {
+const NENS: usize = 8;
+const RADIUS: LocalizationRadius = LocalizationRadius { xi: 2, eta: 2 };
+
+/// A 12×12 mesh, its background and a stride-3 network localized to it.
+fn problem() -> (Mesh, Matrix, LocalObservations, LocalObsIndex) {
     let mesh = Mesh::new(12, 12);
-    let nens = 8;
-    let radius = LocalizationRadius { xi: 2, eta: 2 };
-    let states = Matrix::from_fn(mesh.n(), nens, |i, k| {
+    let states = Matrix::from_fn(mesh.n(), NENS, |i, k| {
         let p = mesh.point(i);
         (p.ix as f64 * 0.4).sin() + (p.iy as f64 * 0.3).cos() + 0.01 * k as f64
     });
@@ -60,40 +74,78 @@ fn letkf_point_loop_is_allocation_free_at_steady_state() {
         op,
         values,
         vec![0.1; m],
-        PerturbedObservations::new(0x5EED, nens),
+        PerturbedObservations::new(0x5EED, NENS),
     );
-
     let full = RegionRect::full(mesh);
     let obs = observations.localize(&full);
-    let analysis = LetkfAnalysis::new(radius);
-    let cell = radius.xi.max(radius.eta).max(1);
+    let cell = RADIUS.xi.max(RADIUS.eta).max(1);
     let index = LocalObsIndex::build(&obs, &full, cell);
-    let mut ws = LetkfWorkspace::new();
-    let mut out_row = vec![0.0; nens];
+    (mesh, states, obs, index)
+}
 
-    // Warm pass: every buffer reaches its high-water capacity (box sizes
-    // vary with edge clamping, so every point must be visited).
-    for p in full.iter_points() {
-        analysis
-            .analyze_point_into(mesh, p, &full, &states, &obs, &index, &mut ws, &mut out_row)
-            .unwrap();
-    }
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let mut checksum = 0.0;
-    for p in full.iter_points() {
-        analysis
-            .analyze_point_into(mesh, p, &full, &states, &obs, &index, &mut ws, &mut out_row)
-            .unwrap();
-        checksum += out_row[0];
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-
-    assert!(checksum.is_finite());
+/// Two passes of `point` over every grid point: the first warms the
+/// workspace (box sizes vary with edge clamping, so every point must be
+/// visited), the second must not allocate.
+fn assert_second_pass_is_allocation_free(
+    mesh: Mesh,
+    mut point: impl FnMut(enkf_grid::GridPoint) -> f64,
+) {
+    let full = RegionRect::full(mesh);
+    let warm: f64 = full.iter_points().map(&mut point).sum();
+    let before = allocations();
+    let steady: f64 = full.iter_points().map(&mut point).sum();
+    let after = allocations();
+    assert!(steady.is_finite());
+    assert_eq!(steady.to_bits(), warm.to_bits(), "passes are deterministic");
     assert_eq!(
         after - before,
         0,
         "steady-state per-point loop allocated {} times",
         after - before
     );
+}
+
+#[test]
+fn local_analysis_point_loop_is_allocation_free_at_steady_state() {
+    let (mesh, states, obs, index) = problem();
+    let full = RegionRect::full(mesh);
+    let analysis = LocalAnalysis::new(RADIUS);
+    // Shared by every point of an `analyze` call, so built outside the loop.
+    let gram = AnomalyGram::build(&states, &full, RADIUS);
+    let mut ws = LocalAnalysisWorkspace::new();
+    let mut out_row = vec![0.0; NENS];
+    let mut moved = false;
+    assert_second_pass_is_allocation_free(mesh, |p| {
+        analysis
+            .analyze_point_into(
+                mesh,
+                p,
+                &full,
+                &states,
+                &obs,
+                &index,
+                &gram,
+                &mut ws,
+                &mut out_row,
+            )
+            .unwrap();
+        moved |= out_row != states.row(full.local_index(p));
+        out_row[0]
+    });
+    assert!(moved, "the network must reach the analysis");
+}
+
+#[test]
+fn letkf_point_loop_is_allocation_free_at_steady_state() {
+    let (mesh, states, obs, index) = problem();
+    let full = RegionRect::full(mesh);
+    let analysis = LetkfAnalysis::new(RADIUS);
+    let mut ws = LetkfWorkspace::new();
+    let mut out_row = vec![0.0; NENS];
+    assert_second_pass_is_allocation_free(mesh, |p| {
+        analysis
+            .analyze_point_into(mesh, p, &full, &states, &obs, &index, &mut ws, &mut out_row)
+            .unwrap();
+        out_row[0]
+    });
 }

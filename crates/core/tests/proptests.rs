@@ -1,13 +1,14 @@
 //! Property-based tests of the analysis kernels' invariants.
 
+use enkf_core::local::box_predecessors;
 use enkf_core::{
     serial_enkf, serial_enkf_decomposed, serial_letkf, AnalysisGranularity, LetkfAnalysis,
-    LocalAnalysis, ObservationOperator, Observations, PerturbedObservations,
+    LocalAnalysis, LocalObservations, ObservationOperator, Observations, PerturbedObservations,
 };
 use enkf_grid::{
     Decomposition, GridPoint, LocalizationRadius, Mesh, ObservationNetwork, RegionRect,
 };
-use enkf_linalg::{GaussianSampler, Matrix};
+use enkf_linalg::{ridge_least_squares, Cholesky, GaussianSampler, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,8 +57,195 @@ fn problem_strategy() -> impl Strategy<Value = Problem> {
         })
 }
 
+/// `A = B̂⁻¹ + Hᵀ R⁻¹ H` on `rect` the way the local analysis formed it
+/// before anomalies and inner products were shared: anomalies of this
+/// rectangle's own copy of the background, one gathered design matrix and
+/// `ridge_least_squares` solve per component, a dense `L`, and the dense
+/// zero-skipping `Lᵀ D⁻¹ L`.
+fn oracle_system(
+    la: &LocalAnalysis,
+    rect: &RegionRect,
+    xb: &Matrix,
+    obs: &LocalObservations,
+) -> Matrix {
+    let (n, nens) = xb.shape();
+    let mut u = xb.clone();
+    let means = u.row_means();
+    u.subtract_row_vector(&means);
+    let denom = (nens - 1).max(1) as f64;
+    let mean_var = u.as_slice().iter().map(|&v| v * v).sum::<f64>() / (denom * n as f64);
+    let lambda = (la.ridge * mean_var).max(f64::MIN_POSITIVE);
+
+    let denom = (nens - 1) as f64;
+    let mut predecessors = box_predecessors(rect, la.radius);
+    let mut l = Matrix::identity(n);
+    let mut d = vec![0.0; n];
+    for i in 0..n {
+        let preds = predecessors(i);
+        let yi = u.row(i);
+        let ss = if preds.is_empty() {
+            yi.iter().map(|&v| v * v).sum::<f64>()
+        } else {
+            let x = Matrix::from_fn(nens, preds.len(), |s, p| u[(preds[p], s)]);
+            let beta = ridge_least_squares(&x, yi, lambda).unwrap();
+            let mut ss = 0.0;
+            for s in 0..nens {
+                let mut fit = 0.0;
+                for (p, &j) in preds.iter().enumerate() {
+                    fit += beta[p] * u[(j, s)];
+                }
+                let r = yi[s] - fit;
+                ss += r * r;
+            }
+            for (p, &j) in preds.iter().enumerate() {
+                l[(i, j)] = -beta[p];
+            }
+            ss
+        };
+        d[i] = (ss / denom).max(lambda.max(f64::MIN_POSITIVE));
+    }
+    let mut a = Matrix::zeros(n, n);
+    for i in 0..n {
+        let s = 1.0 / d[i].sqrt();
+        let support: Vec<(usize, f64)> = (0..=i)
+            .filter(|&j| l[(i, j)] != 0.0)
+            .map(|j| (j, l[(i, j)] * s))
+            .collect();
+        for &(ja, fa) in &support {
+            for &(jb, fb) in &support {
+                a[(ja, jb)] += fa * fb;
+            }
+        }
+    }
+    a.symmetrize();
+    for (r, &row) in obs.local_rows.iter().enumerate() {
+        a[(row, row)] += 1.0 / obs.error_var[r];
+    }
+    a
+}
+
+/// The blocked analysis on `target` as it was: `δX = A⁻¹ Z` column by
+/// column over the whole expansion.
+fn oracle_region(
+    la: &LocalAnalysis,
+    target: &RegionRect,
+    expansion: &RegionRect,
+    xb: &Matrix,
+    obs: &LocalObservations,
+) -> Matrix {
+    let target_rows = expansion.local_indices_of(target);
+    if obs.is_empty() {
+        return xb.select_rows(&target_rows);
+    }
+    let a = oracle_system(la, expansion, xb, obs);
+    let mut z = Matrix::zeros(xb.nrows(), xb.ncols());
+    for (r, &row) in obs.local_rows.iter().enumerate() {
+        let inv_var = 1.0 / obs.error_var[r];
+        for k in 0..xb.ncols() {
+            z[(row, k)] += inv_var * (obs.perturbed[(r, k)] - xb[(row, k)]);
+        }
+    }
+    let delta = Cholesky::factor(&a).unwrap().solve(&z).unwrap();
+    let mut xa = xb.clone();
+    xa.axpy(1.0, &delta).unwrap();
+    xa.select_rows(&target_rows)
+}
+
+/// One point of the point-wise analysis as it was: copy the point's box
+/// out of the expansion, solve `A w = eₜ` there, and apply `wᵀ Z`.
+fn oracle_point(
+    la: &LocalAnalysis,
+    mesh: Mesh,
+    p: GridPoint,
+    expansion: &RegionRect,
+    xb: &Matrix,
+    obs: &LocalObservations,
+) -> Vec<f64> {
+    let boxr = RegionRect::new(p.ix, p.ix + 1, p.iy, p.iy + 1).expand(la.radius, mesh);
+    let xb_box = xb.select_rows(&expansion.local_indices_of(&boxr));
+    let obs_box = obs.sub_localize(expansion, &boxr);
+    let t = boxr.local_index(p);
+    let mut out = xb_box.row(t).to_vec();
+    if obs_box.is_empty() {
+        return out;
+    }
+    let a = oracle_system(la, &boxr, &xb_box, &obs_box);
+    let mut e_t = vec![0.0; boxr.npoints()];
+    e_t[t] = 1.0;
+    let w = Cholesky::factor(&a).unwrap().solve_vec(&e_t).unwrap();
+    for (r, &row) in obs_box.local_rows.iter().enumerate() {
+        let c = w[row] / obs_box.error_var[r];
+        for (k, o) in out.iter_mut().enumerate() {
+            *o += c * (obs_box.perturbed[(r, k)] - xb_box[(row, k)]);
+        }
+    }
+    out
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn local_analysis_is_bit_identical_to_the_per_box_design_matrix_algorithm(
+        (nx, ny) in (5usize..=11, 5usize..=9),
+        (xi, eta) in (1usize..=3, 1usize..=3),
+        // From N = 2 up: most regressions then have N ≤ |preds| and only
+        // the ridge keeps their normal equations factorizable.
+        nens in 2usize..=12,
+        mask in proptest::collection::vec(any::<bool>(), 3..40),
+        rect in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
+        seed in any::<u64>(),
+    ) {
+        let mesh = Mesh::new(nx, ny);
+        let radius = LocalizationRadius { xi, eta };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gs = GaussianSampler::new();
+        let full = RegionRect::full(mesh);
+        let states = Matrix::from_fn(mesh.n(), nens, |i, _| {
+            1.5 + (mesh.point(i).ix as f64 * 0.5).sin() + 0.5 * gs.sample(&mut rng)
+        });
+        // A random sparse network (always at least the origin), so some
+        // boxes hold no observation at all.
+        let points: Vec<GridPoint> = full
+            .iter_points()
+            .enumerate()
+            .filter(|(k, _)| *k == 0 || mask[k % mask.len()])
+            .map(|(_, p)| p)
+            .collect();
+        let op = ObservationOperator::new(ObservationNetwork::from_points(mesh, points));
+        let m = op.len();
+        let values: Vec<f64> = (0..m).map(|k| (k as f64 * 0.23).cos()).collect();
+        let observations =
+            Observations::new(op, values, vec![0.1; m], PerturbedObservations::new(seed ^ 0xBEEF, nens));
+
+        // A random non-empty target — often narrower than the radius, often
+        // against a mesh edge so its expansion is clamped — and the mesh.
+        let x0 = rect.0 % nx;
+        let x1 = x0 + 1 + rect.1 % (nx - x0);
+        let y0 = rect.2 % ny;
+        let y1 = y0 + 1 + rect.3 % (ny - y0);
+        for target in [RegionRect::new(x0, x1, y0, y1), full] {
+            let expansion = target.expand(radius, mesh);
+            let xb = states.select_rows(&full.local_indices_of(&expansion));
+            let obs = observations.localize(&expansion);
+
+            let pointwise = LocalAnalysis::new(radius);
+            let xa = pointwise.analyze(mesh, &target, &expansion, &xb, &obs).unwrap();
+            for (i, gp) in target.iter_points().enumerate() {
+                let want = oracle_point(&pointwise, mesh, gp, &expansion, &xb, &obs);
+                prop_assert_eq!(bits(xa.row(i)), bits(&want), "point {:?} of {:?}", gp, target);
+            }
+
+            let blocked = LocalAnalysis::blocked(radius);
+            let xa = blocked.analyze(mesh, &target, &expansion, &xb, &obs).unwrap();
+            let want = oracle_region(&blocked, &target, &expansion, &xb, &obs);
+            prop_assert_eq!(bits(xa.as_slice()), bits(want.as_slice()), "region {:?}", target);
+        }
+    }
 
     #[test]
     fn pointwise_analysis_is_decomposition_invariant(p in problem_strategy()) {

@@ -7,6 +7,76 @@
 
 use crate::{LinalgError, Matrix, Result};
 
+/// Factor the lower triangle of the SPD matrix `a` into `l` (`A = L Lᵀ`),
+/// reusing `l`'s allocation; `col` is scratch for the current column.
+///
+/// Right-looking (outer-product) form: once column `j` is final, every
+/// trailing entry `(i, m)` gets `-= L[i][j] · L[m][j]` as one contiguous
+/// row update. Each entry therefore still starts from `a[(i, m)]` and has
+/// its products subtracted in ascending `j` — the order, operands and bits
+/// of the textbook `sum -= l[(i, k)] * l[(m, k)]` loop — but the inner
+/// loop is an independent-element axpy instead of one serial dependency
+/// chain, so it pipelines and vectorizes.
+fn factor_into(a: &Matrix, l: &mut Matrix, col: &mut Vec<f64>) -> Result<()> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare { shape: a.shape() });
+    }
+    let n = a.nrows();
+    l.resize(n, n);
+    for i in 0..n {
+        l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+    }
+    col.clear();
+    col.resize(n, 0.0);
+    let l = l.as_mut_slice();
+    for j in 0..n {
+        let pivot = l[j * n + j];
+        if pivot <= 0.0 || !pivot.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite(j));
+        }
+        let ljj = pivot.sqrt();
+        l[j * n + j] = ljj;
+        for i in (j + 1)..n {
+            let lij = l[i * n + j] / ljj;
+            l[i * n + j] = lij;
+            col[i] = lij;
+        }
+        for i in (j + 1)..n {
+            let lij = col[i];
+            let row = &mut l[i * n + j + 1..=i * n + i];
+            for (x, &lmj) in row.iter_mut().zip(&col[j + 1..=i]) {
+                *x -= lij * lmj;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Solve `L Lᵀ x = b` in place given the factor `l` (`x` holds `b` on
+/// entry). Both substitutions subtract in ascending `k`.
+fn solve_factored(l: &Matrix, x: &mut [f64]) {
+    let n = l.nrows();
+    // Forward substitution L y = b.
+    for i in 0..n {
+        let row = l.row(i);
+        let (done, rest) = x.split_at_mut(i);
+        let mut sum = rest[0];
+        for (&lik, &yk) in row.iter().zip(done.iter()) {
+            sum -= lik * yk;
+        }
+        rest[0] = sum / row[i];
+    }
+    // Back substitution Lᵀ x = y.
+    let l = l.as_slice();
+    for i in (0..n).rev() {
+        let mut sum = x[i];
+        for k in (i + 1)..n {
+            sum -= l[k * n + i] * x[k];
+        }
+        x[i] = sum / l[i * n + i];
+    }
+}
+
 /// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
@@ -20,27 +90,8 @@ impl Cholesky {
     /// [`LinalgError::NotPositiveDefinite`] when a pivot is not strictly
     /// positive.
     pub fn factor(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let n = a.nrows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite(i));
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
+        let mut l = Matrix::zeros(0, 0);
+        factor_into(a, &mut l, &mut Vec::new())?;
         Ok(Cholesky { l })
     }
 
@@ -64,24 +115,9 @@ impl Cholesky {
                 rhs: (b.len(), 1),
             });
         }
-        let mut y = b.to_vec();
-        // Forward substitution L y = b.
-        for i in 0..n {
-            let mut sum = y[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
-        // Back substitution Lᵀ x = y.
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * y[k];
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
-        Ok(y)
+        let mut x = b.to_vec();
+        solve_factored(&self.l, &mut x);
+        Ok(x)
     }
 
     /// Solve `A X = B` column-by-column.
@@ -117,30 +153,22 @@ impl Cholesky {
     }
 }
 
-/// Reusable buffer for repeated Cholesky factorizations and solves.
+/// Reusable buffers for repeated Cholesky factorizations and solves.
 ///
-/// The local analysis factors one SPD system per grid point; with a
-/// workspace the factor storage is reused across points and the solve runs
+/// The local analysis factors one SPD system per regression and per grid
+/// point; with a workspace the factor storage is reused and the solve runs
 /// in place on a caller-owned right-hand side, so the steady-state path
-/// never allocates. The arithmetic is identical to [`Cholesky`], entry for
-/// entry.
-#[derive(Debug, Clone)]
+/// never allocates. Same routines as [`Cholesky`], so the bits agree.
+#[derive(Debug, Clone, Default)]
 pub struct CholWorkspace {
     l: Matrix,
-}
-
-impl Default for CholWorkspace {
-    fn default() -> Self {
-        Self::new()
-    }
+    col: Vec<f64>,
 }
 
 impl CholWorkspace {
     /// An empty workspace; the factor buffer grows on first use.
     pub fn new() -> Self {
-        CholWorkspace {
-            l: Matrix::zeros(0, 0),
-        }
+        Self::default()
     }
 
     /// Factor a symmetric positive-definite matrix into the reused buffer.
@@ -148,28 +176,7 @@ impl CholWorkspace {
     /// Same algorithm and error behavior as [`Cholesky::factor`]; only the
     /// lower triangle of `a` is read.
     pub fn factor(&mut self, a: &Matrix) -> Result<()> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let n = a.nrows();
-        self.l.resize(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= self.l[(i, k)] * self.l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite(i));
-                    }
-                    self.l[(i, j)] = sum.sqrt();
-                } else {
-                    self.l[(i, j)] = sum / self.l[(j, j)];
-                }
-            }
-        }
-        Ok(())
+        factor_into(a, &mut self.l, &mut self.col)
     }
 
     /// Dimension of the last factored matrix.
@@ -193,22 +200,7 @@ impl CholWorkspace {
                 rhs: (x.len(), 1),
             });
         }
-        // Forward substitution L y = b.
-        for i in 0..n {
-            let mut sum = x[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * x[k];
-            }
-            x[i] = sum / self.l[(i, i)];
-        }
-        // Back substitution Lᵀ x = y.
-        for i in (0..n).rev() {
-            let mut sum = x[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * x[k];
-            }
-            x[i] = sum / self.l[(i, i)];
-        }
+        solve_factored(&self.l, x);
         Ok(())
     }
 }
@@ -392,6 +384,61 @@ mod tests {
             ws.solve_in_place(&mut x).unwrap();
             assert_eq!(x, ch.solve_vec(&b).unwrap());
         }
+    }
+
+    /// The textbook inner-product loops the right-looking kernel replaced;
+    /// every digest in the repository was pinned on their bits.
+    fn textbook_factor_solve(a: &Matrix, b: &[f64]) -> (Matrix, Vec<f64>) {
+        let n = a.nrows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                l[(i, j)] = if i == j { sum.sqrt() } else { sum / l[(j, j)] };
+            }
+        }
+        let mut y = b.to_vec();
+        for i in 0..n {
+            let mut sum = y[i];
+            for k in 0..i {
+                sum -= l[(i, k)] * y[k];
+            }
+            y[i] = sum / l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            let mut sum = y[i];
+            for k in (i + 1)..n {
+                sum -= l[(k, i)] * y[k];
+            }
+            y[i] = sum / l[(i, i)];
+        }
+        (l, y)
+    }
+
+    #[test]
+    fn factor_and_solve_match_textbook_loops_bitwise() {
+        for n in [1usize, 2, 5, 13, 24, 49] {
+            let a = spd(n);
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).sin() - 0.2).collect();
+            let (l_ref, x_ref) = textbook_factor_solve(&a, &b);
+            let ch = Cholesky::factor(&a).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ch.l().as_slice()), bits(l_ref.as_slice()), "n={n}");
+            assert_eq!(bits(&ch.solve_vec(&b).unwrap()), bits(&x_ref), "n={n}");
+        }
+    }
+
+    #[test]
+    fn first_bad_pivot_is_reported() {
+        // Pivot 2 goes negative only after the first two columns' updates.
+        let a = Matrix::from_vec(3, 3, vec![4.0, 2.0, 2.0, 2.0, 5.0, 3.0, 2.0, 3.0, 1.0]).unwrap();
+        assert!(matches!(
+            Cholesky::factor(&a),
+            Err(LinalgError::NotPositiveDefinite(2))
+        ));
     }
 
     #[test]

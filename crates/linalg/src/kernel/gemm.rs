@@ -484,6 +484,20 @@ pub fn matvec(a: &[f64], x: &[f64], out: &mut Vec<f64>, m: usize, k: usize) {
     }
 }
 
+/// Inner product folded from `0.0` in ascending index order — bit for
+/// bit the value the default [`tn`] kernel leaves in an element of `AᵀB`
+/// whose two columns are `a` and `b` ("ascend `l`, no skip"). Callers that
+/// tabulate Gram entries once instead of re-forming `XᵀX` rely on that.
+#[inline]
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len(), "dot: length mismatch");
+    let mut acc = 0.0_f64;
+    for (&x, &y) in a.iter().zip(b) {
+        acc += x * y;
+    }
+    acc
+}
+
 // ---------------------------------------------------------------------------
 // Scalar microkernels (dispatch targets and SIMD edge handlers)
 // ---------------------------------------------------------------------------

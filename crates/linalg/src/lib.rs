@@ -31,7 +31,7 @@ pub use chol::{CholWorkspace, Cholesky, Ldlt};
 pub use eigen::{EigenWorkspace, SymEigen};
 pub use lstsq::ridge_least_squares;
 pub use matrix::Matrix;
-pub use modchol::{modified_cholesky_inverse, ModifiedCholesky};
+pub use modchol::{modified_cholesky_inverse, ModCholWorkspace, ModifiedCholesky};
 pub use qr::{qr_least_squares, Qr};
 pub use rng::GaussianSampler;
 pub use sherman::ShermanMorrisonWorkspace;

@@ -22,7 +22,7 @@ use crate::{LinalgError, Result};
 /// let b = a.matmul(&Matrix::identity(2)).unwrap();
 /// assert_eq!(b, a);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix {
     nrows: usize,
     ncols: usize,

@@ -21,15 +21,60 @@
 //! well defined even when `N ≪ n`, and `B̂⁻¹` is symmetric positive definite
 //! by construction whenever all residual variances are positive.
 
-use crate::{ridge_least_squares, LinalgError, Matrix, Result};
+//!
+//! # One regression core
+//!
+//! Every entry of a regression's normal matrix `XᵀX + λI` and right-hand
+//! side `Xᵀy` is an inner product of two anomaly rows. The estimator
+//! therefore never builds a design matrix: [`ModifiedCholesky::estimate_into`]
+//! asks a caller-supplied *Gram accessor* for `uₐ · u_b` and gathers the
+//! `p × p` system from it. [`ModifiedCholesky::estimate`] passes
+//! [`dot`] on the anomaly rows; the point-wise local
+//! analysis passes a lookup into a table it computed once for the whole
+//! expansion. As long as the accessor returns the ascending-order fold from
+//! `0.0`, the result is bit for bit the one `ridge_least_squares` on the
+//! gathered design matrix gives (pinned by this module's tests).
+
+use crate::kernel::gemm::dot;
+use crate::{CholWorkspace, LinalgError, Matrix, Result};
 
 /// The factors of the modified Cholesky inverse-covariance estimate.
-#[derive(Debug, Clone)]
+///
+/// `L` is stored by rows in compressed form — only the predecessor columns
+/// of each row, the unit diagonal implicit — so its size follows the
+/// localization neighborhood, not `n²`. The buffers are reused by
+/// [`ModifiedCholesky::estimate_into`].
+#[derive(Debug, Clone, Default)]
 pub struct ModifiedCholesky {
-    /// Unit lower-triangular regression-coefficient factor.
-    l: Matrix,
+    /// Row `i`'s entries live at `row_start[i]..row_start[i + 1]`.
+    row_start: Vec<usize>,
+    /// Predecessor columns, strictly ascending within a row.
+    cols: Vec<usize>,
+    /// `L[i][cols[k]] = −β`.
+    vals: Vec<f64>,
     /// Residual variances (diagonal of `D`).
     d: Vec<f64>,
+}
+
+/// Scratch for the per-component regressions and the rank-1 accumulation
+/// of `B̂⁻¹`; grows to its high-water mark and is then reused, so repeated
+/// estimates allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub struct ModCholWorkspace {
+    preds: Vec<usize>,
+    normal: Matrix,
+    chol: CholWorkspace,
+    beta: Vec<f64>,
+    fit: Vec<f64>,
+    idx: Vec<usize>,
+    scaled: Vec<f64>,
+}
+
+impl ModCholWorkspace {
+    /// An empty workspace; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 impl ModifiedCholesky {
@@ -40,7 +85,8 @@ impl ModifiedCholesky {
     ///   one member.
     /// * `predecessors(i)` — indices `j < i` allowed as predictors for
     ///   component `i` (the localization neighborhood intersected with
-    ///   `0..i`). Indices `≥ i` are ignored.
+    ///   `0..i`). Indices `≥ i` are ignored; the rest are used in ascending
+    ///   order, each once.
     /// * `ridge` — Tikhonov term for the per-component regressions; a small
     ///   positive value (e.g. `1e-6 · tr(cov)/n`) keeps rank-deficient
     ///   neighborhoods solvable.
@@ -49,49 +95,124 @@ impl ModifiedCholesky {
         mut predecessors: impl FnMut(usize) -> Vec<usize>,
         ridge: f64,
     ) -> Result<Self> {
-        let n = anomalies.nrows();
-        let nens = anomalies.ncols();
+        let mut mc = ModifiedCholesky::default();
+        mc.estimate_into(
+            &mut ModCholWorkspace::new(),
+            anomalies.nrows(),
+            |i| anomalies.row(i),
+            |a, b| dot(anomalies.row(a), anomalies.row(b)),
+            |i, out| {
+                out.extend(predecessors(i).into_iter().filter(|&j| j < i));
+                out.sort_unstable();
+                out.dedup();
+            },
+            ridge,
+        )?;
+        Ok(mc)
+    }
+
+    /// The regression core: estimate the factors of an `n`-component
+    /// system into `self`, reusing its buffers and `ws`.
+    ///
+    /// * `row(i)` — component `i`'s anomalies (`N` members).
+    /// * `gram(a, b)` — `row(a) · row(b)` folded from `0.0` in ascending
+    ///   member order; only called with `a ≤ b`.
+    /// * `predecessors(i, out)` — push component `i`'s predictors onto the
+    ///   (cleared) `out`: strictly ascending, all `< i`.
+    /// * `ridge` — as in [`ModifiedCholesky::estimate`].
+    pub fn estimate_into<'a>(
+        &mut self,
+        ws: &mut ModCholWorkspace,
+        n: usize,
+        row: impl Fn(usize) -> &'a [f64],
+        gram: impl Fn(usize, usize) -> f64,
+        mut predecessors: impl FnMut(usize, &mut Vec<usize>),
+        ridge: f64,
+    ) -> Result<()> {
+        self.row_start.clear();
+        self.row_start.push(0);
+        self.cols.clear();
+        self.vals.clear();
+        self.d.clear();
+        if n == 0 {
+            return Ok(());
+        }
+        let nens = row(0).len();
         if nens < 2 {
             return Err(LinalgError::DimMismatch {
                 op: "ModifiedCholesky::estimate (need at least 2 members)",
-                lhs: anomalies.shape(),
+                lhs: (n, nens),
                 rhs: (n, 2),
             });
         }
         let denom = (nens - 1) as f64;
-        let mut l = Matrix::identity(n);
-        let mut d = vec![0.0; n];
+        let floor = ridge.max(f64::MIN_POSITIVE);
         for i in 0..n {
-            let preds: Vec<usize> = predecessors(i).into_iter().filter(|&j| j < i).collect();
-            let yi = anomalies.row(i);
-            if preds.is_empty() {
-                d[i] = variance(yi, denom).max(ridge.max(f64::MIN_POSITIVE));
+            ws.preds.clear();
+            predecessors(i, &mut ws.preds);
+            let preds = ws.preds.as_slice();
+            debug_assert!(preds.windows(2).all(|w| w[0] < w[1]));
+            debug_assert!(preds.last().is_none_or(|&j| j < i));
+            let p = preds.len();
+            if p == 0 {
+                self.d.push((gram(i, i) / denom).max(floor));
+                self.row_start.push(self.cols.len());
                 continue;
             }
-            // Design matrix: N samples × |preds| predictors.
-            let x = Matrix::from_fn(nens, preds.len(), |s, p| anomalies[(preds[p], s)]);
-            let beta = ridge_least_squares(&x, yi, ridge)?;
-            // Residual variance for D[i].
-            let mut ss = 0.0;
-            for s in 0..nens {
-                let mut fit = 0.0;
-                for (p, &j) in preds.iter().enumerate() {
-                    fit += beta[p] * anomalies[(j, s)];
+            // (XᵀX + λI) β = Xᵀy, gathered entry by entry; the factorization
+            // reads the lower triangle only.
+            ws.normal.resize(p, p);
+            for (a, &ja) in preds.iter().enumerate() {
+                let normal_row = ws.normal.row_mut(a);
+                for (x, &jb) in normal_row.iter_mut().zip(&preds[..a]) {
+                    *x = gram(jb, ja);
                 }
-                let r = yi[s] - fit;
+                normal_row[a] = gram(ja, ja) + ridge;
+            }
+            ws.chol.factor(&ws.normal)?;
+            ws.beta.clear();
+            ws.beta.extend(preds.iter().map(|&j| gram(j, i)));
+            ws.chol.solve_in_place(&mut ws.beta)?;
+            // Residual variance for D[i]: the fit is accumulated one
+            // predictor at a time across all samples, so each sample still
+            // sums its terms in predictor order.
+            ws.fit.clear();
+            ws.fit.resize(nens, 0.0);
+            for (&b, &j) in ws.beta.iter().zip(preds) {
+                for (f, &u) in ws.fit.iter_mut().zip(row(j)) {
+                    *f += b * u;
+                }
+            }
+            let mut ss = 0.0;
+            for (&y, &f) in row(i).iter().zip(&ws.fit) {
+                let r = y - f;
                 ss += r * r;
             }
-            d[i] = (ss / denom).max(ridge.max(f64::MIN_POSITIVE));
-            for (p, &j) in preds.iter().enumerate() {
-                l[(i, j)] = -beta[p];
-            }
+            self.d.push((ss / denom).max(floor));
+            self.cols.extend_from_slice(preds);
+            self.vals.extend(ws.beta.iter().map(|&b| -b));
+            self.row_start.push(self.cols.len());
         }
-        Ok(ModifiedCholesky { l, d })
+        Ok(())
     }
 
-    /// The unit lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
+    /// Row `i` of `L` below the diagonal: predecessor columns and values.
+    fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        let span = self.row_start[i]..self.row_start[i + 1];
+        (&self.cols[span.clone()], &self.vals[span])
+    }
+
+    /// The unit lower-triangular factor `L`, materialized densely
+    /// (diagnostics and tests; the estimator itself never forms it).
+    pub fn l(&self) -> Matrix {
+        let mut l = Matrix::identity(self.dim());
+        for i in 0..self.dim() {
+            let (cols, vals) = self.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                l[(i, j)] = v;
+            }
+        }
+        l
     }
 
     /// The residual variances (diagonal of `D`).
@@ -105,38 +226,44 @@ impl ModifiedCholesky {
     }
 
     /// Materialize `B̂⁻¹ = Lᵀ D⁻¹ L` as a dense symmetric matrix.
+    pub fn inverse_covariance(&self) -> Matrix {
+        let mut binv = Matrix::zeros(0, 0);
+        self.inverse_covariance_into(&mut ModCholWorkspace::new(), &mut binv);
+        binv
+    }
+
+    /// [`ModifiedCholesky::inverse_covariance`] into a caller-owned matrix.
     ///
     /// `B̂⁻¹ = Gᵀ G` with `G = D^{−1/2} L`, and row `i` of `L` is zero
     /// outside `predecessors(i) ∪ {i}` by construction — so instead of a
     /// dense `n³` product, each row contributes a rank-1 update confined to
-    /// its `O(|preds|²)` support. The per-term products and the ascending
-    /// row-accumulation order match the dense zero-skipping product this
-    /// replaces.
-    pub fn inverse_covariance(&self) -> Matrix {
+    /// its `O(|preds|²)` support. The per-term products, the skip of exact
+    /// zeros and the ascending row-accumulation order match the dense
+    /// zero-skipping product `(D^{−1/2}L)ᵀ (D^{−1/2}L)`.
+    pub fn inverse_covariance_into(&self, ws: &mut ModCholWorkspace, binv: &mut Matrix) {
         let n = self.dim();
-        let mut binv = Matrix::zeros(n, n);
-        let mut idx: Vec<usize> = Vec::new();
-        let mut val: Vec<f64> = Vec::new();
+        binv.resize(n, n);
         for i in 0..n {
             let s = 1.0 / self.d[i].sqrt();
-            let row = self.l.row(i);
-            idx.clear();
-            val.clear();
-            for (j, &x) in row.iter().enumerate().take(i + 1) {
+            let (cols, vals) = self.row(i);
+            ws.idx.clear();
+            ws.scaled.clear();
+            for (&j, &x) in cols.iter().zip(vals) {
                 if x != 0.0 {
-                    idx.push(j);
-                    val.push(x * s);
+                    ws.idx.push(j);
+                    ws.scaled.push(x * s);
                 }
             }
-            for (a, &ja) in idx.iter().enumerate() {
-                let fa = val[a];
-                for (b, &jb) in idx.iter().enumerate() {
-                    binv[(ja, jb)] += fa * val[b];
+            ws.idx.push(i);
+            ws.scaled.push(s);
+            for (&ja, &fa) in ws.idx.iter().zip(&ws.scaled) {
+                let out = binv.row_mut(ja);
+                for (&jb, &fb) in ws.idx.iter().zip(&ws.scaled) {
+                    out[jb] += fa * fb;
                 }
             }
         }
         binv.symmetrize();
-        binv
     }
 
     /// Apply `B̂⁻¹ x` without materializing the dense matrix:
@@ -150,25 +277,21 @@ impl ModifiedCholesky {
                 rhs: (x.len(), 1),
             });
         }
-        // t = L x  (unit lower triangular, dense row scan).
+        // t = D⁻¹ L x.
         let mut t = vec![0.0; n];
         for i in 0..n {
-            let row = self.l.row(i);
+            let (cols, vals) = self.row(i);
             let mut sum = x[i];
-            for (j, &lij) in row.iter().enumerate().take(i) {
+            for (&j, &lij) in cols.iter().zip(vals) {
                 sum += lij * x[j];
             }
-            t[i] = sum;
-        }
-        for (ti, &di) in t.iter_mut().zip(&self.d) {
-            *ti /= di;
+            t[i] = sum / self.d[i];
         }
         // y = Lᵀ t.
-        let mut y = vec![0.0; n];
+        let mut y = t.clone();
         for i in 0..n {
-            let row = self.l.row(i);
-            y[i] += t[i];
-            for (j, &lij) in row.iter().enumerate().take(i) {
+            let (cols, vals) = self.row(i);
+            for (&j, &lij) in cols.iter().zip(vals) {
                 y[j] += lij * t[i];
             }
         }
@@ -183,10 +306,6 @@ pub fn modified_cholesky_inverse(
     ridge: f64,
 ) -> Result<Matrix> {
     Ok(ModifiedCholesky::estimate(anomalies, predecessors, ridge)?.inverse_covariance())
-}
-
-fn variance(row: &[f64], denom: f64) -> f64 {
-    row.iter().map(|&v| v * v).sum::<f64>() / denom
 }
 
 #[cfg(test)]
@@ -298,6 +417,143 @@ mod tests {
             "expected strong negative precision, got {}",
             binv[(1, 0)]
         );
+    }
+
+    /// The estimator as it was before the regression core: gather a design
+    /// matrix per component, solve it with `ridge_least_squares`, keep a
+    /// dense `L`, and form `LᵀD⁻¹L` by the zero-skipping rank-1 sweep.
+    fn design_matrix_oracle(
+        u: &Matrix,
+        mut predecessors: impl FnMut(usize) -> Vec<usize>,
+        ridge: f64,
+    ) -> (Matrix, Vec<f64>, Matrix) {
+        let (n, nens) = u.shape();
+        let denom = (nens - 1) as f64;
+        let mut l = Matrix::identity(n);
+        let mut d = vec![0.0; n];
+        for i in 0..n {
+            let preds = predecessors(i);
+            let yi = u.row(i);
+            if preds.is_empty() {
+                let var = yi.iter().map(|&v| v * v).sum::<f64>() / denom;
+                d[i] = var.max(ridge.max(f64::MIN_POSITIVE));
+                continue;
+            }
+            let x = Matrix::from_fn(nens, preds.len(), |s, p| u[(preds[p], s)]);
+            let beta = crate::ridge_least_squares(&x, yi, ridge).unwrap();
+            let mut ss = 0.0;
+            for s in 0..nens {
+                let mut fit = 0.0;
+                for (p, &j) in preds.iter().enumerate() {
+                    fit += beta[p] * u[(j, s)];
+                }
+                let r = yi[s] - fit;
+                ss += r * r;
+            }
+            d[i] = (ss / denom).max(ridge.max(f64::MIN_POSITIVE));
+            for (p, &j) in preds.iter().enumerate() {
+                l[(i, j)] = -beta[p];
+            }
+        }
+        let mut binv = Matrix::zeros(n, n);
+        for i in 0..n {
+            let s = 1.0 / d[i].sqrt();
+            let support: Vec<(usize, f64)> = (0..=i)
+                .filter(|&j| l[(i, j)] != 0.0)
+                .map(|j| (j, l[(i, j)] * s))
+                .collect();
+            for &(ja, fa) in &support {
+                for &(jb, fb) in &support {
+                    binv[(ja, jb)] += fa * fb;
+                }
+            }
+        }
+        binv.symmetrize();
+        (l, d, binv)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    // Under `fast-math` the oracle's `tr_matmul` takes the FMA kernel while
+    // `dot` stays plain.
+    #[test]
+    #[cfg_attr(
+        feature = "fast-math",
+        ignore = "bit identity is a contract of the default feature set"
+    )]
+    fn regression_core_is_bit_identical_to_design_matrix_oracle() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut gs = GaussianSampler::new();
+        // (n, N, band): the last two have N ≤ |preds|, so only the ridge
+        // keeps the normal equations factorizable.
+        for &(n, nens, band) in &[
+            (9usize, 12usize, 3usize),
+            (14, 32, 6),
+            (12, 4, 7),
+            (10, 3, 9),
+        ] {
+            let mut u = Matrix::from_fn(n, nens, |_, _| gs.sample(&mut rng));
+            let means = u.row_means();
+            u.subtract_row_vector(&means);
+            let ridge = 0.05;
+            let (l, d, binv) = design_matrix_oracle(&u, band_predecessors(band), ridge);
+            let mc = ModifiedCholesky::estimate(&u, band_predecessors(band), ridge).unwrap();
+            assert_eq!(bits(mc.l().as_slice()), bits(l.as_slice()), "L n={n}");
+            assert_eq!(bits(mc.d()), bits(&d), "D n={n}");
+            assert_eq!(
+                bits(mc.inverse_covariance().as_slice()),
+                bits(binv.as_slice()),
+                "B⁻¹ n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn predecessors_are_filtered_sorted_and_deduplicated() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut gs = GaussianSampler::new();
+        let u = Matrix::from_fn(6, 10, |_, _| gs.sample(&mut rng));
+        let tidy = ModifiedCholesky::estimate(&u, band_predecessors(3), 1e-6).unwrap();
+        let messy = ModifiedCholesky::estimate(
+            &u,
+            |i| {
+                let mut v: Vec<usize> = (i.saturating_sub(3)..i).rev().collect();
+                v.extend(i.checked_sub(1));
+                v.push(i + 2);
+                v
+            },
+            1e-6,
+        )
+        .unwrap();
+        assert_eq!(messy.l(), tidy.l());
+        assert_eq!(messy.d(), tidy.d());
+    }
+
+    #[test]
+    fn estimate_into_reuses_buffers_across_sizes() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut gs = GaussianSampler::new();
+        let mut mc = ModifiedCholesky::default();
+        let mut ws = ModCholWorkspace::new();
+        let mut binv = Matrix::zeros(0, 0);
+        for n in [8usize, 3, 11] {
+            let u = Matrix::from_fn(n, 9, |_, _| gs.sample(&mut rng));
+            mc.estimate_into(
+                &mut ws,
+                n,
+                |i| u.row(i),
+                |a, b| dot(u.row(a), u.row(b)),
+                |i, out| out.extend(i.saturating_sub(2)..i),
+                1e-4,
+            )
+            .unwrap();
+            mc.inverse_covariance_into(&mut ws, &mut binv);
+            let fresh = ModifiedCholesky::estimate(&u, band_predecessors(2), 1e-4).unwrap();
+            assert_eq!(mc.l(), fresh.l());
+            assert_eq!(binv, fresh.inverse_covariance());
+        }
     }
 
     #[test]

@@ -34,8 +34,10 @@ echo "==> scheduler suites: fair-share properties + multi-tenant isolation"
 cargo test -q -p enkf-sched
 cargo test -q --test scheduler_conformance
 
-echo "==> allocation regression: steady-state data plane is alloc-free (release)"
+echo "==> allocation regression: steady-state data plane and both local-analysis"
+echo "    point kernels are alloc-free (release)"
 cargo test -q --release --test dataplane_alloc_free
+cargo test -q --release -p enkf-core --test alloc_free
 
 echo "==> kernel conformance matrix: default / fast-math / no-SIMD features"
 cargo test -q -p enkf-linalg
@@ -44,5 +46,8 @@ cargo test -q -p enkf-linalg --no-default-features
 
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
+
+echo "==> perf ledger (its own workspace): BENCHMARK.json names still match the binary"
+cargo test -q --manifest-path perf/Cargo.toml
 
 echo "All checks passed."

@@ -18,8 +18,8 @@
 //! as a member payload, and total bytes far below the payload swept".
 
 use s_enkf::core::{
-    Ensemble, LetkfAnalysis, LetkfWorkspace, LocalObsIndex, ObservationOperator, Observations,
-    PerturbedObservations,
+    AnomalyGram, Ensemble, LocalAnalysis, LocalAnalysisWorkspace, LocalObsIndex,
+    ObservationOperator, Observations, PerturbedObservations,
 };
 use s_enkf::grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
 use s_enkf::linalg::Matrix;
@@ -72,9 +72,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// One steady-state assimilation cycle over pre-sized buffers: read every
 /// member's bar, split it into block views (O(1) extracts), scatter the
-/// surface values into the preallocated `X̄ᵇ`, then run the pointwise
-/// analysis loop into a caller-owned row. Returns a checksum so nothing is
-/// optimized away.
+/// surface values into the preallocated `X̄ᵇ`, then run the executors'
+/// point-wise local analysis (shared anomalies + Gram table rebuilt in
+/// place, then the per-point kernel) into a caller-owned row. Returns a
+/// checksum so nothing is optimized away.
 #[allow(clippy::too_many_arguments)]
 fn cycle(
     store: &FileStore,
@@ -84,10 +85,11 @@ fn cycle(
     mesh: Mesh,
     states: &mut Matrix,
     views: &mut Vec<RegionData>,
-    analysis: &LetkfAnalysis,
+    analysis: &LocalAnalysis,
     obs: &s_enkf::core::LocalObservations,
     index: &LocalObsIndex,
-    ws: &mut LetkfWorkspace,
+    gram: &mut AnomalyGram,
+    ws: &mut LocalAnalysisWorkspace,
     out_row: &mut [f64],
 ) -> f64 {
     // Read phase: one bar per member through the pooled path.
@@ -113,12 +115,14 @@ fn cycle(
             debug_assert_eq!(local, block.npoints());
         }
     }
-    // Analyze phase: the PR 2 allocation-free pointwise loop.
+    // Analyze phase: what `LocalAnalysis::analyze` does per call, minus
+    // its output matrix.
     let full = RegionRect::full(mesh);
+    gram.rebuild(states, &full, analysis.radius);
     let mut checksum = 0.0;
     for p in bar.iter_points() {
         analysis
-            .analyze_point_into(mesh, p, &full, states, obs, index, ws, out_row)
+            .analyze_point_into(mesh, p, &full, states, obs, index, gram, ws, out_row)
             .unwrap();
         checksum += out_row[0];
     }
@@ -157,12 +161,13 @@ fn read_scatter_analyze_cycle_is_allocation_free_at_steady_state() {
     let blocks = [RegionRect::new(0, 8, 2, 6), RegionRect::new(8, 16, 2, 6)];
     let full = RegionRect::full(mesh);
     let obs = observations.localize(&full);
-    let analysis = LetkfAnalysis::new(radius);
+    let analysis = LocalAnalysis::new(radius);
     let cell = radius.xi.max(radius.eta).max(1);
     let index = LocalObsIndex::build(&obs, &full, cell);
     let mut states = Matrix::zeros(mesh.n(), members);
     let mut views: Vec<RegionData> = Vec::with_capacity(blocks.len());
-    let mut ws = LetkfWorkspace::new();
+    let mut gram = AnomalyGram::default();
+    let mut ws = LocalAnalysisWorkspace::new();
     let mut out_row = vec![0.0; members];
 
     // Warm cycle: pool slabs, byte buffers, file handles and workspace
@@ -178,6 +183,7 @@ fn read_scatter_analyze_cycle_is_allocation_free_at_steady_state() {
         &analysis,
         &obs,
         &index,
+        &mut gram,
         &mut ws,
         &mut out_row,
     );
@@ -195,6 +201,7 @@ fn read_scatter_analyze_cycle_is_allocation_free_at_steady_state() {
         &analysis,
         &obs,
         &index,
+        &mut gram,
         &mut ws,
         &mut out_row,
     );
