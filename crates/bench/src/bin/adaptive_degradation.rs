@@ -16,7 +16,7 @@
 //! Two invariants are asserted, not just reported: at severity 0 the arms
 //! are *identical* (`adaptive_s == static_s` to the bit — a clean monitor
 //! never perturbs the schedule), and at severity ≥ 2 the adaptive arm is
-//! strictly faster. Emits machine-readable lines for `scripts/bench.sh`:
+//! strictly faster. Emits machine-readable lines (checked by `tests/smoke.rs`):
 //!
 //! ```text
 //! ADAPT severity=2 cycles=6 static_s=... adaptive_s=... speedup=... \

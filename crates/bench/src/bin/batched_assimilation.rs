@@ -16,7 +16,7 @@
 //! support for the paper's premise that dense-network assimilation needs
 //! the localized, observation-independent analysis.
 //!
-//! Emits one machine-readable line per sweep point for `scripts/bench.sh`:
+//! Emits one machine-readable line per sweep point (checked by `tests/smoke.rs`):
 //!
 //! ```text
 //! BATCH stride=3 obs=720000 shards=40 batched_s=... sequential_s=... \

@@ -24,7 +24,7 @@
 //! hidden/exposed split measured from the DES trace
 //! ([`enkf_trace::Trace::ckpt_overlap`]).
 //!
-//! Emits machine-readable lines for `scripts/bench.sh`:
+//! Emits machine-readable lines (`crates/bench/tests/smoke.rs` checks them):
 //!
 //! ```text
 //! MTTR crashes=2 cycles=16 clean_s=... ckpt_s=... nockpt_s=... \

@@ -9,7 +9,7 @@
 //! packed immediately and the machine is split evenly, so deadlines blow
 //! up as tenants pile in. The sweep quantifies that contrast.
 //!
-//! Emits one machine-readable line per sweep point for `scripts/bench.sh`:
+//! Emits one machine-readable line per sweep point (checked by `tests/smoke.rs`):
 //!
 //! ```text
 //! SCHED tenants=4 policy=fair jobs=8 completed=8 rejected=0 queued_rejects=0 \

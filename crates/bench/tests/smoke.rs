@@ -2,7 +2,8 @@
 //! sweeps end to end and check the CSV artifacts have the expected header
 //! and the paper-consistent shape. The fig09 test additionally validates
 //! the `--trace` Chrome-trace export against the binary's own
-//! full-precision per-rank check CSV.
+//! full-precision per-rank check CSV. The DES sweep binaries are held to
+//! exit 0 and to the machine-readable lines their docs promise.
 
 use enkf_trace::json;
 use std::path::PathBuf;
@@ -116,6 +117,34 @@ fn fig09_tiny_trace_reproduces_phase_breakdown() {
                     want
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn des_sweeps_tiny_print_their_machine_readable_lines() {
+    let cases: [(&str, &[&str]); 4] = [
+        (env!("CARGO_BIN_EXE_campaign_mttr"), &["MTTR ", "PIPE "]),
+        (env!("CARGO_BIN_EXE_scheduler_fairness"), &["SCHED "]),
+        (env!("CARGO_BIN_EXE_batched_assimilation"), &["BATCH "]),
+        (env!("CARGO_BIN_EXE_adaptive_degradation"), &["ADAPT "]),
+    ];
+    for (bin, prefixes) in cases {
+        let out = Command::new(bin)
+            .arg("--tiny")
+            .output()
+            .expect("spawn sweep binary");
+        assert!(
+            out.status.success(),
+            "{bin} --tiny exited with {}",
+            out.status
+        );
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        for prefix in prefixes {
+            assert!(
+                stdout.lines().any(|l| l.starts_with(prefix)),
+                "{bin} --tiny printed no `{prefix}` line"
+            );
         }
     }
 }

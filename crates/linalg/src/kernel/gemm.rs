@@ -28,10 +28,6 @@
 //! at least [`tiles::PAR_FLOPS`] flops and more than one worker exists)
 //! cannot reorder any element's accumulation: results are bit-identical
 //! across thread counts, including fully serial.
-//!
-//! The `fast-math` feature swaps in FMA microkernels (and, for `nt`,
-//! vectorized dot products) on hardware that has them — different, better
-//! bits, pinned by `tests/kernel_conformance.rs` digests instead.
 
 // Pointer + stride kernels necessarily carry many scalar parameters.
 #![allow(clippy::too_many_arguments)]
@@ -164,9 +160,6 @@ unsafe fn dispatch_nn(
 ) {
     #[cfg(all(target_arch = "x86_64", feature = "simd"))]
     match isa {
-        Isa::Avx2Fma if cfg!(feature = "fast-math") => {
-            return super::simd::nn_block_fma(a, lda, b, ldb, c, ldc, m, n, k);
-        }
         Isa::Avx2 | Isa::Avx2Fma => {
             return super::simd::nn_block_avx2(a, lda, b, ldb, c, ldc, m, n, k);
         }
@@ -321,9 +314,6 @@ unsafe fn dispatch_tn(
 ) {
     #[cfg(all(target_arch = "x86_64", feature = "simd"))]
     match isa {
-        Isa::Avx2Fma if cfg!(feature = "fast-math") => {
-            return super::simd::tn_block_fma(a, lda, b, ldb, c, ldc, m, n, k);
-        }
         Isa::Avx2 | Isa::Avx2Fma => {
             return super::simd::tn_block_avx2(a, lda, b, ldb, c, ldc, m, n, k);
         }
@@ -376,7 +366,6 @@ pub fn nt_tuned(
         0,
         n,
         k,
-        active_isa(),
         par,
         par_flops,
     );
@@ -393,7 +382,6 @@ fn nt_rec(
     j0: usize,
     n: usize,
     k: usize,
-    isa: Isa,
     par: bool,
     par_flops: usize,
 ) {
@@ -402,14 +390,14 @@ fn nt_rec(
             let ap = a.as_ptr().add(i0 * k);
             let bp = b.as_ptr().add(j0 * k);
             let cp = c.0.add(i0 * ldc + j0);
-            dispatch_nt(isa, ap, k, bp, k, cp, ldc, m, n, k);
+            nt_block_scalar(ap, k, bp, k, cp, ldc, m, n, k);
         }
         return;
     }
     if m >= n {
         let mh = m / 2;
-        let lo = move || nt_rec(a, b, c, ldc, i0, mh, j0, n, k, isa, par, par_flops);
-        let hi = move || nt_rec(a, b, c, ldc, i0 + mh, m - mh, j0, n, k, isa, par, par_flops);
+        let lo = move || nt_rec(a, b, c, ldc, i0, mh, j0, n, k, par, par_flops);
+        let hi = move || nt_rec(a, b, c, ldc, i0 + mh, m - mh, j0, n, k, par, par_flops);
         if fork(par, m, n, k, par_flops) {
             rayon::join(lo, hi);
         } else {
@@ -418,8 +406,8 @@ fn nt_rec(
         }
     } else {
         let nh = n / 2;
-        let lo = move || nt_rec(a, b, c, ldc, i0, m, j0, nh, k, isa, par, par_flops);
-        let hi = move || nt_rec(a, b, c, ldc, i0, m, j0 + nh, n - nh, k, isa, par, par_flops);
+        let lo = move || nt_rec(a, b, c, ldc, i0, m, j0, nh, k, par, par_flops);
+        let hi = move || nt_rec(a, b, c, ldc, i0, m, j0 + nh, n - nh, k, par, par_flops);
         if fork(par, m, n, k, par_flops) {
             rayon::join(lo, hi);
         } else {
@@ -427,27 +415,6 @@ fn nt_rec(
             hi();
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-unsafe fn dispatch_nt(
-    isa: Isa,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    c: *mut f64,
-    ldc: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-    if cfg!(feature = "fast-math") && isa == Isa::Avx2Fma {
-        return super::simd::nt_block_fma(a, lda, b, ldb, c, ldc, m, n, k);
-    }
-    let _ = isa;
-    nt_block_scalar(a, lda, b, ldb, c, ldc, m, n, k);
 }
 
 /// Matrix-vector product `out = a·x` (`a` `m×k`), unrolled into

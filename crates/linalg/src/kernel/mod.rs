@@ -7,23 +7,23 @@
 //! - [`gemm`] — cache-oblivious divide-and-conquer drivers for the three
 //!   product families (`A·B`, `Aᵀ·B`, `A·Bᵀ`) plus the unrolled
 //!   matrix-vector product, dispatching to register-tiled microkernels.
-//! - [`simd`] (via re-exports) — runtime ISA detection and the AVX2/FMA
+//! - [`simd`] (via re-exports) — runtime ISA detection and the AVX2
 //!   microkernel bodies with scalar fallbacks.
 //! - [`convert`] — bulk little-endian ↔ `f64` codecs shared with
 //!   `enkf-pfs`.
 //! - [`tiles`] — every tiling/dispatch constant, with the cache
 //!   reasoning attached.
 //! - [`reference`] — the pre-kernel-layer blocked loops, frozen as the
-//!   bit-identity oracle and roofline baseline.
+//!   bit-identity oracle and the perf ledger's `linalg.gemm_ref_gflops`
+//!   arm.
 //!
 //! # Determinism contract
 //!
 //! Default-feature kernels are **bit-identical** to the legacy
 //! implementations, element for element, across ISA tiers and thread
-//! counts (see [`gemm`] for the pinned accumulation orders). The
-//! `fast-math` cargo feature opts into FMA-fused and reassociated
-//! variants whose (still deterministic) outputs are pinned by their own
-//! digest suite in `tests/kernel_conformance.rs`.
+//! counts (see [`gemm`] for the pinned accumulation orders); the digests
+//! in `tests/kernel_conformance.rs` pin them under the default build and
+//! under `--no-default-features`.
 
 pub mod convert;
 pub mod gemm;
@@ -31,4 +31,4 @@ pub mod reference;
 mod simd;
 pub mod tiles;
 
-pub use simd::{active_isa, fma_active, Isa};
+pub use simd::{active_isa, Isa};

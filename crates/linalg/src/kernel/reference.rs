@@ -6,9 +6,9 @@
 //! 1. **Bit-identity oracle** — the proptests in `tests/proptests.rs` and
 //!    the conformance suite assert that the new recursive + SIMD kernels
 //!    reproduce these byte-for-byte under default features.
-//! 2. **Roofline baseline** — the `roofline` bench bin reports GFLOP/s for
-//!    both layers so `BENCH_PR7.json` can show the speedup against the
-//!    real previous implementation rather than a strawman.
+//! 2. **Roofline baseline** — the perf ledger times [`nn`] as
+//!    `linalg.gemm_ref_gflops` beside `linalg.gemm_gflops`, so the speedup
+//!    is against the real previous implementation rather than a strawman.
 //!
 //! Do not "improve" this module; its value is that it never changes.
 

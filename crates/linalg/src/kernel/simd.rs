@@ -9,12 +9,6 @@
 //! dispatch therefore needs no feature gate for correctness; the `simd`
 //! cargo feature (default on) only controls whether detection is compiled
 //! in at all.
-//!
-//! The `fast-math` cargo feature additionally enables fused multiply-add
-//! variants (single rounding per `a*b+c`, different — typically *more*
-//! accurate — bits) that are pinned by their own conformance digests in
-//! `tests/kernel_conformance.rs` rather than by equality with the scalar
-//! path.
 
 // Pointer + stride kernels necessarily carry many scalar parameters.
 #![allow(clippy::too_many_arguments)]
@@ -28,13 +22,14 @@ pub enum Isa {
     Scalar,
     /// 4-lane `f64` AVX2 kernels, multiply-then-add only.
     Avx2,
-    /// AVX2 plus FMA: the fused kernels become *available*; they are only
-    /// dispatched when the `fast-math` feature is also enabled.
+    /// AVX2 plus FMA hardware. Dispatches the same multiply-then-add
+    /// kernels as [`Isa::Avx2`]; the tier is reported so a ledger run
+    /// records what the host has.
     Avx2Fma,
 }
 
 impl Isa {
-    /// Human-readable tier name (for the roofline bench's provenance).
+    /// Human-readable tier name (the perf ledger records it in a run's `env`).
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -68,13 +63,6 @@ fn detect() -> Isa {
     Isa::Scalar
 }
 
-/// True when the dispatched kernels fuse multiply-adds (and results may
-/// therefore differ from the deterministic default). Requires both the
-/// `fast-math` feature and FMA hardware.
-pub fn fma_active() -> bool {
-    cfg!(feature = "fast-math") && active_isa() == Isa::Avx2Fma
-}
-
 #[cfg(all(target_arch = "x86_64", feature = "simd"))]
 pub use x86::*;
 
@@ -84,19 +72,17 @@ mod x86 {
     use crate::kernel::tiles::{MR, NR};
     use core::arch::x86_64::*;
 
-    /// `acc <- acc + a*b` (two roundings) or `fma(a, b, acc)` (one), chosen
-    /// at monomorphization time so each target-feature wrapper compiles the
-    /// branch-free body it needs.
+    /// `acc <- acc + a*b` as two IEEE roundings (never fused), which is
+    /// what keeps the vector lanes bit-identical to the scalar kernels.
     #[inline(always)]
-    unsafe fn mul_acc<const FMA: bool>(acc: __m256d, a: __m256d, b: __m256d) -> __m256d {
-        if FMA {
-            _mm256_fmadd_pd(a, b, acc)
-        } else {
-            _mm256_add_pd(acc, _mm256_mul_pd(a, b))
-        }
+    unsafe fn mul_acc(acc: __m256d, a: __m256d, b: __m256d) -> __m256d {
+        _mm256_add_pd(acc, _mm256_mul_pd(a, b))
     }
 
-    /// AVX2 NN microkernel (multiply-then-add; bit-identical to scalar).
+    /// AVX2 NN microkernel (multiply-then-add; bit-identical to scalar):
+    /// 4×8 register tiles (8 accumulator vectors), edges delegated to the
+    /// scalar tile (same per-element order). The `av == 0` skip branch of
+    /// the legacy kernel is preserved per `(row, l)` pair.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available and that the pointers cover
@@ -104,43 +90,6 @@ mod x86 {
     /// (`c`, stride `ldc`) with `c` disjoint from `a`/`b`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn nn_block_avx2(
-        a: *const f64,
-        lda: usize,
-        b: *const f64,
-        ldb: usize,
-        c: *mut f64,
-        ldc: usize,
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        nn_block_v::<false>(a, lda, b, ldb, c, ldc, m, n, k)
-    }
-
-    /// FMA NN microkernel (`fast-math` dispatch only).
-    ///
-    /// # Safety
-    /// As [`nn_block_avx2`], plus FMA availability.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn nn_block_fma(
-        a: *const f64,
-        lda: usize,
-        b: *const f64,
-        ldb: usize,
-        c: *mut f64,
-        ldc: usize,
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        nn_block_v::<true>(a, lda, b, ldb, c, ldc, m, n, k)
-    }
-
-    /// Shared NN body: 4×8 register tiles (8 accumulator vectors), edges
-    /// delegated to the scalar tile (same per-element order). The `av == 0`
-    /// skip branch of the legacy kernel is preserved per `(row, l)` pair.
-    #[inline(always)]
-    unsafe fn nn_block_v<const FMA: bool>(
         a: *const f64,
         lda: usize,
         b: *const f64,
@@ -173,8 +122,8 @@ mod x86 {
                             continue;
                         }
                         let avv = _mm256_set1_pd(av);
-                        row[0] = mul_acc::<FMA>(row[0], avv, b0);
-                        row[1] = mul_acc::<FMA>(row[1], avv, b1);
+                        row[0] = mul_acc(row[0], avv, b0);
+                        row[1] = mul_acc(row[1], avv, b1);
                     }
                 }
                 for (r, row) in acc.iter().enumerate() {
@@ -194,7 +143,9 @@ mod x86 {
     }
 
     /// AVX2 TN microkernel (`AᵀB`; multiply-then-add, bit-identical to
-    /// scalar).
+    /// scalar): identical tiling to NN; the left value comes from
+    /// `a[l*lda + i + r]` (contiguous across the 4 tile rows) and there is
+    /// deliberately no zero-skip branch, matching the legacy kernel.
     ///
     /// # Safety
     /// AVX2 available; `a` covers `k×(lda≥m)` (its columns are the logical
@@ -202,43 +153,6 @@ mod x86 {
     /// `ldc`, `c` disjoint from `a`/`b`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn tn_block_avx2(
-        a: *const f64,
-        lda: usize,
-        b: *const f64,
-        ldb: usize,
-        c: *mut f64,
-        ldc: usize,
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        tn_block_v::<false>(a, lda, b, ldb, c, ldc, m, n, k)
-    }
-
-    /// FMA TN microkernel (`fast-math` dispatch only).
-    ///
-    /// # Safety
-    /// As [`tn_block_avx2`], plus FMA availability.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tn_block_fma(
-        a: *const f64,
-        lda: usize,
-        b: *const f64,
-        ldb: usize,
-        c: *mut f64,
-        ldc: usize,
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        tn_block_v::<true>(a, lda, b, ldb, c, ldc, m, n, k)
-    }
-
-    /// Shared TN body: identical tiling to NN; the left value comes from
-    /// `a[l*lda + i + r]` (contiguous across the 4 tile rows) and there is
-    /// deliberately no zero-skip branch, matching the legacy kernel.
-    #[inline(always)]
-    unsafe fn tn_block_v<const FMA: bool>(
         a: *const f64,
         lda: usize,
         b: *const f64,
@@ -268,8 +182,8 @@ mod x86 {
                     let b1 = _mm256_loadu_pd(bl.add(4));
                     for (r, row) in acc.iter_mut().enumerate() {
                         let avv = _mm256_set1_pd(*al.add(r));
-                        row[0] = mul_acc::<FMA>(row[0], avv, b0);
-                        row[1] = mul_acc::<FMA>(row[1], avv, b1);
+                        row[0] = mul_acc(row[0], avv, b0);
+                        row[1] = mul_acc(row[1], avv, b1);
                     }
                 }
                 for (r, row) in acc.iter().enumerate() {
@@ -285,58 +199,6 @@ mod x86 {
         }
         if i < m {
             tn_tile_scalar(a, lda, b, ldb, c, ldc, i, 0, m - i, n, k);
-        }
-    }
-
-    /// FMA NT microkernel (`ABᵀ`, `fast-math` dispatch only): each output
-    /// element is a 4-accumulator vectorized dot product along `k` —
-    /// reassociated relative to the deterministic chunked kernel, with a
-    /// fixed lane/reduction order so results are still reproducible.
-    ///
-    /// # Safety
-    /// AVX2+FMA available; `a` covers `m×k` stride `lda`, `b` covers `n×k`
-    /// stride `ldb`, `c` covers `m×n` stride `ldc`, `c` disjoint.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn nt_block_fma(
-        a: *const f64,
-        lda: usize,
-        b: *const f64,
-        ldb: usize,
-        c: *mut f64,
-        ldc: usize,
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        let k_main = k - k % 16;
-        for i in 0..m {
-            let ai = a.add(i * lda);
-            for j in 0..n {
-                let bj = b.add(j * ldb);
-                let mut acc = [_mm256_setzero_pd(); 4];
-                let mut l = 0;
-                while l < k_main {
-                    for (q, accq) in acc.iter_mut().enumerate() {
-                        *accq = _mm256_fmadd_pd(
-                            _mm256_loadu_pd(ai.add(l + 4 * q)),
-                            _mm256_loadu_pd(bj.add(l + 4 * q)),
-                            *accq,
-                        );
-                    }
-                    l += 16;
-                }
-                let red =
-                    _mm256_add_pd(_mm256_add_pd(acc[0], acc[1]), _mm256_add_pd(acc[2], acc[3]));
-                let hi = _mm256_extractf128_pd(red, 1);
-                let lo = _mm256_castpd256_pd128(red);
-                let pair = _mm_add_pd(lo, hi);
-                let mut sum = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-                while l < k {
-                    sum = (*ai.add(l)).mul_add(*bj.add(l), sum);
-                    l += 1;
-                }
-                *c.add(i * ldc + j) += sum;
-            }
         }
     }
 }

@@ -75,10 +75,3 @@ pub const PAR_FLOPS: usize = 1 << 23;
 /// Legacy block edge of the pre-kernel-layer blocked loops, kept for the
 /// verbatim reference implementations in [`crate::kernel::reference`].
 pub const LEGACY_BLOCK: usize = 64;
-
-/// Matrix order at or above which `fast-math` builds route
-/// `EigenWorkspace::decompose` to the parallel rotation-set Jacobi solve.
-/// Below it the serial cyclic sweep wins (rotation-set scheduling overhead
-/// exceeds the work), and pointwise-LETKF Gram matrices (`m̄ ≈` a local
-/// box's observation count) stay on the bit-pinned serial path.
-pub const PAR_JACOBI_MIN: usize = 48;

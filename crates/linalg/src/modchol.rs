@@ -476,13 +476,7 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    // Under `fast-math` the oracle's `tr_matmul` takes the FMA kernel while
-    // `dot` stays plain.
     #[test]
-    #[cfg_attr(
-        feature = "fast-math",
-        ignore = "bit identity is a contract of the default feature set"
-    )]
     fn regression_core_is_bit_identical_to_design_matrix_oracle() {
         let mut rng = StdRng::seed_from_u64(41);
         let mut gs = GaussianSampler::new();

@@ -7,7 +7,7 @@
 //! guarantee the pointwise LETKF loop depends on: the cache-oblivious
 //! recursion works in-place on the output, the microkernels keep their
 //! tiles in registers/stack arrays, and `EigenWorkspace` reuses its
-//! scratch (including the parallel-ordering rotation set).
+//! scratch.
 //!
 //! Problem sizes stay below `kernel::tiles::PAR_FLOPS` so the recursion
 //! never forks — the shim's `rayon::join` spawns a real scoped thread,
@@ -87,13 +87,6 @@ fn gemm_pass(
     nn.as_slice()[0] + tn.as_slice()[1] + nt.as_slice()[2] + mv[3]
 }
 
-/// True when an eigensolve of order ≥ `PAR_JACOBI_MIN` spawns scoped
-/// workers from the calling thread — which allocates there by design, so
-/// the zero is then not owed (the bits always are).
-fn parallel_ordering_spawns() -> bool {
-    rayon::current_num_threads() > 1
-}
-
 #[test]
 fn gemm_and_eigensolve_steady_state_is_allocation_free() {
     // 96³ keeps 2·m·n·k below PAR_FLOPS (no fork) while still crossing
@@ -133,37 +126,9 @@ fn gemm_and_eigensolve_steady_state_is_allocation_free() {
         0,
         "steady-state GEMM/matvec must not touch the allocator"
     );
-    // `fast-math` routes this order to the parallel ordering.
-    if !(cfg!(feature = "fast-math") && parallel_ordering_spawns()) {
-        assert_eq!(
-            after_eigen - after_gemm,
-            0,
-            "steady-state eigensolve must not touch the allocator"
-        );
-    }
-}
-
-#[test]
-fn parallel_ordering_eigensolve_steady_state_is_allocation_free() {
-    // Order ≥ PAR_JACOBI_MIN so the rotation-set machinery is fully
-    // engaged.
-    let n = 56;
-    let mut sym = random_matrix(n, n, 11);
-    sym.symmetrize();
-    let mut ws = EigenWorkspace::new();
-    ws.decompose_parallel(&sym).unwrap();
-    let warm = ws.values()[0];
-
-    let before = allocations();
-    ws.decompose_parallel(&sym).unwrap();
-    let after = allocations();
-
-    assert_eq!(warm.to_bits(), ws.values()[0].to_bits());
-    if !parallel_ordering_spawns() {
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state parallel-ordering eigensolve must not allocate"
-        );
-    }
+    assert_eq!(
+        after_eigen - after_gemm,
+        0,
+        "steady-state eigensolve must not touch the allocator"
+    );
 }

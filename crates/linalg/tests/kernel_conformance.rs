@@ -1,21 +1,15 @@
-//! Kernel conformance suite — the contract CI runs under every feature
-//! combination (default, `--features fast-math`, `--no-default-features`):
+//! Kernel conformance suite — the contract CI runs under both feature
+//! combinations (default, `--no-default-features`):
 //!
-//! 1. **Default-feature bit-identity**: when the FMA fast path is *not*
-//!    active, every GEMM flavour (including the forced fork path that
-//!    splits across scoped threads) reproduces `kernel::reference`
-//!    byte-for-byte on fixed shapes chosen to cross every tile boundary.
+//! 1. **Bit-identity**: every GEMM flavour (including the forced fork
+//!    path that splits across scoped threads) reproduces
+//!    `kernel::reference` byte-for-byte on fixed shapes chosen to cross
+//!    every tile boundary.
 //! 2. **Run-to-run determinism**: two invocations of any kernel produce
-//!    identical FNV-64 digests, under *all* features. The fast-math
-//!    kernels may reassociate relative to the reference, but they must
-//!    never be nondeterministic.
-//! 3. **Fast-math confinement**: when FMA is active its results stay
-//!    within a tight relative tolerance of the reference, and its exact
-//!    bit patterns are pinned by digest so any codegen drift is caught
-//!    rather than silently shipped.
+//!    identical FNV-64 digests.
 
 use enkf_linalg::kernel::{self, gemm, reference};
-use enkf_linalg::{EigenWorkspace, GaussianSampler, Matrix};
+use enkf_linalg::{GaussianSampler, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,14 +49,6 @@ fn assert_bits(new: &[f64], old: &[f64], what: &str) {
     assert_eq!(new.len(), old.len(), "{what}: length");
     for (i, (a, b)) in new.iter().zip(old).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
-    }
-}
-
-fn assert_close(new: &[f64], old: &[f64], what: &str) {
-    assert_eq!(new.len(), old.len(), "{what}: length");
-    for (i, (a, b)) in new.iter().zip(old).enumerate() {
-        let tol = 1e-12 * (1.0 + b.abs());
-        assert!((a - b).abs() <= tol, "{what}: element {i}: {a} vs {b}");
     }
 }
 
@@ -119,23 +105,11 @@ fn run_all(m: usize, k: usize, n: usize, seed: u64) -> [(Vec<f64>, Vec<f64>); 3]
 
 #[test]
 fn gemm_conformance_against_reference() {
-    let fma = kernel::fma_active();
-    println!(
-        "kernel conformance: isa={} fma_active={}",
-        kernel::active_isa().name(),
-        fma
-    );
+    println!("kernel conformance: isa={}", kernel::active_isa().name());
     for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
         let results = run_all(m, k, n, 1000 + si as u64);
         for (flavour, (new, old)) in ["nn", "tn", "nt"].iter().zip(&results) {
-            let what = format!("{flavour} {m}x{k}x{n}");
-            if fma {
-                // Reassociation confined to a tolerance band; exact bits
-                // are pinned separately by the digest test.
-                assert_close(new, old, &what);
-            } else {
-                assert_bits(new, old, &what);
-            }
+            assert_bits(new, old, &format!("{flavour} {m}x{k}x{n}"));
         }
     }
 }
@@ -155,69 +129,5 @@ fn kernels_are_run_to_run_deterministic() {
                 "{flavour} {m}x{k}x{n}: nondeterministic result"
             );
         }
-    }
-}
-
-#[test]
-fn parallel_eigensolve_forced_fork_matches_serial_schedule() {
-    // The cross-thread-count determinism claim, independent of features:
-    // forcing the fork path must not change a bit relative to running the
-    // identical rotation schedule sequentially.
-    let n = 52;
-    let mut sym = random_matrix(n, n, 77);
-    sym.symmetrize();
-    let mut a = EigenWorkspace::new();
-    let mut b = EigenWorkspace::new();
-    a.decompose_parallel(&sym).unwrap();
-    b.decompose_parallel_forced(&sym).unwrap();
-    assert_bits(a.values(), b.values(), "eigenvalues");
-    assert_bits(
-        a.vectors().as_slice(),
-        b.vectors().as_slice(),
-        "eigenvectors",
-    );
-    // And twice through the same workspace stays bitwise stable.
-    let v1 = fnv64(a.values());
-    a.decompose_parallel(&sym).unwrap();
-    assert_eq!(v1, fnv64(a.values()));
-}
-
-/// Pinned digests for the FMA fast path on x86-64 AVX2+FMA hosts. These
-/// bits are *allowed* to differ from the reference (that is the point of
-/// `fast-math`) but they are not allowed to drift silently: a toolchain
-/// or kernel change that alters them must update the pins consciously.
-#[cfg(feature = "fast-math")]
-#[test]
-fn fast_math_digests_are_pinned() {
-    if !kernel::fma_active() {
-        println!("fast-math digest pins skipped: FMA not active on this host");
-        return;
-    }
-    const PINS: &[(usize, usize, usize, [u64; 3])] = &[
-        (
-            200,
-            17,
-            150,
-            [0xe5257cd71a0b776d, 0x3fad0e9c4cb2f3a2, 0x8df86edb93b345d0],
-        ),
-        (
-            131,
-            131,
-            5,
-            [0xf0b6c7442c5e6987, 0x3144c613132639bd, 0x816f07d71a19bea9],
-        ),
-    ];
-    for &(m, k, n, expect) in PINS {
-        let results = run_all(m, k, n, 4000 + m as u64);
-        let got = [
-            fnv64(&results[0].0),
-            fnv64(&results[1].0),
-            fnv64(&results[2].0),
-        ];
-        println!(
-            "PIN ({m}, {k}, {n}, [{:#x}, {:#x}, {:#x}]),",
-            got[0], got[1], got[2]
-        );
-        assert_eq!(got, expect, "fast-math digest drift at {m}x{k}x{n}");
     }
 }

@@ -51,28 +51,50 @@ pub(crate) struct FaultPrep {
     pub use_timeout: bool,
 }
 
-/// Resolve the fault plan before any thread is spawned: build the injector,
-/// compute the dropout set, and fail fast when degraded mode is not enabled
-/// (or would leave fewer than two members).
-pub(crate) fn prepare_faults(cfg: &FaultConfig, members: usize) -> enkf_core::Result<FaultPrep> {
-    let injector = FaultInjector::new(cfg.clone());
+/// Why a plan's dropout set stops a run before it starts.
+pub(crate) enum DropoutError {
+    /// These members are unrecoverable and degraded mode is off.
+    DegradedOff(Vec<usize>),
+    /// Degraded mode would leave this many members; at least 2 are required.
+    TooFew(usize),
+}
+
+/// The dropout decision of every executor, real and modeled: the sorted
+/// set of members whose reads exhaust the retry budget, logged as dropped
+/// in ascending order, or the reason the run cannot start. One function,
+/// so the two sides of a variant cannot disagree on who drops out.
+pub(crate) fn resolve_dropout(
+    injector: &FaultInjector,
+    members: usize,
+) -> Result<Vec<usize>, DropoutError> {
     let dropped = injector.unrecoverable_members(members);
     if !dropped.is_empty() {
-        if !cfg.degraded {
-            return Err(enkf_core::EnkfError::Substrate(
-                SubstrateError::Unrecoverable { members: dropped },
-            ));
+        if !injector.config().degraded {
+            return Err(DropoutError::DegradedOff(dropped));
         }
         if members - dropped.len() < 2 {
-            return Err(enkf_core::EnkfError::GeometryMismatch(format!(
-                "degraded mode would leave {} member(s); at least 2 are required",
-                members - dropped.len()
-            )));
+            return Err(DropoutError::TooFew(members - dropped.len()));
         }
         for &m in &dropped {
             injector.log().dropped(m);
         }
     }
+    Ok(dropped)
+}
+
+/// Resolve the fault plan before any thread is spawned: build the injector,
+/// compute the dropout set, and fail fast when degraded mode is not enabled
+/// (or would leave fewer than two members).
+pub(crate) fn prepare_faults(cfg: &FaultConfig, members: usize) -> enkf_core::Result<FaultPrep> {
+    let injector = FaultInjector::new(cfg.clone());
+    let dropped = resolve_dropout(&injector, members).map_err(|e| match e {
+        DropoutError::DegradedOff(members) => {
+            enkf_core::EnkfError::Substrate(SubstrateError::Unrecoverable { members })
+        }
+        DropoutError::TooFew(left) => enkf_core::EnkfError::GeometryMismatch(format!(
+            "degraded mode would leave {left} member(s); at least 2 are required"
+        )),
+    })?;
     let alive: Vec<usize> = (0..members).filter(|m| !dropped.contains(m)).collect();
     let plan = &injector.config().plan;
     let use_timeout = !plan.crashes.is_empty() || plan.msg_faults.iter().any(|m| m.dropped);

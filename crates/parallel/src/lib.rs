@@ -63,8 +63,7 @@ pub use model::penkf::{
     model_penkf, model_penkf_adaptive, model_penkf_faulted, model_penkf_traced,
 };
 pub use model::senkf::{
-    model_senkf, model_senkf_adaptive, model_senkf_adaptive_opts, model_senkf_faulted,
-    model_senkf_faulted_opts, model_senkf_opts, model_senkf_opts_traced, model_senkf_traced,
+    model_senkf, model_senkf_adaptive, model_senkf_faulted, model_senkf_opts, model_senkf_traced,
     SEnkfModelOptions,
 };
 pub use model::{ModelConfig, ModelOutcome};

@@ -22,10 +22,10 @@
 //!
 //! With `checkpoint: false` the model reproduces the no-recovery-line
 //! baseline: a crash throws away *all* completed cycles, which is the
-//! comparison the Fig. 14-style MTTR sweep in `scripts/bench.sh` plots.
+//! comparison the Fig. 14-style MTTR sweep (the `campaign_mttr` bin) plots.
 
 use super::penkf::model_penkf_adaptive;
-use super::senkf::{model_senkf_adaptive_opts, SEnkfModelOptions};
+use super::senkf::model_senkf_adaptive;
 use super::{ModelConfig, ModelOutcome};
 use enkf_ckpt::fnv64;
 use enkf_fault::{FaultConfig, RetryPolicy};
@@ -169,25 +169,22 @@ pub fn model_campaign_adaptive(
         degraded: fcfg.degraded,
         recv_timeout: fcfg.recv_timeout,
     };
-    let run_cycle_model = |cfg: &ModelConfig,
-                           mon: Option<&HealthMonitor>|
-     -> Result<(ModelOutcome, Trace), String> {
-        let (out, tr, _log) = match *variant {
-            ModelVariant::LEnkf { nsdx, nsdy } => {
-                super::lenkf::model_lenkf_adaptive(cfg, nsdx, nsdy, &cycle_fcfg, mon)?
-            }
-            ModelVariant::PEnkf { nsdx, nsdy } => {
-                model_penkf_adaptive(cfg, nsdx, nsdy, &cycle_fcfg, mon)?
-            }
-            ModelVariant::SEnkf(p) => {
-                model_senkf_adaptive_opts(cfg, p, SEnkfModelOptions::default(), &cycle_fcfg, mon)?
-            }
-            ModelVariant::DEnkf { shards } => {
-                super::denkf::model_denkf_adaptive(cfg, shards, &cycle_fcfg, mon)?
-            }
+    let run_cycle_model =
+        |cfg: &ModelConfig, mon: Option<&HealthMonitor>| -> Result<(ModelOutcome, Trace), String> {
+            let (out, tr, _log) = match *variant {
+                ModelVariant::LEnkf { nsdx, nsdy } => {
+                    super::lenkf::model_lenkf_adaptive(cfg, nsdx, nsdy, &cycle_fcfg, mon)?
+                }
+                ModelVariant::PEnkf { nsdx, nsdy } => {
+                    model_penkf_adaptive(cfg, nsdx, nsdy, &cycle_fcfg, mon)?
+                }
+                ModelVariant::SEnkf(p) => model_senkf_adaptive(cfg, p, &cycle_fcfg, mon)?,
+                ModelVariant::DEnkf { shards } => {
+                    super::denkf::model_denkf_adaptive(cfg, shards, &cycle_fcfg, mon)?
+                }
+            };
+            Ok((out, tr))
         };
-        Ok((out, tr))
-    };
     // The baseline cycle prices checkpoint overlap and crashed partial
     // attempts in both modes; it is also the replayed cycle when no
     // monitor is attached. Run monitor-free so pricing feeds no

@@ -8,9 +8,10 @@
 //! and one batched-transform compute gated on every peer's block.
 
 use crate::exec::denkf::exchange_bytes;
-use crate::model::{read_order, weave_member_read, ModelConfig, ModelOutcome};
-use crate::report::PhaseBreakdown;
-use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
+use crate::model::{
+    prepare_model_faults, read_order, run_model, weave_member_read, ModelConfig, ModelOutcome,
+};
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, Mesh, ObservationNetwork};
 use enkf_health::HealthMonitor;
 use enkf_net::ModeledNet;
@@ -65,27 +66,7 @@ pub fn model_denkf_adaptive(
     let decomp = Decomposition::new(mesh, 1, shards).map_err(|e| e.to_string())?;
     let layout = FileLayout::new(mesh, w.h);
     let obs_net = ObservationNetwork::uniform(mesh, cfg.obs_stride);
-    let injector = FaultInjector::new(fcfg.clone());
-    if injector.has_crashes() {
-        return Err("modeled D-EnKF cannot complete: the plan crashes a rank".into());
-    }
-    if fcfg.plan.msg_faults.iter().any(|m| m.dropped) {
-        return Err("modeled D-EnKF cannot complete: the plan drops a message".into());
-    }
-    let dropped = injector.unrecoverable_members(w.members);
-    if !dropped.is_empty() {
-        if !fcfg.degraded {
-            return Err(format!(
-                "unrecoverable members {dropped:?} and degraded mode is off"
-            ));
-        }
-        if w.members - dropped.len() < 2 {
-            return Err("degraded ensemble too small".into());
-        }
-        for &m in &dropped {
-            injector.log().dropped(m);
-        }
-    }
+    let (injector, dropped) = prepare_model_faults("D-EnKF", fcfg, w.members, true)?;
     let alive = w.members - dropped.len();
 
     let mut sim = Simulation::new();
@@ -161,35 +142,15 @@ pub fn model_denkf_adaptive(
         compute_tasks.push(t);
     }
 
-    let report = sim.run().map_err(|e| e.to_string())?;
-    let trace = sim.export_trace("denkf-model");
-    let mut total = enkf_trace::PhaseTotals::default();
-    for t in trace.per_rank_phases().values() {
-        total.read += t.read;
-        total.comm += t.comm;
-        total.compute += t.compute;
-        total.wait += t.wait;
-        total.fault += t.fault;
-    }
-    let compute_mean = PhaseBreakdown::from(total).scaled(1.0 / shards as f64);
-    let makespan = report.makespan;
-    let first_compute_start = compute_tasks
-        .iter()
-        .map(|&t| sim.task_times(t).1)
-        .fold(f64::INFINITY, f64::min);
-    Ok((
-        ModelOutcome {
-            makespan,
-            compute_mean,
-            io_mean: PhaseBreakdown::default(),
-            num_compute_ranks: shards,
-            num_io_ranks: 0,
-            first_compute_start,
-            dropped_members: dropped,
-        },
-        trace,
-        injector.into_log(),
-    ))
+    run_model(
+        &mut sim,
+        "denkf-model",
+        shards,
+        0,
+        &compute_tasks,
+        injector,
+        dropped,
+    )
 }
 
 #[cfg(test)]

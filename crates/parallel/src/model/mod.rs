@@ -7,14 +7,102 @@ pub mod penkf;
 pub mod reading;
 pub mod senkf;
 
+use crate::exec::{resolve_dropout, DropoutError};
 use crate::report::PhaseBreakdown;
-use enkf_fault::FaultInjector;
+use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
 use enkf_health::{HealthMonitor, ReadRoute};
 use enkf_net::NetParams;
 use enkf_pfs::{ModeledPfs, PfsParams};
-use enkf_sim::{AgentId, Kind, ResourceId, Simulation, Task};
-use enkf_trace::OpTag;
+use enkf_sim::{AgentId, Kind, ResourceId, Simulation, Task, TaskId};
+use enkf_trace::{OpTag, PhaseTotals, Trace};
 use enkf_tuning::Workload;
+
+/// Resolve a fault plan before a modeled run of `variant` builds its graph:
+/// the injector plus the sorted dropout set, decided by the same
+/// [`resolve_dropout`] the real executors call. Plans the real executor
+/// cannot complete are rejected — a crashed rank always, a dropped message
+/// when the variant `exchanges_messages` (its peers would time out) — so a
+/// "completed" model never lies.
+pub(crate) fn prepare_model_faults(
+    variant: &str,
+    fcfg: &FaultConfig,
+    members: usize,
+    exchanges_messages: bool,
+) -> Result<(FaultInjector, Vec<usize>), String> {
+    let injector = FaultInjector::new(fcfg.clone());
+    if injector.has_crashes() {
+        return Err(format!(
+            "modeled {variant} cannot complete: the plan crashes a rank"
+        ));
+    }
+    if exchanges_messages && fcfg.plan.msg_faults.iter().any(|m| m.dropped) {
+        return Err(format!(
+            "modeled {variant} cannot complete: the plan drops a message"
+        ));
+    }
+    let dropped = resolve_dropout(&injector, members).map_err(|e| match e {
+        DropoutError::DegradedOff(dropped) => {
+            format!("unrecoverable members {dropped:?} and degraded mode is off")
+        }
+        DropoutError::TooFew(_) => "degraded ensemble too small".to_string(),
+    })?;
+    Ok((injector, dropped))
+}
+
+/// Run a built graph and derive the outcome *from the exported trace*:
+/// per-rank span sums are an exact projection of the DES busy/wait
+/// accounting (see `Simulation::export_trace`). Ranks `0..compute_ranks`
+/// are averaged into `compute_mean`, the `io_ranks` after them into
+/// `io_mean`; `compute_tasks` are the local-analysis tasks whose earliest
+/// start is the exposed read+comm prefix.
+pub(crate) fn run_model(
+    sim: &mut Simulation,
+    label: &str,
+    compute_ranks: usize,
+    io_ranks: usize,
+    compute_tasks: &[TaskId],
+    injector: FaultInjector,
+    dropped: Vec<usize>,
+) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+    let report = sim.run().map_err(|e| e.to_string())?;
+    let trace = sim.export_trace(label);
+    let mut compute = PhaseTotals::default();
+    let mut io = PhaseTotals::default();
+    for (rank, t) in &trace.per_rank_phases() {
+        let agg = if *rank < compute_ranks {
+            &mut compute
+        } else {
+            &mut io
+        };
+        agg.read += t.read;
+        agg.comm += t.comm;
+        agg.compute += t.compute;
+        agg.wait += t.wait;
+        agg.fault += t.fault;
+    }
+    let io_mean = if io_ranks == 0 {
+        PhaseBreakdown::default()
+    } else {
+        PhaseBreakdown::from(io).scaled(1.0 / io_ranks as f64)
+    };
+    let first_compute_start = compute_tasks
+        .iter()
+        .map(|&t| sim.task_times(t).1)
+        .fold(f64::INFINITY, f64::min);
+    Ok((
+        ModelOutcome {
+            makespan: report.makespan,
+            compute_mean: PhaseBreakdown::from(compute).scaled(1.0 / compute_ranks as f64),
+            io_mean,
+            num_compute_ranks: compute_ranks,
+            num_io_ranks: io_ranks,
+            first_compute_start,
+            dropped_members: dropped,
+        },
+        trace,
+        injector.into_log(),
+    ))
+}
 
 /// The OST resource hosting OST index `ost` (mirrors the real side's
 /// `member % num_osts` striping — `ModeledPfs::ost_of_file` is this very

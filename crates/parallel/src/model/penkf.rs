@@ -1,8 +1,9 @@
 //! Modeled P-EnKF: block reading then compute, at paper scale.
 
-use crate::model::{read_order, weave_member_read, ModelConfig, ModelOutcome};
-use crate::report::PhaseBreakdown;
-use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
+use crate::model::{
+    prepare_model_faults, read_order, run_model, weave_member_read, ModelConfig, ModelOutcome,
+};
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh};
 use enkf_health::HealthMonitor;
 use enkf_pfs::ModeledPfs;
@@ -72,24 +73,7 @@ pub fn model_penkf_adaptive(
         eta: w.eta,
     };
     let layout = FileLayout::new(mesh, w.h);
-    let injector = FaultInjector::new(fcfg.clone());
-    if injector.has_crashes() {
-        return Err("modeled P-EnKF cannot complete: the plan crashes a rank".into());
-    }
-    let dropped = injector.unrecoverable_members(w.members);
-    if !dropped.is_empty() {
-        if !fcfg.degraded {
-            return Err(format!(
-                "unrecoverable members {dropped:?} and degraded mode is off"
-            ));
-        }
-        if w.members - dropped.len() < 2 {
-            return Err("degraded ensemble too small".into());
-        }
-        for &m in &dropped {
-            injector.log().dropped(m);
-        }
-    }
+    let (injector, dropped) = prepare_model_faults("P-EnKF", fcfg, w.members, false)?;
 
     let mut sim = Simulation::new();
     let pfs = ModeledPfs::register(&mut sim, cfg.pfs);
@@ -118,37 +102,15 @@ pub fn model_penkf_adaptive(
         compute_tasks.push(t);
     }
 
-    let report = sim.run().map_err(|e| e.to_string())?;
-    let trace = sim.export_trace("penkf-model");
-    // The report is now *derived from* the trace: per-rank span sums are an
-    // exact projection of the DES busy/wait accounting (see `export_trace`).
-    let mut total = enkf_trace::PhaseTotals::default();
-    for t in trace.per_rank_phases().values() {
-        total.read += t.read;
-        total.comm += t.comm;
-        total.compute += t.compute;
-        total.wait += t.wait;
-        total.fault += t.fault;
-    }
-    let compute_mean = PhaseBreakdown::from(total).scaled(1.0 / ranks as f64);
-    let makespan = report.makespan;
-    let first_compute_start = compute_tasks
-        .iter()
-        .map(|&t| sim.task_times(t).1)
-        .fold(f64::INFINITY, f64::min);
-    Ok((
-        ModelOutcome {
-            makespan,
-            compute_mean,
-            io_mean: PhaseBreakdown::default(),
-            num_compute_ranks: ranks,
-            num_io_ranks: 0,
-            first_compute_start,
-            dropped_members: dropped,
-        },
-        trace,
-        injector.into_log(),
-    ))
+    run_model(
+        &mut sim,
+        "penkf-model",
+        ranks,
+        0,
+        &compute_tasks,
+        injector,
+        dropped,
+    )
 }
 
 #[cfg(test)]

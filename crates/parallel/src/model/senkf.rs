@@ -1,8 +1,9 @@
 //! Modeled S-EnKF: concurrent-group bar reading, multi-stage overlap.
 
-use crate::model::{read_order, weave_member_read, ModelConfig, ModelOutcome};
-use crate::report::PhaseBreakdown;
-use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
+use crate::model::{
+    prepare_model_faults, read_order, run_model, weave_member_read, ModelConfig, ModelOutcome,
+};
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh, SubDomainId};
 use enkf_health::HealthMonitor;
 use enkf_net::ModeledNet;
@@ -49,30 +50,19 @@ pub fn model_senkf_opts(
     params: Params,
     opts: SEnkfModelOptions,
 ) -> Result<ModelOutcome, String> {
-    model_senkf_opts_traced(cfg, params, opts).map(|(out, _)| out)
+    model_senkf_adaptive_opts(cfg, params, opts, &FaultConfig::none(), None).map(|(out, ..)| out)
 }
 
 /// [`model_senkf`] with the default options, additionally returning the
-/// virtual-time execution trace.
+/// virtual-time execution trace. Every DES task carries an [`OpTag`] (bar
+/// read with layout-derived bytes/seeks, bundled send with its destination
+/// rank, per-stage analysis), so the trace's operation digest is directly
+/// comparable with the real executor's.
 pub fn model_senkf_traced(
     cfg: &ModelConfig,
     params: Params,
 ) -> Result<(ModelOutcome, Trace), String> {
-    model_senkf_opts_traced(cfg, params, SEnkfModelOptions::default())
-}
-
-/// [`model_senkf_opts`], additionally returning the execution trace. Every
-/// DES task carries an [`OpTag`] (bar read with layout-derived bytes/seeks,
-/// bundled send with its destination rank, per-stage analysis), so the
-/// trace's operation digest is directly comparable with the real
-/// executor's.
-pub fn model_senkf_opts_traced(
-    cfg: &ModelConfig,
-    params: Params,
-    opts: SEnkfModelOptions,
-) -> Result<(ModelOutcome, Trace), String> {
-    model_senkf_faulted_opts(cfg, params, opts, &FaultConfig::none())
-        .map(|(out, trace, _)| (out, trace))
+    model_senkf_faulted(cfg, params, &FaultConfig::none()).map(|(out, trace, _)| (out, trace))
 }
 
 /// [`model_senkf_traced`] under a fault plan (default options): the real
@@ -86,17 +76,7 @@ pub fn model_senkf_faulted(
     params: Params,
     fcfg: &FaultConfig,
 ) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_senkf_faulted_opts(cfg, params, SEnkfModelOptions::default(), fcfg)
-}
-
-/// [`model_senkf_faulted`] with ablation options.
-pub fn model_senkf_faulted_opts(
-    cfg: &ModelConfig,
-    params: Params,
-    opts: SEnkfModelOptions,
-    fcfg: &FaultConfig,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_senkf_adaptive_opts(cfg, params, opts, fcfg, None)
+    model_senkf_adaptive(cfg, params, fcfg, None)
 }
 
 /// [`model_senkf_faulted`] with online health monitoring (default options):
@@ -117,7 +97,7 @@ pub fn model_senkf_adaptive(
 }
 
 /// [`model_senkf_adaptive`] with ablation options.
-pub fn model_senkf_adaptive_opts(
+fn model_senkf_adaptive_opts(
     cfg: &ModelConfig,
     params: Params,
     opts: SEnkfModelOptions,
@@ -144,27 +124,7 @@ pub fn model_senkf_adaptive_opts(
     let c2 = decomp.num_subdomains();
     let c1 = params.ncg * params.nsdy;
     let files_per_group = w.members / params.ncg;
-    let injector = FaultInjector::new(fcfg.clone());
-    if injector.has_crashes() {
-        return Err("modeled S-EnKF cannot complete: the plan crashes a rank".into());
-    }
-    if fcfg.plan.msg_faults.iter().any(|m| m.dropped) {
-        return Err("modeled S-EnKF cannot complete: the plan drops a message".into());
-    }
-    let dropped = injector.unrecoverable_members(w.members);
-    if !dropped.is_empty() {
-        if !fcfg.degraded {
-            return Err(format!(
-                "unrecoverable members {dropped:?} and degraded mode is off"
-            ));
-        }
-        if w.members - dropped.len() < 2 {
-            return Err("degraded ensemble too small".into());
-        }
-        for &m in &dropped {
-            injector.log().dropped(m);
-        }
-    }
+    let (injector, dropped) = prepare_model_faults("S-EnKF", fcfg, w.members, true)?;
     // Guard the DES against degenerate parameterizations: the task graph
     // has roughly ncg·C2·L send tasks plus reads and computes.
     let est_tasks =
@@ -298,40 +258,15 @@ pub fn model_senkf_adaptive_opts(
         }
     }
 
-    let report = sim.run().map_err(|e| e.to_string())?;
-    let trace = sim.export_trace("senkf-model");
-    // The report is now *derived from* the trace: per-rank span sums are an
-    // exact projection of the DES busy/wait accounting (see `export_trace`).
-    let phases = trace.per_rank_phases();
-    let mut cagg = enkf_trace::PhaseTotals::default();
-    let mut iagg = enkf_trace::PhaseTotals::default();
-    for (rank, t) in &phases {
-        let agg = if *rank < c2 { &mut cagg } else { &mut iagg };
-        agg.read += t.read;
-        agg.comm += t.comm;
-        agg.compute += t.compute;
-        agg.wait += t.wait;
-        agg.fault += t.fault;
-    }
-    let compute_mean = PhaseBreakdown::from(cagg).scaled(1.0 / c2 as f64);
-    let io_mean = PhaseBreakdown::from(iagg).scaled(1.0 / c1 as f64);
-    let first_compute_start = compute_tasks
-        .iter()
-        .map(|&t| sim.task_times(t).1)
-        .fold(f64::INFINITY, f64::min);
-    Ok((
-        ModelOutcome {
-            makespan: report.makespan,
-            compute_mean,
-            io_mean,
-            num_compute_ranks: c2,
-            num_io_ranks: c1,
-            first_compute_start,
-            dropped_members: dropped,
-        },
-        trace,
-        injector.into_log(),
-    ))
+    run_model(
+        &mut sim,
+        "senkf-model",
+        c2,
+        c1,
+        &compute_tasks,
+        injector,
+        dropped,
+    )
 }
 
 #[cfg(test)]

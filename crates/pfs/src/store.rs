@@ -590,10 +590,10 @@ impl FileStore {
     }
 
     /// The pre-pool read path: fresh allocations, a `File::open` per call
-    /// and a scalar byte cursor. Kept as the before/after baseline for the
-    /// `pfs_reading` benchmarks; results are bit-identical to
-    /// [`FileStore::read_region`] and update [`FileStore::stats`] the same
-    /// way.
+    /// and a scalar byte cursor. Kept as the oracle the pooled path is
+    /// tested against (this module's unit tests and `tests/proptests.rs`):
+    /// results are bit-identical to [`FileStore::read_region`] and update
+    /// [`FileStore::stats`] the same way.
     pub fn read_region_fresh(
         &self,
         k: usize,
