@@ -460,12 +460,12 @@ impl CheckpointStore {
 
 /// Reusable encode state for checkpoint member writes.
 ///
-/// Gathers a member column into an owned `f64` buffer, bulk-converts it
-/// *once* to little-endian bytes staged in the store's
-/// [`enkf_pfs::BufferPool`] (the PR 7 `kernel::convert` path), checksums
-/// those same bytes, and hands them to the durable write path — one
-/// conversion instead of two, and zero payload allocations at steady
-/// state (pinned by `tests/dataplane_alloc_free.rs`).
+/// Gathers a member column into an owned `f64` buffer, checksums its
+/// little-endian byte view (`kernel::convert::f64_le_bytes` — the buffer's
+/// own memory on little-endian targets) and hands that same view to the
+/// durable write path: the bytes checksummed are the bytes written, with
+/// no staging copy and zero payload allocations at steady state (pinned by
+/// `tests/dataplane_alloc_free.rs`).
 #[derive(Debug, Default)]
 pub struct MemberEncoder {
     col: Vec<f64>,
@@ -486,13 +486,9 @@ impl MemberEncoder {
         k: usize,
     ) -> io::Result<u64> {
         ensemble.member_into(k, &mut self.col);
-        let mut buf = store.pool().take_bytes(0);
-        enkf_linalg::kernel::convert::extend_f64_le(&self.col, &mut buf);
-        let crc = fnv64(&buf);
-        let res = store.write_member_bytes_durable(k, &buf);
-        store.pool().put_bytes(buf);
-        res?;
-        Ok(crc)
+        let bytes = enkf_linalg::kernel::convert::f64_le_bytes(&self.col);
+        store.write_member_bytes_durable(k, &bytes)?;
+        Ok(fnv64(&bytes))
     }
 }
 

@@ -19,4 +19,6 @@ pub use cycle::{CycleConfig, CycleState, CycleStats, CycledExperiment};
 pub use dynamics::AdvectionDiffusion;
 pub use field::SmoothFieldGenerator;
 pub use scenario::{Scenario, ScenarioBuilder};
-pub use storeio::{read_ensemble, region_to_matrix, write_ensemble, LEVEL_LAPSE};
+pub use storeio::{
+    gather_surface_into, read_ensemble, region_to_matrix, write_ensemble, LEVEL_LAPSE,
+};

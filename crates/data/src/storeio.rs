@@ -45,9 +45,10 @@ pub fn read_ensemble(store: &FileStore, members: usize) -> std::io::Result<Ensem
     let mesh = store.layout().mesh();
     let mut states = Matrix::zeros(mesh.n(), members);
     for k in 0..members {
+        // One member at a time: its slab goes back to the store's pool
+        // before the next read takes it.
         let data = store.read_full(k)?;
-        let col: Vec<f64> = data.surface().collect();
-        states.set_col(k, &col);
+        gather_surface_into(&mut states, &[k], std::slice::from_ref(&data));
     }
     Ok(Ensemble::new(mesh, states))
 }
@@ -55,19 +56,60 @@ pub fn read_ensemble(store: &FileStore, members: usize) -> std::io::Result<Ensem
 /// Assemble region-local background data `X̄ᵇ` (surface level) from one
 /// [`RegionData`] per member: the `region.npoints() × N` matrix of Eq. 6.
 pub fn region_to_matrix(region: &RegionRect, per_member: &[RegionData]) -> Matrix {
-    let npoints = region.npoints();
-    let mut m = Matrix::zeros(npoints, per_member.len());
-    for (k, data) in per_member.iter().enumerate() {
+    let mut m = Matrix::zeros(region.npoints(), per_member.len());
+    if let Some(first) = per_member.first() {
         assert_eq!(
-            &data.region(),
+            &first.region(),
             region,
-            "member {k} covers a different region"
+            "member 0 covers a different region"
         );
-        for (i, v) in data.surface().enumerate() {
-            m[(i, k)] = v;
+    }
+    let cols: Vec<usize> = (0..per_member.len()).collect();
+    gather_surface_into(&mut m, &cols, per_member);
+    m
+}
+
+/// Gather the surface (level-0) values of `per_member[j]` into column
+/// `cols[j]` of `m` — the one `X̄ᵇ` assembly every executor and
+/// [`read_ensemble`] share. All members must cover the same region, whose
+/// points are `m`'s rows in local row-priority order; columns not named in
+/// `cols` are left as they are, so a matrix can be filled by several calls
+/// (S-EnKF's per-group bundles) and dead members' columns simply never
+/// appear.
+///
+/// The walk is tiled by region row: the `width × N` slice of `m` that one
+/// latitude line maps to is filled from every member's `row(r)` while it
+/// is cache-resident, instead of each member streaming a strided column
+/// through the whole matrix. Allocation-free.
+pub fn gather_surface_into(m: &mut Matrix, cols: &[usize], per_member: &[RegionData]) {
+    assert_eq!(cols.len(), per_member.len(), "one column per member");
+    let Some(first) = per_member.first() else {
+        return;
+    };
+    let (region, levels) = (first.region(), first.levels());
+    for (j, data) in per_member.iter().enumerate() {
+        assert_eq!(
+            data.region(),
+            region,
+            "member {j} covers a different region"
+        );
+        assert_eq!(data.levels(), levels, "member {j} level count differs");
+    }
+    assert_eq!(m.nrows(), region.npoints(), "one matrix row per point");
+    let ncols = m.ncols();
+    assert!(cols.iter().all(|&c| c < ncols), "column out of range");
+    if region.is_empty() {
+        return;
+    }
+    let tile_len = region.width() * ncols;
+    for (r, tile) in m.as_mut_slice().chunks_exact_mut(tile_len).enumerate() {
+        for (&col, data) in cols.iter().zip(per_member) {
+            let surface = data.row(r).iter().step_by(levels);
+            for (point, &v) in tile.chunks_exact_mut(ncols).zip(surface) {
+                point[col] = v;
+            }
         }
     }
-    m
 }
 
 #[cfg(test)]

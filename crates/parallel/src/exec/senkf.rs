@@ -18,6 +18,7 @@ use crate::exec::setup::AssimilationSetup;
 use crate::exec::{assemble_analysis, dilate, prepare_faults, Msg};
 use crate::report::{ExecutionReport, PhaseBreakdown};
 use enkf_core::{EnkfError, Ensemble, Result};
+use enkf_data::gather_surface_into;
 use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
 use enkf_grid::RegionRect;
 use enkf_health::HealthMonitor;
@@ -341,13 +342,12 @@ impl SEnkf {
                             matrix: Matrix::zeros(region.npoints(), alive_total),
                             filled: 0,
                         });
-                        for (&k, rd) in members.iter().zip(&data) {
-                            debug_assert_eq!(rd.region(), region, "block region mismatch");
-                            let col = cols[&k];
-                            for (row, v) in rd.surface().enumerate() {
-                                entry.matrix[(row, col)] = v;
-                            }
-                        }
+                        debug_assert!(
+                            data.iter().all(|rd| rd.region() == region),
+                            "block region mismatch"
+                        );
+                        let bundle_cols: Vec<usize> = members.iter().map(|k| cols[k]).collect();
+                        gather_surface_into(&mut entry.matrix, &bundle_cols, &data);
                         entry.filled += members.len();
                         if entry.filled == alive_total {
                             let Some(done) = stages.remove(&stage) else {

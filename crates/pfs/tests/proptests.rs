@@ -3,8 +3,10 @@
 //! layout's prediction.
 
 use enkf_grid::{FileLayout, Mesh, RegionRect};
-use enkf_pfs::{FileStore, ScratchDir};
+use enkf_linalg::kernel::convert::{f64_le_bytes, fill_le_f64, le_bytes_to_f64_into};
+use enkf_pfs::{FileStore, IoStats, RegionData, ScratchDir};
 use proptest::prelude::*;
+use std::io::{Read, Seek, SeekFrom};
 
 fn mesh_strategy() -> impl Strategy<Value = Mesh> {
     (2usize..20, 2usize..16).prop_map(|(nx, ny)| Mesh::new(nx, ny))
@@ -15,6 +17,51 @@ fn region_strategy(mesh: Mesh) -> impl Strategy<Value = RegionRect> {
         (x0 + 1..=mesh.nx(), y0 + 1..=mesh.ny())
             .prop_map(move |(x1, y1)| RegionRect::new(x0, x1, y0, y1))
     })
+}
+
+/// Like [`region_strategy`], but also empty (zero-width or zero-height)
+/// regions.
+fn maybe_empty_region_strategy(mesh: Mesh) -> impl Strategy<Value = RegionRect> {
+    (0..mesh.nx(), 0..mesh.ny()).prop_flat_map(move |(x0, y0)| {
+        (x0..=mesh.nx(), y0..=mesh.ny()).prop_map(move |(x1, y1)| RegionRect::new(x0, x1, y0, y1))
+    })
+}
+
+/// The read oracle: shares nothing with [`FileStore::read_region`] but the
+/// layout's segment list — a fresh `std::fs` handle, a fresh buffer per
+/// segment, and one `f64::from_le_bytes` per value.
+fn oracle_read(store: &FileStore, k: usize, region: &RegionRect) -> std::io::Result<Vec<f64>> {
+    let mut file = std::fs::File::open(store.member_path(k))?;
+    let mut values = Vec::new();
+    let mut result = Ok(());
+    store.layout().for_each_segment(region, |seg| {
+        if result.is_err() {
+            return;
+        }
+        let mut raw = vec![0u8; seg.len as usize];
+        result = file
+            .seek(SeekFrom::Start(seg.offset))
+            .and_then(|_| file.read_exact(&mut raw));
+        values.extend(
+            raw.chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
+        );
+    });
+    result.map(|()| values)
+}
+
+/// Bit patterns, so that NaNs compare and signed zeros differ.
+fn to_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A member of arbitrary bit patterns (NaN payloads, infinities,
+/// subnormals, signed zeros), all distinct enough to expose a misplaced or
+/// stale value.
+fn patterned_member(mesh: Mesh, levels: u64, seed: u64) -> Vec<f64> {
+    (0..mesh.n() as u64 * levels)
+        .map(|i| f64::from_bits((i + 1).wrapping_mul(seed | 1).rotate_left(17) ^ seed))
+        .collect()
 }
 
 proptest! {
@@ -105,9 +152,8 @@ proptest! {
             outer.y0 + outer.height().div_ceil(2),
         );
         let view = outer_data.extract(&inner);
-        let owned = outer_data.extract_owned(&inner);
+        let owned = RegionData::from_vec(inner, levels as usize, view.to_vec());
         prop_assert!(view.shares_backing(&outer_data), "extract must not copy");
-        prop_assert!(!owned.shares_backing(&outer_data), "extract_owned must copy");
         prop_assert_eq!(&view, &owned);
         prop_assert_eq!(view.to_vec(), owned.to_vec());
         for local in 0..inner.npoints() {
@@ -124,28 +170,103 @@ proptest! {
         );
         let nested = view.extract(&core);
         prop_assert!(nested.shares_backing(&outer_data));
-        prop_assert_eq!(nested, owned.extract_owned(&core));
+        prop_assert_eq!(nested.to_vec(), owned.extract(&core).to_vec());
     }
 
     #[test]
-    fn pooled_and_fresh_reads_are_identical(
-        (mesh, region, seed) in mesh_strategy().prop_flat_map(|mesh| {
-            (Just(mesh), region_strategy(mesh), any::<u32>())
+    fn read_region_matches_the_segment_walk_oracle(
+        (mesh, regions, levels, seed) in mesh_strategy().prop_flat_map(|mesh| {
+            let full_width_bar = (0..mesh.ny()).prop_flat_map(move |y0| {
+                (y0 + 1..=mesh.ny()).prop_map(move |y1| RegionRect::new(0, mesh.nx(), y0, y1))
+            });
+            let one_row = (region_strategy(mesh), 0..mesh.ny())
+                .prop_map(|(r, y)| RegionRect::new(r.x0, r.x1, y, y + 1));
+            (
+                Just(mesh),
+                (maybe_empty_region_strategy(mesh), one_row, full_width_bar),
+                1u64..=4,
+                any::<u64>(),
+            )
         })
     ) {
-        // The pooled/bulk-converted read path must be bit-identical to the
-        // pre-pool fresh-allocation baseline, with identical IoStats.
-        let scratch = ScratchDir::new("prop-pool").unwrap();
-        let store = FileStore::open(scratch.path(), FileLayout::new(mesh, 8)).unwrap();
-        let values: Vec<f64> = (0..mesh.n()).map(|i| (i as u32 ^ seed) as f64 * 0.5).collect();
+        // The single-pass read (segments land directly in the pooled slab)
+        // must agree bit for bit with the oracle and charge exactly what
+        // the layout predicts — for empty regions, single rows, partial
+        // widths (one segment per row) and full-width bars (one segment).
+        let scratch = ScratchDir::new("prop-oracle").unwrap();
+        let layout = FileLayout::new(mesh, 8 * levels);
+        let store = FileStore::open(scratch.path(), layout).unwrap();
+        store.write_member(0, &patterned_member(mesh, levels, seed)).unwrap();
+        for region in [regions.0, regions.1, regions.2] {
+            store.reset_stats();
+            let data = store.read_region(0, &region).unwrap();
+            prop_assert_eq!(
+                store.stats(),
+                IoStats {
+                    seeks: layout.seek_count(&region) as u64,
+                    bytes_read: layout.region_bytes(&region),
+                    bytes_written: 0,
+                }
+            );
+            prop_assert_eq!(data.len(), region.npoints() * levels as usize);
+            prop_assert_eq!(to_bits(&data.to_vec()), to_bits(&oracle_read(&store, 0, &region).unwrap()));
+        }
+    }
+
+    #[test]
+    fn recycled_slabs_have_exact_length_and_no_stale_tail(
+        (mesh, small, levels, seed) in mesh_strategy().prop_flat_map(|mesh| {
+            (Just(mesh), region_strategy(mesh), 1u64..=4, any::<u64>())
+        })
+    ) {
+        // One slab serves large -> small -> large: it is resized, never
+        // cleared, so each read must expose exactly its own values.
+        let scratch = ScratchDir::new("prop-recycle").unwrap();
+        let store = FileStore::open(scratch.path(), FileLayout::new(mesh, 8 * levels)).unwrap();
+        store.write_member(0, &patterned_member(mesh, levels, seed)).unwrap();
+        store.write_member(1, &patterned_member(mesh, levels, !seed)).unwrap();
+        let large = RegionRect::full(mesh);
+        for (k, region) in [(0, large), (1, small), (0, large), (1, small)] {
+            let data = store.read_region(k, &region).unwrap();
+            let contiguous = data.as_contiguous().expect("a fresh read owns its slab");
+            prop_assert_eq!(to_bits(contiguous), to_bits(&oracle_read(&store, k, &region).unwrap()));
+            drop(data);
+            prop_assert_eq!(store.pool().free_slabs(), 1, "the one slab is recycled");
+        }
+    }
+
+    #[test]
+    fn truncated_member_fails_typed_and_leaves_the_store_clean(
+        (mesh, region, levels, seed, keep) in mesh_strategy().prop_flat_map(|mesh| {
+            (Just(mesh), region_strategy(mesh), 1u64..=4, any::<u64>(), 0.0f64..1.0)
+        })
+    ) {
+        let scratch = ScratchDir::new("prop-trunc").unwrap();
+        let layout = FileLayout::new(mesh, 8 * levels);
+        let store = FileStore::open(scratch.path(), layout).unwrap();
+        let values = patterned_member(mesh, levels, seed);
         store.write_member(0, &values).unwrap();
-        store.reset_stats();
-        let pooled = store.read_region(0, &region).unwrap();
-        let pooled_stats = store.stats();
-        store.reset_stats();
-        let fresh = store.read_region_fresh(0, &region).unwrap();
-        prop_assert_eq!(pooled, fresh);
-        prop_assert_eq!(pooled_stats, store.stats());
+        store.write_member(1, &values).unwrap();
+        drop(store.read_region(1, &region).unwrap()); // one slab in the pool
+        let before = store.stats();
+
+        // Cut member 0 somewhere inside the region's last segment.
+        let last = *layout.segments(&region).last().unwrap();
+        let cut = last.offset + (keep * last.len as f64) as u64;
+        let file = std::fs::OpenOptions::new().write(true).open(store.member_path(0)).unwrap();
+        file.set_len(cut).unwrap();
+
+        let err = store.read_region(0, &region).unwrap_err();
+        prop_assert_eq!(err.member, 0);
+        prop_assert_eq!(err.expected, layout.region_bytes(&region));
+        prop_assert_eq!(err.actual, cut);
+        prop_assert!(oracle_read(&store, 0, &region).is_err(), "the oracle fails too");
+        prop_assert_eq!(store.stats(), before, "a failed read charges nothing");
+        prop_assert_eq!(store.pool().free_slabs(), 1, "the slab went back to the pool");
+
+        // The half-filled slab is reused by the next good read, exactly.
+        let good = store.read_region(1, &region).unwrap();
+        prop_assert_eq!(to_bits(&good.to_vec()), to_bits(&oracle_read(&store, 1, &region).unwrap()));
     }
 
     #[test]
@@ -171,7 +292,7 @@ proptest! {
         );
         let view = outer_data.extract(&inner);
         store.write_region(1, &view).unwrap();
-        store.write_region(2, &view.extract_owned(&inner)).unwrap();
+        store.write_region(2, &RegionData::from_vec(inner, 1, view.to_vec())).unwrap();
         let a = std::fs::read(store.member_path(1)).unwrap();
         let b = std::fs::read(store.member_path(2)).unwrap();
         prop_assert_eq!(a, b);
@@ -180,50 +301,37 @@ proptest! {
 
     #[test]
     fn conversion_kernel_bit_identical_decode(bits in proptest::collection::vec(any::<u64>(), 0..600)) {
-        // The kernel-layer bulk decode must reproduce the legacy
-        // chunks_exact(8) walk byte-for-byte — including NaN payloads,
-        // infinities, subnormals and signed zeros (arbitrary u64 patterns).
-        let mut bytes = Vec::with_capacity(bits.len() * 8);
-        for b in &bits {
-            bytes.extend_from_slice(&b.to_le_bytes());
-        }
+        // Filling an f64 buffer through its byte view must reproduce the
+        // per-value `from_le_bytes` walk bit for bit — including NaN
+        // payloads, infinities, subnormals and signed zeros (arbitrary u64
+        // patterns) — whether the bytes arrive in one piece or several.
+        let bytes: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
         let legacy: Vec<f64> = bytes
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let mut kernel = Vec::new();
-        enkf_linalg::kernel::convert::le_bytes_to_f64_into(&bytes, &mut kernel);
-        prop_assert_eq!(legacy.len(), kernel.len());
-        for (l, k) in legacy.iter().zip(&kernel) {
-            prop_assert_eq!(l.to_bits(), k.to_bits());
-        }
+        let mut whole = vec![f64::NAN; 3];
+        le_bytes_to_f64_into(&bytes, &mut whole);
+        prop_assert_eq!(to_bits(&whole), to_bits(&legacy));
+        let mut pieces = vec![-1.0; bits.len()];
+        fill_le_f64(&mut pieces, |raw| {
+            for (dst, src) in raw.chunks_mut(24).zip(bytes.chunks(24)) {
+                dst.copy_from_slice(src);
+            }
+        });
+        prop_assert_eq!(to_bits(&pieces), to_bits(&legacy));
     }
 
     #[test]
     fn conversion_kernel_bit_identical_encode(bits in proptest::collection::vec(any::<u64>(), 0..600)) {
-        // Encode direction: kernel bulk append vs per-value to_le_bytes,
-        // both on top of a non-empty prefix (the write paths emit headers
-        // into the same buffer first).
+        // Encode direction: the byte view vs per-value to_le_bytes, and
+        // back again.
         let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-        let mut legacy: Vec<u8> = vec![0xAB, 0xCD];
-        for v in &values {
-            legacy.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut kernel: Vec<u8> = vec![0xAB, 0xCD];
-        enkf_linalg::kernel::convert::extend_f64_le(&values, &mut kernel);
-        prop_assert_eq!(legacy, kernel);
-    }
-
-    #[test]
-    fn conversion_roundtrip_preserves_bits(bits in proptest::collection::vec(any::<u64>(), 0..300)) {
-        let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-        let mut bytes = Vec::new();
-        enkf_linalg::kernel::convert::extend_f64_le(&values, &mut bytes);
+        let legacy: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let view = f64_le_bytes(&values);
+        prop_assert_eq!(&*view, &legacy[..]);
         let mut back = Vec::new();
-        enkf_linalg::kernel::convert::le_bytes_to_f64_into(&bytes, &mut back);
-        prop_assert_eq!(values.len(), back.len());
-        for (v, b) in values.iter().zip(&back) {
-            prop_assert_eq!(v.to_bits(), b.to_bits());
-        }
+        le_bytes_to_f64_into(&view, &mut back);
+        prop_assert_eq!(to_bits(&back), to_bits(&values));
     }
 }

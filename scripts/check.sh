@@ -1,7 +1,22 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml — run before pushing.
+#
+#   scripts/check.sh [--perf <base-ref>]
+#
+# `--perf <base-ref>` appends the perf regression gate: scripts/perf-pairs.sh
+# A/Bs <base-ref> against the working tree (10 alternating pairs of every
+# workload, ~35 min on an otherwise idle box) and fails on any end-to-end
+# metric `perf --compare` judges `worse`. Opt-in because of its length.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+perf_base=
+if [ "${1:-}" = "--perf" ]; then
+    perf_base=${2:?--perf needs a base ref}
+elif [ $# -gt 0 ]; then
+    echo "usage: scripts/check.sh [--perf <base-ref>]" >&2
+    exit 2
+fi
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
@@ -30,5 +45,10 @@ cargo test -q -p enkf-linalg --no-default-features
 
 echo "==> perf ledger (its own workspace): BENCHMARK.json names still match the binary"
 cargo test -q --manifest-path perf/Cargo.toml
+
+if [ -n "$perf_base" ]; then
+    echo "==> perf regression gate against $perf_base"
+    scripts/perf-pairs.sh "$perf_base"
+fi
 
 echo "All checks passed."

@@ -3,24 +3,27 @@
 //!
 //! Two pinned guarantees:
 //!
-//! * The read → scatter → analyze cycle: one warm cycle fills the store's
-//!   buffer pool (byte buffers, `f64` slabs), the open-file-handle cache,
-//!   and the analysis workspace high-water marks; a second identical cycle
-//!   must then complete without a single call into the global allocator.
+//! * The read → extract → gather → analyze cycle: one warm cycle fills the
+//!   store's slab pool, the open-file-handle cache, the reused `X̄ᵇ`
+//!   matrices and the analysis workspace high-water marks; a second
+//!   identical cycle must then complete without a single call into the
+//!   global allocator.
 //! * The checkpoint encode → durable-write sweep
-//!   ([`s_enkf::ckpt::MemberEncoder`]): the member column gather and the
-//!   f64 → LE byte image are pooled, so a steady-state sweep performs no
-//!   payload-sized allocation — only the handful of small path strings the
-//!   temp + rename protocol inherently builds per file.
+//!   ([`s_enkf::ckpt::MemberEncoder`]): the member column gather buffer is
+//!   reused and its bytes are written through a view, never staged, so a
+//!   steady-state sweep performs no payload-sized allocation — only the
+//!   handful of small path strings the temp + rename protocol inherently
+//!   builds per file.
 //!
 //! The allocator tracks calls, bytes, and the largest single request so
 //! the second guarantee can be stated precisely: "no allocation as large
 //! as a member payload, and total bytes far below the payload swept".
 
 use s_enkf::core::{
-    AnomalyGram, Ensemble, LocalAnalysis, LocalAnalysisWorkspace, LocalObsIndex,
+    AnomalyGram, Ensemble, LocalAnalysis, LocalAnalysisWorkspace, LocalObsIndex, LocalObservations,
     ObservationOperator, Observations, PerturbedObservations,
 };
+use s_enkf::data::gather_surface_into;
 use s_enkf::grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
 use s_enkf::linalg::Matrix;
 use s_enkf::pfs::{FileStore, RegionData, ScratchDir};
@@ -70,75 +73,90 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// One steady-state assimilation cycle over pre-sized buffers: read every
-/// member's bar, split it into block views (O(1) extracts), scatter the
-/// surface values into the preallocated `X̄ᵇ`, then run the executors'
+/// One compute rank's share of the cycle: its sub-domain, the expansion
+/// its local analysis reads, and everything it reuses from cycle to cycle.
+struct Rank {
+    target: RegionRect,
+    expansion: RegionRect,
+    obs: LocalObservations,
+    index: LocalObsIndex,
+    /// `X̄ᵇ` over `expansion`, gathered into in place.
+    xb: Matrix,
+    gram: AnomalyGram,
+}
+
+/// The buffers one cycle runs in, all at steady-state capacity after the
+/// warm pass.
+struct Buffers {
+    bars: Vec<RegionData>,
+    views: Vec<RegionData>,
+    cols: Vec<usize>,
+    ws: LocalAnalysisWorkspace,
+    out_row: Vec<f64>,
+}
+
+/// One steady-state S-EnKF-shaped cycle over pre-sized buffers: read every
+/// member's full-width bar straight into a pooled slab (single seek), cut
+/// it into the ranks' expansion blocks (O(1) strided views), gather each
+/// rank's `X̄ᵇ` with the shared row-tiled gather, then run the executors'
 /// point-wise local analysis (shared anomalies + Gram table rebuilt in
 /// place, then the per-point kernel) into a caller-owned row. Returns a
 /// checksum so nothing is optimized away.
-#[allow(clippy::too_many_arguments)]
 fn cycle(
     store: &FileStore,
-    members: usize,
     bar: &RegionRect,
-    blocks: &[RegionRect],
-    mesh: Mesh,
-    states: &mut Matrix,
-    views: &mut Vec<RegionData>,
+    ranks: &mut [Rank],
     analysis: &LocalAnalysis,
-    obs: &s_enkf::core::LocalObservations,
-    index: &LocalObsIndex,
-    gram: &mut AnomalyGram,
-    ws: &mut LocalAnalysisWorkspace,
-    out_row: &mut [f64],
+    buf: &mut Buffers,
 ) -> f64 {
-    // Read phase: one bar per member through the pooled path.
-    for k in 0..members {
-        let data = store.read_region(k, bar).unwrap();
-        // Scatter phase: per-block views sharing the bar's slab, exactly
-        // what an I/O rank fans out to its compute peers.
-        for block in blocks {
-            views.push(data.extract(block));
-        }
-        for (b, view) in views.drain(..).enumerate() {
-            debug_assert!(view.shares_backing(&data), "scatter must be zero-copy");
-            let block = &blocks[b];
-            let mut local = 0;
-            for iy in block.y0..block.y1 {
-                let row = view.row(iy - block.y0);
-                for (dx, &v) in row.iter().enumerate() {
-                    let flat = iy * mesh.nx() + block.x0 + dx;
-                    states[(flat, k)] = v;
-                    local += 1;
-                }
-            }
-            debug_assert_eq!(local, block.npoints());
-        }
+    let mesh = store.layout().mesh();
+    for k in 0..buf.cols.len() {
+        buf.bars.push(store.read_region(k, bar).unwrap());
     }
-    // Analyze phase: what `LocalAnalysis::analyze` does per call, minus
-    // its output matrix.
-    let full = RegionRect::full(mesh);
-    gram.rebuild(states, &full, analysis.radius);
     let mut checksum = 0.0;
-    for p in bar.iter_points() {
-        analysis
-            .analyze_point_into(mesh, p, &full, states, obs, index, gram, ws, out_row)
-            .unwrap();
-        checksum += out_row[0];
+    for rank in ranks.iter_mut() {
+        buf.views
+            .extend(buf.bars.iter().map(|b| b.extract(&rank.expansion)));
+        debug_assert!(buf.views[0].shares_backing(&buf.bars[0]), "zero-copy");
+        debug_assert!(buf.views[0].as_contiguous().is_none(), "strided view");
+        gather_surface_into(&mut rank.xb, &buf.cols, &buf.views);
+        buf.views.clear();
+        // What `LocalAnalysis::analyze` does per call, minus its output
+        // matrix.
+        rank.gram
+            .rebuild(&rank.xb, &rank.expansion, analysis.radius);
+        for p in rank.target.iter_points() {
+            analysis
+                .analyze_point_into(
+                    mesh,
+                    p,
+                    &rank.expansion,
+                    &rank.xb,
+                    &rank.obs,
+                    &rank.index,
+                    &rank.gram,
+                    &mut buf.ws,
+                    &mut buf.out_row,
+                )
+                .unwrap();
+            checksum += buf.out_row[0];
+        }
     }
+    buf.bars.clear(); // slabs return to the pool
     checksum
 }
 
 #[test]
-fn read_scatter_analyze_cycle_is_allocation_free_at_steady_state() {
+fn read_extract_gather_analyze_cycle_is_allocation_free_at_steady_state() {
     let _x = EXCLUSIVE.lock().unwrap();
     let mesh = Mesh::new(16, 8);
     let members = 6;
+    let levels = 3; // the surface is every third value of a row
     let radius = LocalizationRadius { xi: 2, eta: 2 };
     let scratch = ScratchDir::new("dataplane-alloc").unwrap();
-    let store = FileStore::open(scratch.path(), FileLayout::new(mesh, 8)).unwrap();
+    let store = FileStore::open(scratch.path(), FileLayout::new(mesh, 8 * levels)).unwrap();
     for k in 0..members {
-        let v: Vec<f64> = (0..mesh.n())
+        let v: Vec<f64> = (0..mesh.n() * levels as usize)
             .map(|i| ((i + 3 * k) as f64 * 0.37).sin())
             .collect();
         store.write_member(k, &v).unwrap();
@@ -156,62 +174,49 @@ fn read_scatter_analyze_cycle_is_allocation_free_at_steady_state() {
     );
     observations.prepare();
 
-    // Full-width bar (single-seek read) split into two sub-domain blocks.
-    let bar = RegionRect::new(0, 16, 2, 6);
-    let blocks = [RegionRect::new(0, 8, 2, 6), RegionRect::new(8, 16, 2, 6)];
-    let full = RegionRect::full(mesh);
-    let obs = observations.localize(&full);
+    // Two sub-domains side by side; their expansions overlap and together
+    // span the full-width bar the I/O side reads with one seek.
     let analysis = LocalAnalysis::new(radius);
     let cell = radius.xi.max(radius.eta).max(1);
-    let index = LocalObsIndex::build(&obs, &full, cell);
-    let mut states = Matrix::zeros(mesh.n(), members);
-    let mut views: Vec<RegionData> = Vec::with_capacity(blocks.len());
-    let mut gram = AnomalyGram::default();
-    let mut ws = LocalAnalysisWorkspace::new();
-    let mut out_row = vec![0.0; members];
+    let mut ranks: Vec<Rank> = [RegionRect::new(0, 8, 2, 6), RegionRect::new(8, 16, 2, 6)]
+        .into_iter()
+        .map(|target| {
+            let expansion = target.expand(radius, mesh);
+            let obs = observations.localize(&expansion);
+            Rank {
+                target,
+                expansion,
+                index: LocalObsIndex::build(&obs, &expansion, cell),
+                obs,
+                xb: Matrix::zeros(expansion.npoints(), members),
+                gram: AnomalyGram::default(),
+            }
+        })
+        .collect();
+    let bar = RegionRect::new(0, 16, 0, 8);
+    assert!(ranks.iter().all(|r| bar.contains_rect(&r.expansion)));
+    let mut buf = Buffers {
+        bars: Vec::with_capacity(members),
+        views: Vec::with_capacity(members),
+        cols: (0..members).collect(),
+        ws: LocalAnalysisWorkspace::new(),
+        out_row: vec![0.0; members],
+    };
 
-    // Warm cycle: pool slabs, byte buffers, file handles and workspace
-    // buffers all reach their steady-state capacity.
-    let warm = cycle(
-        &store,
-        members,
-        &bar,
-        &blocks,
-        mesh,
-        &mut states,
-        &mut views,
-        &analysis,
-        &obs,
-        &index,
-        &mut gram,
-        &mut ws,
-        &mut out_row,
-    );
+    // Warm cycle: pool slabs, file handles and workspace buffers all reach
+    // their steady-state capacity.
+    let warm = cycle(&store, &bar, &mut ranks, &analysis, &mut buf);
     assert!(warm.is_finite());
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let steady = cycle(
-        &store,
-        members,
-        &bar,
-        &blocks,
-        mesh,
-        &mut states,
-        &mut views,
-        &analysis,
-        &obs,
-        &index,
-        &mut gram,
-        &mut ws,
-        &mut out_row,
-    );
+    let steady = cycle(&store, &bar, &mut ranks, &analysis, &mut buf);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
 
     assert_eq!(steady, warm, "cycles are deterministic");
     assert_eq!(
         after - before,
         0,
-        "steady-state read→scatter→analyze cycle allocated {} times",
+        "steady-state read→extract→gather→analyze cycle allocated {} times",
         after - before
     );
 }
@@ -232,8 +237,8 @@ fn ckpt_sweep(
 }
 
 /// The steady-state checkpoint write path performs no payload-sized
-/// allocation: the column gather buffer and the little-endian byte image
-/// are recycled through the encoder and the store's pool. What remains is
+/// allocation: the column gather buffer is recycled by the encoder and its
+/// little-endian byte image is a view of that buffer. What remains is
 /// the temp + rename protocol's small per-file path strings — bounded to
 /// a sliver of the payload and never one allocation as large as a member.
 #[test]
@@ -254,8 +259,8 @@ fn checkpoint_member_writes_are_payload_allocation_free_at_steady_state() {
     let mut enc = s_enkf::ckpt::MemberEncoder::new();
     let mut warm_crcs = Vec::with_capacity(members);
     let mut steady_crcs = Vec::with_capacity(members);
-    // Warm sweep: the encoder's column buffer and the pool's byte buffer
-    // reach member-payload capacity.
+    // Warm sweep: the encoder's column buffer reaches member-payload
+    // capacity.
     ckpt_sweep(&mut enc, &store, &ensemble, &mut warm_crcs);
 
     let (calls0, bytes0) = (
