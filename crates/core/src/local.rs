@@ -373,7 +373,7 @@ impl LocalAnalysis {
 
     /// One grid point's local analysis written into its output row.
     ///
-    /// Equivalent to running [`LocalAnalysis::analyze_region`] on the
+    /// Equivalent to running `LocalAnalysis::analyze_region` on the
     /// point's box, but only the target row of `δX = A⁻¹ Z` is formed:
     /// since `A` is symmetric, `δX[t,·] = (A⁻¹ eₜ)ᵀ Z`, so a single
     /// triangular solve replaces one per ensemble member and `Z` is never

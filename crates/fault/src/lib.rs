@@ -1,12 +1,12 @@
 //! Deterministic fault injection for the S-EnKF substrate.
 //!
 //! A production assimilation system runs on hardware that misbehaves: object
-//! storage targets degrade, reads come back short, ranks straggle or die,
-//! messages are delayed. This crate describes those events as a typed,
+//! storage targets degrade, reads fail, ranks straggle or die, messages are
+//! delayed or lost. This crate describes those events as a typed,
 //! deterministic [`FaultPlan`] and provides the pieces every layer consumes:
 //!
 //! * [`FaultPlan`] — the schedule of injectable events (OST slowdown ×k,
-//!   failed/short reads with optional recovery-after-retry, delayed or
+//!   failed reads with optional recovery-after-retry, delayed or
 //!   dropped messages, straggler ranks with compute dilation, rank crash at
 //!   a given stage). A plan is plain data: the same plan injected into the
 //!   real (threaded) executor and the modeled (DES) executor produces the
@@ -40,7 +40,7 @@ pub use error::{ReadError, SubstrateError};
 pub use injector::{FaultConfig, FaultInjector};
 pub use log::{FaultEvent, FaultLog, FaultRecord};
 pub use plan::{
-    seeded_unit, CycleCrash, FaultPlan, MsgFault, OstSlowdown, RankCrash, ReadFault, ReadFaultKind,
-    Straggler, UNRECOVERABLE,
+    seeded_unit, CycleCrash, FaultPlan, MsgFault, OstSlowdown, RankCrash, ReadFault, Straggler,
+    UNRECOVERABLE,
 };
 pub use retry::RetryPolicy;

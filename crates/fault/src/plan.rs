@@ -4,15 +4,6 @@
 /// unrecoverable under any finite retry budget.
 pub const UNRECOVERABLE: u32 = u32::MAX;
 
-/// How an injected read failure presents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadFaultKind {
-    /// The read fails outright (I/O error).
-    Fail,
-    /// The read returns fewer bytes than requested (truncation).
-    ShortRead,
-}
-
 /// Reads of `member` fail for the first `fail_attempts` attempts of every
 /// read operation, then succeed. `fail_attempts > RetryPolicy::max_retries`
 /// (in particular [`UNRECOVERABLE`]) makes the member unrecoverable.
@@ -20,8 +11,6 @@ pub enum ReadFaultKind {
 pub struct ReadFault {
     /// Ensemble member whose file misbehaves.
     pub member: usize,
-    /// Failure presentation.
-    pub kind: ReadFaultKind,
     /// Attempts that fail before a read of this member succeeds.
     pub fail_attempts: u32,
 }
@@ -157,18 +146,6 @@ impl FaultPlan {
     pub fn with_read_fault(mut self, member: usize, fail_attempts: u32) -> Self {
         self.read_faults.push(ReadFault {
             member,
-            kind: ReadFaultKind::Fail,
-            fail_attempts,
-        });
-        self
-    }
-
-    /// Reads of `member` come back short `fail_attempts` times, then
-    /// recover.
-    pub fn with_short_read(mut self, member: usize, fail_attempts: u32) -> Self {
-        self.read_faults.push(ReadFault {
-            member,
-            kind: ReadFaultKind::ShortRead,
             fail_attempts,
         });
         self
@@ -178,7 +155,6 @@ impl FaultPlan {
     pub fn with_unrecoverable_member(mut self, member: usize) -> Self {
         self.read_faults.push(ReadFault {
             member,
-            kind: ReadFaultKind::Fail,
             fail_attempts: UNRECOVERABLE,
         });
         self

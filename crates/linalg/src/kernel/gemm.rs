@@ -5,7 +5,7 @@
 //! Each product family (`nn` = `A·B`, `tn` = `Aᵀ·B`, `nt` = `A·Bᵀ`) is a
 //! divide-and-conquer driver that recursively halves the **larger of the
 //! two output dimensions** until the subproblem fits the
-//! [`tiles::BASE_M`]`×`[`tiles::BASE_N`] base case, which dispatches to a
+//! [`super::tiles::BASE_M`]`×`[`super::tiles::BASE_N`] base case, which dispatches to a
 //! register-tiled microkernel (AVX2 when detected, scalar otherwise). The
 //! recursion never splits the contraction dimension `k` in the default
 //! path — a `k`-split would change each output element's accumulation
@@ -19,13 +19,13 @@
 //! - **nn**: ascend the shared index `l`, skipping terms whose left
 //!   operand is exactly `0.0` (one branch per `(row, l)` pair).
 //! - **tn**: ascend `l`, no skip.
-//! - **nt**: accumulate [`tiles::NT_KC`]-wide partial dot products, each
+//! - **nt**: accumulate [`super::tiles::NT_KC`]-wide partial dot products, each
 //!   folded from `0.0` in ascending `l`, added to the output in ascending
 //!   chunk order.
 //!
 //! Splitting only `m`/`n` hands every recursion leaf a **disjoint** region
 //! of `C`, so `rayon::join` parallelism (taken when the subproblem carries
-//! at least [`tiles::PAR_FLOPS`] flops and more than one worker exists)
+//! at least [`super::tiles::PAR_FLOPS`] flops and more than one worker exists)
 //! cannot reorder any element's accumulation: results are bit-identical
 //! across thread counts, including fully serial.
 

@@ -7,13 +7,13 @@
 //! - [`gemm`] — cache-oblivious divide-and-conquer drivers for the three
 //!   product families (`A·B`, `Aᵀ·B`, `A·Bᵀ`) plus the unrolled
 //!   matrix-vector product, dispatching to register-tiled microkernels.
-//! - [`simd`] (via re-exports) — runtime ISA detection and the AVX2
+//! - `simd` (via re-exports) — runtime ISA detection and the AVX2
 //!   microkernel bodies with scalar fallbacks.
 //! - [`convert`] — bulk little-endian ↔ `f64` codecs shared with
 //!   `enkf-pfs`.
 //! - [`tiles`] — every tiling/dispatch constant, with the cache
 //!   reasoning attached.
-//! - [`reference`] — the pre-kernel-layer blocked loops, frozen as the
+//! - [`mod@reference`] — the pre-kernel-layer blocked loops, frozen as the
 //!   bit-identity oracle and the perf ledger's `linalg.gemm_ref_gflops`
 //!   arm.
 //!

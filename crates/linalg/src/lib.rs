@@ -23,7 +23,6 @@ pub mod kernel;
 pub mod lstsq;
 pub mod matrix;
 pub mod modchol;
-pub mod qr;
 pub mod rng;
 pub mod sherman;
 
@@ -32,7 +31,6 @@ pub use eigen::{EigenWorkspace, SymEigen};
 pub use lstsq::ridge_least_squares;
 pub use matrix::Matrix;
 pub use modchol::{modified_cholesky_inverse, ModCholWorkspace, ModifiedCholesky};
-pub use qr::{qr_least_squares, Qr};
 pub use rng::GaussianSampler;
 pub use sherman::ShermanMorrisonWorkspace;
 

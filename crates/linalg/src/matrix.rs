@@ -119,11 +119,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix and return its buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Reshape to `nrows x ncols` and zero-fill, reusing the allocation.
     ///
     /// This is the workspace-reuse primitive behind the `_into` product

@@ -43,7 +43,7 @@ use enkf_trace::{RankTracer, Role, Trace};
 use enkf_tuning::Params;
 use std::time::{Duration, Instant};
 
-/// Which parallel variant a campaign drives. All three share the
+/// Which parallel variant a campaign drives. All four share the
 /// supervisor, the checkpoint format and the recovery state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignExecutor {

@@ -24,47 +24,17 @@
 //! the one-shard product: shard-count invariance is exact.
 
 use crate::exec::setup::AssimilationSetup;
-use crate::exec::{assemble_analysis, dilate, prepare_faults};
-use crate::report::{ExecutionReport, PhaseBreakdown};
-use enkf_core::{batched_transform, BatchedKernel, EnkfError, Ensemble, Result};
+use crate::exec::{foreign_msg, Cycle, Msg};
+use crate::program::{CycleOp, ModelVariant, Payload};
+use crate::report::ExecutionReport;
+use enkf_core::{batched_transform, BatchedKernel, Ensemble, Result};
 use enkf_data::region_to_matrix;
-use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_health::HealthMonitor;
 use enkf_linalg::Matrix;
-use enkf_net::{Cluster, RankCtx};
-use enkf_pfs::{read_region_adaptive, RegionData};
+use enkf_pfs::RegionData;
 use enkf_trace::Trace;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-/// The observation-space payload of the all-to-all exchange.
-#[derive(Debug, Clone)]
-enum DMsg {
-    /// One shard's observed anomaly and innovation rows.
-    ObsBlock {
-        /// Global observation-row indices, ascending (the shard's rows of
-        /// the network).
-        rows: Vec<usize>,
-        /// The shard's rows of `S = H U` (`m_loc × N_alive`).
-        s: Matrix,
-        /// The shard's rows of `D = Yˢ − H Xᵇ` (`m_loc × N_alive`).
-        d: Matrix,
-    },
-    /// A sender failed before producing its block; receivers must stop
-    /// waiting instead of deadlocking.
-    Abort {
-        /// Human-readable failure description.
-        reason: String,
-    },
-}
-
-/// Wire size of one shard's observation block: `rows` indices (8 bytes
-/// each) plus two `rows × members` f64 matrices. The DES model charges its
-/// `Comm` tasks with the same formula, which is what makes the real and
-/// modeled trace digests byte-identical.
-pub(crate) fn exchange_bytes(rows: usize, members: usize) -> u64 {
-    8 * (rows * (2 * members + 1)) as u64
-}
 
 /// The D-EnKF variant: `shards` ranks, each owning one full-width bar of
 /// the state, one non-sequential batched analysis.
@@ -103,8 +73,9 @@ impl DEnkf {
     /// rank shrinks `S`/`D` to the survivors — the N−1 path), stragglers
     /// dilate compute, message delays stall the exchange, and crashes or
     /// message drops switch receives to a timeout surfacing
-    /// [`SubstrateError::RecvTimeout`]; a rank whose peers all exited gets
-    /// the typed [`SubstrateError::PeerExited`] instead of a channel panic.
+    /// [`enkf_fault::SubstrateError::RecvTimeout`]; a rank whose peers all
+    /// exited gets the typed [`enkf_fault::SubstrateError::PeerExited`]
+    /// instead of a channel panic.
     pub fn run_faulted(
         &self,
         setup: &AssimilationSetup<'_>,
@@ -114,8 +85,8 @@ impl DEnkf {
     }
 
     /// [`DEnkf::run_faulted`] with online health monitoring. Each shard
-    /// reads members whose OST is blacklisted last and routes bar reads
-    /// through [`read_region_adaptive`], so a degraded OST triggers a
+    /// reads members whose OST is blacklisted last and every bar read
+    /// consults the monitor's frozen view, so a degraded OST triggers a
     /// speculative duplicate read against its replica; bars are collected
     /// keyed by member and re-assembled ascending, so the reorder never
     /// reaches the numerics. Observed dilation ratios feed the monitor;
@@ -127,225 +98,143 @@ impl DEnkf {
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        setup.validate()?;
-        // Shards are full-width bars: the `1 × shards` decomposition.
-        let decomp = setup.decomposition(1, self.shards)?;
-        let mesh = setup.mesh();
-        let nranks = decomp.num_subdomains();
-        let kernel = self.kernel;
-        let prep = prepare_faults(cfg, setup.members)?;
-        let injector = &prep.injector;
-        let dropped = &prep.dropped;
-        let alive = &prep.alive;
-        let use_timeout = prep.use_timeout;
-        let recv_timeout = cfg.recv_timeout;
-        let m_total = setup.observations.len();
-        setup.observations.prepare();
-        let t0 = Instant::now();
-
-        type RankOut = Result<(enkf_grid::RegionRect, Matrix)>;
-        let results: Vec<(RankOut, Vec<enkf_trace::Span>)> =
-            Cluster::run_traced(nranks, |mut ctx: RankCtx<DMsg>, tracer| {
-                let rank = ctx.rank();
-                if let Some(stage) = injector.crash_stage(rank) {
-                    injector.log().crashed(rank, stage);
-                    return Err(SubstrateError::RankCrashed { rank, stage }.into());
-                }
-                let id = decomp.id_of_rank(rank);
-                let bar = decomp.subdomain(id);
-
-                // Phase 1: read this shard's bar of every member file — a
-                // full-width band, one contiguous segment, one disk
-                // addressing operation per member (§4.1.2's bar argument,
-                // here applied to the analysis decomposition itself).
-                let order: Vec<usize> = match monitor {
-                    Some(mon) => mon.view().reorder(&(0..setup.members).collect::<Vec<_>>()),
-                    None => (0..setup.members).collect(),
-                };
-                let mut by_member: BTreeMap<usize, RegionData> = BTreeMap::new();
-                for &k in &order {
-                    match read_region_adaptive(
-                        setup.store,
-                        tracer,
-                        None,
-                        k,
-                        &bar,
-                        injector,
-                        monitor,
-                    ) {
-                        Ok(d) => {
-                            by_member.insert(k, d);
-                        }
-                        Err(_) if dropped.contains(&k) => {}
-                        Err(e) => {
-                            // Peers count on this shard's block: unblock
-                            // them before bailing out.
-                            for peer in 0..nranks {
-                                if peer != rank {
-                                    ctx.send(
-                                        peer,
-                                        rank as u64,
-                                        DMsg::Abort {
-                                            reason: format!("read failed: {e}"),
-                                        },
-                                    );
-                                }
-                            }
-                            return Err(e.into());
-                        }
-                    }
-                }
-                let per_member: Vec<RegionData> = by_member.into_values().collect();
-                let xb = region_to_matrix(&bar, &per_member);
-                let n_alive = alive.len();
-
-                // Local observation rows of this bar. `localize` and
-                // `indices_in` enumerate the same ascending global order,
-                // so `global_rows[r]` is the global index of local row `r`.
-                let mut obs = setup.observations.localize(&bar);
-                if !dropped.is_empty() {
-                    obs = obs.select_members(alive);
-                }
-                let global_rows = setup.observations.operator().network().indices_in(&bar);
-                debug_assert_eq!(global_rows.len(), obs.len());
-                let m_loc = obs.len();
-
-                // S_loc = H_loc Xᵇ − row means, D_loc = Yˢ_loc − H_loc Xᵇ.
-                // Row means only mix within a row, so both are shard-local.
-                let mut s_loc = Matrix::zeros(m_loc, n_alive);
-                let mut d_loc = Matrix::zeros(m_loc, n_alive);
-                for r in 0..m_loc {
-                    let hx = xb.row(obs.local_rows[r]);
-                    let mean = hx.iter().sum::<f64>() / n_alive as f64;
-                    let yp = obs.perturbed.row(r);
-                    for c in 0..n_alive {
-                        s_loc[(r, c)] = hx[c] - mean;
-                        d_loc[(r, c)] = yp[c] - hx[c];
-                    }
-                }
-
-                // Phase 2: all-to-all exchange of the observation blocks
-                // (never state rows — the payload is m_loc × N, independent
-                // of the shard's state size).
-                for peer in 0..nranks {
-                    if peer == rank {
-                        continue;
-                    }
-                    let delay = injector.send_delay(rank, peer);
-                    let drop_msg = injector.message_dropped(rank, peer);
-                    tracer.send(None, peer, exchange_bytes(m_loc, n_alive), || {
-                        if delay > 0.0 {
-                            std::thread::sleep(Duration::from_secs_f64(delay));
-                        }
-                        if !drop_msg {
-                            ctx.send(
-                                peer,
-                                rank as u64,
-                                DMsg::ObsBlock {
-                                    rows: global_rows.clone(),
-                                    s: s_loc.clone(),
-                                    d: d_loc.clone(),
-                                },
-                            );
-                        }
-                    });
-                }
-
-                // Assemble the global S and D: own rows plus one block from
-                // every peer. Bars partition the mesh, so the blocks cover
-                // every observation row exactly once.
-                let mut s_glob = Matrix::zeros(m_total, n_alive);
-                let mut d_glob = Matrix::zeros(m_total, n_alive);
-                let mut scatter = |rows: &[usize], s: &Matrix, d: &Matrix| {
-                    for (r, &g) in rows.iter().enumerate() {
-                        s_glob.row_mut(g).copy_from_slice(s.row(r));
-                        d_glob.row_mut(g).copy_from_slice(d.row(r));
-                    }
-                };
-                scatter(&global_rows, &s_loc, &d_loc);
-                let received: Result<()> = tracer.wait(None, || {
-                    for _ in 0..nranks - 1 {
-                        let envelope = if use_timeout {
-                            match ctx.recv_timeout(recv_timeout) {
-                                Ok(env) => env,
-                                Err(e) => return Err(e.into()),
-                            }
-                        } else {
-                            match ctx.recv() {
-                                Ok(env) => env,
-                                Err(e) => return Err(e.into()),
-                            }
-                        };
-                        match envelope.payload {
-                            DMsg::ObsBlock { rows, s, d } => scatter(&rows, &s, &d),
-                            DMsg::Abort { reason } => {
-                                return Err(EnkfError::GeometryMismatch(format!(
-                                    "peer aborted: {reason}"
-                                )))
-                            }
-                        }
-                    }
-                    Ok(())
-                });
-                if let Err(e) = received {
-                    // Unblock peers still waiting on this rank's block
-                    // before bailing out (they already have our ObsBlock,
-                    // but an abort must not strand anyone mid-collective on
-                    // a *different* failure path).
-                    for peer in 0..nranks {
-                        if peer != rank {
-                            ctx.send(
-                                peer,
-                                rank as u64,
-                                DMsg::Abort {
-                                    reason: e.to_string(),
-                                },
-                            );
-                        }
-                    }
-                    return Err(e);
-                }
-
-                // Phase 3: the batched transform (identical on every rank)
-                // and the shard-local update Xᵃ = Xᵇ + U_shard T.
-                let dilation = injector.compute_dilation(rank);
-                if let Some(mon) = monitor {
-                    mon.observe_compute(rank, dilation);
-                }
-                let r_var = setup.observations.error_var();
-                tracer
-                    .compute(None, || {
-                        let start = Instant::now();
-                        let t = batched_transform(&s_glob, &d_glob, r_var, kernel)?;
-                        let mut u = xb.clone();
-                        let means = u.row_means();
-                        u.subtract_row_vector(&means);
-                        let mut xa = xb.clone();
-                        xa.axpy(1.0, &u.matmul(&t)?)?;
-                        dilate(start, dilation);
-                        Ok(xa)
-                    })
-                    .map(|m| (bar, m))
-            });
-
-        let mut trace = Trace::new("denkf-real");
-        let mut compute_ranks = PhaseBreakdown::default();
-        let mut per_domain = Vec::with_capacity(nranks);
-        for (res, spans) in results {
-            compute_ranks.merge(&PhaseBreakdown::from_spans(&spans));
-            trace.extend(spans);
-            per_domain.push(res?);
-        }
-        let analysis = assemble_analysis(mesh, alive.len(), &decomp, per_domain);
-        let report = ExecutionReport {
-            compute_ranks,
-            io_ranks: PhaseBreakdown::default(),
-            num_compute_ranks: nranks,
-            num_io_ranks: 0,
-            wall_time: t0.elapsed().as_secs_f64(),
-            dropped_members: dropped.clone(),
+        let variant = ModelVariant::DEnkf {
+            shards: self.shards,
         };
-        Ok((analysis, report, trace, prep.injector.into_log()))
+        let kernel = self.kernel;
+        Cycle::run(setup, variant, cfg, monitor, |cycle, mut ctx, tracer| {
+            let rank = ctx.rank();
+            cycle.check_crash(rank)?;
+            let size = ctx.size();
+            let peers = || (0..size).filter(move |&peer| peer != rank);
+            let mut ops = cycle.ops(rank).iter().copied().peekable();
+
+            // Phase 1: read this shard's bar of every member file — a
+            // full-width band, one contiguous segment, one disk addressing
+            // operation per member (§4.1.2's bar argument, here applied to
+            // the analysis decomposition itself).
+            let mut by_member: BTreeMap<usize, RegionData> = BTreeMap::new();
+            let mut bar = None;
+            while let Some(CycleOp::Read {
+                stage,
+                member,
+                region,
+            }) = ops.next_if(|op| matches!(op, CycleOp::Read { .. }))
+            {
+                bar = Some(region);
+                match cycle.read(tracer, stage, member, &region) {
+                    Ok(Some(data)) => {
+                        by_member.insert(member, data);
+                    }
+                    Ok(None) => {}
+                    Err(e) => {
+                        // Peers count on this shard's block.
+                        cycle.abort(&ctx, peers(), &format!("read failed: {e}"));
+                        return Err(e.into());
+                    }
+                }
+            }
+            let Some(bar) = bar else {
+                return Ok(Vec::new());
+            };
+            let per_member: Vec<RegionData> = by_member.into_values().collect();
+            let xb = region_to_matrix(&bar, &per_member);
+            let n_alive = cycle.alive.len();
+
+            // Local observation rows of this bar. `localize` and
+            // `indices_in` enumerate the same ascending global order,
+            // so `global_rows[r]` is the global index of local row `r`.
+            let mut obs = setup.observations.localize(&bar);
+            if !cycle.dropped.is_empty() {
+                obs = obs.select_members(&cycle.alive);
+            }
+            let global_rows = setup.observations.operator().network().indices_in(&bar);
+            debug_assert_eq!(global_rows.len(), obs.len());
+            let m_loc = obs.len();
+
+            // S_loc = H_loc Xᵇ − row means, D_loc = Yˢ_loc − H_loc Xᵇ.
+            // Row means only mix within a row, so both are shard-local.
+            let mut s_loc = Matrix::zeros(m_loc, n_alive);
+            let mut d_loc = Matrix::zeros(m_loc, n_alive);
+            for r in 0..m_loc {
+                let hx = xb.row(obs.local_rows[r]);
+                let mean = hx.iter().sum::<f64>() / n_alive as f64;
+                let yp = obs.perturbed.row(r);
+                for c in 0..n_alive {
+                    s_loc[(r, c)] = hx[c] - mean;
+                    d_loc[(r, c)] = yp[c] - hx[c];
+                }
+            }
+
+            // The global S and D: own rows plus one block from every peer.
+            // Bars partition the mesh, so the blocks cover every
+            // observation row exactly once.
+            let m_total = setup.observations.len();
+            let mut s_glob = Matrix::zeros(m_total, n_alive);
+            let mut d_glob = Matrix::zeros(m_total, n_alive);
+            place_rows(&mut s_glob, &mut d_glob, &global_rows, &s_loc, &d_loc);
+
+            let mut analyzed = Vec::new();
+            for op in ops {
+                match op {
+                    // Phase 2: all-to-all exchange of the observation
+                    // blocks (never state rows — the payload is m_loc × N,
+                    // independent of the shard's state size).
+                    CycleOp::Send {
+                        stage,
+                        to,
+                        payload: Payload::Bytes(bytes),
+                    } => cycle.send(tracer, &ctx, stage, to, bytes, || Msg::ObsBlock {
+                        rows: global_rows.clone(),
+                        s: s_loc.clone(),
+                        d: d_loc.clone(),
+                    }),
+                    CycleOp::Await { stage, sends } => {
+                        let received =
+                            cycle.receive(tracer, &mut ctx, stage, sends, |msg| match msg {
+                                Msg::ObsBlock { rows, s, d } => {
+                                    place_rows(&mut s_glob, &mut d_glob, &rows, &s, &d);
+                                    Ok(())
+                                }
+                                _ => Err(foreign_msg(rank)),
+                            });
+                        if let Err(e) = received {
+                            // Peers already have our block, but an abort
+                            // must not strand anyone mid-collective on a
+                            // *different* failure path.
+                            cycle.abort(&ctx, peers(), &e.to_string());
+                            return Err(e);
+                        }
+                    }
+                    // Phase 3: the batched transform (identical on every
+                    // rank) and the shard-local update Xᵃ = Xᵇ + U_shard T.
+                    CycleOp::Compute { stage, target, .. } => {
+                        let dilation = cycle.dilation(rank);
+                        let r_var = setup.observations.error_var();
+                        let xa = cycle.compute(tracer, stage, dilation, || {
+                            let t = batched_transform(&s_glob, &d_glob, r_var, kernel)?;
+                            let mut u = xb.clone();
+                            let means = u.row_means();
+                            u.subtract_row_vector(&means);
+                            let mut xa = xb.clone();
+                            xa.axpy(1.0, &u.matmul(&t)?)?;
+                            Ok::<_, enkf_core::EnkfError>(xa)
+                        })?;
+                        analyzed.push((target, xa));
+                    }
+                    op => return Err(cycle.foreign_op(rank, op)),
+                }
+            }
+            Ok(analyzed)
+        })
+    }
+}
+
+/// Copy one shard's rows of `S` and `D` to their global row indices.
+fn place_rows(s_glob: &mut Matrix, d_glob: &mut Matrix, rows: &[usize], s: &Matrix, d: &Matrix) {
+    for (r, &g) in rows.iter().enumerate() {
+        s_glob.row_mut(g).copy_from_slice(s.row(r));
+        d_glob.row_mut(g).copy_from_slice(d.row(r));
     }
 }
 

@@ -7,16 +7,15 @@
 //! analysis as the other variants.
 
 use crate::exec::setup::AssimilationSetup;
-use crate::exec::{assemble_analysis, dilate, prepare_faults, Msg};
-use crate::report::{ExecutionReport, PhaseBreakdown};
+use crate::exec::{foreign_msg, Cycle, Msg};
+use crate::program::{CycleOp, ModelVariant, Payload};
+use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
 use enkf_data::region_to_matrix;
 use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
 use enkf_health::HealthMonitor;
-use enkf_net::{Cluster, RankCtx};
-use enkf_pfs::{read_full_adaptive, RegionData};
+use enkf_pfs::RegionData;
 use enkf_trace::Trace;
-use std::time::{Duration, Instant};
 
 /// The L-EnKF variant: `n_sdx × n_sdy` ranks, rank 0 is the only reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,202 +62,115 @@ impl LEnkf {
     }
 
     /// [`LEnkf::run_faulted`] with online health monitoring. Rank 0 (the
-    /// only reader) reads members whose OST is blacklisted last and routes
-    /// every read through [`read_full_adaptive`], so a degraded OST
-    /// triggers a speculative duplicate against its replica. Receivers key
-    /// incoming blocks by member index, so the reorder never changes the
-    /// analysis input. Observed dilation ratios feed the monitor; the
-    /// caller folds them with [`HealthMonitor::end_cycle`]. With
-    /// `monitor: None` this is byte-identical to [`LEnkf::run_faulted`].
+    /// only reader) reads members whose OST is blacklisted last and every
+    /// read consults the monitor's frozen view, so a degraded OST triggers
+    /// a speculative duplicate against its replica. Receivers key incoming
+    /// blocks by member index, so the reorder never changes the analysis
+    /// input. Observed dilation ratios feed the monitor; the caller folds
+    /// them with [`HealthMonitor::end_cycle`]. With `monitor: None` this is
+    /// byte-identical to [`LEnkf::run_faulted`].
     pub fn run_adaptive(
         &self,
         setup: &AssimilationSetup<'_>,
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        setup.validate()?;
-        let decomp = setup.decomposition(self.nsdx, self.nsdy)?;
-        let mesh = setup.mesh();
-        let radius = setup.analysis.radius;
-        let nranks = decomp.num_subdomains();
-        let prep = prepare_faults(cfg, setup.members)?;
-        let injector = &prep.injector;
-        let dropped = &prep.dropped;
-        let alive = &prep.alive;
-        let use_timeout = prep.use_timeout;
-        let recv_timeout = cfg.recv_timeout;
-        // Build the spatial observation index and perturbation cache once
-        // per cycle, before the worker ranks start querying it.
-        setup.observations.prepare();
-        let t0 = Instant::now();
-
-        type RankOut = Result<(enkf_grid::RegionRect, enkf_linalg::Matrix)>;
-        let results: Vec<(RankOut, Vec<enkf_trace::Span>)> =
-            Cluster::run_traced(nranks, |mut ctx: RankCtx<Msg>, tracer| {
-                let rank = ctx.rank();
-                if let Some(stage) = injector.crash_stage(rank) {
-                    injector.log().crashed(rank, stage);
-                    return Err(SubstrateError::RankCrashed { rank, stage }.into());
-                }
-                let id = decomp.id_of_rank(rank);
-                let target = decomp.subdomain(id);
-                let expansion = decomp.expansion(id, radius);
-                let mut per_member: Vec<Option<RegionData>> =
-                    (0..setup.members).map(|_| None).collect();
-
-                if rank == 0 {
-                    // The single reader: read each full member, carve out every
-                    // rank's expansion block, send (keep own block locally).
-                    // Dropped members burn their injected-failure spans but
-                    // produce no scatter. Under a health monitor the read
-                    // order moves blacklisted-OST members last; peers key
-                    // blocks by member index, so the reorder is invisible
-                    // to the numerics.
-                    let order: Vec<usize> = match monitor {
-                        Some(mon) => mon.view().reorder(&(0..setup.members).collect::<Vec<_>>()),
-                        None => (0..setup.members).collect(),
-                    };
-                    for &k in &order {
-                        let full = match read_full_adaptive(
-                            setup.store,
-                            tracer,
-                            None,
-                            k,
-                            injector,
-                            monitor,
-                        ) {
-                            Ok(d) => d,
-                            Err(_) if dropped.contains(&k) => continue,
-                            Err(e) => {
-                                // Unblock every waiting rank before bailing out.
-                                for peer in 1..ctx.size() {
-                                    ctx.send(
-                                        peer,
-                                        k as u64,
-                                        Msg::Abort {
-                                            reason: format!("read failed: {e}"),
-                                        },
-                                    );
-                                }
-                                return Err(e.into());
-                            }
-                        };
-                        for peer in 1..ctx.size() {
-                            let peer_id = decomp.id_of_rank(peer);
-                            let peer_exp = decomp.expansion(peer_id, radius);
-                            let (_, block_bytes) = setup.store.op_cost(&peer_exp);
-                            let delay = injector.send_delay(0, peer);
-                            let drop_msg = injector.message_dropped(0, peer);
-                            tracer.send(None, peer, block_bytes, || {
-                                if delay > 0.0 {
-                                    std::thread::sleep(Duration::from_secs_f64(delay));
-                                }
-                                let block = full.extract(&peer_exp);
-                                if !drop_msg {
-                                    ctx.send(
-                                        peer,
-                                        k as u64,
-                                        Msg::Blocks {
-                                            stage: 0,
-                                            members: vec![k],
-                                            data: vec![block],
-                                        },
-                                    );
-                                }
-                            });
-                        }
-                        per_member[k] = Some(full.extract(&expansion));
-                    }
-                } else {
-                    // Receive the expansion blocks of all surviving members
-                    // from rank 0.
-                    let received: std::result::Result<(), enkf_core::EnkfError> =
-                        tracer.wait(None, || {
-                            for _ in 0..alive.len() {
-                                let envelope = if use_timeout {
-                                    match ctx.recv_timeout(recv_timeout) {
-                                        Ok(env) => env,
-                                        Err(e) => return Err(e.into()),
-                                    }
-                                } else {
-                                    match ctx.recv() {
-                                        Ok(env) => env,
-                                        Err(e) => return Err(e.into()),
-                                    }
-                                };
-                                match envelope.payload {
-                                    Msg::Blocks {
-                                        members, mut data, ..
-                                    } => {
-                                        let k = members[0];
-                                        per_member[k] = Some(data.remove(0));
-                                    }
-                                    Msg::Abort { reason } => {
-                                        return Err(enkf_core::EnkfError::GeometryMismatch(
-                                            format!("reader aborted: {reason}"),
-                                        ))
-                                    }
-                                }
-                            }
-                            Ok(())
-                        });
-                    received?;
-                }
-
-                // Typed, not a panic: a protocol violation (a duplicate
-                // block shadowing another member within the counted
-                // receive loop) must tear this rank down cleanly, like
-                // every other substrate failure.
-                let mut assembled: Vec<RegionData> = Vec::with_capacity(alive.len());
-                for &k in alive {
-                    match per_member[k].take() {
-                        Some(d) => assembled.push(d),
-                        None => {
-                            return Err(SubstrateError::HelperFailed {
-                                rank,
-                                detail: format!("member {k} block missing after scatter"),
-                            }
-                            .into())
-                        }
-                    }
-                }
-                let per_member = assembled;
-                let dilation = injector.compute_dilation(rank);
-                let out = tracer.compute(None, || {
-                    let start = Instant::now();
-                    let xb = region_to_matrix(&expansion, &per_member);
-                    let mut obs = setup.observations.localize(&expansion);
-                    if !dropped.is_empty() {
-                        obs = obs.select_members(alive);
-                    }
-                    let r = setup.analysis.analyze(mesh, &target, &expansion, &xb, &obs);
-                    dilate(start, dilation);
-                    r
-                });
-                if let Some(mon) = monitor {
-                    mon.observe_compute(rank, dilation);
-                }
-                out.map(|m| (target, m))
-            });
-
-        let mut trace = Trace::new("lenkf-real");
-        let mut compute_ranks = PhaseBreakdown::default();
-        let mut per_domain = Vec::with_capacity(nranks);
-        for (res, spans) in results {
-            compute_ranks.merge(&PhaseBreakdown::from_spans(&spans));
-            trace.extend(spans);
-            per_domain.push(res?);
-        }
-        let analysis = assemble_analysis(mesh, alive.len(), &decomp, per_domain);
-        let report = ExecutionReport {
-            compute_ranks,
-            io_ranks: PhaseBreakdown::default(),
-            num_compute_ranks: nranks,
-            num_io_ranks: 0,
-            wall_time: t0.elapsed().as_secs_f64(),
-            dropped_members: dropped.clone(),
+        let variant = ModelVariant::LEnkf {
+            nsdx: self.nsdx,
+            nsdy: self.nsdy,
         };
-        Ok((analysis, report, trace, prep.injector.into_log()))
+        Cycle::run(setup, variant, cfg, monitor, |cycle, mut ctx, tracer| {
+            let rank = ctx.rank();
+            cycle.check_crash(rank)?;
+            let layout = setup.store.layout();
+            let Some(own) = cycle.ops(rank).iter().find_map(|op| match *op {
+                CycleOp::Compute { expansion, .. } => Some(expansion),
+                _ => None,
+            }) else {
+                return Ok(Vec::new());
+            };
+            // This rank's expansion block of every member, keyed by member:
+            // carved out of the file it just read (rank 0) or received.
+            let mut blocks: Vec<Option<RegionData>> = vec![None; setup.members];
+            // The member file the reader currently holds.
+            let mut held: Option<(usize, RegionData)> = None;
+            let mut analyzed = Vec::new();
+            for &op in cycle.ops(rank) {
+                match op {
+                    CycleOp::Read {
+                        stage,
+                        member,
+                        region,
+                    } => match cycle.read(tracer, stage, member, &region) {
+                        Ok(file) => {
+                            held = file.map(|full| {
+                                blocks[member] = Some(full.extract(&own));
+                                (member, full)
+                            })
+                        }
+                        Err(e) => {
+                            cycle.abort(&ctx, 1..ctx.size(), &format!("read failed: {e}"));
+                            return Err(e.into());
+                        }
+                    },
+                    CycleOp::Send {
+                        stage,
+                        to,
+                        payload: payload @ Payload::Blocks { region, .. },
+                    } => {
+                        let Some((member, full)) = &held else {
+                            return Err(cycle.foreign_op(rank, op));
+                        };
+                        cycle.send(tracer, &ctx, stage, to, payload.bytes(&layout), || {
+                            Msg::Blocks {
+                                stage: 0,
+                                members: vec![*member],
+                                data: vec![full.extract(&region)],
+                            }
+                        })
+                    }
+                    CycleOp::Await { stage, sends } => {
+                        cycle.receive(tracer, &mut ctx, stage, sends, |msg| match msg {
+                            Msg::Blocks {
+                                members, mut data, ..
+                            } => {
+                                blocks[members[0]] = Some(data.remove(0));
+                                Ok(())
+                            }
+                            _ => Err(foreign_msg(rank)),
+                        })?
+                    }
+                    CycleOp::Compute {
+                        stage,
+                        target,
+                        expansion,
+                        ..
+                    } => {
+                        // Typed, not a panic: a protocol violation (a
+                        // duplicate block shadowing another member within
+                        // the counted receive) must tear this rank down
+                        // cleanly, like every other substrate failure.
+                        let mut per_member = Vec::with_capacity(cycle.alive.len());
+                        for &k in &cycle.alive {
+                            per_member.push(blocks[k].take().ok_or_else(|| {
+                                SubstrateError::HelperFailed {
+                                    rank,
+                                    detail: format!("member {k} block missing after scatter"),
+                                }
+                            })?);
+                        }
+                        let dilation = cycle.dilation(rank);
+                        let xa =
+                            cycle.analyze(tracer, stage, dilation, &target, &expansion, || {
+                                region_to_matrix(&expansion, &per_member)
+                            })?;
+                        analyzed.push((target, xa));
+                    }
+                    op => return Err(cycle.foreign_op(rank, op)),
+                }
+            }
+            Ok(analyzed)
+        })
     }
 }
 

@@ -1,4 +1,13 @@
 //! Real (threaded) executors for the four parallel EnKF variants.
+//!
+//! Each executor is an interpreter of its variant's cycle program
+//! ([`crate::program`]): `Cycle::run` emits the program once, hands every
+//! rank thread its own ops, and folds the rank results into the analysis
+//! and the report. The ops are a rank's only source of regions, peers,
+//! bundle sizes, member order and expected-message counts; what the
+//! executor files add is the thread structure the program cannot express —
+//! the read-ahead pipeline, the Fig. 8 helper thread, the abort protocol,
+//! receive timeouts and the typed error paths.
 
 pub mod denkf;
 pub mod lenkf;
@@ -7,48 +16,50 @@ pub mod senkf;
 pub mod setup;
 pub mod writeback;
 
-use enkf_core::Ensemble;
-use enkf_fault::{FaultConfig, FaultInjector, SubstrateError};
-use enkf_grid::{Decomposition, Mesh, RegionRect};
+use crate::program::{CycleOp, Geometry, ModelVariant};
+use crate::report::{ExecutionReport, PhaseBreakdown};
+use enkf_core::{EnkfError, Ensemble, Result};
+use enkf_fault::{FaultConfig, FaultInjector, FaultLog, SubstrateError};
+use enkf_grid::RegionRect;
+use enkf_health::HealthMonitor;
 use enkf_linalg::Matrix;
-use std::time::Instant;
+use enkf_net::{Cluster, RankCtx};
+use enkf_pfs::resilient::dilate;
+use enkf_pfs::{read_region_adaptive, RegionData};
+use enkf_trace::{RankTracer, Trace};
+use setup::AssimilationSetup;
+use std::time::{Duration, Instant};
 
-/// The payload exchanged between ranks: a bundle of region blocks, one per
-/// carried ensemble member, for one stage of the multi-stage workflow
-/// (stage is always 0 for the single-stage variants).
+/// The payload exchanged between ranks.
 #[derive(Debug, Clone)]
 pub(crate) enum Msg {
-    /// Blocks of several members covering one region.
+    /// Blocks of several members covering one region, for one stage of the
+    /// multi-stage workflow.
     Blocks {
         /// Multi-stage index (`l`), 0-based.
         stage: usize,
         /// Global member indices, parallel to `data`.
         members: Vec<usize>,
         /// One region payload per member.
-        data: Vec<enkf_pfs::RegionData>,
+        data: Vec<RegionData>,
+    },
+    /// One D-EnKF shard's observed anomaly and innovation rows.
+    ObsBlock {
+        /// Global observation-row indices, ascending (the shard's rows of
+        /// the network).
+        rows: Vec<usize>,
+        /// The shard's rows of `S = H U` (`m_loc × N_alive`).
+        s: Matrix,
+        /// The shard's rows of `D = Yˢ − H Xᵇ` (`m_loc × N_alive`).
+        d: Matrix,
     },
     /// A sender hit a fatal error (e.g. an unreadable member file) and will
-    /// produce no further blocks: receivers must stop waiting. Without this
-    /// a failing reader would deadlock every rank blocked on its data.
+    /// produce no further messages: receivers must stop waiting. Without
+    /// this a failing reader would deadlock every rank blocked on its data.
     Abort {
         /// Human-readable failure description.
         reason: String,
     },
-}
-
-/// Pre-run fault resolution shared by the three real executors. All fields
-/// are pure functions of the [`FaultConfig`], so every rank thread reaches
-/// the same decisions without coordination.
-pub(crate) struct FaultPrep {
-    /// The injector (carries the shared [`enkf_fault::FaultLog`]).
-    pub injector: FaultInjector,
-    /// Sorted dropout set (empty on a fault-free run).
-    pub dropped: Vec<usize>,
-    /// Surviving members, ascending.
-    pub alive: Vec<usize>,
-    /// Receives must carry a timeout (the plan crashes ranks or drops
-    /// messages, so a blocking receive could hang forever).
-    pub use_timeout: bool,
 }
 
 /// Why a plan's dropout set stops a run before it starts.
@@ -66,7 +77,7 @@ pub(crate) enum DropoutError {
 pub(crate) fn resolve_dropout(
     injector: &FaultInjector,
     members: usize,
-) -> Result<Vec<usize>, DropoutError> {
+) -> std::result::Result<Vec<usize>, DropoutError> {
     let dropped = injector.unrecoverable_members(members);
     if !dropped.is_empty() {
         if !injector.config().degraded {
@@ -82,57 +93,331 @@ pub(crate) fn resolve_dropout(
     Ok(dropped)
 }
 
-/// Resolve the fault plan before any thread is spawned: build the injector,
-/// compute the dropout set, and fail fast when degraded mode is not enabled
-/// (or would leave fewer than two members).
-pub(crate) fn prepare_faults(cfg: &FaultConfig, members: usize) -> enkf_core::Result<FaultPrep> {
-    let injector = FaultInjector::new(cfg.clone());
-    let dropped = resolve_dropout(&injector, members).map_err(|e| match e {
-        DropoutError::DegradedOff(members) => {
-            enkf_core::EnkfError::Substrate(SubstrateError::Unrecoverable { members })
+/// `rank`'s straggler dilation, reported to the monitor — once per rank
+/// and cycle on both paths, so the detectors fold the same observations.
+pub(crate) fn compute_dilation(
+    injector: &FaultInjector,
+    monitor: Option<&HealthMonitor>,
+    rank: usize,
+) -> f64 {
+    let dilation = injector.compute_dilation(rank);
+    if let Some(mon) = monitor {
+        mon.observe_compute(rank, dilation);
+    }
+    dilation
+}
+
+/// The typed error of a message the receiving variant's protocol does not
+/// contain.
+pub(crate) fn foreign_msg(rank: usize) -> EnkfError {
+    SubstrateError::HelperFailed {
+        rank,
+        detail: "received a message of another variant's protocol".into(),
+    }
+    .into()
+}
+
+/// What one rank hands back: the `(target, analysis)` pair of every
+/// `Compute` op it ran.
+pub(crate) type RankOut = Result<Vec<(RegionRect, Matrix)>>;
+
+/// One assimilation cycle on the threaded backend: the resolved fault
+/// plan, the emitted program split by rank, and the steps every executor
+/// shares. All fields are pure functions of the setup, the
+/// [`FaultConfig`] and the monitor's frozen view, so every rank thread
+/// reaches the same decisions without coordination.
+pub(crate) struct Cycle<'a> {
+    /// Store, observations and analysis kernel.
+    pub setup: &'a AssimilationSetup<'a>,
+    /// Health monitor routing reads and collecting observations.
+    pub monitor: Option<&'a HealthMonitor>,
+    /// The injector (carries the shared [`FaultLog`]).
+    pub injector: FaultInjector,
+    /// Sorted dropout set (empty on a fault-free run).
+    pub dropped: Vec<usize>,
+    /// Surviving members, ascending.
+    pub alive: Vec<usize>,
+    /// Receives must carry a timeout (the plan crashes ranks or drops
+    /// messages, so a blocking receive could hang forever).
+    pub use_timeout: bool,
+    /// That timeout, seconds.
+    pub recv_timeout: f64,
+    variant: ModelVariant,
+    compute_ranks: usize,
+    ops: Vec<Vec<CycleOp>>,
+}
+
+impl<'a> Cycle<'a> {
+    /// Run one cycle of `variant`: validate, resolve the fault plan (fail
+    /// fast when degraded mode is off or would leave fewer than two
+    /// members), emit the program, run `body` on every rank thread, and
+    /// fold the rank results — spans into the trace and the per-class
+    /// phase report, `Compute` results into the analysis ensemble. The
+    /// first failed rank, in rank order, is the cycle's error.
+    pub fn run(
+        setup: &'a AssimilationSetup<'a>,
+        variant: ModelVariant,
+        cfg: &FaultConfig,
+        monitor: Option<&'a HealthMonitor>,
+        body: impl Fn(&Cycle<'a>, RankCtx<Msg>, &mut RankTracer) -> RankOut + Sync,
+    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
+        setup.validate()?;
+        let mesh = setup.mesh();
+        let (compute_ranks, io_ranks) = variant
+            .ranks(mesh, setup.members)
+            .map_err(EnkfError::GeometryMismatch)?;
+        let injector = FaultInjector::new(cfg.clone());
+        let dropped = resolve_dropout(&injector, setup.members).map_err(|e| match e {
+            DropoutError::DegradedOff(members) => {
+                EnkfError::Substrate(SubstrateError::Unrecoverable { members })
+            }
+            DropoutError::TooFew(left) => EnkfError::GeometryMismatch(format!(
+                "degraded mode would leave {left} member(s); at least 2 are required"
+            )),
+        })?;
+        let mut ops = vec![Vec::new(); compute_ranks + io_ranks];
+        variant
+            .emit(
+                &Geometry {
+                    layout: setup.store.layout(),
+                    members: setup.members,
+                    radius: setup.analysis.radius,
+                    dropped: &dropped,
+                    view: monitor.map(|mon| mon.view()),
+                    network: Some(setup.observations.operator().network()),
+                },
+                &mut |rank: usize, op| {
+                    ops[rank].push(op);
+                    Ok(())
+                },
+            )
+            .map_err(EnkfError::GeometryMismatch)?;
+        let plan = &cfg.plan;
+        let cycle = Cycle {
+            setup,
+            monitor,
+            alive: (0..setup.members)
+                .filter(|m| !dropped.contains(m))
+                .collect(),
+            use_timeout: !plan.crashes.is_empty() || plan.msg_faults.iter().any(|m| m.dropped),
+            recv_timeout: cfg.recv_timeout,
+            injector,
+            dropped,
+            variant,
+            compute_ranks,
+            ops,
+        };
+        // Build the spatial observation index and perturbation cache once
+        // per cycle, before the worker ranks start querying it.
+        setup.observations.prepare();
+        let t0 = Instant::now();
+        let results = Cluster::run_traced(compute_ranks + io_ranks, |ctx, tracer| {
+            body(&cycle, ctx, tracer)
+        });
+
+        let mut trace = Trace::new(format!("{}-real", variant.name()));
+        let mut compute = PhaseBreakdown::default();
+        let mut io = PhaseBreakdown::default();
+        let mut analysis = Ensemble::new(mesh, Matrix::zeros(mesh.n(), cycle.alive.len()));
+        let mut covered = 0;
+        for (rank, (res, spans)) in results.into_iter().enumerate() {
+            let phases = PhaseBreakdown::from_spans(&spans);
+            if rank < compute_ranks {
+                compute.merge(&phases);
+            } else {
+                io.merge(&phases);
+            }
+            trace.extend(spans);
+            for (target, local) in res? {
+                covered += target.npoints();
+                analysis.assign(&target, &local);
+            }
         }
-        DropoutError::TooFew(left) => enkf_core::EnkfError::GeometryMismatch(format!(
-            "degraded mode would leave {left} member(s); at least 2 are required"
-        )),
-    })?;
-    let alive: Vec<usize> = (0..members).filter(|m| !dropped.contains(m)).collect();
-    let plan = &injector.config().plan;
-    let use_timeout = !plan.crashes.is_empty() || plan.msg_faults.iter().any(|m| m.dropped);
-    Ok(FaultPrep {
-        injector,
-        dropped,
-        alive,
-        use_timeout,
-    })
-}
-
-/// Sleep `(factor − 1) × elapsed` so an operation started at `start` takes
-/// `factor ×` its natural wall time (straggler dilation; no-op at 1.0).
-pub(crate) fn dilate(start: Instant, factor: f64) {
-    if factor > 1.0 {
-        let elapsed = start.elapsed().as_secs_f64();
-        std::thread::sleep(std::time::Duration::from_secs_f64(elapsed * (factor - 1.0)));
+        assert_eq!(covered, mesh.n(), "Compute targets must tile the mesh");
+        let report = ExecutionReport {
+            compute_ranks: compute,
+            io_ranks: io,
+            num_compute_ranks: compute_ranks,
+            num_io_ranks: io_ranks,
+            wall_time: t0.elapsed().as_secs_f64(),
+            dropped_members: cycle.dropped,
+        };
+        Ok((analysis, report, trace, cycle.injector.into_log()))
     }
-}
 
-/// Assemble the per-sub-domain analysis results returned by compute ranks
-/// into a full analysis ensemble. `results` holds
-/// `(sub-domain target region, local analysis matrix)` pairs covering every
-/// sub-domain exactly once, so every point of the mesh is written.
-pub(crate) fn assemble_analysis(
-    mesh: Mesh,
-    members: usize,
-    decomp: &Decomposition,
-    results: Vec<(RegionRect, Matrix)>,
-) -> Ensemble {
-    assert_eq!(
-        results.len(),
-        decomp.num_subdomains(),
-        "missing sub-domain results"
-    );
-    let mut out = Ensemble::new(mesh, Matrix::zeros(mesh.n(), members));
-    for (region, local) in results {
-        out.assign(&region, &local);
+    /// `rank`'s ops, in program order.
+    pub fn ops(&self, rank: usize) -> &[CycleOp] {
+        &self.ops[rank]
     }
-    out
+
+    /// Whether `rank` is a dedicated I/O rank.
+    pub fn is_io(&self, rank: usize) -> bool {
+        rank >= self.compute_ranks
+    }
+
+    /// The error of an op that is not part of the variant's program — an
+    /// emitter/interpreter mismatch, surfaced typed like every other rank
+    /// failure.
+    pub fn foreign_op(&self, rank: usize, op: CycleOp) -> EnkfError {
+        SubstrateError::HelperFailed {
+            rank,
+            detail: format!("{op:?} is not part of the {} program", self.variant.name()),
+        }
+        .into()
+    }
+
+    /// Fail with [`SubstrateError::RankCrashed`] when the plan kills
+    /// `rank` (it stops responding — peers must time out).
+    pub fn check_crash(&self, rank: usize) -> Result<()> {
+        match self.injector.crash_stage(rank) {
+            Some(stage) => {
+                self.injector.log().crashed(rank, stage);
+                Err(SubstrateError::RankCrashed { rank, stage }.into())
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Execute a `Read` op. A dropped member still burns its
+    /// injected-failure spans (the wall cost of deciding to drop is
+    /// accounted for) and then yields `None`.
+    pub fn read(
+        &self,
+        tracer: &mut RankTracer,
+        stage: Option<usize>,
+        member: usize,
+        region: &RegionRect,
+    ) -> std::result::Result<Option<RegionData>, SubstrateError> {
+        let store = self.setup.store;
+        match read_region_adaptive(
+            store,
+            tracer,
+            stage,
+            member,
+            region,
+            &self.injector,
+            self.monitor,
+        ) {
+            Ok(data) => Ok(Some(data)),
+            Err(_) if self.dropped.contains(&member) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Execute a `Send` op of `bytes` bytes: the plan's message delay
+    /// stalls it, and serialization (`payload`) is charged to the send span
+    /// — mirroring the model's sender-side service — even when the plan
+    /// then drops the message.
+    pub fn send(
+        &self,
+        tracer: &mut RankTracer,
+        ctx: &RankCtx<Msg>,
+        stage: Option<usize>,
+        to: usize,
+        bytes: u64,
+        payload: impl FnOnce() -> Msg,
+    ) {
+        let delay = self.injector.send_delay(ctx.rank(), to);
+        let dropped = self.injector.message_dropped(ctx.rank(), to);
+        tracer.send(stage, to, bytes, || {
+            if delay > 0.0 {
+                std::thread::sleep(Duration::from_secs_f64(delay));
+            }
+            let msg = payload();
+            if !dropped {
+                ctx.send(to, stage.unwrap_or(0) as u64, msg);
+            }
+        });
+    }
+
+    /// Unblock `peers` waiting on this rank's messages before it bails out.
+    pub fn abort(&self, ctx: &RankCtx<Msg>, peers: impl IntoIterator<Item = usize>, reason: &str) {
+        for peer in peers {
+            ctx.send(
+                peer,
+                0,
+                Msg::Abort {
+                    reason: reason.to_string(),
+                },
+            );
+        }
+    }
+
+    /// Execute an `Await` op: receive `sends` messages inside one wait
+    /// span, handing each to `deliver`. Under a plan that crashes ranks or
+    /// drops messages the receive times out into
+    /// [`SubstrateError::RecvTimeout`] instead of hanging; a peer's
+    /// [`Msg::Abort`] ends the wait with an error.
+    pub fn receive(
+        &self,
+        tracer: &mut RankTracer,
+        ctx: &mut RankCtx<Msg>,
+        stage: Option<usize>,
+        sends: usize,
+        mut deliver: impl FnMut(Msg) -> Result<()>,
+    ) -> Result<()> {
+        tracer.wait(stage, || {
+            for _ in 0..sends {
+                let envelope = if self.use_timeout {
+                    ctx.recv_timeout(self.recv_timeout)?
+                } else {
+                    ctx.recv()?
+                };
+                match envelope.payload {
+                    Msg::Abort { reason } => {
+                        return Err(EnkfError::GeometryMismatch(format!(
+                            "peer aborted: {reason}"
+                        )))
+                    }
+                    msg => deliver(msg)?,
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// `rank`'s straggler dilation (reported to the monitor: call once per
+    /// rank and cycle).
+    pub fn dilation(&self, rank: usize) -> f64 {
+        compute_dilation(&self.injector, self.monitor, rank)
+    }
+
+    /// Time one compute span of `rank` under its straggler dilation.
+    pub fn compute<T>(
+        &self,
+        tracer: &mut RankTracer,
+        stage: Option<usize>,
+        dilation: f64,
+        work: impl FnOnce() -> T,
+    ) -> T {
+        tracer.compute(stage, || {
+            let start = Instant::now();
+            let out = work();
+            dilate(start, dilation);
+            out
+        })
+    }
+
+    /// Execute a local-analysis `Compute` op on the assembled background
+    /// `xb` of `expansion` (its columns the surviving members).
+    pub fn analyze(
+        &self,
+        tracer: &mut RankTracer,
+        stage: Option<usize>,
+        dilation: f64,
+        target: &RegionRect,
+        expansion: &RegionRect,
+        xb: impl FnOnce() -> Matrix,
+    ) -> Result<Matrix> {
+        self.compute(tracer, stage, dilation, || {
+            let xb = xb();
+            let mut obs = self.setup.observations.localize(expansion);
+            if !self.dropped.is_empty() {
+                obs = obs.select_members(&self.alive);
+            }
+            self.setup
+                .analysis
+                .analyze(self.setup.mesh(), target, expansion, &xb, &obs)
+        })
+    }
 }

@@ -9,17 +9,16 @@
 //! attacks.
 
 use crate::exec::setup::AssimilationSetup;
-use crate::exec::{assemble_analysis, dilate, prepare_faults, Msg};
-use crate::report::{ExecutionReport, PhaseBreakdown};
+use crate::exec::Cycle;
+use crate::program::{CycleOp, ModelVariant};
+use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
 use enkf_data::region_to_matrix;
-use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_health::HealthMonitor;
-use enkf_net::{Cluster, RankCtx};
-use enkf_pfs::{read_region_adaptive, RegionData};
+use enkf_pfs::RegionData;
 use enkf_trace::Trace;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// The P-EnKF variant: `n_sdx × n_sdy` ranks, block reading, sequential
 /// phases.
@@ -66,15 +65,12 @@ impl PEnkf {
     }
 
     /// [`PEnkf::run_faulted`] with online health monitoring. When a
-    /// [`HealthMonitor`] is supplied, each rank consults the monitor's
-    /// frozen [`RouteView`](enkf_health::RouteView) before every member
-    /// read: members on blacklisted OSTs are read last (the reorder is
-    /// digest-neutral and, because blocks are keyed by member before the
-    /// analysis, numerically invisible) and routed through
-    /// [`read_region_adaptive`] so a degraded OST triggers a speculative
-    /// duplicate read against its replica. Observed read-dilation and
-    /// compute-dilation ratios are fed back into the monitor; the caller
-    /// folds them at the cycle boundary with
+    /// [`HealthMonitor`] is supplied, the program reads members on
+    /// blacklisted OSTs last and every read consults the monitor's frozen
+    /// [`RouteView`](enkf_health::RouteView), so a degraded OST triggers a
+    /// speculative duplicate read against its replica. Observed
+    /// read-dilation and compute-dilation ratios are fed back into the
+    /// monitor; the caller folds them at the cycle boundary with
     /// [`HealthMonitor::end_cycle`]. With `monitor: None` this is
     /// byte-identical to [`PEnkf::run_faulted`].
     pub fn run_adaptive(
@@ -83,100 +79,49 @@ impl PEnkf {
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        setup.validate()?;
-        let decomp = setup.decomposition(self.nsdx, self.nsdy)?;
-        let mesh = setup.mesh();
-        let radius = setup.analysis.radius;
-        let nranks = decomp.num_subdomains();
-        let prep = prepare_faults(cfg, setup.members)?;
-        let injector = &prep.injector;
-        let dropped = &prep.dropped;
-        let alive = &prep.alive;
-        // Build the spatial observation index and perturbation cache once
-        // per cycle, before the worker ranks start querying it.
-        setup.observations.prepare();
-        let t0 = Instant::now();
-
-        type RankOut = Result<(enkf_grid::RegionRect, enkf_linalg::Matrix)>;
-        let results: Vec<(RankOut, Vec<enkf_trace::Span>)> =
-            Cluster::run_traced(nranks, |ctx: RankCtx<Msg>, tracer| {
-                let rank = ctx.rank();
-                if let Some(stage) = injector.crash_stage(rank) {
-                    injector.log().crashed(rank, stage);
-                    return Err(SubstrateError::RankCrashed { rank, stage }.into());
-                }
-                let id = decomp.id_of_rank(rank);
-                let target = decomp.subdomain(id);
-                let expansion = decomp.expansion(id, radius);
-
-                // Phase 1: block-read the expansion of every member file.
-                // Dropped members still burn their (injected-failure) fault
-                // spans before being skipped, so the wall cost of deciding
-                // to drop is accounted for. Under a health monitor the read
-                // *order* moves blacklisted-OST members last, but blocks are
-                // collected keyed by member and re-assembled ascending, so
-                // the analysis input is bit-identical either way.
-                let order: Vec<usize> = match monitor {
-                    Some(mon) => mon.view().reorder(&(0..setup.members).collect::<Vec<_>>()),
-                    None => (0..setup.members).collect(),
-                };
-                let mut by_member: BTreeMap<usize, RegionData> = BTreeMap::new();
-                for &k in &order {
-                    match read_region_adaptive(
-                        setup.store,
-                        tracer,
-                        None,
-                        k,
-                        &expansion,
-                        injector,
-                        monitor,
-                    ) {
-                        Ok(d) => {
-                            by_member.insert(k, d);
-                        }
-                        Err(_) if dropped.contains(&k) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                let per_member: Vec<RegionData> = by_member.into_values().collect();
-
-                // Phase 2: local analysis on the gathered data.
-                let dilation = injector.compute_dilation(rank);
-                let out = tracer.compute(None, || {
-                    let start = Instant::now();
-                    let xb = region_to_matrix(&expansion, &per_member);
-                    let mut obs = setup.observations.localize(&expansion);
-                    if !dropped.is_empty() {
-                        obs = obs.select_members(alive);
-                    }
-                    let r = setup.analysis.analyze(mesh, &target, &expansion, &xb, &obs);
-                    dilate(start, dilation);
-                    r
-                });
-                if let Some(mon) = monitor {
-                    mon.observe_compute(rank, dilation);
-                }
-                out.map(|m| (target, m))
-            });
-
-        let mut trace = Trace::new("penkf-real");
-        let mut compute_ranks = PhaseBreakdown::default();
-        let mut per_domain = Vec::with_capacity(nranks);
-        for (res, spans) in results {
-            compute_ranks.merge(&PhaseBreakdown::from_spans(&spans));
-            trace.extend(spans);
-            per_domain.push(res?);
-        }
-        let analysis = assemble_analysis(mesh, alive.len(), &decomp, per_domain);
-        let report = ExecutionReport {
-            compute_ranks,
-            io_ranks: PhaseBreakdown::default(),
-            num_compute_ranks: nranks,
-            num_io_ranks: 0,
-            wall_time: t0.elapsed().as_secs_f64(),
-            dropped_members: dropped.clone(),
+        let variant = ModelVariant::PEnkf {
+            nsdx: self.nsdx,
+            nsdy: self.nsdy,
         };
-        Ok((analysis, report, trace, prep.injector.into_log()))
+        Cycle::run(setup, variant, cfg, monitor, |cycle, ctx, tracer| {
+            let rank = ctx.rank();
+            cycle.check_crash(rank)?;
+            // Blocks are collected keyed by member and re-assembled
+            // ascending, so a health-aware read order never reaches the
+            // numerics.
+            let mut by_member: BTreeMap<usize, RegionData> = BTreeMap::new();
+            let mut analyzed = Vec::new();
+            for &op in cycle.ops(rank) {
+                match op {
+                    CycleOp::Read {
+                        stage,
+                        member,
+                        region,
+                    } => {
+                        if let Some(block) = cycle.read(tracer, stage, member, &region)? {
+                            by_member.insert(member, block);
+                        }
+                    }
+                    CycleOp::Compute {
+                        stage,
+                        target,
+                        expansion,
+                        ..
+                    } => {
+                        let per_member: Vec<RegionData> =
+                            std::mem::take(&mut by_member).into_values().collect();
+                        let dilation = cycle.dilation(rank);
+                        let xa =
+                            cycle.analyze(tracer, stage, dilation, &target, &expansion, || {
+                                region_to_matrix(&expansion, &per_member)
+                            })?;
+                        analyzed.push((target, xa));
+                    }
+                    op => return Err(cycle.foreign_op(rank, op)),
+                }
+            }
+            Ok(analyzed)
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! Shared configuration for the real executors.
 
 use enkf_core::{EnkfError, LocalAnalysis, Observations};
-use enkf_grid::{Decomposition, Mesh};
+use enkf_grid::Mesh;
 use enkf_pfs::FileStore;
 
 /// Everything a real parallel run needs besides the variant-specific
@@ -23,12 +23,6 @@ impl<'a> AssimilationSetup<'a> {
     /// The mesh (from the store layout).
     pub fn mesh(&self) -> Mesh {
         self.store.layout().mesh()
-    }
-
-    /// Validate a decomposition against this setup, mapping the error.
-    pub fn decomposition(&self, nsdx: usize, nsdy: usize) -> Result<Decomposition, EnkfError> {
-        Decomposition::new(self.mesh(), nsdx, nsdy)
-            .map_err(|e| EnkfError::GeometryMismatch(e.to_string()))
     }
 
     /// Sanity checks shared by all variants.

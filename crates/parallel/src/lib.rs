@@ -1,20 +1,21 @@
 //! The parallel EnKF implementations: L-EnKF, P-EnKF, S-EnKF and D-EnKF.
 //!
-//! Every variant exists in two interchangeable forms that share one
-//! algorithmic description (the co-design described in DESIGN.md):
+//! Every variant has one algorithmic description — its **cycle program**
+//! ([`program`]): an ordered stream of `(rank, op)` with
+//! `op ∈ {Read, Send, Await, Compute}`, emitted once from the geometry —
+//! and two interpreters of it (the co-design described in DESIGN.md):
 //!
-//! * [`exec`] — **real executors**: ranks are OS threads
-//!   ([`enkf_net::Cluster`]), ensemble members are real files
+//! * [`exec`] — the **threaded backend** *executes* the program: ranks are
+//!   OS threads ([`enkf_net::Cluster`]), ensemble members are real files
 //!   ([`enkf_pfs::FileStore`]), block data travels over channels, and the
 //!   S-EnKF helper thread genuinely overlaps reception with the main
 //!   thread's local analyses (Fig. 8). Produces a bit-exact analysis
 //!   ensemble plus wall-clock phase timings. Used for correctness and
 //!   small-scale measurements.
-//! * [`model`] — **modeled executors**: the same operation structure is
-//!   emitted as a task DAG into the discrete-event engine
-//!   ([`enkf_sim::Simulation`]) against modeled OSTs and NICs, which is how
-//!   the paper-scale (12,000-processor) experiments of Figures 1, 5, 9–13
-//!   are regenerated.
+//! * [`model`] — the **DES backend** *prices* the program: each op becomes
+//!   tasks in the discrete-event engine ([`enkf_sim::Simulation`]) against
+//!   modeled OSTs and NICs, which is how the paper-scale
+//!   (12,000-processor) experiments of Figures 1, 5, 9–13 are regenerated.
 //!
 //! The variants:
 //!
@@ -38,6 +39,7 @@
 pub mod campaign;
 pub mod exec;
 pub mod model;
+pub mod program;
 pub mod report;
 
 pub use campaign::{
@@ -51,14 +53,12 @@ pub use exec::senkf::SEnkf;
 pub use exec::setup::AssimilationSetup;
 pub use exec::writeback::parallel_write_back;
 pub use model::campaign::{
-    model_campaign, model_campaign_adaptive, CampaignModelOutcome, CampaignModelPlan, ModelVariant,
+    model_campaign, model_campaign_adaptive, CampaignModelOutcome, CampaignModelPlan,
 };
 pub use model::denkf::{
     model_denkf, model_denkf_adaptive, model_denkf_faulted, model_denkf_traced,
 };
-pub use model::lenkf::{
-    model_lenkf, model_lenkf_adaptive, model_lenkf_faulted, model_lenkf_traced,
-};
+pub use model::lenkf::{model_lenkf, model_lenkf_adaptive, model_lenkf_traced};
 pub use model::penkf::{
     model_penkf, model_penkf_adaptive, model_penkf_faulted, model_penkf_traced,
 };
@@ -67,4 +67,5 @@ pub use model::senkf::{
     SEnkfModelOptions,
 };
 pub use model::{ModelConfig, ModelOutcome};
+pub use program::{CycleOp, Geometry, ModelVariant, Payload};
 pub use report::{ExecutionReport, PhaseBreakdown};

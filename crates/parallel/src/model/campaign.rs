@@ -2,7 +2,7 @@
 //!
 //! The real supervisor ([`crate::campaign::run_campaign`]) interleaves
 //! three kinds of work on the virtual timeline: assimilation cycles
-//! (already modeled by the per-variant DES executors), checkpoint I/O (the
+//! (already modeled by the cycle-program pricer), checkpoint I/O (the
 //! analysis members written back through the PFS after every cycle), and
 //! recovery (the partial work a crashed attempt throws away, the restart
 //! backoff, and the restore reads). This module stitches those into one
@@ -12,7 +12,7 @@
 //! single-cycle simulation is computed and replayed along a running clock.
 //!
 //! Checkpoint and restore I/O is costed through the same OST service
-//! function the modeled PFS uses ([`PfsParams::read_service`]): one seek
+//! function the modeled PFS uses ([`enkf_pfs::PfsParams::read_service`]): one seek
 //! plus `8·n` bytes per member, serial on the supervisor agent (matching
 //! the real supervisor, which writes members through the `FileStore`
 //! pooled path one at a time). A crashed attempt contributes one
@@ -24,52 +24,13 @@
 //! baseline: a crash throws away *all* completed cycles, which is the
 //! comparison the Fig. 14-style MTTR sweep (the `campaign_mttr` bin) plots.
 
-use super::penkf::model_penkf_adaptive;
-use super::senkf::model_senkf_adaptive;
-use super::{ModelConfig, ModelOutcome};
+use super::{price_cycle, ModelConfig, ModelOutcome};
+use crate::program::ModelVariant;
 use enkf_ckpt::fnv64;
 use enkf_fault::{FaultConfig, RetryPolicy};
 use enkf_health::{HealthMonitor, HealthSnapshot};
 use enkf_trace::{Op, Role, Span, Trace};
-use enkf_tuning::Params;
 use std::collections::BTreeSet;
-
-/// Which modeled executor the campaign drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelVariant {
-    /// Single-reader baseline.
-    LEnkf {
-        /// Sub-domains along longitude.
-        nsdx: usize,
-        /// Sub-domains along latitude.
-        nsdy: usize,
-    },
-    /// Block-reading baseline.
-    PEnkf {
-        /// Sub-domains along longitude.
-        nsdx: usize,
-        /// Sub-domains along latitude.
-        nsdy: usize,
-    },
-    /// The co-designed variant.
-    SEnkf(Params),
-    /// The distributed-array non-sequential executor.
-    DEnkf {
-        /// State shards (= ranks).
-        shards: usize,
-    },
-}
-
-impl ModelVariant {
-    fn layers(&self) -> usize {
-        match *self {
-            ModelVariant::LEnkf { .. }
-            | ModelVariant::PEnkf { .. }
-            | ModelVariant::DEnkf { .. } => 1,
-            ModelVariant::SEnkf(p) => p.layers,
-        }
-    }
-}
 
 /// Campaign-level plan for the model.
 #[derive(Debug, Clone, Copy)]
@@ -171,19 +132,8 @@ pub fn model_campaign_adaptive(
     };
     let run_cycle_model =
         |cfg: &ModelConfig, mon: Option<&HealthMonitor>| -> Result<(ModelOutcome, Trace), String> {
-            let (out, tr, _log) = match *variant {
-                ModelVariant::LEnkf { nsdx, nsdy } => {
-                    super::lenkf::model_lenkf_adaptive(cfg, nsdx, nsdy, &cycle_fcfg, mon)?
-                }
-                ModelVariant::PEnkf { nsdx, nsdy } => {
-                    model_penkf_adaptive(cfg, nsdx, nsdy, &cycle_fcfg, mon)?
-                }
-                ModelVariant::SEnkf(p) => model_senkf_adaptive(cfg, p, &cycle_fcfg, mon)?,
-                ModelVariant::DEnkf { shards } => {
-                    super::denkf::model_denkf_adaptive(cfg, shards, &cycle_fcfg, mon)?
-                }
-            };
-            Ok((out, tr))
+            price_cycle(cfg, variant, Default::default(), &cycle_fcfg, mon)
+                .map(|(out, trace, _log)| (out, trace))
         };
     // The baseline cycle prices checkpoint overlap and crashed partial
     // attempts in both modes; it is also the replayed cycle when no

@@ -1,23 +1,13 @@
 //! Modeled D-EnKF: distributed-array batched assimilation, at paper scale.
 //!
-//! The DES mirrors the real executor's operation structure task for task:
-//! per rank one bar read per member file (full-width band — one disk
-//! addressing operation), one observation-block send per peer (sized by
-//! [`super::super::exec::denkf::exchange_bytes`], the same formula the real
-//! tracer charges, which is what makes the trace digests byte-identical),
-//! and one batched-transform compute gated on every peer's block.
+//! The entry points price the [`ModelVariant::DEnkf`] cycle program
+//! ([`crate::program`]) — the same program the real [`crate::DEnkf`] runs.
 
-use crate::exec::denkf::exchange_bytes;
-use crate::model::{
-    prepare_model_faults, read_order, run_model, weave_member_read, ModelConfig, ModelOutcome,
-};
+use crate::model::{price_cycle, ModelConfig, ModelOutcome};
+use crate::program::ModelVariant;
 use enkf_fault::{FaultConfig, FaultLog};
-use enkf_grid::{Decomposition, FileLayout, Mesh, ObservationNetwork};
 use enkf_health::HealthMonitor;
-use enkf_net::ModeledNet;
-use enkf_pfs::ModeledPfs;
-use enkf_sim::{Kind, Simulation, Task, TaskId};
-use enkf_trace::{OpTag, Trace};
+use enkf_trace::Trace;
 
 /// Build and run the DES for a D-EnKF assimilation with `shards` state
 /// shards (= ranks).
@@ -34,12 +24,11 @@ pub fn model_denkf_traced(
     model_denkf_faulted(cfg, shards, &FaultConfig::none()).map(|(out, trace, _)| (out, trace))
 }
 
-/// [`model_denkf_traced`] under a fault plan: reads are woven through the
-/// same attempt/backoff loop as the real resilient read path, dropped
-/// members shrink the exchanged blocks to the survivors, stragglers dilate
-/// compute, and message delays stall the exchange sends. Crash and
-/// message-drop plans are rejected — the real executor cannot complete
-/// them either (peers time out), so a "completed" model would lie.
+/// [`model_denkf_traced`] under a fault plan: bar reads retry as the real
+/// ones do, dropped members shrink the exchanged blocks to the survivors,
+/// stragglers dilate compute, and message delays stall the exchange sends.
+/// Crash and message-drop plans are rejected — the real executor cannot
+/// complete them either (peers time out), so a "completed" model would lie.
 pub fn model_denkf_faulted(
     cfg: &ModelConfig,
     shards: usize,
@@ -49,108 +38,17 @@ pub fn model_denkf_faulted(
 }
 
 /// [`model_denkf_faulted`] with online health monitoring: every shard's bar
-/// reads are routed through the same frozen view the real adaptive executor
-/// consults (blacklisted-OST members last, speculative duplicates marked
-/// and charged at the race winner's OST and factor), with identical
-/// `(ost, member, ratio)` observations fed back — real and modeled trace,
-/// fault and health digests are byte-identical under a common seed. With
-/// `monitor: None` this is [`model_denkf_faulted`].
+/// reads follow the frozen view the real adaptive executor consults, with
+/// identical observations fed back — real and modeled trace, fault and
+/// health digests are byte-identical under a common seed.
 pub fn model_denkf_adaptive(
     cfg: &ModelConfig,
     shards: usize,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
 ) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    let w = &cfg.workload;
-    let mesh = Mesh::new(w.nx, w.ny);
-    let decomp = Decomposition::new(mesh, 1, shards).map_err(|e| e.to_string())?;
-    let layout = FileLayout::new(mesh, w.h);
-    let obs_net = ObservationNetwork::uniform(mesh, cfg.obs_stride);
-    let (injector, dropped) = prepare_model_faults("D-EnKF", fcfg, w.members, true)?;
-    let alive = w.members - dropped.len();
-
-    let mut sim = Simulation::new();
-    let pfs = ModeledPfs::register(&mut sim, cfg.pfs);
-    let net = ModeledNet::register(&mut sim, cfg.net, shards);
-    let agents = sim.add_agents(shards);
-
-    // Per-rank observed row counts (the shard's rows of the network) and
-    // the total — every rank's compute works on the full m_total system.
-    let obs_rows: Vec<usize> = decomp
-        .iter_ids()
-        .map(|id| obs_net.indices_in(&decomp.subdomain(id)).len())
-        .collect();
-    let m_total: usize = obs_rows.iter().sum();
-
-    // Phase 1 + 2: bar reads and the all-to-all observation-block
-    // exchange. `sends_to[r]` collects every peer's send targeting rank r —
-    // the dependencies of r's batched compute.
-    let mut sends_to: Vec<Vec<TaskId>> = vec![Vec::new(); shards];
-    for (r, id) in decomp.iter_ids().enumerate() {
-        let bar = decomp.subdomain(id);
-        let seeks = layout.seek_count(&bar) as u64;
-        let bytes = layout.region_bytes(&bar);
-        let order = read_order(&(0..w.members).collect::<Vec<_>>(), monitor);
-        for &k in &order {
-            weave_member_read(
-                &mut sim, &pfs, &injector, monitor, agents[r], r, None, false, k, seeks, bytes,
-            )?;
-        }
-        // One observation-block send per peer. Program order on the agent
-        // already places these after the rank's reads.
-        let block_bytes = exchange_bytes(obs_rows[r], alive);
-        // Indexed loop: `peer` also names the NIC resource and the op tag.
-        #[allow(clippy::needless_range_loop)]
-        for peer in 0..shards {
-            if peer == r {
-                continue;
-            }
-            let service = cfg.net.p2p(block_bytes) + injector.send_delay(r, peer);
-            let t = sim
-                .add_task(
-                    Task::new(agents[r], Kind::Comm, service)
-                        .with_resources(vec![net.nic(peer)])
-                        .with_op(OpTag {
-                            bytes: block_bytes,
-                            peer: Some(peer),
-                            ..OpTag::default()
-                        }),
-                )
-                .map_err(|e| e.to_string())?;
-            sends_to[peer].push(t);
-        }
-    }
-
-    // Phase 3: the batched transform plus the shard update, gated on every
-    // peer's block. The transform works the full m_total × N system; the
-    // shard update touches the rank's own bar points.
-    let mut compute_tasks = Vec::with_capacity(shards);
-    for (r, id) in decomp.iter_ids().enumerate() {
-        let bar = decomp.subdomain(id);
-        let dilation = injector.compute_dilation(r);
-        if let Some(mon) = monitor {
-            mon.observe_compute(r, dilation);
-        }
-        let service = cfg.compute_cost_per_point * (bar.npoints() + m_total) as f64 * dilation;
-        let t = sim
-            .add_task(
-                Task::new(agents[r], Kind::Compute, service)
-                    .with_deps(sends_to[r].clone())
-                    .with_op(OpTag::default()),
-            )
-            .map_err(|e| e.to_string())?;
-        compute_tasks.push(t);
-    }
-
-    run_model(
-        &mut sim,
-        "denkf-model",
-        shards,
-        0,
-        &compute_tasks,
-        injector,
-        dropped,
-    )
+    let variant = ModelVariant::DEnkf { shards };
+    price_cycle(cfg, &variant, Default::default(), fcfg, monitor)
 }
 
 #[cfg(test)]

@@ -7,38 +7,36 @@ pub mod penkf;
 pub mod reading;
 pub mod senkf;
 
-use crate::exec::{resolve_dropout, DropoutError};
+use crate::exec::{compute_dilation, resolve_dropout, DropoutError};
+use crate::program::{CycleOp, Geometry, ModelVariant};
 use crate::report::PhaseBreakdown;
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
-use enkf_health::{HealthMonitor, ReadRoute};
-use enkf_net::NetParams;
+use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork};
+use enkf_health::HealthMonitor;
+use enkf_net::{ModeledNet, NetParams};
 use enkf_pfs::{ModeledPfs, PfsParams};
-use enkf_sim::{AgentId, Kind, ResourceId, Simulation, Task, TaskId};
+use enkf_sim::{Kind, Simulation, Task, TaskId};
 use enkf_trace::{OpTag, PhaseTotals, Trace};
 use enkf_tuning::Workload;
+use senkf::SEnkfModelOptions;
 
-/// Resolve a fault plan before a modeled run of `variant` builds its graph:
-/// the injector plus the sorted dropout set, decided by the same
+/// Resolve a fault plan before a modeled run builds its graph: the
+/// injector plus the sorted dropout set, decided by the same
 /// [`resolve_dropout`] the real executors call. Plans the real executor
 /// cannot complete are rejected — a crashed rank always, a dropped message
 /// when the variant `exchanges_messages` (its peers would time out) — so a
 /// "completed" model never lies.
-pub(crate) fn prepare_model_faults(
-    variant: &str,
+fn prepare_model_faults(
     fcfg: &FaultConfig,
     members: usize,
     exchanges_messages: bool,
 ) -> Result<(FaultInjector, Vec<usize>), String> {
     let injector = FaultInjector::new(fcfg.clone());
     if injector.has_crashes() {
-        return Err(format!(
-            "modeled {variant} cannot complete: the plan crashes a rank"
-        ));
+        return Err("the modeled run cannot complete: the plan crashes a rank".into());
     }
     if exchanges_messages && fcfg.plan.msg_faults.iter().any(|m| m.dropped) {
-        return Err(format!(
-            "modeled {variant} cannot complete: the plan drops a message"
-        ));
+        return Err("the modeled run cannot complete: the plan drops a message".into());
     }
     let dropped = resolve_dropout(&injector, members).map_err(|e| match e {
         DropoutError::DegradedOff(dropped) => {
@@ -55,7 +53,7 @@ pub(crate) fn prepare_model_faults(
 /// are averaged into `compute_mean`, the `io_ranks` after them into
 /// `io_mean`; `compute_tasks` are the local-analysis tasks whose earliest
 /// start is the exposed read+comm prefix.
-pub(crate) fn run_model(
+fn run_model(
     sim: &mut Simulation,
     label: &str,
     compute_ranks: usize,
@@ -104,145 +102,179 @@ pub(crate) fn run_model(
     ))
 }
 
-/// The OST resource hosting OST index `ost` (mirrors the real side's
-/// `member % num_osts` striping — `ModeledPfs::ost_of_file` is this very
-/// modulus applied to a member index).
-fn ost_resource(pfs: &ModeledPfs, ost: usize) -> ResourceId {
-    pfs.osts()[ost % pfs.osts().len()]
+/// The sends addressed to one `(rank, stage)`, collected until the rank's
+/// `Await` consumes them.
+#[derive(Default)]
+struct Mailbox {
+    sends: Vec<TaskId>,
+    /// Bytes of the latest send (every bundle of a fault-free stage is the
+    /// same size) — what a helper-less rank ingests per message.
+    bundle_bytes: u64,
 }
 
-/// Weave one member read into the DES graph — the model-side mirror of the
-/// real executors' `read_region_adaptive` call, shared by every variant.
+fn add_task(sim: &mut Simulation, task: Task) -> Result<TaskId, String> {
+    sim.add_task(task).map_err(|e| e.to_string())
+}
+
+/// The DES interpreter of a cycle program — the only code that adds cycle
+/// tasks. Agent ids coincide with the real executor's rank numbering
+/// (compute ranks, then I/O ranks), so `FaultLog` rank fields compare
+/// across executors; one NIC per compute rank is the ingestion port. Each
+/// op is priced as it is emitted, in emission order:
 ///
-/// Without a monitor this is the classic resilient weave: per attempt of
-/// the *deadline-capped* schedule, a backoff `Fault` task (attempt > 0), an
-/// injected-failure `Fault` task occupying the member's OST for a full
-/// service, or the successful `Read`; the fault log records
-/// backoff/injected/recovered exactly as the real retry loop does.
+/// * `Read` — the retry/speculation weave of [`ModeledPfs::add_member_read`],
+///   charged the layout's seeks and bytes for the region;
+/// * `Send` — one `Comm` task on the sender holding the receiver's NIC for
+///   `a + b·bytes` plus any injected delay;
+/// * `Await` — moves the collected sends to the rank's next `Compute` as
+///   dependencies (receivers' blocked waits surface as DES wait time, not
+///   tasks, matching the real wait spans' exclusion from the digest);
+///   without the helper thread an explicit ingestion task on the rank
+///   serializes the communication with the computation;
+/// * `Compute` — `c · work`, dilated by the rank's straggler factor, which
+///   is reported to the monitor once per rank.
 ///
-/// With a monitor, the same frozen [`enkf_health::RouteView`] the real rank
-/// consults picks the route first: a blacklisted primary OST adds the
-/// zero-service cancelled-duplicate `Fault` marker (carrying the region's
-/// bytes/seeks, mirroring the real marker span) and charges the weave at
-/// the deterministic race winner's OST and slowdown factor; the served read
-/// reports the same `(ost, member, ratio)` observation to the monitor. This
-/// shared decision procedure is what keeps real and modeled trace, fault
-/// *and* health digests byte-identical under a common seed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn weave_member_read(
-    sim: &mut Simulation,
-    pfs: &ModeledPfs,
-    injector: &FaultInjector,
+/// Every task carries an [`OpTag`], so the exported trace's operation
+/// digest — and, under a seeded plan, the fault and health digests — equal
+/// the real executor's.
+pub(crate) fn price_cycle(
+    cfg: &ModelConfig,
+    variant: &ModelVariant,
+    opts: SEnkfModelOptions,
+    fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
-    agent: AgentId,
-    rank: usize,
-    stage: Option<usize>,
-    io: bool,
-    member: usize,
-    seeks: u64,
-    bytes: u64,
-) -> Result<(), String> {
-    let retry = *injector.retry();
-    let fails = injector.read_fail_attempts(member);
-    let base = pfs.read_service(seeks, bytes);
-    let tag = OpTag {
-        io,
-        stage,
-        bytes,
-        seeks,
-        member: Some(member),
-        ..OpTag::default()
-    };
-    let (resource, service, observed) = match monitor {
-        None => (
-            pfs.ost_of_file(member),
-            base * injector.file_slowdown(member),
-            None,
-        ),
-        Some(mon) => {
-            let view = mon.view();
-            let ost = view.ost_of(member);
-            let primary_factor = injector.ost_factor(ost);
-            let replica_factor = injector.ost_factor(view.replica_of(ost));
-            match view.route(member, primary_factor, replica_factor) {
-                ReadRoute::Primary => (
-                    ost_resource(pfs, ost),
-                    base * primary_factor,
-                    Some((mon, ost, primary_factor)),
-                ),
-                ReadRoute::Speculate {
-                    replica,
-                    replica_wins,
-                } => {
-                    mon.speculated(rank, stage, member, ost, replica, replica_wins);
-                    let (winner_ost, winner_factor) = if replica_wins {
-                        (replica, replica_factor)
-                    } else {
-                        (ost, primary_factor)
-                    };
-                    // The losing duplicate, cancelled at first completion:
-                    // a zero-service marker with the region's footprint.
-                    sim.add_task(Task::new(agent, Kind::Fault, 0.0).with_op(tag))
-                        .map_err(|e| e.to_string())?;
-                    (
-                        ost_resource(pfs, winner_ost),
-                        base * winner_factor,
-                        Some((mon, winner_ost, winner_factor)),
-                    )
-                }
-            }
+) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+    let w = &cfg.workload;
+    let mesh = Mesh::new(w.nx, w.ny);
+    let layout = FileLayout::new(mesh, w.h);
+    let (c2, c1) = variant.ranks(mesh, w.members)?;
+    let exchanges_messages = !matches!(variant, ModelVariant::PEnkf { .. });
+    let (injector, dropped) = prepare_model_faults(fcfg, w.members, exchanges_messages)?;
+    if let ModelVariant::SEnkf(p) = *variant {
+        // Guard the DES against degenerate parameterizations: the program
+        // has roughly ncg·C2·L sends plus the reads and computes.
+        let est_tasks = p.layers * (p.ncg * c2 + c1 * (w.members / p.ncg) + c2);
+        const MAX_TASKS: usize = 30_000_000;
+        if est_tasks > MAX_TASKS {
+            return Err(format!(
+                "parameterization would create ~{est_tasks} DES tasks (> {MAX_TASKS}); \
+                 choose smaller L / n_cg"
+            ));
         }
+    }
+    // Only D-EnKF's exchanged blocks are sized by the observation network
+    // (`ScenarioBuilder`'s uniform one).
+    let network = matches!(variant, ModelVariant::DEnkf { .. })
+        .then(|| ObservationNetwork::uniform(mesh, cfg.obs_stride));
+
+    let mut sim = Simulation::new();
+    let pfs = ModeledPfs::register(&mut sim, cfg.pfs);
+    let net = ModeledNet::register(&mut sim, cfg.net, c2);
+    let agents = sim.add_agents(c2 + c1);
+    // One mailbox per (compute rank, stage).
+    let layers = variant.layers();
+    let slot = |rank: usize, stage: Option<usize>| rank * layers + stage.unwrap_or(0);
+    let mut inbox: Vec<Mailbox> = (0..c2 * layers).map(|_| Mailbox::default()).collect();
+    let mut gate: Vec<Vec<TaskId>> = vec![Vec::new(); c2];
+    let mut dilations: Vec<Option<f64>> = vec![None; c2];
+    let mut compute_tasks = Vec::with_capacity(c2 * layers);
+
+    let geo = Geometry {
+        layout,
+        members: w.members,
+        radius: LocalizationRadius {
+            xi: w.xi,
+            eta: w.eta,
+        },
+        dropped: &dropped,
+        view: monitor.map(|mon| mon.view()),
+        network: network.as_ref(),
     };
-    for attempt in 0..retry.scheduled_attempts() {
-        if attempt > 0 {
-            injector.log().backoff(rank, stage, member, attempt - 1);
-            sim.add_task(
-                Task::new(agent, Kind::Fault, retry.backoff(attempt - 1)).with_op(OpTag {
+    variant.emit(&geo, &mut |rank, op| {
+        let agent = agents[rank];
+        let io = rank >= c2;
+        match op {
+            CycleOp::Read {
+                stage,
+                member,
+                region,
+            } => pfs
+                .add_member_read(
+                    &mut sim,
+                    agent,
+                    &injector,
+                    monitor,
                     io,
                     stage,
-                    member: Some(member),
-                    ..OpTag::default()
-                }),
-            )
-            .map_err(|e| e.to_string())?;
+                    member,
+                    layout.seek_count(&region) as u64,
+                    layout.region_bytes(&region),
+                )
+                .map_err(|e| e.to_string())?,
+            CycleOp::Send { stage, to, payload } => {
+                let bytes = payload.bytes(&layout);
+                let service = cfg.net.p2p(bytes) + injector.send_delay(rank, to);
+                let send = Task::new(agent, Kind::Comm, service)
+                    .with_resources(vec![net.nic(to)])
+                    .with_op(OpTag {
+                        io,
+                        stage,
+                        bytes,
+                        peer: Some(to),
+                        ..OpTag::default()
+                    });
+                let mail = &mut inbox[slot(to, stage)];
+                mail.sends.push(add_task(&mut sim, send)?);
+                mail.bundle_bytes = bytes;
+            }
+            CycleOp::Await { stage, sends } => {
+                let mail = std::mem::take(&mut inbox[slot(rank, stage)]);
+                if mail.sends.len() != sends {
+                    return Err(format!(
+                        "unbalanced program: rank {rank} awaits {sends} sends at stage \
+                         {stage:?}, {} were addressed to it",
+                        mail.sends.len()
+                    ));
+                }
+                gate[rank] = if opts.helper_thread {
+                    mail.sends
+                } else {
+                    let ingest = sends as f64 * cfg.net.p2p(mail.bundle_bytes);
+                    let ingestion = Task::new(agent, Kind::Comm, ingest)
+                        .with_deps(mail.sends)
+                        .with_op(OpTag {
+                            stage,
+                            bytes: mail.bundle_bytes,
+                            ..OpTag::default()
+                        });
+                    vec![add_task(&mut sim, ingestion)?]
+                };
+            }
+            CycleOp::Compute { stage, work, .. } => {
+                let dilation = *dilations[rank]
+                    .get_or_insert_with(|| compute_dilation(&injector, monitor, rank));
+                let service = cfg.compute_cost_per_point * work as f64 * dilation;
+                let analysis = Task::new(agent, Kind::Compute, service)
+                    .with_deps(std::mem::take(&mut gate[rank]))
+                    .with_op(OpTag {
+                        stage,
+                        ..OpTag::default()
+                    });
+                compute_tasks.push(add_task(&mut sim, analysis)?);
+            }
         }
-        if attempt < fails {
-            // Injected failure: the attempt still occupies the OST for a
-            // full service, mirroring the real read-and-discard.
-            injector.log().injected(rank, stage, member, attempt);
-            sim.add_task(
-                Task::new(agent, Kind::Fault, service)
-                    .with_resources(vec![resource])
-                    .with_op(tag),
-            )
-            .map_err(|e| e.to_string())?;
-            continue;
-        }
-        sim.add_task(
-            Task::new(agent, Kind::Read, service)
-                .with_resources(vec![resource])
-                .with_op(tag),
-        )
-        .map_err(|e| e.to_string())?;
-        if attempt > 0 {
-            injector.log().recovered(rank, stage, member, attempt);
-        }
-        if let Some((mon, obs_ost, factor)) = observed {
-            mon.observe_read(obs_ost, member, factor);
-        }
-        break;
-    }
-    Ok(())
-}
+        Ok(())
+    })?;
 
-/// The member order a health-aware rank reads in: blacklisted-OST members
-/// last (stable within each class), exactly [`enkf_health::RouteView::reorder`]
-/// on the monitor's frozen view; plan order when no monitor is attached.
-pub(crate) fn read_order(members: &[usize], monitor: Option<&HealthMonitor>) -> Vec<usize> {
-    match monitor {
-        Some(mon) => mon.view().reorder(members),
-        None => members.to_vec(),
-    }
+    run_model(
+        &mut sim,
+        &format!("{}-model", variant.name()),
+        c2,
+        c1,
+        &compute_tasks,
+        injector,
+        dropped,
+    )
 }
 
 /// Configuration of a modeled run: workload geometry plus substrate

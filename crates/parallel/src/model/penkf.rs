@@ -1,31 +1,22 @@
 //! Modeled P-EnKF: block reading then compute, at paper scale.
+//!
+//! The entry points price the [`ModelVariant::PEnkf`] cycle program
+//! ([`crate::program`]) — the same program the real [`crate::PEnkf`] runs.
 
-use crate::model::{
-    prepare_model_faults, read_order, run_model, weave_member_read, ModelConfig, ModelOutcome,
-};
+use crate::model::{price_cycle, ModelConfig, ModelOutcome};
+use crate::program::ModelVariant;
 use enkf_fault::{FaultConfig, FaultLog};
-use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh};
 use enkf_health::HealthMonitor;
-use enkf_pfs::ModeledPfs;
-use enkf_sim::{Kind, Simulation, Task};
-use enkf_trace::{OpTag, Trace};
+use enkf_trace::Trace;
 
 /// Build and run the DES for a P-EnKF assimilation with an
 /// `n_sdx × n_sdy` decomposition.
-///
-/// Every rank issues one block read per member file (partial-width region:
-/// one disk addressing operation per latitude row — the `O(n_y · n_sdx)`
-/// pattern of §4.1.1) and then a single local-analysis task.
 pub fn model_penkf(cfg: &ModelConfig, nsdx: usize, nsdy: usize) -> Result<ModelOutcome, String> {
     model_penkf_traced(cfg, nsdx, nsdy).map(|(out, _)| out)
 }
 
-/// [`model_penkf`], additionally returning the virtual-time execution trace.
-///
-/// Every DES task carries an [`OpTag`] describing the operation it models
-/// (member read with its layout-derived bytes/seeks, or local analysis), so
-/// the exported trace is directly comparable with the real executor's: the
-/// operation digests must match line for line.
+/// [`model_penkf`], additionally returning the virtual-time execution
+/// trace, whose operation digest matches the real executor's line for line.
 pub fn model_penkf_traced(
     cfg: &ModelConfig,
     nsdx: usize,
@@ -34,13 +25,11 @@ pub fn model_penkf_traced(
     model_penkf_faulted(cfg, nsdx, nsdy, &FaultConfig::none()).map(|(out, trace, _)| (out, trace))
 }
 
-/// [`model_penkf_traced`] under a fault plan: the same attempt/backoff
-/// weave the real executor performs is built into the DES graph (injected
-/// failures become `Kind::Fault` tasks holding the member's OST, backoffs
-/// agent-local `Kind::Fault` tasks), OST slowdowns dilate read services,
-/// stragglers dilate compute, and dropped members contribute only their
-/// failed attempts. Under the same seeded plan, the exported trace's
-/// operation digest and the returned [`FaultLog`]'s digest match the real
+/// [`model_penkf_traced`] under a fault plan: injected failures and
+/// backoffs become `Kind::Fault` tasks, OST slowdowns dilate read
+/// services, stragglers dilate compute, and dropped members contribute
+/// only their failed attempts. Under the same seeded plan the trace's
+/// operation digest and the [`FaultLog`]'s digest match the real
 /// executor's.
 pub fn model_penkf_faulted(
     cfg: &ModelConfig,
@@ -51,13 +40,12 @@ pub fn model_penkf_faulted(
     model_penkf_adaptive(cfg, nsdx, nsdy, fcfg, None)
 }
 
-/// [`model_penkf_faulted`] with online health monitoring: the DES weaves
-/// the *same* routing decisions the real adaptive executor makes from the
-/// monitor's frozen view — blacklisted-OST members read last, speculative
-/// duplicates marked and charged at the race winner's OST and factor, and
-/// identical `(ost, member, ratio)` observations fed back. Under a common
-/// seed and view, real and modeled trace, fault and health digests are
-/// byte-identical. With `monitor: None` this is [`model_penkf_faulted`].
+/// [`model_penkf_faulted`] with online health monitoring: reads follow the
+/// monitor's frozen view exactly as the real adaptive executor's do
+/// (blacklisted-OST members last, speculative duplicates marked and
+/// charged at the race winner's OST and factor) and feed back identical
+/// observations, so real and modeled trace, fault and health digests are
+/// byte-identical under a common seed and view.
 pub fn model_penkf_adaptive(
     cfg: &ModelConfig,
     nsdx: usize,
@@ -65,52 +53,8 @@ pub fn model_penkf_adaptive(
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
 ) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    let w = &cfg.workload;
-    let mesh = Mesh::new(w.nx, w.ny);
-    let decomp = Decomposition::new(mesh, nsdx, nsdy).map_err(|e| e.to_string())?;
-    let radius = LocalizationRadius {
-        xi: w.xi,
-        eta: w.eta,
-    };
-    let layout = FileLayout::new(mesh, w.h);
-    let (injector, dropped) = prepare_model_faults("P-EnKF", fcfg, w.members, false)?;
-
-    let mut sim = Simulation::new();
-    let pfs = ModeledPfs::register(&mut sim, cfg.pfs);
-    let ranks = decomp.num_subdomains();
-    let agents = sim.add_agents(ranks);
-    let mut compute_tasks = Vec::with_capacity(ranks);
-
-    for (r, id) in decomp.iter_ids().enumerate() {
-        let expansion = decomp.expansion(id, radius);
-        let seeks = layout.seek_count(&expansion) as u64;
-        let bytes = layout.region_bytes(&expansion);
-        let order = read_order(&(0..w.members).collect::<Vec<_>>(), monitor);
-        for &k in &order {
-            weave_member_read(
-                &mut sim, &pfs, &injector, monitor, agents[r], r, None, false, k, seeks, bytes,
-            )?;
-        }
-        let dilation = injector.compute_dilation(r);
-        if let Some(mon) = monitor {
-            mon.observe_compute(r, dilation);
-        }
-        let comp = cfg.compute_cost_per_point * decomp.subdomain(id).npoints() as f64 * dilation;
-        let t = sim
-            .add_task(Task::new(agents[r], Kind::Compute, comp).with_op(OpTag::default()))
-            .map_err(|e| e.to_string())?;
-        compute_tasks.push(t);
-    }
-
-    run_model(
-        &mut sim,
-        "penkf-model",
-        ranks,
-        0,
-        &compute_tasks,
-        injector,
-        dropped,
-    )
+    let variant = ModelVariant::PEnkf { nsdx, nsdy };
+    price_cycle(cfg, &variant, Default::default(), fcfg, monitor)
 }
 
 #[cfg(test)]

@@ -1,0 +1,442 @@
+//! The cycle program: one assimilation cycle of a variant as a single
+//! ordered stream of `(rank, op)`.
+//!
+//! This is the one algorithm description both execution paths share
+//! (PAPER.md §1). [`ModelVariant::emit`] produces it from the geometry
+//! alone — mesh and levels, members, radius, parameters, the dropout set
+//! and the health monitor's frozen route view — and two interpreters
+//! consume it:
+//!
+//! * the threaded executors ([`crate::exec`]) run the emitter once, split
+//!   the stream by rank, and take each rank's ops as their only source of
+//!   regions, peers, bundle sizes, member order and expected-message
+//!   counts;
+//! * the DES pricer ([`crate::model`]) turns each op into tasks as it is
+//!   emitted, so a 1200-rank model never materialises the program.
+//!
+//! **Insertion-order rule.** `enkf-sim` breaks ties between simultaneously
+//! ready tasks on `TaskId`, so the order the pricer adds tasks in is part
+//! of the makespan. The stream order *is* that insertion order, and is
+//! fixed per variant: producers before consumers (every `Send` precedes
+//! the `Await` it feeds), and within one rank, program order.
+
+use enkf_grid::{
+    Decomposition, FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect,
+    SubDomainId,
+};
+use enkf_health::RouteView;
+use enkf_tuning::Params;
+
+/// Which variant a program describes (and a modeled campaign drives).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ModelVariant {
+    /// Single-reader baseline.
+    LEnkf {
+        /// Sub-domains along longitude.
+        nsdx: usize,
+        /// Sub-domains along latitude.
+        nsdy: usize,
+    },
+    /// Block-reading baseline.
+    PEnkf {
+        /// Sub-domains along longitude.
+        nsdx: usize,
+        /// Sub-domains along latitude.
+        nsdy: usize,
+    },
+    /// The co-designed variant.
+    SEnkf(Params),
+    /// The distributed-array non-sequential executor.
+    DEnkf {
+        /// State shards (= ranks).
+        shards: usize,
+    },
+}
+
+/// What a [`CycleOp::Send`] carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Payload {
+    /// `members` members' copies of `region`, bundled into one message.
+    Blocks {
+        /// The region every bundled block covers.
+        region: RegionRect,
+        /// Members in the bundle.
+        members: usize,
+    },
+    /// Data that is not member state (D-EnKF's observation-space blocks),
+    /// sized in bytes.
+    Bytes(u64),
+}
+
+impl Payload {
+    /// Wire size under `layout` — what the real tracer records and the
+    /// pricer charges.
+    #[inline]
+    pub fn bytes(&self, layout: &FileLayout) -> u64 {
+        match *self {
+            Payload::Blocks { region, members } => layout.region_bytes(&region) * members as u64,
+            Payload::Bytes(bytes) => bytes,
+        }
+    }
+}
+
+/// One operation of a cycle program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CycleOp {
+    /// Read `region` of member `member`'s file (retried, routed and
+    /// speculated by `enkf_pfs`, identically on both paths).
+    Read {
+        /// Multi-stage index, `None` for single-stage variants.
+        stage: Option<usize>,
+        /// Ensemble member.
+        member: usize,
+        /// Region to read.
+        region: RegionRect,
+    },
+    /// Send `payload` to rank `to`.
+    Send {
+        /// Multi-stage index.
+        stage: Option<usize>,
+        /// Destination rank.
+        to: usize,
+        /// What travels.
+        payload: Payload,
+    },
+    /// Block until `sends` messages addressed to this `(rank, stage)` have
+    /// arrived; they gate the rank's next `Compute`.
+    Await {
+        /// Multi-stage index.
+        stage: Option<usize>,
+        /// Messages to wait for.
+        sends: usize,
+    },
+    /// Analyze `target` from the data covering `expansion`.
+    Compute {
+        /// Multi-stage index.
+        stage: Option<usize>,
+        /// Points this analysis updates.
+        target: RegionRect,
+        /// Points whose background it needs.
+        expansion: RegionRect,
+        /// Modeled cost in grid-point units (`c` seconds each): the target's
+        /// points for a local analysis; D-EnKF adds the observation rows
+        /// its batched transform works through.
+        work: usize,
+    },
+}
+
+/// Everything a program is a function of, besides the variant.
+#[derive(Debug, Clone, Copy)]
+pub struct Geometry<'a> {
+    /// Mesh and bytes per point (the vertical levels) of the member files.
+    pub layout: FileLayout,
+    /// Ensemble members (files `0..members`).
+    pub members: usize,
+    /// Localization radius.
+    pub radius: LocalizationRadius,
+    /// Sorted dropout set: these members' reads are still attempted, but
+    /// nothing downstream carries them.
+    pub dropped: &'a [usize],
+    /// The health monitor's frozen view: members on blacklisted OSTs are
+    /// read last. `None` reads in member order.
+    pub view: Option<&'a RouteView>,
+    /// The observation network; sizes D-EnKF's exchanged blocks. The other
+    /// variants ignore it.
+    pub network: Option<&'a ObservationNetwork>,
+}
+
+impl Geometry<'_> {
+    fn member_order(&self, members: std::ops::Range<usize>) -> Vec<usize> {
+        let members: Vec<usize> = members.collect();
+        match self.view {
+            Some(view) => view.reorder(&members),
+            None => members,
+        }
+    }
+
+    fn alive_in(&self, members: std::ops::Range<usize>) -> usize {
+        members.filter(|k| !self.dropped.contains(k)).count()
+    }
+}
+
+/// Wire size of one shard's observation block: `rows` indices (8 bytes
+/// each) plus two `rows × members` f64 matrices.
+fn exchange_bytes(rows: usize, members: usize) -> u64 {
+    8 * (rows * (2 * members + 1)) as u64
+}
+
+impl ModelVariant {
+    /// Lower-case name used in trace labels.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            ModelVariant::LEnkf { .. } => "lenkf",
+            ModelVariant::PEnkf { .. } => "penkf",
+            ModelVariant::SEnkf(_) => "senkf",
+            ModelVariant::DEnkf { .. } => "denkf",
+        }
+    }
+
+    /// Stages per cycle (`L` for S-EnKF, 1 otherwise).
+    pub(crate) fn layers(&self) -> usize {
+        match *self {
+            ModelVariant::SEnkf(p) => p.layers,
+            _ => 1,
+        }
+    }
+
+    /// The variant's decomposition of `mesh`, validated against it and the
+    /// ensemble size.
+    fn validate(&self, mesh: Mesh, members: usize) -> Result<Decomposition, String> {
+        let (nsdx, nsdy) = match *self {
+            ModelVariant::LEnkf { nsdx, nsdy } | ModelVariant::PEnkf { nsdx, nsdy } => (nsdx, nsdy),
+            ModelVariant::SEnkf(p) => (p.nsdx, p.nsdy),
+            // Shards are full-width bars: the `1 × shards` decomposition.
+            ModelVariant::DEnkf { shards } => (1, shards),
+        };
+        let decomp = Decomposition::new(mesh, nsdx, nsdy).map_err(|e| e.to_string())?;
+        if let ModelVariant::SEnkf(p) = *self {
+            decomp.check_layers(p.layers).map_err(|e| e.to_string())?;
+            if p.ncg == 0 || !members.is_multiple_of(p.ncg) {
+                return Err(format!("members {members} not divisible by n_cg {}", p.ncg));
+            }
+        }
+        Ok(decomp)
+    }
+
+    /// Validate the variant against a mesh and ensemble size and return
+    /// its `(compute, I/O)` rank counts. Compute ranks are `0..compute`,
+    /// I/O ranks follow them.
+    pub fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String> {
+        let compute = self.validate(mesh, members)?.num_subdomains();
+        Ok(match *self {
+            ModelVariant::SEnkf(p) => (compute, p.ncg * p.nsdy),
+            _ => (compute, 0),
+        })
+    }
+
+    /// Emit the cycle program into `sink`, one `(rank, op)` at a time, in
+    /// DES insertion order (see the module docs). Stops at the first sink
+    /// error.
+    pub fn emit(
+        &self,
+        geo: &Geometry<'_>,
+        sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let decomp = self.validate(geo.layout.mesh(), geo.members)?;
+        match *self {
+            ModelVariant::PEnkf { .. } => emit_penkf(&decomp, geo, sink),
+            ModelVariant::LEnkf { .. } => emit_lenkf(&decomp, geo, sink),
+            ModelVariant::SEnkf(p) => emit_senkf(&decomp, p, geo, sink),
+            ModelVariant::DEnkf { .. } => emit_denkf(&decomp, geo, sink),
+        }
+    }
+}
+
+/// One single-stage local analysis of sub-domain `id`.
+fn local_analysis(decomp: &Decomposition, id: SubDomainId, geo: &Geometry<'_>) -> CycleOp {
+    let target = decomp.subdomain(id);
+    CycleOp::Compute {
+        stage: None,
+        target,
+        expansion: decomp.expansion(id, geo.radius),
+        work: target.npoints(),
+    }
+}
+
+/// `rank` reads `region` of every member of `order`, in that order.
+fn reads(
+    sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+    rank: usize,
+    stage: Option<usize>,
+    order: &[usize],
+    region: RegionRect,
+) -> Result<(), String> {
+    order.iter().try_for_each(|&member| {
+        sink(
+            rank,
+            CycleOp::Read {
+                stage,
+                member,
+                region,
+            },
+        )
+    })
+}
+
+/// P-EnKF: every rank block-reads its expansion of every member file
+/// (partial-width region: one disk addressing operation per latitude row —
+/// the `O(n_y · n_sdx)` pattern of §4.1.1), then analyzes.
+fn emit_penkf(
+    decomp: &Decomposition,
+    geo: &Geometry<'_>,
+    sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+) -> Result<(), String> {
+    let order = geo.member_order(0..geo.members);
+    for (rank, id) in decomp.iter_ids().enumerate() {
+        reads(sink, rank, None, &order, decomp.expansion(id, geo.radius))?;
+        sink(rank, local_analysis(decomp, id, geo))?;
+    }
+    Ok(())
+}
+
+/// L-EnKF: rank 0 reads each full member file and scatters every other
+/// rank its expansion block (a dropped member is read but not scattered);
+/// each peer's analysis waits for one block per surviving member.
+fn emit_lenkf(
+    decomp: &Decomposition,
+    geo: &Geometry<'_>,
+    sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+) -> Result<(), String> {
+    let full = RegionRect::full(decomp.mesh());
+    let blocks: Vec<Payload> = decomp
+        .iter_ids()
+        .map(|id| Payload::Blocks {
+            region: decomp.expansion(id, geo.radius),
+            members: 1,
+        })
+        .collect();
+    for member in geo.member_order(0..geo.members) {
+        reads(sink, 0, None, &[member], full)?;
+        if geo.dropped.contains(&member) {
+            continue;
+        }
+        for (to, &payload) in blocks.iter().enumerate().skip(1) {
+            let stage = None;
+            sink(0, CycleOp::Send { stage, to, payload })?;
+        }
+    }
+    let sends = geo.alive_in(0..geo.members);
+    for (rank, id) in decomp.iter_ids().enumerate() {
+        if rank > 0 {
+            sink(rank, CycleOp::Await { stage: None, sends })?;
+        }
+        sink(rank, local_analysis(decomp, id, geo))?;
+    }
+    Ok(())
+}
+
+/// S-EnKF: per stage `l`, I/O rank `(g, j)` reads one single-seek small bar
+/// per file of group `g` and sends each compute rank `(·, j)` its block,
+/// bundled over the group's surviving files (a fully dropped group sends
+/// nothing). Compute rank `(i, j)`'s stage-`l` analysis needs only the
+/// stage-`l` bundles, so stage `l+1` I/O overlaps stage `l` computation
+/// (Fig. 7).
+fn emit_senkf(
+    decomp: &Decomposition,
+    p: Params,
+    geo: &Geometry<'_>,
+    sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+) -> Result<(), String> {
+    let c2 = decomp.num_subdomains();
+    let files_per_group = geo.members / p.ncg;
+    let group = |g: usize| g * files_per_group..(g + 1) * files_per_group;
+    for l in 0..p.layers {
+        // What compute rank `r` needs of stage `l`, whichever group sends it.
+        let blocks: Vec<RegionRect> = decomp
+            .iter_ids()
+            .map(|id| decomp.block_of_small_bar(id, l, p.layers, geo.radius))
+            .collect();
+        for g in 0..p.ncg {
+            let order = geo.member_order(group(g));
+            let alive = geo.alive_in(group(g));
+            for j in 0..p.nsdy {
+                let rank = c2 + g * p.nsdy + j;
+                let bar = decomp.small_bar(j, l, p.layers, geo.radius);
+                reads(sink, rank, Some(l), &order, bar)?;
+                if alive == 0 {
+                    continue;
+                }
+                for i in 0..p.nsdx {
+                    let to = decomp.rank_of(SubDomainId { i, j });
+                    let payload = Payload::Blocks {
+                        region: blocks[to],
+                        members: alive,
+                    };
+                    let stage = Some(l);
+                    sink(rank, CycleOp::Send { stage, to, payload })?;
+                }
+            }
+        }
+    }
+    let sends = (0..p.ncg).filter(|&g| geo.alive_in(group(g)) > 0).count();
+    for (rank, id) in decomp.iter_ids().enumerate() {
+        for l in 0..p.layers {
+            sink(
+                rank,
+                CycleOp::Await {
+                    stage: Some(l),
+                    sends,
+                },
+            )?;
+            let target = decomp.layer(id, l, p.layers);
+            sink(
+                rank,
+                CycleOp::Compute {
+                    stage: Some(l),
+                    target,
+                    expansion: decomp.layer_expansion(id, l, p.layers, geo.radius),
+                    work: target.npoints(),
+                },
+            )?;
+        }
+    }
+    Ok(())
+}
+
+/// D-EnKF: every shard reads its full-width bar of every member file (one
+/// disk addressing operation each) and sends every peer its observation
+/// block; the batched transform — the whole network on every rank, then
+/// the shard's own rows — waits for all of them.
+fn emit_denkf(
+    decomp: &Decomposition,
+    geo: &Geometry<'_>,
+    sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+) -> Result<(), String> {
+    let network = geo
+        .network
+        .ok_or("the D-EnKF program needs the observation network")?;
+    let shards = decomp.num_subdomains();
+    let obs_rows: Vec<usize> = decomp
+        .iter_ids()
+        .map(|id| network.indices_in(&decomp.subdomain(id)).len())
+        .collect();
+    let m_total: usize = obs_rows.iter().sum();
+    let alive = geo.alive_in(0..geo.members);
+    let order = geo.member_order(0..geo.members);
+    for (rank, id) in decomp.iter_ids().enumerate() {
+        reads(sink, rank, None, &order, decomp.subdomain(id))?;
+        let payload = Payload::Bytes(exchange_bytes(obs_rows[rank], alive));
+        for to in (0..shards).filter(|&peer| peer != rank) {
+            sink(
+                rank,
+                CycleOp::Send {
+                    stage: None,
+                    to,
+                    payload,
+                },
+            )?;
+        }
+    }
+    for (rank, id) in decomp.iter_ids().enumerate() {
+        if shards > 1 {
+            sink(
+                rank,
+                CycleOp::Await {
+                    stage: None,
+                    sends: shards - 1,
+                },
+            )?;
+        }
+        let bar = decomp.subdomain(id);
+        sink(
+            rank,
+            CycleOp::Compute {
+                stage: None,
+                target: bar,
+                expansion: bar,
+                work: bar.npoints() + m_total,
+            },
+        )?;
+    }
+    Ok(())
+}

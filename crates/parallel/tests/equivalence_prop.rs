@@ -1,14 +1,26 @@
-//! Property test: for *random* meshes, ensemble sizes, localization radii
-//! and S-EnKF parameterizations, the parallel analyses are identical to the
-//! serial point-wise reference.
+//! Property tests over *random* meshes, ensemble sizes, localization radii
+//! and S-EnKF parameterizations: the parallel analyses are identical to the
+//! serial point-wise reference, and every variant's cycle program is
+//! balanced, covers the mesh, and is what both execution paths trace.
 
-use enkf_core::{serial_enkf, LocalAnalysis};
+use enkf_core::{serial_enkf, BatchedKernel, LocalAnalysis};
 use enkf_data::{write_ensemble, ScenarioBuilder};
-use enkf_grid::{FileLayout, LocalizationRadius, Mesh};
-use enkf_parallel::{AssimilationSetup, PEnkf, SEnkf};
+use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork};
+use enkf_health::RouteView;
+use enkf_parallel::{
+    model_denkf_traced, model_lenkf_traced, model_penkf_traced, model_senkf_traced,
+    AssimilationSetup, CycleOp, DEnkf, Geometry, LEnkf, ModelConfig, ModelVariant, PEnkf, SEnkf,
+};
 use enkf_pfs::{FileStore, ScratchDir};
-use enkf_tuning::Params;
+use enkf_trace::{Op, Role, Span, Trace};
+use enkf_tuning::{Params, Workload};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// Bytes per grid point of every store and model in this file.
+const LEVEL_BYTES: u64 = 8;
+/// Observation stride of every scenario and model in this file.
+const OBS_STRIDE: usize = 2;
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -50,6 +62,83 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         })
 }
 
+impl Case {
+    /// The four variants at this case's decomposition (D-EnKF shards are
+    /// the latitude blocks).
+    fn variants(&self) -> [ModelVariant; 4] {
+        let Params { nsdx, nsdy, .. } = self.params;
+        [
+            ModelVariant::LEnkf { nsdx, nsdy },
+            ModelVariant::PEnkf { nsdx, nsdy },
+            ModelVariant::SEnkf(self.params),
+            ModelVariant::DEnkf { shards: nsdy },
+        ]
+    }
+
+    fn layout(&self) -> FileLayout {
+        FileLayout::new(self.mesh, LEVEL_BYTES)
+    }
+}
+
+/// Materialise a variant's program.
+fn program(variant: &ModelVariant, geo: &Geometry<'_>) -> Vec<(usize, CycleOp)> {
+    let mut ops = Vec::new();
+    variant
+        .emit(geo, &mut |rank, op| {
+            ops.push((rank, op));
+            Ok(())
+        })
+        .unwrap();
+    ops
+}
+
+/// The operation digest of a program: every `Read`, `Send` and `Compute`
+/// as the span both execution paths record for it.
+fn projected_digest(ops: &[(usize, CycleOp)], layout: &FileLayout, compute_ranks: usize) -> String {
+    let mut trace = Trace::new("program");
+    for &(rank, op) in ops {
+        let (op, stage, bytes, seeks, peer, member) = match op {
+            CycleOp::Read {
+                stage,
+                member,
+                region,
+            } => (
+                Op::Read,
+                stage,
+                layout.region_bytes(&region),
+                layout.seek_count(&region) as u64,
+                None,
+                Some(member),
+            ),
+            CycleOp::Send { stage, to, payload } => {
+                (Op::Send, stage, payload.bytes(layout), 0, Some(to), None)
+            }
+            CycleOp::Compute { stage, .. } => (Op::Compute, stage, 0, 0, None, None),
+            CycleOp::Await { .. } => continue,
+        };
+        trace.push(Span {
+            rank,
+            role: if rank < compute_ranks {
+                Role::Compute
+            } else {
+                Role::Io
+            },
+            stage,
+            op,
+            start: 0.0,
+            dur: 0.0,
+            bytes,
+            seeks,
+            peer,
+            member,
+            res: None,
+            tenant: None,
+            job: None,
+        });
+    }
+    trace.digest()
+}
+
 proptest! {
     // Each case spins up real threads and writes real files; keep the case
     // count moderate.
@@ -89,5 +178,130 @@ proptest! {
         );
         prop_assert_eq!(report.num_io_ranks, case.params.c1());
         prop_assert_eq!(report.num_compute_ranks, case.params.c2());
+    }
+
+    /// Static properties of the program alone, under a random dropout set
+    /// and a random blacklist: (a) every `Await` of a rank is fed by exactly
+    /// the `Send`s addressed to that `(rank, stage)`, all of them emitted
+    /// before it, and no `Send` goes unawaited — deadlock-freedom of the
+    /// threaded backend and dependency-soundness of the pricer; (b) the
+    /// `Compute` targets tile the mesh exactly once.
+    #[test]
+    fn programs_are_balanced_and_cover_the_mesh(
+        case in case_strategy(),
+        drop_mask in 0usize..64,
+        hot_mask in 0usize..16,
+    ) {
+        let mut dropped: Vec<usize> =
+            (0..case.members).filter(|k| drop_mask >> k & 1 == 1).collect();
+        dropped.truncate(case.members - 2);
+        let view = RouteView {
+            num_osts: 4,
+            replica_shift: 1,
+            blacklisted: (0..4).filter(|o| hot_mask >> o & 1 == 1).collect(),
+        };
+        let network = ObservationNetwork::uniform(case.mesh, OBS_STRIDE);
+        let geo = Geometry {
+            layout: case.layout(),
+            members: case.members,
+            radius: case.radius,
+            dropped: &dropped,
+            view: Some(&view),
+            network: Some(&network),
+        };
+        for variant in case.variants() {
+            let mut in_flight: BTreeMap<(usize, Option<usize>), usize> = BTreeMap::new();
+            let mut covered = vec![0u32; case.mesh.n()];
+            for (rank, op) in program(&variant, &geo) {
+                match op {
+                    CycleOp::Send { stage, to, .. } => *in_flight.entry((to, stage)).or_default() += 1,
+                    CycleOp::Await { stage, sends } => prop_assert_eq!(
+                        in_flight.remove(&(rank, stage)),
+                        Some(sends),
+                        "{:?}: rank {} stage {:?}",
+                        variant,
+                        rank,
+                        stage
+                    ),
+                    CycleOp::Compute { target, .. } => {
+                        for p in target.iter_points() {
+                            covered[case.mesh.index(p)] += 1;
+                        }
+                    }
+                    CycleOp::Read { .. } => {}
+                }
+            }
+            prop_assert!(in_flight.is_empty(), "{variant:?}: unawaited sends {in_flight:?}");
+            prop_assert!(covered.iter().all(|&c| c == 1), "{variant:?} does not tile the mesh");
+        }
+    }
+
+    /// (c) The operation digest projected from the program alone equals the
+    /// digest of the trace the threaded backend records and of the trace
+    /// the DES exports.
+    #[test]
+    fn program_is_what_both_worlds_trace(case in case_strategy()) {
+        let scenario = ScenarioBuilder::new(case.mesh)
+            .members(case.members)
+            .observation_stride(OBS_STRIDE)
+            .seed(case.seed)
+            .build();
+        let scratch = ScratchDir::new("program-prop").unwrap();
+        let store = FileStore::open(scratch.path(), case.layout()).unwrap();
+        write_ensemble(&store, &scenario.ensemble).unwrap();
+        let setup = AssimilationSetup {
+            store: &store,
+            members: case.members,
+            observations: &scenario.observations,
+            analysis: LocalAnalysis::new(case.radius),
+        };
+        let cfg = ModelConfig {
+            workload: Workload {
+                nx: case.mesh.nx(),
+                ny: case.mesh.ny(),
+                members: case.members,
+                h: LEVEL_BYTES,
+                xi: case.radius.xi,
+                eta: case.radius.eta,
+            },
+            obs_stride: OBS_STRIDE,
+            ..ModelConfig::paper()
+        };
+        let geo = Geometry {
+            layout: case.layout(),
+            members: case.members,
+            radius: case.radius,
+            dropped: &[],
+            view: None,
+            network: Some(scenario.observations.operator().network()),
+        };
+        for variant in case.variants() {
+            let (real, model) = match variant {
+                ModelVariant::LEnkf { nsdx, nsdy } => (
+                    LEnkf { nsdx, nsdy }.run_traced(&setup).unwrap().2,
+                    model_lenkf_traced(&cfg, nsdx, nsdy).unwrap().1,
+                ),
+                ModelVariant::PEnkf { nsdx, nsdy } => (
+                    PEnkf { nsdx, nsdy }.run_traced(&setup).unwrap().2,
+                    model_penkf_traced(&cfg, nsdx, nsdy).unwrap().1,
+                ),
+                ModelVariant::SEnkf(p) => (
+                    SEnkf::new(p).run_traced(&setup).unwrap().2,
+                    model_senkf_traced(&cfg, p).unwrap().1,
+                ),
+                ModelVariant::DEnkf { shards } => (
+                    DEnkf { shards, kernel: BatchedKernel::Cholesky }
+                        .run_traced(&setup)
+                        .unwrap()
+                        .2,
+                    model_denkf_traced(&cfg, shards).unwrap().1,
+                ),
+            };
+            let (compute_ranks, _) = variant.ranks(case.mesh, case.members).unwrap();
+            let projected =
+                projected_digest(&program(&variant, &geo), &case.layout(), compute_ranks);
+            prop_assert_eq!(&projected, &real.digest(), "{:?} real", variant);
+            prop_assert_eq!(&projected, &model.digest(), "{:?} model", variant);
+        }
     }
 }

@@ -26,8 +26,6 @@ pub mod store;
 
 pub use model::{ModeledPfs, PfsParams};
 pub use readahead::{read_stages_ahead, read_stages_ahead_adaptive, ReadAheadError, StageRead};
-pub use resilient::{
-    read_full_adaptive, read_full_resilient, read_region_adaptive, read_region_resilient,
-};
+pub use resilient::{read_region_adaptive, read_region_resilient};
 pub use scratch::ScratchDir;
 pub use store::{BufferPool, FileStore, IoStats, RegionData};

@@ -71,7 +71,7 @@ pub enum ReadAheadError<E> {
 /// Run a staged read plan with one-stage read-ahead.
 ///
 /// For each entry of `stages` in order, all listed members' `region` data
-/// is read via [`read_region_resilient`] and handed to `consume` together
+/// is read via [`crate::read_region_resilient`] and handed to `consume` together
 /// with the stage descriptor and the main tracer (for send spans). While
 /// `consume` runs for stage `k`, a prefetch thread is already reading
 /// stage `k+1` (bounded to one stage of look-ahead by a rendezvous

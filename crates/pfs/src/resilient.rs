@@ -1,141 +1,155 @@
-//! Retry-with-backoff reads under a fault plan.
+//! Retry-with-backoff, health-routed member reads — decided once, for the
+//! real and the modeled file system.
 //!
-//! The real executors read member regions through
-//! [`read_region_resilient`]: attempts the fault plan marks as failing are
-//! performed and discarded (so the wall cost of a failed attempt mirrors
-//! the OST service the model charges), each retry waits an exponentially
-//! growing backoff, and every injected failure, backoff and recovery is
-//! recorded both as an [`enkf_trace::Op::Fault`] span and as a
-//! [`enkf_fault::FaultLog`] event. The modeled executors weave the same
-//! attempt/backoff sequence into the task graph, so the operation digests
-//! of the two paths stay identical under any seeded plan.
+//! A member read is a short schedule of steps: an optional cancelled
+//! speculative duplicate, then per attempt a backoff, an injected failure
+//! or the read itself. `weave_read` is the only place that schedule is
+//! decided — the route (from the monitor's frozen
+//! [`enkf_health::RouteView`]), the attempt budget, and every
+//! [`enkf_fault::FaultLog`] / monitor record. It has two arms:
+//!
+//! * the **real** arm ([`read_region_adaptive`]) sleeps the backoffs,
+//!   performs (and discards) injected attempts so they cost real OST time,
+//!   and records each step as a span;
+//! * the **modeled** arm ([`ModeledPfs::add_member_read`]) adds one DES
+//!   task per step.
+//!
+//! Both arms therefore produce the same step sequence under any seeded
+//! plan, which is what keeps real and modeled trace, fault and health
+//! digests identical.
 
+use crate::model::ModeledPfs;
 use crate::store::{FileStore, RegionData};
 use enkf_fault::{FaultInjector, ReadError, SubstrateError};
 use enkf_grid::RegionRect;
 use enkf_health::{HealthMonitor, ReadRoute};
-use enkf_trace::RankTracer;
+use enkf_sim::engine::SimError;
+use enkf_sim::{AgentId, Kind, Simulation, Task};
+use enkf_trace::{OpTag, RankTracer};
 use std::time::{Duration, Instant};
 
-/// Sleep for `(factor - 1) × elapsed` to dilate an operation that took
-/// `elapsed` seconds to `factor ×` its natural duration.
-fn dilate(start: Instant, factor: f64) {
+/// Sleep `(factor − 1) × elapsed` so an operation started at `start` takes
+/// `factor ×` its natural wall time (OST slowdown and straggler dilation;
+/// no-op at 1.0).
+pub fn dilate(start: Instant, factor: f64) {
     if factor > 1.0 {
         let elapsed = start.elapsed().as_secs_f64();
         std::thread::sleep(Duration::from_secs_f64(elapsed * (factor - 1.0)));
     }
 }
 
-/// Read `region` of member `member`, retrying under the injector's policy.
-///
-/// Attempt semantics (identical for both executors):
-///
-/// * attempts `0..fail_attempts` from the plan fail by injection — the real
-///   path still performs the read (and discards it) so the attempt costs
-///   real OST time, recorded as a fault span with the region's bytes/seeks;
-/// * before each retry the policy's deterministic backoff is slept,
-///   recorded as a zero-byte fault span;
-/// * a genuine I/O failure on a non-injected attempt also consumes an
-///   attempt; when retries are exhausted the last real [`ReadError`] (if
-///   any) is returned as the cause;
-/// * OST slowdown factors from the plan dilate every attempt's wall time.
-pub fn read_region_resilient(
-    store: &FileStore,
-    tracer: &mut RankTracer,
-    stage: Option<usize>,
-    member: usize,
-    region: &RegionRect,
-    injector: &FaultInjector,
-) -> Result<RegionData, SubstrateError> {
-    let slowdown = injector.file_slowdown(member);
-    read_with_policy(store, tracer, stage, member, region, injector, slowdown)
+/// One step of a member read's schedule, in execution order.
+enum ReadStep {
+    /// The losing speculative duplicate, cancelled at first completion: no
+    /// cost, but it carries the region's footprint into the trace.
+    Cancelled,
+    /// The policy's deterministic pause before a retry, seconds.
+    Backoff(f64),
+    /// An attempt the plan fails by injection: it still occupies the
+    /// serving path for a full service, and its result is discarded.
+    Injected,
+    /// The read proper.
+    Read,
 }
 
-/// The retry loop with an explicit service-dilation factor — the shared
-/// engine under [`read_region_resilient`] (primary-path dilation from the
-/// member's own OST) and [`read_region_adaptive`] (dilation from whichever
-/// path won the speculative race). The attempt budget is the *deadline-
-/// capped* [`enkf_fault::RetryPolicy::scheduled_attempts`]: a tight
-/// per-phase deadline schedules fewer attempts, and exhaustion surfaces as
-/// [`SubstrateError::RetriesExhausted`] so degraded mode completes N−1
-/// instead of stalling.
-fn read_with_policy(
-    store: &FileStore,
-    tracer: &mut RankTracer,
+/// The path serving a member read: the OST (`None` = wherever the file
+/// stripes, no monitor attached) and its service-dilation factor.
+#[derive(Clone, Copy)]
+struct ReadPath {
+    ost: Option<usize>,
+    factor: f64,
+}
+
+/// Decide and drive one member read. Without a monitor the read is served
+/// by the member's own OST at the plan's slowdown. With one, the frozen
+/// view routes it: a blacklisted primary OST issues a speculative
+/// duplicate on the replica, the deterministic
+/// [`ReadRoute::Speculate::replica_wins`] tie-break picks the serving
+/// path, and the loser becomes a [`ReadStep::Cancelled`] marker. Then the
+/// *deadline-capped* [`enkf_fault::RetryPolicy::scheduled_attempts`] run:
+/// attempts `0..fail_attempts` of the plan are injected failures, each
+/// retry is preceded by its backoff, and a `Read` step that reports
+/// `Ok(false)` (a genuine I/O failure) consumes its attempt. Returns
+/// whether the read was served; a served read feeds one
+/// `(ost, member, factor)` observation back to the monitor.
+fn weave_read<E>(
+    injector: &FaultInjector,
+    monitor: Option<&HealthMonitor>,
+    rank: usize,
     stage: Option<usize>,
     member: usize,
-    region: &RegionRect,
-    injector: &FaultInjector,
-    slowdown: f64,
-) -> Result<RegionData, SubstrateError> {
-    let (seeks, bytes) = store.op_cost(region);
+    mut step: impl FnMut(ReadStep, ReadPath) -> Result<bool, E>,
+) -> Result<bool, E> {
+    let path = match monitor {
+        None => ReadPath {
+            ost: None,
+            factor: injector.file_slowdown(member),
+        },
+        Some(mon) => {
+            let view = mon.view();
+            let ost = view.ost_of(member);
+            let primary = ReadPath {
+                ost: Some(ost),
+                factor: injector.ost_factor(ost),
+            };
+            let replica_factor = injector.ost_factor(view.replica_of(ost));
+            match view.route(member, primary.factor, replica_factor) {
+                ReadRoute::Primary => primary,
+                ReadRoute::Speculate {
+                    replica,
+                    replica_wins,
+                } => {
+                    mon.speculated(rank, stage, member, ost, replica, replica_wins);
+                    let winner = if replica_wins {
+                        ReadPath {
+                            ost: Some(replica),
+                            factor: replica_factor,
+                        }
+                    } else {
+                        primary
+                    };
+                    step(ReadStep::Cancelled, winner)?;
+                    winner
+                }
+            }
+        }
+    };
     let retry = injector.retry();
     let fails = injector.read_fail_attempts(member);
-    let rank = tracer.rank();
-    let mut last_real: Option<ReadError> = None;
     for attempt in 0..retry.scheduled_attempts() {
         if attempt > 0 {
             injector.log().backoff(rank, stage, member, attempt - 1);
-            let pause = retry.backoff(attempt - 1);
-            tracer.fault(stage, Some(member), 0, 0, || {
-                std::thread::sleep(Duration::from_secs_f64(pause));
-            });
+            step(ReadStep::Backoff(retry.backoff(attempt - 1)), path)?;
         }
         if attempt < fails {
-            // Injected failure: the read happens (real disk time, real OST
-            // occupancy) but its result is discarded.
             injector.log().injected(rank, stage, member, attempt);
-            tracer.fault(stage, Some(member), bytes, seeks, || {
-                let start = Instant::now();
-                let _ = store.read_region(member, region);
-                dilate(start, slowdown);
-            });
-            continue;
-        }
-        let result = tracer.read(stage, Some(member), bytes, seeks, || {
-            let start = Instant::now();
-            let out = store.read_region(member, region);
-            dilate(start, slowdown);
-            out
-        });
-        match result {
-            Ok(data) => {
-                if attempt > 0 {
-                    injector.log().recovered(rank, stage, member, attempt);
-                }
-                return Ok(data);
+            step(ReadStep::Injected, path)?;
+        } else if step(ReadStep::Read, path)? {
+            if attempt > 0 {
+                injector.log().recovered(rank, stage, member, attempt);
             }
-            Err(e) => last_real = Some(e),
+            if let (Some(mon), Some(ost)) = (monitor, path.ost) {
+                mon.observe_read(ost, member, path.factor);
+            }
+            return Ok(true);
         }
     }
-    if retry.max_retries == 0 {
-        if let Some(cause) = last_real {
-            // No retry policy and a genuine failure: surface it directly,
-            // matching the pre-fault behaviour of a bare read.
-            return Err(SubstrateError::Read(cause));
-        }
-    }
-    Err(SubstrateError::RetriesExhausted {
-        member,
-        attempts: retry.scheduled_attempts(),
-        cause: last_real,
-    })
+    Ok(false)
 }
 
-/// Health-aware read: consult the monitor's frozen [`enkf_health::RouteView`]
-/// and either read the primary path exactly like [`read_region_resilient`]
-/// (byte-identical spans — the no-fault parity guarantee) or, when the
-/// member stripes to a blacklisted OST, issue a speculative duplicate on
-/// the replica path. The race winner is the deterministic
-/// [`ReadRoute::Speculate::replica_wins`] tie-break; the loser is cancelled
-/// at first completion and charged as a zero-duration fault marker span
-/// carrying the region's footprint, so the trace digest records the
-/// duplicate without distorting the makespan. Every served read feeds one
-/// observation back into the monitor.
+/// Read `region` of member `member` through `weave_read`'s schedule —
+/// the real arm. Injected attempts still perform the read (real disk time,
+/// real OST occupancy) and are recorded as fault spans with the region's
+/// bytes/seeks; backoffs are slept and recorded as zero-byte fault spans;
+/// the path's factor dilates every attempt's wall time. When the attempts
+/// run out the last genuine [`ReadError`] (if any) is the cause of
+/// [`SubstrateError::RetriesExhausted`], so degraded mode completes N−1
+/// instead of stalling.
 ///
-/// `monitor == None` is the passthrough: bit-identical to
-/// [`read_region_resilient`]. The monitor's `num_osts` must match the
-/// fault plan's striping modulus for routing to price paths correctly.
+/// `monitor == None` never speculates: the spans are those of a plain
+/// retried read (the no-fault parity guarantee). The monitor's `num_osts`
+/// must match the fault plan's striping modulus for routing to price paths
+/// correctly.
 pub fn read_region_adaptive(
     store: &FileStore,
     tracer: &mut RankTracer,
@@ -145,79 +159,114 @@ pub fn read_region_adaptive(
     injector: &FaultInjector,
     monitor: Option<&HealthMonitor>,
 ) -> Result<RegionData, SubstrateError> {
-    let Some(mon) = monitor else {
-        return read_region_resilient(store, tracer, stage, member, region, injector);
-    };
-    let view = mon.view();
-    let ost = view.ost_of(member);
-    let primary_factor = injector.ost_factor(ost);
-    let replica_factor = injector.ost_factor(view.replica_of(ost));
-    match view.route(member, primary_factor, replica_factor) {
-        ReadRoute::Primary => {
-            let out = read_with_policy(
-                store,
-                tracer,
-                stage,
-                member,
-                region,
-                injector,
-                primary_factor,
-            )?;
-            mon.observe_read(ost, member, primary_factor);
-            Ok(out)
+    let (seeks, bytes) = store.op_cost(region);
+    let mut data = None;
+    let mut last_real: Option<ReadError> = None;
+    let rank = tracer.rank();
+    let served = weave_read(injector, monitor, rank, stage, member, |step, path| {
+        let attempt = || {
+            let start = Instant::now();
+            let out = store.read_region(member, region);
+            dilate(start, path.factor);
+            out
+        };
+        match step {
+            ReadStep::Cancelled => tracer.fault(stage, Some(member), bytes, seeks, || {}),
+            ReadStep::Backoff(pause) => tracer.fault(stage, Some(member), 0, 0, || {
+                std::thread::sleep(Duration::from_secs_f64(pause));
+            }),
+            ReadStep::Injected => tracer.fault(stage, Some(member), bytes, seeks, || {
+                let _ = attempt();
+            }),
+            ReadStep::Read => match tracer.read(stage, Some(member), bytes, seeks, attempt) {
+                Ok(d) => data = Some(d),
+                Err(e) => {
+                    last_real = Some(e);
+                    return Ok(false);
+                }
+            },
         }
-        ReadRoute::Speculate {
-            replica,
-            replica_wins,
-        } => {
-            mon.speculated(tracer.rank(), stage, member, ost, replica, replica_wins);
-            let (winner_ost, winner_factor) = if replica_wins {
-                (replica, replica_factor)
-            } else {
-                (ost, primary_factor)
-            };
-            // The losing duplicate, cancelled at first completion: a
-            // zero-duration marker span with the region's footprint.
-            let (seeks, bytes) = store.op_cost(region);
-            tracer.fault(stage, Some(member), bytes, seeks, || {});
-            let out = read_with_policy(
-                store,
-                tracer,
-                stage,
-                member,
-                region,
-                injector,
-                winner_factor,
-            )?;
-            mon.observe_read(winner_ost, member, winner_factor);
-            Ok(out)
-        }
+        Ok::<bool, std::convert::Infallible>(true)
+    });
+    if let (Ok(true), Some(data)) = (served, data) {
+        return Ok(data);
+    }
+    match last_real {
+        // No retry policy and a genuine failure: surface it directly,
+        // matching the behaviour of a bare read.
+        Some(cause) if injector.retry().max_retries == 0 => Err(SubstrateError::Read(cause)),
+        cause => Err(SubstrateError::RetriesExhausted {
+            member,
+            attempts: injector.retry().scheduled_attempts(),
+            cause,
+        }),
     }
 }
 
-/// [`read_region_adaptive`] over the whole mesh.
-pub fn read_full_adaptive(
-    store: &FileStore,
-    tracer: &mut RankTracer,
-    stage: Option<usize>,
-    member: usize,
-    injector: &FaultInjector,
-    monitor: Option<&HealthMonitor>,
-) -> Result<RegionData, SubstrateError> {
-    let region = RegionRect::full(store.layout().mesh());
-    read_region_adaptive(store, tracer, stage, member, &region, injector, monitor)
+impl ModeledPfs {
+    /// Add one member read of `seeks` / `bytes` to the DES through
+    /// `weave_read`'s schedule — the modeled arm, one task per step on
+    /// `agent` (whose index is the rank): the cancelled duplicate a
+    /// zero-service `Fault` marker with the region's footprint, a backoff
+    /// an agent-local `Fault` of the pause, an injected failure a `Fault`
+    /// holding the serving OST for a full service, the read a `Read` task.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn add_member_read(
+        &self,
+        sim: &mut Simulation,
+        agent: AgentId,
+        injector: &FaultInjector,
+        monitor: Option<&HealthMonitor>,
+        io: bool,
+        stage: Option<usize>,
+        member: usize,
+        seeks: u64,
+        bytes: u64,
+    ) -> Result<(), SimError> {
+        let base = self.read_service(seeks, bytes);
+        let tag = OpTag {
+            io,
+            stage,
+            bytes,
+            seeks,
+            member: Some(member),
+            ..OpTag::default()
+        };
+        weave_read(injector, monitor, agent.0, stage, member, |step, path| {
+            // The file's own stripe without a monitor, else the routed OST
+            // (`ost_of_file` is the striping modulus either way).
+            let on_path = |kind| {
+                Task::new(agent, kind, base * path.factor)
+                    .with_resources(vec![self.ost_of_file(path.ost.unwrap_or(member))])
+                    .with_op(tag)
+            };
+            sim.add_task(match step {
+                ReadStep::Cancelled => Task::new(agent, Kind::Fault, 0.0).with_op(tag),
+                ReadStep::Backoff(pause) => Task::new(agent, Kind::Fault, pause).with_op(OpTag {
+                    bytes: 0,
+                    seeks: 0,
+                    ..tag
+                }),
+                ReadStep::Injected => on_path(Kind::Fault),
+                ReadStep::Read => on_path(Kind::Read),
+            })?;
+            Ok(true)
+        })
+        .map(|_served| ())
+    }
 }
 
-/// [`read_region_resilient`] over the whole mesh.
-pub fn read_full_resilient(
+/// [`read_region_adaptive`] without a monitor: the plain retried read.
+pub fn read_region_resilient(
     store: &FileStore,
     tracer: &mut RankTracer,
     stage: Option<usize>,
     member: usize,
+    region: &RegionRect,
     injector: &FaultInjector,
 ) -> Result<RegionData, SubstrateError> {
-    let region = RegionRect::full(store.layout().mesh());
-    read_region_resilient(store, tracer, stage, member, &region, injector)
+    read_region_adaptive(store, tracer, stage, member, region, injector, None)
 }
 
 #[cfg(test)]
@@ -237,6 +286,28 @@ mod tests {
             store.write_member(k, &v).unwrap();
         }
         (scratch, store)
+    }
+
+    fn read_full_adaptive(
+        store: &FileStore,
+        tracer: &mut RankTracer,
+        stage: Option<usize>,
+        member: usize,
+        injector: &FaultInjector,
+        monitor: Option<&HealthMonitor>,
+    ) -> Result<RegionData, SubstrateError> {
+        let region = RegionRect::full(store.layout().mesh());
+        read_region_adaptive(store, tracer, stage, member, &region, injector, monitor)
+    }
+
+    fn read_full_resilient(
+        store: &FileStore,
+        tracer: &mut RankTracer,
+        stage: Option<usize>,
+        member: usize,
+        injector: &FaultInjector,
+    ) -> Result<RegionData, SubstrateError> {
+        read_full_adaptive(store, tracer, stage, member, injector, None)
     }
 
     fn tracer() -> RankTracer {

@@ -62,7 +62,6 @@ struct TaskState {
 }
 
 struct ResourceState {
-    capacity: usize,
     free: usize,
     queue: VecDeque<TaskId>,
 }
@@ -143,7 +142,6 @@ impl Simulation {
         assert!(capacity > 0, "resource capacity must be positive");
         let id = ResourceId(self.resources.len());
         self.resources.push(ResourceState {
-            capacity,
             free: capacity,
             queue: VecDeque::new(),
         });
@@ -153,11 +151,6 @@ impl Simulation {
     /// Number of tasks added so far.
     pub fn num_tasks(&self) -> usize {
         self.tasks.len()
-    }
-
-    /// Capacity a resource was registered with.
-    pub fn resource_capacity(&self, r: ResourceId) -> usize {
-        self.resources[r.0].capacity
     }
 
     /// Add a task; returns its id. Dependencies must already exist. An
@@ -299,7 +292,7 @@ impl Simulation {
     /// (`Read` → read, `Comm` → send, `Compute` → compute; `Control` tasks
     /// emit no operation span), plus a wait span covering `ready → start`
     /// whenever the task stalled on program order, dependencies or resource
-    /// queues. [`SimReport`](crate::SimReport)'s busy/wait totals are exact
+    /// queues. [`crate::SimReport`]'s busy/wait totals are exact
     /// projections of these spans: per agent, busy time by kind equals the
     /// span durations by operation and wait time equals the wait-span sum.
     pub fn export_trace(&self, label: &str) -> enkf_trace::Trace {

@@ -16,7 +16,4 @@ pub mod tune;
 
 pub use model::{CostParams, MachineParams, Params, Workload};
 pub use sensitivity::{epsilon_sensitivity, SensitivityPoint};
-pub use tune::{
-    algorithm1, autotune, autotune_with_candidates, economic_choice, min_t1_curve, CurvePoint,
-    TunedParams,
-};
+pub use tune::{algorithm1, autotune, economic_choice, min_t1_curve, CurvePoint, TunedParams};

@@ -151,7 +151,7 @@ pub fn economic_choice(curve: &[CurvePoint], epsilon: f64) -> Option<CurvePoint>
 /// `O(n_p²)` invocations of Algorithm 1 and is unnecessary because only
 /// divisor-compatible `C₂` are feasible — this implementation accepts an
 /// explicit candidate list (see [`autotune`] for the default sweep).
-pub fn autotune_with_candidates(
+fn autotune_with_candidates(
     cost: &CostParams,
     np: usize,
     epsilon: f64,

@@ -43,6 +43,9 @@ cargo test -q --release -p enkf-core --test alloc_free
 echo "==> kernel conformance without SIMD dispatch"
 cargo test -q -p enkf-linalg --no-default-features
 
+echo "==> rustdoc: no broken or private intra-doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> perf ledger (its own workspace): BENCHMARK.json names still match the binary"
 cargo test -q --manifest-path perf/Cargo.toml
 
