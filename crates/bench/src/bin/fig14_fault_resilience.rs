@@ -21,9 +21,7 @@ use enkf_core::LocalAnalysis;
 use enkf_data::{write_ensemble, ScenarioBuilder};
 use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy};
 use enkf_grid::{FileLayout, LocalizationRadius, Mesh};
-use enkf_parallel::{
-    model_penkf_faulted, model_senkf_faulted, AssimilationSetup, ModelConfig, PEnkf, SEnkf,
-};
+use enkf_parallel::{model_cycle, AssimilationSetup, ModelConfig, ModelVariant, PEnkf, SEnkf};
 use enkf_pfs::{FileStore, ScratchDir};
 use enkf_tuning::{autotune, Params};
 
@@ -42,16 +40,21 @@ fn plan_for(severity: f64, ranks: usize) -> FaultPlan {
 fn sweep(cfg: &ModelConfig, np: usize, nsdx: usize, nsdy: usize, s_params: Params) {
     let severities = [1.0, 1.25, 1.5, 2.0, 3.0];
     let ranks = np.max(s_params.total_processors());
+    let model = |variant: ModelVariant, fcfg: &FaultConfig| {
+        let (out, _, _) =
+            model_cycle(cfg, &variant, Default::default(), fcfg, None).expect("feasible");
+        out
+    };
+    let penkf = ModelVariant::PEnkf { nsdx, nsdy };
+    let senkf = ModelVariant::SEnkf(s_params);
     let clean = FaultConfig::none();
-    let (p0, _, _) = model_penkf_faulted(cfg, nsdx, nsdy, &clean).expect("feasible");
-    let (s0, _, _) = model_senkf_faulted(cfg, s_params, &clean).expect("feasible");
+    let (p0, s0) = (model(penkf, &clean), model(senkf, &clean));
 
     let mut rows = Vec::new();
     for severity in severities {
         let mut fcfg = FaultConfig::degraded(plan_for(severity, ranks));
         fcfg.retry = RetryPolicy::none();
-        let (p, _, _) = model_penkf_faulted(cfg, nsdx, nsdy, &fcfg).expect("feasible");
-        let (s, _, _) = model_senkf_faulted(cfg, s_params, &fcfg).expect("feasible");
+        let (p, s) = (model(penkf, &fcfg), model(senkf, &fcfg));
         rows.push(vec![
             format!("{severity:.2}"),
             secs(p.makespan),

@@ -83,6 +83,17 @@ pub enum SubstrateError {
         /// The rank whose receive was orphaned.
         rank: usize,
     },
+    /// A peer this rank was receiving from failed and told it to stop
+    /// waiting. An echo of the peer's own error, never a root cause: the
+    /// cycle reports the originating rank's error in preference to it.
+    PeerAborted {
+        /// The rank whose receive was cut short.
+        rank: usize,
+        /// The peer that aborted.
+        peer: usize,
+        /// The peer's failure, rendered.
+        reason: String,
+    },
     /// A rank was crashed by the fault plan at the given stage.
     RankCrashed {
         /// The crashed rank.
@@ -126,6 +137,9 @@ impl std::fmt::Display for SubstrateError {
             }
             SubstrateError::PeerExited { rank } => {
                 write!(f, "rank {rank} receive orphaned: all peers have exited")
+            }
+            SubstrateError::PeerAborted { rank, peer, reason } => {
+                write!(f, "rank {rank} aborted by rank {peer}: {reason}")
             }
             SubstrateError::RankCrashed { rank, stage } => {
                 write!(f, "rank {rank} crashed at stage {stage}")
@@ -180,5 +194,11 @@ mod tests {
         let e = SubstrateError::PeerExited { rank: 3 };
         assert!(e.to_string().contains("rank 3"));
         assert!(e.to_string().contains("exited"));
+        let e = SubstrateError::PeerAborted {
+            rank: 1,
+            peer: 4,
+            reason: "member 2 unreadable".into(),
+        };
+        assert!(e.to_string().contains("by rank 4: member 2 unreadable"));
     }
 }

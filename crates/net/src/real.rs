@@ -173,14 +173,21 @@ impl<M: Send> RankCtx<M> {
         }
     }
 
-    /// Split off the raw receive endpoint (for a helper thread) while
-    /// keeping the send side. Stashed messages are returned too; after the
-    /// split, `recv`/`recv_match` on this context panic.
-    pub fn split_receiver(&mut self) -> (Receiver<Envelope<M>>, VecDeque<Envelope<M>>) {
+    /// Split off the receive side (for a helper thread) as a context of the
+    /// same rank that can only receive: it takes the inbox and the stash
+    /// and holds no sender, so it never keeps a peer's inbox connected.
+    /// This context keeps the send side; its own receives now report
+    /// [`SubstrateError::PeerExited`].
+    pub fn split_receiver(&mut self) -> RankCtx<M> {
         let (dead_tx, dead_rx) = unbounded();
         drop(dead_tx);
-        let inbox = std::mem::replace(&mut self.inbox, dead_rx);
-        (inbox, std::mem::take(&mut self.stash))
+        RankCtx {
+            rank: self.rank,
+            size: self.size,
+            peers: Vec::new(),
+            inbox: std::mem::replace(&mut self.inbox, dead_rx),
+            stash: std::mem::take(&mut self.stash),
+        }
     }
 }
 
@@ -521,8 +528,7 @@ mod tests {
                 ctx.send(1, 5, 123);
                 0
             } else {
-                let (inbox, stash) = ctx.split_receiver();
-                assert!(stash.is_empty());
+                let mut inbox = ctx.split_receiver();
                 // Helper thread ingests and forwards to the main thread.
                 let (tx, rx) = std::sync::mpsc::channel();
                 let helper = std::thread::spawn(move || {
@@ -531,6 +537,8 @@ mod tests {
                 });
                 let got = rx.recv().unwrap();
                 helper.join().unwrap();
+                // The send side stays; the receive side is gone.
+                assert_eq!(ctx.recv(), Err(SubstrateError::PeerExited { rank: 1 }));
                 got
             }
         });

@@ -29,9 +29,11 @@
 //! kill–resume determinism is untouched (cycle digests hash executor
 //! traces only, and replays from an older frontier are bit-identical).
 
+use crate::exec::run_cycle;
 use crate::exec::setup::AssimilationSetup;
+use crate::program::ModelVariant;
 use crate::report::ExecutionReport;
-use crate::{DEnkf, LEnkf, PEnkf, SEnkf};
+use crate::DEnkf;
 use enkf_ckpt::{fnv64, AsyncCheckpointer, CampaignCheckpoint, CheckpointStore, CkptError};
 use enkf_core::{inflated, EnkfError, Ensemble, LocalAnalysis, Result as CoreResult};
 use enkf_data::{write_ensemble, CycleConfig, CycleState, CycleStats, CycledExperiment};
@@ -74,15 +76,16 @@ pub enum CampaignExecutor {
 }
 
 impl CampaignExecutor {
-    /// Ranks the executor occupies; the supervisor traces as rank
-    /// `num_ranks()` so its spans never collide with an executor rank.
-    pub fn num_ranks(&self) -> usize {
+    /// The variant whose cycle program the executor runs — and the DES
+    /// prices. The D-EnKF kernel choice changes flops, not operation
+    /// structure, so one program (keyed by shard count alone) serves both
+    /// kernels.
+    pub fn variant(&self) -> ModelVariant {
         match *self {
-            CampaignExecutor::LEnkf { nsdx, nsdy } | CampaignExecutor::PEnkf { nsdx, nsdy } => {
-                nsdx * nsdy
-            }
-            CampaignExecutor::SEnkf(p) => p.c2() + p.ncg * p.nsdy,
-            CampaignExecutor::DEnkf { shards, .. } => shards,
+            CampaignExecutor::LEnkf { nsdx, nsdy } => ModelVariant::LEnkf { nsdx, nsdy },
+            CampaignExecutor::PEnkf { nsdx, nsdy } => ModelVariant::PEnkf { nsdx, nsdy },
+            CampaignExecutor::SEnkf(p) => ModelVariant::SEnkf(p),
+            CampaignExecutor::DEnkf { shards, .. } => ModelVariant::DEnkf { shards },
         }
     }
 
@@ -92,18 +95,12 @@ impl CampaignExecutor {
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> CoreResult<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        match *self {
-            CampaignExecutor::LEnkf { nsdx, nsdy } => {
-                LEnkf { nsdx, nsdy }.run_adaptive(setup, cfg, monitor)
-            }
-            CampaignExecutor::PEnkf { nsdx, nsdy } => {
-                PEnkf { nsdx, nsdy }.run_adaptive(setup, cfg, monitor)
-            }
-            CampaignExecutor::SEnkf(p) => SEnkf::new(p).run_adaptive(setup, cfg, monitor),
-            CampaignExecutor::DEnkf { shards, kernel } => {
-                DEnkf { shards, kernel }.run_adaptive(setup, cfg, monitor)
-            }
+        // D-EnKF's sends carry derived data and its analysis a kernel:
+        // it brings its own rank body. Everything else is a program.
+        if let CampaignExecutor::DEnkf { shards, kernel } = *self {
+            return DEnkf { shards, kernel }.run_adaptive(setup, cfg, monitor);
         }
+        run_cycle(setup, self.variant(), cfg, monitor)
     }
 }
 
@@ -392,7 +389,10 @@ pub fn run_campaign_ctx(
 ) -> Result<CampaignReport, CampaignError> {
     let t0 = Instant::now();
     let fp = cfg.fingerprint(exec);
-    let mut sup = RankTracer::new(exec.num_ranks(), t0);
+    // The supervisor traces as the rank after the executor's last, so its
+    // spans never collide with an executor rank.
+    let (compute_ranks, io_ranks) = exec.variant().rank_counts();
+    let mut sup = RankTracer::new(compute_ranks + io_ranks, t0);
     sup.set_role(Role::Io);
 
     match ctx.ckpt_mode {
@@ -518,7 +518,13 @@ fn supervise(
         });
         match res {
             Ok(s) => {
-                let (report, cycle_trace) = cycle_out.expect("successful cycle produced a trace");
+                // `exp.run_cycle` succeeds only through the closure above,
+                // which stored the cycle's report and trace first.
+                let Some((report, cycle_trace)) = cycle_out else {
+                    return Err(CampaignError::Analysis(EnkfError::GeometryMismatch(
+                        "a cycle completed without running the executor".into(),
+                    )));
+                };
                 stats.push(s);
                 digests.push(fnv64(cycle_trace.digest().as_bytes()));
                 trace.extend(cycle_trace.spans().iter().cloned());

@@ -29,7 +29,7 @@ use crate::program::{CycleOp, ModelVariant, Payload};
 use crate::report::ExecutionReport;
 use enkf_core::{batched_transform, BatchedKernel, Ensemble, Result};
 use enkf_data::region_to_matrix;
-use enkf_fault::{FaultConfig, FaultLog};
+use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
 use enkf_health::HealthMonitor;
 use enkf_linalg::Matrix;
 use enkf_pfs::RegionData;
@@ -47,51 +47,28 @@ pub struct DEnkf {
 }
 
 impl DEnkf {
-    /// Run the assimilation; returns the analysis ensemble and the phase
-    /// timings.
-    pub fn run(&self, setup: &AssimilationSetup<'_>) -> Result<(Ensemble, ExecutionReport)> {
-        self.run_traced(setup)
-            .map(|(analysis, report, _)| (analysis, report))
-    }
-
-    /// [`DEnkf::run`], additionally returning the execution trace: per rank
-    /// one read span per member bar (single-seek, full-width), one send
-    /// span per peer (the observation block) and one compute span (the
-    /// batched transform plus the shard update).
-    pub fn run_traced(
-        &self,
-        setup: &AssimilationSetup<'_>,
-    ) -> Result<(Ensemble, ExecutionReport, Trace)> {
-        self.run_faulted(setup, &FaultConfig::none())
-            .map(|(analysis, report, trace, _)| (analysis, report, trace))
-    }
-
-    /// [`DEnkf::run_traced`] under a fault plan. With `FaultConfig::none()`
-    /// this is behaviourally identical to `run_traced` (byte-identical
-    /// trace digests). Under a seeded plan, bar reads retry with backoff,
-    /// unrecoverable members are dropped when `cfg.degraded` is set (every
-    /// rank shrinks `S`/`D` to the survivors — the N−1 path), stragglers
-    /// dilate compute, message delays stall the exchange, and crashes or
-    /// message drops switch receives to a timeout surfacing
+    /// Run the assimilation under a fault plan and, optionally, online
+    /// health monitoring. The trace holds, per rank, one read span per
+    /// member bar (single-seek, full-width), one send span per peer (the
+    /// observation block) and one compute span (the batched transform plus
+    /// the shard update).
+    ///
+    /// Under a seeded plan, bar reads retry with backoff, unrecoverable
+    /// members are dropped when `cfg.degraded` is set (every rank shrinks
+    /// `S`/`D` to the survivors — the N−1 path), stragglers dilate compute,
+    /// message delays stall the exchange, and crashes or message drops
+    /// switch receives to a timeout surfacing
     /// [`enkf_fault::SubstrateError::RecvTimeout`]; a rank whose peers all
     /// exited gets the typed [`enkf_fault::SubstrateError::PeerExited`]
     /// instead of a channel panic.
-    pub fn run_faulted(
-        &self,
-        setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        self.run_adaptive(setup, cfg, None)
-    }
-
-    /// [`DEnkf::run_faulted`] with online health monitoring. Each shard
-    /// reads members whose OST is blacklisted last and every bar read
-    /// consults the monitor's frozen view, so a degraded OST triggers a
-    /// speculative duplicate read against its replica; bars are collected
-    /// keyed by member and re-assembled ascending, so the reorder never
-    /// reaches the numerics. Observed dilation ratios feed the monitor;
-    /// the caller folds them with [`HealthMonitor::end_cycle`]. With
-    /// `monitor: None` this is byte-identical to [`DEnkf::run_faulted`].
+    ///
+    /// With a monitor, each shard reads members whose OST is blacklisted
+    /// last and every bar read consults the monitor's frozen view, so a
+    /// degraded OST triggers a speculative duplicate read against its
+    /// replica; bars are collected keyed by member and re-assembled
+    /// ascending, so the reorder never reaches the numerics. Observed
+    /// dilation ratios feed the monitor; the caller folds them with
+    /// [`HealthMonitor::end_cycle`].
     pub fn run_adaptive(
         &self,
         setup: &AssimilationSetup<'_>,
@@ -102,7 +79,7 @@ impl DEnkf {
             shards: self.shards,
         };
         let kernel = self.kernel;
-        Cycle::run(setup, variant, cfg, monitor, |cycle, mut ctx, tracer| {
+        Cycle::run(setup, &variant, cfg, monitor, |cycle, mut ctx, tracer| {
             let rank = ctx.rank();
             cycle.check_crash(rank)?;
             let size = ctx.size();
@@ -149,8 +126,17 @@ impl DEnkf {
                 obs = obs.select_members(&cycle.alive);
             }
             let global_rows = setup.observations.operator().network().indices_in(&bar);
-            debug_assert_eq!(global_rows.len(), obs.len());
             let m_loc = obs.len();
+            if global_rows.len() != m_loc {
+                return Err(SubstrateError::HelperFailed {
+                    rank,
+                    detail: format!(
+                        "bar {bar:?} localizes {m_loc} observations but indexes {}",
+                        global_rows.len()
+                    ),
+                }
+                .into());
+            }
 
             // S_loc = H_loc Xᵇ − row means, D_loc = Yˢ_loc − H_loc Xᵇ.
             // Row means only mix within a row, so both are shard-local.
@@ -229,6 +215,8 @@ impl DEnkf {
         })
     }
 }
+
+ladder!(DEnkf);
 
 /// Copy one shard's rows of `S` and `D` to their global row indices.
 fn place_rows(s_glob: &mut Matrix, d_glob: &mut Matrix, rows: &[usize], s: &Matrix, d: &Matrix) {

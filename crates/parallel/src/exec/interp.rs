@@ -1,0 +1,577 @@
+//! The threaded interpreter of member-block cycle programs.
+//!
+//! One rank body for every program over `Read`, `Send(Payload::Blocks)`,
+//! `Await` and `Compute` — the semantics are [`crate::program`]'s module
+//! docs. What this file adds is the thread structure the ops' stages allow:
+//!
+//! * every run of staged `Read`s goes through the one-stage read-ahead
+//!   pipeline: a prefetch thread reads the next run while this thread
+//!   executes the ops that follow the current one (Fig. 7, I/O side);
+//! * the bundles of staged `Await`s are received by a helper thread that
+//!   assembles each stage's `X̄ᵇ` while this thread analyzes an earlier
+//!   stage (Fig. 8);
+//! * unstaged ops run in program order on this thread alone (Fig. 4).
+
+use crate::exec::{foreign_msg, next_msg, Cycle, Msg, RankOut};
+use crate::program::{CycleOp, Payload};
+use enkf_core::{EnkfError, Result};
+use enkf_data::gather_surface_into;
+use enkf_fault::SubstrateError;
+use enkf_grid::RegionRect;
+use enkf_linalg::Matrix;
+use enkf_net::RankCtx;
+use enkf_pfs::{read_stages_ahead_adaptive, ReadAheadError, RegionData, StageRead};
+use enkf_trace::{RankTracer, Role};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+use std::sync::mpsc;
+
+/// What the helper thread tells its rank: stage `.0` is complete — `.1` is
+/// its `X̄ᵇ` with the `.2` member columns the stage's bundles carried — or
+/// the typed error that ended ingestion (an aborting peer with its reason,
+/// a receive timeout, exited peers, a bundle that fits no stage).
+type Handover = std::result::Result<(usize, Matrix, usize), SubstrateError>;
+
+/// The helper thread of a rank with staged `Await`s (Fig. 8): receive the
+/// `sends` bundles of every stage in `stages` (with its `X̄ᵇ` region),
+/// gather each bundle into the stage's matrix — one row-tiled pass per
+/// bundle, columns placed by member — and hand a stage over as soon as its
+/// last bundle is in.
+fn ingest(
+    mut inbox: RankCtx<Msg>,
+    tx: &mpsc::Sender<Handover>,
+    stages: &BTreeMap<usize, (usize, Option<RegionRect>)>,
+    alive: &[usize],
+    timeout: Option<f64>,
+) -> std::result::Result<(), SubstrateError> {
+    let rank = inbox.rank();
+    let misfit = |detail: &str| SubstrateError::HelperFailed {
+        rank,
+        detail: format!("received a bundle {detail}"),
+    };
+    let mut open: BTreeMap<usize, (Matrix, usize, usize)> = BTreeMap::new();
+    for _ in 0..stages.values().map(|&(sends, _)| sends).sum() {
+        let Msg::Blocks {
+            stage: Some(l),
+            members,
+            data,
+        } = next_msg(&mut inbox, timeout)?
+        else {
+            return Err(misfit("no staged Await expects"));
+        };
+        let Some(&(sends, Some(region))) = stages.get(&l) else {
+            return Err(misfit("of a stage the rank does not await and compute"));
+        };
+        let cols: Option<Vec<usize>> = members
+            .iter()
+            .map(|k| alive.binary_search(k).ok())
+            .collect();
+        let cols = cols
+            .filter(|cols| cols.len() == data.len() && data.iter().all(|b| b.region() == region))
+            .ok_or_else(|| misfit("that does not fit its stage"))?;
+        let (xb, pending, filled) = open
+            .entry(l)
+            .or_insert_with(|| (Matrix::zeros(region.npoints(), alive.len()), sends, 0));
+        gather_surface_into(xb, &cols, &data);
+        *pending = pending.saturating_sub(1);
+        *filled += cols.len();
+        if *pending == 0 {
+            if let Some((xb, _, filled)) = open.remove(&l) {
+                if tx.send(Ok((l, xb, filled))).is_err() {
+                    break; // the rank bailed out
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What a rank's ops mutate.
+struct Held {
+    ctx: RankCtx<Msg>,
+    /// The block table: per stage, the `(member, block)`s acquired for it,
+    /// in acquisition order.
+    blocks: BTreeMap<Option<usize>, Vec<(usize, RegionData)>>,
+    /// Stages the helper handed over, until their `Compute` takes them.
+    ready: BTreeMap<usize, (Matrix, usize)>,
+    /// The rank's straggler dilation, drawn at its first `Compute`.
+    dilation: Option<f64>,
+    analyzed: Vec<(RegionRect, Matrix)>,
+}
+
+/// Execute `ctx.rank()`'s ops of `cycle`'s program.
+pub(crate) fn run_rank(
+    cycle: &Cycle<'_>,
+    mut ctx: RankCtx<Msg>,
+    tracer: &mut RankTracer,
+) -> RankOut {
+    let rank = ctx.rank();
+    if rank >= cycle.compute_ranks {
+        tracer.set_role(Role::Io);
+    }
+    let (store, alive) = (cycle.setup.store, &cycle.alive);
+    let layout = store.layout();
+    let failed =
+        |detail: String| -> EnkfError { SubstrateError::HelperFailed { rank, detail }.into() };
+
+    // A planned crash kills the rank as it reaches the first op at or past
+    // its crash stage (an unstaged op is past every stage): it executes
+    // the ops before that one, then stops responding — peers must time out.
+    let mut ops = cycle.ops(rank);
+    if let Some(crash) = cycle.injector.crash_stage(rank) {
+        let dies_at = ops
+            .iter()
+            .position(|op| op.stage().is_none_or(|l| l >= crash));
+        ops = &ops[..dies_at.unwrap_or(ops.len())];
+    }
+
+    // One pass over the ops for what must be known up front: the peers to
+    // unblock on failure, where each stage's blocks can be released, what
+    // the helper thread will receive, and the read-ahead plan — each run of
+    // staged `Read`s of one region, with the ops it covers.
+    let mut peers = BTreeSet::new();
+    let mut last_use = BTreeMap::new();
+    let mut awaited: BTreeMap<usize, (usize, Option<RegionRect>)> = BTreeMap::new();
+    let mut plan: Vec<StageRead> = Vec::new();
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for (i, &op) in ops.iter().enumerate() {
+        match op {
+            CycleOp::Read {
+                stage: Some(stage),
+                member,
+                region,
+            } => match (plan.last_mut(), runs.last_mut()) {
+                (Some(sr), Some(run))
+                    if run.end == i && sr.stage == stage && sr.region == region =>
+                {
+                    sr.members.push(member);
+                    run.end = i + 1;
+                }
+                _ => {
+                    let members = vec![member];
+                    plan.push(StageRead {
+                        stage,
+                        region,
+                        members,
+                    });
+                    runs.push(i..i + 1);
+                }
+            },
+            CycleOp::Send { stage, to, .. } => {
+                peers.insert(to);
+                last_use.insert(stage, i);
+            }
+            CycleOp::Await {
+                stage: Some(l),
+                sends,
+            } => awaited.entry(l).or_default().0 += sends,
+            CycleOp::Compute {
+                stage, expansion, ..
+            } => {
+                last_use.insert(stage, i);
+                if let Some(entry) = stage.and_then(|l| awaited.get_mut(&l)) {
+                    entry.1 = Some(expansion);
+                }
+            }
+            CycleOp::Read { .. } | CycleOp::Await { .. } => {}
+        }
+    }
+
+    // The helper thread owns the receive side from here on. It is joined
+    // on success; a failing rank leaves it to end at its next message,
+    // timeout or disconnect.
+    let helper = (!awaited.is_empty()).then(|| {
+        let (inbox, alive, timeout) = (ctx.split_receiver(), alive.clone(), cycle.timeout);
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            if let Err(e) = ingest(inbox, &tx, &awaited, &alive, timeout) {
+                let _ = tx.send(Err(e));
+            }
+        });
+        (rx, handle)
+    });
+
+    // Execute op `i`.
+    let step = |held: &mut Held, tracer: &mut RankTracer, i: usize| -> Result<()> {
+        let op = ops[i];
+        let foreign = || cycle.foreign_op(rank, op);
+        match op {
+            CycleOp::Read {
+                stage,
+                member,
+                region,
+            } => {
+                if let Some(block) = cycle.read(tracer, stage, member, &region)? {
+                    held.blocks.entry(stage).or_default().push((member, block));
+                }
+            }
+            CycleOp::Send {
+                stage,
+                to,
+                payload: payload @ Payload::Blocks { region, members },
+            } => {
+                let acquired = held.blocks.get(&stage).map_or(&[][..], Vec::as_slice);
+                let bundle = acquired
+                    .len()
+                    .checked_sub(members)
+                    .map(|from| &acquired[from..])
+                    .filter(|b| {
+                        b.iter()
+                            .all(|(_, block)| block.region().contains_rect(&region))
+                    })
+                    .ok_or_else(foreign)?;
+                // Extraction is O(1) per member: each block is a view
+                // sharing its source's allocation.
+                let bytes = payload.bytes(&layout);
+                cycle.send(tracer, &held.ctx, stage, to, bytes, || Msg::Blocks {
+                    stage,
+                    members: bundle.iter().map(|&(k, _)| k).collect(),
+                    data: bundle.iter().map(|(_, b)| b.extract(&region)).collect(),
+                });
+            }
+            CycleOp::Await { stage: None, sends } => {
+                let blocks = &mut held.blocks;
+                cycle.receive(tracer, &mut held.ctx, None, sends, |msg| match msg {
+                    Msg::Blocks {
+                        stage,
+                        members,
+                        data,
+                    } => {
+                        let acquired = blocks.entry(stage).or_default();
+                        acquired.extend(members.into_iter().zip(data));
+                        Ok(())
+                    }
+                    _ => Err(foreign_msg(rank)),
+                })?
+            }
+            CycleOp::Await { stage: Some(l), .. } => {
+                let (rx, _) = helper.as_ref().ok_or_else(foreign)?;
+                while !held.ready.contains_key(&l) {
+                    let (done, xb, filled) = tracer
+                        .wait(Some(l), || rx.recv())
+                        .map_err(|_| failed("helper thread terminated early".into()))??;
+                    held.ready.insert(done, (xb, filled));
+                }
+            }
+            CycleOp::Compute {
+                stage,
+                target,
+                expansion,
+                ..
+            } => {
+                let (xb, filled) = stage.and_then(|l| held.ready.remove(&l)).unzip();
+                let acquired = held.blocks.get(&stage).map_or(&[][..], Vec::as_slice);
+                // Typed, not a panic: a protocol violation (a missing,
+                // shadowed or foreign block) must tear this rank down
+                // cleanly, like every other substrate failure.
+                let have = filled.unwrap_or(0) + acquired.len();
+                if have != alive.len() {
+                    let n = alive.len();
+                    return Err(failed(format!(
+                        "stage {stage:?} holds {have} of {n} member blocks"
+                    )));
+                }
+                let placed: Option<Vec<(usize, RegionData)>> = acquired
+                    .iter()
+                    .map(|(k, block)| {
+                        let col = alive.binary_search(k).ok()?;
+                        let covers = block.region().contains_rect(&expansion);
+                        covers.then(|| (col, block.extract(&expansion)))
+                    })
+                    .collect();
+                let (cols, views): (Vec<_>, Vec<_>) =
+                    placed.ok_or_else(foreign)?.into_iter().unzip();
+                let dilation = *held.dilation.get_or_insert_with(|| cycle.dilation(rank));
+                let setup = cycle.setup;
+                let xa = cycle.compute(tracer, stage, dilation, || {
+                    // One row-tiled pass over every block this rank holds;
+                    // the helper gathered the received ones per bundle.
+                    let mut xb =
+                        xb.unwrap_or_else(|| Matrix::zeros(expansion.npoints(), alive.len()));
+                    gather_surface_into(&mut xb, &cols, &views);
+                    let mut obs = setup.observations.localize(&expansion);
+                    if !cycle.dropped.is_empty() {
+                        obs = obs.select_members(alive);
+                    }
+                    let analysis = &setup.analysis;
+                    analysis.analyze(setup.mesh(), &target, &expansion, &xb, &obs)
+                })?;
+                held.analyzed.push((target, xa));
+            }
+            CycleOp::Send { .. } => return Err(foreign()),
+        }
+        if last_use.get(&op.stage()) == Some(&i) {
+            held.blocks.remove(&op.stage());
+        }
+        Ok(())
+    };
+
+    // Drive: the ops before the first read-ahead run, then each run through
+    // the pipeline — its blocks enter the table and the ops up to the next
+    // run execute while the prefetch thread reads that one.
+    let mut held = Held {
+        ctx,
+        blocks: BTreeMap::new(),
+        ready: BTreeMap::new(),
+        dilation: None,
+        analyzed: Vec::new(),
+    };
+    let run = |held: &mut Held, tracer: &mut RankTracer, ops: Range<usize>| {
+        ops.into_iter().try_for_each(|i| step(held, tracer, i))
+    };
+    let first = runs.first().map_or(ops.len(), |r| r.start);
+    let mut next_run = 0;
+    let done = run(&mut held, tracer, 0..first).and_then(|()| {
+        read_stages_ahead_adaptive(
+            store,
+            &cycle.injector,
+            tracer,
+            &plan,
+            &cycle.dropped,
+            cycle.monitor,
+            |sr, datas, tracer| {
+                // The pipeline delivers the run's surviving members, in
+                // plan order.
+                let members = sr.members.iter().filter(|k| !cycle.dropped.contains(k));
+                let acquired = held.blocks.entry(Some(sr.stage)).or_default();
+                acquired.extend(members.copied().zip(datas));
+                let after = runs[next_run].end;
+                next_run += 1;
+                let until = runs.get(next_run).map_or(ops.len(), |r| r.start);
+                run(&mut held, tracer, after..until)
+            },
+        )
+        .map_err(|e| match e {
+            ReadAheadError::Read { error, .. } => error.into(),
+            ReadAheadError::Consume(e) => e,
+            // Contained prefetch-thread panic: a typed substrate error
+            // instead of tearing down the executor.
+            ReadAheadError::ReaderPanicked { message } => {
+                failed(format!("prefetch thread panicked: {message}"))
+            }
+        })
+    });
+    if let Err(e) = done {
+        // Unblock every peer counting on this rank's messages before
+        // bailing out.
+        cycle.abort(&held.ctx, peers, &e.to_string());
+        return Err(e);
+    }
+    cycle.check_crash(rank)?;
+    if helper.is_some_and(|(_, handle)| handle.join().is_err()) {
+        return Err(failed("helper thread panicked".into()));
+    }
+    Ok(held.analyzed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run_rank;
+    use crate::exec::setup::AssimilationSetup;
+    use crate::exec::Cycle;
+    use crate::model::{price_cycle, ModelConfig};
+    use crate::program::{CycleOp, Emitter, Geometry, Payload};
+    use crate::PEnkf;
+    use enkf_core::{serial_enkf, LocalAnalysis};
+    use enkf_data::{write_ensemble, ScenarioBuilder};
+    use enkf_fault::FaultConfig;
+    use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh, RegionRect};
+    use enkf_pfs::{FileStore, ScratchDir};
+    use enkf_trace::{Op, Role, Span, Trace};
+    use enkf_tuning::Workload;
+
+    /// The fifth program — one no executor file knows. Every rank owns a
+    /// sub-domain analyzed in `LAYERS` stages; ranks 0 and 1 are also the
+    /// *readers*: per stage, reader `r` reads its half of the members (whole
+    /// files, for simplicity) and scatters every other rank its layer
+    /// expansion of them, bundled. So a reader mixes staged `Read`s, `Send`s,
+    /// `Await`s (one bundle, from the other reader) and `Compute`s whose
+    /// `X̄ᵇ` is half read, half received; the other ranks await two bundles
+    /// per stage. Ignores the dropout set (the test runs fault-free).
+    struct TwoReaders {
+        nsdx: usize,
+        nsdy: usize,
+    }
+    const LAYERS: usize = 2;
+
+    impl TwoReaders {
+        fn decomp(&self, mesh: Mesh, members: usize) -> Result<Decomposition, String> {
+            let decomp =
+                Decomposition::new(mesh, self.nsdx, self.nsdy).map_err(|e| e.to_string())?;
+            decomp.check_layers(LAYERS).map_err(|e| e.to_string())?;
+            if decomp.num_subdomains() < 2 || !members.is_multiple_of(2) {
+                return Err("two readers need two ranks and an even ensemble".into());
+            }
+            Ok(decomp)
+        }
+    }
+
+    impl Emitter for TwoReaders {
+        fn name(&self) -> &'static str {
+            "two-readers"
+        }
+
+        fn layers(&self) -> usize {
+            LAYERS
+        }
+
+        fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String> {
+            Ok((self.decomp(mesh, members)?.num_subdomains(), 0))
+        }
+
+        fn emit(
+            &self,
+            geo: &Geometry<'_>,
+            sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+        ) -> Result<(), String> {
+            let decomp = self.decomp(geo.layout.mesh(), geo.members)?;
+            let half = geo.members / 2;
+            for reader in 0..2 {
+                for l in 0..LAYERS {
+                    let stage = Some(l);
+                    for member in reader * half..(reader + 1) * half {
+                        let region = RegionRect::full(decomp.mesh());
+                        sink(
+                            reader,
+                            CycleOp::Read {
+                                stage,
+                                member,
+                                region,
+                            },
+                        )?;
+                    }
+                    for (to, id) in decomp.iter_ids().enumerate() {
+                        if to != reader {
+                            let payload = Payload::Blocks {
+                                region: decomp.layer_expansion(id, l, LAYERS, geo.radius),
+                                members: half,
+                            };
+                            sink(reader, CycleOp::Send { stage, to, payload })?;
+                        }
+                    }
+                }
+            }
+            for (rank, id) in decomp.iter_ids().enumerate() {
+                for l in 0..LAYERS {
+                    let stage = Some(l);
+                    let sends = if rank < 2 { 1 } else { 2 };
+                    sink(rank, CycleOp::Await { stage, sends })?;
+                    let target = decomp.layer(id, l, LAYERS);
+                    sink(
+                        rank,
+                        CycleOp::Compute {
+                            stage,
+                            target,
+                            expansion: decomp.layer_expansion(id, l, LAYERS, geo.radius),
+                            work: target.npoints(),
+                        },
+                    )?;
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// The operation digest of a program alone: every `Read`, `Send` and
+    /// `Compute` as the span both interpreters record for it.
+    fn projected_digest(program: &impl Emitter, geo: &Geometry<'_>) -> String {
+        let mut trace = Trace::new("program");
+        program
+            .emit(geo, &mut |rank, op| {
+                let (layout, stage) = (&geo.layout, op.stage());
+                let (op, bytes, seeks, peer, member) = match op {
+                    CycleOp::Read { member, region, .. } => (
+                        Op::Read,
+                        layout.region_bytes(&region),
+                        layout.seek_count(&region) as u64,
+                        None,
+                        Some(member),
+                    ),
+                    CycleOp::Send { to, payload, .. } => {
+                        (Op::Send, payload.bytes(layout), 0, Some(to), None)
+                    }
+                    CycleOp::Compute { .. } => (Op::Compute, 0, 0, None, None),
+                    CycleOp::Await { .. } => return Ok(()),
+                };
+                trace.push(Span {
+                    rank,
+                    role: Role::Compute,
+                    stage,
+                    op,
+                    start: 0.0,
+                    dur: 0.0,
+                    bytes,
+                    seeks,
+                    peer,
+                    member,
+                    res: None,
+                    tenant: None,
+                    job: None,
+                });
+                Ok(())
+            })
+            .unwrap();
+        trace.digest()
+    }
+
+    /// An emitter that is not balanced *hangs* the threaded interpreter
+    /// (that is the property `programs_are_balanced_and_cover_the_mesh`
+    /// guards): when changing [`TwoReaders`], run this test under `timeout`.
+    #[test]
+    fn a_fifth_program_runs_through_both_interpreters() {
+        let (mesh, members) = (Mesh::new(12, 8), 6);
+        let radius = LocalizationRadius { xi: 2, eta: 1 };
+        let scenario = ScenarioBuilder::new(mesh).members(members).seed(18).build();
+        let scratch = ScratchDir::new("fifth-program").unwrap();
+        let layout = FileLayout::new(mesh, 8);
+        let store = FileStore::open(scratch.path(), layout).unwrap();
+        write_ensemble(&store, &scenario.ensemble).unwrap();
+        let setup = AssimilationSetup {
+            store: &store,
+            members,
+            observations: &scenario.observations,
+            analysis: LocalAnalysis::new(radius),
+        };
+        let program = TwoReaders { nsdx: 3, nsdy: 2 };
+        let none = FaultConfig::none();
+
+        let (analysis, report, real, _) =
+            Cycle::run(&setup, &program, &none, None, run_rank).unwrap();
+        assert_eq!((report.num_compute_ranks, report.num_io_ranks), (6, 0));
+        assert!(report.compute_ranks.read > 0.0 && report.compute_ranks.comm > 0.0);
+        // (a) the serial point-wise reference, (b) P-EnKF on the same mesh:
+        // the analysis does not depend on who read what or in how many stages.
+        let reference = serial_enkf(&scenario.ensemble, &scenario.observations, radius).unwrap();
+        assert!(analysis.states().approx_eq(reference.states(), 1e-12));
+        let (penkf, _) = PEnkf { nsdx: 3, nsdy: 2 }.run(&setup).unwrap();
+        assert!(analysis.states().approx_eq(penkf.states(), 1e-12));
+
+        // (c) what the threaded interpreter traced is what the pricer traced
+        // is what the program says.
+        let cfg = ModelConfig {
+            workload: Workload {
+                nx: mesh.nx(),
+                ny: mesh.ny(),
+                members,
+                h: 8,
+                xi: radius.xi,
+                eta: radius.eta,
+            },
+            ..ModelConfig::paper()
+        };
+        let (outcome, model, _) =
+            price_cycle(&cfg, &program, None, Default::default(), &none, None).unwrap();
+        assert_eq!(outcome.num_compute_ranks, 6);
+        let geo = Geometry {
+            layout,
+            members,
+            radius,
+            dropped: &[],
+            view: None,
+            network: None,
+        };
+        let projected = projected_digest(&program, &geo);
+        assert_eq!(projected, real.digest(), "real trace");
+        assert_eq!(projected, model.digest(), "model trace");
+    }
+}

@@ -1,20 +1,22 @@
-//! L-EnKF: the single-reader baseline (real executor).
+//! L-EnKF: the single-reader baseline.
 //!
 //! Rank 0 reads the member files one after another and scatters each rank's
 //! expansion block over the network (§3.1, §6: "a single reader processor
 //! communicates the data to the other processors, which can not make full
 //! use of parallel file systems"). Every rank then runs the same local
-//! analysis as the other variants.
+//! analysis as the other variants. All of that is the
+//! [`ModelVariant::LEnkf`] program: its ops are unstaged, so [`run_cycle`]
+//! executes them strictly in order. In the trace rank 0 has one full-file
+//! read span per member plus one send span per (member, peer) scatter, and
+//! every other rank one wait span for its blocked receives.
 
+use crate::exec::run_cycle;
 use crate::exec::setup::AssimilationSetup;
-use crate::exec::{foreign_msg, Cycle, Msg};
-use crate::program::{CycleOp, ModelVariant, Payload};
+use crate::program::ModelVariant;
 use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
-use enkf_data::region_to_matrix;
-use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
+use enkf_fault::{FaultConfig, FaultLog};
 use enkf_health::HealthMonitor;
-use enkf_pfs::RegionData;
 use enkf_trace::Trace;
 
 /// The L-EnKF variant: `n_sdx × n_sdy` ranks, rank 0 is the only reader.
@@ -27,152 +29,19 @@ pub struct LEnkf {
 }
 
 impl LEnkf {
-    /// Run the assimilation; returns the analysis ensemble and the phase
-    /// timings.
-    pub fn run(&self, setup: &AssimilationSetup<'_>) -> Result<(Ensemble, ExecutionReport)> {
-        self.run_traced(setup)
-            .map(|(analysis, report, _)| (analysis, report))
-    }
-
-    /// [`LEnkf::run`], additionally returning the execution trace: rank 0
-    /// emits one full-file read span per member plus one send span per
-    /// (member, peer) scatter; every other rank emits wait spans for the
-    /// blocked receives. The report is the per-rank projection of the spans.
-    pub fn run_traced(
-        &self,
-        setup: &AssimilationSetup<'_>,
-    ) -> Result<(Ensemble, ExecutionReport, Trace)> {
-        self.run_faulted(setup, &FaultConfig::none())
-            .map(|(analysis, report, trace, _)| (analysis, report, trace))
-    }
-
-    /// [`LEnkf::run_traced`] under a fault plan. With `FaultConfig::none()`
-    /// this is behaviourally identical to `run_traced`. Under a seeded
-    /// plan, rank 0's reads retry with backoff, unrecoverable members are
-    /// dropped in degraded mode (peers then expect one bundle fewer),
-    /// scheduled message delays stall the scatter sends, and crashes or
-    /// message drops make peers receive with a timeout so they surface a
-    /// typed error instead of hanging.
-    pub fn run_faulted(
-        &self,
-        setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        self.run_adaptive(setup, cfg, None)
-    }
-
-    /// [`LEnkf::run_faulted`] with online health monitoring. Rank 0 (the
-    /// only reader) reads members whose OST is blacklisted last and every
-    /// read consults the monitor's frozen view, so a degraded OST triggers
-    /// a speculative duplicate against its replica. Receivers key incoming
-    /// blocks by member index, so the reorder never changes the analysis
-    /// input. Observed dilation ratios feed the monitor; the caller folds
-    /// them with [`HealthMonitor::end_cycle`]. With `monitor: None` this is
-    /// byte-identical to [`LEnkf::run_faulted`].
+    /// [`run_cycle`] on the L-EnKF program: the assimilation under a fault
+    /// plan and, optionally, online health monitoring.
     pub fn run_adaptive(
         &self,
         setup: &AssimilationSetup<'_>,
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        let variant = ModelVariant::LEnkf {
-            nsdx: self.nsdx,
-            nsdy: self.nsdy,
-        };
-        Cycle::run(setup, variant, cfg, monitor, |cycle, mut ctx, tracer| {
-            let rank = ctx.rank();
-            cycle.check_crash(rank)?;
-            let layout = setup.store.layout();
-            let Some(own) = cycle.ops(rank).iter().find_map(|op| match *op {
-                CycleOp::Compute { expansion, .. } => Some(expansion),
-                _ => None,
-            }) else {
-                return Ok(Vec::new());
-            };
-            // This rank's expansion block of every member, keyed by member:
-            // carved out of the file it just read (rank 0) or received.
-            let mut blocks: Vec<Option<RegionData>> = vec![None; setup.members];
-            // The member file the reader currently holds.
-            let mut held: Option<(usize, RegionData)> = None;
-            let mut analyzed = Vec::new();
-            for &op in cycle.ops(rank) {
-                match op {
-                    CycleOp::Read {
-                        stage,
-                        member,
-                        region,
-                    } => match cycle.read(tracer, stage, member, &region) {
-                        Ok(file) => {
-                            held = file.map(|full| {
-                                blocks[member] = Some(full.extract(&own));
-                                (member, full)
-                            })
-                        }
-                        Err(e) => {
-                            cycle.abort(&ctx, 1..ctx.size(), &format!("read failed: {e}"));
-                            return Err(e.into());
-                        }
-                    },
-                    CycleOp::Send {
-                        stage,
-                        to,
-                        payload: payload @ Payload::Blocks { region, .. },
-                    } => {
-                        let Some((member, full)) = &held else {
-                            return Err(cycle.foreign_op(rank, op));
-                        };
-                        cycle.send(tracer, &ctx, stage, to, payload.bytes(&layout), || {
-                            Msg::Blocks {
-                                stage: 0,
-                                members: vec![*member],
-                                data: vec![full.extract(&region)],
-                            }
-                        })
-                    }
-                    CycleOp::Await { stage, sends } => {
-                        cycle.receive(tracer, &mut ctx, stage, sends, |msg| match msg {
-                            Msg::Blocks {
-                                members, mut data, ..
-                            } => {
-                                blocks[members[0]] = Some(data.remove(0));
-                                Ok(())
-                            }
-                            _ => Err(foreign_msg(rank)),
-                        })?
-                    }
-                    CycleOp::Compute {
-                        stage,
-                        target,
-                        expansion,
-                        ..
-                    } => {
-                        // Typed, not a panic: a protocol violation (a
-                        // duplicate block shadowing another member within
-                        // the counted receive) must tear this rank down
-                        // cleanly, like every other substrate failure.
-                        let mut per_member = Vec::with_capacity(cycle.alive.len());
-                        for &k in &cycle.alive {
-                            per_member.push(blocks[k].take().ok_or_else(|| {
-                                SubstrateError::HelperFailed {
-                                    rank,
-                                    detail: format!("member {k} block missing after scatter"),
-                                }
-                            })?);
-                        }
-                        let dilation = cycle.dilation(rank);
-                        let xa =
-                            cycle.analyze(tracer, stage, dilation, &target, &expansion, || {
-                                region_to_matrix(&expansion, &per_member)
-                            })?;
-                        analyzed.push((target, xa));
-                    }
-                    op => return Err(cycle.foreign_op(rank, op)),
-                }
-            }
-            Ok(analyzed)
-        })
+        let (nsdx, nsdy) = (self.nsdx, self.nsdy);
+        run_cycle(setup, ModelVariant::LEnkf { nsdx, nsdy }, cfg, monitor)
     }
 }
+ladder!(LEnkf);
 
 #[cfg(test)]
 mod tests {

@@ -1,22 +1,82 @@
-//! Real (threaded) executors for the four parallel EnKF variants.
+//! The threaded backend: one interpreter of cycle programs.
 //!
-//! Each executor is an interpreter of its variant's cycle program
-//! ([`crate::program`]): `Cycle::run` emits the program once, hands every
-//! rank thread its own ops, and folds the rank results into the analysis
-//! and the report. The ops are a rank's only source of regions, peers,
-//! bundle sizes, member order and expected-message counts; what the
-//! executor files add is the thread structure the program cannot express —
-//! the read-ahead pipeline, the Fig. 8 helper thread, the abort protocol,
-//! receive timeouts and the typed error paths.
+//! `Cycle::run` is the prologue and epilogue every cycle shares: it
+//! validates, resolves the fault plan, emits the program
+//! ([`crate::program`]) once, hands every rank thread its own ops, and
+//! folds the rank results into the analysis, the trace and the report.
+//! Between the two runs a *rank body*:
+//!
+//! * [`run_cycle`] runs the one interpreter (`interp`) of member-block
+//!   programs — any balanced mix of `Read`, `Send(Payload::Blocks)`,
+//!   `Await` and `Compute`. It keeps the rank's block table, and derives
+//!   the thread structure from the ops' stages alone: staged `Read`s go
+//!   through the read-ahead pipeline, staged `Await`s to a Fig. 8 helper
+//!   thread, unstaged ops run in program order. L-, P- and S-EnKF
+//!   ([`lenkf`], [`penkf`], [`senkf`]) are nothing but programs to it.
+//! * [`denkf`] brings its own body: its `Send`s carry observation-space
+//!   data *derived* from the blocks, which no block table can supply.
+//!
+//! The ops are a rank's only source of regions, peers, bundle sizes,
+//! member order and expected-message counts. Every body shares `Cycle`'s
+//! steps for the rest: the planned-crash check, resilient reads, delayed
+//! and dropped sends, the abort protocol, receive timeouts, straggler
+//! dilation and the typed error paths.
+
+/// The executor ladder the frozen `perf/` harness calls, stamped on a
+/// struct beside its `run_adaptive` (whose signature needs the same names
+/// in scope): each rung fills in one more default. DESIGN.md lists these
+/// names as kept only for the harness.
+macro_rules! ladder {
+    ($executor:ident) => {
+        impl $executor {
+            /// Run the assimilation; returns the analysis ensemble and the
+            /// phase timings (compute and I/O ranks reported separately).
+            pub fn run(
+                &self,
+                setup: &AssimilationSetup<'_>,
+            ) -> Result<(Ensemble, ExecutionReport)> {
+                self.run_traced(setup)
+                    .map(|(analysis, report, _)| (analysis, report))
+            }
+
+            /// [`Self::run`], additionally returning the execution trace:
+            /// one span per `Read`, `Send` and `Compute` op of the program
+            /// (bytes and seeks from the file layout, matching what the DES
+            /// charges) plus the wait spans of blocked receives. The
+            /// report's phases are projections of these spans.
+            pub fn run_traced(
+                &self,
+                setup: &AssimilationSetup<'_>,
+            ) -> Result<(Ensemble, ExecutionReport, Trace)> {
+                self.run_faulted(setup, &FaultConfig::none())
+                    .map(|(analysis, report, trace, _)| (analysis, report, trace))
+            }
+
+            /// [`Self::run_traced`] under a fault plan, additionally
+            /// returning the log of every injected fault; with
+            /// `FaultConfig::none()` the two are behaviourally identical
+            /// (byte-identical trace digests). `Self::run_adaptive`
+            /// without a monitor.
+            pub fn run_faulted(
+                &self,
+                setup: &AssimilationSetup<'_>,
+                cfg: &FaultConfig,
+            ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
+                self.run_adaptive(setup, cfg, None)
+            }
+        }
+    };
+}
 
 pub mod denkf;
+mod interp;
 pub mod lenkf;
 pub mod penkf;
 pub mod senkf;
 pub mod setup;
 pub mod writeback;
 
-use crate::program::{CycleOp, Geometry, ModelVariant};
+use crate::program::{CycleOp, Emitter, Geometry, ModelVariant};
 use crate::report::{ExecutionReport, PhaseBreakdown};
 use enkf_core::{EnkfError, Ensemble, Result};
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog, SubstrateError};
@@ -36,8 +96,9 @@ pub(crate) enum Msg {
     /// Blocks of several members covering one region, for one stage of the
     /// multi-stage workflow.
     Blocks {
-        /// Multi-stage index (`l`), 0-based.
-        stage: usize,
+        /// Multi-stage index (`l`), 0-based; `None` outside the multi-stage
+        /// workflow.
+        stage: Option<usize>,
         /// Global member indices, parallel to `data`.
         members: Vec<usize>,
         /// One region payload per member.
@@ -107,6 +168,29 @@ pub(crate) fn compute_dilation(
     dilation
 }
 
+/// Receive `ctx`'s next message. With a `timeout` (the plan crashes ranks
+/// or drops messages) the receive gives up into
+/// [`SubstrateError::RecvTimeout`] instead of hanging; a peer's
+/// [`Msg::Abort`] becomes [`SubstrateError::PeerAborted`], and a receive
+/// nobody can feed any more [`SubstrateError::PeerExited`].
+pub(crate) fn next_msg(
+    ctx: &mut RankCtx<Msg>,
+    timeout: Option<f64>,
+) -> std::result::Result<Msg, SubstrateError> {
+    let envelope = match timeout {
+        Some(seconds) => ctx.recv_timeout(seconds)?,
+        None => ctx.recv()?,
+    };
+    match envelope.payload {
+        Msg::Abort { reason } => Err(SubstrateError::PeerAborted {
+            rank: ctx.rank(),
+            peer: envelope.from,
+            reason,
+        }),
+        msg => Ok(msg),
+    }
+}
+
 /// The typed error of a message the receiving variant's protocol does not
 /// contain.
 pub(crate) fn foreign_msg(rank: usize) -> EnkfError {
@@ -115,6 +199,36 @@ pub(crate) fn foreign_msg(rank: usize) -> EnkfError {
         detail: "received a message of another variant's protocol".into(),
     }
     .into()
+}
+
+/// Run one assimilation cycle of `variant` on the threaded backend: emit
+/// its program and execute it with the one interpreter of member-block
+/// programs (see the module docs). Returns the analysis ensemble (columns
+/// are the surviving members), the per-class phase report — a projection
+/// of the trace's spans — the trace, and the log of every injected fault.
+///
+/// With `FaultConfig::none()` and no monitor this is the plain run. Under
+/// a seeded plan reads retry with backoff, unrecoverable members are
+/// dropped when `cfg.degraded` is set (the cycle completes on the
+/// survivors), stragglers dilate compute, message delays stall sends, and
+/// crashes or message drops switch receives to a timeout that surfaces
+/// [`SubstrateError::RecvTimeout`] instead of hanging. With a monitor the
+/// program reads members on blacklisted OSTs last (blocks are placed by
+/// member, so the reorder never reaches the numerics), every read
+/// consults the monitor's frozen view — a degraded OST triggers a
+/// speculative duplicate read against its replica — and observed read and
+/// compute dilation ratios feed the monitor, which the caller folds at the
+/// cycle boundary with [`HealthMonitor::end_cycle`].
+///
+/// D-EnKF's program sends data derived from the blocks and is run by
+/// [`DEnkf`](denkf::DEnkf) instead; here it ends in a typed error.
+pub fn run_cycle(
+    setup: &AssimilationSetup<'_>,
+    variant: ModelVariant,
+    cfg: &FaultConfig,
+    monitor: Option<&HealthMonitor>,
+) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
+    Cycle::run(setup, &variant, cfg, monitor, interp::run_rank)
 }
 
 /// What one rank hands back: the `(target, analysis)` pair of every
@@ -137,33 +251,34 @@ pub(crate) struct Cycle<'a> {
     pub dropped: Vec<usize>,
     /// Surviving members, ascending.
     pub alive: Vec<usize>,
-    /// Receives must carry a timeout (the plan crashes ranks or drops
-    /// messages, so a blocking receive could hang forever).
-    pub use_timeout: bool,
-    /// That timeout, seconds.
-    pub recv_timeout: f64,
-    variant: ModelVariant,
+    /// The timeout, in seconds, receives must carry when the plan crashes
+    /// ranks or drops messages (a blocking receive could hang forever).
+    pub timeout: Option<f64>,
+    name: &'static str,
     compute_ranks: usize,
     ops: Vec<Vec<CycleOp>>,
 }
 
 impl<'a> Cycle<'a> {
-    /// Run one cycle of `variant`: validate, resolve the fault plan (fail
+    /// Run one cycle of `program`: validate, resolve the fault plan (fail
     /// fast when degraded mode is off or would leave fewer than two
     /// members), emit the program, run `body` on every rank thread, and
     /// fold the rank results — spans into the trace and the per-class
     /// phase report, `Compute` results into the analysis ensemble. The
-    /// first failed rank, in rank order, is the cycle's error.
+    /// cycle's error is that of the first failed rank, in rank order, that
+    /// failed on its own: a rank merely told to stop by a failing peer
+    /// ([`SubstrateError::PeerAborted`]) echoes that peer's error and is
+    /// reported only when no originating error exists.
     pub fn run(
         setup: &'a AssimilationSetup<'a>,
-        variant: ModelVariant,
+        program: &impl Emitter,
         cfg: &FaultConfig,
         monitor: Option<&'a HealthMonitor>,
         body: impl Fn(&Cycle<'a>, RankCtx<Msg>, &mut RankTracer) -> RankOut + Sync,
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
         setup.validate()?;
         let mesh = setup.mesh();
-        let (compute_ranks, io_ranks) = variant
+        let (compute_ranks, io_ranks) = program
             .ranks(mesh, setup.members)
             .map_err(EnkfError::GeometryMismatch)?;
         let injector = FaultInjector::new(cfg.clone());
@@ -176,7 +291,7 @@ impl<'a> Cycle<'a> {
             )),
         })?;
         let mut ops = vec![Vec::new(); compute_ranks + io_ranks];
-        variant
+        program
             .emit(
                 &Geometry {
                     layout: setup.store.layout(),
@@ -199,11 +314,11 @@ impl<'a> Cycle<'a> {
             alive: (0..setup.members)
                 .filter(|m| !dropped.contains(m))
                 .collect(),
-            use_timeout: !plan.crashes.is_empty() || plan.msg_faults.iter().any(|m| m.dropped),
-            recv_timeout: cfg.recv_timeout,
+            timeout: (!plan.crashes.is_empty() || plan.msg_faults.iter().any(|m| m.dropped))
+                .then_some(cfg.recv_timeout),
             injector,
             dropped,
-            variant,
+            name: program.name(),
             compute_ranks,
             ops,
         };
@@ -215,11 +330,12 @@ impl<'a> Cycle<'a> {
             body(&cycle, ctx, tracer)
         });
 
-        let mut trace = Trace::new(format!("{}-real", variant.name()));
+        let mut trace = Trace::new(format!("{}-real", cycle.name));
         let mut compute = PhaseBreakdown::default();
         let mut io = PhaseBreakdown::default();
         let mut analysis = Ensemble::new(mesh, Matrix::zeros(mesh.n(), cycle.alive.len()));
         let mut covered = 0;
+        let mut echo = None;
         for (rank, (res, spans)) in results.into_iter().enumerate() {
             let phases = PhaseBreakdown::from_spans(&spans);
             if rank < compute_ranks {
@@ -228,12 +344,29 @@ impl<'a> Cycle<'a> {
                 io.merge(&phases);
             }
             trace.extend(spans);
-            for (target, local) in res? {
-                covered += target.npoints();
-                analysis.assign(&target, &local);
+            match res {
+                Ok(analyzed) => {
+                    for (target, local) in analyzed {
+                        covered += target.npoints();
+                        analysis.assign(&target, &local);
+                    }
+                }
+                Err(e @ EnkfError::Substrate(SubstrateError::PeerAborted { .. })) => {
+                    echo.get_or_insert(e);
+                }
+                Err(e) => return Err(e),
             }
         }
-        assert_eq!(covered, mesh.n(), "Compute targets must tile the mesh");
+        if let Some(e) = echo {
+            return Err(e);
+        }
+        if covered != mesh.n() {
+            return Err(EnkfError::GeometryMismatch(format!(
+                "the {} program's Compute targets cover {covered} of {} points",
+                cycle.name,
+                mesh.n()
+            )));
+        }
         let report = ExecutionReport {
             compute_ranks: compute,
             io_ranks: io,
@@ -250,18 +383,13 @@ impl<'a> Cycle<'a> {
         &self.ops[rank]
     }
 
-    /// Whether `rank` is a dedicated I/O rank.
-    pub fn is_io(&self, rank: usize) -> bool {
-        rank >= self.compute_ranks
-    }
-
-    /// The error of an op that is not part of the variant's program — an
-    /// emitter/interpreter mismatch, surfaced typed like every other rank
-    /// failure.
+    /// The error of an op the rank's body cannot execute where it stands —
+    /// an emitter/interpreter mismatch, surfaced typed like every other
+    /// rank failure.
     pub fn foreign_op(&self, rank: usize, op: CycleOp) -> EnkfError {
         SubstrateError::HelperFailed {
             rank,
-            detail: format!("{op:?} is not part of the {} program", self.variant.name()),
+            detail: format!("{op:?} cannot run here in the {} program", self.name),
         }
         .into()
     }
@@ -343,11 +471,8 @@ impl<'a> Cycle<'a> {
         }
     }
 
-    /// Execute an `Await` op: receive `sends` messages inside one wait
-    /// span, handing each to `deliver`. Under a plan that crashes ranks or
-    /// drops messages the receive times out into
-    /// [`SubstrateError::RecvTimeout`] instead of hanging; a peer's
-    /// [`Msg::Abort`] ends the wait with an error.
+    /// Execute an `Await` op: receive `sends` messages ([`next_msg`])
+    /// inside one wait span, handing each to `deliver`.
     pub fn receive(
         &self,
         tracer: &mut RankTracer,
@@ -357,22 +482,7 @@ impl<'a> Cycle<'a> {
         mut deliver: impl FnMut(Msg) -> Result<()>,
     ) -> Result<()> {
         tracer.wait(stage, || {
-            for _ in 0..sends {
-                let envelope = if self.use_timeout {
-                    ctx.recv_timeout(self.recv_timeout)?
-                } else {
-                    ctx.recv()?
-                };
-                match envelope.payload {
-                    Msg::Abort { reason } => {
-                        return Err(EnkfError::GeometryMismatch(format!(
-                            "peer aborted: {reason}"
-                        )))
-                    }
-                    msg => deliver(msg)?,
-                }
-            }
-            Ok(())
+            (0..sends).try_for_each(|_| deliver(next_msg(ctx, self.timeout)?))
         })
     }
 
@@ -395,29 +505,6 @@ impl<'a> Cycle<'a> {
             let out = work();
             dilate(start, dilation);
             out
-        })
-    }
-
-    /// Execute a local-analysis `Compute` op on the assembled background
-    /// `xb` of `expansion` (its columns the surviving members).
-    pub fn analyze(
-        &self,
-        tracer: &mut RankTracer,
-        stage: Option<usize>,
-        dilation: f64,
-        target: &RegionRect,
-        expansion: &RegionRect,
-        xb: impl FnOnce() -> Matrix,
-    ) -> Result<Matrix> {
-        self.compute(tracer, stage, dilation, || {
-            let xb = xb();
-            let mut obs = self.setup.observations.localize(expansion);
-            if !self.dropped.is_empty() {
-                obs = obs.select_members(&self.alive);
-            }
-            self.setup
-                .analysis
-                .analyze(self.setup.mesh(), target, expansion, &xb, &obs)
         })
     }
 }

@@ -1,4 +1,4 @@
-//! P-EnKF: the block-reading state-of-the-art baseline (real executor).
+//! P-EnKF: the block-reading state-of-the-art baseline.
 //!
 //! Every rank owns one sub-domain. For each of the `N` member files, it
 //! reads its expansion block directly from the parallel file system
@@ -6,19 +6,18 @@
 //! partial-width region is one segment per latitude row). Only after **all**
 //! members are on-rank does the local analysis start — the strict
 //! read-then-compute workflow of Fig. 4 whose lack of overlap the paper
-//! attacks.
+//! attacks. All of that is the [`ModelVariant::PEnkf`] program: its ops are
+//! unstaged, so [`run_cycle`] executes them strictly in order. The trace
+//! holds one read span per member block and one compute span per rank.
 
+use crate::exec::run_cycle;
 use crate::exec::setup::AssimilationSetup;
-use crate::exec::Cycle;
-use crate::program::{CycleOp, ModelVariant};
+use crate::program::ModelVariant;
 use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
-use enkf_data::region_to_matrix;
 use enkf_fault::{FaultConfig, FaultLog};
 use enkf_health::HealthMonitor;
-use enkf_pfs::RegionData;
 use enkf_trace::Trace;
-use std::collections::BTreeMap;
 
 /// The P-EnKF variant: `n_sdx × n_sdy` ranks, block reading, sequential
 /// phases.
@@ -31,99 +30,19 @@ pub struct PEnkf {
 }
 
 impl PEnkf {
-    /// Run the assimilation; returns the analysis ensemble and the phase
-    /// timings.
-    pub fn run(&self, setup: &AssimilationSetup<'_>) -> Result<(Ensemble, ExecutionReport)> {
-        self.run_traced(setup)
-            .map(|(analysis, report, _)| (analysis, report))
-    }
-
-    /// [`PEnkf::run`], additionally returning the execution trace: one read
-    /// span per member block (bytes/seeks from the file layout, matching
-    /// what the DES model charges) and one compute span per rank. The
-    /// report's `PhaseBreakdown` is the per-rank projection of these spans.
-    pub fn run_traced(
-        &self,
-        setup: &AssimilationSetup<'_>,
-    ) -> Result<(Ensemble, ExecutionReport, Trace)> {
-        self.run_faulted(setup, &FaultConfig::none())
-            .map(|(analysis, report, trace, _)| (analysis, report, trace))
-    }
-
-    /// [`PEnkf::run_traced`] under a fault plan. With `FaultConfig::none()`
-    /// this is behaviourally identical to `run_traced` (byte-identical
-    /// trace digests); under a seeded plan, reads retry with backoff,
-    /// unrecoverable members are dropped when `cfg.degraded` is set (the
-    /// cycle completes on the survivors), stragglers dilate compute, and
-    /// every injected fault lands in the returned [`FaultLog`].
-    pub fn run_faulted(
-        &self,
-        setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        self.run_adaptive(setup, cfg, None)
-    }
-
-    /// [`PEnkf::run_faulted`] with online health monitoring. When a
-    /// [`HealthMonitor`] is supplied, the program reads members on
-    /// blacklisted OSTs last and every read consults the monitor's frozen
-    /// [`RouteView`](enkf_health::RouteView), so a degraded OST triggers a
-    /// speculative duplicate read against its replica. Observed
-    /// read-dilation and compute-dilation ratios are fed back into the
-    /// monitor; the caller folds them at the cycle boundary with
-    /// [`HealthMonitor::end_cycle`]. With `monitor: None` this is
-    /// byte-identical to [`PEnkf::run_faulted`].
+    /// [`run_cycle`] on the P-EnKF program: the assimilation under a fault
+    /// plan and, optionally, online health monitoring.
     pub fn run_adaptive(
         &self,
         setup: &AssimilationSetup<'_>,
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
-        let variant = ModelVariant::PEnkf {
-            nsdx: self.nsdx,
-            nsdy: self.nsdy,
-        };
-        Cycle::run(setup, variant, cfg, monitor, |cycle, ctx, tracer| {
-            let rank = ctx.rank();
-            cycle.check_crash(rank)?;
-            // Blocks are collected keyed by member and re-assembled
-            // ascending, so a health-aware read order never reaches the
-            // numerics.
-            let mut by_member: BTreeMap<usize, RegionData> = BTreeMap::new();
-            let mut analyzed = Vec::new();
-            for &op in cycle.ops(rank) {
-                match op {
-                    CycleOp::Read {
-                        stage,
-                        member,
-                        region,
-                    } => {
-                        if let Some(block) = cycle.read(tracer, stage, member, &region)? {
-                            by_member.insert(member, block);
-                        }
-                    }
-                    CycleOp::Compute {
-                        stage,
-                        target,
-                        expansion,
-                        ..
-                    } => {
-                        let per_member: Vec<RegionData> =
-                            std::mem::take(&mut by_member).into_values().collect();
-                        let dilation = cycle.dilation(rank);
-                        let xa =
-                            cycle.analyze(tracer, stage, dilation, &target, &expansion, || {
-                                region_to_matrix(&expansion, &per_member)
-                            })?;
-                        analyzed.push((target, xa));
-                    }
-                    op => return Err(cycle.foreign_op(rank, op)),
-                }
-            }
-            Ok(analyzed)
-        })
+        let (nsdx, nsdy) = (self.nsdx, self.nsdy);
+        run_cycle(setup, ModelVariant::PEnkf { nsdx, nsdy }, cfg, monitor)
     }
 }
+ladder!(PEnkf);
 
 #[cfg(test)]
 mod tests {

@@ -56,7 +56,14 @@ pub fn parallel_write_back(
                 let decomp = &decomp;
                 scope.spawn(move || {
                     if FAIL_WRITER_PANIC.swap(false, Ordering::SeqCst) {
-                        panic!("injected write-back writer panic (failpoint)");
+                        // The one deliberate panic of the crate: a panicking
+                        // writer thread is what the failpoint exists to
+                        // produce, only a test arms it, and the join below
+                        // contains it.
+                        #[allow(clippy::panic)]
+                        {
+                            panic!("injected write-back writer panic (failpoint)");
+                        }
                     }
                     let bar: RegionRect = decomp.bar(j);
                     let local = analysis.restrict(&bar);

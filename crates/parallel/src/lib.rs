@@ -5,17 +5,20 @@
 //! `op ∈ {Read, Send, Await, Compute}`, emitted once from the geometry —
 //! and two interpreters of it (the co-design described in DESIGN.md):
 //!
-//! * [`exec`] — the **threaded backend** *executes* the program: ranks are
-//!   OS threads ([`enkf_net::Cluster`]), ensemble members are real files
-//!   ([`enkf_pfs::FileStore`]), block data travels over channels, and the
-//!   S-EnKF helper thread genuinely overlaps reception with the main
-//!   thread's local analyses (Fig. 8). Produces a bit-exact analysis
-//!   ensemble plus wall-clock phase timings. Used for correctness and
-//!   small-scale measurements.
-//! * [`model`] — the **DES backend** *prices* the program: each op becomes
-//!   tasks in the discrete-event engine ([`enkf_sim::Simulation`]) against
-//!   modeled OSTs and NICs, which is how the paper-scale
-//!   (12,000-processor) experiments of Figures 1, 5, 9–13 are regenerated.
+//! * [`exec`] — the **threaded backend** *executes* the program
+//!   ([`run_cycle`]): ranks are OS threads ([`enkf_net::Cluster`]), ensemble
+//!   members are real files ([`enkf_pfs::FileStore`]), block data travels
+//!   over channels. One interpreter runs every member-block program; the
+//!   ops' stages alone decide what overlaps, so S-EnKF's helper thread
+//!   genuinely overlaps reception with the main thread's local analyses
+//!   (Fig. 8) while L-/P-EnKF run strictly in order. Produces a bit-exact
+//!   analysis ensemble plus wall-clock phase timings. Used for correctness
+//!   and small-scale measurements.
+//! * [`model`] — the **DES backend** *prices* the program ([`model_cycle`]):
+//!   each op becomes tasks in the discrete-event engine
+//!   ([`enkf_sim::Simulation`]) against modeled OSTs and NICs, which is how
+//!   the paper-scale (12,000-processor) experiments of Figures 1, 5, 9–13
+//!   are regenerated.
 //!
 //! The variants:
 //!
@@ -36,6 +39,13 @@
 //!   is selectable (dense Cholesky or the iterative Sherman-Morrison of
 //!   arXiv 1302.3876).
 
+// ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
+// failure correct use can meet — every survivor is justified in place.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod campaign;
 pub mod exec;
 pub mod model;
@@ -49,23 +59,17 @@ pub use campaign::{
 pub use exec::denkf::DEnkf;
 pub use exec::lenkf::LEnkf;
 pub use exec::penkf::PEnkf;
+pub use exec::run_cycle;
 pub use exec::senkf::SEnkf;
 pub use exec::setup::AssimilationSetup;
 pub use exec::writeback::parallel_write_back;
 pub use model::campaign::{
     model_campaign, model_campaign_adaptive, CampaignModelOutcome, CampaignModelPlan,
 };
-pub use model::denkf::{
-    model_denkf, model_denkf_adaptive, model_denkf_faulted, model_denkf_traced,
-};
-pub use model::lenkf::{model_lenkf, model_lenkf_adaptive, model_lenkf_traced};
-pub use model::penkf::{
-    model_penkf, model_penkf_adaptive, model_penkf_faulted, model_penkf_traced,
-};
-pub use model::senkf::{
-    model_senkf, model_senkf_adaptive, model_senkf_faulted, model_senkf_opts, model_senkf_traced,
-    SEnkfModelOptions,
-};
-pub use model::{ModelConfig, ModelOutcome};
+pub use model::denkf::{model_denkf, model_denkf_traced};
+pub use model::lenkf::{model_lenkf, model_lenkf_traced};
+pub use model::penkf::{model_penkf, model_penkf_traced};
+pub use model::senkf::{model_senkf, model_senkf_opts, model_senkf_traced, SEnkfModelOptions};
+pub use model::{model_cycle, ModelConfig, ModelOutcome};
 pub use program::{CycleOp, Geometry, ModelVariant, Payload};
 pub use report::{ExecutionReport, PhaseBreakdown};

@@ -24,8 +24,8 @@
 //! baseline: a crash throws away *all* completed cycles, which is the
 //! comparison the Fig. 14-style MTTR sweep (the `campaign_mttr` bin) plots.
 
-use super::{price_cycle, ModelConfig, ModelOutcome};
-use crate::program::ModelVariant;
+use super::{model_cycle, ModelConfig, ModelOutcome};
+use crate::program::{Emitter, ModelVariant};
 use enkf_ckpt::fnv64;
 use enkf_fault::{FaultConfig, RetryPolicy};
 use enkf_health::{HealthMonitor, HealthSnapshot};
@@ -132,7 +132,7 @@ pub fn model_campaign_adaptive(
     };
     let run_cycle_model =
         |cfg: &ModelConfig, mon: Option<&HealthMonitor>| -> Result<(ModelOutcome, Trace), String> {
-            price_cycle(cfg, variant, Default::default(), &cycle_fcfg, mon)
+            model_cycle(cfg, variant, Default::default(), &cycle_fcfg, mon)
                 .map(|(out, trace, _log)| (out, trace))
         };
     // The baseline cycle prices checkpoint overlap and crashed partial

@@ -3,10 +3,8 @@
 //! The entry points price the [`ModelVariant::DEnkf`] cycle program
 //! ([`crate::program`]) — the same program the real [`crate::DEnkf`] runs.
 
-use crate::model::{price_cycle, ModelConfig, ModelOutcome};
+use crate::model::{model_traced, ModelConfig, ModelOutcome};
 use crate::program::ModelVariant;
-use enkf_fault::{FaultConfig, FaultLog};
-use enkf_health::HealthMonitor;
 use enkf_trace::Trace;
 
 /// Build and run the DES for a D-EnKF assimilation with `shards` state
@@ -21,34 +19,7 @@ pub fn model_denkf_traced(
     cfg: &ModelConfig,
     shards: usize,
 ) -> Result<(ModelOutcome, Trace), String> {
-    model_denkf_faulted(cfg, shards, &FaultConfig::none()).map(|(out, trace, _)| (out, trace))
-}
-
-/// [`model_denkf_traced`] under a fault plan: bar reads retry as the real
-/// ones do, dropped members shrink the exchanged blocks to the survivors,
-/// stragglers dilate compute, and message delays stall the exchange sends.
-/// Crash and message-drop plans are rejected — the real executor cannot
-/// complete them either (peers time out), so a "completed" model would lie.
-pub fn model_denkf_faulted(
-    cfg: &ModelConfig,
-    shards: usize,
-    fcfg: &FaultConfig,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_denkf_adaptive(cfg, shards, fcfg, None)
-}
-
-/// [`model_denkf_faulted`] with online health monitoring: every shard's bar
-/// reads follow the frozen view the real adaptive executor consults, with
-/// identical observations fed back — real and modeled trace, fault and
-/// health digests are byte-identical under a common seed.
-pub fn model_denkf_adaptive(
-    cfg: &ModelConfig,
-    shards: usize,
-    fcfg: &FaultConfig,
-    monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    let variant = ModelVariant::DEnkf { shards };
-    price_cycle(cfg, &variant, Default::default(), fcfg, monitor)
+    model_traced(cfg, ModelVariant::DEnkf { shards })
 }
 
 #[cfg(test)]

@@ -3,10 +3,8 @@
 //! The entry points price the [`ModelVariant::LEnkf`] cycle program
 //! ([`crate::program`]) — the same program the real [`crate::LEnkf`] runs.
 
-use crate::model::{price_cycle, ModelConfig, ModelOutcome};
+use crate::model::{model_traced, ModelConfig, ModelOutcome};
 use crate::program::ModelVariant;
-use enkf_fault::{FaultConfig, FaultLog};
-use enkf_health::HealthMonitor;
 use enkf_trace::Trace;
 
 /// Build and run the DES for an L-EnKF assimilation with an
@@ -22,25 +20,7 @@ pub fn model_lenkf_traced(
     nsdx: usize,
     nsdy: usize,
 ) -> Result<(ModelOutcome, Trace), String> {
-    model_lenkf_adaptive(cfg, nsdx, nsdy, &FaultConfig::none(), None)
-        .map(|(out, trace, _)| (out, trace))
-}
-
-/// [`model_lenkf_traced`] under a fault plan and, optionally, online health
-/// monitoring: rank 0's reads retry, route and speculate exactly as the
-/// real reader's do, dropped members are read but not scattered,
-/// stragglers dilate compute and message delays stall the scatter sends.
-/// Crash and message-drop plans are rejected — the real executor's peers
-/// time out under them, so a "completed" model would lie.
-pub fn model_lenkf_adaptive(
-    cfg: &ModelConfig,
-    nsdx: usize,
-    nsdy: usize,
-    fcfg: &FaultConfig,
-    monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    let variant = ModelVariant::LEnkf { nsdx, nsdy };
-    price_cycle(cfg, &variant, Default::default(), fcfg, monitor)
+    model_traced(cfg, ModelVariant::LEnkf { nsdx, nsdy })
 }
 
 #[cfg(test)]

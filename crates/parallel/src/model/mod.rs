@@ -8,7 +8,7 @@ pub mod reading;
 pub mod senkf;
 
 use crate::exec::{compute_dilation, resolve_dropout, DropoutError};
-use crate::program::{CycleOp, Geometry, ModelVariant};
+use crate::program::{CycleOp, Emitter, Geometry, ModelVariant};
 use crate::report::PhaseBreakdown;
 use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
 use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork};
@@ -19,88 +19,6 @@ use enkf_sim::{Kind, Simulation, Task, TaskId};
 use enkf_trace::{OpTag, PhaseTotals, Trace};
 use enkf_tuning::Workload;
 use senkf::SEnkfModelOptions;
-
-/// Resolve a fault plan before a modeled run builds its graph: the
-/// injector plus the sorted dropout set, decided by the same
-/// [`resolve_dropout`] the real executors call. Plans the real executor
-/// cannot complete are rejected — a crashed rank always, a dropped message
-/// when the variant `exchanges_messages` (its peers would time out) — so a
-/// "completed" model never lies.
-fn prepare_model_faults(
-    fcfg: &FaultConfig,
-    members: usize,
-    exchanges_messages: bool,
-) -> Result<(FaultInjector, Vec<usize>), String> {
-    let injector = FaultInjector::new(fcfg.clone());
-    if injector.has_crashes() {
-        return Err("the modeled run cannot complete: the plan crashes a rank".into());
-    }
-    if exchanges_messages && fcfg.plan.msg_faults.iter().any(|m| m.dropped) {
-        return Err("the modeled run cannot complete: the plan drops a message".into());
-    }
-    let dropped = resolve_dropout(&injector, members).map_err(|e| match e {
-        DropoutError::DegradedOff(dropped) => {
-            format!("unrecoverable members {dropped:?} and degraded mode is off")
-        }
-        DropoutError::TooFew(_) => "degraded ensemble too small".to_string(),
-    })?;
-    Ok((injector, dropped))
-}
-
-/// Run a built graph and derive the outcome *from the exported trace*:
-/// per-rank span sums are an exact projection of the DES busy/wait
-/// accounting (see `Simulation::export_trace`). Ranks `0..compute_ranks`
-/// are averaged into `compute_mean`, the `io_ranks` after them into
-/// `io_mean`; `compute_tasks` are the local-analysis tasks whose earliest
-/// start is the exposed read+comm prefix.
-fn run_model(
-    sim: &mut Simulation,
-    label: &str,
-    compute_ranks: usize,
-    io_ranks: usize,
-    compute_tasks: &[TaskId],
-    injector: FaultInjector,
-    dropped: Vec<usize>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    let report = sim.run().map_err(|e| e.to_string())?;
-    let trace = sim.export_trace(label);
-    let mut compute = PhaseTotals::default();
-    let mut io = PhaseTotals::default();
-    for (rank, t) in &trace.per_rank_phases() {
-        let agg = if *rank < compute_ranks {
-            &mut compute
-        } else {
-            &mut io
-        };
-        agg.read += t.read;
-        agg.comm += t.comm;
-        agg.compute += t.compute;
-        agg.wait += t.wait;
-        agg.fault += t.fault;
-    }
-    let io_mean = if io_ranks == 0 {
-        PhaseBreakdown::default()
-    } else {
-        PhaseBreakdown::from(io).scaled(1.0 / io_ranks as f64)
-    };
-    let first_compute_start = compute_tasks
-        .iter()
-        .map(|&t| sim.task_times(t).1)
-        .fold(f64::INFINITY, f64::min);
-    Ok((
-        ModelOutcome {
-            makespan: report.makespan,
-            compute_mean: PhaseBreakdown::from(compute).scaled(1.0 / compute_ranks as f64),
-            io_mean,
-            num_compute_ranks: compute_ranks,
-            num_io_ranks: io_ranks,
-            first_compute_start,
-            dropped_members: dropped,
-        },
-        trace,
-        injector.into_log(),
-    ))
-}
 
 /// The sends addressed to one `(rank, stage)`, collected until the rank's
 /// `Await` consumes them.
@@ -116,28 +34,16 @@ fn add_task(sim: &mut Simulation, task: Task) -> Result<TaskId, String> {
     sim.add_task(task).map_err(|e| e.to_string())
 }
 
-/// The DES interpreter of a cycle program — the only code that adds cycle
-/// tasks. Agent ids coincide with the real executor's rank numbering
-/// (compute ranks, then I/O ranks), so `FaultLog` rank fields compare
-/// across executors; one NIC per compute rank is the ingestion port. Each
-/// op is priced as it is emitted, in emission order:
-///
-/// * `Read` — the retry/speculation weave of [`ModeledPfs::add_member_read`],
-///   charged the layout's seeks and bytes for the region;
-/// * `Send` — one `Comm` task on the sender holding the receiver's NIC for
-///   `a + b·bytes` plus any injected delay;
-/// * `Await` — moves the collected sends to the rank's next `Compute` as
-///   dependencies (receivers' blocked waits surface as DES wait time, not
-///   tasks, matching the real wait spans' exclusion from the digest);
-///   without the helper thread an explicit ingestion task on the rank
-///   serializes the communication with the computation;
-/// * `Compute` — `c · work`, dilated by the rank's straggler factor, which
-///   is reported to the monitor once per rank.
-///
-/// Every task carries an [`OpTag`], so the exported trace's operation
-/// digest — and, under a seeded plan, the fault and health digests — equal
-/// the real executor's.
-pub(crate) fn price_cycle(
+/// Price one cycle of `variant` on the DES backend — the modeled twin of
+/// [`crate::exec::run_cycle`] (and of [`crate::DEnkf`]): the same program,
+/// each op turned into tasks as documented on `price_cycle`. Returns the
+/// outcome, the virtual-time trace and the log of every injected fault;
+/// under a common seeded plan and monitor view all three digests (trace
+/// operations, faults, health decisions) equal the real executor's. `opts`
+/// are the S-EnKF ablation switches (`Default::default()` is the paper's
+/// design). Plans the real executor cannot complete — a crashed rank, a
+/// dropped message in a program that sends any — are rejected.
+pub fn model_cycle(
     cfg: &ModelConfig,
     variant: &ModelVariant,
     opts: SEnkfModelOptions,
@@ -146,13 +52,10 @@ pub(crate) fn price_cycle(
 ) -> Result<(ModelOutcome, Trace, FaultLog), String> {
     let w = &cfg.workload;
     let mesh = Mesh::new(w.nx, w.ny);
-    let layout = FileLayout::new(mesh, w.h);
-    let (c2, c1) = variant.ranks(mesh, w.members)?;
-    let exchanges_messages = !matches!(variant, ModelVariant::PEnkf { .. });
-    let (injector, dropped) = prepare_model_faults(fcfg, w.members, exchanges_messages)?;
     if let ModelVariant::SEnkf(p) = *variant {
         // Guard the DES against degenerate parameterizations: the program
         // has roughly ncg·C2·L sends plus the reads and computes.
+        let (c2, c1) = variant.ranks(mesh, w.members)?;
         let est_tasks = p.layers * (p.ncg * c2 + c1 * (w.members / p.ncg) + c2);
         const MAX_TASKS: usize = 30_000_000;
         if est_tasks > MAX_TASKS {
@@ -166,13 +69,78 @@ pub(crate) fn price_cycle(
     // (`ScenarioBuilder`'s uniform one).
     let network = matches!(variant, ModelVariant::DEnkf { .. })
         .then(|| ObservationNetwork::uniform(mesh, cfg.obs_stride));
+    price_cycle(cfg, variant, network.as_ref(), opts, fcfg, monitor)
+}
+
+/// [`model_cycle`] on a healthy substrate — what every `model_*_traced`
+/// forward is.
+fn model_traced(cfg: &ModelConfig, variant: ModelVariant) -> Result<(ModelOutcome, Trace), String> {
+    model_cycle(
+        cfg,
+        &variant,
+        Default::default(),
+        &FaultConfig::none(),
+        None,
+    )
+    .map(|(out, trace, _)| (out, trace))
+}
+
+/// The DES interpreter of a cycle program — the only code that adds cycle
+/// tasks. Agent ids coincide with the real executor's rank numbering
+/// (compute ranks, then I/O ranks), so `FaultLog` rank fields compare
+/// across executors; one NIC per compute rank is the ingestion port. Each
+/// op is priced as it is emitted, in emission order:
+///
+/// * `Read` — the retry/speculation weave of [`ModeledPfs::add_member_read`],
+///   charged the layout's seeks and bytes for the region;
+/// * `Send` — one `Comm` task on the sender holding the receiver's NIC for
+///   `a + b·bytes` plus any injected delay (a plan that drops messages is
+///   refused here: the receiver would time out);
+/// * `Await` — moves the collected sends to the rank's next `Compute` as
+///   dependencies (receivers' blocked waits surface as DES wait time, not
+///   tasks, matching the real wait spans' exclusion from the digest);
+///   without the helper thread an explicit ingestion task on the rank
+///   serializes the communication with the computation;
+/// * `Compute` — `c · work`, dilated by the rank's straggler factor, which
+///   is reported to the monitor once per rank.
+///
+/// Every task carries an [`OpTag`], so the exported trace's operation
+/// digest — and, under a seeded plan, the fault and health digests — equal
+/// the real executor's.
+pub(crate) fn price_cycle(
+    cfg: &ModelConfig,
+    program: &impl Emitter,
+    network: Option<&ObservationNetwork>,
+    opts: SEnkfModelOptions,
+    fcfg: &FaultConfig,
+    monitor: Option<&HealthMonitor>,
+) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+    let w = &cfg.workload;
+    let mesh = Mesh::new(w.nx, w.ny);
+    let layout = FileLayout::new(mesh, w.h);
+    let (c2, c1) = program.ranks(mesh, w.members)?;
+    // Resolve the fault plan before building the graph: the dropout set is
+    // decided by the same `resolve_dropout` the threaded backend calls, and
+    // a plan that crashes a rank is rejected — the real executor cannot
+    // complete it, and a "completed" model must never lie.
+    let injector = FaultInjector::new(fcfg.clone());
+    if injector.has_crashes() {
+        return Err("the modeled run cannot complete: the plan crashes a rank".into());
+    }
+    let dropped = resolve_dropout(&injector, w.members).map_err(|e| match e {
+        DropoutError::DegradedOff(dropped) => {
+            format!("unrecoverable members {dropped:?} and degraded mode is off")
+        }
+        DropoutError::TooFew(_) => "degraded ensemble too small".to_string(),
+    })?;
+    let drops_messages = fcfg.plan.msg_faults.iter().any(|m| m.dropped);
 
     let mut sim = Simulation::new();
     let pfs = ModeledPfs::register(&mut sim, cfg.pfs);
     let net = ModeledNet::register(&mut sim, cfg.net, c2);
     let agents = sim.add_agents(c2 + c1);
     // One mailbox per (compute rank, stage).
-    let layers = variant.layers();
+    let layers = program.layers();
     let slot = |rank: usize, stage: Option<usize>| rank * layers + stage.unwrap_or(0);
     let mut inbox: Vec<Mailbox> = (0..c2 * layers).map(|_| Mailbox::default()).collect();
     let mut gate: Vec<Vec<TaskId>> = vec![Vec::new(); c2];
@@ -188,9 +156,9 @@ pub(crate) fn price_cycle(
         },
         dropped: &dropped,
         view: monitor.map(|mon| mon.view()),
-        network: network.as_ref(),
+        network,
     };
-    variant.emit(&geo, &mut |rank, op| {
+    program.emit(&geo, &mut |rank, op| {
         let agent = agents[rank];
         let io = rank >= c2;
         match op {
@@ -212,6 +180,9 @@ pub(crate) fn price_cycle(
                 )
                 .map_err(|e| e.to_string())?,
             CycleOp::Send { stage, to, payload } => {
+                if drops_messages {
+                    return Err("the modeled run cannot complete: the plan drops a message".into());
+                }
                 let bytes = payload.bytes(&layout);
                 let service = cfg.net.p2p(bytes) + injector.send_delay(rank, to);
                 let send = Task::new(agent, Kind::Comm, service)
@@ -266,15 +237,44 @@ pub(crate) fn price_cycle(
         Ok(())
     })?;
 
-    run_model(
-        &mut sim,
-        &format!("{}-model", variant.name()),
-        c2,
-        c1,
-        &compute_tasks,
-        injector,
-        dropped,
-    )
+    // Run the graph and derive the outcome *from the exported trace*:
+    // per-rank span sums are an exact projection of the DES busy/wait
+    // accounting (see `Simulation::export_trace`).
+    let report = sim.run().map_err(|e| e.to_string())?;
+    let trace = sim.export_trace(&format!("{}-model", program.name()));
+    let mut compute = PhaseTotals::default();
+    let mut io = PhaseTotals::default();
+    for (rank, t) in &trace.per_rank_phases() {
+        let agg = if *rank < c2 { &mut compute } else { &mut io };
+        agg.read += t.read;
+        agg.comm += t.comm;
+        agg.compute += t.compute;
+        agg.wait += t.wait;
+        agg.fault += t.fault;
+    }
+    let io_mean = if c1 == 0 {
+        PhaseBreakdown::default()
+    } else {
+        PhaseBreakdown::from(io).scaled(1.0 / c1 as f64)
+    };
+    // The earliest local-analysis start is the exposed read+comm prefix.
+    let first_compute_start = compute_tasks
+        .iter()
+        .map(|&t| sim.task_times(t).1)
+        .fold(f64::INFINITY, f64::min);
+    Ok((
+        ModelOutcome {
+            makespan: report.makespan,
+            compute_mean: PhaseBreakdown::from(compute).scaled(1.0 / c2 as f64),
+            io_mean,
+            num_compute_ranks: c2,
+            num_io_ranks: c1,
+            first_compute_start,
+            dropped_members: dropped,
+        },
+        trace,
+        injector.into_log(),
+    ))
 }
 
 /// Configuration of a modeled run: workload geometry plus substrate

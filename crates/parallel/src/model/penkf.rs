@@ -3,10 +3,8 @@
 //! The entry points price the [`ModelVariant::PEnkf`] cycle program
 //! ([`crate::program`]) — the same program the real [`crate::PEnkf`] runs.
 
-use crate::model::{price_cycle, ModelConfig, ModelOutcome};
+use crate::model::{model_traced, ModelConfig, ModelOutcome};
 use crate::program::ModelVariant;
-use enkf_fault::{FaultConfig, FaultLog};
-use enkf_health::HealthMonitor;
 use enkf_trace::Trace;
 
 /// Build and run the DES for a P-EnKF assimilation with an
@@ -22,39 +20,7 @@ pub fn model_penkf_traced(
     nsdx: usize,
     nsdy: usize,
 ) -> Result<(ModelOutcome, Trace), String> {
-    model_penkf_faulted(cfg, nsdx, nsdy, &FaultConfig::none()).map(|(out, trace, _)| (out, trace))
-}
-
-/// [`model_penkf_traced`] under a fault plan: injected failures and
-/// backoffs become `Kind::Fault` tasks, OST slowdowns dilate read
-/// services, stragglers dilate compute, and dropped members contribute
-/// only their failed attempts. Under the same seeded plan the trace's
-/// operation digest and the [`FaultLog`]'s digest match the real
-/// executor's.
-pub fn model_penkf_faulted(
-    cfg: &ModelConfig,
-    nsdx: usize,
-    nsdy: usize,
-    fcfg: &FaultConfig,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_penkf_adaptive(cfg, nsdx, nsdy, fcfg, None)
-}
-
-/// [`model_penkf_faulted`] with online health monitoring: reads follow the
-/// monitor's frozen view exactly as the real adaptive executor's do
-/// (blacklisted-OST members last, speculative duplicates marked and
-/// charged at the race winner's OST and factor) and feed back identical
-/// observations, so real and modeled trace, fault and health digests are
-/// byte-identical under a common seed and view.
-pub fn model_penkf_adaptive(
-    cfg: &ModelConfig,
-    nsdx: usize,
-    nsdy: usize,
-    fcfg: &FaultConfig,
-    monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    let variant = ModelVariant::PEnkf { nsdx, nsdy };
-    price_cycle(cfg, &variant, Default::default(), fcfg, monitor)
+    model_traced(cfg, ModelVariant::PEnkf { nsdx, nsdy })
 }
 
 #[cfg(test)]

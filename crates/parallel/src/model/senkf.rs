@@ -3,10 +3,9 @@
 //! The entry points price the [`ModelVariant::SEnkf`] cycle program
 //! ([`crate::program`]) — the same program the real [`crate::SEnkf`] runs.
 
-use crate::model::{price_cycle, ModelConfig, ModelOutcome};
+use crate::model::{model_cycle, model_traced, ModelConfig, ModelOutcome};
 use crate::program::ModelVariant;
-use enkf_fault::{FaultConfig, FaultLog};
-use enkf_health::HealthMonitor;
+use enkf_fault::FaultConfig;
 use enkf_trace::Trace;
 use enkf_tuning::Params;
 
@@ -47,7 +46,7 @@ pub fn model_senkf_opts(
     opts: SEnkfModelOptions,
 ) -> Result<ModelOutcome, String> {
     let variant = ModelVariant::SEnkf(params);
-    price_cycle(cfg, &variant, opts, &FaultConfig::none(), None).map(|(out, ..)| out)
+    model_cycle(cfg, &variant, opts, &FaultConfig::none(), None).map(|(out, ..)| out)
 }
 
 /// [`model_senkf`], additionally returning the virtual-time execution
@@ -56,37 +55,7 @@ pub fn model_senkf_traced(
     cfg: &ModelConfig,
     params: Params,
 ) -> Result<(ModelOutcome, Trace), String> {
-    model_senkf_faulted(cfg, params, &FaultConfig::none()).map(|(out, trace, _)| (out, trace))
-}
-
-/// [`model_senkf_traced`] under a fault plan: the real executor's
-/// attempt/backoff weave becomes `Kind::Fault` tasks, OST slowdowns and
-/// stragglers dilate services, message delays extend the matching send
-/// services, and dropped members shrink the bundles to each group's
-/// survivors. Under the same seeded plan, the trace's operation digest and
-/// the [`FaultLog`] digest match the real executor's.
-pub fn model_senkf_faulted(
-    cfg: &ModelConfig,
-    params: Params,
-    fcfg: &FaultConfig,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    model_senkf_adaptive(cfg, params, fcfg, None)
-}
-
-/// [`model_senkf_faulted`] with online health monitoring: each I/O rank's
-/// group file list is reordered on the monitor's frozen view exactly as
-/// the real adaptive executor reorders its read plan, and every bar read
-/// is routed, speculated and observed identically — so real and modeled
-/// trace, fault and health digests stay byte-identical under a common
-/// seed.
-pub fn model_senkf_adaptive(
-    cfg: &ModelConfig,
-    params: Params,
-    fcfg: &FaultConfig,
-    monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
-    let variant = ModelVariant::SEnkf(params);
-    price_cycle(cfg, &variant, Default::default(), fcfg, monitor)
+    model_traced(cfg, ModelVariant::SEnkf(params))
 }
 
 #[cfg(test)]

@@ -7,18 +7,46 @@
 //! and the health monitor's frozen route view — and two interpreters
 //! consume it:
 //!
-//! * the threaded executors ([`crate::exec`]) run the emitter once, split
-//!   the stream by rank, and take each rank's ops as their only source of
-//!   regions, peers, bundle sizes, member order and expected-message
-//!   counts;
-//! * the DES pricer ([`crate::model`]) turns each op into tasks as it is
-//!   emitted, so a 1200-rank model never materialises the program.
+//! * the threaded interpreter ([`crate::exec::run_cycle`]) runs the emitter
+//!   once, splits the stream by rank, and executes each rank's ops — its
+//!   only source of regions, peers, bundle sizes, member order and
+//!   expected-message counts;
+//! * the DES pricer ([`crate::model::model_cycle`]) turns each op into
+//!   tasks as it is emitted, so a 1200-rank model never materialises the
+//!   program.
 //!
 //! **Insertion-order rule.** `enkf-sim` breaks ties between simultaneously
 //! ready tasks on `TaskId`, so the order the pricer adds tasks in is part
 //! of the makespan. The stream order *is* that insertion order, and is
 //! fixed per variant: producers before consumers (every `Send` precedes
 //! the `Await` it feeds), and within one rank, program order.
+//!
+//! **The block table.** A rank holds member blocks keyed by
+//! `(stage, member)`. A `Read` adds the region it read; an `Await` adds
+//! every block of the bundles it receives. A `Send` of
+//! [`Payload::Blocks`] extracts its `region` from the `members` blocks the
+//! rank acquired last for that stage — so it must follow the `Read`s or
+//! `Await`s of its stage whose blocks cover that region — and bundles
+//! them into one message. A `Compute` assembles `X̄ᵇ` over its `expansion`
+//! from one block per surviving member of its stage, whichever way each
+//! arrived. A stage's blocks are released after the rank's last `Send` or
+//! `Compute` of that stage.
+//!
+//! **Stage = permission to overlap.** An op with `stage: None` runs
+//! strictly at its place in the rank's program — Fig. 4's sequential
+//! workflow. An op with `stage: Some(l)` may run *ahead* of the rank's
+//! program counter: staged `Read`s are prefetched one run ahead of the ops
+//! that follow them, and the bundles of staged `Await`s are received and
+//! assembled by a helper thread while the rank computes an earlier stage —
+//! Fig. 7's overlap. Overlap is thus a property of the program, stated by
+//! its emitter; neither interpreter asks which variant it is running.
+//!
+//! **What a rank may mix.** Any of `Read`, `Send`, `Await`, `Compute`, in
+//! any balanced order, staged or not — except that all of one rank's
+//! `Await`s are staged or none is (a helper thread owns the rank's inbox,
+//! or the rank itself does). [`Payload::Bytes`] carries data *derived* from
+//! member blocks, which no table can supply: a program that sends it
+//! (D-EnKF's) brings its own rank body.
 
 use enkf_grid::{
     Decomposition, FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect,
@@ -125,6 +153,19 @@ pub enum CycleOp {
     },
 }
 
+impl CycleOp {
+    /// The op's multi-stage index.
+    #[inline]
+    pub fn stage(&self) -> Option<usize> {
+        match *self {
+            CycleOp::Read { stage, .. }
+            | CycleOp::Send { stage, .. }
+            | CycleOp::Await { stage, .. }
+            | CycleOp::Compute { stage, .. } => stage,
+        }
+    }
+}
+
 /// Everything a program is a function of, besides the variant.
 #[derive(Debug, Clone, Copy)]
 pub struct Geometry<'a> {
@@ -165,9 +206,29 @@ fn exchange_bytes(rows: usize, members: usize) -> u64 {
     8 * (rows * (2 * members + 1)) as u64
 }
 
-impl ModelVariant {
+/// A source of cycle programs, as the two interpreters see it.
+/// [`ModelVariant`] is the only implementor outside tests; the trait is the
+/// seam through which a test runs a program no executor file knows.
+pub(crate) trait Emitter {
     /// Lower-case name used in trace labels.
-    pub(crate) fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str;
+
+    /// Stages per cycle.
+    fn layers(&self) -> usize;
+
+    /// See [`ModelVariant::ranks`].
+    fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String>;
+
+    /// See [`ModelVariant::emit`].
+    fn emit(
+        &self,
+        geo: &Geometry<'_>,
+        sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+    ) -> Result<(), String>;
+}
+
+impl Emitter for ModelVariant {
+    fn name(&self) -> &'static str {
         match self {
             ModelVariant::LEnkf { .. } => "lenkf",
             ModelVariant::PEnkf { .. } => "penkf",
@@ -176,14 +237,28 @@ impl ModelVariant {
         }
     }
 
-    /// Stages per cycle (`L` for S-EnKF, 1 otherwise).
-    pub(crate) fn layers(&self) -> usize {
+    /// `L` for S-EnKF, 1 otherwise.
+    fn layers(&self) -> usize {
         match *self {
             ModelVariant::SEnkf(p) => p.layers,
             _ => 1,
         }
     }
 
+    fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String> {
+        ModelVariant::ranks(self, mesh, members)
+    }
+
+    fn emit(
+        &self,
+        geo: &Geometry<'_>,
+        sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+    ) -> Result<(), String> {
+        ModelVariant::emit(self, geo, sink)
+    }
+}
+
+impl ModelVariant {
     /// The variant's decomposition of `mesh`, validated against it and the
     /// ensemble size.
     fn validate(&self, mesh: Mesh, members: usize) -> Result<Decomposition, String> {
@@ -203,15 +278,23 @@ impl ModelVariant {
         Ok(decomp)
     }
 
-    /// Validate the variant against a mesh and ensemble size and return
-    /// its `(compute, I/O)` rank counts. Compute ranks are `0..compute`,
-    /// I/O ranks follow them.
+    /// The variant's `(compute, I/O)` rank counts. Compute ranks are
+    /// `0..compute`, I/O ranks follow them.
+    pub fn rank_counts(&self) -> (usize, usize) {
+        match *self {
+            ModelVariant::LEnkf { nsdx, nsdy } | ModelVariant::PEnkf { nsdx, nsdy } => {
+                (nsdx * nsdy, 0)
+            }
+            ModelVariant::SEnkf(p) => (p.c2(), p.c1()),
+            ModelVariant::DEnkf { shards } => (shards, 0),
+        }
+    }
+
+    /// [`ModelVariant::rank_counts`], after validating the variant against
+    /// a mesh and ensemble size.
     pub fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String> {
-        let compute = self.validate(mesh, members)?.num_subdomains();
-        Ok(match *self {
-            ModelVariant::SEnkf(p) => (compute, p.ncg * p.nsdy),
-            _ => (compute, 0),
-        })
+        self.validate(mesh, members)?;
+        Ok(self.rank_counts())
     }
 
     /// Emit the cycle program into `sink`, one `(rank, op)` at a time, in

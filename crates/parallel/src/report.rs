@@ -1,7 +1,5 @@
 //! Phase timing reports shared by the real and modeled executors.
 
-use std::time::Instant;
-
 /// Wall/virtual time spent in each phase, summed over the ranks of one
 /// class (compute or I/O). The first four categories are exactly the
 /// stacked components of the paper's Figure 9; `fault` is the time injected
@@ -121,47 +119,6 @@ impl ExecutionReport {
     }
 }
 
-/// A per-rank stopwatch used by the real executors.
-#[derive(Debug)]
-pub struct PhaseTimer {
-    /// Accumulated phases.
-    pub phases: PhaseBreakdown,
-    started: Instant,
-}
-
-impl Default for PhaseTimer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PhaseTimer {
-    /// Start a fresh timer.
-    pub fn new() -> Self {
-        PhaseTimer {
-            phases: PhaseBreakdown::default(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Time a closure and charge it to the given accessor.
-    pub fn measure<T>(
-        &mut self,
-        slot: impl FnOnce(&mut PhaseBreakdown) -> &mut f64,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        *slot(&mut self.phases) += t0.elapsed().as_secs_f64();
-        out
-    }
-
-    /// Seconds since the timer was created.
-    pub fn elapsed(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,21 +176,5 @@ mod tests {
         };
         assert_eq!(rep.compute_mean().read, 2.0);
         assert_eq!(rep.io_mean(), PhaseBreakdown::default());
-    }
-
-    #[test]
-    fn timer_accumulates_into_slots() {
-        let mut t = PhaseTimer::new();
-        let v = t.measure(
-            |p| &mut p.compute,
-            || {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                42
-            },
-        );
-        assert_eq!(v, 42);
-        assert!(t.phases.compute >= 0.004, "compute {}", t.phases.compute);
-        assert_eq!(t.phases.read, 0.0);
-        assert!(t.elapsed() >= t.phases.compute);
     }
 }

@@ -5,11 +5,12 @@
 
 use enkf_core::{serial_enkf, BatchedKernel, LocalAnalysis};
 use enkf_data::{write_ensemble, ScenarioBuilder};
-use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork};
+use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
 use enkf_health::RouteView;
 use enkf_parallel::{
     model_denkf_traced, model_lenkf_traced, model_penkf_traced, model_senkf_traced,
-    AssimilationSetup, CycleOp, DEnkf, Geometry, LEnkf, ModelConfig, ModelVariant, PEnkf, SEnkf,
+    AssimilationSetup, CycleOp, DEnkf, Geometry, LEnkf, ModelConfig, ModelVariant, PEnkf, Payload,
+    SEnkf,
 };
 use enkf_pfs::{FileStore, ScratchDir};
 use enkf_trace::{Op, Role, Span, Trace};
@@ -185,7 +186,14 @@ proptest! {
     /// the `Send`s addressed to that `(rank, stage)`, all of them emitted
     /// before it, and no `Send` goes unawaited — deadlock-freedom of the
     /// threaded backend and dependency-soundness of the pricer; (b) the
-    /// `Compute` targets tile the mesh exactly once.
+    /// `Compute` targets tile the mesh exactly once; (c) the block-table
+    /// rule the threaded interpreter relies on: a `Send` of `members` blocks
+    /// of stage `s` follows, on its rank, `Read`s or `Await`s of stage `s`
+    /// whose last `members` blocks cover its region, and a rank's `Await`s
+    /// are all staged or all unstaged.
+    ///
+    /// An emitter that breaks (a) *hangs* the threaded backend: run this
+    /// test alone under `timeout` before the others when mutating one.
     #[test]
     fn programs_are_balanced_and_cover_the_mesh(
         case in case_strategy(),
@@ -210,25 +218,54 @@ proptest! {
             network: Some(&network),
         };
         for variant in case.variants() {
-            let mut in_flight: BTreeMap<(usize, Option<usize>), usize> = BTreeMap::new();
+            // Per `(rank, stage)`: the payloads sent to it and not yet
+            // awaited, and the regions of the blocks it has acquired.
+            let mut in_flight: BTreeMap<(usize, Option<usize>), Vec<Payload>> = BTreeMap::new();
+            let mut acquired: BTreeMap<(usize, Option<usize>), Vec<RegionRect>> = BTreeMap::new();
+            let mut staged_awaits: BTreeMap<usize, bool> = BTreeMap::new();
             let mut covered = vec![0u32; case.mesh.n()];
             for (rank, op) in program(&variant, &geo) {
                 match op {
-                    CycleOp::Send { stage, to, .. } => *in_flight.entry((to, stage)).or_default() += 1,
-                    CycleOp::Await { stage, sends } => prop_assert_eq!(
-                        in_flight.remove(&(rank, stage)),
-                        Some(sends),
-                        "{:?}: rank {} stage {:?}",
-                        variant,
-                        rank,
-                        stage
-                    ),
+                    CycleOp::Send { stage, to, payload } => {
+                        in_flight.entry((to, stage)).or_default().push(payload);
+                        if let Payload::Blocks { region, members } = payload {
+                            let held = acquired.get(&(rank, stage)).map_or(&[][..], Vec::as_slice);
+                            prop_assert!(
+                                held.len() >= members
+                                    && held[held.len() - members..]
+                                        .iter()
+                                        .all(|block| block.contains_rect(&region)),
+                                "{:?}: rank {} sends {:?} of stage {:?} from {:?}",
+                                variant, rank, payload, stage, held
+                            );
+                        }
+                    }
+                    CycleOp::Await { stage, sends } => {
+                        let fed = in_flight.remove(&(rank, stage)).unwrap_or_default();
+                        prop_assert_eq!(
+                            fed.len(), sends, "{:?}: rank {} stage {:?}", variant, rank, stage
+                        );
+                        for payload in fed {
+                            if let Payload::Blocks { region, members } = payload {
+                                let held = acquired.entry((rank, stage)).or_default();
+                                held.extend(std::iter::repeat_n(region, members));
+                            }
+                        }
+                        let staged = *staged_awaits.entry(rank).or_insert(stage.is_some());
+                        prop_assert_eq!(
+                            staged, stage.is_some(), "{:?}: rank {} mixes Awaits", variant, rank
+                        );
+                    }
                     CycleOp::Compute { target, .. } => {
                         for p in target.iter_points() {
                             covered[case.mesh.index(p)] += 1;
                         }
                     }
-                    CycleOp::Read { .. } => {}
+                    CycleOp::Read { stage, member, region } => {
+                        if !dropped.contains(&member) {
+                            acquired.entry((rank, stage)).or_default().push(region);
+                        }
+                    }
                 }
             }
             prop_assert!(in_flight.is_empty(), "{variant:?}: unawaited sends {in_flight:?}");

@@ -84,22 +84,10 @@ impl JobSpec {
         self
     }
 
-    /// Compute ranks the job's executor occupies while running.
+    /// Ranks (compute and I/O) the job's executor occupies while running.
     pub fn ranks(&self) -> usize {
-        self.exec.num_ranks()
-    }
-
-    /// The modeled variant matching a real executor (every executor now
-    /// has a DES model, so SLA-gated admission covers the whole matrix).
-    pub fn variant_of(exec: &CampaignExecutor) -> Option<ModelVariant> {
-        match *exec {
-            CampaignExecutor::LEnkf { nsdx, nsdy } => Some(ModelVariant::LEnkf { nsdx, nsdy }),
-            CampaignExecutor::PEnkf { nsdx, nsdy } => Some(ModelVariant::PEnkf { nsdx, nsdy }),
-            CampaignExecutor::SEnkf(p) => Some(ModelVariant::SEnkf(p)),
-            // The kernel choice changes flops, not operation structure, so
-            // one DES model (keyed by shard count alone) prices both.
-            CampaignExecutor::DEnkf { shards, .. } => Some(ModelVariant::DEnkf { shards }),
-        }
+        let (compute, io) = self.exec.variant().rank_counts();
+        compute + io
     }
 }
 

@@ -170,7 +170,7 @@ fn modeled_spec(cycles: usize, sla_factor: f64) -> (JobSpec, f64) {
     };
     spec.model = Some(JobModel {
         cfg,
-        variant: JobSpec::variant_of(&spec.exec).unwrap(),
+        variant: spec.exec.variant(),
         checkpoint: true,
     });
     let step = DesPlanner::price(&spec, 1.0);

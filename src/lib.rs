@@ -93,13 +93,11 @@ pub mod prelude {
     pub use enkf_linalg::Matrix;
     pub use enkf_net::NetParams;
     pub use enkf_parallel::{
-        model_campaign, model_campaign_adaptive, model_denkf_adaptive, model_lenkf_adaptive,
-        model_penkf_adaptive, model_penkf_faulted, model_penkf_traced, model_senkf_adaptive,
-        model_senkf_faulted, model_senkf_traced, parallel_write_back, run_campaign,
-        run_campaign_ctx, AssimilationSetup, CampaignConfig, CampaignCtx, CampaignError,
-        CampaignExecutor, CampaignModelOutcome, CampaignModelPlan, CampaignReport, DEnkf,
-        ExecutionReport, LEnkf, ModelConfig, ModelOutcome, ModelVariant, PEnkf, PhaseBreakdown,
-        RecoveryEvent, SEnkf,
+        model_campaign, model_campaign_adaptive, model_cycle, model_penkf_traced,
+        model_senkf_traced, parallel_write_back, run_campaign, run_campaign_ctx, run_cycle,
+        AssimilationSetup, CampaignConfig, CampaignCtx, CampaignError, CampaignExecutor,
+        CampaignModelOutcome, CampaignModelPlan, CampaignReport, DEnkf, ExecutionReport, LEnkf,
+        ModelConfig, ModelOutcome, ModelVariant, PEnkf, PhaseBreakdown, RecoveryEvent, SEnkf,
     };
     pub use enkf_pfs::{FileStore, PfsParams, ScratchDir};
     pub use enkf_sched::{

@@ -32,9 +32,8 @@ use s_enkf::core::{BatchedKernel, LocalAnalysis};
 use s_enkf::fault::{seeded_unit, FaultConfig, FaultPlan, RetryPolicy};
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{
-    model_campaign_adaptive, model_denkf_adaptive, model_lenkf_adaptive, model_penkf_adaptive,
-    model_senkf_adaptive, AssimilationSetup, CampaignCtx, CampaignExecutor, CampaignModelPlan,
-    DEnkf, LEnkf, ModelConfig, ModelVariant, PEnkf, SEnkf,
+    model_campaign_adaptive, model_cycle, AssimilationSetup, CampaignCtx, CampaignExecutor,
+    CampaignModelPlan, DEnkf, LEnkf, ModelConfig, ModelVariant, PEnkf, SEnkf,
 };
 use s_enkf::prelude::{HealthMonitor, HealthParams, HealthSnapshot};
 use s_enkf::tuning::Workload;
@@ -185,7 +184,8 @@ fn chaos_soak_lenkf() {
                 (t, log)
             },
             |c, f, m| {
-                let (_, t, log) = model_lenkf_adaptive(c, 2, 2, f, m).unwrap();
+                let variant = ModelVariant::LEnkf { nsdx: 2, nsdy: 2 };
+                let (_, t, log) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
                 (t, log)
             },
         )
@@ -203,7 +203,8 @@ fn chaos_soak_penkf() {
                 (t, log)
             },
             |c, f, m| {
-                let (_, t, log) = model_penkf_adaptive(c, 2, 2, f, m).unwrap();
+                let variant = ModelVariant::PEnkf { nsdx: 2, nsdy: 2 };
+                let (_, t, log) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
                 (t, log)
             },
         )
@@ -221,7 +222,8 @@ fn chaos_soak_senkf() {
                 (t, log)
             },
             |c, f, m| {
-                let (_, t, log) = model_senkf_adaptive(c, SENKF, f, m).unwrap();
+                let variant = ModelVariant::SEnkf(SENKF);
+                let (_, t, log) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
                 (t, log)
             },
         )
@@ -244,7 +246,8 @@ fn chaos_soak_denkf() {
                 (t, log)
             },
             |c, f, m| {
-                let (_, t, log) = model_denkf_adaptive(c, 4, f, m).unwrap();
+                let variant = ModelVariant::DEnkf { shards: 4 };
+                let (_, t, log) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
                 (t, log)
             },
         )

@@ -160,7 +160,7 @@ impl TenantMix {
             .last_mut()
             .expect("sla() requires a job() first")
             .1;
-        let variant = JobSpec::variant_of(&spec.exec).expect("sla() requires a modelable executor");
+        let variant = spec.exec.variant();
         spec.model = Some(JobModel {
             cfg: model_cfg,
             variant,

@@ -23,7 +23,7 @@ use s_enkf::core::{BatchedKernel, EnkfError, LocalAnalysis};
 use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy, SubstrateError};
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{
-    model_campaign, model_denkf_faulted, model_denkf_traced, run_campaign, AssimilationSetup,
+    model_campaign, model_cycle, model_denkf_traced, run_campaign, AssimilationSetup,
     CampaignExecutor, CampaignModelPlan, DEnkf, ModelConfig, ModelVariant,
 };
 use s_enkf::tuning::Workload;
@@ -117,7 +117,15 @@ fn degraded_plan_conforms_and_completes_on_survivors() {
     let (analysis, report, real, real_log) = denkf(3).run_faulted(&setup, &fcfg).unwrap();
     assert_eq!(analysis.size(), MEMBERS - 1, "one member dropped");
     assert_eq!(report.dropped_members, vec![3]);
-    let (out, model, model_log) = model_denkf_faulted(&model_cfg(mesh, MEMBERS), 3, &fcfg).unwrap();
+    let variant = ModelVariant::DEnkf { shards: 3 };
+    let (out, model, model_log) = model_cycle(
+        &model_cfg(mesh, MEMBERS),
+        &variant,
+        Default::default(),
+        &fcfg,
+        None,
+    )
+    .unwrap();
     assert_eq!(out.dropped_members, vec![3]);
     assert_eq!(
         real.digest(),

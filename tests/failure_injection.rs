@@ -5,15 +5,36 @@
 
 mod common;
 
-use common::harness_labeled;
-use s_enkf::core::{LocalAnalysis, PerturbedObservations};
+use common::{harness_labeled, SENKF};
+use s_enkf::core::{BatchedKernel, EnkfError, LocalAnalysis, PerturbedObservations};
 use s_enkf::data::ScenarioBuilder;
+use s_enkf::fault::SubstrateError;
 use s_enkf::grid::{LocalizationRadius, Mesh};
-use s_enkf::parallel::{AssimilationSetup, LEnkf, PEnkf, SEnkf};
+use s_enkf::parallel::{AssimilationSetup, DEnkf, LEnkf, PEnkf, SEnkf};
 use s_enkf::tuning::Params;
 
 fn radius() -> LocalizationRadius {
     LocalizationRadius { xi: 1, eta: 1 }
+}
+
+fn denkf(shards: usize) -> DEnkf {
+    DEnkf {
+        shards,
+        kernel: BatchedKernel::Cholesky,
+    }
+}
+
+/// An I/O failure must come back as the failing rank's own typed read
+/// error — whichever rank order, and never as the `GeometryMismatch` echo
+/// of a peer that was merely told to stop waiting: the campaign supervisor
+/// restarts on `Substrate` errors only.
+fn assert_read_error<T>(label: &str, member: usize, result: Result<T, EnkfError>) {
+    match result.err() {
+        Some(EnkfError::Substrate(SubstrateError::Read(e))) => {
+            assert_eq!(e.member, member, "{label}: wrong member in {e}")
+        }
+        other => panic!("{label}: expected Substrate(Read {{ member: {member} }}), got {other:?}"),
+    }
 }
 
 #[test]
@@ -30,21 +51,10 @@ fn missing_member_file_is_an_error_in_every_variant() {
         observations: &h.scenario.observations,
         analysis: LocalAnalysis::new(radius()),
     };
-    assert!(
-        PEnkf { nsdx: 2, nsdy: 2 }.run(&setup).is_err(),
-        "P-EnKF must error"
-    );
-    assert!(
-        LEnkf { nsdx: 2, nsdy: 2 }.run(&setup).is_err(),
-        "L-EnKF must error"
-    );
-    let senkf = SEnkf::new(Params {
-        nsdx: 2,
-        nsdy: 2,
-        layers: 2,
-        ncg: 2,
-    });
-    assert!(senkf.run(&setup).is_err(), "S-EnKF must error");
+    assert_read_error("P-EnKF", 2, PEnkf { nsdx: 2, nsdy: 2 }.run(&setup));
+    assert_read_error("L-EnKF", 2, LEnkf { nsdx: 2, nsdy: 2 }.run(&setup));
+    assert_read_error("S-EnKF", 2, SEnkf::new(SENKF).run(&setup));
+    assert_read_error("D-EnKF", 2, denkf(2).run(&setup));
 }
 
 #[test]
@@ -63,7 +73,13 @@ fn truncated_member_file_is_an_error() {
         observations: &h.scenario.observations,
         analysis: LocalAnalysis::new(radius()),
     };
-    assert!(PEnkf { nsdx: 2, nsdy: 2 }.run(&setup).is_err());
+    assert_read_error("P-EnKF", 2, PEnkf { nsdx: 2, nsdy: 2 }.run(&setup));
+    // Only the lower half of the file is unreadable: shard 0 and the I/O
+    // ranks of the upper latitude block succeed, and the compute ranks
+    // (which precede the I/O ranks) only hear of the failure from a peer.
+    assert_read_error("D-EnKF", 2, denkf(2).run(&setup));
+    let senkf = SEnkf::new(Params { ncg: 1, ..SENKF });
+    assert_read_error("S-EnKF", 2, senkf.run(&setup));
 }
 
 #[test]

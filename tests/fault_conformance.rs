@@ -17,13 +17,13 @@ mod common;
 
 use common::harness_labeled;
 use s_enkf::core::LocalAnalysis;
-use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy};
+use s_enkf::fault::{FaultConfig, FaultLog, FaultPlan, RetryPolicy};
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{
-    model_penkf_faulted, model_penkf_traced, model_senkf_faulted, model_senkf_traced,
-    AssimilationSetup, LEnkf, ModelConfig, PEnkf, SEnkf,
+    model_cycle, model_penkf_traced, model_senkf_traced, AssimilationSetup, LEnkf, ModelConfig,
+    ModelOutcome, ModelVariant, PEnkf, SEnkf,
 };
-use s_enkf::trace::Op;
+use s_enkf::trace::{Op, Trace};
 use s_enkf::tuning::{Params, Workload};
 
 const MESH: (usize, usize) = (24, 12);
@@ -37,6 +37,20 @@ const SENKF: Params = Params {
     layers: 2,
     ncg: 2,
 };
+const P_VARIANT: ModelVariant = ModelVariant::PEnkf {
+    nsdx: PENKF.0,
+    nsdy: PENKF.1,
+};
+const S_VARIANT: ModelVariant = ModelVariant::SEnkf(SENKF);
+
+/// The modeled cycle of `variant` under a fault plan, no monitor.
+fn model_faulted(
+    cfg: &ModelConfig,
+    variant: ModelVariant,
+    fcfg: &FaultConfig,
+) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+    model_cycle(cfg, &variant, Default::default(), fcfg, None)
+}
 
 fn model_cfg() -> ModelConfig {
     let mut cfg = ModelConfig::paper();
@@ -117,12 +131,12 @@ fn empty_plan_is_byte_identical_to_the_plain_path() {
 
     let cfg = model_cfg();
     let (_, plain) = model_penkf_traced(&cfg, PENKF.0, PENKF.1).unwrap();
-    let (_, faulted, log) = model_penkf_faulted(&cfg, PENKF.0, PENKF.1, &none).unwrap();
+    let (_, faulted, log) = model_faulted(&cfg, P_VARIANT, &none).unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "P-EnKF model");
     assert!(log.is_empty());
 
     let (_, plain) = model_senkf_traced(&cfg, SENKF).unwrap();
-    let (_, faulted, _) = model_senkf_faulted(&cfg, SENKF, &none).unwrap();
+    let (_, faulted, _) = model_faulted(&cfg, S_VARIANT, &none).unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "S-EnKF model");
 }
 
@@ -144,8 +158,7 @@ fn seeded_plan_conforms_across_executors_penkf() {
     }
     .run_faulted(&setup, &fcfg)
     .unwrap();
-    let (outcome, model, model_log) =
-        model_penkf_faulted(&model_cfg(), PENKF.0, PENKF.1, &fcfg).unwrap();
+    let (outcome, model, model_log) = model_faulted(&model_cfg(), P_VARIANT, &fcfg).unwrap();
 
     assert_eq!(report.dropped_members, vec![3]);
     assert_eq!(outcome.dropped_members, vec![3]);
@@ -174,7 +187,7 @@ fn seeded_plan_conforms_across_executors_senkf() {
     let fcfg = FaultConfig::degraded(seeded_plan()).with_retry(fast_retry());
 
     let (_, report, real, real_log) = SEnkf::new(SENKF).run_faulted(&setup, &fcfg).unwrap();
-    let (outcome, model, model_log) = model_senkf_faulted(&model_cfg(), SENKF, &fcfg).unwrap();
+    let (outcome, model, model_log) = model_faulted(&model_cfg(), S_VARIANT, &fcfg).unwrap();
 
     assert_eq!(report.dropped_members, vec![3]);
     assert_eq!(outcome.dropped_members, vec![3]);
@@ -206,7 +219,12 @@ fn model_backoff_delays_are_exact_in_virtual_time() {
     fcfg.degraded = false;
     fcfg.retry = retry;
 
-    let (_, trace, _) = model_penkf_faulted(&model_cfg(), 1, 1, &fcfg).unwrap();
+    let (_, trace, _) = model_faulted(
+        &model_cfg(),
+        ModelVariant::PEnkf { nsdx: 1, nsdy: 1 },
+        &fcfg,
+    )
+    .unwrap();
     let spans = trace.spans();
 
     let mut backoffs: Vec<f64> = spans
@@ -267,8 +285,8 @@ fn crash_is_a_typed_error_not_a_deadlock() {
     );
 
     // The model refuses a crashing plan up front rather than modeling a hang.
-    assert!(model_penkf_faulted(&model_cfg(), PENKF.0, PENKF.1, &fcfg).is_err());
-    assert!(model_senkf_faulted(&model_cfg(), SENKF, &fcfg).is_err());
+    assert!(model_faulted(&model_cfg(), P_VARIANT, &fcfg).is_err());
+    assert!(model_faulted(&model_cfg(), S_VARIANT, &fcfg).is_err());
 }
 
 /// A dropped message surfaces as a receive timeout on the real executor.
@@ -294,7 +312,7 @@ fn dropped_message_times_out_with_a_typed_error() {
         "L-EnKF with a dropped scatter message must error"
     );
     assert!(
-        model_senkf_faulted(&model_cfg(), SENKF, &fcfg).is_err(),
+        model_faulted(&model_cfg(), S_VARIANT, &fcfg).is_err(),
         "the model refuses a message-dropping plan"
     );
 }
