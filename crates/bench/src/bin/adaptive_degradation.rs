@@ -71,7 +71,7 @@ fn run_arm(
     let mut blacklisted = 0usize;
     for cycle in 0..CYCLES {
         let variant = ModelVariant::SEnkf(params);
-        let (out, _, _) = model_cycle(cfg, &variant, Default::default(), fcfg, monitor.as_deref())
+        let (out, _) = model_cycle(cfg, &variant, Default::default(), fcfg, monitor.as_deref())
             .expect("feasible adaptive S-EnKF model");
         total += out.makespan;
         if cycle == 0 {

@@ -41,7 +41,7 @@ fn sweep(cfg: &ModelConfig, np: usize, nsdx: usize, nsdy: usize, s_params: Param
     let severities = [1.0, 1.25, 1.5, 2.0, 3.0];
     let ranks = np.max(s_params.total_processors());
     let model = |variant: ModelVariant, fcfg: &FaultConfig| {
-        let (out, _, _) =
+        let (out, _) =
             model_cycle(cfg, &variant, Default::default(), fcfg, None).expect("feasible");
         out
     };
@@ -117,8 +117,8 @@ fn check_overhead() {
         plain = plain.min(t.elapsed().as_secs_f64());
 
         let t = std::time::Instant::now();
-        let (_, _, tpf, _) = penkf.run_faulted(&setup, &none).expect("faulted P-EnKF");
-        let (_, _, tsf, _) = senkf.run_faulted(&setup, &none).expect("faulted S-EnKF");
+        let (_, _, tpf) = penkf.run_faulted(&setup, &none).expect("faulted P-EnKF");
+        let (_, _, tsf) = senkf.run_faulted(&setup, &none).expect("faulted S-EnKF");
         faulted = faulted.min(t.elapsed().as_secs_f64());
 
         equal &= tp.digest() == tpf.digest() && ts.digest() == tsf.digest();

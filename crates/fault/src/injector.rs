@@ -1,6 +1,5 @@
-//! The injector: pure fault decisions plus the shared log.
+//! The injector: pure fault decisions.
 
-use crate::log::FaultLog;
 use crate::plan::FaultPlan;
 use crate::retry::RetryPolicy;
 
@@ -58,7 +57,8 @@ impl Default for FaultConfig {
 }
 
 /// Answers every injection question as a pure function of the
-/// [`FaultConfig`], and carries the [`FaultLog`] both executors append to.
+/// [`FaultConfig`]. It records nothing: what a decision led to is written
+/// once, into the run's trace, by the code that acts on it.
 ///
 /// Purity is the load-bearing property: the dropout set, the number of
 /// failed attempts per read, slowdown factors — none depend on runtime
@@ -68,16 +68,12 @@ impl Default for FaultConfig {
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     cfg: FaultConfig,
-    log: FaultLog,
 }
 
 impl FaultInjector {
-    /// An injector for `cfg` with an empty log.
+    /// An injector for `cfg`.
     pub fn new(cfg: FaultConfig) -> Self {
-        FaultInjector {
-            cfg,
-            log: FaultLog::new(),
-        }
+        FaultInjector { cfg }
     }
 
     /// The configuration driving the decisions.
@@ -88,16 +84,6 @@ impl FaultInjector {
     /// The retry policy.
     pub fn retry(&self) -> &RetryPolicy {
         &self.cfg.retry
-    }
-
-    /// The shared event log.
-    pub fn log(&self) -> &FaultLog {
-        &self.log
-    }
-
-    /// Consume the injector, yielding the event log.
-    pub fn into_log(self) -> FaultLog {
-        self.log
     }
 
     /// Whether any fault is scheduled at all (fast path: an empty plan must

@@ -15,30 +15,38 @@
 //!   jitter-free so backoff delays are bit-reproducible across executors and
 //!   appear in DES virtual time exactly as scheduled.
 //! * [`FaultInjector`] — the pure decision functions (`does attempt a of a
-//!   read of member k fail?`, `which members are unrecoverable?`) plus the
-//!   shared [`FaultLog`]. Every decision is a function of `(plan, policy)`
-//!   alone, never of runtime state, so all ranks of a run agree on the
-//!   dropout set without coordination.
-//! * [`FaultLog`] — the ordered record of injected faults and recovery
-//!   actions; its sorted [`FaultLog::digest`] is the conformance artifact
-//!   compared between the real and modeled executors.
+//!   read of member k fail?`, `which members are unrecoverable?`). Every
+//!   decision is a function of `(plan, policy)` alone, never of runtime
+//!   state, so all ranks of a run agree on the dropout set without
+//!   coordination.
 //! * [`SubstrateError`] — the structured error vocabulary (read failures
 //!   with path/member/expected-vs-actual context, retry exhaustion, receive
 //!   timeouts, rank crashes) shared by `enkf-pfs`, `enkf-net` and
 //!   `enkf-parallel` in place of stringly errors.
 //!
+//! The crate decides and names failures; it keeps no record of them. What
+//! an injected fault did to a run is in the run's trace — the fault kind and
+//! attempt index on the spans `enkf-pfs`'s read schedule emits — and the
+//! event list and digest compared between the real and modeled executors
+//! are projections of it (`enkf_trace::Trace::fault_events`).
+//!
 //! The crate is a leaf: it depends on nothing, and everything that can fail
 //! depends on it.
 
+// ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
+// failure correct use can meet — every survivor is justified in place.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod error;
 mod injector;
-mod log;
 mod plan;
 mod retry;
 
 pub use error::{ReadError, SubstrateError};
 pub use injector::{FaultConfig, FaultInjector};
-pub use log::{FaultEvent, FaultLog, FaultRecord};
 pub use plan::{
     seeded_unit, CycleCrash, FaultPlan, MsgFault, OstSlowdown, RankCrash, ReadFault, Straggler,
     UNRECOVERABLE,

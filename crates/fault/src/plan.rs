@@ -135,6 +135,11 @@ impl FaultPlan {
             && self.cycle_crashes.is_empty()
     }
 
+    // The `assert!`s of the builders below stay panics: a plan is program
+    // text composed by the caller, never parsed input, so an out-of-range
+    // argument is a bug at the call site — rejected where it is written,
+    // not carried into a run.
+
     /// Override the file→OST striping modulus.
     pub fn with_num_osts(mut self, num_osts: usize) -> Self {
         assert!(num_osts > 0, "num_osts must be positive");

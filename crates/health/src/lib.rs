@@ -21,7 +21,7 @@
 //!   conformance-neutral by construction).
 //! * **Evidence** ([`HealthLog`]): every detection and failover decision is
 //!   logged; the canonical sorted digest is part of the chaos-soak
-//!   conformance surface next to the trace and fault-log digests.
+//!   conformance surface next to the trace's operation and fault digests.
 //!
 //! Determinism argument, in one paragraph: the real substrate *injects*
 //! degradation (OST slowdowns, stragglers) through `enkf-fault`, so the

@@ -65,9 +65,9 @@ pub struct HealthRecord {
     pub event: HealthEvent,
 }
 
-/// Append-only, thread-shared log of health decisions, mirroring
-/// `enkf_fault::FaultLog`: the real executors feed it from rank threads,
-/// the DES models while weaving the decision sequence into virtual time.
+/// Append-only, thread-shared log of health decisions: the real executors
+/// feed it from rank threads, the DES models while weaving the decision
+/// sequence into virtual time.
 /// The sorted [`HealthLog::digest`] must be identical on both sides.
 #[derive(Debug, Default)]
 pub struct HealthLog {

@@ -37,7 +37,7 @@ use crate::DEnkf;
 use enkf_ckpt::{fnv64, AsyncCheckpointer, CampaignCheckpoint, CheckpointStore, CkptError};
 use enkf_core::{inflated, EnkfError, Ensemble, LocalAnalysis, Result as CoreResult};
 use enkf_data::{write_ensemble, CycleConfig, CycleState, CycleStats, CycledExperiment};
-use enkf_fault::{FaultConfig, FaultLog, RetryPolicy, SubstrateError};
+use enkf_fault::{FaultConfig, RetryPolicy, SubstrateError};
 use enkf_grid::Mesh;
 use enkf_health::{HealthMonitor, HealthParams, HealthSnapshot};
 use enkf_pfs::FileStore;
@@ -94,7 +94,7 @@ impl CampaignExecutor {
         setup: &AssimilationSetup<'_>,
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
-    ) -> CoreResult<(Ensemble, ExecutionReport, Trace, FaultLog)> {
+    ) -> CoreResult<(Ensemble, ExecutionReport, Trace)> {
         // D-EnKF's sends carry derived data and its analysis a kernel:
         // it brings its own rank body. Everything else is a program.
         if let CampaignExecutor::DEnkf { shards, kernel } = *self {
@@ -510,7 +510,7 @@ fn supervise(
                 observations: obs,
                 analysis: cfg.analysis,
             };
-            let (analysis, report, cycle_trace, _log) = exec
+            let (analysis, report, cycle_trace) = exec
                 .run_adaptive(&setup, &fcfg, monitor.as_ref())
                 .map_err(CampaignError::Analysis)?;
             cycle_out = Some((report, cycle_trace));

@@ -29,7 +29,7 @@ use crate::program::{CycleOp, ModelVariant, Payload};
 use crate::report::ExecutionReport;
 use enkf_core::{batched_transform, BatchedKernel, Ensemble, Result};
 use enkf_data::region_to_matrix;
-use enkf_fault::{FaultConfig, FaultLog, SubstrateError};
+use enkf_fault::{FaultConfig, SubstrateError};
 use enkf_health::HealthMonitor;
 use enkf_linalg::Matrix;
 use enkf_pfs::RegionData;
@@ -74,7 +74,7 @@ impl DEnkf {
         setup: &AssimilationSetup<'_>,
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
+    ) -> Result<(Ensemble, ExecutionReport, Trace)> {
         let variant = ModelVariant::DEnkf {
             shards: self.shards,
         };

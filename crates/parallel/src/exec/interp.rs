@@ -377,7 +377,7 @@ mod tests {
     use enkf_fault::FaultConfig;
     use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh, RegionRect};
     use enkf_pfs::{FileStore, ScratchDir};
-    use enkf_trace::{Op, Role, Span, Trace};
+    use enkf_trace::{Op, OpTag, Role, Span, Trace};
     use enkf_tuning::Workload;
 
     /// The fifth program — one no executor file knows. Every rank owns a
@@ -493,21 +493,15 @@ mod tests {
                     CycleOp::Compute { .. } => (Op::Compute, 0, 0, None, None),
                     CycleOp::Await { .. } => return Ok(()),
                 };
-                trace.push(Span {
-                    rank,
-                    role: Role::Compute,
+                let tag = OpTag {
                     stage,
-                    op,
-                    start: 0.0,
-                    dur: 0.0,
                     bytes,
                     seeks,
                     peer,
                     member,
-                    res: None,
-                    tenant: None,
-                    job: None,
-                });
+                    ..OpTag::default()
+                };
+                trace.push(Span::new(rank, Role::Compute, op, 0.0, 0.0, tag));
                 Ok(())
             })
             .unwrap();
@@ -535,8 +529,7 @@ mod tests {
         let program = TwoReaders { nsdx: 3, nsdy: 2 };
         let none = FaultConfig::none();
 
-        let (analysis, report, real, _) =
-            Cycle::run(&setup, &program, &none, None, run_rank).unwrap();
+        let (analysis, report, real) = Cycle::run(&setup, &program, &none, None, run_rank).unwrap();
         assert_eq!((report.num_compute_ranks, report.num_io_ranks), (6, 0));
         assert!(report.compute_ranks.read > 0.0 && report.compute_ranks.comm > 0.0);
         // (a) the serial point-wise reference, (b) P-EnKF on the same mesh:
@@ -559,7 +552,7 @@ mod tests {
             },
             ..ModelConfig::paper()
         };
-        let (outcome, model, _) =
+        let (outcome, model) =
             price_cycle(&cfg, &program, None, Default::default(), &none, None).unwrap();
         assert_eq!(outcome.num_compute_ranks, 6);
         let geo = Geometry {

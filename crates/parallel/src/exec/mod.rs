@@ -49,19 +49,18 @@ macro_rules! ladder {
                 setup: &AssimilationSetup<'_>,
             ) -> Result<(Ensemble, ExecutionReport, Trace)> {
                 self.run_faulted(setup, &FaultConfig::none())
-                    .map(|(analysis, report, trace, _)| (analysis, report, trace))
             }
 
-            /// [`Self::run_traced`] under a fault plan, additionally
-            /// returning the log of every injected fault; with
+            /// [`Self::run_traced`] under a fault plan; with
             /// `FaultConfig::none()` the two are behaviourally identical
-            /// (byte-identical trace digests). `Self::run_adaptive`
+            /// (byte-identical trace digests). What the plan injected is in
+            /// the trace (`Trace::fault_events`). `Self::run_adaptive`
             /// without a monitor.
             pub fn run_faulted(
                 &self,
                 setup: &AssimilationSetup<'_>,
                 cfg: &FaultConfig,
-            ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
+            ) -> Result<(Ensemble, ExecutionReport, Trace)> {
                 self.run_adaptive(setup, cfg, None)
             }
         }
@@ -77,9 +76,9 @@ pub mod setup;
 pub mod writeback;
 
 use crate::program::{CycleOp, Emitter, Geometry, ModelVariant};
-use crate::report::{ExecutionReport, PhaseBreakdown};
+use crate::report::ExecutionReport;
 use enkf_core::{EnkfError, Ensemble, Result};
-use enkf_fault::{FaultConfig, FaultInjector, FaultLog, SubstrateError};
+use enkf_fault::{FaultConfig, FaultInjector, SubstrateError};
 use enkf_grid::RegionRect;
 use enkf_health::HealthMonitor;
 use enkf_linalg::Matrix;
@@ -132,9 +131,10 @@ pub(crate) enum DropoutError {
 }
 
 /// The dropout decision of every executor, real and modeled: the sorted
-/// set of members whose reads exhaust the retry budget, logged as dropped
-/// in ascending order, or the reason the run cannot start. One function,
-/// so the two sides of a variant cannot disagree on who drops out.
+/// set of members whose reads exhaust the retry budget — what the run's
+/// report carries as `dropped_members` — or the reason the run cannot
+/// start. One function, so the two sides of a variant cannot disagree on
+/// who drops out.
 pub(crate) fn resolve_dropout(
     injector: &FaultInjector,
     members: usize,
@@ -146,9 +146,6 @@ pub(crate) fn resolve_dropout(
         }
         if members - dropped.len() < 2 {
             return Err(DropoutError::TooFew(members - dropped.len()));
-        }
-        for &m in &dropped {
-            injector.log().dropped(m);
         }
     }
     Ok(dropped)
@@ -204,8 +201,10 @@ pub(crate) fn foreign_msg(rank: usize) -> EnkfError {
 /// Run one assimilation cycle of `variant` on the threaded backend: emit
 /// its program and execute it with the one interpreter of member-block
 /// programs (see the module docs). Returns the analysis ensemble (columns
-/// are the surviving members), the per-class phase report — a projection
-/// of the trace's spans — the trace, and the log of every injected fault.
+/// are the surviving members), the per-class phase report and the trace.
+/// The trace is the run's one record: the report's phases, the operation
+/// digest and the fault events (`Trace::fault_events`, given the report's
+/// `dropped_members`) are all projections of its spans.
 ///
 /// With `FaultConfig::none()` and no monitor this is the plain run. Under
 /// a seeded plan reads retry with backoff, unrecoverable members are
@@ -227,7 +226,7 @@ pub fn run_cycle(
     variant: ModelVariant,
     cfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
-) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
+) -> Result<(Ensemble, ExecutionReport, Trace)> {
     Cycle::run(setup, &variant, cfg, monitor, interp::run_rank)
 }
 
@@ -245,7 +244,7 @@ pub(crate) struct Cycle<'a> {
     pub setup: &'a AssimilationSetup<'a>,
     /// Health monitor routing reads and collecting observations.
     pub monitor: Option<&'a HealthMonitor>,
-    /// The injector (carries the shared [`FaultLog`]).
+    /// The plan's pure decision functions.
     pub injector: FaultInjector,
     /// Sorted dropout set (empty on a fault-free run).
     pub dropped: Vec<usize>,
@@ -263,8 +262,9 @@ impl<'a> Cycle<'a> {
     /// Run one cycle of `program`: validate, resolve the fault plan (fail
     /// fast when degraded mode is off or would leave fewer than two
     /// members), emit the program, run `body` on every rank thread, and
-    /// fold the rank results — spans into the trace and the per-class
-    /// phase report, `Compute` results into the analysis ensemble. The
+    /// fold the rank results — spans into the trace (of which the per-class
+    /// phase report is a projection), `Compute` results into the analysis
+    /// ensemble. The
     /// cycle's error is that of the first failed rank, in rank order, that
     /// failed on its own: a rank merely told to stop by a failing peer
     /// ([`SubstrateError::PeerAborted`]) echoes that peer's error and is
@@ -275,7 +275,7 @@ impl<'a> Cycle<'a> {
         cfg: &FaultConfig,
         monitor: Option<&'a HealthMonitor>,
         body: impl Fn(&Cycle<'a>, RankCtx<Msg>, &mut RankTracer) -> RankOut + Sync,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
+    ) -> Result<(Ensemble, ExecutionReport, Trace)> {
         setup.validate()?;
         let mesh = setup.mesh();
         let (compute_ranks, io_ranks) = program
@@ -331,18 +331,10 @@ impl<'a> Cycle<'a> {
         });
 
         let mut trace = Trace::new(format!("{}-real", cycle.name));
-        let mut compute = PhaseBreakdown::default();
-        let mut io = PhaseBreakdown::default();
         let mut analysis = Ensemble::new(mesh, Matrix::zeros(mesh.n(), cycle.alive.len()));
         let mut covered = 0;
         let mut echo = None;
-        for (rank, (res, spans)) in results.into_iter().enumerate() {
-            let phases = PhaseBreakdown::from_spans(&spans);
-            if rank < compute_ranks {
-                compute.merge(&phases);
-            } else {
-                io.merge(&phases);
-            }
+        for (res, spans) in results {
             trace.extend(spans);
             match res {
                 Ok(analyzed) => {
@@ -367,6 +359,7 @@ impl<'a> Cycle<'a> {
                 mesh.n()
             )));
         }
+        let (compute, io) = trace.class_phases(compute_ranks);
         let report = ExecutionReport {
             compute_ranks: compute,
             io_ranks: io,
@@ -375,7 +368,7 @@ impl<'a> Cycle<'a> {
             wall_time: t0.elapsed().as_secs_f64(),
             dropped_members: cycle.dropped,
         };
-        Ok((analysis, report, trace, cycle.injector.into_log()))
+        Ok((analysis, report, trace))
     }
 
     /// `rank`'s ops, in program order.
@@ -398,10 +391,7 @@ impl<'a> Cycle<'a> {
     /// `rank` (it stops responding — peers must time out).
     pub fn check_crash(&self, rank: usize) -> Result<()> {
         match self.injector.crash_stage(rank) {
-            Some(stage) => {
-                self.injector.log().crashed(rank, stage);
-                Err(SubstrateError::RankCrashed { rank, stage }.into())
-            }
+            Some(stage) => Err(SubstrateError::RankCrashed { rank, stage }.into()),
             None => Ok(()),
         }
     }

@@ -15,7 +15,7 @@ use crate::exec::setup::AssimilationSetup;
 use crate::program::ModelVariant;
 use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
-use enkf_fault::{FaultConfig, FaultLog};
+use enkf_fault::FaultConfig;
 use enkf_health::HealthMonitor;
 use enkf_trace::Trace;
 
@@ -37,7 +37,7 @@ impl PEnkf {
         setup: &AssimilationSetup<'_>,
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
+    ) -> Result<(Ensemble, ExecutionReport, Trace)> {
         let (nsdx, nsdy) = (self.nsdx, self.nsdy);
         run_cycle(setup, ModelVariant::PEnkf { nsdx, nsdy }, cfg, monitor)
     }

@@ -25,7 +25,7 @@ use crate::exec::setup::AssimilationSetup;
 use crate::program::ModelVariant;
 use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
-use enkf_fault::{FaultConfig, FaultLog};
+use enkf_fault::FaultConfig;
 use enkf_health::HealthMonitor;
 use enkf_trace::Trace;
 use enkf_tuning::Params;
@@ -51,7 +51,7 @@ impl SEnkf {
         setup: &AssimilationSetup<'_>,
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
-    ) -> Result<(Ensemble, ExecutionReport, Trace, FaultLog)> {
+    ) -> Result<(Ensemble, ExecutionReport, Trace)> {
         run_cycle(setup, ModelVariant::SEnkf(self.params), cfg, monitor)
     }
 }

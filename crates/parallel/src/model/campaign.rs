@@ -29,7 +29,7 @@ use crate::program::{Emitter, ModelVariant};
 use enkf_ckpt::fnv64;
 use enkf_fault::{FaultConfig, RetryPolicy};
 use enkf_health::{HealthMonitor, HealthSnapshot};
-use enkf_trace::{Op, Role, Span, Trace};
+use enkf_trace::{Op, OpTag, Role, Span, Trace};
 use std::collections::BTreeSet;
 
 /// Campaign-level plan for the model.
@@ -133,7 +133,6 @@ pub fn model_campaign_adaptive(
     let run_cycle_model =
         |cfg: &ModelConfig, mon: Option<&HealthMonitor>| -> Result<(ModelOutcome, Trace), String> {
             model_cycle(cfg, variant, Default::default(), &cycle_fcfg, mon)
-                .map(|(out, trace, _log)| (out, trace))
         };
     // The baseline cycle prices checkpoint overlap and crashed partial
     // attempts in both modes; it is also the replayed cycle when no
@@ -184,22 +183,15 @@ pub fn model_campaign_adaptive(
     let mut lost = 0.0f64;
     let mut restarts = 0u32;
 
-    let sup_span =
-        |op: Op, start: f64, dur: f64, bytes: u64, seeks: u64, member: Option<usize>| Span {
-            rank: sup_rank,
-            role: Role::Io,
-            stage: None,
-            op,
-            start,
-            dur,
+    let sup_span = |op: Op, start: f64, dur: f64, bytes: u64, seeks: u64, member: Option<usize>| {
+        let tag = OpTag {
             bytes,
             seeks,
-            peer: None,
             member,
-            res: None,
-            tenant: None,
-            job: None,
+            ..OpTag::default()
         };
+        Span::new(sup_rank, Role::Io, op, start, dur, tag)
+    };
     let emit_cycle = |trace: &mut Trace, t: &mut f64| {
         trace.extend(cycle_trace.spans().iter().cloned().map(|mut s| {
             s.start += *t;

@@ -10,13 +10,13 @@ pub mod senkf;
 use crate::exec::{compute_dilation, resolve_dropout, DropoutError};
 use crate::program::{CycleOp, Emitter, Geometry, ModelVariant};
 use crate::report::PhaseBreakdown;
-use enkf_fault::{FaultConfig, FaultInjector, FaultLog};
+use enkf_fault::{FaultConfig, FaultInjector};
 use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork};
 use enkf_health::HealthMonitor;
 use enkf_net::{ModeledNet, NetParams};
 use enkf_pfs::{ModeledPfs, PfsParams};
 use enkf_sim::{Kind, Simulation, Task, TaskId};
-use enkf_trace::{OpTag, PhaseTotals, Trace};
+use enkf_trace::{Op, OpTag, Trace};
 use enkf_tuning::Workload;
 use senkf::SEnkfModelOptions;
 
@@ -37,10 +37,10 @@ fn add_task(sim: &mut Simulation, task: Task) -> Result<TaskId, String> {
 /// Price one cycle of `variant` on the DES backend — the modeled twin of
 /// [`crate::exec::run_cycle`] (and of [`crate::DEnkf`]): the same program,
 /// each op turned into tasks as documented on `price_cycle`. Returns the
-/// outcome, the virtual-time trace and the log of every injected fault;
-/// under a common seeded plan and monitor view all three digests (trace
-/// operations, faults, health decisions) equal the real executor's. `opts`
-/// are the S-EnKF ablation switches (`Default::default()` is the paper's
+/// outcome and the virtual-time trace the outcome is a projection of; under
+/// a common seeded plan and monitor view all three digests (the trace's
+/// operations and fault events, the monitor's health decisions) equal the
+/// real executor's. `opts` are the S-EnKF ablation switches (`Default::default()` is the paper's
 /// design). Plans the real executor cannot complete — a crashed rank, a
 /// dropped message in a program that sends any — are rejected.
 pub fn model_cycle(
@@ -49,7 +49,7 @@ pub fn model_cycle(
     opts: SEnkfModelOptions,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+) -> Result<(ModelOutcome, Trace), String> {
     let w = &cfg.workload;
     let mesh = Mesh::new(w.nx, w.ny);
     if let ModelVariant::SEnkf(p) = *variant {
@@ -82,13 +82,12 @@ fn model_traced(cfg: &ModelConfig, variant: ModelVariant) -> Result<(ModelOutcom
         &FaultConfig::none(),
         None,
     )
-    .map(|(out, trace, _)| (out, trace))
 }
 
 /// The DES interpreter of a cycle program — the only code that adds cycle
 /// tasks. Agent ids coincide with the real executor's rank numbering
-/// (compute ranks, then I/O ranks), so `FaultLog` rank fields compare
-/// across executors; one NIC per compute rank is the ingestion port. Each
+/// (compute ranks, then I/O ranks), so span and fault-event rank fields
+/// compare across executors; one NIC per compute rank is the ingestion port. Each
 /// op is priced as it is emitted, in emission order:
 ///
 /// * `Read` — the retry/speculation weave of [`ModeledPfs::add_member_read`],
@@ -114,7 +113,7 @@ pub(crate) fn price_cycle(
     opts: SEnkfModelOptions,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+) -> Result<(ModelOutcome, Trace), String> {
     let w = &cfg.workload;
     let mesh = Mesh::new(w.nx, w.ny);
     let layout = FileLayout::new(mesh, w.h);
@@ -145,7 +144,6 @@ pub(crate) fn price_cycle(
     let mut inbox: Vec<Mailbox> = (0..c2 * layers).map(|_| Mailbox::default()).collect();
     let mut gate: Vec<Vec<TaskId>> = vec![Vec::new(); c2];
     let mut dilations: Vec<Option<f64>> = vec![None; c2];
-    let mut compute_tasks = Vec::with_capacity(c2 * layers);
 
     let geo = Geometry {
         layout,
@@ -231,50 +229,33 @@ pub(crate) fn price_cycle(
                         stage,
                         ..OpTag::default()
                     });
-                compute_tasks.push(add_task(&mut sim, analysis)?);
+                add_task(&mut sim, analysis)?;
             }
         }
         Ok(())
     })?;
 
-    // Run the graph and derive the outcome *from the exported trace*:
-    // per-rank span sums are an exact projection of the DES busy/wait
-    // accounting (see `Simulation::export_trace`).
+    // Run the graph and derive the outcome *from the exported trace*, the
+    // run's only per-rank accounting (see `Simulation::export_trace`).
     let report = sim.run().map_err(|e| e.to_string())?;
     let trace = sim.export_trace(&format!("{}-model", program.name()));
-    let mut compute = PhaseTotals::default();
-    let mut io = PhaseTotals::default();
-    for (rank, t) in &trace.per_rank_phases() {
-        let agg = if *rank < c2 { &mut compute } else { &mut io };
-        agg.read += t.read;
-        agg.comm += t.comm;
-        agg.compute += t.compute;
-        agg.wait += t.wait;
-        agg.fault += t.fault;
-    }
+    let (compute, io) = trace.class_phases(c2);
     let io_mean = if c1 == 0 {
         PhaseBreakdown::default()
     } else {
-        PhaseBreakdown::from(io).scaled(1.0 / c1 as f64)
+        io.scaled(1.0 / c1 as f64)
     };
-    // The earliest local-analysis start is the exposed read+comm prefix.
-    let first_compute_start = compute_tasks
-        .iter()
-        .map(|&t| sim.task_times(t).1)
-        .fold(f64::INFINITY, f64::min);
-    Ok((
-        ModelOutcome {
-            makespan: report.makespan,
-            compute_mean: PhaseBreakdown::from(compute).scaled(1.0 / c2 as f64),
-            io_mean,
-            num_compute_ranks: c2,
-            num_io_ranks: c1,
-            first_compute_start,
-            dropped_members: dropped,
-        },
-        trace,
-        injector.into_log(),
-    ))
+    let outcome = ModelOutcome {
+        makespan: report.makespan,
+        compute_mean: compute.scaled(1.0 / c2 as f64),
+        io_mean,
+        num_compute_ranks: c2,
+        num_io_ranks: c1,
+        // The earliest local-analysis start is the exposed read+comm prefix.
+        first_compute_start: trace.first_start(Op::Compute),
+        dropped_members: dropped,
+    };
+    Ok((outcome, trace))
 }
 
 /// Configuration of a modeled run: workload geometry plus substrate

@@ -1,19 +1,21 @@
 //! Property tests over *random* meshes, ensemble sizes, localization radii
 //! and S-EnKF parameterizations: the parallel analyses are identical to the
-//! serial point-wise reference, and every variant's cycle program is
-//! balanced, covers the mesh, and is what both execution paths trace.
+//! serial point-wise reference, every variant's cycle program is balanced,
+//! covers the mesh, and is what both execution paths trace, and under random
+//! seeded fault plans every fault fact is in the trace exactly once.
 
 use enkf_core::{serial_enkf, BatchedKernel, LocalAnalysis};
 use enkf_data::{write_ensemble, ScenarioBuilder};
+use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy};
 use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
-use enkf_health::RouteView;
+use enkf_health::{HealthMonitor, HealthParams, RouteView};
 use enkf_parallel::{
-    model_denkf_traced, model_lenkf_traced, model_penkf_traced, model_senkf_traced,
-    AssimilationSetup, CycleOp, DEnkf, Geometry, LEnkf, ModelConfig, ModelVariant, PEnkf, Payload,
-    SEnkf,
+    model_cycle, model_denkf_traced, model_lenkf_traced, model_penkf_traced, model_senkf_traced,
+    run_cycle, AssimilationSetup, CycleOp, DEnkf, Geometry, LEnkf, ModelConfig, ModelVariant,
+    PEnkf, Payload, SEnkf,
 };
 use enkf_pfs::{FileStore, ScratchDir};
-use enkf_trace::{Op, Role, Span, Trace};
+use enkf_trace::{FaultKind, Op, OpTag, Role, Span, Trace};
 use enkf_tuning::{Params, Workload};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -79,6 +81,94 @@ impl Case {
     fn layout(&self) -> FileLayout {
         FileLayout::new(self.mesh, LEVEL_BYTES)
     }
+
+    /// The modeled twin of this case's real store and scenario.
+    fn model_cfg(&self) -> ModelConfig {
+        ModelConfig {
+            workload: Workload {
+                nx: self.mesh.nx(),
+                ny: self.mesh.ny(),
+                members: self.members,
+                h: LEVEL_BYTES,
+                xi: self.radius.xi,
+                eta: self.radius.eta,
+            },
+            obs_stride: OBS_STRIDE,
+            ..ModelConfig::paper()
+        }
+    }
+}
+
+/// A random seeded fault plan: two read faults (each within or beyond the
+/// retry budget of 3), an OST slowdown, a straggler — and whether a health
+/// monitor, warmed so the slow OST is blacklisted, routes the reads.
+#[derive(Debug, Clone)]
+struct Storm {
+    read_faults: [(usize, u32); 2],
+    slow_ost: usize,
+    slowdown: f64,
+    straggler: (usize, f64),
+    monitored: bool,
+}
+
+fn storm_strategy() -> impl Strategy<Value = Storm> {
+    (
+        (0usize..6, 1u32..=5),
+        1u32..=5,
+        0usize..3,
+        2.5f64..4.0,
+        (0usize..4, 1.0f64..1.5),
+        any::<bool>(),
+    )
+        .prop_map(
+            |((member, fails), more_fails, slow_ost, slowdown, straggler, monitored)| Storm {
+                read_faults: [(member, fails), (member + 1, more_fails)],
+                slow_ost,
+                slowdown,
+                straggler,
+                monitored,
+            },
+        )
+}
+
+impl Storm {
+    const MAX_RETRIES: u32 = 3;
+
+    /// The plan for an ensemble of `members` (member indices wrap; at most
+    /// `members − 2` reads are left beyond the budget, so two survive).
+    fn config(&self, members: usize) -> FaultConfig {
+        let mut plan = FaultPlan::new(17)
+            .with_ost_slowdown(self.slow_ost, self.slowdown)
+            .with_straggler(self.straggler.0, self.straggler.1);
+        let mut droppable = members - 2;
+        for (member, fails) in self.read_faults {
+            let beyond = fails > Self::MAX_RETRIES && droppable > 0;
+            droppable -= usize::from(beyond);
+            let fails = if beyond {
+                fails
+            } else {
+                fails.min(Self::MAX_RETRIES)
+            };
+            plan = plan.with_read_fault(member % members, fails);
+        }
+        FaultConfig::degraded(plan).with_retry(RetryPolicy {
+            max_retries: Self::MAX_RETRIES,
+            base_backoff: 1e-6,
+            multiplier: 2.0,
+            ..RetryPolicy::default()
+        })
+    }
+
+    /// A monitor that has already seen the slow OST misbehave for a cycle
+    /// (so it is blacklisted and reads of its members speculate), or none.
+    fn monitor(&self) -> Option<HealthMonitor> {
+        self.monitored.then(|| {
+            let mut mon = HealthMonitor::new(HealthParams::default());
+            mon.observe_read(self.slow_ost, self.slow_ost, self.slowdown);
+            mon.end_cycle();
+            mon
+        })
+    }
 }
 
 /// Materialise a variant's program.
@@ -117,25 +207,20 @@ fn projected_digest(ops: &[(usize, CycleOp)], layout: &FileLayout, compute_ranks
             CycleOp::Compute { stage, .. } => (Op::Compute, stage, 0, 0, None, None),
             CycleOp::Await { .. } => continue,
         };
-        trace.push(Span {
-            rank,
-            role: if rank < compute_ranks {
-                Role::Compute
-            } else {
-                Role::Io
-            },
+        let role = if rank < compute_ranks {
+            Role::Compute
+        } else {
+            Role::Io
+        };
+        let tag = OpTag {
             stage,
-            op,
-            start: 0.0,
-            dur: 0.0,
             bytes,
             seeks,
             peer,
             member,
-            res: None,
-            tenant: None,
-            job: None,
-        });
+            ..OpTag::default()
+        };
+        trace.push(Span::new(rank, role, op, 0.0, 0.0, tag));
     }
     trace.digest()
 }
@@ -292,18 +377,7 @@ proptest! {
             observations: &scenario.observations,
             analysis: LocalAnalysis::new(case.radius),
         };
-        let cfg = ModelConfig {
-            workload: Workload {
-                nx: case.mesh.nx(),
-                ny: case.mesh.ny(),
-                members: case.members,
-                h: LEVEL_BYTES,
-                xi: case.radius.xi,
-                eta: case.radius.eta,
-            },
-            obs_stride: OBS_STRIDE,
-            ..ModelConfig::paper()
-        };
+        let cfg = case.model_cfg();
         let geo = Geometry {
             layout: case.layout(),
             members: case.members,
@@ -339,6 +413,88 @@ proptest! {
                 projected_digest(&program(&variant, &geo), &case.layout(), compute_ranks);
             prop_assert_eq!(&projected, &real.digest(), "{:?} real", variant);
             prop_assert_eq!(&projected, &model.digest(), "{:?} model", variant);
+        }
+    }
+
+    /// **Each fact once.** Under a random seeded plan, with and without a
+    /// monitor, on all four variants: every `Op::Fault` span is exactly one
+    /// projected `injected` / `backoff` / `cancelled` event (no fact is
+    /// missing from the projection, none is recorded beside the spans),
+    /// every projected `recovered` is a `Read` span with a non-zero
+    /// attempt, the fault digest projected from the real trace equals the
+    /// model's — and the operation digest does not see the fault kinds and
+    /// attempt indices at all: stripping them leaves it string-equal.
+    #[test]
+    fn each_fault_fact_is_in_the_trace_once(case in case_strategy(), storm in storm_strategy()) {
+        let scenario = ScenarioBuilder::new(case.mesh)
+            .members(case.members)
+            .observation_stride(OBS_STRIDE)
+            .seed(case.seed)
+            .build();
+        let scratch = ScratchDir::new("facts-prop").unwrap();
+        let store = FileStore::open(scratch.path(), case.layout()).unwrap();
+        write_ensemble(&store, &scenario.ensemble).unwrap();
+        let setup = AssimilationSetup {
+            store: &store,
+            members: case.members,
+            observations: &scenario.observations,
+            analysis: LocalAnalysis::new(case.radius),
+        };
+        let cfg = case.model_cfg();
+        let fcfg = storm.config(case.members);
+        for variant in case.variants() {
+            // Two independent monitors, warmed alike: one per world.
+            let (real_mon, model_mon) = (storm.monitor(), storm.monitor());
+            let (_, report, real) = match variant {
+                ModelVariant::DEnkf { shards } => DEnkf { shards, kernel: BatchedKernel::Cholesky }
+                    .run_adaptive(&setup, &fcfg, real_mon.as_ref()),
+                _ => run_cycle(&setup, variant, &fcfg, real_mon.as_ref()),
+            }
+            .unwrap();
+            let (outcome, model) =
+                model_cycle(&cfg, &variant, Default::default(), &fcfg, model_mon.as_ref()).unwrap();
+            prop_assert_eq!(&report.dropped_members, &outcome.dropped_members);
+
+            for (world, trace) in [("real", &real), ("model", &model)] {
+                let events = trace.fault_events(&report.dropped_members);
+                let of = |kinds: &[FaultKind]| {
+                    events.iter().filter(|e| kinds.contains(&e.kind)).count()
+                };
+                let spans = |keep: &dyn Fn(&Span) -> bool| {
+                    trace.spans().iter().filter(|s| keep(s)).count()
+                };
+                prop_assert_eq!(
+                    of(&[FaultKind::Injected, FaultKind::Backoff, FaultKind::Cancelled]),
+                    spans(&|s| s.op == Op::Fault),
+                    "{:?} {}: fault spans vs projected steps", variant, world
+                );
+                prop_assert_eq!(
+                    of(&[FaultKind::Recovered]),
+                    spans(&|s| s.op == Op::Read && s.attempt > 0),
+                    "{:?} {}: recovered events vs re-issued reads", variant, world
+                );
+                prop_assert_eq!(of(&[FaultKind::Dropped]), report.dropped_members.len());
+                prop_assert!(of(&[FaultKind::Injected]) > 0, "{:?}: vacuous plan", variant);
+                prop_assert!(
+                    spans(&|s| s.op != Op::Fault && s.fault.is_some()) == 0
+                        && spans(&|s| !matches!(s.op, Op::Fault | Op::Read) && s.attempt > 0) == 0,
+                    "{:?} {}: a fault tag outside the read schedule", variant, world
+                );
+                let mut stripped = Trace::new("stripped");
+                stripped.extend(trace.spans().iter().map(|s| Span {
+                    fault: None,
+                    attempt: 0,
+                    ..s.clone()
+                }));
+                prop_assert_eq!(trace.digest(), stripped.digest());
+                prop_assert!(stripped.fault_events(&[]).is_empty());
+            }
+            prop_assert_eq!(real.digest(), model.digest(), "{:?} operations", variant);
+            prop_assert_eq!(
+                real.fault_digest(&report.dropped_members),
+                model.fault_digest(&outcome.dropped_members),
+                "{:?} fault events", variant
+            );
         }
     }
 }

@@ -12,8 +12,9 @@
 //! Digest safety: the prefetch thread performs *exactly* the reads the
 //! sequential loop would (same members, same regions, same stage tags,
 //! same resilient retry/backoff sequence), only earlier in wall time.
-//! Trace digests are time-free sorted multisets and the fault log digest
-//! sorts its records, so overlapping the reads cannot move either digest.
+//! Trace digests are time-free sorted multisets and the fault digest sorts
+//! the events it projects from the same spans, so overlapping the reads
+//! cannot move either digest.
 //! The stage plan must therefore be truncated *before* calling (e.g. at a
 //! planned crash stage) — the prefetcher never reads past the plan.
 
@@ -226,12 +227,14 @@ mod tests {
             .collect()
     }
 
-    fn digest_of(tracer: RankTracer) -> String {
+    fn trace_of(tracer: RankTracer) -> enkf_trace::Trace {
         let mut trace = enkf_trace::Trace::new("t");
-        for s in tracer.into_spans() {
-            trace.push(s);
-        }
-        trace.digest()
+        trace.extend(tracer.into_spans());
+        trace
+    }
+
+    fn digest_of(tracer: RankTracer) -> String {
+        trace_of(tracer).digest()
     }
 
     #[test]
@@ -386,8 +389,7 @@ mod tests {
                 .unwrap();
             }
         }
-        let seq_digest = digest_of(seq_tracer);
-        let seq_log = inj_seq.log().digest();
+        let seq = trace_of(seq_tracer);
 
         let inj_ra = FaultInjector::new(cfg);
         let mut ra_tracer = RankTracer::new(0, Instant::now());
@@ -401,8 +403,10 @@ mod tests {
         )
         .unwrap();
 
-        assert_eq!(digest_of(ra_tracer), seq_digest);
-        assert_eq!(inj_ra.log().digest(), seq_log);
+        let ra = trace_of(ra_tracer);
+        assert_eq!(ra.digest(), seq.digest());
+        assert!(!seq.fault_digest(&[]).is_empty(), "the plan injects faults");
+        assert_eq!(ra.fault_digest(&[]), seq.fault_digest(&[]));
     }
 
     #[test]

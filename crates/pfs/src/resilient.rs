@@ -5,18 +5,21 @@
 //! speculative duplicate, then per attempt a backoff, an injected failure
 //! or the read itself. `weave_read` is the only place that schedule is
 //! decided — the route (from the monitor's frozen
-//! [`enkf_health::RouteView`]), the attempt budget, and every
-//! [`enkf_fault::FaultLog`] / monitor record. It has two arms:
+//! [`enkf_health::RouteView`]), the attempt budget, every monitor record,
+//! and the [`OpTag`] of every step: *what the step is* (footprint, fault
+//! kind, attempt index) is built there, once. Its two arms only put a time
+//! on the tag:
 //!
 //! * the **real** arm ([`read_region_adaptive`]) sleeps the backoffs,
 //!   performs (and discards) injected attempts so they cost real OST time,
-//!   and records each step as a span;
-//! * the **modeled** arm ([`ModeledPfs::add_member_read`]) adds one DES
-//!   task per step.
+//!   and has a [`RankTracer`] time each step into a span;
+//! * the **modeled** arm ([`ModeledPfs::add_member_read`]) prices each step
+//!   as one DES task carrying the tag.
 //!
-//! Both arms therefore produce the same step sequence under any seeded
-//! plan, which is what keeps real and modeled trace, fault and health
-//! digests identical.
+//! Both arms therefore produce the same spans under any seeded plan, which
+//! is what keeps the real and modeled operation digests, fault events
+//! (`enkf_trace::Trace::fault_events` — a projection of those spans, there
+//! is no second log) and health digests identical.
 
 use crate::model::ModeledPfs;
 use crate::store::{FileStore, RegionData};
@@ -25,7 +28,7 @@ use enkf_grid::RegionRect;
 use enkf_health::{HealthMonitor, ReadRoute};
 use enkf_sim::engine::SimError;
 use enkf_sim::{AgentId, Kind, Simulation, Task};
-use enkf_trace::{OpTag, RankTracer};
+use enkf_trace::{FaultKind, Op, OpTag, RankTracer};
 use std::time::{Duration, Instant};
 
 /// Sleep `(factor − 1) × elapsed` so an operation started at `start` takes
@@ -38,18 +41,17 @@ pub fn dilate(start: Instant, factor: f64) {
     }
 }
 
-/// One step of a member read's schedule, in execution order.
-enum ReadStep {
-    /// The losing speculative duplicate, cancelled at first completion: no
-    /// cost, but it carries the region's footprint into the trace.
-    Cancelled,
-    /// The policy's deterministic pause before a retry, seconds.
-    Backoff(f64),
-    /// An attempt the plan fails by injection: it still occupies the
-    /// serving path for a full service, and its result is discarded.
-    Injected,
-    /// The read proper.
-    Read,
+/// What one step of a member read's schedule costs; what the step *is* —
+/// cancelled duplicate, backoff, injected failure, the read — is its tag.
+enum StepCost {
+    /// An agent-local pause, seconds: the policy's deterministic backoff
+    /// before a retry — or zero for the losing speculative duplicate, which
+    /// is cancelled at first completion and only carries the region's
+    /// footprint into the trace.
+    Pause(f64),
+    /// A full service on the serving path. An attempt the plan fails by
+    /// injection still occupies the path; its result is discarded.
+    Service(ReadPath),
 }
 
 /// The path serving a member read: the OST (`None` = wherever the file
@@ -60,26 +62,33 @@ struct ReadPath {
     factor: f64,
 }
 
-/// Decide and drive one member read. Without a monitor the read is served
-/// by the member's own OST at the plan's slowdown. With one, the frozen
-/// view routes it: a blacklisted primary OST issues a speculative
-/// duplicate on the replica, the deterministic
-/// [`ReadRoute::Speculate::replica_wins`] tie-break picks the serving
-/// path, and the loser becomes a [`ReadStep::Cancelled`] marker. Then the
-/// *deadline-capped* [`enkf_fault::RetryPolicy::scheduled_attempts`] run:
-/// attempts `0..fail_attempts` of the plan are injected failures, each
-/// retry is preceded by its backoff, and a `Read` step that reports
-/// `Ok(false)` (a genuine I/O failure) consumes its attempt. Returns
-/// whether the read was served; a served read feeds one
+/// Decide and drive one read of `member`, whose tag on a first try (role,
+/// stage, member, bytes, seeks) is `read`. Without a monitor the read is served by the
+/// member's own OST at the plan's slowdown. With one, the frozen view
+/// routes it: a blacklisted primary OST issues a speculative duplicate on
+/// the replica, the deterministic [`ReadRoute::Speculate::replica_wins`]
+/// tie-break picks the serving path, and the loser becomes a
+/// [`FaultKind::Cancelled`] marker. Then the *deadline-capped*
+/// [`enkf_fault::RetryPolicy::scheduled_attempts`] run: attempts
+/// `0..fail_attempts` of the plan are [`FaultKind::Injected`] failures,
+/// each retry is preceded by its [`FaultKind::Backoff`] (tagged with the
+/// attempt it follows), and the read proper carries the attempt that issued
+/// it; one that reports `Ok(false)` (a genuine I/O failure) consumes its
+/// attempt. Returns whether the read was served; a served read feeds one
 /// `(ost, member, factor)` observation back to the monitor.
 fn weave_read<E>(
     injector: &FaultInjector,
     monitor: Option<&HealthMonitor>,
     rank: usize,
-    stage: Option<usize>,
     member: usize,
-    mut step: impl FnMut(ReadStep, ReadPath) -> Result<bool, E>,
+    read: OpTag,
+    mut step: impl FnMut(OpTag, StepCost) -> Result<bool, E>,
 ) -> Result<bool, E> {
+    let fault = |kind, attempt| OpTag {
+        fault: Some(kind),
+        attempt,
+        ..read
+    };
     let path = match monitor {
         None => ReadPath {
             ost: None,
@@ -99,7 +108,7 @@ fn weave_read<E>(
                     replica,
                     replica_wins,
                 } => {
-                    mon.speculated(rank, stage, member, ost, replica, replica_wins);
+                    mon.speculated(rank, read.stage, member, ost, replica, replica_wins);
                     let winner = if replica_wins {
                         ReadPath {
                             ost: Some(replica),
@@ -108,7 +117,7 @@ fn weave_read<E>(
                     } else {
                         primary
                     };
-                    step(ReadStep::Cancelled, winner)?;
+                    step(fault(FaultKind::Cancelled, 0), StepCost::Pause(0.0))?;
                     winner
                 }
             }
@@ -118,16 +127,16 @@ fn weave_read<E>(
     let fails = injector.read_fail_attempts(member);
     for attempt in 0..retry.scheduled_attempts() {
         if attempt > 0 {
-            injector.log().backoff(rank, stage, member, attempt - 1);
-            step(ReadStep::Backoff(retry.backoff(attempt - 1)), path)?;
+            let backoff = OpTag {
+                bytes: 0,
+                seeks: 0,
+                ..fault(FaultKind::Backoff, attempt - 1)
+            };
+            step(backoff, StepCost::Pause(retry.backoff(attempt - 1)))?;
         }
         if attempt < fails {
-            injector.log().injected(rank, stage, member, attempt);
-            step(ReadStep::Injected, path)?;
-        } else if step(ReadStep::Read, path)? {
-            if attempt > 0 {
-                injector.log().recovered(rank, stage, member, attempt);
-            }
+            step(fault(FaultKind::Injected, attempt), StepCost::Service(path))?;
+        } else if step(OpTag { attempt, ..read }, StepCost::Service(path))? {
             if let (Some(mon), Some(ost)) = (monitor, path.ost) {
                 mon.observe_read(ost, member, path.factor);
             }
@@ -138,13 +147,12 @@ fn weave_read<E>(
 }
 
 /// Read `region` of member `member` through `weave_read`'s schedule —
-/// the real arm. Injected attempts still perform the read (real disk time,
-/// real OST occupancy) and are recorded as fault spans with the region's
-/// bytes/seeks; backoffs are slept and recorded as zero-byte fault spans;
-/// the path's factor dilates every attempt's wall time. When the attempts
-/// run out the last genuine [`ReadError`] (if any) is the cause of
-/// [`SubstrateError::RetriesExhausted`], so degraded mode completes N−1
-/// instead of stalling.
+/// the real arm: every step is timed into one span of its tag. Injected
+/// attempts still perform the read (real disk time, real OST occupancy),
+/// backoffs are slept, and the path's factor dilates every attempt's wall
+/// time. When the attempts run out the last genuine [`ReadError`] (if any)
+/// is the cause of [`SubstrateError::RetriesExhausted`], so degraded mode
+/// completes N−1 instead of stalling.
 ///
 /// `monitor == None` never speculates: the spans are those of a plain
 /// retried read (the no-fault parity guarantee). The monitor's `num_osts`
@@ -160,42 +168,44 @@ pub fn read_region_adaptive(
     monitor: Option<&HealthMonitor>,
 ) -> Result<RegionData, SubstrateError> {
     let (seeks, bytes) = store.op_cost(region);
-    let mut data = None;
-    let mut last_real: Option<ReadError> = None;
+    let read = OpTag {
+        stage,
+        bytes,
+        seeks,
+        member: Some(member),
+        ..OpTag::default()
+    };
+    // The last read attempt's result: the data, or the genuine error (if
+    // any) that becomes the cause once the attempts run out.
+    let mut outcome: Result<RegionData, Option<ReadError>> = Err(None);
     let rank = tracer.rank();
-    let served = weave_read(injector, monitor, rank, stage, member, |step, path| {
-        let attempt = || {
+    let _served = weave_read(injector, monitor, rank, member, read, |tag, cost| {
+        let attempt = |path: ReadPath| {
             let start = Instant::now();
             let out = store.read_region(member, region);
             dilate(start, path.factor);
             out
         };
-        match step {
-            ReadStep::Cancelled => tracer.fault(stage, Some(member), bytes, seeks, || {}),
-            ReadStep::Backoff(pause) => tracer.fault(stage, Some(member), 0, 0, || {
+        match cost {
+            StepCost::Pause(pause) => tracer.record(Op::Fault, tag, || {
                 std::thread::sleep(Duration::from_secs_f64(pause));
             }),
-            ReadStep::Injected => tracer.fault(stage, Some(member), bytes, seeks, || {
-                let _ = attempt();
-            }),
-            ReadStep::Read => match tracer.read(stage, Some(member), bytes, seeks, attempt) {
-                Ok(d) => data = Some(d),
-                Err(e) => {
-                    last_real = Some(e);
-                    return Ok(false);
-                }
-            },
+            StepCost::Service(path) if tag.fault.is_some() => {
+                tracer.record(Op::Fault, tag, || drop(attempt(path)))
+            }
+            StepCost::Service(path) => {
+                outcome = tracer.record(Op::Read, tag, || attempt(path)).map_err(Some);
+                return Ok(outcome.is_ok());
+            }
         }
         Ok::<bool, std::convert::Infallible>(true)
     });
-    if let (Ok(true), Some(data)) = (served, data) {
-        return Ok(data);
-    }
-    match last_real {
+    match outcome {
+        Ok(data) => Ok(data),
         // No retry policy and a genuine failure: surface it directly,
         // matching the behaviour of a bare read.
-        Some(cause) if injector.retry().max_retries == 0 => Err(SubstrateError::Read(cause)),
-        cause => Err(SubstrateError::RetriesExhausted {
+        Err(Some(cause)) if injector.retry().max_retries == 0 => Err(SubstrateError::Read(cause)),
+        Err(cause) => Err(SubstrateError::RetriesExhausted {
             member,
             attempts: injector.retry().scheduled_attempts(),
             cause,
@@ -206,10 +216,9 @@ pub fn read_region_adaptive(
 impl ModeledPfs {
     /// Add one member read of `seeks` / `bytes` to the DES through
     /// `weave_read`'s schedule — the modeled arm, one task per step on
-    /// `agent` (whose index is the rank): the cancelled duplicate a
-    /// zero-service `Fault` marker with the region's footprint, a backoff
-    /// an agent-local `Fault` of the pause, an injected failure a `Fault`
-    /// holding the serving OST for a full service, the read a `Read` task.
+    /// `agent` (whose index is the rank), each carrying the step's tag: a
+    /// pause is an agent-local task, a service holds the serving OST; fault
+    /// steps are `Fault` tasks, the read a `Read` task.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn add_member_read(
@@ -225,7 +234,7 @@ impl ModeledPfs {
         bytes: u64,
     ) -> Result<(), SimError> {
         let base = self.read_service(seeks, bytes);
-        let tag = OpTag {
+        let read = OpTag {
             io,
             stage,
             bytes,
@@ -233,27 +242,19 @@ impl ModeledPfs {
             member: Some(member),
             ..OpTag::default()
         };
-        weave_read(injector, monitor, agent.0, stage, member, |step, path| {
-            // The file's own stripe without a monitor, else the routed OST
-            // (`ost_of_file` is the striping modulus either way).
-            let on_path = |kind| {
-                Task::new(agent, kind, base * path.factor)
-                    .with_resources(vec![self.ost_of_file(path.ost.unwrap_or(member))])
-                    .with_op(tag)
+        weave_read(injector, monitor, agent.0, member, read, |tag, cost| {
+            let kind = tag.fault.map_or(Kind::Read, |_| Kind::Fault);
+            let task = match cost {
+                StepCost::Pause(pause) => Task::new(agent, kind, pause),
+                // The file's own stripe without a monitor, else the routed
+                // OST (`ost_of_file` is the striping modulus either way).
+                StepCost::Service(path) => Task::new(agent, kind, base * path.factor)
+                    .with_resources(vec![self.ost_of_file(path.ost.unwrap_or(member))]),
             };
-            sim.add_task(match step {
-                ReadStep::Cancelled => Task::new(agent, Kind::Fault, 0.0).with_op(tag),
-                ReadStep::Backoff(pause) => Task::new(agent, Kind::Fault, pause).with_op(OpTag {
-                    bytes: 0,
-                    seeks: 0,
-                    ..tag
-                }),
-                ReadStep::Injected => on_path(Kind::Fault),
-                ReadStep::Read => on_path(Kind::Read),
-            })?;
+            sim.add_task(task.with_op(tag))?;
             Ok(true)
-        })
-        .map(|_served| ())
+        })?;
+        Ok(())
     }
 }
 
@@ -273,7 +274,7 @@ pub fn read_region_resilient(
 mod tests {
     use super::*;
     use crate::{FileStore, ScratchDir};
-    use enkf_fault::{FaultConfig, FaultEvent, FaultPlan, RetryPolicy};
+    use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy};
     use enkf_grid::{FileLayout, Mesh};
     use std::time::Instant;
 
@@ -335,7 +336,7 @@ mod tests {
         assert_eq!(trace.spans().len(), 1);
         assert!(trace.digest().contains("op=read"));
         assert!(!trace.digest().contains("op=fault"));
-        assert!(inj.log().is_empty());
+        assert!(trace.fault_events(&[]).is_empty());
     }
 
     #[test]
@@ -360,16 +361,26 @@ mod tests {
             .filter(|s| s.op.label() == "fault")
             .count();
         assert_eq!(faults, 4);
-        let events: Vec<FaultEvent> = inj.log().records().iter().map(|r| r.event).collect();
+        let events: Vec<(FaultKind, Option<u32>)> = trace
+            .fault_events(&[])
+            .iter()
+            .map(|e| (e.kind, e.attempt))
+            .collect();
         assert_eq!(
             events,
             vec![
-                FaultEvent::ReadFaultInjected,
-                FaultEvent::RetryBackoff,
-                FaultEvent::ReadFaultInjected,
-                FaultEvent::RetryBackoff,
-                FaultEvent::ReadRecovered,
+                (FaultKind::Injected, Some(0)),
+                (FaultKind::Backoff, Some(0)),
+                (FaultKind::Injected, Some(1)),
+                (FaultKind::Backoff, Some(1)),
+                (FaultKind::Recovered, Some(2)),
             ]
+        );
+        let read = trace.spans().last().unwrap();
+        assert_eq!(
+            (read.op, read.attempt),
+            (Op::Read, 2),
+            "served at attempt 2"
         );
     }
 
@@ -418,8 +429,10 @@ mod tests {
         let mut tb = tracer();
         let db = read_full_resilient(&st, &mut tb, None, 0, &inj_b).unwrap();
         assert_eq!(da, db);
-        assert_eq!(into_trace(ta).digest(), into_trace(tb).digest());
-        assert_eq!(inj_a.log().digest(), inj_b.log().digest());
+        let (ta, tb) = (into_trace(ta), into_trace(tb));
+        assert_eq!(ta.digest(), tb.digest());
+        assert_eq!(ta.fault_digest(&[]), tb.fault_digest(&[]));
+        assert!(ta.fault_digest(&[]).contains("event=recovered"));
     }
 
     #[test]
@@ -467,6 +480,9 @@ mod tests {
         // One cancelled-duplicate marker + one winning read.
         assert!(trace.digest().contains("op=fault"));
         assert!(trace.digest().contains("op=read"));
+        let events = trace.fault_events(&[]);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, FaultKind::Cancelled);
         let hd = mon.digest();
         assert!(hd.contains("event=speculated"));
         assert!(

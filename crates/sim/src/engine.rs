@@ -1,6 +1,6 @@
 //! The discrete-event scheduler.
 
-use crate::report::{AgentReport, SimReport};
+use crate::report::SimReport;
 use crate::task::{AgentId, Kind, ResourceId, Task, TaskId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -66,7 +66,9 @@ struct ResourceState {
     queue: VecDeque<TaskId>,
 }
 
-/// Event-queue key with a total order on finite times.
+/// Event-queue key: finish time, then insertion sequence. Times are sums of
+/// the finite non-negative services `add_task` admits — never NaN or
+/// `-0.0` — so `total_cmp` orders them exactly as the derived `<` does.
 #[derive(PartialEq, PartialOrd)]
 struct EventKey(f64, u64);
 
@@ -74,8 +76,7 @@ impl Eq for EventKey {}
 #[allow(clippy::derive_ord_xor_partial_ord)]
 impl Ord for EventKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.partial_cmp(other)
-            .expect("simulation times must be finite")
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
     }
 }
 
@@ -139,6 +140,8 @@ impl Simulation {
     /// Register a finite-capacity resource (OST, NIC). `capacity` is the
     /// number of tasks that may hold the resource simultaneously.
     pub fn add_resource(&mut self, capacity: usize) -> ResourceId {
+        // A caller bug, not a condition a run can meet: a zero-slot
+        // resource would park every task naming it forever.
         assert!(capacity > 0, "resource capacity must be positive");
         let id = ResourceId(self.resources.len());
         self.resources.push(ResourceState {
@@ -172,6 +175,8 @@ impl Simulation {
                 return Err(SimError::UnknownDependency(d));
             }
         }
+        // A caller bug: `AgentId`s only come from this simulation's
+        // `add_agent`, so a foreign one mixes up two graphs.
         assert!(task.agent.0 < self.num_agents, "unknown agent");
         if let Some(prev) = self.last_task_of_agent[task.agent.0] {
             if !deps.contains(&prev) {
@@ -202,7 +207,9 @@ impl Simulation {
         Ok(id)
     }
 
-    /// Run to completion and return the per-agent phase report.
+    /// Run to completion and return the run's summary; the timings stay in
+    /// the simulation for [`Simulation::task_times`] and
+    /// [`Simulation::export_trace`].
     pub fn run(&mut self) -> Result<SimReport, SimError> {
         let mut events: BinaryHeap<Reverse<(EventKey, TaskId)>> = BinaryHeap::new();
         let mut seq: u64 = 0;
@@ -233,10 +240,12 @@ impl Simulation {
                 self.resources[r.0].free += 1;
                 loop {
                     let rs = &mut self.resources[r.0];
-                    if rs.free == 0 || rs.queue.is_empty() {
+                    if rs.free == 0 {
                         break;
                     }
-                    let next = rs.queue.pop_front().expect("checked non-empty");
+                    let Some(next) = rs.queue.pop_front() else {
+                        break;
+                    };
                     rs.free -= 1;
                     self.tasks[next].acquired += 1;
                     self.try_advance(next, now, &mut started);
@@ -262,20 +271,14 @@ impl Simulation {
             });
         }
 
-        let mut agents = vec![AgentReport::default(); self.num_agents];
         let mut resource_busy = vec![0.0; self.resources.len()];
         for t in &self.tasks {
-            let a = &mut agents[t.agent.0];
-            a.busy.add(t.kind, t.service);
-            a.wait += t.start - t.ready;
-            a.finish = a.finish.max(t.finish);
             for r in &t.resources {
                 resource_busy[r.0] += t.service;
             }
         }
         Ok(SimReport {
             makespan,
-            agents,
             tasks_executed: finished,
             resource_busy,
         })
@@ -292,11 +295,11 @@ impl Simulation {
     /// (`Read` → read, `Comm` → send, `Compute` → compute; `Control` tasks
     /// emit no operation span), plus a wait span covering `ready → start`
     /// whenever the task stalled on program order, dependencies or resource
-    /// queues. [`crate::SimReport`]'s busy/wait totals are exact
-    /// projections of these spans: per agent, busy time by kind equals the
-    /// span durations by operation and wait time equals the wait-span sum.
+    /// queues. The spans are the run's only per-agent accounting: an
+    /// operation span lasts exactly the service handed to
+    /// [`Simulation::add_task`], a wait span exactly `start − ready`.
     pub fn export_trace(&self, label: &str) -> enkf_trace::Trace {
-        use enkf_trace::{Op, Role, Span};
+        use enkf_trace::{Op, OpTag, Role, Span};
         let mut trace = enkf_trace::Trace::new(label);
         for t in &self.tasks {
             debug_assert_eq!(
@@ -309,21 +312,11 @@ impl Simulation {
             let role = if tag.io { Role::Io } else { Role::Compute };
             let wait = t.start - t.ready;
             if wait > 0.0 {
-                trace.push(Span {
-                    rank,
-                    role,
+                let stalled = OpTag {
                     stage: tag.stage,
-                    op: Op::Wait,
-                    start: t.ready,
-                    dur: wait,
-                    bytes: 0,
-                    seeks: 0,
-                    peer: None,
-                    member: None,
-                    res: None,
-                    tenant: None,
-                    job: None,
-                });
+                    ..OpTag::default()
+                };
+                trace.push(Span::new(rank, role, Op::Wait, t.ready, wait, stalled));
             }
             let op = match t.kind {
                 Kind::Read => Op::Read,
@@ -333,22 +326,10 @@ impl Simulation {
                 Kind::Control => continue,
             };
             trace.push(Span {
-                rank,
-                role,
-                stage: tag.stage,
-                op,
-                start: t.start,
-                // The service, not `finish - start`: identical by
-                // construction, but the service is what busy accounting
-                // sums, keeping the projection exact.
-                dur: t.service,
-                bytes: tag.bytes,
-                seeks: tag.seeks,
-                peer: tag.peer,
-                member: tag.member,
                 res: t.resources.first().map(|r| r.0),
-                tenant: None,
-                job: None,
+                // The service, not `finish - start`: what the caller
+                // priced, free of the rounding of `now + service`.
+                ..Span::new(rank, role, op, t.start, t.service, tag)
             });
         }
         trace
@@ -416,8 +397,9 @@ mod tests {
         let rep = sim.run().unwrap();
         assert_eq!(rep.makespan, 2.5);
         assert_eq!(sim.task_times(t), (0.0, 0.0, 2.5));
-        assert_eq!(rep.agents[0].busy.compute, 2.5);
-        assert_eq!(rep.agents[0].wait, 0.0);
+        let p = sim.export_trace("single").per_rank_phases()[&0];
+        assert_eq!(p.compute, 2.5);
+        assert_eq!(p.wait, 0.0);
     }
 
     #[test]
@@ -456,23 +438,26 @@ mod tests {
         let rep = sim.run().unwrap();
         assert_eq!(sim.task_times(t2).0, 3.0, "ready when dep finishes");
         assert_eq!(rep.makespan, 4.0);
-        assert_eq!(rep.agents[b.0].wait, 0.0, "started as soon as ready");
+        assert_eq!(sim.task_times(t2).1, 3.0, "started as soon as ready");
     }
 
     #[test]
     fn capacity_one_resource_serializes_contenders() {
         let mut sim = Simulation::new();
         let r = sim.add_resource(1);
+        let mut ids = Vec::new();
         for _ in 0..3 {
             let a = sim.add_agent();
-            sim.add_task(Task::new(a, Kind::Read, 2.0).with_resources(vec![r]))
-                .unwrap();
+            ids.push(
+                sim.add_task(Task::new(a, Kind::Read, 2.0).with_resources(vec![r]))
+                    .unwrap(),
+            );
         }
         let rep = sim.run().unwrap();
         assert_eq!(rep.makespan, 6.0);
         // Total wait = 0 + 2 + 4.
-        let wait: f64 = rep.agents.iter().map(|a| a.wait).sum();
-        assert_eq!(wait, 6.0);
+        let wait = |&t| sim.task_times(t).1 - sim.task_times(t).0;
+        assert_eq!(ids.iter().map(wait).sum::<f64>(), 6.0);
     }
 
     #[test]
@@ -570,10 +555,13 @@ mod tests {
         let rep = sim.run().unwrap();
         assert_eq!(sim.task_times(after).1, 2.0);
         assert_eq!(rep.makespan, 3.0);
-        assert_eq!(
-            rep.agents[ctrl.0].busy.total(),
-            0.0,
-            "control excluded from busy totals"
+        let trace = sim.export_trace("barrier");
+        assert!(
+            trace
+                .spans()
+                .iter()
+                .all(|s| s.rank != ctrl.0 || s.op == enkf_trace::Op::Wait),
+            "control tasks emit no operation span"
         );
     }
 
@@ -627,7 +615,8 @@ mod tests {
         assert_eq!(ready, 0.0);
         assert_eq!(start, 4.0);
         assert_eq!(finish, 5.0);
-        assert_eq!(rep.agents[b.0].wait, 4.0);
+        assert_eq!(rep.makespan, 5.0);
+        assert_eq!(sim.export_trace("queue").per_rank_phases()[&b.0].wait, 4.0);
     }
 
     #[test]
@@ -637,37 +626,50 @@ mod tests {
         let r = sim.add_resource(1);
         let a = sim.add_agent();
         let b = sim.add_agent();
-        sim.add_task(
-            Task::new(a, Kind::Read, 2.0)
-                .with_resources(vec![r])
-                .with_op(OpTag {
-                    io: true,
-                    bytes: 64,
-                    seeks: 4,
-                    ..OpTag::default()
-                }),
-        )
-        .unwrap();
-        sim.add_task(
-            Task::new(b, Kind::Read, 1.0)
-                .with_resources(vec![r])
-                .with_op(OpTag {
-                    bytes: 32,
-                    seeks: 2,
-                    ..OpTag::default()
-                }),
-        )
-        .unwrap();
-        sim.add_task(Task::new(b, Kind::Compute, 0.5)).unwrap();
-        let rep = sim.run().unwrap();
+        let io_read = OpTag {
+            io: true,
+            bytes: 64,
+            seeks: 4,
+            ..OpTag::default()
+        };
+        let read = OpTag {
+            bytes: 32,
+            seeks: 2,
+            ..OpTag::default()
+        };
+        // (agent, kind, service) as handed to `add_task`, in task-id order.
+        let inputs = [
+            (a, Kind::Read, 2.0, Some(io_read)),
+            (b, Kind::Read, 1.0, Some(read)),
+            (b, Kind::Compute, 0.5, None),
+        ];
+        for (agent, kind, service, tag) in inputs {
+            let mut task = Task::new(agent, kind, service);
+            if kind == Kind::Read {
+                task = task.with_resources(vec![r]);
+            }
+            task.op = tag;
+            sim.add_task(task).unwrap();
+        }
+        sim.run().unwrap();
         let trace = sim.export_trace("unit");
+        // Per agent, span durations by op equal the services handed in and
+        // wait spans equal `start − ready`.
         let phases = trace.per_rank_phases();
-        for (agent, report) in rep.agents.iter().enumerate() {
-            let p = phases[&agent];
-            assert_eq!(p.read, report.busy.read);
-            assert_eq!(p.comm, report.busy.comm);
-            assert_eq!(p.compute, report.busy.compute);
-            assert_eq!(p.wait, report.wait);
+        for agent in [a, b] {
+            let service = |k: Kind| -> f64 {
+                let of_kind = inputs.iter().filter(|i| i.0 == agent && i.1 == k);
+                of_kind.map(|i| i.2).sum()
+            };
+            let wait: f64 = (0..inputs.len())
+                .filter(|&t| inputs[t].0 == agent)
+                .map(|t| sim.task_times(t).1 - sim.task_times(t).0)
+                .sum();
+            let p = phases[&agent.0];
+            assert_eq!(p.read, service(Kind::Read));
+            assert_eq!(p.comm, service(Kind::Comm));
+            assert_eq!(p.compute, service(Kind::Compute));
+            assert_eq!(p.wait, wait);
         }
         // Rank b queued 2.0s on the disk: a wait span precedes its read.
         assert!(trace
@@ -681,46 +683,57 @@ mod tests {
 
     #[test]
     fn fault_tasks_project_to_fault_spans_and_busy() {
-        use enkf_trace::OpTag;
+        use enkf_trace::{FaultKind, OpTag};
         let mut sim = Simulation::new();
         let ost = sim.add_resource(1);
         let a = sim.add_agent();
         // Failed attempt on the OST, backoff off-resource, then the read.
-        sim.add_task(
-            Task::new(a, Kind::Fault, 2.0)
-                .with_resources(vec![ost])
-                .with_op(OpTag {
-                    bytes: 64,
-                    seeks: 4,
-                    member: Some(1),
-                    ..OpTag::default()
-                }),
-        )
-        .unwrap();
-        sim.add_task(Task::new(a, Kind::Fault, 0.5).with_op(OpTag {
+        let read = OpTag {
+            bytes: 64,
+            seeks: 4,
             member: Some(1),
+            attempt: 1,
             ..OpTag::default()
-        }))
-        .unwrap();
-        sim.add_task(
-            Task::new(a, Kind::Read, 1.0)
+        };
+        let injected = OpTag {
+            fault: Some(FaultKind::Injected),
+            attempt: 0,
+            ..read
+        };
+        let backoff = OpTag {
+            bytes: 0,
+            seeks: 0,
+            fault: Some(FaultKind::Backoff),
+            ..injected
+        };
+        let on_ost = |kind, service, tag| {
+            Task::new(a, kind, service)
                 .with_resources(vec![ost])
-                .with_op(OpTag {
-                    bytes: 64,
-                    seeks: 4,
-                    member: Some(1),
-                    ..OpTag::default()
-                }),
-        )
-        .unwrap();
+                .with_op(tag)
+        };
+        sim.add_task(on_ost(Kind::Fault, 2.0, injected)).unwrap();
+        sim.add_task(Task::new(a, Kind::Fault, 0.5).with_op(backoff))
+            .unwrap();
+        sim.add_task(on_ost(Kind::Read, 1.0, read)).unwrap();
         let rep = sim.run().unwrap();
         assert_eq!(rep.makespan, 3.5);
-        assert_eq!(rep.agents[0].busy.fault, 2.5);
-        assert_eq!(rep.agents[0].busy.read, 1.0);
+        assert_eq!(rep.resource_busy[ost.0], 3.0, "attempt + read held the OST");
         let trace = sim.export_trace("faulted");
         let p = trace.per_rank_phases()[&0];
-        assert_eq!(p.fault, rep.agents[0].busy.fault, "exact projection");
+        assert_eq!(p.fault, 2.0 + 0.5, "the two fault services, exactly");
+        assert_eq!(p.read, 1.0);
         assert!(trace.digest().contains("op=fault"));
+        // The tags' kinds and attempts reach the spans, so the fault events
+        // are a projection of the exported trace.
+        let kinds: Vec<FaultKind> = trace.fault_events(&[]).iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                FaultKind::Injected,
+                FaultKind::Backoff,
+                FaultKind::Recovered
+            ]
+        );
     }
 
     #[test]

@@ -14,26 +14,35 @@
 //!   in ascending id order (deadlock-free) with FIFO queueing per resource,
 //!   holds them for its service time, then releases them all.
 //! * has a **service time** (virtual seconds once all resources are held)
-//!   and a [`Kind`] used for per-phase accounting (read / communication /
-//!   computation), the quantities plotted in the paper's Figures 1, 9 and 11.
-//!
-//! The engine records, per agent, busy time by kind and *wait* time (from
-//! the moment a task's dependencies finish until its service starts —
-//! dependency stalls plus resource queueing), which is exactly the "time for
-//! waiting" of Figure 9.
+//!   and a [`Kind`] naming its phase (read / communication / computation),
+//!   the quantities plotted in the paper's Figures 1, 9 and 11.
 //!
 //! The engine is deterministic: ties in the event queue are broken by
 //! insertion sequence.
 //!
-//! After a run, [`Simulation::export_trace`](engine::Simulation::export_trace)
+//! ## One record
+//!
+//! A run returns only what no span can say — [`SimReport`]: makespan, task
+//! count, per-resource busy time. Everything per agent is read off
+//! [`Simulation::export_trace`](engine::Simulation::export_trace), which
 //! yields the execution as `enkf_trace` spans in virtual time — the same
-//! vocabulary the real executors record in wall time — so real-vs-modeled
-//! operation structure can be compared digest-for-digest.
+//! vocabulary the real executors record in wall time. Busy time by kind is
+//! the span durations by operation; the *wait* time of Figure 9 (from the
+//! moment a task's dependencies finish until its service starts —
+//! dependency stalls plus resource queueing) is the wait spans; and
+//! real-vs-modeled operation structure compares digest-for-digest.
+
+// ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
+// failure correct use can meet — every survivor is justified in place.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod engine;
 pub mod report;
 pub mod task;
 
 pub use engine::Simulation;
-pub use report::{AgentReport, KindTotals, SimReport};
+pub use report::SimReport;
 pub use task::{AgentId, Kind, ResourceId, Task, TaskId};

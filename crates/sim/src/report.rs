@@ -1,68 +1,13 @@
-//! Per-agent phase accounting produced by a simulation run.
+//! The summary a simulation run returns.
 
-use crate::task::Kind;
-
-/// Busy time split by work kind (virtual seconds).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KindTotals {
-    /// Time spent in file reads.
-    pub read: f64,
-    /// Time spent in communication.
-    pub comm: f64,
-    /// Time spent in local analysis computation.
-    pub compute: f64,
-    /// Time spent in injected faults and recovery actions.
-    pub fault: f64,
-}
-
-impl KindTotals {
-    /// Accumulate a task's service time under its kind. `Control` tasks are
-    /// bookkeeping and not counted.
-    pub fn add(&mut self, kind: Kind, service: f64) {
-        match kind {
-            Kind::Read => self.read += service,
-            Kind::Comm => self.comm += service,
-            Kind::Compute => self.compute += service,
-            Kind::Fault => self.fault += service,
-            Kind::Control => {}
-        }
-    }
-
-    /// Sum over all kinds.
-    pub fn total(&self) -> f64 {
-        self.read + self.comm + self.compute + self.fault
-    }
-
-    /// Elementwise sum of two totals.
-    pub fn merged(&self, other: &KindTotals) -> KindTotals {
-        KindTotals {
-            read: self.read + other.read,
-            comm: self.comm + other.comm,
-            compute: self.compute + other.compute,
-            fault: self.fault + other.fault,
-        }
-    }
-}
-
-/// Phase totals for one agent.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AgentReport {
-    /// Busy time by kind.
-    pub busy: KindTotals,
-    /// Total time between readiness and service start (dependency stalls
-    /// plus resource queueing) — the paper's "time for waiting".
-    pub wait: f64,
-    /// Completion time of the agent's last task.
-    pub finish: f64,
-}
-
-/// The result of a simulation run.
+/// The result of a simulation run: when it ended, how much it executed and
+/// how busy each resource was. Per-agent phase accounting is not kept here —
+/// it is a projection of the exported trace
+/// ([`crate::Simulation::export_trace`], `enkf_trace::Trace::per_rank_phases`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Virtual time at which the last task finished.
     pub makespan: f64,
-    /// Per-agent phase totals, indexed by `AgentId.0`.
-    pub agents: Vec<AgentReport>,
     /// Number of tasks executed (equals the task count on success).
     pub tasks_executed: usize,
     /// Busy time per resource (sum of the service times of the tasks that
@@ -71,24 +16,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Aggregate busy totals and wait over a subset of agents.
-    pub fn aggregate<'a>(&self, agents: impl IntoIterator<Item = &'a usize>) -> AgentReport {
-        let mut out = AgentReport::default();
-        for &a in agents {
-            let r = &self.agents[a];
-            out.busy = out.busy.merged(&r.busy);
-            out.wait += r.wait;
-            out.finish = out.finish.max(r.finish);
-        }
-        out
-    }
-
-    /// Aggregate busy totals and wait over all agents.
-    pub fn aggregate_all(&self) -> AgentReport {
-        let ids: Vec<usize> = (0..self.agents.len()).collect();
-        self.aggregate(ids.iter())
-    }
-
     /// Utilization of a resource: busy time divided by `capacity × makespan`
     /// (1.0 = every slot occupied for the whole run).
     pub fn resource_utilization(&self, resource: usize, capacity: usize) -> f64 {
@@ -96,95 +23,6 @@ impl SimReport {
             return 0.0;
         }
         self.resource_busy[resource] / (capacity as f64 * self.makespan)
-    }
-
-    /// Mean of a per-agent statistic over a subset of agents.
-    pub fn mean_over<'a>(
-        &self,
-        agents: impl IntoIterator<Item = &'a usize>,
-        f: impl Fn(&AgentReport) -> f64,
-    ) -> f64 {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for &a in agents {
-            sum += f(&self.agents[a]);
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_totals_accumulate_and_ignore_control() {
-        let mut k = KindTotals::default();
-        k.add(Kind::Read, 1.0);
-        k.add(Kind::Comm, 2.0);
-        k.add(Kind::Compute, 3.0);
-        k.add(Kind::Control, 100.0);
-        assert_eq!(k.total(), 6.0);
-        assert_eq!(k.read, 1.0);
-    }
-
-    #[test]
-    fn merged_adds_elementwise() {
-        let a = KindTotals {
-            read: 1.0,
-            comm: 2.0,
-            compute: 3.0,
-            fault: 0.25,
-        };
-        let b = KindTotals {
-            read: 0.5,
-            comm: 0.5,
-            compute: 0.5,
-            fault: 0.25,
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.read, 1.5);
-        assert_eq!(m.fault, 0.5);
-        assert_eq!(m.total(), 8.0);
-    }
-
-    #[test]
-    fn aggregate_subsets() {
-        let rep = SimReport {
-            makespan: 10.0,
-            agents: vec![
-                AgentReport {
-                    busy: KindTotals {
-                        read: 1.0,
-                        ..Default::default()
-                    },
-                    wait: 1.0,
-                    finish: 5.0,
-                },
-                AgentReport {
-                    busy: KindTotals {
-                        compute: 2.0,
-                        ..Default::default()
-                    },
-                    wait: 0.5,
-                    finish: 10.0,
-                },
-            ],
-            tasks_executed: 2,
-            resource_busy: vec![],
-        };
-        let io = rep.aggregate([0usize].iter());
-        assert_eq!(io.busy.read, 1.0);
-        assert_eq!(io.wait, 1.0);
-        let all = rep.aggregate_all();
-        assert_eq!(all.busy.total(), 3.0);
-        assert_eq!(all.finish, 10.0);
-        assert_eq!(rep.mean_over([0usize, 1].iter(), |a| a.wait), 0.75);
     }
 }
 

@@ -11,7 +11,8 @@ pub struct AgentId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ResourceId(pub usize);
 
-/// Work classification used for phase accounting (Figures 1, 9, 11).
+/// Work classification: which phase (Figures 1, 9, 11) a task's span
+/// counts toward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
     /// Parallel-file-system reads (occupies OST slots).
@@ -25,7 +26,7 @@ pub enum Kind {
     /// sleep). Mirrors the real executors' `Op::Fault` spans.
     Fault,
     /// Synchronization / bookkeeping with no physical phase (barriers);
-    /// excluded from busy-time accounting.
+    /// emits no operation span.
     Control,
 }
 
@@ -44,8 +45,8 @@ pub struct Task {
     /// Explicit dependencies (in addition to the implicit program-order
     /// dependency on the agent's previous task).
     pub deps: Vec<TaskId>,
-    /// Operation metadata (role, stage, bytes, seeks, peer, member) carried
-    /// into the exported execution trace
+    /// Operation metadata (role, stage, bytes, seeks, peer, member, fault
+    /// kind, attempt) carried into the exported execution trace
     /// ([`crate::Simulation::export_trace`]). Untagged tasks still appear
     /// in the trace with defaults derived from their kind.
     pub op: Option<enkf_trace::OpTag>,

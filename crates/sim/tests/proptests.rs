@@ -144,9 +144,24 @@ proptest! {
 
     #[test]
     fn busy_time_equals_service_sum(w in workload_strategy()) {
-        let (_, _, report) = build_and_run(&w);
-        let total: f64 = w.tasks.iter().map(|t| t.2).sum();
-        let busy: f64 = report.agents.iter().map(|a| a.busy.total()).sum();
-        prop_assert!((busy - total).abs() < 1e-9 * (1.0 + total));
+        // Conservation against the *inputs*: per agent, the exported
+        // operation spans last exactly the services handed to `add_task`
+        // (same values, same order, hence bit-equal sums) and the wait
+        // spans exactly `start − ready`.
+        let (sim, ids, _) = build_and_run(&w);
+        let phases = sim.export_trace("prop").per_rank_phases();
+        for agent in 0..w.agents {
+            let mine = || (0..ids.len()).filter(|&k| w.tasks[k].0 == agent);
+            let service: f64 = mine().map(|k| w.tasks[k].2).sum();
+            let wait: f64 = mine()
+                .map(|k| sim.task_times(ids[k]))
+                .map(|(ready, start, _)| start - ready)
+                .filter(|&stall| stall > 0.0)
+                .sum();
+            let p = phases.get(&agent).copied().unwrap_or_default();
+            prop_assert_eq!(p.compute, service);
+            prop_assert_eq!(p.wait, wait);
+            prop_assert_eq!(p.total(), service + wait);
+        }
     }
 }

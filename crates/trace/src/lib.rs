@@ -14,14 +14,29 @@
 //! configuration. That digest is the conformance artifact checked by
 //! `tests/trace_conformance.rs`.
 //!
-//! Two exporters:
-//! * [`Trace::write_chrome_json`] — Chrome-trace (`chrome://tracing`,
-//!   Perfetto) JSON, one lane per rank;
-//! * [`Trace::digest`] — the sorted text digest above.
+//! The trace is the **one record** of a run: every fact is written once, as
+//! a span, where the decision is made, and everything else is a projection
+//! of the spans —
 //!
-//! The phase reports the repo always had (`PhaseBreakdown` in
-//! `enkf-parallel`) are projections of these spans: [`Trace::per_rank_phases`]
-//! sums durations by operation kind.
+//! * **phases** — [`PhaseBreakdown`] (the Fig. 9 budget):
+//!   [`Trace::per_rank_phases`] sums durations by operation kind and
+//!   [`Trace::class_phases`] folds them into the compute-rank and I/O-rank
+//!   classes both executors report;
+//! * **operation digest** — [`Trace::digest`], the sorted text digest above;
+//! * **fault events** — [`Trace::fault_events`] / [`Trace::fault_digest`]:
+//!   which attempt of which member read was failed by injection, backed
+//!   off, cancelled as a losing speculative duplicate or cured by a retry,
+//!   read off the [`FaultKind`] and attempt index the spans carry.
+//!
+//! [`Trace::write_chrome_json`] exports Chrome-trace (`chrome://tracing`,
+//! Perfetto) JSON, one lane per rank.
+
+// ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
+// failure correct use can meet — every survivor is justified in place.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod json;
 
@@ -95,6 +110,40 @@ impl Op {
     }
 }
 
+/// What a fault event is. The first three are the steps of a member read's
+/// retry/speculation schedule that an [`Op::Fault`] span can cover (its
+/// [`Span::fault`]); the last two exist only in the projection
+/// ([`Trace::fault_events`]). Ordered so sorted event lists read naturally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum FaultKind {
+    /// An injected read failure consumed an attempt.
+    Injected,
+    /// The retry policy paused before re-issuing.
+    Backoff,
+    /// The losing speculative duplicate of a routed read, cancelled at first
+    /// completion.
+    Cancelled,
+    /// A read was served at a retry — a [`Op::Read`] span with a non-zero
+    /// attempt.
+    Recovered,
+    /// Degraded mode dropped the member from the cycle (a run-level
+    /// decision no rank owns; it comes from the report's dropout set).
+    Dropped,
+}
+
+impl FaultKind {
+    /// Lower-case label used in digests and Chrome-trace args.
+    pub fn label(self) -> &'static str {
+        match self {
+            FaultKind::Injected => "injected",
+            FaultKind::Backoff => "backoff",
+            FaultKind::Cancelled => "cancelled",
+            FaultKind::Recovered => "recovered",
+            FaultKind::Dropped => "dropped",
+        }
+    }
+}
+
 /// One recorded operation. Times are seconds — wall time since the cluster
 /// epoch on the real path, virtual DES time on the modeled path.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,10 +177,45 @@ pub struct Span {
     pub tenant: Option<u32>,
     /// Job id within the tenant, set together with `tenant`.
     pub job: Option<u32>,
+    /// Which step of a read's retry/speculation schedule an [`Op::Fault`]
+    /// span covers; `None` on every other span. Excluded from digests, like
+    /// `attempt`: the digest counts the span either way.
+    pub fault: Option<FaultKind>,
+    /// Attempt index of the member read this span belongs to: the failed
+    /// attempt of an injected failure, the attempt a backoff follows, the
+    /// attempt that served a read (0 = first try, and on every span that is
+    /// not part of a read).
+    pub attempt: u32,
 }
 
-/// Operation metadata attached to a modeled task so the DES can emit the
-/// same spans the real executors record (`enkf_sim::Task::with_op`).
+impl Span {
+    /// The span of `op` on `rank`, described by `tag`, over
+    /// `start .. start + dur`; no resource, tenant or job.
+    pub fn new(rank: usize, role: Role, op: Op, start: f64, dur: f64, tag: OpTag) -> Span {
+        Span {
+            rank,
+            role,
+            stage: tag.stage,
+            op,
+            start,
+            dur,
+            bytes: tag.bytes,
+            seeks: tag.seeks,
+            peer: tag.peer,
+            member: tag.member,
+            res: None,
+            tenant: None,
+            job: None,
+            fault: tag.fault,
+            attempt: tag.attempt,
+        }
+    }
+}
+
+/// What an operation *is*, apart from when it ran: built once where the
+/// operation is decided, then timed by a [`RankTracer`] or priced as a
+/// modeled task (`enkf_sim::Task::with_op`), so both executors emit the same
+/// spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpTag {
     /// Role of the agent's rank (`None` → compute).
@@ -146,26 +230,43 @@ pub struct OpTag {
     pub peer: Option<usize>,
     /// Member / file index.
     pub member: Option<usize>,
+    /// Fault step, see [`Span::fault`].
+    pub fault: Option<FaultKind>,
+    /// Attempt index, see [`Span::attempt`].
+    pub attempt: u32,
 }
 
-/// Span durations summed by kind — the projection the phase reports are
-/// built from. `Write` durations count toward `read` (both are file I/O in
-/// the paper's four-phase accounting).
+/// Wall/virtual time spent in each phase — span durations summed by kind,
+/// the projection every phase report is. The first four categories are
+/// exactly the stacked components of the paper's Figure 9 (`Write`,
+/// checkpoint and restore durations count toward `read`: all are file I/O
+/// in that accounting); `fault` is the time injected faults and their
+/// recovery (failed attempts, retry backoffs) consumed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseTotals {
-    /// File I/O (reads + writes).
+pub struct PhaseBreakdown {
+    /// File reading.
     pub read: f64,
-    /// Communication (sends).
+    /// Data communication.
     pub comm: f64,
-    /// Local analysis.
+    /// Local analysis computation.
     pub compute: f64,
-    /// Stalls.
+    /// Waiting (dependency stalls, resource queueing, blocked receives).
     pub wait: f64,
-    /// Injected faults and recovery actions (failed attempts, backoffs).
+    /// Injected faults and recovery actions (zero on a fault-free run).
     pub fault: f64,
 }
 
-impl PhaseTotals {
+impl PhaseBreakdown {
+    /// Project spans into the breakdown by summing durations per operation
+    /// kind.
+    pub fn from_spans<'a>(spans: impl IntoIterator<Item = &'a Span>) -> Self {
+        let mut out = PhaseBreakdown::default();
+        for s in spans {
+            out.add(s);
+        }
+        out
+    }
+
     /// Accumulate one span's duration into the matching slot.
     pub fn add(&mut self, span: &Span) {
         match span.op {
@@ -179,10 +280,60 @@ impl PhaseTotals {
         }
     }
 
-    /// Sum of all five slots.
+    /// Sum of all phases.
     pub fn total(&self) -> f64 {
         self.read + self.comm + self.compute + self.wait + self.fault
     }
+
+    /// Elementwise accumulate.
+    pub fn merge(&mut self, other: &PhaseBreakdown) {
+        self.read += other.read;
+        self.comm += other.comm;
+        self.compute += other.compute;
+        self.wait += other.wait;
+        self.fault += other.fault;
+    }
+
+    /// Multiply every phase by `factor` (e.g. `1/n` for a per-rank mean).
+    pub fn scaled(&self, factor: f64) -> PhaseBreakdown {
+        PhaseBreakdown {
+            read: self.read * factor,
+            comm: self.comm * factor,
+            compute: self.compute * factor,
+            wait: self.wait * factor,
+            fault: self.fault * factor,
+        }
+    }
+
+    /// Fraction of the total spent reading (Figure 1's I/O share, with
+    /// `comm` counted toward I/O).
+    pub fn io_fraction(&self) -> f64 {
+        let t = self.total();
+        if t == 0.0 {
+            0.0
+        } else {
+            (self.read + self.comm) / t
+        }
+    }
+}
+
+/// One entry of the fault-event projection ([`Trace::fault_events`]). The
+/// derived `Ord` (rank, stage, member, attempt, kind) is the canonical sort
+/// of [`Trace::fault_digest`], so the multi-threaded real run and the
+/// single-threaded model construction digest alike for the same plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct FaultEvent {
+    /// Rank the event occurred on (`None` for the run-level dropout
+    /// decision, which no single rank owns).
+    pub rank: Option<usize>,
+    /// Stage (layer) for multi-stage variants.
+    pub stage: Option<usize>,
+    /// Ensemble member involved.
+    pub member: Option<usize>,
+    /// Attempt index ([`Span::attempt`]); `None` for a dropout.
+    pub attempt: Option<u32>,
+    /// What happened.
+    pub kind: FaultKind,
 }
 
 /// Checkpoint durability time split by whether it was hidden behind
@@ -274,12 +425,96 @@ impl Trace {
         }
     }
 
-    /// Per-rank phase totals — the projection `PhaseBreakdown` is derived
-    /// from. Ranks are keyed by id; absent ranks recorded nothing.
-    pub fn per_rank_phases(&self) -> BTreeMap<usize, PhaseTotals> {
-        let mut out: BTreeMap<usize, PhaseTotals> = BTreeMap::new();
+    /// Per-rank phase totals. Ranks are keyed by id; absent ranks recorded
+    /// nothing.
+    pub fn per_rank_phases(&self) -> BTreeMap<usize, PhaseBreakdown> {
+        let mut out: BTreeMap<usize, PhaseBreakdown> = BTreeMap::new();
         for s in &self.spans {
             out.entry(s.rank).or_default().add(s);
+        }
+        out
+    }
+
+    /// Phase totals of the two rank classes, `(compute, io)`: ranks below
+    /// `compute_ranks` are compute ranks, the rest dedicated I/O ranks.
+    /// Per-rank sums are folded in rank order, so the result is a
+    /// deterministic function of the spans — the one fold behind both the
+    /// real `ExecutionReport` and the `ModelOutcome`.
+    pub fn class_phases(&self, compute_ranks: usize) -> (PhaseBreakdown, PhaseBreakdown) {
+        let mut classes = (PhaseBreakdown::default(), PhaseBreakdown::default());
+        for (rank, phases) in self.per_rank_phases() {
+            if rank < compute_ranks {
+                classes.0.merge(&phases);
+            } else {
+                classes.1.merge(&phases);
+            }
+        }
+        classes
+    }
+
+    /// Earliest start among the spans of `op`; infinite when there is none.
+    /// For [`Op::Compute`] that is the exposed (un-overlapped) read+comm
+    /// prefix of the cycle.
+    pub fn first_start(&self, op: Op) -> f64 {
+        let starts = self.spans.iter().filter(|s| s.op == op).map(|s| s.start);
+        starts.fold(f64::INFINITY, f64::min)
+    }
+
+    /// The fault events of the run, in span order: every [`Op::Fault`] span
+    /// is the event its [`Span::fault`] names, every [`Op::Read`] span with a
+    /// non-zero attempt a [`FaultKind::Recovered`] (a genuine, unplanned I/O
+    /// error cured by a later attempt reads the same), and every member of
+    /// `dropped` — the dropout set the run's report carries — a
+    /// [`FaultKind::Dropped`].
+    pub fn fault_events(&self, dropped: &[usize]) -> Vec<FaultEvent> {
+        let of_span = |s: &Span| {
+            let kind = match s.op {
+                Op::Fault => s.fault?,
+                Op::Read if s.attempt > 0 => FaultKind::Recovered,
+                _ => return None,
+            };
+            Some(FaultEvent {
+                rank: Some(s.rank),
+                stage: s.stage,
+                member: s.member,
+                attempt: Some(s.attempt),
+                kind,
+            })
+        };
+        let dropout = dropped.iter().map(|&member| FaultEvent {
+            rank: None,
+            stage: None,
+            member: Some(member),
+            attempt: None,
+            kind: FaultKind::Dropped,
+        });
+        self.spans
+            .iter()
+            .filter_map(of_span)
+            .chain(dropout)
+            .collect()
+    }
+
+    /// The canonical fault digest: [`Trace::fault_events`] sorted by (rank,
+    /// stage, member, attempt, kind), one text line each. Sorting removes
+    /// the thread interleaving of real runs while preserving each read's
+    /// program order, so real-vs-model comparison is a string equality.
+    pub fn fault_digest(&self, dropped: &[usize]) -> String {
+        let mut events = self.fault_events(dropped);
+        events.sort_unstable();
+        let opt = |v: Option<usize>| v.map_or("-".to_string(), |x| x.to_string());
+        let mut out = String::new();
+        for e in events {
+            // Writing to a `String` cannot fail.
+            let _ = writeln!(
+                out,
+                "rank={} stage={} member={} attempt={} event={}",
+                opt(e.rank),
+                opt(e.stage),
+                opt(e.member),
+                opt(e.attempt.map(|a| a as usize)),
+                e.kind.label()
+            );
         }
         out
     }
@@ -299,7 +534,7 @@ impl Trace {
             .filter(|s| !matches!(s.op, Op::Ckpt | Op::Wait) && s.dur > 0.0)
             .map(|s| (s.start, s.start + s.dur))
             .collect();
-        busy.sort_by(|a, b| a.partial_cmp(b).expect("trace times are finite"));
+        busy.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
         let mut merged: Vec<(f64, f64)> = Vec::with_capacity(busy.len());
         for (a, b) in busy {
             match merged.last_mut() {
@@ -338,7 +573,9 @@ impl Trace {
     /// bytes and total seeks. Wait spans are excluded (their placement is
     /// scheduling, not operation structure), as are all durations — so a
     /// real run and a modeled run of the same configuration produce
-    /// byte-identical digests.
+    /// byte-identical digests. Fault kinds and attempt indices are not in
+    /// it either: the spans carrying them are counted regardless, and
+    /// [`Trace::fault_digest`] is their own digest.
     pub fn digest(&self) -> String {
         type Key = (usize, Role, i64, Op, i64);
         let mut groups: BTreeMap<Key, (u64, u64, u64)> = BTreeMap::new();
@@ -362,15 +599,15 @@ impl Trace {
         };
         let mut out = String::new();
         for ((rank, role, stage, op, peer), (count, bytes, seeks)) in groups {
-            writeln!(
+            // Writing to a `String` cannot fail.
+            let _ = writeln!(
                 out,
                 "rank={rank} role={} stage={} op={} peer={} count={count} bytes={bytes} seeks={seeks}",
                 role.label(),
                 fmt_opt(stage),
                 op.label(),
                 fmt_opt(peer),
-            )
-            .expect("writing to a String cannot fail");
+            );
         }
         out
     }
@@ -379,6 +616,7 @@ impl Trace {
     /// complete (`"ph":"X"`) events in microseconds, one lane (`tid`) per
     /// rank, with bytes/seeks/stage in `args`.
     pub fn to_chrome_json(&self) -> String {
+        // Every `write!` below targets a `String`, which cannot fail.
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         for (i, s) in self.spans.iter().enumerate() {
             if i > 0 {
@@ -388,7 +626,7 @@ impl Trace {
                 Some(l) => format!("{} L{l}", s.op.label()),
                 None => s.op.label().to_string(),
             };
-            write!(
+            let _ = write!(
                 out,
                 "{{\"name\":\"{name}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":0,\"tid\":{},\"args\":{{\"role\":\"{}\",\"bytes\":{},\"seeks\":{}",
@@ -399,22 +637,27 @@ impl Trace {
                 s.role.label(),
                 s.bytes,
                 s.seeks,
-            )
-            .expect("writing to a String cannot fail");
+            );
             if let Some(l) = s.stage {
-                write!(out, ",\"stage\":{l}").expect("write to String");
+                let _ = write!(out, ",\"stage\":{l}");
             }
             if let Some(p) = s.peer {
-                write!(out, ",\"peer\":{p}").expect("write to String");
+                let _ = write!(out, ",\"peer\":{p}");
             }
             if let Some(m) = s.member {
-                write!(out, ",\"member\":{m}").expect("write to String");
+                let _ = write!(out, ",\"member\":{m}");
             }
             if let Some(r) = s.res {
-                write!(out, ",\"res\":{r}").expect("write to String");
+                let _ = write!(out, ",\"res\":{r}");
             }
             if let (Some(t), Some(j)) = (s.tenant, s.job) {
-                write!(out, ",\"tenant\":{t},\"job\":{j}").expect("write to String");
+                let _ = write!(out, ",\"tenant\":{t},\"job\":{j}");
+            }
+            if let Some(kind) = s.fault {
+                let _ = write!(out, ",\"fault\":\"{}\"", kind.label());
+            }
+            if s.attempt > 0 {
+                let _ = write!(out, ",\"attempt\":{}", s.attempt);
             }
             out.push_str("}}");
         }
@@ -494,46 +737,17 @@ impl RankTracer {
         self.spans.extend(fork.spans);
     }
 
-    fn record<T>(&mut self, op: Op, tag: OpTag, f: impl FnOnce() -> T) -> T {
+    /// Time `f` as one span of `op` described by `tag` — for callers that
+    /// build the tag themselves (the member-read schedule of `enkf-pfs`);
+    /// the methods below fill it in for the common operations.
+    pub fn record<T>(&mut self, op: Op, tag: OpTag, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
         let dur = t0.elapsed().as_secs_f64();
         let start = t0.duration_since(self.epoch).as_secs_f64();
-        self.spans.push(Span {
-            rank: self.rank,
-            role: self.role,
-            stage: tag.stage,
-            op,
-            start,
-            dur,
-            bytes: tag.bytes,
-            seeks: tag.seeks,
-            peer: tag.peer,
-            member: tag.member,
-            res: None,
-            tenant: None,
-            job: None,
-        });
+        self.spans
+            .push(Span::new(self.rank, self.role, op, start, dur, tag));
         out
-    }
-
-    /// Time a file read of `bytes` bytes / `seeks` addressing operations.
-    pub fn read<T>(
-        &mut self,
-        stage: Option<usize>,
-        member: Option<usize>,
-        bytes: u64,
-        seeks: u64,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let tag = OpTag {
-            stage,
-            bytes,
-            seeks,
-            member,
-            ..OpTag::default()
-        };
-        self.record(Op::Read, tag, f)
     }
 
     /// Time a file write.
@@ -582,27 +796,6 @@ impl RankTracer {
             },
             f,
         )
-    }
-
-    /// Time an injected fault or recovery action: a failed read attempt
-    /// (carrying the bytes/seeks the attempt consumed) or a retry backoff
-    /// (`bytes = seeks = 0`).
-    pub fn fault<T>(
-        &mut self,
-        stage: Option<usize>,
-        member: Option<usize>,
-        bytes: u64,
-        seeks: u64,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let tag = OpTag {
-            stage,
-            bytes,
-            seeks,
-            member,
-            ..OpTag::default()
-        };
-        self.record(Op::Fault, tag, f)
     }
 
     /// Time a durable checkpoint write of one member file.
@@ -658,15 +851,6 @@ impl RankTracer {
         )
     }
 
-    /// The phase projection of everything recorded so far.
-    pub fn phases(&self) -> PhaseTotals {
-        let mut t = PhaseTotals::default();
-        for s in &self.spans {
-            t.add(s);
-        }
-        t
-    }
-
     /// Consume the recorder, yielding its spans.
     pub fn into_spans(self) -> Vec<Span> {
         self.spans
@@ -678,21 +862,13 @@ mod tests {
     use super::*;
 
     fn span(rank: usize, op: Op, stage: Option<usize>, bytes: u64, seeks: u64) -> Span {
-        Span {
-            rank,
-            role: Role::Compute,
+        let tag = OpTag {
             stage,
-            op,
-            start: 0.5,
-            dur: 0.25,
             bytes,
             seeks,
-            peer: None,
-            member: None,
-            res: None,
-            tenant: None,
-            job: None,
-        }
+            ..OpTag::default()
+        };
+        Span::new(rank, Role::Compute, op, 0.5, 0.25, tag)
     }
 
     #[test]
@@ -743,6 +919,41 @@ mod tests {
     }
 
     #[test]
+    fn totals_and_merge() {
+        let mut a = PhaseBreakdown {
+            read: 1.0,
+            comm: 2.0,
+            compute: 3.0,
+            wait: 4.0,
+            fault: 0.0,
+        };
+        assert_eq!(a.total(), 10.0);
+        a.merge(&PhaseBreakdown {
+            read: 0.5,
+            comm: 0.5,
+            compute: 0.5,
+            wait: 0.5,
+            fault: 0.25,
+        });
+        assert_eq!(a.total(), 12.25);
+        assert_eq!(a.read, 1.5);
+        assert_eq!(a.fault, 0.25);
+    }
+
+    #[test]
+    fn io_fraction() {
+        let p = PhaseBreakdown {
+            read: 3.0,
+            comm: 1.0,
+            compute: 4.0,
+            wait: 0.0,
+            fault: 0.0,
+        };
+        assert!((p.io_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(PhaseBreakdown::default().io_fraction(), 0.0);
+    }
+
+    #[test]
     fn fault_spans_enter_digest_and_fault_phase() {
         let mut t = Trace::new("f");
         t.push(span(0, Op::Fault, Some(1), 64, 2));
@@ -762,15 +973,124 @@ mod tests {
     #[test]
     fn tracer_fault_spans_carry_member_and_cost() {
         let mut tr = RankTracer::new(2, Instant::now());
-        tr.fault(Some(0), Some(4), 128, 3, || ());
-        tr.fault(Some(0), Some(4), 0, 0, || ());
+        let injected = OpTag {
+            stage: Some(0),
+            member: Some(4),
+            bytes: 128,
+            seeks: 3,
+            fault: Some(FaultKind::Injected),
+            ..OpTag::default()
+        };
+        tr.record(Op::Fault, injected, || ());
+        let backoff = OpTag {
+            bytes: 0,
+            seeks: 0,
+            fault: Some(FaultKind::Backoff),
+            ..injected
+        };
+        tr.record(Op::Fault, backoff, || ());
         let spans = tr.into_spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].op, Op::Fault);
         assert_eq!(spans[0].member, Some(4));
         assert_eq!(spans[0].bytes, 128);
         assert_eq!(spans[0].seeks, 3);
+        assert_eq!(spans[0].fault, Some(FaultKind::Injected));
         assert_eq!(spans[1].bytes, 0, "backoff spans move no bytes");
+        assert_eq!(spans[1].fault, Some(FaultKind::Backoff));
+    }
+
+    /// The events of one faulted read (member `member`, `rank`) as spans:
+    /// `fails` injected attempts, each followed by a backoff, then the read.
+    fn faulted_read(rank: usize, stage: Option<usize>, member: usize, fails: u32) -> Vec<Span> {
+        let tag = |fault, attempt| OpTag {
+            stage,
+            member: Some(member),
+            fault,
+            attempt,
+            ..OpTag::default()
+        };
+        let fault = |kind, attempt| {
+            Span::new(
+                rank,
+                Role::Compute,
+                Op::Fault,
+                0.0,
+                0.0,
+                tag(Some(kind), attempt),
+            )
+        };
+        let mut spans = Vec::new();
+        for attempt in 0..fails {
+            spans.push(fault(FaultKind::Injected, attempt));
+            spans.push(fault(FaultKind::Backoff, attempt));
+        }
+        spans.push(Span::new(
+            rank,
+            Role::Compute,
+            Op::Read,
+            0.0,
+            0.0,
+            tag(None, fails),
+        ));
+        spans
+    }
+
+    #[test]
+    fn fault_digest_is_span_order_independent() {
+        let mut a = Trace::new("a");
+        a.extend(faulted_read(0, Some(1), 3, 1));
+        let mut b = Trace::new("b");
+        b.extend(faulted_read(0, Some(1), 3, 1).into_iter().rev());
+        assert_eq!(a.fault_digest(&[5]), b.fault_digest(&[5]));
+        let digest = a.fault_digest(&[5]);
+        assert!(digest.contains("attempt=0 event=injected"));
+        assert!(digest.contains("attempt=0 event=backoff"));
+        assert!(digest.contains("attempt=1 event=recovered"));
+        assert!(digest.contains("rank=- stage=- member=5 attempt=- event=dropped"));
+        assert_eq!(a.fault_events(&[5]).len(), 4);
+        // The operation digest does not see kinds or attempts: stripping
+        // them leaves it unchanged.
+        let mut stripped = Trace::new("s");
+        stripped.extend(a.spans().iter().map(|s| Span {
+            fault: None,
+            attempt: 0,
+            ..s.clone()
+        }));
+        assert_eq!(a.digest(), stripped.digest());
+        assert_eq!(
+            stripped.fault_digest(&[]),
+            "",
+            "an untagged trace projects nothing"
+        );
+    }
+
+    #[test]
+    fn fault_digest_distinguishes_members_and_attempts() {
+        let digest = |member, fails| {
+            let mut t = Trace::new("t");
+            t.extend(faulted_read(0, None, member, fails));
+            t.fault_digest(&[])
+        };
+        assert_ne!(digest(1, 1), digest(2, 1));
+        assert_ne!(digest(1, 1), digest(1, 2));
+        assert_eq!(digest(1, 0), "", "a first-try read is no event");
+    }
+
+    #[test]
+    fn class_phases_fold_ranks_by_class() {
+        let mut t = Trace::new("classes");
+        t.push(span(0, Op::Compute, None, 0, 0));
+        t.push(span(1, Op::Compute, None, 0, 0));
+        t.push(span(2, Op::Read, None, 8, 1));
+        t.push(span(2, Op::Wait, None, 0, 0));
+        let (compute, io) = t.class_phases(2);
+        assert_eq!(compute.compute, 0.5);
+        assert_eq!(compute.read, 0.0);
+        assert_eq!(io.read, 0.25);
+        assert_eq!(io.wait, 0.25);
+        assert_eq!(t.first_start(Op::Compute), 0.5);
+        assert_eq!(t.first_start(Op::Send), f64::INFINITY);
     }
 
     #[test]
@@ -881,11 +1201,42 @@ mod tests {
     }
 
     #[test]
+    fn chrome_json_of_a_large_trace_parses_in_linear_time() {
+        // 50 000 spans (≈6 MB): minutes through the former quadratic string
+        // scan, well under a second now.
+        let mut t = Trace::new("large");
+        for i in 0..50_000 {
+            let mut s = span(i % 64, Op::Read, Some(i % 7), 4096, 2);
+            s.member = Some(i % 120);
+            s.start = i as f64 * 1e-3;
+            t.push(s);
+        }
+        let t0 = Instant::now();
+        let doc = json::parse(&t.to_chrome_json()).expect("valid JSON");
+        let events = doc.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+        assert_eq!(events.len(), 50_000);
+        let last = events[49_999].get("args").unwrap();
+        assert_eq!(last.get("member").and_then(|v| v.as_f64()), Some(79.0));
+        assert!(
+            t0.elapsed().as_secs_f64() < 30.0,
+            "parse took {:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
     fn tracer_records_wall_spans_on_a_shared_epoch() {
         let epoch = Instant::now();
         let mut tr = RankTracer::new(5, epoch);
         tr.set_role(Role::Io);
-        let v = tr.read(Some(0), Some(2), 100, 3, || {
+        let read = OpTag {
+            stage: Some(0),
+            member: Some(2),
+            bytes: 100,
+            seeks: 3,
+            ..OpTag::default()
+        };
+        let v = tr.record(Op::Read, read, || {
             std::thread::sleep(std::time::Duration::from_millis(2));
             17
         });

@@ -54,4 +54,7 @@ if [ -n "$perf_base" ]; then
     scripts/perf-pairs.sh "$perf_base"
 fi
 
+echo "==> net code lines per crate (informational; CHANGES.md quotes parent -> change)"
+scripts/loc.sh || true
+
 echo "All checks passed."

@@ -10,10 +10,11 @@
 //! * [`grid`] — lat–lon meshes, domain decomposition, localization boxes,
 //!   layers, bars, and file-layout regions.
 //! * [`sim`] — the discrete-event engine that models the 12,000-core runs.
-//! * [`trace`] — execution spans and operation digests shared by the real
-//!   and modeled executors (Chrome-trace export, conformance checking).
+//! * [`trace`] — execution spans, a run's one record, shared by the real
+//!   and modeled executors; phases, operation digests and fault events are
+//!   projections of it (Chrome-trace export, conformance checking).
 //! * [`fault`] — deterministic fault injection: seeded fault plans, retry
-//!   policies, degraded (N−1) execution, and the shared fault-event log.
+//!   policies, degraded (N−1) execution, typed substrate errors.
 //! * [`health`] — online health monitoring and adaptive degradation:
 //!   deterministic failure detectors, OST blacklisting with probation,
 //!   speculative read routing, and the shared health decision log.
@@ -81,9 +82,7 @@ pub mod prelude {
         read_ensemble, write_ensemble, AdvectionDiffusion, CycleConfig, CycleState,
         CycledExperiment, Scenario, ScenarioBuilder, SmoothFieldGenerator,
     };
-    pub use enkf_fault::{
-        FaultConfig, FaultEvent, FaultLog, FaultPlan, RetryPolicy, SubstrateError,
-    };
+    pub use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy, SubstrateError};
     pub use enkf_grid::{
         Decomposition, FileLayout, LocalizationRadius, Mesh, RegionRect, SubDomainId,
     };

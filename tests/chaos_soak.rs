@@ -8,7 +8,8 @@
 //! model. The invariants pinned here are the tentpole's contract:
 //!
 //! 1. **Digest identity** — per cycle, the real and modeled trace digests
-//!    and fault-log digests are byte-identical, *including* the adaptive
+//!    and fault digests (the fault-event projection of the same traces)
+//!    are byte-identical, *including* the adaptive
 //!    decisions (read reordering, speculation, retry schedules) the
 //!    evolving route view injects.
 //! 2. **Health conformance** — the per-cycle [`HealthSnapshot`]s and the
@@ -104,19 +105,16 @@ struct SoakArtifacts {
 
 /// Run the multi-cycle storm on one executor, real vs model, with two
 /// independent monitors stepped identically, asserting per-cycle digest
-/// identity and health conformance. Returns the real-side artifacts.
+/// identity and health conformance. Each side hands back its trace and the
+/// dropout set of its report. Returns the real-side artifacts.
 fn soak<R, M>(label: &str, real: R, model: M) -> SoakArtifacts
 where
     R: Fn(
         &AssimilationSetup<'_>,
         &FaultConfig,
         Option<&HealthMonitor>,
-    ) -> (s_enkf::trace::Trace, s_enkf::fault::FaultLog),
-    M: Fn(
-        &ModelConfig,
-        &FaultConfig,
-        Option<&HealthMonitor>,
-    ) -> (s_enkf::trace::Trace, s_enkf::fault::FaultLog),
+    ) -> (s_enkf::trace::Trace, Vec<usize>),
+    M: Fn(&ModelConfig, &FaultConfig, Option<&HealthMonitor>) -> (s_enkf::trace::Trace, Vec<usize>),
 {
     let mesh = Mesh::new(MESH.0, MESH.1);
     let h = harness_labeled(label, mesh, MEMBERS, 42, 1);
@@ -137,23 +135,23 @@ where
     };
     for cycle in 0..CYCLES {
         let fcfg = storm_cfg(cycle);
-        let (rt, rl) = real(&setup, &fcfg, Some(&real_mon));
-        let (mt, ml) = model(&cfg, &fcfg, Some(&model_mon));
+        let (rt, real_dropped) = real(&setup, &fcfg, Some(&real_mon));
+        let (mt, model_dropped) = model(&cfg, &fcfg, Some(&model_mon));
+        let (rl, ml) = (
+            rt.fault_digest(&real_dropped),
+            mt.fault_digest(&model_dropped),
+        );
         assert_eq!(
             rt.digest(),
             mt.digest(),
             "{label}: cycle {cycle} trace digest diverged"
         );
-        assert_eq!(
-            rl.digest(),
-            ml.digest(),
-            "{label}: cycle {cycle} fault-log digest diverged"
-        );
+        assert_eq!(rl, ml, "{label}: cycle {cycle} fault digest diverged");
         let rs = real_mon.end_cycle();
         let ms = model_mon.end_cycle();
         assert_eq!(rs, ms, "{label}: cycle {cycle} health snapshot diverged");
         arts.cycle_trace_digests.push(rt.digest());
-        arts.cycle_fault_digests.push(rl.digest());
+        arts.cycle_fault_digests.push(rl);
         arts.snapshots.push(rs);
     }
     assert_eq!(
@@ -180,13 +178,13 @@ fn chaos_soak_lenkf() {
         soak(
             l,
             |s, f, m| {
-                let (_, _, t, log) = LEnkf { nsdx: 2, nsdy: 2 }.run_adaptive(s, f, m).unwrap();
-                (t, log)
+                let (_, rep, t) = LEnkf { nsdx: 2, nsdy: 2 }.run_adaptive(s, f, m).unwrap();
+                (t, rep.dropped_members)
             },
             |c, f, m| {
                 let variant = ModelVariant::LEnkf { nsdx: 2, nsdy: 2 };
-                let (_, t, log) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
-                (t, log)
+                let (out, t) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
+                (t, out.dropped_members)
             },
         )
     };
@@ -199,13 +197,13 @@ fn chaos_soak_penkf() {
         soak(
             l,
             |s, f, m| {
-                let (_, _, t, log) = PEnkf { nsdx: 2, nsdy: 2 }.run_adaptive(s, f, m).unwrap();
-                (t, log)
+                let (_, rep, t) = PEnkf { nsdx: 2, nsdy: 2 }.run_adaptive(s, f, m).unwrap();
+                (t, rep.dropped_members)
             },
             |c, f, m| {
                 let variant = ModelVariant::PEnkf { nsdx: 2, nsdy: 2 };
-                let (_, t, log) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
-                (t, log)
+                let (out, t) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
+                (t, out.dropped_members)
             },
         )
     };
@@ -218,13 +216,13 @@ fn chaos_soak_senkf() {
         soak(
             l,
             |s, f, m| {
-                let (_, _, t, log) = SEnkf::new(SENKF).run_adaptive(s, f, m).unwrap();
-                (t, log)
+                let (_, rep, t) = SEnkf::new(SENKF).run_adaptive(s, f, m).unwrap();
+                (t, rep.dropped_members)
             },
             |c, f, m| {
                 let variant = ModelVariant::SEnkf(SENKF);
-                let (_, t, log) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
-                (t, log)
+                let (out, t) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
+                (t, out.dropped_members)
             },
         )
     };
@@ -237,18 +235,18 @@ fn chaos_soak_denkf() {
         soak(
             l,
             |s, f, m| {
-                let (_, _, t, log) = DEnkf {
+                let (_, rep, t) = DEnkf {
                     shards: 4,
                     kernel: BatchedKernel::Cholesky,
                 }
                 .run_adaptive(s, f, m)
                 .unwrap();
-                (t, log)
+                (t, rep.dropped_members)
             },
             |c, f, m| {
                 let variant = ModelVariant::DEnkf { shards: 4 };
-                let (_, t, log) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
-                (t, log)
+                let (out, t) = model_cycle(c, &variant, Default::default(), f, m).unwrap();
+                (t, out.dropped_members)
             },
         )
     };

@@ -8,7 +8,7 @@
 //!    bytes with how many seeks, who sends how much to whom, who computes).
 //! 2. **Fault conformance** — under a seeded degraded plan, both sides
 //!    inject the same faults on the same schedule: equal trace digests and
-//!    equal fault-log digests; the cycle completes on the N−1 survivors.
+//!    equal fault digests; the cycle completes on the N−1 survivors.
 //! 3. **Typed failure** — crashes and exhausted retries surface as typed
 //!    [`SubstrateError`] values, never panics or hangs.
 //! 4. **Kill–resume bit-identity** — a D-EnKF campaign killed at a cycle
@@ -84,11 +84,11 @@ fn real_and_modeled_digests_are_byte_identical() {
             "D-EnKF real/model digests diverge ({shards} shards on {mesh:?})"
         );
         // The faulted entry point with an empty plan is the same program.
-        let (_, _, faulted, log) = denkf(shards)
+        let (_, report, faulted) = denkf(shards)
             .run_faulted(&setup, &FaultConfig::none())
             .unwrap();
         assert_eq!(real.digest(), faulted.digest(), "empty plan must be free");
-        assert!(log.is_empty());
+        assert!(faulted.fault_events(&report.dropped_members).is_empty());
     }
 }
 
@@ -114,11 +114,11 @@ fn degraded_plan_conforms_and_completes_on_survivors() {
         degraded: true,
         recv_timeout: 5.0,
     };
-    let (analysis, report, real, real_log) = denkf(3).run_faulted(&setup, &fcfg).unwrap();
+    let (analysis, report, real) = denkf(3).run_faulted(&setup, &fcfg).unwrap();
     assert_eq!(analysis.size(), MEMBERS - 1, "one member dropped");
     assert_eq!(report.dropped_members, vec![3]);
     let variant = ModelVariant::DEnkf { shards: 3 };
-    let (out, model, model_log) = model_cycle(
+    let (out, model) = model_cycle(
         &model_cfg(mesh, MEMBERS),
         &variant,
         Default::default(),
@@ -132,10 +132,12 @@ fn degraded_plan_conforms_and_completes_on_survivors() {
         model.digest(),
         "degraded trace digests diverge"
     );
+    let real_faults = real.fault_digest(&report.dropped_members);
+    assert!(real_faults.contains("event=injected") && real_faults.contains("event=dropped"));
     assert_eq!(
-        real_log.digest(),
-        model_log.digest(),
-        "fault-log digests diverge"
+        real_faults,
+        model.fault_digest(&out.dropped_members),
+        "fault digests diverge"
     );
 }
 

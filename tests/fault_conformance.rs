@@ -7,8 +7,8 @@
 //!    operation digests on both executors.
 //! 2. **Fault conformance**: under a seeded plan, the real executor and
 //!    the DES model inject the same faults, retry on the same schedule,
-//!    and drop the same members — equal trace digests *and* equal fault-log
-//!    digests.
+//!    and drop the same members — equal trace digests *and* equal fault
+//!    digests (the fault-event projection of those traces).
 //! 3. **Virtual-time exactness**: in the model, backoff delays appear in
 //!    virtual time exactly as the retry policy prescribes, and an injected
 //!    failed attempt costs exactly one read service.
@@ -17,7 +17,7 @@ mod common;
 
 use common::harness_labeled;
 use s_enkf::core::LocalAnalysis;
-use s_enkf::fault::{FaultConfig, FaultLog, FaultPlan, RetryPolicy};
+use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy};
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{
     model_cycle, model_penkf_traced, model_senkf_traced, AssimilationSetup, LEnkf, ModelConfig,
@@ -48,7 +48,7 @@ fn model_faulted(
     cfg: &ModelConfig,
     variant: ModelVariant,
     fcfg: &FaultConfig,
-) -> Result<(ModelOutcome, Trace, FaultLog), String> {
+) -> Result<(ModelOutcome, Trace), String> {
     model_cycle(cfg, &variant, Default::default(), fcfg, None)
 }
 
@@ -102,14 +102,17 @@ fn empty_plan_is_byte_identical_to_the_plain_path() {
     }
     .run_traced(&setup)
     .unwrap();
-    let (_, _, faulted, log) = PEnkf {
+    let (_, report, faulted) = PEnkf {
         nsdx: PENKF.0,
         nsdy: PENKF.1,
     }
     .run_faulted(&setup, &none)
     .unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "P-EnKF real");
-    assert!(log.is_empty(), "no-fault run must log nothing");
+    assert!(
+        faulted.fault_events(&report.dropped_members).is_empty(),
+        "no-fault run must record no fault event"
+    );
 
     let (_, _, plain) = LEnkf {
         nsdx: PENKF.0,
@@ -117,7 +120,7 @@ fn empty_plan_is_byte_identical_to_the_plain_path() {
     }
     .run_traced(&setup)
     .unwrap();
-    let (_, _, faulted, _) = LEnkf {
+    let (_, _, faulted) = LEnkf {
         nsdx: PENKF.0,
         nsdy: PENKF.1,
     }
@@ -126,17 +129,17 @@ fn empty_plan_is_byte_identical_to_the_plain_path() {
     assert_eq!(plain.digest(), faulted.digest(), "L-EnKF real");
 
     let (_, _, plain) = SEnkf::new(SENKF).run_traced(&setup).unwrap();
-    let (_, _, faulted, _) = SEnkf::new(SENKF).run_faulted(&setup, &none).unwrap();
+    let (_, _, faulted) = SEnkf::new(SENKF).run_faulted(&setup, &none).unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "S-EnKF real");
 
     let cfg = model_cfg();
     let (_, plain) = model_penkf_traced(&cfg, PENKF.0, PENKF.1).unwrap();
-    let (_, faulted, log) = model_faulted(&cfg, P_VARIANT, &none).unwrap();
+    let (outcome, faulted) = model_faulted(&cfg, P_VARIANT, &none).unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "P-EnKF model");
-    assert!(log.is_empty());
+    assert!(faulted.fault_events(&outcome.dropped_members).is_empty());
 
     let (_, plain) = model_senkf_traced(&cfg, SENKF).unwrap();
-    let (_, faulted, _) = model_faulted(&cfg, S_VARIANT, &none).unwrap();
+    let (_, faulted) = model_faulted(&cfg, S_VARIANT, &none).unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "S-EnKF model");
 }
 
@@ -152,13 +155,13 @@ fn seeded_plan_conforms_across_executors_penkf() {
     };
     let fcfg = FaultConfig::degraded(seeded_plan()).with_retry(fast_retry());
 
-    let (_, report, real, real_log) = PEnkf {
+    let (_, report, real) = PEnkf {
         nsdx: PENKF.0,
         nsdy: PENKF.1,
     }
     .run_faulted(&setup, &fcfg)
     .unwrap();
-    let (outcome, model, model_log) = model_faulted(&model_cfg(), P_VARIANT, &fcfg).unwrap();
+    let (outcome, model) = model_faulted(&model_cfg(), P_VARIANT, &fcfg).unwrap();
 
     assert_eq!(report.dropped_members, vec![3]);
     assert_eq!(outcome.dropped_members, vec![3]);
@@ -168,8 +171,8 @@ fn seeded_plan_conforms_across_executors_penkf() {
         "P-EnKF faulted operation digests diverge"
     );
     assert_eq!(
-        real_log.digest(),
-        model_log.digest(),
+        real.fault_digest(&report.dropped_members),
+        model.fault_digest(&outcome.dropped_members),
         "P-EnKF fault-event sequences diverge"
     );
 }
@@ -186,8 +189,8 @@ fn seeded_plan_conforms_across_executors_senkf() {
     };
     let fcfg = FaultConfig::degraded(seeded_plan()).with_retry(fast_retry());
 
-    let (_, report, real, real_log) = SEnkf::new(SENKF).run_faulted(&setup, &fcfg).unwrap();
-    let (outcome, model, model_log) = model_faulted(&model_cfg(), S_VARIANT, &fcfg).unwrap();
+    let (_, report, real) = SEnkf::new(SENKF).run_faulted(&setup, &fcfg).unwrap();
+    let (outcome, model) = model_faulted(&model_cfg(), S_VARIANT, &fcfg).unwrap();
 
     assert_eq!(report.dropped_members, vec![3]);
     assert_eq!(outcome.dropped_members, vec![3]);
@@ -197,8 +200,8 @@ fn seeded_plan_conforms_across_executors_senkf() {
         "S-EnKF faulted operation digests diverge"
     );
     assert_eq!(
-        real_log.digest(),
-        model_log.digest(),
+        real.fault_digest(&report.dropped_members),
+        model.fault_digest(&outcome.dropped_members),
         "S-EnKF fault-event sequences diverge"
     );
 }
@@ -219,7 +222,7 @@ fn model_backoff_delays_are_exact_in_virtual_time() {
     fcfg.degraded = false;
     fcfg.retry = retry;
 
-    let (_, trace, _) = model_faulted(
+    let (_, trace) = model_faulted(
         &model_cfg(),
         ModelVariant::PEnkf { nsdx: 1, nsdy: 1 },
         &fcfg,

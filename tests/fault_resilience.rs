@@ -4,16 +4,16 @@
 //! would have produced — member dropout may not perturb the surviving
 //! members' numerics by even an ulp. Recoverable faults (reads that fail
 //! and then succeed on retry) must be invisible in the analysis, visible
-//! only in the fault log and the trace's fault spans.
+//! only in the trace's fault spans and the fault events projected from them.
 
 mod common;
 
 use common::harness_labeled;
 use s_enkf::core::{EnkfError, LocalAnalysis};
-use s_enkf::fault::{FaultConfig, FaultEvent, FaultPlan, RetryPolicy, SubstrateError};
+use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy, SubstrateError};
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{AssimilationSetup, LEnkf, PEnkf, SEnkf};
-use s_enkf::trace::Op;
+use s_enkf::trace::{FaultKind, Op};
 use s_enkf::tuning::Params;
 
 fn fast_retry() -> RetryPolicy {
@@ -65,23 +65,23 @@ fn degraded_dropout_matches_from_scratch_n_minus_1() {
     let cfg = FaultConfig::degraded(FaultPlan::new(9).with_unrecoverable_member(members - 1))
         .with_retry(fast_retry());
 
-    let (p, rep, _, log) = PEnkf { nsdx: 2, nsdy: 2 }
+    let (p, rep, trace) = PEnkf { nsdx: 2, nsdy: 2 }
         .run_faulted(&setup, &cfg)
         .unwrap();
     assert_eq!(rep.dropped_members, vec![members - 1]);
     assert_eq!(p.states(), reference.states(), "P-EnKF N−1 not bit-exact");
-    assert!(log
-        .records()
+    assert!(trace
+        .fault_events(&rep.dropped_members)
         .iter()
-        .any(|r| r.event == FaultEvent::MemberDropped && r.member == Some(members - 1)));
+        .any(|e| e.kind == FaultKind::Dropped && e.member == Some(members - 1)));
 
-    let (l, rep, _, _) = LEnkf { nsdx: 2, nsdy: 2 }
+    let (l, rep, _) = LEnkf { nsdx: 2, nsdy: 2 }
         .run_faulted(&setup, &cfg)
         .unwrap();
     assert_eq!(rep.dropped_members, vec![members - 1]);
     assert_eq!(l.states(), reference.states(), "L-EnKF N−1 not bit-exact");
 
-    let (s, rep, _, _) = SEnkf::new(SENKF).run_faulted(&setup, &cfg).unwrap();
+    let (s, rep, _) = SEnkf::new(SENKF).run_faulted(&setup, &cfg).unwrap();
     assert_eq!(rep.dropped_members, vec![members - 1]);
     assert_eq!(s.states(), reference.states(), "S-EnKF N−1 not bit-exact");
 }
@@ -104,13 +104,13 @@ fn degraded_dropout_agrees_across_variants() {
     let cfg = FaultConfig::degraded(FaultPlan::new(3).with_unrecoverable_member(2))
         .with_retry(fast_retry());
 
-    let (p, prep, _, _) = PEnkf { nsdx: 2, nsdy: 2 }
+    let (p, prep, _) = PEnkf { nsdx: 2, nsdy: 2 }
         .run_faulted(&setup, &cfg)
         .unwrap();
-    let (l, lrep, _, _) = LEnkf { nsdx: 2, nsdy: 2 }
+    let (l, lrep, _) = LEnkf { nsdx: 2, nsdy: 2 }
         .run_faulted(&setup, &cfg)
         .unwrap();
-    let (s, srep, _, _) = SEnkf::new(SENKF).run_faulted(&setup, &cfg).unwrap();
+    let (s, srep, _) = SEnkf::new(SENKF).run_faulted(&setup, &cfg).unwrap();
     assert_eq!(prep.dropped_members, vec![2]);
     assert_eq!(lrep.dropped_members, vec![2]);
     assert_eq!(srep.dropped_members, vec![2]);
@@ -155,8 +155,9 @@ fn unrecoverable_without_degraded_is_a_typed_error() {
 
 /// A read that fails twice and recovers on the third attempt must leave
 /// the analysis bit-identical to the fault-free run; the evidence lives in
-/// the fault log (2 injected, 2 backoffs, 1 recovery — L-EnKF's single
-/// reader touches each file exactly once) and in the trace's fault spans.
+/// the trace's fault spans and the events projected from them (2 injected,
+/// 2 backoffs, 1 recovery — L-EnKF's single reader touches each file
+/// exactly once).
 #[test]
 fn recoverable_fault_is_invisible_in_the_analysis() {
     let mesh = Mesh::new(16, 8);
@@ -173,7 +174,7 @@ fn recoverable_fault_is_invisible_in_the_analysis() {
     let mut cfg =
         FaultConfig::degraded(FaultPlan::new(13).with_read_fault(1, 2)).with_retry(fast_retry());
     cfg.degraded = false; // nothing unrecoverable in the plan
-    let (faulted, report, trace, log) = LEnkf { nsdx: 2, nsdy: 2 }
+    let (faulted, report, trace) = LEnkf { nsdx: 2, nsdy: 2 }
         .run_faulted(&setup, &cfg)
         .unwrap();
 
@@ -184,10 +185,12 @@ fn recoverable_fault_is_invisible_in_the_analysis() {
     );
     assert!(report.dropped_members.is_empty());
 
-    let count = |ev: FaultEvent| log.records().iter().filter(|r| r.event == ev).count();
-    assert_eq!(count(FaultEvent::ReadFaultInjected), 2);
-    assert_eq!(count(FaultEvent::RetryBackoff), 2);
-    assert_eq!(count(FaultEvent::ReadRecovered), 1);
+    let events = trace.fault_events(&report.dropped_members);
+    let count = |kind: FaultKind| events.iter().filter(|e| e.kind == kind).count();
+    assert_eq!(count(FaultKind::Injected), 2);
+    assert_eq!(count(FaultKind::Backoff), 2);
+    assert_eq!(count(FaultKind::Recovered), 1);
+    assert_eq!(events.len(), 5);
 
     let fault_spans = trace.spans().iter().filter(|s| s.op == Op::Fault).count();
     assert_eq!(fault_spans, 4, "2 failed attempts + 2 backoffs as spans");

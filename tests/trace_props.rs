@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use s_enkf::parallel::model::penkf::model_penkf_traced;
-use s_enkf::parallel::{ModelConfig, PhaseBreakdown};
+use s_enkf::parallel::{CycleOp, Geometry, ModelConfig, PhaseBreakdown};
 use s_enkf::prelude::*;
 use s_enkf::sim::{Kind, Simulation, Task};
 use s_enkf::trace::Op;
@@ -11,8 +11,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every span a modeled run emits has a non-negative start and
-    /// duration, and the per-rank span sums reproduce the report's phase
-    /// breakdown (means × rank count) within 1e-9.
+    /// duration; per rank, the span sums are exactly the services the
+    /// pricer was handed for that rank's `Read` and `Compute` ops (the
+    /// trace is the run's only accounting, so it is held to the *inputs*);
+    /// and the outcome's phase breakdown (means × rank count) is the
+    /// per-rank sums within 1e-9.
     #[test]
     fn model_spans_nonnegative_and_project_to_report(
         nsdx in 1usize..5,
@@ -28,9 +31,37 @@ proptest! {
         }
         let per_rank = trace.per_rank_phases();
         prop_assert_eq!(per_rank.len(), out.num_compute_ranks);
+        let layout = FileLayout::new(Mesh::new(60, 24), 8);
+        let geo = Geometry {
+            layout,
+            members,
+            radius: LocalizationRadius { xi: 1, eta: 1 },
+            dropped: &[],
+            view: None,
+            network: None,
+        };
+        let mut priced = vec![PhaseBreakdown::default(); out.num_compute_ranks];
+        ModelVariant::PEnkf { nsdx, nsdy }
+            .emit(&geo, &mut |rank, op| {
+                match op {
+                    CycleOp::Read { region, .. } => {
+                        let seeks = layout.seek_count(&region) as u64;
+                        priced[rank].read += cfg.pfs.read_service(seeks, layout.region_bytes(&region));
+                    }
+                    CycleOp::Compute { work, .. } => {
+                        priced[rank].compute += cfg.compute_cost_per_point * work as f64;
+                    }
+                    CycleOp::Send { .. } | CycleOp::Await { .. } => {}
+                }
+                Ok(())
+            })
+            .unwrap();
         let mut sum = PhaseBreakdown::default();
-        for t in per_rank.values() {
-            sum.merge(&PhaseBreakdown::from(*t));
+        for (rank, t) in &per_rank {
+            prop_assert_eq!(t.read, priced[*rank].read, "rank {} read", rank);
+            prop_assert_eq!(t.compute, priced[*rank].compute, "rank {} compute", rank);
+            prop_assert_eq!((t.comm, t.fault), (0.0, 0.0));
+            sum.merge(t);
         }
         let n = out.num_compute_ranks as f64;
         prop_assert!((sum.read - out.compute_mean.read * n).abs() < 1e-9);
