@@ -238,6 +238,23 @@ impl FaultPlan {
         plan
     }
 
+    /// This plan as the survivors of `lost` see it. `lost` holds the
+    /// *original* indices of members a campaign has already dropped for
+    /// good; the survivors are renumbered `0..N−|lost|` in order, and that
+    /// slot numbering is what an executor reads by. Read faults of a lost
+    /// member go (its file is never opened again, so the loss cannot fire
+    /// twice); every other read fault moves from its member's original index
+    /// to the slot the member now occupies. OST striping is by slot, so
+    /// slowdowns — like rank- and message-indexed entries — carry over
+    /// unchanged.
+    pub fn for_survivors(mut self, lost: &[usize]) -> FaultPlan {
+        self.read_faults.retain(|f| !lost.contains(&f.member));
+        for f in &mut self.read_faults {
+            f.member -= lost.iter().filter(|&&gone| gone < f.member).count();
+        }
+        self
+    }
+
     /// A seeded jitter plan for severity sweeps (fig. 14): every rank in
     /// `0..ranks` gets a deterministic pseudo-random compute dilation in
     /// `[1, max_dilation]`. `severity = max_dilation − 1` is the knob the
@@ -319,6 +336,34 @@ mod tests {
         // Recovery re-run of the same cycle: the node was replaced.
         let retry = plan.for_cycle_attempt(2, 1);
         assert!(retry.crashes.is_empty());
+    }
+
+    #[test]
+    fn survivors_see_their_own_slots_and_no_consumed_loss() {
+        let plan = FaultPlan::new(5)
+            .with_unrecoverable_member(1)
+            .with_read_fault(0, 1)
+            .with_read_fault(3, 2)
+            .with_ost_slowdown(2, 3.0);
+        let seen = plan.clone().for_survivors(&[1]);
+        assert_eq!(
+            seen.read_faults,
+            vec![
+                ReadFault {
+                    member: 0,
+                    fail_attempts: 1
+                },
+                ReadFault {
+                    member: 2,
+                    fail_attempts: 2
+                },
+            ],
+            "member 1's entry is consumed, member 3 now sits in slot 2"
+        );
+        assert_eq!(
+            seen.ost_slowdowns, plan.ost_slowdowns,
+            "striping is by slot"
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! fits the budget; (3) composition with campaign plans —
 //! `FaultPlan::for_cycle_attempt` never changes read-retry semantics, so
 //! the dropout set decided by `effective_retries()` is identical on every
-//! cycle and attempt of a campaign.
+//! cycle and attempt of a campaign; and (4) the survivors' projection
+//! `FaultPlan::for_survivors` — the identity on the empty loss, and the same
+//! whether two losses are absorbed at once or one after the other.
 
 use enkf_fault::{FaultConfig, FaultInjector, FaultPlan, RetryPolicy};
 use proptest::prelude::*;
@@ -144,6 +146,32 @@ proptest! {
         // plan and the deadline-capped budget.
         let expect = fail_attempts > retry.effective_retries();
         prop_assert_eq!(projected.is_unrecoverable(1), expect);
+    }
+
+    /// The survivors' projection is the identity when nobody is lost, and
+    /// absorbing two losses one after the other (the second named by the
+    /// slot it holds after the first) equals absorbing both at once.
+    #[test]
+    fn survivor_projection_round_trips_and_composes(
+        faults in proptest::collection::vec((0usize..8, 0u32..6), 0..6),
+        first in 0usize..8,
+        second in 0usize..8,
+    ) {
+        prop_assume!(first != second);
+        let mut plan = FaultPlan::new(1).with_ost_slowdown(1, 2.0);
+        for &(member, fail_attempts) in &faults {
+            plan = plan.with_read_fault(member, fail_attempts);
+        }
+        prop_assert_eq!(plan.clone().for_survivors(&[]), plan.clone());
+        let second_slot = second - usize::from(first < second);
+        let stepwise = plan.clone().for_survivors(&[first]).for_survivors(&[second_slot]);
+        let at_once = plan.clone().for_survivors(&[first, second]);
+        prop_assert_eq!(&stepwise, &at_once);
+        // No entry of a lost member survives, none is invented, and every
+        // survivor lands in `0..8 − 2`.
+        let kept = faults.iter().filter(|f| f.0 != first && f.0 != second).count();
+        prop_assert_eq!(at_once.read_faults.len(), kept);
+        prop_assert!(at_once.read_faults.iter().all(|f| f.member < 6));
     }
 
     /// Tightening the deadline can only widen the dropout set, never

@@ -1,6 +1,6 @@
 //! The shared record of detection and failover decisions.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What the health layer decided. Ordered so sorted record lists read
 /// naturally: detection transitions first, then routing actions.
@@ -80,9 +80,15 @@ impl HealthLog {
         HealthLog::default()
     }
 
+    /// The records. A thread that panicked mid-`push` left the list whole,
+    /// so a poisoned lock is entered, not propagated.
+    fn lock(&self) -> MutexGuard<'_, Vec<HealthRecord>> {
+        self.records.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Append a record.
     pub fn push(&self, rec: HealthRecord) {
-        self.records.lock().expect("health log poisoned").push(rec);
+        self.lock().push(rec);
     }
 
     /// Record a detection transition for OST `ost` at `cycle`.
@@ -142,24 +148,17 @@ impl HealthLog {
 
     /// Snapshot of the records in insertion order.
     pub fn records(&self) -> Vec<HealthRecord> {
-        self.records.lock().expect("health log poisoned").clone()
+        self.lock().clone()
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.lock().expect("health log poisoned").len()
+        self.lock().len()
     }
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Append every record of `other` (used when a per-cycle log folds into
-    /// a campaign-level one).
-    pub fn absorb(&self, other: &HealthLog) {
-        let mut recs = self.records.lock().expect("health log poisoned");
-        recs.extend(other.records());
     }
 
     /// The canonical decision-sequence digest: records sorted by (cycle,
@@ -174,7 +173,8 @@ impl HealthLog {
         let mut out = String::new();
         for r in recs {
             use std::fmt::Write as _;
-            writeln!(
+            // Writing into a `String` cannot fail.
+            let _ = writeln!(
                 out,
                 "cycle={} ost={} rank={} stage={} member={} replica={} event={}",
                 r.cycle,
@@ -184,8 +184,7 @@ impl HealthLog {
                 opt(r.member),
                 opt(r.replica),
                 r.event.label()
-            )
-            .expect("writing to a String cannot fail");
+            );
         }
         out
     }

@@ -4,45 +4,23 @@ use crate::log::{HealthEvent, HealthLog};
 use crate::route::RouteView;
 use std::collections::BTreeMap;
 use std::f64::consts::LN_10;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Detector tuning. Defaults are chosen so a ≥ 2× dilation blacklists after
-/// one cycle of evidence and a mild ~1.5× dilation needs two consecutive
-/// anomalous cycles (suspicion *accrues*, phi-accrual style), while healthy
-/// jitter below `suspect_ratio` never trips.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Where the monitored files live: the two values that differ between
+/// deployments. The detector's own tuning is not configurable — see the
+/// constants beside the private `Detector`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthParams {
     /// File→OST striping modulus (must match `FaultPlan::num_osts` /
     /// `PfsParams::num_osts` for routing to mean anything).
     pub num_osts: usize,
     /// Replica placement shift: replica of OST `o` is `(o + shift) % num_osts`.
     pub replica_shift: usize,
-    /// EWMA weight of the newest cycle mean in the baseline.
-    pub ewma_alpha: f64,
-    /// Cycle mean / baseline ratio above which a cycle is anomalous and
-    /// accrues suspicion.
-    pub suspect_ratio: f64,
-    /// Floor of the deviation estimate, keeping φ finite on a quiet
-    /// baseline (the substrate's injected ratios have zero variance when
-    /// healthy).
-    pub dev_floor: f64,
-    /// Accrued suspicion (φ units) at which a target is blacklisted.
-    pub suspicion_threshold: f64,
-    /// Cycles a blacklisted OST sits out before a probation probe.
-    pub probation_cycles: u32,
 }
 
 impl Default for HealthParams {
     fn default() -> Self {
-        HealthParams {
-            num_osts: 6, // PfsParams::tianhe2_like striping
-            replica_shift: 1,
-            ewma_alpha: 0.3,
-            suspect_ratio: 1.4,
-            dev_floor: 0.25,
-            suspicion_threshold: 1.0,
-            probation_cycles: 1,
-        }
+        HealthParams::with_num_osts(6) // PfsParams::tianhe2_like striping
     }
 }
 
@@ -51,7 +29,7 @@ impl HealthParams {
     pub fn with_num_osts(num_osts: usize) -> Self {
         HealthParams {
             num_osts,
-            ..HealthParams::default()
+            replica_shift: 1,
         }
     }
 }
@@ -70,6 +48,30 @@ pub enum TargetStatus {
     /// anomalous cycle re-blacklists.
     Probation,
 }
+
+// Detector tuning. The values are chosen together so that a ≥ 2× dilation
+// blacklists after one cycle of evidence and a mild ~1.5× dilation needs
+// two consecutive anomalous cycles (suspicion *accrues*, phi-accrual style),
+// while healthy jitter below `SUSPECT_RATIO` never trips. Nothing in the
+// workspace ever ran with other values, so they are not options.
+
+/// EWMA weight of the newest cycle mean in the baseline: heavy enough to
+/// follow a drifting substrate within a few cycles, light enough that one
+/// healthy outlier does not move `μ` past the suspect ratio.
+const EWMA_ALPHA: f64 = 0.3;
+/// Cycle mean / baseline ratio above which a cycle is anomalous and accrues
+/// suspicion — above the retry and jitter noise of a healthy substrate,
+/// below the mildest slowdown worth routing around.
+const SUSPECT_RATIO: f64 = 1.4;
+/// Floor of the deviation estimate, keeping φ finite on a quiet baseline
+/// (the substrate's injected ratios have zero variance when healthy).
+const DEV_FLOOR: f64 = 0.25;
+/// Accrued suspicion (φ units) at which a target is blacklisted: one order
+/// of magnitude of surprise.
+const SUSPICION_THRESHOLD: f64 = 1.0;
+/// Cycles a blacklisted OST sits out before a probation probe: the shortest
+/// term, so a recovered OST costs one cycle of capacity, not several.
+const PROBATION_CYCLES: u32 = 1;
 
 /// Per-target detector state. All arithmetic is plain f64 on
 /// plan-determined ratios folded in sorted key order, so two detectors fed
@@ -105,13 +107,13 @@ impl Detector {
     /// deviation expressed as "orders of magnitude of surprise", matching
     /// the −log₁₀ P scaling of the classic accrual detector under an
     /// exponential tail.
-    fn phi(&self, m: f64, p: &HealthParams) -> f64 {
-        (m - self.mu) / (self.dev.max(p.dev_floor) * LN_10)
+    fn phi(&self, m: f64) -> f64 {
+        (m - self.mu) / (self.dev.max(DEV_FLOOR) * LN_10)
     }
 
     /// Fold one cycle mean (or its absence) into the detector. Returns the
     /// detection transitions to log.
-    fn step(&mut self, m: Option<f64>, p: &HealthParams) -> Vec<HealthEvent> {
+    fn step(&mut self, m: Option<f64>) -> Vec<HealthEvent> {
         let mut events = Vec::new();
         if let TargetStatus::Blacklisted { remaining } = self.status {
             // Out of rotation: no observations to judge, just serve the term.
@@ -128,14 +130,14 @@ impl Detector {
         let Some(m) = m else {
             return events; // nothing observed this cycle: no verdict
         };
-        if m > self.mu * p.suspect_ratio {
-            self.susp += self.phi(m, p).max(0.0);
+        if m > self.mu * SUSPECT_RATIO {
+            self.susp += self.phi(m).max(0.0);
             events.push(HealthEvent::OstSuspected);
-            if self.status == TargetStatus::Probation || self.susp >= p.suspicion_threshold {
+            if self.status == TargetStatus::Probation || self.susp >= SUSPICION_THRESHOLD {
                 // A failed probe re-blacklists immediately; a fresh target
                 // needs accrued suspicion past the threshold.
                 self.status = TargetStatus::Blacklisted {
-                    remaining: p.probation_cycles,
+                    remaining: PROBATION_CYCLES,
                 };
                 self.suspected = true;
                 events.push(HealthEvent::OstBlacklisted);
@@ -152,8 +154,8 @@ impl Detector {
             self.susp = 0.0;
             // Only healthy cycles update the baseline: degraded samples must
             // not poison μ (or the detector would acclimatize to the fault).
-            self.dev = (1.0 - p.ewma_alpha) * self.dev + p.ewma_alpha * (m - self.mu).abs();
-            self.mu = (1.0 - p.ewma_alpha) * self.mu + p.ewma_alpha * m;
+            self.dev = (1.0 - EWMA_ALPHA) * self.dev + EWMA_ALPHA * (m - self.mu).abs();
+            self.mu = (1.0 - EWMA_ALPHA) * self.mu + EWMA_ALPHA * m;
         }
         events
     }
@@ -223,6 +225,13 @@ struct CycleAcc {
 }
 
 impl HealthMonitor {
+    /// The cycle accumulator. A rank thread that panicked while feeding it
+    /// left the maps consistent (every update is one entry write), so a
+    /// poisoned lock is entered, not propagated.
+    fn acc(&self) -> MutexGuard<'_, CycleAcc> {
+        self.acc.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A monitor with all targets healthy.
     pub fn new(params: HealthParams) -> Self {
         let view = RouteView::healthy(params.num_osts, params.replica_shift);
@@ -265,7 +274,7 @@ impl HealthMonitor {
     /// Record one read service observation: `member`'s read was served by
     /// `ost` at `ratio`× the healthy service time.
     pub fn observe_read(&self, ost: usize, member: usize, ratio: f64) {
-        let mut acc = self.acc.lock().expect("health accumulator poisoned");
+        let mut acc = self.acc();
         let e = acc.reads.entry((ost, member)).or_insert((0, ratio));
         e.0 += 1;
         e.1 = ratio;
@@ -274,7 +283,7 @@ impl HealthMonitor {
     /// Record one compute observation: `rank` computed at `ratio`× its
     /// healthy cost.
     pub fn observe_compute(&self, rank: usize, ratio: f64) {
-        let mut acc = self.acc.lock().expect("health accumulator poisoned");
+        let mut acc = self.acc();
         let e = acc.computes.entry(rank).or_insert((0, ratio));
         e.0 += 1;
         e.1 = ratio;
@@ -302,18 +311,14 @@ impl HealthMonitor {
     /// not bias the detectors, and the re-run re-observes the full cycle,
     /// so recovery keeps detection a pure function of *completed* cycles.
     pub fn abort_cycle(&self) {
-        let mut acc = self.acc.lock().expect("health accumulator poisoned");
-        *acc = CycleAcc::default();
+        *self.acc() = CycleAcc::default();
     }
 
     /// Close the cycle: fold the accumulated observations into the
     /// detectors in sorted key order, step every tracked target, refreeze
     /// the routing view, log the transitions, and return the snapshot.
     pub fn end_cycle(&mut self) -> HealthSnapshot {
-        let acc = {
-            let mut acc = self.acc.lock().expect("health accumulator poisoned");
-            std::mem::take(&mut *acc)
-        };
+        let acc = std::mem::take(&mut *self.acc());
         // Per-OST cycle means: Σ count·ratio / Σ count over sorted members.
         let mut ost_means: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
         for (&(ost, _member), &(count, ratio)) in &acc.reads {
@@ -327,7 +332,7 @@ impl HealthMonitor {
         let cycle = self.cycle;
         for (&ost, det) in self.osts.iter_mut() {
             let m = ost_means.get(&ost).map(|&(sum, n)| sum / n);
-            for ev in det.step(m, &self.params) {
+            for ev in det.step(m) {
                 // Detectors are target-agnostic; OstSuspected/... labels are
                 // already OST-flavoured, and the clearing event is not
                 // emitted for OSTs (reintegration covers it).
@@ -341,7 +346,7 @@ impl HealthMonitor {
         }
         for (&rank, det) in self.ranks.iter_mut() {
             let m = acc.computes.get(&rank).map(|&(_, ratio)| ratio);
-            for ev in det.step(m, &self.params) {
+            for ev in det.step(m) {
                 let ev = match ev {
                     HealthEvent::OstSuspected | HealthEvent::OstBlacklisted => {
                         HealthEvent::RankSuspected

@@ -2,14 +2,41 @@
 //!
 //! A *campaign* runs K forecast–observe–analyze cycles of a
 //! [`CycledExperiment`] through one of the parallel executors
-//! (L/P/S-EnKF), checkpointing the resumable state after every cycle via
-//! [`enkf_ckpt::CheckpointStore`]. The supervisor wraps each cycle's
-//! `run_faulted` call and turns substrate failures — rank crashes, helper
-//! thread deaths, retry exhaustion, receive timeouts — into *recoveries*:
+//! (L/P/S/D-EnKF), checkpointing the resumable state after every cycle via
+//! [`enkf_ckpt::CheckpointStore`]. Substrate failures — rank crashes, helper
+//! thread deaths, retry exhaustion, receive timeouts — become *recoveries*:
 //! tear the cycle down, restore the last durable checkpoint **from disk**,
 //! and re-run under an exponential-backoff restart budget. Members the
 //! fault plan makes unrecoverable degrade the campaign to the N−1 path
 //! (the ensemble continues on the survivors) instead of consuming restarts.
+//!
+//! **Who decides, who acts.** Every decision of a campaign — which cycle
+//! and attempt runs under which projected fault plan, whether a failure is
+//! restarted, degraded or given up on, when to commit, drain and restore —
+//! is made once, by the pure state machine in `supervisor.rs`. This module
+//! is its **executing driver**: [`run_campaign_ctx`] is one loop over the
+//! supervisor's actions, each carried out on the real substrate:
+//!
+//! | action | what this driver does |
+//! |---|---|
+//! | `Commit { initial }` | snapshot the experiment; `ckpt.save`, or hand it to the background writer (pipelined, non-initial) |
+//! | `Attempt(fcfg)` | write the inflated background, run the executor under `fcfg`, report completed / failed |
+//! | `Recover(backoff)` | sleep the backoff (wall clock) or account it (virtual clock) inside a recovery span |
+//! | `Drain` | wait out the in-flight asynchronous write, fold its spans in |
+//! | `Restore` | `load_latest` from disk, rebuild the experiment, report what was found |
+//! | `Finish` / `GiveUp` | assemble the report / fail with the supervisor's error |
+//!
+//! [`crate::model_campaign_adaptive`] is the **pricing driver** of the same
+//! supervisor: the same actions, turned into virtual seconds. The two
+//! cannot disagree on what a campaign does, only on what it costs.
+//!
+//! Lost members are tracked by **original index**: once a cycle completed
+//! without a member, the supervisor renumbers every member-indexed plan
+//! entry onto the survivors' slots, so the loss is absorbed exactly once
+//! and [`CampaignReport::dropped_members`] names the members the campaign
+//! started with. The checkpoint stores neither the set nor the switch: a
+//! resumed campaign re-derives both from the plan and the ensemble size it
+//! finds on disk.
 //!
 //! Restoring from disk even for in-process recoveries is what makes the
 //! headline invariant hold: **kill–resume determinism**. A campaign killed
@@ -19,25 +46,25 @@
 //! exact RNG cursor, truth state and ensembles the uninterrupted run had at
 //! that cycle boundary, so there is nothing left to diverge.
 //!
-//! With [`CkptMode::Pipelined`] the supervisor additionally moves each
-//! checkpoint write off the critical path: cycle k's durable write runs on
-//! a background [`AsyncCheckpointer`] thread while cycle k+1's forecast
-//! and read phase proceed, with at most one write in flight and drain
-//! barriers at campaign end, before every restore, and on error paths.
-//! The durable frontier then lags the computed frontier by at most one
-//! cycle; recovery always restores the last *durable* cycle, and
-//! kill–resume determinism is untouched (cycle digests hash executor
-//! traces only, and replays from an older frontier are bit-identical).
+//! With [`CkptMode::Pipelined`] each checkpoint write moves off the
+//! critical path: cycle k's durable write runs on a background
+//! [`AsyncCheckpointer`] thread while cycle k+1's forecast and read phase
+//! proceed, with at most one write in flight and the supervisor's drain
+//! barriers at campaign end and before every restore (an error return
+//! joins the writer with the scope). The durable frontier then lags the
+//! computed frontier by at most one cycle; recovery always restores the
+//! last *durable* cycle, and kill–resume determinism is untouched (cycle
+//! digests hash executor traces only, and replays from an older frontier
+//! are bit-identical).
 
-use crate::exec::run_cycle;
-use crate::exec::setup::AssimilationSetup;
+use crate::exec::{run_cycle, setup::AssimilationSetup};
 use crate::program::ModelVariant;
-use crate::report::ExecutionReport;
+use crate::supervisor::{Action, Supervisor};
 use crate::DEnkf;
 use enkf_ckpt::{fnv64, AsyncCheckpointer, CampaignCheckpoint, CheckpointStore, CkptError};
-use enkf_core::{inflated, EnkfError, Ensemble, LocalAnalysis, Result as CoreResult};
+use enkf_core::{inflated, EnkfError, Ensemble, LocalAnalysis};
 use enkf_data::{write_ensemble, CycleConfig, CycleState, CycleStats, CycledExperiment};
-use enkf_fault::{FaultConfig, RetryPolicy, SubstrateError};
+use enkf_fault::{FaultConfig, RetryPolicy};
 use enkf_grid::Mesh;
 use enkf_health::{HealthMonitor, HealthParams, HealthSnapshot};
 use enkf_pfs::FileStore;
@@ -87,20 +114,6 @@ impl CampaignExecutor {
             CampaignExecutor::SEnkf(p) => ModelVariant::SEnkf(p),
             CampaignExecutor::DEnkf { shards, .. } => ModelVariant::DEnkf { shards },
         }
-    }
-
-    fn run_adaptive(
-        &self,
-        setup: &AssimilationSetup<'_>,
-        cfg: &FaultConfig,
-        monitor: Option<&HealthMonitor>,
-    ) -> CoreResult<(Ensemble, ExecutionReport, Trace)> {
-        // D-EnKF's sends carry derived data and its analysis a kernel:
-        // it brings its own rank body. Everything else is a program.
-        if let CampaignExecutor::DEnkf { shards, kernel } = *self {
-            return DEnkf { shards, kernel }.run_adaptive(setup, cfg, monitor);
-        }
-        run_cycle(setup, self.variant(), cfg, monitor)
     }
 }
 
@@ -325,28 +338,6 @@ fn experiment_from(cfg: &CampaignConfig, ck: &CampaignCheckpoint) -> CycledExper
     )
 }
 
-fn checkpoint_of(
-    cfg: &CampaignConfig,
-    fp: u64,
-    exp: &CycledExperiment,
-    stats: &[CycleStats],
-    digests: &[u64],
-) -> CampaignCheckpoint {
-    let s = exp.snapshot();
-    CampaignCheckpoint {
-        cycle: s.cycle,
-        seed: cfg.seed,
-        members0: cfg.members,
-        rng_cursor: s.rng_cursor,
-        config_fp: fp,
-        truth: s.truth,
-        analysis: s.background,
-        free_run: s.free_run,
-        stats: stats.to_vec(),
-        cycle_digests: digests.to_vec(),
-    }
-}
-
 /// Run (or resume) a supervised campaign.
 ///
 /// `work` is the ensemble work store the executors read from — each cycle
@@ -356,12 +347,14 @@ fn checkpoint_of(
 /// campaign resumes from it; otherwise it starts fresh (and commits the
 /// initial state as cycle 0's recovery line before running anything).
 ///
-/// Failure handling per cycle attempt:
+/// Failure handling per cycle attempt — decided by the `Supervisor`,
+/// carried out here:
 ///
-/// * [`SubstrateError::Unrecoverable`] — a member is *permanently* lost:
+/// * `SubstrateError::Unrecoverable` — a member is *permanently* lost:
 ///   restore the checkpoint and re-run degraded (N−1); does not consume
-///   restart budget.
-/// * Any other [`SubstrateError`] (crash, helper failure, timeout, retry
+///   restart budget, and the member is lost once (later cycles see the
+///   plan renumbered onto the survivors).
+/// * Any other `SubstrateError` (crash, helper failure, timeout, retry
 ///   exhaustion) — transient: sleep the restart backoff, restore the last
 ///   durable checkpoint from disk, re-run. Cycle-scoped crashes in the
 ///   plan fire only on attempt 0, modelling a replaced node.
@@ -379,6 +372,11 @@ pub fn run_campaign(
 
 /// [`run_campaign`] with an explicit [`CampaignCtx`]: a tenant/job tag
 /// stamped on the campaign trace and an injectable restart-backoff clock.
+///
+/// This is the *executing driver* of the campaign `Supervisor`: one loop
+/// over its actions, each carried out on the real substrate. It decides
+/// nothing — which cycle, which attempt, under which plan, whether to
+/// restart, degrade or give up are all the supervisor's.
 pub fn run_campaign_ctx(
     work: &FileStore,
     ckpt: &CheckpointStore,
@@ -392,247 +390,139 @@ pub fn run_campaign_ctx(
     // The supervisor traces as the rank after the executor's last, so its
     // spans never collide with an executor rank.
     let (compute_ranks, io_ranks) = exec.variant().rank_counts();
-    let mut sup = RankTracer::new(compute_ranks + io_ranks, t0);
-    sup.set_role(Role::Io);
-
-    match ctx.ckpt_mode {
-        CkptMode::Sync => {
-            let eng = Engine {
-                t0,
-                fp,
-                sup,
-                writer: None,
-            };
-            supervise(work, ckpt, exec, cfg, fault, ctx, eng)
-        }
-        CkptMode::Pipelined => std::thread::scope(|s| {
-            // The writer traces on a fork of the supervisor tracer (same
-            // rank, role and epoch), so pipelined and synchronous
-            // campaigns emit the identical Ckpt span multiset.
-            let writer = AsyncCheckpointer::spawn(s, ckpt, sup.fork());
-            let eng = Engine {
-                t0,
-                fp,
-                sup,
-                writer: Some(&writer),
-            };
-            supervise(work, ckpt, exec, cfg, fault, ctx, eng)
-        }),
-    }
-}
-
-/// Supervisor state threaded into [`supervise`]: the campaign clock and
-/// fingerprint, the supervisor tracer, and (in pipelined mode) the
-/// background checkpoint writer.
-struct Engine<'a, 'scope> {
-    t0: Instant,
-    fp: u64,
-    sup: RankTracer,
-    writer: Option<&'a AsyncCheckpointer<'scope>>,
-}
-
-/// Drain barrier: wait out any in-flight asynchronous checkpoint, fold its
-/// spans into the campaign trace, and surface a deferred write error. A
-/// no-op in synchronous mode.
-fn drain_writer(
-    writer: Option<&AsyncCheckpointer<'_>>,
-    trace: &mut Trace,
-) -> Result<(), CampaignError> {
-    if let Some(w) = writer {
-        let (spans, res) = w.drain();
-        trace.extend(spans);
-        res.map_err(|e| CampaignError::Checkpoint(CkptError::Io(e)))?;
-    }
-    Ok(())
-}
-
-fn supervise(
-    work: &FileStore,
-    ckpt: &CheckpointStore,
-    exec: &CampaignExecutor,
-    cfg: &CampaignConfig,
-    fault: &FaultConfig,
-    ctx: &CampaignCtx,
-    eng: Engine<'_, '_>,
-) -> Result<CampaignReport, CampaignError> {
-    let Engine {
-        t0,
-        fp,
-        mut sup,
-        writer,
-    } = eng;
-
-    let mut stats: Vec<CycleStats> = Vec::new();
-    let mut digests: Vec<u64> = Vec::new();
+    let mut tracer = RankTracer::new(compute_ranks + io_ranks, t0);
+    tracer.set_role(Role::Io);
+    let io = |e| CampaignError::Checkpoint(CkptError::Io(e));
     let mut trace = Trace::new("campaign-real");
-    let mut recoveries = Vec::new();
-    let mut dropped_members = Vec::new();
-    let mut degraded_mode = false;
     let mut virtual_backoff = 0.0f64;
     let mut monitor = ctx.health.map(HealthMonitor::new);
-    let mut health_snapshots: Vec<HealthSnapshot> = Vec::new();
 
-    let (mut exp, resumed_from) = match ckpt.load_latest(fp, Some(&mut sup))? {
-        Some((ck, _skipped)) => {
-            stats = ck.stats.clone();
-            digests = ck.cycle_digests.clone();
-            degraded_mode = ck.analysis.size() < ck.members0;
-            let cycle = ck.cycle;
-            (experiment_from(cfg, &ck), Some(cycle))
-        }
-        None => {
-            let exp = CycledExperiment::new(cfg.mesh, cfg.members, cfg.cycle, cfg.seed);
-            // Commit the initial state before running anything: cycle 0 is
-            // the recovery line for a crash in the very first cycle.
-            ckpt.save(&checkpoint_of(cfg, fp, &exp, &[], &[]), Some(&mut sup))
-                .map_err(|e| CampaignError::Checkpoint(CkptError::Io(e)))?;
-            (exp, None)
-        }
+    let resumed = ckpt.load_latest(fp, Some(&mut tracer))?.map(|(ck, _)| ck);
+    let resumed_from = resumed.as_ref().map(|ck| ck.cycle);
+    let (mut exp, mut stats) = match &resumed {
+        Some(ck) => (experiment_from(cfg, ck), ck.stats.clone()),
+        None => (
+            CycledExperiment::new(cfg.mesh, cfg.members, cfg.cycle, cfg.seed),
+            Vec::new(),
+        ),
     };
-
-    let mut attempt: u32 = 0; // attempts within the current cycle
-    let mut restarts: u32 = 0; // budget-consuming restarts within it
-    while exp.cycle() < cfg.cycles {
-        let c = exp.cycle();
-        let fcfg = FaultConfig {
-            plan: fault.plan.for_cycle_attempt(c, attempt),
-            retry: fault.retry,
-            degraded: fault.degraded || degraded_mode,
-            recv_timeout: fault.recv_timeout,
-        };
-        let mut cycle_out: Option<(ExecutionReport, Trace)> = None;
-        let res = exp.run_cycle(|bg, obs| {
-            let inflated_bg = inflated(bg, cfg.inflation);
-            write_ensemble(work, &inflated_bg).map_err(CampaignError::Io)?;
-            let setup = AssimilationSetup {
-                store: work,
-                members: inflated_bg.size(),
-                observations: obs,
-                analysis: cfg.analysis,
-            };
-            let (analysis, report, cycle_trace) = exec
-                .run_adaptive(&setup, &fcfg, monitor.as_ref())
-                .map_err(CampaignError::Analysis)?;
-            cycle_out = Some((report, cycle_trace));
-            Ok(analysis)
-        });
-        match res {
-            Ok(s) => {
-                // `exp.run_cycle` succeeds only through the closure above,
-                // which stored the cycle's report and trace first.
-                let Some((report, cycle_trace)) = cycle_out else {
-                    return Err(CampaignError::Analysis(EnkfError::GeometryMismatch(
-                        "a cycle completed without running the executor".into(),
-                    )));
-                };
-                stats.push(s);
-                digests.push(fnv64(cycle_trace.digest().as_bytes()));
-                trace.extend(cycle_trace.spans().iter().cloned());
-                for m in report.dropped_members {
-                    if !dropped_members.contains(&m) {
-                        dropped_members.push(m);
+    let resumed = resumed.map(|ck| (ck.cycle, ck.analysis.size(), ck.cycle_digests));
+    let mon = monitor.as_mut();
+    let mut sup = Supervisor::new(cfg.cycles, cfg.members, cfg.restart, fault, mon, resumed);
+    std::thread::scope(|s| {
+        // Pipelined commits go to a background writer that traces on a
+        // fork of the supervisor tracer (same rank, role and epoch), so
+        // pipelined and synchronous campaigns emit the identical Ckpt span
+        // multiset. Synchronous campaigns spawn nothing.
+        let writer = (ctx.ckpt_mode == CkptMode::Pipelined)
+            .then(|| AsyncCheckpointer::spawn(s, ckpt, tracer.fork()));
+        loop {
+            match sup.next() {
+                Action::Commit { initial } => {
+                    let state = exp.snapshot();
+                    let snapshot = CampaignCheckpoint {
+                        cycle: state.cycle,
+                        seed: cfg.seed,
+                        members0: cfg.members,
+                        rng_cursor: state.rng_cursor,
+                        config_fp: fp,
+                        truth: state.truth,
+                        analysis: state.background,
+                        free_run: state.free_run,
+                        stats: stats.clone(),
+                        cycle_digests: sup.digests.clone(),
+                    };
+                    match &writer {
+                        // Hand the O(1) snapshot over and start the next
+                        // cycle immediately; blocks only while the previous
+                        // write is still in flight.
+                        Some(w) if !initial => w.save_async(snapshot).map_err(io)?,
+                        _ => ckpt.save(&snapshot, Some(&mut tracer)).map_err(io)?,
                     }
                 }
-                if let Some(mon) = monitor.as_mut() {
-                    // Cycle boundary: fold this cycle's observations into
-                    // the detectors and refreeze the routing view the next
-                    // cycle's readers will consult.
-                    health_snapshots.push(mon.end_cycle());
-                }
-                let snapshot = checkpoint_of(cfg, fp, &exp, &stats, &digests);
-                match writer {
-                    // Pipelined: hand the O(1) snapshot to the background
-                    // writer and start the next cycle immediately; blocks
-                    // only if the previous write is still in flight.
-                    Some(w) => w
-                        .save_async(snapshot)
-                        .map_err(|e| CampaignError::Checkpoint(CkptError::Io(e)))?,
-                    None => ckpt
-                        .save(&snapshot, Some(&mut sup))
-                        .map_err(|e| CampaignError::Checkpoint(CkptError::Io(e)))?,
-                }
-                attempt = 0;
-                restarts = 0;
-            }
-            Err(CampaignError::Analysis(EnkfError::Substrate(se))) => {
-                if let Some(mon) = monitor.as_ref() {
-                    // The attempt failed mid-cycle: discard its partial
-                    // observations — the re-run re-observes the full cycle,
-                    // keeping detection a pure function of completed cycles.
-                    mon.abort_cycle();
-                }
-                let permanent_loss = matches!(se, SubstrateError::Unrecoverable { .. });
-                if !permanent_loss {
-                    if restarts >= cfg.restart.max_retries {
-                        return Err(CampaignError::RestartBudgetExhausted {
-                            cycle: c,
-                            attempts: attempt + 1,
-                            last: se.to_string(),
-                        });
-                    }
-                    let backoff = cfg.restart.backoff(restarts);
-                    match ctx.backoff {
-                        BackoffClock::Wall => {
-                            sup.recovery(|| std::thread::sleep(Duration::from_secs_f64(backoff)));
+                Action::Attempt(fcfg) => {
+                    let (mut digest, mut dropped) = (0, 0);
+                    let ran = exp.run_cycle(|bg, obs| {
+                        let inflated_bg = inflated(bg, cfg.inflation);
+                        write_ensemble(work, &inflated_bg).map_err(CampaignError::Io)?;
+                        let setup = AssimilationSetup {
+                            store: work,
+                            members: inflated_bg.size(),
+                            observations: obs,
+                            analysis: cfg.analysis,
+                        };
+                        let mon = sup.monitor.as_deref();
+                        // D-EnKF's sends carry derived data and its analysis
+                        // a kernel: it brings its own rank body. Everything
+                        // else is a program.
+                        let run = match *exec {
+                            CampaignExecutor::DEnkf { shards, kernel } => {
+                                DEnkf { shards, kernel }.run_adaptive(&setup, &fcfg, mon)
+                            }
+                            _ => run_cycle(&setup, exec.variant(), &fcfg, mon),
+                        };
+                        let (analysis, report, cycle_trace) =
+                            run.map_err(CampaignError::Analysis)?;
+                        digest = fnv64(cycle_trace.digest().as_bytes());
+                        dropped = report.dropped_members.len();
+                        trace.extend(cycle_trace.spans().iter().cloned());
+                        Ok(analysis)
+                    });
+                    match ran {
+                        Ok(cycle_stats) => {
+                            stats.push(cycle_stats);
+                            sup.completed(digest, dropped);
                         }
-                        BackoffClock::Virtual => {
-                            virtual_backoff += backoff;
-                            sup.recovery(|| ());
-                        }
+                        Err(CampaignError::Analysis(EnkfError::Substrate(se))) => sup.failed(se),
+                        Err(e) => return Err(e),
                     }
-                    restarts += 1;
-                } else {
-                    // Permanently lost member: re-run degraded on the
-                    // survivors. Free of budget — the failure cannot recur
-                    // once the member is dropped.
-                    degraded_mode = true;
-                    sup.recovery(|| ());
                 }
-                // Restore from *disk*, not from memory: in-process recovery
-                // and a process kill + resume take the identical path. The
-                // drain barrier first waits out any in-flight asynchronous
-                // write, so the restore sees the freshest durable cycle and
-                // never races the writer.
-                drain_writer(writer, &mut trace)?;
-                let Some((ck, _skipped)) = ckpt.load_latest(fp, Some(&mut sup))? else {
-                    return Err(CampaignError::NoCheckpoint { cycle: c });
-                };
-                recoveries.push(RecoveryEvent {
-                    cycle: c,
-                    attempt,
-                    error: se.to_string(),
-                    degraded: permanent_loss,
-                    restored_from: ck.cycle,
-                });
-                stats = ck.stats.clone();
-                digests = ck.cycle_digests.clone();
-                exp = experiment_from(cfg, &ck);
-                attempt += 1;
+                Action::Recover(backoff) => {
+                    let seconds = backoff.unwrap_or(0.0);
+                    tracer.recovery(|| match ctx.backoff {
+                        BackoffClock::Wall => std::thread::sleep(Duration::from_secs_f64(seconds)),
+                        BackoffClock::Virtual => virtual_backoff += seconds,
+                    });
+                }
+                Action::Drain => {
+                    // Fold the writer's spans into the campaign trace and
+                    // surface a deferred write error.
+                    if let Some(w) = &writer {
+                        let (spans, res) = w.drain();
+                        trace.extend(spans);
+                        res.map_err(io)?;
+                    }
+                }
+                Action::Restore => {
+                    let Some((ck, _skipped)) = ckpt.load_latest(fp, Some(&mut tracer))? else {
+                        return Err(CampaignError::NoCheckpoint { cycle: sup.cycle });
+                    };
+                    exp = experiment_from(cfg, &ck);
+                    stats = ck.stats;
+                    sup.restored(ck.cycle, ck.analysis.size());
+                }
+                Action::Finish => return Ok(()),
+                Action::GiveUp => return Err(sup.gave_up()),
             }
-            Err(e) => return Err(e),
         }
-    }
+    })?;
 
-    // End-of-campaign drain barrier: the report is complete only once the
-    // final cycle's checkpoint is durable (and its spans are in the trace).
-    drain_writer(writer, &mut trace)?;
-    let final_analysis = exp.background().clone();
-    trace.extend(sup.into_spans());
+    trace.extend(tracer.into_spans());
     if let Some((tenant, job)) = ctx.tenant {
         trace.tag_tenant(tenant, job);
     }
     Ok(CampaignReport {
         stats,
-        cycle_digests: digests,
-        final_analysis,
+        final_analysis: exp.background().clone(),
         trace,
-        recoveries,
         resumed_from,
-        degraded: degraded_mode,
-        dropped_members,
+        dropped_members: sup.lost().to_vec(),
+        degraded: sup.degraded,
+        cycle_digests: sup.digests,
+        recoveries: sup.recoveries,
+        health_snapshots: sup.health_snapshots,
         wall_time: t0.elapsed().as_secs_f64(),
         virtual_backoff,
-        health_snapshots,
         health_digest: monitor.map(|m| m.digest()),
     })
 }

@@ -122,31 +122,23 @@ pub(crate) enum Msg {
     },
 }
 
-/// Why a plan's dropout set stops a run before it starts.
-pub(crate) enum DropoutError {
-    /// These members are unrecoverable and degraded mode is off.
-    DegradedOff(Vec<usize>),
-    /// Degraded mode would leave this many members; at least 2 are required.
-    TooFew(usize),
-}
-
 /// The dropout decision of every executor, real and modeled: the sorted
 /// set of members whose reads exhaust the retry budget — what the run's
-/// report carries as `dropped_members` — or the reason the run cannot
-/// start. One function, so the two sides of a variant cannot disagree on
-/// who drops out.
-pub(crate) fn resolve_dropout(
-    injector: &FaultInjector,
-    members: usize,
-) -> std::result::Result<Vec<usize>, DropoutError> {
+/// report carries as `dropped_members` — or the typed reason the run cannot
+/// start: [`SubstrateError::Unrecoverable`] when degraded mode is off, a
+/// geometry error when it would leave fewer than two members. One function,
+/// so the two sides of a variant cannot disagree on who drops out, nor on
+/// why a run is refused.
+pub(crate) fn resolve_dropout(injector: &FaultInjector, members: usize) -> Result<Vec<usize>> {
     let dropped = injector.unrecoverable_members(members);
-    if !dropped.is_empty() {
-        if !injector.config().degraded {
-            return Err(DropoutError::DegradedOff(dropped));
-        }
-        if members - dropped.len() < 2 {
-            return Err(DropoutError::TooFew(members - dropped.len()));
-        }
+    let left = members - dropped.len();
+    if !dropped.is_empty() && !injector.config().degraded {
+        return Err(SubstrateError::Unrecoverable { members: dropped }.into());
+    }
+    if !dropped.is_empty() && left < 2 {
+        return Err(EnkfError::GeometryMismatch(format!(
+            "degraded mode would leave {left} member(s); at least 2 are required"
+        )));
     }
     Ok(dropped)
 }
@@ -282,14 +274,7 @@ impl<'a> Cycle<'a> {
             .ranks(mesh, setup.members)
             .map_err(EnkfError::GeometryMismatch)?;
         let injector = FaultInjector::new(cfg.clone());
-        let dropped = resolve_dropout(&injector, setup.members).map_err(|e| match e {
-            DropoutError::DegradedOff(members) => {
-                EnkfError::Substrate(SubstrateError::Unrecoverable { members })
-            }
-            DropoutError::TooFew(left) => EnkfError::GeometryMismatch(format!(
-                "degraded mode would leave {left} member(s); at least 2 are required"
-            )),
-        })?;
+        let dropped = resolve_dropout(&injector, setup.members)?;
         let mut ops = vec![Vec::new(); compute_ranks + io_ranks];
         program
             .emit(

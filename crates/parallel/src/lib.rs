@@ -20,6 +20,12 @@
 //!   the paper-scale (12,000-processor) experiments of Figures 1, 5, 9–13
 //!   are regenerated.
 //!
+//! One level up the same split holds for a whole campaign: the pure state
+//! machine in `supervisor.rs` makes every decision (cycle, attempt,
+//! projected fault plan, restart / degrade / give up, commit / drain /
+//! restore) once, [`run_campaign_ctx`] *executes* its actions and
+//! [`model_campaign_adaptive`] *prices* them.
+//!
 //! The variants:
 //!
 //! * **L-EnKF** (`LEnkf`) — single reader: rank 0 reads members one by one
@@ -51,6 +57,7 @@ pub mod exec;
 pub mod model;
 pub mod program;
 pub mod report;
+pub(crate) mod supervisor;
 
 pub use campaign::{
     run_campaign, run_campaign_ctx, BackoffClock, CampaignConfig, CampaignCtx, CampaignError,

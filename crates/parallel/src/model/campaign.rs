@@ -1,36 +1,45 @@
 //! DES model of a supervised, checkpointed campaign.
 //!
-//! The real supervisor ([`crate::campaign::run_campaign`]) interleaves
-//! three kinds of work on the virtual timeline: assimilation cycles
-//! (already modeled by the cycle-program pricer), checkpoint I/O (the
-//! analysis members written back through the PFS after every cycle), and
-//! recovery (the partial work a crashed attempt throws away, the restart
-//! backoff, and the restore reads). This module stitches those into one
-//! modeled campaign without re-running the cycle DES K times: a cycle's
-//! operation structure is configuration-determined — every cycle of a
-//! campaign has the identical span multiset, only time-shifted — so one
-//! single-cycle simulation is computed and replayed along a running clock.
+//! The **pricing driver** of the campaign supervisor (`supervisor.rs`).
+//! The supervisor decides what a campaign does — which cycle and attempt
+//! runs under which projected plan, whether a failure restarts, degrades or
+//! ends the campaign, when to commit, drain and restore — and
+//! [`crate::campaign::run_campaign_ctx`] carries those actions out. This
+//! module loops over the *same* actions and turns each into virtual
+//! seconds and spans on one running clock:
 //!
-//! Checkpoint and restore I/O is costed through the same OST service
-//! function the modeled PFS uses ([`enkf_pfs::PfsParams::read_service`]): one seek
-//! plus `8·n` bytes per member, serial on the supervisor agent (matching
-//! the real supervisor, which writes members through the `FileStore`
-//! pooled path one at a time). A crashed attempt contributes one
-//! [`Op::Recovery`] span covering the partial cycle (`stage/L` of the
-//! cycle makespan), the receive-timeout detection latency, and the restart
-//! backoff.
+//! | action | what it costs here |
+//! |---|---|
+//! | `Commit { initial }` | one serial sweep of the live members; queued behind the next cycle when pipelined and not initial |
+//! | `Attempt(fcfg)` | a prologue failure (lost member, degraded off) costs nothing; a crash at stage `s` costs `s/L` of the cycle plus the receive timeout; a completed cycle its makespan plus `Δ + E` of a write draining behind it |
+//! | `Recover(backoff)` | the backoff, on top of the failed attempt |
+//! | `Drain` | what is left of the in-flight write; before a restore it closes the one recovery span |
+//! | `Restore` | one serial sweep of reads — or, without a recovery line, everything done so far |
+//! | `Finish` / `GiveUp` | the outcome / the supervisor's error, rendered |
+//!
+//! What stays here is pricing, not policy. Cycles are not re-simulated K
+//! times: a cycle's operation structure is determined by the ensemble size
+//! and the fault configuration, so one single-cycle DES run per distinct
+//! `(members, configuration)` is replayed along the clock (a campaign that
+//! loses a member prices the shrunken cycles — reads and checkpoint sweeps
+//! alike — with the surviving count). Checkpoint and restore I/O is costed
+//! through the same OST service function the modeled PFS uses
+//! ([`enkf_pfs::PfsParams::read_service`]): one seek plus `8·n` bytes per
+//! member, serial on the supervisor agent (matching the real supervisor,
+//! which writes members through the `FileStore` pooled path one at a time).
 //!
 //! With `checkpoint: false` the model reproduces the no-recovery-line
 //! baseline: a crash throws away *all* completed cycles, which is the
 //! comparison the Fig. 14-style MTTR sweep (the `campaign_mttr` bin) plots.
 
 use super::{model_cycle, ModelConfig, ModelOutcome};
+use crate::exec::resolve_dropout;
 use crate::program::{Emitter, ModelVariant};
+use crate::supervisor::{Action, Supervisor};
 use enkf_ckpt::fnv64;
-use enkf_fault::{FaultConfig, RetryPolicy};
+use enkf_fault::{FaultConfig, FaultInjector, RankCrash, RetryPolicy, SubstrateError};
 use enkf_health::{HealthMonitor, HealthSnapshot};
 use enkf_trace::{Op, OpTag, Role, Span, Trace};
-use std::collections::BTreeSet;
 
 /// Campaign-level plan for the model.
 #[derive(Debug, Clone, Copy)]
@@ -102,87 +111,76 @@ pub fn model_campaign(
     model_campaign_adaptive(cfg, variant, camp, fcfg, None)
 }
 
-/// [`model_campaign`] with online health monitoring: the mirror of
-/// [`crate::run_campaign_ctx`] under [`crate::CampaignCtx::health`]. With a
-/// monitor the one-cycle-replayed-K-times shortcut is no longer sound —
-/// the frozen routing view evolves at every cycle boundary, reshaping the
-/// next cycle's reads — so each completed cycle re-runs the per-variant
-/// adaptive DES against the current view and then steps the detectors,
-/// exactly the real supervisor's boundary fold. Crashed attempts feed no
-/// observations on either side (the real supervisor discards the partial
-/// attempt's accumulator), and their partial work is priced at the
-/// baseline cycle makespan. Under a common seeded plan the returned
-/// per-cycle digests and the monitor's decision log are byte-identical to
-/// the real adaptive campaign's.
+/// One priced steady-state cycle: what a cycle costs with nothing crashing
+/// and no monitor attached. Everything the price depends on is in the key
+/// — the ensemble size and the fault configuration — so equal keys replay
+/// one DES run.
+struct Priced {
+    key: (usize, FaultConfig),
+    cycle: ModelOutcome,
+    trace: Trace,
+    digest: u64,
+    /// The cycle's makespan against the `(S−1)/S` substrate a draining
+    /// background write leaves it (`None`: not pipelined, or a single
+    /// stream — writer and cycle serialize, overlap buys nothing).
+    shared_makespan: Option<f64>,
+}
+
+/// [`model_campaign`] with online health monitoring. This is the *pricing
+/// driver* of the campaign `Supervisor`, as [`crate::run_campaign_ctx`] is
+/// its executing driver: one loop over the same actions, each turned into
+/// virtual seconds and spans instead of being carried out. With a monitor
+/// the replay shortcut is no longer sound — the frozen routing view evolves
+/// at every cycle boundary, reshaping the next cycle's reads — so each
+/// completed cycle re-runs the DES against the current view (the supervisor
+/// folds the detectors at the boundary, on both sides). Crashed attempts
+/// feed no observations on either side, and their partial work is priced
+/// at the monitor-free cycle makespan. Under a common seeded plan the
+/// returned per-cycle digests, the recovery count and the monitor's
+/// decision log equal the real campaign's; a campaign the supervisor gives
+/// up on is an `Err` here too.
 pub fn model_campaign_adaptive(
     cfg: &ModelConfig,
     variant: &ModelVariant,
     camp: &CampaignModelPlan,
     fcfg: &FaultConfig,
-    mut monitor: Option<&mut HealthMonitor>,
+    monitor: Option<&mut HealthMonitor>,
 ) -> Result<(CampaignModelOutcome, Trace), String> {
-    // The steady-state cycle: the campaign plan's non-cycle faults apply
-    // to every cycle, while cycle-scoped crashes are orchestrated here at
-    // the supervisor level (the per-cycle DES rejects crash plans).
-    let cycle_fcfg = FaultConfig {
-        plan: fcfg.plan.for_cycle_attempt(0, 1),
-        retry: fcfg.retry,
-        degraded: fcfg.degraded,
-        recv_timeout: fcfg.recv_timeout,
-    };
-    let run_cycle_model =
-        |cfg: &ModelConfig, mon: Option<&HealthMonitor>| -> Result<(ModelOutcome, Trace), String> {
-            model_cycle(cfg, variant, Default::default(), &cycle_fcfg, mon)
-        };
-    // The baseline cycle prices checkpoint overlap and crashed partial
-    // attempts in both modes; it is also the replayed cycle when no
-    // monitor is attached. Run monitor-free so pricing feeds no
-    // observations.
-    let (cycle, cycle_trace) = run_cycle_model(cfg, None)?;
-    let base_digest = fnv64(cycle_trace.digest().as_bytes());
-
-    let n = (cfg.workload.nx * cfg.workload.ny) as u64;
-    let member_bytes = 8 * n;
-    let members = cfg.workload.members;
+    let members0 = cfg.workload.members;
+    let member_bytes = 8 * (cfg.workload.nx * cfg.workload.ny) as u64;
     let member_service = cfg.pfs.read_service(1, member_bytes);
-    let checkpoint_time = member_service * members as f64;
-    let restore_time = checkpoint_time;
-    let sup_rank = cycle.total_ranks();
-    let layers = variant.layers();
-
-    // Pipelined pricing: the background writer steals one of the machine's
-    // `S = num_osts · streams_per_ost` PFS streams while it drains, so the
-    // overlapped cycle runs against an `(S−1)/S` substrate. The per-cycle
-    // checkpoint cost that *stays* on the critical path is the contention
-    // dilation `Δ` (the cycle slowdown, prorated by how long the write
-    // actually overlaps) plus the backpressure tail `E = max(0, C − M)`
-    // (the write outlasting the cycle it hides behind). Overlap stops
-    // being free exactly when `Δ + E` approaches `C`.
+    let (compute_ranks, io_ranks) = variant.rank_counts();
     let pipelined = camp.pipelined && camp.checkpoint;
-    let (ckpt_dilation, ckpt_tail) = if pipelined {
-        let streams = cfg.pfs.num_osts * cfg.pfs.streams_per_ost;
-        let m = cycle.makespan;
-        if streams > 1 {
-            let share = (streams - 1) as f64 / streams as f64;
-            let (shared, _tr) = run_cycle_model(&cfg.with_bandwidth_share(share), None)?;
-            let dilation =
-                (shared.makespan - m).max(0.0) * checkpoint_time.min(m) / m.max(f64::MIN_POSITIVE);
-            (dilation, (checkpoint_time - m).max(0.0))
-        } else {
-            // A single stream: the writer and the cycle fully serialize,
-            // overlap buys nothing — the pipelined campaign degenerates to
-            // the synchronous cost.
-            (checkpoint_time.min(m), (checkpoint_time - m).max(0.0))
-        }
-    } else {
-        (0.0, 0.0)
+    let streams = cfg.pfs.num_osts * cfg.pfs.streams_per_ost;
+    let cycle_model =
+        |members: usize, share: f64, fcfg: &FaultConfig, mon: Option<&HealthMonitor>| {
+            let mut cfg = cfg.with_bandwidth_share(share);
+            cfg.workload.members = members;
+            model_cycle(&cfg, variant, Default::default(), fcfg, mon)
+        };
+    let price = |key: (usize, FaultConfig)| -> Result<Priced, String> {
+        let (cycle, trace) = cycle_model(key.0, 1.0, &key.1, None)?;
+        // Pipelined pricing: the background writer steals one of the
+        // machine's `S = num_osts · streams_per_ost` PFS streams while it
+        // drains, so the overlapped cycle runs against `(S−1)/S` of it.
+        let share = (streams - 1) as f64 / streams as f64;
+        let shared_makespan = match pipelined && streams > 1 {
+            true => Some(cycle_model(key.0, share, &key.1, None)?.0.makespan),
+            false => None,
+        };
+        Ok(Priced {
+            digest: fnv64(trace.digest().as_bytes()),
+            key,
+            cycle,
+            trace,
+            shared_makespan,
+        })
     };
 
     let mut trace = Trace::new("campaign-model");
-    let mut t = 0.0f64;
-    let mut lost = 0.0f64;
-    let mut restarts = 0u32;
-
+    let (mut t, mut lost, mut ckpt_exposed) = (0.0f64, 0.0f64, 0.0f64);
+    // Checkpoint sweeps by ensemble size (a degraded campaign shrinks).
+    let mut sweeps = vec![0usize; members0 + 1];
     let sup_span = |op: Op, start: f64, dur: f64, bytes: u64, seeks: u64, member: Option<usize>| {
         let tag = OpTag {
             bytes,
@@ -190,159 +188,161 @@ pub fn model_campaign_adaptive(
             member,
             ..OpTag::default()
         };
-        Span::new(sup_rank, Role::Io, op, start, dur, tag)
+        Span::new(compute_ranks + io_ranks, Role::Io, op, start, dur, tag)
     };
-    let emit_cycle = |trace: &mut Trace, t: &mut f64| {
-        trace.extend(cycle_trace.spans().iter().cloned().map(|mut s| {
-            s.start += *t;
-            s
-        }));
-        *t += cycle.makespan;
-    };
-    let emit_io = |trace: &mut Trace, t: &mut f64, op: Op| {
+    let emit_io = |trace: &mut Trace, t: &mut f64, op: Op, members: usize| {
         for k in 0..members {
             trace.push(sup_span(op, *t, member_service, member_bytes, 1, Some(k)));
             *t += member_service;
         }
     };
 
-    let mut ckpt_exposed = 0.0f64;
-    let mut ckpt_sweeps = 0usize;
-    let mut cycle_digests: Vec<u64> = Vec::new();
-    let mut health_snapshots: Vec<HealthSnapshot> = Vec::new();
-    // Pipelined: whether the previous cycle's checkpoint write is still
-    // draining in the background (at most one, mirroring the real
-    // supervisor's backpressure bound).
-    let mut inflight = false;
-
-    if camp.checkpoint {
-        // The initial state is committed before any cycle runs — the
-        // recovery line for a crash in cycle 0. Synchronous in both modes.
-        emit_io(&mut trace, &mut t, Op::Ckpt);
-        ckpt_exposed += checkpoint_time;
-        ckpt_sweeps += 1;
-    }
-    let mut fired: BTreeSet<usize> = BTreeSet::new();
-    let mut c = 0usize;
-    while c < camp.cycles {
-        let crash = fcfg
-            .plan
-            .cycle_crashes
-            .iter()
-            .filter(|cc| cc.cycle == c && !fired.contains(&c))
-            .map(|cc| cc.stage)
-            .min();
-        if let Some(stage) = crash {
-            fired.insert(c);
-            restarts += 1;
-            // The partial attempt: the cycle dies entering stage `stage`,
-            // peers detect it after the receive timeout, then the
-            // supervisor sleeps the restart backoff.
-            let frac = (stage as f64 / layers as f64).min(1.0);
-            let partial = cycle.makespan * frac + fcfg.recv_timeout;
-            let backoff = camp.restart.backoff(0);
-            // Pipelined: the drain barrier before the restore waits out
-            // whatever part of the in-flight write the partial cycle did
-            // not already hide.
-            let drain = if inflight {
-                (checkpoint_time - cycle.makespan * frac).max(0.0)
-            } else {
-                0.0
-            };
-            inflight = false;
-            trace.push(sup_span(
-                Op::Recovery,
-                t,
-                partial + backoff + drain,
-                0,
-                0,
-                None,
-            ));
-            t += partial + backoff + drain;
-            lost += partial + backoff;
-            ckpt_exposed += drain;
-            if camp.checkpoint {
-                emit_io(&mut trace, &mut t, Op::Restore);
-                // Re-attempt the same cycle (crash consumed).
-            } else {
-                // No recovery line: everything completed so far is thrown
-                // away and the campaign restarts from cycle 0.
-                lost += t - (partial + backoff);
-                cycle_digests.clear();
-                c = 0;
+    let mut priced: Vec<Priced> = Vec::new();
+    // Pipelined: the sweep seconds of the write still draining in the
+    // background (at most one, the real supervisor's backpressure bound).
+    let mut inflight: Option<f64> = None;
+    // A failed attempt awaiting its restore — the seconds it threw away so
+    // far — and how long the last attempt ran (hiding an in-flight write).
+    let (mut wasted, mut ran) = (None, 0.0f64);
+    let mut sup = Supervisor::new(camp.cycles, members0, camp.restart, fcfg, monitor, None);
+    loop {
+        match sup.next() {
+            Action::Commit { initial } if camp.checkpoint => {
+                sweeps[sup.alive] += 1;
+                let sweep = member_service * sup.alive as f64;
+                let mut clock = t;
+                emit_io(&mut trace, &mut clock, Op::Ckpt, sup.alive);
+                // Pipelined: the write is queued now and drains behind the
+                // next cycle — its spans sit on the overlapped timeline
+                // without advancing the supervisor clock.
+                inflight = (pipelined && !initial).then_some(sweep);
+                if inflight.is_none() {
+                    t = clock;
+                    ckpt_exposed += sweep;
+                }
             }
-            continue;
-        }
-        // An in-flight write from the previous cycle contends for OST
-        // streams (dilation) and must finish before this cycle's commit
-        // can be handed over (backpressure tail).
-        let dilation = if inflight { ckpt_dilation } else { 0.0 };
-        match monitor.as_deref_mut() {
-            None => {
-                emit_cycle(&mut trace, &mut t);
-                cycle_digests.push(base_digest);
-            }
-            Some(mon) => {
-                // Adaptive: this cycle's reads follow the current frozen
-                // view, so the DES must be rebuilt, and the boundary fold
-                // refreezes the view for the next cycle.
-                let (out, tr) = run_cycle_model(cfg, Some(mon))?;
-                cycle_digests.push(fnv64(tr.digest().as_bytes()));
-                trace.extend(tr.spans().iter().cloned().map(|mut s| {
+            Action::Commit { .. } => {}
+            Action::Attempt(mut fcfg) => {
+                // The key is the attempt as it would run had nothing crashed.
+                let crash = fcfg.plan.crashes.iter().min_by_key(|c| c.stage).copied();
+                fcfg.plan.crashes.clear();
+                let key = (sup.alive, fcfg);
+                let dropout = resolve_dropout(&FaultInjector::new(key.1.clone()), key.0);
+                if let Err(enkf_core::EnkfError::Substrate(lost_member)) = dropout {
+                    // The real cycle fails in its prologue, before any rank
+                    // starts: it costs no cycle time.
+                    (wasted, ran) = (Some(0.0), 0.0);
+                    sup.failed(lost_member);
+                    continue;
+                }
+                let base = match priced.iter().position(|p| p.key == key) {
+                    Some(known) => &priced[known],
+                    None => {
+                        priced.push(price(key)?);
+                        &priced[priced.len() - 1]
+                    }
+                };
+                let m = base.cycle.makespan;
+                if let Some(RankCrash { rank, stage }) = crash {
+                    // The cycle dies entering `stage`; its peers detect it
+                    // after the receive timeout.
+                    ran = m * (stage as f64 / variant.layers() as f64).min(1.0);
+                    wasted = Some(ran + base.key.1.recv_timeout);
+                    sup.failed(SubstrateError::RankCrashed { rank, stage });
+                    continue;
+                }
+                let adaptive;
+                let (cycle, cycle_trace, digest) = match sup.monitor.as_deref() {
+                    None => (&base.cycle, &base.trace, base.digest),
+                    // Adaptive: this cycle's reads follow the current frozen
+                    // view, so the DES is rebuilt.
+                    Some(mon) => {
+                        adaptive = cycle_model(sup.alive, 1.0, &base.key.1, Some(mon))?;
+                        let digest = fnv64(adaptive.1.digest().as_bytes());
+                        (&adaptive.0, &adaptive.1, digest)
+                    }
+                };
+                trace.extend(cycle_trace.spans().iter().cloned().map(|mut s| {
                     s.start += t;
                     s
                 }));
-                t += out.makespan;
-                health_snapshots.push(mon.end_cycle());
+                t += cycle.makespan;
+                if let Some(c) = inflight.take() {
+                    // The in-flight write contends for OST streams (the
+                    // dilation `Δ`: the cycle slowdown prorated by how long
+                    // the write overlaps) and must finish before this
+                    // cycle's commit is handed over (the backpressure tail
+                    // `E = max(0, C − M)`). Overlap stops being free as
+                    // `Δ + E` nears `C`.
+                    let dilation = base.shared_makespan.map_or(c.min(m), |shared| {
+                        (shared - m).max(0.0) * c.min(m) / m.max(f64::MIN_POSITIVE)
+                    });
+                    let tail = (c - m).max(0.0);
+                    t += dilation;
+                    t += tail;
+                    ckpt_exposed += dilation + tail;
+                }
+                ran = 0.0;
+                sup.completed(digest, cycle.dropped_members.len());
             }
-        }
-        t += dilation;
-        if inflight {
-            t += ckpt_tail;
-            ckpt_exposed += dilation + ckpt_tail;
-            inflight = false;
-        }
-        if camp.checkpoint {
-            if pipelined {
-                // The write is queued now and drains behind the next
-                // cycle; its spans sit on the overlapped timeline without
-                // advancing the supervisor clock.
-                let mut tt = t;
-                emit_io(&mut trace, &mut tt, Op::Ckpt);
-                inflight = true;
-            } else {
-                emit_io(&mut trace, &mut t, Op::Ckpt);
-                ckpt_exposed += checkpoint_time;
+            Action::Recover(backoff) => {
+                wasted = wasted.map(|w| w + backoff.unwrap_or(0.0));
+                lost += wasted.unwrap_or(0.0);
             }
-            ckpt_sweeps += 1;
+            Action::Drain => {
+                // Whatever part of the in-flight write the partial cycle did
+                // not already hide; at the end of the campaign, all of it.
+                let drain = inflight.take().map_or(0.0, |c| (c - ran).max(0.0));
+                if let Some(wasted) = wasted {
+                    // One span covers the partial attempt, its detection,
+                    // the backoff and the drain.
+                    trace.push(sup_span(Op::Recovery, t, wasted + drain, 0, 0, None));
+                }
+                t += wasted.unwrap_or(0.0) + drain;
+                ckpt_exposed += drain;
+            }
+            Action::Restore => {
+                if camp.checkpoint {
+                    // Every completed cycle was committed, so the recovery
+                    // line is the start of the failed cycle.
+                    emit_io(&mut trace, &mut t, Op::Restore, sup.alive);
+                    sup.restored(sup.cycle, sup.alive);
+                } else {
+                    // No recovery line: everything completed so far is
+                    // thrown away and the campaign restarts from cycle 0.
+                    lost += t - wasted.unwrap_or(0.0);
+                    sup.restored(0, members0);
+                }
+                wasted = None;
+            }
+            Action::Finish => break,
+            Action::GiveUp => return Err(sup.gave_up().to_string()),
         }
-        c += 1;
     }
-    if inflight {
-        // End-of-campaign drain barrier: the final cycle's write has
-        // nothing left to hide behind.
-        t += checkpoint_time;
-        ckpt_exposed += checkpoint_time;
-    }
-    let ckpt_hidden = if camp.checkpoint {
-        (ckpt_sweeps as f64 * checkpoint_time - ckpt_exposed).max(0.0)
-    } else {
-        0.0
-    };
 
+    let checkpoint_time = member_service * members0 as f64;
+    let swept: f64 = (sweeps.iter().enumerate())
+        .map(|(members, &n)| n as f64 * (member_service * members as f64))
+        .sum();
+    // The cycle the campaign was stitched from; a campaign that priced none
+    // (zero cycles) still reports what one would cost.
+    let cycle = match priced.into_iter().next() {
+        Some(first) => first.cycle,
+        None => price((members0, fcfg.clone()))?.cycle,
+    };
     Ok((
         CampaignModelOutcome {
             makespan: t,
             cycle_makespan: cycle.makespan,
             checkpoint_time,
-            restore_time,
-            restarts,
+            restore_time: checkpoint_time,
+            restarts: sup.recoveries.len() as u32,
             lost_time: lost,
             ckpt_exposed,
-            ckpt_hidden,
+            ckpt_hidden: (swept - ckpt_exposed).max(0.0),
             cycle,
-            cycle_digests,
-            health_snapshots,
+            cycle_digests: sup.digests,
+            health_snapshots: sup.health_snapshots,
         },
         trace,
     ))

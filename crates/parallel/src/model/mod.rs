@@ -7,7 +7,7 @@ pub mod penkf;
 pub mod reading;
 pub mod senkf;
 
-use crate::exec::{compute_dilation, resolve_dropout, DropoutError};
+use crate::exec::{compute_dilation, resolve_dropout};
 use crate::program::{CycleOp, Emitter, Geometry, ModelVariant};
 use crate::report::PhaseBreakdown;
 use enkf_fault::{FaultConfig, FaultInjector};
@@ -126,12 +126,7 @@ pub(crate) fn price_cycle(
     if injector.has_crashes() {
         return Err("the modeled run cannot complete: the plan crashes a rank".into());
     }
-    let dropped = resolve_dropout(&injector, w.members).map_err(|e| match e {
-        DropoutError::DegradedOff(dropped) => {
-            format!("unrecoverable members {dropped:?} and degraded mode is off")
-        }
-        DropoutError::TooFew(_) => "degraded ensemble too small".to_string(),
-    })?;
+    let dropped = resolve_dropout(&injector, w.members).map_err(|e| e.to_string())?;
     let drops_messages = fcfg.plan.msg_faults.iter().any(|m| m.dropped);
 
     let mut sim = Simulation::new();

@@ -1,20 +1,28 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml — run before pushing.
 #
-#   scripts/check.sh [--perf <base-ref>]
+#   scripts/check.sh [--perf <base-ref> | --contract <base-ref>]
 #
 # `--perf <base-ref>` appends the perf regression gate: scripts/perf-pairs.sh
 # A/Bs <base-ref> against the working tree (10 alternating pairs of every
 # workload, ~35 min on an otherwise idle box) and fails on any end-to-end
 # metric `perf --compare` judges `worse`. Opt-in because of its length.
+#
+# `--contract <base-ref>` appends scripts/contract-diff.sh: the contract dump
+# (every digest, every f64 bit pattern) of <base-ref> diffed against the
+# working tree's, ~2 min of building. Rows matching $CONTRACT_ALLOW (a regex)
+# may differ. Opt-in: it needs a base ref.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 perf_base=
+contract_base=
 if [ "${1:-}" = "--perf" ]; then
     perf_base=${2:?--perf needs a base ref}
+elif [ "${1:-}" = "--contract" ]; then
+    contract_base=${2:?--contract needs a base ref}
 elif [ $# -gt 0 ]; then
-    echo "usage: scripts/check.sh [--perf <base-ref>]" >&2
+    echo "usage: scripts/check.sh [--perf <base-ref> | --contract <base-ref>]" >&2
     exit 2
 fi
 
@@ -52,6 +60,11 @@ cargo test -q --manifest-path perf/Cargo.toml
 if [ -n "$perf_base" ]; then
     echo "==> perf regression gate against $perf_base"
     scripts/perf-pairs.sh "$perf_base"
+fi
+
+if [ -n "$contract_base" ]; then
+    echo "==> contract dump against $contract_base"
+    scripts/contract-diff.sh "$contract_base" "${CONTRACT_ALLOW:-}"
 fi
 
 echo "==> net code lines per crate (informational; CHANGES.md quotes parent -> change)"

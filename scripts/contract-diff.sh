@@ -1,0 +1,53 @@
+#!/usr/bin/env bash
+# Diff the contract dump of <base-ref> against the working tree's: every
+# digest and every f64 bit pattern the refactoring PRs promise not to move
+# (examples/contract_dump.rs says which), one text row each.
+#
+#   scripts/contract-diff.sh <base-ref> [allowed-regex]
+#
+# * <base-ref> is exported with `git archive` into .bench_build/ (ignored),
+#   exactly as scripts/perf-pairs.sh does; the working tree's
+#   examples/contract_dump.rs is copied into the export, so both sides run
+#   the same dump (it uses only public API both sides have).
+# * Rows matching [allowed-regex] may differ — a PR that fixes a behaviour
+#   names the rows it means to move (this repo tags them `fixed:`).
+#
+# Prints the differing rows and a summary; exits 1 when a row outside the
+# allowed set differs. Outputs land in .bench_build/contract/<base>/.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -lt 1 ]; then
+    sed -n '2,6p' "$0" >&2
+    exit 2
+fi
+base_sha=$(git rev-parse --short=12 "$1^{commit}")
+allowed=${2:-}
+
+base_src=.bench_build/src-$base_sha
+if [ ! -d "$base_src" ]; then
+    mkdir -p "$base_src"
+    git archive "$base_sha" | tar -x -C "$base_src"
+fi
+cp examples/contract_dump.rs "$base_src/examples/contract_dump.rs"
+
+echo "==> building the contract dump of $1 ($base_sha) and of the working tree"
+cargo build --release --offline --quiet --example contract_dump --manifest-path "$base_src/Cargo.toml"
+cargo build --release --offline --quiet --example contract_dump
+
+out=.bench_build/contract/$base_sha
+mkdir -p "$out"
+"$base_src/target/release/examples/contract_dump" >"$out/base.txt"
+target/release/examples/contract_dump >"$out/change.txt"
+
+diff "$out/base.txt" "$out/change.txt" >"$out/contract.diff" || true
+grep '^[<>]' "$out/contract.diff" || true
+rows=$(wc -l <"$out/change.txt")
+moved=$(grep -c '^>' "$out/contract.diff" || true)
+if [ -n "$allowed" ]; then
+    unexpected=$(grep '^[<>]' "$out/contract.diff" | grep -Evc "$allowed" || true)
+else
+    unexpected=$(grep -c '^[<>]' "$out/contract.diff" || true)
+fi
+echo "==> contract dump: $rows rows, $moved differ from $1, $unexpected outside the allowed set"
+[ "$unexpected" -eq 0 ]

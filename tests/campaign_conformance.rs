@@ -137,54 +137,65 @@ fn pipelined_campaign_is_bit_identical_to_sync() {
     }
 }
 
+/// A member lost for good, by **original** index. `degraded` is the plan's
+/// own switch: off, the supervisor degrades through one budget-free
+/// recovery; on, the first cycle drops the member by itself.
+fn lost_members(lost: &[usize], degraded: bool) -> FaultConfig {
+    let mut fault = FaultConfig::none();
+    fault.plan = FaultPlan::new(3);
+    for &member in lost {
+        fault.plan = fault.plan.with_unrecoverable_member(member);
+    }
+    fault.retry = RetryPolicy {
+        max_retries: 1,
+        base_backoff: 1e-6,
+        multiplier: 2.0,
+        ..RetryPolicy::default()
+    };
+    fault.degraded = degraded;
+    fault
+}
+
 /// Killing a campaign at a cycle boundary (the process exits; all that
 /// survives is the checkpoint directory) and resuming produces exactly
-/// the uninterrupted run, on all four executors and both commit modes.
+/// the uninterrupted run, on all four executors and both commit modes —
+/// fault-free, and on a campaign that lost a *non-last* member before the
+/// kill (the resumed supervisor re-derives the lost set from the plan and
+/// the checkpoint's ensemble size; the format stores neither).
 #[test]
 fn kill_at_cycle_boundary_and_resume_is_bit_identical() {
+    let plans = [
+        ("clean", FaultConfig::none()),
+        ("lost-1", lost_members(&[1], false)),
+    ];
     for (name, exec) in executors() {
         for (mname, mode) in modes() {
-            let tag = format!("{name}-{mname}");
-            let (_s1, work1, ckpt1) = stores(&format!("camp-full-{tag}"));
-            let full = run_mode(
-                &work1,
-                &ckpt1,
-                &exec,
-                &campaign_cfg(CYCLES),
-                &FaultConfig::none(),
-                mode,
-            );
-            assert_eq!(full.stats.len(), CYCLES);
-            assert_eq!(full.resumed_from, None);
+            for (pname, fault) in &plans {
+                if *pname != "clean" && name == "senkf" {
+                    continue; // N − 1 = 3 members do not divide into n_cg = 2 groups
+                }
+                let tag = format!("{name}-{mname}-{pname}");
+                let (_s1, work1, ckpt1) = stores(&format!("camp-full-{tag}"));
+                let full = run_mode(&work1, &ckpt1, &exec, &campaign_cfg(CYCLES), fault, mode);
+                assert_eq!(full.stats.len(), CYCLES);
+                assert_eq!(full.resumed_from, None);
 
-            // "Kill" after 2 cycles: run a shorter campaign, drop every
-            // in-memory object, and resume from the surviving directories.
-            let (_s2, work2, ckpt2) = stores(&format!("camp-killed-{tag}"));
-            let partial = run_mode(
-                &work2,
-                &ckpt2,
-                &exec,
-                &campaign_cfg(2),
-                &FaultConfig::none(),
-                mode,
-            );
-            assert_eq!(partial.stats.len(), 2);
-            drop(partial);
+                // "Kill" after 2 cycles: run a shorter campaign, drop every
+                // in-memory object, and resume from the surviving directories.
+                let (_s2, work2, ckpt2) = stores(&format!("camp-killed-{tag}"));
+                let partial = run_mode(&work2, &ckpt2, &exec, &campaign_cfg(2), fault, mode);
+                assert_eq!(partial.stats.len(), 2);
+                drop(partial);
 
-            let resumed = run_mode(
-                &work2,
-                &ckpt2,
-                &exec,
-                &campaign_cfg(CYCLES),
-                &FaultConfig::none(),
-                mode,
-            );
-            assert_eq!(
-                resumed.resumed_from,
-                Some(2),
-                "{tag}: must resume, not restart"
-            );
-            assert_reports_identical(&full, &resumed, &tag);
+                let resumed = run_mode(&work2, &ckpt2, &exec, &campaign_cfg(CYCLES), fault, mode);
+                assert_eq!(
+                    resumed.resumed_from,
+                    Some(2),
+                    "{tag}: must resume, not restart"
+                );
+                assert_reports_identical(&full, &resumed, &tag);
+                assert_eq!(full.dropped_members, resumed.dropped_members, "{tag}");
+            }
         }
     }
 }
@@ -353,31 +364,31 @@ fn pipelined_torn_inflight_write_falls_back_to_previous_durable_cycle() {
     }
 }
 
-/// A permanently lost member degrades the campaign to the N−1 path:
-/// one budget-free recovery, then the ensemble continues on the
-/// survivors for every remaining cycle.
+/// A permanently lost member degrades the campaign to the N−1 path: one
+/// budget-free recovery, then the ensemble continues on the survivors for
+/// every remaining cycle — whichever member it is. The loss is absorbed
+/// once: the survivors are renumbered, and neither the consumed entry nor
+/// a neighbour sliding into its slot drops a second member. Two members
+/// lost together cost one recovery and leave N−2.
 #[test]
 fn unrecoverable_member_degrades_to_n_minus_one() {
     let exec = CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 };
     let members = mix().members;
-    let mut fault = FaultConfig::none();
-    // The *last* member: after the ensemble shrinks, the index falls out
-    // of range and cannot re-trigger.
-    fault.plan = FaultPlan::new(3).with_unrecoverable_member(members - 1);
-    fault.retry = RetryPolicy {
-        max_retries: 1,
-        base_backoff: 1e-6,
-        multiplier: 2.0,
-        ..RetryPolicy::default()
-    };
-    let (_s, work, ckpt) = stores("camp-degraded");
-    let report = run_campaign(&work, &ckpt, &exec, &campaign_cfg(CYCLES), &fault).unwrap();
-    assert!(report.degraded);
-    assert_eq!(report.dropped_members, vec![members - 1]);
-    assert_eq!(report.final_analysis.size(), members - 1);
-    assert_eq!(report.stats.len(), CYCLES, "the campaign still completes");
-    let deg: Vec<_> = report.recoveries.iter().filter(|r| r.degraded).collect();
-    assert_eq!(deg.len(), 1, "one budget-free degradation recovery");
+    let mut losses: Vec<Vec<usize>> = (0..members).map(|m| vec![m]).collect();
+    losses.push(vec![0, 2]);
+    for lost in losses {
+        let (_s, work, ckpt) = stores(&format!("camp-degraded-{lost:?}"));
+        let fault = lost_members(&lost, false);
+        let report = run_campaign(&work, &ckpt, &exec, &campaign_cfg(CYCLES), &fault)
+            .unwrap_or_else(|e| panic!("losing {lost:?}: {e}"));
+        assert!(report.degraded);
+        assert_eq!(report.dropped_members, lost, "by original index");
+        assert_eq!(report.final_analysis.size(), members - lost.len());
+        assert_eq!(report.stats.len(), CYCLES, "the campaign still completes");
+        let deg: Vec<_> = report.recoveries.iter().filter(|r| r.degraded).collect();
+        assert_eq!(deg.len(), 1, "one budget-free degradation recovery");
+        assert_eq!(report.recoveries.len(), 1, "and nothing else: {lost:?}");
+    }
 }
 
 fn model_cfg() -> ModelConfig {
@@ -549,4 +560,99 @@ fn model_pipelined_overlap_cuts_exposed_checkpoint_time() {
         pc.lost_time,
         sc.lost_time
     );
+}
+
+/// The executors of the supervisor-agreement table: S-EnKF on one
+/// concurrent group, so an ensemble of any size divides into it.
+fn any_size_executors() -> Vec<(&'static str, CampaignExecutor)> {
+    let mut execs = executors();
+    execs[2].1 = CampaignExecutor::SEnkf(s_enkf::tuning::Params { ncg: 1, ..SENKF });
+    execs
+}
+
+/// The model never completes a campaign the supervisor gives up on, and
+/// never refuses one it finishes: both drivers follow the one supervisor.
+/// A table of plans × the four executors × both commit modes.
+#[test]
+fn real_and_modeled_campaigns_follow_one_supervisor() {
+    let crash = |cycle: usize| {
+        let mut fault = FaultConfig::none();
+        fault.plan = FaultPlan::new(7).with_crash_at_cycle(0, cycle, 0);
+        fault.recv_timeout = 0.3;
+        fault
+    };
+    // (name, plan, restart budget, expected recoveries; None = both give up).
+    let table = [
+        ("budget-0 crash", crash(1), 0, None),
+        ("crash", crash(1), 3, Some(1)),
+        (
+            "lost member, degraded off",
+            lost_members(&[1], false),
+            3,
+            Some(1),
+        ),
+        (
+            "lost member, degraded on",
+            lost_members(&[1], true),
+            3,
+            Some(0),
+        ),
+        (
+            "two lost, degraded off",
+            lost_members(&[0, 3], false),
+            0,
+            Some(1),
+        ),
+    ];
+    for (name, exec) in any_size_executors() {
+        for (mname, mode) in modes() {
+            for (pname, fault, budget, recoveries) in &table {
+                let tag = format!("{name}/{mname}/{pname}");
+                let mut cfg = campaign_cfg(CYCLES);
+                cfg.restart.max_retries = *budget;
+                let plan = CampaignModelPlan {
+                    cycles: CYCLES,
+                    checkpoint: true,
+                    pipelined: mode == CkptMode::Pipelined,
+                    restart: cfg.restart,
+                };
+                let (_s, work, ckpt) = stores("camp-one-supervisor");
+                let ctx = CampaignCtx {
+                    backoff: BackoffClock::Virtual,
+                    ckpt_mode: mode,
+                    ..CampaignCtx::default()
+                };
+                let real = run_campaign_ctx(&work, &ckpt, &exec, &cfg, fault, &ctx);
+                let model = model_campaign(&model_cfg(), &exec.variant(), &plan, fault);
+                match (real, model, recoveries) {
+                    (Ok(real), Ok((model, model_trace)), Some(n)) => {
+                        assert_eq!(real.recoveries.len(), *n, "{tag}");
+                        assert_eq!(model.restarts as usize, *n, "{tag}");
+                        assert_eq!(real.cycle_digests, model.cycle_digests, "{tag}");
+                        assert_eq!(real.trace.digest(), model_trace.digest(), "{tag}");
+                    }
+                    (Err(real), Err(model), None) => {
+                        // Same cycle, same attempt — and the model's error is
+                        // the supervisor's, rendered.
+                        let s_enkf::parallel::CampaignError::RestartBudgetExhausted {
+                            cycle,
+                            attempts,
+                            ..
+                        } = real
+                        else {
+                            panic!("{tag}: the real campaign failed otherwise: {real}");
+                        };
+                        assert_eq!((cycle, attempts), (1, 1), "{tag}");
+                        let gave_up = format!("cycle {cycle} failed {attempts} attempts");
+                        assert!(model.starts_with(&gave_up), "{tag}: {model}");
+                    }
+                    (real, model, _) => panic!(
+                        "{tag}: the sides disagree: real {:?}, model {:?}",
+                        real.map(|r| r.cycle_digests),
+                        model.map(|m| m.0.cycle_digests)
+                    ),
+                }
+            }
+        }
+    }
 }
