@@ -110,6 +110,15 @@ pub enum SubstrateError {
         /// What happened.
         detail: String,
     },
+    /// A collective (broadcast, gather, scatter, …) was called
+    /// inconsistently: a root without its payload or with the wrong number
+    /// of them, or a message the collective does not expect.
+    Collective {
+        /// The rank that detected it.
+        rank: usize,
+        /// What was wrong.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for SubstrateError {
@@ -146,6 +155,9 @@ impl std::fmt::Display for SubstrateError {
             }
             SubstrateError::HelperFailed { rank, detail } => {
                 write!(f, "rank {rank} helper thread failed: {detail}")
+            }
+            SubstrateError::Collective { rank, detail } => {
+                write!(f, "rank {rank} collective misused: {detail}")
             }
         }
     }

@@ -14,6 +14,14 @@
 //!   model with logarithmic tree factors for group communication, plus NIC
 //!   resources for the DES so receive-side serialization is captured.
 
+// Outside tests nothing in this crate may panic on a failure correct use
+// can meet: a departed peer or a misused collective is a typed
+// `SubstrateError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod model;
 pub mod real;
 

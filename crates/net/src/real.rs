@@ -114,12 +114,8 @@ impl<M: Send> RankCtx<M> {
         tag: u64,
         timeout: f64,
     ) -> Result<M, SubstrateError> {
-        if let Some(pos) = self
-            .stash
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)
-        {
-            return Ok(self.stash.remove(pos).expect("position is valid").payload);
+        if let Some(env) = self.take_stashed(from, tag) {
+            return Ok(env.payload);
         }
         let deadline = std::time::Instant::now() + Duration::from_secs_f64(timeout);
         loop {
@@ -154,12 +150,8 @@ impl<M: Send> RankCtx<M> {
     /// every remaining sender has exited returns a typed
     /// [`SubstrateError::PeerExited`] instead of panicking.
     pub fn recv_match(&mut self, from: usize, tag: u64) -> Result<M, SubstrateError> {
-        if let Some(pos) = self
-            .stash
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)
-        {
-            return Ok(self.stash.remove(pos).expect("position is valid").payload);
+        if let Some(env) = self.take_stashed(from, tag) {
+            return Ok(env.payload);
         }
         loop {
             let env = self
@@ -170,6 +162,23 @@ impl<M: Send> RankCtx<M> {
                 return Ok(env.payload);
             }
             self.stash.push_back(env);
+        }
+    }
+
+    /// The earliest stashed message from `from` with `tag`, removed.
+    fn take_stashed(&mut self, from: usize, tag: u64) -> Option<Envelope<M>> {
+        let pos = self
+            .stash
+            .iter()
+            .position(|e| e.from == from && e.tag == tag)?;
+        self.stash.remove(pos)
+    }
+
+    /// The typed error of a collective called inconsistently on this rank.
+    fn misuse(&self, detail: String) -> SubstrateError {
+        SubstrateError::Collective {
+            rank: self.rank,
+            detail,
         }
     }
 
@@ -195,86 +204,92 @@ impl<M: Send + Clone> RankCtx<M> {
     /// Broadcast from `root` to all ranks (including delivering to self via
     /// the return value). Internally p2p fan-out from the root.
     ///
-    /// Collectives assume every participant is alive for their duration
-    /// (they have no fault protocol), so a peer exiting mid-collective is
-    /// a programming error and panics; fault-tolerant paths use the p2p
-    /// `recv`/`recv_timeout` primitives and their typed errors instead.
-    pub fn broadcast(&mut self, root: usize, tag: u64, payload: Option<M>) -> M {
-        if self.rank == root {
-            let value = payload.expect("root must supply the broadcast payload");
-            for peer in 0..self.size {
-                if peer != root {
-                    self.send(peer, tag, value.clone());
-                }
-            }
-            value
-        } else {
-            self.recv_match(root, tag)
-                .expect("peer exited during broadcast")
+    /// Collectives have no fault protocol: a peer exiting mid-collective
+    /// surfaces as [`SubstrateError::PeerExited`], and a collective called
+    /// inconsistently — here, a root without its payload — as
+    /// [`SubstrateError::Collective`].
+    pub fn broadcast(
+        &mut self,
+        root: usize,
+        tag: u64,
+        payload: Option<M>,
+    ) -> Result<M, SubstrateError> {
+        if self.rank != root {
+            return self.recv_match(root, tag);
         }
+        let value =
+            payload.ok_or_else(|| self.misuse("the broadcast root has no payload".into()))?;
+        for peer in (0..self.size).filter(|&peer| peer != root) {
+            self.send(peer, tag, value.clone());
+        }
+        Ok(value)
     }
 
     /// Gather one payload per rank at `root`. Non-root ranks return `None`;
-    /// the root returns all payloads indexed by rank.
-    pub fn gather(&mut self, root: usize, tag: u64, payload: M) -> Option<Vec<M>> {
-        if self.rank == root {
-            let mut out: Vec<Option<M>> = (0..self.size).map(|_| None).collect();
-            out[root] = Some(payload);
-            for _ in 0..self.size - 1 {
-                let env = self.recv().expect("peer exited during gather");
-                assert_eq!(env.tag, tag, "unexpected tag during gather");
-                assert!(
-                    out[env.from].replace(env.payload).is_none(),
-                    "duplicate gather"
-                );
-            }
-            Some(
-                out.into_iter()
-                    .map(|o| o.expect("all ranks gathered"))
-                    .collect(),
-            )
-        } else {
+    /// the root returns all payloads indexed by rank, or
+    /// [`SubstrateError::Collective`] when a message of another tag or a
+    /// second one from the same rank arrives during the gather.
+    pub fn gather(
+        &mut self,
+        root: usize,
+        tag: u64,
+        payload: M,
+    ) -> Result<Option<Vec<M>>, SubstrateError> {
+        if self.rank != root {
             self.send(root, tag, payload);
-            None
+            return Ok(None);
         }
+        let mut out: Vec<Option<M>> = (0..self.size).map(|_| None).collect();
+        out[root] = Some(payload);
+        for _ in 1..self.size {
+            let env = self.recv()?;
+            if env.tag != tag {
+                let detail = format!("gather {tag} received tag {} from {}", env.tag, env.from);
+                return Err(self.misuse(detail));
+            }
+            if out[env.from].replace(env.payload).is_some() {
+                return Err(self.misuse(format!("gather {tag} received rank {} twice", env.from)));
+            }
+        }
+        // Every slot is filled: one each from the `size − 1` distinct peers.
+        Ok(Some(out.into_iter().flatten().collect()))
     }
 
     /// Barrier: gather-then-broadcast on rank 0 with an internal tag.
-    pub fn barrier(&mut self, tag: u64)
+    pub fn barrier(&mut self, tag: u64) -> Result<(), SubstrateError>
     where
         M: Default,
     {
-        self.gather(0, tag, M::default());
-        self.broadcast(
-            0,
-            tag,
-            if self.rank == 0 {
-                Some(M::default())
-            } else {
-                None
-            },
-        );
+        self.gather(0, tag, M::default())?;
+        let token = (self.rank == 0).then(M::default);
+        self.broadcast(0, tag, token).map(drop)
     }
 
     /// Scatter: `root` holds one payload per rank and delivers each rank
-    /// its own; every rank (including the root) returns its payload.
-    pub fn scatter(&mut self, root: usize, tag: u64, payloads: Option<Vec<M>>) -> M {
-        if self.rank == root {
-            let payloads = payloads.expect("root must supply the scatter payloads");
-            assert_eq!(payloads.len(), self.size, "one payload per rank");
-            let mut mine = None;
-            for (peer, payload) in payloads.into_iter().enumerate() {
-                if peer == root {
-                    mine = Some(payload);
-                } else {
-                    self.send(peer, tag, payload);
-                }
-            }
-            mine.expect("root's own payload present")
-        } else {
-            self.recv_match(root, tag)
-                .expect("peer exited during scatter")
+    /// its own; every rank (including the root) returns its payload. A root
+    /// without payloads, or with a payload count other than the cluster
+    /// size, is [`SubstrateError::Collective`].
+    pub fn scatter(
+        &mut self,
+        root: usize,
+        tag: u64,
+        payloads: Option<Vec<M>>,
+    ) -> Result<M, SubstrateError> {
+        if self.rank != root {
+            return self.recv_match(root, tag);
         }
+        let payloads = payloads.filter(|p| p.len() == self.size).ok_or_else(|| {
+            self.misuse(format!("the scatter root has no {} payloads", self.size))
+        })?;
+        let mut mine = None;
+        for (peer, payload) in payloads.into_iter().enumerate() {
+            if peer == root {
+                mine = Some(payload);
+            } else {
+                self.send(peer, tag, payload);
+            }
+        }
+        mine.ok_or_else(|| self.misuse("the scatter root has no payload of its own".into()))
     }
 
     /// Reduce: combine one payload per rank at `root` with `op` in rank
@@ -285,16 +300,19 @@ impl<M: Send + Clone> RankCtx<M> {
         tag: u64,
         payload: M,
         op: impl Fn(M, M) -> M,
-    ) -> Option<M> {
+    ) -> Result<Option<M>, SubstrateError> {
         let gathered = self.gather(root, tag, payload)?;
-        let mut it = gathered.into_iter();
-        let first = it.next().expect("at least one rank");
-        Some(it.fold(first, op))
+        Ok(gathered.and_then(|all| all.into_iter().reduce(op)))
     }
 
     /// All-reduce: reduce at rank 0, then broadcast the result to everyone.
-    pub fn all_reduce(&mut self, tag: u64, payload: M, op: impl Fn(M, M) -> M) -> M {
-        let reduced = self.reduce(0, tag, payload, op);
+    pub fn all_reduce(
+        &mut self,
+        tag: u64,
+        payload: M,
+        op: impl Fn(M, M) -> M,
+    ) -> Result<M, SubstrateError> {
+        let reduced = self.reduce(0, tag, payload, op)?;
         self.broadcast(0, tag.wrapping_add(1), reduced)
     }
 }
@@ -304,13 +322,15 @@ pub struct Cluster;
 
 impl Cluster {
     /// Run `body` on `size` rank threads and collect their results in rank
-    /// order. Panics in any rank propagate.
+    /// order. Panics in any rank propagate: the first, in rank order, is
+    /// resumed on the calling thread with its original payload.
     pub fn run<M, T, F>(size: usize, body: F) -> Vec<T>
     where
         M: Send,
         T: Send,
         F: Fn(RankCtx<M>) -> T + Sync,
     {
+        // A caller bug, not a runtime condition: every cluster has a rank.
         assert!(size > 0, "cluster needs at least one rank");
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
@@ -345,7 +365,10 @@ impl Cluster {
             drop(senders);
             handles
                 .into_iter()
-                .map(|h| h.join().expect("rank thread panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         })
     }
@@ -407,7 +430,7 @@ mod tests {
     fn broadcast_reaches_all() {
         let results: Vec<String> = Cluster::run(5, |mut ctx: RankCtx<String>| {
             let payload = (ctx.rank() == 2).then(|| "hello".to_string());
-            ctx.broadcast(2, 3, payload)
+            ctx.broadcast(2, 3, payload).unwrap()
         });
         assert!(results.iter().all(|s| s == "hello"));
     }
@@ -415,7 +438,7 @@ mod tests {
     #[test]
     fn gather_collects_in_rank_order() {
         let results: Vec<Option<Vec<usize>>> = Cluster::run(4, |mut ctx: RankCtx<usize>| {
-            ctx.gather(0, 9, ctx.rank() * 10)
+            ctx.gather(0, 9, ctx.rank() * 10).unwrap()
         });
         assert_eq!(results[0], Some(vec![0, 10, 20, 30]));
         assert!(results[1..].iter().all(|r| r.is_none()));
@@ -428,7 +451,7 @@ mod tests {
         let violations = AtomicUsize::new(0);
         Cluster::run(6, |mut ctx: RankCtx<u8>| {
             before.fetch_add(1, Ordering::SeqCst);
-            ctx.barrier(0);
+            ctx.barrier(0).unwrap();
             // After the barrier every rank must observe all 6 arrivals.
             if before.load(Ordering::SeqCst) != 6 {
                 violations.fetch_add(1, Ordering::SeqCst);
@@ -605,7 +628,7 @@ mod tests {
     fn scatter_delivers_per_rank_payloads() {
         let results: Vec<u64> = Cluster::run(4, |mut ctx: RankCtx<u64>| {
             let payloads = (ctx.rank() == 1).then(|| vec![10, 11, 12, 13]);
-            ctx.scatter(1, 2, payloads)
+            ctx.scatter(1, 2, payloads).unwrap()
         });
         assert_eq!(results, vec![10, 11, 12, 13]);
     }
@@ -614,6 +637,7 @@ mod tests {
     fn reduce_combines_in_rank_order() {
         let results: Vec<Option<String>> = Cluster::run(3, |mut ctx: RankCtx<String>| {
             ctx.reduce(0, 4, format!("r{}", ctx.rank()), |a, b| format!("{a},{b}"))
+                .unwrap()
         });
         assert_eq!(
             results[0].as_deref(),
@@ -627,6 +651,7 @@ mod tests {
     fn all_reduce_reaches_every_rank() {
         let results: Vec<u64> = Cluster::run(5, |mut ctx: RankCtx<u64>| {
             ctx.all_reduce(6, ctx.rank() as u64 + 1, |a, b| a + b)
+                .unwrap()
         });
         assert!(results.iter().all(|&s| s == 15), "{results:?}");
     }
@@ -635,13 +660,56 @@ mod tests {
     fn collectives_compose_without_tag_collisions() {
         // A realistic multi-phase exchange: scatter work, reduce partials,
         // broadcast the final answer.
-        let results: Vec<u64> = Cluster::run(4, |mut ctx: RankCtx<u64>| {
-            let work = ctx.scatter(0, 10, (ctx.rank() == 0).then(|| vec![1, 2, 3, 4]));
+        let results = Cluster::run(4, |mut ctx: RankCtx<u64>| {
+            let work = ctx.scatter(0, 10, (ctx.rank() == 0).then(|| vec![1, 2, 3, 4]))?;
             let squared = work * work;
-            let total = ctx.all_reduce(20, squared, |a, b| a + b);
-            ctx.barrier(30);
-            total
+            let total = ctx.all_reduce(20, squared, |a, b| a + b)?;
+            ctx.barrier(30)?;
+            Ok::<_, SubstrateError>(total)
         });
-        assert!(results.iter().all(|&t| t == 1 + 4 + 9 + 16));
+        assert!(results.iter().all(|t| *t == Ok(1 + 4 + 9 + 16)));
+    }
+
+    #[test]
+    fn inconsistent_collectives_are_typed_errors() {
+        let collective = |r: &Result<u64, SubstrateError>| {
+            matches!(r, Err(SubstrateError::Collective { rank: 0, .. }))
+        };
+        // A root without its payload; its peer then finds it gone.
+        let results = Cluster::run(2, |mut ctx: RankCtx<u64>| ctx.broadcast(0, 1, None));
+        assert!(collective(&results[0]), "{results:?}");
+        assert_eq!(results[1], Err(SubstrateError::PeerExited { rank: 1 }));
+        // A scatter root with one payload too few.
+        let results = Cluster::run(2, |mut ctx: RankCtx<u64>| {
+            ctx.scatter(0, 2, (ctx.rank() == 0).then(|| vec![1]))
+        });
+        assert!(collective(&results[0]), "{results:?}");
+        assert_eq!(results[1], Err(SubstrateError::PeerExited { rank: 1 }));
+        // A gather meeting a message of another tag, or one rank twice.
+        for tags in [[7, 8], [7, 7]] {
+            let results = Cluster::run(3, |mut ctx: RankCtx<u64>| match ctx.rank() {
+                0 => ctx.gather(0, 7, 0).map(|_| 0),
+                1 => {
+                    tags.iter().for_each(|&tag| ctx.send(0, tag, 1));
+                    Ok(1)
+                }
+                _ => Ok(2),
+            });
+            assert!(collective(&results[0]), "{tags:?}: {results:?}");
+        }
+    }
+
+    #[test]
+    fn a_rank_panic_is_resumed_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            Cluster::run(2, |ctx: RankCtx<u8>| {
+                if ctx.rank() == 1 {
+                    std::panic::panic_any(41usize);
+                }
+                ctx.rank()
+            })
+        });
+        let payload = caught.expect_err("the rank's panic propagates");
+        assert_eq!(payload.downcast_ref::<usize>(), Some(&41));
     }
 }

@@ -60,7 +60,6 @@
 use crate::exec::{run_cycle, setup::AssimilationSetup};
 use crate::program::ModelVariant;
 use crate::supervisor::{Action, Supervisor};
-use crate::DEnkf;
 use enkf_ckpt::{fnv64, AsyncCheckpointer, CampaignCheckpoint, CheckpointStore, CkptError};
 use enkf_core::{inflated, EnkfError, Ensemble, LocalAnalysis};
 use enkf_data::{write_ensemble, CycleConfig, CycleState, CycleStats, CycledExperiment};
@@ -106,7 +105,7 @@ impl CampaignExecutor {
     /// The variant whose cycle program the executor runs — and the DES
     /// prices. The D-EnKF kernel choice changes flops, not operation
     /// structure, so one program (keyed by shard count alone) serves both
-    /// kernels.
+    /// kernels; [`run_cycle`] takes the kernel from the executor.
     pub fn variant(&self) -> ModelVariant {
         match *self {
             CampaignExecutor::LEnkf { nsdx, nsdy } => ModelVariant::LEnkf { nsdx, nsdy },
@@ -452,17 +451,8 @@ pub fn run_campaign_ctx(
                             analysis: cfg.analysis,
                         };
                         let mon = sup.monitor.as_deref();
-                        // D-EnKF's sends carry derived data and its analysis
-                        // a kernel: it brings its own rank body. Everything
-                        // else is a program.
-                        let run = match *exec {
-                            CampaignExecutor::DEnkf { shards, kernel } => {
-                                DEnkf { shards, kernel }.run_adaptive(&setup, &fcfg, mon)
-                            }
-                            _ => run_cycle(&setup, exec.variant(), &fcfg, mon),
-                        };
-                        let (analysis, report, cycle_trace) =
-                            run.map_err(CampaignError::Analysis)?;
+                        let (analysis, report, cycle_trace) = run_cycle(&setup, *exec, &fcfg, mon)
+                            .map_err(CampaignError::Analysis)?;
                         digest = fnv64(cycle_trace.digest().as_bytes());
                         dropped = report.dropped_members.len();
                         trace.extend(cycle_trace.spans().iter().cloned());

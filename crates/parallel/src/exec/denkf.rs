@@ -22,19 +22,21 @@
 //! Because the kernel GEMM accumulates over `k` in a fixed order regardless
 //! of output shape, `U_shard T` rows are bit-identical to the same rows of
 //! the one-shard product: shard-count invariance is exact.
+//!
+//! All of that is the [`ModelVariant::DEnkf`](crate::ModelVariant::DEnkf)
+//! program — the exchanged blocks are `Payload::Observed` sends, the
+//! transform a batched `Compute` — which [`run_cycle`] executes like any
+//! other, with this struct's kernel beside it. In the trace a rank has one
+//! read span per member bar, one send span per peer and one compute span.
 
+use crate::campaign::CampaignExecutor;
+use crate::exec::run_cycle;
 use crate::exec::setup::AssimilationSetup;
-use crate::exec::{foreign_msg, Cycle, Msg};
-use crate::program::{CycleOp, ModelVariant, Payload};
 use crate::report::ExecutionReport;
-use enkf_core::{batched_transform, BatchedKernel, Ensemble, Result};
-use enkf_data::region_to_matrix;
-use enkf_fault::{FaultConfig, SubstrateError};
+use enkf_core::{BatchedKernel, Ensemble, Result};
+use enkf_fault::FaultConfig;
 use enkf_health::HealthMonitor;
-use enkf_linalg::Matrix;
-use enkf_pfs::RegionData;
 use enkf_trace::Trace;
-use std::collections::BTreeMap;
 
 /// The D-EnKF variant: `shards` ranks, each owning one full-width bar of
 /// the state, one non-sequential batched analysis.
@@ -47,184 +49,25 @@ pub struct DEnkf {
 }
 
 impl DEnkf {
-    /// Run the assimilation under a fault plan and, optionally, online
-    /// health monitoring. The trace holds, per rank, one read span per
-    /// member bar (single-seek, full-width), one send span per peer (the
-    /// observation block) and one compute span (the batched transform plus
-    /// the shard update).
-    ///
-    /// Under a seeded plan, bar reads retry with backoff, unrecoverable
-    /// members are dropped when `cfg.degraded` is set (every rank shrinks
-    /// `S`/`D` to the survivors — the N−1 path), stragglers dilate compute,
-    /// message delays stall the exchange, and crashes or message drops
-    /// switch receives to a timeout surfacing
-    /// [`enkf_fault::SubstrateError::RecvTimeout`]; a rank whose peers all
-    /// exited gets the typed [`enkf_fault::SubstrateError::PeerExited`]
-    /// instead of a channel panic.
-    ///
-    /// With a monitor, each shard reads members whose OST is blacklisted
-    /// last and every bar read consults the monitor's frozen view, so a
-    /// degraded OST triggers a speculative duplicate read against its
-    /// replica; bars are collected keyed by member and re-assembled
-    /// ascending, so the reorder never reaches the numerics. Observed
-    /// dilation ratios feed the monitor; the caller folds them with
-    /// [`HealthMonitor::end_cycle`].
+    /// [`run_cycle`] on the D-EnKF program with this kernel: the
+    /// assimilation under a fault plan and, optionally, online health
+    /// monitoring.
     pub fn run_adaptive(
         &self,
         setup: &AssimilationSetup<'_>,
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace)> {
-        let variant = ModelVariant::DEnkf {
-            shards: self.shards,
-        };
-        let kernel = self.kernel;
-        Cycle::run(setup, &variant, cfg, monitor, |cycle, mut ctx, tracer| {
-            let rank = ctx.rank();
-            cycle.check_crash(rank)?;
-            let size = ctx.size();
-            let peers = || (0..size).filter(move |&peer| peer != rank);
-            let mut ops = cycle.ops(rank).iter().copied().peekable();
-
-            // Phase 1: read this shard's bar of every member file — a
-            // full-width band, one contiguous segment, one disk addressing
-            // operation per member (§4.1.2's bar argument, here applied to
-            // the analysis decomposition itself).
-            let mut by_member: BTreeMap<usize, RegionData> = BTreeMap::new();
-            let mut bar = None;
-            while let Some(CycleOp::Read {
-                stage,
-                member,
-                region,
-            }) = ops.next_if(|op| matches!(op, CycleOp::Read { .. }))
-            {
-                bar = Some(region);
-                match cycle.read(tracer, stage, member, &region) {
-                    Ok(Some(data)) => {
-                        by_member.insert(member, data);
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        // Peers count on this shard's block.
-                        cycle.abort(&ctx, peers(), &format!("read failed: {e}"));
-                        return Err(e.into());
-                    }
-                }
-            }
-            let Some(bar) = bar else {
-                return Ok(Vec::new());
-            };
-            let per_member: Vec<RegionData> = by_member.into_values().collect();
-            let xb = region_to_matrix(&bar, &per_member);
-            let n_alive = cycle.alive.len();
-
-            // Local observation rows of this bar. `localize` and
-            // `indices_in` enumerate the same ascending global order,
-            // so `global_rows[r]` is the global index of local row `r`.
-            let mut obs = setup.observations.localize(&bar);
-            if !cycle.dropped.is_empty() {
-                obs = obs.select_members(&cycle.alive);
-            }
-            let global_rows = setup.observations.operator().network().indices_in(&bar);
-            let m_loc = obs.len();
-            if global_rows.len() != m_loc {
-                return Err(SubstrateError::HelperFailed {
-                    rank,
-                    detail: format!(
-                        "bar {bar:?} localizes {m_loc} observations but indexes {}",
-                        global_rows.len()
-                    ),
-                }
-                .into());
-            }
-
-            // S_loc = H_loc Xᵇ − row means, D_loc = Yˢ_loc − H_loc Xᵇ.
-            // Row means only mix within a row, so both are shard-local.
-            let mut s_loc = Matrix::zeros(m_loc, n_alive);
-            let mut d_loc = Matrix::zeros(m_loc, n_alive);
-            for r in 0..m_loc {
-                let hx = xb.row(obs.local_rows[r]);
-                let mean = hx.iter().sum::<f64>() / n_alive as f64;
-                let yp = obs.perturbed.row(r);
-                for c in 0..n_alive {
-                    s_loc[(r, c)] = hx[c] - mean;
-                    d_loc[(r, c)] = yp[c] - hx[c];
-                }
-            }
-
-            // The global S and D: own rows plus one block from every peer.
-            // Bars partition the mesh, so the blocks cover every
-            // observation row exactly once.
-            let m_total = setup.observations.len();
-            let mut s_glob = Matrix::zeros(m_total, n_alive);
-            let mut d_glob = Matrix::zeros(m_total, n_alive);
-            place_rows(&mut s_glob, &mut d_glob, &global_rows, &s_loc, &d_loc);
-
-            let mut analyzed = Vec::new();
-            for op in ops {
-                match op {
-                    // Phase 2: all-to-all exchange of the observation
-                    // blocks (never state rows — the payload is m_loc × N,
-                    // independent of the shard's state size).
-                    CycleOp::Send {
-                        stage,
-                        to,
-                        payload: Payload::Bytes(bytes),
-                    } => cycle.send(tracer, &ctx, stage, to, bytes, || Msg::ObsBlock {
-                        rows: global_rows.clone(),
-                        s: s_loc.clone(),
-                        d: d_loc.clone(),
-                    }),
-                    CycleOp::Await { stage, sends } => {
-                        let received =
-                            cycle.receive(tracer, &mut ctx, stage, sends, |msg| match msg {
-                                Msg::ObsBlock { rows, s, d } => {
-                                    place_rows(&mut s_glob, &mut d_glob, &rows, &s, &d);
-                                    Ok(())
-                                }
-                                _ => Err(foreign_msg(rank)),
-                            });
-                        if let Err(e) = received {
-                            // Peers already have our block, but an abort
-                            // must not strand anyone mid-collective on a
-                            // *different* failure path.
-                            cycle.abort(&ctx, peers(), &e.to_string());
-                            return Err(e);
-                        }
-                    }
-                    // Phase 3: the batched transform (identical on every
-                    // rank) and the shard-local update Xᵃ = Xᵇ + U_shard T.
-                    CycleOp::Compute { stage, target, .. } => {
-                        let dilation = cycle.dilation(rank);
-                        let r_var = setup.observations.error_var();
-                        let xa = cycle.compute(tracer, stage, dilation, || {
-                            let t = batched_transform(&s_glob, &d_glob, r_var, kernel)?;
-                            let mut u = xb.clone();
-                            let means = u.row_means();
-                            u.subtract_row_vector(&means);
-                            let mut xa = xb.clone();
-                            xa.axpy(1.0, &u.matmul(&t)?)?;
-                            Ok::<_, enkf_core::EnkfError>(xa)
-                        })?;
-                        analyzed.push((target, xa));
-                    }
-                    op => return Err(cycle.foreign_op(rank, op)),
-                }
-            }
-            Ok(analyzed)
-        })
+        let (shards, kernel) = (self.shards, self.kernel);
+        run_cycle(
+            setup,
+            CampaignExecutor::DEnkf { shards, kernel },
+            cfg,
+            monitor,
+        )
     }
 }
-
 ladder!(DEnkf);
-
-/// Copy one shard's rows of `S` and `D` to their global row indices.
-fn place_rows(s_glob: &mut Matrix, d_glob: &mut Matrix, rows: &[usize], s: &Matrix, d: &Matrix) {
-    for (r, &g) in rows.iter().enumerate() {
-        s_glob.row_mut(g).copy_from_slice(s.row(r));
-        d_glob.row_mut(g).copy_from_slice(d.row(r));
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -298,6 +141,25 @@ mod tests {
                 one.states().as_slice(),
                 "{shards} shards must be bit-identical to 1 shard"
             );
+        }
+    }
+
+    #[test]
+    fn run_cycle_executes_denkf_with_the_executors_kernel() {
+        // One entry point for every executor: D-EnKF's program runs through
+        // the interpreter, its kernel carried by the `CampaignExecutor`.
+        let mesh = Mesh::new(12, 8);
+        let (_s, store, scenario) = harness(mesh, 6, 5);
+        let st = setup(&store, &scenario, 6);
+        for kernel in [BatchedKernel::Cholesky, BatchedKernel::ShermanMorrison] {
+            let exec = CampaignExecutor::DEnkf { shards: 2, kernel };
+            let (analysis, report, trace) =
+                run_cycle(&st, exec, &FaultConfig::none(), None).unwrap();
+            let reference =
+                serial_denkf(&scenario.ensemble, &scenario.observations, kernel).unwrap();
+            assert!(analysis.states().approx_eq(reference.states(), 1e-12));
+            assert_eq!(report.num_compute_ranks, 2);
+            assert_eq!(trace.label(), "denkf-real");
         }
     }
 

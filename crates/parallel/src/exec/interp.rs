@@ -1,8 +1,10 @@
-//! The threaded interpreter of member-block cycle programs.
+//! The threaded interpreter of cycle programs.
 //!
-//! One rank body for every program over `Read`, `Send(Payload::Blocks)`,
-//! `Await` and `Compute` — the semantics are [`crate::program`]'s module
-//! docs. What this file adds is the thread structure the ops' stages allow:
+//! One rank body for every checked program — the semantics are
+//! [`crate::program`]'s module docs: member blocks in a block table,
+//! observed rows derived from them once and exchanged, local or batched
+//! `Compute`s. What this file adds is the thread structure the ops' stages
+//! allow:
 //!
 //! * every run of staged `Read`s goes through the one-stage read-ahead
 //!   pipeline: a prefetch thread reads the next run while this thread
@@ -12,19 +14,22 @@
 //!   stage (Fig. 8);
 //! * unstaged ops run in program order on this thread alone (Fig. 4).
 
-use crate::exec::{foreign_msg, next_msg, Cycle, Msg, RankOut};
-use crate::program::{CycleOp, Payload};
-use enkf_core::{EnkfError, Result};
+use crate::exec::{compute_dilation, next_msg, Cycle, Msg, RankOut};
+use crate::program::{CycleOp, Payload, Update};
+use enkf_core::{batched_transform, BatchedKernel, EnkfError, Observations, Result};
 use enkf_data::gather_surface_into;
 use enkf_fault::SubstrateError;
 use enkf_grid::RegionRect;
 use enkf_linalg::Matrix;
 use enkf_net::RankCtx;
-use enkf_pfs::{read_stages_ahead_adaptive, ReadAheadError, RegionData, StageRead};
+use enkf_pfs::resilient::dilate;
+use enkf_pfs::{read_region_adaptive, read_stages_ahead_adaptive, ReadAheadError};
+use enkf_pfs::{RegionData, StageRead};
 use enkf_trace::{RankTracer, Role};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::mpsc;
+use std::time::Instant;
 
 /// What the helper thread tells its rank: stage `.0` is complete — `.1` is
 /// its `X̄ᵇ` with the `.2` member columns the stage's bundles carried — or
@@ -62,17 +67,13 @@ fn ingest(
         let Some(&(sends, Some(region))) = stages.get(&l) else {
             return Err(misfit("of a stage the rank does not await and compute"));
         };
-        let cols: Option<Vec<usize>> = members
-            .iter()
-            .map(|k| alive.binary_search(k).ok())
-            .collect();
-        let cols = cols
-            .filter(|cols| cols.len() == data.len() && data.iter().all(|b| b.region() == region))
+        let bundle: Vec<(usize, RegionData)> = members.into_iter().zip(data).collect();
+        let (cols, views) = columns(&bundle, alive, &region)
             .ok_or_else(|| misfit("that does not fit its stage"))?;
         let (xb, pending, filled) = open
             .entry(l)
             .or_insert_with(|| (Matrix::zeros(region.npoints(), alive.len()), sends, 0));
-        gather_surface_into(xb, &cols, &data);
+        gather_surface_into(xb, &cols, &views);
         *pending = pending.saturating_sub(1);
         *filled += cols.len();
         if *pending == 0 {
@@ -86,12 +87,117 @@ fn ingest(
     Ok(())
 }
 
+/// One rank's observed rows of a region: the global indices of the
+/// observations inside it and their rows of `S = H·U` and
+/// `D = Yˢ − H·X̄ᵇ` over the surviving members.
+#[derive(Debug, Clone)]
+pub(crate) struct ObsRows {
+    rows: Vec<usize>,
+    s: Matrix,
+    d: Matrix,
+}
+
+impl ObsRows {
+    /// Derive `region`'s rows from a stage's `blocks`, one per survivor in
+    /// `alive`. `S` is `H·X̄ᵇ` minus its row means — a row mean only mixes
+    /// within a row, so both matrices are local to the region.
+    fn derive(
+        blocks: &[(usize, RegionData)],
+        alive: &[usize],
+        region: &RegionRect,
+        observations: &Observations,
+    ) -> std::result::Result<ObsRows, String> {
+        let (cols, views) = columns(blocks, alive, region)
+            .filter(|_| blocks.len() == alive.len())
+            .ok_or_else(|| format!("{region:?} lacks one block per survivor"))?;
+        // `localize` and `indices_in` enumerate the same ascending global
+        // order, so `rows[r]` is the global index of local row `r`.
+        let obs = observations.localize(region);
+        let rows = observations.operator().network().indices_in(region);
+        if rows.len() != obs.len() {
+            return Err(format!(
+                "{region:?}: {} rows localized, {} indexed",
+                obs.len(),
+                rows.len()
+            ));
+        }
+        let n = alive.len();
+        let (mut s, mut d) = (Matrix::zeros(rows.len(), n), Matrix::zeros(rows.len(), n));
+        let mut hx = vec![0.0; n];
+        for (r, &point) in obs.local_rows.iter().enumerate() {
+            for (&c, view) in cols.iter().zip(&views) {
+                hx[c] = view.value(point, 0);
+            }
+            let mean = hx.iter().sum::<f64>() / n as f64;
+            for (c, (&k, &h)) in alive.iter().zip(&hx).enumerate() {
+                s[(r, c)] = h - mean;
+                d[(r, c)] = obs.perturbed[(r, k)] - h;
+            }
+        }
+        Ok(ObsRows { rows, s, d })
+    }
+}
+
+/// The batched update of `xb` (D-EnKF's analysis): the whole network's `S`
+/// and `D` assembled from every rank's observed `blocks`, one transform
+/// `T = Sᵀ (S Sᵀ/(N−1) + R)⁻¹ D/(N−1)` with `kernel`, then
+/// `Xᵃ = Xᵇ + U·T`, `U` being `Xᵇ` minus its row means.
+fn batched_update(
+    xb: &Matrix,
+    blocks: &[ObsRows],
+    observations: &Observations,
+    kernel: Option<BatchedKernel>,
+) -> Result<Matrix> {
+    let (m, n) = (observations.len(), xb.ncols());
+    let placed: usize = blocks.iter().map(|b| b.rows.len()).sum();
+    let detail = || format!("a batched update of {placed} of {m} rows, kernel {kernel:?}");
+    let kernel = kernel
+        .filter(|_| placed == m)
+        .ok_or_else(|| EnkfError::GeometryMismatch(detail()))?;
+    let (mut s, mut d) = (Matrix::zeros(m, n), Matrix::zeros(m, n));
+    for block in blocks {
+        for (r, &g) in block.rows.iter().enumerate() {
+            s.row_mut(g).copy_from_slice(block.s.row(r));
+            d.row_mut(g).copy_from_slice(block.d.row(r));
+        }
+    }
+    let t = batched_transform(&s, &d, observations.error_var(), kernel)?;
+    let mut u = xb.clone();
+    let means = u.row_means();
+    u.subtract_row_vector(&means);
+    let mut xa = xb.clone();
+    xa.axpy(1.0, &u.matmul(&t)?)?;
+    Ok(xa)
+}
+
+/// A stage's blocks as `X̄ᵇ` columns over `region`: each block's column
+/// (its member's place among the survivors `alive`) and its view of
+/// `region`; `None` if a block is foreign or does not cover `region`.
+fn columns(
+    blocks: &[(usize, RegionData)],
+    alive: &[usize],
+    region: &RegionRect,
+) -> Option<(Vec<usize>, Vec<RegionData>)> {
+    let placed = blocks.iter().map(|(k, block)| {
+        let col = alive.binary_search(k).ok()?;
+        let covers = block.region().contains_rect(region);
+        covers.then(|| (col, block.extract(region)))
+    });
+    placed
+        .collect::<Option<Vec<_>>>()
+        .map(|placed| placed.into_iter().unzip())
+}
+
 /// What a rank's ops mutate.
 struct Held {
     ctx: RankCtx<Msg>,
     /// The block table: per stage, the `(member, block)`s acquired for it,
     /// in acquisition order.
     blocks: BTreeMap<Option<usize>, Vec<(usize, RegionData)>>,
+    /// Per stage, the observed rows this rank derived (of the region `.0`)
+    /// and those its peers sent, until the batched `Compute` takes them.
+    own_rows: BTreeMap<Option<usize>, (RegionRect, ObsRows)>,
+    peer_rows: BTreeMap<Option<usize>, Vec<ObsRows>>,
     /// Stages the helper handed over, until their `Compute` takes them.
     ready: BTreeMap<usize, (Matrix, usize)>,
     /// The rank's straggler dilation, drawn at its first `Compute`.
@@ -117,8 +223,9 @@ pub(crate) fn run_rank(
     // A planned crash kills the rank as it reaches the first op at or past
     // its crash stage (an unstaged op is past every stage): it executes
     // the ops before that one, then stops responding — peers must time out.
-    let mut ops = cycle.ops(rank);
-    if let Some(crash) = cycle.injector.crash_stage(rank) {
+    let mut ops = &cycle.ops[rank][..];
+    let crash = cycle.injector.crash_stage(rank);
+    if let Some(crash) = crash {
         let dies_at = ops
             .iter()
             .position(|op| op.stage().is_none_or(|l| l >= crash));
@@ -191,18 +298,36 @@ pub(crate) fn run_rank(
         (rx, handle)
     });
 
+    // Derive the rank's observed rows of `region` from its blocks of
+    // `stage` — once, by the first op that needs them, outside any span.
+    let derive = |held: &mut Held, stage: Option<usize>, region: RegionRect| -> Result<()> {
+        if matches!(held.own_rows.get(&stage), Some((of, _)) if *of == region) {
+            return Ok(());
+        }
+        let blocks = held.blocks.get(&stage).map_or(&[][..], Vec::as_slice);
+        let rows = ObsRows::derive(blocks, alive, &region, cycle.setup.observations);
+        held.own_rows.insert(stage, (region, rows.map_err(failed)?));
+        Ok(())
+    };
+
     // Execute op `i`.
     let step = |held: &mut Held, tracer: &mut RankTracer, i: usize| -> Result<()> {
         let op = ops[i];
-        let foreign = || cycle.foreign_op(rank, op);
+        let foreign = || failed(format!("{op:?} cannot run in the {} program", cycle.name));
         match op {
             CycleOp::Read {
                 stage,
                 member,
                 region,
             } => {
-                if let Some(block) = cycle.read(tracer, stage, member, &region)? {
-                    held.blocks.entry(stage).or_default().push((member, block));
+                let (injector, monitor) = (&cycle.injector, cycle.monitor);
+                match read_region_adaptive(store, tracer, stage, member, &region, injector, monitor)
+                {
+                    Ok(block) => held.blocks.entry(stage).or_default().push((member, block)),
+                    // A dropped member still burns its injected-failure
+                    // spans, then yields no block.
+                    Err(_) if cycle.dropped.contains(&member) => {}
+                    Err(e) => return Err(e.into()),
                 }
             }
             CycleOp::Send {
@@ -211,17 +336,11 @@ pub(crate) fn run_rank(
                 payload: payload @ Payload::Blocks { region, members },
             } => {
                 let acquired = held.blocks.get(&stage).map_or(&[][..], Vec::as_slice);
-                let bundle = acquired
-                    .len()
-                    .checked_sub(members)
-                    .map(|from| &acquired[from..])
-                    .filter(|b| {
-                        b.iter()
-                            .all(|(_, block)| block.region().contains_rect(&region))
-                    })
-                    .ok_or_else(foreign)?;
-                // Extraction is O(1) per member: each block is a view
+                // `check` proved the last `members` blocks cover `region`;
+                // extraction is O(1) per member: each block is a view
                 // sharing its source's allocation.
+                let from = acquired.len().checked_sub(members).ok_or_else(foreign)?;
+                let bundle = &acquired[from..];
                 let bytes = payload.bytes(&layout);
                 cycle.send(tracer, &held.ctx, stage, to, bytes, || Msg::Blocks {
                     stage,
@@ -229,21 +348,37 @@ pub(crate) fn run_rank(
                     data: bundle.iter().map(|(_, b)| b.extract(&region)).collect(),
                 });
             }
-            CycleOp::Await { stage: None, sends } => {
-                let blocks = &mut held.blocks;
-                cycle.receive(tracer, &mut held.ctx, None, sends, |msg| match msg {
+            CycleOp::Send {
+                stage,
+                to,
+                payload: payload @ Payload::Observed { region, .. },
+            } => {
+                derive(held, stage, region)?;
+                let own = held.own_rows.get(&stage).ok_or_else(foreign)?;
+                let bytes = payload.bytes(&layout);
+                let msg = || Msg::ObsBlock(own.1.clone());
+                cycle.send(tracer, &held.ctx, stage, to, bytes, msg);
+            }
+            // One wait span over the `sends` messages; a peer's abort, a
+            // timeout or exited peers end it typed (`next_msg`).
+            CycleOp::Await { stage: None, sends } => tracer.wait(None, || {
+                (0..sends).try_for_each(|_| match next_msg(&mut held.ctx, cycle.timeout)? {
                     Msg::Blocks {
                         stage,
                         members,
                         data,
                     } => {
-                        let acquired = blocks.entry(stage).or_default();
+                        let acquired = held.blocks.entry(stage).or_default();
                         acquired.extend(members.into_iter().zip(data));
                         Ok(())
                     }
-                    _ => Err(foreign_msg(rank)),
-                })?
-            }
+                    Msg::ObsBlock(rows) => {
+                        held.peer_rows.entry(None).or_default().push(rows);
+                        Ok(())
+                    }
+                    Msg::Abort { .. } => Err(foreign()),
+                })
+            })?,
             CycleOp::Await { stage: Some(l), .. } => {
                 let (rx, _) = helper.as_ref().ok_or_else(foreign)?;
                 while !held.ready.contains_key(&l) {
@@ -257,8 +392,21 @@ pub(crate) fn run_rank(
                 stage,
                 target,
                 expansion,
+                update,
                 ..
             } => {
+                // A batched update takes the stage's observed rows: its own
+                // (derived here if no `Send` did) and its peers'.
+                let observed = match update {
+                    Update::Local => None,
+                    Update::Batched if target != expansion => return Err(foreign()),
+                    Update::Batched => {
+                        derive(held, stage, expansion)?;
+                        let own = held.own_rows.remove(&stage).map(|(_, own)| own);
+                        let peers = held.peer_rows.remove(&stage).unwrap_or_default();
+                        Some(own.into_iter().chain(peers).collect::<Vec<_>>())
+                    }
+                };
                 let (xb, filled) = stage.and_then(|l| held.ready.remove(&l)).unzip();
                 let acquired = held.blocks.get(&stage).map_or(&[][..], Vec::as_slice);
                 // Typed, not a panic: a protocol violation (a missing,
@@ -271,34 +419,35 @@ pub(crate) fn run_rank(
                         "stage {stage:?} holds {have} of {n} member blocks"
                     )));
                 }
-                let placed: Option<Vec<(usize, RegionData)>> = acquired
-                    .iter()
-                    .map(|(k, block)| {
-                        let col = alive.binary_search(k).ok()?;
-                        let covers = block.region().contains_rect(&expansion);
-                        covers.then(|| (col, block.extract(&expansion)))
-                    })
-                    .collect();
-                let (cols, views): (Vec<_>, Vec<_>) =
-                    placed.ok_or_else(foreign)?.into_iter().unzip();
-                let dilation = *held.dilation.get_or_insert_with(|| cycle.dilation(rank));
+                let (cols, views) = columns(acquired, alive, &expansion).ok_or_else(foreign)?;
+                let dilation = *held
+                    .dilation
+                    .get_or_insert_with(|| compute_dilation(&cycle.injector, cycle.monitor, rank));
                 let setup = cycle.setup;
-                let xa = cycle.compute(tracer, stage, dilation, || {
+                // One compute span, dilated by the rank's straggler factor.
+                let xa = tracer.compute(stage, || {
+                    let start = Instant::now();
                     // One row-tiled pass over every block this rank holds;
                     // the helper gathered the received ones per bundle.
                     let mut xb =
                         xb.unwrap_or_else(|| Matrix::zeros(expansion.npoints(), alive.len()));
                     gather_surface_into(&mut xb, &cols, &views);
-                    let mut obs = setup.observations.localize(&expansion);
-                    if !cycle.dropped.is_empty() {
-                        obs = obs.select_members(alive);
-                    }
-                    let analysis = &setup.analysis;
-                    analysis.analyze(setup.mesh(), &target, &expansion, &xb, &obs)
+                    let xa = match &observed {
+                        Some(rows) => batched_update(&xb, rows, setup.observations, cycle.kernel),
+                        None => {
+                            let mut obs = setup.observations.localize(&expansion);
+                            if !cycle.dropped.is_empty() {
+                                obs = obs.select_members(alive);
+                            }
+                            let analysis = &setup.analysis;
+                            analysis.analyze(setup.mesh(), &target, &expansion, &xb, &obs)
+                        }
+                    };
+                    dilate(start, dilation);
+                    xa
                 })?;
                 held.analyzed.push((target, xa));
             }
-            CycleOp::Send { .. } => return Err(foreign()),
         }
         if last_use.get(&op.stage()) == Some(&i) {
             held.blocks.remove(&op.stage());
@@ -312,6 +461,8 @@ pub(crate) fn run_rank(
     let mut held = Held {
         ctx,
         blocks: BTreeMap::new(),
+        own_rows: BTreeMap::new(),
+        peer_rows: BTreeMap::new(),
         ready: BTreeMap::new(),
         dilation: None,
         analyzed: Vec::new(),
@@ -354,10 +505,15 @@ pub(crate) fn run_rank(
     if let Err(e) = done {
         // Unblock every peer counting on this rank's messages before
         // bailing out.
-        cycle.abort(&held.ctx, peers, &e.to_string());
+        for &peer in &peers {
+            let reason = e.to_string();
+            held.ctx.send(peer, 0, Msg::Abort { reason });
+        }
         return Err(e);
     }
-    cycle.check_crash(rank)?;
+    if let Some(stage) = crash {
+        return Err(SubstrateError::RankCrashed { rank, stage }.into());
+    }
     if helper.is_some_and(|(_, handle)| handle.join().is_err()) {
         return Err(failed("helper thread panicked".into()));
     }
@@ -366,13 +522,12 @@ pub(crate) fn run_rank(
 
 #[cfg(test)]
 mod tests {
-    use super::run_rank;
     use crate::exec::setup::AssimilationSetup;
     use crate::exec::Cycle;
     use crate::model::{price_cycle, ModelConfig};
-    use crate::program::{CycleOp, Emitter, Geometry, Payload};
+    use crate::program::{CycleOp, Emitter, Geometry, Payload, Update};
     use crate::PEnkf;
-    use enkf_core::{serial_enkf, LocalAnalysis};
+    use enkf_core::{serial_enkf, EnkfError, LocalAnalysis};
     use enkf_data::{write_ensemble, ScenarioBuilder};
     use enkf_fault::FaultConfig;
     use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh, RegionRect};
@@ -391,6 +546,9 @@ mod tests {
     struct TwoReaders {
         nsdx: usize,
         nsdy: usize,
+        /// Bundles every non-reader awaits per stage beyond the two sent to
+        /// it: 0 for the balanced program.
+        extra: usize,
     }
     const LAYERS: usize = 2;
 
@@ -454,7 +612,7 @@ mod tests {
             for (rank, id) in decomp.iter_ids().enumerate() {
                 for l in 0..LAYERS {
                     let stage = Some(l);
-                    let sends = if rank < 2 { 1 } else { 2 };
+                    let sends = if rank < 2 { 1 } else { 2 + self.extra };
                     sink(rank, CycleOp::Await { stage, sends })?;
                     let target = decomp.layer(id, l, LAYERS);
                     sink(
@@ -464,6 +622,7 @@ mod tests {
                             target,
                             expansion: decomp.layer_expansion(id, l, LAYERS, geo.radius),
                             work: target.npoints(),
+                            update: Update::Local,
                         },
                     )?;
                 }
@@ -508,28 +667,42 @@ mod tests {
         trace.digest()
     }
 
-    /// An emitter that is not balanced *hangs* the threaded interpreter
-    /// (that is the property `programs_are_balanced_and_cover_the_mesh`
-    /// guards): when changing [`TwoReaders`], run this test under `timeout`.
+    const MESH: (usize, usize) = (12, 8);
+    const MEMBERS: usize = 6;
+    const RADIUS: LocalizationRadius = LocalizationRadius { xi: 2, eta: 1 };
+
+    /// A member store and scenario of the tests' geometry.
+    fn harness() -> (ScratchDir, FileStore, enkf_data::Scenario) {
+        let mesh = Mesh::new(MESH.0, MESH.1);
+        let scenario = ScenarioBuilder::new(mesh).members(MEMBERS).seed(18).build();
+        let scratch = ScratchDir::new("fifth-program").unwrap();
+        let store = FileStore::open(scratch.path(), FileLayout::new(mesh, 8)).unwrap();
+        write_ensemble(&store, &scenario.ensemble).unwrap();
+        (scratch, store, scenario)
+    }
+
+    fn setup<'a>(store: &'a FileStore, scenario: &'a enkf_data::Scenario) -> AssimilationSetup<'a> {
+        AssimilationSetup {
+            store,
+            members: MEMBERS,
+            observations: &scenario.observations,
+            analysis: LocalAnalysis::new(RADIUS),
+        }
+    }
+
     #[test]
     fn a_fifth_program_runs_through_both_interpreters() {
-        let (mesh, members) = (Mesh::new(12, 8), 6);
-        let radius = LocalizationRadius { xi: 2, eta: 1 };
-        let scenario = ScenarioBuilder::new(mesh).members(members).seed(18).build();
-        let scratch = ScratchDir::new("fifth-program").unwrap();
-        let layout = FileLayout::new(mesh, 8);
-        let store = FileStore::open(scratch.path(), layout).unwrap();
-        write_ensemble(&store, &scenario.ensemble).unwrap();
-        let setup = AssimilationSetup {
-            store: &store,
-            members,
-            observations: &scenario.observations,
-            analysis: LocalAnalysis::new(radius),
+        let (_scratch, store, scenario) = harness();
+        let setup = setup(&store, &scenario);
+        let (mesh, members, radius, layout) = (setup.mesh(), MEMBERS, RADIUS, store.layout());
+        let program = TwoReaders {
+            nsdx: 3,
+            nsdy: 2,
+            extra: 0,
         };
-        let program = TwoReaders { nsdx: 3, nsdy: 2 };
         let none = FaultConfig::none();
 
-        let (analysis, report, real) = Cycle::run(&setup, &program, &none, None, run_rank).unwrap();
+        let (analysis, report, real) = Cycle::run(&setup, &program, None, &none, None).unwrap();
         assert_eq!((report.num_compute_ranks, report.num_io_ranks), (6, 0));
         assert!(report.compute_ranks.read > 0.0 && report.compute_ranks.comm > 0.0);
         // (a) the serial point-wise reference, (b) P-EnKF on the same mesh:
@@ -566,5 +739,33 @@ mod tests {
         let projected = projected_digest(&program, &geo);
         assert_eq!(projected, real.digest(), "real trace");
         assert_eq!(projected, model.digest(), "model trace");
+    }
+
+    /// A program that awaits one bundle more than it is sent is refused,
+    /// typed, before any thread starts — it never reaches the interpreter,
+    /// whose blocked receive would otherwise wait on peers. The watchdog
+    /// turns a hang into a failure.
+    #[test]
+    fn an_unbalanced_program_is_refused_before_any_thread_starts() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let (_scratch, store, scenario) = harness();
+            let program = TwoReaders {
+                nsdx: 3,
+                nsdy: 2,
+                extra: 1,
+            };
+            let none = FaultConfig::none();
+            let run = Cycle::run(&setup(&store, &scenario), &program, None, &none, None);
+            let _ = tx.send(run.map(|_| ()));
+        });
+        let refused = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the unbalanced program hung the interpreter");
+        watched.join().unwrap();
+        assert!(
+            matches!(&refused, Err(EnkfError::GeometryMismatch(e)) if e.contains("unbalanced")),
+            "{refused:?}"
+        );
     }
 }

@@ -5,14 +5,15 @@
 //! communicates the data to the other processors, which can not make full
 //! use of parallel file systems"). Every rank then runs the same local
 //! analysis as the other variants. All of that is the
-//! [`ModelVariant::LEnkf`] program: its ops are unstaged, so [`run_cycle`]
-//! executes them strictly in order. In the trace rank 0 has one full-file
+//! [`ModelVariant::LEnkf`](crate::ModelVariant::LEnkf) program: its ops
+//! are unstaged, so [`run_cycle`] executes them strictly in order. In the
+//! trace rank 0 has one full-file
 //! read span per member plus one send span per (member, peer) scatter, and
 //! every other rank one wait span for its blocked receives.
 
+use crate::campaign::CampaignExecutor;
 use crate::exec::run_cycle;
 use crate::exec::setup::AssimilationSetup;
-use crate::program::ModelVariant;
 use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
 use enkf_fault::FaultConfig;
@@ -38,7 +39,7 @@ impl LEnkf {
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace)> {
         let (nsdx, nsdy) = (self.nsdx, self.nsdy);
-        run_cycle(setup, ModelVariant::LEnkf { nsdx, nsdy }, cfg, monitor)
+        run_cycle(setup, CampaignExecutor::LEnkf { nsdx, nsdy }, cfg, monitor)
     }
 }
 ladder!(LEnkf);

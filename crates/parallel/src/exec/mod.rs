@@ -1,26 +1,24 @@
 //! The threaded backend: one interpreter of cycle programs.
 //!
-//! `Cycle::run` is the prologue and epilogue every cycle shares: it
-//! validates, resolves the fault plan, emits the program
-//! ([`crate::program`]) once, hands every rank thread its own ops, and
-//! folds the rank results into the analysis, the trace and the report.
-//! Between the two runs a *rank body*:
+//! [`run_cycle`] is the one entry point. `Cycle::run` is the prologue and
+//! epilogue every cycle shares: it validates, resolves the fault plan,
+//! emits the program ([`crate::program`]) once and checks it
+//! ([`crate::program::check`]) before any thread starts, runs the one rank
+//! body (`interp`) on every rank thread, and folds the rank results into
+//! the analysis, the trace and the report.
 //!
-//! * [`run_cycle`] runs the one interpreter (`interp`) of member-block
-//!   programs — any balanced mix of `Read`, `Send(Payload::Blocks)`,
-//!   `Await` and `Compute`. It keeps the rank's block table, and derives
-//!   the thread structure from the ops' stages alone: staged `Read`s go
-//!   through the read-ahead pipeline, staged `Await`s to a Fig. 8 helper
-//!   thread, unstaged ops run in program order. L-, P- and S-EnKF
-//!   ([`lenkf`], [`penkf`], [`senkf`]) are nothing but programs to it.
-//! * [`denkf`] brings its own body: its `Send`s carry observation-space
-//!   data *derived* from the blocks, which no block table can supply.
+//! The rank body executes any checked program. It keeps the rank's block
+//! table and its observed rows, and derives the thread structure from the
+//! ops' stages alone: staged `Read`s go through the read-ahead pipeline,
+//! staged `Await`s to a Fig. 8 helper thread, unstaged ops run in program
+//! order. L-, P-, S- and D-EnKF ([`lenkf`], [`penkf`], [`senkf`],
+//! [`denkf`]) are nothing but programs to it; D-EnKF's batched kernel
+//! travels beside its program, in the [`CampaignExecutor`].
 //!
 //! The ops are a rank's only source of regions, peers, bundle sizes,
-//! member order and expected-message counts. Every body shares `Cycle`'s
-//! steps for the rest: the planned-crash check, resilient reads, delayed
-//! and dropped sends, the abort protocol, receive timeouts, straggler
-//! dilation and the typed error paths.
+//! member order and expected-message counts; the resolved fault plan is
+//! `Cycle`'s, shared by every rank: planned crashes, resilient reads,
+//! delayed and dropped sends, receive timeouts and straggler dilation.
 
 /// The executor ladder the frozen `perf/` harness calls, stamped on a
 /// struct beside its `run_adaptive` (whose signature needs the same names
@@ -75,16 +73,16 @@ pub mod senkf;
 pub mod setup;
 pub mod writeback;
 
-use crate::program::{CycleOp, Emitter, Geometry, ModelVariant};
+use crate::campaign::CampaignExecutor;
+use crate::program::{check, CycleOp, Emitter, Geometry};
 use crate::report::ExecutionReport;
-use enkf_core::{EnkfError, Ensemble, Result};
+use enkf_core::{BatchedKernel, EnkfError, Ensemble, Result};
 use enkf_fault::{FaultConfig, FaultInjector, SubstrateError};
 use enkf_grid::RegionRect;
 use enkf_health::HealthMonitor;
 use enkf_linalg::Matrix;
 use enkf_net::{Cluster, RankCtx};
-use enkf_pfs::resilient::dilate;
-use enkf_pfs::{read_region_adaptive, RegionData};
+use enkf_pfs::RegionData;
 use enkf_trace::{RankTracer, Trace};
 use setup::AssimilationSetup;
 use std::time::{Duration, Instant};
@@ -103,16 +101,8 @@ pub(crate) enum Msg {
         /// One region payload per member.
         data: Vec<RegionData>,
     },
-    /// One D-EnKF shard's observed anomaly and innovation rows.
-    ObsBlock {
-        /// Global observation-row indices, ascending (the shard's rows of
-        /// the network).
-        rows: Vec<usize>,
-        /// The shard's rows of `S = H U` (`m_loc × N_alive`).
-        s: Matrix,
-        /// The shard's rows of `D = Yˢ − H Xᵇ` (`m_loc × N_alive`).
-        d: Matrix,
-    },
+    /// A rank's observed rows (a `Payload::Observed` send).
+    ObsBlock(interp::ObsRows),
     /// A sender hit a fatal error (e.g. an unreadable member file) and will
     /// produce no further messages: receivers must stop waiting. Without
     /// this a failing reader would deadlock every rank blocked on its data.
@@ -180,20 +170,11 @@ pub(crate) fn next_msg(
     }
 }
 
-/// The typed error of a message the receiving variant's protocol does not
-/// contain.
-pub(crate) fn foreign_msg(rank: usize) -> EnkfError {
-    SubstrateError::HelperFailed {
-        rank,
-        detail: "received a message of another variant's protocol".into(),
-    }
-    .into()
-}
-
-/// Run one assimilation cycle of `variant` on the threaded backend: emit
-/// its program and execute it with the one interpreter of member-block
-/// programs (see the module docs). Returns the analysis ensemble (columns
-/// are the surviving members), the per-class phase report and the trace.
+/// Run one assimilation cycle of `exec` on the threaded backend: emit its
+/// variant's program and execute it with the one interpreter (see the
+/// module docs) — D-EnKF's batched update with `exec`'s kernel. Returns the
+/// analysis ensemble (columns are the surviving members), the per-class
+/// phase report and the trace.
 /// The trace is the run's one record: the report's phases, the operation
 /// digest and the fault events (`Trace::fault_events`, given the report's
 /// `dropped_members`) are all projections of its spans.
@@ -210,16 +191,17 @@ pub(crate) fn foreign_msg(rank: usize) -> EnkfError {
 /// speculative duplicate read against its replica — and observed read and
 /// compute dilation ratios feed the monitor, which the caller folds at the
 /// cycle boundary with [`HealthMonitor::end_cycle`].
-///
-/// D-EnKF's program sends data derived from the blocks and is run by
-/// [`DEnkf`](denkf::DEnkf) instead; here it ends in a typed error.
 pub fn run_cycle(
     setup: &AssimilationSetup<'_>,
-    variant: ModelVariant,
+    exec: CampaignExecutor,
     cfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
 ) -> Result<(Ensemble, ExecutionReport, Trace)> {
-    Cycle::run(setup, &variant, cfg, monitor, interp::run_rank)
+    let kernel = match exec {
+        CampaignExecutor::DEnkf { kernel, .. } => Some(kernel),
+        _ => None,
+    };
+    Cycle::run(setup, &exec.variant(), kernel, cfg, monitor)
 }
 
 /// What one rank hands back: the `(target, analysis)` pair of every
@@ -227,8 +209,8 @@ pub fn run_cycle(
 pub(crate) type RankOut = Result<Vec<(RegionRect, Matrix)>>;
 
 /// One assimilation cycle on the threaded backend: the resolved fault
-/// plan, the emitted program split by rank, and the steps every executor
-/// shares. All fields are pure functions of the setup, the
+/// plan and the checked program split by rank. All fields are pure
+/// functions of the setup, the
 /// [`FaultConfig`] and the monitor's frozen view, so every rank thread
 /// reaches the same decisions without coordination.
 pub(crate) struct Cycle<'a> {
@@ -245,6 +227,8 @@ pub(crate) struct Cycle<'a> {
     /// The timeout, in seconds, receives must carry when the plan crashes
     /// ranks or drops messages (a blocking receive could hang forever).
     pub timeout: Option<f64>,
+    /// The kernel of the program's batched updates (`None`: it has none).
+    pub kernel: Option<BatchedKernel>,
     name: &'static str,
     compute_ranks: usize,
     ops: Vec<Vec<CycleOp>>,
@@ -253,45 +237,50 @@ pub(crate) struct Cycle<'a> {
 impl<'a> Cycle<'a> {
     /// Run one cycle of `program`: validate, resolve the fault plan (fail
     /// fast when degraded mode is off or would leave fewer than two
-    /// members), emit the program, run `body` on every rank thread, and
-    /// fold the rank results — spans into the trace (of which the per-class
-    /// phase report is a projection), `Compute` results into the analysis
-    /// ensemble. The
+    /// members), emit and [`check`] the program — a program that breaks a
+    /// rule is a typed [`EnkfError::GeometryMismatch`] before any thread
+    /// starts — run the rank body on every rank thread, and fold the rank
+    /// results: spans into the trace (of which the per-class phase report
+    /// is a projection), `Compute` results into the analysis ensemble. The
     /// cycle's error is that of the first failed rank, in rank order, that
     /// failed on its own: a rank merely told to stop by a failing peer
     /// ([`SubstrateError::PeerAborted`]) echoes that peer's error and is
     /// reported only when no originating error exists.
-    pub fn run(
+    pub(crate) fn run(
         setup: &'a AssimilationSetup<'a>,
         program: &impl Emitter,
+        kernel: Option<BatchedKernel>,
         cfg: &FaultConfig,
         monitor: Option<&'a HealthMonitor>,
-        body: impl Fn(&Cycle<'a>, RankCtx<Msg>, &mut RankTracer) -> RankOut + Sync,
     ) -> Result<(Ensemble, ExecutionReport, Trace)> {
         setup.validate()?;
         let mesh = setup.mesh();
         let (compute_ranks, io_ranks) = program
             .ranks(mesh, setup.members)
             .map_err(EnkfError::GeometryMismatch)?;
+        let ranks = compute_ranks + io_ranks;
         let injector = FaultInjector::new(cfg.clone());
         let dropped = resolve_dropout(&injector, setup.members)?;
-        let mut ops = vec![Vec::new(); compute_ranks + io_ranks];
+        let geo = Geometry {
+            layout: setup.store.layout(),
+            members: setup.members,
+            radius: setup.analysis.radius,
+            dropped: &dropped,
+            view: monitor.map(|mon| mon.view()),
+            network: Some(setup.observations.operator().network()),
+        };
+        let mut stream = Vec::new();
         program
-            .emit(
-                &Geometry {
-                    layout: setup.store.layout(),
-                    members: setup.members,
-                    radius: setup.analysis.radius,
-                    dropped: &dropped,
-                    view: monitor.map(|mon| mon.view()),
-                    network: Some(setup.observations.operator().network()),
-                },
-                &mut |rank: usize, op| {
-                    ops[rank].push(op);
-                    Ok(())
-                },
-            )
+            .emit(&geo, &mut |rank, op| {
+                stream.push((rank, op));
+                Ok(())
+            })
+            .and_then(|()| check(&geo, ranks, &stream))
             .map_err(EnkfError::GeometryMismatch)?;
+        let mut ops = vec![Vec::new(); ranks];
+        for (rank, op) in stream {
+            ops[rank].push(op);
+        }
         let plan = &cfg.plan;
         let cycle = Cycle {
             setup,
@@ -303,6 +292,7 @@ impl<'a> Cycle<'a> {
                 .then_some(cfg.recv_timeout),
             injector,
             dropped,
+            kernel,
             name: program.name(),
             compute_ranks,
             ops,
@@ -311,20 +301,20 @@ impl<'a> Cycle<'a> {
         // per cycle, before the worker ranks start querying it.
         setup.observations.prepare();
         let t0 = Instant::now();
-        let results = Cluster::run_traced(compute_ranks + io_ranks, |ctx, tracer| {
-            body(&cycle, ctx, tracer)
-        });
+        let results =
+            Cluster::run_traced(ranks, |ctx, tracer| interp::run_rank(&cycle, ctx, tracer));
 
+        // The checked program's targets tile the mesh, and a rank returns
+        // one result per `Compute` or fails: a complete fold is the whole
+        // analysis.
         let mut trace = Trace::new(format!("{}-real", cycle.name));
         let mut analysis = Ensemble::new(mesh, Matrix::zeros(mesh.n(), cycle.alive.len()));
-        let mut covered = 0;
         let mut echo = None;
         for (res, spans) in results {
             trace.extend(spans);
             match res {
                 Ok(analyzed) => {
                     for (target, local) in analyzed {
-                        covered += target.npoints();
                         analysis.assign(&target, &local);
                     }
                 }
@@ -336,13 +326,6 @@ impl<'a> Cycle<'a> {
         }
         if let Some(e) = echo {
             return Err(e);
-        }
-        if covered != mesh.n() {
-            return Err(EnkfError::GeometryMismatch(format!(
-                "the {} program's Compute targets cover {covered} of {} points",
-                cycle.name,
-                mesh.n()
-            )));
         }
         let (compute, io) = trace.class_phases(compute_ranks);
         let report = ExecutionReport {
@@ -356,62 +339,11 @@ impl<'a> Cycle<'a> {
         Ok((analysis, report, trace))
     }
 
-    /// `rank`'s ops, in program order.
-    pub fn ops(&self, rank: usize) -> &[CycleOp] {
-        &self.ops[rank]
-    }
-
-    /// The error of an op the rank's body cannot execute where it stands —
-    /// an emitter/interpreter mismatch, surfaced typed like every other
-    /// rank failure.
-    pub fn foreign_op(&self, rank: usize, op: CycleOp) -> EnkfError {
-        SubstrateError::HelperFailed {
-            rank,
-            detail: format!("{op:?} cannot run here in the {} program", self.name),
-        }
-        .into()
-    }
-
-    /// Fail with [`SubstrateError::RankCrashed`] when the plan kills
-    /// `rank` (it stops responding — peers must time out).
-    pub fn check_crash(&self, rank: usize) -> Result<()> {
-        match self.injector.crash_stage(rank) {
-            Some(stage) => Err(SubstrateError::RankCrashed { rank, stage }.into()),
-            None => Ok(()),
-        }
-    }
-
-    /// Execute a `Read` op. A dropped member still burns its
-    /// injected-failure spans (the wall cost of deciding to drop is
-    /// accounted for) and then yields `None`.
-    pub fn read(
-        &self,
-        tracer: &mut RankTracer,
-        stage: Option<usize>,
-        member: usize,
-        region: &RegionRect,
-    ) -> std::result::Result<Option<RegionData>, SubstrateError> {
-        let store = self.setup.store;
-        match read_region_adaptive(
-            store,
-            tracer,
-            stage,
-            member,
-            region,
-            &self.injector,
-            self.monitor,
-        ) {
-            Ok(data) => Ok(Some(data)),
-            Err(_) if self.dropped.contains(&member) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
     /// Execute a `Send` op of `bytes` bytes: the plan's message delay
     /// stalls it, and serialization (`payload`) is charged to the send span
     /// — mirroring the model's sender-side service — even when the plan
     /// then drops the message.
-    pub fn send(
+    pub(crate) fn send(
         &self,
         tracer: &mut RankTracer,
         ctx: &RankCtx<Msg>,
@@ -431,55 +363,5 @@ impl<'a> Cycle<'a> {
                 ctx.send(to, stage.unwrap_or(0) as u64, msg);
             }
         });
-    }
-
-    /// Unblock `peers` waiting on this rank's messages before it bails out.
-    pub fn abort(&self, ctx: &RankCtx<Msg>, peers: impl IntoIterator<Item = usize>, reason: &str) {
-        for peer in peers {
-            ctx.send(
-                peer,
-                0,
-                Msg::Abort {
-                    reason: reason.to_string(),
-                },
-            );
-        }
-    }
-
-    /// Execute an `Await` op: receive `sends` messages ([`next_msg`])
-    /// inside one wait span, handing each to `deliver`.
-    pub fn receive(
-        &self,
-        tracer: &mut RankTracer,
-        ctx: &mut RankCtx<Msg>,
-        stage: Option<usize>,
-        sends: usize,
-        mut deliver: impl FnMut(Msg) -> Result<()>,
-    ) -> Result<()> {
-        tracer.wait(stage, || {
-            (0..sends).try_for_each(|_| deliver(next_msg(ctx, self.timeout)?))
-        })
-    }
-
-    /// `rank`'s straggler dilation (reported to the monitor: call once per
-    /// rank and cycle).
-    pub fn dilation(&self, rank: usize) -> f64 {
-        compute_dilation(&self.injector, self.monitor, rank)
-    }
-
-    /// Time one compute span of `rank` under its straggler dilation.
-    pub fn compute<T>(
-        &self,
-        tracer: &mut RankTracer,
-        stage: Option<usize>,
-        dilation: f64,
-        work: impl FnOnce() -> T,
-    ) -> T {
-        tracer.compute(stage, || {
-            let start = Instant::now();
-            let out = work();
-            dilate(start, dilation);
-            out
-        })
     }
 }

@@ -6,13 +6,14 @@
 //! partial-width region is one segment per latitude row). Only after **all**
 //! members are on-rank does the local analysis start — the strict
 //! read-then-compute workflow of Fig. 4 whose lack of overlap the paper
-//! attacks. All of that is the [`ModelVariant::PEnkf`] program: its ops are
-//! unstaged, so [`run_cycle`] executes them strictly in order. The trace
+//! attacks. All of that is the
+//! [`ModelVariant::PEnkf`](crate::ModelVariant::PEnkf) program: its ops
+//! are unstaged, so [`run_cycle`] executes them strictly in order. The trace
 //! holds one read span per member block and one compute span per rank.
 
+use crate::campaign::CampaignExecutor;
 use crate::exec::run_cycle;
 use crate::exec::setup::AssimilationSetup;
-use crate::program::ModelVariant;
 use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
 use enkf_fault::FaultConfig;
@@ -39,7 +40,7 @@ impl PEnkf {
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace)> {
         let (nsdx, nsdy) = (self.nsdx, self.nsdy);
-        run_cycle(setup, ModelVariant::PEnkf { nsdx, nsdy }, cfg, monitor)
+        run_cycle(setup, CampaignExecutor::PEnkf { nsdx, nsdy }, cfg, monitor)
     }
 }
 ladder!(PEnkf);

@@ -11,8 +11,9 @@
 //!   over the group's files.
 //! * Compute rank `(i, j)` analyzes layer `l` from the stage-`l` bundles.
 //!
-//! All of that is the [`ModelVariant::SEnkf`] program. Its ops are *staged*,
-//! which is what lets [`run_cycle`] overlap them: an I/O rank prefetches
+//! All of that is the [`ModelVariant::SEnkf`](crate::ModelVariant::SEnkf)
+//! program. Its ops are *staged*, which is what lets [`run_cycle`] overlap
+//! them: an I/O rank prefetches
 //! stage `l+1`'s bars while it scatters stage `l`'s blocks, and a compute
 //! rank's helper thread ingests and assembles stage `l+1` while the main
 //! thread analyzes layer `l` — the overlap of Figs. 7–8. In the trace an
@@ -20,9 +21,9 @@
 //! and one send span per (stage, compute peer); a compute rank one wait and
 //! one compute span per stage.
 
+use crate::campaign::CampaignExecutor;
 use crate::exec::run_cycle;
 use crate::exec::setup::AssimilationSetup;
-use crate::program::ModelVariant;
 use crate::report::ExecutionReport;
 use enkf_core::{Ensemble, Result};
 use enkf_fault::FaultConfig;
@@ -52,7 +53,7 @@ impl SEnkf {
         cfg: &FaultConfig,
         monitor: Option<&HealthMonitor>,
     ) -> Result<(Ensemble, ExecutionReport, Trace)> {
-        run_cycle(setup, ModelVariant::SEnkf(self.params), cfg, monitor)
+        run_cycle(setup, CampaignExecutor::SEnkf(self.params), cfg, monitor)
     }
 }
 ladder!(SEnkf);

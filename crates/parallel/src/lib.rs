@@ -8,7 +8,8 @@
 //! * [`exec`] — the **threaded backend** *executes* the program
 //!   ([`run_cycle`]): ranks are OS threads ([`enkf_net::Cluster`]), ensemble
 //!   members are real files ([`enkf_pfs::FileStore`]), block data travels
-//!   over channels. One interpreter runs every member-block program; the
+//!   over channels. One interpreter runs every variant's program, checked
+//!   before any thread starts ([`program::check`]); the
 //!   ops' stages alone decide what overlaps, so S-EnKF's helper thread
 //!   genuinely overlaps reception with the main thread's local analyses
 //!   (Fig. 8) while L-/P-EnKF run strictly in order. Produces a bit-exact
@@ -78,5 +79,5 @@ pub use model::lenkf::{model_lenkf, model_lenkf_traced};
 pub use model::penkf::{model_penkf, model_penkf_traced};
 pub use model::senkf::{model_senkf, model_senkf_opts, model_senkf_traced, SEnkfModelOptions};
 pub use model::{model_cycle, ModelConfig, ModelOutcome};
-pub use program::{CycleOp, Geometry, ModelVariant, Payload};
+pub use program::{CycleOp, Emitter, Geometry, ModelVariant, Payload, Update};
 pub use report::{ExecutionReport, PhaseBreakdown};

@@ -35,7 +35,7 @@ fn add_task(sim: &mut Simulation, task: Task) -> Result<TaskId, String> {
 }
 
 /// Price one cycle of `variant` on the DES backend — the modeled twin of
-/// [`crate::exec::run_cycle`] (and of [`crate::DEnkf`]): the same program,
+/// [`crate::exec::run_cycle`]: the same program,
 /// each op turned into tasks as documented on `price_cycle`. Returns the
 /// outcome and the virtual-time trace the outcome is a projection of; under
 /// a common seeded plan and monitor view all three digests (the trace's

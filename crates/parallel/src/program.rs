@@ -2,7 +2,7 @@
 //! ordered stream of `(rank, op)`.
 //!
 //! This is the one algorithm description both execution paths share
-//! (PAPER.md §1). [`ModelVariant::emit`] produces it from the geometry
+//! (PAPER.md §1). [`Emitter::emit`] produces it from the geometry
 //! alone — mesh and levels, members, radius, parameters, the dropout set
 //! and the health monitor's frozen route view — and two interpreters
 //! consume it:
@@ -22,15 +22,16 @@
 //! the `Await` it feeds), and within one rank, program order.
 //!
 //! **The block table.** A rank holds member blocks keyed by
-//! `(stage, member)`. A `Read` adds the region it read; an `Await` adds
-//! every block of the bundles it receives. A `Send` of
-//! [`Payload::Blocks`] extracts its `region` from the `members` blocks the
-//! rank acquired last for that stage — so it must follow the `Read`s or
-//! `Await`s of its stage whose blocks cover that region — and bundles
-//! them into one message. A `Compute` assembles `X̄ᵇ` over its `expansion`
-//! from one block per surviving member of its stage, whichever way each
-//! arrived. A stage's blocks are released after the rank's last `Send` or
-//! `Compute` of that stage.
+//! `(stage, member)`. A `Read` adds the region it read; an unstaged
+//! `Await` adds every block of the bundles it receives (a staged one's go
+//! straight into its stage's `X̄ᵇ`). A `Send` of [`Payload::Blocks`]
+//! extracts its `region` from the `members` blocks the rank acquired last
+//! for that stage — so it must follow the `Read`s or unstaged `Await`s of
+//! its stage whose blocks cover that region — and bundles them into one
+//! message. A `Compute` assembles `X̄ᵇ` over its `expansion` from one block
+//! per surviving member of its stage, whichever way each arrived. A stage's
+//! blocks are released after the rank's last `Send` or `Compute` of that
+//! stage.
 //!
 //! **Stage = permission to overlap.** An op with `stage: None` runs
 //! strictly at its place in the rank's program — Fig. 4's sequential
@@ -41,12 +42,20 @@
 //! Fig. 7's overlap. Overlap is thus a property of the program, stated by
 //! its emitter; neither interpreter asks which variant it is running.
 //!
+//! **Derived data.** A `Send` of [`Payload::Observed`] carries no member
+//! block but the rank's *observed rows* of its `region` — `S = H·U` and
+//! `D = Yˢ − H·X̄ᵇ`, derived once from the stage's blocks covering it — and
+//! an `Await` files the rows it receives beside the block table. A
+//! [`Update::Batched`] `Compute` assembles the whole network's `S`, `D`
+//! from its own rows over `expansion` and every received block of rows,
+//! and applies one batched transform to `X̄ᵇ` (D-EnKF, arXiv 2311.12909).
+//!
 //! **What a rank may mix.** Any of `Read`, `Send`, `Await`, `Compute`, in
 //! any balanced order, staged or not — except that all of one rank's
 //! `Await`s are staged or none is (a helper thread owns the rank's inbox,
-//! or the rank itself does). [`Payload::Bytes`] carries data *derived* from
-//! member blocks, which no table can supply: a program that sends it
-//! (D-EnKF's) brings its own rank body.
+//! or the rank itself does), and observed rows are received by unstaged
+//! `Await`s only. [`check`] enforces the static rules before any thread
+//! starts.
 
 use enkf_grid::{
     Decomposition, FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect,
@@ -54,6 +63,7 @@ use enkf_grid::{
 };
 use enkf_health::RouteView;
 use enkf_tuning::Params;
+use std::collections::BTreeMap;
 
 /// Which variant a program describes (and a modeled campaign drives).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,21 +101,44 @@ pub enum Payload {
         /// Members in the bundle.
         members: usize,
     },
-    /// Data that is not member state (D-EnKF's observation-space blocks),
-    /// sized in bytes.
-    Bytes(u64),
+    /// The sender's observed rows of `region` (D-EnKF's exchanged data):
+    /// `rows` observations' global indices plus their rows of `S` and `D`
+    /// over the `members` surviving members.
+    Observed {
+        /// The region whose observations the rows are; the sender's last
+        /// `members` blocks of the stage must cover it.
+        region: RegionRect,
+        /// Observations inside `region`.
+        rows: usize,
+        /// Surviving members (columns of `S` and `D`).
+        members: usize,
+    },
 }
 
 impl Payload {
     /// Wire size under `layout` — what the real tracer records and the
-    /// pricer charges.
+    /// pricer charges. Observed rows are 8 bytes of index plus two `f64`
+    /// per member each.
     #[inline]
     pub fn bytes(&self, layout: &FileLayout) -> u64 {
         match *self {
             Payload::Blocks { region, members } => layout.region_bytes(&region) * members as u64,
-            Payload::Bytes(bytes) => bytes,
+            Payload::Observed { rows, members, .. } => 8 * (rows * (2 * members + 1)) as u64,
         }
     }
+}
+
+/// Which update a [`CycleOp::Compute`] applies to its `X̄ᵇ`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Update {
+    /// The point-wise local analysis of `target` from the observations
+    /// near each point.
+    Local,
+    /// The batched update of the whole observation network (D-EnKF): one
+    /// transform from the observed rows of every rank, applied to
+    /// `expansion`, which must equal `target`. The interpreter's kernel
+    /// for it travels beside the program; the pricer charges `work`.
+    Batched,
 }
 
 /// One operation of a cycle program.
@@ -150,6 +183,8 @@ pub enum CycleOp {
         /// points for a local analysis; D-EnKF adds the observation rows
         /// its batched transform works through.
         work: usize,
+        /// Local analysis or batched update.
+        update: Update,
     },
 }
 
@@ -200,26 +235,122 @@ impl Geometry<'_> {
     }
 }
 
-/// Wire size of one shard's observation block: `rows` indices (8 bytes
-/// each) plus two `rows × members` f64 matrices.
-fn exchange_bytes(rows: usize, members: usize) -> u64 {
-    8 * (rows * (2 * members + 1)) as u64
+/// Check an emitted `program` — `(rank, op)` in emission order over
+/// `ranks` ranks — against the rules both interpreters rely on, before
+/// either runs it:
+///
+/// * **balance** — every `Await { stage, sends: n }` of rank `r` is fed by
+///   exactly `n` earlier `Send`s to `(r, stage)`, and every `Send` is
+///   awaited. The emission order is then a schedule that never blocks, so
+///   the threaded interpreter cannot deadlock and the pricer's
+///   dependencies are sound;
+/// * **the block table** — a `Send` of `members` blocks or of observed
+///   rows follows, on its rank, `Read`s or unstaged `Await`s of its stage
+///   whose last `members` blocks cover its region (a dropped member's
+///   `Read` yields no block, received observed rows are no block);
+/// * **staged `Await`s** — one rank's `Await`s are all staged or all not;
+/// * **tiling** — the `Compute` targets cover every mesh point exactly
+///   once.
+pub fn check(geo: &Geometry<'_>, ranks: usize, program: &[(usize, CycleOp)]) -> Result<(), String> {
+    let mesh = geo.layout.mesh();
+    let mut in_flight: BTreeMap<(usize, Option<usize>), Vec<Payload>> = BTreeMap::new();
+    let mut acquired: BTreeMap<(usize, Option<usize>), Vec<RegionRect>> = BTreeMap::new();
+    let mut staged_awaits: BTreeMap<usize, bool> = BTreeMap::new();
+    let mut covered = vec![false; mesh.n()];
+    for &(rank, op) in program {
+        let (stage, held) = (op.stage(), acquired.entry((rank, op.stage())).or_default());
+        let broken = match op {
+            _ if rank >= ranks => "runs on no rank of the program",
+            CycleOp::Read { member, region, .. } => {
+                if !geo.dropped.contains(&member) {
+                    held.push(region);
+                }
+                ""
+            }
+            CycleOp::Send { to, payload, .. } => {
+                let (Payload::Blocks { region, members }
+                | Payload::Observed {
+                    region, members, ..
+                }) = payload;
+                in_flight.entry((to, stage)).or_default().push(payload);
+                let last = held.len().checked_sub(members).map(|from| &held[from..]);
+                if to >= ranks || to == rank {
+                    "sends to no peer"
+                } else if !last.is_some_and(|last| last.iter().all(|b| b.contains_rect(&region))) {
+                    "sends without blocks covering its region"
+                } else {
+                    ""
+                }
+            }
+            CycleOp::Await { sends, .. } => {
+                let fed = in_flight.remove(&(rank, stage)).unwrap_or_default();
+                // Unstaged bundles enter the table; the helper thread
+                // gathers staged ones straight into their stage's `X̄ᵇ`.
+                for payload in fed.iter().filter(|_| stage.is_none()) {
+                    if let Payload::Blocks { region, members } = *payload {
+                        held.extend(std::iter::repeat_n(region, members));
+                    }
+                }
+                if fed.len() != sends {
+                    return Err(format!(
+                        "unbalanced program: rank {rank}'s {op:?} is fed {}",
+                        fed.len()
+                    ));
+                }
+                let staged = *staged_awaits.entry(rank).or_insert(stage.is_some());
+                if staged != stage.is_some() {
+                    "mixes staged and unstaged Awaits"
+                } else {
+                    ""
+                }
+            }
+            CycleOp::Compute { target, .. } => {
+                let inside = RegionRect::full(mesh).contains_rect(&target);
+                let mut points = target.iter_points();
+                if !inside || points.any(|p| std::mem::replace(&mut covered[mesh.index(p)], true)) {
+                    "analyzes a point twice or outside the mesh"
+                } else {
+                    ""
+                }
+            }
+        };
+        if !broken.is_empty() {
+            return Err(format!("rank {rank}'s {op:?} {broken}"));
+        }
+    }
+    if let Some(((to, stage), sends)) = in_flight.first_key_value() {
+        let n = sends.len();
+        return Err(format!(
+            "unbalanced program: rank {to} never awaits {n} sends of {stage:?}"
+        ));
+    }
+    match covered.iter().filter(|&&c| !c).count() {
+        0 => Ok(()),
+        missed => Err(format!(
+            "the Compute targets miss {missed} of {} points",
+            mesh.n()
+        )),
+    }
 }
 
 /// A source of cycle programs, as the two interpreters see it.
 /// [`ModelVariant`] is the only implementor outside tests; the trait is the
 /// seam through which a test runs a program no executor file knows.
-pub(crate) trait Emitter {
+pub trait Emitter {
     /// Lower-case name used in trace labels.
     fn name(&self) -> &'static str;
 
     /// Stages per cycle.
     fn layers(&self) -> usize;
 
-    /// See [`ModelVariant::ranks`].
+    /// The program's `(compute, I/O)` rank counts on `mesh` with `members`
+    /// members, or why it cannot run there. Compute ranks are
+    /// `0..compute`, I/O ranks follow them.
     fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String>;
 
-    /// See [`ModelVariant::emit`].
+    /// Emit the cycle program into `sink`, one `(rank, op)` at a time, in
+    /// DES insertion order (see the module docs). Stops at the first sink
+    /// error.
     fn emit(
         &self,
         geo: &Geometry<'_>,
@@ -246,7 +377,8 @@ impl Emitter for ModelVariant {
     }
 
     fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String> {
-        ModelVariant::ranks(self, mesh, members)
+        self.validate(mesh, members)?;
+        Ok(self.rank_counts())
     }
 
     fn emit(
@@ -254,7 +386,13 @@ impl Emitter for ModelVariant {
         geo: &Geometry<'_>,
         sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
     ) -> Result<(), String> {
-        ModelVariant::emit(self, geo, sink)
+        let decomp = self.validate(geo.layout.mesh(), geo.members)?;
+        match *self {
+            ModelVariant::PEnkf { .. } => emit_penkf(&decomp, geo, sink),
+            ModelVariant::LEnkf { .. } => emit_lenkf(&decomp, geo, sink),
+            ModelVariant::SEnkf(p) => emit_senkf(&decomp, p, geo, sink),
+            ModelVariant::DEnkf { .. } => emit_denkf(&decomp, geo, sink),
+        }
     }
 }
 
@@ -289,30 +427,6 @@ impl ModelVariant {
             ModelVariant::DEnkf { shards } => (shards, 0),
         }
     }
-
-    /// [`ModelVariant::rank_counts`], after validating the variant against
-    /// a mesh and ensemble size.
-    pub fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String> {
-        self.validate(mesh, members)?;
-        Ok(self.rank_counts())
-    }
-
-    /// Emit the cycle program into `sink`, one `(rank, op)` at a time, in
-    /// DES insertion order (see the module docs). Stops at the first sink
-    /// error.
-    pub fn emit(
-        &self,
-        geo: &Geometry<'_>,
-        sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
-    ) -> Result<(), String> {
-        let decomp = self.validate(geo.layout.mesh(), geo.members)?;
-        match *self {
-            ModelVariant::PEnkf { .. } => emit_penkf(&decomp, geo, sink),
-            ModelVariant::LEnkf { .. } => emit_lenkf(&decomp, geo, sink),
-            ModelVariant::SEnkf(p) => emit_senkf(&decomp, p, geo, sink),
-            ModelVariant::DEnkf { .. } => emit_denkf(&decomp, geo, sink),
-        }
-    }
 }
 
 /// One single-stage local analysis of sub-domain `id`.
@@ -323,6 +437,7 @@ fn local_analysis(decomp: &Decomposition, id: SubDomainId, geo: &Geometry<'_>) -
         target,
         expansion: decomp.expansion(id, geo.radius),
         work: target.npoints(),
+        update: Update::Local,
     }
 }
 
@@ -459,6 +574,7 @@ fn emit_senkf(
                     target,
                     expansion: decomp.layer_expansion(id, l, p.layers, geo.radius),
                     work: target.npoints(),
+                    update: Update::Local,
                 },
             )?;
         }
@@ -467,8 +583,8 @@ fn emit_senkf(
 }
 
 /// D-EnKF: every shard reads its full-width bar of every member file (one
-/// disk addressing operation each) and sends every peer its observation
-/// block; the batched transform — the whole network on every rank, then
+/// disk addressing operation each) and sends every peer its observed rows
+/// of the bar; the batched update — the whole network on every rank, then
 /// the shard's own rows — waits for all of them.
 fn emit_denkf(
     decomp: &Decomposition,
@@ -487,8 +603,13 @@ fn emit_denkf(
     let alive = geo.alive_in(0..geo.members);
     let order = geo.member_order(0..geo.members);
     for (rank, id) in decomp.iter_ids().enumerate() {
-        reads(sink, rank, None, &order, decomp.subdomain(id))?;
-        let payload = Payload::Bytes(exchange_bytes(obs_rows[rank], alive));
+        let bar = decomp.subdomain(id);
+        reads(sink, rank, None, &order, bar)?;
+        let payload = Payload::Observed {
+            region: bar,
+            rows: obs_rows[rank],
+            members: alive,
+        };
         for to in (0..shards).filter(|&peer| peer != rank) {
             sink(
                 rank,
@@ -518,8 +639,92 @@ fn emit_denkf(
                 target: bar,
                 expansion: bar,
                 work: bar.npoints() + m_total,
+                update: Update::Batched,
             },
         )?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each rule of [`check`], broken once by mutating a well-formed
+    /// program, is refused with its own error.
+    #[test]
+    fn check_refuses_every_broken_rule() {
+        let mesh = Mesh::new(12, 8);
+        let network = ObservationNetwork::uniform(mesh, 2);
+        let geo = Geometry {
+            layout: FileLayout::new(mesh, 8),
+            members: 4,
+            radius: LocalizationRadius { xi: 1, eta: 1 },
+            dropped: &[],
+            view: None,
+            network: Some(&network),
+        };
+        let emit = |variant: ModelVariant| {
+            let mut ops = Vec::new();
+            let mut sink = |rank, op| {
+                ops.push((rank, op));
+                Ok(())
+            };
+            variant.emit(&geo, &mut sink).map(|()| ops)
+        };
+        let lenkf = emit(ModelVariant::LEnkf { nsdx: 2, nsdy: 2 }).unwrap();
+        let denkf = emit(ModelVariant::DEnkf { shards: 4 }).unwrap();
+        assert_eq!(check(&geo, 4, &lenkf), Ok(()));
+        assert_eq!(check(&geo, 4, &denkf), Ok(()));
+
+        let mutated = |ops: &[(usize, CycleOp)], f: &dyn Fn(CycleOp) -> Option<CycleOp>| {
+            let ops: Vec<_> = ops
+                .iter()
+                .filter_map(|&(r, op)| Some((r, f(op)?)))
+                .collect();
+            check(&geo, 4, &ops).unwrap_err()
+        };
+        let refusals = [
+            // An Await one long: the rank would wait forever.
+            mutated(&lenkf, &|op| match op {
+                CycleOp::Await { stage, sends } => Some(CycleOp::Await {
+                    stage,
+                    sends: sends + 1,
+                }),
+                op => Some(op),
+            }),
+            // Observed rows sent before the blocks they derive from.
+            mutated(&denkf, &|op| match op {
+                CycleOp::Read { .. } => None,
+                op => Some(op),
+            }),
+            // A Compute dropped: its points are never analyzed.
+            mutated(&lenkf, &|op| match op {
+                CycleOp::Compute { target, .. } if target.x0 > 0 => None,
+                op => Some(op),
+            }),
+            // Every rank analyzes the whole mesh: points analyzed twice.
+            mutated(&denkf, &|op| match op {
+                CycleOp::Compute {
+                    stage,
+                    expansion,
+                    work,
+                    update,
+                    ..
+                } => Some(CycleOp::Compute {
+                    stage,
+                    target: RegionRect::full(mesh),
+                    expansion,
+                    work,
+                    update,
+                }),
+                op => Some(op),
+            }),
+        ];
+        let expected = ["unbalanced", "without", "miss", "twice"];
+        for (refusal, word) in refusals.iter().zip(expected) {
+            assert!(refusal.contains(word), "{refusal}");
+        }
+        assert!(check(&geo, 3, &lenkf).unwrap_err().contains("to no peer"));
+    }
 }

@@ -1,24 +1,24 @@
 //! Property tests over *random* meshes, ensemble sizes, localization radii
-//! and S-EnKF parameterizations: the parallel analyses are identical to the
-//! serial point-wise reference, every variant's cycle program is balanced,
-//! covers the mesh, and is what both execution paths trace, and under random
-//! seeded fault plans every fault fact is in the trace exactly once.
+//! and S-EnKF parameterizations: every executor's analysis through
+//! `run_cycle` is identical to its serial reference, every variant's cycle
+//! program passes the library's static check and is what both execution
+//! paths trace, and under random seeded fault plans every fault fact is in
+//! the trace exactly once.
 
-use enkf_core::{serial_enkf, BatchedKernel, LocalAnalysis};
+use enkf_core::{serial_denkf, serial_enkf, BatchedKernel, LocalAnalysis};
 use enkf_data::{write_ensemble, ScenarioBuilder};
 use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy};
-use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
+use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork};
 use enkf_health::{HealthMonitor, HealthParams, RouteView};
+use enkf_parallel::program::check;
 use enkf_parallel::{
-    model_cycle, model_denkf_traced, model_lenkf_traced, model_penkf_traced, model_senkf_traced,
-    run_cycle, AssimilationSetup, CycleOp, DEnkf, Geometry, LEnkf, ModelConfig, ModelVariant,
-    PEnkf, Payload, SEnkf,
+    model_cycle, run_cycle, AssimilationSetup, CampaignExecutor, CycleOp, Emitter, Geometry,
+    ModelConfig, ModelVariant,
 };
 use enkf_pfs::{FileStore, ScratchDir};
 use enkf_trace::{FaultKind, Op, OpTag, Role, Span, Trace};
 use enkf_tuning::{Params, Workload};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 /// Bytes per grid point of every store and model in this file.
 const LEVEL_BYTES: u64 = 8;
@@ -66,16 +66,25 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 }
 
 impl Case {
-    /// The four variants at this case's decomposition (D-EnKF shards are
-    /// the latitude blocks).
-    fn variants(&self) -> [ModelVariant; 4] {
+    /// The four executors at this case's decomposition (D-EnKF shards are
+    /// the latitude blocks), D-EnKF with `kernel`.
+    fn executors(&self, kernel: BatchedKernel) -> [CampaignExecutor; 4] {
         let Params { nsdx, nsdy, .. } = self.params;
         [
-            ModelVariant::LEnkf { nsdx, nsdy },
-            ModelVariant::PEnkf { nsdx, nsdy },
-            ModelVariant::SEnkf(self.params),
-            ModelVariant::DEnkf { shards: nsdy },
+            CampaignExecutor::LEnkf { nsdx, nsdy },
+            CampaignExecutor::PEnkf { nsdx, nsdy },
+            CampaignExecutor::SEnkf(self.params),
+            CampaignExecutor::DEnkf {
+                shards: nsdy,
+                kernel,
+            },
         ]
+    }
+
+    /// The four variants at this case's decomposition.
+    fn variants(&self) -> [ModelVariant; 4] {
+        self.executors(BatchedKernel::Cholesky)
+            .map(|exec| exec.variant())
     }
 
     fn layout(&self) -> FileLayout {
@@ -230,6 +239,9 @@ proptest! {
     // count moderate.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// Every executor through the one entry point: L-, P- and S-EnKF equal
+    /// the serial point-wise reference, D-EnKF the serial batched reference
+    /// under both kernels.
     #[test]
     fn parallel_variants_equal_serial_reference(case in case_strategy()) {
         let scenario = ScenarioBuilder::new(case.mesh)
@@ -246,39 +258,36 @@ proptest! {
             observations: &scenario.observations,
             analysis: LocalAnalysis::new(case.radius),
         };
-        let reference =
-            serial_enkf(&scenario.ensemble, &scenario.observations, case.radius).unwrap();
-
-        let (p, _) = PEnkf { nsdx: case.params.nsdx, nsdy: case.params.nsdy }
-            .run(&setup)
-            .unwrap();
-        prop_assert!(
-            p.states().approx_eq(reference.states(), 1e-12),
-            "P-EnKF diverged for {case:?}"
-        );
-
-        let (s, report) = SEnkf::new(case.params).run(&setup).unwrap();
-        prop_assert!(
-            s.states().approx_eq(reference.states(), 1e-12),
-            "S-EnKF diverged for {case:?}"
-        );
-        prop_assert_eq!(report.num_io_ranks, case.params.c1());
-        prop_assert_eq!(report.num_compute_ranks, case.params.c2());
+        let local = serial_enkf(&scenario.ensemble, &scenario.observations, case.radius).unwrap();
+        for kernel in [BatchedKernel::Cholesky, BatchedKernel::ShermanMorrison] {
+            for exec in case.executors(kernel) {
+                let reference = match exec {
+                    CampaignExecutor::DEnkf { .. } => {
+                        serial_denkf(&scenario.ensemble, &scenario.observations, kernel).unwrap()
+                    }
+                    // The local analyses do not depend on the kernel.
+                    _ if kernel != BatchedKernel::Cholesky => continue,
+                    _ => local.clone(),
+                };
+                let (analysis, report, _) =
+                    run_cycle(&setup, exec, &FaultConfig::none(), None).unwrap();
+                prop_assert!(
+                    analysis.states().approx_eq(reference.states(), 1e-12),
+                    "{:?} diverged for {:?}", exec, case
+                );
+                let ranks = exec.variant().rank_counts();
+                prop_assert_eq!((report.num_compute_ranks, report.num_io_ranks), ranks);
+            }
+        }
     }
 
-    /// Static properties of the program alone, under a random dropout set
-    /// and a random blacklist: (a) every `Await` of a rank is fed by exactly
-    /// the `Send`s addressed to that `(rank, stage)`, all of them emitted
-    /// before it, and no `Send` goes unawaited — deadlock-freedom of the
-    /// threaded backend and dependency-soundness of the pricer; (b) the
-    /// `Compute` targets tile the mesh exactly once; (c) the block-table
-    /// rule the threaded interpreter relies on: a `Send` of `members` blocks
-    /// of stage `s` follows, on its rank, `Read`s or `Await`s of stage `s`
-    /// whose last `members` blocks cover its region, and a rank's `Await`s
-    /// are all staged or all unstaged.
-    ///
-    /// An emitter that breaks (a) *hangs* the threaded backend: run this
-    /// test alone under `timeout` before the others when mutating one.
+    /// The static rules of the program alone, under a random dropout set
+    /// and a random blacklist: the library's [`check`] — balance (every
+    /// `Await` fed by exactly the earlier `Send`s to its `(rank, stage)`,
+    /// none unawaited), the block-table rule for blocks and observed rows,
+    /// all-or-none staged `Await`s per rank, and `Compute` targets tiling
+    /// the mesh once — the rules `run_cycle` enforces before any thread
+    /// starts.
     #[test]
     fn programs_are_balanced_and_cover_the_mesh(
         case in case_strategy(),
@@ -303,58 +312,9 @@ proptest! {
             network: Some(&network),
         };
         for variant in case.variants() {
-            // Per `(rank, stage)`: the payloads sent to it and not yet
-            // awaited, and the regions of the blocks it has acquired.
-            let mut in_flight: BTreeMap<(usize, Option<usize>), Vec<Payload>> = BTreeMap::new();
-            let mut acquired: BTreeMap<(usize, Option<usize>), Vec<RegionRect>> = BTreeMap::new();
-            let mut staged_awaits: BTreeMap<usize, bool> = BTreeMap::new();
-            let mut covered = vec![0u32; case.mesh.n()];
-            for (rank, op) in program(&variant, &geo) {
-                match op {
-                    CycleOp::Send { stage, to, payload } => {
-                        in_flight.entry((to, stage)).or_default().push(payload);
-                        if let Payload::Blocks { region, members } = payload {
-                            let held = acquired.get(&(rank, stage)).map_or(&[][..], Vec::as_slice);
-                            prop_assert!(
-                                held.len() >= members
-                                    && held[held.len() - members..]
-                                        .iter()
-                                        .all(|block| block.contains_rect(&region)),
-                                "{:?}: rank {} sends {:?} of stage {:?} from {:?}",
-                                variant, rank, payload, stage, held
-                            );
-                        }
-                    }
-                    CycleOp::Await { stage, sends } => {
-                        let fed = in_flight.remove(&(rank, stage)).unwrap_or_default();
-                        prop_assert_eq!(
-                            fed.len(), sends, "{:?}: rank {} stage {:?}", variant, rank, stage
-                        );
-                        for payload in fed {
-                            if let Payload::Blocks { region, members } = payload {
-                                let held = acquired.entry((rank, stage)).or_default();
-                                held.extend(std::iter::repeat_n(region, members));
-                            }
-                        }
-                        let staged = *staged_awaits.entry(rank).or_insert(stage.is_some());
-                        prop_assert_eq!(
-                            staged, stage.is_some(), "{:?}: rank {} mixes Awaits", variant, rank
-                        );
-                    }
-                    CycleOp::Compute { target, .. } => {
-                        for p in target.iter_points() {
-                            covered[case.mesh.index(p)] += 1;
-                        }
-                    }
-                    CycleOp::Read { stage, member, region } => {
-                        if !dropped.contains(&member) {
-                            acquired.entry((rank, stage)).or_default().push(region);
-                        }
-                    }
-                }
-            }
-            prop_assert!(in_flight.is_empty(), "{variant:?}: unawaited sends {in_flight:?}");
-            prop_assert!(covered.iter().all(|&c| c == 1), "{variant:?} does not tile the mesh");
+            let (compute, io) = variant.rank_counts();
+            let checked = check(&geo, compute + io, &program(&variant, &geo));
+            prop_assert!(checked.is_ok(), "{:?}: {:?}", variant, checked);
         }
     }
 
@@ -386,28 +346,11 @@ proptest! {
             view: None,
             network: Some(scenario.observations.operator().network()),
         };
-        for variant in case.variants() {
-            let (real, model) = match variant {
-                ModelVariant::LEnkf { nsdx, nsdy } => (
-                    LEnkf { nsdx, nsdy }.run_traced(&setup).unwrap().2,
-                    model_lenkf_traced(&cfg, nsdx, nsdy).unwrap().1,
-                ),
-                ModelVariant::PEnkf { nsdx, nsdy } => (
-                    PEnkf { nsdx, nsdy }.run_traced(&setup).unwrap().2,
-                    model_penkf_traced(&cfg, nsdx, nsdy).unwrap().1,
-                ),
-                ModelVariant::SEnkf(p) => (
-                    SEnkf::new(p).run_traced(&setup).unwrap().2,
-                    model_senkf_traced(&cfg, p).unwrap().1,
-                ),
-                ModelVariant::DEnkf { shards } => (
-                    DEnkf { shards, kernel: BatchedKernel::Cholesky }
-                        .run_traced(&setup)
-                        .unwrap()
-                        .2,
-                    model_denkf_traced(&cfg, shards).unwrap().1,
-                ),
-            };
+        let none = FaultConfig::none();
+        for exec in case.executors(BatchedKernel::Cholesky) {
+            let variant = exec.variant();
+            let real = run_cycle(&setup, exec, &none, None).unwrap().2;
+            let model = model_cycle(&cfg, &variant, Default::default(), &none, None).unwrap().1;
             let (compute_ranks, _) = variant.ranks(case.mesh, case.members).unwrap();
             let projected =
                 projected_digest(&program(&variant, &geo), &case.layout(), compute_ranks);
@@ -442,15 +385,11 @@ proptest! {
         };
         let cfg = case.model_cfg();
         let fcfg = storm.config(case.members);
-        for variant in case.variants() {
+        for exec in case.executors(BatchedKernel::Cholesky) {
+            let variant = exec.variant();
             // Two independent monitors, warmed alike: one per world.
             let (real_mon, model_mon) = (storm.monitor(), storm.monitor());
-            let (_, report, real) = match variant {
-                ModelVariant::DEnkf { shards } => DEnkf { shards, kernel: BatchedKernel::Cholesky }
-                    .run_adaptive(&setup, &fcfg, real_mon.as_ref()),
-                _ => run_cycle(&setup, variant, &fcfg, real_mon.as_ref()),
-            }
-            .unwrap();
+            let (_, report, real) = run_cycle(&setup, exec, &fcfg, real_mon.as_ref()).unwrap();
             let (outcome, model) =
                 model_cycle(&cfg, &variant, Default::default(), &fcfg, model_mon.as_ref()).unwrap();
             prop_assert_eq!(&report.dropped_members, &outcome.dropped_members);

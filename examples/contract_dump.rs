@@ -145,13 +145,7 @@ fn dump_cycles() {
                 let (real_mon, model_mon) = (warmed(&variant), warmed(&variant));
                 let real_mon = monitored.then_some(&real_mon);
                 let model_mon = monitored.then_some(&model_mon);
-                let real = match exec {
-                    CampaignExecutor::DEnkf { shards, kernel } => {
-                        DEnkf { shards, kernel }.run_adaptive(&setup, fcfg, real_mon)
-                    }
-                    _ => run_cycle(&setup, variant, fcfg, real_mon),
-                };
-                match real {
+                match run_cycle(&setup, exec, fcfg, real_mon) {
                     Ok((analysis, report, trace)) => println!(
                         "{tag} real trace={} faults={} dropped={:?} members={}",
                         hash(&trace.digest()),

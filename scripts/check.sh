@@ -70,4 +70,7 @@ fi
 echo "==> net code lines per crate (informational; CHANGES.md quotes parent -> change)"
 scripts/loc.sh || true
 
+echo "==> public items per crate (informational; CHANGES.md quotes parent -> change)"
+scripts/api.sh || true
+
 echo "All checks passed."

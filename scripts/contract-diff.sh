@@ -8,7 +8,10 @@
 # * <base-ref> is exported with `git archive` into .bench_build/ (ignored),
 #   exactly as scripts/perf-pairs.sh does; the working tree's
 #   examples/contract_dump.rs is copied into the export, so both sides run
-#   the same dump (it uses only public API both sides have).
+#   the same dump (it uses only public API both sides have). When the
+#   change renames an entry point the dump calls, the working tree's copy
+#   does not build against <base-ref>; <base-ref> then runs its own dump,
+#   which prints the same rows through the old names (the script says so).
 # * Rows matching [allowed-regex] may differ — a PR that fixes a behaviour
 #   names the rows it means to move (this repo tags them `fixed:`).
 #
@@ -32,7 +35,13 @@ fi
 cp examples/contract_dump.rs "$base_src/examples/contract_dump.rs"
 
 echo "==> building the contract dump of $1 ($base_sha) and of the working tree"
-cargo build --release --offline --quiet --example contract_dump --manifest-path "$base_src/Cargo.toml"
+if ! cargo build --release --offline --quiet --example contract_dump \
+    --manifest-path "$base_src/Cargo.toml" 2>/dev/null; then
+    echo "==> the working tree's dump does not build against $1: $1 runs its own"
+    git show "$base_sha:examples/contract_dump.rs" >"$base_src/examples/contract_dump.rs"
+    cargo build --release --offline --quiet --example contract_dump \
+        --manifest-path "$base_src/Cargo.toml"
+fi
 cargo build --release --offline --quiet --example contract_dump
 
 out=.bench_build/contract/$base_sha

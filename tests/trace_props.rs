@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use s_enkf::parallel::model::penkf::model_penkf_traced;
-use s_enkf::parallel::{CycleOp, Geometry, ModelConfig, PhaseBreakdown};
+use s_enkf::parallel::{CycleOp, Emitter, Geometry, ModelConfig, PhaseBreakdown};
 use s_enkf::prelude::*;
 use s_enkf::sim::{Kind, Simulation, Task};
 use s_enkf::trace::Op;
