@@ -32,6 +32,13 @@
 //!   MANIFEST.txt                               # checksums; written last
 //! ```
 
+// ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
+// failure correct use can meet.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use enkf_core::Ensemble;
 use enkf_data::CycleStats;
 use enkf_grid::{FileLayout, Mesh};
@@ -385,8 +392,8 @@ impl CheckpointStore {
             if let Some(t) = tracer.as_deref_mut() {
                 t.restore(Some(k), 8 * n as u64, 1, || ());
             }
-            for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-                states[(i, k)] = f64::from_le_bytes(chunk.try_into().unwrap());
+            for (i, word) in bytes.as_chunks::<8>().0.iter().enumerate() {
+                states[(i, k)] = f64::from_le_bytes(*word);
             }
         }
 
@@ -564,7 +571,8 @@ fn decode_aux(bytes: &[u8], mesh: Mesh, members0: usize) -> Result<DecodedAux, S
         return Err("aux magic mismatch".into());
     }
     let rd_u64 = |off: &mut usize| -> Result<u64, String> {
-        Ok(u64::from_le_bytes(take(off, 8)?.try_into().unwrap()))
+        let word: &[u8; 8] = take(off, 8)?.try_into().map_err(|e| format!("aux: {e}"))?;
+        Ok(u64::from_le_bytes(*word))
     };
     if rd_u64(&mut off)? != n as u64 {
         return Err("aux field size mismatch".into());
@@ -577,8 +585,10 @@ fn decode_aux(bytes: &[u8], mesh: Mesh, members0: usize) -> Result<DecodedAux, S
     let rd_f64s = |off: &mut usize, count: usize| -> Result<Vec<f64>, String> {
         let raw = take(off, 8 * count)?;
         Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|w| f64::from_le_bytes(*w))
             .collect())
     };
     let truth = rd_f64s(&mut off, n)?;

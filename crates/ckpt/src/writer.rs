@@ -31,7 +31,7 @@
 use crate::{CampaignCheckpoint, CheckpointStore};
 use enkf_trace::{RankTracer, Span};
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
 
 #[derive(Default)]
@@ -52,6 +52,19 @@ struct WriterState {
 struct Shared {
     state: Mutex<WriterState>,
     cv: Condvar,
+}
+
+impl Shared {
+    // A poisoned lock is entered as is: every critical section only sets
+    // fields (the write itself runs unlocked), so the state is valid at
+    // every step.
+    fn lock(&self) -> MutexGuard<'_, WriterState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, guard: MutexGuard<'a, WriterState>) -> MutexGuard<'a, WriterState> {
+        self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A background checkpoint writer scoped to a [`std::thread::scope`]
@@ -89,9 +102,9 @@ impl<'scope> AsyncCheckpointer<'scope> {
     /// checkpoint). A failure of a *previous* asynchronous write is
     /// surfaced here (the handed-over checkpoint is then not enqueued).
     pub fn save_async(&self, ckpt: CampaignCheckpoint) -> io::Result<()> {
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.lock();
         while st.pending.is_some() || st.writing {
-            st = self.shared.cv.wait(st).unwrap();
+            st = self.shared.wait(st);
         }
         if let Some(e) = st.error.take() {
             return Err(e);
@@ -107,9 +120,9 @@ impl<'scope> AsyncCheckpointer<'scope> {
     /// deferred write error. After an `Ok` drain the durable frontier
     /// equals the last cycle handed to [`AsyncCheckpointer::save_async`].
     pub fn drain(&self) -> (Vec<Span>, io::Result<()>) {
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.lock();
         while st.pending.is_some() || st.writing {
-            st = self.shared.cv.wait(st).unwrap();
+            st = self.shared.wait(st);
         }
         let spans = std::mem::take(&mut st.spans);
         let res = match st.error.take() {
@@ -123,14 +136,14 @@ impl<'scope> AsyncCheckpointer<'scope> {
     /// the first asynchronous write completes). Monotone non-decreasing;
     /// lags the computed frontier by at most the one in-flight cycle.
     pub fn durable_frontier(&self) -> Option<usize> {
-        self.shared.state.lock().unwrap().durable
+        self.shared.lock().durable
     }
 }
 
 impl Drop for AsyncCheckpointer<'_> {
     fn drop(&mut self) {
         {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = self.shared.lock();
             st.shutdown = true;
         }
         self.shared.cv.notify_all();
@@ -143,7 +156,7 @@ impl Drop for AsyncCheckpointer<'_> {
 fn worker_loop(shared: &Shared, store: &CheckpointStore, tracer: &RankTracer) {
     loop {
         let job = {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             loop {
                 if let Some(c) = st.pending.take() {
                     st.writing = true;
@@ -152,13 +165,13 @@ fn worker_loop(shared: &Shared, store: &CheckpointStore, tracer: &RankTracer) {
                 if st.shutdown {
                     return;
                 }
-                st = shared.cv.wait(st).unwrap();
+                st = shared.wait(st);
             }
         };
         let cycle = job.cycle;
         let mut t = tracer.fork();
         let res = store.save(&job, Some(&mut t));
-        let mut st = shared.state.lock().unwrap();
+        let mut st = shared.lock();
         st.spans.extend(t.into_spans());
         st.writing = false;
         match res {

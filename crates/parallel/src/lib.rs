@@ -77,7 +77,7 @@ pub use model::campaign::{
 pub use model::denkf::{model_denkf, model_denkf_traced};
 pub use model::lenkf::{model_lenkf, model_lenkf_traced};
 pub use model::penkf::{model_penkf, model_penkf_traced};
-pub use model::senkf::{model_senkf, model_senkf_opts, model_senkf_traced, SEnkfModelOptions};
+pub use model::senkf::{model_senkf, model_senkf_traced, SEnkfModelOptions};
 pub use model::{model_cycle, ModelConfig, ModelOutcome};
 pub use program::{CycleOp, Emitter, Geometry, ModelVariant, Payload, Update};
 pub use report::{ExecutionReport, PhaseBreakdown};

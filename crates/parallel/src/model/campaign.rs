@@ -30,7 +30,8 @@
 //!
 //! With `checkpoint: false` the model reproduces the no-recovery-line
 //! baseline: a crash throws away *all* completed cycles, which is the
-//! comparison the Fig. 14-style MTTR sweep (the `campaign_mttr` bin) plots.
+//! comparison the Fig. 14-style MTTR sweep (the reproduction's `mttr` row)
+//! tabulates.
 
 use super::{model_cycle, ModelConfig, ModelOutcome};
 use crate::exec::resolve_dropout;

@@ -3,9 +3,8 @@
 //! The entry points price the [`ModelVariant::SEnkf`] cycle program
 //! ([`crate::program`]) — the same program the real [`crate::SEnkf`] runs.
 
-use crate::model::{model_cycle, model_traced, ModelConfig, ModelOutcome};
+use crate::model::{model_traced, ModelConfig, ModelOutcome};
 use crate::program::ModelVariant;
-use enkf_fault::FaultConfig;
 use enkf_trace::Trace;
 use enkf_tuning::Params;
 
@@ -18,7 +17,7 @@ use enkf_tuning::Params;
 /// stage-`l` analysis depends only on the stage-`l` bundles, so stage
 /// `l+1` I/O overlaps stage `l` computation exactly as in Fig. 7.
 pub fn model_senkf(cfg: &ModelConfig, params: Params) -> Result<ModelOutcome, String> {
-    model_senkf_opts(cfg, params, SEnkfModelOptions::default())
+    model_senkf_traced(cfg, params).map(|(out, _)| out)
 }
 
 /// Ablation switches for the modeled S-EnKF.
@@ -37,16 +36,6 @@ impl Default for SEnkfModelOptions {
             helper_thread: true,
         }
     }
-}
-
-/// [`model_senkf`] with ablation options.
-pub fn model_senkf_opts(
-    cfg: &ModelConfig,
-    params: Params,
-    opts: SEnkfModelOptions,
-) -> Result<ModelOutcome, String> {
-    let variant = ModelVariant::SEnkf(params);
-    model_cycle(cfg, &variant, opts, &FaultConfig::none(), None).map(|(out, ..)| out)
 }
 
 /// [`model_senkf`], additionally returning the virtual-time execution

@@ -18,6 +18,13 @@
 //!   12,000-core experiments.
 //! * [`scratch`] — self-cleaning scratch directories for tests and examples.
 
+// ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
+// failure correct use can meet — every survivor is justified in place.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod model;
 pub mod readahead;
 pub mod resilient;

@@ -126,7 +126,13 @@ pub fn read_stages_ahead_adaptive<E>(
         let reader_tracer = &mut reader_tracer;
         let reader = scope.spawn(move || {
             if FAIL_READER_PANIC.swap(false, Ordering::SeqCst) {
-                panic!("injected read-ahead reader panic (failpoint)");
+                // The one deliberate panic of the crate: a panicking reader
+                // thread is what the failpoint exists to produce, only a
+                // test arms it, and the join contains it.
+                #[allow(clippy::panic)]
+                {
+                    panic!("injected read-ahead reader panic (failpoint)");
+                }
             }
             'stages: for (idx, sr) in stages.iter().enumerate() {
                 let mut bars = Vec::with_capacity(sr.members.len());

@@ -557,7 +557,8 @@ impl FileStore {
             None => File::open(self.member_path(k)).map_err(|e| self.read_error(k, total, e))?,
         };
         let mut slab = self.pool.take_slab();
-        let values = Arc::get_mut(&mut slab).expect("pool slab is unique");
+        // `take_slab` hands out a unique slab, so this never clones.
+        let values = Arc::make_mut(&mut slab);
         // Grows zero-filled, shrinks by truncation: a recycled slab of the
         // steady-state size is neither reallocated nor rewritten here.
         values.resize(total as usize / 8, 0.0);

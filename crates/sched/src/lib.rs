@@ -33,7 +33,7 @@
 //! * [`simulate`] — the multi-campaign DES: virtual arrivals, virtual
 //!   cycle boundaries, completions priced by the single-cycle model at the
 //!   current share. Used by the capacity planner itself and by the
-//!   `scheduler_fairness` bench.
+//!   `fairness` sweep of the reproduction (`examples/reproduce.rs`).
 //! * [`run_real`] — dispatch to the real (threaded) executors: admitted
 //!   jobs run concurrently in deterministic waves under the cluster's rank
 //!   budget, each campaign on its own stores with its trace tagged

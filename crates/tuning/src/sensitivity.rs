@@ -29,17 +29,10 @@ pub fn epsilon_sensitivity(
     epsilons: impl IntoIterator<Item = f64>,
 ) -> Vec<SensitivityPoint> {
     let curve = min_t1_curve(cost, c2, c1_candidates);
-    // Strictly-improving filter, as Algorithm 2 applies.
-    let mut filtered: Vec<CurvePoint> = Vec::new();
-    for pt in curve {
-        if filtered.last().is_none_or(|last| pt.t1 < last.t1) {
-            filtered.push(pt);
-        }
-    }
     epsilons
         .into_iter()
         .filter_map(|epsilon| {
-            economic_choice(&filtered, epsilon).map(|choice| SensitivityPoint { epsilon, choice })
+            economic_choice(&curve, epsilon).map(|choice| SensitivityPoint { epsilon, choice })
         })
         .collect()
 }

@@ -121,26 +121,31 @@ pub fn min_t1_curve(
     out
 }
 
-/// The economic choice (Eqs. 13–14): walk the curve in increasing `C₁`; the
-/// earnings rate of step `m → m+1` is
+/// The economic choice (Eqs. 13–14): walk the curve in increasing `C₁`,
+/// visiting only its strictly-improving points (a `C₁` that does not lower
+/// `T₁` below every cheaper point is never worth buying, and Algorithm 2
+/// records none); the earnings rate of step `m → m+1` is
 /// `r_m = (t₁^m − t₁^{m+1}) / (c₁^{m+1} − c₁^m)`; choose the first point
 /// whose following step earns less than `ε` seconds per extra processor.
 /// Falls back to the last point when every step is still worth its cost.
 pub fn economic_choice(curve: &[CurvePoint], epsilon: f64) -> Option<CurvePoint> {
-    if curve.is_empty() {
-        return None;
+    let mut walk: Vec<CurvePoint> = Vec::new();
+    for &pt in curve {
+        if walk.last().is_none_or(|last| pt.t1 < last.t1) {
+            walk.push(pt);
+        }
     }
-    for m in 0..curve.len() - 1 {
-        let dc = curve[m + 1].c1 as f64 - curve[m].c1 as f64;
+    for step in walk.windows(2) {
+        let dc = step[1].c1 as f64 - step[0].c1 as f64;
         if dc <= 0.0 {
             continue;
         }
-        let r = (curve[m].t1 - curve[m + 1].t1) / dc;
+        let r = (step[0].t1 - step[1].t1) / dc;
         if r < epsilon {
-            return Some(curve[m]);
+            return Some(step[0]);
         }
     }
-    curve.last().copied()
+    walk.last().copied()
 }
 
 /// **Algorithm 2** — full auto-tuning: for each compute cost `C₂` in the
@@ -216,17 +221,14 @@ fn autotune_with_candidates(
         } else {
             by_c1
         };
-        // Strictly-improving C1 points, as Algorithm 2 records them.
-        let mut curve: Vec<CurvePoint> = Vec::new();
-        for (c1, t) in by_c1 {
-            if curve.last().is_none_or(|last| t.t1 < last.t1) {
-                curve.push(CurvePoint {
-                    c1,
-                    t1: t.t1,
-                    params: t.params,
-                });
-            }
-        }
+        let curve: Vec<CurvePoint> = by_c1
+            .into_iter()
+            .map(|(c1, t)| CurvePoint {
+                c1,
+                t1: t.t1,
+                params: t.params,
+            })
+            .collect();
         let Some(choice) = economic_choice(&curve, epsilon) else {
             continue;
         };
@@ -415,6 +417,10 @@ mod tests {
         let greedy = economic_choice(&curve, 1e-9).unwrap();
         assert_eq!(greedy.c1, 8);
         assert!(economic_choice(&[], 0.1).is_none());
+        // A point no better than a cheaper one is never walked: the walk is
+        // 1 → 4 → 8 (rates 1/3, 0.00025), not 1 → 2 (rate −0.5).
+        let bumpy = vec![mk(1, 10.0), mk(2, 10.5), mk(4, 9.0), mk(8, 8.999)];
+        assert_eq!(economic_choice(&bumpy, 0.01).unwrap().c1, 4);
     }
 
     #[test]

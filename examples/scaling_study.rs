@@ -3,8 +3,8 @@
 //! analyses agree at every configuration.
 //!
 //! This is the laptop-scale version of Figure 13; the paper-scale version
-//! runs on the discrete-event model (`cargo run -p enkf-bench --bin
-//! fig13_strong_scaling`).
+//! runs on the discrete-event model (`cargo run --release --example
+//! reproduce -- fig13`).
 //!
 //! ```text
 //! cargo run --release --example scaling_study [-- --trace]
@@ -85,6 +85,6 @@ fn main() {
     println!(
         "\nnote: at laptop scale thread overheads dominate (P {p:.3}s vs S {s:.3}s); the\n\
          paper-scale contention effects live in the discrete-event model (see\n\
-         enkf-bench's fig* binaries)."
+         `cargo run --release --example reproduce`)."
     );
 }

@@ -37,9 +37,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # scheduler conformance, checkpoint restart, cross-variant equivalence,
 # chaos soak, data-plane allocation) and every `enkf-*` crate's unit,
 # integration and property tests, including `enkf-linalg`'s kernel
-# conformance under default features and the `enkf-bench` smoke tests that
-# build and run every experiment bin. The steps below only re-run what
-# differs: profile, features, workspace.
+# conformance under default features and `tests/reproduce.rs`, which
+# asserts the paper's verdicts (`s_enkf::reproduce`). The steps below only
+# re-run what differs: profile, features, workspace.
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -47,6 +47,21 @@ echo "==> allocation regression: steady-state data plane and both local-analysis
 echo "    point kernels are alloc-free (release)"
 cargo test -q --release --test dataplane_alloc_free
 cargo test -q --release -p enkf-core --test alloc_free
+
+echo "==> the paper's verdicts at paper scale, for the rows EXPERIMENTS.md carries,"
+echo "    and its tables against their regeneration (~75 s of release host time)"
+rows=$(sed -n 's/^<!-- reproduce:\([a-z0-9_]*\) -->$/\1/p' EXPERIMENTS.md)
+# shellcheck disable=SC2086 # one argument per row name
+if ! cargo run --release --offline --quiet --example reproduce -- $rows >target/reproduce.md; then
+    grep '^verdict: FAILS' target/reproduce.md >&2
+    exit 1
+fi
+blocks() { sed -n '/^<!-- reproduce:/,/^<!-- \/reproduce -->$/p' "$1"; }
+if ! diff <(blocks EXPERIMENTS.md) <(blocks target/reproduce.md); then
+    echo "EXPERIMENTS.md's tables differ from their regeneration; the blocks to paste:" >&2
+    blocks target/reproduce.md
+    exit 1
+fi
 
 echo "==> kernel conformance without SIMD dispatch"
 cargo test -q -p enkf-linalg --no-default-features

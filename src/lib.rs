@@ -36,6 +36,10 @@
 //!   bandwidth and compute ranks, and a DES-backed capacity planner that
 //!   gates SLAs before dispatch.
 //!
+//! [`reproduce`] is the paper's evaluation as one table: each figure, the
+//! claim made about it, the sweep that regenerates it and the verdict that
+//! checks the claim (`examples/reproduce.rs`, `tests/reproduce.rs`).
+//!
 //! ## Quick start
 //!
 //! ```
@@ -69,6 +73,8 @@ pub use enkf_sched as sched;
 pub use enkf_sim as sim;
 pub use enkf_trace as trace;
 pub use enkf_tuning as tuning;
+
+pub mod reproduce;
 
 /// Everything a typical application needs, importable in one line.
 pub mod prelude {
