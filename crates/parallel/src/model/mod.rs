@@ -19,6 +19,7 @@ use enkf_sim::{Kind, Simulation, Task, TaskId};
 use enkf_trace::{Op, OpTag, Trace};
 use enkf_tuning::Workload;
 use senkf::SEnkfModelOptions;
+use std::cell::Cell;
 
 /// The sends addressed to one `(rank, stage)`, collected until the rank's
 /// `Await` consumes them.
@@ -106,7 +107,36 @@ fn model_traced(cfg: &ModelConfig, variant: ModelVariant) -> Result<(ModelOutcom
 /// Every task carries an [`OpTag`], so the exported trace's operation
 /// digest — and, under a seeded plan, the fault and health digests — equal
 /// the real executor's.
+///
+/// The graph is built in this thread's `ARENA`, cleared rather than freed
+/// between calls.
 pub(crate) fn price_cycle(
+    cfg: &ModelConfig,
+    program: &impl Emitter,
+    network: Option<&ObservationNetwork>,
+    opts: SEnkfModelOptions,
+    fcfg: &FaultConfig,
+    monitor: Option<&HealthMonitor>,
+) -> Result<(ModelOutcome, Trace), String> {
+    // A nested call would find the cell empty and price in a fresh graph.
+    let mut sim = ARENA.take();
+    sim.clear();
+    let priced = price_in(&mut sim, cfg, program, network, opts, fcfg, monitor);
+    ARENA.set(sim);
+    priced
+}
+
+thread_local! {
+    /// The simulation every cycle on this thread is priced in. It keeps the
+    /// capacity of the largest graph the thread has priced, so repeated
+    /// calls — sweeps, campaign replays, admission pricing — stop paying
+    /// for allocation and page faults after the first.
+    static ARENA: Cell<Simulation> = Cell::new(Simulation::new());
+}
+
+/// [`price_cycle`]'s body, in an empty `sim`.
+fn price_in(
+    sim: &mut Simulation,
     cfg: &ModelConfig,
     program: &impl Emitter,
     network: Option<&ObservationNetwork>,
@@ -129,9 +159,8 @@ pub(crate) fn price_cycle(
     let dropped = resolve_dropout(&injector, w.members).map_err(|e| e.to_string())?;
     let drops_messages = fcfg.plan.msg_faults.iter().any(|m| m.dropped);
 
-    let mut sim = Simulation::new();
-    let pfs = ModeledPfs::register(&mut sim, cfg.pfs);
-    let net = ModeledNet::register(&mut sim, cfg.net, c2);
+    let pfs = ModeledPfs::register(sim, cfg.pfs);
+    let net = ModeledNet::register(sim, cfg.net, c2);
     let agents = sim.add_agents(c2 + c1);
     // One mailbox per (compute rank, stage).
     let layers = program.layers();
@@ -161,7 +190,7 @@ pub(crate) fn price_cycle(
                 region,
             } => pfs
                 .add_member_read(
-                    &mut sim,
+                    sim,
                     agent,
                     &injector,
                     monitor,
@@ -188,7 +217,7 @@ pub(crate) fn price_cycle(
                         ..OpTag::default()
                     });
                 let mail = &mut inbox[slot(to, stage)];
-                mail.sends.push(add_task(&mut sim, send)?);
+                mail.sends.push(add_task(sim, send)?);
                 mail.bundle_bytes = bytes;
             }
             CycleOp::Await { stage, sends } => {
@@ -211,7 +240,7 @@ pub(crate) fn price_cycle(
                             bytes: mail.bundle_bytes,
                             ..OpTag::default()
                         });
-                    vec![add_task(&mut sim, ingestion)?]
+                    vec![add_task(sim, ingestion)?]
                 };
             }
             CycleOp::Compute { stage, work, .. } => {
@@ -224,7 +253,7 @@ pub(crate) fn price_cycle(
                         stage,
                         ..OpTag::default()
                     });
-                add_task(&mut sim, analysis)?;
+                add_task(sim, analysis)?;
             }
         }
         Ok(())
@@ -358,5 +387,63 @@ impl ModelOutcome {
             return 0.0;
         }
         (1.0 - self.first_compute_start / self.makespan).clamp(0.0, 1.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use enkf_tuning::Params;
+
+    /// Everything a priced cycle yields, every `f64` as its bit pattern.
+    fn priced(cfg: &ModelConfig, variant: ModelVariant) -> (Vec<u64>, String, String) {
+        let (out, trace) = model_traced(cfg, variant).unwrap();
+        let (c, i) = (&out.compute_mean, &out.io_mean);
+        let bits = [
+            out.makespan,
+            out.first_compute_start,
+            c.read,
+            c.comm,
+            c.compute,
+            c.wait,
+            c.fault,
+            i.read,
+            i.comm,
+            i.compute,
+            i.wait,
+            i.fault,
+        ]
+        .map(f64::to_bits);
+        (
+            bits.to_vec(),
+            trace.digest(),
+            format!("{:?}", trace.spans()),
+        )
+    }
+
+    /// The thread's arena carries nothing from one call into the next:
+    /// pricing A, then a larger B, then A again gives A to the bit.
+    #[test]
+    fn the_arena_carries_nothing_between_calls() {
+        let cfg = ModelConfig {
+            workload: Workload {
+                nx: 240,
+                ny: 120,
+                members: 8,
+                h: 80,
+                xi: 2,
+                eta: 2,
+            },
+            ..ModelConfig::paper()
+        };
+        let a = ModelVariant::SEnkf(Params {
+            nsdx: 6,
+            nsdy: 4,
+            layers: 2,
+            ncg: 2,
+        });
+        let first = priced(&cfg, a);
+        priced(&cfg, ModelVariant::PEnkf { nsdx: 24, nsdy: 12 });
+        assert_eq!(priced(&cfg, a), first);
     }
 }

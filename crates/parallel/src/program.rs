@@ -595,10 +595,13 @@ fn emit_denkf(
         .network
         .ok_or("the D-EnKF program needs the observation network")?;
     let shards = decomp.num_subdomains();
-    let obs_rows: Vec<usize> = decomp
-        .iter_ids()
-        .map(|id| network.indices_in(&decomp.subdomain(id)).len())
-        .collect();
+    // Each shard's observed rows, counted in one pass over the network.
+    let mut obs_rows = vec![0usize; shards];
+    for &p in network.points() {
+        if decomp.mesh().contains(p) {
+            obs_rows[decomp.rank_of(decomp.owner_of(p))] += 1;
+        }
+    }
     let m_total: usize = obs_rows.iter().sum();
     let alive = geo.alive_in(0..geo.members);
     let order = geo.member_order(0..geo.members);

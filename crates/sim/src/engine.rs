@@ -2,6 +2,7 @@
 
 use crate::report::SimReport;
 use crate::task::{AgentId, Kind, ResourceId, Task, TaskId};
+use enkf_trace::OpTag;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -46,38 +47,42 @@ enum State {
     Done,
 }
 
-struct TaskState {
-    agent: AgentId,
-    kind: Kind,
+/// One task's compact record. Its resources are `held[res.0..res.1]`
+/// (ascending, deduplicated); `next_res` is the next one to acquire.
+struct Node {
     service: f64,
-    resources: Vec<ResourceId>, // sorted ascending
-    acquired: usize,
-    remaining_deps: usize,
-    dependents: Vec<TaskId>,
-    state: State,
     ready: f64,
     start: f64,
     finish: f64,
-    op: Option<enkf_trace::OpTag>,
+    agent: u32,
+    res: (u32, u32),
+    next_res: u32,
+    remaining_deps: u32,
+    kind: Kind,
+    state: State,
 }
 
 struct ResourceState {
+    capacity: usize,
     free: usize,
-    queue: VecDeque<TaskId>,
+    queue: VecDeque<u32>,
 }
 
-/// Event-queue key: finish time, then insertion sequence. Times are sums of
-/// the finite non-negative services `add_task` admits — never NaN or
-/// `-0.0` — so `total_cmp` orders them exactly as the derived `<` does.
-#[derive(PartialEq, PartialOrd)]
-struct EventKey(f64, u64);
+/// An event — task `tid`, started `seq`-th, finishes at `finish` — packed
+/// so that integer order is event order: finish time, then start sequence
+/// (unique, so `tid` never decides). Times are sums of the finite
+/// non-negative services `add_task` admits — never NaN or `-0.0` — and such
+/// floats order exactly as their bit patterns do.
+fn event(finish: f64, seq: u32, tid: u32) -> u128 {
+    (u128::from(finish.to_bits()) << 64) | (u128::from(seq) << 32) | u128::from(tid)
+}
 
-impl Eq for EventKey {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for EventKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
+/// A record index. A graph of `u32::MAX` tasks or resource slots would
+/// take hundreds of gigabytes, so this bound is a caller bug, not a
+/// condition a run can meet.
+fn narrow(index: usize) -> u32 {
+    assert!(index < u32::MAX as usize, "DES graph exceeds u32 indices");
+    index as u32
 }
 
 /// A discrete-event simulation under construction (and, after [`Simulation::run`],
@@ -99,28 +104,42 @@ impl Ord for EventKey {
 /// let report = sim.run().unwrap();
 /// assert_eq!(report.makespan, 2.0); // reads serialize; compute hides behind read B
 /// ```
+#[derive(Default)]
 pub struct Simulation {
-    tasks: Vec<TaskState>,
+    nodes: Vec<Node>,
+    ops: Vec<OpTag>,
+    /// Every task's resources, concatenated in task order.
+    held: Vec<ResourceId>,
+    /// `(dependency, dependent)` edges in insertion order.
+    edges: Vec<(u32, u32)>,
     resources: Vec<ResourceState>,
     num_agents: usize,
     last_task_of_agent: Vec<Option<TaskId>>,
-}
-
-impl Default for Simulation {
-    fn default() -> Self {
-        Self::new()
-    }
+    // `run`'s scratch, rebuilt by every run and kept for the next: task
+    // `t`'s dependents are `dependents[offsets[t]..offsets[t + 1]]`.
+    offsets: Vec<usize>,
+    dependents: Vec<u32>,
+    events: BinaryHeap<Reverse<u128>>,
+    started: Vec<u32>,
 }
 
 impl Simulation {
     /// Create an empty simulation.
     pub fn new() -> Self {
-        Simulation {
-            tasks: Vec::new(),
-            resources: Vec::new(),
-            num_agents: 0,
-            last_task_of_agent: Vec::new(),
-        }
+        Self::default()
+    }
+
+    /// Forget the graph — agents, resources, tasks and timings — but keep
+    /// every buffer's capacity, so a simulation reused graph after graph
+    /// allocates only while a graph outgrows the largest before it.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.ops.clear();
+        self.held.clear();
+        self.edges.clear();
+        self.resources.clear();
+        self.num_agents = 0;
+        self.last_task_of_agent.clear();
     }
 
     /// Register a serial execution context (rank thread, helper thread,
@@ -145,6 +164,7 @@ impl Simulation {
         assert!(capacity > 0, "resource capacity must be positive");
         let id = ResourceId(self.resources.len());
         self.resources.push(ResourceState {
+            capacity,
             free: capacity,
             queue: VecDeque::new(),
         });
@@ -153,127 +173,120 @@ impl Simulation {
 
     /// Number of tasks added so far.
     pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
+        self.nodes.len()
     }
 
     /// Add a task; returns its id. Dependencies must already exist. An
     /// implicit dependency on the agent's previous task enforces program
     /// order.
     pub fn add_task(&mut self, task: Task) -> Result<TaskId, SimError> {
-        let id = self.tasks.len();
+        let id = self.nodes.len();
         if !(task.service >= 0.0 && task.service.is_finite()) {
             return Err(SimError::BadService(id));
         }
-        for &r in &task.resources {
-            if r.0 >= self.resources.len() {
-                return Err(SimError::UnknownResource(r));
-            }
+        if let Some(&r) = task.resources.iter().find(|r| r.0 >= self.resources.len()) {
+            return Err(SimError::UnknownResource(r));
         }
-        let mut deps = task.deps;
-        for &d in &deps {
-            if d >= id {
-                return Err(SimError::UnknownDependency(d));
-            }
+        if let Some(&d) = task.deps.iter().find(|&&d| d >= id) {
+            return Err(SimError::UnknownDependency(d));
         }
         // A caller bug: `AgentId`s only come from this simulation's
         // `add_agent`, so a foreign one mixes up two graphs.
         assert!(task.agent.0 < self.num_agents, "unknown agent");
-        if let Some(prev) = self.last_task_of_agent[task.agent.0] {
-            if !deps.contains(&prev) {
-                deps.push(prev);
+        let tid = narrow(id);
+        // Every dependency precedes `tid`, so it fits a `u32` too.
+        self.edges
+            .extend(task.deps.iter().map(|&d| (d as u32, tid)));
+        if let Some(prev) = self.last_task_of_agent[task.agent.0].replace(id) {
+            if !task.deps.contains(&prev) {
+                self.edges.push((prev as u32, tid));
             }
         }
-        self.last_task_of_agent[task.agent.0] = Some(id);
         let mut resources = task.resources;
         resources.sort_unstable();
         resources.dedup();
-        for &d in &deps {
-            self.tasks[d].dependents.push(id);
-        }
-        self.tasks.push(TaskState {
-            agent: task.agent,
-            kind: task.kind,
+        let first = narrow(self.held.len());
+        self.held.extend_from_slice(&resources);
+        self.nodes.push(Node {
             service: task.service,
-            resources,
-            acquired: 0,
-            remaining_deps: deps.len(),
-            dependents: Vec::new(),
-            state: State::WaitingDeps,
             ready: 0.0,
             start: 0.0,
             finish: 0.0,
-            op: task.op,
+            agent: narrow(task.agent.0),
+            res: (first, narrow(self.held.len())),
+            next_res: first,
+            remaining_deps: 0,
+            kind: task.kind,
+            state: State::WaitingDeps,
         });
+        self.ops.push(task.op.unwrap_or_default());
         Ok(id)
     }
 
     /// Run to completion and return the run's summary; the timings stay in
     /// the simulation for [`Simulation::task_times`] and
-    /// [`Simulation::export_trace`].
+    /// [`Simulation::export_trace`]. Every run starts from the graph alone,
+    /// so running twice gives the same timings twice.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
-        let mut events: BinaryHeap<Reverse<(EventKey, TaskId)>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
-        let mut started: Vec<TaskId> = Vec::new();
-
+        self.reset();
+        let mut seq = 0;
         // Seed: tasks with no dependencies are ready at t = 0.
-        let initially_ready: Vec<TaskId> = (0..self.tasks.len())
-            .filter(|&t| self.tasks[t].remaining_deps == 0)
-            .collect();
-        for t in initially_ready {
-            self.mark_ready(t, 0.0, &mut started);
+        for t in 0..self.nodes.len() {
+            if self.nodes[t].remaining_deps == 0 {
+                self.mark_ready(t, 0.0);
+            }
         }
-        Self::flush_started(&mut started, &mut events, &mut seq, &self.tasks, 0.0);
+        self.flush_started(0.0, &mut seq);
 
         let mut finished = 0usize;
         let mut makespan = 0.0f64;
-        while let Some(Reverse((EventKey(now, _), tid))) = events.pop() {
+        while let Some(Reverse(key)) = self.events.pop() {
             // Task `tid` finishes at `now`.
-            debug_assert_eq!(self.tasks[tid].state, State::Running);
-            self.tasks[tid].state = State::Done;
-            self.tasks[tid].finish = now;
+            let now = f64::from_bits((key >> 64) as u64);
+            let tid = key as u32 as usize;
+            let node = &mut self.nodes[tid];
+            debug_assert_eq!(node.state, State::Running);
+            node.state = State::Done;
+            node.finish = now;
+            let (first, end) = node.res;
             makespan = makespan.max(now);
             finished += 1;
 
             // Release resources and wake queued tasks (FIFO).
-            let held: Vec<ResourceId> = self.tasks[tid].resources.clone();
-            for r in held {
-                self.resources[r.0].free += 1;
-                loop {
-                    let rs = &mut self.resources[r.0];
-                    if rs.free == 0 {
-                        break;
-                    }
-                    let Some(next) = rs.queue.pop_front() else {
+            for k in first..end {
+                let r = self.held[k as usize].0;
+                self.resources[r].free += 1;
+                while self.resources[r].free > 0 {
+                    let Some(next) = self.resources[r].queue.pop_front() else {
                         break;
                     };
-                    rs.free -= 1;
-                    self.tasks[next].acquired += 1;
-                    self.try_advance(next, now, &mut started);
+                    self.resources[r].free -= 1;
+                    self.nodes[next as usize].next_res += 1;
+                    self.try_advance(next as usize, now);
                 }
             }
 
             // Notify dependents.
-            let deps = std::mem::take(&mut self.tasks[tid].dependents);
-            for d in &deps {
-                self.tasks[*d].remaining_deps -= 1;
-                if self.tasks[*d].remaining_deps == 0 {
-                    self.mark_ready(*d, now, &mut started);
+            for k in self.offsets[tid]..self.offsets[tid + 1] {
+                let d = self.dependents[k] as usize;
+                self.nodes[d].remaining_deps -= 1;
+                if self.nodes[d].remaining_deps == 0 {
+                    self.mark_ready(d, now);
                 }
             }
-            self.tasks[tid].dependents = deps;
 
-            Self::flush_started(&mut started, &mut events, &mut seq, &self.tasks, now);
+            self.flush_started(now, &mut seq);
         }
 
-        if finished != self.tasks.len() {
+        if finished != self.nodes.len() {
             return Err(SimError::Stuck {
-                unfinished: self.tasks.len() - finished,
+                unfinished: self.nodes.len() - finished,
             });
         }
 
         let mut resource_busy = vec![0.0; self.resources.len()];
-        for t in &self.tasks {
-            for r in &t.resources {
+        for t in &self.nodes {
+            for r in self.held_by(t) {
                 resource_busy[r.0] += t.service;
             }
         }
@@ -286,7 +299,7 @@ impl Simulation {
 
     /// `(ready, start, finish)` times of a task — valid after [`Simulation::run`].
     pub fn task_times(&self, id: TaskId) -> (f64, f64, f64) {
-        let t = &self.tasks[id];
+        let t = &self.nodes[id];
         (t.ready, t.start, t.finish)
     }
 
@@ -299,16 +312,15 @@ impl Simulation {
     /// operation span lasts exactly the service handed to
     /// [`Simulation::add_task`], a wait span exactly `start − ready`.
     pub fn export_trace(&self, label: &str) -> enkf_trace::Trace {
-        use enkf_trace::{Op, OpTag, Role, Span};
+        use enkf_trace::{Op, Role, Span};
         let mut trace = enkf_trace::Trace::new(label);
-        for t in &self.tasks {
+        for (t, &tag) in self.nodes.iter().zip(&self.ops) {
             debug_assert_eq!(
                 t.state,
                 State::Done,
                 "export_trace requires a completed run"
             );
-            let tag = t.op.unwrap_or_default();
-            let rank = t.agent.0;
+            let rank = t.agent as usize;
             let role = if tag.io { Role::Io } else { Role::Compute };
             let wait = t.start - t.ready;
             if wait > 0.0 {
@@ -326,7 +338,7 @@ impl Simulation {
                 Kind::Control => continue,
             };
             trace.push(Span {
-                res: t.resources.first().map(|r| r.0),
+                res: self.held_by(t).first().map(|r| r.0),
                 // The service, not `finish - start`: what the caller
                 // priced, free of the rounding of `now + service`.
                 ..Span::new(rank, role, op, t.start, t.service, tag)
@@ -335,51 +347,84 @@ impl Simulation {
         trace
     }
 
-    fn mark_ready(&mut self, tid: TaskId, now: f64, started: &mut Vec<TaskId>) {
-        let t = &mut self.tasks[tid];
+    fn held_by(&self, t: &Node) -> &[ResourceId] {
+        &self.held[t.res.0 as usize..t.res.1 as usize]
+    }
+
+    /// Rebuild everything a run consumes from the graph: resource slots,
+    /// acquisition cursors, dependency counters and the dependents' CSR —
+    /// a stable counting sort of the edges by dependency, so each list
+    /// keeps insertion order, which is ascending `TaskId`.
+    fn reset(&mut self) {
+        for t in &mut self.nodes {
+            t.next_res = t.res.0;
+            t.remaining_deps = 0;
+            t.state = State::WaitingDeps;
+        }
+        for rs in &mut self.resources {
+            rs.free = rs.capacity;
+            rs.queue.clear();
+        }
+        self.offsets.clear();
+        self.offsets.resize(self.nodes.len() + 1, 0);
+        for &(dep, task) in &self.edges {
+            self.offsets[dep as usize] += 1;
+            self.nodes[task as usize].remaining_deps += 1;
+        }
+        // Inclusive prefix sums: `offsets[d]` is the end of `d`'s list
+        // until the backward placement below walks it to the start.
+        let mut end = 0;
+        for o in &mut self.offsets {
+            end += *o;
+            *o = end;
+        }
+        self.dependents.clear();
+        self.dependents.resize(self.edges.len(), 0);
+        for &(dep, task) in self.edges.iter().rev() {
+            let slot = &mut self.offsets[dep as usize];
+            *slot -= 1;
+            self.dependents[*slot] = task;
+        }
+        self.events.clear();
+        self.started.clear();
+    }
+
+    fn mark_ready(&mut self, tid: usize, now: f64) {
+        let t = &mut self.nodes[tid];
         debug_assert_eq!(t.state, State::WaitingDeps);
         t.state = State::Acquiring;
         t.ready = now;
         // Acquire the first resource (or start immediately when none).
-        self.try_advance(tid, now, started);
+        self.try_advance(tid, now);
     }
 
-    /// Advance a task through its (sorted) resource list. The task has
-    /// already acquired `acquired` resources; try to take the rest. Blocks
-    /// (enqueues) on the first resource without a free slot. When all
-    /// resources are held, records the start time and pushes to `started`.
-    fn try_advance(&mut self, tid: TaskId, now: f64, started: &mut Vec<TaskId>) {
-        loop {
-            let next_idx = self.tasks[tid].acquired;
-            if next_idx == self.tasks[tid].resources.len() {
-                let t = &mut self.tasks[tid];
-                t.state = State::Running;
-                t.start = now;
-                started.push(tid);
-                return;
-            }
-            let r = self.tasks[tid].resources[next_idx];
-            let rs = &mut self.resources[r.0];
+    /// Advance a task through its (sorted) resource list from `next_res`.
+    /// Blocks (enqueues) on the first resource without a free slot. When
+    /// all resources are held, records the start time and pushes to
+    /// `started`.
+    fn try_advance(&mut self, tid: usize, now: f64) {
+        let t = &mut self.nodes[tid];
+        while t.next_res < t.res.1 {
+            let rs = &mut self.resources[self.held[t.next_res as usize].0];
             if rs.free > 0 && rs.queue.is_empty() {
                 rs.free -= 1;
-                self.tasks[tid].acquired += 1;
+                t.next_res += 1;
             } else {
-                rs.queue.push_back(tid);
+                rs.queue.push_back(tid as u32);
                 return;
             }
         }
+        t.state = State::Running;
+        t.start = now;
+        self.started.push(tid as u32);
     }
 
-    fn flush_started(
-        started: &mut Vec<TaskId>,
-        events: &mut BinaryHeap<Reverse<(EventKey, TaskId)>>,
-        seq: &mut u64,
-        tasks: &[TaskState],
-        now: f64,
-    ) {
-        for tid in started.drain(..) {
-            let finish = now + tasks[tid].service;
-            events.push(Reverse((EventKey(finish, *seq), tid)));
+    /// Queue the finish events of the tasks started at `now`; `seq` counts
+    /// starts, which are at most as many as the `u32`-indexed tasks.
+    fn flush_started(&mut self, now: f64, seq: &mut u32) {
+        for tid in self.started.drain(..) {
+            let finish = now + self.nodes[tid as usize].service;
+            self.events.push(Reverse(event(finish, *seq, tid)));
             *seq += 1;
         }
     }
@@ -439,6 +484,48 @@ mod tests {
         assert_eq!(sim.task_times(t2).0, 3.0, "ready when dep finishes");
         assert_eq!(rep.makespan, 4.0);
         assert_eq!(sim.task_times(t2).1, 3.0, "started as soon as ready");
+    }
+
+    #[test]
+    fn running_twice_gives_the_same_makespan() {
+        // Read 3 s → compute 1 s. A second run must not start from the
+        // dependency counters and resource slots the first one spent.
+        let mut sim = Simulation::new();
+        let disk = sim.add_resource(1);
+        let a = sim.add_agent();
+        let b = sim.add_agent();
+        let read = sim
+            .add_task(Task::new(a, Kind::Read, 3.0).with_resources(vec![disk]))
+            .unwrap();
+        let compute = sim
+            .add_task(Task::new(b, Kind::Compute, 1.0).with_deps(vec![read]))
+            .unwrap();
+        let first = sim.run().unwrap();
+        assert_eq!(first.makespan, 4.0);
+        assert_eq!(sim.run().unwrap(), first);
+        assert_eq!(sim.task_times(compute), (3.0, 3.0, 4.0));
+    }
+
+    #[test]
+    fn dependents_ready_at_once_acquire_in_task_order() {
+        // Both readers wait on one task and then contend for one slot: the
+        // lower `TaskId` is granted first (the insertion-order rule).
+        let mut sim = Simulation::new();
+        let disk = sim.add_resource(1);
+        let agents = sim.add_agents(3);
+        let root = sim
+            .add_task(Task::new(agents[0], Kind::Compute, 1.0))
+            .unwrap();
+        let read = |agent| {
+            Task::new(agent, Kind::Read, 1.0)
+                .with_resources(vec![disk])
+                .with_deps(vec![root])
+        };
+        let first = sim.add_task(read(agents[1])).unwrap();
+        let second = sim.add_task(read(agents[2])).unwrap();
+        sim.run().unwrap();
+        assert_eq!(sim.task_times(first), (1.0, 1.0, 2.0));
+        assert_eq!(sim.task_times(second), (1.0, 2.0, 3.0));
     }
 
     #[test]

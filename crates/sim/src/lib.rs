@@ -20,6 +20,21 @@
 //! The engine is deterministic: ties in the event queue are broken by
 //! insertion sequence.
 //!
+//! ## Flat storage
+//!
+//! A paper-scale cycle is ~400k tasks, so a graph lives in a few flat
+//! arrays rather than in per-task vectors: one compact record per task
+//! (`u32` agent and counters, `f64` service and times, a `u32` range into
+//! one sorted, deduplicated resource list), the [`enkf_trace::OpTag`]s
+//! beside them, and the dependency edges appended in insertion order.
+//! [`Simulation::run`] rebuilds the dependents from the edges as a CSR
+//! table by a stable counting sort, so every list is in ascending task
+//! order, and recomputes every counter, so a second run repeats the
+//! first. [`Simulation::clear`] forgets a graph but keeps the buffers: a
+//! simulation reused graph after graph retains the capacity of the
+//! largest one and stops allocating. `enkf-parallel` prices every cycle in
+//! one such simulation per thread.
+//!
 //! ## One record
 //!
 //! A run returns only what no span can say — [`SimReport`]: makespan, task

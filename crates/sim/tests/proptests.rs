@@ -3,26 +3,52 @@
 use enkf_sim::{Kind, Simulation, Task, TaskId};
 use proptest::prelude::*;
 
+const KINDS: [Kind; 5] = [
+    Kind::Read,
+    Kind::Comm,
+    Kind::Compute,
+    Kind::Fault,
+    Kind::Control,
+];
+
+#[derive(Debug, Clone)]
+struct RandomTask {
+    agent: usize,
+    kind: Kind,
+    service: f64,
+    /// Resource indices, in any order and possibly naming one twice.
+    resources: Vec<usize>,
+    /// Dependencies as back-offsets, possibly repeated.
+    dep_offsets: Vec<usize>,
+}
+
 #[derive(Debug, Clone)]
 struct RandomWorkload {
     agents: usize,
-    resources: Vec<usize>,                       // capacities
-    tasks: Vec<(usize, usize, f64, Vec<usize>)>, // (agent, resource?, service, dep offsets)
+    resources: Vec<usize>, // capacities
+    tasks: Vec<RandomTask>,
 }
 
 fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
     (1usize..6, proptest::collection::vec(1usize..4, 1..4)).prop_flat_map(|(agents, resources)| {
         let nres = resources.len();
-        proptest::collection::vec(
-            (
-                0..agents,
-                0..=nres, // == nres means "no resource"
-                0.0f64..2.0,
-                proptest::collection::vec(1usize..8, 0..3),
-            ),
-            1..40,
+        let task = (
+            0..agents,
+            0..KINDS.len(),
+            0.0f64..2.0,
+            proptest::collection::vec(0..nres, 0..4),
+            proptest::collection::vec(1usize..8, 0..4),
         )
-        .prop_map(move |tasks| RandomWorkload {
+            .prop_map(
+                |(agent, kind, service, resources, dep_offsets)| RandomTask {
+                    agent,
+                    kind: KINDS[kind],
+                    service,
+                    resources,
+                    dep_offsets,
+                },
+            );
+        proptest::collection::vec(task, 1..40).prop_map(move |tasks| RandomWorkload {
             agents,
             resources: resources.clone(),
             tasks,
@@ -30,26 +56,50 @@ fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
     })
 }
 
-fn build_and_run(w: &RandomWorkload) -> (Simulation, Vec<TaskId>, enkf_sim::SimReport) {
-    let mut sim = Simulation::new();
+/// Add `w`'s graph to `sim` (empty or cleared) and return the task ids.
+fn build(sim: &mut Simulation, w: &RandomWorkload) -> Vec<TaskId> {
     let agents = sim.add_agents(w.agents);
     let resources: Vec<_> = w.resources.iter().map(|&c| sim.add_resource(c)).collect();
     let mut ids = Vec::new();
-    for (agent, res, service, dep_offsets) in &w.tasks {
-        let mut t = Task::new(agents[*agent], Kind::Compute, *service);
-        if *res < resources.len() {
-            t = t.with_resources(vec![resources[*res]]);
-        }
+    for t in &w.tasks {
         // Dependencies reach back by the given offsets (valid back-edges).
-        let deps: Vec<TaskId> = dep_offsets
+        let deps: Vec<TaskId> = t
+            .dep_offsets
             .iter()
             .filter_map(|&off| ids.len().checked_sub(off))
             .collect();
-        t = t.with_deps(deps);
-        ids.push(sim.add_task(t).unwrap());
+        let task = Task::new(agents[t.agent], t.kind, t.service)
+            .with_resources(t.resources.iter().map(|&r| resources[r]).collect())
+            .with_deps(deps);
+        ids.push(sim.add_task(task).unwrap());
     }
+    ids
+}
+
+fn build_and_run(w: &RandomWorkload) -> (Simulation, Vec<TaskId>, enkf_sim::SimReport) {
+    let mut sim = Simulation::new();
+    let ids = build(&mut sim, w);
     let report = sim.run().unwrap();
     (sim, ids, report)
+}
+
+/// Everything a run yields, with every `f64` as its bit pattern.
+fn fingerprint(sim: &Simulation, ids: &[TaskId], report: &enkf_sim::SimReport) -> String {
+    let bits = |v: f64| v.to_bits();
+    let times: Vec<_> = ids
+        .iter()
+        .map(|&t| sim.task_times(t))
+        .map(|(r, s, f)| (bits(r), bits(s), bits(f)))
+        .collect();
+    let busy: Vec<u64> = report.resource_busy.iter().copied().map(bits).collect();
+    let trace = sim.export_trace("prop");
+    format!(
+        "{} {} {busy:?} {times:?} {} {:?}",
+        bits(report.makespan),
+        report.tasks_executed,
+        trace.digest(),
+        trace.spans()
+    )
 }
 
 proptest! {
@@ -75,7 +125,7 @@ proptest! {
         let mut by_agent: std::collections::HashMap<usize, Vec<(f64, f64)>> = Default::default();
         for (k, &id) in ids.iter().enumerate() {
             let (_, start, finish) = sim.task_times(id);
-            by_agent.entry(w.tasks[k].0).or_default().push((start, finish));
+            by_agent.entry(w.tasks[k].agent).or_default().push((start, finish));
         }
         for intervals in by_agent.values_mut() {
             intervals.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -88,9 +138,9 @@ proptest! {
     #[test]
     fn dependencies_precede_dependents(w in workload_strategy()) {
         let (sim, ids, _) = build_and_run(&w);
-        for (k, (_, _, _, dep_offsets)) in w.tasks.iter().enumerate() {
+        for (k, t) in w.tasks.iter().enumerate() {
             let (_, start, _) = sim.task_times(ids[k]);
-            for &off in dep_offsets {
+            for &off in &t.dep_offsets {
                 if let Some(dep_idx) = k.checked_sub(off) {
                     let (_, _, dep_finish) = sim.task_times(ids[dep_idx]);
                     prop_assert!(dep_finish <= start + 1e-12, "dep finished after dependent start");
@@ -103,10 +153,11 @@ proptest! {
     fn capacity_is_never_exceeded(w in workload_strategy()) {
         let (sim, ids, _) = build_and_run(&w);
         for (r, &cap) in w.resources.iter().enumerate() {
-            // Collect intervals of tasks holding resource r and sweep.
+            // Collect intervals of tasks holding resource r and sweep; a
+            // task naming r twice holds one slot.
             let mut events: Vec<(f64, i64)> = Vec::new();
             for (k, &id) in ids.iter().enumerate() {
-                if w.tasks[k].1 == r && w.tasks[k].2 > 0.0 {
+                if w.tasks[k].resources.contains(&r) && w.tasks[k].service > 0.0 {
                     let (_, start, finish) = sim.task_times(id);
                     events.push((start, 1));
                     events.push((finish, -1));
@@ -126,9 +177,9 @@ proptest! {
     #[test]
     fn makespan_bounded_by_total_and_critical_work(w in workload_strategy()) {
         let (_, _, report) = build_and_run(&w);
-        let total: f64 = w.tasks.iter().map(|t| t.2).sum();
+        let total: f64 = w.tasks.iter().map(|t| t.service).sum();
         prop_assert!(report.makespan <= total + 1e-9, "makespan beyond serial bound");
-        let longest = w.tasks.iter().map(|t| t.2).fold(0.0f64, f64::max);
+        let longest = w.tasks.iter().map(|t| t.service).fold(0.0f64, f64::max);
         prop_assert!(report.makespan >= longest - 1e-12);
     }
 
@@ -144,24 +195,46 @@ proptest! {
 
     #[test]
     fn busy_time_equals_service_sum(w in workload_strategy()) {
-        // Conservation against the *inputs*: per agent, the exported
-        // operation spans last exactly the services handed to `add_task`
-        // (same values, same order, hence bit-equal sums) and the wait
-        // spans exactly `start − ready`.
+        // Conservation against the *inputs*: per agent and kind, the
+        // exported operation spans last exactly the services handed to
+        // `add_task` (same values, same order, hence bit-equal sums; control
+        // tasks emit none) and the wait spans exactly `start − ready`.
         let (sim, ids, _) = build_and_run(&w);
         let phases = sim.export_trace("prop").per_rank_phases();
         for agent in 0..w.agents {
-            let mine = || (0..ids.len()).filter(|&k| w.tasks[k].0 == agent);
-            let service: f64 = mine().map(|k| w.tasks[k].2).sum();
+            let mine = || (0..ids.len()).filter(|&k| w.tasks[k].agent == agent);
+            let service = |kind: Kind| -> f64 {
+                mine().filter(|&k| w.tasks[k].kind == kind).map(|k| w.tasks[k].service).sum()
+            };
             let wait: f64 = mine()
                 .map(|k| sim.task_times(ids[k]))
                 .map(|(ready, start, _)| start - ready)
                 .filter(|&stall| stall > 0.0)
                 .sum();
             let p = phases.get(&agent).copied().unwrap_or_default();
-            prop_assert_eq!(p.compute, service);
+            prop_assert_eq!(p.read, service(Kind::Read));
+            prop_assert_eq!(p.comm, service(Kind::Comm));
+            prop_assert_eq!(p.compute, service(Kind::Compute));
+            prop_assert_eq!(p.fault, service(Kind::Fault));
             prop_assert_eq!(p.wait, wait);
-            prop_assert_eq!(p.total(), service + wait);
+        }
+    }
+
+    #[test]
+    fn a_cleared_simulation_matches_a_fresh_one(
+        first in workload_strategy(),
+        second in workload_strategy(),
+    ) {
+        // Reused after `clear()`, and run twice: every run starts from the
+        // graph alone.
+        let (mut reused, _, _) = build_and_run(&first);
+        reused.clear();
+        let ids = build(&mut reused, &second);
+        let (fresh, fresh_ids, fresh_report) = build_and_run(&second);
+        let expected = fingerprint(&fresh, &fresh_ids, &fresh_report);
+        for _ in 0..2 {
+            let report = reused.run().unwrap();
+            prop_assert_eq!(fingerprint(&reused, &ids, &report), expected.clone());
         }
     }
 }

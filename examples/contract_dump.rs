@@ -17,11 +17,16 @@
 //!   cycle digests, statistics, recoveries, the campaign trace digest.
 //! * `model` rows — the campaign model of the same table × {sync,
 //!   pipelined, no checkpoints}: every `CampaignModelOutcome` field.
+//! * `paper` rows — the claimed scale, where thousands of tasks queue ready
+//!   at once: the four `des_paper_scale` cycles of the perf ledger at 1,200
+//!   ranks and Fig. 13's 12,000-rank P-/S-EnKF point, S-EnKF autotuned as
+//!   each of them tunes it; the same fields as a `cycle` model row.
 
 use s_enkf::ckpt::fnv64;
 use s_enkf::core::BatchedKernel;
 use s_enkf::parallel::{BackoffClock, CkptMode};
 use s_enkf::prelude::*;
+use s_enkf::trace::Trace;
 
 const MEMBERS: usize = 4;
 const CYCLES: usize = 3;
@@ -95,6 +100,24 @@ fn phases(p: &PhaseBreakdown) -> String {
     bits(&[p.read, p.comm, p.compute, p.wait, p.fault])
 }
 
+/// A modeled cycle's trace and fault digests and every [`ModelOutcome`]
+/// field.
+fn outcome(out: &ModelOutcome, trace: &Trace) -> String {
+    format!(
+        "trace={} faults={} dropped={:?} ranks={}+{} makespan={} first_compute={} \
+         compute=[{}] io=[{}]",
+        hash(&trace.digest()),
+        hash(&trace.fault_digest(&out.dropped_members)),
+        out.dropped_members,
+        out.num_compute_ranks,
+        out.num_io_ranks,
+        bits(&[out.makespan]),
+        bits(&[out.first_compute_start]),
+        phases(&out.compute_mean),
+        phases(&out.io_mean),
+    )
+}
+
 /// A monitor that has folded one cycle of the storm (through the model, so
 /// both sides' monitors warm identically).
 fn warmed(variant: &ModelVariant) -> HealthMonitor {
@@ -158,19 +181,7 @@ fn dump_cycles() {
                 let modeled =
                     model_cycle(&model_cfg(3), &variant, Default::default(), fcfg, model_mon);
                 match modeled {
-                    Ok((out, trace)) => println!(
-                        "{tag} model trace={} faults={} dropped={:?} ranks={}+{} \
-                         makespan={} first_compute={} compute=[{}] io=[{}]",
-                        hash(&trace.digest()),
-                        hash(&trace.fault_digest(&out.dropped_members)),
-                        out.dropped_members,
-                        out.num_compute_ranks,
-                        out.num_io_ranks,
-                        bits(&[out.makespan]),
-                        bits(&[out.first_compute_start]),
-                        phases(&out.compute_mean),
-                        phases(&out.io_mean),
-                    ),
+                    Ok((out, trace)) => println!("{tag} model {}", outcome(&out, &trace)),
                     Err(e) => println!("{tag} model error={e}"),
                 }
                 if let (Some(r), Some(m)) = (real_mon, model_mon) {
@@ -343,8 +354,41 @@ fn dump_model_campaign(name: &str, variant: &ModelVariant, case: &Case) {
     }
 }
 
+/// The `paper` rows: `(np, variant)` on the paper-scale configuration; the
+/// perf ledger tunes with `ε = 1e-3`, the Fig. 13 sweep with `2e-2`.
+fn dump_paper() {
+    let cfg = ModelConfig::paper();
+    let tuned = |np, eps| {
+        let tuned = autotune(&cfg.cost_params(), np, eps).expect("autotune");
+        ModelVariant::SEnkf(tuned.params)
+    };
+    let points = [
+        (1_200, tuned(1_200, 1e-3)),
+        (1_200, ModelVariant::PEnkf { nsdx: 30, nsdy: 40 }),
+        (1_200, ModelVariant::LEnkf { nsdx: 30, nsdy: 40 }),
+        (1_200, ModelVariant::DEnkf { shards: 120 }),
+        (
+            12_000,
+            ModelVariant::PEnkf {
+                nsdx: 120,
+                nsdy: 100,
+            },
+        ),
+        (12_000, tuned(12_000, 2e-2)),
+    ];
+    for (np, variant) in points {
+        let tag = format!("paper {np} {variant:?}");
+        let none = FaultConfig::none();
+        match model_cycle(&cfg, &variant, Default::default(), &none, None) {
+            Ok((out, trace)) => println!("{tag} {}", outcome(&out, &trace)),
+            Err(e) => println!("{tag} error={e}"),
+        }
+    }
+}
+
 fn main() {
     dump_cycles();
+    dump_paper();
     for case in cases() {
         for (name, exec) in executors() {
             for mode in [CkptMode::Sync, CkptMode::Pipelined] {

@@ -49,7 +49,7 @@ cargo test -q --release --test dataplane_alloc_free
 cargo test -q --release -p enkf-core --test alloc_free
 
 echo "==> the paper's verdicts at paper scale, for the rows EXPERIMENTS.md carries,"
-echo "    and its tables against their regeneration (~75 s of release host time)"
+echo "    and its tables against their regeneration (~37 s of release host time, 2 cores)"
 rows=$(sed -n 's/^<!-- reproduce:\([a-z0-9_]*\) -->$/\1/p' EXPERIMENTS.md)
 # shellcheck disable=SC2086 # one argument per row name
 if ! cargo run --release --offline --quiet --example reproduce -- $rows >target/reproduce.md; then

@@ -3,7 +3,7 @@
 //! 2 and the ablations at paper scale; Fig. 12 and the campaign, scheduler
 //! and batched sweeps on the tiny workload). The scaling sweep behind Figs.
 //! 1, 9, 11 and 13 and Algorithm 2 is priced once for the whole binary.
-//! Fig. 14 (35 s in a debug build) is asserted at paper scale by
+//! Fig. 14 (29 s in a debug build, 2 cores) is asserted at paper scale by
 //! `scripts/check.sh`; the module's unit tests feed each kind of verdict a
 //! doctored table that must fail.
 
