@@ -112,7 +112,7 @@ pub fn rank_shares(capacity: usize, demands: &[Demand]) -> Vec<usize> {
     order.sort_by(|&a, &b| {
         let fa = real[a] - real[a].floor();
         let fb = real[b] - real[b].floor();
-        fb.partial_cmp(&fa).unwrap().then(a.cmp(&b))
+        fb.total_cmp(&fa).then(a.cmp(&b))
     });
     for i in order {
         if leftover == 0 {

@@ -15,7 +15,8 @@ use crate::tenant::TenantId;
 pub struct JobId {
     /// Owning tenant.
     pub tenant: TenantId,
-    /// Submission sequence number within the tenant, from 0.
+    /// Submission sequence number within the tenant, from 0. A submit the
+    /// planner priced keeps its number even if it is then refused.
     pub seq: u32,
 }
 
@@ -53,7 +54,8 @@ pub struct JobSpec {
     /// schedule, so admission reasoning and execution can't disagree.
     pub ckpt_mode: CkptMode,
     /// DES model for capacity planning; `None` opts out of SLA admission
-    /// (the job is best-effort and only rank/quota-gated).
+    /// (the job is best-effort, only rank/quota-gated, and priced at zero
+    /// virtual seconds).
     pub model: Option<JobModel>,
     /// Service-level agreement: the most virtual seconds the campaign may
     /// take from dispatch to completion. Requires `model`.
@@ -125,11 +127,17 @@ impl DesPlanner {
         Self::default()
     }
 
-    /// Price a one-shot spec without an id (solo predictions).
+    /// Price a one-shot spec without an id (solo predictions). A spec
+    /// without a model costs nothing; one whose model the campaign DES
+    /// refuses costs NaN, and [`Scheduler::submit`](crate::Scheduler::submit)
+    /// refuses any job whose solo prediction is not finite.
     pub fn price(spec: &JobSpec, share: f64) -> StepCost {
-        let model = spec
-            .model
-            .expect("capacity planning requires a JobSpec with a model");
+        let Some(model) = spec.model else {
+            return StepCost {
+                cycle: 0.0,
+                init: 0.0,
+            };
+        };
         let shared = model.cfg.with_bandwidth_share(share);
         let run = |cycles: usize| {
             let plan = CampaignModelPlan {
@@ -138,10 +146,8 @@ impl DesPlanner {
                 pipelined: spec.ckpt_mode == CkptMode::Pipelined,
                 restart: spec.campaign.restart,
             };
-            let (out, _trace) =
-                model_campaign(&shared, &model.variant, &plan, &FaultConfig::none())
-                    .expect("campaign model failed");
-            out.makespan
+            let modeled = model_campaign(&shared, &model.variant, &plan, &FaultConfig::none());
+            modeled.map_or(f64::NAN, |(out, _trace)| out.makespan)
         };
         // The steady-state step is the 2-cycle/1-cycle makespan difference
         // — exact for both commit modes: synchronous campaigns add
@@ -165,19 +171,5 @@ impl Planner for DesPlanner {
             .cache
             .entry((id, share.to_bits()))
             .or_insert_with(|| DesPlanner::price(spec, share))
-    }
-}
-
-/// A planner that prices every step at zero — for best-effort scheduling
-/// paths (the real dispatcher) where no SLA reasoning happens.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoPlanner;
-
-impl Planner for NoPlanner {
-    fn step(&mut self, _id: JobId, _spec: &JobSpec, _share: f64) -> StepCost {
-        StepCost {
-            cycle: 0.0,
-            init: 0.0,
-        }
     }
 }

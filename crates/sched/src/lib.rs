@@ -28,19 +28,29 @@
 //!   across reruns of the same seed — the property the conformance and
 //!   property suites pin.
 //!
-//! Two drivers share the scheduler core:
+//! One dispatch loop ([`des`]) drives the scheduler core in virtual time:
+//! arrivals, cycle boundaries priced by the planner at the current share,
+//! rebalances, dispatches, completions. It reports each dispatch and each
+//! final completion to its caller and reads nothing back. Two entry points
+//! follow it:
 //!
-//! * [`simulate`] — the multi-campaign DES: virtual arrivals, virtual
-//!   cycle boundaries, completions priced by the single-cycle model at the
-//!   current share. Used by the capacity planner itself and by the
+//! * [`simulate`] — the multi-campaign DES: it only prices. Used by the
 //!   `fairness` sweep of the reproduction (`examples/reproduce.rs`).
-//! * [`run_real`] — dispatch to the real (threaded) executors: admitted
-//!   jobs run concurrently in deterministic waves under the cluster's rank
-//!   budget, each campaign on its own stores with its trace tagged
-//!   `(tenant, job)`. Isolation is an invariant, not an aspiration: a
-//!   campaign scheduled next to strangers produces bit-identical stats,
-//!   ensembles and trace digests to the same campaign run alone
+//! * [`run_real`] — the same loop, executed: each dispatched campaign runs
+//!   on the real (threaded) executors from its dispatch to its priced
+//!   completion, on its own stores, with its trace tagged `(tenant, job)`.
+//!   Its scheduling outcome equals [`simulate`]'s for the same arguments.
+//!   Isolation is an invariant, not an aspiration: a campaign scheduled
+//!   next to strangers produces bit-identical stats, ensembles and trace
+//!   digests to the same campaign run alone
 //!   (`tests/scheduler_conformance.rs`).
+
+// Outside tests nothing in this crate may panic on a failure correct use
+// can meet: a malformed submit is a typed `SubmitError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod des;
 pub mod fair;
@@ -49,9 +59,11 @@ pub mod real;
 pub mod scheduler;
 pub mod tenant;
 
-pub use des::{simulate, JobRecord, MixOutcome, ShareCheck};
+pub use des::{simulate, JobRecord, MixOutcome};
 pub use fair::{min_share_floor, rank_shares, weighted_max_min, Demand};
-pub use job::{DesPlanner, JobId, JobModel, JobSpec, NoPlanner, Planner, StepCost};
-pub use real::{run_real, RealDispatch, RealOutcome, RealResult};
-pub use scheduler::{ClusterCapacity, JobState, SchedConfig, Scheduler, SharePolicy, SubmitError};
+pub use job::{DesPlanner, JobId, JobModel, JobSpec, Planner, StepCost};
+pub use real::run_real;
+pub use scheduler::{
+    ClusterCapacity, JobState, SchedConfig, Scheduler, ShareCheck, SharePolicy, SubmitError,
+};
 pub use tenant::{Quota, TenantId, TenantSpec};

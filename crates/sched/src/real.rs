@@ -1,150 +1,76 @@
-//! The real dispatcher: admitted campaigns run on the threaded executors,
-//! concurrently, in deterministic waves under the cluster's rank budget.
+//! Real execution: the dispatch loop of [`crate::des`], carried out.
 //!
-//! The same [`Scheduler`] that drives the DES makes every decision here,
-//! so the decision log of a real run is comparable (and, for the same
-//! inputs, identical) to a simulated one. Execution is wave-based: the
-//! dispatcher admits jobs until the rank budget or a quota stops it, runs
-//! that wave to completion on scoped threads, retires it, and admits the
-//! next — the join barrier is what keeps the decision sequence
-//! independent of OS thread timing.
+//! [`run_real`] runs the same loop [`crate::simulate`] runs, with the same
+//! planner, and acts on its steps: a campaign's thread is spawned when the
+//! loop dispatches it and joined when the loop's priced completion frees
+//! its ranks. The threads in flight are therefore always a subset of the
+//! loop's running set, so the rank budget holds in wall time too. The loop
+//! reads no real outcome — a campaign that fails, or runs slower than
+//! priced, frees its ranks at its priced completion — so the decisions,
+//! their digest and the whole [`MixOutcome`] equal the simulated ones.
 //!
 //! Isolation is structural: each campaign gets its own `FileStore` and
 //! `CheckpointStore`, the executors are deterministic, and trace digests
-//! ignore durations and tenant tags. A campaign that shares its wave with
-//! strangers is therefore bit-identical — stats, cycle digests, final
-//! ensemble, trace digest — to the same campaign run alone, which
+//! ignore durations and tenant tags. A campaign that runs beside strangers
+//! is therefore bit-identical — stats, cycle digests, final ensemble,
+//! trace digest — to the same campaign run alone, which
 //! `tests/scheduler_conformance.rs` pins as the isolation invariant.
 //! Campaign backoff clocks are virtual ([`BackoffClock::Virtual`]) so a
-//! tenant's fault-recovery stalls never block the wave on wall sleeps.
+//! tenant's fault-recovery stalls never block a join on wall sleeps.
 
 use enkf_ckpt::CheckpointStore;
 use enkf_parallel::{run_campaign_ctx, BackoffClock, CampaignCtx, CampaignError, CampaignReport};
 use enkf_pfs::FileStore;
 use std::collections::BTreeMap;
 
-use crate::job::{JobId, JobSpec, NoPlanner};
-use crate::scheduler::{SchedConfig, Scheduler, SubmitError};
+use crate::des::{dispatch, MixOutcome, Step};
+use crate::job::{JobId, JobSpec, Planner};
+use crate::scheduler::SchedConfig;
 use crate::tenant::{TenantId, TenantSpec};
 
-/// One campaign handed to the real dispatcher: who owns it, what to run,
-/// and the (per-campaign, isolated) stores to run it against.
-pub struct RealDispatch<'a> {
-    /// Owning tenant.
-    pub tenant: TenantId,
-    /// The job.
-    pub spec: JobSpec,
-    /// The campaign's working store.
-    pub work: &'a FileStore,
-    /// The campaign's checkpoint store.
-    pub ckpt: &'a CheckpointStore,
-}
-
-/// One campaign's real execution result.
-#[derive(Debug)]
-pub struct RealResult {
-    /// The job.
-    pub id: JobId,
-    /// Which dispatch wave ran it (0-based).
-    pub wave: usize,
-    /// The campaign report, or how it failed.
-    pub report: Result<CampaignReport, CampaignError>,
-}
-
-/// What a real dispatch run produced.
-#[derive(Debug)]
-pub struct RealOutcome {
-    /// Per-campaign results, in dispatch order.
-    pub results: Vec<RealResult>,
-    /// Submits the scheduler refused: `(tenant, why)` in input order.
-    pub rejected: Vec<(TenantId, SubmitError)>,
-    /// Jobs admitted to the queue but never dispatchable (e.g. a
-    /// `max_running` quota of zero).
-    pub unscheduled: Vec<JobId>,
-    /// The decision log.
-    pub decisions: Vec<String>,
-    /// FNV-64 of the decision log.
-    pub decisions_digest: u64,
-}
-
-/// Run `jobs` from `tenants` on the real executors under `cfg`'s rank
-/// budget and policy. Submission order is the input order (all at wave 0);
-/// wave boundaries are the virtual timestamps in the decision log.
-pub fn run_real(
+/// Run `arrivals` from `tenants` on the real executors under `cfg`, with
+/// the decisions [`crate::simulate`] takes for the same arguments.
+/// `stores[i]` is arrival `i`'s work and checkpoint store; an admitted
+/// arrival without one fails with [`CampaignError::Io`]. Returns the
+/// scheduling outcome and each campaign's report, in completion order.
+#[allow(clippy::type_complexity)]
+pub fn run_real<P: Planner>(
     cfg: &SchedConfig,
     tenants: &[TenantSpec],
-    jobs: Vec<RealDispatch<'_>>,
-) -> RealOutcome {
-    let mut sched = Scheduler::new(*cfg, NoPlanner);
-    for t in tenants {
-        sched.add_tenant(*t);
-    }
-    let mut pending: BTreeMap<JobId, RealDispatch<'_>> = BTreeMap::new();
-    let mut rejected = Vec::new();
-    for d in jobs {
-        match sched.submit(0.0, d.tenant, d.spec.clone()) {
-            Ok(id) => {
-                pending.insert(id, d);
+    arrivals: &[(f64, TenantId, JobSpec)],
+    stores: &[(&FileStore, &CheckpointStore)],
+    planner: P,
+) -> (
+    MixOutcome,
+    Vec<(JobId, Result<CampaignReport, CampaignError>)>,
+) {
+    std::thread::scope(|s| {
+        let mut running = BTreeMap::new();
+        let mut reports = Vec::new();
+        let outcome = dispatch(cfg, tenants, arrivals, planner, |_, step| match step {
+            Step::Start(id, i) => {
+                let (_, _, spec) = &arrivals[i];
+                let stores = stores.get(i).copied();
+                let ctx = CampaignCtx {
+                    tenant: Some((id.tenant.0, id.seq)),
+                    backoff: BackoffClock::Virtual,
+                    ckpt_mode: spec.ckpt_mode,
+                    health: None,
+                };
+                let campaign = s.spawn(move || {
+                    let missing = || std::io::Error::other(format!("no stores for job {id}"));
+                    let (work, ckpt) = stores.ok_or_else(missing).map_err(CampaignError::Io)?;
+                    run_campaign_ctx(work, ckpt, &spec.exec, &spec.campaign, &spec.fault, &ctx)
+                });
+                running.insert(id, campaign);
             }
-            Err(e) => rejected.push((d.tenant, e)),
-        }
-    }
-
-    let mut results: Vec<RealResult> = Vec::new();
-    let mut wave = 0usize;
-    while !sched.queued().is_empty() {
-        let dispatched = sched.try_dispatch(wave as f64);
-        if dispatched.is_empty() {
-            break;
-        }
-        // Run the whole wave to completion on scoped threads; joining in
-        // dispatch order keeps the result sequence deterministic.
-        let wave_jobs: Vec<(JobId, &RealDispatch<'_>)> = dispatched
-            .iter()
-            .map(|id| (*id, pending.get(id).expect("dispatched job was submitted")))
-            .collect();
-        let reports: Vec<Result<CampaignReport, CampaignError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = wave_jobs
-                .iter()
-                .map(|(id, d)| {
-                    let ctx = CampaignCtx {
-                        tenant: Some((id.tenant.0, id.seq)),
-                        backoff: BackoffClock::Virtual,
-                        ckpt_mode: d.spec.ckpt_mode,
-                        health: None,
-                    };
-                    s.spawn(move || {
-                        run_campaign_ctx(
-                            d.work,
-                            d.ckpt,
-                            &d.spec.exec,
-                            &d.spec.campaign,
-                            &d.spec.fault,
-                            &ctx,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign thread panicked"))
-                .collect()
+            Step::Finish(id) => {
+                if let Some(campaign) = running.remove(&id) {
+                    let report = campaign.join();
+                    reports.push((id, report.unwrap_or_else(|p| std::panic::resume_unwind(p))));
+                }
+            }
         });
-        drop(wave_jobs);
-        let end = (wave + 1) as f64;
-        for (id, report) in dispatched.into_iter().zip(reports) {
-            sched.finish_job(id, end);
-            pending.remove(&id);
-            results.push(RealResult { id, wave, report });
-        }
-        wave += 1;
-    }
-
-    RealOutcome {
-        results,
-        rejected,
-        unscheduled: sched.queued().to_vec(),
-        decisions: sched.decisions().to_vec(),
-        decisions_digest: sched.decisions_digest(),
-    }
+        (outcome, reports)
+    })
 }

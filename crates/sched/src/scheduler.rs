@@ -1,15 +1,16 @@
 //! The scheduler core: admission queue, quotas, fair shares, dispatch.
 //!
-//! One `Scheduler` instance is driven either in virtual time (the
-//! multi-campaign DES, [`crate::simulate`]) or in wall time (the real
-//! dispatcher, [`crate::run_real`]). All scheduling state — queued and
-//! running jobs, per-tenant accounting, the decision log — lives here, so
-//! both drivers take identical admission and fairness decisions.
+//! All scheduling state — queued and running jobs, per-tenant accounting,
+//! the decision log — lives here. One dispatch loop drives it in virtual
+//! time ([`crate::des`]); [`crate::simulate`] and [`crate::run_real`] both
+//! follow that loop, so they take identical admission and fairness
+//! decisions by construction.
 //!
 //! Admission control at submit:
 //!
-//! * unknown tenants and jobs larger than the whole machine are rejected
-//!   outright;
+//! * unknown tenants, jobs larger than the whole machine and malformed
+//!   submits (a non-finite time, a bandwidth demand outside `(0, 1]`, a
+//!   model the planner cannot price) are rejected outright;
 //! * per-tenant rate limits (minimum submit gap) and queue-depth quotas
 //!   produce typed backpressure — the caller is told to retry, the queue
 //!   never grows without bound;
@@ -124,6 +125,9 @@ pub enum SubmitError {
         /// The requested deadline.
         sla: f64,
     },
+    /// The submit carries a value the scheduler cannot order or price;
+    /// the text says which.
+    Malformed(&'static str),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -145,6 +149,7 @@ impl std::fmt::Display for SubmitError {
                     "SLA unattainable: solo prediction {predicted:.3}s > {sla:.3}s"
                 )
             }
+            SubmitError::Malformed(why) => write!(f, "malformed submit: {why}"),
         }
     }
 }
@@ -226,11 +231,6 @@ impl<P: Planner> Scheduler<P> {
         self.tenants.insert(spec.id, spec);
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SchedConfig {
-        &self.cfg
-    }
-
     /// A job's state (submitted jobs only).
     pub fn job(&self, id: JobId) -> Option<&JobState> {
         self.jobs.get(&id)
@@ -306,6 +306,12 @@ impl<P: Planner> Scheduler<P> {
         let Some(tspec) = self.tenants.get(&tenant).copied() else {
             return Err(SubmitError::UnknownTenant(tenant));
         };
+        if !now.is_finite() {
+            return Err(SubmitError::Malformed("submit time is not finite"));
+        }
+        if !(spec.bw_demand > 0.0 && spec.bw_demand <= 1.0) {
+            return Err(SubmitError::Malformed("bandwidth demand is outside (0, 1]"));
+        }
         let ranks = spec.ranks();
         if ranks > self.cfg.capacity.ranks {
             self.log(
@@ -336,29 +342,29 @@ impl<P: Planner> Scheduler<P> {
                 max_queued: tspec.quota.max_queued,
             });
         }
+        // The id is spent before the planner prices the job under it, so a
+        // refused job's cached price is never handed to the tenant's next.
+        let seq = self.next_seq.entry(tenant).or_insert(0);
+        let id = JobId { tenant, seq: *seq };
+        *seq += 1;
         // SLA feasibility: price the job alone on the machine. A deadline
         // that fails even solo can never be met and is refused now.
-        let solo_prediction = if spec.model.is_some() {
-            let seq = *self.next_seq.get(&tenant).unwrap_or(&0);
-            let id = JobId { tenant, seq };
-            let solo_share = spec
-                .bw_demand
-                .min(self.health_factor)
-                .max(f64::MIN_POSITIVE);
-            let step = self.planner.step(id, &spec, solo_share);
-            Some(step.init + spec.campaign.cycles as f64 * step.cycle)
-        } else {
-            None
-        };
+        let solo_prediction = spec.model.map(|_| {
+            let solo_share = spec.bw_demand.min(self.health_factor);
+            let step = self
+                .planner
+                .step(id, &spec, solo_share.max(f64::MIN_POSITIVE));
+            step.init + spec.campaign.cycles as f64 * step.cycle
+        });
+        if solo_prediction.is_some_and(|p| !p.is_finite()) {
+            return Err(SubmitError::Malformed("the planner cannot price the model"));
+        }
         if let (Some(sla), Some(predicted)) = (spec.sla, solo_prediction) {
             if predicted > sla {
                 self.log(now, format!("reject tenant={tenant} sla-unattainable"));
                 return Err(SubmitError::SlaUnattainable { predicted, sla });
             }
         }
-        let seq = self.next_seq.entry(tenant).or_insert(0);
-        let id = JobId { tenant, seq: *seq };
-        *seq += 1;
         self.last_submit.insert(tenant, now);
         let cycles = spec.campaign.cycles;
         self.jobs.insert(
@@ -422,7 +428,7 @@ impl<P: Planner> Scheduler<P> {
         let demands = self.bw_demands(&running);
         let mut entries = Vec::with_capacity(running.len());
         for ((id, share), demand) in running.iter().zip(&shares).zip(&demands) {
-            self.jobs.get_mut(id).expect("running job exists").share = *share;
+            self.jobs.entry(*id).and_modify(|st| st.share = *share);
             entries.push((*id, demand.weight, demand.demand, *share));
         }
         self.share_checks.push(ShareCheck { time: now, entries });
@@ -475,22 +481,13 @@ impl<P: Planner> Scheduler<P> {
         hypothetical.push(candidate);
         let demands = self.bw_demands(&hypothetical);
         for (i, id) in hypothetical.iter().enumerate() {
-            let (sla, has_model) = {
-                let st = &self.jobs[id];
-                (st.spec.sla, st.spec.model.is_some())
-            };
-            let (Some(sla), true) = (sla, has_model) else {
+            let st = &self.jobs[id];
+            let (Some(sla), Some(_)) = (st.spec.sla, st.spec.model) else {
                 continue;
             };
             let floor = min_share_floor(self.health_factor, &demands, i).max(f64::MIN_POSITIVE);
-            let spec = self.jobs[id].spec.clone();
-            let step = self.planner.step(*id, &spec, floor);
-            let st = &self.jobs[id];
-            let init = if st.dispatch.is_none() {
-                step.init
-            } else {
-                0.0
-            };
+            let step = self.planner.step(*id, &st.spec, floor);
+            let init = st.dispatch.map_or(step.init, |_| 0.0);
             let predicted_remaining = init + st.cycles_left as f64 * step.cycle;
             if st.service_used + predicted_remaining > sla * (1.0 + 1e-9) {
                 return false;
@@ -516,8 +513,7 @@ impl<P: Planner> Scheduler<P> {
                 };
                 let tie = |id: &JobId| fnv64(format!("{seed}|{}|{}", id.tenant, id.seq).as_bytes());
                 load(a)
-                    .partial_cmp(&load(b))
-                    .unwrap()
+                    .total_cmp(&load(b))
                     .then_with(|| tie(a).cmp(&tie(b)))
                     .then_with(|| a.cmp(b))
             });
@@ -560,9 +556,9 @@ impl<P: Planner> Scheduler<P> {
             let Some(id) = admitted else {
                 break;
             };
+            self.jobs.entry(id).and_modify(|st| st.dispatch = Some(now));
             self.queue.retain(|q| *q != id);
             self.running.push(id);
-            self.jobs.get_mut(&id).expect("job exists").dispatch = Some(now);
             self.rebalance(now);
             let share = self.jobs[&id].share;
             self.log(now, format!("dispatch job={id} share={share:.9e}"));
@@ -575,19 +571,19 @@ impl<P: Planner> Scheduler<P> {
     /// (includes the dispatch-time initialization cost on the first call
     /// after dispatch).
     pub fn price_step(&mut self, id: JobId) -> StepCost {
-        let (spec, share) = {
-            let st = &self.jobs[&id];
-            (st.spec.clone(), st.share)
-        };
-        self.planner.step(id, &spec, share.max(f64::MIN_POSITIVE))
+        let st = &self.jobs[&id];
+        self.planner
+            .step(id, &st.spec, st.share.max(f64::MIN_POSITIVE))
     }
 
     /// Record that `id` ran one cycle of `dur` virtual seconds under its
     /// current share.
     pub fn finish_cycle(&mut self, id: JobId, dur: f64) {
-        let st = self.jobs.get_mut(&id).expect("running job exists");
+        let Some(st) = self.jobs.get_mut(&id) else {
+            return;
+        };
         let share = st.share;
-        st.cycles_left -= 1;
+        st.cycles_left = st.cycles_left.saturating_sub(1);
         st.service_used += dur;
         st.shares_seen.push(share);
     }

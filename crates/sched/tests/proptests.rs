@@ -296,14 +296,14 @@ fn unattainable_sla_is_rejected_at_submit() {
 #[test]
 fn health_snapshot_reprices_running_shares() {
     use enkf_health::{HealthMonitor, HealthParams};
-    use enkf_sched::{NoPlanner, Scheduler};
+    use enkf_sched::Scheduler;
 
     let cfg = SchedConfig {
         capacity: ClusterCapacity::tianhe2_like(16),
         policy: SharePolicy::FairShare,
         seed: 9,
     };
-    let mut sched = Scheduler::new(cfg, NoPlanner);
+    let mut sched = Scheduler::new(cfg, DesPlanner::new());
     let tenant = TenantSpec::new(0, 1.0);
     sched.add_tenant(tenant);
     let a = sched

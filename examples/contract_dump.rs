@@ -21,11 +21,17 @@
 //!   at once: the four `des_paper_scale` cycles of the perf ledger at 1,200
 //!   ranks and Fig. 13's 12,000-rank P-/S-EnKF point, S-EnKF autotuned as
 //!   each of them tunes it; the same fields as a `cycle` model row.
+//! * `sched` rows — one small mix of modelled campaigns with staggered
+//!   arrivals, an unattainable SLA and a rank budget that queues, scheduled
+//!   by `simulate` and executed by `run_real`: both decision digests, every
+//!   record's f64 bits, the refusals, and each real campaign's cycle
+//!   digests.
 
 use s_enkf::ckpt::fnv64;
 use s_enkf::core::BatchedKernel;
 use s_enkf::parallel::{BackoffClock, CkptMode};
 use s_enkf::prelude::*;
+use s_enkf::sched::{run_real, MixOutcome};
 use s_enkf::trace::Trace;
 
 const MEMBERS: usize = 4;
@@ -386,6 +392,91 @@ fn dump_paper() {
     }
 }
 
+fn mix_rows(tag: &str, out: &MixOutcome) {
+    println!(
+        "{tag} decisions={:016x} rejected={:?} unscheduled={:?} makespan={}",
+        out.decisions_digest,
+        out.rejected,
+        out.unscheduled,
+        bits(&[out.makespan]),
+    );
+    for r in &out.records {
+        println!(
+            "{tag} record job={} f64=[{}] solo={:?} cycles={} ranks={} shares=[{}]",
+            r.id,
+            bits(&[r.submit, r.dispatch, r.completion, r.service]),
+            r.solo_prediction.map(|s| bits(&[s])),
+            r.cycles,
+            r.ranks,
+            bits(&r.shares_seen),
+        );
+    }
+}
+
+fn dump_sched() {
+    let tenants = [TenantSpec::new(0, 2.0), TenantSpec::new(1, 1.0)];
+    let penkf = CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 };
+    let job = |exec: CampaignExecutor, cycles, sla| {
+        let campaign = CampaignConfig {
+            mesh: mesh(),
+            cycles,
+            members: MEMBERS,
+            cycle: CycleConfig::default(),
+            seed: 17,
+            analysis: LocalAnalysis::new(RADIUS),
+            inflation: 1.05,
+            restart: quick_retry(3),
+        };
+        let mut spec = JobSpec::best_effort(exec, campaign);
+        spec.model = Some(JobModel {
+            cfg: model_cfg(CycleConfig::default().obs_stride),
+            variant: exec.variant(),
+            checkpoint: true,
+        });
+        spec.sla = Some(sla);
+        spec
+    };
+    let (t0, t1) = (tenants[0].id, tenants[1].id);
+    let arrivals = [
+        (0.0, t0, job(penkf, 2, 1e9)),
+        (0.5, t0, job(CampaignExecutor::SEnkf(SENKF), 1, 1e9)),
+        (1.0, t1, job(penkf, 2, 1e9)),
+        (1.5, t1, job(penkf, 1, 1e-9)),
+    ];
+    let cfg = SchedConfig {
+        capacity: ClusterCapacity::tianhe2_like(8),
+        policy: SharePolicy::FairShare,
+        seed: 13,
+    };
+    mix_rows(
+        "sched simulate",
+        &simulate(&cfg, &tenants, &arrivals, DesPlanner::new()),
+    );
+
+    let scratch = ScratchDir::new("contract-dump-sched").expect("scratch");
+    let stores: Vec<(FileStore, CheckpointStore)> = (0..arrivals.len())
+        .map(|i| {
+            let dir = scratch.path().join(format!("job-{i}"));
+            std::fs::create_dir_all(dir.join("work")).expect("work dir");
+            let work = FileStore::open(dir.join("work"), FileLayout::new(mesh(), 8));
+            let ckpt = CheckpointStore::create(dir.join("ckpt")).expect("ckpt store");
+            (work.expect("work store"), ckpt)
+        })
+        .collect();
+    let stores: Vec<_> = stores.iter().map(|(work, ckpt)| (work, ckpt)).collect();
+    let (real, reports) = run_real(&cfg, &tenants, &arrivals, &stores, DesPlanner::new());
+    mix_rows("sched real", &real);
+    for (id, report) in reports {
+        match report {
+            Ok(r) => println!(
+                "sched real campaign job={id} digests={}",
+                hash(&format!("{:?}", r.cycle_digests))
+            ),
+            Err(e) => println!("sched real campaign job={id} error={e}"),
+        }
+    }
+}
+
 fn main() {
     dump_cycles();
     dump_paper();
@@ -397,4 +488,5 @@ fn main() {
             dump_model_campaign(name, &exec.variant(), &case);
         }
     }
+    dump_sched();
 }

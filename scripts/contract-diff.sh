@@ -14,6 +14,9 @@
 #   which prints the same rows through the old names (the script says so).
 # * Rows matching [allowed-regex] may differ — a PR that fixes a behaviour
 #   names the rows it means to move (this repo tags them `fixed:`).
+# * Rows only the working tree prints (a pure addition in the diff: a new
+#   tier the base's dump does not cover) are new, not differing; they are
+#   listed and counted apart.
 #
 # Prints the differing rows and a summary; exits 1 when a row outside the
 # allowed set differs. Outputs land in .bench_build/contract/<base>/.
@@ -50,13 +53,22 @@ mkdir -p "$out"
 target/release/examples/contract_dump >"$out/change.txt"
 
 diff "$out/base.txt" "$out/change.txt" >"$out/contract.diff" || true
-grep '^[<>]' "$out/contract.diff" || true
+# Split the diff: lines of pure-addition hunks (`NaM,K`) are new rows, the
+# rest are rows that moved.
+awk -v new="$out/new.txt" -v moved="$out/moved.txt" '
+    BEGIN { printf "" >new; printf "" >moved }
+    /^[0-9]/ { added = /^[0-9]+a/ }
+    /^[<>]/ { print >(added ? new : moved) }' "$out/contract.diff"
+sed 's/^>/new:/' "$out/new.txt"
+cat "$out/moved.txt"
 rows=$(wc -l <"$out/change.txt")
-moved=$(grep -c '^>' "$out/contract.diff" || true)
+new_rows=$(wc -l <"$out/new.txt")
+moved=$(grep -c '^>' "$out/moved.txt" || true)
 if [ -n "$allowed" ]; then
-    unexpected=$(grep '^[<>]' "$out/contract.diff" | grep -Evc "$allowed" || true)
+    unexpected=$(grep -Evc "$allowed" "$out/moved.txt" || true)
 else
-    unexpected=$(grep -c '^[<>]' "$out/contract.diff" || true)
+    unexpected=$(wc -l <"$out/moved.txt")
 fi
-echo "==> contract dump: $rows rows, $moved differ from $1, $unexpected outside the allowed set"
+echo "==> contract dump: $rows rows, $new_rows new, $moved differ from $1," \
+    "$unexpected outside the allowed set"
 [ "$unexpected" -eq 0 ]

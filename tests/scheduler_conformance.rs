@@ -7,21 +7,28 @@
 //! per-cycle statistics, cycle digests, final ensembles, and trace
 //! digests to the same campaign run alone with an equivalent static
 //! allocation. And scheduling itself is deterministic: reruns of the same
-//! seeded mix produce bit-identical decision logs.
+//! seeded mix produce bit-identical decision logs, and a real run takes
+//! exactly the decisions the simulation of the same arrivals takes.
 
 mod common;
 
 use common::{TenantMix, SENKF};
+use s_enkf::ckpt::CheckpointStore;
 use s_enkf::fault::{FaultConfig, FaultPlan};
 use s_enkf::parallel::{
-    run_campaign, run_campaign_ctx, CampaignCtx, CampaignExecutor, CampaignReport, CkptMode,
+    run_campaign, run_campaign_ctx, CampaignCtx, CampaignError, CampaignExecutor, CampaignReport,
+    CkptMode,
 };
+use s_enkf::pfs::{FileStore, ScratchDir};
 use s_enkf::sched::{
-    run_real, ClusterCapacity, Quota, RealDispatch, RealOutcome, SchedConfig, SharePolicy,
-    SubmitError,
+    run_real, simulate, ClusterCapacity, DesPlanner, JobId, JobSpec, MixOutcome, Quota,
+    SchedConfig, SharePolicy, SubmitError, TenantId,
 };
 
 const CYCLES: usize = 3;
+
+type Stores = (ScratchDir, FileStore, CheckpointStore);
+type Reports = Vec<(JobId, Result<CampaignReport, CampaignError>)>;
 
 fn sched_cfg(ranks: usize, seed: u64) -> SchedConfig {
     SchedConfig {
@@ -29,6 +36,47 @@ fn sched_cfg(ranks: usize, seed: u64) -> SchedConfig {
         policy: SharePolicy::FairShare,
         seed,
     }
+}
+
+/// `jobs` of `mix`, all arriving at t = 0, the i-th on `stores[i]`, run on
+/// the real executors.
+fn run_jobs(
+    cfg: &SchedConfig,
+    mix: &TenantMix,
+    jobs: &[(TenantId, JobSpec)],
+    stores: &[Stores],
+) -> (MixOutcome, Reports) {
+    let arrivals: Vec<_> = jobs
+        .iter()
+        .map(|(t, spec)| (0.0, *t, spec.clone()))
+        .collect();
+    let stores: Vec<_> = stores.iter().map(|(_, work, ckpt)| (work, ckpt)).collect();
+    run_real(cfg, mix.tenants(), &arrivals, &stores, DesPlanner::new())
+}
+
+/// Fresh stores for every job of `mix`.
+fn stores_for(mix: &TenantMix, label: &str) -> Vec<Stores> {
+    (0..mix.jobs().len())
+        .map(|i| mix.stores(&format!("{label}-{i}")))
+        .collect()
+}
+
+/// The report of `tenant`'s (only) campaign.
+fn report_of(reports: &Reports, tenant: TenantId) -> &CampaignReport {
+    let (_, report) = reports
+        .iter()
+        .find(|(id, _)| id.tenant == tenant)
+        .expect("tenant has a report");
+    report.as_ref().expect("campaign must succeed")
+}
+
+/// The `dispatch` / `complete` entries of a decision log, in order.
+fn dispatch_order(out: &MixOutcome) -> Vec<&str> {
+    out.decisions
+        .iter()
+        .filter_map(|d| d.split(' ').nth(1))
+        .filter(|kind| matches!(*kind, "dispatch" | "complete"))
+        .collect()
 }
 
 fn assert_reports_identical(a: &CampaignReport, b: &CampaignReport, what: &str) {
@@ -83,39 +131,26 @@ fn concurrent_campaigns_match_solo_runs_on_all_executors() {
         solo.push(report);
     }
 
-    // The same three campaigns, admitted and run concurrently.
-    let stores: Vec<_> = (0..mix.jobs().len())
-        .map(|i| mix.stores(&format!("sched-conc-{i}")))
-        .collect();
-    let dispatches: Vec<RealDispatch<'_>> = mix
-        .jobs()
-        .iter()
-        .zip(&stores)
-        .map(|((tenant, spec), (_s, work, ckpt))| RealDispatch {
-            tenant: *tenant,
-            spec: spec.clone(),
-            work,
-            ckpt,
-        })
-        .collect();
-    let out = run_real(&sched_cfg(64, 42), mix.tenants(), dispatches);
+    // The same four campaigns, admitted and run concurrently.
+    let stores = stores_for(&mix, "sched-conc");
+    let (out, reports) = run_jobs(&sched_cfg(64, 42), &mix, mix.jobs(), &stores);
     assert!(out.rejected.is_empty(), "all four must be admitted");
     assert!(out.unscheduled.is_empty());
-    assert_eq!(out.results.len(), 4);
+    assert_eq!(reports.len(), 4);
     assert_eq!(
-        out.results.iter().filter(|r| r.wave == 0).count(),
-        4,
-        "64 ranks fit all four in one wave"
+        dispatch_order(&out)[..4],
+        ["dispatch"; 4],
+        "64 ranks fit all four before the first completion"
     );
 
-    for result in &out.results {
+    for (id, report) in &reports {
         let idx = mix
             .jobs()
             .iter()
-            .position(|(t, _)| *t == result.id.tenant)
+            .position(|(t, _)| *t == id.tenant)
             .unwrap();
-        let report = result.report.as_ref().expect("campaign must succeed");
-        let what = format!("tenant {}", result.id.tenant);
+        let report = report.as_ref().expect("campaign must succeed");
+        let what = format!("tenant {}", id.tenant);
         assert_reports_identical(&solo[idx], report, &what);
         assert_traces_identical(&solo[idx], report, &what);
     }
@@ -139,37 +174,17 @@ fn kill_resume_of_one_tenant_leaves_the_other_bit_identical() {
         .fault(fault_b.clone());
 
     // Baseline: the concurrent pair, uninterrupted.
-    let (_sa, work_a, ckpt_a) = mix.stores("sched-kill-base-a");
-    let (_sb, work_b, ckpt_b) = mix.stores("sched-kill-base-b");
     let (ta, spec_a) = mix.jobs()[0].clone();
     let (tb, spec_b) = mix.jobs()[1].clone();
-    let base = run_real(
+    let base = run_jobs(
         &sched_cfg(64, 7),
-        mix.tenants(),
-        vec![
-            RealDispatch {
-                tenant: ta,
-                spec: spec_a.clone(),
-                work: &work_a,
-                ckpt: &ckpt_a,
-            },
-            RealDispatch {
-                tenant: tb,
-                spec: spec_b.clone(),
-                work: &work_b,
-                ckpt: &ckpt_b,
-            },
-        ],
-    );
-    // Results are in (seeded) dispatch order, not submission order.
-    let by_tenant = |out: &RealOutcome, t| {
-        out.results
-            .iter()
-            .position(|r| r.id.tenant == t)
-            .expect("tenant has a result")
-    };
-    let base_a = base.results[by_tenant(&base, ta)].report.as_ref().unwrap();
-    let base_b = base.results[by_tenant(&base, tb)].report.as_ref().unwrap();
+        &mix,
+        mix.jobs(),
+        &stores_for(&mix, "sched-kill-base"),
+    )
+    .1;
+    let base_a = report_of(&base, ta);
+    let base_b = report_of(&base, tb);
     assert_eq!(
         base_b.recoveries.len(),
         1,
@@ -178,48 +193,19 @@ fn kill_resume_of_one_tenant_leaves_the_other_bit_identical() {
 
     // Tenant A is killed after 2 cycles (all that survives is its
     // checkpoint directory); tenant B runs to completion beside it.
-    let (_sa2, work_a2, ckpt_a2) = mix.stores("sched-kill-killed-a");
-    let (_sb2, work_b2, ckpt_b2) = mix.stores("sched-kill-killed-b");
+    let killed_stores = stores_for(&mix, "sched-kill-killed");
     let mut short_a = spec_a.clone();
     short_a.campaign.cycles = 2;
-    let killed = run_real(
-        &sched_cfg(64, 7),
-        mix.tenants(),
-        vec![
-            RealDispatch {
-                tenant: ta,
-                spec: short_a,
-                work: &work_a2,
-                ckpt: &ckpt_a2,
-            },
-            RealDispatch {
-                tenant: tb,
-                spec: spec_b.clone(),
-                work: &work_b2,
-                ckpt: &ckpt_b2,
-            },
-        ],
-    );
-    let killed_b = killed.results[by_tenant(&killed, tb)]
-        .report
-        .as_ref()
-        .unwrap();
+    let killed_jobs = [(ta, short_a), (tb, spec_b)];
+    let killed = run_jobs(&sched_cfg(64, 7), &mix, &killed_jobs, &killed_stores).1;
+    let killed_b = report_of(&killed, tb);
     assert_reports_identical(base_b, killed_b, "tenant B beside the killed tenant");
     assert_traces_identical(base_b, killed_b, "tenant B beside the killed tenant");
 
     // Resume tenant A from its surviving checkpoints, again under the
     // scheduler: bit-identical to the uninterrupted concurrent run.
-    let resumed = run_real(
-        &sched_cfg(64, 7),
-        mix.tenants(),
-        vec![RealDispatch {
-            tenant: ta,
-            spec: spec_a,
-            work: &work_a2,
-            ckpt: &ckpt_a2,
-        }],
-    );
-    let resumed_a = resumed.results[0].report.as_ref().unwrap();
+    let resumed = run_jobs(&sched_cfg(64, 7), &mix, &[(ta, spec_a)], &killed_stores).1;
+    let resumed_a = report_of(&resumed, ta);
     assert_eq!(resumed_a.resumed_from, Some(2), "must resume, not restart");
     assert_reports_identical(base_a, resumed_a, "tenant A after kill-resume");
 }
@@ -263,34 +249,17 @@ fn pipelined_tenant_is_isolated_and_matches_its_solo_run() {
     assert_eq!(spec_a.ckpt_mode, CkptMode::Pipelined);
     assert_eq!(spec_b.ckpt_mode, CkptMode::Sync);
 
-    let (_sa, work_a, ckpt_a) = mix.stores("sched-pipe-conc-a");
-    let (_sb, work_b, ckpt_b) = mix.stores("sched-pipe-conc-b");
-    let out = run_real(
-        &sched_cfg(64, 21),
-        mix.tenants(),
-        vec![
-            RealDispatch {
-                tenant: ta,
-                spec: spec_a.clone(),
-                work: &work_a,
-                ckpt: &ckpt_a,
-            },
-            RealDispatch {
-                tenant: tb,
-                spec: spec_b,
-                work: &work_b,
-                ckpt: &ckpt_b,
-            },
-        ],
-    );
+    let jobs = [(ta, spec_a.clone()), (tb, spec_b)];
+    let stores = stores_for(&mix, "sched-pipe-conc");
+    let (out, reports) = run_jobs(&sched_cfg(64, 21), &mix, &jobs, &stores);
     assert!(out.rejected.is_empty() && out.unscheduled.is_empty());
-    for result in &out.results {
-        let (solo, what) = if result.id.tenant == ta {
+    for (id, report) in &reports {
+        let (solo, what) = if id.tenant == ta {
             (&solo_a, "pipelined tenant")
         } else {
             (&solo_b, "synchronous tenant")
         };
-        let report = result.report.as_ref().expect("campaign must succeed");
+        let report = report.as_ref().expect("campaign must succeed");
         assert_reports_identical(solo, report, what);
         assert_traces_identical(solo, report, what);
     }
@@ -314,22 +283,9 @@ fn real_dispatch_decisions_are_bit_identical_across_reruns() {
         .tenant(1.0)
         .job(CampaignExecutor::SEnkf(SENKF), 1);
 
-    let run = |label: &str| -> RealOutcome {
-        let stores: Vec<_> = (0..mix.jobs().len())
-            .map(|i| mix.stores(&format!("{label}-{i}")))
-            .collect();
-        let dispatches: Vec<RealDispatch<'_>> = mix
-            .jobs()
-            .iter()
-            .zip(&stores)
-            .map(|((tenant, spec), (_s, work, ckpt))| RealDispatch {
-                tenant: *tenant,
-                spec: spec.clone(),
-                work,
-                ckpt,
-            })
-            .collect();
-        run_real(&sched_cfg(16, 99), mix.tenants(), dispatches)
+    let run = |label: &str| {
+        let stores = stores_for(&mix, label);
+        run_jobs(&sched_cfg(16, 99), &mix, mix.jobs(), &stores).0
     };
     let first = run("sched-det-1");
     let second = run("sched-det-2");
@@ -337,9 +293,63 @@ fn real_dispatch_decisions_are_bit_identical_across_reruns() {
     assert_eq!(first.decisions_digest, second.decisions_digest);
 }
 
+/// A real run follows the simulated schedule: for staggered arrivals
+/// under a rank budget that queues, `run_real` returns exactly the
+/// `MixOutcome` `simulate` does, so a deadline unattainable even solo is
+/// refused on both sides, and every admitted campaign succeeds.
+#[test]
+fn real_runs_take_the_simulated_decisions_including_sla_refusals() {
+    let mix = TenantMix::small()
+        .tenant(2.0)
+        .job(CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 }, 2)
+        .sla(1e9)
+        .job(CampaignExecutor::SEnkf(SENKF), 1)
+        .sla(1e9)
+        .tenant(1.0)
+        .job(CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 }, 2)
+        .sla(1e9)
+        .job(CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 }, 1)
+        .sla(1e-9);
+    let arrivals: Vec<_> = mix
+        .jobs()
+        .iter()
+        .enumerate()
+        .map(|(i, (t, spec))| (0.5 * i as f64, *t, spec.clone()))
+        .collect();
+    let cfg = sched_cfg(8, 13);
+    let stores = stores_for(&mix, "sched-sla");
+    let stores: Vec<_> = stores.iter().map(|(_, work, ckpt)| (work, ckpt)).collect();
+
+    let simulated = simulate(&cfg, mix.tenants(), &arrivals, DesPlanner::new());
+    let (real, reports) = run_real(&cfg, mix.tenants(), &arrivals, &stores, DesPlanner::new());
+    assert_eq!(
+        real, simulated,
+        "the real run must take the simulated decisions"
+    );
+
+    assert_eq!(real.rejected.len(), 1, "{:?}", real.rejected);
+    let (_, tenant, why) = &real.rejected[0];
+    assert_eq!(*tenant, TenantId(1));
+    assert!(
+        matches!(why, SubmitError::SlaUnattainable { sla, .. } if *sla == 1e-9),
+        "{why:?}"
+    );
+    assert!(
+        real.records.iter().any(|r| r.dispatch > r.submit),
+        "the rank budget must queue a job"
+    );
+    let completed: Vec<JobId> = real.records.iter().map(|r| r.id).collect();
+    let reported: Vec<JobId> = reports.iter().map(|(id, _)| *id).collect();
+    assert_eq!(reported, completed, "one report per completion, in order");
+    for (id, report) in &reports {
+        assert!(report.is_ok(), "job {id}: {report:?}");
+    }
+}
+
 /// Admission control end to end: queue quotas backpressure a greedy
 /// tenant, oversized jobs are refused outright, and a rank budget smaller
-/// than the mix forces a second wave — all deterministic.
+/// than the mix runs the admitted jobs one after the other — all
+/// deterministic.
 #[test]
 fn admission_quotas_and_rank_budget_shape_the_schedule() {
     let mix = TenantMix::small()
@@ -353,54 +363,38 @@ fn admission_quotas_and_rank_budget_shape_the_schedule() {
         .job(CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 }, 1)
         .job(CampaignExecutor::PEnkf { nsdx: 2, nsdy: 2 }, 1);
 
-    let stores: Vec<_> = (0..mix.jobs().len())
-        .map(|i| mix.stores(&format!("sched-adm-{i}")))
-        .collect();
-    let dispatches: Vec<RealDispatch<'_>> = mix
-        .jobs()
-        .iter()
-        .zip(&stores)
-        .map(|((tenant, spec), (_s, work, ckpt))| RealDispatch {
-            tenant: *tenant,
-            spec: spec.clone(),
-            work,
-            ckpt,
-        })
-        .collect();
     // 4-rank machine, 4-rank jobs, max_running 1, max_queued 2: all
-    // submits land before the first wave, so the first two jobs queue
-    // (running in waves 0 and 1) and the third submit is backpressured.
-    let out = run_real(&sched_cfg(4, 5), mix.tenants(), dispatches);
+    // submits land before the first dispatch, so the first two jobs queue
+    // (and run one after the other) and the third submit is backpressured.
+    let stores = stores_for(&mix, "sched-adm");
+    let (out, reports) = run_jobs(&sched_cfg(4, 5), &mix, mix.jobs(), &stores);
     assert_eq!(out.rejected.len(), 1);
     assert!(matches!(
-        out.rejected[0].1,
+        out.rejected[0].2,
         SubmitError::Backpressure {
             queued: 2,
             max_queued: 2
         }
     ));
-    assert_eq!(out.results.len(), 2);
-    assert_eq!(out.results[0].wave, 0);
-    assert_eq!(out.results[1].wave, 1);
-    assert!(out.results.iter().all(|r| r.report.is_ok()));
+    assert_eq!(reports.len(), 2);
+    assert_eq!(
+        dispatch_order(&out),
+        ["dispatch", "complete", "dispatch", "complete"]
+    );
+    assert!(reports.iter().all(|(_, r)| r.is_ok()));
 
     // A job wider than the machine is refused at submit.
     let wide = TenantMix::small()
         .tenant(1.0)
         .job(CampaignExecutor::SEnkf(SENKF), 1);
-    let (_s, work, ckpt) = wide.stores("sched-adm-wide");
-    let (tenant, spec) = wide.jobs()[0].clone();
-    let out = run_real(
-        &sched_cfg(2, 5),
-        wide.tenants(),
-        vec![RealDispatch {
-            tenant,
-            spec,
-            work: &work,
-            ckpt: &ckpt,
-        }],
-    );
+    let stores = stores_for(&wide, "sched-adm-wide");
+    let (out, reports) = run_jobs(&sched_cfg(2, 5), &wide, wide.jobs(), &stores);
     assert_eq!(out.rejected.len(), 1);
-    assert!(matches!(out.rejected[0].1, SubmitError::TooLarge { .. }));
-    assert!(out.results.is_empty());
+    assert!(matches!(out.rejected[0].2, SubmitError::TooLarge { .. }));
+    assert!(reports.is_empty());
+
+    // An admitted job given no stores is scheduled as usual and fails typed.
+    let (out, reports) = run_jobs(&sched_cfg(8, 5), &wide, wide.jobs(), &[]);
+    assert_eq!(out.records.len(), 1);
+    assert!(matches!(reports[..], [(_, Err(CampaignError::Io(_)))]));
 }
