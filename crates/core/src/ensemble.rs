@@ -1,5 +1,6 @@
 //! The background ensemble `Xᵇ` and its statistics.
 
+use crate::Result;
 use enkf_grid::{Mesh, RegionRect};
 use enkf_linalg::Matrix;
 
@@ -78,11 +79,9 @@ impl Ensemble {
 
     /// The sample covariance `B = U Uᵀ / (N−1)` (Eq. 4) — dense; only for
     /// small test problems.
-    pub fn covariance(&self) -> Matrix {
+    pub fn covariance(&self) -> Result<Matrix> {
         let u = self.anomalies();
-        u.matmul_tr(&u)
-            .expect("square product")
-            .scale(1.0 / (self.size() - 1) as f64)
+        Ok(u.matmul_tr(&u)?.scale(1.0 / (self.size() - 1) as f64))
     }
 
     /// Restrict the ensemble to a region: the `n̄ × N` matrix `X̄ᵇ` of Eq. 6,
@@ -152,7 +151,7 @@ mod tests {
     #[test]
     fn covariance_of_constant_members() {
         let e = tiny();
-        let b = e.covariance();
+        let b = e.covariance().unwrap();
         // U row = [-1, 1]; B = U Uᵀ / 1 = all-2 matrix.
         for i in 0..6 {
             for j in 0..6 {

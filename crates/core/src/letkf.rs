@@ -441,8 +441,7 @@ pub fn serial_letkf(
     observations: &Observations,
     radius: LocalizationRadius,
 ) -> Result<Ensemble> {
-    let decomp =
-        Decomposition::new(ensemble.mesh(), 1, 1).expect("1x1 decomposition is always valid");
+    let decomp = Decomposition::whole(ensemble.mesh());
     serial_letkf_decomposed(ensemble, observations, LetkfAnalysis::new(radius), &decomp)
 }
 
@@ -559,7 +558,7 @@ mod tests {
         let letkf_mean = xa.row_means();
 
         // Kalman mean via Eq. (3) with ensemble covariance and Yˢ = y ⊗ 1.
-        let b = ensemble.covariance();
+        let b = ensemble.covariance().unwrap();
         let h = obs.operator().to_dense();
         let innovation_mean = {
             let hx = h.matvec(&ensemble.mean()).unwrap();

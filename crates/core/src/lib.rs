@@ -20,6 +20,11 @@
 //! * [`serial_enkf`] — the single-threaded reference every parallel variant
 //!   is validated against.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod analysis;
 pub mod batched;
 pub mod ensemble;
@@ -36,7 +41,7 @@ pub use inflation::{inflate_ensemble, inflated, mean_variance};
 pub use letkf::{serial_letkf, serial_letkf_decomposed, LetkfAnalysis, LetkfWorkspace};
 pub use local::{
     AnalysisGranularity, AnomalyGram, LocalAnalysis, LocalAnalysisWorkspace, LocalObsIndex,
-    LocalObservations,
+    LocalObservations, PointInputs,
 };
 pub use observation::{ObservationOperator, Observations, PerturbedObservations};
 pub use serial::{serial_enkf, serial_enkf_decomposed};

@@ -3,7 +3,8 @@
 use crate::{EnkfError, Result};
 use enkf_grid::{GridPoint, LocalizationRadius, Mesh, RegionRect};
 use enkf_linalg::kernel::gemm::dot;
-use enkf_linalg::{CholWorkspace, Cholesky, Matrix, ModCholWorkspace, ModifiedCholesky};
+use enkf_linalg::kernel::lanes::{check_pivots, factor_lanes, solve_lanes, tri, LaneOps};
+use enkf_linalg::{Cholesky, Matrix, ModCholWorkspace, ModifiedCholesky};
 use rayon::prelude::*;
 use std::sync::{Mutex, PoisonError};
 
@@ -360,111 +361,180 @@ impl LocalAnalysis {
         let cell = self.radius.xi.max(self.radius.eta).max(1);
         let index = LocalObsIndex::build(obs, expansion, cell);
         let gram = AnomalyGram::build(xb, expansion, self.radius);
-        par_point_rows(
-            &mut out,
-            target,
-            LocalAnalysisWorkspace::new,
-            |p, ws, row| {
-                self.analyze_point_into(mesh, p, expansion, xb, obs, &index, &gram, ws, row)
-            },
-        )?;
+        let io = PointInputs {
+            mesh,
+            expansion,
+            xb,
+            obs,
+            index: &index,
+            gram: &gram,
+        };
+        par_point_chunks(&mut out, LocalAnalysisWorkspace::new, |first, chunk, ws| {
+            let rows = chunk.len() / xb.ncols();
+            self.analyze_rows(&io, rows, |row| target.point_at(first + row), ws, chunk)
+                .map_err(|(row, e)| (first + row, e))
+        })?;
         Ok(out)
     }
 
-    /// One grid point's local analysis written into its output row.
+    /// Points per lane pass: one AVX2 register of `f64`.
+    pub const LANES: usize = 4;
+
+    /// The local analyses of `points`, each written into its row of `out`
+    /// (one row of `N` per point, in order, bit for bit what the point-wise
+    /// [`LocalAnalysis::analyze`] gives it).
     ///
-    /// Equivalent to running `LocalAnalysis::analyze_region` on the
-    /// point's box, but only the target row of `δX = A⁻¹ Z` is formed:
-    /// since `A` is symmetric, `δX[t,·] = (A⁻¹ eₜ)ᵀ Z`, so a single
-    /// triangular solve replaces one per ensemble member and `Z` is never
+    /// A point's analysis equals running `LocalAnalysis::analyze_region` on
+    /// its box, but only the target row of `δX = A⁻¹ Z` is formed: since
+    /// `A` is symmetric, `δX[t,·] = (A⁻¹ eₜ)ᵀ Z`, so a single triangular
+    /// solve replaces one per ensemble member and `Z` is never
     /// materialized. The box is never copied out either: its anomaly rows
-    /// and every regression's normal equations are read from `gram`, which
-    /// must have been built from the same `xb`, `expansion` and radius.
-    #[allow(clippy::too_many_arguments)]
-    pub fn analyze_point_into(
+    /// and every regression's normal equations are read from `io.gram`.
+    ///
+    /// Points whose boxes have one shape after mesh clipping share a box
+    /// size, a box-local predecessor structure and a target index; only
+    /// their data differ. So every point is localized once, a point whose
+    /// box holds an observation is queued by box shape, and each queue that
+    /// reaches [`LocalAnalysis::LANES`] points runs them as one lane pass;
+    /// the rest run at width 1. Every row is its width-1 result, and the
+    /// error returned is the one of the first failing point.
+    pub fn analyze_points_into(
         &self,
-        mesh: Mesh,
-        p: GridPoint,
-        expansion: &RegionRect,
-        xb: &Matrix,
-        obs: &LocalObservations,
-        index: &LocalObsIndex,
-        gram: &AnomalyGram,
+        io: &PointInputs<'_>,
+        points: &[GridPoint],
         ws: &mut LocalAnalysisWorkspace,
-        out_row: &mut [f64],
+        out: &mut [f64],
     ) -> Result<()> {
-        let single = RegionRect::new(p.ix, p.ix + 1, p.iy, p.iy + 1);
-        let boxr = single.expand(self.radius, mesh);
-        debug_assert!(expansion.contains_rect(&boxr));
-        index.sub_localize_into(obs, &boxr, &mut ws.obs_scratch, &mut ws.obs_box);
-        out_row.copy_from_slice(xb.row(expansion.local_index(p)));
-        if ws.obs_box.is_empty() {
+        self.analyze_rows(io, points.len(), |row| points[row], ws, out)
+            .map_err(|(_, e)| e)
+    }
+
+    /// [`LocalAnalysis::analyze_points_into`] over `rows` points: a failure
+    /// is `(row, error)` of the lowest failing row.
+    fn analyze_rows(
+        &self,
+        io: &PointInputs<'_>,
+        rows: usize,
+        point_at: impl Fn(usize) -> GridPoint,
+        ws: &mut LocalAnalysisWorkspace,
+        out: &mut [f64],
+    ) -> RowResult {
+        let mut first_err = None;
+        for row in 0..rows {
+            let Some(id) = ws.localize(self, io, point_at(row), row, out) else {
+                continue;
+            };
+            let shape = ws.slots[id].shape();
+            let q = ws.queues.iter().position(|(s, _)| *s == shape);
+            let q = q.unwrap_or_else(|| {
+                ws.queues.push((shape, Vec::new()));
+                ws.queues.len() - 1
+            });
+            ws.queues[q].1.push(id);
+            if let Ok(ids) = <[usize; Self::LANES]>::try_from(ws.queues[q].1.as_slice()) {
+                ws.queues[q].1.clear();
+                keep_first(&mut first_err, self.run_lanes(io, &ids, ws, out));
+            }
+        }
+        for q in 0..ws.queues.len() {
+            while let Some(id) = ws.queues[q].1.pop() {
+                keep_first(&mut first_err, self.run_lanes(io, &[id], ws, out));
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// One lane pass over the queued points `ids` (one, or
+    /// [`LocalAnalysis::LANES`] of one box shape), which then return to the
+    /// free list. A failed pass of several lanes is re-run point by point,
+    /// in order, so the error is the first failing point's width-1 error.
+    fn run_lanes(
+        &self,
+        io: &PointInputs<'_>,
+        ids: &[usize],
+        ws: &mut LocalAnalysisWorkspace,
+        out: &mut [f64],
+    ) -> RowResult {
+        ws.free.extend_from_slice(ids);
+        let slots = &ws.slots;
+        if ids.len() == Self::LANES && ws.four.analyze(self, io, slots, ids, out).is_ok() {
             return Ok(());
         }
-        let LocalAnalysisWorkspace {
-            box_rows,
-            box_keys,
-            obs_box,
-            mc,
-            mc_ws,
-            a,
-            chol,
-            w,
-            ..
-        } = ws;
-        box_rows.clear();
-        box_keys.clear();
-        for q in boxr.iter_points() {
-            box_rows.push(expansion.local_index(q));
-            box_keys.push(gram.key(expansion, q));
+        ids.iter().try_for_each(|&id| {
+            let r = ws.one.analyze(self, io, slots, &[id], out);
+            r.map_err(|e| (slots[id].row, e))
+        })
+    }
+}
+
+/// What every point of one point-wise analysis reads:
+/// [`LocalAnalysis::analyze`]'s mesh, expansion, background and localized
+/// observations, plus the [`LocalObsIndex`] and [`AnomalyGram`] built from
+/// them (the radius of the analysis, bucket edge `max(ξ, η, 1)`).
+#[derive(Debug, Clone, Copy)]
+pub struct PointInputs<'a> {
+    /// The mesh.
+    pub mesh: Mesh,
+    /// The region `xb` covers.
+    pub expansion: &'a RegionRect,
+    /// Background on `expansion`.
+    pub xb: &'a Matrix,
+    /// Observations localized to `expansion`.
+    pub obs: &'a LocalObservations,
+    /// Bucket index over `obs`.
+    pub index: &'a LocalObsIndex,
+    /// Anomalies and Gram table of `xb`.
+    pub gram: &'a AnomalyGram,
+}
+
+/// A point loop's outcome: a failure is `(row, error)`.
+type RowResult = std::result::Result<(), (usize, EnkfError)>;
+
+/// Run `f(first row, rows, workspace)` over `out`'s rows split into one
+/// contiguous chunk per rayon worker, each worker creating a single
+/// workspace for its whole chunk. The error of the lowest failing row is
+/// returned.
+fn par_point_chunks<W>(
+    out: &mut Matrix,
+    new_workspace: impl Fn() -> W + Sync,
+    f: impl Fn(usize, &mut [f64], &mut W) -> RowResult + Sync,
+) -> Result<()> {
+    let nens = out.ncols();
+    if out.nrows() == 0 || nens == 0 {
+        return Ok(());
+    }
+    let chunk_rows = out.nrows().div_ceil(rayon::current_num_threads()).max(1);
+    // The slot is a plain `Option`, valid whatever a panicking holder did,
+    // so a poisoned lock is still good to use.
+    let first_err = Mutex::new(None);
+    out.as_mut_slice()
+        .par_chunks_mut(chunk_rows * nens)
+        .enumerate()
+        .for_each(|(ci, chunk)| {
+            let r = f(ci * chunk_rows, chunk, &mut new_workspace());
+            keep_first(
+                &mut first_err.lock().unwrap_or_else(PoisonError::into_inner),
+                r,
+            );
+        });
+    let first_err = first_err
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    first_err.map_or(Ok(()), |(_, e)| Err(e))
+}
+
+/// Keep in `slot` the failure of the lowest row.
+fn keep_first(slot: &mut Option<(usize, EnkfError)>, r: RowResult) {
+    if let Err(e) = r {
+        if slot.as_ref().is_none_or(|(row, _)| e.0 < *row) {
+            *slot = Some(e);
         }
-        let nbar = box_rows.len();
-        let nens = xb.ncols();
-        // The adaptive ridge, as in `analyze_region`: one running sum over
-        // the box's anomalies in row-major order.
-        let mut sum_sq = 0.0;
-        for &r in box_rows.iter() {
-            for &v in gram.anomalies.row(r) {
-                sum_sq += v * v;
-            }
-        }
-        let denom = (nens - 1).max(1) as f64;
-        let mean_var = sum_sq / (denom * nbar as f64);
-        let lambda = (self.ridge * mean_var).max(f64::MIN_POSITIVE);
-        mc.estimate_into(
-            mc_ws,
-            nbar,
-            |j| gram.anomalies.row(box_rows[j]),
-            |ja, jb| gram.entry(box_rows[ja], box_keys[ja], box_keys[jb]),
-            |i, preds| push_box_predecessors(&boxr, self.radius, i, preds),
-            lambda,
-        )?;
-        mc.inverse_covariance_into(mc_ws, a);
-        for (r, &row) in obs_box.local_rows.iter().enumerate() {
-            a[(row, row)] += 1.0 / obs_box.error_var[r];
-        }
-        chol.factor(a)?;
-        w.clear();
-        w.resize(nbar, 0.0);
-        w[boxr.local_index(p)] = 1.0;
-        chol.solve_in_place(w)?;
-        // X^a[t,·] = X^b[t,·] + wᵀ Z with Z's rows formed on the fly.
-        for (r, &row) in obs_box.local_rows.iter().enumerate() {
-            let c = w[row] / obs_box.error_var[r];
-            let background = xb.row(box_rows[row]);
-            let perturbed = obs_box.perturbed.row(r);
-            for ((o, &y), &x) in out_row.iter_mut().zip(perturbed).zip(background) {
-                *o += c * (y - x);
-            }
-        }
-        Ok(())
     }
 }
 
 /// Run `f(point, workspace, output row)` over every point of `target`,
-/// whose analysis `out` holds one row per point: the rows are split into
-/// one contiguous chunk per rayon worker, each worker creating a single
-/// workspace for its whole chunk. Returns the first error any worker hit.
+/// whose analysis `out` holds one row per point, one workspace per rayon
+/// worker ([`par_point_chunks`]).
 pub(crate) fn par_point_rows<W>(
     out: &mut Matrix,
     target: &RegionRect,
@@ -472,36 +542,12 @@ pub(crate) fn par_point_rows<W>(
     f: impl Fn(GridPoint, &mut W, &mut [f64]) -> Result<()> + Sync,
 ) -> Result<()> {
     let nens = out.ncols();
-    if out.nrows() == 0 || nens == 0 {
-        return Ok(());
-    }
-    let chunk_rows = out.nrows().div_ceil(rayon::current_num_threads()).max(1);
-    let first_err: Mutex<Option<EnkfError>> = Mutex::new(None);
-    out.as_mut_slice()
-        .par_chunks_mut(chunk_rows * nens)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let mut ws = new_workspace();
-            for (i, row) in chunk.chunks_mut(nens).enumerate() {
-                if let Err(e) = f(target.point_at(ci * chunk_rows + i), &mut ws, row) {
-                    // The slot is a plain `Option`, valid whatever a
-                    // panicking holder did, so a poisoned lock is still
-                    // good to use.
-                    first_err
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get_or_insert(e);
-                    return;
-                }
-            }
-        });
-    match first_err
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    par_point_chunks(out, new_workspace, |first, chunk, ws| {
+        for (i, row) in chunk.chunks_mut(nens).enumerate() {
+            f(target.point_at(first + i), ws, row).map_err(|e| (first + i, e))?;
+        }
+        Ok(())
+    })
 }
 
 /// The anomalies of an expansion's background and the banded table of
@@ -579,6 +625,11 @@ impl AnomalyGram {
         (q.iy - expansion.y0) * self.band + (q.ix - expansion.x0)
     }
 
+    /// Expansion-local row `a`'s slots.
+    fn slots(&self, a: usize) -> &[f64] {
+        &self.table[a * self.stride..(a + 1) * self.stride]
+    }
+
     /// `u_a · u_b` for expansion-local row `a` with key `key_a` and a point
     /// with key `key_b` that is not before `a` in row-major order and lies
     /// inside the band.
@@ -591,27 +642,188 @@ impl AnomalyGram {
 /// Per-thread scratch buffers for the point-wise local analysis.
 ///
 /// One instance per worker, reused across every grid point the worker
-/// analyzes; once the buffers have grown to the largest box, the per-point
-/// kernel performs no heap allocation (`tests/alloc_free.rs`).
+/// analyzes; once the buffers have grown to the largest box, the point
+/// kernels perform no heap allocation (`tests/alloc_free.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct LocalAnalysisWorkspace {
-    /// Expansion-local row of each box point, and its [`AnomalyGram`] key.
-    box_rows: Vec<usize>,
-    box_keys: Vec<usize>,
-    obs_box: LocalObservations,
+    /// Localized points; `free` lists the slots no queue holds.
+    slots: Vec<PointBox>,
+    free: Vec<usize>,
+    /// Queued slots per box shape.
+    queues: Vec<(BoxShape, Vec<usize>)>,
     obs_scratch: Vec<usize>,
-    mc: ModifiedCholesky,
-    mc_ws: ModCholWorkspace,
-    /// `A = B̂⁻¹ + Hᵀ R⁻¹ H` of the box.
-    a: Matrix,
-    chol: CholWorkspace,
-    w: Vec<f64>,
+    one: LaneWorkspace<1>,
+    four: LaneWorkspace<{ LocalAnalysis::LANES }>,
 }
 
 impl LocalAnalysisWorkspace {
     /// An empty workspace; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Copy `p`'s background into row `row` of `out` and localize `p`'s
+    /// box into a slot: the slot, or `None` (the row is final) when the box
+    /// holds no observation.
+    fn localize(
+        &mut self,
+        la: &LocalAnalysis,
+        io: &PointInputs<'_>,
+        p: GridPoint,
+        row: usize,
+        out: &mut [f64],
+    ) -> Option<usize> {
+        let nens = io.xb.ncols();
+        out[row * nens..(row + 1) * nens].copy_from_slice(io.xb.row(io.expansion.local_index(p)));
+        let id = self.free.pop().unwrap_or(self.slots.len());
+        if id == self.slots.len() {
+            self.slots.push(PointBox::default());
+        }
+        let slot = &mut self.slots[id];
+        slot.boxr = RegionRect::new(p.ix, p.ix + 1, p.iy, p.iy + 1).expand(la.radius, io.mesh);
+        debug_assert!(io.expansion.contains_rect(&slot.boxr));
+        (slot.t, slot.row) = (slot.boxr.local_index(p), row);
+        let obs = &mut slot.obs;
+        io.index
+            .sub_localize_into(io.obs, &slot.boxr, &mut self.obs_scratch, obs);
+        if obs.is_empty() {
+            self.free.push(id);
+            return None;
+        }
+        Some(id)
+    }
+}
+
+/// Box width, height and target index: points of one shape share the
+/// box-local predecessor structure, the box size and the target index.
+type BoxShape = (usize, usize, usize);
+
+/// One localized grid point: its mesh-clipped box, its index `t` in the
+/// box, its output row and the observations in the box.
+#[derive(Debug, Clone, Default)]
+struct PointBox {
+    boxr: RegionRect,
+    t: usize,
+    row: usize,
+    obs: LocalObservations,
+}
+
+impl PointBox {
+    fn shape(&self) -> BoxShape {
+        (self.boxr.width(), self.boxr.height(), self.t)
+    }
+}
+
+/// Scratch of one lane pass over `W` points of one box shape, lane `l`
+/// holding the `l`-th point.
+#[derive(Debug, Clone, Default)]
+struct LaneWorkspace<const W: usize> {
+    /// Expansion row of every lane's box points, lane-major.
+    rows: Vec<usize>,
+    /// Box-relative [`AnomalyGram`] key of each box point.
+    keys: Vec<usize>,
+    /// Width > 1: the lanes' anomaly rows (box point-major, then member)
+    /// and Gram table rows, interleaved per lane.
+    u: Vec<[f64; W]>,
+    g: Vec<[f64; W]>,
+    mc: ModifiedCholesky<W>,
+    mc_ws: ModCholWorkspace<W>,
+    /// Packed lower `A = B̂⁻¹ + Hᵀ R⁻¹ H` of each lane's box, then its
+    /// factor.
+    a: Vec<[f64; W]>,
+    col: Vec<[f64; W]>,
+    w: Vec<[f64; W]>,
+}
+
+impl<const W: usize> LaneWorkspace<W> {
+    /// The local analyses of the points `slots[ids[l]]`, all of one box
+    /// shape, added into their rows of `out` (which hold their
+    /// backgrounds). Every lane runs the width-1 operation sequence on its
+    /// own data; `out` is written only once nothing can fail.
+    fn analyze(
+        &mut self,
+        la: &LocalAnalysis,
+        io: &PointInputs<'_>,
+        slots: &[PointBox],
+        ids: &[usize],
+        out: &mut [f64],
+    ) -> Result<()> {
+        debug_assert_eq!(ids.len(), W);
+        let (boxr, t) = (slots[ids[0]].boxr, slots[ids[0]].t);
+        let (nbar, nens, gram) = (boxr.npoints(), io.xb.ncols(), io.gram);
+        let points = ids.iter().flat_map(|&id| slots[id].boxr.iter_points());
+        self.rows.clear();
+        self.rows
+            .extend(points.map(|q| io.expansion.local_index(q)));
+        self.keys.clear();
+        self.keys
+            .extend(boxr.iter_points().map(|q| gram.key(&boxr, q)));
+        let rows = &self.rows;
+        if W > 1 {
+            self.u.clear();
+            self.g.clear();
+            for j in 0..nbar {
+                let src: [_; W] = std::array::from_fn(|l| rows[l * nbar + j]);
+                let (u, g) = (
+                    src.map(|r| gram.anomalies.row(r)),
+                    src.map(|r| gram.slots(r)),
+                );
+                self.u.extend((0..nens).map(|s| u.map(|r| r[s])));
+                self.g.extend((0..gram.stride).map(|k| g.map(|r| r[k])));
+            }
+        }
+        let (keys, u, g) = (&self.keys, &self.u, &self.g);
+        // At width 1 the lane is the shared anomaly row or table slot.
+        let row = |j: usize| -> &[[f64; W]] {
+            match W {
+                1 => gram.anomalies.row(rows[j]).as_chunks().0,
+                _ => &u[j * nens..(j + 1) * nens],
+            }
+        };
+        let entry = |ja: usize, jb: usize| match W {
+            1 => [gram.entry(rows[ja], keys[ja], keys[jb]); W],
+            _ => g[ja * gram.stride + gram.centre + keys[jb] - keys[ja]],
+        };
+        // The adaptive ridge, as in `analyze_region`: one running sum over
+        // the box's anomalies in row-major order.
+        let mut sum_sq = [0.0; W];
+        for v in (0..nbar).flat_map(row) {
+            sum_sq = sum_sq.add(v.mul(*v));
+        }
+        let denom = (nens - 1).max(1) as f64;
+        let mean_var = sum_sq.div([denom * nbar as f64; W]);
+        let lambda = [la.ridge; W].mul(mean_var);
+        let lambda = lambda.max([f64::MIN_POSITIVE; W]);
+        let preds = |i, preds: &mut _| push_box_predecessors(&boxr, la.radius, i, preds);
+        let (mc, a) = (&mut self.mc, &mut self.a);
+        mc.estimate_into(&mut self.mc_ws, nbar, row, entry, preds, lambda)?;
+        mc.inverse_covariance_into(&mut self.mc_ws, a);
+        for (l, &id) in ids.iter().enumerate() {
+            let obs = &slots[id].obs;
+            for (&r, &var) in obs.local_rows.iter().zip(&obs.error_var) {
+                a[tri(r) + r][l] += 1.0 / var;
+            }
+        }
+        check_pivots(factor_lanes(a, nbar, &mut self.col))?;
+        let w = &mut self.w;
+        w.clear();
+        w.resize(nbar, [0.0; W]);
+        w[t] = [1.0; W];
+        solve_lanes(a, nbar, w);
+        // X^a[t,·] = X^b[t,·] + wᵀ Z with Z's rows formed on the fly.
+        for (l, &id) in ids.iter().enumerate() {
+            let b = &slots[id];
+            let out_row = &mut out[b.row * nens..(b.row + 1) * nens];
+            for (r, &brow) in b.obs.local_rows.iter().enumerate() {
+                let c = w[brow][l] / b.obs.error_var[r];
+                let background = io.xb.row(rows[l * nbar + brow]);
+                let perturbed = b.obs.perturbed.row(r);
+                for ((o, &y), &x) in out_row.iter_mut().zip(perturbed).zip(background) {
+                    *o += c * (y - x);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -748,6 +960,134 @@ mod tests {
             }
         }
         assert!(checked > 500);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn lane_pass_is_bit_identical_to_four_width_1_passes() {
+        // Dense observations on the left half, one per 7×7 block on the
+        // right, so some lane groups mix one-observation and
+        // many-observation boxes.
+        let mesh = Mesh::new(14, 11);
+        let full = RegionRect::full(mesh);
+        let points: Vec<GridPoint> = full
+            .iter_points()
+            .filter(|p| {
+                (p.ix < 7 && (p.ix + p.iy) % 2 == 0)
+                    || (p.ix >= 7 && p.ix % 7 == 6 && p.iy % 7 == 3)
+            })
+            .collect();
+        let op = crate::ObservationOperator::new(ObservationNetwork::from_points(mesh, points));
+        let m = op.len();
+        let values: Vec<f64> = (0..m).map(|k| (k as f64 * 0.3).sin()).collect();
+        let (mut mixed, mut groups) = (false, 0);
+        for nens in [2usize, 3, 32] {
+            let observations = crate::Observations::new(
+                op.clone(),
+                values.clone(),
+                vec![0.1; m],
+                crate::PerturbedObservations::new(7, nens),
+            );
+            let obs = observations.localize(&full);
+            let xb = random_xb(full.npoints(), nens, 31 + nens as u64);
+            for (xi, eta) in [(1, 1), (2, 3), (3, 2), (3, 3)] {
+                if nens == 32 && xi != eta {
+                    continue;
+                }
+                let la = LocalAnalysis::new(LocalizationRadius { xi, eta });
+                let index = LocalObsIndex::build(&obs, &full, xi.max(eta));
+                let gram = AnomalyGram::build(&xb, &full, la.radius);
+                let io = PointInputs {
+                    mesh,
+                    expansion: &full,
+                    xb: &xb,
+                    obs: &obs,
+                    index: &index,
+                    gram: &gram,
+                };
+                let mut ws = LocalAnalysisWorkspace::new();
+                let mut base = vec![0.0; full.npoints() * nens];
+                let mut by_shape: Vec<(BoxShape, Vec<usize>)> = Vec::new();
+                for row in 0..full.npoints() {
+                    if let Some(id) = ws.localize(&la, &io, full.point_at(row), row, &mut base) {
+                        let shape = ws.slots[id].shape();
+                        match by_shape.iter_mut().find(|(s, _)| *s == shape) {
+                            Some((_, ids)) => ids.push(id),
+                            None => by_shape.push((shape, vec![id])),
+                        }
+                    }
+                }
+                let (mut lanes, mut single) = (base.clone(), base);
+                // Boxes clipped at the left, right, top and bottom edge.
+                let mut edges = [false; 4];
+                for quad in by_shape.iter().flat_map(|(_, ids)| ids.chunks_exact(4)) {
+                    ws.four
+                        .analyze(&la, &io, &ws.slots, quad, &mut lanes)
+                        .unwrap();
+                    for &id in quad {
+                        ws.one
+                            .analyze(&la, &io, &ws.slots, &[id], &mut single)
+                            .unwrap();
+                    }
+                    let b = ws.slots[quad[0]].boxr;
+                    let (narrow, short) = (b.width() < 2 * xi + 1, b.height() < 2 * eta + 1);
+                    let clipped = [
+                        narrow && b.x0 == 0,
+                        narrow && b.x1 == mesh.nx(),
+                        short && b.y0 == 0,
+                        short && b.y1 == mesh.ny(),
+                    ];
+                    for (e, c) in edges.iter_mut().zip(clipped) {
+                        *e |= c;
+                    }
+                    let counts = quad.iter().map(|&id| ws.slots[id].obs.len());
+                    mixed |= counts.clone().any(|c| c == 1) && counts.clone().any(|c| c > 1);
+                    groups += 1;
+                }
+                assert_eq!(edges, [true; 4], "N={nens} radius ({xi},{eta})");
+                assert_eq!(bits(&lanes), bits(&single), "N={nens} radius ({xi},{eta})");
+            }
+        }
+        assert!(mixed, "no lane group mixed one- and many-observation boxes");
+        assert!(groups > 100);
+    }
+
+    #[test]
+    fn non_finite_background_fails_like_the_first_failing_width_1_point() {
+        let mesh = Mesh::new(16, 12);
+        let radius = LocalizationRadius { xi: 2, eta: 2 };
+        let la = LocalAnalysis::new(radius);
+        let full = RegionRect::full(mesh);
+        let nens = 8;
+        let obs = make_obs(mesh, 2, &full, 13, nens);
+        let index = LocalObsIndex::build(&obs, &full, 2);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for q in [GridPoint { ix: 7, iy: 5 }, GridPoint { ix: 0, iy: 11 }] {
+                let mut xb = random_xb(full.npoints(), nens, 5);
+                xb[(full.local_index(q), 3)] = bad;
+                let gram = AnomalyGram::build(&xb, &full, radius);
+                let io = PointInputs {
+                    mesh,
+                    expansion: &full,
+                    xb: &xb,
+                    obs: &obs,
+                    index: &index,
+                    gram: &gram,
+                };
+                let mut ws = LocalAnalysisWorkspace::new();
+                let mut row = vec![0.0; nens];
+                let want = full
+                    .iter_points()
+                    .map(|p| la.analyze_points_into(&io, &[p], &mut ws, &mut row))
+                    .find_map(|r| r.err())
+                    .expect("a non-finite member fails some point");
+                let got = la.analyze(mesh, &full, &full, &xb, &obs).unwrap_err();
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{bad} at {q:?}");
+            }
+        }
     }
 
     #[test]

@@ -36,8 +36,7 @@ pub fn serial_enkf(
     observations: &Observations,
     radius: LocalizationRadius,
 ) -> Result<Ensemble> {
-    let decomp =
-        Decomposition::new(ensemble.mesh(), 1, 1).expect("1x1 decomposition is always valid");
+    let decomp = Decomposition::whole(ensemble.mesh());
     serial_enkf_decomposed(ensemble, observations, LocalAnalysis::new(radius), &decomp)
 }
 

@@ -1,6 +1,7 @@
 //! Counting-allocator proof that the steady-state per-grid-point loops —
-//! the modified-Cholesky [`LocalAnalysis`] kernel every executor runs, and
-//! the LETKF kernel — perform no heap allocation.
+//! the modified-Cholesky [`LocalAnalysis`] kernel every executor runs, at
+//! width 1 and over lane groups, and the LETKF kernel — perform no heap
+//! allocation.
 //!
 //! The workspace buffers grow to their high-water mark during a warm pass
 //! over every grid point; a second pass over the same points must then
@@ -9,8 +10,9 @@
 use enkf_core::{
     AnomalyGram, LetkfAnalysis, LetkfWorkspace, LocalAnalysis, LocalAnalysisWorkspace,
     LocalObsIndex, LocalObservations, ObservationOperator, Observations, PerturbedObservations,
+    PointInputs,
 };
-use enkf_grid::{LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
+use enkf_grid::{GridPoint, LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
 use enkf_linalg::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -114,25 +116,79 @@ fn local_analysis_point_loop_is_allocation_free_at_steady_state() {
     let gram = AnomalyGram::build(&states, &full, RADIUS);
     let mut ws = LocalAnalysisWorkspace::new();
     let mut out_row = vec![0.0; NENS];
+    let io = PointInputs {
+        mesh,
+        expansion: &full,
+        xb: &states,
+        obs: &obs,
+        index: &index,
+        gram: &gram,
+    };
     let mut moved = false;
     assert_second_pass_is_allocation_free(mesh, |p| {
         analysis
-            .analyze_point_into(
-                mesh,
-                p,
-                &full,
-                &states,
-                &obs,
-                &index,
-                &gram,
-                &mut ws,
-                &mut out_row,
-            )
+            .analyze_points_into(&io, &[p], &mut ws, &mut out_row)
             .unwrap();
         moved |= out_row != states.row(full.local_index(p));
         out_row[0]
     });
     assert!(moved, "the network must reach the analysis");
+}
+
+#[test]
+fn lane_group_entry_is_allocation_free_at_steady_state() {
+    let (mesh, states, obs, index) = problem();
+    let full = RegionRect::full(mesh);
+    let analysis = LocalAnalysis::new(RADIUS);
+    let gram = AnomalyGram::build(&states, &full, RADIUS);
+    // Every group of `LANES` points whose clipped boxes share a shape (box
+    // extent and the point's place in it), as the analysis queues them.
+    let mut by_shape: Vec<((usize, usize, usize), Vec<GridPoint>)> = Vec::new();
+    for p in full.iter_points() {
+        let boxr = RegionRect::new(p.ix, p.ix + 1, p.iy, p.iy + 1).expand(RADIUS, mesh);
+        let shape = (boxr.width(), boxr.height(), boxr.local_index(p));
+        match by_shape.iter_mut().find(|(s, _)| *s == shape) {
+            Some((_, points)) => points.push(p),
+            None => by_shape.push((shape, vec![p])),
+        }
+    }
+    let groups: Vec<&[GridPoint]> = by_shape
+        .iter()
+        .flat_map(|(_, points)| points.chunks_exact(LocalAnalysis::LANES))
+        .collect();
+    assert!(groups.len() >= 16, "only {} lane groups", groups.len());
+    let mut ws = LocalAnalysisWorkspace::new();
+    let mut out = vec![0.0; LocalAnalysis::LANES * NENS];
+    let io = PointInputs {
+        mesh,
+        expansion: &full,
+        xb: &states,
+        obs: &obs,
+        index: &index,
+        gram: &gram,
+    };
+    let mut pass = || {
+        let mut sum = 0.0;
+        for points in &groups {
+            analysis
+                .analyze_points_into(&io, points, &mut ws, &mut out)
+                .unwrap();
+            sum += out.iter().sum::<f64>();
+        }
+        sum
+    };
+    let warm = pass();
+    let before = allocations();
+    let steady = pass();
+    let after = allocations();
+    assert!(steady.is_finite());
+    assert_eq!(steady.to_bits(), warm.to_bits(), "passes are deterministic");
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state lane groups allocated {} times",
+        after - before
+    );
 }
 
 #[test]

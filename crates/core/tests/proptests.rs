@@ -192,6 +192,9 @@ proptest! {
     #[test]
     fn local_analysis_is_bit_identical_to_the_per_box_design_matrix_algorithm(
         (nx, ny) in (5usize..=11, 5usize..=9),
+        // A second mesh at least `2ξ + 4` wide, with its first row
+        // observed: its unclipped points form a lane group at every radius.
+        wide_nx in 10usize..=17,
         (xi, eta) in (1usize..=3, 1usize..=3),
         // From N = 2 up: most regressions then have N ≤ |preds| and only
         // the ridge keeps their normal equations factorizable.
@@ -200,50 +203,57 @@ proptest! {
         rect in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
         seed in any::<u64>(),
     ) {
-        let mesh = Mesh::new(nx, ny);
         let radius = LocalizationRadius { xi, eta };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut gs = GaussianSampler::new();
-        let full = RegionRect::full(mesh);
-        let states = Matrix::from_fn(mesh.n(), nens, |i, _| {
-            1.5 + (mesh.point(i).ix as f64 * 0.5).sin() + 0.5 * gs.sample(&mut rng)
-        });
-        // A random sparse network (always at least the origin), so some
-        // boxes hold no observation at all.
-        let points: Vec<GridPoint> = full
-            .iter_points()
-            .enumerate()
-            .filter(|(k, _)| *k == 0 || mask[k % mask.len()])
-            .map(|(_, p)| p)
-            .collect();
-        let op = ObservationOperator::new(ObservationNetwork::from_points(mesh, points));
-        let m = op.len();
-        let values: Vec<f64> = (0..m).map(|k| (k as f64 * 0.23).cos()).collect();
-        let observations =
-            Observations::new(op, values, vec![0.1; m], PerturbedObservations::new(seed ^ 0xBEEF, nens));
+        for (nx, wide) in [(nx, false), (wide_nx, true)] {
+            let mesh = Mesh::new(nx, ny);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut gs = GaussianSampler::new();
+            let full = RegionRect::full(mesh);
+            let states = Matrix::from_fn(mesh.n(), nens, |i, _| {
+                1.5 + (mesh.point(i).ix as f64 * 0.5).sin() + 0.5 * gs.sample(&mut rng)
+            });
+            // A random sparse network (always at least the origin, on the
+            // wide mesh the first row), so some boxes hold no observation.
+            let points: Vec<GridPoint> = full
+                .iter_points()
+                .enumerate()
+                .filter(|(k, p)| *k == 0 || (wide && p.iy == 0) || mask[k % mask.len()])
+                .map(|(_, p)| p)
+                .collect();
+            let op = ObservationOperator::new(ObservationNetwork::from_points(mesh, points));
+            let m = op.len();
+            let values: Vec<f64> = (0..m).map(|k| (k as f64 * 0.23).cos()).collect();
+            let observations = Observations::new(
+                op,
+                values,
+                vec![0.1; m],
+                PerturbedObservations::new(seed ^ 0xBEEF, nens),
+            );
 
-        // A random non-empty target — often narrower than the radius, often
-        // against a mesh edge so its expansion is clamped — and the mesh.
-        let x0 = rect.0 % nx;
-        let x1 = x0 + 1 + rect.1 % (nx - x0);
-        let y0 = rect.2 % ny;
-        let y1 = y0 + 1 + rect.3 % (ny - y0);
-        for target in [RegionRect::new(x0, x1, y0, y1), full] {
-            let expansion = target.expand(radius, mesh);
-            let xb = states.select_rows(&full.local_indices_of(&expansion));
-            let obs = observations.localize(&expansion);
+            // A random non-empty target — often narrower than the radius,
+            // often against a mesh edge so its expansion is clamped — and
+            // the mesh.
+            let x0 = rect.0 % nx;
+            let x1 = x0 + 1 + rect.1 % (nx - x0);
+            let y0 = rect.2 % ny;
+            let y1 = y0 + 1 + rect.3 % (ny - y0);
+            for target in [RegionRect::new(x0, x1, y0, y1), full] {
+                let expansion = target.expand(radius, mesh);
+                let xb = states.select_rows(&full.local_indices_of(&expansion));
+                let obs = observations.localize(&expansion);
 
-            let pointwise = LocalAnalysis::new(radius);
-            let xa = pointwise.analyze(mesh, &target, &expansion, &xb, &obs).unwrap();
-            for (i, gp) in target.iter_points().enumerate() {
-                let want = oracle_point(&pointwise, mesh, gp, &expansion, &xb, &obs);
-                prop_assert_eq!(bits(xa.row(i)), bits(&want), "point {:?} of {:?}", gp, target);
+                let pointwise = LocalAnalysis::new(radius);
+                let xa = pointwise.analyze(mesh, &target, &expansion, &xb, &obs).unwrap();
+                for (i, gp) in target.iter_points().enumerate() {
+                    let want = oracle_point(&pointwise, mesh, gp, &expansion, &xb, &obs);
+                    prop_assert_eq!(bits(xa.row(i)), bits(&want), "point {:?} of {:?}", gp, target);
+                }
+
+                let blocked = LocalAnalysis::blocked(radius);
+                let xa = blocked.analyze(mesh, &target, &expansion, &xb, &obs).unwrap();
+                let want = oracle_region(&blocked, &target, &expansion, &xb, &obs);
+                prop_assert_eq!(bits(xa.as_slice()), bits(want.as_slice()), "region {:?}", target);
             }
-
-            let blocked = LocalAnalysis::blocked(radius);
-            let xa = blocked.analyze(mesh, &target, &expansion, &xb, &obs).unwrap();
-            let want = oracle_region(&blocked, &target, &expansion, &xb, &obs);
-            prop_assert_eq!(bits(xa.as_slice()), bits(want.as_slice()), "region {:?}", target);
         }
     }
 

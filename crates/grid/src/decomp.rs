@@ -94,6 +94,15 @@ impl Decomposition {
         Ok(Decomposition { mesh, nsdx, nsdy })
     }
 
+    /// The whole mesh as its only sub-domain: `1 × 1` divides every mesh.
+    pub fn whole(mesh: Mesh) -> Self {
+        Decomposition {
+            mesh,
+            nsdx: 1,
+            nsdy: 1,
+        }
+    }
+
     /// The underlying mesh.
     pub fn mesh(&self) -> Mesh {
         self.mesh

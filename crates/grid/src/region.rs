@@ -8,7 +8,7 @@ use crate::{GridPoint, LocalizationRadius, Mesh};
 use serde::{Deserialize, Serialize};
 
 /// A half-open rectangle `[x0, x1) × [y0, y1)` of grid points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RegionRect {
     /// First longitude index (inclusive).
     pub x0: usize,

@@ -5,81 +5,23 @@
 //! factorization (paper §2.3). LDLᵀ is provided as the square-root-free
 //! variant used by the modified-Cholesky covariance estimator.
 
+use crate::kernel::lanes::{check_pivots, factor_lanes, solve_lanes, tri};
 use crate::{LinalgError, Matrix, Result};
 
-/// Factor the lower triangle of the SPD matrix `a` into `l` (`A = L Lᵀ`),
-/// reusing `l`'s allocation; `col` is scratch for the current column.
-///
-/// Right-looking (outer-product) form: once column `j` is final, every
-/// trailing entry `(i, m)` gets `-= L[i][j] · L[m][j]` as one contiguous
-/// row update. Each entry therefore still starts from `a[(i, m)]` and has
-/// its products subtracted in ascending `j` — the order, operands and bits
-/// of the textbook `sum -= l[(i, k)] * l[(m, k)]` loop — but the inner
-/// loop is an independent-element axpy instead of one serial dependency
-/// chain, so it pipelines and vectorizes.
-fn factor_into(a: &Matrix, l: &mut Matrix, col: &mut Vec<f64>) -> Result<()> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { shape: a.shape() });
-    }
-    let n = a.nrows();
-    l.resize(n, n);
-    for i in 0..n {
-        l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
-    }
-    col.clear();
-    col.resize(n, 0.0);
-    let l = l.as_mut_slice();
-    for j in 0..n {
-        let pivot = l[j * n + j];
-        if pivot <= 0.0 || !pivot.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite(j));
-        }
-        let ljj = pivot.sqrt();
-        l[j * n + j] = ljj;
-        for i in (j + 1)..n {
-            let lij = l[i * n + j] / ljj;
-            l[i * n + j] = lij;
-            col[i] = lij;
-        }
-        for i in (j + 1)..n {
-            let lij = col[i];
-            let row = &mut l[i * n + j + 1..=i * n + i];
-            for (x, &lmj) in row.iter_mut().zip(&col[j + 1..=i]) {
-                *x -= lij * lmj;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Solve `L Lᵀ x = b` in place given the factor `l` (`x` holds `b` on
-/// entry). Both substitutions subtract in ascending `k`.
-fn solve_factored(l: &Matrix, x: &mut [f64]) {
-    let n = l.nrows();
-    // Forward substitution L y = b.
-    for i in 0..n {
-        let row = l.row(i);
-        let (done, rest) = x.split_at_mut(i);
-        let mut sum = rest[0];
-        for (&lik, &yk) in row.iter().zip(done.iter()) {
-            sum -= lik * yk;
-        }
-        rest[0] = sum / row[i];
-    }
-    // Back substitution Lᵀ x = y.
-    let l = l.as_slice();
-    for i in (0..n).rev() {
-        let mut sum = x[i];
-        for k in (i + 1)..n {
-            sum -= l[k * n + i] * x[k];
-        }
-        x[i] = sum / l[i * n + i];
-    }
-}
-
 /// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
+///
+/// The factor and the solves are the width-1 lane kernels
+/// ([`crate::kernel::lanes`]): right-looking, so once column `j` is final
+/// every trailing entry `(i, m)` gets `-= L[i][j] · L[m][j]` as one
+/// contiguous row update. Each entry therefore still starts from
+/// `a[(i, m)]` and has its products subtracted in ascending `j` — the
+/// order, operands and bits of the textbook `sum -= l[(i, k)] * l[(m, k)]`
+/// loop — but the inner loop is an independent-element axpy instead of one
+/// serial dependency chain, so it pipelines and vectorizes.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
+    /// `L` packed lower, row `i` at [`tri`]`(i)`.
+    packed: Vec<[f64; 1]>,
     l: Matrix,
 }
 
@@ -90,9 +32,20 @@ impl Cholesky {
     /// [`LinalgError::NotPositiveDefinite`] when a pivot is not strictly
     /// positive.
     pub fn factor(a: &Matrix) -> Result<Self> {
-        let mut l = Matrix::zeros(0, 0);
-        factor_into(a, &mut l, &mut Vec::new())?;
-        Ok(Cholesky { l })
+        if !a.is_square() {
+            return Err(LinalgError::NotSquare { shape: a.shape() });
+        }
+        let n = a.nrows();
+        let mut packed: Vec<[f64; 1]> = (0..n)
+            .flat_map(|i| a.row(i)[..=i].iter().map(|&x| [x]))
+            .collect();
+        check_pivots(factor_lanes(&mut packed, n, &mut Vec::new()))?;
+        let l = Matrix::from_fn(
+            n,
+            n,
+            |i, j| if j <= i { packed[tri(i) + j][0] } else { 0.0 },
+        );
+        Ok(Cholesky { packed, l })
     }
 
     /// Borrow the lower-triangular factor.
@@ -116,7 +69,7 @@ impl Cholesky {
             });
         }
         let mut x = b.to_vec();
-        solve_factored(&self.l, &mut x);
+        solve_lanes(&self.packed, n, x.as_chunks_mut().0);
         Ok(x)
     }
 
@@ -150,58 +103,6 @@ impl Cholesky {
     /// `log det A = 2 Σ log L[i][i]`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-}
-
-/// Reusable buffers for repeated Cholesky factorizations and solves.
-///
-/// The local analysis factors one SPD system per regression and per grid
-/// point; with a workspace the factor storage is reused and the solve runs
-/// in place on a caller-owned right-hand side, so the steady-state path
-/// never allocates. Same routines as [`Cholesky`], so the bits agree.
-#[derive(Debug, Clone, Default)]
-pub struct CholWorkspace {
-    l: Matrix,
-    col: Vec<f64>,
-}
-
-impl CholWorkspace {
-    /// An empty workspace; the factor buffer grows on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Factor a symmetric positive-definite matrix into the reused buffer.
-    ///
-    /// Same algorithm and error behavior as [`Cholesky::factor`]; only the
-    /// lower triangle of `a` is read.
-    pub fn factor(&mut self, a: &Matrix) -> Result<()> {
-        factor_into(a, &mut self.l, &mut self.col)
-    }
-
-    /// Dimension of the last factored matrix.
-    pub fn dim(&self) -> usize {
-        self.l.nrows()
-    }
-
-    /// Borrow the lower-triangular factor of the last factorization.
-    pub fn l(&self) -> &Matrix {
-        &self.l
-    }
-
-    /// Solve `A x = b` in place: `x` holds `b` on entry, the solution on
-    /// exit. Same substitution order as [`Cholesky::solve_vec`].
-    pub fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
-        let n = self.dim();
-        if x.len() != n {
-            return Err(LinalgError::DimMismatch {
-                op: "CholWorkspace::solve_in_place",
-                lhs: (n, n),
-                rhs: (x.len(), 1),
-            });
-        }
-        solve_factored(&self.l, x);
-        Ok(())
     }
 }
 
@@ -370,22 +271,6 @@ mod tests {
         assert!((ch.log_det() - (24.0_f64).ln()).abs() < 1e-12);
     }
 
-    #[test]
-    fn chol_workspace_matches_cholesky_bitwise_across_reuse() {
-        let mut ws = CholWorkspace::new();
-        for n in [8usize, 3, 10, 6] {
-            let a = spd(n);
-            let ch = Cholesky::factor(&a).unwrap();
-            ws.factor(&a).unwrap();
-            assert_eq!(ws.l(), ch.l());
-            assert_eq!(ws.dim(), n);
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-            let mut x = b.clone();
-            ws.solve_in_place(&mut x).unwrap();
-            assert_eq!(x, ch.solve_vec(&b).unwrap());
-        }
-    }
-
     /// The textbook inner-product loops the right-looking kernel replaced;
     /// every digest in the repository was pinned on their bits.
     fn textbook_factor_solve(a: &Matrix, b: &[f64]) -> (Matrix, Vec<f64>) {
@@ -439,20 +324,6 @@ mod tests {
             Cholesky::factor(&a),
             Err(LinalgError::NotPositiveDefinite(2))
         ));
-    }
-
-    #[test]
-    fn chol_workspace_rejects_bad_inputs() {
-        let mut ws = CholWorkspace::new();
-        assert!(ws.factor(&Matrix::zeros(2, 3)).is_err());
-        let indefinite = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]).unwrap();
-        assert!(matches!(
-            ws.factor(&indefinite),
-            Err(LinalgError::NotPositiveDefinite(1))
-        ));
-        ws.factor(&spd(4)).unwrap();
-        let mut wrong = vec![0.0; 3];
-        assert!(ws.solve_in_place(&mut wrong).is_err());
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!   matrix-vector product, dispatching to register-tiled microkernels.
 //! - `simd` (via re-exports) — runtime ISA detection and the AVX2
 //!   microkernel bodies with scalar fallbacks.
+//! - [`lanes`] — `W` same-sized SPD factor/solves side by side, one per
+//!   `[f64; W]` lane, each lane bit-identical to the scalar kernel.
 //! - [`convert`] — bulk little-endian ↔ `f64` codecs shared with
 //!   `enkf-pfs`.
 //! - [`tiles`] — every tiling/dispatch constant, with the cache
@@ -27,6 +29,7 @@
 
 pub mod convert;
 pub mod gemm;
+pub mod lanes;
 pub mod reference;
 mod simd;
 pub mod tiles;

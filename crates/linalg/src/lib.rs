@@ -26,7 +26,7 @@ pub mod modchol;
 pub mod rng;
 pub mod sherman;
 
-pub use chol::{CholWorkspace, Cholesky, Ldlt};
+pub use chol::{Cholesky, Ldlt};
 pub use eigen::{EigenWorkspace, SymEigen};
 pub use lstsq::ridge_least_squares;
 pub use matrix::Matrix;

@@ -34,47 +34,51 @@
 //! expansion. As long as the accessor returns the ascending-order fold from
 //! `0.0`, the result is bit for bit the one `ridge_least_squares` on the
 //! gathered design matrix gives (pinned by this module's tests).
+//!
+//! The estimator is generic over a lane width `W`: `W` systems with one
+//! predecessor structure run side by side, one per `[f64; W]` lane, each
+//! lane the width-1 operation sequence ([`crate::kernel::lanes`]). The
+//! point-wise local analysis runs four same-shaped boxes at a time;
+//! [`ModifiedCholesky::estimate`] is width 1.
 
 use crate::kernel::gemm::dot;
-use crate::{CholWorkspace, LinalgError, Matrix, Result};
+use crate::kernel::lanes::{check_pivots, factor_body, lane_entry, solve_body, tri, LaneOps};
+use crate::{LinalgError, Matrix, Result};
 
-/// The factors of the modified Cholesky inverse-covariance estimate.
+/// The factors of the modified Cholesky inverse-covariance estimate of `W`
+/// systems with one predecessor structure, one system per `[f64; W]` lane
+/// (the default `W = 1` is a single system).
 ///
 /// `L` is stored by rows in compressed form — only the predecessor columns
 /// of each row, the unit diagonal implicit — so its size follows the
 /// localization neighborhood, not `n²`. The buffers are reused by
 /// [`ModifiedCholesky::estimate_into`].
 #[derive(Debug, Clone, Default)]
-pub struct ModifiedCholesky {
+pub struct ModifiedCholesky<const W: usize = 1> {
     /// Row `i`'s entries live at `row_start[i]..row_start[i + 1]`.
     row_start: Vec<usize>,
     /// Predecessor columns, strictly ascending within a row.
     cols: Vec<usize>,
     /// `L[i][cols[k]] = −β`.
-    vals: Vec<f64>,
+    vals: Vec<[f64; W]>,
     /// Residual variances (diagonal of `D`).
-    d: Vec<f64>,
+    d: Vec<[f64; W]>,
 }
 
 /// Scratch for the per-component regressions and the rank-1 accumulation
 /// of `B̂⁻¹`; grows to its high-water mark and is then reused, so repeated
 /// estimates allocate nothing.
 #[derive(Debug, Clone, Default)]
-pub struct ModCholWorkspace {
+pub struct ModCholWorkspace<const W: usize = 1> {
     preds: Vec<usize>,
-    normal: Matrix,
-    chol: CholWorkspace,
-    beta: Vec<f64>,
-    fit: Vec<f64>,
+    /// The packed-lower normal matrix, factored in place.
+    normal: Vec<[f64; W]>,
+    col: Vec<[f64; W]>,
+    beta: Vec<[f64; W]>,
+    fit: Vec<[f64; W]>,
     idx: Vec<usize>,
-    scaled: Vec<f64>,
-}
-
-impl ModCholWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
+    scaled: Vec<[f64; W]>,
+    keep: Vec<[bool; W]>,
 }
 
 impl ModifiedCholesky {
@@ -97,109 +101,18 @@ impl ModifiedCholesky {
     ) -> Result<Self> {
         let mut mc = ModifiedCholesky::default();
         mc.estimate_into(
-            &mut ModCholWorkspace::new(),
+            &mut ModCholWorkspace::default(),
             anomalies.nrows(),
-            |i| anomalies.row(i),
-            |a, b| dot(anomalies.row(a), anomalies.row(b)),
+            |i| anomalies.row(i).as_chunks::<1>().0,
+            |a, b| [dot(anomalies.row(a), anomalies.row(b))],
             |i, out| {
                 out.extend(predecessors(i).into_iter().filter(|&j| j < i));
                 out.sort_unstable();
                 out.dedup();
             },
-            ridge,
+            [ridge],
         )?;
         Ok(mc)
-    }
-
-    /// The regression core: estimate the factors of an `n`-component
-    /// system into `self`, reusing its buffers and `ws`.
-    ///
-    /// * `row(i)` — component `i`'s anomalies (`N` members).
-    /// * `gram(a, b)` — `row(a) · row(b)` folded from `0.0` in ascending
-    ///   member order; only called with `a ≤ b`.
-    /// * `predecessors(i, out)` — push component `i`'s predictors onto the
-    ///   (cleared) `out`: strictly ascending, all `< i`.
-    /// * `ridge` — as in [`ModifiedCholesky::estimate`].
-    pub fn estimate_into<'a>(
-        &mut self,
-        ws: &mut ModCholWorkspace,
-        n: usize,
-        row: impl Fn(usize) -> &'a [f64],
-        gram: impl Fn(usize, usize) -> f64,
-        mut predecessors: impl FnMut(usize, &mut Vec<usize>),
-        ridge: f64,
-    ) -> Result<()> {
-        self.row_start.clear();
-        self.row_start.push(0);
-        self.cols.clear();
-        self.vals.clear();
-        self.d.clear();
-        if n == 0 {
-            return Ok(());
-        }
-        let nens = row(0).len();
-        if nens < 2 {
-            return Err(LinalgError::DimMismatch {
-                op: "ModifiedCholesky::estimate (need at least 2 members)",
-                lhs: (n, nens),
-                rhs: (n, 2),
-            });
-        }
-        let denom = (nens - 1) as f64;
-        let floor = ridge.max(f64::MIN_POSITIVE);
-        for i in 0..n {
-            ws.preds.clear();
-            predecessors(i, &mut ws.preds);
-            let preds = ws.preds.as_slice();
-            debug_assert!(preds.windows(2).all(|w| w[0] < w[1]));
-            debug_assert!(preds.last().is_none_or(|&j| j < i));
-            let p = preds.len();
-            if p == 0 {
-                self.d.push((gram(i, i) / denom).max(floor));
-                self.row_start.push(self.cols.len());
-                continue;
-            }
-            // (XᵀX + λI) β = Xᵀy, gathered entry by entry; the factorization
-            // reads the lower triangle only.
-            ws.normal.resize(p, p);
-            for (a, &ja) in preds.iter().enumerate() {
-                let normal_row = ws.normal.row_mut(a);
-                for (x, &jb) in normal_row.iter_mut().zip(&preds[..a]) {
-                    *x = gram(jb, ja);
-                }
-                normal_row[a] = gram(ja, ja) + ridge;
-            }
-            ws.chol.factor(&ws.normal)?;
-            ws.beta.clear();
-            ws.beta.extend(preds.iter().map(|&j| gram(j, i)));
-            ws.chol.solve_in_place(&mut ws.beta)?;
-            // Residual variance for D[i]: the fit is accumulated one
-            // predictor at a time across all samples, so each sample still
-            // sums its terms in predictor order.
-            ws.fit.clear();
-            ws.fit.resize(nens, 0.0);
-            for (&b, &j) in ws.beta.iter().zip(preds) {
-                for (f, &u) in ws.fit.iter_mut().zip(row(j)) {
-                    *f += b * u;
-                }
-            }
-            let mut ss = 0.0;
-            for (&y, &f) in row(i).iter().zip(&ws.fit) {
-                let r = y - f;
-                ss += r * r;
-            }
-            self.d.push((ss / denom).max(floor));
-            self.cols.extend_from_slice(preds);
-            self.vals.extend(ws.beta.iter().map(|&b| -b));
-            self.row_start.push(self.cols.len());
-        }
-        Ok(())
-    }
-
-    /// Row `i` of `L` below the diagonal: predecessor columns and values.
-    fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let span = self.row_start[i]..self.row_start[i + 1];
-        (&self.cols[span.clone()], &self.vals[span])
     }
 
     /// The unit lower-triangular factor `L`, materialized densely
@@ -208,7 +121,7 @@ impl ModifiedCholesky {
         let mut l = Matrix::identity(self.dim());
         for i in 0..self.dim() {
             let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
+            for (&j, &[v]) in cols.iter().zip(vals) {
                 l[(i, j)] = v;
             }
         }
@@ -217,53 +130,15 @@ impl ModifiedCholesky {
 
     /// The residual variances (diagonal of `D`).
     pub fn d(&self) -> &[f64] {
-        &self.d
-    }
-
-    /// Dimension of the estimated covariance.
-    pub fn dim(&self) -> usize {
-        self.d.len()
+        self.d.as_flattened()
     }
 
     /// Materialize `B̂⁻¹ = Lᵀ D⁻¹ L` as a dense symmetric matrix.
     pub fn inverse_covariance(&self) -> Matrix {
-        let mut binv = Matrix::zeros(0, 0);
-        self.inverse_covariance_into(&mut ModCholWorkspace::new(), &mut binv);
-        binv
-    }
-
-    /// [`ModifiedCholesky::inverse_covariance`] into a caller-owned matrix.
-    ///
-    /// `B̂⁻¹ = Gᵀ G` with `G = D^{−1/2} L`, and row `i` of `L` is zero
-    /// outside `predecessors(i) ∪ {i}` by construction — so instead of a
-    /// dense `n³` product, each row contributes a rank-1 update confined to
-    /// its `O(|preds|²)` support. The per-term products, the skip of exact
-    /// zeros and the ascending row-accumulation order match the dense
-    /// zero-skipping product `(D^{−1/2}L)ᵀ (D^{−1/2}L)`.
-    pub fn inverse_covariance_into(&self, ws: &mut ModCholWorkspace, binv: &mut Matrix) {
+        let mut packed = Vec::new();
+        self.inverse_covariance_into(&mut ModCholWorkspace::default(), &mut packed);
         let n = self.dim();
-        binv.resize(n, n);
-        for i in 0..n {
-            let s = 1.0 / self.d[i].sqrt();
-            let (cols, vals) = self.row(i);
-            ws.idx.clear();
-            ws.scaled.clear();
-            for (&j, &x) in cols.iter().zip(vals) {
-                if x != 0.0 {
-                    ws.idx.push(j);
-                    ws.scaled.push(x * s);
-                }
-            }
-            ws.idx.push(i);
-            ws.scaled.push(s);
-            for (&ja, &fa) in ws.idx.iter().zip(&ws.scaled) {
-                let out = binv.row_mut(ja);
-                for (&jb, &fb) in ws.idx.iter().zip(&ws.scaled) {
-                    out[jb] += fa * fb;
-                }
-            }
-        }
-        binv.symmetrize();
+        Matrix::from_fn(n, n, |i, j| packed[tri(i.max(j)) + i.min(j)][0])
     }
 
     /// Apply `B̂⁻¹ x` without materializing the dense matrix:
@@ -282,21 +157,208 @@ impl ModifiedCholesky {
         for i in 0..n {
             let (cols, vals) = self.row(i);
             let mut sum = x[i];
-            for (&j, &lij) in cols.iter().zip(vals) {
+            for (&j, &[lij]) in cols.iter().zip(vals) {
                 sum += lij * x[j];
             }
-            t[i] = sum / self.d[i];
+            t[i] = sum / self.d()[i];
         }
         // y = Lᵀ t.
         let mut y = t.clone();
         for i in 0..n {
             let (cols, vals) = self.row(i);
-            for (&j, &lij) in cols.iter().zip(vals) {
+            for (&j, &[lij]) in cols.iter().zip(vals) {
                 y[j] += lij * t[i];
             }
         }
         Ok(y)
     }
+}
+
+impl<const W: usize> ModifiedCholesky<W> {
+    /// The regression core: estimate the factors of `W` `n`-component
+    /// systems sharing one predecessor structure into `self`, reusing its
+    /// buffers and `ws`. Lane `l` of every output is bit for bit what
+    /// width 1 computes from lane `l` of the inputs.
+    ///
+    /// * `row(i)` — component `i`'s anomalies (`N` members).
+    /// * `gram(a, b)` — `row(a) · row(b)` folded from `0.0` in ascending
+    ///   member order; only called with `a ≤ b`.
+    /// * `predecessors(i, out)` — push component `i`'s predictors onto the
+    ///   (cleared) `out`: strictly ascending, all `< i`.
+    /// * `ridge` — as in [`ModifiedCholesky::estimate`].
+    ///
+    /// Fails when any lane's regression is not positive definite.
+    pub fn estimate_into<'a>(
+        &mut self,
+        ws: &mut ModCholWorkspace<W>,
+        n: usize,
+        row: impl Fn(usize) -> &'a [[f64; W]],
+        gram: impl Fn(usize, usize) -> [f64; W],
+        predecessors: impl FnMut(usize, &mut Vec<usize>),
+        ridge: [f64; W],
+    ) -> Result<()> {
+        estimate_entry(self, ws, n, row, gram, predecessors, ridge)
+    }
+
+    #[inline(always)]
+    fn estimate_body<'a>(
+        &mut self,
+        ws: &mut ModCholWorkspace<W>,
+        n: usize,
+        row: impl Fn(usize) -> &'a [[f64; W]],
+        gram: impl Fn(usize, usize) -> [f64; W],
+        mut predecessors: impl FnMut(usize, &mut Vec<usize>),
+        ridge: [f64; W],
+    ) -> Result<()> {
+        self.row_start.clear();
+        self.row_start.push(0);
+        self.cols.clear();
+        self.vals.clear();
+        self.d.clear();
+        if n == 0 {
+            return Ok(());
+        }
+        let nens = row(0).len();
+        if nens < 2 {
+            return Err(LinalgError::DimMismatch {
+                op: "ModifiedCholesky::estimate (need at least 2 members)",
+                lhs: (n, nens),
+                rhs: (n, 2),
+            });
+        }
+        let denom = [(nens - 1) as f64; W];
+        let floor = ridge.max([f64::MIN_POSITIVE; W]);
+        for i in 0..n {
+            ws.preds.clear();
+            predecessors(i, &mut ws.preds);
+            let preds = ws.preds.as_slice();
+            debug_assert!(preds.windows(2).all(|w| w[0] < w[1]));
+            debug_assert!(preds.last().is_none_or(|&j| j < i));
+            let p = preds.len();
+            if p == 0 {
+                self.d.push(gram(i, i).div(denom).max(floor));
+                self.row_start.push(self.cols.len());
+                continue;
+            }
+            // (XᵀX + λI) β = Xᵀy: the lower triangle gathered entry by
+            // entry into packed storage and factored in place.
+            ws.normal.clear();
+            for (a, &ja) in preds.iter().enumerate() {
+                ws.normal.extend(preds[..a].iter().map(|&jb| gram(jb, ja)));
+                ws.normal.push(gram(ja, ja).add(ridge));
+            }
+            check_pivots(factor_body(&mut ws.normal, p, &mut ws.col))?;
+            ws.beta.clear();
+            ws.beta.extend(preds.iter().map(|&j| gram(j, i)));
+            solve_body(&ws.normal, p, &mut ws.beta);
+            // Residual variance for D[i]: the fit is accumulated one
+            // predictor at a time across all samples, so each sample still
+            // sums its terms in predictor order.
+            ws.fit.clear();
+            ws.fit.resize(nens, [0.0; W]);
+            for (&b, &j) in ws.beta.iter().zip(preds) {
+                for (f, &u) in ws.fit.iter_mut().zip(row(j)) {
+                    *f = f.add(b.mul(u));
+                }
+            }
+            let mut ss = [0.0; W];
+            for (&y, &f) in row(i).iter().zip(&ws.fit) {
+                let r = y.sub(f);
+                ss = ss.add(r.mul(r));
+            }
+            self.d.push(ss.div(denom).max(floor));
+            self.cols.extend_from_slice(preds);
+            self.vals.extend(ws.beta.iter().map(|b| b.map(|x| -x)));
+            self.row_start.push(self.cols.len());
+        }
+        Ok(())
+    }
+
+    /// Row `i` of `L` below the diagonal: predecessor columns and values.
+    fn row(&self, i: usize) -> (&[usize], &[[f64; W]]) {
+        let span = self.row_start[i]..self.row_start[i + 1];
+        (&self.cols[span.clone()], &self.vals[span])
+    }
+
+    /// Dimension of the estimated covariance.
+    pub fn dim(&self) -> usize {
+        self.d.len()
+    }
+
+    /// The lower triangle of `B̂⁻¹ = Lᵀ D⁻¹ L`, packed (row `i` at
+    /// [`tri`]`(i)`), into a caller-owned buffer.
+    ///
+    /// `B̂⁻¹ = Gᵀ G` with `G = D^{−1/2} L`, and row `i` of `L` is zero
+    /// outside `predecessors(i) ∪ {i}` by construction — so instead of a
+    /// dense `n³` product, each row contributes a rank-1 update confined to
+    /// its `O(|preds|²)` support. The per-term products, the skip of exact
+    /// zeros (masked per lane) and the ascending row-accumulation order
+    /// match the dense zero-skipping product `(D^{−1/2}L)ᵀ (D^{−1/2}L)`;
+    /// its symmetrization averaged two equal sums, `0.5·(x + x)`, which is
+    /// applied to the strict lower triangle.
+    pub fn inverse_covariance_into(&self, ws: &mut ModCholWorkspace<W>, binv: &mut Vec<[f64; W]>) {
+        inverse_covariance_entry(self, ws, binv)
+    }
+
+    #[inline(always)]
+    fn inverse_covariance_body(&self, ws: &mut ModCholWorkspace<W>, binv: &mut Vec<[f64; W]>) {
+        let n = self.dim();
+        binv.clear();
+        binv.resize(tri(n), [0.0; W]);
+        for i in 0..n {
+            let s = [1.0; W].div(self.d[i].sqrt());
+            let (cols, vals) = self.row(i);
+            ws.idx.clear();
+            ws.scaled.clear();
+            ws.keep.clear();
+            for (&j, &x) in cols.iter().zip(vals) {
+                ws.idx.push(j);
+                ws.scaled.push(x.mul(s));
+                ws.keep.push(x.map(|v| v != 0.0));
+            }
+            ws.idx.push(i);
+            ws.scaled.push(s);
+            ws.keep.push([true; W]);
+            for (a, &ja) in ws.idx.iter().enumerate() {
+                let (fa, ka) = (ws.scaled[a], ws.keep[a]);
+                let out = &mut binv[tri(ja)..=tri(ja) + ja];
+                for ((&jb, &fb), kb) in ws.idx[..=a].iter().zip(&ws.scaled).zip(&ws.keep) {
+                    let sum = out[jb].add(fa.mul(fb));
+                    for l in 0..W {
+                        if ka[l] && kb[l] {
+                            out[jb][l] = sum[l];
+                        }
+                    }
+                }
+            }
+        }
+        let half = [0.5; W];
+        for i in 1..n {
+            for x in &mut binv[tri(i)..tri(i) + i] {
+                *x = half.mul(x.add(*x));
+            }
+        }
+    }
+}
+
+lane_entry! {
+    fn estimate_entry['a, const W: usize](
+        mc: &mut ModifiedCholesky<W>,
+        ws: &mut ModCholWorkspace<W>,
+        n: usize,
+        row: impl Fn(usize) -> &'a [[f64; W]],
+        gram: impl Fn(usize, usize) -> [f64; W],
+        predecessors: impl FnMut(usize, &mut Vec<usize>),
+        ridge: [f64; W],
+    ) -> Result<()> = ModifiedCholesky::estimate_body;
+}
+
+lane_entry! {
+    fn inverse_covariance_entry[const W: usize](
+        mc: &ModifiedCholesky<W>,
+        ws: &mut ModCholWorkspace<W>,
+        binv: &mut Vec<[f64; W]>,
+    ) -> () = ModifiedCholesky::inverse_covariance_body;
 }
 
 /// Convenience wrapper: estimate and immediately materialize `B̂⁻¹`.
@@ -526,27 +588,47 @@ mod tests {
     }
 
     #[test]
-    fn estimate_into_reuses_buffers_across_sizes() {
+    fn estimate_into_reuses_buffers_and_each_lane_is_the_width_1_estimate() {
         let mut rng = StdRng::seed_from_u64(77);
         let mut gs = GaussianSampler::new();
-        let mut mc = ModifiedCholesky::default();
-        let mut ws = ModCholWorkspace::new();
-        let mut binv = Matrix::zeros(0, 0);
+        let mut mc = ModifiedCholesky::<4>::default();
+        let mut ws = ModCholWorkspace::default();
+        let mut binv = Vec::new();
         for n in [8usize, 3, 11] {
-            let u = Matrix::from_fn(n, 9, |_, _| gs.sample(&mut rng));
+            let us: Vec<Matrix> = (0..4)
+                .map(|_| Matrix::from_fn(n, 9, |_, _| gs.sample(&mut rng)))
+                .collect();
+            // Lane-interleaved anomalies: component i, member s, lane l.
+            let rows: Vec<[f64; 4]> = (0..n * 9)
+                .map(|k| std::array::from_fn(|l| us[l].as_slice()[k]))
+                .collect();
+            let ridge = [1e-4, 0.5, 0.0, 1e-300];
             mc.estimate_into(
                 &mut ws,
                 n,
-                |i| u.row(i),
-                |a, b| dot(u.row(a), u.row(b)),
+                |i| &rows[i * 9..(i + 1) * 9],
+                |a, b| std::array::from_fn(|l| dot(us[l].row(a), us[l].row(b))),
                 |i, out| out.extend(i.saturating_sub(2)..i),
-                1e-4,
+                ridge,
             )
             .unwrap();
             mc.inverse_covariance_into(&mut ws, &mut binv);
-            let fresh = ModifiedCholesky::estimate(&u, band_predecessors(2), 1e-4).unwrap();
-            assert_eq!(mc.l(), fresh.l());
-            assert_eq!(binv, fresh.inverse_covariance());
+            for (l, u) in us.iter().enumerate() {
+                let fresh = ModifiedCholesky::estimate(u, band_predecessors(2), ridge[l]).unwrap();
+                let dense = fresh.inverse_covariance();
+                for i in 0..n {
+                    assert_eq!(mc.d[i][l].to_bits(), fresh.d()[i].to_bits());
+                    let (_, vals) = mc.row(i);
+                    let (_, want) = fresh.row(i);
+                    assert_eq!(
+                        bits(&vals.iter().map(|v| v[l]).collect::<Vec<_>>()),
+                        bits(want.as_flattened())
+                    );
+                    for j in 0..=i {
+                        assert_eq!(binv[tri(i) + j][l].to_bits(), dense[(i, j)].to_bits());
+                    }
+                }
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use enkf_linalg::kernel::{gemm, reference};
+use enkf_linalg::kernel::{gemm, lanes, reference};
 use enkf_linalg::{
-    Cholesky, GaussianSampler, Ldlt, Matrix, ModifiedCholesky, ShermanMorrisonWorkspace,
+    Cholesky, GaussianSampler, Ldlt, LinalgError, Matrix, ModifiedCholesky,
+    ShermanMorrisonWorkspace,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -351,5 +352,72 @@ proptest! {
         reference::matvec(a.as_slice(), &x, &mut oracle, m, k);
         let fast = a.matvec(&x).unwrap();
         assert_bits(&fast, &oracle)?;
+    }
+}
+
+// The width-4 lane kernels against width 1 (`Cholesky::{factor,
+// solve_vec}`, itself held to the textbook loops in `chol.rs`), lane by
+// lane. This runs under default features (the AVX2 instance on an AVX2
+// host) and under `--no-default-features` (the baseline instance): both
+// must give the same bits.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn lane_factor_and_solve_match_cholesky_bitwise(
+        size in 0usize..5,
+        seed in any::<u64>(),
+        // Lane to break (none when ≥ 4) and the pivot that goes negative.
+        bad_lane in 0usize..6,
+        bad_pivot in any::<usize>(),
+    ) {
+        let n = [1usize, 2, 5, 24, 49][size];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gs = GaussianSampler::new();
+        let mats: Vec<Matrix> = (0..4)
+            .map(|l| {
+                let m = Matrix::from_fn(n, n, |_, _| gs.sample(&mut rng));
+                let mut a = m.matmul_tr(&m).unwrap().scale(1.0 / n as f64);
+                for i in 0..n {
+                    a[(i, i)] += 0.1 + rng.gen::<f64>();
+                }
+                if l == bad_lane {
+                    let k = bad_pivot % n;
+                    a[(k, k)] = -1.0;
+                }
+                a
+            })
+            .collect();
+        let b: Vec<[f64; 4]> = (0..n).map(|_| std::array::from_fn(|_| gs.sample(&mut rng))).collect();
+        let mut packed: Vec<[f64; 4]> = Vec::new();
+        for i in 0..n {
+            packed.extend((0..=i).map(|j| std::array::from_fn(|l| mats[l][(i, j)])));
+        }
+        let mut x = b.clone();
+        let bad = lanes::factor_lanes(&mut packed, n, &mut Vec::new());
+        lanes::solve_lanes(&packed, n, &mut x);
+        for (l, a) in mats.iter().enumerate() {
+            match Cholesky::factor(a) {
+                Err(LinalgError::NotPositiveDefinite(j)) => {
+                    prop_assert_eq!(l, bad_lane);
+                    prop_assert_eq!(bad[l], Some(j));
+                }
+                Err(e) => return Err(format!("lane {l}: {e}")),
+                Ok(ch) => {
+                    prop_assert_eq!(bad[l], None);
+                    let lane: Vec<f64> = (0..n)
+                        .flat_map(|i| (0..=i).map(move |j| (i, j)))
+                        .map(|(i, j)| packed[lanes::tri(i) + j][l])
+                        .collect();
+                    let want: Vec<f64> = (0..n)
+                        .flat_map(|i| ch.l().row(i)[..=i].to_vec())
+                        .collect();
+                    assert_bits(&lane, &want)?;
+                    let got: Vec<f64> = x.iter().map(|v| v[l]).collect();
+                    let want = ch.solve_vec(&b.iter().map(|v| v[l]).collect::<Vec<_>>()).unwrap();
+                    assert_bits(&got, &want)?;
+                }
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@
 
 use s_enkf::core::{
     AnomalyGram, Ensemble, LocalAnalysis, LocalAnalysisWorkspace, LocalObsIndex, LocalObservations,
-    ObservationOperator, Observations, PerturbedObservations,
+    ObservationOperator, Observations, PerturbedObservations, PointInputs,
 };
 use s_enkf::data::gather_surface_into;
 use s_enkf::grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect};
@@ -126,18 +126,16 @@ fn cycle(
         rank.gram
             .rebuild(&rank.xb, &rank.expansion, analysis.radius);
         for p in rank.target.iter_points() {
+            let io = PointInputs {
+                mesh,
+                expansion: &rank.expansion,
+                xb: &rank.xb,
+                obs: &rank.obs,
+                index: &rank.index,
+                gram: &rank.gram,
+            };
             analysis
-                .analyze_point_into(
-                    mesh,
-                    p,
-                    &rank.expansion,
-                    &rank.xb,
-                    &rank.obs,
-                    &rank.index,
-                    &rank.gram,
-                    &mut buf.ws,
-                    &mut buf.out_row,
-                )
+                .analyze_points_into(&io, &[p], &mut buf.ws, &mut buf.out_row)
                 .unwrap();
             checksum += buf.out_row[0];
         }
