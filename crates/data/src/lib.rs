@@ -9,6 +9,11 @@
 //! that lay the members out on disk in exactly the row-priority format the
 //! reading strategies (block/bar/concurrent) operate on.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod cycle;
 pub mod dynamics;
 pub mod field;

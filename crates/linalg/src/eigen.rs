@@ -42,35 +42,21 @@ impl SymEigen {
 
     /// Reassemble `V diag(λ) Vᵀ` (diagnostics / tests).
     pub fn reconstruct(&self) -> Matrix {
-        let n = self.values.len();
-        let mut scaled = self.vectors.clone();
-        for j in 0..n {
-            for i in 0..n {
-                scaled[(i, j)] *= self.values[j];
-            }
-        }
-        scaled.matmul_tr(&self.vectors).expect("square")
+        self.vectors.sandwich(|j| self.values[j])
     }
 
     /// Apply `f` to the spectrum: `V diag(f(λ)) Vᵀ`. The workhorse for the
     /// ETKF's inverse and symmetric square root.
     pub fn map_spectrum(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        let n = self.values.len();
-        let mut scaled = self.vectors.clone();
-        for j in 0..n {
-            let fj = f(self.values[j]);
-            for i in 0..n {
-                scaled[(i, j)] *= fj;
-            }
-        }
-        let mut out = scaled.matmul_tr(&self.vectors).expect("square");
+        let mut out = self.vectors.sandwich(|j| f(self.values[j]));
         out.symmetrize();
         out
     }
 
-    /// Smallest eigenvalue.
+    /// Smallest eigenvalue; `+∞` for the empty spectrum of a `0×0` matrix
+    /// (the minimum over no values).
     pub fn min_eigenvalue(&self) -> f64 {
-        *self.values.first().expect("non-empty spectrum")
+        self.values.first().copied().unwrap_or(f64::INFINITY)
     }
 }
 
@@ -169,9 +155,10 @@ impl EigenWorkspace {
         &self.vectors
     }
 
-    /// Smallest eigenvalue of the last decomposition.
+    /// Smallest eigenvalue of the last decomposition; `+∞` when it was of a
+    /// `0×0` matrix (the minimum over no values).
     pub fn min_eigenvalue(&self) -> f64 {
-        *self.values.first().expect("non-empty spectrum")
+        self.values.first().copied().unwrap_or(f64::INFINITY)
     }
 
     /// `V diag(f(λ)) Vᵀ` written into a caller-owned matrix.

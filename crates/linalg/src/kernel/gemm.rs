@@ -1,15 +1,23 @@
-//! Cache-oblivious GEMM drivers and the scalar register-tiled microkernels.
+//! Cache-oblivious GEMM: one recursion, one register-tiled body per
+//! accumulation order.
 //!
 //! # Structure
 //!
-//! Each product family (`nn` = `A·B`, `tn` = `Aᵀ·B`, `nt` = `A·Bᵀ`) is a
-//! divide-and-conquer driver that recursively halves the **larger of the
-//! two output dimensions** until the subproblem fits the
-//! [`super::tiles::BASE_M`]`×`[`super::tiles::BASE_N`] base case, which dispatches to a
-//! register-tiled microkernel (AVX2 when detected, scalar otherwise). The
-//! recursion never splits the contraction dimension `k` in the default
-//! path — a `k`-split would change each output element's accumulation
-//! order and therefore its bits.
+//! The three product families (`nn` = `A·B`, `tn` = `Aᵀ·B`, `nt` = `A·Bᵀ`)
+//! are one divide-and-conquer recursion. It halves the **larger of the two
+//! output dimensions** until the subproblem fits a
+//! [`super::tiles::BASE`]`×`[`super::tiles::BASE`] panel, and a register-tiled
+//! body finishes the panel. A [`Layout`] decides only where `A(i, l)` and
+//! `B(l, j)` live, i.e. the pointer and stride arithmetic. The recursion
+//! never splits the contraction dimension `k`: a `k`-split would change
+//! each output element's accumulation order and therefore its bits.
+//!
+//! There is one body per accumulation order: NN and TN share one, NT has
+//! its own. Each base case is a `lane_entry!` ([`super::lanes`]), so the
+//! same body is compiled twice: an `avx2` instance that runs when
+//! [`super::active_isa`] reports AVX2, and the baseline instance otherwise.
+//! Both issue the same IEEE multiply-then-add per element, never fused, so
+//! the bits do not depend on the host.
 //!
 //! # Determinism contract
 //!
@@ -29,164 +37,50 @@
 //! cannot reorder any element's accumulation: results are bit-identical
 //! across thread counts, including fully serial.
 
-// Pointer + stride kernels necessarily carry many scalar parameters.
-#![allow(clippy::too_many_arguments)]
-use super::simd::{active_isa, Isa};
-use super::tiles::{BASE_M, BASE_N, MATVEC_MR, MR, NR, NT_KC, NT_NR, PAR_FLOPS};
+use super::lanes::lane_entry;
+use super::tiles::{BASE, MATVEC_MR, MR, NR, NT_KC, NT_NR, PAR_FLOPS};
 
-/// Raw mutable view of `C` that may cross a `rayon::join`. Safe because
-/// the two recursion halves address disjoint row/column ranges.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-#[inline]
-fn fork(par: bool, m: usize, n: usize, k: usize, par_flops: usize) -> bool {
-    par && 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k) >= par_flops
+/// Which operand a product reads transposed. It decides only the pointer
+/// and stride arithmetic of [`tuned`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `c += a·b`: `a` is `m×k`, `b` is `k×n`.
+    Nn,
+    /// `c += aᵀ·b`: `a` is `k×m`, `b` is `k×n`.
+    Tn,
+    /// `c += a·bᵀ`: `a` is `m×k`, `b` is `n×k`.
+    Nt,
 }
 
 /// `c += a·b` with `a` `m×k`, `b` `k×n`, `c` `m×n` (all row-major,
 /// contiguous). Callers wanting `c = a·b` zero `c` first (`Matrix::resize`
 /// does). Allocation-free; deterministic per the module contract.
 pub fn nn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    nn_tuned(
-        a,
-        b,
-        c,
-        m,
-        k,
-        n,
-        rayon::current_num_threads() > 1,
-        PAR_FLOPS,
-    )
-}
-
-/// [`nn`] with explicit parallel-dispatch knobs (tests force or forbid
-/// the `join` path with a tiny/huge `par_flops`).
-#[doc(hidden)]
-pub fn nn_tuned(
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-    par: bool,
-    par_flops: usize,
-) {
-    assert_eq!(a.len(), m * k, "nn: lhs buffer size");
-    assert_eq!(b.len(), k * n, "nn: rhs buffer size");
-    assert_eq!(c.len(), m * n, "nn: out buffer size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    // b and c share the full output width n as their row stride.
-    nn_rec(
-        a,
-        b,
-        SendPtr(c.as_mut_ptr()),
-        n,
-        0,
-        m,
-        0,
-        n,
-        k,
-        active_isa(),
-        par,
-        par_flops,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn nn_rec(
-    a: &[f64],
-    b: &[f64],
-    c: SendPtr,
-    ld: usize,
-    i0: usize,
-    m: usize,
-    j0: usize,
-    n: usize,
-    k: usize,
-    isa: Isa,
-    par: bool,
-    par_flops: usize,
-) {
-    if m <= BASE_M && n <= BASE_N {
-        unsafe {
-            let ap = a.as_ptr().add(i0 * k);
-            let bp = b.as_ptr().add(j0);
-            let cp = c.0.add(i0 * ld + j0);
-            dispatch_nn(isa, ap, k, bp, ld, cp, ld, m, n, k);
-        }
-        return;
-    }
-    if m >= n {
-        let mh = m / 2;
-        let lo = move || nn_rec(a, b, c, ld, i0, mh, j0, n, k, isa, par, par_flops);
-        let hi = move || nn_rec(a, b, c, ld, i0 + mh, m - mh, j0, n, k, isa, par, par_flops);
-        if fork(par, m, n, k, par_flops) {
-            rayon::join(lo, hi);
-        } else {
-            lo();
-            hi();
-        }
-    } else {
-        let nh = n / 2;
-        let lo = move || nn_rec(a, b, c, ld, i0, m, j0, nh, k, isa, par, par_flops);
-        let hi = move || nn_rec(a, b, c, ld, i0, m, j0 + nh, n - nh, k, isa, par, par_flops);
-        if fork(par, m, n, k, par_flops) {
-            rayon::join(lo, hi);
-        } else {
-            lo();
-            hi();
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-unsafe fn dispatch_nn(
-    isa: Isa,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    c: *mut f64,
-    ldc: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-    match isa {
-        Isa::Avx2 | Isa::Avx2Fma => {
-            return super::simd::nn_block_avx2(a, lda, b, ldb, c, ldc, m, n, k);
-        }
-        Isa::Scalar => {}
-    }
-    let _ = isa;
-    nn_block_scalar(a, lda, b, ldb, c, ldc, m, n, k);
+    tuned(Layout::Nn, a, b, c, m, k, n, threaded(), PAR_FLOPS)
 }
 
 /// `c += aᵀ·b` with `a` `k×m` (its columns are the logical left rows),
 /// `b` `k×n`, `c` `m×n`.
 pub fn tn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    tn_tuned(
-        a,
-        b,
-        c,
-        m,
-        k,
-        n,
-        rayon::current_num_threads() > 1,
-        PAR_FLOPS,
-    )
+    tuned(Layout::Tn, a, b, c, m, k, n, threaded(), PAR_FLOPS)
 }
 
-/// [`tn`] with explicit parallel-dispatch knobs.
+/// `c += a·bᵀ` with `a` `m×k`, `b` `n×k`, `c` `m×n`.
+pub fn nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+    tuned(Layout::Nt, a, b, c, m, k, n, threaded(), PAR_FLOPS)
+}
+
+fn threaded() -> bool {
+    rayon::current_num_threads() > 1
+}
+
+/// [`nn`], [`tn`] or [`nt`] with explicit parallel-dispatch knobs (tests
+/// force or forbid the `join` path with a tiny/huge `par_flops`).
 #[doc(hidden)]
-pub fn tn_tuned(
+#[allow(clippy::too_many_arguments)]
+pub fn tuned(
+    layout: Layout,
     a: &[f64],
     b: &[f64],
     c: &mut [f64],
@@ -196,112 +90,48 @@ pub fn tn_tuned(
     par: bool,
     par_flops: usize,
 ) {
-    assert_eq!(a.len(), k * m, "tn: lhs buffer size");
-    assert_eq!(b.len(), k * n, "tn: rhs buffer size");
-    assert_eq!(c.len(), m * n, "tn: out buffer size");
+    assert_eq!(a.len(), m * k, "{layout:?}: lhs buffer size");
+    assert_eq!(b.len(), k * n, "{layout:?}: rhs buffer size");
+    assert_eq!(c.len(), m * n, "{layout:?}: out buffer size");
     if m == 0 || n == 0 {
         return;
     }
-    tn_rec(
-        a,
-        b,
-        SendPtr(c.as_mut_ptr()),
+    let (lda, ldb) = match layout {
+        Layout::Nn => (k, n),
+        Layout::Tn => (m, n),
+        Layout::Nt => (k, k),
+    };
+    let whole = Panel {
+        a: a.as_ptr(),
+        lda,
+        b: b.as_ptr(),
+        ldb,
+        c: c.as_mut_ptr(),
+        ldc: n,
         m,
-        n,
-        0,
-        m,
-        0,
         n,
         k,
-        active_isa(),
+    };
+    let product = Product {
+        layout,
+        whole,
         par,
         par_flops,
-    );
+    };
+    rec(&product, 0, 0, m, n);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn tn_rec(
-    a: &[f64],
-    b: &[f64],
-    c: SendPtr,
-    m_full: usize,
-    ld: usize,
-    i0: usize,
-    m: usize,
-    j0: usize,
-    n: usize,
-    k: usize,
-    isa: Isa,
-    par: bool,
-    par_flops: usize,
-) {
-    if m <= BASE_M && n <= BASE_N {
-        unsafe {
-            let ap = a.as_ptr().add(i0);
-            let bp = b.as_ptr().add(j0);
-            let cp = c.0.add(i0 * ld + j0);
-            dispatch_tn(isa, ap, m_full, bp, ld, cp, ld, m, n, k);
-        }
-        return;
-    }
-    if m >= n {
-        let mh = m / 2;
-        let lo = move || tn_rec(a, b, c, m_full, ld, i0, mh, j0, n, k, isa, par, par_flops);
-        let hi = move || {
-            tn_rec(
-                a,
-                b,
-                c,
-                m_full,
-                ld,
-                i0 + mh,
-                m - mh,
-                j0,
-                n,
-                k,
-                isa,
-                par,
-                par_flops,
-            )
-        };
-        if fork(par, m, n, k, par_flops) {
-            rayon::join(lo, hi);
-        } else {
-            lo();
-            hi();
-        }
-    } else {
-        let nh = n / 2;
-        let lo = move || tn_rec(a, b, c, m_full, ld, i0, m, j0, nh, k, isa, par, par_flops);
-        let hi = move || {
-            tn_rec(
-                a,
-                b,
-                c,
-                m_full,
-                ld,
-                i0,
-                m,
-                j0 + nh,
-                n - nh,
-                k,
-                isa,
-                par,
-                par_flops,
-            )
-        };
-        if fork(par, m, n, k, par_flops) {
-            rayon::join(lo, hi);
-        } else {
-            lo();
-            hi();
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-unsafe fn dispatch_tn(
-    isa: Isa,
+/// One base-case block: `C(0..m, 0..n) += Σ_l A(i, l)·B(l, j)` with the
+/// operands at `a`, `b`, `c` and row strides `lda`, `ldb`, `ldc`. `A(i, l)`
+/// is `a[i·lda + l]`, or `a[l·lda + i]` when `TN` (`a` stored `k×m`).
+///
+/// Invariant: every address a body forms from a panel lies in the buffers
+/// [`tuned`] checked, and no other thread touches the panel's block of
+/// `c`. Only [`rec`] builds panels, inside the checked shape, and its forks
+/// write disjoint blocks; that invariant is what lets the bodies be safe
+/// functions.
+#[derive(Clone, Copy)]
+struct Panel<const TN: bool = false> {
     a: *const f64,
     lda: usize,
     b: *const f64,
@@ -311,114 +141,91 @@ unsafe fn dispatch_tn(
     m: usize,
     n: usize,
     k: usize,
-) {
-    #[cfg(all(target_arch = "x86_64", feature = "simd"))]
-    match isa {
-        Isa::Avx2 | Isa::Avx2Fma => {
-            return super::simd::tn_block_avx2(a, lda, b, ldb, c, ldc, m, n, k);
-        }
-        Isa::Scalar => {}
-    }
-    let _ = isa;
-    tn_block_scalar(a, lda, b, ldb, c, ldc, m, n, k);
 }
 
-/// `c += a·bᵀ` with `a` `m×k`, `b` `n×k`, `c` `m×n`.
-pub fn nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    nt_tuned(
-        a,
-        b,
-        c,
-        m,
-        k,
-        n,
-        rayon::current_num_threads() > 1,
-        PAR_FLOPS,
-    )
-}
-
-/// [`nt`] with explicit parallel-dispatch knobs.
-#[doc(hidden)]
-pub fn nt_tuned(
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-    par: bool,
-    par_flops: usize,
-) {
-    assert_eq!(a.len(), m * k, "nt: lhs buffer size");
-    assert_eq!(b.len(), n * k, "nt: rhs buffer size");
-    assert_eq!(c.len(), m * n, "nt: out buffer size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let ldc = n;
-    nt_rec(
-        a,
-        b,
-        SendPtr(c.as_mut_ptr()),
-        ldc,
-        0,
-        m,
-        0,
-        n,
-        k,
-        par,
-        par_flops,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn nt_rec(
-    a: &[f64],
-    b: &[f64],
-    c: SendPtr,
-    ldc: usize,
-    i0: usize,
-    m: usize,
-    j0: usize,
-    n: usize,
-    k: usize,
-    par: bool,
-    par_flops: usize,
-) {
-    if m <= BASE_M && n <= BASE_N {
-        unsafe {
-            let ap = a.as_ptr().add(i0 * k);
-            let bp = b.as_ptr().add(j0 * k);
-            let cp = c.0.add(i0 * ldc + j0);
-            nt_block_scalar(ap, k, bp, k, cp, ldc, m, n, k);
-        }
-        return;
-    }
-    if m >= n {
-        let mh = m / 2;
-        let lo = move || nt_rec(a, b, c, ldc, i0, mh, j0, n, k, par, par_flops);
-        let hi = move || nt_rec(a, b, c, ldc, i0 + mh, m - mh, j0, n, k, par, par_flops);
-        if fork(par, m, n, k, par_flops) {
-            rayon::join(lo, hi);
+impl<const TN: bool> Panel<TN> {
+    /// Offset of `A(i, l)` from `a`.
+    #[inline(always)]
+    fn a_at(&self, i: usize, l: usize) -> usize {
+        if TN {
+            l * self.lda + i
         } else {
-            lo();
-            hi();
+            i * self.lda + l
         }
+    }
+}
+
+/// One product as the recursion sees it: `whole` spans all of `C`, and
+/// [`Product::panel`] cuts one block's panel out of it for a body.
+struct Product {
+    layout: Layout,
+    whole: Panel,
+    par: bool,
+    par_flops: usize,
+}
+
+// SAFETY: the raw pointers are the only fields that are not plain values:
+// `a` and `b` are only read, and the two halves of every fork write
+// disjoint blocks of `c` (the `Panel` invariant).
+unsafe impl Sync for Product {}
+
+impl Product {
+    /// The panel of the `m×n` block at `(i0, j0)`.
+    fn panel<const TN: bool>(&self, i0: usize, j0: usize, m: usize, n: usize) -> Panel<TN> {
+        let w = self.whole;
+        let a = if TN { i0 } else { i0 * w.lda };
+        let b = if self.layout == Layout::Nt {
+            j0 * w.ldb
+        } else {
+            j0
+        };
+        Panel {
+            a: w.a.wrapping_add(a),
+            lda: w.lda,
+            b: w.b.wrapping_add(b),
+            ldb: w.ldb,
+            c: w.c.wrapping_add(i0 * w.ldc + j0),
+            ldc: w.ldc,
+            m,
+            n,
+            k: w.k,
+        }
+    }
+}
+
+/// `C(i0.., j0..) += …` over an `m×n` block: halve the larger dimension,
+/// forking above `par_flops`, until the block fits one base-case panel.
+fn rec(p: &Product, i0: usize, j0: usize, m: usize, n: usize) {
+    if m <= BASE && n <= BASE {
+        match p.layout {
+            Layout::Nn => nn_tn_panel(p.panel::<false>(i0, j0, m, n)),
+            Layout::Tn => nn_tn_panel(p.panel::<true>(i0, j0, m, n)),
+            Layout::Nt => nt_panel(p.panel(i0, j0, m, n)),
+        }
+        return;
+    }
+    let halves = if m >= n {
+        let h = m / 2;
+        [(i0, j0, h, n), (i0 + h, j0, m - h, n)]
     } else {
-        let nh = n / 2;
-        let lo = move || nt_rec(a, b, c, ldc, i0, m, j0, nh, k, par, par_flops);
-        let hi = move || nt_rec(a, b, c, ldc, i0, m, j0 + nh, n - nh, k, par, par_flops);
-        if fork(par, m, n, k, par_flops) {
-            rayon::join(lo, hi);
-        } else {
-            lo();
-            hi();
-        }
+        let h = n / 2;
+        [(i0, j0, m, h), (i0, j0 + h, m, n - h)]
+    };
+    let [lo, hi] = halves.map(|(i, j, m, n)| move || rec(p, i, j, m, n));
+    let flops = 2usize
+        .saturating_mul(m)
+        .saturating_mul(n)
+        .saturating_mul(p.whole.k);
+    if p.par && flops >= p.par_flops {
+        rayon::join(lo, hi);
+    } else {
+        lo();
+        hi();
     }
 }
 
 /// Matrix-vector product `out = a·x` (`a` `m×k`), unrolled into
-/// [`MATVEC_MR`] independent per-row accumulation chains. Each row is
+/// `MATVEC_MR` (4) independent per-row accumulation chains. Each row is
 /// still a single ascending fold seeded with `-0.0` — the identity
 /// `Iterator::sum::<f64>` uses, which the legacy per-row `.sum()` loop
 /// (and therefore the pinned bit pattern, signed zeros included) relied
@@ -466,272 +273,174 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar microkernels (dispatch targets and SIMD edge handlers)
+// Base-case bodies
 // ---------------------------------------------------------------------------
 
-/// Scalar NN base-case kernel: [`MR`]`×`[`NR`] register tiles with the
-/// same per-element order as the AVX2 body (ascending `l`, zero-skip).
-///
-/// # Safety
-/// Pointers must cover `m×k` (`a`, stride `lda`), `k×n` (`b`, stride
-/// `ldb`) and `m×n` (`c`, stride `ldc`); `c` disjoint from `a`/`b`.
-pub(crate) unsafe fn nn_block_scalar(
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    c: *mut f64,
-    ldc: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
+lane_entry! {
+    /// The NN (`TN = false`) or TN (`TN = true`) base case.
+    fn nn_tn_panel[const TN: bool](p: Panel<TN>) -> () = nn_tn_body;
+}
+
+lane_entry! {
+    /// The NT base case.
+    fn nt_panel[](p: Panel) -> () = nt_body;
+}
+
+/// NN/TN body: [`MR`]`×`[`NR`] register tiles, each element accumulated
+/// in ascending `l`, with an edge tile in the same order for the rest.
+/// NN skips terms whose `A` value is exactly `0.0`; TN skips none (the
+/// legacy kernels' two orders).
+#[inline(always)]
+fn nn_tn_body<const TN: bool>(p: Panel<TN>) {
+    let Panel {
+        a,
+        b,
+        ldb,
+        c,
+        ldc,
+        m,
+        n,
+        k,
+        ..
+    } = p;
     let m_main = m - m % MR;
     let n_main = n - n % NR;
-    let mut i = 0;
-    while i < m_main {
-        let mut j = 0;
-        while j < n_main {
-            let mut acc = [[0.0_f64; NR]; MR];
-            for (r, row) in acc.iter_mut().enumerate() {
-                for (x, v) in row.iter_mut().enumerate() {
-                    *v = *c.add((i + r) * ldc + j + x);
-                }
-            }
-            for l in 0..k {
-                let bl = b.add(l * ldb + j);
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let av = *a.add((i + r) * lda + l);
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (x, v) in row.iter_mut().enumerate() {
-                        *v += av * *bl.add(x);
-                    }
-                }
-            }
-            for (r, row) in acc.iter().enumerate() {
-                for (x, v) in row.iter().enumerate() {
-                    *c.add((i + r) * ldc + j + x) = *v;
-                }
-            }
-            j += NR;
-        }
-        if j < n {
-            nn_tile_scalar(a, lda, b, ldb, c, ldc, i, j, MR, n - j, k);
-        }
-        i += MR;
-    }
-    if i < m {
-        nn_tile_scalar(a, lda, b, ldb, c, ldc, i, 0, m - i, n, k);
-    }
-}
-
-/// Generic-bounds NN edge tile: direct `c` updates, ascending `l` with
-/// zero-skip — bit-identical per element to the register-tiled path.
-///
-/// # Safety
-/// As [`nn_block_scalar`], with the tile `(i..i+mr) × (j..j+nr)` in range.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn nn_tile_scalar(
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    c: *mut f64,
-    ldc: usize,
-    i: usize,
-    j: usize,
-    mr: usize,
-    nr: usize,
-    k: usize,
-) {
-    for l in 0..k {
-        let bl = b.add(l * ldb + j);
-        for r in 0..mr {
-            let av = *a.add((i + r) * lda + l);
-            if av == 0.0 {
-                continue;
-            }
-            let crow = c.add((i + r) * ldc + j);
-            for x in 0..nr {
-                *crow.add(x) += av * *bl.add(x);
-            }
-        }
-    }
-}
-
-/// Scalar TN base-case kernel: as [`nn_block_scalar`] but the left value
-/// comes from `a[l*lda + i + r]` and there is no zero-skip (matching the
-/// legacy transpose kernel).
-///
-/// # Safety
-/// `a` covers `k×(lda ≥ i+m)`; `b`, `c` as in [`nn_block_scalar`].
-pub(crate) unsafe fn tn_block_scalar(
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    c: *mut f64,
-    ldc: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    let m_main = m - m % MR;
-    let n_main = n - n % NR;
-    let mut i = 0;
-    while i < m_main {
-        let mut j = 0;
-        while j < n_main {
-            let mut acc = [[0.0_f64; NR]; MR];
-            for (r, row) in acc.iter_mut().enumerate() {
-                for (x, v) in row.iter_mut().enumerate() {
-                    *v = *c.add((i + r) * ldc + j + x);
-                }
-            }
-            for l in 0..k {
-                let al = a.add(l * lda + i);
-                let bl = b.add(l * ldb + j);
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let av = *al.add(r);
-                    for (x, v) in row.iter_mut().enumerate() {
-                        *v += av * *bl.add(x);
-                    }
-                }
-            }
-            for (r, row) in acc.iter().enumerate() {
-                for (x, v) in row.iter().enumerate() {
-                    *c.add((i + r) * ldc + j + x) = *v;
-                }
-            }
-            j += NR;
-        }
-        if j < n {
-            tn_tile_scalar(a, lda, b, ldb, c, ldc, i, j, MR, n - j, k);
-        }
-        i += MR;
-    }
-    if i < m {
-        tn_tile_scalar(a, lda, b, ldb, c, ldc, i, 0, m - i, n, k);
-    }
-}
-
-/// Generic-bounds TN edge tile (no zero-skip).
-///
-/// # Safety
-/// As [`tn_block_scalar`], with the tile in range.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn tn_tile_scalar(
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    c: *mut f64,
-    ldc: usize,
-    i: usize,
-    j: usize,
-    mr: usize,
-    nr: usize,
-    k: usize,
-) {
-    for l in 0..k {
-        let al = a.add(l * lda + i);
-        let bl = b.add(l * ldb + j);
-        for r in 0..mr {
-            let av = *al.add(r);
-            let crow = c.add((i + r) * ldc + j);
-            for x in 0..nr {
-                *crow.add(x) += av * *bl.add(x);
-            }
-        }
-    }
-}
-
-/// Deterministic NT base-case kernel: [`NT_KC`]-chunked partial dot
-/// products (legacy grouping) over [`MR`]`×`[`NT_NR`] tiles of
-/// independent accumulator chains.
-///
-/// # Safety
-/// `a` covers `m×k` stride `lda`, `b` covers `n×k` stride `ldb`, `c`
-/// covers `m×n` stride `ldc`; `c` disjoint from `a`/`b`.
-pub(crate) unsafe fn nt_block_scalar(
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    c: *mut f64,
-    ldc: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    let m_main = m - m % MR;
-    let n_main = n - n % NT_NR;
-    let mut ll = 0;
-    while ll < k {
-        let lhi = (ll + NT_KC).min(k);
+    // SAFETY: every address below lies in the panel (the `Panel` invariant).
+    unsafe {
         let mut i = 0;
         while i < m_main {
             let mut j = 0;
             while j < n_main {
-                let mut part = [[0.0_f64; NT_NR]; MR];
-                for l in ll..lhi {
-                    let mut bx = [0.0_f64; NT_NR];
-                    for (x, v) in bx.iter_mut().enumerate() {
-                        *v = *b.add((j + x) * ldb + l);
+                let mut acc = [[0.0_f64; NR]; MR];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    for (x, v) in row.iter_mut().enumerate() {
+                        *v = *c.add((i + r) * ldc + j + x);
                     }
-                    for (r, row) in part.iter_mut().enumerate() {
-                        let ar = *a.add((i + r) * lda + l);
-                        for (x, v) in row.iter_mut().enumerate() {
-                            *v += ar * bx[x];
+                }
+                for l in 0..k {
+                    let bl = *b.add(l * ldb + j).cast::<[f64; NR]>();
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        let av = *a.add(p.a_at(i + r, l));
+                        if !TN && av == 0.0 {
+                            continue;
+                        }
+                        for (v, &bx) in row.iter_mut().zip(&bl) {
+                            *v += av * bx;
                         }
                     }
                 }
-                for (r, row) in part.iter().enumerate() {
+                for (r, row) in acc.iter().enumerate() {
                     for (x, v) in row.iter().enumerate() {
-                        *c.add((i + r) * ldc + j + x) += *v;
+                        *c.add((i + r) * ldc + j + x) = *v;
                     }
                 }
-                j += NT_NR;
+                j += NR;
             }
             if j < n {
-                nt_tile_chunk(a, lda, b, ldb, c, ldc, i, j, MR, n - j, ll, lhi);
+                nn_tn_edge(&p, i, j, MR, n - j);
             }
             i += MR;
         }
         if i < m {
-            nt_tile_chunk(a, lda, b, ldb, c, ldc, i, 0, m - i, n, ll, lhi);
+            nn_tn_edge(&p, i, 0, m - i, n);
         }
-        ll += NT_KC;
     }
 }
 
-/// Generic-bounds NT edge tile for one contraction chunk `[ll, lhi)` —
-/// same partial-sum grouping as the full tile.
+/// Generic-bounds NN/TN edge tile: direct `c` updates in the body's
+/// per-element order.
 ///
 /// # Safety
-/// As [`nt_block_scalar`], with the tile in range and `lhi ≤ k`.
-#[allow(clippy::too_many_arguments)]
-unsafe fn nt_tile_chunk(
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    c: *mut f64,
-    ldc: usize,
-    i: usize,
-    j: usize,
-    mr: usize,
-    nr: usize,
-    ll: usize,
-    lhi: usize,
-) {
+/// The tile `(i..i+mr) × (j..j+nr)` lies in the panel.
+#[inline(always)]
+unsafe fn nn_tn_edge<const TN: bool>(p: &Panel<TN>, i: usize, j: usize, mr: usize, nr: usize) {
+    for l in 0..p.k {
+        let bl = p.b.add(l * p.ldb + j);
+        for r in 0..mr {
+            let av = *p.a.add(p.a_at(i + r, l));
+            if !TN && av == 0.0 {
+                continue;
+            }
+            let crow = p.c.add((i + r) * p.ldc + j);
+            for x in 0..nr {
+                *crow.add(x) += av * *bl.add(x);
+            }
+        }
+    }
+}
+
+/// NT body: [`NT_KC`]-chunked partial dot products (the legacy grouping)
+/// over [`MR`]`×`[`NT_NR`] tiles of independent accumulator chains, with
+/// an edge tile in the same grouping for the rest.
+#[inline(always)]
+fn nt_body(p: Panel) {
+    let Panel {
+        a,
+        lda,
+        b,
+        ldb,
+        c,
+        ldc,
+        m,
+        n,
+        k,
+    } = p;
+    let m_main = m - m % MR;
+    let n_main = n - n % NT_NR;
+    // SAFETY: every address below lies in the panel (the `Panel` invariant).
+    unsafe {
+        let mut ll = 0;
+        while ll < k {
+            let lhi = (ll + NT_KC).min(k);
+            let mut i = 0;
+            while i < m_main {
+                let mut j = 0;
+                while j < n_main {
+                    let mut part = [[0.0_f64; NT_NR]; MR];
+                    for l in ll..lhi {
+                        let mut bx = [0.0_f64; NT_NR];
+                        for (x, v) in bx.iter_mut().enumerate() {
+                            *v = *b.add((j + x) * ldb + l);
+                        }
+                        for (r, row) in part.iter_mut().enumerate() {
+                            let ar = *a.add((i + r) * lda + l);
+                            for (x, v) in row.iter_mut().enumerate() {
+                                *v += ar * bx[x];
+                            }
+                        }
+                    }
+                    for (r, row) in part.iter().enumerate() {
+                        for (x, v) in row.iter().enumerate() {
+                            *c.add((i + r) * ldc + j + x) += *v;
+                        }
+                    }
+                    j += NT_NR;
+                }
+                if j < n {
+                    nt_edge(&p, i, j, MR, n - j, ll, lhi);
+                }
+                i += MR;
+            }
+            if i < m {
+                nt_edge(&p, i, 0, m - i, n, ll, lhi);
+            }
+            ll += NT_KC;
+        }
+    }
+}
+
+/// Generic-bounds NT edge tile for one contraction chunk `[ll, lhi)`, in
+/// the body's partial-sum grouping.
+///
+/// # Safety
+/// The tile `(i..i+mr) × (j..j+nr)` lies in the panel and `lhi ≤ k`.
+#[inline(always)]
+unsafe fn nt_edge(p: &Panel, i: usize, j: usize, mr: usize, nr: usize, ll: usize, lhi: usize) {
     for r in 0..mr {
-        let arow = a.add((i + r) * lda);
-        let crow = c.add((i + r) * ldc + j);
+        let arow = p.a.add((i + r) * p.lda);
+        let crow = p.c.add((i + r) * p.ldc + j);
         for x in 0..nr {
-            let brow = b.add((j + x) * ldb);
+            let brow = p.b.add((j + x) * p.ldb);
             let mut part = 0.0_f64;
             for l in ll..lhi {
                 part += *arow.add(l) * *brow.add(l);

@@ -6,9 +6,11 @@
 //! add, never fused — so a lane's bits equal the scalar result whatever
 //! `W` is. Width 1 *is* the scalar kernel. The bodies are generic and
 //! `#[inline(always)]`; every entry is defined by `lane_entry!`, which runs
-//! them as an `#[target_feature(enable = "avx2")]` instance when
+//! them as an instance compiled with the `avx2` target feature when
 //! [`super::active_isa`] reports AVX2, where a `[f64; 4]` operation is one
-//! vector instruction, and as the baseline instance otherwise.
+//! vector instruction, and as the baseline instance otherwise. The GEMM
+//! base cases ([`super::gemm`]) are `lane_entry!`s too, so this macro is the
+//! crate's one AVX2 dispatch.
 //!
 //! SPD systems are stored packed lower: row `i`'s entries `0..=i` start
 //! at [`tri`]`(i)`.
@@ -68,11 +70,12 @@ pub(crate) fn use_avx2() -> bool {
 
 /// Define a lane entry: `fn $name[generics](args) -> R = body;` becomes a
 /// function that calls the `#[inline(always)]` generic `body` with its
-/// arguments, as an `#[target_feature(enable = "avx2")]` instance when
+/// arguments, as an instance compiled with the `avx2` target feature when
 /// [`use_avx2`] holds and as the baseline instance otherwise. Every lane
-/// entry is defined through here, so this is the one `unsafe` call of an
-/// AVX2 instance. (The body must be called in the AVX2 function itself: a
-/// closure would be compiled as its own baseline function.)
+/// entry and every GEMM base case is defined through here, so this is the
+/// one `unsafe` call of an AVX2 instance. (The body must be called in the
+/// AVX2 function itself: a closure would be compiled as its own baseline
+/// function.)
 macro_rules! lane_entry {
     (
         $(#[$attr:meta])*

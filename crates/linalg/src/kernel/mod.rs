@@ -1,16 +1,18 @@
 //! The kernel layer: the compute floor of `enkf-linalg`.
 //!
 //! Everything above this module (matrix products, the Gram eigensolve,
-//! the LETKF transform, the PFS byte codecs) bottoms out in a small set
-//! of kernels that this module owns:
+//! the local-analysis solves, the PFS byte codecs) bottoms out in a small
+//! set of kernels that this module owns:
 //!
-//! - [`gemm`] — cache-oblivious divide-and-conquer drivers for the three
-//!   product families (`A·B`, `Aᵀ·B`, `A·Bᵀ`) plus the unrolled
-//!   matrix-vector product, dispatching to register-tiled microkernels.
-//! - `simd` (via re-exports) — runtime ISA detection and the AVX2
-//!   microkernel bodies with scalar fallbacks.
+//! - [`gemm`] — one cache-oblivious divide-and-conquer recursion for the
+//!   three product families (`A·B`, `Aᵀ·B`, `A·Bᵀ`), finished by one
+//!   register-tiled body per accumulation order, plus the unrolled
+//!   matrix-vector product and `dot`.
+//! - `simd` (via re-exports) — runtime ISA detection, nothing else.
 //! - [`lanes`] — `W` same-sized SPD factor/solves side by side, one per
-//!   `[f64; W]` lane, each lane bit-identical to the scalar kernel.
+//!   `[f64; W]` lane, each lane bit-identical to the scalar kernel, and
+//!   `lane_entry!`, which compiles every lane and GEMM body as an `avx2`
+//!   instance and a baseline instance.
 //! - [`convert`] — bulk little-endian ↔ `f64` codecs shared with
 //!   `enkf-pfs`.
 //! - [`tiles`] — every tiling/dispatch constant, with the cache

@@ -11,11 +11,16 @@
 // Triangular factorizations and banded scans read most naturally with
 // explicit indices; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 //! Matrices are dense, row-major `f64`. All products bottom out in the
-//! [`kernel`] layer: a cache-oblivious divide-and-conquer GEMM over
-//! register-tiled SIMD microkernels, bit-identical to the original blocked
-//! loops under default features (see `kernel` for the determinism contract).
+//! [`kernel`] layer: one cache-oblivious divide-and-conquer GEMM over
+//! register-tiled bodies compiled for AVX2 and the baseline, bit-identical
+//! to the original blocked loops (see `kernel` for the determinism
+//! contract).
 
 pub mod chol;
 pub mod eigen;

@@ -38,11 +38,6 @@ impl GaussianSampler {
         r * theta.cos()
     }
 
-    /// Draw a `N(mean, std²)` variate.
-    pub fn sample_with<R: Rng + ?Sized>(&mut self, rng: &mut R, mean: f64, std: f64) -> f64 {
-        mean + std * self.sample(rng)
-    }
-
     /// Fill a buffer with standard-normal variates.
     pub fn fill<R: Rng + ?Sized>(&mut self, rng: &mut R, out: &mut [f64]) {
         for v in out {
@@ -88,18 +83,6 @@ mod tests {
             (frac - 0.0455).abs() < 0.006,
             "two-sigma tail fraction {frac}"
         );
-    }
-
-    #[test]
-    fn sample_with_shifts_and_scales() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut gs = GaussianSampler::new();
-        let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| gs.sample_with(&mut rng, 3.0, 0.5)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
-        assert!((mean - 3.0).abs() < 0.01);
-        assert!((var - 0.25).abs() < 0.01);
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //!    every tile boundary.
 //! 2. **Run-to-run determinism**: two invocations of any kernel produce
 //!    identical FNV-64 digests.
+//! 3. **The zero skip is NN's alone**: exact zeros of `A` opposite
+//!    non-finite entries of `B` keep `nn` finite and turn `tn`/`nt` NaN,
+//!    each equal to `kernel::reference` bit for bit.
 
-use enkf_linalg::kernel::{self, gemm, reference};
+use enkf_linalg::kernel::gemm::{self, Layout};
+use enkf_linalg::kernel::{self, reference};
 use enkf_linalg::{GaussianSampler, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,7 +71,8 @@ fn run_all(m: usize, k: usize, n: usize, seed: u64) -> [(Vec<f64>, Vec<f64>); 3]
         (vec![0.0; m * n], vec![0.0; m * n]),
         (vec![0.0; m * n], vec![0.0; m * n]),
     ];
-    gemm::nn_tuned(
+    gemm::tuned(
+        Layout::Nn,
         a_nn.as_slice(),
         b_nn.as_slice(),
         &mut out[0].0,
@@ -78,7 +83,8 @@ fn run_all(m: usize, k: usize, n: usize, seed: u64) -> [(Vec<f64>, Vec<f64>); 3]
         1,
     );
     reference::nn(a_nn.as_slice(), b_nn.as_slice(), &mut out[0].1, m, k, n);
-    gemm::tn_tuned(
+    gemm::tuned(
+        Layout::Tn,
         a_tn.as_slice(),
         b_tn.as_slice(),
         &mut out[1].0,
@@ -89,7 +95,8 @@ fn run_all(m: usize, k: usize, n: usize, seed: u64) -> [(Vec<f64>, Vec<f64>); 3]
         1,
     );
     reference::tn(a_tn.as_slice(), b_tn.as_slice(), &mut out[1].1, m, k, n);
-    gemm::nt_tuned(
+    gemm::tuned(
+        Layout::Nt,
         a_nt.as_slice(),
         b_nt.as_slice(),
         &mut out[2].0,
@@ -127,6 +134,53 @@ fn kernels_are_run_to_run_deterministic() {
                 fnv64(one),
                 fnv64(two),
                 "{flavour} {m}x{k}x{n}: nondeterministic result"
+            );
+        }
+    }
+}
+
+/// A `kernel::reference` product: `(a, b, out, m, k, n)`.
+type Oracle = fn(&[f64], &[f64], &mut [f64], usize, usize, usize);
+
+/// Exact zeros of `A` opposite `±∞`/NaN entries of `B`, on shapes that cross
+/// the edge tiles, an NT contraction chunk and the 128-panel split, with
+/// every split forked. `nn` skips exact-zero `A` terms, as `reference::nn`
+/// does, so its output stays finite; `tn` and `nt` add them, so `0·∞` and
+/// `0·NaN` propagate NaN. Gaussian inputs cannot tell skip from no skip;
+/// this case fails if the skip moves to the wrong layout.
+#[test]
+fn zero_skip_is_nn_only() {
+    // Contraction index `l` is poisoned when `l % 3 == 1`: every `A(i, l)`
+    // is 0 and `B(l, j)` is ∞, −∞ or NaN by `j % 3`, so no output element
+    // meets two different NaN payloads.
+    let poison = |l: usize| l % 3 == 1;
+    let bad = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    for (si, &(m, k, n)) in [(131, 7, 133), (133, 70, 131), (5, 4, 9)]
+        .iter()
+        .enumerate()
+    {
+        let seed = 3000 + si as u64;
+        let (a0, b0) = (random_matrix(m, k, seed), random_matrix(k, n, seed ^ 1));
+        let a = Matrix::from_fn(m, k, |i, l| if poison(l) { 0.0 } else { a0[(i, l)] });
+        let b = Matrix::from_fn(k, n, |l, j| if poison(l) { bad[j % 3] } else { b0[(l, j)] });
+        let (at, bt) = (a.transpose(), b.transpose());
+        let cases: [(Layout, &Matrix, &Matrix, Oracle); 3] = [
+            (Layout::Nn, &a, &b, reference::nn),
+            (Layout::Tn, &at, &b, reference::tn),
+            (Layout::Nt, &a, &bt, reference::nt),
+        ];
+        for (layout, lhs, rhs, oracle) in cases {
+            let (lhs, rhs) = (lhs.as_slice(), rhs.as_slice());
+            let mut got = vec![0.0; m * n];
+            let mut want = vec![0.0; m * n];
+            gemm::tuned(layout, lhs, rhs, &mut got, m, k, n, true, 1);
+            oracle(lhs, rhs, &mut want, m, k, n);
+            let what = format!("{layout:?} {m}x{k}x{n}");
+            assert_bits(&got, &want, &what);
+            assert_eq!(
+                want.iter().all(|v| v.is_finite()),
+                layout == Layout::Nn,
+                "{what}: only the NN oracle skips"
             );
         }
     }

@@ -1,6 +1,7 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use enkf_linalg::kernel::{gemm, lanes, reference};
+use enkf_linalg::kernel::gemm::{self, Layout};
+use enkf_linalg::kernel::{lanes, reference};
 use enkf_linalg::{
     Cholesky, GaussianSampler, Ldlt, LinalgError, Matrix, ModifiedCholesky,
     ShermanMorrisonWorkspace,
@@ -45,11 +46,11 @@ fn sparse_matrix(r: usize, c: usize, rng: &mut StdRng, gs: &mut GaussianSampler)
 
 /// GEMM shape triples including degenerate 1×N, N×1 and fully empty
 /// operands (any of m, k, n may be 0). The output dimensions occasionally
-/// exceed `kernel::tiles::BASE_M`/`BASE_N` so the recursive split — and,
+/// exceed `kernel::tiles::BASE` so the recursive split — and,
 /// with the fork threshold forced down, the actual `rayon::join` path —
 /// gets exercised too.
 fn gemm_shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
-    // Draws ≥ 34 are remapped past BASE_M/BASE_N so ~15% of cases recurse.
+    // Draws ≥ 34 are remapped past BASE so ~15% of cases recurse.
     let dim = || (0usize..=39).prop_map(|d| if d >= 34 { d + 95 } else { d });
     (dim(), 0usize..=21, dim(), any::<u64>())
 }
@@ -306,7 +307,7 @@ proptest! {
         // Forcing every split to fork must not change a single bit: the
         // recursion only partitions the output, never the accumulation.
         let mut forked = vec![0.0; m * n];
-        gemm::nn_tuned(a.as_slice(), b.as_slice(), &mut forked, m, k, n, true, 1);
+        gemm::tuned(Layout::Nn, a.as_slice(), b.as_slice(), &mut forked, m, k, n, true, 1);
         assert_bits(&forked, fast.as_slice())?;
     }
 
@@ -321,7 +322,7 @@ proptest! {
         let fast = a.tr_matmul(&b).unwrap();
         assert_bits(fast.as_slice(), &oracle)?;
         let mut forked = vec![0.0; m * n];
-        gemm::tn_tuned(a.as_slice(), b.as_slice(), &mut forked, m, k, n, true, 1);
+        gemm::tuned(Layout::Tn, a.as_slice(), b.as_slice(), &mut forked, m, k, n, true, 1);
         assert_bits(&forked, fast.as_slice())?;
     }
 
@@ -336,7 +337,7 @@ proptest! {
         let fast = a.matmul_tr(&b).unwrap();
         assert_bits(fast.as_slice(), &oracle)?;
         let mut forked = vec![0.0; m * n];
-        gemm::nt_tuned(a.as_slice(), b.as_slice(), &mut forked, m, k, n, true, 1);
+        gemm::tuned(Layout::Nt, a.as_slice(), b.as_slice(), &mut forked, m, k, n, true, 1);
         assert_bits(&forked, fast.as_slice())?;
     }
 

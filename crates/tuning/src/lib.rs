@@ -10,6 +10,11 @@
 //!   `n_sdx·n_sdy = C₂`), the earnings-rate economic choice (Eqs. 13–14),
 //!   and Algorithm 2 (the full auto-tuner over the processor budget).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod model;
 pub mod sensitivity;
 pub mod tune;

@@ -48,6 +48,10 @@ echo "    point kernels are alloc-free (release)"
 cargo test -q --release --test dataplane_alloc_free
 cargo test -q --release -p enkf-core --test alloc_free
 
+echo "==> the kernels the benchmark runs: release GEMM instances equal the reference"
+echo "    bits and allocate nothing"
+cargo test -q --release -p enkf-linalg --test kernel_conformance --test alloc_free
+
 echo "==> the paper's verdicts at paper scale, for the rows EXPERIMENTS.md carries,"
 echo "    and its tables against their regeneration (~37 s of release host time, 2 cores)"
 rows=$(sed -n 's/^<!-- reproduce:\([a-z0-9_]*\) -->$/\1/p' EXPERIMENTS.md)
