@@ -6,10 +6,13 @@
 //! RNG cursor, the accumulated statistics — and on a crash restores the
 //! last durable cycle and re-runs from there. This crate is that layer:
 //!
-//! * **Atomic**: every artifact (member files, the binary aux blob, the
-//!   manifest) is written to a temp file, flushed, and renamed into place.
-//!   A checkpoint *exists* only once its `MANIFEST.txt` — written last —
-//!   is in place; a crash mid-write leaves the previous cycle untouched.
+//! * **Atomic**: a checkpoint *exists* only once its `MANIFEST.txt` —
+//!   written last, through temp file + fsync + rename — is in place. Each
+//!   save writes into a freshly recreated cycle directory: member files and
+//!   the aux blob go straight to their final names and are fsynced, one
+//!   directory fsync makes the names durable, and only then is the
+//!   manifest committed. A crash mid-write leaves a directory without a
+//!   manifest, which is not a checkpoint, and the previous cycle untouched.
 //! * **Self-verifying**: the manifest records an FNV-64 checksum of every
 //!   member file and of the aux blob, and ends with a checksum of itself.
 //!   Loads verify before trusting anything; a mismatch yields a typed
@@ -242,9 +245,11 @@ impl CheckpointStore {
         Ok(cycles)
     }
 
-    /// Durably persist a checkpoint: member files through the
-    /// [`FileStore`] pooled write path (temp + fsync + rename each), then
-    /// the aux blob, then — last — the manifest. Member payload writes are
+    /// Durably persist a checkpoint into a freshly recreated cycle
+    /// directory: member files ([`MemberEncoder::write_durable`]) and the
+    /// aux blob straight to their final names, each fsynced; one directory
+    /// fsync; then — last, and the only commit point — the manifest,
+    /// through temp file + fsync + rename. Member payload writes are
     /// recorded as [`enkf_trace::Op::Ckpt`] spans (8·n bytes, one seek
     /// each). Older cycles beyond the retention budget are pruned.
     pub fn save(
@@ -278,8 +283,11 @@ impl CheckpointStore {
         }
 
         let aux = encode_aux(ckpt);
-        write_atomic(&dir, AUX, &aux)?;
+        write_synced(&dir.join(AUX), &aux)?;
         let aux_crc = fnv64(&aux);
+        // One fsync makes every name above durable before the manifest
+        // vouches for them.
+        sync_dir(&dir)?;
 
         let mut m = String::new();
         m.push_str(MAGIC);
@@ -484,8 +492,12 @@ impl MemberEncoder {
         Self::default()
     }
 
-    /// Durably write member `k` of `ensemble` through `store`, returning
-    /// the FNV-64 checksum of the exact bytes written.
+    /// Write member `k` of `ensemble` to its file in `store`'s directory
+    /// (created or truncated in place, not staged) and fsync it, returning
+    /// the FNV-64 checksum of the exact bytes written. The file's contents
+    /// are durable on return; its name becomes durable at the directory
+    /// fsync [`CheckpointStore::save`] makes before committing the
+    /// manifest. The store's I/O statistics are not charged.
     pub fn write_durable(
         &mut self,
         store: &FileStore,
@@ -494,9 +506,21 @@ impl MemberEncoder {
     ) -> io::Result<u64> {
         ensemble.member_into(k, &mut self.col);
         let bytes = enkf_linalg::kernel::convert::f64_le_bytes(&self.col);
-        store.write_member_bytes_durable(k, &bytes)?;
+        write_synced(&store.member_path(k), &bytes)?;
         Ok(fnv64(&bytes))
     }
+}
+
+/// Write `bytes` to `path` (created or truncated) and flush them to stable
+/// storage. The name is durable only once its directory is synced.
+fn write_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut f = fs::File::create(path)?;
+    f.write_all(bytes)?;
+    f.sync_all()
+}
+
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
 }
 
 /// Write `bytes` to `dir/name` atomically: temp file in the same
@@ -504,15 +528,9 @@ impl MemberEncoder {
 /// directory so the rename itself is durable.
 fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
-    let target = dir.join(name);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &target)?;
-    fs::File::open(dir).and_then(|d| d.sync_all())?;
-    Ok(())
+    write_synced(&tmp, bytes)?;
+    fs::rename(&tmp, dir.join(name))?;
+    sync_dir(dir)
 }
 
 fn push_u64(buf: &mut Vec<u8>, v: u64) {

@@ -1,7 +1,8 @@
 //! Asynchronous checkpoint writer: durability off the critical path.
 //!
-//! The synchronous supervisor pays the full checkpoint write (temp +
-//! fsync + rename per member) on the critical path after every cycle.
+//! The synchronous supervisor pays the full checkpoint write (an fsync
+//! per member, a directory fsync, the manifest commit) on the critical
+//! path after every cycle.
 //! This module moves that write to a background thread, FTI-style: the
 //! supervisor hands over an O(1) [`CampaignCheckpoint`] snapshot
 //! (`Arc`-backed, see `enkf_data::CycleState`) and immediately starts the

@@ -5,6 +5,10 @@
 //! point, the surface value is replicated with a small per-level lapse so
 //! files have the paper's `h = 8·levels` bytes per point while the analysis
 //! (which works on the surface level) stays unchanged.
+//!
+//! [`write_ensemble`] refreshes a store whose member files already exist
+//! in place, and stages every other member through the atomic
+//! [`FileStore::write_member`]; the bytes on disk are the same either way.
 
 use enkf_core::Ensemble;
 use enkf_grid::RegionRect;
@@ -18,13 +22,40 @@ pub const LEVEL_LAPSE: f64 = 0.01;
 
 /// Write every member of an ensemble into the store.
 ///
-/// The store's layout must match the ensemble's mesh.
+/// A member whose file already holds exactly `layout.file_size()` bytes
+/// is overwritten in place ([`FileStore::write_region_values`] over the
+/// full mesh: one segment, same inode, no truncate, no rename). Any other
+/// member — a fresh store, a missing, short or over-long file — takes the
+/// staged, atomic [`FileStore::write_member`]. The bytes on disk are
+/// identical either way.
+///
+/// The in-place refresh is not atomic, and needs not be: a work store
+/// holds derived state. A campaign rewrites every live member before its
+/// executor reads one, a recovery or a resume rebuilds from the checkpoint
+/// and rewrites, and nothing reads the store during the refresh. Replacing
+/// an existing file by rename costs a forced block allocation per member
+/// on ext4 (`auto_da_alloc`), which the in-place write does not pay. A read
+/// handle the store has cached maps the same inode, so it sees the new
+/// bytes.
+///
+/// A store whose layout is for a different mesh than the ensemble's is an
+/// [`std::io::ErrorKind::InvalidInput`] error; nothing is written.
 pub fn write_ensemble(store: &FileStore, ensemble: &Ensemble) -> std::io::Result<()> {
-    assert_eq!(
-        store.layout().mesh(),
-        ensemble.mesh(),
-        "layout/ensemble mesh mismatch"
-    );
+    let layout = store.layout();
+    let mesh = layout.mesh();
+    if mesh != ensemble.mesh() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "work store mesh {}x{} does not match the ensemble mesh {}x{}",
+                mesh.nx(),
+                mesh.ny(),
+                ensemble.mesh().nx(),
+                ensemble.mesh().ny()
+            ),
+        ));
+    }
+    let full = RegionRect::full(mesh);
     let levels = store.levels();
     let n = ensemble.dim();
     let mut buf = vec![0.0f64; n * levels];
@@ -35,7 +66,13 @@ pub fn write_ensemble(store: &FileStore, ensemble: &Ensemble) -> std::io::Result
                 buf[i * levels + level] = v - LEVEL_LAPSE * level as f64;
             }
         }
-        store.write_member(k, &buf)?;
+        let whole = std::fs::metadata(store.member_path(k))
+            .is_ok_and(|m| m.is_file() && m.len() == layout.file_size());
+        if whole {
+            store.write_region_values(k, &full, &buf)?;
+        } else {
+            store.write_member(k, &buf)?;
+        }
     }
     Ok(())
 }
@@ -160,6 +197,98 @@ mod tests {
             m.approx_eq(&expect, 0.0),
             "file-backed region must equal in-memory restrict"
         );
+    }
+
+    /// A second ensemble on `setup`'s mesh, different in every value.
+    fn other_ensemble() -> Ensemble {
+        ScenarioBuilder::new(Mesh::new(12, 6))
+            .members(5)
+            .seed(7)
+            .build()
+            .ensemble
+    }
+
+    fn inode(store: &FileStore, k: usize) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        std::fs::metadata(store.member_path(k)).unwrap().ino()
+    }
+
+    /// Member `k`'s bytes as a fresh store's staged write lays them down.
+    fn staged_bytes(ensemble: &Ensemble, levels: u64, k: usize) -> Vec<u8> {
+        let scratch = ScratchDir::new("data-io-staged").unwrap();
+        let layout = FileLayout::new(ensemble.mesh(), 8 * levels);
+        let store = FileStore::open(scratch.path(), layout).unwrap();
+        write_ensemble(&store, ensemble).unwrap();
+        std::fs::read(store.member_path(k)).unwrap()
+    }
+
+    #[test]
+    fn refresh_overwrites_existing_members_in_place() {
+        let (_s, store, first) = setup(3);
+        let inodes: Vec<u64> = (0..5).map(|k| inode(&store, k)).collect();
+        let second = other_ensemble();
+        assert_ne!(second.states(), first.states());
+        write_ensemble(&store, &second).unwrap();
+        assert_eq!(read_ensemble(&store, 5).unwrap().states(), second.states());
+        for (k, &ino) in inodes.iter().enumerate() {
+            let bytes = std::fs::read(store.member_path(k)).unwrap();
+            assert_eq!(bytes.len() as u64, store.layout().file_size());
+            assert_eq!(bytes, staged_bytes(&second, 3, k), "member {k} bytes");
+            assert_eq!(
+                inode(&store, k),
+                ino,
+                "member {k} was replaced, not refreshed"
+            );
+        }
+    }
+
+    #[test]
+    fn short_and_long_members_take_the_staged_write() {
+        let (_s, store, _) = setup(2);
+        let size = store.layout().file_size();
+        let file = |k| {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(store.member_path(k))
+                .unwrap()
+        };
+        file(1).set_len(size - 8).unwrap();
+        file(3).set_len(size + 8).unwrap();
+        let (short, long) = (inode(&store, 1), inode(&store, 3));
+        let second = other_ensemble();
+        write_ensemble(&store, &second).unwrap();
+        assert_eq!(read_ensemble(&store, 5).unwrap().states(), second.states());
+        for k in [1, 3] {
+            let bytes = std::fs::read(store.member_path(k)).unwrap();
+            assert_eq!(bytes.len() as u64, size, "member {k} length");
+            assert_eq!(bytes, staged_bytes(&second, 2, k), "member {k} bytes");
+        }
+        assert_ne!(inode(&store, 1), short, "a short member is staged");
+        assert_ne!(inode(&store, 3), long, "an over-long member is staged");
+    }
+
+    #[test]
+    fn cached_read_handle_sees_the_refresh() {
+        let (_s, store, _) = setup(2);
+        let region = RegionRect::new(2, 10, 1, 4);
+        store.read_region(0, &region).unwrap(); // caches member 0's handle
+        let second = other_ensemble();
+        write_ensemble(&store, &second).unwrap();
+        let data = store.read_region(0, &region).unwrap();
+        let expect = second.restrict(&region);
+        assert!(data
+            .surface()
+            .eq((0..region.npoints()).map(|i| expect[(i, 0)])));
+    }
+
+    #[test]
+    fn a_store_of_another_mesh_is_invalid_input() {
+        let (_s, _, ensemble) = setup(1);
+        let scratch = ScratchDir::new("data-io-mesh").unwrap();
+        let store = FileStore::open(scratch.path(), FileLayout::new(Mesh::new(6, 6), 8)).unwrap();
+        let err = write_ensemble(&store, &ensemble).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(store.num_members(), 0, "nothing is written");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | action | what this driver does |
 //! |---|---|
 //! | `Commit { initial }` | snapshot the experiment; `ckpt.save`, or hand it to the background writer (pipelined, non-initial) |
-//! | `Attempt(fcfg)` | write the inflated background, run the executor under `fcfg`, report completed / failed |
+//! | `Attempt(fcfg)` | refresh the work store with the inflated background (`write_ensemble`: every live member, in place once its file exists), run the executor under `fcfg`, report completed / failed |
 //! | `Recover(backoff)` | sleep the backoff (wall clock) or account it (virtual clock) inside a recovery span |
 //! | `Drain` | wait out the in-flight asynchronous write, fold its spans in |
 //! | `Restore` | `load_latest` from disk, rebuild the experiment, report what was found |

@@ -507,23 +507,9 @@ impl FileStore {
 
     /// [`FileStore::write_member`] with durability: the staged file is
     /// fsynced before the rename and the directory after it, so a completed
-    /// call survives power loss — the temp-file + fsync + rename protocol
-    /// checkpoints are built on.
+    /// call survives power loss.
     pub fn write_member_durable(&self, k: usize, values: &[f64]) -> std::io::Result<()> {
         self.write_member_impl(k, values, true)
-    }
-
-    /// [`FileStore::write_member_durable`] from pre-encoded little-endian
-    /// bytes. For callers that already hold the member's byte image (e.g.
-    /// the checkpoint encoder, which checksums the same bytes it writes)
-    /// this skips a second f64 → LE conversion.
-    pub fn write_member_bytes_durable(&self, k: usize, bytes: &[u8]) -> std::io::Result<()> {
-        let expect = 8 * self.layout.mesh().n() * self.levels();
-        assert_eq!(bytes.len(), expect, "member byte count mismatch");
-        self.swap_member_file(k, bytes, true)?;
-        self.stats.lock().bytes_written += bytes.len() as u64;
-        self.note_member(k);
-        Ok(())
     }
 
     fn write_member_impl(&self, k: usize, values: &[f64], durable: bool) -> std::io::Result<()> {

@@ -83,8 +83,8 @@ pub enum Op {
     /// structure, and the same plan must inject the same faults on both
     /// executors.
     Fault,
-    /// A durable checkpoint write (member file flushed through the atomic
-    /// temp + fsync + rename path). Distinguished from `Write` so campaign
+    /// A durable checkpoint write (a member file written and fsynced,
+    /// committed by the checkpoint's manifest). Distinguished from `Write` so campaign
     /// digests separate assimilation I/O from durability I/O.
     Ckpt,
     /// A checkpoint read during recovery or resume.

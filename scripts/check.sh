@@ -48,6 +48,11 @@ echo "    point kernels are alloc-free (release)"
 cargo test -q --release --test dataplane_alloc_free
 cargo test -q --release -p enkf-core --test alloc_free
 
+echo "==> crash consistency in release, the build the benchmark runs: kill-resume,"
+echo "    crash recovery and checkpoint restart while the pipelined writer overlaps"
+echo "    the next cycle's work-store refresh"
+cargo test -q --release --test campaign_conformance --test checkpoint_restart
+
 echo "==> the kernels the benchmark runs: release GEMM instances equal the reference"
 echo "    bits and allocate nothing"
 cargo test -q --release -p enkf-linalg --test kernel_conformance --test alloc_free

@@ -23,11 +23,14 @@ use common::{TenantMix, SENKF};
 use proptest::prelude::*;
 use s_enkf::ckpt::CheckpointStore;
 use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy};
+use s_enkf::grid::{FileLayout, Mesh};
 use s_enkf::parallel::{
     model_campaign, run_campaign, run_campaign_ctx, BackoffClock, CampaignConfig, CampaignCtx,
-    CampaignExecutor, CampaignModelPlan, CampaignReport, CkptMode, ModelConfig, ModelVariant,
+    CampaignError, CampaignExecutor, CampaignModelPlan, CampaignReport, CkptMode, ModelConfig,
+    ModelVariant,
 };
 use s_enkf::pfs::{FileStore, ScratchDir};
+use std::io::ErrorKind;
 
 const CYCLES: usize = 3;
 
@@ -156,12 +159,27 @@ fn lost_members(lost: &[usize], degraded: bool) -> FaultConfig {
     fault
 }
 
+/// Overwrite every member file of a work store with garbage; member 0's
+/// garbage is also short, so a refresh must stage it instead of writing
+/// over it in place.
+fn garble(work: &FileStore) {
+    let size = work.layout().file_size() as usize;
+    assert!(work.num_members() > 0, "the work store holds members");
+    for k in 0..work.num_members() {
+        let len = if k == 0 { size / 2 } else { size };
+        let junk: Vec<u8> = (0..len).map(|i| (i * 31 + k * 7) as u8 ^ 0xA5).collect();
+        std::fs::write(work.member_path(k), junk).unwrap();
+    }
+}
+
 /// Killing a campaign at a cycle boundary (the process exits; all that
 /// survives is the checkpoint directory) and resuming produces exactly
 /// the uninterrupted run, on all four executors and both commit modes —
 /// fault-free, and on a campaign that lost a *non-last* member before the
 /// kill (the resumed supervisor re-derives the lost set from the plan and
-/// the checkpoint's ensemble size; the format stores neither).
+/// the checkpoint's ensemble size; the format stores neither). The resume
+/// never trusts the work store: its members are garbage, one of them short,
+/// when the resumed run starts.
 #[test]
 fn kill_at_cycle_boundary_and_resume_is_bit_identical() {
     let plans = [
@@ -186,6 +204,7 @@ fn kill_at_cycle_boundary_and_resume_is_bit_identical() {
                 let partial = run_mode(&work2, &ckpt2, &exec, &campaign_cfg(2), fault, mode);
                 assert_eq!(partial.stats.len(), 2);
                 drop(partial);
+                garble(&work2);
 
                 let resumed = run_mode(&work2, &ckpt2, &exec, &campaign_cfg(CYCLES), fault, mode);
                 assert_eq!(
@@ -198,6 +217,28 @@ fn kill_at_cycle_boundary_and_resume_is_bit_identical() {
             }
         }
     }
+}
+
+/// A work store laid out for another mesh is a typed error of the
+/// campaign, not a panic inside its thread scope.
+#[test]
+fn work_store_of_another_mesh_is_a_typed_error() {
+    let scratch = ScratchDir::new("camp-wrong-mesh").unwrap();
+    let mesh = Mesh::new(mix().mesh.nx() / 2, mix().mesh.ny());
+    let work = FileStore::open(scratch.path().join("work"), FileLayout::new(mesh, 8)).unwrap();
+    let ckpt = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
+    let (_, exec) = executors().remove(0);
+    let result = run_campaign(
+        &work,
+        &ckpt,
+        &exec,
+        &campaign_cfg(CYCLES),
+        &FaultConfig::none(),
+    );
+    assert!(
+        matches!(result, Err(CampaignError::Io(ref e)) if e.kind() == ErrorKind::InvalidInput),
+        "got {result:?}"
+    );
 }
 
 /// A rank crash mid-cycle tears the cycle down; the supervisor drains any

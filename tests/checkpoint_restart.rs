@@ -218,3 +218,26 @@ fn missing_manifest_means_not_durable() {
     assert_eq!(back.cycle, 1);
     assert!(skipped.is_empty(), "a non-durable cycle is not corruption");
 }
+
+/// Saving a cycle again over its torn attempt (members written, no
+/// manifest) commits it bit-exactly and leaves no staging file behind.
+#[test]
+fn resaving_a_torn_cycle_commits_it() {
+    let scratch = ScratchDir::new("ckpt-resave").unwrap();
+    let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
+    store.save(&synthetic(1, 2), None).unwrap();
+    store.save(&synthetic(2, 3), None).unwrap();
+    fs::remove_file(store.cycle_dir(2).join("MANIFEST.txt")).unwrap();
+    let ckpt = synthetic(2, 4);
+    store.save(&ckpt, None).unwrap();
+    assert_eq!(store.durable_cycles().unwrap(), vec![1, 2]);
+    let back = store.load_cycle(2, FP, None).unwrap();
+    assert_eq!(back.analysis.states(), ckpt.analysis.states());
+    assert_eq!(back.free_run.states(), ckpt.free_run.states());
+    assert_eq!(back.truth, ckpt.truth);
+    assert_eq!(back.cycle_digests, ckpt.cycle_digests);
+    for entry in fs::read_dir(store.cycle_dir(2)).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(!name.ends_with(".tmp"), "staging file {name} left behind");
+    }
+}

@@ -237,8 +237,8 @@ fn ckpt_sweep(
 /// The steady-state checkpoint write path performs no payload-sized
 /// allocation: the column gather buffer is recycled by the encoder and its
 /// little-endian byte image is a view of that buffer. What remains is
-/// the temp + rename protocol's small per-file path strings — bounded to
-/// a sliver of the payload and never one allocation as large as a member.
+/// the small per-file path strings — bounded to a sliver of the payload
+/// and never one allocation as large as a member.
 #[test]
 fn checkpoint_member_writes_are_payload_allocation_free_at_steady_state() {
     let _x = EXCLUSIVE.lock().unwrap();
