@@ -292,7 +292,9 @@ impl CheckpointStore {
         let mut m = String::new();
         m.push_str(MAGIC);
         m.push('\n');
-        m.push_str(&format!("cycle={}\n", ckpt.cycle));
+        // Zero-padded to the 20 digits of a 64-bit `usize::MAX`, so a
+        // checkpoint's size does not depend on its cycle number's digits.
+        m.push_str(&format!("cycle={:020}\n", ckpt.cycle));
         m.push_str(&format!("seed={}\n", ckpt.seed));
         m.push_str(&format!("members0={}\n", ckpt.members0));
         m.push_str(&format!("members={members}\n"));
@@ -791,6 +793,45 @@ mod tests {
         assert_eq!(back.rng_cursor, ckpt.rng_cursor);
         assert_eq!(back.seed, ckpt.seed);
         assert_eq!(back.members0, ckpt.members0);
+    }
+
+    #[test]
+    fn manifest_size_does_not_depend_on_the_cycle_number() {
+        let scratch = ScratchDir::new("ckpt-pad").unwrap();
+        let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
+        let mut lens = Vec::new();
+        for cycle in [9, 10] {
+            let ckpt = sample(cycle, 3);
+            store.save(&ckpt, None).unwrap();
+            let manifest = fs::metadata(store.cycle_dir(cycle).join(MANIFEST)).unwrap();
+            lens.push(manifest.len());
+            let back = store.load_cycle(cycle, 0xFEED_BEEF, None).unwrap();
+            let bits = |e: &Ensemble| -> Vec<u64> {
+                e.states().as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(back.cycle, cycle);
+            assert_eq!(bits(&back.analysis), bits(&ckpt.analysis));
+            assert_eq!(bits(&back.free_run), bits(&ckpt.free_run));
+        }
+        assert_eq!(lens[0], lens[1]);
+    }
+
+    /// Manifests written before the cycle field was padded still load.
+    #[test]
+    fn unpadded_manifest_still_loads() {
+        let scratch = ScratchDir::new("ckpt-unpadded").unwrap();
+        let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
+        let ckpt = sample(9, 3);
+        store.save(&ckpt, None).unwrap();
+        let mpath = store.cycle_dir(9).join(MANIFEST);
+        let text = fs::read_to_string(&mpath).unwrap();
+        let body = &text[..text.rfind("crc=").unwrap()];
+        let body = body.replace("cycle=00000000000000000009\n", "cycle=9\n");
+        let crc = fnv64(body.as_bytes());
+        fs::write(&mpath, format!("{body}crc={crc:016x}\n")).unwrap();
+        let back = store.load_cycle(9, 0xFEED_BEEF, None).unwrap();
+        assert_eq!(back.cycle, 9);
+        assert_eq!(back.analysis.states(), ckpt.analysis.states());
     }
 
     #[test]

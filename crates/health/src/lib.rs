@@ -19,9 +19,12 @@
 //!   and member schedules are stably reordered away from hot OSTs (the
 //!   trace digest is an order-free multiset, so reordering is
 //!   conformance-neutral by construction).
-//! * **Evidence** ([`HealthLog`]): every detection and failover decision is
-//!   logged; the canonical sorted digest is part of the chaos-soak
-//!   conformance surface next to the trace's operation and fault digests.
+//! * **Record** ([`HealthSnapshot`]): the detector verdicts at each cycle
+//!   boundary — blacklisted, probation and suspect OSTs, suspect ranks.
+//!   What routing made readers do is already in the run's trace (a
+//!   speculative duplicate is a `FaultKind::Cancelled` span), so the
+//!   chaos-soak conformance surface is the per-cycle snapshots beside the
+//!   trace's operation and fault digests; the crate keeps no log.
 //!
 //! Determinism argument, in one paragraph: the real substrate *injects*
 //! degradation (OST slowdowns, stragglers) through `enkf-fault`, so the
@@ -42,10 +45,8 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-mod log;
 mod monitor;
 mod route;
 
-pub use crate::log::{HealthEvent, HealthLog, HealthRecord};
 pub use monitor::{HealthMonitor, HealthParams, HealthSnapshot, TargetStatus};
 pub use route::{ReadRoute, RouteView};

@@ -1,6 +1,5 @@
 //! The failure detector: EWMA baselines + phi-accrual-style suspicion.
 
-use crate::log::{HealthEvent, HealthLog};
 use crate::route::RouteView;
 use std::collections::BTreeMap;
 use std::f64::consts::LN_10;
@@ -87,7 +86,7 @@ struct Detector {
     susp: f64,
     status: TargetStatus,
     /// Whether suspicion ever crossed the threshold without a clearing
-    /// cycle since (drives rank suspected/cleared events).
+    /// cycle since (drives [`HealthSnapshot::suspected_ranks`]).
     suspected: bool,
 }
 
@@ -111,28 +110,24 @@ impl Detector {
         (m - self.mu) / (self.dev.max(DEV_FLOOR) * LN_10)
     }
 
-    /// Fold one cycle mean (or its absence) into the detector. Returns the
-    /// detection transitions to log.
-    fn step(&mut self, m: Option<f64>) -> Vec<HealthEvent> {
-        let mut events = Vec::new();
+    /// Fold one cycle mean (or its absence) into the detector.
+    fn step(&mut self, m: Option<f64>) {
         if let TargetStatus::Blacklisted { remaining } = self.status {
             // Out of rotation: no observations to judge, just serve the term.
-            if remaining > 1 {
-                self.status = TargetStatus::Blacklisted {
+            self.status = if remaining > 1 {
+                TargetStatus::Blacklisted {
                     remaining: remaining - 1,
-                };
+                }
             } else {
-                self.status = TargetStatus::Probation;
-                events.push(HealthEvent::OstProbation);
-            }
-            return events;
+                TargetStatus::Probation
+            };
+            return;
         }
         let Some(m) = m else {
-            return events; // nothing observed this cycle: no verdict
+            return; // nothing observed this cycle: no verdict
         };
         if m > self.mu * SUSPECT_RATIO {
             self.susp += self.phi(m).max(0.0);
-            events.push(HealthEvent::OstSuspected);
             if self.status == TargetStatus::Probation || self.susp >= SUSPICION_THRESHOLD {
                 // A failed probe re-blacklists immediately; a fresh target
                 // needs accrued suspicion past the threshold.
@@ -140,24 +135,18 @@ impl Detector {
                     remaining: PROBATION_CYCLES,
                 };
                 self.suspected = true;
-                events.push(HealthEvent::OstBlacklisted);
             }
         } else {
             if self.status == TargetStatus::Probation {
-                self.status = TargetStatus::Healthy;
-                events.push(HealthEvent::OstReintegrated);
+                self.status = TargetStatus::Healthy; // reintegrated
             }
-            if self.suspected {
-                self.suspected = false;
-                events.push(HealthEvent::RankCleared); // relabelled for ranks below
-            }
+            self.suspected = false;
             self.susp = 0.0;
             // Only healthy cycles update the baseline: degraded samples must
             // not poison μ (or the detector would acclimatize to the fault).
             self.dev = (1.0 - EWMA_ALPHA) * self.dev + EWMA_ALPHA * (m - self.mu).abs();
             self.mu = (1.0 - EWMA_ALPHA) * self.mu + EWMA_ALPHA * m;
         }
-        events
     }
 }
 
@@ -172,6 +161,9 @@ pub struct HealthSnapshot {
     pub blacklisted_osts: Vec<usize>,
     /// OSTs on probe duty next cycle.
     pub probation_osts: Vec<usize>,
+    /// OSTs still in rotation whose suspicion accrued in an anomalous
+    /// cycle since their last healthy one: suspect, not (yet) blacklisted.
+    pub suspected_osts: Vec<usize>,
     /// Ranks whose compute dilation is past the suspicion threshold.
     pub suspected_ranks: Vec<usize>,
     /// Striping modulus (for capacity math).
@@ -197,10 +189,12 @@ impl HealthSnapshot {
 }
 
 /// The online health monitor: per-OST and per-rank detectors, an
-/// order-insensitive per-cycle observation accumulator, the decision log,
-/// and the frozen routing view executors consult.
+/// order-insensitive per-cycle observation accumulator, and the frozen
+/// routing view executors consult. Its record is the [`HealthSnapshot`]
+/// `end_cycle` returns; what the routing view made readers do (speculative
+/// duplicates, reordering) is in the run's trace.
 ///
-/// Thread contract: `observe_*` and the log take `&self` (rank threads feed
+/// Thread contract: `observe_*` take `&self` (rank threads feed
 /// concurrently mid-cycle); `end_cycle` takes `&mut self` (the supervisor
 /// folds at the cycle boundary). Within a cycle the view never changes.
 #[derive(Debug)]
@@ -212,7 +206,6 @@ pub struct HealthMonitor {
     /// (target, member)-keyed sums — keyed, not running, so the fold order
     /// is canonical no matter how rank threads interleave.
     acc: Mutex<CycleAcc>,
-    log: HealthLog,
     view: RouteView,
 }
 
@@ -241,7 +234,6 @@ impl HealthMonitor {
             osts: BTreeMap::new(),
             ranks: BTreeMap::new(),
             acc: Mutex::new(CycleAcc::default()),
-            log: HealthLog::new(),
             view,
         }
     }
@@ -259,16 +251,6 @@ impl HealthMonitor {
     /// The frozen routing table for the current cycle.
     pub fn view(&self) -> &RouteView {
         &self.view
-    }
-
-    /// The decision log.
-    pub fn log(&self) -> &HealthLog {
-        &self.log
-    }
-
-    /// Canonical digest of every decision so far.
-    pub fn digest(&self) -> String {
-        self.log.digest()
     }
 
     /// Record one read service observation: `member`'s read was served by
@@ -289,21 +271,6 @@ impl HealthMonitor {
         e.1 = ratio;
     }
 
-    /// Log a speculative read decision (called by the adaptive read path on
-    /// both executors).
-    pub fn speculated(
-        &self,
-        rank: usize,
-        stage: Option<usize>,
-        member: usize,
-        ost: usize,
-        replica: usize,
-        replica_won: bool,
-    ) {
-        self.log
-            .speculated(self.cycle, rank, stage, member, ost, replica, replica_won);
-    }
-
     /// Discard the current cycle's accumulated observations without
     /// stepping the detectors or advancing the cycle. The campaign
     /// supervisor calls this when a cycle attempt fails and will be
@@ -316,7 +283,7 @@ impl HealthMonitor {
 
     /// Close the cycle: fold the accumulated observations into the
     /// detectors in sorted key order, step every tracked target, refreeze
-    /// the routing view, log the transitions, and return the snapshot.
+    /// the routing view, and return the snapshot.
     pub fn end_cycle(&mut self) -> HealthSnapshot {
         let acc = std::mem::take(&mut *self.acc());
         // Per-OST cycle means: Σ count·ratio / Σ count over sorted members.
@@ -329,42 +296,16 @@ impl HealthMonitor {
         for &ost in ost_means.keys() {
             self.osts.entry(ost).or_insert_with(Detector::new);
         }
-        let cycle = self.cycle;
         for (&ost, det) in self.osts.iter_mut() {
-            let m = ost_means.get(&ost).map(|&(sum, n)| sum / n);
-            for ev in det.step(m) {
-                // Detectors are target-agnostic; OstSuspected/... labels are
-                // already OST-flavoured, and the clearing event is not
-                // emitted for OSTs (reintegration covers it).
-                if ev != HealthEvent::RankCleared {
-                    self.log.ost_event(cycle, ost, ev);
-                }
-            }
+            det.step(ost_means.get(&ost).map(|&(sum, n)| sum / n));
         }
         for &rank in acc.computes.keys() {
             self.ranks.entry(rank).or_insert_with(Detector::new);
         }
+        // Ranks are not routed around: the probation ladder a straggler
+        // walks is visible only as `suspected_ranks`.
         for (&rank, det) in self.ranks.iter_mut() {
-            let m = acc.computes.get(&rank).map(|&(_, ratio)| ratio);
-            for ev in det.step(m) {
-                let ev = match ev {
-                    HealthEvent::OstSuspected | HealthEvent::OstBlacklisted => {
-                        HealthEvent::RankSuspected
-                    }
-                    HealthEvent::RankCleared => HealthEvent::RankCleared,
-                    // Ranks are not routed around, so the probation ladder
-                    // collapses onto suspected/cleared.
-                    _ => continue,
-                };
-                // A rank crossing the threshold logs one RankSuspected per
-                // anomalous cycle; dedup the double-fire on the blacklist
-                // transition cycle.
-                if ev == HealthEvent::RankSuspected {
-                    self.log.rank_event(cycle, rank, ev);
-                    break;
-                }
-                self.log.rank_event(cycle, rank, ev);
-            }
+            det.step(acc.computes.get(&rank).map(|&(_, ratio)| ratio));
         }
         self.view.blacklisted = self
             .osts
@@ -372,7 +313,7 @@ impl HealthMonitor {
             .filter(|(_, d)| matches!(d.status, TargetStatus::Blacklisted { .. }))
             .map(|(&o, _)| o)
             .collect();
-        let snap = self.snapshot_at(cycle);
+        let snap = self.snapshot_at(self.cycle);
         self.cycle += 1;
         snap
     }
@@ -395,6 +336,12 @@ impl HealthMonitor {
                 .osts
                 .iter()
                 .filter(|(_, d)| d.status == TargetStatus::Probation)
+                .map(|(&o, _)| o)
+                .collect(),
+            suspected_osts: self
+                .osts
+                .iter()
+                .filter(|(_, d)| d.status == TargetStatus::Healthy && d.susp > 0.0)
                 .map(|(&o, _)| o)
                 .collect(),
             suspected_ranks: self
@@ -431,8 +378,8 @@ mod tests {
             feed(&mon, &[1.0, 1.0, 1.0, 1.0]);
             let snap = mon.end_cycle();
             assert!(snap.is_clean(), "healthy substrate must stay clean");
+            assert!(snap.suspected_osts.is_empty());
         }
-        assert!(mon.log().is_empty());
         assert_eq!(mon.snapshot().capacity_factor(), 1.0);
     }
 
@@ -444,8 +391,7 @@ mod tests {
         assert_eq!(snap.blacklisted_osts, vec![1]);
         assert!(mon.view().blacklisted.contains(&1));
         assert_eq!(snap.capacity_factor(), 0.75);
-        let d = mon.digest();
-        assert!(d.contains("ost=1") && d.contains("event=ost-blacklisted"));
+        assert!(snap.suspected_osts.is_empty(), "blacklisted, not suspect");
     }
 
     #[test]
@@ -457,7 +403,8 @@ mod tests {
             snap.blacklisted_osts.is_empty(),
             "one mild cycle: suspect only"
         );
-        assert!(mon.digest().contains("event=ost-suspected"));
+        assert_eq!(snap.suspected_osts, vec![1]);
+        assert!(snap.is_clean(), "a suspect stays in rotation");
         feed(&mon, &[1.0, 1.5, 1.0, 1.0]);
         let snap = mon.end_cycle();
         assert_eq!(
@@ -465,6 +412,7 @@ mod tests {
             vec![1],
             "accrual crosses the threshold"
         );
+        assert!(snap.suspected_osts.is_empty());
     }
 
     #[test]
@@ -481,8 +429,9 @@ mod tests {
         // The probe comes back healthy: reintegrated.
         feed(&mon, &[1.0, 1.0, 1.0, 1.0]);
         let snap = mon.end_cycle();
-        assert!(snap.is_clean());
-        assert!(mon.digest().contains("event=ost-reintegrated"));
+        assert!(snap.is_clean(), "reintegrated");
+        assert!(snap.suspected_osts.is_empty());
+        assert!(!mon.view().blacklisted.contains(&1));
     }
 
     #[test]
@@ -503,7 +452,6 @@ mod tests {
         mon.observe_compute(2, 3.0);
         let snap = mon.end_cycle();
         assert_eq!(snap.suspected_ranks, vec![2]);
-        assert!(mon.digest().contains("event=rank-suspected"));
         mon.observe_compute(2, 1.0);
         // The rank detector enters the blacklist ladder internally; walk it
         // out: blacklist term, probe, healthy.
@@ -512,14 +460,15 @@ mod tests {
         mon.end_cycle();
         mon.observe_compute(2, 1.0);
         let snap = mon.end_cycle();
-        assert!(snap.suspected_ranks.is_empty());
-        assert!(mon.digest().contains("event=rank-cleared"));
+        assert!(snap.suspected_ranks.is_empty(), "cleared");
+        assert!(snap.is_clean());
     }
 
     #[test]
     fn detection_is_a_pure_function_of_the_observation_multiset() {
         let run = |order_flip: bool| {
             let mut mon = HealthMonitor::new(params());
+            let mut snaps = Vec::new();
             for c in 0..5 {
                 let members: Vec<usize> = if order_flip {
                     (0..8).rev().collect()
@@ -531,21 +480,11 @@ mod tests {
                     let ratio = if ost == 2 && c >= 1 { 3.0 } else { 1.0 };
                     mon.observe_read(ost, m, ratio);
                 }
-                mon.end_cycle();
+                snaps.push(mon.end_cycle());
             }
-            mon.digest()
+            snaps
         };
         assert_eq!(run(false), run(true), "feed order must not matter");
-        assert!(run(false).contains("event=ost-blacklisted"));
-    }
-
-    #[test]
-    fn speculation_events_carry_the_route() {
-        let mon = HealthMonitor::new(params());
-        mon.speculated(3, Some(1), 5, 1, 2, true);
-        let d = mon.digest();
-        assert!(d.contains("member=5"));
-        assert!(d.contains("replica=2"));
-        assert!(d.contains("event=replica-won"));
+        assert!(run(false).iter().any(|s| s.blacklisted_osts == [2]));
     }
 }

@@ -258,11 +258,6 @@ pub struct CampaignReport {
     /// with [`CampaignCtx::health`]; empty otherwise. The scheduler feeds
     /// these to its rebalance to reprice SLAs against degraded capacity.
     pub health_snapshots: Vec<HealthSnapshot>,
-    /// Canonical digest of every health decision the campaign's monitor
-    /// made (`None` without monitoring) — the chaos-soak conformance
-    /// artifact, byte-identical to the modeled campaign's under a common
-    /// seeded plan.
-    pub health_digest: Option<String>,
 }
 
 /// Supervisor-level failures.
@@ -513,6 +508,5 @@ pub fn run_campaign_ctx(
         health_snapshots: sup.health_snapshots,
         wall_time: t0.elapsed().as_secs_f64(),
         virtual_backoff,
-        health_digest: monitor.map(|m| m.digest()),
     })
 }

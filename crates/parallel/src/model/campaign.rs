@@ -137,9 +137,9 @@ struct Priced {
 /// folds the detectors at the boundary, on both sides). Crashed attempts
 /// feed no observations on either side, and their partial work is priced
 /// at the monitor-free cycle makespan. Under a common seeded plan the
-/// returned per-cycle digests, the recovery count and the monitor's
-/// decision log equal the real campaign's; a campaign the supervisor gives
-/// up on is an `Err` here too.
+/// returned per-cycle digests, health snapshots and recovery count equal
+/// the real campaign's; a campaign the supervisor gives up on is an `Err`
+/// here too.
 pub fn model_campaign_adaptive(
     cfg: &ModelConfig,
     variant: &ModelVariant,

@@ -105,8 +105,8 @@ fn model_traced(cfg: &ModelConfig, variant: ModelVariant) -> Result<(ModelOutcom
 ///   is reported to the monitor once per rank.
 ///
 /// Every task carries an [`OpTag`], so the exported trace's operation
-/// digest — and, under a seeded plan, the fault and health digests — equal
-/// the real executor's.
+/// digest — and, under a seeded plan, the fault digest and the monitor's
+/// observations — equal the real executor's.
 ///
 /// The graph is built in this thread's `ARENA`, cleared rather than freed
 /// between calls.

@@ -42,22 +42,8 @@ pub fn model_block_read(
     Ok(sim.run().map_err(|e| e.to_string())?.makespan)
 }
 
-/// Virtual time to read `files` members with the **concurrent access**
-/// approach (§4.1.3): `n_cg` groups of `n_sdy` bar readers, each group
-/// owning `files / n_cg` files, whole bars (no layering). This is
-/// Figure 10's workload; `n_cg = 1` degenerates to plain bar reading
-/// (§4.1.2).
-pub fn model_concurrent_read(
-    cfg: &ModelConfig,
-    nsdy: usize,
-    ncg: usize,
-    files: usize,
-) -> Result<f64, String> {
-    model_concurrent_read_detail(cfg, nsdy, ncg, files).map(|d| d.makespan)
-}
-
-/// Detailed outcome of a concurrent-access read: makespan plus per-OST
-/// utilization (the saturation diagnostic behind Figure 10's knee).
+/// Outcome of a concurrent-access read: makespan plus per-OST utilization
+/// (the saturation diagnostic behind Figure 10's knee).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConcurrentReadDetail {
     /// Virtual time to read all files.
@@ -77,8 +63,12 @@ impl ConcurrentReadDetail {
     }
 }
 
-/// [`model_concurrent_read`] with per-OST utilization.
-pub fn model_concurrent_read_detail(
+/// Virtual time and per-OST utilization of reading `files` members with the
+/// **concurrent access** approach (§4.1.3): `n_cg` groups of `n_sdy` bar
+/// readers, each group owning `files / n_cg` files, whole bars (no
+/// layering). This is Figure 10's workload; `n_cg = 1` degenerates to plain
+/// bar reading (§4.1.2).
+pub fn model_concurrent_read(
     cfg: &ModelConfig,
     nsdy: usize,
     ncg: usize,
@@ -158,10 +148,8 @@ mod tests {
         // Figure 10's shape: adding groups helps while they map to idle
         // OSTs, then flattens.
         let c = cfg();
-        let t1 = model_concurrent_read(&c, 6, 1, 12).unwrap();
-        let t2 = model_concurrent_read(&c, 6, 2, 12).unwrap();
-        let t4 = model_concurrent_read(&c, 6, 4, 12).unwrap();
-        let t12 = model_concurrent_read(&c, 6, 12, 12).unwrap();
+        let t = |ncg| model_concurrent_read(&c, 6, ncg, 12).unwrap().makespan;
+        let (t1, t2, t4, t12) = (t(1), t(2), t(4), t(12));
         assert!(t2 < t1, "{t2} < {t1}");
         assert!(t4 < t2, "{t4} < {t2}");
         // Beyond the OST count (6), the gain collapses.
@@ -174,16 +162,15 @@ mod tests {
         // blocks are one seek per row.
         let c = cfg();
         let block = model_block_read(&c, 10, 6, 12).unwrap();
-        let bar = model_concurrent_read(&c, 6, 1, 12).unwrap();
+        let bar = model_concurrent_read(&c, 6, 1, 12).unwrap().makespan;
         assert!(bar < block, "bar {bar} vs block {block}");
     }
 
     #[test]
     fn utilization_rises_toward_saturation() {
-        use super::model_concurrent_read_detail;
         let c = cfg();
-        let low = model_concurrent_read_detail(&c, 6, 1, 12).unwrap();
-        let high = model_concurrent_read_detail(&c, 6, 6, 12).unwrap();
+        let low = model_concurrent_read(&c, 6, 1, 12).unwrap();
+        let high = model_concurrent_read(&c, 6, 6, 12).unwrap();
         assert!(high.mean_utilization() > low.mean_utilization());
         assert!(high.mean_utilization() <= 1.0 + 1e-9);
         assert_eq!(low.ost_utilization.len(), c.pfs.num_osts);

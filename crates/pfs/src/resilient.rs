@@ -5,10 +5,10 @@
 //! speculative duplicate, then per attempt a backoff, an injected failure
 //! or the read itself. `weave_read` is the only place that schedule is
 //! decided — the route (from the monitor's frozen
-//! [`enkf_health::RouteView`]), the attempt budget, every monitor record,
-//! and the [`OpTag`] of every step: *what the step is* (footprint, fault
-//! kind, attempt index) is built there, once. Its two arms only put a time
-//! on the tag:
+//! [`enkf_health::RouteView`]), the attempt budget, the monitor's
+//! observation, and the [`OpTag`] of every step: *what the step is*
+//! (footprint, fault kind, attempt index) is built there, once. Its two
+//! arms only put a time on the tag:
 //!
 //! * the **real** arm ([`read_region_adaptive`]) sleeps the backoffs,
 //!   performs (and discards) injected attempts so they cost real OST time,
@@ -17,9 +17,10 @@
 //!   as one DES task carrying the tag.
 //!
 //! Both arms therefore produce the same spans under any seeded plan, which
-//! is what keeps the real and modeled operation digests, fault events
+//! is what keeps the real and modeled operation digests and fault events
 //! (`enkf_trace::Trace::fault_events` — a projection of those spans, there
-//! is no second log) and health digests identical.
+//! is no second log) identical, and both monitors fed the same
+//! observations.
 
 use crate::model::ModeledPfs;
 use crate::store::{FileStore, RegionData};
@@ -79,7 +80,6 @@ struct ReadPath {
 fn weave_read<E>(
     injector: &FaultInjector,
     monitor: Option<&HealthMonitor>,
-    rank: usize,
     member: usize,
     read: OpTag,
     mut step: impl FnMut(OpTag, StepCost) -> Result<bool, E>,
@@ -108,7 +108,6 @@ fn weave_read<E>(
                     replica,
                     replica_wins,
                 } => {
-                    mon.speculated(rank, read.stage, member, ost, replica, replica_wins);
                     let winner = if replica_wins {
                         ReadPath {
                             ost: Some(replica),
@@ -178,8 +177,7 @@ pub fn read_region_adaptive(
     // The last read attempt's result: the data, or the genuine error (if
     // any) that becomes the cause once the attempts run out.
     let mut outcome: Result<RegionData, Option<ReadError>> = Err(None);
-    let rank = tracer.rank();
-    let _served = weave_read(injector, monitor, rank, member, read, |tag, cost| {
+    let _served = weave_read(injector, monitor, member, read, |tag, cost| {
         let attempt = |path: ReadPath| {
             let start = Instant::now();
             let out = store.read_region(member, region);
@@ -242,7 +240,7 @@ impl ModeledPfs {
             member: Some(member),
             ..OpTag::default()
         };
-        weave_read(injector, monitor, agent.0, member, read, |tag, cost| {
+        weave_read(injector, monitor, member, read, |tag, cost| {
             let kind = tag.fault.map_or(Kind::Read, |_| Kind::Fault);
             let task = match cost {
                 StepCost::Pause(pause) => Task::new(agent, kind, pause),
@@ -313,6 +311,38 @@ mod tests {
 
     fn tracer() -> RankTracer {
         RankTracer::new(0, Instant::now())
+    }
+
+    /// The modeled arm's read of member 1 under `plan` and `mon`'s view on
+    /// a seek-free 4-OST file system: the serving path's dilation (the
+    /// makespan over the undilated service — the cancelled duplicate is
+    /// free) and the trace.
+    fn modeled_read(plan: &FaultPlan, mon: &HealthMonitor) -> (f64, enkf_trace::Trace) {
+        let mut sim = Simulation::new();
+        let params = crate::PfsParams {
+            num_osts: 4,
+            streams_per_ost: 1,
+            seek_time: 0.0,
+            byte_time: 1e-6,
+        };
+        let pfs = ModeledPfs::register(&mut sim, params);
+        let agent = sim.add_agent();
+        let inj = FaultInjector::new(FaultConfig::degraded(plan.clone()));
+        let bytes = 1_000_000;
+        pfs.add_member_read(&mut sim, agent, &inj, Some(mon), false, None, 1, 0, bytes)
+            .unwrap();
+        let makespan = sim.run().unwrap().makespan;
+        (
+            makespan / pfs.read_service(0, bytes),
+            sim.export_trace("modeled"),
+        )
+    }
+
+    /// Whether the only fault event of `trace` is one cancelled speculative
+    /// duplicate.
+    fn one_cancelled_read(trace: &enkf_trace::Trace) -> bool {
+        let events = trace.fault_events(&[]);
+        events.len() == 1 && events[0].kind == FaultKind::Cancelled
     }
 
     fn into_trace(t: RankTracer) -> enkf_trace::Trace {
@@ -466,7 +496,7 @@ mod tests {
         let (_s, st) = store();
         // OST 1 is 4× slow; member 1 stripes to it, replica is OST 2.
         let plan = FaultPlan::new(9).with_num_osts(4).with_ost_slowdown(1, 4.0);
-        let inj = FaultInjector::new(FaultConfig::degraded(plan));
+        let inj = FaultInjector::new(FaultConfig::degraded(plan.clone()));
         let mut mon = enkf_health::HealthMonitor::new(enkf_health::HealthParams::with_num_osts(4));
         // Warm-up cycle: the monitor sees the dilation and blacklists OST 1.
         mon.observe_read(1, 1, 4.0);
@@ -480,16 +510,11 @@ mod tests {
         // One cancelled-duplicate marker + one winning read.
         assert!(trace.digest().contains("op=fault"));
         assert!(trace.digest().contains("op=read"));
-        let events = trace.fault_events(&[]);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, FaultKind::Cancelled);
-        let hd = mon.digest();
-        assert!(hd.contains("event=speculated"));
-        assert!(
-            hd.contains("event=replica-won"),
-            "healthy replica wins: {hd}"
-        );
-        assert!(hd.contains("replica=2"));
+        assert!(one_cancelled_read(&trace));
+        // The healthy replica (OST 2) wins: the read is served undilated.
+        let (dilation, modeled) = modeled_read(&plan, &mon);
+        assert!(one_cancelled_read(&modeled));
+        assert_eq!(dilation, 1.0, "healthy replica wins");
     }
 
     #[test]
@@ -499,7 +524,7 @@ mod tests {
             .with_num_osts(4)
             .with_ost_slowdown(1, 4.0)
             .with_ost_slowdown(2, 8.0);
-        let inj = FaultInjector::new(FaultConfig::degraded(plan));
+        let inj = FaultInjector::new(FaultConfig::degraded(plan.clone()));
         let mut mon = enkf_health::HealthMonitor::new(enkf_health::HealthParams::with_num_osts(4));
         mon.observe_read(1, 1, 4.0);
         mon.observe_read(2, 2, 8.0);
@@ -507,12 +532,9 @@ mod tests {
         assert_eq!(snap.blacklisted_osts, vec![1, 2]);
         let mut t = tracer();
         read_full_adaptive(&st, &mut t, None, 1, &inj, Some(&mon)).unwrap();
-        let hd = mon.digest();
-        assert!(hd.contains("event=speculated"));
-        assert!(
-            !hd.contains("event=replica-won"),
-            "a blacklisted replica must not win: {hd}"
-        );
+        assert!(one_cancelled_read(&into_trace(t)));
+        let (dilation, _) = modeled_read(&plan, &mon);
+        assert_eq!(dilation, 4.0, "a blacklisted replica must not win");
     }
 
     #[test]

@@ -14,13 +14,12 @@
 //!
 //! The loop reads no real outcome, so its decisions are a pure function of
 //! its inputs: a real run's [`MixOutcome`] equals the simulated one, and
-//! [`MixOutcome::decisions_digest`] is a real-vs-model conformance check.
+//! that whole-outcome equality is the real-vs-model conformance check.
 //!
 //! Event ordering is total and deterministic: at any instant, cycle
 //! completions fire first (in `JobId` order), then arrivals (in input
 //! order), then one rebalance, then dispatch. Two runs with the same
-//! seed, tenants and arrival list produce bit-identical outcomes —
-//! including the decision-log digest the conformance suite pins.
+//! seed, tenants and arrival list produce bit-identical outcomes.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -54,7 +53,9 @@ pub struct JobRecord {
     pub shares_seen: Vec<f64>,
 }
 
-/// The outcome of scheduling one tenant mix.
+/// The outcome of scheduling one tenant mix — the scheduling record:
+/// every dispatch and completion is in `records`, every refusal in
+/// `rejected`, every share in `share_checks`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixOutcome {
     /// Completed campaigns, in completion order.
@@ -64,10 +65,6 @@ pub struct MixOutcome {
     /// Jobs admitted to the queue but never dispatchable (e.g. a
     /// `max_running` quota of zero).
     pub unscheduled: Vec<JobId>,
-    /// The full decision log.
-    pub decisions: Vec<String>,
-    /// FNV-64 of the decision log — the determinism witness.
-    pub decisions_digest: u64,
     /// Share snapshots from every rebalance, for the fairness properties.
     pub share_checks: Vec<ShareCheck>,
     /// Virtual time of the last event.
@@ -206,11 +203,9 @@ pub(crate) fn dispatch<P: Planner>(
     }
 
     MixOutcome {
-        decisions_digest: sched.decisions_digest(),
         records,
         rejected,
         unscheduled: sched.queued().to_vec(),
-        decisions: sched.decisions().to_vec(),
         share_checks: sched.share_checks().to_vec(),
         makespan,
     }

@@ -12,7 +12,7 @@
 //! Everything here is straight-line `f64` arithmetic over slices in index
 //! order: allocations are bit-identical across reruns, which is half of
 //! the scheduler's determinism story (the other half is the seeded,
-//! ordered decision log).
+//! totally ordered dispatch loop).
 
 /// One claimant of the resource.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -23,10 +23,10 @@
 //!   rejected at submit; a job whose admission would push any running
 //!   campaign's guaranteed-floor prediction past its deadline waits in the
 //!   queue;
-//! * **deterministic, seeded decisions**: every admit/queue/reject/dispatch
-//!   is appended to a decision log whose FNV-64 digest is bit-identical
-//!   across reruns of the same seed — the property the conformance and
-//!   property suites pin.
+//! * **deterministic, seeded decisions**: every refusal, dispatch,
+//!   completion and share lands in the [`MixOutcome`], which is
+//!   bit-identical across reruns of the same seed — the property the
+//!   conformance and property suites pin.
 //!
 //! One dispatch loop ([`des`]) drives the scheduler core in virtual time:
 //! arrivals, cycle boundaries priced by the planner at the current share,

@@ -1,7 +1,7 @@
 //! The scheduler core: admission queue, quotas, fair shares, dispatch.
 //!
 //! All scheduling state — queued and running jobs, per-tenant accounting,
-//! the decision log — lives here. One dispatch loop drives it in virtual
+//! the share audit trail — lives here. One dispatch loop drives it in virtual
 //! time ([`crate::des`]); [`crate::simulate`] and [`crate::run_real`] both
 //! follow that loop, so they take identical admission and fairness
 //! decisions by construction.
@@ -34,9 +34,11 @@
 //!   actual max-min shares never drop below them, and cycle cost is
 //!   monotone in the share.
 //!
-//! Every decision appends one line to the log; [`Scheduler::decisions_digest`]
-//! is the FNV-64 of the whole log and must be bit-identical across reruns
-//! of the same seed.
+//! The scheduler keeps no log of its own: a refusal is the typed
+//! [`SubmitError`] `submit` returns, a dispatch sets
+//! [`JobState::dispatch`], every rebalance leaves a [`ShareCheck`]. The
+//! dispatch loop gathers these, with each completion, into
+//! [`crate::MixOutcome`], bit-identical across reruns of the same seed.
 
 use enkf_ckpt::fnv64;
 use enkf_health::HealthSnapshot;
@@ -89,7 +91,7 @@ pub struct SchedConfig {
     /// The sharing policy.
     pub policy: SharePolicy,
     /// Seed for decision tie-breaking; reruns with the same seed produce
-    /// bit-identical decision logs.
+    /// bit-identical outcomes.
     pub seed: u64,
 }
 
@@ -199,7 +201,6 @@ pub struct Scheduler<P: Planner> {
     running: Vec<JobId>,
     next_seq: BTreeMap<TenantId, u32>,
     last_submit: BTreeMap<TenantId, f64>,
-    decisions: Vec<String>,
     share_checks: Vec<ShareCheck>,
     /// Fraction of PFS bandwidth still in rotation, per the latest
     /// [`HealthSnapshot`] applied — 1.0 on a healthy machine. Scales the
@@ -220,7 +221,6 @@ impl<P: Planner> Scheduler<P> {
             running: Vec::new(),
             next_seq: BTreeMap::new(),
             last_submit: BTreeMap::new(),
-            decisions: Vec::new(),
             share_checks: Vec::new(),
             health_factor: 1.0,
         }
@@ -246,17 +246,6 @@ impl<P: Planner> Scheduler<P> {
         &self.running
     }
 
-    /// The decision log so far.
-    pub fn decisions(&self) -> &[String] {
-        &self.decisions
-    }
-
-    /// FNV-64 digest of the decision log — bit-identical across reruns of
-    /// the same seed and inputs.
-    pub fn decisions_digest(&self) -> u64 {
-        fnv64(self.decisions.join("\n").as_bytes())
-    }
-
     /// Share snapshots taken at every rebalance (fairness audit trail).
     pub fn share_checks(&self) -> &[ShareCheck] {
         &self.share_checks
@@ -273,25 +262,11 @@ impl<P: Planner> Scheduler<P> {
     /// OSTs are out of rotation until reintegrated) and rebalance every
     /// running job against the degraded machine. SLA admission floors are
     /// priced against the same shrunken pool, so deadline guarantees stay
-    /// honest while capacity is down. Logged and deterministic: the same
-    /// snapshot stream reproduces the same decision digest.
+    /// honest while capacity is down. Deterministic: the same snapshot
+    /// stream reproduces the same shares.
     pub fn apply_health(&mut self, now: f64, snap: &HealthSnapshot) {
-        let factor = snap.capacity_factor();
-        if (factor - self.health_factor).abs() > f64::EPSILON {
-            self.log(
-                now,
-                format!(
-                    "health cycle={} blacklisted={:?} suspected-ranks={:?} factor={factor:.9e}",
-                    snap.cycle, snap.blacklisted_osts, snap.suspected_ranks
-                ),
-            );
-        }
-        self.health_factor = factor;
+        self.health_factor = snap.capacity_factor();
         self.rebalance(now);
-    }
-
-    fn log(&mut self, now: f64, line: String) {
-        self.decisions.push(format!("t={now:.9e} {line}"));
     }
 
     /// Submit a job. On success the job is queued (dispatch is a separate
@@ -314,10 +289,6 @@ impl<P: Planner> Scheduler<P> {
         }
         let ranks = spec.ranks();
         if ranks > self.cfg.capacity.ranks {
-            self.log(
-                now,
-                format!("reject tenant={tenant} too-large ranks={ranks}"),
-            );
             return Err(SubmitError::TooLarge {
                 ranks,
                 capacity: self.cfg.capacity.ranks,
@@ -327,7 +298,6 @@ impl<P: Planner> Scheduler<P> {
             if let Some(&last) = self.last_submit.get(&tenant) {
                 let gap = now - last;
                 if gap < tspec.quota.min_submit_gap {
-                    self.log(now, format!("reject tenant={tenant} rate-limited"));
                     return Err(SubmitError::RateLimited {
                         retry_after: tspec.quota.min_submit_gap - gap,
                     });
@@ -336,7 +306,6 @@ impl<P: Planner> Scheduler<P> {
         }
         let queued = self.queue.iter().filter(|id| id.tenant == tenant).count();
         if queued >= tspec.quota.max_queued {
-            self.log(now, format!("reject tenant={tenant} backpressure"));
             return Err(SubmitError::Backpressure {
                 queued,
                 max_queued: tspec.quota.max_queued,
@@ -361,7 +330,6 @@ impl<P: Planner> Scheduler<P> {
         }
         if let (Some(sla), Some(predicted)) = (spec.sla, solo_prediction) {
             if predicted > sla {
-                self.log(now, format!("reject tenant={tenant} sla-unattainable"));
                 return Err(SubmitError::SlaUnattainable { predicted, sla });
             }
         }
@@ -381,7 +349,6 @@ impl<P: Planner> Scheduler<P> {
             },
         );
         self.queue.push(id);
-        self.log(now, format!("queue job={id} ranks={ranks} cycles={cycles}"));
         Ok(id)
     }
 
@@ -560,8 +527,6 @@ impl<P: Planner> Scheduler<P> {
             self.queue.retain(|q| *q != id);
             self.running.push(id);
             self.rebalance(now);
-            let share = self.jobs[&id].share;
-            self.log(now, format!("dispatch job={id} share={share:.9e}"));
             dispatched.push(id);
         }
         dispatched
@@ -591,7 +556,6 @@ impl<P: Planner> Scheduler<P> {
     /// Remove a completed job from the running set and rebalance.
     pub fn finish_job(&mut self, id: JobId, now: f64) {
         self.running.retain(|r| *r != id);
-        self.log(now, format!("complete job={id}"));
         self.rebalance(now);
     }
 }

@@ -709,11 +709,6 @@ impl RankTracer {
         self.role = role;
     }
 
-    /// This rank's id.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// A second recorder for the *same* rank on the *same* epoch, for work
     /// the rank offloads to a sibling thread (e.g. the read-ahead prefetch
     /// thread). The fork starts empty; when the sibling finishes, merge its

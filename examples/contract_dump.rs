@@ -11,10 +11,12 @@
 //! * `cycle` rows — four variants × {no plan, seeded degraded plan, cycle
 //!   crash (inert below a campaign)} × {no monitor, warmed monitor}: the
 //!   real and modeled trace digests, fault digests and every
-//!   [`ModelOutcome`] field.
+//!   [`ModelOutcome`] field; with the monitor, both monitors' snapshots
+//!   at the cycle's close.
 //! * `real` rows — supervised campaigns of the four executors ×
 //!   {sync, pipelined} × a table of fault plans (plus one monitored storm):
-//!   cycle digests, statistics, recoveries, the campaign trace digest.
+//!   cycle digests, statistics, recoveries, the campaign trace digest,
+//!   the health snapshots.
 //! * `model` rows — the campaign model of the same table × {sync,
 //!   pipelined, no checkpoints}: every `CampaignModelOutcome` field.
 //! * `paper` rows — the claimed scale, where thousands of tasks queue ready
@@ -23,7 +25,7 @@
 //!   each of them tunes it; the same fields as a `cycle` model row.
 //! * `sched` rows — one small mix of modelled campaigns with staggered
 //!   arrivals, an unattainable SLA and a rank budget that queues, scheduled
-//!   by `simulate` and executed by `run_real`: both decision digests, every
+//!   by `simulate` and executed by `run_real`: every share check, every
 //!   record's f64 bits, the refusals, and each real campaign's cycle
 //!   digests.
 
@@ -171,10 +173,8 @@ fn dump_cycles() {
         for (plan, fcfg) in &plans {
             for monitored in [false, true] {
                 let tag = format!("cycle {name} {plan} monitor={monitored}");
-                let (real_mon, model_mon) = (warmed(&variant), warmed(&variant));
-                let real_mon = monitored.then_some(&real_mon);
-                let model_mon = monitored.then_some(&model_mon);
-                match run_cycle(&setup, exec, fcfg, real_mon) {
+                let (mut real_mon, mut model_mon) = (warmed(&variant), warmed(&variant));
+                match run_cycle(&setup, exec, fcfg, monitored.then_some(&real_mon)) {
                     Ok((analysis, report, trace)) => println!(
                         "{tag} real trace={} faults={} dropped={:?} members={}",
                         hash(&trace.digest()),
@@ -184,17 +184,22 @@ fn dump_cycles() {
                     ),
                     Err(e) => println!("{tag} real error={e}"),
                 }
-                let modeled =
-                    model_cycle(&model_cfg(3), &variant, Default::default(), fcfg, model_mon);
+                let modeled = model_cycle(
+                    &model_cfg(3),
+                    &variant,
+                    Default::default(),
+                    fcfg,
+                    monitored.then_some(&model_mon),
+                );
                 match modeled {
                     Ok((out, trace)) => println!("{tag} model {}", outcome(&out, &trace)),
                     Err(e) => println!("{tag} model error={e}"),
                 }
-                if let (Some(r), Some(m)) = (real_mon, model_mon) {
+                if monitored {
                     println!(
-                        "{tag} health real={} model={}",
-                        hash(&r.digest()),
-                        hash(&m.digest())
+                        "{tag} snapshots real={:?} model={:?}",
+                        real_mon.end_cycle(),
+                        model_mon.end_cycle()
                     );
                 }
             }
@@ -297,13 +302,12 @@ fn dump_real_campaign(name: &str, exec: &CampaignExecutor, case: &Case, mode: Ck
                 .collect();
             println!(
                 "{tag} digests={digests:?} stats={stats:?} recoveries={recoveries:?} \
-                 trace={} final={}x{} backoff={} snapshots={:?} health={:?}",
+                 trace={} final={}x{} backoff={} snapshots={:?}",
                 hash(&r.trace.digest()),
                 r.final_analysis.size(),
                 hash(&format!("{:?}", r.final_analysis.states())),
                 bits(&[r.virtual_backoff]),
                 r.health_snapshots,
-                r.health_digest.as_deref().map(hash),
             );
         }
         Err(CampaignError::RestartBudgetExhausted {
@@ -338,7 +342,7 @@ fn dump_model_campaign(name: &str, variant: &ModelVariant, case: &Case) {
                     .collect();
                 println!(
                     "{tag} digests={digests:?} restarts={} trace={} f64=[{}] cycle=[{}] \
-                     snapshots={:?} health={}",
+                     snapshots={:?}",
                     o.restarts,
                     hash(&trace.digest()),
                     bits(&[
@@ -352,7 +356,6 @@ fn dump_model_campaign(name: &str, variant: &ModelVariant, case: &Case) {
                     ]),
                     bits(&[o.cycle.makespan, o.cycle.first_compute_start]),
                     o.health_snapshots,
-                    hash(&mon.digest()),
                 );
             }
             Err(e) => println!("{tag} error={e}"),
@@ -394,8 +397,8 @@ fn dump_paper() {
 
 fn mix_rows(tag: &str, out: &MixOutcome) {
     println!(
-        "{tag} decisions={:016x} rejected={:?} unscheduled={:?} makespan={}",
-        out.decisions_digest,
+        "{tag} shares={} rejected={:?} unscheduled={:?} makespan={}",
+        hash(&format!("{:?}", out.share_checks)),
         out.rejected,
         out.unscheduled,
         bits(&[out.makespan]),

@@ -53,6 +53,10 @@ echo "    crash recovery and checkpoint restart while the pipelined writer overl
 echo "    the next cycle's work-store refresh"
 cargo test -q --release --test campaign_conformance --test checkpoint_restart
 
+echo "==> real-vs-model conformance in release, the build the benchmark runs: chaos"
+echo "    soak (trace digests and health snapshots) and the scheduler (whole MixOutcome)"
+cargo test -q --release --test chaos_soak --test scheduler_conformance
+
 echo "==> the kernels the benchmark runs: release GEMM instances equal the reference"
 echo "    bits and allocate nothing"
 cargo test -q --release -p enkf-linalg --test kernel_conformance --test alloc_free

@@ -17,7 +17,7 @@
 //!   policies, degraded (N−1) execution, typed substrate errors.
 //! * [`health`] — online health monitoring and adaptive degradation:
 //!   deterministic failure detectors, OST blacklisting with probation,
-//!   speculative read routing, and the shared health decision log.
+//!   speculative read routing, and a per-cycle health snapshot.
 //! * [`pfs`] — the parallel file system substrate (OSTs, striping, seek and
 //!   transfer costs; real local-disk backend plus a DES-modeled backend).
 //! * [`ckpt`] — durable, self-verifying campaign checkpoints (atomic
@@ -92,9 +92,7 @@ pub mod prelude {
     pub use enkf_grid::{
         Decomposition, FileLayout, LocalizationRadius, Mesh, RegionRect, SubDomainId,
     };
-    pub use enkf_health::{
-        HealthEvent, HealthLog, HealthMonitor, HealthParams, HealthSnapshot, ReadRoute, RouteView,
-    };
+    pub use enkf_health::{HealthMonitor, HealthParams, HealthSnapshot, ReadRoute, RouteView};
     pub use enkf_linalg::Matrix;
     pub use enkf_net::NetParams;
     pub use enkf_parallel::{

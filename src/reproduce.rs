@@ -19,7 +19,7 @@ use crate::data::CycleConfig;
 use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
 use crate::grid::{LocalizationRadius, Mesh};
 use crate::health::{HealthMonitor, HealthParams};
-use crate::parallel::model::reading::{model_block_read, model_concurrent_read_detail};
+use crate::parallel::model::reading::{model_block_read, model_concurrent_read};
 use crate::parallel::{model_campaign_adaptive, model_cycle, CampaignConfig, CampaignExecutor};
 use crate::parallel::{CampaignModelPlan, Emitter, ModelConfig, ModelOutcome, ModelVariant};
 use crate::parallel::{PhaseBreakdown, SEnkfModelOptions};
@@ -386,7 +386,7 @@ fn fig09_holds(t: &Table) -> Res<()> {
 fn fig10(_: &Sweeps) -> Res<Table> {
     let cfg = ModelConfig::paper();
     let runs = each([1, 2, 3, 4, 6, 8, 10, 12], |ncg| {
-        let read = |nsdy| model_concurrent_read_detail(&cfg, nsdy, ncg, 120);
+        let read = |nsdy| model_concurrent_read(&cfg, nsdy, ncg, 120);
         let (narrow, wide) = (read(10)?, read(20)?);
         let util = narrow.mean_utilization();
         Ok((ncg, narrow.makespan, wide.makespan, util))
@@ -549,7 +549,7 @@ fn ablated(layers: usize, ncg: usize) -> ModelVariant {
 
 fn ablation_reading(_: &Sweeps) -> Res<Table> {
     let cfg = ModelConfig::paper();
-    let bars = |nsdy, ncg| model_concurrent_read_detail(&cfg, nsdy, ncg, 120);
+    let bars = |nsdy, ncg| model_concurrent_read(&cfg, nsdy, ncg, 120);
     // 120 members, 100 readers each way.
     let runs = [
         ("block (10x10 ranks)", model_block_read(&cfg, 10, 10, 120)?),

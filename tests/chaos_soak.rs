@@ -12,9 +12,11 @@
 //!    are byte-identical, *including* the adaptive
 //!    decisions (read reordering, speculation, retry schedules) the
 //!    evolving route view injects.
-//! 2. **Health conformance** — the per-cycle [`HealthSnapshot`]s and the
-//!    final health-decision digests agree between the two worlds: the
-//!    detector is a pure function of the observed spans and the seed.
+//! 2. **Health conformance** — the per-cycle [`HealthSnapshot`]s (every
+//!    verdict: blacklisted, probation and suspect OSTs, suspect ranks)
+//!    agree between the two worlds: the detector is a pure function of the
+//!    observed spans and the seed. The speculative reads the verdicts
+//!    cause are `FaultKind::Cancelled` spans, inside the digests of (1).
 //! 3. **Replay** — re-running the identical storm from scratch reproduces
 //!    every artifact bit for bit (no wall-clock leaks into any decision).
 //! 4. **No stalls, typed errors only** — every cycle completes; a storm
@@ -37,6 +39,7 @@ use s_enkf::parallel::{
     CampaignModelPlan, DEnkf, LEnkf, ModelConfig, ModelVariant, PEnkf, SEnkf,
 };
 use s_enkf::prelude::{HealthMonitor, HealthParams, HealthSnapshot};
+use s_enkf::trace::{FaultKind, Trace};
 use s_enkf::tuning::Workload;
 
 const MESH: (usize, usize) = (24, 12);
@@ -100,7 +103,14 @@ struct SoakArtifacts {
     cycle_trace_digests: Vec<String>,
     cycle_fault_digests: Vec<String>,
     snapshots: Vec<HealthSnapshot>,
-    health_digest: String,
+}
+
+/// Whether `trace` holds a speculative duplicate read's cancelled span.
+fn has_cancelled_read(trace: &Trace) -> bool {
+    trace
+        .spans()
+        .iter()
+        .any(|s| s.fault == Some(FaultKind::Cancelled))
 }
 
 /// Run the multi-cycle storm on one executor, real vs model, with two
@@ -109,12 +119,8 @@ struct SoakArtifacts {
 /// dropout set of its report. Returns the real-side artifacts.
 fn soak<R, M>(label: &str, real: R, model: M) -> SoakArtifacts
 where
-    R: Fn(
-        &AssimilationSetup<'_>,
-        &FaultConfig,
-        Option<&HealthMonitor>,
-    ) -> (s_enkf::trace::Trace, Vec<usize>),
-    M: Fn(&ModelConfig, &FaultConfig, Option<&HealthMonitor>) -> (s_enkf::trace::Trace, Vec<usize>),
+    R: Fn(&AssimilationSetup<'_>, &FaultConfig, Option<&HealthMonitor>) -> (Trace, Vec<usize>),
+    M: Fn(&ModelConfig, &FaultConfig, Option<&HealthMonitor>) -> (Trace, Vec<usize>),
 {
     let mesh = Mesh::new(MESH.0, MESH.1);
     let h = harness_labeled(label, mesh, MEMBERS, 42, 1);
@@ -131,8 +137,8 @@ where
         cycle_trace_digests: Vec::new(),
         cycle_fault_digests: Vec::new(),
         snapshots: Vec::new(),
-        health_digest: String::new(),
     };
+    let (mut real_speculated, mut model_speculated) = (false, false);
     for cycle in 0..CYCLES {
         let fcfg = storm_cfg(cycle);
         let (rt, real_dropped) = real(&setup, &fcfg, Some(&real_mon));
@@ -147,6 +153,8 @@ where
             "{label}: cycle {cycle} trace digest diverged"
         );
         assert_eq!(rl, ml, "{label}: cycle {cycle} fault digest diverged");
+        real_speculated |= has_cancelled_read(&rt);
+        model_speculated |= has_cancelled_read(&mt);
         let rs = real_mon.end_cycle();
         let ms = model_mon.end_cycle();
         assert_eq!(rs, ms, "{label}: cycle {cycle} health snapshot diverged");
@@ -154,17 +162,16 @@ where
         arts.cycle_fault_digests.push(rl);
         arts.snapshots.push(rs);
     }
-    assert_eq!(
-        real_mon.digest(),
-        model_mon.digest(),
-        "{label}: health-decision digests diverged"
-    );
     // The storm must actually have exercised the adaptive machinery.
     assert!(
         arts.snapshots.iter().any(|s| !s.is_clean()),
         "{label}: the storm never degraded anything — soak is vacuous"
     );
-    arts.health_digest = real_mon.digest();
+    assert!(
+        real_speculated && model_speculated,
+        "{label}: no speculative read on the real ({real_speculated}) or \
+         model ({model_speculated}) side — soak is vacuous"
+    );
     arts
 }
 
@@ -256,9 +263,8 @@ fn chaos_soak_denkf() {
 /// Campaign-level conformance: a supervised real campaign with
 /// [`CampaignCtx::health`] against [`model_campaign_adaptive`] with its
 /// own monitor, under one constant storm. Per-cycle executor-trace
-/// digests, health snapshots, and the health-decision digests must all
-/// agree — the supervisor and the campaign model weave the monitor into
-/// the cycle loop identically.
+/// digests and health snapshots must agree — the supervisor and the
+/// campaign model weave the monitor into the cycle loop identically.
 #[test]
 fn chaos_soak_campaign_real_vs_model() {
     let mix = TenantMix::small();
@@ -282,7 +288,7 @@ fn chaos_soak_campaign_real_vs_model() {
         pipelined: false,
         restart: campaign.restart,
     };
-    let (out, _trace) = model_campaign_adaptive(
+    let (out, model_trace) = model_campaign_adaptive(
         &mix.model_cfg(),
         &ModelVariant::SEnkf(SENKF),
         &plan,
@@ -299,13 +305,12 @@ fn chaos_soak_campaign_real_vs_model() {
         report.health_snapshots, out.health_snapshots,
         "per-cycle health snapshots diverged"
     );
-    assert_eq!(
-        report.health_digest.as_deref(),
-        Some(model_mon.digest()).as_deref(),
-        "campaign health-decision digests diverged"
-    );
     assert!(
         report.health_snapshots.iter().any(|s| !s.is_clean()),
         "campaign storm never degraded anything — soak is vacuous"
+    );
+    assert!(
+        has_cancelled_read(&report.trace) && has_cancelled_read(&model_trace),
+        "campaign storm never speculated a read — soak is vacuous"
     );
 }
