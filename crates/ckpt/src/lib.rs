@@ -35,6 +35,7 @@
 //!   MANIFEST.txt                               # checksums; written last
 //! ```
 
+#![deny(unreachable_pub)]
 // ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
 // failure correct use can meet.
 #![cfg_attr(
@@ -205,17 +206,6 @@ impl CheckpointStore {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
         Ok(CheckpointStore { root, retain: 2 })
-    }
-
-    /// Override how many durable cycles to keep (minimum 1).
-    pub fn with_retain(mut self, retain: usize) -> Self {
-        self.retain = retain.max(1);
-        self
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// Directory of one cycle's checkpoint.
@@ -600,8 +590,25 @@ fn decode_aux(bytes: &[u8], mesh: Mesh, members0: usize) -> Result<DecodedAux, S
     if rd_u64(&mut off)? != members0 as u64 {
         return Err("aux member count mismatch".into());
     }
-    let stats_len = rd_u64(&mut off)? as usize;
-    let digests_len = rd_u64(&mut off)? as usize;
+    let stats_len = rd_u64(&mut off)?;
+    let digests_len = rd_u64(&mut off)?;
+    // Every length below sizes an allocation: the blob must hold exactly
+    // the bytes the header promises before any of them is trusted.
+    let expected = (members0 as u64)
+        .checked_add(1)
+        .and_then(|columns| (n as u64).checked_mul(columns))
+        .and_then(|words| words.checked_add(digests_len))
+        .and_then(|words| words.checked_mul(8))
+        .and_then(|bytes| bytes.checked_add(stats_len.checked_mul(32)?))
+        .and_then(|bytes| bytes.checked_add(off as u64));
+    if expected != Some(bytes.len() as u64) {
+        return Err(format!(
+            "aux header promises {} bytes, blob has {}",
+            expected.map_or_else(|| "more than 2^64".into(), |b| b.to_string()),
+            bytes.len()
+        ));
+    }
+    let (stats_len, digests_len) = (stats_len as usize, digests_len as usize);
     let rd_f64s = |off: &mut usize, count: usize| -> Result<Vec<f64>, String> {
         let raw = take(off, 8 * count)?;
         Ok(raw
@@ -733,6 +740,17 @@ fn parse_manifest(text: &str) -> Result<Manifest, String> {
     }
     if m.members == 0 || m.nx == 0 || m.ny == 0 {
         return Err("manifest missing required fields".into());
+    }
+    if m.nx.checked_mul(m.ny).is_none() {
+        return Err(format!("mesh {} x {} overflows", m.nx, m.ny));
+    }
+    // A degraded cycle only loses members, and the aux blob's free run
+    // holds `members0` of them: this bounds the analysis allocation.
+    if m.members > m.members0 {
+        return Err(format!(
+            "manifest has {} members of {} original",
+            m.members, m.members0
+        ));
     }
     if m.member_crcs.len() != m.members {
         return Err(format!(
@@ -874,7 +892,7 @@ mod tests {
             !store.cycle_dir(2).exists(),
             "quarantined cycle directory must be swept once out of retention"
         );
-        let leftovers: Vec<_> = walk_quarantined(store.root());
+        let leftovers: Vec<_> = walk_quarantined(&store.root);
         assert!(
             leftovers.is_empty(),
             "no quarantined artifacts may survive the sweep: {leftovers:?}"
@@ -949,6 +967,93 @@ mod tests {
         }
         let (back, _) = store.load_latest(0xFEED_BEEF, None).unwrap().unwrap();
         assert_eq!(back.cycle, 1);
+    }
+
+    /// Overwrite header word `word` of cycle 2's aux blob (0 = `n`,
+    /// 1 = `members0`, 2 = `stats_len`, 3 = `digests_len`) and re-seal the
+    /// checksums, so the parser, not the checksum, sees the edit.
+    fn set_aux_word(store: &CheckpointStore, word: usize, value: u64) {
+        let path = store.cycle_dir(2).join(AUX);
+        let mut aux = fs::read(&path).unwrap();
+        aux[8 * (word + 1)..8 * (word + 2)].copy_from_slice(&value.to_le_bytes());
+        fs::write(&path, &aux).unwrap();
+        let crc = format!("aux_crc={:016x}", fnv64(&aux));
+        reseal_manifest(store, |line| {
+            if line.starts_with("aux_crc=") {
+                crc.clone()
+            } else {
+                line.to_string()
+            }
+        });
+    }
+
+    /// Rewrite cycle 2's manifest lines through `edit` and recompute its
+    /// trailing checksum.
+    fn reseal_manifest(store: &CheckpointStore, edit: impl Fn(&str) -> String) {
+        let path = store.cycle_dir(2).join(MANIFEST);
+        let text = fs::read_to_string(&path).unwrap();
+        let mut body = String::new();
+        for line in text.lines().filter(|l| !l.starts_with("crc=")) {
+            body.push_str(&edit(line));
+            body.push('\n');
+        }
+        body.push_str(&format!("crc={:016x}\n", fnv64(body.as_bytes())));
+        fs::write(&path, body).unwrap();
+    }
+
+    /// Saves cycles 1 and 2 and applies `craft` to cycle 2, twice: the
+    /// crafted cycle must be a typed `CorruptManifest` through `load_cycle`,
+    /// and `load_latest` must fall back past it to cycle 1.
+    fn crafted_cycle_falls_back(label: &str, craft: impl Fn(&CheckpointStore)) {
+        let scratch = ScratchDir::new(label).unwrap();
+        let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
+        store.save(&sample(1, 3), None).unwrap();
+        store.save(&sample(2, 3), None).unwrap();
+        craft(&store);
+        match store.load_cycle(2, 0xFEED_BEEF, None) {
+            Err(CkptError::CorruptManifest { cycle: 2, .. }) => {}
+            other => panic!("expected CorruptManifest, got {other:?}"),
+        }
+        store.save(&sample(2, 3), None).unwrap();
+        craft(&store);
+        let (back, skipped) = store.load_latest(0xFEED_BEEF, None).unwrap().unwrap();
+        assert_eq!(back.cycle, 1, "fallback to the previous durable cycle");
+        assert!(
+            matches!(skipped[..], [CkptError::CorruptManifest { cycle: 2, .. }]),
+            "{skipped:?}"
+        );
+    }
+
+    #[test]
+    fn aux_stats_length_beyond_the_blob_is_corrupt_not_a_panic() {
+        crafted_cycle_falls_back("ckpt-craft-stats", |store| set_aux_word(store, 2, u64::MAX));
+    }
+
+    #[test]
+    fn huge_member_count_is_corrupt_not_an_abort() {
+        crafted_cycle_falls_back("ckpt-craft-members0", |store| {
+            set_aux_word(store, 1, 1 << 40);
+            reseal_manifest(store, |line| {
+                if line.starts_with("members0=") {
+                    format!("members0={}", 1u64 << 40)
+                } else {
+                    line.to_string()
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn overflowing_mesh_is_corrupt_not_a_panic() {
+        crafted_cycle_falls_back("ckpt-craft-mesh", |store| {
+            reseal_manifest(store, |line| {
+                if line.starts_with("nx=") {
+                    format!("nx={} ny=4", usize::MAX / 2)
+                } else {
+                    line.to_string()
+                }
+            });
+        });
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! Semantics the campaign engine builds on:
 //!
-//! * **Durable frontier** — [`AsyncCheckpointer::durable_frontier`] is the
-//!   highest cycle durably committed by this writer. It may lag the
+//! * **Durable frontier** — the highest cycle durably committed by this
+//!   writer. It may lag the
 //!   computed frontier by at most one cycle (the in-flight write); a kill
 //!   at any instant loses at most that one cycle, and recovery restores
 //!   the last *durable* cycle.
@@ -132,13 +132,6 @@ impl<'scope> AsyncCheckpointer<'scope> {
         };
         (spans, res)
     }
-
-    /// The highest cycle this writer has durably committed (`None` before
-    /// the first asynchronous write completes). Monotone non-decreasing;
-    /// lags the computed frontier by at most the one in-flight cycle.
-    pub fn durable_frontier(&self) -> Option<usize> {
-        self.shared.lock().durable
-    }
 }
 
 impl Drop for AsyncCheckpointer<'_> {
@@ -193,6 +186,19 @@ mod tests {
     use enkf_pfs::ScratchDir;
     use std::time::Instant;
 
+    /// The highest cycle `w` has durably committed (`None` before the first
+    /// asynchronous write completes).
+    fn durable_frontier(w: &AsyncCheckpointer) -> Option<usize> {
+        w.shared.lock().durable
+    }
+
+    /// A store that keeps the last `retain` durable cycles.
+    fn store_retaining(root: std::path::PathBuf, retain: usize) -> CheckpointStore {
+        let mut store = CheckpointStore::create(root).unwrap();
+        store.retain = retain;
+        store
+    }
+
     fn sample(cycle: usize) -> CampaignCheckpoint {
         let mesh = Mesh::new(6, 4);
         let n = mesh.n();
@@ -219,20 +225,18 @@ mod tests {
     #[test]
     fn async_writes_are_durable_and_frontier_is_monotone() {
         let scratch = ScratchDir::new("ckpt-async").unwrap();
-        let store = CheckpointStore::create(scratch.path().join("ckpt"))
-            .unwrap()
-            .with_retain(8);
+        let store = store_retaining(scratch.path().join("ckpt"), 8);
         std::thread::scope(|s| {
             let tracer = RankTracer::new(4, Instant::now());
             let w = AsyncCheckpointer::spawn(s, &store, tracer);
             let mut seen = Vec::new();
             for c in 0..5 {
                 w.save_async(sample(c)).unwrap();
-                seen.push(w.durable_frontier());
+                seen.push(durable_frontier(&w));
             }
             let (spans, res) = w.drain();
             res.unwrap();
-            assert_eq!(w.durable_frontier(), Some(4));
+            assert_eq!(durable_frontier(&w), Some(4));
             // Frontier observations are monotone and never ahead of what
             // was handed over.
             let mut last = None;
@@ -257,14 +261,14 @@ mod tests {
         let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
         // A plain *file* where cycle 7's directory must go makes the save
         // fail (remove_dir_all on a non-directory).
-        std::fs::write(store.root().join("cycle_0007"), b"squatter").unwrap();
+        std::fs::write(store.root.join("cycle_0007"), b"squatter").unwrap();
         std::thread::scope(|s| {
             let tracer = RankTracer::new(4, Instant::now());
             let w = AsyncCheckpointer::spawn(s, &store, tracer);
             w.save_async(sample(7)).unwrap();
             let (_, res) = w.drain();
             assert!(res.is_err(), "the failed write must surface at drain");
-            assert_eq!(w.durable_frontier(), None);
+            assert_eq!(durable_frontier(&w), None);
             // The error is consumed: a subsequent drain is clean.
             let (_, res2) = w.drain();
             assert!(res2.is_ok());
@@ -287,9 +291,7 @@ mod tests {
             drain_mask in proptest::collection::vec(proptest::prelude::any::<bool>(), 5),
         ) {
             let scratch = ScratchDir::new("ckpt-async-prop").unwrap();
-            let store = CheckpointStore::create(scratch.path().join("ckpt"))
-                .unwrap()
-                .with_retain(8);
+            let store = store_retaining(scratch.path().join("ckpt"), 8);
             std::thread::scope(|s| {
                 let tracer = RankTracer::new(4, Instant::now());
                 let w = AsyncCheckpointer::spawn(s, &store, tracer);
@@ -299,7 +301,7 @@ mod tests {
                     // Backpressure: returning from save_async(c) means
                     // cycles 0..c are durable, so the lag is exactly the
                     // one in-flight write.
-                    let f = w.durable_frontier();
+                    let f = durable_frontier(&w);
                     proptest::prop_assert!(f >= last, "frontier regressed");
                     if c > 0 {
                         proptest::prop_assert!(
@@ -312,7 +314,7 @@ mod tests {
                     if drain_mask[c % drain_mask.len()] {
                         let (_, res) = w.drain();
                         res.unwrap();
-                        proptest::prop_assert_eq!(w.durable_frontier(), Some(c));
+                        proptest::prop_assert_eq!(durable_frontier(&w), Some(c));
                         last = Some(c);
                     }
                 }

@@ -21,18 +21,6 @@ impl Ensemble {
         Ensemble { mesh, states }
     }
 
-    /// Build from per-member state vectors (each of length `n`).
-    pub fn from_members(mesh: Mesh, members: &[Vec<f64>]) -> Self {
-        assert!(members.len() >= 2, "an ensemble needs at least 2 members");
-        let n = mesh.n();
-        let mut m = Matrix::zeros(n, members.len());
-        for (k, member) in members.iter().enumerate() {
-            assert_eq!(member.len(), n, "member length must match mesh size");
-            m.set_col(k, member);
-        }
-        Ensemble { mesh, states: m }
-    }
-
     /// The mesh the states live on.
     pub fn mesh(&self) -> Mesh {
         self.mesh
@@ -65,7 +53,7 @@ impl Ensemble {
     }
 
     /// The ensemble mean `x̄ᵇ` (Eq. 4).
-    pub fn mean(&self) -> Vec<f64> {
+    pub(crate) fn mean(&self) -> Vec<f64> {
         self.states.row_means()
     }
 
@@ -131,10 +119,19 @@ mod tests {
     use super::*;
     use enkf_grid::GridPoint;
 
+    /// Build from per-member state vectors (each of length `n`).
+    fn from_members(mesh: Mesh, members: &[Vec<f64>]) -> Ensemble {
+        let mut m = Matrix::zeros(mesh.n(), members.len());
+        for (k, member) in members.iter().enumerate() {
+            m.set_col(k, member);
+        }
+        Ensemble::new(mesh, m)
+    }
+
     fn tiny() -> Ensemble {
         let mesh = Mesh::new(3, 2);
         // Members: constant 1.0 and constant 3.0.
-        Ensemble::from_members(mesh, &[vec![1.0; 6], vec![3.0; 6]])
+        from_members(mesh, &[vec![1.0; 6], vec![3.0; 6]])
     }
 
     #[test]
@@ -164,7 +161,7 @@ mod tests {
     fn restrict_follows_region_order() {
         let mesh = Mesh::new(3, 2);
         let member: Vec<f64> = (0..6).map(|i| i as f64).collect();
-        let e = Ensemble::from_members(mesh, &[member.clone(), member]);
+        let e = from_members(mesh, &[member.clone(), member]);
         let region = RegionRect::new(1, 3, 0, 2);
         let local = e.restrict(&region);
         assert_eq!(local.col(0), vec![1.0, 2.0, 4.0, 5.0]);
@@ -194,6 +191,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2 members")]
     fn single_member_rejected() {
-        Ensemble::from_members(Mesh::new(2, 2), &[vec![0.0; 4]]);
+        Ensemble::new(Mesh::new(2, 2), Matrix::zeros(4, 1));
     }
 }

@@ -7,7 +7,6 @@
 //! multiplies the sample covariance by `ρ²` without moving the mean.
 
 use crate::Ensemble;
-use enkf_linalg::Matrix;
 
 /// Scale every member's deviation from the ensemble mean by `rho`.
 pub fn inflate_ensemble(ensemble: &mut Ensemble, rho: f64) {
@@ -38,21 +37,21 @@ pub fn inflated(ensemble: &Ensemble, rho: f64) -> Ensemble {
     out
 }
 
-/// Estimate the mean ensemble variance (averaged over components) — the
-/// spread statistic inflation tuning monitors.
-pub fn mean_variance(ensemble: &Ensemble) -> f64 {
-    let u: Matrix = ensemble.anomalies();
-    let denom = ((ensemble.size() - 1) * ensemble.dim()) as f64;
-    u.as_slice().iter().map(|&v| v * v).sum::<f64>() / denom
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use enkf_grid::Mesh;
-    use enkf_linalg::GaussianSampler;
+    use enkf_linalg::{GaussianSampler, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The mean ensemble variance (averaged over components) — the spread
+    /// statistic inflation tuning monitors.
+    fn mean_variance(ensemble: &Ensemble) -> f64 {
+        let u: Matrix = ensemble.anomalies();
+        let denom = ((ensemble.size() - 1) * ensemble.dim()) as f64;
+        u.as_slice().iter().map(|&v| v * v).sum::<f64>() / denom
+    }
 
     fn ensemble(seed: u64) -> Ensemble {
         let mesh = Mesh::new(6, 4);

@@ -47,13 +47,6 @@ impl LetkfAnalysis {
         }
     }
 
-    /// Builder-style inflation override.
-    pub fn with_inflation(mut self, rho: f64) -> Self {
-        assert!(rho >= 1.0, "inflation must be >= 1");
-        self.inflation = rho;
-        self
-    }
-
     /// Compute the LETKF analysis on `target` given background data on
     /// `expansion` (same contract as [`crate::LocalAnalysis::analyze`]).
     pub fn analyze(
@@ -620,7 +613,10 @@ mod tests {
         let inflated = serial_letkf_decomposed(
             &ensemble,
             &obs,
-            LetkfAnalysis::new(radius).with_inflation(1.5),
+            LetkfAnalysis {
+                inflation: 1.5,
+                ..LetkfAnalysis::new(radius)
+            },
             &d,
         )
         .unwrap();

@@ -20,24 +20,25 @@
 //! * [`serial_enkf`] — the single-threaded reference every parallel variant
 //!   is validated against.
 
+#![deny(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod analysis;
-pub mod batched;
-pub mod ensemble;
-pub mod inflation;
-pub mod letkf;
+pub(crate) mod analysis;
+pub(crate) mod batched;
+pub(crate) mod ensemble;
+pub(crate) mod inflation;
+pub(crate) mod letkf;
 pub mod local;
-pub mod observation;
-pub mod serial;
+pub(crate) mod observation;
+pub(crate) mod serial;
 
 pub use analysis::GlobalAnalysis;
 pub use batched::{batched_transform, serial_denkf, BatchedKernel};
 pub use ensemble::Ensemble;
-pub use inflation::{inflate_ensemble, inflated, mean_variance};
+pub use inflation::{inflate_ensemble, inflated};
 pub use letkf::{serial_letkf, serial_letkf_decomposed, LetkfAnalysis, LetkfWorkspace};
 pub use local::{
     AnalysisGranularity, AnomalyGram, LocalAnalysis, LocalAnalysisWorkspace, LocalObsIndex,

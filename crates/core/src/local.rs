@@ -146,7 +146,7 @@ impl LocalObsIndex {
     /// Indexed [`LocalObservations::sub_localize`] into caller-owned
     /// buffers: byte-identical output, O(obs in `inner`) cost, and no
     /// allocation once `scratch`/`out` reach steady-state capacity.
-    pub fn sub_localize_into(
+    pub(crate) fn sub_localize_into(
         &self,
         obs: &LocalObservations,
         inner: &RegionRect,

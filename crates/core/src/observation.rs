@@ -100,7 +100,7 @@ impl PerturbedObservations {
     }
 
     /// The base seed of the per-row streams.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 

@@ -210,44 +210,13 @@ impl CycledExperiment {
         }
     }
 
-    /// The current truth state.
-    pub fn truth(&self) -> &[f64] {
-        &self.truth
-    }
-
     /// The current background ensemble.
     pub fn background(&self) -> &Ensemble {
         &self.background
     }
 
-    /// The free-running control ensemble.
-    pub fn free_run(&self) -> &Ensemble {
-        &self.free_run
-    }
-
-    /// Completed cycles (the next cycle to run).
-    pub fn cycle(&self) -> usize {
-        self.cycle
-    }
-
-    /// Raw draws consumed from the RNG since seeding (the checkpointable
-    /// RNG cursor).
-    pub fn rng_cursor(&self) -> u64 {
-        self.rng.draws
-    }
-
-    /// The seed the experiment was constructed with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The experiment mesh.
-    pub fn mesh(&self) -> Mesh {
-        self.mesh
-    }
-
     /// Observations of the *current* truth (call once per cycle).
-    pub fn observe(&mut self) -> Observations {
+    pub(crate) fn observe(&mut self) -> Observations {
         let net = ObservationNetwork::uniform(self.mesh, self.config.obs_stride);
         let op = ObservationOperator::new(net);
         let mut gs = GaussianSampler::new();
@@ -393,8 +362,8 @@ mod tests {
             full.background().states(),
             "final ensembles are bit-identical"
         );
-        assert_eq!(b.truth(), full.truth());
-        assert_eq!(b.rng_cursor(), full.rng_cursor());
+        assert_eq!(b.truth, full.truth);
+        assert_eq!(b.rng.draws, full.rng.draws);
     }
 
     #[test]
@@ -407,9 +376,9 @@ mod tests {
         let snap = exp.snapshot();
         // O(1): the snapshot shares the experiment's backing allocations
         // instead of deep-copying the ensembles.
-        assert!(std::ptr::eq(exp.truth(), snap.truth.as_slice()));
+        assert!(std::ptr::eq(exp.truth.as_slice(), snap.truth.as_slice()));
         assert!(std::ptr::eq(exp.background(), snap.background.as_ref()));
-        assert!(std::ptr::eq(exp.free_run(), snap.free_run.as_ref()));
+        assert!(std::ptr::eq(exp.free_run.as_ref(), snap.free_run.as_ref()));
         // Copy-on-write: advancing the experiment replaces its state and
         // leaves the outstanding snapshot bit-identical — the property an
         // asynchronous checkpoint writer depends on.

@@ -32,7 +32,7 @@ pub struct AdvectionDiffusion {
 
 impl AdvectionDiffusion {
     /// A stable default: eastward drift with weak diffusion.
-    pub fn gentle_drift() -> Self {
+    pub(crate) fn gentle_drift() -> Self {
         AdvectionDiffusion {
             u: 0.8,
             v: 0.1,
@@ -47,7 +47,7 @@ impl AdvectionDiffusion {
     }
 
     /// Advance one field by one time step.
-    pub fn step(&self, mesh: Mesh, field: &[f64]) -> Vec<f64> {
+    pub(crate) fn step(&self, mesh: Mesh, field: &[f64]) -> Vec<f64> {
         assert_eq!(field.len(), mesh.n(), "field length mismatch");
         assert!(
             self.stability_number() < 1.0,
@@ -99,7 +99,7 @@ impl AdvectionDiffusion {
     /// model-error noise of standard deviation `model_error_std` per member
     /// afterwards (the stochastic forcing that keeps cycled ensembles from
     /// collapsing).
-    pub fn forecast_ensemble<R: Rng + ?Sized>(
+    pub(crate) fn forecast_ensemble<R: Rng + ?Sized>(
         &self,
         ensemble: &Ensemble,
         steps: usize,

@@ -37,7 +37,7 @@ impl Default for SmoothFieldGenerator {
 impl SmoothFieldGenerator {
     /// Draw one field (length `mesh.n()`, mesh row-priority order) from the
     /// given RNG.
-    pub fn generate<R: Rng + ?Sized>(&self, mesh: Mesh, rng: &mut R) -> Vec<f64> {
+    pub(crate) fn generate<R: Rng + ?Sized>(&self, mesh: Mesh, rng: &mut R) -> Vec<f64> {
         let mut gs = GaussianSampler::new();
         let modes: Vec<(f64, f64, f64, f64)> = (0..self.modes)
             .map(|m| {

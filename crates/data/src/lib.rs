@@ -9,21 +9,20 @@
 //! that lay the members out on disk in exactly the row-priority format the
 //! reading strategies (block/bar/concurrent) operate on.
 
+#![deny(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod cycle;
-pub mod dynamics;
-pub mod field;
-pub mod scenario;
-pub mod storeio;
+pub(crate) mod cycle;
+pub(crate) mod dynamics;
+pub(crate) mod field;
+pub(crate) mod scenario;
+pub(crate) mod storeio;
 
 pub use cycle::{CycleConfig, CycleState, CycleStats, CycledExperiment};
 pub use dynamics::AdvectionDiffusion;
 pub use field::SmoothFieldGenerator;
 pub use scenario::{Scenario, ScenarioBuilder};
-pub use storeio::{
-    gather_surface_into, read_ensemble, region_to_matrix, write_ensemble, LEVEL_LAPSE,
-};
+pub use storeio::{gather_surface_into, read_ensemble, write_ensemble, LEVEL_LAPSE};

@@ -82,13 +82,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Constant bias added to every background member (error the ensemble
-    /// spread does not represent — makes the problem honest).
-    pub fn background_bias(mut self, bias: f64) -> Self {
-        self.background_bias = bias;
-        self
-    }
-
     /// Master seed; every derived random draw is deterministic in it.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -179,14 +172,18 @@ mod tests {
     #[test]
     fn background_bias_shows_in_rmse() {
         let mesh = Mesh::new(12, 12);
-        let unbiased = ScenarioBuilder::new(mesh)
-            .background_bias(0.0)
-            .seed(3)
-            .build();
-        let biased = ScenarioBuilder::new(mesh)
-            .background_bias(2.0)
-            .seed(3)
-            .build();
+        let unbiased = ScenarioBuilder {
+            background_bias: 0.0,
+            ..ScenarioBuilder::new(mesh)
+        }
+        .seed(3)
+        .build();
+        let biased = ScenarioBuilder {
+            background_bias: 2.0,
+            ..ScenarioBuilder::new(mesh)
+        }
+        .seed(3)
+        .build();
         assert!(biased.rmse_background() > unbiased.rmse_background() + 1.0);
     }
 

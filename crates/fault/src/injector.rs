@@ -86,12 +86,6 @@ impl FaultInjector {
         &self.cfg.retry
     }
 
-    /// Whether any fault is scheduled at all (fast path: an empty plan must
-    /// cost nothing).
-    pub fn active(&self) -> bool {
-        !self.cfg.plan.is_empty()
-    }
-
     /// How many attempts of *every* read of `member` fail before one
     /// succeeds (0 = healthy). Multiple entries for one member take the
     /// maximum — the worst fault wins.
@@ -162,18 +156,6 @@ impl FaultInjector {
             .product()
     }
 
-    /// Added latency (seconds) for messages `from → to`; delays on the same
-    /// edge accumulate.
-    pub fn send_delay(&self, from: usize, to: usize) -> f64 {
-        self.cfg
-            .plan
-            .msg_faults
-            .iter()
-            .filter(|m| m.from == from && m.to == to && !m.dropped)
-            .map(|m| m.delay)
-            .sum()
-    }
-
     /// Whether messages `from → to` are dropped.
     pub fn message_dropped(&self, from: usize, to: usize) -> bool {
         self.cfg
@@ -209,12 +191,10 @@ mod tests {
     #[test]
     fn empty_config_decides_nothing() {
         let inj = FaultInjector::new(FaultConfig::none());
-        assert!(!inj.active());
         assert_eq!(inj.read_fail_attempts(0), 0);
         assert!(inj.unrecoverable_members(16).is_empty());
         assert_eq!(inj.file_slowdown(3), 1.0);
         assert_eq!(inj.compute_dilation(7), 1.0);
-        assert_eq!(inj.send_delay(0, 1), 0.0);
         assert!(!inj.message_dropped(0, 1));
         assert_eq!(inj.crash_stage(2), None);
         assert!(!inj.has_crashes());
@@ -259,13 +239,8 @@ mod tests {
 
     #[test]
     fn message_faults_resolve_per_edge() {
-        let plan = FaultPlan::new(4)
-            .with_msg_delay(0, 1, 0.25)
-            .with_msg_delay(0, 1, 0.25)
-            .with_msg_drop(2, 3);
+        let plan = FaultPlan::new(4).with_msg_drop(2, 3);
         let inj = FaultInjector::new(FaultConfig::degraded(plan));
-        assert_eq!(inj.send_delay(0, 1), 0.5);
-        assert_eq!(inj.send_delay(1, 0), 0.0);
         assert!(inj.message_dropped(2, 3));
         assert!(!inj.message_dropped(3, 2));
     }

@@ -2,12 +2,12 @@
 //!
 //! A production assimilation system runs on hardware that misbehaves: object
 //! storage targets degrade, reads fail, ranks straggle or die, messages are
-//! delayed or lost. This crate describes those events as a typed,
+//! lost. This crate describes those events as a typed,
 //! deterministic [`FaultPlan`] and provides the pieces every layer consumes:
 //!
 //! * [`FaultPlan`] — the schedule of injectable events (OST slowdown ×k,
-//!   failed reads with optional recovery-after-retry, delayed or
-//!   dropped messages, straggler ranks with compute dilation, rank crash at
+//!   failed reads with optional recovery-after-retry, dropped
+//!   messages, straggler ranks with compute dilation, rank crash at
 //!   a given stage). A plan is plain data: the same plan injected into the
 //!   real (threaded) executor and the modeled (DES) executor produces the
 //!   same fault/retry/dropout event sequence.
@@ -33,6 +33,7 @@
 //! The crate is a leaf: it depends on nothing, and everything that can fail
 //! depends on it.
 
+#![deny(unreachable_pub)]
 // ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
 // failure correct use can meet — every survivor is justified in place.
 #![cfg_attr(
@@ -47,8 +48,5 @@ mod retry;
 
 pub use error::{ReadError, SubstrateError};
 pub use injector::{FaultConfig, FaultInjector};
-pub use plan::{
-    seeded_unit, CycleCrash, FaultPlan, MsgFault, OstSlowdown, RankCrash, ReadFault, Straggler,
-    UNRECOVERABLE,
-};
+pub use plan::{seeded_unit, FaultPlan, RankCrash};
 pub use retry::RetryPolicy;

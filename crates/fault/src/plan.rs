@@ -2,7 +2,7 @@
 
 /// `fail_attempts` value meaning "never succeeds": the member is
 /// unrecoverable under any finite retry budget.
-pub const UNRECOVERABLE: u32 = u32::MAX;
+pub(crate) const UNRECOVERABLE: u32 = u32::MAX;
 
 /// Reads of `member` fail for the first `fail_attempts` attempts of every
 /// read operation, then succeed. `fail_attempts > RetryPolicy::max_retries`
@@ -25,16 +25,13 @@ pub struct OstSlowdown {
     pub factor: f64,
 }
 
-/// Messages from `from` to `to` are delayed by `delay` seconds, or silently
-/// dropped.
+/// Messages from `from` to `to` are silently dropped.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MsgFault {
     /// Sender rank.
     pub from: usize,
     /// Receiver rank.
     pub to: usize,
-    /// Added latency in seconds.
-    pub delay: f64,
     /// The message never arrives (surfaces as a receive timeout).
     pub dropped: bool,
 }
@@ -125,16 +122,6 @@ impl FaultPlan {
         }
     }
 
-    /// No faults scheduled at all.
-    pub fn is_empty(&self) -> bool {
-        self.read_faults.is_empty()
-            && self.ost_slowdowns.is_empty()
-            && self.msg_faults.is_empty()
-            && self.stragglers.is_empty()
-            && self.crashes.is_empty()
-            && self.cycle_crashes.is_empty()
-    }
-
     // The `assert!`s of the builders below stay panics: a plan is program
     // text composed by the caller, never parsed input, so an out-of-range
     // argument is a bug at the call site — rejected where it is written,
@@ -172,24 +159,11 @@ impl FaultPlan {
         self
     }
 
-    /// Messages `from → to` arrive `delay` seconds late.
-    pub fn with_msg_delay(mut self, from: usize, to: usize, delay: f64) -> Self {
-        assert!(delay >= 0.0, "delay must be non-negative");
-        self.msg_faults.push(MsgFault {
-            from,
-            to,
-            delay,
-            dropped: false,
-        });
-        self
-    }
-
     /// Messages `from → to` never arrive.
     pub fn with_msg_drop(mut self, from: usize, to: usize) -> Self {
         self.msg_faults.push(MsgFault {
             from,
             to,
-            delay: 0.0,
             dropped: true,
         });
         self
@@ -291,27 +265,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_plan_is_empty() {
-        assert!(FaultPlan::default().is_empty());
-        assert!(FaultPlan::new(42).is_empty());
-        assert!(!FaultPlan::new(42).with_straggler(0, 2.0).is_empty());
-    }
-
-    #[test]
     fn builders_accumulate() {
         let plan = FaultPlan::new(7)
             .with_read_fault(3, 2)
             .with_unrecoverable_member(5)
             .with_ost_slowdown(1, 4.0)
-            .with_msg_delay(0, 2, 0.01)
             .with_msg_drop(1, 3)
             .with_straggler(2, 1.5)
             .with_crash(4, 1);
         assert_eq!(plan.read_faults.len(), 2);
         assert_eq!(plan.read_faults[1].fail_attempts, UNRECOVERABLE);
         assert_eq!(plan.ost_slowdowns.len(), 1);
-        assert_eq!(plan.msg_faults.len(), 2);
-        assert!(plan.msg_faults[1].dropped);
+        assert_eq!(plan.msg_faults.len(), 1);
+        assert!(plan.msg_faults[0].dropped);
         assert_eq!(plan.stragglers.len(), 1);
         assert_eq!(plan.crashes, vec![RankCrash { rank: 4, stage: 1 }]);
     }
@@ -321,7 +287,6 @@ mod tests {
         let plan = FaultPlan::new(9)
             .with_read_fault(1, 1)
             .with_crash_at_cycle(3, 2, 1);
-        assert!(!plan.is_empty());
         // Wrong cycle: nothing fires, the cycle-scoped entry is stripped.
         let other = plan.for_cycle_attempt(0, 0);
         assert!(other.crashes.is_empty());

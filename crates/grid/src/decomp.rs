@@ -32,21 +32,21 @@ pub struct Decomposition {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecompError {
     /// `nx` is not a multiple of `n_sdx`.
-    LongitudeNotDivisible {
+    Longitude {
         /// Mesh longitude extent.
         nx: usize,
         /// Requested sub-domain count along longitude.
         nsdx: usize,
     },
     /// `ny` is not a multiple of `n_sdy`.
-    LatitudeNotDivisible {
+    Latitude {
         /// Mesh latitude extent.
         ny: usize,
         /// Requested sub-domain count along latitude.
         nsdy: usize,
     },
     /// Sub-domain height is not a multiple of the requested layer count.
-    LayersNotDivisible {
+    Layers {
         /// Sub-domain height in grid rows.
         sub_height: usize,
         /// Requested layer count.
@@ -57,13 +57,13 @@ pub enum DecompError {
 impl std::fmt::Display for DecompError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecompError::LongitudeNotDivisible { nx, nsdx } => {
+            DecompError::Longitude { nx, nsdx } => {
                 write!(f, "nx = {nx} is not divisible by n_sdx = {nsdx}")
             }
-            DecompError::LatitudeNotDivisible { ny, nsdy } => {
+            DecompError::Latitude { ny, nsdy } => {
                 write!(f, "ny = {ny} is not divisible by n_sdy = {nsdy}")
             }
-            DecompError::LayersNotDivisible { sub_height, layers } => {
+            DecompError::Layers { sub_height, layers } => {
                 write!(
                     f,
                     "sub-domain height {sub_height} is not divisible by L = {layers}"
@@ -80,13 +80,13 @@ impl Decomposition {
     /// multiple of `n_sdx` (resp. `n_sdy`), and so do we.
     pub fn new(mesh: Mesh, nsdx: usize, nsdy: usize) -> Result<Self, DecompError> {
         if nsdx == 0 || !mesh.nx().is_multiple_of(nsdx) {
-            return Err(DecompError::LongitudeNotDivisible {
+            return Err(DecompError::Longitude {
                 nx: mesh.nx(),
                 nsdx,
             });
         }
         if nsdy == 0 || !mesh.ny().is_multiple_of(nsdy) {
-            return Err(DecompError::LatitudeNotDivisible {
+            return Err(DecompError::Latitude {
                 ny: mesh.ny(),
                 nsdy,
             });
@@ -124,7 +124,7 @@ impl Decomposition {
     }
 
     /// Sub-domain width `n_x / n_sdx` in grid columns.
-    pub fn sub_width(&self) -> usize {
+    pub(crate) fn sub_width(&self) -> usize {
         self.mesh.nx() / self.nsdx
     }
 
@@ -192,7 +192,7 @@ impl Decomposition {
     /// auto-tuner only proposes divisors, Algorithm 1 line 8).
     pub fn check_layers(&self, layers: usize) -> Result<(), DecompError> {
         if layers == 0 || !self.sub_height().is_multiple_of(layers) {
-            return Err(DecompError::LayersNotDivisible {
+            return Err(DecompError::Layers {
                 sub_height: self.sub_height(),
                 layers,
             });
@@ -286,16 +286,16 @@ mod tests {
         let mesh = Mesh::new(10, 9);
         assert!(matches!(
             Decomposition::new(mesh, 3, 3),
-            Err(DecompError::LongitudeNotDivisible { .. })
+            Err(DecompError::Longitude { .. })
         ));
         assert!(matches!(
             Decomposition::new(mesh, 5, 4),
-            Err(DecompError::LatitudeNotDivisible { .. })
+            Err(DecompError::Latitude { .. })
         ));
         assert!(Decomposition::new(mesh, 5, 3).is_ok());
         assert!(matches!(
             Decomposition::new(mesh, 0, 3),
-            Err(DecompError::LongitudeNotDivisible { .. })
+            Err(DecompError::Longitude { .. })
         ));
     }
 

@@ -54,11 +54,6 @@ impl FileLayout {
         self.mesh.n() as u64 * self.bytes_per_point
     }
 
-    /// Byte offset of a grid point's payload.
-    pub fn offset_of(&self, p: crate::GridPoint) -> u64 {
-        self.mesh.index(p) as u64 * self.bytes_per_point
-    }
-
     /// Contiguous byte segments covering a region, in file order, with
     /// adjacent segments merged. Full-width regions always collapse to a
     /// single segment; a `w`-column region of `r` rows yields `r` segments.
@@ -120,18 +115,15 @@ impl FileLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GridPoint;
 
     fn layout() -> FileLayout {
         FileLayout::new(Mesh::new(8, 4), 16)
     }
 
     #[test]
-    fn file_size_and_offsets() {
+    fn file_size_covers_every_point() {
         let l = layout();
         assert_eq!(l.file_size(), 8 * 4 * 16);
-        assert_eq!(l.offset_of(GridPoint { ix: 0, iy: 0 }), 0);
-        assert_eq!(l.offset_of(GridPoint { ix: 3, iy: 2 }), (2 * 8 + 3) * 16);
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! line of `n_x` longitude points. A latitude band is therefore contiguous
 //! on disk; a longitude slice is not.
 
-pub mod decomp;
-pub mod layout;
-pub mod mesh;
-pub mod obs;
-pub mod region;
+#![deny(unreachable_pub)]
+
+pub(crate) mod decomp;
+pub(crate) mod layout;
+pub(crate) mod mesh;
+pub(crate) mod obs;
+pub(crate) mod region;
 
 pub use decomp::{Decomposition, SubDomainId};
 pub use layout::FileLayout;
@@ -36,44 +38,4 @@ pub struct LocalizationRadius {
     pub xi: usize,
     /// Influence radius along the latitude (y) direction, in grid points.
     pub eta: usize,
-}
-
-impl LocalizationRadius {
-    /// Convert a physical radius of influence `r` (km) into grid-point radii
-    /// given the (generally different) grid spacings along longitude and
-    /// latitude. This is why `ξ` may differ from `η` on a `n_x ≫ n_y` mesh.
-    pub fn from_physical(r_km: f64, dx_km: f64, dy_km: f64) -> Self {
-        assert!(
-            r_km >= 0.0 && dx_km > 0.0 && dy_km > 0.0,
-            "radii and spacings must be positive"
-        );
-        LocalizationRadius {
-            xi: (r_km / dx_km).ceil() as usize,
-            eta: (r_km / dy_km).ceil() as usize,
-        }
-    }
-
-    /// Number of points in a full (interior) local box.
-    pub fn box_points(&self) -> usize {
-        (2 * self.xi + 1) * (2 * self.eta + 1)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn physical_radius_matches_figure_2() {
-        // Fig. 2a: r = 10 km with spacings giving xi=4, eta=2.
-        let r = LocalizationRadius::from_physical(10.0, 2.5, 5.0);
-        assert_eq!(r, LocalizationRadius { xi: 4, eta: 2 });
-        assert_eq!(r.box_points(), 9 * 5);
-    }
-
-    #[test]
-    fn zero_radius_is_single_point() {
-        let r = LocalizationRadius { xi: 0, eta: 0 };
-        assert_eq!(r.box_points(), 1);
-    }
 }

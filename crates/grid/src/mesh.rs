@@ -30,11 +30,6 @@ impl Mesh {
         Mesh { nx, ny }
     }
 
-    /// The paper's evaluation mesh: 0.1° resolution, `3600 × 1800`.
-    pub fn paper_ocean() -> Self {
-        Mesh::new(3600, 1800)
-    }
-
     /// Points along longitude.
     #[inline]
     pub fn nx(&self) -> usize {
@@ -112,12 +107,6 @@ mod tests {
         let a = m.index(GridPoint { ix: 0, iy: 2 });
         let b = m.index(GridPoint { ix: 9, iy: 2 });
         assert_eq!(b - a, 9, "one latitude line spans consecutive flat indices");
-    }
-
-    #[test]
-    fn paper_mesh_size() {
-        let m = Mesh::paper_ocean();
-        assert_eq!(m.n(), 3600 * 1800);
     }
 
     #[test]

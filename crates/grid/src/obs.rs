@@ -20,7 +20,7 @@ pub struct ObservationNetwork {
 impl ObservationNetwork {
     /// A regular network observing every `stride_x`-th longitude and
     /// `stride_y`-th latitude point, starting at the given offsets.
-    pub fn strided(
+    pub(crate) fn strided(
         mesh: Mesh,
         stride_x: usize,
         stride_y: usize,
@@ -88,15 +88,6 @@ impl ObservationNetwork {
             .map(|(k, _)| k)
             .collect()
     }
-
-    /// The observed points inside a region (paired with [`Self::indices_in`]).
-    pub fn points_in(&self, region: &RegionRect) -> Vec<GridPoint> {
-        self.points
-            .iter()
-            .copied()
-            .filter(|&p| region.contains(p))
-            .collect()
-    }
 }
 
 /// Bucket-grid spatial index over an observation network.
@@ -155,19 +146,9 @@ impl ObsIndex {
         }
     }
 
-    /// Number of indexed observations.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the indexed network is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Observation indices inside `region`, ascending, written into a
     /// caller-owned buffer (allocation-free at steady state).
-    pub fn indices_in_into(&self, region: &RegionRect, out: &mut Vec<usize>) {
+    pub(crate) fn indices_in_into(&self, region: &RegionRect, out: &mut Vec<usize>) {
         out.clear();
         if region.is_empty() || self.points.is_empty() {
             return;
@@ -238,16 +219,13 @@ mod tests {
         let net = ObservationNetwork::uniform(mesh, 2);
         let region = RegionRect::new(4, 9, 2, 5);
         let idx = net.indices_in(&region);
-        let pts = net.points_in(&region);
-        assert_eq!(idx.len(), pts.len());
+        let inside = net.points().iter().filter(|&&p| region.contains(p));
+        assert_eq!(idx.len(), inside.count());
         assert!(
             idx.windows(2).all(|w| w[0] < w[1]),
             "network order preserved"
         );
-        for (&k, &p) in idx.iter().zip(pts.iter()) {
-            assert_eq!(net.points()[k], p);
-            assert!(region.contains(p));
-        }
+        assert!(idx.iter().all(|&k| region.contains(net.points()[k])));
     }
 
     #[test]
@@ -279,7 +257,7 @@ mod tests {
         let net = ObservationNetwork::strided(mesh, 2, 3, 1, 0);
         for cell in [1usize, 2, 4, 16] {
             let index = ObsIndex::build(&net, cell);
-            assert_eq!(index.len(), net.len());
+            assert_eq!(index.items.len(), net.len());
             for region in [
                 RegionRect::new(0, 13, 0, 9),
                 RegionRect::new(3, 8, 2, 7),
@@ -313,7 +291,7 @@ mod tests {
         let mesh = Mesh::new(4, 4);
         let net = ObservationNetwork::from_points(mesh, Vec::new());
         let index = ObsIndex::build(&net, 2);
-        assert!(index.is_empty());
+        assert!(index.items.is_empty());
         assert!(index.indices_in(&RegionRect::full(mesh)).is_empty());
     }
 }

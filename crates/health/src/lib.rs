@@ -38,6 +38,7 @@
 //! agnostic, and the bench drives it with measured wall-clock spans to show
 //! the math holds up under noise.
 
+#![deny(unreachable_pub)]
 // ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
 // failure correct use can meet — every survivor is justified in place.
 #![cfg_attr(
@@ -48,5 +49,5 @@
 mod monitor;
 mod route;
 
-pub use monitor::{HealthMonitor, HealthParams, HealthSnapshot, TargetStatus};
+pub use monitor::{HealthMonitor, HealthParams, HealthSnapshot};
 pub use route::{ReadRoute, RouteView};

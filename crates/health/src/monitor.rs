@@ -35,7 +35,7 @@ impl HealthParams {
 
 /// Where a monitored target currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TargetStatus {
+pub(crate) enum TargetStatus {
     /// In rotation.
     Healthy,
     /// Out of rotation for `remaining` more cycles.
@@ -238,16 +238,6 @@ impl HealthMonitor {
         }
     }
 
-    /// The detector tuning.
-    pub fn params(&self) -> &HealthParams {
-        &self.params
-    }
-
-    /// The cycle observations currently accumulate into.
-    pub fn cycle(&self) -> u32 {
-        self.cycle
-    }
-
     /// The frozen routing table for the current cycle.
     pub fn view(&self) -> &RouteView {
         &self.view
@@ -318,11 +308,6 @@ impl HealthMonitor {
         snap
     }
 
-    /// The current detector state as a snapshot (without closing a cycle).
-    pub fn snapshot(&self) -> HealthSnapshot {
-        self.snapshot_at(self.cycle)
-    }
-
     fn snapshot_at(&self, cycle: u32) -> HealthSnapshot {
         HealthSnapshot {
             cycle,
@@ -380,7 +365,7 @@ mod tests {
             assert!(snap.is_clean(), "healthy substrate must stay clean");
             assert!(snap.suspected_osts.is_empty());
         }
-        assert_eq!(mon.snapshot().capacity_factor(), 1.0);
+        assert_eq!(mon.snapshot_at(mon.cycle).capacity_factor(), 1.0);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct RouteView {
 
 impl RouteView {
     /// An all-healthy view: every route is [`ReadRoute::Primary`].
-    pub fn healthy(num_osts: usize, replica_shift: usize) -> Self {
+    pub(crate) fn healthy(num_osts: usize, replica_shift: usize) -> Self {
         RouteView {
             num_osts,
             replica_shift,
@@ -49,7 +49,7 @@ impl RouteView {
     }
 
     /// Whether no OST is blacklisted (the passthrough fast path).
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.blacklisted.is_empty()
     }
 

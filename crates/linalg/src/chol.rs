@@ -54,7 +54,7 @@ impl Cholesky {
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.l.nrows()
     }
 
@@ -146,11 +146,6 @@ impl Ldlt {
         Ok(Ldlt { l, d })
     }
 
-    /// Borrow the unit lower-triangular factor.
-    pub fn l(&self) -> &Matrix {
-        &self.l
-    }
-
     /// Borrow the diagonal of `D`.
     pub fn d(&self) -> &[f64] {
         &self.d
@@ -159,33 +154,6 @@ impl Ldlt {
     /// Reassemble `L D Lᵀ` (diagnostics / tests).
     pub fn reconstruct(&self) -> Matrix {
         self.l.sandwich(|j| self.d[j])
-    }
-
-    /// Solve `A x = b`.
-    pub fn solve_vec(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.d.len();
-        if b.len() != n {
-            return Err(LinalgError::DimMismatch {
-                op: "Ldlt::solve_vec",
-                lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        let mut y = b.to_vec();
-        for i in 0..n {
-            for k in 0..i {
-                y[i] -= self.l[(i, k)] * y[k];
-            }
-        }
-        for i in 0..n {
-            y[i] /= self.d[i];
-        }
-        for i in (0..n).rev() {
-            for k in (i + 1)..n {
-                y[i] -= self.l[(k, i)] * y[k];
-            }
-        }
-        Ok(y)
     }
 }
 
@@ -315,16 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn ldlt_reconstructs_and_solves() {
+    fn ldlt_reconstructs() {
         let a = spd(9);
         let f = Ldlt::factor(&a).unwrap();
         assert!(f.reconstruct().approx_eq(&a, 1e-9));
-        let b: Vec<f64> = (0..9).map(|i| 1.0 + i as f64).collect();
-        let x = f.solve_vec(&b).unwrap();
-        let r = a.matvec(&x).unwrap();
-        for (ri, bi) in r.iter().zip(&b) {
-            assert!((ri - bi).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -332,7 +294,7 @@ mod tests {
         let a = spd(5);
         let f = Ldlt::factor(&a).unwrap();
         for i in 0..5 {
-            assert_eq!(f.l()[(i, i)], 1.0);
+            assert_eq!(f.l[(i, i)], 1.0);
         }
         assert!(f.d().iter().all(|&d| d > 0.0));
     }

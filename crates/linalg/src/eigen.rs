@@ -13,61 +13,12 @@
 
 use crate::{LinalgError, Matrix, Result};
 
-/// Eigendecomposition `A = V diag(λ) Vᵀ` of a symmetric matrix.
-#[derive(Debug, Clone)]
-pub struct SymEigen {
-    /// Eigenvalues, ascending.
-    pub values: Vec<f64>,
-    /// Orthonormal eigenvectors as *columns* (`V`), ordered like `values`.
-    pub vectors: Matrix,
-}
-
-impl SymEigen {
-    /// Decompose a symmetric matrix with cyclic Jacobi rotations.
-    ///
-    /// Only the lower triangle is trusted; the matrix is symmetrized
-    /// internally. Converges quadratically; `max_sweeps` bounds the work
-    /// (15 sweeps are far more than small ensemble-space problems need).
-    ///
-    /// Convenience wrapper over [`EigenWorkspace::decompose`]; both run the
-    /// same kernel, so their results are bit-identical.
-    pub fn decompose(a: &Matrix) -> Result<Self> {
-        let mut ws = EigenWorkspace::new();
-        ws.decompose(a)?;
-        Ok(SymEigen {
-            values: ws.values,
-            vectors: ws.vectors,
-        })
-    }
-
-    /// Reassemble `V diag(λ) Vᵀ` (diagnostics / tests).
-    pub fn reconstruct(&self) -> Matrix {
-        self.vectors.sandwich(|j| self.values[j])
-    }
-
-    /// Apply `f` to the spectrum: `V diag(f(λ)) Vᵀ`. The workhorse for the
-    /// ETKF's inverse and symmetric square root.
-    pub fn map_spectrum(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        let mut out = self.vectors.sandwich(|j| f(self.values[j]));
-        out.symmetrize();
-        out
-    }
-
-    /// Smallest eigenvalue; `+∞` for the empty spectrum of a `0×0` matrix
-    /// (the minimum over no values).
-    pub fn min_eigenvalue(&self) -> f64 {
-        self.values.first().copied().unwrap_or(f64::INFINITY)
-    }
-}
-
 /// Reusable buffers for repeated symmetric eigendecompositions.
 ///
 /// The LETKF solves one small ensemble-space eigenproblem per grid point;
 /// with a workspace the whole sequence — Jacobi iteration, eigenvalue sort,
 /// column permutation and `map_spectrum` products — runs without touching
-/// the allocator once the buffers have reached steady-state size. The
-/// kernel is shared with [`SymEigen::decompose`], so results are
-/// bit-identical to the allocating API.
+/// the allocator once the buffers have reached steady-state size.
 #[derive(Debug, Clone)]
 pub struct EigenWorkspace {
     m: Matrix,
@@ -100,10 +51,13 @@ impl EigenWorkspace {
         }
     }
 
-    /// Decompose a symmetric matrix into the workspace buffers.
+    /// Decompose a symmetric matrix with cyclic Jacobi rotations into the
+    /// workspace buffers.
     ///
-    /// See [`SymEigen::decompose`] for the algorithm; the results are read
-    /// back through [`EigenWorkspace::values`] / [`EigenWorkspace::vectors`].
+    /// Only the lower triangle is trusted; the matrix is symmetrized
+    /// internally. Converges quadratically; the sweep count is bounded. The
+    /// results are read back through [`EigenWorkspace::values`] /
+    /// [`EigenWorkspace::vectors`].
     pub fn decompose(&mut self, a: &Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
@@ -161,10 +115,9 @@ impl EigenWorkspace {
         self.values.first().copied().unwrap_or(f64::INFINITY)
     }
 
-    /// `V diag(f(λ)) Vᵀ` written into a caller-owned matrix.
-    ///
-    /// Same kernel as [`SymEigen::map_spectrum`] (bit-identical), but the
-    /// scaled-eigenvector scratch and the output are reused buffers.
+    /// Apply `f` to the spectrum, `V diag(f(λ)) Vᵀ`, written into a
+    /// caller-owned matrix; the scaled-eigenvector scratch and the output
+    /// are reused buffers.
     pub fn map_spectrum_into(&mut self, f: impl Fn(f64) -> f64, out: &mut Matrix) -> Result<()> {
         let n = self.values.len();
         self.scaled.copy_from(&self.vectors);
@@ -296,30 +249,57 @@ mod tests {
         m
     }
 
+    fn random_spd(n: usize, seed: u64) -> Matrix {
+        let m = random_symmetric(n, seed);
+        let mut spd = m.matmul_tr(&m).unwrap();
+        for i in 0..n {
+            spd[(i, i)] += n as f64;
+        }
+        spd
+    }
+
+    fn decompose(a: &Matrix) -> EigenWorkspace {
+        let mut ws = EigenWorkspace::new();
+        ws.decompose(a).unwrap();
+        ws
+    }
+
+    fn map_spectrum(ws: &mut EigenWorkspace, f: impl Fn(f64) -> f64) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        ws.map_spectrum_into(f, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn diagonal_matrix_is_its_own_spectrum() {
-        let a = Matrix::from_diag(&[3.0, -1.0, 2.0]);
-        let e = SymEigen::decompose(&a).unwrap();
-        assert_eq!(e.values.len(), 3);
-        assert!((e.values[0] + 1.0).abs() < 1e-12);
-        assert!((e.values[1] - 2.0).abs() < 1e-12);
-        assert!((e.values[2] - 3.0).abs() < 1e-12);
+        let mut a = Matrix::zeros(3, 3);
+        for (i, d) in [3.0, -1.0, 2.0].into_iter().enumerate() {
+            a[(i, i)] = d;
+        }
+        let e = decompose(&a);
+        assert_eq!(e.values().len(), 3);
+        assert!((e.values()[0] + 1.0).abs() < 1e-12);
+        assert!((e.values()[1] - 2.0).abs() < 1e-12);
+        assert!((e.values()[2] - 3.0).abs() < 1e-12);
+        assert_eq!(e.min_eigenvalue(), e.values()[0]);
     }
 
     #[test]
     fn reconstruction_matches_input() {
         for seed in [1, 7, 23] {
             let a = random_symmetric(8, seed);
-            let e = SymEigen::decompose(&a).unwrap();
-            assert!(e.reconstruct().approx_eq(&a, 1e-9), "seed {seed}");
+            let mut e = decompose(&a);
+            assert!(
+                map_spectrum(&mut e, |l| l).approx_eq(&a, 1e-9),
+                "seed {seed}"
+            );
         }
     }
 
     #[test]
     fn eigenvectors_are_orthonormal() {
-        let a = random_symmetric(10, 5);
-        let e = SymEigen::decompose(&a).unwrap();
-        let vtv = e.vectors.tr_matmul(&e.vectors).unwrap();
+        let e = decompose(&random_symmetric(10, 5));
+        let vtv = e.vectors().tr_matmul(e.vectors()).unwrap();
         assert!(vtv.approx_eq(&Matrix::identity(10), 1e-10));
     }
 
@@ -327,70 +307,55 @@ mod tests {
     fn known_2x2_eigenvalues() {
         // [[2,1],[1,2]] has eigenvalues 1 and 3.
         let a = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]).unwrap();
-        let e = SymEigen::decompose(&a).unwrap();
-        assert!((e.values[0] - 1.0).abs() < 1e-12);
-        assert!((e.values[1] - 3.0).abs() < 1e-12);
+        let e = decompose(&a);
+        assert!((e.values()[0] - 1.0).abs() < 1e-12);
+        assert!((e.values()[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn map_spectrum_inverse() {
         // For SPD A, map_spectrum(1/λ) must equal A⁻¹.
-        let m = random_symmetric(6, 9);
-        let a = {
-            let mut spd = m.matmul_tr(&m).unwrap();
-            for i in 0..6 {
-                spd[(i, i)] += 6.0;
-            }
-            spd
-        };
-        let e = SymEigen::decompose(&a).unwrap();
-        let inv = e.map_spectrum(|l| 1.0 / l);
+        let a = random_spd(6, 9);
+        let inv = map_spectrum(&mut decompose(&a), |l| 1.0 / l);
         let prod = inv.matmul(&a).unwrap();
         assert!(prod.approx_eq(&Matrix::identity(6), 1e-8));
     }
 
     #[test]
     fn map_spectrum_square_root() {
-        let m = random_symmetric(5, 11);
-        let a = {
-            let mut spd = m.matmul_tr(&m).unwrap();
-            for i in 0..5 {
-                spd[(i, i)] += 5.0;
-            }
-            spd
-        };
-        let e = SymEigen::decompose(&a).unwrap();
-        let root = e.map_spectrum(f64::sqrt);
+        let a = random_spd(5, 11);
+        let root = map_spectrum(&mut decompose(&a), f64::sqrt);
         let back = root.matmul(&root).unwrap();
         assert!(back.approx_eq(&a, 1e-8));
     }
 
     #[test]
-    fn rejects_non_square() {
-        assert!(SymEigen::decompose(&Matrix::zeros(2, 3)).is_err());
+    fn empty_spectrum_has_infinite_minimum() {
+        assert_eq!(
+            decompose(&Matrix::zeros(0, 0)).min_eigenvalue(),
+            f64::INFINITY
+        );
     }
 
     #[test]
-    fn workspace_matches_symeigen_bitwise_across_reuse() {
+    fn reused_workspace_matches_a_fresh_one_bitwise() {
         // One workspace reused across different sizes and seeds must produce
-        // exactly what the allocating API produces.
+        // exactly what a fresh workspace produces.
         let mut ws = EigenWorkspace::new();
-        let mut out = Matrix::zeros(0, 0);
         for (n, seed) in [(8usize, 1u64), (4, 7), (10, 23), (6, 9)] {
             let a = random_symmetric(n, seed);
-            let e = SymEigen::decompose(&a).unwrap();
+            let mut fresh = decompose(&a);
             ws.decompose(&a).unwrap();
-            assert_eq!(ws.values(), &e.values[..]);
-            assert_eq!(ws.vectors(), &e.vectors);
-            assert_eq!(ws.min_eigenvalue(), e.min_eigenvalue());
-            ws.map_spectrum_into(|l| 1.0 / (l * l + 1.0), &mut out)
-                .unwrap();
-            assert_eq!(out, e.map_spectrum(|l| 1.0 / (l * l + 1.0)));
+            assert_eq!(ws.values(), fresh.values());
+            assert_eq!(ws.vectors(), fresh.vectors());
+            assert_eq!(ws.min_eigenvalue(), fresh.min_eigenvalue());
+            let f = |l: f64| 1.0 / (l * l + 1.0);
+            assert_eq!(map_spectrum(&mut ws, f), map_spectrum(&mut fresh, f));
         }
     }
 
     #[test]
-    fn workspace_rejects_non_square() {
+    fn rejects_non_square() {
         assert!(EigenWorkspace::new()
             .decompose(&Matrix::zeros(2, 3))
             .is_err());
@@ -399,9 +364,9 @@ mod tests {
     #[test]
     fn trace_equals_eigenvalue_sum() {
         let a = random_symmetric(7, 13);
-        let e = SymEigen::decompose(&a).unwrap();
+        let e = decompose(&a);
         let trace: f64 = (0..7).map(|i| a[(i, i)]).sum();
-        let sum: f64 = e.values.iter().sum();
+        let sum: f64 = e.values().iter().sum();
         assert!((trace - sum).abs() < 1e-9);
     }
 }

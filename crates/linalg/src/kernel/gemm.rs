@@ -6,7 +6,7 @@
 //! The three product families (`nn` = `A·B`, `tn` = `Aᵀ·B`, `nt` = `A·Bᵀ`)
 //! are one divide-and-conquer recursion. It halves the **larger of the two
 //! output dimensions** until the subproblem fits a
-//! [`super::tiles::BASE`]`×`[`super::tiles::BASE`] panel, and a register-tiled
+//! `tiles::BASE × tiles::BASE` panel, and a register-tiled
 //! body finishes the panel. A [`Layout`] decides only where `A(i, l)` and
 //! `B(l, j)` live, i.e. the pointer and stride arithmetic. The recursion
 //! never splits the contraction dimension `k`: a `k`-split would change
@@ -27,13 +27,13 @@
 //! - **nn**: ascend the shared index `l`, skipping terms whose left
 //!   operand is exactly `0.0` (one branch per `(row, l)` pair).
 //! - **tn**: ascend `l`, no skip.
-//! - **nt**: accumulate [`super::tiles::NT_KC`]-wide partial dot products, each
+//! - **nt**: accumulate `super::tiles::NT_KC`-wide partial dot products, each
 //!   folded from `0.0` in ascending `l`, added to the output in ascending
 //!   chunk order.
 //!
 //! Splitting only `m`/`n` hands every recursion leaf a **disjoint** region
 //! of `C`, so `rayon::join` parallelism (taken when the subproblem carries
-//! at least [`super::tiles::PAR_FLOPS`] flops and more than one worker exists)
+//! at least `super::tiles::PAR_FLOPS` flops and more than one worker exists)
 //! cannot reorder any element's accumulation: results are bit-identical
 //! across thread counts, including fully serial.
 
@@ -62,12 +62,12 @@ pub fn nn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
 
 /// `c += aᵀ·b` with `a` `k×m` (its columns are the logical left rows),
 /// `b` `k×n`, `c` `m×n`.
-pub fn tn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+pub(crate) fn tn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     tuned(Layout::Tn, a, b, c, m, k, n, threaded(), PAR_FLOPS)
 }
 
 /// `c += a·bᵀ` with `a` `m×k`, `b` `n×k`, `c` `m×n`.
-pub fn nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+pub(crate) fn nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     tuned(Layout::Nt, a, b, c, m, k, n, threaded(), PAR_FLOPS)
 }
 
@@ -230,7 +230,7 @@ fn rec(p: &Product, i0: usize, j0: usize, m: usize, n: usize) {
 /// `Iterator::sum::<f64>` uses, which the legacy per-row `.sum()` loop
 /// (and therefore the pinned bit pattern, signed zeros included) relied
 /// on. `out` is cleared and refilled; allocation-free at steady state.
-pub fn matvec(a: &[f64], x: &[f64], out: &mut Vec<f64>, m: usize, k: usize) {
+pub(crate) fn matvec(a: &[f64], x: &[f64], out: &mut Vec<f64>, m: usize, k: usize) {
     assert_eq!(a.len(), m * k, "matvec: matrix buffer size");
     assert_eq!(x.len(), k, "matvec: vector length");
     out.clear();
@@ -259,7 +259,7 @@ pub fn matvec(a: &[f64], x: &[f64], out: &mut Vec<f64>, m: usize, k: usize) {
 }
 
 /// Inner product folded from `0.0` in ascending index order — bit for
-/// bit the value the default [`tn`] kernel leaves in an element of `AᵀB`
+/// bit the value the default `tn` kernel leaves in an element of `AᵀB`
 /// whose two columns are `a` and `b` ("ascend `l`, no skip"). Callers that
 /// tabulate Gram entries once instead of re-forming `XᵀX` rely on that.
 #[inline]

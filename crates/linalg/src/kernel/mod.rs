@@ -15,7 +15,7 @@
 //!   instance and a baseline instance.
 //! - [`convert`] — bulk little-endian ↔ `f64` codecs shared with
 //!   `enkf-pfs`.
-//! - [`tiles`] — every tiling/dispatch constant, with the cache
+//! - `tiles` — every tiling/dispatch constant, with the cache
 //!   reasoning attached.
 //! - [`mod@reference`] — the pre-kernel-layer blocked loops, frozen as the
 //!   bit-identity oracle and the perf ledger's `linalg.gemm_ref_gflops`
@@ -34,6 +34,6 @@ pub mod gemm;
 pub mod lanes;
 pub mod reference;
 mod simd;
-pub mod tiles;
+pub(crate) mod tiles;
 
-pub use simd::{active_isa, Isa};
+pub use simd::active_isa;

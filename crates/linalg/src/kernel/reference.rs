@@ -31,7 +31,7 @@ pub fn tn(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
 ///
 /// Each output element accumulates `LEGACY_BLOCK`-wide partial dot
 /// products in ascending chunk order; the default NT kernel reproduces the
-/// same grouping via [`super::tiles::NT_KC`].
+/// same grouping via `super::tiles::NT_KC`.
 pub fn nt(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     nt_gemm_block(a, b, out, 0, m, k, n);
 }

@@ -35,12 +35,12 @@
 /// `m ≤ BASE` and `n ≤ BASE` are handed to the register-tiled body. 128
 /// keeps the hot `C` panel (≤ 128 KiB) within L2 while the recursion
 /// above provides the L3/L2 blocking for free.
-pub const BASE: usize = 128;
+pub(crate) const BASE: usize = 128;
 
 /// Register-tile rows: independent accumulator chains per column vector.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Register-tile columns: two 4-lane `f64` vectors in the `avx2` instance.
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 
 /// Contraction-dimension chunk of the NT (`A·Bᵀ`) kernel's partial sums.
 ///
@@ -50,7 +50,7 @@ pub const NR: usize = 8;
 /// the default deterministic kernel must reproduce those exact bit
 /// patterns. 64 doubles = 512 B per operand row chunk, comfortably L1
 /// resident; do not retune without a digest migration.
-pub const NT_KC: usize = 64;
+pub(crate) const NT_KC: usize = 64;
 
 /// Register-tile columns of the NT kernel: 4 independent `B` rows per `A`
 /// row gives `MR × NT_NR = 16` scalar accumulator chains — enough to hide
@@ -68,7 +68,7 @@ pub(crate) const MATVEC_MR: usize = 4;
 /// outweighs the parallelism; above it the two halves write disjoint `C`
 /// regions and accumulation order per element is unchanged, so thread
 /// count never affects bits.
-pub const PAR_FLOPS: usize = 1 << 23;
+pub(crate) const PAR_FLOPS: usize = 1 << 23;
 
 /// Legacy block edge of the pre-kernel-layer blocked loops, kept for the
 /// verbatim reference implementations in [`crate::kernel::reference`].

@@ -8,6 +8,7 @@
 //! LAPACK/CuBLAS; this crate implements the same kernels from scratch so the
 //! whole stack is self-contained Rust.
 //!
+#![deny(unreachable_pub)]
 // Triangular factorizations and banded scans read most naturally with
 // explicit indices; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
@@ -22,20 +23,20 @@
 //! to the original blocked loops (see `kernel` for the determinism
 //! contract).
 
-pub mod chol;
-pub mod eigen;
+pub(crate) mod chol;
+pub(crate) mod eigen;
 pub mod kernel;
-pub mod lstsq;
-pub mod matrix;
-pub mod modchol;
-pub mod rng;
-pub mod sherman;
+pub(crate) mod lstsq;
+pub(crate) mod matrix;
+pub(crate) mod modchol;
+pub(crate) mod rng;
+pub(crate) mod sherman;
 
 pub use chol::{Cholesky, Ldlt};
-pub use eigen::{EigenWorkspace, SymEigen};
+pub use eigen::EigenWorkspace;
 pub use lstsq::ridge_least_squares;
 pub use matrix::Matrix;
-pub use modchol::{modified_cholesky_inverse, ModCholWorkspace, ModifiedCholesky};
+pub use modchol::{ModCholWorkspace, ModifiedCholesky};
 pub use rng::GaussianSampler;
 pub use sherman::ShermanMorrisonWorkspace;
 

@@ -73,16 +73,6 @@ impl Matrix {
         m
     }
 
-    /// Build a diagonal matrix from the given diagonal entries.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -103,7 +93,7 @@ impl Matrix {
 
     /// True when the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.nrows == self.ncols
     }
 
@@ -140,7 +130,7 @@ impl Matrix {
     }
 
     /// Reset to the `n x n` identity, reusing the allocation.
-    pub fn resize_identity(&mut self, n: usize) {
+    pub(crate) fn resize_identity(&mut self, n: usize) {
         self.resize(n, n);
         for i in 0..n {
             self.data[i * n + i] = 1.0;

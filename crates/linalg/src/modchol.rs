@@ -115,21 +115,8 @@ impl ModifiedCholesky {
         Ok(mc)
     }
 
-    /// The unit lower-triangular factor `L`, materialized densely
-    /// (diagnostics and tests; the estimator itself never forms it).
-    pub fn l(&self) -> Matrix {
-        let mut l = Matrix::identity(self.dim());
-        for i in 0..self.dim() {
-            let (cols, vals) = self.row(i);
-            for (&j, &[v]) in cols.iter().zip(vals) {
-                l[(i, j)] = v;
-            }
-        }
-        l
-    }
-
     /// The residual variances (diagonal of `D`).
-    pub fn d(&self) -> &[f64] {
+    pub(crate) fn d(&self) -> &[f64] {
         self.d.as_flattened()
     }
 
@@ -281,7 +268,7 @@ impl<const W: usize> ModifiedCholesky<W> {
     }
 
     /// Dimension of the estimated covariance.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.d.len()
     }
 
@@ -361,15 +348,6 @@ lane_entry! {
     ) -> () = ModifiedCholesky::inverse_covariance_body;
 }
 
-/// Convenience wrapper: estimate and immediately materialize `B̂⁻¹`.
-pub fn modified_cholesky_inverse(
-    anomalies: &Matrix,
-    predecessors: impl FnMut(usize) -> Vec<usize>,
-    ridge: f64,
-) -> Result<Matrix> {
-    Ok(ModifiedCholesky::estimate(anomalies, predecessors, ridge)?.inverse_covariance())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,6 +360,19 @@ mod tests {
         move |i| (i.saturating_sub(width)..i).collect()
     }
 
+    /// The unit lower-triangular factor `L`, materialized densely (the
+    /// estimator itself never forms it).
+    fn dense_l(mc: &ModifiedCholesky) -> Matrix {
+        let mut l = Matrix::identity(mc.dim());
+        for i in 0..mc.dim() {
+            let (cols, vals) = mc.row(i);
+            for (&j, &[v]) in cols.iter().zip(vals) {
+                l[(i, j)] = v;
+            }
+        }
+        l
+    }
+
     #[test]
     fn unit_lower_triangular_structure() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -389,13 +380,13 @@ mod tests {
         let u = Matrix::from_fn(6, 12, |_, _| gs.sample(&mut rng));
         let mc = ModifiedCholesky::estimate(&u, band_predecessors(2), 1e-8).unwrap();
         for i in 0..6 {
-            assert_eq!(mc.l()[(i, i)], 1.0);
+            assert_eq!(dense_l(&mc)[(i, i)], 1.0);
             for j in (i + 1)..6 {
-                assert_eq!(mc.l()[(i, j)], 0.0, "upper triangle must be zero");
+                assert_eq!(dense_l(&mc)[(i, j)], 0.0, "upper triangle must be zero");
             }
             for j in 0..i.saturating_sub(2) {
                 assert_eq!(
-                    mc.l()[(i, j)],
+                    dense_l(&mc)[(i, j)],
                     0.0,
                     "outside band must be structurally zero"
                 );
@@ -409,7 +400,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let mut gs = GaussianSampler::new();
         let u = Matrix::from_fn(10, 8, |_, _| gs.sample(&mut rng));
-        let binv = modified_cholesky_inverse(&u, band_predecessors(3), 1e-6).unwrap();
+        let binv = ModifiedCholesky::estimate(&u, band_predecessors(3), 1e-6)
+            .unwrap()
+            .inverse_covariance();
         assert!(Cholesky::factor(&binv).is_ok(), "B̂⁻¹ must be SPD");
     }
 
@@ -439,7 +432,9 @@ mod tests {
         let mut u = Matrix::from_fn(n, nens, |_, _| gs.sample(&mut rng));
         let means = u.row_means();
         u.subtract_row_vector(&means);
-        let binv = modified_cholesky_inverse(&u, band_predecessors(2), 1e-8).unwrap();
+        let binv = ModifiedCholesky::estimate(&u, band_predecessors(2), 1e-8)
+            .unwrap()
+            .inverse_covariance();
         for i in 0..n {
             assert!(
                 (binv[(i, i)] - 1.0).abs() < 0.15,
@@ -473,7 +468,9 @@ mod tests {
         }
         let means = u.row_means();
         u.subtract_row_vector(&means);
-        let binv = modified_cholesky_inverse(&u, band_predecessors(1), 1e-8).unwrap();
+        let binv = ModifiedCholesky::estimate(&u, band_predecessors(1), 1e-8)
+            .unwrap()
+            .inverse_covariance();
         assert!(
             binv[(1, 0)] < -1.0,
             "expected strong negative precision, got {}",
@@ -556,7 +553,7 @@ mod tests {
             let ridge = 0.05;
             let (l, d, binv) = design_matrix_oracle(&u, band_predecessors(band), ridge);
             let mc = ModifiedCholesky::estimate(&u, band_predecessors(band), ridge).unwrap();
-            assert_eq!(bits(mc.l().as_slice()), bits(l.as_slice()), "L n={n}");
+            assert_eq!(bits(dense_l(&mc).as_slice()), bits(l.as_slice()), "L n={n}");
             assert_eq!(bits(mc.d()), bits(&d), "D n={n}");
             assert_eq!(
                 bits(mc.inverse_covariance().as_slice()),
@@ -583,7 +580,7 @@ mod tests {
             1e-6,
         )
         .unwrap();
-        assert_eq!(messy.l(), tidy.l());
+        assert_eq!(dense_l(&messy), dense_l(&tidy));
         assert_eq!(messy.d(), tidy.d());
     }
 

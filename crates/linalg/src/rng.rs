@@ -39,7 +39,7 @@ impl GaussianSampler {
     }
 
     /// Fill a buffer with standard-normal variates.
-    pub fn fill<R: Rng + ?Sized>(&mut self, rng: &mut R, out: &mut [f64]) {
+    pub(crate) fn fill<R: Rng + ?Sized>(&mut self, rng: &mut R, out: &mut [f64]) {
         for v in out {
             *v = self.sample(rng);
         }

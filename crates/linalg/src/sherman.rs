@@ -56,7 +56,7 @@ impl ShermanMorrisonWorkspace {
     /// Fails with [`LinalgError::NotPositiveDefinite`] if a rank-1 update
     /// loses positivity (impossible in exact arithmetic for valid inputs,
     /// so it signals a malformed `r`).
-    pub fn solve_in_place(&mut self, r: &[f64], v: &Matrix, z: &mut Matrix) -> Result<()> {
+    pub(crate) fn solve_in_place(&mut self, r: &[f64], v: &Matrix, z: &mut Matrix) -> Result<()> {
         let m = v.nrows();
         let n = v.ncols();
         if r.len() != m {
@@ -137,7 +137,7 @@ impl ShermanMorrisonWorkspace {
     }
 
     /// Allocating convenience form of
-    /// [`ShermanMorrisonWorkspace::solve_in_place`]: returns
+    /// `ShermanMorrisonWorkspace::solve_in_place`: returns
     /// `Z = (diag(r) + V Vᵀ)⁻¹ B`.
     pub fn solve(&mut self, r: &[f64], v: &Matrix, b: &Matrix) -> Result<Matrix> {
         let mut z = b.clone();

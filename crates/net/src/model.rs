@@ -1,10 +1,9 @@
 //! The latency–bandwidth communication cost model and modeled NICs.
 //!
 //! Point-to-point transfer of `s` bytes costs `a + b·s` (Table 1's startup
-//! time per message `a` and transfer time per byte `b`). Group operations
-//! over `p` participants take a logarithmic tree factor, the same form the
-//! paper borrows from the collective-communication literature for
-//! Eqs. (7)–(8).
+//! time per message `a` and transfer time per byte `b`). The DES prices every
+//! send of a cycle program this way; the logarithmic tree factor of
+//! Eqs. (7)–(8) belongs to the closed-form model in `enkf-tuning`.
 
 use enkf_sim::{ResourceId, Simulation};
 
@@ -50,19 +49,6 @@ impl NetParams {
             beta: self.beta / share.min(1.0),
         }
     }
-
-    /// Logarithmic tree factor over `p` participants: `log2(p + 1)`,
-    /// the `log(n_cg + 1)` shape of Eq. (8). Returns at least 1.
-    pub fn tree_factor(p: usize) -> f64 {
-        ((p + 1) as f64).log2().max(1.0)
-    }
-
-    /// Cost of distributing `bytes` to each of `fanout` receivers through a
-    /// tree: `fanout` sends serialized on the sender, scaled by the tree
-    /// factor over `groups` concurrent groups — the structure of Eq. (8).
-    pub fn group_scatter(&self, fanout: usize, groups: usize, bytes: u64) -> f64 {
-        fanout as f64 * Self::tree_factor(groups) * self.p2p(bytes)
-    }
 }
 
 /// Per-rank NIC resources for the DES: capacity 1 per endpoint, so a helper
@@ -70,35 +56,19 @@ impl NetParams {
 /// serialize.
 #[derive(Debug, Clone)]
 pub struct ModeledNet {
-    params: NetParams,
     nics: Vec<ResourceId>,
 }
 
 impl ModeledNet {
     /// Register one NIC per rank in the simulation.
-    pub fn register(sim: &mut Simulation, params: NetParams, ranks: usize) -> Self {
+    pub fn register(sim: &mut Simulation, ranks: usize) -> Self {
         let nics = (0..ranks).map(|_| sim.add_resource(1)).collect();
-        ModeledNet { params, nics }
-    }
-
-    /// The parameter set.
-    pub fn params(&self) -> &NetParams {
-        &self.params
+        ModeledNet { nics }
     }
 
     /// NIC resource of a rank.
     pub fn nic(&self, rank: usize) -> ResourceId {
         self.nics[rank]
-    }
-
-    /// Number of registered endpoints.
-    pub fn len(&self) -> usize {
-        self.nics.len()
-    }
-
-    /// True when no endpoint is registered.
-    pub fn is_empty(&self) -> bool {
-        self.nics.is_empty()
     }
 }
 
@@ -118,28 +88,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_factor_grows_logarithmically() {
-        assert_eq!(NetParams::tree_factor(1), 1.0);
-        assert!((NetParams::tree_factor(3) - 2.0).abs() < 1e-12);
-        assert!((NetParams::tree_factor(7) - 3.0).abs() < 1e-12);
-        assert!(NetParams::tree_factor(0) >= 1.0);
-    }
-
-    #[test]
-    fn group_scatter_matches_eq8_shape() {
-        let p = NetParams {
-            alpha: 1e-6,
-            beta: 1e-9,
-        };
-        let t = p.group_scatter(10, 3, 500);
-        let expect = 10.0 * 2.0 * (1e-6 + 500.0e-9);
-        assert!((t - expect).abs() < 1e-12);
-    }
-
-    #[test]
     fn receiver_nic_serializes_concurrent_senders() {
         let mut sim = Simulation::new();
-        let net = ModeledNet::register(&mut sim, NetParams::tianhe2_like(), 3);
+        let net = ModeledNet::register(&mut sim, 3);
         // Ranks 0 and 1 send 1s-messages to rank 2 simultaneously.
         for sender in 0..2 {
             let a = sim.add_agent();
@@ -154,7 +105,7 @@ mod tests {
     #[test]
     fn distinct_receivers_in_parallel() {
         let mut sim = Simulation::new();
-        let net = ModeledNet::register(&mut sim, NetParams::tianhe2_like(), 4);
+        let net = ModeledNet::register(&mut sim, 4);
         for receiver in [2usize, 3] {
             let a = sim.add_agent();
             sim.add_task(Task::new(a, Kind::Comm, 1.0).with_resources(vec![net.nic(receiver)]))
@@ -162,8 +113,7 @@ mod tests {
         }
         let rep = sim.run().unwrap();
         assert!((rep.makespan - 1.0).abs() < 1e-9);
-        assert_eq!(net.len(), 4);
-        assert!(!net.is_empty());
+        assert_eq!(net.nics.len(), 4);
     }
 
     #[test]

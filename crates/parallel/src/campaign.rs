@@ -142,7 +142,7 @@ impl CampaignConfig {
     /// resumable: mesh, members, seed, cycle physics, analysis kernel,
     /// inflation, and the executor (a different executor would change the
     /// per-cycle trace digests).
-    pub fn fingerprint(&self, exec: &CampaignExecutor) -> u64 {
+    pub(crate) fn fingerprint(&self, exec: &CampaignExecutor) -> u64 {
         fnv64(
             format!(
                 "{:?}|{}|{}|{:?}|{:?}|{}|{:?}",
@@ -337,7 +337,7 @@ fn experiment_from(cfg: &CampaignConfig, ck: &CampaignCheckpoint) -> CycledExper
 /// `work` is the ensemble work store the executors read from — each cycle
 /// the inflated background is written there before the executor runs.
 /// `ckpt` is the durable checkpoint directory: if it already holds a
-/// checkpoint with a matching [`CampaignConfig::fingerprint`], the
+/// checkpoint with a matching `CampaignConfig::fingerprint`, the
 /// campaign resumes from it; otherwise it starts fresh (and commits the
 /// initial state as cycle 0's recovery line before running anything).
 ///

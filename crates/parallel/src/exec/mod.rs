@@ -18,7 +18,7 @@
 //! The ops are a rank's only source of regions, peers, bundle sizes,
 //! member order and expected-message counts; the resolved fault plan is
 //! `Cycle`'s, shared by every rank: planned crashes, resilient reads,
-//! delayed and dropped sends, receive timeouts and straggler dilation.
+//! dropped sends, receive timeouts and straggler dilation.
 
 /// The executor ladder the frozen `perf/` harness calls, stamped on a
 /// struct beside its `run_adaptive` (whose signature needs the same names
@@ -65,13 +65,13 @@ macro_rules! ladder {
     };
 }
 
-pub mod denkf;
+pub(crate) mod denkf;
 mod interp;
-pub mod lenkf;
-pub mod penkf;
-pub mod senkf;
-pub mod setup;
-pub mod writeback;
+pub(crate) mod lenkf;
+pub(crate) mod penkf;
+pub(crate) mod senkf;
+pub(crate) mod setup;
+pub(crate) mod writeback;
 
 use crate::campaign::CampaignExecutor;
 use crate::program::{check, CycleOp, Emitter, Geometry};
@@ -85,7 +85,7 @@ use enkf_net::{Cluster, RankCtx};
 use enkf_pfs::RegionData;
 use enkf_trace::{RankTracer, Trace};
 use setup::AssimilationSetup;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The payload exchanged between ranks.
 #[derive(Debug, Clone)]
@@ -182,8 +182,8 @@ pub(crate) fn next_msg(
 /// With `FaultConfig::none()` and no monitor this is the plain run. Under
 /// a seeded plan reads retry with backoff, unrecoverable members are
 /// dropped when `cfg.degraded` is set (the cycle completes on the
-/// survivors), stragglers dilate compute, message delays stall sends, and
-/// crashes or message drops switch receives to a timeout that surfaces
+/// survivors), stragglers dilate compute, and crashes or message drops
+/// switch receives to a timeout that surfaces
 /// [`SubstrateError::RecvTimeout`] instead of hanging. With a monitor the
 /// program reads members on blacklisted OSTs last (blocks are placed by
 /// member, so the reorder never reaches the numerics), every read
@@ -339,10 +339,9 @@ impl<'a> Cycle<'a> {
         Ok((analysis, report, trace))
     }
 
-    /// Execute a `Send` op of `bytes` bytes: the plan's message delay
-    /// stalls it, and serialization (`payload`) is charged to the send span
-    /// — mirroring the model's sender-side service — even when the plan
-    /// then drops the message.
+    /// Execute a `Send` op of `bytes` bytes: serialization (`payload`) is
+    /// charged to the send span — mirroring the model's sender-side service
+    /// — even when the plan then drops the message.
     pub(crate) fn send(
         &self,
         tracer: &mut RankTracer,
@@ -352,12 +351,8 @@ impl<'a> Cycle<'a> {
         bytes: u64,
         payload: impl FnOnce() -> Msg,
     ) {
-        let delay = self.injector.send_delay(ctx.rank(), to);
         let dropped = self.injector.message_dropped(ctx.rank(), to);
         tracer.send(stage, to, bytes, || {
-            if delay > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(delay));
-            }
             let msg = payload();
             if !dropped {
                 ctx.send(to, stage.unwrap_or(0) as u64, msg);

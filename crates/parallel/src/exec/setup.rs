@@ -21,7 +21,7 @@ pub struct AssimilationSetup<'a> {
 
 impl<'a> AssimilationSetup<'a> {
     /// The mesh (from the store layout).
-    pub fn mesh(&self) -> Mesh {
+    pub(crate) fn mesh(&self) -> Mesh {
         self.store.layout().mesh()
     }
 

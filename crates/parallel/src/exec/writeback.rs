@@ -16,7 +16,7 @@ use std::time::Instant;
 /// Test failpoint: the next writer thread panics mid-write. The panic must
 /// surface as a typed error from [`parallel_write_back`], never tear down
 /// the caller. Self-clearing.
-pub static FAIL_WRITER_PANIC: AtomicBool = AtomicBool::new(false);
+pub(crate) static FAIL_WRITER_PANIC: AtomicBool = AtomicBool::new(false);
 
 /// Write every member of `analysis` into `store` using `writers` parallel
 /// bar writers. Member files are created (zero-filled) first; each writer

@@ -5,7 +5,7 @@
 //! `op ∈ {Read, Send, Await, Compute}`, emitted once from the geometry —
 //! and two interpreters of it (the co-design described in DESIGN.md):
 //!
-//! * [`exec`] — the **threaded backend** *executes* the program
+//! * `exec` — the **threaded backend** *executes* the program
 //!   ([`run_cycle`]): ranks are OS threads ([`enkf_net::Cluster`]), ensemble
 //!   members are real files ([`enkf_pfs::FileStore`]), block data travels
 //!   over channels. One interpreter runs every variant's program, checked
@@ -46,6 +46,7 @@
 //!   is selectable (dense Cholesky or the iterative Sherman-Morrison of
 //!   arXiv 1302.3876).
 
+#![deny(unreachable_pub)]
 // ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
 // failure correct use can meet — every survivor is justified in place.
 #![cfg_attr(
@@ -53,11 +54,11 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod campaign;
-pub mod exec;
+pub(crate) mod campaign;
+pub(crate) mod exec;
 pub mod model;
 pub mod program;
-pub mod report;
+pub(crate) mod report;
 pub(crate) mod supervisor;
 
 pub use campaign::{
@@ -79,5 +80,5 @@ pub use model::lenkf::{model_lenkf, model_lenkf_traced};
 pub use model::penkf::{model_penkf, model_penkf_traced};
 pub use model::senkf::{model_senkf, model_senkf_traced, SEnkfModelOptions};
 pub use model::{model_cycle, ModelConfig, ModelOutcome};
-pub use program::{CycleOp, Emitter, Geometry, ModelVariant, Payload, Update};
+pub use program::{CycleOp, Emitter, Geometry, ModelVariant};
 pub use report::{ExecutionReport, PhaseBreakdown};

@@ -1,11 +1,11 @@
 //! Modeled (discrete-event) executors for paper-scale experiments.
 
-pub mod campaign;
-pub mod denkf;
-pub mod lenkf;
-pub mod penkf;
+pub(crate) mod campaign;
+pub(crate) mod denkf;
+pub(crate) mod lenkf;
+pub(crate) mod penkf;
 pub mod reading;
-pub mod senkf;
+pub(crate) mod senkf;
 
 use crate::exec::{compute_dilation, resolve_dropout};
 use crate::program::{CycleOp, Emitter, Geometry, ModelVariant};
@@ -94,7 +94,7 @@ fn model_traced(cfg: &ModelConfig, variant: ModelVariant) -> Result<(ModelOutcom
 /// * `Read` — the retry/speculation weave of [`ModeledPfs::add_member_read`],
 ///   charged the layout's seeks and bytes for the region;
 /// * `Send` — one `Comm` task on the sender holding the receiver's NIC for
-///   `a + b·bytes` plus any injected delay (a plan that drops messages is
+///   `a + b·bytes` (a plan that drops messages is
 ///   refused here: the receiver would time out);
 /// * `Await` — moves the collected sends to the rank's next `Compute` as
 ///   dependencies (receivers' blocked waits surface as DES wait time, not
@@ -160,7 +160,7 @@ fn price_in(
     let drops_messages = fcfg.plan.msg_faults.iter().any(|m| m.dropped);
 
     let pfs = ModeledPfs::register(sim, cfg.pfs);
-    let net = ModeledNet::register(sim, cfg.net, c2);
+    let net = ModeledNet::register(sim, c2);
     let agents = sim.add_agents(c2 + c1);
     // One mailbox per (compute rank, stage).
     let layers = program.layers();
@@ -206,7 +206,7 @@ fn price_in(
                     return Err("the modeled run cannot complete: the plan drops a message".into());
                 }
                 let bytes = payload.bytes(&layout);
-                let service = cfg.net.p2p(bytes) + injector.send_delay(rank, to);
+                let service = cfg.net.p2p(bytes);
                 let send = Task::new(agent, Kind::Comm, service)
                     .with_resources(vec![net.nic(to)])
                     .with_op(OpTag {
@@ -370,11 +370,6 @@ pub struct ModelOutcome {
 }
 
 impl ModelOutcome {
-    /// Total processors used.
-    pub fn total_ranks(&self) -> usize {
-        self.num_compute_ranks + self.num_io_ranks
-    }
-
     /// The fraction of the runtime during which data obtaining (reads,
     /// communication, and the I/O side's waiting) is hidden behind local
     /// computation — Figure 11's overlapped-time share. Only the first

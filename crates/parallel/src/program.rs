@@ -191,7 +191,7 @@ pub enum CycleOp {
 impl CycleOp {
     /// The op's multi-stage index.
     #[inline]
-    pub fn stage(&self) -> Option<usize> {
+    pub(crate) fn stage(&self) -> Option<usize> {
         match *self {
             CycleOp::Read { stage, .. }
             | CycleOp::Send { stage, .. }

@@ -107,7 +107,7 @@ impl<'a> Supervisor<'a> {
     /// under `fault`, restarting per `restart`. `resumed` is the durable
     /// state found on disk — `(cycle, live members, digests so far)` — or
     /// `None` on a fresh start.
-    pub fn new(
+    pub(crate) fn new(
         cycles: usize,
         members0: usize,
         restart: RetryPolicy,
@@ -139,13 +139,13 @@ impl<'a> Supervisor<'a> {
     }
 
     /// The members lost so far, by original index.
-    pub fn lost(&self) -> &[usize] {
+    pub(crate) fn lost(&self) -> &[usize] {
         let gone = self.members0.saturating_sub(self.alive);
         &self.doomed[..gone.min(self.doomed.len())]
     }
 
     /// The error of a campaign that answered [`Action::GiveUp`].
-    pub fn gave_up(&self) -> CampaignError {
+    pub(crate) fn gave_up(&self) -> CampaignError {
         CampaignError::RestartBudgetExhausted {
             cycle: self.cycle,
             attempts: self.attempt + 1,
@@ -155,7 +155,7 @@ impl<'a> Supervisor<'a> {
 
     /// The attempt completed, `dropped` members short of what it started
     /// with; `digest` hashes its trace.
-    pub fn completed(&mut self, digest: u64, dropped: usize) {
+    pub(crate) fn completed(&mut self, digest: u64, dropped: usize) {
         self.digests.push(digest);
         if let Some(mon) = self.monitor.as_deref_mut() {
             // Cycle boundary: fold the cycle's observations and refreeze
@@ -169,7 +169,7 @@ impl<'a> Supervisor<'a> {
     }
 
     /// The attempt died of a substrate failure.
-    pub fn failed(&mut self, error: SubstrateError) {
+    pub(crate) fn failed(&mut self, error: SubstrateError) {
         if let Some(mon) = self.monitor.as_deref() {
             // The re-run re-observes the whole cycle: detection stays a
             // pure function of completed cycles.
@@ -196,7 +196,7 @@ impl<'a> Supervisor<'a> {
 
     /// The durable state found is the start of `cycle`, `alive` members
     /// strong.
-    pub fn restored(&mut self, cycle: usize, alive: usize) {
+    pub(crate) fn restored(&mut self, cycle: usize, alive: usize) {
         self.recoveries.push(RecoveryEvent {
             cycle: self.cycle,
             attempt: self.attempt,
@@ -211,7 +211,7 @@ impl<'a> Supervisor<'a> {
 
     /// The next action, given everything reported so far. `Finish` and
     /// `GiveUp` are final: every later call returns them again.
-    pub fn next(&mut self) -> Action {
+    pub(crate) fn next(&mut self) -> Action {
         if self.queue.is_empty() && self.cycle < self.cycles {
             let replaced = u32::from(self.cycle < self.frontier);
             self.frontier = self.frontier.max(self.cycle + 1);

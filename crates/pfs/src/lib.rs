@@ -9,15 +9,16 @@
 //! This crate provides both halves of the substitution described in
 //! DESIGN.md:
 //!
-//! * [`store`] — a **real backend**: ensemble members as actual files in a
+//! * `store` — a **real backend**: ensemble members as actual files in a
 //!   directory, with region reads that issue exactly the seeks the layout
 //!   predicts and an accounting of seeks/bytes. Used by the real (threaded)
 //!   executor and by correctness tests.
-//! * [`model`] — a **modeled backend**: OSTs as finite-capacity DES
+//! * `model` — a **modeled backend**: OSTs as finite-capacity DES
 //!   resources plus the seek/transfer service-time function. Used by the
 //!   12,000-core experiments.
-//! * [`scratch`] — self-cleaning scratch directories for tests and examples.
+//! * `scratch` — self-cleaning scratch directories for tests and examples.
 
+#![deny(unreachable_pub)]
 // ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
 // failure correct use can meet — every survivor is justified in place.
 #![cfg_attr(
@@ -25,14 +26,14 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod model;
-pub mod readahead;
+pub(crate) mod model;
+pub(crate) mod readahead;
 pub mod resilient;
-pub mod scratch;
-pub mod store;
+pub(crate) mod scratch;
+pub(crate) mod store;
 
 pub use model::{ModeledPfs, PfsParams};
 pub use readahead::{read_stages_ahead, read_stages_ahead_adaptive, ReadAheadError, StageRead};
 pub use resilient::{read_region_adaptive, read_region_resilient};
 pub use scratch::ScratchDir;
-pub use store::{BufferPool, FileStore, IoStats, RegionData};
+pub use store::{FileStore, IoStats, RegionData};

@@ -43,11 +43,6 @@ impl PfsParams {
         seeks as f64 * self.seek_time + bytes as f64 * self.byte_time
     }
 
-    /// Aggregate file-system bandwidth when every OST is saturated, bytes/s.
-    pub fn aggregate_bandwidth(&self) -> f64 {
-        (self.num_osts * self.streams_per_ost) as f64 / self.byte_time
-    }
-
     /// The substrate one fair-share slice of this file system presents: the
     /// same OSTs, seek cost and stream structure, but each stream delivers
     /// `share` of its bandwidth (`byte_time / share`). This is how the
@@ -84,11 +79,6 @@ impl ModeledPfs {
             .map(|_| sim.add_resource(params.streams_per_ost))
             .collect();
         ModeledPfs { params, osts }
-    }
-
-    /// The parameter set.
-    pub fn params(&self) -> &PfsParams {
-        &self.params
     }
 
     /// OST hosting ensemble-member file `k`: round-robin placement, the
@@ -190,16 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_bandwidth() {
-        let p = PfsParams::tianhe2_like();
-        assert!((p.aggregate_bandwidth() - 24.0 * 300.0e6).abs() < 1.0);
-    }
-
-    #[test]
     fn bandwidth_share_scales_transfer_not_seeks() {
         let p = PfsParams::tianhe2_like();
         let half = p.with_bandwidth_share(0.5);
-        assert!((half.aggregate_bandwidth() - p.aggregate_bandwidth() / 2.0).abs() < 1.0);
+        assert!((half.byte_time - 2.0 * p.byte_time).abs() < 1e-24);
         assert_eq!(half.seek_time, p.seek_time);
         assert_eq!(half.num_osts, p.num_osts);
         // A full share is the identity.

@@ -34,7 +34,7 @@ use std::sync::mpsc::sync_channel;
 /// the pipelined read path. Test-only by convention; one relaxed load per
 /// plan when unset.
 #[doc(hidden)]
-pub static FAIL_READER_PANIC: AtomicBool = AtomicBool::new(false);
+pub(crate) static FAIL_READER_PANIC: AtomicBool = AtomicBool::new(false);
 
 /// One stage of a read plan: which members' copies of which region to read.
 #[derive(Debug, Clone)]

@@ -116,7 +116,7 @@ impl RegionData {
 
     /// Grid points covered.
     #[inline]
-    pub fn npoints(&self) -> usize {
+    pub(crate) fn npoints(&self) -> usize {
         self.region.npoints()
     }
 
@@ -434,7 +434,7 @@ impl FileStore {
     /// will add to [`FileStore::stats`], and exactly what the DES model
     /// charges for the same region. Used to label execution-trace spans so
     /// the real and modeled paths account operations identically.
-    pub fn op_cost(&self, region: &RegionRect) -> (u64, u64) {
+    pub(crate) fn op_cost(&self, region: &RegionRect) -> (u64, u64) {
         (
             self.layout.seek_count(region) as u64,
             self.layout.region_bytes(region),

@@ -304,7 +304,7 @@ mod tests {
             let mut arrivals = Vec::new();
             for (i, (weight, max_running, jobs)) in genes.iter().enumerate() {
                 let quota = Quota { max_running: *max_running, ..Quota::default() };
-                let tenant = TenantSpec::new(i as u32, *weight as f64).with_quota(quota);
+                let tenant = TenantSpec { quota, ..TenantSpec::new(i as u32, *weight as f64) };
                 for &(nsdx, nsdy, cycles, bw, slot) in jobs {
                     let job = spec(nsdx, nsdy, cycles, bw as f64 / 10.0);
                     arrivals.push((slot as f64, tenant.id, job));

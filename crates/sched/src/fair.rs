@@ -28,7 +28,7 @@ pub struct Demand {
 /// Returns one allocation per claimant, in input order, with
 /// `alloc[i] ≤ demands[i].demand`, `Σ alloc ≤ capacity`, and
 /// `alloc[i] ≥ min(demand_i, capacity · w_i / Σw)` — the min-share floor.
-pub fn weighted_max_min(capacity: f64, demands: &[Demand]) -> Vec<f64> {
+pub(crate) fn weighted_max_min(capacity: f64, demands: &[Demand]) -> Vec<f64> {
     assert!(capacity >= 0.0, "capacity must be non-negative");
     for d in demands {
         assert!(
@@ -103,7 +103,7 @@ pub fn min_share_floor(capacity: f64, demands: &[Demand], i: usize) -> f64 {
 /// weighted max-min on the continuous relaxation, floored, with leftover
 /// units granted by largest fractional remainder (ties broken by lower
 /// index — deterministic).
-pub fn rank_shares(capacity: usize, demands: &[Demand]) -> Vec<usize> {
+pub(crate) fn rank_shares(capacity: usize, demands: &[Demand]) -> Vec<usize> {
     let real = weighted_max_min(capacity as f64, demands);
     let mut grant: Vec<usize> = real.iter().map(|a| a.floor() as usize).collect();
     let mut leftover = capacity.saturating_sub(grant.iter().sum::<usize>());

@@ -2,8 +2,8 @@
 
 use enkf_fault::FaultConfig;
 use enkf_parallel::{
-    model_campaign, CampaignConfig, CampaignExecutor, CampaignModelPlan, CkptMode, ModelConfig,
-    ModelVariant,
+    model_campaign_adaptive, CampaignConfig, CampaignExecutor, CampaignModelPlan, CkptMode,
+    ModelConfig, ModelVariant,
 };
 use std::collections::BTreeMap;
 
@@ -146,7 +146,8 @@ impl DesPlanner {
                 pipelined: spec.ckpt_mode == CkptMode::Pipelined,
                 restart: spec.campaign.restart,
             };
-            let modeled = model_campaign(&shared, &model.variant, &plan, &FaultConfig::none());
+            let modeled =
+                model_campaign_adaptive(&shared, &model.variant, &plan, &FaultConfig::none(), None);
             modeled.map_or(f64::NAN, |(out, _trace)| out.makespan)
         };
         // The steady-state step is the 2-cycle/1-cycle makespan difference

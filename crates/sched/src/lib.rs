@@ -11,14 +11,14 @@
 //!   and rate limits (minimum submit gap), every rejection typed
 //!   ([`SubmitError`]);
 //! * **weighted max-min fair-share** of the two contended resources
-//!   ([`fair`]): OST bandwidth (continuous shares, rebalanced at cycle
+//!   (`fair`): OST bandwidth (continuous shares, rebalanced at cycle
 //!   boundaries) and compute ranks (integer grants). Shares are threaded
 //!   through the substrate — a campaign granted 25% of the machine is
 //!   re-modeled against `PfsParams::with_bandwidth_share(0.25)` /
 //!   `NetParams::with_bandwidth_share(0.25)`, so contention reshapes the
 //!   DES (overlap, queueing) instead of scaling a number after the fact;
 //! * a **capacity-planning front end** ([`DesPlanner`]): the discrete-event
-//!   model (`enkf_parallel::model_campaign`) doubles as an SLA oracle.
+//!   model (`enkf_parallel::model_campaign_adaptive`) doubles as an SLA oracle.
 //!   A job whose deadline cannot be met even alone on the machine is
 //!   rejected at submit; a job whose admission would push any running
 //!   campaign's guaranteed-floor prediction past its deadline waits in the
@@ -28,7 +28,7 @@
 //!   bit-identical across reruns of the same seed — the property the
 //!   conformance and property suites pin.
 //!
-//! One dispatch loop ([`des`]) drives the scheduler core in virtual time:
+//! One dispatch loop (`des`) drives the scheduler core in virtual time:
 //! arrivals, cycle boundaries priced by the planner at the current share,
 //! rebalances, dispatches, completions. It reports each dispatch and each
 //! final completion to its caller and reads nothing back. Two entry points
@@ -45,6 +45,7 @@
 //!   digests to the same campaign run alone
 //!   (`tests/scheduler_conformance.rs`).
 
+#![deny(unreachable_pub)]
 // Outside tests nothing in this crate may panic on a failure correct use
 // can meet: a malformed submit is a typed `SubmitError`.
 #![cfg_attr(
@@ -52,18 +53,16 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod des;
-pub mod fair;
-pub mod job;
-pub mod real;
-pub mod scheduler;
-pub mod tenant;
+pub(crate) mod des;
+pub(crate) mod fair;
+pub(crate) mod job;
+pub(crate) mod real;
+pub(crate) mod scheduler;
+pub(crate) mod tenant;
 
-pub use des::{simulate, JobRecord, MixOutcome};
-pub use fair::{min_share_floor, rank_shares, weighted_max_min, Demand};
+pub use des::{simulate, MixOutcome};
+pub use fair::{min_share_floor, Demand};
 pub use job::{DesPlanner, JobId, JobModel, JobSpec, Planner, StepCost};
 pub use real::run_real;
-pub use scheduler::{
-    ClusterCapacity, JobState, SchedConfig, Scheduler, ShareCheck, SharePolicy, SubmitError,
-};
+pub use scheduler::{ClusterCapacity, SchedConfig, Scheduler, SharePolicy, SubmitError};
 pub use tenant::{Quota, TenantId, TenantSpec};

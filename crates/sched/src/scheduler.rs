@@ -237,7 +237,7 @@ impl<P: Planner> Scheduler<P> {
     }
 
     /// Queued job ids in submit order.
-    pub fn queued(&self) -> &[JobId] {
+    pub(crate) fn queued(&self) -> &[JobId] {
         &self.queue
     }
 
@@ -247,7 +247,7 @@ impl<P: Planner> Scheduler<P> {
     }
 
     /// Share snapshots taken at every rebalance (fairness audit trail).
-    pub fn share_checks(&self) -> &[ShareCheck] {
+    pub(crate) fn share_checks(&self) -> &[ShareCheck] {
         &self.share_checks
     }
 
@@ -389,7 +389,7 @@ impl<P: Planner> Scheduler<P> {
 
     /// Recompute every running job's share (membership changed or a cycle
     /// boundary passed) and snapshot the result for the fairness audit.
-    pub fn rebalance(&mut self, now: f64) {
+    pub(crate) fn rebalance(&mut self, now: f64) {
         let running = self.running.clone();
         let shares = self.shares_of(&running);
         let demands = self.bw_demands(&running);
@@ -535,7 +535,7 @@ impl<P: Planner> Scheduler<P> {
     /// Price the next cycle of running job `id` at its current share
     /// (includes the dispatch-time initialization cost on the first call
     /// after dispatch).
-    pub fn price_step(&mut self, id: JobId) -> StepCost {
+    pub(crate) fn price_step(&mut self, id: JobId) -> StepCost {
         let st = &self.jobs[&id];
         self.planner
             .step(id, &st.spec, st.share.max(f64::MIN_POSITIVE))
@@ -543,7 +543,7 @@ impl<P: Planner> Scheduler<P> {
 
     /// Record that `id` ran one cycle of `dur` virtual seconds under its
     /// current share.
-    pub fn finish_cycle(&mut self, id: JobId, dur: f64) {
+    pub(crate) fn finish_cycle(&mut self, id: JobId, dur: f64) {
         let Some(st) = self.jobs.get_mut(&id) else {
             return;
         };
@@ -554,7 +554,7 @@ impl<P: Planner> Scheduler<P> {
     }
 
     /// Remove a completed job from the running set and rebalance.
-    pub fn finish_job(&mut self, id: JobId, now: f64) {
+    pub(crate) fn finish_job(&mut self, id: JobId, now: f64) {
         self.running.retain(|r| *r != id);
         self.rebalance(now);
     }

@@ -62,12 +62,6 @@ impl TenantSpec {
             quota: Quota::default(),
         }
     }
-
-    /// Replace the quota.
-    pub fn with_quota(mut self, quota: Quota) -> Self {
-        self.quota = quota;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -75,12 +69,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_sets_fields() {
-        let t = TenantSpec::new(3, 2.5).with_quota(Quota {
-            max_running: 1,
-            max_queued: 2,
-            min_submit_gap: 0.5,
-        });
+    fn new_sets_fields() {
+        let t = TenantSpec::new(3, 2.5);
+        assert_eq!(t.id, TenantId(3));
+        assert_eq!(t.weight, 2.5);
+        assert_eq!(t.quota, Quota::default());
+        let t = TenantSpec {
+            quota: Quota {
+                max_running: 1,
+                max_queued: 2,
+                min_submit_gap: 0.5,
+            },
+            ..t
+        };
         assert_eq!(t.id, TenantId(3));
         assert_eq!(t.weight, 2.5);
         assert_eq!(t.quota.max_running, 1);

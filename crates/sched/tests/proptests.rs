@@ -27,7 +27,8 @@ mod s_enkf_sched_proptest_deps {
     pub use enkf_fault::RetryPolicy;
     pub use enkf_grid::{LocalizationRadius, Mesh};
     pub use enkf_parallel::{
-        model_campaign, CampaignConfig, CampaignExecutor, CampaignModelPlan, CkptMode, ModelConfig,
+        model_campaign_adaptive, CampaignConfig, CampaignExecutor, CampaignModelPlan, CkptMode,
+        ModelConfig,
     };
     pub use enkf_sched::{
         min_share_floor, simulate, ClusterCapacity, Demand, DesPlanner, JobId, JobModel, JobSpec,
@@ -189,8 +190,14 @@ fn des_planner_differencing_prices_both_commit_modes_exactly() {
                 pipelined,
                 restart: spec.campaign.restart,
             };
-            let (out, _) =
-                model_campaign(&model.cfg, &model.variant, &plan, &FaultConfig::none()).unwrap();
+            let (out, _) = model_campaign_adaptive(
+                &model.cfg,
+                &model.variant,
+                &plan,
+                &FaultConfig::none(),
+                None,
+            )
+            .unwrap();
             let predicted = step.init + cycles as f64 * step.cycle;
             assert!(
                 (out.makespan - predicted).abs() < 1e-9,

@@ -47,6 +47,7 @@
 //! dependency stalls plus resource queueing) is the wait spans; and
 //! real-vs-modeled operation structure compares digest-for-digest.
 
+#![deny(unreachable_pub)]
 // ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
 // failure correct use can meet — every survivor is justified in place.
 #![cfg_attr(
@@ -55,8 +56,8 @@
 )]
 
 pub mod engine;
-pub mod report;
-pub mod task;
+pub(crate) mod report;
+pub(crate) mod task;
 
 pub use engine::Simulation;
 pub use report::SimReport;

@@ -31,6 +31,7 @@
 //! [`Trace::write_chrome_json`] exports Chrome-trace (`chrome://tracing`,
 //! Perfetto) JSON, one lane per rank.
 
+#![deny(unreachable_pub)]
 // ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
 // failure correct use can meet — every survivor is justified in place.
 #![cfg_attr(
@@ -56,7 +57,7 @@ pub enum Role {
 
 impl Role {
     /// Lower-case label used in digests and Chrome-trace args.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Role::Compute => "compute",
             Role::Io => "io",
@@ -133,7 +134,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Lower-case label used in digests and Chrome-trace args.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FaultKind::Injected => "injected",
             FaultKind::Backoff => "backoff",
@@ -268,7 +269,7 @@ impl PhaseBreakdown {
     }
 
     /// Accumulate one span's duration into the matching slot.
-    pub fn add(&mut self, span: &Span) {
+    pub(crate) fn add(&mut self, span: &Span) {
         match span.op {
             // Checkpoint writes and restore reads are file I/O in the
             // paper's four-phase accounting, like `Write`.
@@ -302,17 +303,6 @@ impl PhaseBreakdown {
             compute: self.compute * factor,
             wait: self.wait * factor,
             fault: self.fault * factor,
-        }
-    }
-
-    /// Fraction of the total spent reading (Figure 1's I/O share, with
-    /// `comm` counted toward I/O).
-    pub fn io_fraction(&self) -> f64 {
-        let t = self.total();
-        if t == 0.0 {
-            0.0
-        } else {
-            (self.read + self.comm) / t
         }
     }
 }
@@ -356,18 +346,6 @@ pub struct CkptOverlap {
     pub hidden: f64,
     /// Seconds during which the checkpoint write was the only work.
     pub exposed: f64,
-}
-
-impl CkptOverlap {
-    /// Fraction of checkpoint time hidden behind other work (0 when no
-    /// checkpoint spans were recorded).
-    pub fn hidden_fraction(&self) -> f64 {
-        if self.total > 0.0 {
-            self.hidden / self.total
-        } else {
-            0.0
-        }
-    }
 }
 
 /// A completed execution's spans, with a label naming the run.
@@ -745,25 +723,6 @@ impl RankTracer {
         out
     }
 
-    /// Time a file write.
-    pub fn write<T>(
-        &mut self,
-        stage: Option<usize>,
-        member: Option<usize>,
-        bytes: u64,
-        seeks: u64,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let tag = OpTag {
-            stage,
-            bytes,
-            seeks,
-            member,
-            ..OpTag::default()
-        };
-        self.record(Op::Write, tag, f)
-    }
-
     /// Time a message transmission of `bytes` bytes to `peer`.
     pub fn send<T>(
         &mut self,
@@ -933,19 +892,6 @@ mod tests {
         assert_eq!(a.total(), 12.25);
         assert_eq!(a.read, 1.5);
         assert_eq!(a.fault, 0.25);
-    }
-
-    #[test]
-    fn io_fraction() {
-        let p = PhaseBreakdown {
-            read: 3.0,
-            comm: 1.0,
-            compute: 4.0,
-            wait: 0.0,
-            fault: 0.0,
-        };
-        assert!((p.io_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(PhaseBreakdown::default().io_fraction(), 0.0);
     }
 
     #[test]
@@ -1137,7 +1083,6 @@ mod tests {
         assert!((o.total - 6.0).abs() < 1e-12);
         assert!((o.hidden - 4.0).abs() < 1e-12, "hidden {}", o.hidden);
         assert!((o.exposed - 2.0).abs() < 1e-12, "exposed {}", o.exposed);
-        assert!((o.hidden_fraction() - 4.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1151,10 +1096,9 @@ mod tests {
         let o = t.ckpt_overlap();
         assert!((o.exposed - 2.0).abs() < 1e-12);
         assert_eq!(o.hidden, 0.0);
-        // Empty trace: all-zero split, no NaN from the fraction.
+        // Empty trace: all-zero split.
         let empty = Trace::new("none").ckpt_overlap();
         assert_eq!(empty, CkptOverlap::default());
-        assert_eq!(empty.hidden_fraction(), 0.0);
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl Workload {
     pub fn n(&self) -> usize {
         self.nx * self.ny
     }
-
-    /// Bytes of one background ensemble member file.
-    pub fn file_bytes(&self) -> u64 {
-        self.n() as u64 * self.h
-    }
 }
 
 /// The machine-side rows of Table 1.
@@ -210,7 +205,7 @@ mod tests {
         let w = Workload::paper_ocean();
         assert_eq!(w.n(), 6_480_000);
         // ~1.55 GB per member, ~186 GB for the 120-member ensemble.
-        assert_eq!(w.file_bytes(), 1_555_200_000);
+        assert_eq!(w.n() as u64 * w.h, 1_555_200_000);
     }
 
     #[test]

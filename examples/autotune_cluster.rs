@@ -6,8 +6,8 @@
 //! cargo run --release --example autotune_cluster
 //! ```
 
-use s_enkf::parallel::model::senkf::model_senkf;
-use s_enkf::parallel::ModelConfig;
+use s_enkf::fault::FaultConfig;
+use s_enkf::parallel::{model_cycle, ModelConfig, ModelVariant, SEnkfModelOptions};
 use s_enkf::tuning::{algorithm1, autotune, economic_choice, min_t1_curve};
 
 fn main() {
@@ -47,7 +47,14 @@ fn main() {
     );
 
     // Step 4: cross-check on the discrete-event cluster model.
-    let outcome = model_senkf(&cfg, tuned.params).expect("DES run");
+    let (outcome, _) = model_cycle(
+        &cfg,
+        &ModelVariant::SEnkf(tuned.params),
+        SEnkfModelOptions::default(),
+        &FaultConfig::none(),
+        None,
+    )
+    .expect("DES run");
     println!(
         "DES check: makespan {:.3}s, exposed first stage {:.3}s, overlapped {:.1}%",
         outcome.makespan,

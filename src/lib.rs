@@ -59,6 +59,8 @@
 //! assert!(after < before, "assimilation must reduce error");
 //! ```
 
+#![deny(unreachable_pub)]
+
 pub use enkf_ckpt as ckpt;
 pub use enkf_core as core;
 pub use enkf_data as data;
@@ -96,9 +98,8 @@ pub mod prelude {
     pub use enkf_linalg::Matrix;
     pub use enkf_net::NetParams;
     pub use enkf_parallel::{
-        model_campaign, model_campaign_adaptive, model_cycle, model_penkf_traced,
-        model_senkf_traced, parallel_write_back, run_campaign, run_campaign_ctx, run_cycle,
-        AssimilationSetup, CampaignConfig, CampaignCtx, CampaignError, CampaignExecutor,
+        model_campaign_adaptive, model_cycle, parallel_write_back, run_campaign, run_campaign_ctx,
+        run_cycle, AssimilationSetup, CampaignConfig, CampaignCtx, CampaignError, CampaignExecutor,
         CampaignModelOutcome, CampaignModelPlan, CampaignReport, DEnkf, ExecutionReport, LEnkf,
         ModelConfig, ModelOutcome, ModelVariant, PEnkf, PhaseBreakdown, RecoveryEvent, SEnkf,
     };

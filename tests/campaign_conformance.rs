@@ -25,9 +25,9 @@ use s_enkf::ckpt::CheckpointStore;
 use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy};
 use s_enkf::grid::{FileLayout, Mesh};
 use s_enkf::parallel::{
-    model_campaign, run_campaign, run_campaign_ctx, BackoffClock, CampaignConfig, CampaignCtx,
-    CampaignError, CampaignExecutor, CampaignModelPlan, CampaignReport, CkptMode, ModelConfig,
-    ModelVariant,
+    model_campaign_adaptive, run_campaign, run_campaign_ctx, BackoffClock, CampaignConfig,
+    CampaignCtx, CampaignError, CampaignExecutor, CampaignModelPlan, CampaignReport, CkptMode,
+    ModelConfig, ModelVariant,
 };
 use s_enkf::pfs::{FileStore, ScratchDir};
 use std::io::ErrorKind;
@@ -472,7 +472,8 @@ fn real_and_modeled_campaigns_conform_on_empty_plan() {
                 mode,
             );
             let (_out, model_trace) =
-                model_campaign(&model_cfg(), &variant, &plan, &FaultConfig::none()).unwrap();
+                model_campaign_adaptive(&model_cfg(), &variant, &plan, &FaultConfig::none(), None)
+                    .unwrap();
             assert_eq!(
                 real.trace.digest(),
                 model_trace.digest(),
@@ -501,8 +502,10 @@ fn model_checkpointing_bounds_crash_loss() {
         checkpoint: false,
         ..with
     };
-    let (out_with, _) = model_campaign(&model_cfg(), &variant, &with, &fault).unwrap();
-    let (out_without, _) = model_campaign(&model_cfg(), &variant, &without, &fault).unwrap();
+    let (out_with, _) =
+        model_campaign_adaptive(&model_cfg(), &variant, &with, &fault, None).unwrap();
+    let (out_without, _) =
+        model_campaign_adaptive(&model_cfg(), &variant, &without, &fault, None).unwrap();
     assert_eq!(out_with.restarts, 1);
     assert_eq!(out_without.restarts, 1);
     assert!(
@@ -514,8 +517,10 @@ fn model_checkpointing_bounds_crash_loss() {
     // And a fault-free campaign without checkpoints is cheaper — the
     // checkpoint overhead itself is visible in the makespan.
     let none = FaultConfig::none();
-    let (clean_with, _) = model_campaign(&model_cfg(), &variant, &with, &none).unwrap();
-    let (clean_without, _) = model_campaign(&model_cfg(), &variant, &without, &none).unwrap();
+    let (clean_with, _) =
+        model_campaign_adaptive(&model_cfg(), &variant, &with, &none, None).unwrap();
+    let (clean_without, _) =
+        model_campaign_adaptive(&model_cfg(), &variant, &without, &none, None).unwrap();
     assert!(clean_without.makespan < clean_with.makespan);
     let expected = clean_without.makespan + (CYCLES + 1) as f64 * clean_with.checkpoint_time;
     assert!(
@@ -551,8 +556,8 @@ fn model_pipelined_overlap_cuts_exposed_checkpoint_time() {
         ..sync
     };
     let none = FaultConfig::none();
-    let (s, _) = model_campaign(&model_cfg(), &variant, &sync, &none).unwrap();
-    let (p, p_trace) = model_campaign(&model_cfg(), &variant, &pipe, &none).unwrap();
+    let (s, _) = model_campaign_adaptive(&model_cfg(), &variant, &sync, &none, None).unwrap();
+    let (p, p_trace) = model_campaign_adaptive(&model_cfg(), &variant, &pipe, &none, None).unwrap();
 
     assert!(
         p.makespan < s.makespan,
@@ -579,7 +584,7 @@ fn model_pipelined_overlap_cuts_exposed_checkpoint_time() {
     let overlap = p_trace.ckpt_overlap();
     assert!((overlap.total - sweeps).abs() < 1e-9);
     assert!(overlap.hidden > 0.0);
-    let (_, s_trace) = model_campaign(&model_cfg(), &variant, &sync, &none).unwrap();
+    let (_, s_trace) = model_campaign_adaptive(&model_cfg(), &variant, &sync, &none, None).unwrap();
     let s_overlap = s_trace.ckpt_overlap();
     assert!(
         s_overlap.hidden.abs() < 1e-9,
@@ -592,8 +597,8 @@ fn model_pipelined_overlap_cuts_exposed_checkpoint_time() {
     let mut fault = FaultConfig::none();
     fault.plan = FaultPlan::new(1).with_crash_at_cycle(0, CYCLES - 1, 0);
     fault.recv_timeout = 0.3;
-    let (sc, _) = model_campaign(&model_cfg(), &variant, &sync, &fault).unwrap();
-    let (pc, _) = model_campaign(&model_cfg(), &variant, &pipe, &fault).unwrap();
+    let (sc, _) = model_campaign_adaptive(&model_cfg(), &variant, &sync, &fault, None).unwrap();
+    let (pc, _) = model_campaign_adaptive(&model_cfg(), &variant, &pipe, &fault, None).unwrap();
     assert_eq!(pc.restarts, 1);
     assert!(
         pc.lost_time <= sc.lost_time + pc.checkpoint_time + 1e-9,
@@ -664,7 +669,8 @@ fn real_and_modeled_campaigns_follow_one_supervisor() {
                     ..CampaignCtx::default()
                 };
                 let real = run_campaign_ctx(&work, &ckpt, &exec, &cfg, fault, &ctx);
-                let model = model_campaign(&model_cfg(), &exec.variant(), &plan, fault);
+                let model =
+                    model_campaign_adaptive(&model_cfg(), &exec.variant(), &plan, fault, None);
                 match (real, model, recoveries) {
                     (Ok(real), Ok((model, model_trace)), Some(n)) => {
                         assert_eq!(real.recoveries.len(), *n, "{tag}");

@@ -12,12 +12,16 @@
 //!    cycle.
 //! 3. **Round-trip exactness**: a save → load cycle reproduces every
 //!    field bit-exactly (f64 payloads included).
+//! 4. **Parsers past the checksum**: a header word or manifest value
+//!    rewritten with its checksums recomputed is still a typed
+//!    `CorruptManifest` with fallback — never a panic or an allocation
+//!    sized by the file — unless it wrote the value already there.
 
 mod common;
 
 use common::harness_labeled;
 use proptest::prelude::*;
-use s_enkf::ckpt::{CampaignCheckpoint, CheckpointStore, CkptError};
+use s_enkf::ckpt::{fnv64, CampaignCheckpoint, CheckpointStore, CkptError};
 use s_enkf::core::Ensemble;
 use s_enkf::data::CycleStats;
 use s_enkf::grid::Mesh;
@@ -185,6 +189,105 @@ proptest! {
         }
         let (back, _) = store.load_latest(FP, None).unwrap().unwrap();
         prop_assert_eq!(back.cycle, 1);
+    }
+}
+
+/// Rewrite cycle 2's manifest lines through `edit` and recompute its
+/// trailing `crc=` line.
+fn reseal_manifest(store: &CheckpointStore, edit: impl Fn(&str) -> String) {
+    let path = store.cycle_dir(2).join("MANIFEST.txt");
+    let text = fs::read_to_string(&path).unwrap();
+    let mut body = String::new();
+    for line in text.lines().filter(|l| !l.starts_with("crc=")) {
+        body.push_str(&edit(line));
+        body.push('\n');
+    }
+    body.push_str(&format!("crc={:016x}\n", fnv64(body.as_bytes())));
+    fs::write(&path, body).unwrap();
+}
+
+/// `line` with the value of manifest key `key` replaced by `value` (`nx`
+/// and `ny` share one line).
+fn with_manifest_value(line: &str, key: &str, value: u64) -> String {
+    if let Some((nx, ny)) = line.strip_prefix("nx=").and_then(|l| l.split_once(" ny=")) {
+        return match key {
+            "nx" => format!("nx={value} ny={ny}"),
+            "ny" => format!("nx={nx} ny={value}"),
+            _ => line.to_string(),
+        };
+    }
+    match line.split_once('=') {
+        Some((k, _)) if k == key => format!("{key}={value}"),
+        _ => line.to_string(),
+    }
+}
+
+/// The manifest keys the parser proptest rewrites, with cycle 2's values.
+const MANIFEST_VALUES: [(&str, u64); 5] = [
+    ("cycle", 2),
+    ("members0", MEMBERS as u64),
+    ("members", MEMBERS as u64),
+    ("nx", 10),
+    ("ny", 6),
+];
+
+/// Cycle 2's four aux header words: field size, `members0`, statistics
+/// and digests count.
+const AUX_WORDS: [u64; 4] = [60, MEMBERS as u64, 2, 2];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One aux header word or one manifest value of cycle 2 is rewritten
+    /// and both checksums are recomputed, so the parsers see the edit.
+    /// `load_latest` never panics or aborts: it returns cycle 1 with cycle
+    /// 2's `CorruptManifest` skipped, or cycle 2 bit-exactly when the edit
+    /// wrote the value that was already there.
+    #[test]
+    fn resealed_header_and_manifest_edits_fall_back_or_load_exactly(
+        in_aux in any::<bool>(),
+        field in 0usize..5,
+        pick in 0u8..5,
+        small in 0u64..64,
+        big in any::<u64>(),
+    ) {
+        let (key, word) = (MANIFEST_VALUES[field].0, field % AUX_WORDS.len());
+        let original = if in_aux { AUX_WORDS[word] } else { MANIFEST_VALUES[field].1 };
+        // The original value must load exactly; the pinned ones size the
+        // allocations an unchecked parser would attempt.
+        let value = [original, small, big, 1 << 40, u64::MAX][pick as usize];
+        let (_s, store) = two_cycles("ckpt-reseal");
+        if in_aux {
+            let path = store.cycle_dir(2).join("aux.bin");
+            let mut aux = fs::read(&path).unwrap();
+            aux[8 * (word + 1)..8 * (word + 2)].copy_from_slice(&value.to_le_bytes());
+            fs::write(&path, &aux).unwrap();
+            let crc = format!("aux_crc={:016x}", fnv64(&aux));
+            reseal_manifest(&store, |line| {
+                if line.starts_with("aux_crc=") { crc.clone() } else { line.to_string() }
+            });
+        } else {
+            reseal_manifest(&store, |line| with_manifest_value(line, key, value));
+        }
+        let (back, skipped) = store.load_latest(FP, None).unwrap().unwrap();
+        if value == original {
+            prop_assert!(skipped.is_empty(), "{:?}", skipped);
+            let reference = synthetic(2, 6);
+            prop_assert_eq!(back.cycle, 2);
+            prop_assert_eq!(back.analysis.states(), reference.analysis.states());
+            prop_assert_eq!(back.free_run.states(), reference.free_run.states());
+            prop_assert_eq!(&back.truth, &reference.truth);
+            prop_assert_eq!(&back.stats, &reference.stats);
+            prop_assert_eq!(&back.cycle_digests, &reference.cycle_digests);
+            prop_assert_eq!(back.rng_cursor, reference.rng_cursor);
+        } else {
+            prop_assert_eq!(back.cycle, 1, "fallback to the previous durable cycle");
+            prop_assert!(
+                matches!(skipped[..], [CkptError::CorruptManifest { cycle: 2, .. }]),
+                "{:?}",
+                skipped
+            );
+        }
     }
 }
 

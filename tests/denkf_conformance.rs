@@ -23,8 +23,8 @@ use s_enkf::core::{BatchedKernel, EnkfError, LocalAnalysis};
 use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy, SubstrateError};
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{
-    model_campaign, model_cycle, model_denkf_traced, run_campaign, AssimilationSetup,
-    CampaignExecutor, CampaignModelPlan, DEnkf, ModelConfig, ModelVariant,
+    model_campaign_adaptive, model_cycle, run_campaign, AssimilationSetup, CampaignExecutor,
+    CampaignModelPlan, DEnkf, ModelConfig, ModelVariant, SEnkfModelOptions,
 };
 use s_enkf::tuning::Workload;
 
@@ -77,7 +77,14 @@ fn real_and_modeled_digests_are_byte_identical() {
             analysis: LocalAnalysis::new(LocalizationRadius { xi: 1, eta: 1 }),
         };
         let (_, _, real) = denkf(shards).run_traced(&setup).unwrap();
-        let (_, model) = model_denkf_traced(&model_cfg(mesh, members), shards).unwrap();
+        let (_, model) = model_cycle(
+            &model_cfg(mesh, members),
+            &ModelVariant::DEnkf { shards },
+            SEnkfModelOptions::default(),
+            &FaultConfig::none(),
+            None,
+        )
+        .unwrap();
         assert_eq!(
             real.digest(),
             model.digest(),
@@ -259,11 +266,12 @@ fn campaign_real_and_model_digests_conform() {
         pipelined: false,
         restart: mix().campaign_cfg(CYCLES).restart,
     };
-    let (_out, model_trace) = model_campaign(
+    let (_out, model_trace) = model_campaign_adaptive(
         &mix().model_cfg(),
         &ModelVariant::DEnkf { shards: 4 },
         &plan,
         &FaultConfig::none(),
+        None,
     )
     .unwrap();
     assert_eq!(

@@ -20,8 +20,8 @@ use s_enkf::core::LocalAnalysis;
 use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy};
 use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{
-    model_cycle, model_penkf_traced, model_senkf_traced, AssimilationSetup, LEnkf, ModelConfig,
-    ModelOutcome, ModelVariant, PEnkf, SEnkf,
+    model_cycle, AssimilationSetup, LEnkf, ModelConfig, ModelOutcome, ModelVariant, PEnkf, SEnkf,
+    SEnkfModelOptions,
 };
 use s_enkf::trace::{Op, Trace};
 use s_enkf::tuning::{Params, Workload};
@@ -133,12 +133,13 @@ fn empty_plan_is_byte_identical_to_the_plain_path() {
     assert_eq!(plain.digest(), faulted.digest(), "S-EnKF real");
 
     let cfg = model_cfg();
-    let (_, plain) = model_penkf_traced(&cfg, PENKF.0, PENKF.1).unwrap();
+    let options = SEnkfModelOptions::default();
+    let (_, plain) = model_cycle(&cfg, &P_VARIANT, options, &FaultConfig::none(), None).unwrap();
     let (outcome, faulted) = model_faulted(&cfg, P_VARIANT, &none).unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "P-EnKF model");
     assert!(faulted.fault_events(&outcome.dropped_members).is_empty());
 
-    let (_, plain) = model_senkf_traced(&cfg, SENKF).unwrap();
+    let (_, plain) = model_cycle(&cfg, &S_VARIANT, options, &FaultConfig::none(), None).unwrap();
     let (_, faulted) = model_faulted(&cfg, S_VARIANT, &none).unwrap();
     assert_eq!(plain.digest(), faulted.digest(), "S-EnKF model");
 }

@@ -8,9 +8,7 @@
 //! multiset) makes that checkable: the two sides must produce
 //! byte-identical digests on the same configuration.
 
-use s_enkf::parallel::model::penkf::model_penkf_traced;
-use s_enkf::parallel::model::senkf::model_senkf_traced;
-use s_enkf::parallel::AssimilationSetup;
+use s_enkf::parallel::{AssimilationSetup, SEnkfModelOptions};
 use s_enkf::prelude::*;
 
 struct Case {
@@ -55,7 +53,15 @@ fn check_case(case: &Case) {
 
     // P-EnKF: real vs modeled.
     let (_, _, p_real) = PEnkf { nsdx, nsdy }.run_traced(&setup).unwrap();
-    let (_, p_model) = model_penkf_traced(&cfg, nsdx, nsdy).unwrap();
+    let p_variant = ModelVariant::PEnkf { nsdx, nsdy };
+    let (_, p_model) = model_cycle(
+        &cfg,
+        &p_variant,
+        SEnkfModelOptions::default(),
+        &FaultConfig::none(),
+        None,
+    )
+    .unwrap();
     assert_eq!(
         p_real.digest(),
         p_model.digest(),
@@ -64,7 +70,15 @@ fn check_case(case: &Case) {
 
     // S-EnKF: real vs modeled.
     let (_, _, s_real) = SEnkf::new(senkf).run_traced(&setup).unwrap();
-    let (_, s_model) = model_senkf_traced(&cfg, senkf).unwrap();
+    let s_variant = ModelVariant::SEnkf(senkf);
+    let (_, s_model) = model_cycle(
+        &cfg,
+        &s_variant,
+        SEnkfModelOptions::default(),
+        &FaultConfig::none(),
+        None,
+    )
+    .unwrap();
     assert_eq!(
         s_real.digest(),
         s_model.digest(),

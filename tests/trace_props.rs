@@ -1,8 +1,9 @@
 //! Property-based invariants of the execution-trace layer.
 
 use proptest::prelude::*;
-use s_enkf::parallel::model::penkf::model_penkf_traced;
-use s_enkf::parallel::{CycleOp, Emitter, Geometry, ModelConfig, PhaseBreakdown};
+use s_enkf::parallel::{
+    CycleOp, Emitter, Geometry, ModelConfig, PhaseBreakdown, SEnkfModelOptions,
+};
 use s_enkf::prelude::*;
 use s_enkf::sim::{Kind, Simulation, Task};
 use s_enkf::trace::Op;
@@ -24,7 +25,10 @@ proptest! {
     ) {
         let mut cfg = ModelConfig::paper();
         cfg.workload = Workload { nx: 60, ny: 24, members, h: 8, xi: 1, eta: 1 };
-        let (out, trace) = model_penkf_traced(&cfg, nsdx, nsdy).unwrap();
+        let variant = ModelVariant::PEnkf { nsdx, nsdy };
+        let (out, trace) =
+            model_cycle(&cfg, &variant, SEnkfModelOptions::default(), &FaultConfig::none(), None)
+                .unwrap();
         for s in trace.spans() {
             prop_assert!(s.start >= 0.0, "negative start {}", s.start);
             prop_assert!(s.dur >= 0.0, "negative duration {}", s.dur);
