@@ -524,7 +524,7 @@ pub(crate) fn run_rank(
 mod tests {
     use crate::exec::setup::AssimilationSetup;
     use crate::exec::Cycle;
-    use crate::model::{price_cycle, ModelConfig};
+    use crate::model::{collect, price_cycle, ModelConfig};
     use crate::program::{CycleOp, Emitter, Geometry, Payload, Update};
     use crate::PEnkf;
     use enkf_core::{serial_enkf, EnkfError, LocalAnalysis};
@@ -725,8 +725,16 @@ mod tests {
             },
             ..ModelConfig::paper()
         };
-        let (outcome, model) =
-            price_cycle(&cfg, &program, None, Default::default(), &none, None).unwrap();
+        let (outcome, model) = price_cycle(
+            &cfg,
+            &program,
+            None,
+            Default::default(),
+            &none,
+            None,
+            collect,
+        )
+        .unwrap();
         assert_eq!(outcome.num_compute_ranks, 6);
         let geo = Geometry {
             layout,

@@ -33,7 +33,7 @@
 //! comparison the Fig. 14-style MTTR sweep (the reproduction's `mttr` row)
 //! tabulates.
 
-use super::{model_cycle, ModelConfig, ModelOutcome};
+use super::{model_cycle, model_outcome, ModelConfig, ModelOutcome};
 use crate::exec::resolve_dropout;
 use crate::program::{Emitter, ModelVariant};
 use crate::supervisor::{Action, Supervisor};
@@ -153,20 +153,26 @@ pub fn model_campaign_adaptive(
     let (compute_ranks, io_ranks) = variant.rank_counts();
     let pipelined = camp.pipelined && camp.checkpoint;
     let streams = cfg.pfs.num_osts * cfg.pfs.streams_per_ost;
-    let cycle_model =
-        |members: usize, share: f64, fcfg: &FaultConfig, mon: Option<&HealthMonitor>| {
-            let mut cfg = cfg.with_bandwidth_share(share);
-            cfg.workload.members = members;
-            model_cycle(&cfg, variant, Default::default(), fcfg, mon)
-        };
+    let sized = |members: usize, share: f64| {
+        let mut cfg = cfg.with_bandwidth_share(share);
+        cfg.workload.members = members;
+        cfg
+    };
+    let cycle_model = |members: usize, fcfg: &FaultConfig, mon: Option<&HealthMonitor>| {
+        model_cycle(&sized(members, 1.0), variant, Default::default(), fcfg, mon)
+    };
     let price = |key: (usize, FaultConfig)| -> Result<Priced, String> {
-        let (cycle, trace) = cycle_model(key.0, 1.0, &key.1, None)?;
+        let (cycle, trace) = cycle_model(key.0, &key.1, None)?;
         // Pipelined pricing: the background writer steals one of the
         // machine's `S = num_osts · streams_per_ost` PFS streams while it
         // drains, so the overlapped cycle runs against `(S−1)/S` of it.
+        // Only its makespan is read, so no trace is built.
         let share = (streams - 1) as f64 / streams as f64;
         let shared_makespan = match pipelined && streams > 1 {
-            true => Some(cycle_model(key.0, share, &key.1, None)?.0.makespan),
+            true => {
+                let shared = sized(key.0, share);
+                Some(model_outcome(&shared, variant, Default::default(), &key.1, None)?.makespan)
+            }
             false => None,
         };
         Ok(Priced {
@@ -258,7 +264,7 @@ pub fn model_campaign_adaptive(
                     // Adaptive: this cycle's reads follow the current frozen
                     // view, so the DES is rebuilt.
                     Some(mon) => {
-                        adaptive = cycle_model(sup.alive, 1.0, &base.key.1, Some(mon))?;
+                        adaptive = cycle_model(sup.alive, &base.key.1, Some(mon))?;
                         let digest = fnv64(adaptive.1.digest().as_bytes());
                         (&adaptive.0, &adaptive.1, digest)
                     }

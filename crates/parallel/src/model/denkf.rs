@@ -3,14 +3,14 @@
 //! The entry points price the [`ModelVariant::DEnkf`] cycle program
 //! ([`crate::program`]) — the same program the real [`crate::DEnkf`] runs.
 
-use crate::model::{model_traced, ModelConfig, ModelOutcome};
+use crate::model::{model_traced, model_untraced, ModelConfig, ModelOutcome};
 use crate::program::ModelVariant;
 use enkf_trace::Trace;
 
 /// Build and run the DES for a D-EnKF assimilation with `shards` state
 /// shards (= ranks).
 pub fn model_denkf(cfg: &ModelConfig, shards: usize) -> Result<ModelOutcome, String> {
-    model_denkf_traced(cfg, shards).map(|(out, _)| out)
+    model_untraced(cfg, ModelVariant::DEnkf { shards })
 }
 
 /// [`model_denkf`], additionally returning the virtual-time execution

@@ -3,14 +3,14 @@
 //! The entry points price the [`ModelVariant::LEnkf`] cycle program
 //! ([`crate::program`]) — the same program the real [`crate::LEnkf`] runs.
 
-use crate::model::{model_traced, ModelConfig, ModelOutcome};
+use crate::model::{model_traced, model_untraced, ModelConfig, ModelOutcome};
 use crate::program::ModelVariant;
 use enkf_trace::Trace;
 
 /// Build and run the DES for an L-EnKF assimilation with an
 /// `n_sdx × n_sdy` decomposition (rank 0 is the only reader).
 pub fn model_lenkf(cfg: &ModelConfig, nsdx: usize, nsdy: usize) -> Result<ModelOutcome, String> {
-    model_lenkf_traced(cfg, nsdx, nsdy).map(|(out, _)| out)
+    model_untraced(cfg, ModelVariant::LEnkf { nsdx, nsdy })
 }
 
 /// [`model_lenkf`], additionally returning the virtual-time execution

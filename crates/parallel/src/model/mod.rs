@@ -15,8 +15,9 @@ use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork};
 use enkf_health::HealthMonitor;
 use enkf_net::{ModeledNet, NetParams};
 use enkf_pfs::{ModeledPfs, PfsParams};
-use enkf_sim::{Kind, Simulation, Task, TaskId};
-use enkf_trace::{Op, OpTag, Trace};
+use enkf_sim::engine::SimError;
+use enkf_sim::{Kind, Simulation, TaskId};
+use enkf_trace::{OpTag, Trace};
 use enkf_tuning::Workload;
 use senkf::SEnkfModelOptions;
 use std::cell::Cell;
@@ -31,14 +32,12 @@ struct Mailbox {
     bundle_bytes: u64,
 }
 
-fn add_task(sim: &mut Simulation, task: Task) -> Result<TaskId, String> {
-    sim.add_task(task).map_err(|e| e.to_string())
-}
-
 /// Price one cycle of `variant` on the DES backend — the modeled twin of
 /// [`crate::exec::run_cycle`]: the same program,
 /// each op turned into tasks as documented on `price_cycle`. Returns the
-/// outcome and the virtual-time trace the outcome is a projection of; under
+/// outcome and the virtual-time trace: the trace is the run's span stream
+/// collected, the outcome a fold of that stream
+/// ([`enkf_trace::class_phases`]). Under
 /// a common seeded plan and monitor view all three digests (the trace's
 /// operations and fault events, the monitor's health decisions) equal the
 /// real executor's. `opts` are the S-EnKF ablation switches (`Default::default()` is the paper's
@@ -51,6 +50,80 @@ pub fn model_cycle(
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
 ) -> Result<(ModelOutcome, Trace), String> {
+    price_variant(cfg, variant, opts, fcfg, monitor, collect)
+}
+
+/// [`model_cycle`]'s outcome alone, bit for bit: the same emission and run,
+/// the outcome folded straight off the span stream, no trace built.
+pub(crate) fn model_outcome(
+    cfg: &ModelConfig,
+    variant: &ModelVariant,
+    opts: SEnkfModelOptions,
+    fcfg: &FaultConfig,
+    monitor: Option<&HealthMonitor>,
+) -> Result<ModelOutcome, String> {
+    price_variant(cfg, variant, opts, fcfg, monitor, fold).map(|(out, ())| out)
+}
+
+/// [`model_cycle`] on a healthy substrate — what every `model_*_traced`
+/// forward is.
+fn model_traced(cfg: &ModelConfig, variant: ModelVariant) -> Result<(ModelOutcome, Trace), String> {
+    model_cycle(
+        cfg,
+        &variant,
+        Default::default(),
+        &FaultConfig::none(),
+        None,
+    )
+}
+
+/// [`model_outcome`] on a healthy substrate — what every untraced `model_*`
+/// forward is.
+fn model_untraced(cfg: &ModelConfig, variant: ModelVariant) -> Result<ModelOutcome, String> {
+    model_outcome(
+        cfg,
+        &variant,
+        Default::default(),
+        &FaultConfig::none(),
+        None,
+    )
+}
+
+/// The class-phase fold of a run: `(compute, io, first_compute)`, see
+/// [`enkf_trace::class_phases`].
+type Classes = (PhaseBreakdown, PhaseBreakdown, f64);
+
+/// How a priced run ends, given the finished simulation, the program's name
+/// and its compute-rank count: the fold of the run's spans, and what is
+/// kept beside it.
+type Tail<T> = fn(&Simulation, &str, usize) -> (Classes, T);
+
+/// The traced tail: the span stream collected into the trace, the outcome
+/// folded off the collected spans.
+pub(crate) fn collect(sim: &Simulation, name: &str, compute_ranks: usize) -> (Classes, Trace) {
+    let trace = sim.export_trace(&format!("{name}-model"));
+    (
+        enkf_trace::class_phases(trace.spans(), compute_ranks),
+        trace,
+    )
+}
+
+/// The untraced tail: the outcome folded off the span stream as the
+/// simulation generates it; nothing is kept.
+fn fold(sim: &Simulation, _: &str, compute_ranks: usize) -> (Classes, ()) {
+    (enkf_trace::class_phases(sim.spans(), compute_ranks), ())
+}
+
+/// [`model_cycle`] with its tail chosen: the DES-size guard, D-EnKF's
+/// observation network, then [`price_cycle`].
+fn price_variant<T>(
+    cfg: &ModelConfig,
+    variant: &ModelVariant,
+    opts: SEnkfModelOptions,
+    fcfg: &FaultConfig,
+    monitor: Option<&HealthMonitor>,
+    tail: Tail<T>,
+) -> Result<(ModelOutcome, T), String> {
     let w = &cfg.workload;
     let mesh = Mesh::new(w.nx, w.ny);
     if let ModelVariant::SEnkf(p) = *variant {
@@ -70,26 +143,15 @@ pub fn model_cycle(
     // (`ScenarioBuilder`'s uniform one).
     let network = matches!(variant, ModelVariant::DEnkf { .. })
         .then(|| ObservationNetwork::uniform(mesh, cfg.obs_stride));
-    price_cycle(cfg, variant, network.as_ref(), opts, fcfg, monitor)
-}
-
-/// [`model_cycle`] on a healthy substrate — what every `model_*_traced`
-/// forward is.
-fn model_traced(cfg: &ModelConfig, variant: ModelVariant) -> Result<(ModelOutcome, Trace), String> {
-    model_cycle(
-        cfg,
-        &variant,
-        Default::default(),
-        &FaultConfig::none(),
-        None,
-    )
+    price_cycle(cfg, variant, network.as_ref(), opts, fcfg, monitor, tail)
 }
 
 /// The DES interpreter of a cycle program — the only code that adds cycle
 /// tasks. Agent ids coincide with the real executor's rank numbering
 /// (compute ranks, then I/O ranks), so span and fault-event rank fields
 /// compare across executors; one NIC per compute rank is the ingestion port. Each
-/// op is priced as it is emitted, in emission order:
+/// op is priced as it is emitted, in emission order, without a heap
+/// allocation per task:
 ///
 /// * `Read` — the retry/speculation weave of [`ModeledPfs::add_member_read`],
 ///   charged the layout's seeks and bytes for the region;
@@ -104,24 +166,27 @@ fn model_traced(cfg: &ModelConfig, variant: ModelVariant) -> Result<(ModelOutcom
 /// * `Compute` — `c · work`, dilated by the rank's straggler factor, which
 ///   is reported to the monitor once per rank.
 ///
-/// Every task carries an [`OpTag`], so the exported trace's operation
-/// digest — and, under a seeded plan, the fault digest and the monitor's
-/// observations — equal the real executor's.
+/// Every task carries an [`OpTag`], so the run's spans — and with them,
+/// under a seeded plan, the fault digest and the monitor's observations —
+/// equal the real executor's. The outcome is a fold of those spans
+/// ([`enkf_trace::class_phases`]); `tail` decides whether they are also
+/// collected into the trace.
 ///
 /// The graph is built in this thread's `ARENA`, cleared rather than freed
 /// between calls.
-pub(crate) fn price_cycle(
+pub(crate) fn price_cycle<T>(
     cfg: &ModelConfig,
     program: &impl Emitter,
     network: Option<&ObservationNetwork>,
     opts: SEnkfModelOptions,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace), String> {
+    tail: Tail<T>,
+) -> Result<(ModelOutcome, T), String> {
     // A nested call would find the cell empty and price in a fresh graph.
     let mut sim = ARENA.take();
     sim.clear();
-    let priced = price_in(&mut sim, cfg, program, network, opts, fcfg, monitor);
+    let priced = price_in(&mut sim, cfg, program, network, opts, fcfg, monitor, tail);
     ARENA.set(sim);
     priced
 }
@@ -135,7 +200,8 @@ thread_local! {
 }
 
 /// [`price_cycle`]'s body, in an empty `sim`.
-fn price_in(
+#[allow(clippy::too_many_arguments)]
+fn price_in<T>(
     sim: &mut Simulation,
     cfg: &ModelConfig,
     program: &impl Emitter,
@@ -143,7 +209,8 @@ fn price_in(
     opts: SEnkfModelOptions,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
-) -> Result<(ModelOutcome, Trace), String> {
+    tail: Tail<T>,
+) -> Result<(ModelOutcome, T), String> {
     let w = &cfg.workload;
     let mesh = Mesh::new(w.nx, w.ny);
     let layout = FileLayout::new(mesh, w.h);
@@ -166,8 +233,10 @@ fn price_in(
     let layers = program.layers();
     let slot = |rank: usize, stage: Option<usize>| rank * layers + stage.unwrap_or(0);
     let mut inbox: Vec<Mailbox> = (0..c2 * layers).map(|_| Mailbox::default()).collect();
+    // The dependencies of each compute rank's next `Compute`.
     let mut gate: Vec<Vec<TaskId>> = vec![Vec::new(); c2];
     let mut dilations: Vec<Option<f64>> = vec![None; c2];
+    let sim_err = |e: SimError| e.to_string();
 
     let geo = Geometry {
         layout,
@@ -200,28 +269,30 @@ fn price_in(
                     layout.seek_count(&region) as u64,
                     layout.region_bytes(&region),
                 )
-                .map_err(|e| e.to_string())?,
+                .map_err(sim_err)?,
             CycleOp::Send { stage, to, payload } => {
                 if drops_messages {
                     return Err("the modeled run cannot complete: the plan drops a message".into());
                 }
                 let bytes = payload.bytes(&layout);
+                let tag = OpTag {
+                    io,
+                    stage,
+                    bytes,
+                    peer: Some(to),
+                    ..OpTag::default()
+                };
+                let nic = [net.nic(to)];
                 let service = cfg.net.p2p(bytes);
-                let send = Task::new(agent, Kind::Comm, service)
-                    .with_resources(vec![net.nic(to)])
-                    .with_op(OpTag {
-                        io,
-                        stage,
-                        bytes,
-                        peer: Some(to),
-                        ..OpTag::default()
-                    });
+                let send = sim
+                    .add_task_parts(agent, Kind::Comm, service, &nic, &[], tag)
+                    .map_err(sim_err)?;
                 let mail = &mut inbox[slot(to, stage)];
-                mail.sends.push(add_task(sim, send)?);
+                mail.sends.push(send);
                 mail.bundle_bytes = bytes;
             }
             CycleOp::Await { stage, sends } => {
-                let mail = std::mem::take(&mut inbox[slot(rank, stage)]);
+                let mut mail = std::mem::take(&mut inbox[slot(rank, stage)]);
                 if mail.sends.len() != sends {
                     return Err(format!(
                         "unbalanced program: rank {rank} awaits {sends} sends at stage \
@@ -229,41 +300,39 @@ fn price_in(
                         mail.sends.len()
                     ));
                 }
-                gate[rank] = if opts.helper_thread {
-                    mail.sends
-                } else {
+                if !opts.helper_thread {
                     let ingest = sends as f64 * cfg.net.p2p(mail.bundle_bytes);
-                    let ingestion = Task::new(agent, Kind::Comm, ingest)
-                        .with_deps(mail.sends)
-                        .with_op(OpTag {
-                            stage,
-                            bytes: mail.bundle_bytes,
-                            ..OpTag::default()
-                        });
-                    vec![add_task(sim, ingestion)?]
-                };
+                    let tag = OpTag {
+                        stage,
+                        bytes: mail.bundle_bytes,
+                        ..OpTag::default()
+                    };
+                    let ingestion = sim
+                        .add_task_parts(agent, Kind::Comm, ingest, &[], &mail.sends, tag)
+                        .map_err(sim_err)?;
+                    mail.sends.clear();
+                    mail.sends.push(ingestion);
+                }
+                gate[rank] = mail.sends;
             }
             CycleOp::Compute { stage, work, .. } => {
                 let dilation = *dilations[rank]
                     .get_or_insert_with(|| compute_dilation(&injector, monitor, rank));
                 let service = cfg.compute_cost_per_point * work as f64 * dilation;
-                let analysis = Task::new(agent, Kind::Compute, service)
-                    .with_deps(std::mem::take(&mut gate[rank]))
-                    .with_op(OpTag {
-                        stage,
-                        ..OpTag::default()
-                    });
-                add_task(sim, analysis)?;
+                let tag = OpTag {
+                    stage,
+                    ..OpTag::default()
+                };
+                sim.add_task_parts(agent, Kind::Compute, service, &[], &gate[rank], tag)
+                    .map_err(sim_err)?;
+                gate[rank].clear();
             }
         }
         Ok(())
     })?;
 
-    // Run the graph and derive the outcome *from the exported trace*, the
-    // run's only per-rank accounting (see `Simulation::export_trace`).
-    let report = sim.run().map_err(|e| e.to_string())?;
-    let trace = sim.export_trace(&format!("{}-model", program.name()));
-    let (compute, io) = trace.class_phases(c2);
+    let report = sim.run().map_err(sim_err)?;
+    let ((compute, io, first_compute_start), kept) = tail(sim, program.name(), c2);
     let io_mean = if c1 == 0 {
         PhaseBreakdown::default()
     } else {
@@ -276,10 +345,10 @@ fn price_in(
         num_compute_ranks: c2,
         num_io_ranks: c1,
         // The earliest local-analysis start is the exposed read+comm prefix.
-        first_compute_start: trace.first_start(Op::Compute),
+        first_compute_start,
         dropped_members: dropped,
     };
-    Ok((outcome, trace))
+    Ok((outcome, kept))
 }
 
 /// Configuration of a modeled run: workload geometry plus substrate
@@ -388,13 +457,17 @@ impl ModelOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::senkf::model_senkf;
+    use crate::model::{denkf::model_denkf, lenkf::model_lenkf, penkf::model_penkf};
+    use enkf_fault::{FaultPlan, RetryPolicy};
+    use enkf_health::HealthParams;
     use enkf_tuning::Params;
+    use proptest::prelude::*;
 
-    /// Everything a priced cycle yields, every `f64` as its bit pattern.
-    fn priced(cfg: &ModelConfig, variant: ModelVariant) -> (Vec<u64>, String, String) {
-        let (out, trace) = model_traced(cfg, variant).unwrap();
+    /// Every field of an outcome, every `f64` as its bit pattern.
+    fn bits(out: &ModelOutcome) -> (Vec<u64>, usize, usize, Vec<usize>) {
         let (c, i) = (&out.compute_mean, &out.io_mean);
-        let bits = [
+        let values = [
             out.makespan,
             out.first_compute_start,
             c.read,
@@ -407,13 +480,20 @@ mod tests {
             i.compute,
             i.wait,
             i.fault,
-        ]
-        .map(f64::to_bits);
+        ];
         (
-            bits.to_vec(),
-            trace.digest(),
-            format!("{:?}", trace.spans()),
+            values.map(f64::to_bits).to_vec(),
+            out.num_compute_ranks,
+            out.num_io_ranks,
+            out.dropped_members.clone(),
         )
+    }
+
+    /// Everything a priced cycle yields: the outcome's bits, the trace's
+    /// digest and every span.
+    fn priced(cfg: &ModelConfig, variant: ModelVariant) -> (Vec<u64>, String, String) {
+        let (out, trace) = model_traced(cfg, variant).unwrap();
+        (bits(&out).0, trace.digest(), format!("{:?}", trace.spans()))
     }
 
     /// The thread's arena carries nothing from one call into the next:
@@ -440,5 +520,154 @@ mod tests {
         let first = priced(&cfg, a);
         priced(&cfg, ModelVariant::PEnkf { nsdx: 24, nsdy: 12 });
         assert_eq!(priced(&cfg, a), first);
+    }
+
+    /// The untraced forward of `variant`, as its public caller names it.
+    fn forward(cfg: &ModelConfig, variant: ModelVariant) -> Result<ModelOutcome, String> {
+        match variant {
+            ModelVariant::SEnkf(params) => model_senkf(cfg, params),
+            ModelVariant::PEnkf { nsdx, nsdy } => model_penkf(cfg, nsdx, nsdy),
+            ModelVariant::LEnkf { nsdx, nsdy } => model_lenkf(cfg, nsdx, nsdy),
+            ModelVariant::DEnkf { shards } => model_denkf(cfg, shards),
+        }
+    }
+
+    /// The bit-identity oracle of the two tails at the claimed scale: the
+    /// four `des_paper_scale` cycles at 1,200 ranks (S-EnKF autotuned as
+    /// the perf ledger tunes it). The untraced forward folds the run's
+    /// spans as they are generated; `model_cycle` folds the collected
+    /// trace. Every outcome field must agree to the bit.
+    #[test]
+    fn untraced_forwards_equal_model_cycle_at_paper_scale() {
+        let cfg = ModelConfig::paper();
+        let tuned = enkf_tuning::autotune(&cfg.cost_params(), 1_200, 1e-3).unwrap();
+        for variant in [
+            ModelVariant::SEnkf(tuned.params),
+            ModelVariant::PEnkf { nsdx: 30, nsdy: 40 },
+            ModelVariant::LEnkf { nsdx: 30, nsdy: 40 },
+            ModelVariant::DEnkf { shards: 120 },
+        ] {
+            let (traced, _) = model_traced(&cfg, variant).unwrap();
+            let untraced = forward(&cfg, variant).unwrap();
+            assert_eq!(bits(&untraced), bits(&traced), "{variant:?}");
+        }
+    }
+
+    /// A random small case (the shape of `equivalence_prop`'s): a mesh
+    /// with guaranteed divisors for `(n_sdx, n_sdy, L)`, an ensemble, radii
+    /// and whether S-EnKF keeps its helper thread.
+    fn case_strategy() -> impl Strategy<Value = (ModelConfig, Params, bool)> {
+        (
+            2usize..=4,
+            2usize..=3,
+            1usize..=2,
+            1usize..=2,
+            0usize..=2,
+            0usize..=2,
+            3usize..=6,
+            any::<bool>(),
+        )
+            .prop_map(|(nsdx, nsdy, layers, cells, xi, eta, members, helper)| {
+                let cfg = ModelConfig {
+                    workload: Workload {
+                        nx: nsdx * 3,
+                        ny: nsdy * layers * cells,
+                        members,
+                        h: 8,
+                        xi,
+                        eta,
+                    },
+                    obs_stride: 2,
+                    ..ModelConfig::paper()
+                };
+                // n_cg must divide members.
+                let ncg = if members % 2 == 0 { 2 } else { 1 };
+                let params = Params {
+                    nsdx,
+                    nsdy,
+                    layers,
+                    ncg,
+                };
+                (cfg, params, helper)
+            })
+    }
+
+    /// A random seeded storm (the shape of `equivalence_prop`'s): two read
+    /// faults within or beyond a retry budget of 3, an OST slowdown, a
+    /// straggler, and whether a monitor warmed on the slow OST routes the
+    /// reads.
+    fn storm_strategy() -> impl Strategy<Value = (FaultConfig, Option<(usize, f64)>)> {
+        (
+            (0usize..6, 1u32..=5),
+            1u32..=5,
+            0usize..3,
+            2.5f64..4.0,
+            (0usize..4, 1.0f64..1.5),
+            any::<bool>(),
+        )
+            .prop_map(
+                |((member, fails), more, slow_ost, slowdown, straggler, monitored)| {
+                    let plan = FaultPlan::new(17)
+                        .with_ost_slowdown(slow_ost, slowdown)
+                        .with_straggler(straggler.0, straggler.1)
+                        .with_read_fault(member, fails)
+                        .with_read_fault(member + 1, more);
+                    let retry = RetryPolicy {
+                        max_retries: 3,
+                        base_backoff: 1e-6,
+                        multiplier: 2.0,
+                        ..RetryPolicy::default()
+                    };
+                    let fcfg = FaultConfig::degraded(plan).with_retry(retry);
+                    (fcfg, monitored.then_some((slow_ost, slowdown)))
+                },
+            )
+    }
+
+    /// A monitor that has seen `(ost, slowdown)` misbehave for a cycle.
+    fn warmed((ost, slowdown): (usize, f64)) -> HealthMonitor {
+        let mut mon = HealthMonitor::new(HealthParams::default());
+        mon.observe_read(ost, ost, slowdown);
+        mon.end_cycle();
+        mon
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The bit-identity oracle of the two tails under seeded fault plans
+        /// and a monitor view: for all four variants the untraced
+        /// `model_outcome` equals `model_cycle(..).0` to the bit — or both
+        /// fail alike — and both feed their (independent, equally warmed)
+        /// monitors the same observations.
+        #[test]
+        fn untraced_outcome_equals_model_cycle_under_storms(
+            (cfg, params, helper) in case_strategy(),
+            (fcfg, watch) in storm_strategy(),
+        ) {
+            let opts = SEnkfModelOptions { helper_thread: helper };
+            let (nsdx, nsdy) = (params.nsdx, params.nsdy);
+            for variant in [
+                ModelVariant::LEnkf { nsdx, nsdy },
+                ModelVariant::PEnkf { nsdx, nsdy },
+                ModelVariant::SEnkf(params),
+                ModelVariant::DEnkf { shards: nsdy },
+            ] {
+                let mut mons = (watch.map(warmed), watch.map(warmed));
+                let traced = model_cycle(&cfg, &variant, opts, &fcfg, mons.0.as_ref());
+                let untraced = model_outcome(&cfg, &variant, opts, &fcfg, mons.1.as_ref());
+                match (traced, untraced) {
+                    (Ok((traced, _)), Ok(untraced)) => {
+                        prop_assert_eq!(bits(&untraced), bits(&traced), "{:?}", variant);
+                    }
+                    (traced, untraced) => {
+                        prop_assert_eq!(traced.err(), untraced.err(), "{:?}", variant);
+                    }
+                }
+                if let (Some(a), Some(b)) = (&mut mons.0, &mut mons.1) {
+                    prop_assert_eq!(a.end_cycle(), b.end_cycle(), "{:?}", variant);
+                }
+            }
+        }
     }
 }

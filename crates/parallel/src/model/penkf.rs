@@ -3,14 +3,14 @@
 //! The entry points price the [`ModelVariant::PEnkf`] cycle program
 //! ([`crate::program`]) — the same program the real [`crate::PEnkf`] runs.
 
-use crate::model::{model_traced, ModelConfig, ModelOutcome};
+use crate::model::{model_traced, model_untraced, ModelConfig, ModelOutcome};
 use crate::program::ModelVariant;
 use enkf_trace::Trace;
 
 /// Build and run the DES for a P-EnKF assimilation with an
 /// `n_sdx × n_sdy` decomposition.
 pub fn model_penkf(cfg: &ModelConfig, nsdx: usize, nsdy: usize) -> Result<ModelOutcome, String> {
-    model_penkf_traced(cfg, nsdx, nsdy).map(|(out, _)| out)
+    model_untraced(cfg, ModelVariant::PEnkf { nsdx, nsdy })
 }
 
 /// [`model_penkf`], additionally returning the virtual-time execution

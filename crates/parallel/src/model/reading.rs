@@ -101,10 +101,17 @@ pub fn model_concurrent_read(
         }
     }
     let report = sim.run().map_err(|e| e.to_string())?;
+    // Busy / (capacity × makespan): 1.0 = every stream busy the whole run.
+    let capacity = cfg.pfs.streams_per_ost;
+    let idle = report.makespan <= 0.0 || capacity == 0;
+    let busy = sim.resource_busy();
     let ost_utilization = pfs
         .osts()
         .iter()
-        .map(|&r| report.resource_utilization(r.0, cfg.pfs.streams_per_ost))
+        .map(|&r| match idle {
+            true => 0.0,
+            false => busy[r.0] / (capacity as f64 * report.makespan),
+        })
         .collect();
     Ok(ConcurrentReadDetail {
         makespan: report.makespan,

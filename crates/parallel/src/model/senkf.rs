@@ -3,7 +3,7 @@
 //! The entry points price the [`ModelVariant::SEnkf`] cycle program
 //! ([`crate::program`]) — the same program the real [`crate::SEnkf`] runs.
 
-use crate::model::{model_traced, ModelConfig, ModelOutcome};
+use crate::model::{model_traced, model_untraced, ModelConfig, ModelOutcome};
 use crate::program::ModelVariant;
 use enkf_trace::Trace;
 use enkf_tuning::Params;
@@ -17,7 +17,7 @@ use enkf_tuning::Params;
 /// stage-`l` analysis depends only on the stage-`l` bundles, so stage
 /// `l+1` I/O overlaps stage `l` computation exactly as in Fig. 7.
 pub fn model_senkf(cfg: &ModelConfig, params: Params) -> Result<ModelOutcome, String> {
-    model_senkf_traced(cfg, params).map(|(out, _)| out)
+    model_untraced(cfg, ModelVariant::SEnkf(params))
 }
 
 /// Ablation switches for the modeled S-EnKF.

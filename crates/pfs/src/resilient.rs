@@ -28,7 +28,7 @@ use enkf_fault::{FaultInjector, ReadError, SubstrateError};
 use enkf_grid::RegionRect;
 use enkf_health::{HealthMonitor, ReadRoute};
 use enkf_sim::engine::SimError;
-use enkf_sim::{AgentId, Kind, Simulation, Task};
+use enkf_sim::{AgentId, Kind, Simulation};
 use enkf_trace::{FaultKind, Op, OpTag, RankTracer};
 use std::time::{Duration, Instant};
 
@@ -242,14 +242,15 @@ impl ModeledPfs {
         };
         weave_read(injector, monitor, member, read, |tag, cost| {
             let kind = tag.fault.map_or(Kind::Read, |_| Kind::Fault);
-            let task = match cost {
-                StepCost::Pause(pause) => Task::new(agent, kind, pause),
+            match cost {
+                StepCost::Pause(pause) => sim.add_task_parts(agent, kind, pause, &[], &[], tag)?,
                 // The file's own stripe without a monitor, else the routed
                 // OST (`ost_of_file` is the striping modulus either way).
-                StepCost::Service(path) => Task::new(agent, kind, base * path.factor)
-                    .with_resources(vec![self.ost_of_file(path.ost.unwrap_or(member))]),
+                StepCost::Service(path) => {
+                    let ost = [self.ost_of_file(path.ost.unwrap_or(member))];
+                    sim.add_task_parts(agent, kind, base * path.factor, &ost, &[], tag)?
+                }
             };
-            sim.add_task(task.with_op(tag))?;
             Ok(true)
         })?;
         Ok(())

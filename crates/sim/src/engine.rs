@@ -2,7 +2,7 @@
 
 use crate::report::SimReport;
 use crate::task::{AgentId, Kind, ResourceId, Task, TaskId};
-use enkf_trace::OpTag;
+use enkf_trace::{Op, OpTag, Role, Span, Trace};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -60,6 +60,26 @@ struct Node {
     remaining_deps: u32,
     kind: Kind,
     state: State,
+}
+
+impl Node {
+    /// How long the task stalled between ready and start, if it did: the
+    /// duration of its wait span.
+    fn stall(&self) -> Option<f64> {
+        let wait = self.start - self.ready;
+        (wait > 0.0).then_some(wait)
+    }
+
+    /// The operation span the task's kind records; `Control` records none.
+    fn op(&self) -> Option<Op> {
+        match self.kind {
+            Kind::Read => Some(Op::Read),
+            Kind::Comm => Some(Op::Send),
+            Kind::Compute => Some(Op::Compute),
+            Kind::Fault => Some(Op::Fault),
+            Kind::Control => None,
+        }
+    }
 }
 
 struct ResourceState {
@@ -180,53 +200,82 @@ impl Simulation {
     /// implicit dependency on the agent's previous task enforces program
     /// order.
     pub fn add_task(&mut self, task: Task) -> Result<TaskId, SimError> {
+        let op = task.op.unwrap_or_default();
+        let (agent, kind, service) = (task.agent, task.kind, task.service);
+        self.add_task_parts(agent, kind, service, &task.resources, &task.deps, op)
+    }
+
+    /// [`Simulation::add_task`] from the task's parts, its resources and
+    /// dependencies borrowed — the one body that validates and records a
+    /// task, so a caller holding them in a slice adds the task without
+    /// building its vectors.
+    pub fn add_task_parts(
+        &mut self,
+        agent: AgentId,
+        kind: Kind,
+        service: f64,
+        resources: &[ResourceId],
+        deps: &[TaskId],
+        op: OpTag,
+    ) -> Result<TaskId, SimError> {
         let id = self.nodes.len();
-        if !(task.service >= 0.0 && task.service.is_finite()) {
+        if !(service >= 0.0 && service.is_finite()) {
             return Err(SimError::BadService(id));
         }
-        if let Some(&r) = task.resources.iter().find(|r| r.0 >= self.resources.len()) {
+        if let Some(&r) = resources.iter().find(|r| r.0 >= self.resources.len()) {
             return Err(SimError::UnknownResource(r));
         }
-        if let Some(&d) = task.deps.iter().find(|&&d| d >= id) {
+        if let Some(&d) = deps.iter().find(|&&d| d >= id) {
             return Err(SimError::UnknownDependency(d));
         }
         // A caller bug: `AgentId`s only come from this simulation's
         // `add_agent`, so a foreign one mixes up two graphs.
-        assert!(task.agent.0 < self.num_agents, "unknown agent");
+        assert!(agent.0 < self.num_agents, "unknown agent");
         let tid = narrow(id);
         // Every dependency precedes `tid`, so it fits a `u32` too.
-        self.edges
-            .extend(task.deps.iter().map(|&d| (d as u32, tid)));
-        if let Some(prev) = self.last_task_of_agent[task.agent.0].replace(id) {
-            if !task.deps.contains(&prev) {
+        self.edges.extend(deps.iter().map(|&d| (d as u32, tid)));
+        if let Some(prev) = self.last_task_of_agent[agent.0].replace(id) {
+            if !deps.contains(&prev) {
                 self.edges.push((prev as u32, tid));
             }
         }
-        let mut resources = task.resources;
-        resources.sort_unstable();
-        resources.dedup();
-        let first = narrow(self.held.len());
-        self.held.extend_from_slice(&resources);
+        // The task's resources, sorted and deduplicated in place at the end
+        // of `held`.
+        let first = self.held.len();
+        self.held.extend_from_slice(resources);
+        if resources.len() > 1 {
+            self.held[first..].sort_unstable();
+            let mut end = first + 1;
+            for k in first + 1..self.held.len() {
+                if self.held[k] != self.held[end - 1] {
+                    self.held[end] = self.held[k];
+                    end += 1;
+                }
+            }
+            self.held.truncate(end);
+        }
+        let (first, end) = (narrow(first), narrow(self.held.len()));
         self.nodes.push(Node {
-            service: task.service,
+            service,
             ready: 0.0,
             start: 0.0,
             finish: 0.0,
-            agent: narrow(task.agent.0),
-            res: (first, narrow(self.held.len())),
+            agent: narrow(agent.0),
+            res: (first, end),
             next_res: first,
             remaining_deps: 0,
-            kind: task.kind,
+            kind,
             state: State::WaitingDeps,
         });
-        self.ops.push(task.op.unwrap_or_default());
+        self.ops.push(op);
         Ok(id)
     }
 
     /// Run to completion and return the run's summary; the timings stay in
-    /// the simulation for [`Simulation::task_times`] and
-    /// [`Simulation::export_trace`]. Every run starts from the graph alone,
-    /// so running twice gives the same timings twice.
+    /// the simulation for [`Simulation::task_times`],
+    /// [`Simulation::resource_busy`] and [`Simulation::spans`]. Every run
+    /// starts from the graph alone, so running twice gives the same timings
+    /// twice.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
         self.reset();
         let mut seq = 0;
@@ -284,16 +333,9 @@ impl Simulation {
             });
         }
 
-        let mut resource_busy = vec![0.0; self.resources.len()];
-        for t in &self.nodes {
-            for r in self.held_by(t) {
-                resource_busy[r.0] += t.service;
-            }
-        }
         Ok(SimReport {
             makespan,
             tasks_executed: finished,
-            resource_busy,
         })
     }
 
@@ -303,47 +345,63 @@ impl Simulation {
         (t.ready, t.start, t.finish)
     }
 
-    /// Export the run as an execution trace — valid after
-    /// [`Simulation::run`]. Every task becomes one span in virtual time
-    /// (`Read` → read, `Comm` → send, `Compute` → compute; `Control` tasks
-    /// emit no operation span), plus a wait span covering `ready → start`
-    /// whenever the task stalled on program order, dependencies or resource
-    /// queues. The spans are the run's only per-agent accounting: an
+    /// Busy time per resource, indexed by `ResourceId.0`: the sum of the
+    /// service times of the tasks that held it, added in task order —
+    /// valid after [`Simulation::run`].
+    pub fn resource_busy(&self) -> Vec<f64> {
+        let mut busy = vec![0.0; self.resources.len()];
+        for t in &self.nodes {
+            for r in self.held_by(t) {
+                busy[r.0] += t.service;
+            }
+        }
+        busy
+    }
+
+    /// The run as a stream of `enkf_trace` spans in virtual time — valid
+    /// after [`Simulation::run`], and the only definition of what a task
+    /// becomes. In task order, a task yields a wait span covering
+    /// `ready → start` whenever it stalled on program order, dependencies or
+    /// resource queues, then its operation span (`Read` → read, `Comm` →
+    /// send, `Compute` → compute, `Fault` → fault; `Control` tasks emit
+    /// none). The spans are the run's only per-agent accounting: an
     /// operation span lasts exactly the service handed to
     /// [`Simulation::add_task`], a wait span exactly `start − ready`.
-    pub fn export_trace(&self, label: &str) -> enkf_trace::Trace {
-        use enkf_trace::{Op, Role, Span};
-        let mut trace = enkf_trace::Trace::new(label);
-        for (t, &tag) in self.nodes.iter().zip(&self.ops) {
-            debug_assert_eq!(
-                t.state,
-                State::Done,
-                "export_trace requires a completed run"
-            );
+    /// Folding them (`enkf_trace::class_phases`) prices a run without
+    /// keeping its trace; [`Simulation::export_trace`] collects them.
+    pub fn spans(&self) -> impl Iterator<Item = Span> + '_ {
+        self.nodes.iter().zip(&self.ops).flat_map(move |(t, &tag)| {
+            debug_assert_eq!(t.state, State::Done, "spans require a completed run");
             let rank = t.agent as usize;
             let role = if tag.io { Role::Io } else { Role::Compute };
-            let wait = t.start - t.ready;
-            if wait > 0.0 {
-                let stalled = OpTag {
+            let stalled = t.stall().map(|wait| {
+                let tag = OpTag {
                     stage: tag.stage,
                     ..OpTag::default()
                 };
-                trace.push(Span::new(rank, role, Op::Wait, t.ready, wait, stalled));
-            }
-            let op = match t.kind {
-                Kind::Read => Op::Read,
-                Kind::Comm => Op::Send,
-                Kind::Compute => Op::Compute,
-                Kind::Fault => Op::Fault,
-                Kind::Control => continue,
-            };
-            trace.push(Span {
+                Span::new(rank, role, Op::Wait, t.ready, wait, tag)
+            });
+            let served = t.op().map(|op| Span {
                 res: self.held_by(t).first().map(|r| r.0),
                 // The service, not `finish - start`: what the caller
                 // priced, free of the rounding of `now + service`.
                 ..Span::new(rank, role, op, t.start, t.service, tag)
             });
-        }
+            stalled.into_iter().chain(served)
+        })
+    }
+
+    /// [`Simulation::spans`] collected into an execution trace labelled
+    /// `label` — valid after [`Simulation::run`].
+    pub fn export_trace(&self, label: &str) -> Trace {
+        // Exactly as many spans as `spans` yields: the trace never regrows.
+        let count = self
+            .nodes
+            .iter()
+            .map(|t| usize::from(t.stall().is_some()) + usize::from(t.op().is_some()));
+        let mut trace = Trace::new(label);
+        trace.reserve(count.sum());
+        trace.extend(self.spans());
         trace
     }
 
@@ -804,7 +862,11 @@ mod tests {
         sim.add_task(on_ost(Kind::Read, 1.0, read)).unwrap();
         let rep = sim.run().unwrap();
         assert_eq!(rep.makespan, 3.5);
-        assert_eq!(rep.resource_busy[ost.0], 3.0, "attempt + read held the OST");
+        assert_eq!(
+            sim.resource_busy()[ost.0],
+            3.0,
+            "attempt + read held the OST"
+        );
         let trace = sim.export_trace("faulted");
         let p = trace.per_rank_phases()[&0];
         assert_eq!(p.fault, 2.0 + 0.5, "the two fault services, exactly");

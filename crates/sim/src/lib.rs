@@ -27,25 +27,33 @@
 //! (`u32` agent and counters, `f64` service and times, a `u32` range into
 //! one sorted, deduplicated resource list), the [`enkf_trace::OpTag`]s
 //! beside them, and the dependency edges appended in insertion order.
-//! [`Simulation::run`] rebuilds the dependents from the edges as a CSR
-//! table by a stable counting sort, so every list is in ascending task
-//! order, and recomputes every counter, so a second run repeats the
+//! [`Simulation::add_task_parts`] records a task from borrowed resources
+//! and dependencies, so a caller adds one without allocating
+//! ([`Simulation::add_task`] is the same body behind the [`Task`]
+//! builder). [`Simulation::run`] rebuilds the dependents from the edges as
+//! a CSR table by a stable counting sort, so every list is in ascending
+//! task order, and recomputes every counter, so a second run repeats the
 //! first. [`Simulation::clear`] forgets a graph but keeps the buffers: a
 //! simulation reused graph after graph retains the capacity of the
 //! largest one and stops allocating. `enkf-parallel` prices every cycle in
-//! one such simulation per thread.
+//! one such simulation per thread. Nothing per span is stored: a run's
+//! spans are generated from the records on request.
 //!
 //! ## One record
 //!
-//! A run returns only what no span can say — [`SimReport`]: makespan, task
-//! count, per-resource busy time. Everything per agent is read off
-//! [`Simulation::export_trace`](engine::Simulation::export_trace), which
-//! yields the execution as `enkf_trace` spans in virtual time — the same
-//! vocabulary the real executors record in wall time. Busy time by kind is
-//! the span durations by operation; the *wait* time of Figure 9 (from the
-//! moment a task's dependencies finish until its service starts —
-//! dependency stalls plus resource queueing) is the wait spans; and
-//! real-vs-modeled operation structure compares digest-for-digest.
+//! A run returns only what no span can say — [`SimReport`]: makespan and
+//! task count ([`Simulation::resource_busy`] sums each resource's busy
+//! time on request). Everything per agent is read off
+//! [`Simulation::spans`](engine::Simulation::spans), the execution as a
+//! stream of `enkf_trace` spans in virtual time — the same vocabulary the
+//! real executors record in wall time. An outcome is a fold of that
+//! stream (`enkf_trace::class_phases`); the trace
+//! ([`Simulation::export_trace`](engine::Simulation::export_trace)) is
+//! that stream collected. Busy time by kind is the span durations by
+//! operation; the *wait* time of Figure 9 (from the moment a task's
+//! dependencies finish until its service starts — dependency stalls plus
+//! resource queueing) is the wait spans; and real-vs-modeled operation
+//! structure compares digest-for-digest.
 
 #![deny(unreachable_pub)]
 // ROADMAP carve-out (c): outside tests nothing in this crate may panic on a

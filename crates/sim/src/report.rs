@@ -1,29 +1,15 @@
 //! The summary a simulation run returns.
 
-/// The result of a simulation run: when it ended, how much it executed and
-/// how busy each resource was. Per-agent phase accounting is not kept here —
-/// it is a projection of the exported trace
-/// ([`crate::Simulation::export_trace`], `enkf_trace::Trace::per_rank_phases`).
+/// The result of a simulation run: when it ended and how much it executed.
+/// Everything else is read off the simulation on request — per-resource
+/// busy time ([`crate::Simulation::resource_busy`]) and every per-agent
+/// phase, a fold of the run's span stream ([`crate::Simulation::spans`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Virtual time at which the last task finished.
     pub makespan: f64,
     /// Number of tasks executed (equals the task count on success).
     pub tasks_executed: usize,
-    /// Busy time per resource (sum of the service times of the tasks that
-    /// held it), indexed by `ResourceId.0`.
-    pub resource_busy: Vec<f64>,
-}
-
-impl SimReport {
-    /// Utilization of a resource: busy time divided by `capacity × makespan`
-    /// (1.0 = every slot occupied for the whole run).
-    pub fn resource_utilization(&self, resource: usize, capacity: usize) -> f64 {
-        if self.makespan <= 0.0 || capacity == 0 {
-            return 0.0;
-        }
-        self.resource_busy[resource] / (capacity as f64 * self.makespan)
-    }
 }
 
 #[cfg(test)]
@@ -41,7 +27,8 @@ mod utilization_tests {
                 .unwrap();
         }
         let rep = sim.run().unwrap();
-        assert!((rep.resource_utilization(0, 2) - 1.0).abs() < 1e-12);
+        let utilization = sim.resource_busy()[0] / (2.0 * rep.makespan);
+        assert!((utilization - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -51,7 +38,7 @@ mod utilization_tests {
         let a = sim.add_agent();
         sim.add_task(Task::new(a, Kind::Compute, 1.0)).unwrap();
         let rep = sim.run().unwrap();
-        assert_eq!(rep.resource_utilization(0, 4), 0.0);
-        assert_eq!(rep.resource_busy.len(), 1);
+        assert_eq!(sim.resource_busy()[0] / (4.0 * rep.makespan), 0.0);
+        assert_eq!(sim.resource_busy().len(), 1);
     }
 }

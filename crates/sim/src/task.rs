@@ -30,7 +30,8 @@ pub enum Kind {
     Control,
 }
 
-/// One node of the simulated task DAG. Build via [`crate::Simulation::add_task`].
+/// One node of the simulated task DAG. Build via [`crate::Simulation::add_task`]
+/// (or hand its parts, borrowed, to [`crate::Simulation::add_task_parts`]).
 #[derive(Debug, Clone)]
 pub struct Task {
     /// Serial execution context this task runs on.
@@ -46,9 +47,9 @@ pub struct Task {
     /// dependency on the agent's previous task).
     pub deps: Vec<TaskId>,
     /// Operation metadata (role, stage, bytes, seeks, peer, member, fault
-    /// kind, attempt) carried into the exported execution trace
-    /// ([`crate::Simulation::export_trace`]). Untagged tasks still appear
-    /// in the trace with defaults derived from their kind.
+    /// kind, attempt) carried into the run's spans
+    /// ([`crate::Simulation::spans`]). Untagged tasks still appear there
+    /// with defaults derived from their kind.
     pub op: Option<enkf_trace::OpTag>,
 }
 

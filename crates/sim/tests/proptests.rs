@@ -91,7 +91,7 @@ fn fingerprint(sim: &Simulation, ids: &[TaskId], report: &enkf_sim::SimReport) -
         .map(|&t| sim.task_times(t))
         .map(|(r, s, f)| (bits(r), bits(s), bits(f)))
         .collect();
-    let busy: Vec<u64> = report.resource_busy.iter().copied().map(bits).collect();
+    let busy: Vec<u64> = sim.resource_busy().into_iter().map(bits).collect();
     let trace = sim.export_trace("prop");
     format!(
         "{} {} {busy:?} {times:?} {} {:?}",

@@ -5,7 +5,7 @@
 //! bytes), local-analysis batches, waits — stamped with the rank, the rank's
 //! role, the stage (layer) and a start/duration. The real executors stamp
 //! wall time relative to a shared epoch ([`RankTracer`]); the modeled
-//! executors stamp virtual DES time (`enkf_sim::Simulation::export_trace`).
+//! executors stamp virtual DES time (`enkf_sim::Simulation::spans`).
 //!
 //! Because the *operations* are identical even though the *times* are not,
 //! a [`Trace::digest`] — the deterministic, time-free multiset of operations
@@ -20,8 +20,11 @@
 //!
 //! * **phases** — [`PhaseBreakdown`] (the Fig. 9 budget):
 //!   [`Trace::per_rank_phases`] sums durations by operation kind and
-//!   [`Trace::class_phases`] folds them into the compute-rank and I/O-rank
-//!   classes both executors report;
+//!   [`class_phases`] folds a span stream into the compute-rank and
+//!   I/O-rank classes both executors report — a collected trace
+//!   ([`Trace::class_phases`]) or a DES run's spans as they are generated
+//!   (`enkf_sim::Simulation::spans`), which prices a modeled cycle without
+//!   building its trace;
 //! * **operation digest** — [`Trace::digest`], the sorted text digest above;
 //! * **fault events** — [`Trace::fault_events`] / [`Trace::fault_digest`]:
 //!   which attempt of which member read was failed by injection, backed
@@ -41,6 +44,7 @@
 
 pub mod json;
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -307,6 +311,45 @@ impl PhaseBreakdown {
     }
 }
 
+/// The class-phase fold of a span stream, `(compute, io, first_compute)`:
+/// each rank's spans summed by [`PhaseBreakdown`] slot in stream order, the
+/// per-rank sums merged in ascending rank order into the compute class
+/// (ranks below `compute_ranks`) or the I/O class (the rest), and the
+/// earliest [`Op::Compute`] start (infinite when there is none) — for a
+/// cycle, the exposed read+comm prefix. The one accounting behind both the
+/// real `ExecutionReport` ([`Trace::class_phases`]) and the modeled
+/// `ModelOutcome`, which folds the DES's spans as they are generated.
+pub fn class_phases<S: Borrow<Span>>(
+    spans: impl IntoIterator<Item = S>,
+    compute_ranks: usize,
+) -> (PhaseBreakdown, PhaseBreakdown, f64) {
+    // A run's rank ids are dense, so the per-rank sums are a table indexed
+    // by rank. A rank no span names sums to +0.0 in every slot, and adding
+    // +0.0 leaves a class sum unchanged (one that starts at +0.0 is never
+    // −0.0), so the table folds exactly as a map of the named ranks would.
+    let mut ranks: Vec<PhaseBreakdown> = Vec::with_capacity(compute_ranks);
+    let mut first_compute = f64::INFINITY;
+    for span in spans {
+        let span = span.borrow();
+        if span.rank >= ranks.len() {
+            ranks.resize(span.rank + 1, PhaseBreakdown::default());
+        }
+        ranks[span.rank].add(span);
+        if span.op == Op::Compute {
+            first_compute = first_compute.min(span.start);
+        }
+    }
+    let (mut compute, mut io) = (PhaseBreakdown::default(), PhaseBreakdown::default());
+    for (rank, phases) in ranks.iter().enumerate() {
+        if rank < compute_ranks {
+            compute.merge(phases);
+        } else {
+            io.merge(phases);
+        }
+    }
+    (compute, io, first_compute)
+}
+
 /// One entry of the fault-event projection ([`Trace::fault_events`]). The
 /// derived `Ord` (rank, stage, member, attempt, kind) is the canonical sort
 /// of [`Trace::fault_digest`], so the multi-threaded real run and the
@@ -385,6 +428,12 @@ impl Trace {
         self.spans.push(span);
     }
 
+    /// Make room for `additional` more spans, so a producer that knows its
+    /// span count fills the trace without regrowing it.
+    pub fn reserve(&mut self, additional: usize) {
+        self.spans.reserve(additional);
+    }
+
     /// Record many spans (e.g. one rank's collected output, merged in rank
     /// order for determinism).
     pub fn extend(&mut self, spans: impl IntoIterator<Item = Span>) {
@@ -414,28 +463,11 @@ impl Trace {
     }
 
     /// Phase totals of the two rank classes, `(compute, io)`: ranks below
-    /// `compute_ranks` are compute ranks, the rest dedicated I/O ranks.
-    /// Per-rank sums are folded in rank order, so the result is a
-    /// deterministic function of the spans — the one fold behind both the
-    /// real `ExecutionReport` and the `ModelOutcome`.
+    /// `compute_ranks` are compute ranks, the rest dedicated I/O ranks —
+    /// [`class_phases`] over the spans, a deterministic function of them.
     pub fn class_phases(&self, compute_ranks: usize) -> (PhaseBreakdown, PhaseBreakdown) {
-        let mut classes = (PhaseBreakdown::default(), PhaseBreakdown::default());
-        for (rank, phases) in self.per_rank_phases() {
-            if rank < compute_ranks {
-                classes.0.merge(&phases);
-            } else {
-                classes.1.merge(&phases);
-            }
-        }
-        classes
-    }
-
-    /// Earliest start among the spans of `op`; infinite when there is none.
-    /// For [`Op::Compute`] that is the exposed (un-overlapped) read+comm
-    /// prefix of the cycle.
-    pub fn first_start(&self, op: Op) -> f64 {
-        let starts = self.spans.iter().filter(|s| s.op == op).map(|s| s.start);
-        starts.fold(f64::INFINITY, f64::min)
+        let (compute, io, _) = class_phases(&self.spans, compute_ranks);
+        (compute, io)
     }
 
     /// The fault events of the run, in span order: every [`Op::Fault`] span
@@ -1030,8 +1062,76 @@ mod tests {
         assert_eq!(compute.read, 0.0);
         assert_eq!(io.read, 0.25);
         assert_eq!(io.wait, 0.25);
-        assert_eq!(t.first_start(Op::Compute), 0.5);
-        assert_eq!(t.first_start(Op::Send), f64::INFINITY);
+        assert_eq!(class_phases(t.spans(), 2).2, 0.5, "earliest compute start");
+        assert_eq!(
+            class_phases(t.spans().iter().filter(|s| s.op != Op::Compute), 2).2,
+            f64::INFINITY,
+            "no compute span, no start"
+        );
+    }
+
+    /// The fold on rank ids with gaps, a rank beyond the I/O ranks' block
+    /// and an empty stream: every class sum equals the sum, in rank order,
+    /// of the per-rank map's entries, bit for bit — whatever table holds
+    /// the per-rank sums.
+    #[test]
+    fn class_phases_fold_sparse_ranks_like_the_per_rank_map() {
+        let mut t = Trace::new("sparse");
+        // Durations whose sums round, so the association order shows in the
+        // bits: every rank computes (0.1, 0.2, 0.3, 0.4 summed in ascending
+        // rank order differ from any other order), rank 7 reads 0.1, 0.2,
+        // 0.3 in stream order.
+        let spans = [
+            (7, Op::Read, 0.1, 0.1),
+            (0, Op::Compute, 2.5, 0.1),
+            (3, Op::Send, 0.2, 1e-17),
+            (7, Op::Wait, 0.0, 0.1),
+            (12, Op::Compute, 3.0, 0.4),
+            (3, Op::Compute, 0.75, 0.2),
+            (7, Op::Read, 0.4, 0.2),
+            (12, Op::Fault, 0.4, 0.3),
+            (0, Op::Wait, 0.0, 1e-17),
+            (7, Op::Compute, 1.0, 0.3),
+            (3, Op::Send, 0.3, 0.2),
+            (7, Op::Read, 0.6, 0.3),
+        ];
+        for (rank, op, start, dur) in spans {
+            t.push(Span {
+                start,
+                dur,
+                ..span(rank, op, None, 0, 0)
+            });
+        }
+        let bits =
+            |p: &PhaseBreakdown| [p.read, p.comm, p.compute, p.wait, p.fault].map(f64::to_bits);
+        let per_rank = t.per_rank_phases();
+        // Compute ranks {0, 3}; 7 and 12 are past the compute block.
+        for compute_ranks in [0, 1, 4, 8, 13, 100] {
+            let mut expected = (PhaseBreakdown::default(), PhaseBreakdown::default());
+            for (&rank, phases) in &per_rank {
+                if rank < compute_ranks {
+                    expected.0.merge(phases);
+                } else {
+                    expected.1.merge(phases);
+                }
+            }
+            let (compute, io, first) = class_phases(t.spans(), compute_ranks);
+            assert_eq!(
+                bits(&compute),
+                bits(&expected.0),
+                "compute, {compute_ranks}"
+            );
+            assert_eq!(bits(&io), bits(&expected.1), "io, {compute_ranks}");
+            assert_eq!(first, 0.75);
+            assert_eq!(t.class_phases(compute_ranks), (compute, io));
+        }
+        let empty = class_phases(Trace::new("empty").spans(), 3);
+        assert_eq!(empty.0, PhaseBreakdown::default());
+        assert_eq!(empty.1, PhaseBreakdown::default());
+        assert_eq!(empty.2, f64::INFINITY);
+        for p in [empty.0, empty.1] {
+            assert!(bits(&p).iter().all(|&b| b == 0), "+0.0, not -0.0");
+        }
     }
 
     #[test]

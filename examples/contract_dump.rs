@@ -22,7 +22,9 @@
 //! * `paper` rows — the claimed scale, where thousands of tasks queue ready
 //!   at once: the four `des_paper_scale` cycles of the perf ledger at 1,200
 //!   ranks and Fig. 13's 12,000-rank P-/S-EnKF point, S-EnKF autotuned as
-//!   each of them tunes it; the same fields as a `cycle` model row.
+//!   each of them tunes it; the same fields as a `cycle` model row. The
+//!   `paper untraced` rows price the same points through the untraced
+//!   forwards (`model_senkf` & co.): every outcome field, no trace.
 //! * `sched` rows — one small mix of modelled campaigns with staggered
 //!   arrivals, an unattainable SLA and a rank budget that queues, scheduled
 //!   by `simulate` and executed by `run_real`: every share check, every
@@ -31,7 +33,9 @@
 
 use s_enkf::ckpt::fnv64;
 use s_enkf::core::BatchedKernel;
-use s_enkf::parallel::{BackoffClock, CkptMode};
+use s_enkf::parallel::{
+    model_denkf, model_lenkf, model_penkf, model_senkf, BackoffClock, CkptMode,
+};
 use s_enkf::prelude::*;
 use s_enkf::sched::{run_real, MixOutcome};
 use s_enkf::trace::Trace;
@@ -112,10 +116,17 @@ fn phases(p: &PhaseBreakdown) -> String {
 /// field.
 fn outcome(out: &ModelOutcome, trace: &Trace) -> String {
     format!(
-        "trace={} faults={} dropped={:?} ranks={}+{} makespan={} first_compute={} \
-         compute=[{}] io=[{}]",
+        "trace={} faults={} {}",
         hash(&trace.digest()),
         hash(&trace.fault_digest(&out.dropped_members)),
+        fields(out),
+    )
+}
+
+/// Every [`ModelOutcome`] field.
+fn fields(out: &ModelOutcome) -> String {
+    format!(
+        "dropped={:?} ranks={}+{} makespan={} first_compute={} compute=[{}] io=[{}]",
         out.dropped_members,
         out.num_compute_ranks,
         out.num_io_ranks,
@@ -363,15 +374,14 @@ fn dump_model_campaign(name: &str, variant: &ModelVariant, case: &Case) {
     }
 }
 
-/// The `paper` rows: `(np, variant)` on the paper-scale configuration; the
-/// perf ledger tunes with `ε = 1e-3`, the Fig. 13 sweep with `2e-2`.
-fn dump_paper() {
-    let cfg = ModelConfig::paper();
+/// The paper points: `(np, variant)` on the paper-scale configuration;
+/// the perf ledger tunes with `ε = 1e-3`, the Fig. 13 sweep with `2e-2`.
+fn paper_points(cfg: &ModelConfig) -> [(usize, ModelVariant); 6] {
     let tuned = |np, eps| {
         let tuned = autotune(&cfg.cost_params(), np, eps).expect("autotune");
         ModelVariant::SEnkf(tuned.params)
     };
-    let points = [
+    [
         (1_200, tuned(1_200, 1e-3)),
         (1_200, ModelVariant::PEnkf { nsdx: 30, nsdy: 40 }),
         (1_200, ModelVariant::LEnkf { nsdx: 30, nsdy: 40 }),
@@ -384,12 +394,37 @@ fn dump_paper() {
             },
         ),
         (12_000, tuned(12_000, 2e-2)),
-    ];
-    for (np, variant) in points {
+    ]
+}
+
+/// The `paper` rows: every paper point through `model_cycle`.
+fn dump_paper() {
+    let cfg = ModelConfig::paper();
+    for (np, variant) in paper_points(&cfg) {
         let tag = format!("paper {np} {variant:?}");
         let none = FaultConfig::none();
         match model_cycle(&cfg, &variant, Default::default(), &none, None) {
             Ok((out, trace)) => println!("{tag} {}", outcome(&out, &trace)),
+            Err(e) => println!("{tag} error={e}"),
+        }
+    }
+}
+
+/// The `paper untraced` rows: the paper points through the untraced
+/// forwards (`model_senkf` & co.), which build no trace — every outcome
+/// field, to compare with the `paper` row of the same point.
+fn dump_paper_untraced() {
+    let cfg = ModelConfig::paper();
+    for (np, variant) in paper_points(&cfg) {
+        let tag = format!("paper untraced {np} {variant:?}");
+        let out = match variant {
+            ModelVariant::SEnkf(params) => model_senkf(&cfg, params),
+            ModelVariant::PEnkf { nsdx, nsdy } => model_penkf(&cfg, nsdx, nsdy),
+            ModelVariant::LEnkf { nsdx, nsdy } => model_lenkf(&cfg, nsdx, nsdy),
+            ModelVariant::DEnkf { shards } => model_denkf(&cfg, shards),
+        };
+        match out {
+            Ok(out) => println!("{tag} {}", fields(&out)),
             Err(e) => println!("{tag} error={e}"),
         }
     }
@@ -483,6 +518,7 @@ fn dump_sched() {
 fn main() {
     dump_cycles();
     dump_paper();
+    dump_paper_untraced();
     for case in cases() {
         for (name, exec) in executors() {
             for mode in [CkptMode::Sync, CkptMode::Pipelined] {

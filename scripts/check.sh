@@ -35,7 +35,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # The root package is a workspace member, so this one step runs every
 # `tests/*.rs` suite (failure injection, fault/trace/D-EnKF/campaign/
 # scheduler conformance, checkpoint restart, cross-variant equivalence,
-# chaos soak, data-plane allocation) and every `enkf-*` crate's unit,
+# chaos soak, data-plane and model allocation) and every `enkf-*` crate's unit,
 # integration and property tests, including `enkf-linalg`'s kernel
 # conformance under default features and `tests/reproduce.rs`, which
 # asserts the paper's verdicts (`s_enkf::reproduce`). The steps below only
@@ -44,9 +44,11 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 echo "==> allocation regression: steady-state data plane and both local-analysis"
-echo "    point kernels are alloc-free (release)"
+echo "    point kernels are alloc-free, untraced modelled cycles allocate nothing per"
+echo "    task (release)"
 cargo test -q --release --test dataplane_alloc_free
 cargo test -q --release -p enkf-core --test alloc_free
+cargo test -q --release --test model_alloc
 
 echo "==> crash consistency in release, the build the benchmark runs: kill-resume,"
 echo "    crash recovery and checkpoint restart while the pipelined writer overlaps"
