@@ -13,10 +13,9 @@
 //!   reproduces identical values — the property that makes the parallel
 //!   implementations bit-compatible with the serial reference.
 //! * [`LocalAnalysis`] — the localized analysis (Eq. 6) on a sub-domain /
-//!   layer, with the inverse background covariance estimated by the
-//!   modified Cholesky decomposition (P-EnKF's estimator) over either the
-//!   whole expansion (`Region` granularity) or each grid point's local box
-//!   (`PointWise` granularity; decomposition-invariant).
+//!   layer, each grid point updated from its own local box with the inverse
+//!   background covariance estimated there by the modified Cholesky
+//!   decomposition (P-EnKF's estimator); decomposition-invariant.
 //! * [`serial_enkf`] — the single-threaded reference every parallel variant
 //!   is validated against.
 
@@ -39,13 +38,13 @@ pub use analysis::GlobalAnalysis;
 pub use batched::{batched_transform, serial_denkf, BatchedKernel};
 pub use ensemble::Ensemble;
 pub use inflation::{inflate_ensemble, inflated};
-pub use letkf::{serial_letkf, serial_letkf_decomposed, LetkfAnalysis, LetkfWorkspace};
+pub use letkf::{LetkfAnalysis, LetkfWorkspace};
 pub use local::{
-    AnalysisGranularity, AnomalyGram, LocalAnalysis, LocalAnalysisWorkspace, LocalObsIndex,
-    LocalObservations, PointInputs,
+    AnomalyGram, LocalAnalysis, LocalAnalysisWorkspace, LocalObsIndex, LocalObservations,
+    PointInputs,
 };
 pub use observation::{ObservationOperator, Observations, PerturbedObservations};
-pub use serial::{serial_enkf, serial_enkf_decomposed};
+pub use serial::serial_enkf;
 
 /// Errors from analysis computations.
 #[derive(Debug)]

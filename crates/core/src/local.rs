@@ -4,7 +4,7 @@ use crate::{EnkfError, Result};
 use enkf_grid::{GridPoint, LocalizationRadius, Mesh, RegionRect};
 use enkf_linalg::kernel::gemm::dot;
 use enkf_linalg::kernel::lanes::{check_pivots, factor_lanes, solve_lanes, tri, LaneOps};
-use enkf_linalg::{Cholesky, Matrix, ModCholWorkspace, ModifiedCholesky};
+use enkf_linalg::{Matrix, ModCholWorkspace, ModifiedCholesky};
 use rayon::prelude::*;
 use std::sync::{Mutex, PoisonError};
 
@@ -88,8 +88,8 @@ impl LocalObservations {
 
 /// Bucket-grid index over an expansion's local observations.
 ///
-/// Built once per `analyze_pointwise` call (or per assimilation cycle by a
-/// caller that keeps it around), it makes the per-grid-point
+/// Built once per [`LocalAnalysis::analyze`] call (or per assimilation
+/// cycle by a caller that keeps it around), it makes the per-grid-point
 /// re-localization — "which of the expansion's observations fall inside
 /// this point's box" — cost O(obs in box) instead of O(obs in expansion).
 /// Query results are byte-identical to
@@ -190,20 +190,11 @@ impl LocalObsIndex {
     }
 }
 
-/// Granularity of the localized analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalysisGranularity {
-    /// One modified-Cholesky estimate over the whole expansion, one solve
-    /// for the whole region (the blocked formulation of Eq. 6).
-    Region,
-    /// Update each grid point from its own local box (Fig. 2a). The result
-    /// is independent of how the domain is decomposed into sub-domains and
-    /// layers — the property the cross-variant equivalence tests rely on.
-    PointWise,
-}
-
 /// The localized analysis kernel shared by the serial reference and every
-/// parallel variant.
+/// parallel variant: point-wise Eq. 6, each grid point updated from its own
+/// local box (Fig. 2a). The result is independent of how the domain is
+/// decomposed into sub-domains and layers — the property the cross-variant
+/// equivalence tests rely on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalAnalysis {
     /// Localization radius `(ξ, η)`.
@@ -214,8 +205,6 @@ pub struct LocalAnalysis {
     /// around `0.05`–`0.2` stabilize the regressions when the localization
     /// neighborhood size approaches the ensemble size `N`.
     pub ridge: f64,
-    /// Analysis granularity.
-    pub granularity: AnalysisGranularity,
 }
 
 impl LocalAnalysis {
@@ -227,16 +216,6 @@ impl LocalAnalysis {
         LocalAnalysis {
             radius,
             ridge: Self::DEFAULT_RIDGE,
-            granularity: AnalysisGranularity::PointWise,
-        }
-    }
-
-    /// Region-granularity analysis with the default ridge.
-    pub fn blocked(radius: LocalizationRadius) -> Self {
-        LocalAnalysis {
-            radius,
-            ridge: Self::DEFAULT_RIDGE,
-            granularity: AnalysisGranularity::Region,
         }
     }
 
@@ -252,6 +231,11 @@ impl LocalAnalysis {
     /// * `obs` — observations localized to `expansion`.
     ///
     /// Returns the `target.npoints() × N` analysis `X^a` (Eq. 6).
+    ///
+    /// The expansion's anomalies and their banded Gram table
+    /// ([`AnomalyGram`]) are computed once and shared read-only by the
+    /// workers; each worker owns one [`LocalAnalysisWorkspace`] and reuses
+    /// it across all its grid points.
     pub fn analyze(
         &self,
         mesh: Mesh,
@@ -278,81 +262,6 @@ impl LocalAnalysis {
                 "expansion {expansion:?} misses halo {needed:?} of target"
             )));
         }
-        match self.granularity {
-            AnalysisGranularity::Region => self.analyze_region(target, expansion, xb, obs),
-            AnalysisGranularity::PointWise => {
-                self.analyze_pointwise(mesh, target, expansion, xb, obs)
-            }
-        }
-    }
-
-    /// Blocked Eq. 6 over the full expansion.
-    fn analyze_region(
-        &self,
-        target: &RegionRect,
-        expansion: &RegionRect,
-        xb: &Matrix,
-        obs: &LocalObservations,
-    ) -> Result<Matrix> {
-        let target_rows = expansion.local_indices_of(target);
-        if obs.is_empty() {
-            // No information: X^a = X^b on the target.
-            return Ok(xb.select_rows(&target_rows));
-        }
-        let nbar = expansion.npoints();
-        let nens = xb.ncols();
-
-        // U = X̄ᵇ − mean, B̂⁻¹ = Lᵀ D⁻¹ L via modified Cholesky with the
-        // localization neighborhood as the regression support.
-        let mut u = xb.clone();
-        let means = u.row_means();
-        u.subtract_row_vector(&means);
-        // Scale the ridge by the mean anomaly variance so the shrinkage is
-        // dimensionless in the field's units.
-        let denom = (nens - 1).max(1) as f64;
-        let mean_var = u.as_slice().iter().map(|&v| v * v).sum::<f64>() / (denom * nbar as f64);
-        let lambda = (self.ridge * mean_var).max(f64::MIN_POSITIVE);
-        let mc = ModifiedCholesky::estimate(&u, box_predecessors(expansion, self.radius), lambda)?;
-        let mut a = mc.inverse_covariance();
-
-        // A = B̂⁻¹ + Hᵀ R⁻¹ H — the selection H adds 1/σ²ₖ at the observed
-        // diagonal entries.
-        for (r, &row) in obs.local_rows.iter().enumerate() {
-            a[(row, row)] += 1.0 / obs.error_var[r];
-        }
-
-        // Z = Hᵀ R⁻¹ (Yˢ − H X̄ᵇ).
-        let mut z = Matrix::zeros(nbar, nens);
-        for (r, &row) in obs.local_rows.iter().enumerate() {
-            let inv_var = 1.0 / obs.error_var[r];
-            for k in 0..nens {
-                let innovation = obs.perturbed[(r, k)] - xb[(row, k)];
-                z[(row, k)] += inv_var * innovation;
-            }
-        }
-
-        // δX^a = A⁻¹ Z; X^a = X̄ᵇ + δX^a restricted to the target rows.
-        let ch = Cholesky::factor(&a)?;
-        let delta = ch.solve(&z)?;
-        let mut xa = xb.clone();
-        xa.axpy(1.0, &delta)?;
-        Ok(xa.select_rows(&target_rows))
-    }
-
-    /// Point-wise Eq. 6: each target point analyzed from its own local box.
-    ///
-    /// The expansion's anomalies and their banded Gram table
-    /// ([`AnomalyGram`]) are computed once and shared read-only by the
-    /// workers; each worker owns one [`LocalAnalysisWorkspace`] and reuses
-    /// it across all its grid points.
-    fn analyze_pointwise(
-        &self,
-        mesh: Mesh,
-        target: &RegionRect,
-        expansion: &RegionRect,
-        xb: &Matrix,
-        obs: &LocalObservations,
-    ) -> Result<Matrix> {
         if obs.is_empty() {
             // No information anywhere in reach: X^a = X^b on the target.
             return Ok(xb.select_rows(&expansion.local_indices_of(target)));
@@ -384,11 +293,11 @@ impl LocalAnalysis {
     /// (one row of `N` per point, in order, bit for bit what the point-wise
     /// [`LocalAnalysis::analyze`] gives it).
     ///
-    /// A point's analysis equals running `LocalAnalysis::analyze_region` on
-    /// its box, but only the target row of `δX = A⁻¹ Z` is formed: since
-    /// `A` is symmetric, `δX[t,·] = (A⁻¹ eₜ)ᵀ Z`, so a single triangular
-    /// solve replaces one per ensemble member and `Z` is never
-    /// materialized. The box is never copied out either: its anomaly rows
+    /// A point's analysis equals the blocked Eq. 6 over its box (one
+    /// modified-Cholesky estimate and one solve for the whole box), but
+    /// only the target row of `δX = A⁻¹ Z` is formed: since `A` is
+    /// symmetric, `δX[t,·] = (A⁻¹ eₜ)ᵀ Z`, so a single triangular solve
+    /// replaces one per ensemble member and `Z` is never materialized. The box is never copied out either: its anomaly rows
     /// and every regression's normal equations are read from `io.gram`.
     ///
     /// Points whose boxes have one shape after mesh clipping share a box
@@ -530,24 +439,6 @@ fn keep_first(slot: &mut Option<(usize, EnkfError)>, r: RowResult) {
             *slot = Some(e);
         }
     }
-}
-
-/// Run `f(point, workspace, output row)` over every point of `target`,
-/// whose analysis `out` holds one row per point, one workspace per rayon
-/// worker ([`par_point_chunks`]).
-pub(crate) fn par_point_rows<W>(
-    out: &mut Matrix,
-    target: &RegionRect,
-    new_workspace: impl Fn() -> W + Sync,
-    f: impl Fn(GridPoint, &mut W, &mut [f64]) -> Result<()> + Sync,
-) -> Result<()> {
-    let nens = out.ncols();
-    par_point_chunks(out, new_workspace, |first, chunk, ws| {
-        for (i, row) in chunk.chunks_mut(nens).enumerate() {
-            f(target.point_at(first + i), ws, row).map_err(|e| (first + i, e))?;
-        }
-        Ok(())
-    })
 }
 
 /// The anomalies of an expansion's background and the banded table of
@@ -784,8 +675,8 @@ impl<const W: usize> LaneWorkspace<W> {
             1 => [gram.entry(rows[ja], keys[ja], keys[jb]); W],
             _ => g[ja * gram.stride + gram.centre + keys[jb] - keys[ja]],
         };
-        // The adaptive ridge, as in `analyze_region`: one running sum over
-        // the box's anomalies in row-major order.
+        // The adaptive ridge of the blocked Eq. 6 over the box: one running
+        // sum over the box's anomalies in row-major order.
         let mut sum_sq = [0.0; W];
         for v in (0..nbar).flat_map(row) {
             sum_sq = sum_sq.add(v.mul(*v));
@@ -1103,11 +994,9 @@ mod tests {
             error_var: vec![],
             perturbed: Matrix::zeros(0, 6),
         };
-        for la in [LocalAnalysis::new(radius), LocalAnalysis::blocked(radius)] {
-            let xa = la.analyze(mesh, &target, &expansion, &xb, &empty).unwrap();
-            let rows = expansion.local_indices_of(&target);
-            assert_eq!(xa, xb.select_rows(&rows));
-        }
+        let la = LocalAnalysis::new(radius);
+        let xa = la.analyze(mesh, &target, &expansion, &xb, &empty).unwrap();
+        assert_eq!(xa, xb.select_rows(&expansion.local_indices_of(&target)));
     }
 
     #[test]

@@ -2,49 +2,30 @@
 //! validated against.
 
 use crate::{Ensemble, LocalAnalysis, Observations, Result};
-use enkf_grid::{Decomposition, LocalizationRadius};
+use enkf_grid::{LocalizationRadius, RegionRect};
 
-/// Run the domain-localized EnKF serially over an explicit decomposition:
-/// for every sub-domain, restrict the background to the expansion, localize
-/// the observations, run the local analysis (Eq. 6), and scatter the result
-/// back (the implicit `P_{i,j}` projection).
-pub fn serial_enkf_decomposed(
-    ensemble: &Ensemble,
-    observations: &Observations,
-    analysis: LocalAnalysis,
-    decomp: &Decomposition,
-) -> Result<Ensemble> {
-    let mesh = ensemble.mesh();
-    let mut out = ensemble.clone();
-    for id in decomp.iter_ids() {
-        let target = decomp.subdomain(id);
-        let expansion = decomp.expansion(id, analysis.radius);
-        let xb = ensemble.restrict(&expansion);
-        let obs = observations.localize(&expansion);
-        let xa = analysis.analyze(mesh, &target, &expansion, &xb, &obs)?;
-        out.assign(&target, &xa);
-    }
-    Ok(out)
-}
-
-/// Run the point-wise domain-localized EnKF on the whole mesh in one shot —
-/// the canonical serial reference. Equivalent to
-/// [`serial_enkf_decomposed`] with any decomposition when the analysis is
-/// point-wise.
+/// Run the point-wise domain-localized EnKF (Eq. 6) on the whole mesh in
+/// one shot — the canonical serial reference. The analysis is point-wise,
+/// so restricting the background to each sub-domain's expansion of any
+/// decomposition, analysing it and scattering the result back (the
+/// implicit `P_{i,j}` projection) gives the same ensemble.
 pub fn serial_enkf(
     ensemble: &Ensemble,
     observations: &Observations,
     radius: LocalizationRadius,
 ) -> Result<Ensemble> {
-    let decomp = Decomposition::whole(ensemble.mesh());
-    serial_enkf_decomposed(ensemble, observations, LocalAnalysis::new(radius), &decomp)
+    let mesh = ensemble.mesh();
+    let full = RegionRect::full(mesh);
+    let obs = observations.localize(&full);
+    let xa = LocalAnalysis::new(radius).analyze(mesh, &full, &full, ensemble.states(), &obs)?;
+    Ok(Ensemble::new(mesh, xa))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ObservationOperator, PerturbedObservations};
-    use enkf_grid::{Mesh, ObservationNetwork};
+    use enkf_grid::{Decomposition, Mesh, ObservationNetwork};
     use enkf_linalg::{GaussianSampler, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -135,26 +116,22 @@ mod tests {
         let (ensemble, obs, _) = build_problem(mesh, 8, 6);
         let radius = LocalizationRadius { xi: 1, eta: 1 };
         let reference = serial_enkf(&ensemble, &obs, radius).unwrap();
+        let la = LocalAnalysis::new(radius);
         for (sx, sy) in [(2, 2), (3, 4), (6, 1), (12, 8)] {
             let d = Decomposition::new(mesh, sx, sy).unwrap();
-            let got =
-                serial_enkf_decomposed(&ensemble, &obs, LocalAnalysis::new(radius), &d).unwrap();
+            let mut got = ensemble.clone();
+            for id in d.iter_ids() {
+                let (target, expansion) = (d.subdomain(id), d.expansion(id, radius));
+                let xb = ensemble.restrict(&expansion);
+                let local = obs.localize(&expansion);
+                let xa = la.analyze(mesh, &target, &expansion, &xb, &local).unwrap();
+                got.assign(&target, &xa);
+            }
             assert!(
                 got.states().approx_eq(reference.states(), 1e-10),
                 "decomposition {sx}x{sy} changed the point-wise analysis"
             );
         }
-    }
-
-    #[test]
-    fn blocked_analysis_also_reduces_error() {
-        let mesh = Mesh::new(8, 8);
-        let (ensemble, obs, truth) = build_problem(mesh, 32, 8);
-        let radius = LocalizationRadius { xi: 1, eta: 1 };
-        let d = Decomposition::new(mesh, 2, 2).unwrap();
-        let analysis =
-            serial_enkf_decomposed(&ensemble, &obs, LocalAnalysis::blocked(radius), &d).unwrap();
-        assert!(analysis.rmse_against(&truth) < ensemble.rmse_against(&truth));
     }
 
     #[test]

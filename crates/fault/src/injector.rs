@@ -100,14 +100,12 @@ impl FaultInjector {
             .unwrap_or(0)
     }
 
-    /// Whether `member` cannot be read within the retry budget. The budget
-    /// counts the retries the deadline actually schedules
-    /// ([`RetryPolicy::effective_retries`]), so a tight deadline widens the
-    /// dropout set — exhaustion degrades to the N−1 path instead of
-    /// stalling. Without a deadline this is the historical
-    /// `fail_attempts > max_retries`.
+    /// Whether `member` cannot be read within the retry budget: its
+    /// injected failures use up every one of [`RetryPolicy::attempts`], the
+    /// bound the read schedule iterates, so degraded mode drops it (the N−1
+    /// path) instead of stalling.
     pub fn is_unrecoverable(&self, member: usize) -> bool {
-        self.read_fail_attempts(member) > self.cfg.retry.effective_retries()
+        self.read_fail_attempts(member) >= self.cfg.retry.attempts()
     }
 
     /// The sorted dropout set among members `0..members` — the members
@@ -222,7 +220,6 @@ mod tests {
             max_retries: 1,
             base_backoff: 1e-3,
             multiplier: 2.0,
-            ..RetryPolicy::default()
         }));
         assert_eq!(strict.unrecoverable_members(4), vec![0]);
     }

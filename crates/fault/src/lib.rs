@@ -11,9 +11,9 @@
 //!   a given stage). A plan is plain data: the same plan injected into the
 //!   real (threaded) executor and the modeled (DES) executor produces the
 //!   same fault/retry/dropout event sequence.
-//! * [`RetryPolicy`] — bounded retry with exponential backoff. Deliberately
-//!   jitter-free so backoff delays are bit-reproducible across executors and
-//!   appear in DES virtual time exactly as scheduled.
+//! * [`RetryPolicy`] — bounded retry with exponential backoff. The delays
+//!   are a pure function of the attempt, so they are bit-reproducible across
+//!   executors and appear in DES virtual time exactly as scheduled.
 //! * [`FaultInjector`] — the pure decision functions (`does attempt a of a
 //!   read of member k fail?`, `which members are unrecoverable?`). Every
 //!   decision is a function of `(plan, policy)` alone, never of runtime

@@ -249,8 +249,8 @@ impl FaultPlan {
 
 /// SplitMix64-derived uniform in `[0, 1)` for `(seed, index)` — the same
 /// keyed-stream construction the perturbed observations use, so jitter
-/// plans, retry jitter ([`crate::RetryPolicy::with_jitter`]) and chaos-soak
-/// storm generators are reproducible without an RNG dependency.
+/// plans and chaos-soak storm generators are reproducible without an RNG
+/// dependency.
 pub fn seeded_unit(seed: u64, index: u64) -> f64 {
     let mut z =
         (seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(0xD1B5_4A32_D192_ED03);

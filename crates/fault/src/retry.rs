@@ -1,45 +1,22 @@
-//! Bounded retry with exponential backoff, seeded jitter, and an optional
-//! per-phase deadline budget.
-
-use crate::plan::seeded_unit;
+//! Bounded retry with exponential backoff.
 
 /// Retry policy for substrate reads: up to `max_retries` re-issues after
 /// the initial attempt, sleeping `base_backoff · multiplier^attempt`
 /// between attempts.
 ///
-/// Backoff is **seeded-jittered, not random**: with `jitter > 0` each delay
-/// is scaled by `1 + jitter · u(seed, attempt)` where `u` is the same
-/// SplitMix64 unit stream the fault plan draws from. The delays are a pure
-/// function of `(seed, attempt)`, so they are identical on the real path
-/// (wall-clock sleeps) and the modeled path (virtual-time tasks) — the
-/// cross-executor conformance checks rely on this, and a DES test asserts
-/// they appear in virtual time exactly as scheduled. `jitter = 0` (the
-/// default) reproduces the historical jitter-free schedule bit for bit.
-///
-/// The `deadline` field bounds the *scheduled backoff budget* of a retry
-/// sequence: attempt `a` is only issued if the cumulative backoff slept to
-/// reach it fits the budget. Exhausting the budget is not a stall — in
-/// degraded mode the member falls onto the N−1 dropout path exactly like an
-/// unrecoverable fault ([`crate::FaultInjector::is_unrecoverable`] counts
-/// deadline-capped attempts, not `max_retries`). `deadline = 0` means
-/// unbounded (the historical behaviour).
+/// The delays are a pure function of the attempt, so they are identical on
+/// the real path (wall-clock sleeps) and the modeled path (virtual-time
+/// tasks) — the cross-executor conformance checks rely on this, and a DES
+/// test asserts they appear in virtual time exactly as scheduled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Retries after the initial attempt (total attempts = `max_retries + 1`).
+    /// Retries after the initial attempt (total attempts = `max_retries + 1`,
+    /// saturating at `u32::MAX`).
     pub max_retries: u32,
     /// Backoff before the first retry, seconds.
     pub base_backoff: f64,
     /// Geometric growth factor between consecutive backoffs.
     pub multiplier: f64,
-    /// Jitter fraction in `[0, 1]`: backoff is scaled by
-    /// `1 + jitter · u(seed, attempt)`. `0` disables jitter.
-    pub jitter: f64,
-    /// Seed of the jitter unit stream (ignored while `jitter == 0`).
-    pub seed: u64,
-    /// Per-phase backoff budget in seconds; `0` means unbounded. An attempt
-    /// is issued only if the total backoff scheduled before it stays within
-    /// the budget.
-    pub deadline: f64,
 }
 
 impl Default for RetryPolicy {
@@ -48,9 +25,6 @@ impl Default for RetryPolicy {
             max_retries: 3,
             base_backoff: 1e-3,
             multiplier: 2.0,
-            jitter: 0.0,
-            seed: 0,
-            deadline: 0.0,
         }
     }
 }
@@ -63,77 +37,23 @@ impl RetryPolicy {
             max_retries: 0,
             base_backoff: 0.0,
             multiplier: 2.0,
-            jitter: 0.0,
-            seed: 0,
-            deadline: 0.0,
         }
-    }
-
-    /// Enable seeded jitter: each backoff is scaled by
-    /// `1 + jitter · u(seed, attempt)`.
-    pub fn with_jitter(mut self, seed: u64, jitter: f64) -> Self {
-        self.seed = seed;
-        self.jitter = jitter;
-        self
-    }
-
-    /// Bound the scheduled backoff budget of a retry sequence.
-    pub fn with_deadline(mut self, deadline: f64) -> Self {
-        self.deadline = deadline;
-        self
     }
 
     /// Backoff slept after failed attempt `attempt` (0-based):
-    /// `base_backoff · multiplier^attempt · (1 + jitter · u(seed, attempt))`.
+    /// `base_backoff · multiplier^attempt`.
     pub fn backoff(&self, attempt: u32) -> f64 {
-        let base = self.base_backoff * self.multiplier.powi(attempt as i32);
-        if self.jitter == 0.0 {
-            base
-        } else {
-            base * (1.0 + self.jitter * seeded_unit(self.seed, attempt as u64))
-        }
+        let exponent = i32::try_from(attempt).unwrap_or(i32::MAX);
+        self.base_backoff * self.multiplier.powi(exponent)
     }
 
-    /// Total attempts the policy *permits* (initial + retries), ignoring
-    /// the deadline budget.
+    /// Total attempts of a retry sequence (initial + retries), saturating
+    /// at `u32::MAX`. The real retry loops, the DES weaves and the dropout
+    /// decision ([`crate::FaultInjector::is_unrecoverable`]) all use this
+    /// one bound, so a member is recoverable exactly when its read is
+    /// served within it.
     pub fn attempts(&self) -> u32 {
-        self.max_retries + 1
-    }
-
-    /// Total attempts the deadline budget actually *schedules*: the largest
-    /// `n ≤ attempts()` such that the backoff slept before attempt `n − 1`
-    /// fits inside `deadline`. With `deadline == 0` this is `attempts()`.
-    /// Both the real retry loops and the DES weaves iterate this bound, so
-    /// budget exhaustion is part of the conformance surface.
-    pub fn scheduled_attempts(&self) -> u32 {
-        if self.deadline <= 0.0 {
-            return self.attempts();
-        }
-        let mut slept = 0.0f64;
-        let mut n = 1u32; // the initial attempt is always issued
-        while n < self.attempts() {
-            slept += self.backoff(n - 1);
-            if slept > self.deadline {
-                break;
-            }
-            n += 1;
-        }
-        n
-    }
-
-    /// Retries the budget actually schedules (`scheduled_attempts() − 1`).
-    /// This, not `max_retries`, is what decides whether a member with `k`
-    /// injected failures is recoverable.
-    pub fn effective_retries(&self) -> u32 {
-        self.scheduled_attempts() - 1
-    }
-
-    /// Sum of every backoff a fully-exhausted retry sequence sleeps
-    /// (deadline-capped).
-    pub fn total_backoff(&self) -> f64 {
-        (0..self.scheduled_attempts() - 1)
-            .map(|a| self.backoff(a))
-            .sum()
+        self.max_retries.saturating_add(1)
     }
 }
 
@@ -147,60 +67,18 @@ mod tests {
             max_retries: 3,
             base_backoff: 0.5,
             multiplier: 2.0,
-            ..RetryPolicy::default()
         };
         assert_eq!(p.backoff(0), 0.5);
         assert_eq!(p.backoff(1), 1.0);
         assert_eq!(p.backoff(2), 2.0);
-        assert_eq!(p.total_backoff(), 3.5);
         assert_eq!(p.attempts(), 4);
-        assert_eq!(p.scheduled_attempts(), 4);
     }
 
     #[test]
     fn none_never_sleeps() {
         let p = RetryPolicy::none();
         assert_eq!(p.max_retries, 0);
-        assert_eq!(p.total_backoff(), 0.0);
+        assert_eq!(p.backoff(0), 0.0);
         assert_eq!(p.attempts(), 1);
-    }
-
-    #[test]
-    fn backoff_is_exactly_reproducible() {
-        // Jitter-free and jittered: two evaluations are bit-identical (the
-        // DES conformance relies on this).
-        let plain = RetryPolicy::default();
-        let jittered = RetryPolicy::default().with_jitter(42, 0.5);
-        for a in 0..8 {
-            assert_eq!(plain.backoff(a).to_bits(), plain.backoff(a).to_bits());
-            assert_eq!(jittered.backoff(a).to_bits(), jittered.backoff(a).to_bits());
-        }
-    }
-
-    #[test]
-    fn jitter_stays_within_the_declared_band() {
-        let p = RetryPolicy::default().with_jitter(7, 0.25);
-        let plain = RetryPolicy::default();
-        for a in 0..8 {
-            let b = p.backoff(a);
-            let base = plain.backoff(a);
-            assert!(b >= base && b <= base * 1.25, "attempt {a}: {b} vs {base}");
-        }
-    }
-
-    #[test]
-    fn deadline_caps_scheduled_attempts() {
-        let p = RetryPolicy {
-            max_retries: 5,
-            base_backoff: 1.0,
-            multiplier: 2.0,
-            ..RetryPolicy::default()
-        };
-        // Backoffs: 1, 2, 4, 8, 16. Budget 3 fits 1+2 → 3 attempts.
-        assert_eq!(p.with_deadline(3.0).scheduled_attempts(), 3);
-        assert_eq!(p.with_deadline(0.5).scheduled_attempts(), 1);
-        assert_eq!(p.with_deadline(0.0).scheduled_attempts(), 6);
-        assert_eq!(p.with_deadline(1e9).scheduled_attempts(), 6);
-        assert_eq!(p.with_deadline(3.0).effective_retries(), 2);
     }
 }

@@ -201,7 +201,7 @@ pub struct CampaignCtx {
     /// Online health monitoring: `Some(params)` attaches a cross-cycle
     /// [`HealthMonitor`] — each cycle runs through the executors' adaptive
     /// read path (blacklisted-OST members last, speculative duplicates,
-    /// deadline-budgeted retries) and the detectors step at every
+    /// bounded retries) and the detectors step at every
     /// successful cycle boundary. Detector state is in-memory only: a
     /// campaign resumed from a checkpoint restarts its detectors cold
     /// (conservative — probation clears, suspicion re-accrues), so the
@@ -336,10 +336,16 @@ fn experiment_from(cfg: &CampaignConfig, ck: &CampaignCheckpoint) -> CycledExper
 ///
 /// `work` is the ensemble work store the executors read from — each cycle
 /// the inflated background is written there before the executor runs.
-/// `ckpt` is the durable checkpoint directory: if it already holds a
-/// checkpoint with a matching `CampaignConfig::fingerprint`, the
-/// campaign resumes from it; otherwise it starts fresh (and commits the
-/// initial state as cycle 0's recovery line before running anything).
+/// `ckpt` is the durable checkpoint directory. One without an intact
+/// durable cycle starts the campaign fresh, committing the initial state as
+/// cycle 0's recovery line before running anything. Otherwise the newest
+/// intact durable checkpoint decides: one with a matching
+/// `CampaignConfig::fingerprint` is resumed from, and one written by
+/// another configuration — another seed, executor or analysis, or a build
+/// whose `CampaignConfig` prints differently — is refused with
+/// [`CampaignError::Checkpoint`]`(`[`CkptError::ConfigMismatch`]`)`,
+/// leaving the directory untouched (starting fresh would prune the other
+/// campaign's cycles).
 ///
 /// Failure handling per cycle attempt — decided by the `Supervisor`,
 /// carried out here:

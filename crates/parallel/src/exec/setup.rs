@@ -15,7 +15,7 @@ pub struct AssimilationSetup<'a> {
     pub members: usize,
     /// Observation set.
     pub observations: &'a Observations,
-    /// Local analysis configuration (radius, ridge, granularity).
+    /// Local analysis configuration (radius, ridge).
     pub analysis: LocalAnalysis,
 }
 

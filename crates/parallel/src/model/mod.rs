@@ -616,7 +616,6 @@ mod tests {
                         max_retries: 3,
                         base_backoff: 1e-6,
                         multiplier: 2.0,
-                        ..RetryPolicy::default()
                     };
                     let fcfg = FaultConfig::degraded(plan).with_retry(retry);
                     (fcfg, monitored.then_some((slow_ost, slowdown)))

@@ -313,7 +313,6 @@ mod tests {
             max_retries,
             base_backoff: 0.5,
             multiplier: 2.0,
-            ..RetryPolicy::default()
         }
     }
 

@@ -164,7 +164,6 @@ impl Storm {
             max_retries: Self::MAX_RETRIES,
             base_backoff: 1e-6,
             multiplier: 2.0,
-            ..RetryPolicy::default()
         })
     }
 

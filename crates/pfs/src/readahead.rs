@@ -375,7 +375,6 @@ mod tests {
                 max_retries: 2,
                 base_backoff: 1e-6,
                 multiplier: 2.0,
-                ..RetryPolicy::default()
             },
         );
         let stages = plan(3, 3);

@@ -6,7 +6,7 @@
 //! planner — each running campaign's next cycle is priced at the bandwidth
 //! share it holds *when the cycle starts*, and that duration is then fixed
 //! (a mid-cycle rebalance affects only subsequent cycles, the same
-//! cycle-boundary granularity at which the scheduler rebalances). It tells
+//! cycle boundaries at which the scheduler rebalances). It tells
 //! its caller what to do through one callback: `Step::Start` when a job is
 //! dispatched, `Step::Finish` when its last priced cycle completes. Two
 //! entry points follow it: [`simulate`] ignores the steps, and

@@ -6,27 +6,23 @@
 //! "providing initial conditions of numerical atmospheric and oceanic
 //! models", as the paper's opening sentence puts it. A free-running
 //! (never-assimilating) ensemble drifts away; the assimilating one stays
-//! locked to the truth.
-//!
-//! Both analysis kernels are exercised: the stochastic (perturbed-
-//! observation, modified-Cholesky) EnKF used throughout the paper, and the
-//! deterministic ensemble-space LETKF.
+//! locked to the truth. The analysis is the paper's stochastic
+//! (perturbed-observation, modified-Cholesky) EnKF.
 //!
 //! ```text
 //! cargo run --release --example cycled_assimilation
 //! ```
 
-use s_enkf::core::{inflated, serial_enkf, serial_letkf};
+use s_enkf::core::{inflated, serial_enkf};
 use s_enkf::data::{CycleConfig, CycledExperiment};
 use s_enkf::prelude::*;
 
-fn run(label: &str, use_letkf: bool) {
+fn main() {
     let mesh = Mesh::new(36, 18);
     let members = 20;
     let radius = LocalizationRadius { xi: 2, eta: 2 };
     let mut exp = CycledExperiment::new(mesh, members, CycleConfig::default(), 17);
 
-    println!("\n== {label} ==");
     println!(
         "{:>5}  {:>12}  {:>12}  {:>12}",
         "cycle", "forecast", "analysis", "free run"
@@ -36,12 +32,7 @@ fn run(label: &str, use_letkf: bool) {
             .run_cycle(|background, observations| {
                 // Mild multiplicative inflation keeps the cycled ensemble
                 // from collapsing.
-                let inflated_bg = inflated(background, 1.1);
-                if use_letkf {
-                    serial_letkf(&inflated_bg, observations, radius)
-                } else {
-                    serial_enkf(&inflated_bg, observations, radius)
-                }
+                serial_enkf(&inflated(background, 1.1), observations, radius)
             })
             .expect("analysis");
         println!(
@@ -53,16 +44,8 @@ fn run(label: &str, use_letkf: bool) {
             "sane analysis error"
         );
     }
-}
-
-fn main() {
-    run(
-        "stochastic EnKF (perturbed observations, modified Cholesky)",
-        false,
-    );
-    run("deterministic LETKF (ensemble-space square root)", true);
     println!(
-        "\nThe assimilating runs hold their error near the observation level while\n\
+        "\nThe assimilating run holds its error near the observation level while\n\
          the free-running ensemble keeps the initial-condition error."
     );
 }

@@ -78,6 +78,11 @@ if ! diff <(blocks EXPERIMENTS.md) <(blocks target/reproduce.md); then
     exit 1
 fi
 
+echo "==> the examples run to completion (release, well under 1 s each)"
+for example in quickstart cycled_assimilation ocean_assimilation scaling_study autotune_cluster; do
+    cargo run --release --offline --quiet --example "$example" >/dev/null
+done
+
 echo "==> kernel conformance without SIMD dispatch"
 cargo test -q -p enkf-linalg --no-default-features
 

@@ -82,8 +82,7 @@ pub mod reproduce;
 pub mod prelude {
     pub use enkf_ckpt::{CampaignCheckpoint, CheckpointStore, CkptError};
     pub use enkf_core::{
-        inflate_ensemble, inflated, serial_enkf, serial_enkf_decomposed, serial_letkf,
-        serial_letkf_decomposed, AnalysisGranularity, Ensemble, GlobalAnalysis, LetkfAnalysis,
+        inflate_ensemble, inflated, serial_enkf, Ensemble, GlobalAnalysis, LetkfAnalysis,
         LocalAnalysis, ObservationOperator, Observations, PerturbedObservations,
     };
     pub use enkf_data::{

@@ -21,7 +21,7 @@ mod common;
 
 use common::{TenantMix, SENKF};
 use proptest::prelude::*;
-use s_enkf::ckpt::CheckpointStore;
+use s_enkf::ckpt::{CheckpointStore, CkptError};
 use s_enkf::fault::{FaultConfig, FaultPlan, RetryPolicy};
 use s_enkf::grid::{FileLayout, Mesh};
 use s_enkf::parallel::{
@@ -153,7 +153,6 @@ fn lost_members(lost: &[usize], degraded: bool) -> FaultConfig {
         max_retries: 1,
         base_backoff: 1e-6,
         multiplier: 2.0,
-        ..RetryPolicy::default()
     };
     fault.degraded = degraded;
     fault
@@ -239,6 +238,54 @@ fn work_store_of_another_mesh_is_a_typed_error() {
         matches!(result, Err(CampaignError::Io(ref e)) if e.kind() == ErrorKind::InvalidInput),
         "got {result:?}"
     );
+}
+
+/// Every file of every durable cycle of `ckpt`, with its bytes.
+fn ckpt_files(ckpt: &CheckpointStore) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for cycle in ckpt.durable_cycles().unwrap() {
+        for entry in std::fs::read_dir(ckpt.cycle_dir(cycle)).unwrap() {
+            let path = entry.unwrap().path();
+            files.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A checkpoint directory written by another configuration (here another
+/// seed) is refused with `ConfigMismatch`, not resumed and not overwritten:
+/// starting fresh would prune the other campaign's cycles.
+#[test]
+fn foreign_checkpoint_is_refused_and_left_untouched() {
+    let (_s, work, ckpt) = stores("camp-foreign");
+    let (_, exec) = executors().remove(0);
+    let cfg = campaign_cfg(1);
+    run_mode(
+        &work,
+        &ckpt,
+        &exec,
+        &cfg,
+        &FaultConfig::none(),
+        CkptMode::Sync,
+    );
+    assert_eq!(ckpt.durable_cycles().unwrap(), vec![0, 1]);
+    let before = ckpt_files(&ckpt);
+
+    let foreign = CampaignConfig {
+        seed: cfg.seed + 1,
+        ..cfg
+    };
+    let result = run_campaign(&work, &ckpt, &exec, &foreign, &FaultConfig::none());
+    assert!(
+        matches!(
+            result,
+            Err(CampaignError::Checkpoint(CkptError::ConfigMismatch { .. }))
+        ),
+        "got {result:?}"
+    );
+    assert_eq!(ckpt.durable_cycles().unwrap(), vec![0, 1]);
+    assert!(ckpt_files(&ckpt) == before, "the foreign directory changed");
 }
 
 /// A rank crash mid-cycle tears the cycle down; the supervisor drains any

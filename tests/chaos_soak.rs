@@ -62,17 +62,14 @@ fn model_cfg() -> ModelConfig {
     cfg
 }
 
-/// Deadline-budgeted, seeded-jittered retry — microsecond backoffs keep
-/// the soak fast while still exercising the jitter and budget arithmetic.
+/// Three retries at microsecond backoffs: the soak stays fast while every
+/// recoverable read fault still backs off and retries.
 fn storm_retry() -> RetryPolicy {
     RetryPolicy {
         max_retries: 3,
         base_backoff: 1e-6,
         multiplier: 2.0,
-        ..RetryPolicy::default()
     }
-    .with_jitter(STORM_SEED, 0.25)
-    .with_deadline(1.0)
 }
 
 /// The storm for one cycle of the soak: everything is a pure function of

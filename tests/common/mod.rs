@@ -99,7 +99,6 @@ impl TenantMix {
                 max_retries: 3,
                 base_backoff: 1e-6,
                 multiplier: 2.0,
-                ..RetryPolicy::default()
             },
             tenants: Vec::new(),
             jobs: Vec::new(),

@@ -6,8 +6,8 @@
 mod common;
 
 use common::harness;
-use s_enkf::core::{serial_enkf, serial_enkf_decomposed, BatchedKernel, LocalAnalysis};
-use s_enkf::grid::{Decomposition, LocalizationRadius, Mesh};
+use s_enkf::core::{serial_enkf, BatchedKernel, LocalAnalysis};
+use s_enkf::grid::{LocalizationRadius, Mesh};
 use s_enkf::parallel::{AssimilationSetup, DEnkf, LEnkf, PEnkf, SEnkf};
 use s_enkf::tuning::Params;
 
@@ -91,33 +91,6 @@ fn equivalence_holds_with_multi_level_files() {
     .unwrap();
     assert!(p.states().approx_eq(reference.states(), 1e-12));
     assert!(s.states().approx_eq(reference.states(), 1e-12));
-}
-
-#[test]
-fn blocked_granularity_matches_serial_blocked() {
-    // Region-granularity analyses depend on the decomposition, so P-EnKF
-    // must be compared against the serial run over the *same* decomposition.
-    let mesh = Mesh::new(16, 8);
-    let members = 8;
-    let h = harness(mesh, members, 77, 1);
-    let radius = LocalizationRadius { xi: 1, eta: 1 };
-    let analysis = LocalAnalysis::blocked(radius);
-    let setup = AssimilationSetup {
-        store: &h.store,
-        members,
-        observations: &h.scenario.observations,
-        analysis,
-    };
-    let decomp = Decomposition::new(mesh, 4, 2).unwrap();
-    let reference = serial_enkf_decomposed(
-        &h.scenario.ensemble,
-        &h.scenario.observations,
-        analysis,
-        &decomp,
-    )
-    .unwrap();
-    let (p, _) = PEnkf { nsdx: 4, nsdy: 2 }.run(&setup).unwrap();
-    assert!(p.states().approx_eq(reference.states(), 1e-12));
 }
 
 /// D-EnKF computes the global covariance-form update (Eq. 3 with the

@@ -70,7 +70,6 @@ fn fast_retry() -> RetryPolicy {
         max_retries: 3,
         base_backoff: 1e-6,
         multiplier: 2.0,
-        ..RetryPolicy::default()
     }
 }
 
@@ -217,7 +216,6 @@ fn model_backoff_delays_are_exact_in_virtual_time() {
         max_retries: 3,
         base_backoff: 0.25,
         multiplier: 2.0,
-        ..RetryPolicy::default()
     };
     let mut fcfg = FaultConfig::degraded(FaultPlan::new(7).with_read_fault(0, 2));
     fcfg.degraded = false;

@@ -22,7 +22,6 @@ fn fast_retry() -> RetryPolicy {
         max_retries: 3,
         base_backoff: 1e-6,
         multiplier: 2.0,
-        ..RetryPolicy::default()
     }
 }
 
@@ -219,7 +218,6 @@ fn over_budget_injected_fault_is_unrecoverable_up_front() {
             max_retries: 1,
             base_backoff: 1e-6,
             multiplier: 2.0,
-            ..RetryPolicy::default()
         });
     cfg.degraded = false;
     match (PEnkf { nsdx: 2, nsdy: 2 }).run_faulted(&setup, &cfg) {
@@ -249,7 +247,6 @@ fn exhausted_retries_surface_the_cause() {
         max_retries: 1,
         base_backoff: 1e-6,
         multiplier: 2.0,
-        ..RetryPolicy::default()
     });
     match (PEnkf { nsdx: 2, nsdy: 2 }).run_faulted(&setup, &cfg) {
         Err(EnkfError::Substrate(SubstrateError::RetriesExhausted {
