@@ -6,18 +6,20 @@
 //! RNG cursor, the accumulated statistics — and on a crash restores the
 //! last durable cycle and re-runs from there. This crate is that layer:
 //!
-//! * **Atomic**: a checkpoint *exists* only once its `MANIFEST.txt` —
-//!   written last, through temp file + fsync + rename — is in place. Each
-//!   save writes into a freshly recreated cycle directory: member files and
-//!   the aux blob go straight to their final names and are fsynced, one
-//!   directory fsync makes the names durable, and only then is the
-//!   manifest committed. A crash mid-write leaves a directory without a
-//!   manifest, which is not a checkpoint, and the previous cycle untouched.
-//! * **Self-verifying**: the manifest records an FNV-64 checksum of every
-//!   member file and of the aux blob, and ends with a checksum of itself.
-//!   Loads verify before trusting anything; a mismatch yields a typed
-//!   [`CkptError::CorruptMember`] / [`CkptError::CorruptManifest`], the bad
-//!   artifact is quarantined (renamed aside, never silently re-read), and
+//! * **Atomic**: a checkpoint *exists* only once its commit record
+//!   `MANIFEST.bin` — written last, through temp file + fsync + rename — is
+//!   in place. Each save writes into a freshly recreated cycle directory:
+//!   member files go straight to their final names and are fsynced, one
+//!   directory fsync makes the names durable, and only then is the record
+//!   committed. A crash mid-write leaves a directory without a record,
+//!   which is not a checkpoint, and the previous cycle untouched.
+//! * **Self-verifying**: the record holds everything but the analysis
+//!   members (the header, the truth, the free run, the statistics and the
+//!   cycle digests), an FNV-64 checksum of every member file, and ends with
+//!   a checksum of itself. Loads verify before trusting anything; a
+//!   mismatch yields a typed [`CkptError::CorruptMember`] /
+//!   [`CkptError::CorruptManifest`], the bad artifact is quarantined
+//!   (renamed aside, never silently re-read), and
 //!   [`CheckpointStore::load_latest`] falls back to the previous durable
 //!   cycle.
 //! * **Costed**: member payload I/O (the dominant term: 8·n bytes per
@@ -31,9 +33,15 @@
 //! ```text
 //! cycle_0003/
 //!   member_00000.bin ... member_000{N-1}.bin   # analysis, FileStore layout
-//!   aux.bin                                    # truth + free-run + stats
-//!   MANIFEST.txt                               # checksums; written last
+//!   MANIFEST.bin                               # commit record; written last
 //! ```
+//!
+//! `MANIFEST.bin` is little-endian: the magic `SENKFCK2`; ten `u64` words
+//! (`cycle, seed, members0, members, rng_cursor, config_fp, nx, ny,
+//! stats_len, digests_len`); `members` member checksums; the truth (`n`
+//! f64) and the free run (`members0 × n` f64, member-major); the statistics
+//! (`stats_len × [u64, 3 f64]`) and the digests (`digests_len` u64); and a
+//! trailing FNV-64 of every byte before it.
 
 #![deny(unreachable_pub)]
 // ROADMAP carve-out (c): outside tests nothing in this crate may panic on a
@@ -76,8 +84,8 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 pub enum CkptError {
     /// An underlying filesystem operation failed.
     Io(io::Error),
-    /// A member file's checksum did not match the manifest (or the file is
-    /// missing/truncated). `actual == 0` with a missing file.
+    /// A member file's checksum did not match the commit record (or the
+    /// file is missing/truncated). `actual == 0` with a missing file.
     CorruptMember {
         /// Checkpoint cycle the member belongs to.
         cycle: usize,
@@ -85,16 +93,16 @@ pub enum CkptError {
         member: usize,
         /// The quarantined (or missing) file.
         path: PathBuf,
-        /// Checksum the manifest promised.
+        /// Checksum the record promised.
         expected: u64,
         /// Checksum of the bytes actually on disk.
         actual: u64,
     },
-    /// The manifest (or the aux blob it vouches for) failed verification.
+    /// The commit record `MANIFEST.bin` failed verification.
     CorruptManifest {
         /// Checkpoint cycle.
         cycle: usize,
-        /// The quarantined manifest.
+        /// The quarantined record.
         path: PathBuf,
         /// What failed.
         detail: String,
@@ -107,6 +115,13 @@ pub enum CkptError {
         expected: u64,
         /// Fingerprint recorded in the checkpoint.
         actual: u64,
+    },
+    /// A cycle directory holds a commit record of an older format
+    /// (`MANIFEST.txt`). Nothing is read, quarantined or pruned; delete the
+    /// directory to start afresh.
+    OldFormat {
+        /// The old record.
+        path: PathBuf,
     },
 }
 
@@ -123,7 +138,7 @@ impl std::fmt::Display for CkptError {
             } => write!(
                 f,
                 "cycle {cycle} member {member} corrupt ({}): checksum {actual:016x}, \
-                 manifest says {expected:016x}; file quarantined",
+                 record says {expected:016x}; file quarantined",
                 path.display()
             ),
             CkptError::CorruptManifest {
@@ -132,13 +147,18 @@ impl std::fmt::Display for CkptError {
                 detail,
             } => write!(
                 f,
-                "cycle {cycle} manifest corrupt ({}): {detail}",
+                "cycle {cycle} commit record corrupt ({}): {detail}",
                 path.display()
             ),
             CkptError::ConfigMismatch { expected, actual } => write!(
                 f,
                 "checkpoint config fingerprint {actual:016x} does not match \
                  campaign fingerprint {expected:016x}"
+            ),
+            CkptError::OldFormat { path } => write!(
+                f,
+                "{} is an older checkpoint format; refused and left as is",
+                path.display()
             ),
         }
     }
@@ -187,25 +207,28 @@ pub struct CampaignCheckpoint {
     pub cycle_digests: Vec<u64>,
 }
 
-const MANIFEST: &str = "MANIFEST.txt";
-const AUX: &str = "aux.bin";
-const MAGIC: &str = "SENKF-CKPT v1";
-const AUX_MAGIC: &[u8; 8] = b"SENKFAUX";
+const MANIFEST: &str = "MANIFEST.bin";
+/// The text commit record of the format before `MANIFEST.bin`.
+const OLD_MANIFEST: &str = "MANIFEST.txt";
+const MAGIC: &[u8; 8] = b"SENKFCK2";
+/// `u64` header words after the magic.
+const WORDS: usize = 10;
+/// Durable cycles kept: enough for one fallback level.
+const RETAIN: usize = 2;
 
 /// A directory of durable per-cycle checkpoints with bounded retention.
 #[derive(Debug)]
 pub struct CheckpointStore {
     root: PathBuf,
-    retain: usize,
 }
 
 impl CheckpointStore {
     /// Open (creating if needed) a checkpoint directory. Retains the last
-    /// 2 durable cycles by default — enough for one fallback level.
+    /// 2 durable cycles — enough for one fallback level.
     pub fn create(root: impl AsRef<Path>) -> io::Result<Self> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
-        Ok(CheckpointStore { root, retain: 2 })
+        Ok(CheckpointStore { root })
     }
 
     /// Directory of one cycle's checkpoint.
@@ -213,44 +236,46 @@ impl CheckpointStore {
         self.root.join(format!("cycle_{cycle:04}"))
     }
 
-    /// Cycles with a manifest in place (durably committed), ascending.
-    /// Quarantined or partially-written cycles do not appear.
-    pub fn durable_cycles(&self) -> io::Result<Vec<usize>> {
+    /// Every `cycle_*` entry under the root with its path, ascending.
+    fn cycles(&self) -> io::Result<Vec<(usize, PathBuf)>> {
         let mut cycles = Vec::new();
         for entry in fs::read_dir(&self.root)? {
             let entry = entry?;
             let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(num) = name.strip_prefix("cycle_") else {
-                continue;
-            };
-            let Ok(cycle) = num.parse::<usize>() else {
-                continue;
-            };
-            if entry.path().join(MANIFEST).is_file() {
-                cycles.push(cycle);
+            let cycle = name.to_str().and_then(|n| n.strip_prefix("cycle_"));
+            if let Some(Ok(cycle)) = cycle.map(str::parse) {
+                cycles.push((cycle, entry.path()));
             }
         }
         cycles.sort_unstable();
         Ok(cycles)
     }
 
+    /// Cycles with a commit record in place (durably committed), ascending.
+    /// Quarantined or partially-written cycles do not appear.
+    pub fn durable_cycles(&self) -> io::Result<Vec<usize>> {
+        let cycles = self.cycles()?.into_iter();
+        Ok(cycles
+            .filter(|(_, dir)| dir.join(MANIFEST).is_file())
+            .map(|(cycle, _)| cycle)
+            .collect())
+    }
+
     /// Durably persist a checkpoint into a freshly recreated cycle
-    /// directory: member files ([`MemberEncoder::write_durable`]) and the
-    /// aux blob straight to their final names, each fsynced; one directory
-    /// fsync; then — last, and the only commit point — the manifest,
-    /// through temp file + fsync + rename. Member payload writes are
-    /// recorded as [`enkf_trace::Op::Ckpt`] spans (8·n bytes, one seek
-    /// each). Older cycles beyond the retention budget are pruned.
+    /// directory: member files ([`MemberEncoder::write_durable`]) straight
+    /// to their final names, each fsynced; one directory fsync; then — last,
+    /// and the only commit point — the record, through temp file + fsync +
+    /// rename. Member payload writes are recorded as
+    /// [`enkf_trace::Op::Ckpt`] spans (8·n bytes, one seek each). Older
+    /// cycles beyond the retention budget are pruned.
     pub fn save(
         &self,
         ckpt: &CampaignCheckpoint,
         mut tracer: Option<&mut RankTracer>,
     ) -> io::Result<()> {
         let mesh = ckpt.analysis.mesh();
-        let n = mesh.n();
         let dir = self.cycle_dir(ckpt.cycle);
-        // A leftover partial attempt for this cycle (no manifest) is stale:
+        // A leftover partial attempt for this cycle (no record) is stale:
         // clear it so FileStore::open starts from an empty directory.
         if dir.exists() {
             fs::remove_dir_all(&dir)?;
@@ -261,7 +286,7 @@ impl CheckpointStore {
         let mut member_crcs = Vec::with_capacity(members);
         let mut enc = MemberEncoder::new();
         for k in 0..members {
-            let bytes = 8 * n as u64;
+            let bytes = 8 * mesh.n() as u64;
             let crc = if let Some(t) = tracer.as_deref_mut() {
                 t.ckpt(Some(k), bytes, 1, || {
                     enc.write_durable(&store, &ckpt.analysis, k)
@@ -271,35 +296,11 @@ impl CheckpointStore {
             };
             member_crcs.push(crc);
         }
-
-        let aux = encode_aux(ckpt);
-        write_synced(&dir.join(AUX), &aux)?;
-        let aux_crc = fnv64(&aux);
-        // One fsync makes every name above durable before the manifest
+        // One fsync makes every name above durable before the record
         // vouches for them.
         sync_dir(&dir)?;
-
-        let mut m = String::new();
-        m.push_str(MAGIC);
-        m.push('\n');
-        // Zero-padded to the 20 digits of a 64-bit `usize::MAX`, so a
-        // checkpoint's size does not depend on its cycle number's digits.
-        m.push_str(&format!("cycle={:020}\n", ckpt.cycle));
-        m.push_str(&format!("seed={}\n", ckpt.seed));
-        m.push_str(&format!("members0={}\n", ckpt.members0));
-        m.push_str(&format!("members={members}\n"));
-        m.push_str(&format!("rng_cursor={}\n", ckpt.rng_cursor));
-        m.push_str(&format!("config_fp={:016x}\n", ckpt.config_fp));
-        m.push_str(&format!("nx={} ny={}\n", mesh.nx(), mesh.ny()));
-        m.push_str(&format!("aux_crc={aux_crc:016x}\n"));
-        for (k, crc) in member_crcs.iter().enumerate() {
-            m.push_str(&format!("member {k} crc={crc:016x}\n"));
-        }
-        m.push_str(&format!("crc={:016x}\n", fnv64(m.as_bytes())));
-        write_atomic(&dir, MANIFEST, m.as_bytes())?;
-
-        self.prune()?;
-        Ok(())
+        write_atomic(&dir, MANIFEST, &encode_record(ckpt, &member_crcs))?;
+        self.prune()
     }
 
     /// Load and fully verify one cycle's checkpoint. Corrupt artifacts are
@@ -312,114 +313,134 @@ impl CheckpointStore {
         mut tracer: Option<&mut RankTracer>,
     ) -> Result<CampaignCheckpoint, CkptError> {
         let dir = self.cycle_dir(cycle);
-        let mpath = dir.join(MANIFEST);
-        let corrupt_manifest = |detail: String| {
+        let path = dir.join(MANIFEST);
+        let corrupt = |detail: String| {
             // Quarantine: the cycle must stop looking durable.
-            let _ = fs::rename(&mpath, dir.join("MANIFEST.txt.quarantined"));
+            let _ = fs::rename(&path, dir.join("MANIFEST.bin.quarantined"));
             CkptError::CorruptManifest {
                 cycle,
-                path: mpath.clone(),
+                path: path.clone(),
                 detail,
             }
         };
-        let text = fs::read_to_string(&mpath).map_err(|e| CkptError::CorruptManifest {
-            cycle,
-            path: mpath.clone(),
-            detail: format!("manifest unreadable: {e}"),
-        })?;
-        let man = parse_manifest(&text).map_err(&corrupt_manifest)?;
-        if man.cycle != cycle {
-            return Err(corrupt_manifest(format!(
-                "manifest says cycle {}, directory says {cycle}",
-                man.cycle
+        let record = fs::read(&path).map_err(|e| corrupt(format!("unreadable: {e}")))?;
+        let words = sealed_words(&record).map_err(&corrupt)?;
+        let header: [u64; WORDS] = std::array::from_fn(|i| u64::from_le_bytes(words[i]));
+        let [on_disk, seed, members0, members, rng_cursor, fp, nx, ny, stats_len, digests_len] =
+            header;
+        if on_disk != cycle as u64 {
+            return Err(corrupt(format!(
+                "record says cycle {on_disk}, directory says {cycle}"
             )));
         }
-        if man.config_fp != config_fp {
+        if fp != config_fp {
             return Err(CkptError::ConfigMismatch {
                 expected: config_fp,
-                actual: man.config_fp,
+                actual: fp,
             });
         }
-        let mesh = Mesh::new(man.nx, man.ny);
-        let n = mesh.n();
-
-        // Aux blob (truth, free run, stats, digests) — verified first so a
-        // torn aux never pairs with good members.
-        let aux_path = dir.join(AUX);
-        let aux =
-            fs::read(&aux_path).map_err(|e| corrupt_manifest(format!("aux unreadable: {e}")))?;
-        if fnv64(&aux) != man.aux_crc {
-            let _ = fs::rename(&aux_path, dir.join("aux.bin.quarantined"));
-            return Err(corrupt_manifest(format!(
-                "aux checksum {:016x} != manifest {:016x}",
-                fnv64(&aux),
-                man.aux_crc
+        // A degraded cycle only loses members, and the free run holds
+        // `members0` of them: this bounds the analysis allocation.
+        if members == 0 || members > members0 {
+            return Err(corrupt(format!("{members} members of {members0} original")));
+        }
+        // Every count sizes an allocation: the record must hold exactly the
+        // words the header promises before any of them is trusted.
+        let n = nx.checked_mul(ny).filter(|_| nx > 0 && ny > 0);
+        let expected = n.and_then(|n| {
+            n.checked_mul(members0.checked_add(1)?)?
+                .checked_add(stats_len.checked_mul(4)?)?
+                .checked_add(digests_len)?
+                .checked_add(members)?
+                .checked_add(WORDS as u64)
+        });
+        if expected != Some(words.len() as u64) {
+            return Err(corrupt(format!(
+                "header of a {nx} x {ny} mesh promises {expected:?} words, record has {}",
+                words.len()
             )));
         }
-        let decoded = decode_aux(&aux, mesh, man.members0).map_err(corrupt_manifest)?;
+        // Each count is now bounded by the record's length.
+        let mesh = Mesh::new(nx as usize, ny as usize);
+        let (n, members0, members) = (mesh.n(), members0 as usize, members as usize);
+        let (crcs, rest) = words[WORDS..].split_at(members);
+        let (truth, rest) = rest.split_at(n);
+        let (free, rest) = rest.split_at(n * members0);
+        let (stats, digests) = rest.split_at(4 * stats_len as usize);
+        let f64_of = |w: &[u8; 8]| f64::from_le_bytes(*w);
+        let u64_of = |w: &[u8; 8]| u64::from_le_bytes(*w);
 
-        // Member payloads: raw read, checksum against the manifest, then
+        // Member payloads: raw read, checksum against the record, then
         // parse — a corrupt file is quarantined before anything trusts it.
-        let store = FileStore::open(&dir, FileLayout::new(mesh, 8)).map_err(CkptError::Io)?;
-        let mut states = Matrix::zeros(n, man.members);
-        for k in 0..man.members {
-            let path = store.member_path(k);
+        let store = FileStore::open(&dir, FileLayout::new(mesh, 8))?;
+        let mut states = Matrix::zeros(n, members);
+        for (k, crc) in crcs.iter().enumerate() {
+            let (path, expected) = (store.member_path(k), u64_of(crc));
             let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(_) => {
+                Ok(b) if fnv64(&b) == expected && b.len() == 8 * n => b,
+                read => {
+                    let _ = fs::rename(&path, path.with_extension("bin.quarantined"));
                     return Err(CkptError::CorruptMember {
                         cycle,
                         member: k,
                         path,
-                        expected: man.member_crcs[k],
-                        actual: 0,
-                    })
+                        expected,
+                        actual: read.map_or(0, |b| fnv64(&b)),
+                    });
                 }
             };
-            let actual = fnv64(&bytes);
-            if actual != man.member_crcs[k] || bytes.len() != 8 * n {
-                let mut q = path.clone();
-                q.set_extension("bin.quarantined");
-                let _ = fs::rename(&path, &q);
-                return Err(CkptError::CorruptMember {
-                    cycle,
-                    member: k,
-                    path,
-                    expected: man.member_crcs[k],
-                    actual,
-                });
-            }
             if let Some(t) = tracer.as_deref_mut() {
                 t.restore(Some(k), 8 * n as u64, 1, || ());
             }
             for (i, word) in bytes.as_chunks::<8>().0.iter().enumerate() {
-                states[(i, k)] = f64::from_le_bytes(*word);
+                states[(i, k)] = f64_of(word);
             }
         }
 
         Ok(CampaignCheckpoint {
             cycle,
-            seed: man.seed,
-            members0: man.members0,
-            rng_cursor: man.rng_cursor,
-            config_fp: man.config_fp,
-            truth: Arc::new(decoded.truth),
+            seed,
+            members0,
+            rng_cursor,
+            config_fp,
+            truth: Arc::new(truth.iter().map(f64_of).collect()),
             analysis: Arc::new(Ensemble::new(mesh, states)),
-            free_run: Arc::new(decoded.free_run),
-            stats: decoded.stats,
-            cycle_digests: decoded.digests,
+            free_run: Arc::new(Ensemble::new(
+                mesh,
+                Matrix::from_fn(n, members0, |i, k| f64_of(&free[k * n + i])),
+            )),
+            stats: stats
+                .as_chunks::<4>()
+                .0
+                .iter()
+                .map(|[c, forecast, analysis, free_run]| CycleStats {
+                    cycle: u64_of(c) as usize,
+                    forecast_rmse: f64_of(forecast),
+                    analysis_rmse: f64_of(analysis),
+                    free_run_rmse: f64_of(free_run),
+                })
+                .collect(),
+            cycle_digests: digests.iter().map(u64_of).collect(),
         })
     }
 
     /// Load the most recent durable checkpoint, falling back past corrupt
     /// cycles (each is quarantined and reported in the returned list).
-    /// `Ok(None)` when no durable checkpoint survives.
+    /// `Ok(None)` when no durable checkpoint survives; a directory of the
+    /// older text format is [`CkptError::OldFormat`], and nothing is read.
     #[allow(clippy::type_complexity)]
     pub fn load_latest(
         &self,
         config_fp: u64,
         mut tracer: Option<&mut RankTracer>,
     ) -> Result<Option<(CampaignCheckpoint, Vec<CkptError>)>, CkptError> {
+        let mut old = self
+            .cycles()?
+            .into_iter()
+            .map(|(_, dir)| dir.join(OLD_MANIFEST));
+        if let Some(path) = old.find(|p| p.is_file()) {
+            return Err(CkptError::OldFormat { path });
+        }
         let mut skipped = Vec::new();
         for cycle in self.durable_cycles()?.into_iter().rev() {
             match self.load_cycle(cycle, config_fp, tracer.as_deref_mut()) {
@@ -433,33 +454,17 @@ impl CheckpointStore {
         Ok(None)
     }
 
+    /// Remove every cycle directory older than the oldest retained durable
+    /// cycle: durable cycles past the budget, and the quarantined or torn
+    /// leftovers that no longer count as durable (without this sweep,
+    /// `*.quarantined` artifacts would accumulate forever).
     fn prune(&self) -> io::Result<()> {
-        let cycles = self.durable_cycles()?;
-        if cycles.len() > self.retain {
-            for &c in &cycles[..cycles.len() - self.retain] {
-                fs::remove_dir_all(self.cycle_dir(c))?;
-            }
-        }
-        // Sweep non-durable leftovers — quarantined manifests/members and
-        // torn partial attempts — once their cycle falls out of the
-        // retention window. Without this, `*.quarantined` artifacts (whose
-        // cycle directory no longer counts as durable) accumulate forever.
-        let Some(&cutoff) = cycles.get(cycles.len().saturating_sub(self.retain)) else {
+        let durable = self.durable_cycles()?;
+        let Some(&cutoff) = durable.get(durable.len().saturating_sub(RETAIN)) else {
             return Ok(());
         };
-        for entry in fs::read_dir(&self.root)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(num) = name.strip_prefix("cycle_") else {
-                continue;
-            };
-            let Ok(cycle) = num.parse::<usize>() else {
-                continue;
-            };
-            if cycle < cutoff && !entry.path().join(MANIFEST).is_file() {
-                fs::remove_dir_all(entry.path())?;
-            }
+        for (_, dir) in self.cycles()?.into_iter().filter(|&(c, _)| c < cutoff) {
+            fs::remove_dir_all(dir)?;
         }
         Ok(())
     }
@@ -488,8 +493,8 @@ impl MemberEncoder {
     /// (created or truncated in place, not staged) and fsync it, returning
     /// the FNV-64 checksum of the exact bytes written. The file's contents
     /// are durable on return; its name becomes durable at the directory
-    /// fsync [`CheckpointStore::save`] makes before committing the
-    /// manifest. The store's I/O statistics are not charged.
+    /// fsync [`CheckpointStore::save`] makes before committing the record.
+    /// The store's I/O statistics are not charged.
     pub fn write_durable(
         &mut self,
         store: &FileStore,
@@ -525,241 +530,68 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
     sync_dir(dir)
 }
 
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    for v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
+/// `ckpt`'s commit record (the layout in the crate docs) for analysis
+/// members whose files have the checksums `member_crcs`.
+fn encode_record(ckpt: &CampaignCheckpoint, member_crcs: &[u64]) -> Vec<u8> {
+    fn put(buf: &mut Vec<u8>, words: impl IntoIterator<Item = u64>) {
+        for w in words {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
     }
-}
-
-fn encode_aux(ckpt: &CampaignCheckpoint) -> Vec<u8> {
-    let n = ckpt.analysis.mesh().n();
-    let mut buf = Vec::with_capacity(48 + 8 * n * (1 + ckpt.members0));
-    buf.extend_from_slice(AUX_MAGIC);
-    push_u64(&mut buf, n as u64);
-    push_u64(&mut buf, ckpt.members0 as u64);
-    push_u64(&mut buf, ckpt.stats.len() as u64);
-    push_u64(&mut buf, ckpt.cycle_digests.len() as u64);
-    push_f64s(&mut buf, &ckpt.truth);
+    let (mesh, free) = (ckpt.analysis.mesh(), ckpt.free_run.states());
+    let words = WORDS + member_crcs.len() + mesh.n() * (1 + ckpt.members0);
+    let words = words + 4 * ckpt.stats.len() + ckpt.cycle_digests.len() + 1;
+    let mut buf = Vec::with_capacity(8 * (1 + words));
+    buf.extend_from_slice(MAGIC);
+    put(
+        &mut buf,
+        [
+            ckpt.cycle as u64,
+            ckpt.seed,
+            ckpt.members0 as u64,
+            member_crcs.len() as u64,
+            ckpt.rng_cursor,
+            ckpt.config_fp,
+            mesh.nx() as u64,
+            mesh.ny() as u64,
+            ckpt.stats.len() as u64,
+            ckpt.cycle_digests.len() as u64,
+        ],
+    );
+    put(&mut buf, member_crcs.iter().copied());
+    put(&mut buf, ckpt.truth.iter().map(|v| v.to_bits()));
     for k in 0..ckpt.members0 {
-        push_f64s(&mut buf, &ckpt.free_run.member(k));
+        put(&mut buf, (0..mesh.n()).map(|i| free[(i, k)].to_bits()));
     }
     for s in &ckpt.stats {
-        push_u64(&mut buf, s.cycle as u64);
-        push_f64s(
+        let rmse = [s.forecast_rmse, s.analysis_rmse, s.free_run_rmse];
+        put(
             &mut buf,
-            &[s.forecast_rmse, s.analysis_rmse, s.free_run_rmse],
+            [s.cycle as u64].into_iter().chain(rmse.map(f64::to_bits)),
         );
     }
-    for &d in &ckpt.cycle_digests {
-        push_u64(&mut buf, d);
-    }
+    put(&mut buf, ckpt.cycle_digests.iter().copied());
+    let crc = fnv64(&buf);
+    put(&mut buf, [crc]);
     buf
 }
 
-struct DecodedAux {
-    truth: Vec<f64>,
-    free_run: Ensemble,
-    stats: Vec<CycleStats>,
-    digests: Vec<u64>,
-}
-
-fn decode_aux(bytes: &[u8], mesh: Mesh, members0: usize) -> Result<DecodedAux, String> {
-    let n = mesh.n();
-    let mut off = 0usize;
-    let take = |off: &mut usize, len: usize| -> Result<&[u8], String> {
-        let s = bytes
-            .get(*off..*off + len)
-            .ok_or_else(|| format!("aux truncated at offset {}", *off))?;
-        *off += len;
-        Ok(s)
-    };
-    if take(&mut off, 8)? != AUX_MAGIC {
-        return Err("aux magic mismatch".into());
-    }
-    let rd_u64 = |off: &mut usize| -> Result<u64, String> {
-        let word: &[u8; 8] = take(off, 8)?.try_into().map_err(|e| format!("aux: {e}"))?;
-        Ok(u64::from_le_bytes(*word))
-    };
-    if rd_u64(&mut off)? != n as u64 {
-        return Err("aux field size mismatch".into());
-    }
-    if rd_u64(&mut off)? != members0 as u64 {
-        return Err("aux member count mismatch".into());
-    }
-    let stats_len = rd_u64(&mut off)?;
-    let digests_len = rd_u64(&mut off)?;
-    // Every length below sizes an allocation: the blob must hold exactly
-    // the bytes the header promises before any of them is trusted.
-    let expected = (members0 as u64)
-        .checked_add(1)
-        .and_then(|columns| (n as u64).checked_mul(columns))
-        .and_then(|words| words.checked_add(digests_len))
-        .and_then(|words| words.checked_mul(8))
-        .and_then(|bytes| bytes.checked_add(stats_len.checked_mul(32)?))
-        .and_then(|bytes| bytes.checked_add(off as u64));
-    if expected != Some(bytes.len() as u64) {
-        return Err(format!(
-            "aux header promises {} bytes, blob has {}",
-            expected.map_or_else(|| "more than 2^64".into(), |b| b.to_string()),
-            bytes.len()
-        ));
-    }
-    let (stats_len, digests_len) = (stats_len as usize, digests_len as usize);
-    let rd_f64s = |off: &mut usize, count: usize| -> Result<Vec<f64>, String> {
-        let raw = take(off, 8 * count)?;
-        Ok(raw
-            .as_chunks::<8>()
-            .0
-            .iter()
-            .map(|w| f64::from_le_bytes(*w))
-            .collect())
-    };
-    let truth = rd_f64s(&mut off, n)?;
-    let mut free = Matrix::zeros(n, members0);
-    for k in 0..members0 {
-        let col = rd_f64s(&mut off, n)?;
-        free.set_col(k, &col);
-    }
-    let mut stats = Vec::with_capacity(stats_len);
-    for _ in 0..stats_len {
-        let cycle = rd_u64(&mut off)? as usize;
-        let vals = rd_f64s(&mut off, 3)?;
-        stats.push(CycleStats {
-            cycle,
-            forecast_rmse: vals[0],
-            analysis_rmse: vals[1],
-            free_run_rmse: vals[2],
-        });
-    }
-    let mut digests = Vec::with_capacity(digests_len);
-    for _ in 0..digests_len {
-        digests.push(rd_u64(&mut off)?);
-    }
-    if off != bytes.len() {
-        return Err(format!("aux has {} trailing bytes", bytes.len() - off));
-    }
-    Ok(DecodedAux {
-        truth,
-        free_run: Ensemble::new(mesh, free),
-        stats,
-        digests,
-    })
-}
-
-struct Manifest {
-    cycle: usize,
-    seed: u64,
-    members0: usize,
-    members: usize,
-    rng_cursor: u64,
-    config_fp: u64,
-    nx: usize,
-    ny: usize,
-    aux_crc: u64,
-    member_crcs: Vec<u64>,
-}
-
-fn parse_manifest(text: &str) -> Result<Manifest, String> {
-    // Self-verification: the last line checksums everything before it.
-    let body_end = text
-        .trim_end_matches('\n')
-        .rfind('\n')
-        .ok_or("manifest too short")?;
-    let (body, tail) = text.split_at(body_end + 1);
-    let tail = tail.trim_end();
-    let declared = tail
-        .strip_prefix("crc=")
-        .ok_or("missing trailing crc line")?;
-    let declared = u64::from_str_radix(declared, 16).map_err(|e| format!("bad crc: {e}"))?;
-    if fnv64(body.as_bytes()) != declared {
-        return Err(format!(
-            "manifest checksum {:016x} != declared {declared:016x}",
-            fnv64(body.as_bytes())
-        ));
-    }
-    let mut lines = body.lines();
-    if lines.next() != Some(MAGIC) {
-        return Err("bad magic line".into());
-    }
-    let mut m = Manifest {
-        cycle: 0,
-        seed: 0,
-        members0: 0,
-        members: 0,
-        rng_cursor: 0,
-        config_fp: 0,
-        nx: 0,
-        ny: 0,
-        aux_crc: 0,
-        member_crcs: Vec::new(),
-    };
-    for line in lines {
-        if let Some(rest) = line.strip_prefix("member ") {
-            let (k, crc) = rest
-                .split_once(" crc=")
-                .ok_or_else(|| format!("bad member line: {line}"))?;
-            let k: usize = k.parse().map_err(|e| format!("bad member index: {e}"))?;
-            if k != m.member_crcs.len() {
-                return Err(format!("member lines out of order at {k}"));
+/// The words between a commit record's magic and its trailing checksum,
+/// once the checksum and the magic check out and the header is whole.
+fn sealed_words(record: &[u8]) -> Result<&[[u8; 8]], String> {
+    match record.as_chunks::<8>() {
+        ([magic, words @ .., crc], []) if words.len() >= WORDS => {
+            let (sum, sealed) = (fnv64(&record[..record.len() - 8]), u64::from_le_bytes(*crc));
+            if sum != sealed {
+                Err(format!("checksum {sum:016x} != sealed {sealed:016x}"))
+            } else if magic != MAGIC {
+                Err("bad magic".into())
+            } else {
+                Ok(words)
             }
-            m.member_crcs
-                .push(u64::from_str_radix(crc, 16).map_err(|e| format!("bad member crc: {e}"))?);
-            continue;
         }
-        let (key, val) = line
-            .split_once('=')
-            .ok_or_else(|| format!("bad line: {line}"))?;
-        match key {
-            "cycle" => m.cycle = val.parse().map_err(|e| format!("bad cycle: {e}"))?,
-            "seed" => m.seed = val.parse().map_err(|e| format!("bad seed: {e}"))?,
-            "members0" => m.members0 = val.parse().map_err(|e| format!("bad members0: {e}"))?,
-            "members" => m.members = val.parse().map_err(|e| format!("bad members: {e}"))?,
-            "rng_cursor" => {
-                m.rng_cursor = val.parse().map_err(|e| format!("bad rng_cursor: {e}"))?
-            }
-            "config_fp" => {
-                m.config_fp =
-                    u64::from_str_radix(val, 16).map_err(|e| format!("bad config_fp: {e}"))?
-            }
-            "nx" => {
-                let (nx, ny) = val
-                    .split_once(" ny=")
-                    .ok_or_else(|| format!("bad mesh line: {line}"))?;
-                m.nx = nx.parse().map_err(|e| format!("bad nx: {e}"))?;
-                m.ny = ny.parse().map_err(|e| format!("bad ny: {e}"))?;
-            }
-            "aux_crc" => {
-                m.aux_crc = u64::from_str_radix(val, 16).map_err(|e| format!("bad aux_crc: {e}"))?
-            }
-            other => return Err(format!("unknown manifest key {other}")),
-        }
+        _ => Err(format!("truncated at {} bytes", record.len())),
     }
-    if m.members == 0 || m.nx == 0 || m.ny == 0 {
-        return Err("manifest missing required fields".into());
-    }
-    if m.nx.checked_mul(m.ny).is_none() {
-        return Err(format!("mesh {} x {} overflows", m.nx, m.ny));
-    }
-    // A degraded cycle only loses members, and the aux blob's free run
-    // holds `members0` of them: this bounds the analysis allocation.
-    if m.members > m.members0 {
-        return Err(format!(
-            "manifest has {} members of {} original",
-            m.members, m.members0
-        ));
-    }
-    if m.member_crcs.len() != m.members {
-        return Err(format!(
-            "manifest lists {} member checksums for {} members",
-            m.member_crcs.len(),
-            m.members
-        ));
-    }
-    Ok(m)
 }
 
 #[cfg(test)]
@@ -813,13 +645,18 @@ mod tests {
         assert_eq!(back.members0, ckpt.members0);
     }
 
+    /// The same state committed as cycle 9 and as cycle 10 (one more digit)
+    /// makes records of one size.
     #[test]
     fn manifest_size_does_not_depend_on_the_cycle_number() {
         let scratch = ScratchDir::new("ckpt-pad").unwrap();
         let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
         let mut lens = Vec::new();
         for cycle in [9, 10] {
-            let ckpt = sample(cycle, 3);
+            let ckpt = CampaignCheckpoint {
+                cycle,
+                ..sample(9, 3)
+            };
             store.save(&ckpt, None).unwrap();
             let manifest = fs::metadata(store.cycle_dir(cycle).join(MANIFEST)).unwrap();
             lens.push(manifest.len());
@@ -832,24 +669,6 @@ mod tests {
             assert_eq!(bits(&back.free_run), bits(&ckpt.free_run));
         }
         assert_eq!(lens[0], lens[1]);
-    }
-
-    /// Manifests written before the cycle field was padded still load.
-    #[test]
-    fn unpadded_manifest_still_loads() {
-        let scratch = ScratchDir::new("ckpt-unpadded").unwrap();
-        let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
-        let ckpt = sample(9, 3);
-        store.save(&ckpt, None).unwrap();
-        let mpath = store.cycle_dir(9).join(MANIFEST);
-        let text = fs::read_to_string(&mpath).unwrap();
-        let body = &text[..text.rfind("crc=").unwrap()];
-        let body = body.replace("cycle=00000000000000000009\n", "cycle=9\n");
-        let crc = fnv64(body.as_bytes());
-        fs::write(&mpath, format!("{body}crc={crc:016x}\n")).unwrap();
-        let back = store.load_cycle(9, 0xFEED_BEEF, None).unwrap();
-        assert_eq!(back.cycle, 9);
-        assert_eq!(back.analysis.states(), ckpt.analysis.states());
     }
 
     #[test]
@@ -880,7 +699,7 @@ mod tests {
         assert!(store.load_cycle(2, 0xFEED_BEEF, None).is_err());
         assert!(store
             .cycle_dir(2)
-            .join("MANIFEST.txt.quarantined")
+            .join("MANIFEST.bin.quarantined")
             .is_file());
         // New durable cycles push cycle 2 out of the retention window; the
         // quarantined directory must be swept, not kept forever.
@@ -969,36 +788,17 @@ mod tests {
         assert_eq!(back.cycle, 1);
     }
 
-    /// Overwrite header word `word` of cycle 2's aux blob (0 = `n`,
-    /// 1 = `members0`, 2 = `stats_len`, 3 = `digests_len`) and re-seal the
-    /// checksums, so the parser, not the checksum, sees the edit.
-    fn set_aux_word(store: &CheckpointStore, word: usize, value: u64) {
-        let path = store.cycle_dir(2).join(AUX);
-        let mut aux = fs::read(&path).unwrap();
-        aux[8 * (word + 1)..8 * (word + 2)].copy_from_slice(&value.to_le_bytes());
-        fs::write(&path, &aux).unwrap();
-        let crc = format!("aux_crc={:016x}", fnv64(&aux));
-        reseal_manifest(store, |line| {
-            if line.starts_with("aux_crc=") {
-                crc.clone()
-            } else {
-                line.to_string()
-            }
-        });
-    }
-
-    /// Rewrite cycle 2's manifest lines through `edit` and recompute its
-    /// trailing checksum.
-    fn reseal_manifest(store: &CheckpointStore, edit: impl Fn(&str) -> String) {
+    /// Overwrite header word `word` of cycle 2's record (0 = `cycle`, 2 =
+    /// `members0`, 6 = `nx`, 8 = `stats_len`, ...) and re-seal its
+    /// checksum, so the decoder, not the checksum, sees the edit.
+    fn set_header_word(store: &CheckpointStore, word: usize, value: u64) {
         let path = store.cycle_dir(2).join(MANIFEST);
-        let text = fs::read_to_string(&path).unwrap();
-        let mut body = String::new();
-        for line in text.lines().filter(|l| !l.starts_with("crc=")) {
-            body.push_str(&edit(line));
-            body.push('\n');
-        }
-        body.push_str(&format!("crc={:016x}\n", fnv64(body.as_bytes())));
-        fs::write(&path, body).unwrap();
+        let mut record = fs::read(&path).unwrap();
+        record[8 * (word + 1)..8 * (word + 2)].copy_from_slice(&value.to_le_bytes());
+        let end = record.len() - 8;
+        let crc = fnv64(&record[..end]);
+        record[end..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, record).unwrap();
     }
 
     /// Saves cycles 1 and 2 and applies `craft` to cycle 2, twice: the
@@ -1025,34 +825,23 @@ mod tests {
     }
 
     #[test]
-    fn aux_stats_length_beyond_the_blob_is_corrupt_not_a_panic() {
-        crafted_cycle_falls_back("ckpt-craft-stats", |store| set_aux_word(store, 2, u64::MAX));
+    fn stats_length_beyond_the_record_is_corrupt_not_a_panic() {
+        crafted_cycle_falls_back("ckpt-craft-stats", |store| {
+            set_header_word(store, 8, u64::MAX)
+        });
     }
 
     #[test]
     fn huge_member_count_is_corrupt_not_an_abort() {
         crafted_cycle_falls_back("ckpt-craft-members0", |store| {
-            set_aux_word(store, 1, 1 << 40);
-            reseal_manifest(store, |line| {
-                if line.starts_with("members0=") {
-                    format!("members0={}", 1u64 << 40)
-                } else {
-                    line.to_string()
-                }
-            });
+            set_header_word(store, 2, 1 << 40)
         });
     }
 
     #[test]
     fn overflowing_mesh_is_corrupt_not_a_panic() {
         crafted_cycle_falls_back("ckpt-craft-mesh", |store| {
-            reseal_manifest(store, |line| {
-                if line.starts_with("nx=") {
-                    format!("nx={} ny=4", usize::MAX / 2)
-                } else {
-                    line.to_string()
-                }
-            });
+            set_header_word(store, 6, (usize::MAX / 2) as u64)
         });
     }
 

@@ -1,7 +1,7 @@
 //! Asynchronous checkpoint writer: durability off the critical path.
 //!
 //! The synchronous supervisor pays the full checkpoint write (an fsync
-//! per member, a directory fsync, the manifest commit) on the critical
+//! per member, a directory fsync, the commit record) on the critical
 //! path after every cycle.
 //! This module moves that write to a background thread, FTI-style: the
 //! supervisor hands over an O(1) [`CampaignCheckpoint`] snapshot
@@ -192,13 +192,6 @@ mod tests {
         w.shared.lock().durable
     }
 
-    /// A store that keeps the last `retain` durable cycles.
-    fn store_retaining(root: std::path::PathBuf, retain: usize) -> CheckpointStore {
-        let mut store = CheckpointStore::create(root).unwrap();
-        store.retain = retain;
-        store
-    }
-
     fn sample(cycle: usize) -> CampaignCheckpoint {
         let mesh = Mesh::new(6, 4);
         let n = mesh.n();
@@ -225,7 +218,7 @@ mod tests {
     #[test]
     fn async_writes_are_durable_and_frontier_is_monotone() {
         let scratch = ScratchDir::new("ckpt-async").unwrap();
-        let store = store_retaining(scratch.path().join("ckpt"), 8);
+        let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
         std::thread::scope(|s| {
             let tracer = RankTracer::new(4, Instant::now());
             let w = AsyncCheckpointer::spawn(s, &store, tracer);
@@ -251,7 +244,7 @@ mod tests {
             assert_eq!(spans.len(), 5 * 3);
             assert!(spans.iter().all(|sp| sp.rank == 4));
         });
-        assert_eq!(store.durable_cycles().unwrap(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(store.durable_cycles().unwrap(), vec![3, 4]);
         store.load_cycle(4, 0xBEEF, None).unwrap();
     }
 
@@ -284,14 +277,14 @@ mod tests {
         /// in-flight write once backpressure has been taken (save_async
         /// returning means every *earlier* write completed). Killing the
         /// writer at a random point (scope exit, no drain) still leaves
-        /// every handed-over cycle durable on disk.
+        /// the last handed-over cycle durable on disk.
         #[test]
         fn durable_frontier_is_monotone_and_lags_by_at_most_one(
             saves in 1usize..6,
             drain_mask in proptest::collection::vec(proptest::prelude::any::<bool>(), 5),
         ) {
             let scratch = ScratchDir::new("ckpt-async-prop").unwrap();
-            let store = store_retaining(scratch.path().join("ckpt"), 8);
+            let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
             std::thread::scope(|s| {
                 let tracer = RankTracer::new(4, Instant::now());
                 let w = AsyncCheckpointer::spawn(s, &store, tracer);
@@ -321,10 +314,11 @@ mod tests {
                 Ok(())
             })?;
             // The scope exit is the "kill": Drop flushed the in-flight
-            // write, so every handed-over cycle is durable on disk.
+            // write, so the last handed-over cycles (as many as the store
+            // retains) are durable on disk.
             proptest::prop_assert_eq!(
                 store.durable_cycles().unwrap(),
-                (0..saves).collect::<Vec<_>>()
+                (saves.saturating_sub(2)..saves).collect::<Vec<_>>()
             );
         }
     }

@@ -14,15 +14,15 @@
 //!   reach bit-identical verdicts.
 //! * **Routing** ([`RouteView`]): the frozen per-cycle decision table.
 //!   Suspected-degraded OSTs are blacklisted with probation and
-//!   reintegration; members striped to a blacklisted OST get a speculative
-//!   duplicate read whose winner is decided by a deterministic tie-break,
-//!   and member schedules are stably reordered away from hot OSTs (the
-//!   trace digest is an order-free multiset, so reordering is
-//!   conformance-neutral by construction).
+//!   reintegration; a member striped to a blacklisted OST is read from its
+//!   replica when that is healthy and no slower (a deterministic reroute,
+//!   no duplicate read), and member schedules are stably reordered away
+//!   from hot OSTs (the trace digest is an order-free multiset, so
+//!   reordering is conformance-neutral by construction).
 //! * **Record** ([`HealthSnapshot`]): the detector verdicts at each cycle
 //!   boundary — blacklisted, probation and suspect OSTs, suspect ranks.
-//!   What routing made readers do is already in the run's trace (a
-//!   speculative duplicate is a `FaultKind::Cancelled` span), so the
+//!   What routing made readers do is already in the run's trace (a reroute
+//!   leaves a zero-duration `FaultKind::Cancelled` marker span), so the
 //!   chaos-soak conformance surface is the per-cycle snapshots beside the
 //!   trace's operation and fault digests; the crate keeps no log.
 //!

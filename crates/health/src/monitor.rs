@@ -191,8 +191,8 @@ impl HealthSnapshot {
 /// The online health monitor: per-OST and per-rank detectors, an
 /// order-insensitive per-cycle observation accumulator, and the frozen
 /// routing view executors consult. Its record is the [`HealthSnapshot`]
-/// `end_cycle` returns; what the routing view made readers do (speculative
-/// duplicates, reordering) is in the run's trace.
+/// `end_cycle` returns; what the routing view made readers do (reroutes,
+/// reordering) is in the run's trace.
 ///
 /// Thread contract: `observe_*` take `&self` (rank threads feed
 /// concurrently mid-cycle); `end_cycle` takes `&mut self` (the supervisor

@@ -10,16 +10,16 @@ pub enum ReadRoute {
     /// The member's OST is in rotation: read exactly like the resilient
     /// path (byte-identical spans — the no-fault parity guarantee).
     Primary,
-    /// The member stripes to a blacklisted OST: a speculative duplicate is
-    /// issued on the replica path. `replica_wins` is the deterministic
-    /// first-completion tie-break: the path with the smaller expected
-    /// dilation wins (ties go to the replica, which is the healthier bet by
-    /// construction); the loser is cancelled and charged as a zero-cost
-    /// marker span.
+    /// The member stripes to a blacklisted OST: the read is rerouted.
+    /// `replica_wins` picks the serving path deterministically: the replica
+    /// when it is not blacklisted and its expected dilation is no larger
+    /// (ties go to the replica, the healthier bet by construction), else
+    /// the primary. No duplicate read is issued; the reroute is charged as
+    /// one zero-duration cancelled marker span.
     Speculate {
         /// OST index of the replica path.
         replica: usize,
-        /// Whether the replica read wins the race.
+        /// Whether the read is served by the replica.
         replica_wins: bool,
     },
 }

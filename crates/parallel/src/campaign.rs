@@ -200,7 +200,7 @@ pub struct CampaignCtx {
     pub ckpt_mode: CkptMode,
     /// Online health monitoring: `Some(params)` attaches a cross-cycle
     /// [`HealthMonitor`] — each cycle runs through the executors' adaptive
-    /// read path (blacklisted-OST members last, speculative duplicates,
+    /// read path (blacklisted-OST members last, rerouted to replicas,
     /// bounded retries) and the detectors step at every
     /// successful cycle boundary. Detector state is in-memory only: a
     /// campaign resumed from a checkpoint restarts its detectors cold

@@ -187,10 +187,10 @@ pub(crate) fn next_msg(
 /// [`SubstrateError::RecvTimeout`] instead of hanging. With a monitor the
 /// program reads members on blacklisted OSTs last (blocks are placed by
 /// member, so the reorder never reaches the numerics), every read
-/// consults the monitor's frozen view — a degraded OST triggers a
-/// speculative duplicate read against its replica — and observed read and
-/// compute dilation ratios feed the monitor, which the caller folds at the
-/// cycle boundary with [`HealthMonitor::end_cycle`].
+/// consults the monitor's frozen view — a read from a degraded OST is
+/// rerouted to its replica, leaving a zero-duration cancelled marker span
+/// — and observed read and compute dilation ratios feed the monitor, which
+/// the caller folds at the cycle boundary with [`HealthMonitor::end_cycle`].
 pub fn run_cycle(
     setup: &AssimilationSetup<'_>,
     exec: CampaignExecutor,

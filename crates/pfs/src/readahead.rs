@@ -102,7 +102,7 @@ pub fn read_stages_ahead<E>(
 
 /// [`read_stages_ahead`] with online health monitoring: every member read
 /// goes through [`crate::read_region_adaptive`], so a blacklisted OST
-/// triggers the deterministic speculative-duplicate route and each
+/// triggers the deterministic reroute to its replica and each
 /// completed read reports its observed dilation ratio to the monitor. With
 /// `monitor: None` this is exactly [`read_stages_ahead`].
 pub fn read_stages_ahead_adaptive<E>(

@@ -1,9 +1,9 @@
 //! Retry-with-backoff, health-routed member reads — decided once, for the
 //! real and the modeled file system.
 //!
-//! A member read is a short schedule of steps: an optional cancelled
-//! speculative duplicate, then per attempt a backoff, an injected failure
-//! or the read itself. `weave_read` is the only place that schedule is
+//! A member read is a short schedule of steps: an optional zero-duration
+//! cancelled marker for a reroute, then per attempt a backoff, an injected
+//! failure or the read itself. `weave_read` is the only place that schedule is
 //! decided — the route (from the monitor's frozen
 //! [`enkf_health::RouteView`]), the attempt budget, the monitor's
 //! observation, and the [`OpTag`] of every step: *what the step is*
@@ -43,12 +43,12 @@ pub fn dilate(start: Instant, factor: f64) {
 }
 
 /// What one step of a member read's schedule costs; what the step *is* —
-/// cancelled duplicate, backoff, injected failure, the read — is its tag.
+/// reroute marker, backoff, injected failure, the read — is its tag.
 enum StepCost {
     /// An agent-local pause, seconds: the policy's deterministic backoff
-    /// before a retry — or zero for the losing speculative duplicate, which
-    /// is cancelled at first completion and only carries the region's
-    /// footprint into the trace.
+    /// before a retry — or zero for a reroute's cancelled marker, which
+    /// reads nothing and only carries the region's footprint into the
+    /// trace.
     Pause(f64),
     /// A full service on the serving path. An attempt the plan fails by
     /// injection still occupies the path; its result is discarded.
@@ -66,9 +66,10 @@ struct ReadPath {
 /// Decide and drive one read of `member`, whose tag on a first try (role,
 /// stage, member, bytes, seeks) is `read`. Without a monitor the read is served by the
 /// member's own OST at the plan's slowdown. With one, the frozen view
-/// routes it: a blacklisted primary OST issues a speculative duplicate on
-/// the replica, the deterministic [`ReadRoute::Speculate::replica_wins`]
-/// tie-break picks the serving path, and the loser becomes a
+/// routes it: on a blacklisted primary OST the deterministic
+/// [`ReadRoute::Speculate::replica_wins`] picks the serving path (the
+/// replica, when it is healthy and no slower), no duplicate read is
+/// issued, and the reroute leaves a zero-duration
 /// [`FaultKind::Cancelled`] marker. Then the
 /// [`enkf_fault::RetryPolicy::attempts`] run: attempts
 /// `0..fail_attempts` of the plan are [`FaultKind::Injected`] failures,
@@ -316,8 +317,8 @@ mod tests {
 
     /// The modeled arm's read of member 1 under `plan` and `mon`'s view on
     /// a seek-free 4-OST file system: the serving path's dilation (the
-    /// makespan over the undilated service — the cancelled duplicate is
-    /// free) and the trace.
+    /// makespan over the undilated service — the reroute's cancelled marker
+    /// is free) and the trace.
     fn modeled_read(plan: &FaultPlan, mon: &HealthMonitor) -> (f64, enkf_trace::Trace) {
         let mut sim = Simulation::new();
         let params = crate::PfsParams {
@@ -339,8 +340,8 @@ mod tests {
         )
     }
 
-    /// Whether the only fault event of `trace` is one cancelled speculative
-    /// duplicate.
+    /// Whether the only fault event of `trace` is one reroute's cancelled
+    /// marker.
     fn one_cancelled_read(trace: &enkf_trace::Trace) -> bool {
         let events = trace.fault_events(&[]);
         events.len() == 1 && events[0].kind == FaultKind::Cancelled
@@ -505,7 +506,7 @@ mod tests {
         let d = read_full_adaptive(&st, &mut t, Some(0), 1, &inj, Some(&mon)).unwrap();
         assert_eq!(d.len(), 32, "payload is the real file contents");
         let trace = into_trace(t);
-        // One cancelled-duplicate marker + one winning read.
+        // One reroute marker + one read on the serving path.
         assert!(trace.digest().contains("op=fault"));
         assert!(trace.digest().contains("op=read"));
         assert!(one_cancelled_read(&trace));

@@ -28,7 +28,7 @@
 //! * **operation digest** — [`Trace::digest`], the sorted text digest above;
 //! * **fault events** — [`Trace::fault_events`] / [`Trace::fault_digest`]:
 //!   which attempt of which member read was failed by injection, backed
-//!   off, cancelled as a losing speculative duplicate or cured by a retry,
+//!   off, rerouted (a cancelled marker) or cured by a retry,
 //!   read off the [`FaultKind`] and attempt index the spans carry.
 //!
 //! [`Trace::write_chrome_json`] exports Chrome-trace (`chrome://tracing`,
@@ -125,8 +125,8 @@ pub enum FaultKind {
     Injected,
     /// The retry policy paused before re-issuing.
     Backoff,
-    /// The losing speculative duplicate of a routed read, cancelled at first
-    /// completion.
+    /// The zero-duration marker of a read rerouted away from a blacklisted
+    /// OST; it reads nothing.
     Cancelled,
     /// A read was served at a retry — a [`Op::Read`] span with a non-zero
     /// attempt.

@@ -39,9 +39,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # integration and property tests, including `enkf-linalg`'s kernel
 # conformance under default features and `tests/reproduce.rs`, which
 # asserts the paper's verdicts (`s_enkf::reproduce`). The steps below only
-# re-run what differs: profile, features, workspace.
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+# re-run what differs: profile, features, workspace. `--locked` here and on
+# the perf step: a change that would rewrite Cargo.lock or the frozen
+# perf/Cargo.lock fails instead.
+echo "==> cargo test -q --locked --workspace"
+cargo test -q --locked --workspace
 
 echo "==> allocation regression: steady-state data plane and both local-analysis"
 echo "    point kernels are alloc-free, untraced modelled cycles allocate nothing per"
@@ -90,7 +92,7 @@ echo "==> rustdoc: no broken or private intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> perf ledger (its own workspace): BENCHMARK.json names still match the binary"
-cargo test -q --manifest-path perf/Cargo.toml
+cargo test -q --locked --manifest-path perf/Cargo.toml
 
 if [ -n "$perf_base" ]; then
     echo "==> perf regression gate against $perf_base"

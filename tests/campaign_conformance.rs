@@ -288,6 +288,59 @@ fn foreign_checkpoint_is_refused_and_left_untouched() {
     assert!(ckpt_files(&ckpt) == before, "the foreign directory changed");
 }
 
+/// Every file under `root`, recursively, with its bytes.
+fn tree_files(root: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(tree_files(&path));
+        } else {
+            files.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A cycle directory of the older text format (`MANIFEST.txt`) is refused
+/// with the typed `OldFormat` error by `load_latest` and by `run_campaign`:
+/// nothing under the store root is read as a checkpoint, quarantined,
+/// pruned or rewritten.
+#[test]
+fn old_format_checkpoint_is_refused_and_left_untouched() {
+    let (scratch, work, ckpt) = stores("camp-old-format");
+    let dir = ckpt.cycle_dir(3);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("MANIFEST.txt"),
+        "SENKF-CKPT v1\ncycle=00000000000000000003\nmembers=1\ncrc=0000000000000000\n",
+    )
+    .unwrap();
+    std::fs::write(dir.join("member_00000.bin"), [7u8; 64]).unwrap();
+    let root = scratch.path().join("ckpt");
+    let before = tree_files(&root);
+
+    // Refused before any fingerprint is compared.
+    match ckpt.load_latest(0, None) {
+        Err(CkptError::OldFormat { path }) => assert_eq!(path, dir.join("MANIFEST.txt")),
+        other => panic!("expected OldFormat, got {other:?}"),
+    }
+    let (_, exec) = executors().remove(0);
+    let result = run_campaign(&work, &ckpt, &exec, &campaign_cfg(1), &FaultConfig::none());
+    assert!(
+        matches!(
+            result,
+            Err(CampaignError::Checkpoint(CkptError::OldFormat { .. }))
+        ),
+        "got {result:?}"
+    );
+    assert!(
+        tree_files(&root) == before,
+        "the old-format directory changed"
+    );
+}
+
 /// A rank crash mid-cycle tears the cycle down; the supervisor drains any
 /// in-flight asynchronous write, restores the last durable checkpoint from
 /// disk and re-runs. The recovered campaign is bit-identical to a
@@ -392,7 +445,7 @@ fn torn_checkpoint_on_kill_falls_back_one_cycle() {
     .unwrap();
     // The kill hit between cycle 2's member writes and its manifest
     // commit: the checkpoint is present but not durable.
-    std::fs::remove_file(ckpt2.cycle_dir(2).join("MANIFEST.txt")).unwrap();
+    std::fs::remove_file(ckpt2.cycle_dir(2).join("MANIFEST.bin")).unwrap();
     let resumed = run_campaign(
         &work2,
         &ckpt2,
@@ -434,7 +487,7 @@ fn pipelined_torn_inflight_write_falls_back_to_previous_durable_cycle() {
         );
         // Tear cycle 2's in-flight asynchronous commit: the kill landed
         // after the member writes but before the manifest rename.
-        std::fs::remove_file(ckpt2.cycle_dir(2).join("MANIFEST.txt")).unwrap();
+        std::fs::remove_file(ckpt2.cycle_dir(2).join("MANIFEST.bin")).unwrap();
         let resumed = run_mode(
             &work2,
             &ckpt2,

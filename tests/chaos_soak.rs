@@ -102,7 +102,7 @@ struct SoakArtifacts {
     snapshots: Vec<HealthSnapshot>,
 }
 
-/// Whether `trace` holds a speculative duplicate read's cancelled span.
+/// Whether `trace` holds a rerouted read's zero-duration cancelled marker.
 fn has_cancelled_read(trace: &Trace) -> bool {
     trace
         .spans()

@@ -6,16 +6,17 @@
 //!    stale temp file, or a torn in-place payload — is *detected*, never
 //!    silently read as member data.
 //! 2. **Self-verifying checkpoints** (`CheckpointStore`): flipping any
-//!    single byte of a checkpointed member, the aux blob, or the manifest
-//!    yields a typed `CorruptMember`/`CorruptManifest`, quarantines the
-//!    artifact, and `load_latest` falls back to the previous durable
-//!    cycle.
+//!    single byte of a checkpointed member or of the commit record
+//!    `MANIFEST.bin`, or cutting the record short, yields a typed
+//!    `CorruptMember`/`CorruptManifest`, quarantines the artifact, and
+//!    `load_latest` falls back to the previous durable cycle.
 //! 3. **Round-trip exactness**: a save → load cycle reproduces every
-//!    field bit-exactly (f64 payloads included).
-//! 4. **Parsers past the checksum**: a header word or manifest value
-//!    rewritten with its checksums recomputed is still a typed
-//!    `CorruptManifest` with fallback — never a panic or an allocation
-//!    sized by the file — unless it wrote the value already there.
+//!    field bit-exactly (f64 payloads included), from a directory that
+//!    holds the member files and the record and nothing else.
+//! 4. **The decoder past the checksum**: a header word rewritten with the
+//!    record's checksum recomputed is still a typed `CorruptManifest` with
+//!    fallback — never a panic or an allocation sized by the file — unless
+//!    it wrote the value already there.
 
 mod common;
 
@@ -149,15 +150,16 @@ proptest! {
         prop_assert_eq!(back.rng_cursor, reference.rng_cursor);
     }
 
-    /// Flipping any single byte of the manifest yields `CorruptManifest`
-    /// and the same fallback.
+    /// Flipping any single byte of the commit record (header, member
+    /// checksums, truth, free run, statistics, digests or its own checksum)
+    /// yields `CorruptManifest` and the same fallback.
     #[test]
     fn manifest_byte_flip_falls_back_to_prior_cycle(
         offset_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
         let (_s, store) = two_cycles("ckpt-flip-manifest");
-        let mpath = store.cycle_dir(2).join("MANIFEST.txt");
+        let mpath = store.cycle_dir(2).join("MANIFEST.bin");
         let mut bytes = fs::read(&mpath).unwrap();
         let offset = ((bytes.len() as f64 * offset_frac) as usize).min(bytes.len() - 1);
         bytes[offset] ^= 1 << bit;
@@ -170,105 +172,101 @@ proptest! {
         prop_assert_eq!(back.cycle, 1);
     }
 
-    /// Flipping any single byte of the aux blob (truth / free run /
-    /// statistics) is detected through the manifest's aux checksum.
+    /// Flipping any single byte of the record's auxiliary payload — truth,
+    /// free run, statistics and digests, the bytes between the member
+    /// checksums and the trailing checksum — yields `CorruptManifest`,
+    /// quarantines the record, and falls back.
     #[test]
     fn aux_byte_flip_falls_back_to_prior_cycle(
         offset_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
         let (_s, store) = two_cycles("ckpt-flip-aux");
-        let apath = store.cycle_dir(2).join("aux.bin");
-        let mut bytes = fs::read(&apath).unwrap();
-        let offset = ((bytes.len() as f64 * offset_frac) as usize).min(bytes.len() - 1);
+        let mpath = store.cycle_dir(2).join("MANIFEST.bin");
+        let mut bytes = fs::read(&mpath).unwrap();
+        // Magic, ten header words, then one checksum per member.
+        let start = 8 * (1 + 10 + MEMBERS);
+        let span = bytes.len() - 8 - start;
+        let offset = start + ((span as f64 * offset_frac) as usize).min(span - 1);
         bytes[offset] ^= 1 << bit;
-        fs::write(&apath, &bytes).unwrap();
-        match store.load_cycle(2, FP, None) {
-            Err(CkptError::CorruptManifest { cycle, .. }) => prop_assert_eq!(cycle, 2),
-            other => prop_assert!(false, "expected CorruptManifest, got {:?}", other.map(|_| ())),
-        }
-        let (back, _) = store.load_latest(FP, None).unwrap().unwrap();
-        prop_assert_eq!(back.cycle, 1);
+        fs::write(&mpath, &bytes).unwrap();
+        let (back, skipped) = store.load_latest(FP, None).unwrap().unwrap();
+        prop_assert_eq!(back.cycle, 1, "fallback to the previous durable cycle");
+        prop_assert!(
+            matches!(skipped[..], [CkptError::CorruptManifest { cycle: 2, .. }]),
+            "{:?}",
+            skipped
+        );
+        prop_assert!(store.cycle_dir(2).join("MANIFEST.bin.quarantined").is_file());
+    }
+
+    /// A commit record cut short at any length — a torn write the rename
+    /// should have prevented, or a truncating filesystem — is
+    /// `CorruptManifest` and the same fallback, never a panic or an abort.
+    #[test]
+    fn truncated_manifest_falls_back_to_prior_cycle(frac in 0.0f64..1.0) {
+        let (_s, store) = two_cycles("ckpt-cut-manifest");
+        let mpath = store.cycle_dir(2).join("MANIFEST.bin");
+        let len = fs::metadata(&mpath).unwrap().len();
+        let cut = ((len as f64 * frac) as u64).min(len - 1);
+        fs::OpenOptions::new().write(true).open(&mpath).unwrap().set_len(cut).unwrap();
+        let (back, skipped) = store.load_latest(FP, None).unwrap().unwrap();
+        prop_assert_eq!(back.cycle, 1, "fallback to the previous durable cycle");
+        prop_assert!(
+            matches!(skipped[..], [CkptError::CorruptManifest { cycle: 2, .. }]),
+            "{:?}",
+            skipped
+        );
+        prop_assert!(store.cycle_dir(2).join("MANIFEST.bin.quarantined").is_file());
     }
 }
 
-/// Rewrite cycle 2's manifest lines through `edit` and recompute its
-/// trailing `crc=` line.
-fn reseal_manifest(store: &CheckpointStore, edit: impl Fn(&str) -> String) {
-    let path = store.cycle_dir(2).join("MANIFEST.txt");
-    let text = fs::read_to_string(&path).unwrap();
-    let mut body = String::new();
-    for line in text.lines().filter(|l| !l.starts_with("crc=")) {
-        body.push_str(&edit(line));
-        body.push('\n');
-    }
-    body.push_str(&format!("crc={:016x}\n", fnv64(body.as_bytes())));
-    fs::write(&path, body).unwrap();
+/// Overwrite header word `word` of cycle 2's commit record with `value`
+/// and re-seal the record's trailing checksum.
+fn set_header_word(store: &CheckpointStore, word: usize, value: u64) {
+    let path = store.cycle_dir(2).join("MANIFEST.bin");
+    let mut record = fs::read(&path).unwrap();
+    record[8 * (word + 1)..8 * (word + 2)].copy_from_slice(&value.to_le_bytes());
+    let end = record.len() - 8;
+    let crc = fnv64(&record[..end]);
+    record[end..].copy_from_slice(&crc.to_le_bytes());
+    fs::write(&path, record).unwrap();
 }
 
-/// `line` with the value of manifest key `key` replaced by `value` (`nx`
-/// and `ny` share one line).
-fn with_manifest_value(line: &str, key: &str, value: u64) -> String {
-    if let Some((nx, ny)) = line.strip_prefix("nx=").and_then(|l| l.split_once(" ny=")) {
-        return match key {
-            "nx" => format!("nx={value} ny={ny}"),
-            "ny" => format!("nx={nx} ny={value}"),
-            _ => line.to_string(),
-        };
-    }
-    match line.split_once('=') {
-        Some((k, _)) if k == key => format!("{key}={value}"),
-        _ => line.to_string(),
-    }
-}
-
-/// The manifest keys the parser proptest rewrites, with cycle 2's values.
-const MANIFEST_VALUES: [(&str, u64); 5] = [
-    ("cycle", 2),
-    ("members0", MEMBERS as u64),
-    ("members", MEMBERS as u64),
-    ("nx", 10),
-    ("ny", 6),
+/// The header words the decoder proptest rewrites — `cycle`, `members0`,
+/// `members`, `nx`, `ny`, `stats_len`, `digests_len` — with their index
+/// and cycle 2's value.
+const HEADER_WORDS: [(usize, u64); 7] = [
+    (0, 2),
+    (2, MEMBERS as u64),
+    (3, MEMBERS as u64),
+    (6, 10),
+    (7, 6),
+    (8, 2),
+    (9, 2),
 ];
-
-/// Cycle 2's four aux header words: field size, `members0`, statistics
-/// and digests count.
-const AUX_WORDS: [u64; 4] = [60, MEMBERS as u64, 2, 2];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One aux header word or one manifest value of cycle 2 is rewritten
-    /// and both checksums are recomputed, so the parsers see the edit.
+    /// One structural header word of cycle 2's record is rewritten and the
+    /// record's checksum recomputed, so the decoder sees the edit.
     /// `load_latest` never panics or aborts: it returns cycle 1 with cycle
     /// 2's `CorruptManifest` skipped, or cycle 2 bit-exactly when the edit
     /// wrote the value that was already there.
     #[test]
     fn resealed_header_and_manifest_edits_fall_back_or_load_exactly(
-        in_aux in any::<bool>(),
-        field in 0usize..5,
+        field in 0usize..HEADER_WORDS.len(),
         pick in 0u8..5,
         small in 0u64..64,
         big in any::<u64>(),
     ) {
-        let (key, word) = (MANIFEST_VALUES[field].0, field % AUX_WORDS.len());
-        let original = if in_aux { AUX_WORDS[word] } else { MANIFEST_VALUES[field].1 };
+        let (word, original) = HEADER_WORDS[field];
         // The original value must load exactly; the pinned ones size the
-        // allocations an unchecked parser would attempt.
+        // allocations an unchecked decoder would attempt.
         let value = [original, small, big, 1 << 40, u64::MAX][pick as usize];
         let (_s, store) = two_cycles("ckpt-reseal");
-        if in_aux {
-            let path = store.cycle_dir(2).join("aux.bin");
-            let mut aux = fs::read(&path).unwrap();
-            aux[8 * (word + 1)..8 * (word + 2)].copy_from_slice(&value.to_le_bytes());
-            fs::write(&path, &aux).unwrap();
-            let crc = format!("aux_crc={:016x}", fnv64(&aux));
-            reseal_manifest(&store, |line| {
-                if line.starts_with("aux_crc=") { crc.clone() } else { line.to_string() }
-            });
-        } else {
-            reseal_manifest(&store, |line| with_manifest_value(line, key, value));
-        }
+        set_header_word(&store, word, value);
         let (back, skipped) = store.load_latest(FP, None).unwrap().unwrap();
         if value == original {
             prop_assert!(skipped.is_empty(), "{:?}", skipped);
@@ -306,6 +304,16 @@ fn save_load_round_trip_is_bit_exact_including_stats() {
     assert_eq!(back.rng_cursor, ckpt.rng_cursor);
     assert_eq!(back.members0, ckpt.members0);
     assert_eq!(back.seed, ckpt.seed);
+    // A committed cycle is its member files plus one commit record.
+    let mut names: Vec<String> = fs::read_dir(store.cycle_dir(4))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let mut expected: Vec<String> = (0..MEMBERS).map(|k| format!("member_{k:05}.bin")).collect();
+    expected.push("MANIFEST.bin".into());
+    expected.sort();
+    assert_eq!(names, expected);
 }
 
 #[test]
@@ -314,8 +322,8 @@ fn missing_manifest_means_not_durable() {
     let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
     store.save(&synthetic(1, 2), None).unwrap();
     store.save(&synthetic(2, 3), None).unwrap();
-    // Simulate a crash between the member writes and the manifest commit.
-    fs::remove_file(store.cycle_dir(2).join("MANIFEST.txt")).unwrap();
+    // Simulate a crash between the member writes and the record commit.
+    fs::remove_file(store.cycle_dir(2).join("MANIFEST.bin")).unwrap();
     assert_eq!(store.durable_cycles().unwrap(), vec![1]);
     let (back, skipped) = store.load_latest(FP, None).unwrap().unwrap();
     assert_eq!(back.cycle, 1);
@@ -323,14 +331,14 @@ fn missing_manifest_means_not_durable() {
 }
 
 /// Saving a cycle again over its torn attempt (members written, no
-/// manifest) commits it bit-exactly and leaves no staging file behind.
+/// record) commits it bit-exactly and leaves no staging file behind.
 #[test]
 fn resaving_a_torn_cycle_commits_it() {
     let scratch = ScratchDir::new("ckpt-resave").unwrap();
     let store = CheckpointStore::create(scratch.path().join("ckpt")).unwrap();
     store.save(&synthetic(1, 2), None).unwrap();
     store.save(&synthetic(2, 3), None).unwrap();
-    fs::remove_file(store.cycle_dir(2).join("MANIFEST.txt")).unwrap();
+    fs::remove_file(store.cycle_dir(2).join("MANIFEST.bin")).unwrap();
     let ckpt = synthetic(2, 4);
     store.save(&ckpt, None).unwrap();
     assert_eq!(store.durable_cycles().unwrap(), vec![1, 2]);
