@@ -47,29 +47,30 @@ impl RngCore for CountingRng {
     }
 }
 
+/// Model steps between consecutive analyses.
+const STEPS_PER_CYCLE: usize = 4;
+
+/// Standard deviation of the stochastic model error added to each forecast
+/// member per cycle.
+const MODEL_ERROR_STD: f64 = 0.05;
+
 /// Configuration of a cycled twin experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct CycleConfig {
     /// Forecast model.
     pub dynamics: AdvectionDiffusion,
-    /// Model steps between consecutive analyses.
-    pub steps_per_cycle: usize,
     /// Observation network stride.
     pub obs_stride: usize,
     /// Observation error standard deviation.
     pub obs_noise_std: f64,
-    /// Stochastic model error added to each forecast member per cycle.
-    pub model_error_std: f64,
 }
 
 impl Default for CycleConfig {
     fn default() -> Self {
         CycleConfig {
             dynamics: AdvectionDiffusion::gentle_drift(),
-            steps_per_cycle: 4,
             obs_stride: 2,
             obs_noise_std: 0.1,
-            model_error_std: 0.05,
         }
     }
 }
@@ -250,18 +251,18 @@ impl CycledExperiment {
         // mutated — outstanding snapshots keep the pre-cycle values.
         self.truth = Arc::new(
             c.dynamics
-                .integrate(self.mesh, &self.truth, c.steps_per_cycle),
+                .integrate(self.mesh, &self.truth, STEPS_PER_CYCLE),
         );
         self.background = Arc::new(c.dynamics.forecast_ensemble(
             &self.background,
-            c.steps_per_cycle,
-            c.model_error_std,
+            STEPS_PER_CYCLE,
+            MODEL_ERROR_STD,
             &mut self.rng,
         ));
         self.free_run = Arc::new(c.dynamics.forecast_ensemble(
             &self.free_run,
-            c.steps_per_cycle,
-            c.model_error_std,
+            STEPS_PER_CYCLE,
+            MODEL_ERROR_STD,
             &mut self.rng,
         ));
         // Observation + analysis phase.

@@ -219,7 +219,6 @@ mod tests {
         let strict = FaultInjector::new(FaultConfig::degraded(plan).with_retry(RetryPolicy {
             max_retries: 1,
             base_backoff: 1e-3,
-            multiplier: 2.0,
         }));
         assert_eq!(strict.unrecoverable_members(4), vec![0]);
     }

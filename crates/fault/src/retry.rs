@@ -1,8 +1,8 @@
 //! Bounded retry with exponential backoff.
 
 /// Retry policy for substrate reads: up to `max_retries` re-issues after
-/// the initial attempt, sleeping `base_backoff · multiplier^attempt`
-/// between attempts.
+/// the initial attempt, sleeping `base_backoff · 2^attempt` between
+/// attempts.
 ///
 /// The delays are a pure function of the attempt, so they are identical on
 /// the real path (wall-clock sleeps) and the modeled path (virtual-time
@@ -13,10 +13,9 @@ pub struct RetryPolicy {
     /// Retries after the initial attempt (total attempts = `max_retries + 1`,
     /// saturating at `u32::MAX`).
     pub max_retries: u32,
-    /// Backoff before the first retry, seconds.
+    /// Backoff before the first retry, seconds; each later backoff doubles
+    /// the one before.
     pub base_backoff: f64,
-    /// Geometric growth factor between consecutive backoffs.
-    pub multiplier: f64,
 }
 
 impl Default for RetryPolicy {
@@ -24,7 +23,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_retries: 3,
             base_backoff: 1e-3,
-            multiplier: 2.0,
         }
     }
 }
@@ -36,15 +34,14 @@ impl RetryPolicy {
         RetryPolicy {
             max_retries: 0,
             base_backoff: 0.0,
-            multiplier: 2.0,
         }
     }
 
     /// Backoff slept after failed attempt `attempt` (0-based):
-    /// `base_backoff · multiplier^attempt`.
+    /// `base_backoff · 2^attempt`.
     pub fn backoff(&self, attempt: u32) -> f64 {
         let exponent = i32::try_from(attempt).unwrap_or(i32::MAX);
-        self.base_backoff * self.multiplier.powi(exponent)
+        self.base_backoff * 2f64.powi(exponent)
     }
 
     /// Total attempts of a retry sequence (initial + retries), saturating
@@ -66,7 +63,6 @@ mod tests {
         let p = RetryPolicy {
             max_retries: 3,
             base_backoff: 0.5,
-            multiplier: 2.0,
         };
         assert_eq!(p.backoff(0), 0.5);
         assert_eq!(p.backoff(1), 1.0);

@@ -30,7 +30,6 @@ proptest! {
         let retry = RetryPolicy {
             max_retries,
             base_backoff: 0.5,
-            multiplier: 2.0,
         };
         let whole = FaultInjector::new(
             FaultConfig::degraded(plan.clone()).with_retry(retry),

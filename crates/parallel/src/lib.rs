@@ -15,7 +15,7 @@
 //!   (Fig. 8) while L-/P-EnKF run strictly in order. Produces a bit-exact
 //!   analysis ensemble plus wall-clock phase timings. Used for correctness
 //!   and small-scale measurements.
-//! * [`model`] — the **DES backend** *prices* the program ([`model_cycle`]):
+//! * `model` — the **DES backend** *prices* the program ([`model_cycle`]):
 //!   each op becomes tasks in the discrete-event engine
 //!   ([`enkf_sim::Simulation`]) against modeled OSTs and NICs, which is how
 //!   the paper-scale (12,000-processor) experiments of Figures 1, 5, 9–13
@@ -56,7 +56,7 @@
 
 pub(crate) mod campaign;
 pub(crate) mod exec;
-pub mod model;
+pub(crate) mod model;
 pub mod program;
 pub(crate) mod report;
 pub(crate) mod supervisor;

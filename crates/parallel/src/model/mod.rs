@@ -4,7 +4,6 @@ pub(crate) mod campaign;
 pub(crate) mod denkf;
 pub(crate) mod lenkf;
 pub(crate) mod penkf;
-pub mod reading;
 pub(crate) mod senkf;
 
 use crate::exec::{compute_dilation, resolve_dropout};
@@ -553,6 +552,75 @@ mod tests {
         }
     }
 
+    /// `variant`'s reads of the 360 × 180, 12-member workload with compute
+    /// and communication free: `(makespan, mean OST utilisation)`. Bar
+    /// readers (S-EnKF) read whole bars, without halo rows.
+    fn reads_only(variant: ModelVariant) -> Result<(f64, f64), String> {
+        let halo = if matches!(variant, ModelVariant::SEnkf(_)) {
+            0
+        } else {
+            2
+        };
+        let cfg = ModelConfig {
+            workload: Workload {
+                nx: 360,
+                ny: 180,
+                members: 12,
+                h: 80,
+                xi: halo,
+                eta: halo,
+            },
+            net: NetParams {
+                alpha: 0.0,
+                beta: 0.0,
+            },
+            compute_cost_per_point: 0.0,
+            ..ModelConfig::paper()
+        };
+        let (out, _) = model_traced(&cfg, variant)?;
+        let busy = out.compute_mean.read * out.num_compute_ranks as f64
+            + out.io_mean.read * out.num_io_ranks as f64;
+        let streams = (cfg.pfs.num_osts * cfg.pfs.streams_per_ost) as f64;
+        Ok((out.makespan, busy / (streams * out.makespan)))
+    }
+
+    fn bars(nsdy: usize, ncg: usize) -> Result<(f64, f64), String> {
+        reads_only(ModelVariant::SEnkf(Params {
+            nsdx: 1,
+            nsdy,
+            layers: 1,
+            ncg,
+        }))
+    }
+
+    #[test]
+    fn concurrent_groups_speed_up_until_saturation() {
+        // Figure 10's shape: adding groups helps while they map to idle
+        // OSTs, then flattens.
+        let t = |ncg| bars(6, ncg).unwrap().0;
+        let (t1, t2, t4, t12) = (t(1), t(2), t(4), t(12));
+        assert!(t2 < t1, "{t2} < {t1}");
+        assert!(t4 < t2, "{t4} < {t2}");
+        // Beyond the OST count (6), the gain collapses.
+        assert!(t12 > t4 * 0.5, "saturation: t12 {t12} vs t4 {t4}");
+    }
+
+    #[test]
+    fn bar_reading_beats_block_reading() {
+        // Same total data, same number of readers: bars are single-seek,
+        // blocks are one seek per row.
+        let block = reads_only(ModelVariant::PEnkf { nsdx: 10, nsdy: 6 });
+        let (block, bar) = (block.unwrap().0, bars(6, 1).unwrap().0);
+        assert!(bar < block, "bar {bar} vs block {block}");
+    }
+
+    #[test]
+    fn utilization_rises_toward_saturation() {
+        let (low, high) = (bars(6, 1).unwrap().1, bars(6, 6).unwrap().1);
+        assert!(high > low, "{high} > {low}");
+        assert!(high <= 1.0 + 1e-9, "{high}");
+    }
+
     /// A random small case (the shape of `equivalence_prop`'s): a mesh
     /// with guaranteed divisors for `(n_sdx, n_sdy, L)`, an ensemble, radii
     /// and whether S-EnKF keeps its helper thread.
@@ -615,7 +683,6 @@ mod tests {
                     let retry = RetryPolicy {
                         max_retries: 3,
                         base_backoff: 1e-6,
-                        multiplier: 2.0,
                     };
                     let fcfg = FaultConfig::degraded(plan).with_retry(retry);
                     (fcfg, monitored.then_some((slow_ost, slowdown)))

@@ -312,7 +312,6 @@ mod tests {
         RetryPolicy {
             max_retries,
             base_backoff: 0.5,
-            multiplier: 2.0,
         }
     }
 

@@ -163,7 +163,6 @@ impl Storm {
         FaultConfig::degraded(plan).with_retry(RetryPolicy {
             max_retries: Self::MAX_RETRIES,
             base_backoff: 1e-6,
-            multiplier: 2.0,
         })
     }
 

@@ -88,11 +88,6 @@ impl ModeledPfs {
         self.osts[file % self.osts.len()]
     }
 
-    /// All OST resource ids.
-    pub fn osts(&self) -> &[ResourceId] {
-        &self.osts
-    }
-
     /// Service time of one read (delegates to the parameter set).
     pub fn read_service(&self, seeks: u64, bytes: u64) -> f64 {
         self.params.read_service(seeks, bytes)

@@ -374,7 +374,6 @@ mod tests {
             RetryPolicy {
                 max_retries: 2,
                 base_backoff: 1e-6,
-                multiplier: 2.0,
             },
         );
         let stages = plan(3, 3);

@@ -378,7 +378,6 @@ mod tests {
         let cfg = FaultConfig::degraded(plan).with_retry(RetryPolicy {
             max_retries: 3,
             base_backoff: 1e-6,
-            multiplier: 2.0,
         });
         let inj = FaultInjector::new(cfg);
         let mut t = tracer();
@@ -422,7 +421,6 @@ mod tests {
         let cfg = FaultConfig::degraded(plan).with_retry(RetryPolicy {
             max_retries: 1,
             base_backoff: 1e-6,
-            multiplier: 2.0,
         });
         let inj = FaultInjector::new(cfg);
         let mut t = tracer();
@@ -448,7 +446,6 @@ mod tests {
             RetryPolicy {
                 max_retries: 2,
                 base_backoff: 1e-6,
-                multiplier: 2.0,
             },
         );
         let inj_a = FaultInjector::new(cfg.clone());
@@ -546,7 +543,6 @@ mod tests {
         let cfg = FaultConfig::degraded(plan).with_retry(RetryPolicy {
             max_retries: u32::MAX,
             base_backoff: 0.0,
-            multiplier: 2.0,
         });
         let inj = FaultInjector::new(cfg);
         assert!(!inj.is_unrecoverable(0));
@@ -583,7 +579,6 @@ mod tests {
         let cfg = FaultConfig::none().with_retry(RetryPolicy {
             max_retries: 2,
             base_backoff: 1e-6,
-            multiplier: 2.0,
         });
         let inj = FaultInjector::new(cfg);
         let mut t = tracer();

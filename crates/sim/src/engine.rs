@@ -272,8 +272,8 @@ impl Simulation {
     }
 
     /// Run to completion and return the run's summary; the timings stay in
-    /// the simulation for [`Simulation::task_times`],
-    /// [`Simulation::resource_busy`] and [`Simulation::spans`]. Every run
+    /// the simulation for [`Simulation::task_times`] and
+    /// [`Simulation::spans`]. Every run
     /// starts from the graph alone, so running twice gives the same timings
     /// twice.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
@@ -343,19 +343,6 @@ impl Simulation {
     pub fn task_times(&self, id: TaskId) -> (f64, f64, f64) {
         let t = &self.nodes[id];
         (t.ready, t.start, t.finish)
-    }
-
-    /// Busy time per resource, indexed by `ResourceId.0`: the sum of the
-    /// service times of the tasks that held it, added in task order —
-    /// valid after [`Simulation::run`].
-    pub fn resource_busy(&self) -> Vec<f64> {
-        let mut busy = vec![0.0; self.resources.len()];
-        for t in &self.nodes {
-            for r in self.held_by(t) {
-                busy[r.0] += t.service;
-            }
-        }
-        busy
     }
 
     /// The run as a stream of `enkf_trace` spans in virtual time — valid
@@ -859,14 +846,16 @@ mod tests {
         sim.add_task(on_ost(Kind::Fault, 2.0, injected)).unwrap();
         sim.add_task(Task::new(a, Kind::Fault, 0.5).with_op(backoff))
             .unwrap();
-        sim.add_task(on_ost(Kind::Read, 1.0, read)).unwrap();
+        let retry = sim.add_task(on_ost(Kind::Read, 1.0, read)).unwrap();
+        // A second reader of the OST queues behind the failed attempt and
+        // takes the OST while the backoff holds none.
+        let b = sim.add_agent();
+        let other = Task::new(b, Kind::Read, 1.0).with_resources(vec![ost]);
+        let other = sim.add_task(other).unwrap();
         let rep = sim.run().unwrap();
-        assert_eq!(rep.makespan, 3.5);
-        assert_eq!(
-            sim.resource_busy()[ost.0],
-            3.0,
-            "attempt + read held the OST"
-        );
+        assert_eq!(rep.makespan, 4.0);
+        assert_eq!(sim.task_times(other).1, 2.0, "the attempt held the OST");
+        assert_eq!(sim.task_times(retry).1, 3.0, "the read holds the OST");
         let trace = sim.export_trace("faulted");
         let p = trace.per_rank_phases()[&0];
         assert_eq!(p.fault, 2.0 + 0.5, "the two fault services, exactly");

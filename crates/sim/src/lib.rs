@@ -42,8 +42,7 @@
 //! ## One record
 //!
 //! A run returns only what no span can say — [`SimReport`]: makespan and
-//! task count ([`Simulation::resource_busy`] sums each resource's busy
-//! time on request). Everything per agent is read off
+//! task count. Everything per agent is read off
 //! [`Simulation::spans`](engine::Simulation::spans), the execution as a
 //! stream of `enkf_trace` spans in virtual time — the same vocabulary the
 //! real executors record in wall time. An outcome is a fold of that

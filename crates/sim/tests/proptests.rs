@@ -91,10 +91,9 @@ fn fingerprint(sim: &Simulation, ids: &[TaskId], report: &enkf_sim::SimReport) -
         .map(|&t| sim.task_times(t))
         .map(|(r, s, f)| (bits(r), bits(s), bits(f)))
         .collect();
-    let busy: Vec<u64> = sim.resource_busy().into_iter().map(bits).collect();
     let trace = sim.export_trace("prop");
     format!(
-        "{} {} {busy:?} {times:?} {} {:?}",
+        "{} {} {times:?} {} {:?}",
         bits(report.makespan),
         report.tasks_executed,
         trace.digest(),

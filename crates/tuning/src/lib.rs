@@ -5,10 +5,13 @@
 //!   `T_total = T_read + T_comm + L·T_comp` (Eq. 10; read and communication
 //!   appear once because every stage after the first is overlapped with
 //!   computation).
-//! * `tune` — Algorithm 1 (the constrained minimizer of
-//!   `T₁ = T_read + T_comm` subject to `n_cg·n_sdy = C₁`,
-//!   `n_sdx·n_sdy = C₂`), the earnings-rate economic choice (Eqs. 13–14),
-//!   and Algorithm 2 (the full auto-tuner over the processor budget).
+//! * `tune` — problem (12)'s feasible set, enumerated once
+//!   ([`candidates`]: every `(n_sdx, n_sdy, L, n_cg)` with
+//!   `n_sdx·n_sdy = C₂` that decomposes the workload), Algorithm 1 (the
+//!   minimizer of `T₁ = T_read + T_comm` over the candidates with
+//!   `n_cg·n_sdy = C₁`), the earnings-rate economic choice (Eqs. 13–14),
+//!   and Algorithm 2 (the full auto-tuner over the processor budget, one
+//!   pass over the candidates per `C₂`).
 
 #![deny(unreachable_pub)]
 #![cfg_attr(
@@ -20,4 +23,6 @@ pub(crate) mod model;
 pub(crate) mod tune;
 
 pub use model::{CostParams, MachineParams, Params, Workload};
-pub use tune::{algorithm1, autotune, economic_choice, min_t1_curve, CurvePoint, TunedParams};
+pub use tune::{
+    algorithm1, autotune, candidates, economic_choice, min_t1_curve, CurvePoint, TunedParams,
+};

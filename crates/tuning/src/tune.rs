@@ -1,6 +1,8 @@
 //! Algorithm 1, the earnings-rate economic choice, and Algorithm 2.
 
-use crate::model::{CostParams, Params};
+use crate::model::{CostParams, Params, Workload};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::rc::Rc;
 
 /// A solution found by the tuner: the parameters plus the model costs at
 /// those parameters.
@@ -25,11 +27,43 @@ pub struct CurvePoint {
     pub params: Params,
 }
 
+/// Every candidate of optimization problem (12) at compute cost `C₂`:
+/// each `(n_sdx, n_sdy, L, n_cg)` with `n_sdx·n_sdy = C₂` that passes the
+/// decomposition's divisibility checks (`n_sdy | n_y`, `n_sdx | n_x`,
+/// `n_cg | N`, `L | n_y/n_sdy`), in ascending `(n_sdy, n_cg, L)`. The
+/// I/O cost `C₁ = n_cg·n_sdy` is left free: [`algorithm1`] keeps the
+/// candidates at one `C₁`, [`autotune`] those within its processor budget,
+/// and both break ties on equal `T₁` towards the first.
+///
+/// ```
+/// use enkf_tuning::{candidates, Workload};
+///
+/// let w = Workload::paper_ocean();
+/// assert!(candidates(&w, 2000).all(|p| p.c2() == 2000));
+/// ```
+pub fn candidates(w: &Workload, c2: usize) -> impl Iterator<Item = Params> {
+    let w = *w;
+    divisors(c2)
+        .into_iter()
+        .filter(move |&nsdy| w.ny.is_multiple_of(nsdy) && w.nx.is_multiple_of(c2 / nsdy))
+        .flat_map(move |nsdy| {
+            // One divisor list per `n_sdy`, shared by its groups' layers.
+            let layers: Rc<[usize]> = divisors(w.ny / nsdy).into();
+            divisors(w.members).into_iter().flat_map(move |ncg| {
+                let layers = Rc::clone(&layers);
+                (0..layers.len()).map(move |l| Params {
+                    nsdx: c2 / nsdy,
+                    nsdy,
+                    layers: layers[l],
+                    ncg,
+                })
+            })
+        })
+}
+
 /// **Algorithm 1** — solve optimization problem (11)–(12): minimize
-/// `T₁ = T_read + T_comm` over `(n_sdx, n_sdy, L, n_cg)` subject to
-/// `n_cg·n_sdy = C₁` and `n_sdx·n_sdy = C₂`, with the divisibility
-/// constraints of the decomposition (`n_sdy | n_y`, `n_sdx | n_x`,
-/// `n_cg | N`, `L | n_y/n_sdy`).
+/// `T₁ = T_read + T_comm` over the [`candidates`] at `C₂` whose
+/// `n_cg·n_sdy = C₁`.
 ///
 /// Returns `None` when no feasible parameter combination exists.
 ///
@@ -46,7 +80,7 @@ pub struct CurvePoint {
 ///    I/O on halo than on payload.
 ///
 /// Parameter sets violating the constraints are used only as a fallback
-/// when nothing satisfies them.
+/// when nothing at this `C₁` satisfies them.
 ///
 /// ```
 /// use enkf_tuning::{algorithm1, CostParams};
@@ -58,47 +92,38 @@ pub struct CurvePoint {
 /// assert!(tuned.t1 > 0.0 && tuned.t_total > tuned.t1);
 /// ```
 pub fn algorithm1(cost: &CostParams, c1: usize, c2: usize) -> Option<TunedParams> {
-    let w = &cost.workload;
-    let mut best: Option<TunedParams> = None;
-    let mut best_fallback: Option<TunedParams> = None;
-    // j = n_sdy must divide C1, C2 and n_y (paper's loop, restricted to
-    // actual divisors for efficiency).
-    for j in 1..=c1.min(c2).min(w.ny) {
-        if !c1.is_multiple_of(j) || !c2.is_multiple_of(j) || !w.ny.is_multiple_of(j) {
-            continue;
-        }
-        let ncg = c1 / j;
-        let nsdx = c2 / j;
-        if !w.nx.is_multiple_of(nsdx) || !w.members.is_multiple_of(ncg) {
-            continue;
-        }
-        let sub_height = w.ny / j;
-        for layers in 1..=sub_height {
-            if !sub_height.is_multiple_of(layers) {
-                continue;
+    let at_c1 = candidates(&cost.workload, c2).filter(|p| p.c1() == c1);
+    let [mut feasible, mut fallback] = best_per_c1(cost, at_c1);
+    feasible.remove(&c1).or_else(|| fallback.remove(&c1))
+}
+
+/// The minimal-`T₁` candidate per `C₁` — the first of equals, in the
+/// order given — split by the pipelining constraints ([`algorithm1`]'s
+/// docs) into `[feasible, fallback]`.
+fn best_per_c1(
+    cost: &CostParams,
+    candidates: impl Iterator<Item = Params>,
+) -> [BTreeMap<usize, TunedParams>; 2] {
+    let mut maps = [BTreeMap::new(), BTreeMap::new()];
+    for params in candidates {
+        let t1 = cost.t1(&params);
+        let map = &mut maps[usize::from(!pipelining_ok(cost, &params, t1))];
+        let entry = || TunedParams {
+            params,
+            t1,
+            t_total: cost.t_total(&params),
+        };
+        match map.entry(params.c1()) {
+            Entry::Vacant(slot) => {
+                slot.insert(entry());
             }
-            let p = Params {
-                nsdx,
-                nsdy: j,
-                layers,
-                ncg,
-            };
-            let t1 = cost.t1(&p);
-            let entry = TunedParams {
-                params: p,
-                t1,
-                t_total: cost.t_total(&p),
-            };
-            if pipelining_ok(cost, &p, t1) {
-                if best.is_none_or(|b| t1 < b.t1) {
-                    best = Some(entry);
-                }
-            } else if best_fallback.is_none_or(|b| t1 < b.t1) {
-                best_fallback = Some(entry);
+            Entry::Occupied(mut slot) if t1 < slot.get().t1 => {
+                slot.insert(entry());
             }
+            Entry::Occupied(_) => {}
         }
     }
-    best.or(best_fallback)
+    maps
 }
 
 /// The minimal-`T₁` curve over a set of `C₁` candidates at fixed `C₂`
@@ -155,71 +180,29 @@ pub fn economic_choice(curve: &[CurvePoint], epsilon: f64) -> Option<CurvePoint>
 /// The paper iterates `C₂` over every value in `1..n_p`; that search is
 /// `O(n_p²)` invocations of Algorithm 1 and is unnecessary because only
 /// divisor-compatible `C₂` are feasible — this implementation accepts an
-/// explicit candidate list (see [`autotune`] for the default sweep).
+/// explicit candidate list (see [`autotune`] for the default sweep). Each
+/// curve is one pass over the [`candidates`] at `C₂` within the budget,
+/// which visits exactly the `C₁` on which Algorithm 1 has a solution.
 fn autotune_with_candidates(
     cost: &CostParams,
     np: usize,
     epsilon: f64,
     c2_candidates: impl IntoIterator<Item = usize>,
 ) -> Option<TunedParams> {
-    let w = &cost.workload;
     let mut best: Option<TunedParams> = None;
     for c2 in c2_candidates {
         if c2 == 0 || c2 >= np {
             continue;
         }
-        // Equivalent to scanning Algorithm 1 over every C1 in 1..=np-c2 but
-        // enumerating only the feasible (n_sdy, n_cg, L) triples: C1 values
-        // outside { j·k : j | C2, j | n_y, n_x | C2/j divisible, k | N }
-        // have no Algorithm-1 solution and the paper's loop skips them.
-        let mut by_c1: std::collections::BTreeMap<usize, TunedParams> =
-            std::collections::BTreeMap::new();
-        let mut fallback_by_c1: std::collections::BTreeMap<usize, TunedParams> =
-            std::collections::BTreeMap::new();
-        for j in divisors(c2) {
-            if !w.ny.is_multiple_of(j) || !w.nx.is_multiple_of(c2 / j) {
-                continue;
-            }
-            let nsdx = c2 / j;
-            let sub_height = w.ny / j;
-            for k in divisors(w.members) {
-                let c1 = j * k;
-                if c1 + c2 > np {
-                    continue;
-                }
-                for layers in divisors(sub_height) {
-                    let p = Params {
-                        nsdx,
-                        nsdy: j,
-                        layers,
-                        ncg: k,
-                    };
-                    let t1 = cost.t1(&p);
-                    let entry = TunedParams {
-                        params: p,
-                        t1,
-                        t_total: cost.t_total(&p),
-                    };
-                    // Same pipelining constraints as `algorithm1`.
-                    let map = if pipelining_ok(cost, &p, t1) {
-                        &mut by_c1
-                    } else {
-                        &mut fallback_by_c1
-                    };
-                    map.entry(c1)
-                        .and_modify(|e| {
-                            if t1 < e.t1 {
-                                *e = entry;
-                            }
-                        })
-                        .or_insert(entry);
-                }
-            }
-        }
-        let by_c1 = if by_c1.is_empty() {
-            fallback_by_c1
+        let within = candidates(&cost.workload, c2).filter(|p| p.c1() + c2 <= np);
+        let [feasible, fallback] = best_per_c1(cost, within);
+        // Unlike `algorithm1`, which falls back per `C₁`, the curve falls
+        // back as a whole: fallback points only when no `C₁` has a
+        // pipelining-feasible one.
+        let by_c1 = if feasible.is_empty() {
+            fallback
         } else {
-            by_c1
+            feasible
         };
         let curve: Vec<CurvePoint> = by_c1
             .into_iter()
@@ -271,21 +254,16 @@ fn divisors(n: usize) -> Vec<usize> {
 }
 
 /// Auto-tune over a default `C₂` sweep: every feasible
-/// `C₂ = n_sdx · n_sdy ≤ np` built from divisors of `n_x` and `n_y`
+/// `C₂ = n_sdx · n_sdy < np` built from divisors of `n_x` and `n_y`
 /// (bounded to keep the sweep tractable at `n_p ~ 10⁴`).
 pub fn autotune(cost: &CostParams, np: usize, epsilon: f64) -> Option<TunedParams> {
     let w = &cost.workload;
-    let divx: Vec<usize> = (1..=w.nx).filter(|d| w.nx.is_multiple_of(*d)).collect();
-    let divy: Vec<usize> = (1..=w.ny).filter(|d| w.ny.is_multiple_of(*d)).collect();
-    let mut c2s: Vec<usize> = Vec::new();
-    for &dx in &divx {
-        for &dy in &divy {
-            let c2 = dx * dy;
-            if c2 >= 1 && c2 < np {
-                c2s.push(c2);
-            }
-        }
-    }
+    let divy = divisors(w.ny);
+    let mut c2s: Vec<usize> = divisors(w.nx)
+        .into_iter()
+        .flat_map(|dx| divy.iter().map(move |dy| dx * dy))
+        .filter(|&c2| c2 < np)
+        .collect();
     c2s.sort_unstable();
     c2s.dedup();
     // Keep the largest few hundred candidates: small C2 never wins at scale
@@ -299,7 +277,7 @@ pub fn autotune(cost: &CostParams, np: usize, epsilon: f64) -> Option<TunedParam
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{MachineParams, Workload};
+    use crate::model::MachineParams;
 
     fn small_cost() -> CostParams {
         CostParams {

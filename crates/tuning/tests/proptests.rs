@@ -1,6 +1,6 @@
 //! Property-based tests of the cost model and tuner invariants.
 
-use enkf_tuning::{algorithm1, autotune, CostParams, MachineParams, Params, Workload};
+use enkf_tuning::{algorithm1, autotune, candidates, CostParams, MachineParams, Params, Workload};
 use proptest::prelude::*;
 
 fn workload_strategy() -> impl Strategy<Value = Workload> {
@@ -84,6 +84,35 @@ proptest! {
             );
             prop_assert!(t.t_total.is_finite() && t.t_total > 0.0);
         }
+    }
+
+    #[test]
+    fn candidates_are_the_brute_force_feasible_set(
+        (nx, ny, members) in (1usize..=24, 1usize..=24, 1usize..=12),
+        c2 in 1usize..=48,
+    ) {
+        // Every (n_sdx, n_sdy, L, n_cg) within bounds, in ascending
+        // (n_sdy, n_cg, L), kept when it passes problem (12)'s checks.
+        let w = Workload { nx, ny, members, h: 8, xi: 1, eta: 1 };
+        let mut expect = Vec::new();
+        for nsdy in 1..=ny {
+            for ncg in 1..=members {
+                for layers in 1..=ny {
+                    for nsdx in 1..=nx {
+                        let p = Params { nsdx, nsdy, layers, ncg };
+                        let fits = nsdx * nsdy == c2
+                            && ny % nsdy == 0
+                            && nx % nsdx == 0
+                            && members % ncg == 0
+                            && (ny / nsdy) % layers == 0;
+                        if fits {
+                            expect.push(p);
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(candidates(&w, c2).collect::<Vec<_>>(), expect);
     }
 
     #[test]

@@ -82,7 +82,6 @@ fn quick_retry(max_retries: u32) -> RetryPolicy {
     RetryPolicy {
         max_retries,
         base_backoff: 1e-6,
-        ..RetryPolicy::default()
     }
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml — run before pushing.
+# Every check of the repository, in one list: CI (.github/workflows/ci.yml)
+# runs this script, and so can anyone before pushing.
 #
 #   scripts/check.sh [--perf <base-ref> | --contract <base-ref>]
 #
@@ -104,10 +105,10 @@ if [ -n "$contract_base" ]; then
     scripts/contract-diff.sh "$contract_base" "${CONTRACT_ALLOW:-}"
 fi
 
-echo "==> net code lines per crate (informational; CHANGES.md quotes parent -> change)"
-scripts/loc.sh || true
+echo "==> net code lines per crate (CHANGES.md quotes parent -> change)"
+scripts/loc.sh
 
-echo "==> public items per crate (informational; CHANGES.md quotes parent -> change)"
-scripts/api.sh || true
+echo "==> public items per crate (CHANGES.md quotes parent -> change)"
+scripts/api.sh
 
 echo "All checks passed."

@@ -7,7 +7,9 @@
 //! `Err(why)` when the claim does not hold. Figures 1, 9, 11 and 13 and
 //! Algorithm 2's check are projections of one sweep — P-EnKF and
 //! auto-tuned S-EnKF at six processor counts — priced once per [`Sweeps`].
-//! Every modeled cycle is priced by `model_cycle`, every campaign by
+//! Every figure is priced by `model_cycle` on the executors' own cycle
+//! programs — the reading figures (5, 10 and the reading ablation) too,
+//! with everything but the reads made free — and every campaign by
 //! `model_campaign_adaptive`.
 //!
 //! `examples/reproduce.rs` prints the tables as markdown (the blocks
@@ -19,7 +21,7 @@ use crate::data::CycleConfig;
 use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
 use crate::grid::{LocalizationRadius, Mesh};
 use crate::health::{HealthMonitor, HealthParams};
-use crate::parallel::model::reading::{model_block_read, model_concurrent_read};
+use crate::net::NetParams;
 use crate::parallel::{model_campaign_adaptive, model_cycle, CampaignConfig, CampaignExecutor};
 use crate::parallel::{CampaignModelPlan, Emitter, ModelConfig, ModelOutcome, ModelVariant};
 use crate::parallel::{PhaseBreakdown, SEnkfModelOptions};
@@ -27,7 +29,8 @@ use crate::sched::{simulate, ClusterCapacity, DesPlanner, JobModel, JobSpec, Sch
 use crate::sched::{SharePolicy, TenantSpec};
 use crate::trace::Trace;
 use crate::tuning::Workload;
-use crate::tuning::{autotune, economic_choice, min_t1_curve, CurvePoint, Params, TunedParams};
+use crate::tuning::{autotune, candidates, economic_choice, min_t1_curve};
+use crate::tuning::{CurvePoint, Params, TunedParams};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -326,11 +329,55 @@ fn fig01_holds(t: &Table) -> Res<()> {
     ensure(last(&io) > 0.5, "the I/O share ends at most 50%")
 }
 
+/// Reading `files` member files through `variant`'s cycle program on the
+/// paper's substrate with compute and communication free, so the makespan
+/// is the reads': `(makespan, mean OST utilisation)`, the OSTs' busy
+/// seconds over their streams' capacity. Block reading (Fig. 3) is
+/// P-EnKF's program, each rank reading its expansion of every file.
+/// Concurrent access (§4.1.3) is one-layer S-EnKF over `1 × n_sdy` bars;
+/// its readers read whole bars, so the radii are zeroed to drop the halo
+/// rows a bar of the S-EnKF program would add.
+fn reading(variant: ModelVariant, files: usize) -> Res<(f64, f64)> {
+    let paper = ModelConfig::paper();
+    let (xi, eta) = match variant {
+        ModelVariant::SEnkf(_) => (0, 0),
+        _ => (paper.workload.xi, paper.workload.eta),
+    };
+    let workload = Workload {
+        members: files,
+        xi,
+        eta,
+        ..paper.workload
+    };
+    let net = NetParams {
+        alpha: 0.0,
+        beta: 0.0,
+    };
+    let cfg = ModelConfig {
+        workload,
+        net,
+        compute_cost_per_point: 0.0,
+        ..paper
+    };
+    let (out, _) = cycle(&cfg, variant, &FaultConfig::none())?;
+    let (compute, io) = (out.num_compute_ranks as f64, out.num_io_ranks as f64);
+    let busy = out.compute_mean.read * compute + out.io_mean.read * io;
+    let streams = (cfg.pfs.num_osts * cfg.pfs.streams_per_ost) as f64;
+    Ok((out.makespan, busy / (streams * out.makespan)))
+}
+
+/// One-layer S-EnKF reading with `ncg` groups of `nsdy` bar readers.
+fn bars(nsdy: usize, ncg: usize) -> ModelVariant {
+    ModelVariant::SEnkf(params(1, nsdy, 1, ncg))
+}
+
 fn fig05(_: &Sweeps) -> Res<Table> {
-    let cfg = ModelConfig::paper();
     // n_sdy = 10, 100 members; the divisors of 3600 in the paper's 100..500.
     let runs = each([100, 150, 200, 240, 300, 360, 400, 450], |nsdx| {
-        Ok((nsdx, model_block_read(&cfg, nsdx, 10, 100)?))
+        Ok((
+            nsdx,
+            reading(ModelVariant::PEnkf { nsdx, nsdy: 10 }, 100)?.0,
+        ))
     })?;
     table(&runs)
         .col("nsdx", |r| int(r.0))
@@ -384,12 +431,10 @@ fn fig09_holds(t: &Table) -> Res<()> {
 }
 
 fn fig10(_: &Sweeps) -> Res<Table> {
-    let cfg = ModelConfig::paper();
     let runs = each([1, 2, 3, 4, 6, 8, 10, 12], |ncg| {
-        let read = |nsdy| model_concurrent_read(&cfg, nsdy, ncg, 120);
-        let (narrow, wide) = (read(10)?, read(20)?);
-        let util = narrow.mean_utilization();
-        Ok((ncg, narrow.makespan, wide.makespan, util))
+        let ((narrow, util), (wide, _)) =
+            (reading(bars(10, ncg), 120)?, reading(bars(20, ncg), 120)?);
+        Ok((ncg, narrow, wide, util))
     })?;
     let util = |r: &(usize, f64, f64, f64)| cell(r.3, format!("{:.0}%", r.3 * 100.0));
     table(&runs)
@@ -441,11 +486,14 @@ fn fig12(s: &Sweeps) -> Res<Table> {
         false => (2000, &[5, 10, 15, 20, 30, 40, 60, 120, 200, 300, 600]),
     };
     let model = min_t1_curve(&cost, c2, c1s.iter().copied());
-    // Test data: the DES at every feasible combination of each (C₁, C₂),
-    // timing the exposed first-stage acquisition that T₁ models.
+    // Test data: the DES at every candidate of each (C₁, C₂) with one of
+    // eight representative layer counts, timing the exposed first-stage
+    // acquisition that T₁ models.
     let test = each(&model, |m| {
+        let layers = [1, 2, 3, 5, 6, 9, 10, 15];
+        let at_c1 = |p: &Params| p.c1() == m.c1 && layers.contains(&p.layers);
         let mut best: Option<CurvePoint> = None;
-        for params in combinations(&cost.workload, m.c1, c2) {
+        for params in candidates(&cost.workload, c2).filter(at_c1) {
             let (out, _) = cycle(&cfg, ModelVariant::SEnkf(params), &FaultConfig::none())?;
             let t1 = out.first_compute_start;
             if best.is_none_or(|b| t1 < b.t1) {
@@ -466,22 +514,6 @@ fn fig12(s: &Sweeps) -> Res<Table> {
         .col("model pick", |r| mark(model_pick == Some(r.0.c1)))
         .col("test pick", |r| mark(test_pick == Some(r.0.c1)))
         .done()
-}
-
-/// Every `(n_sdy, n_cg, L)` of optimization problem (12) at `(C₁, C₂)`,
-/// with a few representative layer counts.
-fn combinations(w: &Workload, c1: usize, c2: usize) -> Vec<Params> {
-    let mut out = Vec::new();
-    for nsdy in 1..=c1.min(c2).min(w.ny) {
-        let divides = [c1, c2, w.ny].iter().all(|n| n.is_multiple_of(nsdy));
-        let (ncg, nsdx, height) = (c1 / nsdy, c2 / nsdy, w.ny / nsdy);
-        if divides && w.nx.is_multiple_of(nsdx) && w.members.is_multiple_of(ncg) {
-            let fits = |l: &usize| *l <= height && height.is_multiple_of(*l);
-            let layers = [1, 2, 3, 5, 6, 9, 10, 15].into_iter().filter(fits);
-            out.extend(layers.map(|layers| params(nsdx, nsdy, layers, ncg)));
-        }
-    }
-    out
 }
 
 fn fig12_holds(t: &Table) -> Res<()> {
@@ -548,13 +580,15 @@ fn ablated(layers: usize, ncg: usize) -> ModelVariant {
 }
 
 fn ablation_reading(_: &Sweeps) -> Res<Table> {
-    let cfg = ModelConfig::paper();
-    let bars = |nsdy, ncg| model_concurrent_read(&cfg, nsdy, ncg, 120);
+    let read = |v| -> Res<f64> { Ok(reading(v, 120)?.0) };
     // 120 members, 100 readers each way.
     let runs = [
-        ("block (10x10 ranks)", model_block_read(&cfg, 10, 10, 120)?),
-        ("bar (1 group x 100)", bars(100, 1)?.makespan),
-        ("concurrent (5 groups x 20)", bars(20, 5)?.makespan),
+        (
+            "block (10x10 ranks)",
+            read(ModelVariant::PEnkf { nsdx: 10, nsdy: 10 })?,
+        ),
+        ("bar (1 group x 100)", read(bars(100, 1))?),
+        ("concurrent (5 groups x 20)", read(bars(20, 5))?),
     ];
     table(&runs)
         .col("strategy", |r| text(r.0))

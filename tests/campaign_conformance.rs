@@ -152,7 +152,6 @@ fn lost_members(lost: &[usize], degraded: bool) -> FaultConfig {
     fault.retry = RetryPolicy {
         max_retries: 1,
         base_backoff: 1e-6,
-        multiplier: 2.0,
     };
     fault.degraded = degraded;
     fault

@@ -68,7 +68,6 @@ fn storm_retry() -> RetryPolicy {
     RetryPolicy {
         max_retries: 3,
         base_backoff: 1e-6,
-        multiplier: 2.0,
     }
 }
 

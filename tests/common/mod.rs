@@ -98,7 +98,6 @@ impl TenantMix {
             restart: RetryPolicy {
                 max_retries: 3,
                 base_backoff: 1e-6,
-                multiplier: 2.0,
             },
             tenants: Vec::new(),
             jobs: Vec::new(),

@@ -55,7 +55,6 @@ fn fast_retry() -> RetryPolicy {
     RetryPolicy {
         max_retries: 3,
         base_backoff: 1e-6,
-        multiplier: 2.0,
     }
 }
 

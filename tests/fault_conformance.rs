@@ -69,7 +69,6 @@ fn fast_retry() -> RetryPolicy {
     RetryPolicy {
         max_retries: 3,
         base_backoff: 1e-6,
-        multiplier: 2.0,
     }
 }
 
@@ -215,7 +214,6 @@ fn model_backoff_delays_are_exact_in_virtual_time() {
     let retry = RetryPolicy {
         max_retries: 3,
         base_backoff: 0.25,
-        multiplier: 2.0,
     };
     let mut fcfg = FaultConfig::degraded(FaultPlan::new(7).with_read_fault(0, 2));
     fcfg.degraded = false;

@@ -21,7 +21,6 @@ fn fast_retry() -> RetryPolicy {
     RetryPolicy {
         max_retries: 3,
         base_backoff: 1e-6,
-        multiplier: 2.0,
     }
 }
 
@@ -217,7 +216,6 @@ fn over_budget_injected_fault_is_unrecoverable_up_front() {
         FaultConfig::degraded(FaultPlan::new(1).with_read_fault(0, 99)).with_retry(RetryPolicy {
             max_retries: 1,
             base_backoff: 1e-6,
-            multiplier: 2.0,
         });
     cfg.degraded = false;
     match (PEnkf { nsdx: 2, nsdy: 2 }).run_faulted(&setup, &cfg) {
@@ -246,7 +244,6 @@ fn exhausted_retries_surface_the_cause() {
     let cfg = FaultConfig::none().with_retry(RetryPolicy {
         max_retries: 1,
         base_backoff: 1e-6,
-        multiplier: 2.0,
     });
     match (PEnkf { nsdx: 2, nsdy: 2 }).run_faulted(&setup, &cfg) {
         Err(EnkfError::Substrate(SubstrateError::RetriesExhausted {
