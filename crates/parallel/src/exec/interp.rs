@@ -776,4 +776,152 @@ mod tests {
             "{refused:?}"
         );
     }
+
+    /// The ways a program can misplace an `Await`, each a reshaping of the
+    /// balanced [`TwoReaders`] program that keeps it balanced.
+    #[derive(Debug, Clone, Copy)]
+    enum Misplaced {
+        /// Every rank awaits stage 1 before computing stage 0: two
+        /// `Await`s before one `Compute`.
+        TwoAwaits,
+        /// Rank 2 reads a file between its stage-0 `Await` and `Compute`.
+        ReadAfter,
+        /// Rank 2 sends rank 3 an empty stage-1 bundle between its stage-0
+        /// `Await` and `Compute` (rank 3 awaits one bundle more).
+        SendAfter,
+        /// Rank 2 computes stage 1 before awaiting it: its last `Await`
+        /// gates nothing.
+        Trailing,
+    }
+
+    /// [`TwoReaders`] reshaped so that one `Await` does not directly gate
+    /// a `Compute` of its rank.
+    struct Reshaped(Misplaced);
+
+    impl Emitter for Reshaped {
+        fn name(&self) -> &'static str {
+            "reshaped"
+        }
+
+        fn layers(&self) -> usize {
+            LAYERS
+        }
+
+        fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String> {
+            BALANCED.ranks(mesh, members)
+        }
+
+        fn emit(
+            &self,
+            geo: &Geometry<'_>,
+            sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+        ) -> Result<(), String> {
+            let mut ops = Vec::new();
+            BALANCED.emit(geo, &mut |rank, op| {
+                ops.push((rank, op));
+                Ok(())
+            })?;
+            // Where `rank`'s `Await` (or `Compute`) of `stage` is.
+            let at = |ops: &[(usize, CycleOp)], rank, awaits: bool, stage| {
+                let of = |op: &CycleOp| match op {
+                    CycleOp::Await { .. } => awaits,
+                    CycleOp::Compute { .. } => !awaits,
+                    _ => false,
+                };
+                let found = ops
+                    .iter()
+                    .position(|(r, op)| *r == rank && op.stage() == Some(stage) && of(op));
+                found.unwrap()
+            };
+            let mesh = geo.layout.mesh();
+            match self.0 {
+                Misplaced::TwoAwaits => {
+                    for rank in 0..BALANCED.nsdx * BALANCED.nsdy {
+                        let compute = at(&ops, rank, false, 0);
+                        ops.swap(compute, compute + 1);
+                    }
+                }
+                Misplaced::ReadAfter => {
+                    let read = CycleOp::Read {
+                        stage: None,
+                        member: 0,
+                        region: RegionRect::full(mesh),
+                    };
+                    ops.insert(at(&ops, 2, true, 0) + 1, (2, read));
+                }
+                Misplaced::SendAfter => {
+                    let payload = Payload::Blocks {
+                        region: RegionRect::full(mesh),
+                        members: 0,
+                    };
+                    let (stage, to) = (Some(1), 3);
+                    let i = at(&ops, 3, true, 1);
+                    if let CycleOp::Await { sends, .. } = &mut ops[i].1 {
+                        *sends += 1;
+                    }
+                    let send = CycleOp::Send { stage, to, payload };
+                    ops.insert(at(&ops, 2, true, 0) + 1, (2, send));
+                }
+                Misplaced::Trailing => {
+                    let compute = at(&ops, 2, false, 1);
+                    ops.swap(compute - 1, compute);
+                }
+            }
+            ops.into_iter().try_for_each(|(rank, op)| sink(rank, op))
+        }
+    }
+
+    const BALANCED: TwoReaders = TwoReaders {
+        nsdx: 3,
+        nsdy: 2,
+        extra: 0,
+    };
+
+    /// An `Await` gates its rank's next op, which must be the `Compute` it
+    /// feeds; every other shape — a second `Await`, a `Read` or a `Send`
+    /// first, no `Compute` at all — is refused by both interpreters, typed:
+    /// by `check` before any thread of `run_cycle`'s body starts, and by
+    /// `model_cycle`'s pricer as it meets the op.
+    #[test]
+    fn an_await_must_gate_the_next_op_of_its_rank() {
+        let (_scratch, store, scenario) = harness();
+        let setup = setup(&store, &scenario);
+        let mesh = setup.mesh();
+        let cfg = ModelConfig {
+            workload: Workload {
+                nx: mesh.nx(),
+                ny: mesh.ny(),
+                members: MEMBERS,
+                h: 8,
+                xi: RADIUS.xi,
+                eta: RADIUS.eta,
+            },
+            ..ModelConfig::paper()
+        };
+        let none = FaultConfig::none();
+        for shape in [
+            Misplaced::TwoAwaits,
+            Misplaced::ReadAfter,
+            Misplaced::SendAfter,
+            Misplaced::Trailing,
+        ] {
+            let expected = match shape {
+                Misplaced::Trailing => "gates no Compute",
+                _ => "before the Compute it gates",
+            };
+            let program = Reshaped(shape);
+            let real = Cycle::run(&setup, &program, None, &none, None).map(|_| ());
+            assert!(
+                matches!(&real, Err(EnkfError::GeometryMismatch(e)) if e.contains(expected)),
+                "{shape:?}: {real:?}"
+            );
+            let opts = Default::default();
+            let model = price_cycle(&cfg, &program, None, opts, &none, None, collect);
+            assert!(
+                model.as_ref().is_err_and(|e| e.contains(expected)),
+                "{shape:?}: {:?}",
+                model.map(|(out, _)| out)
+            );
+        }
+    }
 }

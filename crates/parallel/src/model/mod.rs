@@ -22,13 +22,60 @@ use senkf::SEnkfModelOptions;
 use std::cell::Cell;
 
 /// The sends addressed to one `(rank, stage)`, collected until the rank's
-/// `Await` consumes them.
-#[derive(Default)]
+/// `Await` consumes them: a list threaded through [`Arena::sends`].
+#[derive(Clone, Copy)]
 struct Mailbox {
-    sends: Vec<TaskId>,
+    /// The entry of the latest send in [`Arena::sends`] ([`END`]: none).
+    latest: u32,
+    /// Sends in the list.
+    count: usize,
     /// Bytes of the latest send (every bundle of a fault-free stage is the
     /// same size) — what a helper-less rank ingests per message.
     bundle_bytes: u64,
+}
+
+/// The end of a list in [`Arena::sends`].
+const END: u32 = u32::MAX;
+
+/// A mailbox no send has reached.
+const EMPTY: Mailbox = Mailbox {
+    latest: END,
+    count: 0,
+    bundle_bytes: 0,
+};
+
+/// Everything a priced cycle builds, kept by the thread between calls so
+/// that a call reuses the buffers of the largest cycle priced before it.
+#[derive(Default)]
+struct Arena {
+    sim: Simulation,
+    /// Every send addressed to a mailbox (and every ingestion task of a
+    /// rank without the helper thread): its task and the entry of the
+    /// list's previous one ([`END`]: none).
+    sends: Vec<(u32, u32)>,
+    /// One mailbox per `(rank, stage)`.
+    mailboxes: Vec<Mailbox>,
+    /// Per rank, while an `Await` is pending: the list that gates its next
+    /// `Compute`.
+    gate: Vec<Option<u32>>,
+    /// Per rank: its straggler factor, once the first `Compute` asked.
+    dilations: Vec<Option<f64>>,
+    /// The dependencies of the task being added.
+    deps: Vec<TaskId>,
+}
+
+impl Arena {
+    /// Collect the list ending at entry `latest` into `deps`, in the order
+    /// it was added.
+    fn collect(&mut self, mut latest: u32) {
+        self.deps.clear();
+        while latest != END {
+            let (task, previous) = self.sends[latest as usize];
+            self.deps.push(task as TaskId);
+            latest = previous;
+        }
+        self.deps.reverse();
+    }
 }
 
 /// Price one cycle of `variant` on the DES backend — the modeled twin of
@@ -161,7 +208,9 @@ fn price_variant<T>(
 ///   dependencies (receivers' blocked waits surface as DES wait time, not
 ///   tasks, matching the real wait spans' exclusion from the digest);
 ///   without the helper thread an explicit ingestion task on the rank
-///   serializes the communication with the computation;
+///   serializes the communication with the computation. That `Compute`
+///   must be the rank's next op: any other op first, or none, is refused,
+///   as [`crate::program::check`] refuses it;
 /// * `Compute` — `c · work`, dilated by the rank's straggler factor, which
 ///   is reported to the monitor once per rank.
 ///
@@ -171,8 +220,9 @@ fn price_variant<T>(
 /// ([`enkf_trace::class_phases`]); `tail` decides whether they are also
 /// collected into the trace.
 ///
-/// The graph is built in this thread's `ARENA`, cleared rather than freed
-/// between calls.
+/// The graph, the mailboxes (one list of sends for all of them) and the
+/// per-rank gates are built in this thread's `ARENA`, cleared rather than
+/// freed between calls.
 pub(crate) fn price_cycle<T>(
     cfg: &ModelConfig,
     program: &impl Emitter,
@@ -182,26 +232,26 @@ pub(crate) fn price_cycle<T>(
     monitor: Option<&HealthMonitor>,
     tail: Tail<T>,
 ) -> Result<(ModelOutcome, T), String> {
-    // A nested call would find the cell empty and price in a fresh graph.
-    let mut sim = ARENA.take();
-    sim.clear();
-    let priced = price_in(&mut sim, cfg, program, network, opts, fcfg, monitor, tail);
-    ARENA.set(sim);
+    // A nested call would find the cell empty and price in a fresh arena.
+    let mut arena = ARENA.take();
+    arena.sim.clear();
+    let priced = price_in(&mut arena, cfg, program, network, opts, fcfg, monitor, tail);
+    ARENA.set(arena);
     priced
 }
 
 thread_local! {
-    /// The simulation every cycle on this thread is priced in. It keeps the
+    /// The arena every cycle on this thread is priced in. It keeps the
     /// capacity of the largest graph the thread has priced, so repeated
     /// calls — sweeps, campaign replays, admission pricing — stop paying
     /// for allocation and page faults after the first.
-    static ARENA: Cell<Simulation> = Cell::new(Simulation::new());
+    static ARENA: Cell<Arena> = Cell::new(Arena::default());
 }
 
-/// [`price_cycle`]'s body, in an empty `sim`.
+/// [`price_cycle`]'s body, in an arena whose simulation is empty.
 #[allow(clippy::too_many_arguments)]
 fn price_in<T>(
-    sim: &mut Simulation,
+    arena: &mut Arena,
     cfg: &ModelConfig,
     program: &impl Emitter,
     network: Option<&ObservationNetwork>,
@@ -225,16 +275,20 @@ fn price_in<T>(
     let dropped = resolve_dropout(&injector, w.members).map_err(|e| e.to_string())?;
     let drops_messages = fcfg.plan.msg_faults.iter().any(|m| m.dropped);
 
-    let pfs = ModeledPfs::register(sim, cfg.pfs);
-    let net = ModeledNet::register(sim, c2);
-    let agents = sim.add_agents(c2 + c1);
-    // One mailbox per (compute rank, stage).
+    let pfs = ModeledPfs::register(&mut arena.sim, cfg.pfs);
+    let net = ModeledNet::register(&mut arena.sim, c2);
+    let ranks = c2 + c1;
+    let agents = arena.sim.add_agents(ranks);
+    // One mailbox per (rank, stage).
     let layers = program.layers();
     let slot = |rank: usize, stage: Option<usize>| rank * layers + stage.unwrap_or(0);
-    let mut inbox: Vec<Mailbox> = (0..c2 * layers).map(|_| Mailbox::default()).collect();
-    // The dependencies of each compute rank's next `Compute`.
-    let mut gate: Vec<Vec<TaskId>> = vec![Vec::new(); c2];
-    let mut dilations: Vec<Option<f64>> = vec![None; c2];
+    arena.sends.clear();
+    arena.mailboxes.clear();
+    arena.mailboxes.resize(ranks * layers, EMPTY);
+    arena.gate.clear();
+    arena.gate.resize(ranks, None);
+    arena.dilations.clear();
+    arena.dilations.resize(ranks, None);
     let sim_err = |e: SimError| e.to_string();
 
     let geo = Geometry {
@@ -251,6 +305,14 @@ fn price_in<T>(
     program.emit(&geo, &mut |rank, op| {
         let agent = agents[rank];
         let io = rank >= c2;
+        // An `Await` gates the rank's next op, which must be the `Compute`
+        // it feeds: the real rank blocks before any other op too.
+        if arena.gate[rank].is_some() && !matches!(op, CycleOp::Compute { .. }) {
+            return Err(format!(
+                "rank {rank}'s {op:?} follows an Await before the Compute it gates"
+            ));
+        }
+        let sim = &mut arena.sim;
         match op {
             CycleOp::Read {
                 stage,
@@ -286,50 +348,65 @@ fn price_in<T>(
                 let send = sim
                     .add_task_parts(agent, Kind::Comm, service, &nic, &[], tag)
                     .map_err(sim_err)?;
-                let mail = &mut inbox[slot(to, stage)];
-                mail.sends.push(send);
+                let mail = &mut arena.mailboxes[slot(to, stage)];
+                // Task ids and entries stay below `u32::MAX`, as the
+                // simulation's own records do.
+                arena.sends.push((send as u32, mail.latest));
+                mail.latest = (arena.sends.len() - 1) as u32;
+                mail.count += 1;
                 mail.bundle_bytes = bytes;
             }
             CycleOp::Await { stage, sends } => {
-                let mut mail = std::mem::take(&mut inbox[slot(rank, stage)]);
-                if mail.sends.len() != sends {
+                let mail = std::mem::replace(&mut arena.mailboxes[slot(rank, stage)], EMPTY);
+                if mail.count != sends {
                     return Err(format!(
                         "unbalanced program: rank {rank} awaits {sends} sends at stage \
                          {stage:?}, {} were addressed to it",
-                        mail.sends.len()
+                        mail.count
                     ));
                 }
-                if !opts.helper_thread {
+                let gate = if opts.helper_thread {
+                    mail.latest
+                } else {
                     let ingest = sends as f64 * cfg.net.p2p(mail.bundle_bytes);
                     let tag = OpTag {
                         stage,
                         bytes: mail.bundle_bytes,
                         ..OpTag::default()
                     };
-                    let ingestion = sim
-                        .add_task_parts(agent, Kind::Comm, ingest, &[], &mail.sends, tag)
+                    arena.collect(mail.latest);
+                    let ingestion = arena
+                        .sim
+                        .add_task_parts(agent, Kind::Comm, ingest, &[], &arena.deps, tag)
                         .map_err(sim_err)?;
-                    mail.sends.clear();
-                    mail.sends.push(ingestion);
-                }
-                gate[rank] = mail.sends;
+                    arena.sends.push((ingestion as u32, END));
+                    (arena.sends.len() - 1) as u32
+                };
+                arena.gate[rank] = Some(gate);
             }
             CycleOp::Compute { stage, work, .. } => {
-                let dilation = *dilations[rank]
+                let dilation = *arena.dilations[rank]
                     .get_or_insert_with(|| compute_dilation(&injector, monitor, rank));
                 let service = cfg.compute_cost_per_point * work as f64 * dilation;
                 let tag = OpTag {
                     stage,
                     ..OpTag::default()
                 };
-                sim.add_task_parts(agent, Kind::Compute, service, &[], &gate[rank], tag)
+                let gate = arena.gate[rank].take();
+                arena.collect(gate.unwrap_or(END));
+                arena
+                    .sim
+                    .add_task_parts(agent, Kind::Compute, service, &[], &arena.deps, tag)
                     .map_err(sim_err)?;
-                gate[rank].clear();
             }
         }
         Ok(())
     })?;
+    if let Some(rank) = arena.gate.iter().position(Option::is_some) {
+        return Err(format!("rank {rank}'s last Await gates no Compute"));
+    }
 
+    let sim = &mut arena.sim;
     let report = sim.run().map_err(sim_err)?;
     let ((compute, io, first_compute_start), kept) = tail(sim, program.name(), c2);
     let io_mean = if c1 == 0 {

@@ -51,11 +51,12 @@
 //! and applies one batched transform to `X̄ᵇ` (D-EnKF, arXiv 2311.12909).
 //!
 //! **What a rank may mix.** Any of `Read`, `Send`, `Await`, `Compute`, in
-//! any balanced order, staged or not — except that all of one rank's
-//! `Await`s are staged or none is (a helper thread owns the rank's inbox,
-//! or the rank itself does), and observed rows are received by unstaged
-//! `Await`s only. [`check`] enforces the static rules before any thread
-//! starts.
+//! any balanced order, staged or not — except that every `Await` is
+//! followed, on its rank, by the `Compute` it gates and no other op first,
+//! all of one rank's `Await`s are staged or none is (a helper thread owns
+//! the rank's inbox, or the rank itself does), and observed rows are
+//! received by unstaged `Await`s only. [`check`] enforces the static rules
+//! before any thread starts.
 
 use enkf_grid::{
     Decomposition, FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect,
@@ -164,7 +165,7 @@ pub enum CycleOp {
         payload: Payload,
     },
     /// Block until `sends` messages addressed to this `(rank, stage)` have
-    /// arrived; they gate the rank's next `Compute`.
+    /// arrived; they gate the rank's next op, which must be a `Compute`.
     Await {
         /// Multi-stage index.
         stage: Option<usize>,
@@ -248,6 +249,11 @@ impl Geometry<'_> {
 ///   rows follows, on its rank, `Read`s or unstaged `Await`s of its stage
 ///   whose last `members` blocks cover its region (a dropped member's
 ///   `Read` yields no block, received observed rows are no block);
+/// * **gates** — an `Await` is followed, on its rank, by a `Compute` before
+///   any other op: the pricer makes the awaited messages that `Compute`'s
+///   dependencies, so a `Read`, a `Send` or a second `Await` in between,
+///   or no `Compute` at all, would be priced without the wait the real
+///   rank blocks on;
 /// * **staged `Await`s** — one rank's `Await`s are all staged or all not;
 /// * **tiling** — the `Compute` targets cover every mesh point exactly
 ///   once.
@@ -256,11 +262,15 @@ pub fn check(geo: &Geometry<'_>, ranks: usize, program: &[(usize, CycleOp)]) -> 
     let mut in_flight: BTreeMap<(usize, Option<usize>), Vec<Payload>> = BTreeMap::new();
     let mut acquired: BTreeMap<(usize, Option<usize>), Vec<RegionRect>> = BTreeMap::new();
     let mut staged_awaits: BTreeMap<usize, bool> = BTreeMap::new();
+    let mut gated = vec![false; ranks];
     let mut covered = vec![false; mesh.n()];
     for &(rank, op) in program {
         let (stage, held) = (op.stage(), acquired.entry((rank, op.stage())).or_default());
         let broken = match op {
             _ if rank >= ranks => "runs on no rank of the program",
+            CycleOp::Read { .. } | CycleOp::Send { .. } | CycleOp::Await { .. } if gated[rank] => {
+                "follows an Await before the Compute it gates"
+            }
             CycleOp::Read { member, region, .. } => {
                 if !geo.dropped.contains(&member) {
                     held.push(region);
@@ -297,6 +307,7 @@ pub fn check(geo: &Geometry<'_>, ranks: usize, program: &[(usize, CycleOp)]) -> 
                         fed.len()
                     ));
                 }
+                gated[rank] = true;
                 let staged = *staged_awaits.entry(rank).or_insert(stage.is_some());
                 if staged != stage.is_some() {
                     "mixes staged and unstaged Awaits"
@@ -305,6 +316,7 @@ pub fn check(geo: &Geometry<'_>, ranks: usize, program: &[(usize, CycleOp)]) -> 
                 }
             }
             CycleOp::Compute { target, .. } => {
+                gated[rank] = false;
                 let inside = RegionRect::full(mesh).contains_rect(&target);
                 let mut points = target.iter_points();
                 if !inside || points.any(|p| std::mem::replace(&mut covered[mesh.index(p)], true)) {
@@ -324,12 +336,16 @@ pub fn check(geo: &Geometry<'_>, ranks: usize, program: &[(usize, CycleOp)]) -> 
             "unbalanced program: rank {to} never awaits {n} sends of {stage:?}"
         ));
     }
-    match covered.iter().filter(|&&c| !c).count() {
-        0 => Ok(()),
-        missed => Err(format!(
+    let missed = covered.iter().filter(|&&c| !c).count();
+    if missed > 0 {
+        return Err(format!(
             "the Compute targets miss {missed} of {} points",
             mesh.n()
-        )),
+        ));
+    }
+    match gated.iter().position(|&g| g) {
+        Some(rank) => Err(format!("rank {rank}'s last Await gates no Compute")),
+        None => Ok(()),
     }
 }
 

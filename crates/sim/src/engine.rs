@@ -2,7 +2,7 @@
 
 use crate::report::SimReport;
 use crate::task::{AgentId, Kind, ResourceId, Task, TaskId};
-use enkf_trace::{Op, OpTag, Role, Span, Trace};
+use enkf_trace::{FaultKind, Op, OpTag, Role, Span, Trace};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -22,6 +22,9 @@ pub enum SimError {
     UnknownDependency(TaskId),
     /// A service time was negative or non-finite.
     BadService(TaskId),
+    /// A task's [`OpTag`] names a stage, peer or member index of
+    /// `u32::MAX` or more, which its stored record cannot hold.
+    TagIndex(TaskId),
 }
 
 impl std::fmt::Display for SimError {
@@ -33,6 +36,12 @@ impl std::fmt::Display for SimError {
             SimError::UnknownResource(r) => write!(f, "unknown resource id {:?}", r),
             SimError::UnknownDependency(t) => write!(f, "unknown dependency task id {t}"),
             SimError::BadService(t) => write!(f, "task {t} has a negative/non-finite service time"),
+            SimError::TagIndex(t) => {
+                write!(
+                    f,
+                    "task {t}'s tag has a stage, peer or member index beyond u32"
+                )
+            }
         }
     }
 }
@@ -47,17 +56,20 @@ enum State {
     Done,
 }
 
-/// One task's compact record. Its resources are `held[res.0..res.1]`
-/// (ascending, deduplicated); `next_res` is the next one to acquire.
+/// One task's compact record, 40 bytes. Its resources are
+/// `held[res_start..res_end]` (ascending, deduplicated), where
+/// `res_start` is the previous task's `res_end` (0 for the first task);
+/// `next_res` is the next one to acquire. No finish time is stored: the
+/// finish event is pushed as `now + service` at the `now` the task
+/// started, so it is `start + service`, bit for bit. The dependency
+/// counters live apart, in `Simulation::remaining`.
 struct Node {
     service: f64,
     ready: f64,
     start: f64,
-    finish: f64,
     agent: u32,
-    res: (u32, u32),
+    res_end: u32,
     next_res: u32,
-    remaining_deps: u32,
     kind: Kind,
     state: State,
 }
@@ -82,6 +94,57 @@ impl Node {
     }
 }
 
+/// The stored form of an index field of an [`OpTag`]: `NONE` is `None`.
+const NONE: u32 = u32::MAX;
+
+/// An [`OpTag`] packed into 40 bytes instead of 72: the stage, peer and
+/// member indices as `u32` with [`NONE`] for `None`.
+#[derive(Clone, Copy)]
+struct Tag {
+    bytes: u64,
+    seeks: u64,
+    stage: u32,
+    peer: u32,
+    member: u32,
+    attempt: u32,
+    fault: Option<FaultKind>,
+    io: bool,
+}
+
+impl Tag {
+    /// `tag` packed, or `None` when an index does not fit below [`NONE`].
+    fn pack(tag: OpTag) -> Option<Tag> {
+        let index = |i: Option<usize>| match i {
+            None => Some(NONE),
+            Some(i) => u32::try_from(i).ok().filter(|&i| i != NONE),
+        };
+        Some(Tag {
+            bytes: tag.bytes,
+            seeks: tag.seeks,
+            stage: index(tag.stage)?,
+            peer: index(tag.peer)?,
+            member: index(tag.member)?,
+            attempt: tag.attempt,
+            fault: tag.fault,
+            io: tag.io,
+        })
+    }
+
+    fn unpack(&self) -> OpTag {
+        let index = |i: u32| (i != NONE).then_some(i as usize);
+        OpTag {
+            io: self.io,
+            stage: index(self.stage),
+            bytes: self.bytes,
+            seeks: self.seeks,
+            peer: index(self.peer),
+            member: index(self.member),
+            fault: self.fault,
+            attempt: self.attempt,
+        }
+    }
+}
+
 struct ResourceState {
     capacity: usize,
     free: usize,
@@ -97,8 +160,8 @@ fn event(finish: f64, seq: u32, tid: u32) -> u128 {
     (u128::from(finish.to_bits()) << 64) | (u128::from(seq) << 32) | u128::from(tid)
 }
 
-/// A record index. A graph of `u32::MAX` tasks or resource slots would
-/// take hundreds of gigabytes, so this bound is a caller bug, not a
+/// A record index. A graph of `u32::MAX` tasks, edges or resource slots
+/// would take tens of gigabytes, so this bound is a caller bug, not a
 /// condition a run can meet.
 fn narrow(index: usize) -> u32 {
     assert!(index < u32::MAX as usize, "DES graph exceeds u32 indices");
@@ -127,17 +190,19 @@ fn narrow(index: usize) -> u32 {
 #[derive(Default)]
 pub struct Simulation {
     nodes: Vec<Node>,
-    ops: Vec<OpTag>,
-    /// Every task's resources, concatenated in task order.
-    held: Vec<ResourceId>,
+    tags: Vec<Tag>,
+    /// Every task's resource indices, concatenated in task order.
+    held: Vec<u32>,
     /// `(dependency, dependent)` edges in insertion order.
     edges: Vec<(u32, u32)>,
     resources: Vec<ResourceState>,
     num_agents: usize,
     last_task_of_agent: Vec<Option<TaskId>>,
     // `run`'s scratch, rebuilt by every run and kept for the next: task
-    // `t`'s dependents are `dependents[offsets[t]..offsets[t + 1]]`.
-    offsets: Vec<usize>,
+    // `t` waits on `remaining[t]` unfinished dependencies, and its
+    // dependents are `dependents[offsets[t]..offsets[t + 1]]`.
+    remaining: Vec<u32>,
+    offsets: Vec<u32>,
     dependents: Vec<u32>,
     events: BinaryHeap<Reverse<u128>>,
     started: Vec<u32>,
@@ -154,7 +219,7 @@ impl Simulation {
     /// allocates only while a graph outgrows the largest before it.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.ops.clear();
+        self.tags.clear();
         self.held.clear();
         self.edges.clear();
         self.resources.clear();
@@ -182,7 +247,8 @@ impl Simulation {
         // A caller bug, not a condition a run can meet: a zero-slot
         // resource would park every task naming it forever.
         assert!(capacity > 0, "resource capacity must be positive");
-        let id = ResourceId(self.resources.len());
+        // `held` stores resource indices as `u32`.
+        let id = ResourceId(narrow(self.resources.len()) as usize);
         self.resources.push(ResourceState {
             capacity,
             free: capacity,
@@ -228,6 +294,7 @@ impl Simulation {
         if let Some(&d) = deps.iter().find(|&&d| d >= id) {
             return Err(SimError::UnknownDependency(d));
         }
+        let tag = Tag::pack(op).ok_or(SimError::TagIndex(id))?;
         // A caller bug: `AgentId`s only come from this simulation's
         // `add_agent`, so a foreign one mixes up two graphs.
         assert!(agent.0 < self.num_agents, "unknown agent");
@@ -240,9 +307,9 @@ impl Simulation {
             }
         }
         // The task's resources, sorted and deduplicated in place at the end
-        // of `held`.
+        // of `held`; `add_resource` keeps every index below `u32::MAX`.
         let first = self.held.len();
-        self.held.extend_from_slice(resources);
+        self.held.extend(resources.iter().map(|r| r.0 as u32));
         if resources.len() > 1 {
             self.held[first..].sort_unstable();
             let mut end = first + 1;
@@ -254,20 +321,17 @@ impl Simulation {
             }
             self.held.truncate(end);
         }
-        let (first, end) = (narrow(first), narrow(self.held.len()));
         self.nodes.push(Node {
             service,
             ready: 0.0,
             start: 0.0,
-            finish: 0.0,
             agent: narrow(agent.0),
-            res: (first, end),
-            next_res: first,
-            remaining_deps: 0,
+            res_end: narrow(self.held.len()),
+            next_res: narrow(first),
             kind,
             state: State::WaitingDeps,
         });
-        self.ops.push(op);
+        self.tags.push(tag);
         Ok(id)
     }
 
@@ -281,7 +345,7 @@ impl Simulation {
         let mut seq = 0;
         // Seed: tasks with no dependencies are ready at t = 0.
         for t in 0..self.nodes.len() {
-            if self.nodes[t].remaining_deps == 0 {
+            if self.remaining[t] == 0 {
                 self.mark_ready(t, 0.0);
             }
         }
@@ -293,17 +357,17 @@ impl Simulation {
             // Task `tid` finishes at `now`.
             let now = f64::from_bits((key >> 64) as u64);
             let tid = key as u32 as usize;
+            let first = self.res_start(tid);
             let node = &mut self.nodes[tid];
             debug_assert_eq!(node.state, State::Running);
             node.state = State::Done;
-            node.finish = now;
-            let (first, end) = node.res;
+            let end = node.res_end;
             makespan = makespan.max(now);
             finished += 1;
 
             // Release resources and wake queued tasks (FIFO).
             for k in first..end {
-                let r = self.held[k as usize].0;
+                let r = self.held[k as usize] as usize;
                 self.resources[r].free += 1;
                 while self.resources[r].free > 0 {
                     let Some(next) = self.resources[r].queue.pop_front() else {
@@ -317,9 +381,9 @@ impl Simulation {
 
             // Notify dependents.
             for k in self.offsets[tid]..self.offsets[tid + 1] {
-                let d = self.dependents[k] as usize;
-                self.nodes[d].remaining_deps -= 1;
-                if self.nodes[d].remaining_deps == 0 {
+                let d = self.dependents[k as usize] as usize;
+                self.remaining[d] -= 1;
+                if self.remaining[d] == 0 {
                     self.mark_ready(d, now);
                 }
             }
@@ -342,7 +406,8 @@ impl Simulation {
     /// `(ready, start, finish)` times of a task — valid after [`Simulation::run`].
     pub fn task_times(&self, id: TaskId) -> (f64, f64, f64) {
         let t = &self.nodes[id];
-        (t.ready, t.start, t.finish)
+        // The finish event was pushed as `start + service`.
+        (t.ready, t.start, t.start + t.service)
     }
 
     /// The run as a stream of `enkf_trace` spans in virtual time — valid
@@ -357,9 +422,11 @@ impl Simulation {
     /// Folding them (`enkf_trace::class_phases`) prices a run without
     /// keeping its trace; [`Simulation::export_trace`] collects them.
     pub fn spans(&self) -> impl Iterator<Item = Span> + '_ {
-        self.nodes.iter().zip(&self.ops).flat_map(move |(t, &tag)| {
+        let mut res_start = 0;
+        self.nodes.iter().zip(&self.tags).flat_map(move |(t, tag)| {
             debug_assert_eq!(t.state, State::Done, "spans require a completed run");
-            let rank = t.agent as usize;
+            let first = std::mem::replace(&mut res_start, t.res_end);
+            let (rank, tag) = (t.agent as usize, tag.unpack());
             let role = if tag.io { Role::Io } else { Role::Compute };
             let stalled = t.stall().map(|wait| {
                 let tag = OpTag {
@@ -369,7 +436,7 @@ impl Simulation {
                 Span::new(rank, role, Op::Wait, t.ready, wait, tag)
             });
             let served = t.op().map(|op| Span {
-                res: self.held_by(t).first().map(|r| r.0),
+                res: (first < t.res_end).then(|| self.held[first as usize] as usize),
                 // The service, not `finish - start`: what the caller
                 // priced, free of the rounding of `now + service`.
                 ..Span::new(rank, role, op, t.start, t.service, tag)
@@ -392,8 +459,13 @@ impl Simulation {
         trace
     }
 
-    fn held_by(&self, t: &Node) -> &[ResourceId] {
-        &self.held[t.res.0 as usize..t.res.1 as usize]
+    /// Where task `tid`'s resources begin in `held`: where the previous
+    /// task's end.
+    fn res_start(&self, tid: usize) -> u32 {
+        match tid {
+            0 => 0,
+            _ => self.nodes[tid - 1].res_end,
+        }
     }
 
     /// Rebuild everything a run consumes from the graph: resource slots,
@@ -401,20 +473,24 @@ impl Simulation {
     /// a stable counting sort of the edges by dependency, so each list
     /// keeps insertion order, which is ascending `TaskId`.
     fn reset(&mut self) {
+        let mut res_start = 0;
         for t in &mut self.nodes {
-            t.next_res = t.res.0;
-            t.remaining_deps = 0;
+            t.next_res = std::mem::replace(&mut res_start, t.res_end);
             t.state = State::WaitingDeps;
         }
         for rs in &mut self.resources {
             rs.free = rs.capacity;
             rs.queue.clear();
         }
+        // The CSR's `u32` offsets index the edges.
+        narrow(self.edges.len());
+        self.remaining.clear();
+        self.remaining.resize(self.nodes.len(), 0);
         self.offsets.clear();
         self.offsets.resize(self.nodes.len() + 1, 0);
         for &(dep, task) in &self.edges {
             self.offsets[dep as usize] += 1;
-            self.nodes[task as usize].remaining_deps += 1;
+            self.remaining[task as usize] += 1;
         }
         // Inclusive prefix sums: `offsets[d]` is the end of `d`'s list
         // until the backward placement below walks it to the start.
@@ -428,7 +504,7 @@ impl Simulation {
         for &(dep, task) in self.edges.iter().rev() {
             let slot = &mut self.offsets[dep as usize];
             *slot -= 1;
-            self.dependents[*slot] = task;
+            self.dependents[*slot as usize] = task;
         }
         self.events.clear();
         self.started.clear();
@@ -449,8 +525,8 @@ impl Simulation {
     /// `started`.
     fn try_advance(&mut self, tid: usize, now: f64) {
         let t = &mut self.nodes[tid];
-        while t.next_res < t.res.1 {
-            let rs = &mut self.resources[self.held[t.next_res as usize].0];
+        while t.next_res < t.res_end {
+            let rs = &mut self.resources[self.held[t.next_res as usize] as usize];
             if rs.free > 0 && rs.queue.is_empty() {
                 rs.free -= 1;
                 t.next_res += 1;
@@ -717,6 +793,47 @@ mod tests {
         assert!(matches!(err, SimError::UnknownResource(ResourceId(3))));
     }
 
+    /// The records a paper-scale graph stores per task.
+    #[test]
+    fn a_task_record_and_its_tag_are_40_bytes_each() {
+        assert_eq!(std::mem::size_of::<Node>(), 40);
+        assert_eq!(std::mem::size_of::<Tag>(), 40);
+    }
+
+    /// A stage, peer or member index the packed tag cannot hold is a typed
+    /// error, and the refused task leaves no trace in the graph.
+    #[test]
+    fn a_tag_index_beyond_u32_is_refused() {
+        let mut sim = Simulation::new();
+        let a = sim.add_agent();
+        let tags = [
+            OpTag {
+                stage: Some(u32::MAX as usize),
+                ..OpTag::default()
+            },
+            OpTag {
+                peer: Some(usize::MAX),
+                ..OpTag::default()
+            },
+            OpTag {
+                member: Some(u32::MAX as usize + 1),
+                ..OpTag::default()
+            },
+        ];
+        for tag in tags {
+            let task = Task::new(a, Kind::Compute, 1.0).with_op(tag);
+            assert_eq!(sim.add_task(task), Err(SimError::TagIndex(0)));
+        }
+        let largest = OpTag {
+            stage: Some(u32::MAX as usize - 1),
+            ..OpTag::default()
+        };
+        let t = sim.add_task(Task::new(a, Kind::Compute, 1.0).with_op(largest));
+        assert_eq!(t, Ok(0));
+        sim.run().unwrap();
+        assert_eq!(sim.spans().next().unwrap().stage, largest.stage);
+    }
+
     #[test]
     fn bad_service_rejected() {
         let mut sim = Simulation::new();
@@ -892,5 +1009,114 @@ mod tests {
             ids.iter().map(|&t| sim.task_times(t)).collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
+    }
+    /// A tie-heavy graph pinned as literals: equal finish times, zero-service
+    /// tasks, a multi-resource task naming one resource twice, duplicate
+    /// dependencies, a `Control` barrier and queueing on a capacity-2
+    /// resource. Every `task_times` triple and every span is the engine's
+    /// observable contract; any change to the record layout must keep them.
+    #[test]
+    fn a_tie_heavy_graph_keeps_its_pinned_times_and_spans() {
+        use enkf_trace::FaultKind;
+        let mut sim = Simulation::new();
+        let pair = sim.add_resource(2);
+        let nic_a = sim.add_resource(1);
+        let nic_b = sim.add_resource(1);
+        let a = sim.add_agents(5);
+        let read = OpTag {
+            io: true,
+            member: Some(7),
+            bytes: 64,
+            seeks: 2,
+            ..OpTag::default()
+        };
+        let send = OpTag {
+            stage: Some(1),
+            peer: Some(4),
+            bytes: 128,
+            ..OpTag::default()
+        };
+        let fault = OpTag {
+            member: Some(3),
+            fault: Some(FaultKind::Injected),
+            attempt: 2,
+            ..OpTag::default()
+        };
+        let stage = OpTag {
+            stage: Some(0),
+            ..OpTag::default()
+        };
+        // (agent, kind, service, resources, deps, tag), in task-id order.
+        type Row<'a> = (usize, Kind, f64, &'a [ResourceId], &'a [TaskId], OpTag);
+        let graph: [Row; 12] = [
+            (0, Kind::Read, 1.0, &[pair], &[], read),
+            (1, Kind::Read, 1.0, &[pair], &[], read),
+            (2, Kind::Read, 1.0, &[pair], &[], read),
+            (3, Kind::Compute, 0.0, &[], &[], stage),
+            (3, Kind::Comm, 2.0, &[nic_b, nic_a, nic_b], &[0, 0], send),
+            (4, Kind::Read, 0.1, &[nic_b], &[], read),
+            (4, Kind::Control, 0.0, &[], &[1, 2, 4, 2], OpTag::default()),
+            (0, Kind::Compute, 1.0, &[], &[6, 6], stage),
+            (1, Kind::Fault, 0.3, &[pair], &[3], fault),
+            (2, Kind::Compute, 0.0, &[], &[6], stage),
+            (4, Kind::Comm, 1.0, &[nic_a], &[], send),
+            (3, Kind::Read, 0.7, &[pair, nic_a], &[8], read),
+        ];
+        for (agent, kind, service, res, deps, tag) in graph {
+            sim.add_task_parts(a[agent], kind, service, res, deps, tag)
+                .unwrap();
+        }
+        let report = sim.run().unwrap();
+        assert_eq!(report.makespan, 4.7);
+        assert_eq!(report.tasks_executed, 12);
+        let times: Vec<_> = (0..graph.len()).map(|t| sim.task_times(t)).collect();
+        let pinned = [
+            (0.0, 0.0, 1.0),
+            (0.0, 0.0, 1.0),
+            (0.0, 1.0, 2.0),
+            (0.0, 0.0, 0.0),
+            (1.0, 1.0, 3.0),
+            (0.0, 0.0, 0.1),
+            (3.0, 3.0, 3.0),
+            (3.0, 3.0, 4.0),
+            (1.0, 1.0, 1.3),
+            (3.0, 3.0, 3.0),
+            (3.0, 3.7, 4.7),
+            (3.0, 3.0, 3.7),
+        ];
+        assert_eq!(times, pinned);
+        let wait = |stage| OpTag {
+            stage,
+            ..OpTag::default()
+        };
+        let span = |rank, role, op, start, dur, res, tag| Span {
+            res,
+            ..Span::new(rank, role, op, start, dur, tag)
+        };
+        let pinned = [
+            span(0, Role::Io, Op::Read, 0.0, 1.0, Some(0), read),
+            span(1, Role::Io, Op::Read, 0.0, 1.0, Some(0), read),
+            span(2, Role::Io, Op::Wait, 0.0, 1.0, None, wait(None)),
+            span(2, Role::Io, Op::Read, 1.0, 1.0, Some(0), read),
+            span(3, Role::Compute, Op::Compute, 0.0, 0.0, None, stage),
+            span(3, Role::Compute, Op::Send, 1.0, 2.0, Some(1), send),
+            span(4, Role::Io, Op::Read, 0.0, 0.1, Some(2), read),
+            span(0, Role::Compute, Op::Compute, 3.0, 1.0, None, stage),
+            span(1, Role::Compute, Op::Fault, 1.0, 0.3, Some(0), fault),
+            span(2, Role::Compute, Op::Compute, 3.0, 0.0, None, stage),
+            // 3.7 − 3.0: the wait is `start − ready`, rounding and all.
+            span(
+                4,
+                Role::Compute,
+                Op::Wait,
+                3.0,
+                0.7000000000000002,
+                None,
+                wait(Some(1)),
+            ),
+            span(4, Role::Compute, Op::Send, 3.7, 1.0, Some(1), send),
+            span(3, Role::Io, Op::Read, 3.0, 0.7, Some(0), read),
+        ];
+        assert_eq!(sim.spans().collect::<Vec<_>>(), pinned);
     }
 }

@@ -23,17 +23,25 @@
 //! ## Flat storage
 //!
 //! A paper-scale cycle is ~400k tasks, so a graph lives in a few flat
-//! arrays rather than in per-task vectors: one compact record per task
-//! (`u32` agent and counters, `f64` service and times, a `u32` range into
-//! one sorted, deduplicated resource list), the [`enkf_trace::OpTag`]s
-//! beside them, and the dependency edges appended in insertion order.
+//! arrays rather than in per-task vectors, sized to keep the run's working
+//! set small: one 40-byte record per task (`f64` service, ready and start
+//! times; `u32` agent, acquisition cursor and the end of the task's range
+//! in one sorted, deduplicated `u32` resource list, whose start is the
+//! previous task's end; kind and state), the [`enkf_trace::OpTag`]s beside
+//! them packed from 72 to 40 bytes (stage, peer and member as `u32` with a
+//! none-sentinel — a larger index is [`engine::SimError::TagIndex`]), and
+//! the dependency edges appended in insertion order. No finish time is
+//! stored: a task's finish event is pushed as `now + service` at the `now`
+//! it started, so its finish is `start + service`, bit for bit.
 //! [`Simulation::add_task_parts`] records a task from borrowed resources
 //! and dependencies, so a caller adds one without allocating
 //! ([`Simulation::add_task`] is the same body behind the [`Task`]
 //! builder). [`Simulation::run`] rebuilds the dependents from the edges as
-//! a CSR table by a stable counting sort, so every list is in ascending
-//! task order, and recomputes every counter, so a second run repeats the
-//! first. [`Simulation::clear`] forgets a graph but keeps the buffers: a
+//! a CSR table (`u32` offsets) by a stable counting sort, so every list is
+//! in ascending task order, and recomputes every counter — the dependency
+//! counters in a dense `u32` array of their own, the one field the run
+//! touches once per edge — so a second run repeats the first.
+//! [`Simulation::clear`] forgets a graph but keeps the buffers: a
 //! simulation reused graph after graph retains the capacity of the
 //! largest one and stops allocating. `enkf-parallel` prices every cycle in
 //! one such simulation per thread. Nothing per span is stored: a run's

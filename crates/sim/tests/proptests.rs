@@ -1,6 +1,7 @@
 //! Property-based tests of the DES engine's scheduling invariants.
 
 use enkf_sim::{Kind, Simulation, Task, TaskId};
+use enkf_trace::{FaultKind, Op, OpTag, Role, Span};
 use proptest::prelude::*;
 
 const KINDS: [Kind; 5] = [
@@ -101,8 +102,87 @@ fn fingerprint(sim: &Simulation, ids: &[TaskId], report: &enkf_sim::SimReport) -
     )
 }
 
+/// A `u64` that is often one of the extremes.
+fn wide_u64() -> impl Strategy<Value = u64> {
+    (0usize..3, any::<u64>()).prop_map(|(k, v)| [0, u64::MAX, v][k])
+}
+
+/// An index field: `None`, or `Some` up to the largest the engine stores
+/// (`u32::MAX - 1`), often at either end.
+fn index() -> impl Strategy<Value = Option<usize>> {
+    let largest = u32::MAX as usize - 1;
+    (0usize..4, 0..largest).prop_map(move |(k, v)| [None, Some(0), Some(largest), Some(v)][k])
+}
+
+fn tag_strategy() -> impl Strategy<Value = OpTag> {
+    let faults = vec![
+        None,
+        Some(FaultKind::Injected),
+        Some(FaultKind::Backoff),
+        Some(FaultKind::Cancelled),
+        Some(FaultKind::Recovered),
+        Some(FaultKind::Dropped),
+    ];
+    let attempt = (0usize..3, any::<u32>()).prop_map(|(k, v)| [0, u32::MAX, v][k]);
+    (
+        any::<bool>(),
+        (index(), index(), index()),
+        (wide_u64(), wide_u64()),
+        proptest::sample::select(faults),
+        attempt,
+    )
+        .prop_map(
+            |(io, (stage, peer, member), (bytes, seeks), fault, attempt)| OpTag {
+                io,
+                stage,
+                bytes,
+                seeks,
+                peer,
+                member,
+                fault,
+                attempt,
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every tag reaches the run's spans field for field. Each task runs
+    /// on its own agent and holds one capacity-1 resource for 1 s, so task
+    /// `k` waits `k` seconds (a wait span of its stage), then yields its
+    /// operation span unless it is a `Control` task.
+    #[test]
+    fn random_tags_reach_the_spans_field_for_field(
+        tasks in proptest::collection::vec((0..KINDS.len(), tag_strategy()), 1..24),
+    ) {
+        let mut sim = Simulation::new();
+        let disk = sim.add_resource(1);
+        for &(kind, tag) in &tasks {
+            let agent = sim.add_agent();
+            let task = Task::new(agent, KINDS[kind], 1.0).with_resources(vec![disk]);
+            sim.add_task(task.with_op(tag)).unwrap();
+        }
+        sim.run().unwrap();
+        let mut expected = Vec::new();
+        for (k, &(kind, tag)) in tasks.iter().enumerate() {
+            let role = if tag.io { Role::Io } else { Role::Compute };
+            if k > 0 {
+                let wait = OpTag { stage: tag.stage, ..OpTag::default() };
+                expected.push(Span::new(k, role, Op::Wait, 0.0, k as f64, wait));
+            }
+            let op = match KINDS[kind] {
+                Kind::Read => Op::Read,
+                Kind::Comm => Op::Send,
+                Kind::Compute => Op::Compute,
+                Kind::Fault => Op::Fault,
+                Kind::Control => continue,
+            };
+            let span = Span::new(k, role, op, k as f64, 1.0, tag);
+            expected.push(Span { res: Some(0), ..span });
+        }
+        prop_assert_eq!(sim.spans().collect::<Vec<_>>(), expected);
+    }
 
     #[test]
     fn every_task_runs_and_times_are_ordered(w in workload_strategy()) {

@@ -53,6 +53,11 @@ cargo test -q --release --test dataplane_alloc_free
 cargo test -q --release -p enkf-core --test alloc_free
 cargo test -q --release --test model_alloc
 
+echo "==> the DES engine and its pricer in release, the build the benchmark runs: the"
+echo "    engine's proptests and pinned tie-heavy graph, the pricer's paper-scale and"
+echo "    storm bit-identity oracles"
+cargo test -q --release -p enkf-sim -p enkf-parallel
+
 echo "==> crash consistency in release, the build the benchmark runs: kill-resume,"
 echo "    crash recovery and checkpoint restart while the pipelined writer overlaps"
 echo "    the next cycle's work-store refresh"

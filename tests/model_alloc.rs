@@ -13,6 +13,12 @@
 //!   builds would be at least four times that. D-EnKF is exempt from the
 //!   byte bound: every call builds its uniform `ObservationNetwork`, a
 //!   per-call input of the pricing, not part of emission or the run.
+//!
+//! Beside them, a warm call at the 1,200-rank S-EnKF point the benchmark
+//! prices (`des_paper_scale`, 406,080 tasks) stays within a fixed budget
+//! of allocation calls and bytes, set from a measurement: the pricer's
+//! mailboxes share one list of sends in the thread's arena instead of
+//! owning a vector each.
 
 use s_enkf::parallel::{
     model_cycle, model_denkf, model_lenkf, model_penkf, model_senkf, ModelConfig, ModelOutcome,
@@ -20,7 +26,7 @@ use s_enkf::parallel::{
 };
 use s_enkf::prelude::FaultConfig;
 use s_enkf::trace::{Op, Span};
-use s_enkf::tuning::{Params, Workload};
+use s_enkf::tuning::{autotune, Params, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -137,4 +143,24 @@ fn warm_untraced_calls_allocate_nothing_per_task() {
             );
         }
     }
+
+    // The benchmark's point: the 1,200-rank S-EnKF cycle of
+    // `des_paper_scale` (406,080 tasks), autotuned as the perf ledger
+    // tunes it. A warm call allocates per call, per stage or per contended
+    // resource, never per task or per mailbox.
+    let paper = ModelConfig::paper();
+    let tuned = autotune(&paper.cost_params(), 1_200, 1e-3).unwrap().params;
+    model_senkf(&paper, tuned).unwrap();
+    let (calls, bytes) = (
+        ALLOCATIONS.load(Ordering::SeqCst),
+        BYTES.load(Ordering::SeqCst),
+    );
+    model_senkf(&paper, tuned).unwrap();
+    let calls = ALLOCATIONS.load(Ordering::SeqCst) - calls;
+    let bytes = BYTES.load(Ordering::SeqCst) - bytes;
+    println!("paper-scale SEnkf({tuned:?}): {calls} allocations, {bytes} bytes");
+    // Measured: 1,476 allocations, 1,877,872 bytes. A vector per mailbox
+    // (51,840 of them) would make ~10⁵.
+    assert!(calls <= 1_600, "paper-scale S-EnKF: {calls} allocations");
+    assert!(bytes <= 2_000_000, "paper-scale S-EnKF: {bytes} bytes");
 }
