@@ -77,14 +77,15 @@ pub fn write_ensemble(store: &FileStore, ensemble: &Ensemble) -> std::io::Result
     Ok(())
 }
 
-/// Read `members` full member files back into an ensemble (surface level).
+/// Read `members` full member files back into an ensemble: every level is
+/// read, the surface is kept ([`FileStore::read_surface`]).
 pub fn read_ensemble(store: &FileStore, members: usize) -> std::io::Result<Ensemble> {
     let mesh = store.layout().mesh();
     let mut states = Matrix::zeros(mesh.n(), members);
     for k in 0..members {
         // One member at a time: its slab goes back to the store's pool
         // before the next read takes it.
-        let data = store.read_full(k)?;
+        let data = store.read_surface(k, &RegionRect::full(mesh))?;
         gather_surface_into(&mut states, &[k], std::slice::from_ref(&data));
     }
     Ok(Ensemble::new(mesh, states))

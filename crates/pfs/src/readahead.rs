@@ -72,8 +72,10 @@ pub enum ReadAheadError<E> {
 /// Run a staged read plan with one-stage read-ahead.
 ///
 /// For each entry of `stages` in order, all listed members' `region` data
-/// is read via [`crate::read_region_resilient`] and handed to `consume` together
-/// with the stage descriptor and the main tracer (for send spans). While
+/// is read via [`crate::read_region_resilient`] — a surface view per member
+/// (`levels() == 1`), every level read and charged — and handed to
+/// `consume` together with the stage descriptor and the main tracer (for
+/// send spans). While
 /// `consume` runs for stage `k`, a prefetch thread is already reading
 /// stage `k+1` (bounded to one stage of look-ahead by a rendezvous
 /// channel, so at most two stages of bars are in flight — double

@@ -147,7 +147,10 @@ fn weave_read<E>(
 }
 
 /// Read `region` of member `member` through `weave_read`'s schedule —
-/// the real arm: every step is timed into one span of its tag. Injected
+/// the real arm: every step is timed into one span of its tag. Every
+/// attempt is a [`FileStore::read_surface`]: it reads and charges every
+/// level, and the returned view holds the surface only (`levels() == 1`).
+/// Injected
 /// attempts still perform the read (real disk time, real OST occupancy),
 /// backoffs are slept, and the path's factor dilates every attempt's wall
 /// time. When the attempts run out the last genuine [`ReadError`] (if any)
@@ -181,7 +184,7 @@ pub fn read_region_adaptive(
     let _served = weave_read(injector, monitor, member, read, |tag, cost| {
         let attempt = |path: ReadPath| {
             let start = Instant::now();
-            let out = store.read_region(member, region);
+            let out = store.read_surface(member, region);
             dilate(start, path.factor);
             out
         };
@@ -258,7 +261,8 @@ impl ModeledPfs {
     }
 }
 
-/// [`read_region_adaptive`] without a monitor: the plain retried read.
+/// [`read_region_adaptive`] without a monitor: the plain retried read,
+/// returning a surface view (`levels() == 1`).
 pub fn read_region_resilient(
     store: &FileStore,
     tracer: &mut RankTracer,

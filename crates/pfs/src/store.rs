@@ -16,24 +16,28 @@
 //!   backing slab. [`RegionData::extract`] (bar → per-sub-domain block
 //!   splitting) is O(1) and allocation-free: every block sent to a compute
 //!   rank is a refcount bump on the bar's single allocation, not a copy.
-//! * A [`BufferPool`] recycles the `f64` slabs: once warm,
-//!   [`FileStore::read_region`] performs **zero heap allocations** (slabs
-//!   return to the pool automatically when the last view into them drops).
-//! * Every member byte crosses memory **once** in each direction. A read
-//!   issues its per-segment `seek + read_exact` straight into the pooled
-//!   slab through its byte view
-//!   ([`enkf_linalg::kernel::convert::fill_le_f64`]) — no staging buffer,
-//!   no decode pass, and no zero-fill either, because a recycled slab is
-//!   already initialised and is only resized. A write hands the kernel the
-//!   values' little-endian byte view
-//!   ([`enkf_linalg::kernel::convert::f64_le_bytes`]). Both are borrows on
-//!   little-endian targets and byte-swap on big-endian ones; this crate
-//!   itself contains no `unsafe`.
+//! * A [`BufferPool`] recycles the `f64` slabs: once warm, a read
+//!   performs **zero heap allocations** (slabs return to the pool
+//!   automatically when the last view into them drops).
+//! * The slab keeps what the reader needs. The executors read with
+//!   [`FileStore::read_surface`]: the kernel copies all `h` bytes of each
+//!   point into a cache-resident bounce buffer (about 256 KiB, checked out
+//!   of the same pool), and the slab keeps the point's 8-byte surface
+//!   value. [`FileStore::read_region`] keeps every level: it issues its
+//!   per-segment `seek + read_exact` straight into the pooled slab through
+//!   its byte view ([`enkf_linalg::kernel::convert::fill_le_f64`]) — no
+//!   staging buffer and no decode pass. Neither zero-fills: a recycled
+//!   slab is already initialised and is only resized. A write hands the
+//!   kernel the values' little-endian byte view
+//!   ([`enkf_linalg::kernel::convert::f64_le_bytes`]). Both views are
+//!   borrows on little-endian targets and byte-swap on big-endian ones;
+//!   this crate itself contains no `unsafe`.
 //! * A small open-file-handle cache removes the per-read `File::open`.
 //!
-//! None of this changes what is counted: the same segments are read in
-//! the same order, so `IoStats` seeks/bytes and the [`FileStore::op_cost`]
-//! contract — and with them the real-vs-model trace digests — do not move.
+//! None of this changes what is counted: both reads issue the same
+//! segments in the same order, so `IoStats` seeks/bytes and the
+//! [`FileStore::op_cost`] contract — and with them the real-vs-model trace
+//! digests — do not move.
 //! The independent oracle (`std::fs` + [`FileLayout::for_each_segment`] +
 //! per-value `f64::from_le_bytes`) lives in `tests/proptests.rs`.
 
@@ -222,7 +226,9 @@ impl PartialEq for RegionData {
     }
 }
 
-/// Reusable `f64` slabs for the read data plane.
+/// Reusable `f64` slabs for the read data plane: the slabs reads return
+/// views into, and the bounce buffers multi-level surface reads stream
+/// through.
 ///
 /// Slabs are *registered*: the pool keeps one `Arc` reference to every
 /// slab it hands out, and a slab becomes reusable as soon as every
@@ -239,16 +245,39 @@ impl BufferPool {
     /// (freed when their views drop) instead of retained.
     const MAX_POOLED: usize = 64;
 
-    /// A uniquely-owned slab (`strong_count == 1`), recycled from the pool
-    /// when any registered slab has no outstanding views.
-    fn take_slab(&self) -> Arc<Vec<f64>> {
+    /// A uniquely-owned slab (`strong_count == 1`) for `len` values,
+    /// recycled from the pool when any registered slab has no outstanding
+    /// views: the smallest free slab whose capacity covers `len`, else the
+    /// largest free one. Surface slabs, full-level slabs and bounce
+    /// buffers share one pool, and a first fit would grow a small slab
+    /// for a large read (a reallocation and a copy) or tie a large slab to
+    /// a small one.
+    fn take_slab(&self, len: usize) -> Arc<Vec<f64>> {
         let mut slabs = self.slabs.lock();
-        if let Some(pos) = slabs.iter().position(|s| Arc::strong_count(s) == 1) {
+        let mut best: Option<(usize, usize)> = None;
+        for (pos, slab) in slabs.iter().enumerate() {
+            if Arc::strong_count(slab) != 1 {
+                continue;
+            }
+            let cap = slab.capacity();
+            let better = match best {
+                None => true,
+                Some((_, b)) if b >= len => (len..b).contains(&cap),
+                Some((_, b)) => cap > b,
+            };
+            if better {
+                best = Some((pos, cap));
+                if cap == len {
+                    break; // nothing free fits closer
+                }
+            }
+        }
+        match best {
             // The pool holds the only reference, so nobody can clone it
             // concurrently: unique ownership is stable once removed.
-            return slabs.swap_remove(pos);
+            Some((pos, _)) => slabs.swap_remove(pos),
+            None => Arc::new(Vec::new()),
         }
-        Arc::new(Vec::new())
     }
 
     /// Register a slab for future reuse (keeps one pool-owned reference).
@@ -310,6 +339,11 @@ impl HandleCache {
         self.entries.retain(|(k, _)| *k != member);
     }
 }
+
+/// Bytes one bounce-buffer read of [`FileStore::read_surface`] moves: small
+/// enough to stay in L2 beside the slab it decodes into, large enough that
+/// the per-call cost of a read is noise.
+const BOUNCE_BYTES: usize = 256 * 1024;
 
 /// Run `io(index, file offset, byte range)` for each of the region's
 /// segments in file order — the byte range is the segment's place in the
@@ -430,10 +464,11 @@ impl FileStore {
     }
 
     /// `(seeks, bytes)` a region access costs under this store's layout —
-    /// exactly what [`FileStore::read_region`]/[`FileStore::write_region`]
-    /// will add to [`FileStore::stats`], and exactly what the DES model
-    /// charges for the same region. Used to label execution-trace spans so
-    /// the real and modeled paths account operations identically.
+    /// exactly what [`FileStore::read_region`], [`FileStore::read_surface`]
+    /// and [`FileStore::write_region`] will add to [`FileStore::stats`],
+    /// and exactly what the DES model charges for the same region. Used to
+    /// label execution-trace spans so the real and modeled paths account
+    /// operations identically.
     pub(crate) fn op_cost(&self, region: &RegionRect) -> (u64, u64) {
         (
             self.layout.seek_count(region) as u64,
@@ -522,9 +557,9 @@ impl FileStore {
         Ok(())
     }
 
-    /// Read one region of member `k`, issuing one seek + read per contiguous
-    /// segment (full-width regions are a single segment) straight into a
-    /// pooled `f64` slab — each byte crosses memory once.
+    /// Read one region of member `k`, every level, issuing one seek + read
+    /// per contiguous segment (full-width regions are a single segment)
+    /// straight into a pooled `f64` slab — each byte crosses memory once.
     ///
     /// Once the pool and the handle cache are warm this performs zero heap
     /// allocations and no zero-fill: the slab is recycled (resized, never
@@ -536,24 +571,73 @@ impl FileStore {
     /// bare `io::Error` string. A failed read leaves [`FileStore::stats`]
     /// untouched and its slab back in the pool.
     pub fn read_region(&self, k: usize, region: &RegionRect) -> Result<RegionData, ReadError> {
+        self.read(k, region, false)
+    }
+
+    /// Read one region of member `k` and keep only its surface: the same
+    /// segments, seeks, byte counts, [`FileStore::stats`] and errors as
+    /// [`FileStore::read_region`], but the returned view has
+    /// `levels() == 1` and equals `read_region(k, region).surface()` bit
+    /// for bit. This is the executors' read: every level crosses the file
+    /// system, only the analysis variable lands in the slab.
+    ///
+    /// A multi-level segment is read in chunks of about 256 KiB into a
+    /// pooled bounce buffer that stays cache-resident, and each point's
+    /// level-0 value is decoded from it. A single-level file reads straight
+    /// into the slab, as [`FileStore::read_region`] does. Allocation-free
+    /// once warm; a failed read returns the slab and the bounce buffer to
+    /// the pool.
+    pub fn read_surface(&self, k: usize, region: &RegionRect) -> Result<RegionData, ReadError> {
+        self.read(k, region, true)
+    }
+
+    /// The body of [`FileStore::read_region`] (`surface == false`) and
+    /// [`FileStore::read_surface`].
+    fn read(&self, k: usize, region: &RegionRect, surface: bool) -> Result<RegionData, ReadError> {
         let total = self.layout.region_bytes(region);
+        let levels = self.levels();
+        let kept = if surface { 1 } else { levels };
         let (cached, stamp) = self.handles.lock().take(k);
         let mut file = match cached {
             Some(f) => f,
             None => File::open(self.member_path(k)).map_err(|e| self.read_error(k, total, e))?,
         };
-        let mut slab = self.pool.take_slab();
+        let len = region.npoints() * kept;
+        let mut slab = self.pool.take_slab(len);
         // `take_slab` hands out a unique slab, so this never clones.
         let values = Arc::make_mut(&mut slab);
         // Grows zero-filled, shrinks by truncation: a recycled slab of the
         // steady-state size is neither reallocated nor rewritten here.
-        values.resize(total as usize / 8, 0.0);
-        let read = fill_le_f64(values, |raw| {
-            try_each_segment(&self.layout, region, |_, offset, range| {
-                file.seek(SeekFrom::Start(offset))?;
-                file.read_exact(&mut raw[range])
+        values.resize(len, 0.0);
+        let read = if kept == levels {
+            fill_le_f64(values, |raw| {
+                try_each_segment(&self.layout, region, |_, offset, range| {
+                    file.seek(SeekFrom::Start(offset))?;
+                    file.read_exact(&mut raw[range])
+                })
             })
-        });
+        } else {
+            // Whole points per chunk, so every chunk starts at a level 0.
+            let point_bytes = levels * 8;
+            let chunk_points = (BOUNCE_BYTES / point_bytes).max(1);
+            let mut bounce = self.pool.take_slab(chunk_points * levels);
+            let chunk = Arc::make_mut(&mut bounce);
+            chunk.resize(chunk_points * levels, 0.0);
+            let read = try_each_segment(&self.layout, region, |_, offset, range| {
+                file.seek(SeekFrom::Start(offset))?;
+                let surface = &mut values[range.start / point_bytes..range.end / point_bytes];
+                for out in surface.chunks_mut(chunk_points) {
+                    let points = &mut chunk[..out.len() * levels];
+                    fill_le_f64(points, |raw| file.read_exact(raw))?;
+                    for (v, point) in out.iter_mut().zip(points.chunks_exact(levels)) {
+                        *v = point[0];
+                    }
+                }
+                Ok(())
+            });
+            self.pool.register(bounce);
+            read
+        };
         let shared = Arc::clone(&slab);
         self.pool.register(slab);
         let seeks = read.map_err(|e| self.read_error(k, total, e))?;
@@ -563,7 +647,7 @@ impl FileStore {
             st.bytes_read += total;
         }
         self.handles.lock().put(k, file, stamp);
-        Ok(RegionData::from_shared(*region, self.levels(), shared))
+        Ok(RegionData::from_shared(*region, kept, shared))
     }
 
     /// Read an entire member file.

@@ -50,6 +50,46 @@ fn oracle_read(store: &FileStore, k: usize, region: &RegionRect) -> std::io::Res
     result.map(|()| values)
 }
 
+/// A full-width bar of one or more rows: one segment.
+fn full_width_bar_strategy(mesh: Mesh) -> impl Strategy<Value = RegionRect> {
+    (0..mesh.ny()).prop_flat_map(move |y0| {
+        (y0 + 1..=mesh.ny()).prop_map(move |y1| RegionRect::new(0, mesh.nx(), y0, y1))
+    })
+}
+
+/// A block narrower than the mesh, at least two rows high when the mesh
+/// allows: one segment per row.
+fn block_strategy(mesh: Mesh) -> impl Strategy<Value = RegionRect> {
+    region_strategy(mesh).prop_map(move |r| {
+        let x1 = if r.x0 == 0 && r.x1 == mesh.nx() {
+            r.x1 - 1
+        } else {
+            r.x1
+        };
+        let y1 = (r.y0 + 2).min(mesh.ny()).max(r.y1);
+        RegionRect::new(r.x0, x1, r.y0, y1)
+    })
+}
+
+/// `read_surface` returns `read_region(..).surface()` bit for bit, as a
+/// one-level view, and charges the same `IoStats`.
+fn surface_read_agrees_with_the_full_read(
+    store: &FileStore,
+    region: &RegionRect,
+) -> Result<(), String> {
+    store.reset_stats();
+    let full = store.read_region(0, region).unwrap();
+    let full_stats = store.stats();
+    store.reset_stats();
+    let surface = store.read_surface(0, region).unwrap();
+    prop_assert_eq!(store.stats(), full_stats);
+    prop_assert_eq!(surface.levels(), 1);
+    prop_assert_eq!(surface.region(), *region);
+    let want: Vec<f64> = full.surface().collect();
+    prop_assert_eq!(to_bits(&surface.to_vec()), to_bits(&want));
+    Ok(())
+}
+
 /// Bit patterns, so that NaNs compare and signed zeros differ.
 fn to_bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -267,6 +307,94 @@ proptest! {
         // The half-filled slab is reused by the next good read, exactly.
         let good = store.read_region(1, &region).unwrap();
         prop_assert_eq!(to_bits(&good.to_vec()), to_bits(&oracle_read(&store, 1, &region).unwrap()));
+    }
+
+    #[test]
+    fn read_surface_is_the_surface_of_read_region(
+        (mesh, regions, levels, seed) in (0usize..4).prop_flat_map(|i| {
+            let levels = [1u64, 2, 3, 30][i];
+            (mesh_strategy(), Just(levels))
+        }).prop_flat_map(|(mesh, levels)| {
+            (
+                Just(mesh),
+                (
+                    maybe_empty_region_strategy(mesh),
+                    full_width_bar_strategy(mesh),
+                    block_strategy(mesh),
+                ),
+                Just(levels),
+                any::<u64>(),
+            )
+        })
+    ) {
+        // Empty regions, full-width bars (one segment) and blocks of
+        // several rows (one segment per row), at one, a few and 30 levels.
+        let scratch = ScratchDir::new("prop-surface").unwrap();
+        let store = FileStore::open(scratch.path(), FileLayout::new(mesh, 8 * levels)).unwrap();
+        store.write_member(0, &patterned_member(mesh, levels, seed)).unwrap();
+        for region in [regions.0, regions.1, regions.2] {
+            surface_read_agrees_with_the_full_read(&store, &region)?;
+        }
+    }
+
+    #[test]
+    fn read_surface_streams_segments_longer_than_the_bounce_buffer(
+        (mesh, bar, seed) in (40usize..72, 32usize..48).prop_flat_map(|(nx, ny)| {
+            let mesh = Mesh::new(nx, ny);
+            // At least 29 rows of at least 40 points of 240 B: > 256 KiB.
+            let bar = (0..ny - 28).prop_map(move |y0| RegionRect::new(0, nx, y0, ny));
+            (Just(mesh), bar, any::<u64>())
+        })
+    ) {
+        let scratch = ScratchDir::new("prop-surface-long").unwrap();
+        let layout = FileLayout::new(mesh, 240);
+        let store = FileStore::open(scratch.path(), layout).unwrap();
+        store.write_member(0, &patterned_member(mesh, 30, seed)).unwrap();
+        prop_assert!(layout.region_bytes(&bar) > 256 * 1024);
+        surface_read_agrees_with_the_full_read(&store, &bar)?;
+        surface_read_agrees_with_the_full_read(&store, &RegionRect::full(mesh))?;
+    }
+
+    #[test]
+    fn a_truncated_member_fails_read_surface_as_it_fails_read_region(
+        (mesh, region, levels, seed, keep) in (0usize..4).prop_flat_map(|i| {
+            (mesh_strategy(), Just([1u64, 2, 3, 30][i]))
+        }).prop_flat_map(|(mesh, levels)| {
+            (Just(mesh), region_strategy(mesh), Just(levels), any::<u64>(), 0.0f64..1.0)
+        })
+    ) {
+        let scratch = ScratchDir::new("prop-surface-trunc").unwrap();
+        let layout = FileLayout::new(mesh, 8 * levels);
+        let store = FileStore::open(scratch.path(), layout).unwrap();
+        let values = patterned_member(mesh, levels, seed);
+        store.write_member(0, &values).unwrap();
+        store.write_member(1, &values).unwrap();
+        // The slab, and the bounce buffer a multi-level read streams
+        // through, are pooled.
+        drop(store.read_surface(1, &region).unwrap());
+        let pooled = if levels == 1 { 1 } else { 2 };
+        prop_assert_eq!(store.pool().free_slabs(), pooled);
+        let before = store.stats();
+
+        let last = *layout.segments(&region).last().unwrap();
+        let cut = last.offset + (keep * last.len as f64) as u64;
+        let file = std::fs::OpenOptions::new().write(true).open(store.member_path(0)).unwrap();
+        file.set_len(cut).unwrap();
+
+        let surface = store.read_surface(0, &region).unwrap_err();
+        prop_assert_eq!(store.stats(), before, "a failed read charges nothing");
+        prop_assert_eq!(store.pool().free_slabs(), pooled, "slab and bounce are back");
+        let full = store.read_region(0, &region).unwrap_err();
+        prop_assert_eq!(
+            (surface.member, surface.expected, surface.actual),
+            (full.member, full.expected, full.actual)
+        );
+        prop_assert_eq!(surface.actual, cut);
+
+        // The next good read reuses the half-filled slab, exactly.
+        let good = store.read_surface(1, &region).unwrap();
+        let want: Vec<f64> = store.read_region(1, &region).unwrap().surface().collect();
+        prop_assert_eq!(to_bits(&good.to_vec()), to_bits(&want));
     }
 
     #[test]

@@ -196,6 +196,9 @@ pub struct Simulation {
     /// `(dependency, dependent)` edges in insertion order.
     edges: Vec<(u32, u32)>,
     resources: Vec<ResourceState>,
+    /// The wait queues of the resources `clear` forgot, emptied, handed
+    /// to the next graph's resources in registration order.
+    spare_queues: Vec<VecDeque<u32>>,
     num_agents: usize,
     last_task_of_agent: Vec<Option<TaskId>>,
     // `run`'s scratch, rebuilt by every run and kept for the next: task
@@ -222,7 +225,12 @@ impl Simulation {
         self.tags.clear();
         self.held.clear();
         self.edges.clear();
-        self.resources.clear();
+        // Reversed, so `add_resource`'s `pop` hands resource `r` the queue
+        // resource `r` of this graph grew.
+        for mut rs in self.resources.drain(..).rev() {
+            rs.queue.clear();
+            self.spare_queues.push(rs.queue);
+        }
         self.num_agents = 0;
         self.last_task_of_agent.clear();
     }
@@ -252,7 +260,7 @@ impl Simulation {
         self.resources.push(ResourceState {
             capacity,
             free: capacity,
-            queue: VecDeque::new(),
+            queue: self.spare_queues.pop().unwrap_or_default(),
         });
         id
     }
@@ -1010,6 +1018,53 @@ mod tests {
         };
         assert_eq!(build(), build());
     }
+    #[test]
+    fn a_cleared_simulation_keeps_its_queues_and_prices_like_a_fresh_one() {
+        // `readers` contend for a disk of `capacity` slots and a
+        // single-slot NIC: alternately one or the other, every third
+        // reader for both.
+        let price = |sim: &mut Simulation, readers: usize, capacity: usize| {
+            let disk = sim.add_resource(capacity);
+            let nic = sim.add_resource(1);
+            let ids: Vec<TaskId> = (0..readers)
+                .map(|i| {
+                    let res = match (i % 3, i % 2) {
+                        (0, _) => vec![disk, nic],
+                        (_, 0) => vec![disk],
+                        _ => vec![nic],
+                    };
+                    let task = Task::new(sim.add_agent(), Kind::Read, 1.0 + i as f64 * 0.25);
+                    sim.add_task(task.with_resources(res)).unwrap()
+                })
+                .collect();
+            sim.run().unwrap();
+            ids.iter().map(|&t| sim.task_times(t)).collect::<Vec<_>>()
+        };
+        let mut reused = Simulation::new();
+        price(&mut reused, 9, 1);
+        let grown: Vec<usize> = reused
+            .resources
+            .iter()
+            .map(|r| r.queue.capacity())
+            .collect();
+        assert!(grown.iter().all(|&c| c > 0), "both queues grew");
+        for (readers, capacity) in [(5, 2), (3, 1), (9, 1)] {
+            reused.clear();
+            let fresh = price(&mut Simulation::new(), readers, capacity);
+            assert_eq!(price(&mut reused, readers, capacity), fresh);
+        }
+        // Resource `r` of each graph got back the queue resource `r` grew.
+        let kept: Vec<usize> = reused
+            .resources
+            .iter()
+            .map(|r| r.queue.capacity())
+            .collect();
+        assert!(
+            kept.iter().zip(&grown).all(|(k, g)| k >= g),
+            "{kept:?} < {grown:?}"
+        );
+    }
+
     /// A tie-heavy graph pinned as literals: equal finish times, zero-service
     /// tasks, a multi-resource task naming one resource twice, duplicate
     /// dependencies, a `Control` barrier and queueing on a capacity-2

@@ -46,12 +46,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --locked --workspace"
 cargo test -q --locked --workspace
 
-echo "==> allocation regression: steady-state data plane and both local-analysis"
-echo "    point kernels are alloc-free, untraced modelled cycles allocate nothing per"
-echo "    task (release)"
+echo "==> allocation regression: steady-state data plane (full-level reads, and the"
+echo "    executors' surface reads from a freshly spawned thread through the store's"
+echo "    pooled bounce buffer) and both local-analysis point kernels are alloc-free,"
+echo "    untraced modelled cycles allocate nothing per task (release)"
 cargo test -q --release --test dataplane_alloc_free
 cargo test -q --release -p enkf-core --test alloc_free
 cargo test -q --release --test model_alloc
+
+echo "==> the file store in release, the build the benchmark runs: surface and"
+echo "    full-level reads against their oracles, bit for bit and byte for byte"
+cargo test -q --release -p enkf-pfs
 
 echo "==> the DES engine and its pricer in release, the build the benchmark runs: the"
 echo "    engine's proptests and pinned tie-heavy graph, the pricer's paper-scale and"

@@ -159,8 +159,10 @@ fn warm_untraced_calls_allocate_nothing_per_task() {
     let calls = ALLOCATIONS.load(Ordering::SeqCst) - calls;
     let bytes = BYTES.load(Ordering::SeqCst) - bytes;
     println!("paper-scale SEnkf({tuned:?}): {calls} allocations, {bytes} bytes");
-    // Measured: 1,476 allocations, 1,877,872 bytes. A vector per mailbox
-    // (51,840 of them) would make ~10⁵.
-    assert!(calls <= 1_600, "paper-scale S-EnKF: {calls} allocations");
+    // Measured: 322 allocations, 1,957,488 bytes (the list the cleared
+    // resources' queues wait in grows once, in this first warm call). A
+    // vector per mailbox (51,840 of them) would make ~10⁵, a fresh queue
+    // per contended NIC and OST ~1,100 more.
+    assert!(calls <= 400, "paper-scale S-EnKF: {calls} allocations");
     assert!(bytes <= 2_000_000, "paper-scale S-EnKF: {bytes} bytes");
 }
