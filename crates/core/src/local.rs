@@ -232,10 +232,12 @@ impl LocalAnalysis {
     ///
     /// Returns the `target.npoints() × N` analysis `X^a` (Eq. 6).
     ///
-    /// The expansion's anomalies and their banded Gram table
-    /// ([`AnomalyGram`]) are computed once and shared read-only by the
-    /// workers; each worker owns one [`LocalAnalysisWorkspace`] and reuses
-    /// it across all its grid points.
+    /// The work follows the observations' reach: a target point whose box
+    /// holds no observation keeps its background row (`Xᵃ = Xᵇ` there) and
+    /// builds no box. The anomalies and banded Gram table ([`AnomalyGram`])
+    /// of the rows the analysed boxes read are computed once, from these
+    /// same `obs`, and shared read-only by the workers; each worker owns
+    /// one [`LocalAnalysisWorkspace`] and reuses it across all its points.
     pub fn analyze(
         &self,
         mesh: Mesh,
@@ -262,14 +264,26 @@ impl LocalAnalysis {
                 "expansion {expansion:?} misses halo {needed:?} of target"
             )));
         }
-        if obs.is_empty() {
-            // No information anywhere in reach: X^a = X^b on the target.
-            return Ok(xb.select_rows(&expansion.local_indices_of(target)));
+        // Every row starts as its background; only observed points move.
+        let nens = xb.ncols();
+        let mut background = Vec::with_capacity(target.npoints() * nens);
+        // Each mesh row of a non-empty target is one run of expansion rows.
+        let mesh_rows = if target.is_empty() {
+            0..0
+        } else {
+            target.y0..target.y1
+        };
+        for iy in mesh_rows {
+            let a = expansion.local_index(GridPoint { ix: target.x0, iy });
+            background.extend_from_slice(&xb.as_slice()[a * nens..][..target.width() * nens]);
         }
-        let mut out = Matrix::zeros(target.npoints(), xb.ncols());
-        let cell = self.radius.xi.max(self.radius.eta).max(1);
+        let mut out = Matrix::from_vec(target.npoints(), nens, background)?;
+        // Buckets of the radius, or of about one observation when they
+        // are sparser: a box query still touches O(1) of them.
+        let sparsity = (expansion.npoints() / obs.len().max(1)).isqrt();
+        let cell = self.radius.xi.max(self.radius.eta).max(sparsity).max(1);
         let index = LocalObsIndex::build(obs, expansion, cell);
-        let gram = AnomalyGram::build(xb, expansion, self.radius);
+        let gram = AnomalyGram::build(xb, expansion, obs, self.radius);
         let io = PointInputs {
             mesh,
             expansion,
@@ -314,12 +328,17 @@ impl LocalAnalysis {
         ws: &mut LocalAnalysisWorkspace,
         out: &mut [f64],
     ) -> Result<()> {
+        let nens = io.xb.ncols();
+        for (row, &p) in out.chunks_exact_mut(nens).zip(points) {
+            row.copy_from_slice(io.xb.row(io.expansion.local_index(p)));
+        }
         self.analyze_rows(io, points.len(), |row| points[row], ws, out)
             .map_err(|(_, e)| e)
     }
 
-    /// [`LocalAnalysis::analyze_points_into`] over `rows` points: a failure
-    /// is `(row, error)` of the lowest failing row.
+    /// [`LocalAnalysis::analyze_points_into`] over `rows` points whose rows
+    /// of `out` hold their backgrounds: a failure is `(row, error)` of the
+    /// lowest failing row.
     fn analyze_rows(
         &self,
         io: &PointInputs<'_>,
@@ -330,7 +349,7 @@ impl LocalAnalysis {
     ) -> RowResult {
         let mut first_err = None;
         for row in 0..rows {
-            let Some(id) = ws.localize(self, io, point_at(row), row, out) else {
+            let Some(id) = ws.localize(self, io, point_at(row), row) else {
                 continue;
             };
             let shape = ws.slots[id].shape();
@@ -378,8 +397,10 @@ impl LocalAnalysis {
 
 /// What every point of one point-wise analysis reads:
 /// [`LocalAnalysis::analyze`]'s mesh, expansion, background and localized
-/// observations, plus the [`LocalObsIndex`] and [`AnomalyGram`] built from
-/// them (the radius of the analysis, bucket edge `max(ξ, η, 1)`).
+/// observations, plus the [`LocalObsIndex`] (of any bucket edge) and
+/// [`AnomalyGram`] (of the analysis's radius) built from them. The Gram
+/// must be built from these same `obs`: its mask decides which points are
+/// analysed, and it holds rows only for their boxes.
 #[derive(Debug, Clone, Copy)]
 pub struct PointInputs<'a> {
     /// The mesh.
@@ -392,7 +413,7 @@ pub struct PointInputs<'a> {
     pub obs: &'a LocalObservations,
     /// Bucket index over `obs`.
     pub index: &'a LocalObsIndex,
-    /// Anomalies and Gram table of `xb`.
+    /// Anomalies and Gram table of `xb`, reached from `obs`.
     pub gram: &'a AnomalyGram,
 }
 
@@ -458,56 +479,141 @@ fn keep_first(slot: &mut Option<(usize, EnkfError)>, r: RowResult) {
 /// member order, exactly the value `Xᵀ X` (the `gemm::tn` kernel) holds for
 /// that pair in a gathered design matrix — so analyses are bit-identical to
 /// re-forming the products per regression.
+///
+/// Only the points whose box holds an observation are analysed, and their
+/// boxes are all any regression reads. So the table is built from the
+/// observations too: a point is *observed* when an observation lies within
+/// `(ξ, η)` of it, and a row is *reached* — gets its anomalies and its
+/// table slots — when an observation lies within `(2ξ, 2η)` of it, which
+/// covers every box of an observed point. A slot pairing two reached rows
+/// holds the same [`dot`] of the same rows as a dense table; the others
+/// hold `0.0` and are never read. The mask, the anomalies and the table are
+/// therefore only valid for the observations they were built from.
 #[derive(Debug, Clone, Default)]
 pub struct AnomalyGram {
-    /// `U = X̄ᵇ − mean`, one row per expansion point.
-    anomalies: Matrix,
-    means: Vec<f64>,
+    /// Per expansion point: an observation lies within `(ξ, η)` of it.
+    observed: Vec<bool>,
+    /// Per expansion point: its row of `anomalies` and of the table, or
+    /// [`AnomalyGram::UNREACHED`].
+    rows: Vec<usize>,
+    /// `U = X̄ᵇ − mean`, one row of `nens` per reached expansion point, in
+    /// descending expansion order.
+    anomalies: Vec<f64>,
+    nens: usize,
     /// Slots per table row of one `dy`: `4ξ + 1`.
     band: usize,
     /// `2ξ`, the slot of `dx = 0`.
     centre: usize,
-    /// Slots per expansion point: `(η + 1) · band`.
+    /// Slots per reached point: `(η + 1) · band`.
     stride: usize,
     table: Vec<f64>,
 }
 
 impl AnomalyGram {
+    /// [`AnomalyGram::rows`] of a point no analysed box holds.
+    const UNREACHED: usize = usize::MAX;
+
     /// Anomalies and Gram table of `xb` (`expansion.npoints() × N`, in
-    /// expansion-local row-priority order) for localization `radius`.
-    pub fn build(xb: &Matrix, expansion: &RegionRect, radius: LocalizationRadius) -> Self {
+    /// expansion-local row-priority order) for localization `radius`, on
+    /// the rows the boxes of the points `obs` (localized to `expansion`)
+    /// observe reach.
+    pub fn build(
+        xb: &Matrix,
+        expansion: &RegionRect,
+        obs: &LocalObservations,
+        radius: LocalizationRadius,
+    ) -> Self {
         let mut gram = AnomalyGram::default();
-        gram.rebuild(xb, expansion, radius);
+        gram.rebuild(xb, expansion, obs, radius);
         gram
     }
 
     /// [`AnomalyGram::build`] in place, reusing this table's buffers (a
-    /// caller cycling over same-shaped backgrounds allocates nothing).
-    pub fn rebuild(&mut self, xb: &Matrix, expansion: &RegionRect, radius: LocalizationRadius) {
+    /// caller cycling over same-shaped backgrounds and networks allocates
+    /// nothing).
+    pub fn rebuild(
+        &mut self,
+        xb: &Matrix,
+        expansion: &RegionRect,
+        obs: &LocalObservations,
+        radius: LocalizationRadius,
+    ) {
         assert_eq!(xb.nrows(), expansion.npoints(), "xb rows vs expansion");
-        self.anomalies.copy_from(xb);
-        self.anomalies.row_means_into(&mut self.means);
-        self.anomalies.subtract_row_vector(&self.means);
         let (width, height) = (expansion.width(), expansion.height());
+        self.observed.clear();
+        self.observed.resize(xb.nrows(), false);
+        self.rows.clear();
+        self.rows.resize(xb.nrows(), Self::UNREACHED);
+        // Every expansion point within (`reach_x`, `reach_y`) of an
+        // observation, as one span per mesh row.
+        let near = |reach_x: usize, reach_y: usize| {
+            obs.local_rows.iter().flat_map(move |&a| {
+                let (x, y) = (a % width, a / width);
+                let xs = x.saturating_sub(reach_x)..=(x + reach_x).min(width - 1);
+                let ys = y.saturating_sub(reach_y)..=(y + reach_y).min(height - 1);
+                ys.map(move |y| y * width + xs.start()..=y * width + xs.end())
+            })
+        };
+        for span in near(radius.xi, radius.eta) {
+            self.observed[span].fill(true);
+        }
+        // Reached rows are marked with any value but `UNREACHED` here and
+        // numbered below.
+        for span in near(2 * radius.xi, 2 * radius.eta) {
+            self.rows[span].fill(0);
+        }
+        self.nens = xb.ncols();
         self.centre = 2 * radius.xi;
         self.band = 2 * self.centre + 1;
         self.stride = (radius.eta + 1) * self.band;
+        let (nens, band, centre, stride) = (self.nens, self.band, self.centre, self.stride);
+        let inv = 1.0 / nens as f64;
+        let reached = self.rows.iter().filter(|&&r| r != Self::UNREACHED).count();
+        self.anomalies.clear();
+        self.anomalies.reserve(reached * nens);
         self.table.clear();
-        self.table.resize(xb.nrows() * self.stride, 0.0);
-        let (band, centre) = (self.band, self.centre);
-        for (a, slots) in self.table.chunks_mut(self.stride).enumerate() {
+        self.table.resize(reached * stride, 0.0);
+        // Backwards, so every later point a table row pairs with already
+        // has its anomalies.
+        for a in (0..xb.nrows()).rev() {
+            if self.rows[a] == Self::UNREACHED {
+                continue;
+            }
+            let ra = self.anomalies.len() / nens;
+            self.rows[a] = ra;
+            // The anomalies as `row_means_into` and `subtract_row_vector`
+            // form them.
+            let background = xb.row(a);
+            let mean = background.iter().sum::<f64>() * inv;
+            self.anomalies.extend(background.iter().map(|&v| v - mean));
+            let ua = &self.anomalies[ra * nens..];
+            let slots = &mut self.table[ra * stride..(ra + 1) * stride];
             let (x, y) = (a % width, a / width);
-            let ua = self.anomalies.row(a);
             for dy in 0..=radius.eta.min(height - 1 - y) {
                 // On its own row a point only ever pairs with later ones.
                 let x_lo = if dy == 0 { x } else { x.saturating_sub(centre) };
                 let x_hi = (x + centre).min(width - 1);
                 for bx in x_lo..=x_hi {
-                    let b = (y + dy) * width + bx;
-                    slots[dy * band + centre + bx - x] = dot(ua, self.anomalies.row(b));
+                    let rb = self.rows[(y + dy) * width + bx];
+                    if rb != Self::UNREACHED {
+                        let ub = &self.anomalies[rb * nens..(rb + 1) * nens];
+                        slots[dy * band + centre + bx - x] = dot(ua, ub);
+                    }
                 }
             }
         }
+    }
+
+    /// Whether an observation lies in the box of expansion-local point `a`.
+    fn observed(&self, a: usize) -> bool {
+        self.observed[a]
+    }
+
+    /// Table and anomaly row of expansion-local point `a`, which an
+    /// analysed box holds.
+    fn row_of(&self, a: usize) -> usize {
+        debug_assert_ne!(self.rows[a], Self::UNREACHED, "no analysed box holds {a}");
+        self.rows[a]
     }
 
     /// Position of mesh point `q` in the table's offset arithmetic: the
@@ -516,17 +622,22 @@ impl AnomalyGram {
         (q.iy - expansion.y0) * self.band + (q.ix - expansion.x0)
     }
 
-    /// Expansion-local row `a`'s slots.
-    fn slots(&self, a: usize) -> &[f64] {
-        &self.table[a * self.stride..(a + 1) * self.stride]
+    /// Anomalies of table row `r`.
+    fn anomalies(&self, r: usize) -> &[f64] {
+        &self.anomalies[r * self.nens..(r + 1) * self.nens]
     }
 
-    /// `u_a · u_b` for expansion-local row `a` with key `key_a` and a point
-    /// with key `key_b` that is not before `a` in row-major order and lies
-    /// inside the band.
+    /// Table row `r`'s slots.
+    fn slots(&self, r: usize) -> &[f64] {
+        &self.table[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// `u_a · u_b` for table row `r` of a point with key `key_a` and a
+    /// point with key `key_b` that is not before it in row-major order and
+    /// lies inside the band.
     #[inline]
-    fn entry(&self, a: usize, key_a: usize, key_b: usize) -> f64 {
-        self.table[a * self.stride + self.centre + key_b - key_a]
+    fn entry(&self, r: usize, key_a: usize, key_b: usize) -> f64 {
+        self.table[r * self.stride + self.centre + key_b - key_a]
     }
 }
 
@@ -553,19 +664,19 @@ impl LocalAnalysisWorkspace {
         Self::default()
     }
 
-    /// Copy `p`'s background into row `row` of `out` and localize `p`'s
-    /// box into a slot: the slot, or `None` (the row is final) when the box
-    /// holds no observation.
+    /// Localize `p`'s box, whose analysis goes to output row `row`, into a
+    /// slot: the slot, or `None` (the row keeps its background) when the
+    /// box holds no observation. An unobserved point costs one mask lookup.
     fn localize(
         &mut self,
         la: &LocalAnalysis,
         io: &PointInputs<'_>,
         p: GridPoint,
         row: usize,
-        out: &mut [f64],
     ) -> Option<usize> {
-        let nens = io.xb.ncols();
-        out[row * nens..(row + 1) * nens].copy_from_slice(io.xb.row(io.expansion.local_index(p)));
+        if !io.gram.observed(io.expansion.local_index(p)) {
+            return None;
+        }
         let id = self.free.pop().unwrap_or(self.slots.len());
         if id == self.slots.len() {
             self.slots.push(PointBox::default());
@@ -609,7 +720,7 @@ impl PointBox {
 /// holding the `l`-th point.
 #[derive(Debug, Clone, Default)]
 struct LaneWorkspace<const W: usize> {
-    /// Expansion row of every lane's box points, lane-major.
+    /// [`AnomalyGram`] row of every lane's box points, lane-major.
     rows: Vec<usize>,
     /// Box-relative [`AnomalyGram`] key of each box point.
     keys: Vec<usize>,
@@ -645,7 +756,7 @@ impl<const W: usize> LaneWorkspace<W> {
         let points = ids.iter().flat_map(|&id| slots[id].boxr.iter_points());
         self.rows.clear();
         self.rows
-            .extend(points.map(|q| io.expansion.local_index(q)));
+            .extend(points.map(|q| gram.row_of(io.expansion.local_index(q))));
         self.keys.clear();
         self.keys
             .extend(boxr.iter_points().map(|q| gram.key(&boxr, q)));
@@ -655,10 +766,7 @@ impl<const W: usize> LaneWorkspace<W> {
             self.g.clear();
             for j in 0..nbar {
                 let src: [_; W] = std::array::from_fn(|l| rows[l * nbar + j]);
-                let (u, g) = (
-                    src.map(|r| gram.anomalies.row(r)),
-                    src.map(|r| gram.slots(r)),
-                );
+                let (u, g) = (src.map(|r| gram.anomalies(r)), src.map(|r| gram.slots(r)));
                 self.u.extend((0..nens).map(|s| u.map(|r| r[s])));
                 self.g.extend((0..gram.stride).map(|k| g.map(|r| r[k])));
             }
@@ -667,7 +775,7 @@ impl<const W: usize> LaneWorkspace<W> {
         // At width 1 the lane is the shared anomaly row or table slot.
         let row = |j: usize| -> &[[f64; W]] {
             match W {
-                1 => gram.anomalies.row(rows[j]).as_chunks().0,
+                1 => gram.anomalies(rows[j]).as_chunks().0,
                 _ => &u[j * nens..(j + 1) * nens],
             }
         };
@@ -707,7 +815,7 @@ impl<const W: usize> LaneWorkspace<W> {
             let out_row = &mut out[b.row * nens..(b.row + 1) * nens];
             for (r, &brow) in b.obs.local_rows.iter().enumerate() {
                 let c = w[brow][l] / b.obs.error_var[r];
-                let background = io.xb.row(rows[l * nbar + brow]);
+                let background = io.xb.row(io.expansion.local_index(b.boxr.point_at(brow)));
                 let perturbed = b.obs.perturbed.row(r);
                 for ((o, &y), &x) in out_row.iter_mut().zip(perturbed).zip(background) {
                     *o += c * (y - x);
@@ -817,40 +925,71 @@ mod tests {
         let radius = LocalizationRadius { xi: 2, eta: 1 };
         let expansion = RegionRect::new(0, 8, 2, 7);
         let xb = random_xb(expansion.npoints(), 11, 29);
-        let gram = AnomalyGram::build(&xb, &expansion, radius);
         let mut u = xb.clone();
         let means = u.row_means();
         u.subtract_row_vector(&means);
-        assert_eq!(gram.anomalies, u);
         // XᵀX of the design matrix whose columns are *all* the expansion's
         // anomaly rows: entry (a, b) is the inner product a regression
         // with both as predictors would have formed.
         let x = u.transpose();
         let xtx = x.tr_matmul(&x).unwrap();
-        let mut checked = 0;
-        for p in expansion.iter_points() {
-            let boxr = RegionRect::new(p.ix, p.ix + 1, p.iy, p.iy + 1)
-                .expand(radius, mesh)
-                .intersect(&expansion);
-            let i = expansion.local_index(p);
-            // Every pair the regressions of `p` can ask for: two of its
-            // predecessors, or a predecessor and `p` itself.
-            let mut preds: Vec<GridPoint> = boxr
-                .iter_points()
-                .filter(|q| q.iy <= p.iy && expansion.local_index(*q) <= i)
-                .collect();
-            preds.sort_by_key(|q| expansion.local_index(*q));
-            for (k, qa) in preds.iter().enumerate() {
-                for qb in &preds[k..] {
-                    let (a, b) = (expansion.local_index(*qa), expansion.local_index(*qb));
-                    let got = gram.entry(a, gram.key(&expansion, *qa), gram.key(&expansion, *qb));
-                    assert_eq!(got.to_bits(), xtx[(a, b)].to_bits(), "pair {qa:?} {qb:?}");
-                    assert_eq!(got.to_bits(), xtx[(b, a)].to_bits());
-                    checked += 1;
+        // Every point observed, then a sparse network — a mesh corner
+        // outside the expansion, one at its bottom-left corner and one
+        // point inside — whose table holds the rows its boxes reach only.
+        let sparse = [(8, 0), (0, 6), (5, 3)].map(|(ix, iy)| GridPoint { ix, iy });
+        let networks = [
+            (ObservationNetwork::uniform(mesh, 1), 500),
+            (ObservationNetwork::from_points(mesh, sparse.to_vec()), 40),
+        ];
+        let mut gram = AnomalyGram::default();
+        for (network, at_least) in networks {
+            let op = crate::ObservationOperator::new(network);
+            let m = op.len();
+            let observations = crate::Observations::new(
+                op,
+                vec![0.5; m],
+                vec![0.1; m],
+                crate::PerturbedObservations::new(3, 11),
+            );
+            let obs = observations.localize(&expansion);
+            // The dense table's buffers are reused for the sparse one.
+            gram.rebuild(&xb, &expansion, &obs, radius);
+            let mut checked = 0;
+            for p in expansion.iter_points() {
+                let i = expansion.local_index(p);
+                if !gram.observed(i) {
+                    continue;
+                }
+                let boxr = RegionRect::new(p.ix, p.ix + 1, p.iy, p.iy + 1)
+                    .expand(radius, mesh)
+                    .intersect(&expansion);
+                for q in boxr.iter_points() {
+                    let a = expansion.local_index(q);
+                    let row = gram.anomalies(gram.row_of(a));
+                    assert_eq!(bits(row), bits(u.row(a)), "anomalies of {q:?}");
+                }
+                // Every pair the regressions of `p` can ask for: two of its
+                // predecessors, or a predecessor and `p` itself.
+                let mut preds: Vec<GridPoint> = boxr
+                    .iter_points()
+                    .filter(|q| q.iy <= p.iy && expansion.local_index(*q) <= i)
+                    .collect();
+                preds.sort_by_key(|q| expansion.local_index(*q));
+                for (k, qa) in preds.iter().enumerate() {
+                    for qb in &preds[k..] {
+                        let (a, b) = (expansion.local_index(*qa), expansion.local_index(*qb));
+                        let (key_a, key_b) = (gram.key(&expansion, *qa), gram.key(&expansion, *qb));
+                        let got = gram.entry(gram.row_of(a), key_a, key_b);
+                        assert_eq!(got.to_bits(), xtx[(a, b)].to_bits(), "pair {qa:?} {qb:?}");
+                        assert_eq!(got.to_bits(), xtx[(b, a)].to_bits());
+                        checked += 1;
+                    }
                 }
             }
+            assert!(checked > at_least, "{checked} pairs checked");
         }
-        assert!(checked > 500);
+        // The sparse network reaches less than the whole expansion.
+        assert!(gram.anomalies.len() < expansion.npoints() * 11);
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -890,7 +1029,7 @@ mod tests {
                 }
                 let la = LocalAnalysis::new(LocalizationRadius { xi, eta });
                 let index = LocalObsIndex::build(&obs, &full, xi.max(eta));
-                let gram = AnomalyGram::build(&xb, &full, la.radius);
+                let gram = AnomalyGram::build(&xb, &full, &obs, la.radius);
                 let io = PointInputs {
                     mesh,
                     expansion: &full,
@@ -900,10 +1039,10 @@ mod tests {
                     gram: &gram,
                 };
                 let mut ws = LocalAnalysisWorkspace::new();
-                let mut base = vec![0.0; full.npoints() * nens];
+                let base = xb.as_slice().to_vec();
                 let mut by_shape: Vec<(BoxShape, Vec<usize>)> = Vec::new();
                 for row in 0..full.npoints() {
-                    if let Some(id) = ws.localize(&la, &io, full.point_at(row), row, &mut base) {
+                    if let Some(id) = ws.localize(&la, &io, full.point_at(row), row) {
                         let shape = ws.slots[id].shape();
                         match by_shape.iter_mut().find(|(s, _)| *s == shape) {
                             Some((_, ids)) => ids.push(id),
@@ -959,7 +1098,7 @@ mod tests {
             for q in [GridPoint { ix: 7, iy: 5 }, GridPoint { ix: 0, iy: 11 }] {
                 let mut xb = random_xb(full.npoints(), nens, 5);
                 xb[(full.local_index(q), 3)] = bad;
-                let gram = AnomalyGram::build(&xb, &full, radius);
+                let gram = AnomalyGram::build(&xb, &full, &obs, radius);
                 let io = PointInputs {
                     mesh,
                     expansion: &full,
@@ -997,6 +1136,20 @@ mod tests {
         let la = LocalAnalysis::new(radius);
         let xa = la.analyze(mesh, &target, &expansion, &xb, &empty).unwrap();
         assert_eq!(xa, xb.select_rows(&expansion.local_indices_of(&target)));
+    }
+
+    #[test]
+    fn an_empty_target_has_an_empty_analysis() {
+        let mesh = Mesh::new(8, 6);
+        let full = RegionRect::full(mesh);
+        let xb = random_xb(full.npoints(), 4, 7);
+        let obs = make_obs(mesh, 2, &full, 3, 4);
+        let la = LocalAnalysis::new(LocalizationRadius { xi: 1, eta: 1 });
+        // Zero columns at the mesh's right edge, and zero rows.
+        for target in [RegionRect::new(8, 8, 0, 4), RegionRect::new(2, 5, 3, 3)] {
+            let xa = la.analyze(mesh, &target, &full, &xb, &obs).unwrap();
+            assert_eq!(xa.shape(), (0, 4), "{target:?}");
+        }
     }
 
     #[test]

@@ -64,11 +64,22 @@ const RADIUS: LocalizationRadius = LocalizationRadius { xi: 2, eta: 2 };
 /// A 12×12 mesh, its background and a stride-3 network localized to it.
 fn problem() -> (Mesh, Matrix, LocalObservations, LocalObsIndex) {
     let mesh = Mesh::new(12, 12);
+    let (states, obs, index) = network_problem(mesh, 3, RADIUS);
+    (mesh, states, obs, index)
+}
+
+/// `mesh`'s background and a network of `stride` localized to it, indexed
+/// for `radius`.
+fn network_problem(
+    mesh: Mesh,
+    stride: usize,
+    radius: LocalizationRadius,
+) -> (Matrix, LocalObservations, LocalObsIndex) {
     let states = Matrix::from_fn(mesh.n(), NENS, |i, k| {
         let p = mesh.point(i);
         (p.ix as f64 * 0.4).sin() + (p.iy as f64 * 0.3).cos() + 0.01 * k as f64
     });
-    let net = ObservationNetwork::uniform(mesh, 3);
+    let net = ObservationNetwork::uniform(mesh, stride);
     let op = ObservationOperator::new(net);
     let m = op.len();
     let values: Vec<f64> = (0..m).map(|k| (k as f64 * 0.23).cos()).collect();
@@ -80,9 +91,9 @@ fn problem() -> (Mesh, Matrix, LocalObservations, LocalObsIndex) {
     );
     let full = RegionRect::full(mesh);
     let obs = observations.localize(&full);
-    let cell = RADIUS.xi.max(RADIUS.eta).max(1);
+    let cell = radius.xi.max(radius.eta).max(1);
     let index = LocalObsIndex::build(&obs, &full, cell);
-    (mesh, states, obs, index)
+    (states, obs, index)
 }
 
 /// Two passes of `point` over every grid point: the first warms the
@@ -113,7 +124,7 @@ fn local_analysis_point_loop_is_allocation_free_at_steady_state() {
     let full = RegionRect::full(mesh);
     let analysis = LocalAnalysis::new(RADIUS);
     // Shared by every point of an `analyze` call, so built outside the loop.
-    let gram = AnomalyGram::build(&states, &full, RADIUS);
+    let gram = AnomalyGram::build(&states, &full, &obs, RADIUS);
     let mut ws = LocalAnalysisWorkspace::new();
     let mut out_row = vec![0.0; NENS];
     let io = PointInputs {
@@ -135,12 +146,62 @@ fn local_analysis_point_loop_is_allocation_free_at_steady_state() {
     assert!(moved, "the network must reach the analysis");
 }
 
+/// An `io_bound`-like sub-domain: a stride-16 network at radius 1, so most
+/// boxes hold no observation. Rebuilding the table in place for the next
+/// background, then running the point loop, allocates nothing once warm.
+#[test]
+fn sparse_network_rebuild_and_point_loop_are_allocation_free_at_steady_state() {
+    let mesh = Mesh::new(48, 40);
+    let radius = LocalizationRadius { xi: 1, eta: 1 };
+    let (states, obs, index) = network_problem(mesh, 16, radius);
+    let full = RegionRect::full(mesh);
+    let analysis = LocalAnalysis::new(radius);
+    let mut gram = AnomalyGram::default();
+    let mut ws = LocalAnalysisWorkspace::new();
+    let mut out_row = vec![0.0; NENS];
+    let points: Vec<GridPoint> = full.iter_points().collect();
+    let mut pass = || {
+        gram.rebuild(&states, &full, &obs, radius);
+        let io = PointInputs {
+            mesh,
+            expansion: &full,
+            xb: &states,
+            obs: &obs,
+            index: &index,
+            gram: &gram,
+        };
+        let (mut sum, mut moved) = (0.0, 0);
+        for &p in &points {
+            analysis
+                .analyze_points_into(&io, &[p], &mut ws, &mut out_row)
+                .unwrap();
+            moved += usize::from(out_row != states.row(full.local_index(p)));
+            sum += out_row[0];
+        }
+        (sum, moved)
+    };
+    let (warm, moved) = pass();
+    // Observations on columns and rows 0, 16, 32: the points within one of
+    // them, (2 + 3 + 3)² of the 1,920, move.
+    assert_eq!(moved, 64, "the network must reach the analysis");
+    let before = allocations();
+    let (steady, _) = pass();
+    let after = allocations();
+    assert_eq!(steady.to_bits(), warm.to_bits(), "passes are deterministic");
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state sparse rebuild and point loop allocated {} times",
+        after - before
+    );
+}
+
 #[test]
 fn lane_group_entry_is_allocation_free_at_steady_state() {
     let (mesh, states, obs, index) = problem();
     let full = RegionRect::full(mesh);
     let analysis = LocalAnalysis::new(RADIUS);
-    let gram = AnomalyGram::build(&states, &full, RADIUS);
+    let gram = AnomalyGram::build(&states, &full, &obs, RADIUS);
     // Every group of `LANES` points whose clipped boxes share a shape (box
     // extent and the point's place in it), as the analysis queues them.
     let mut by_shape: Vec<((usize, usize, usize), Vec<GridPoint>)> = Vec::new();

@@ -652,3 +652,87 @@ fn letkf_without_observations_is_identity() {
     let out = letkf(&ensemble, &obs, radius);
     assert_eq!(out.states(), ensemble.states());
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The analysis of a region skips its unobserved points and tabulates
+    /// only the rows the observed points' boxes reach; every row must still
+    /// equal, to the bit, the analysis of that point alone over its own box,
+    /// whose expansion is the box and so is tabulated in full. Networks: none,
+    /// one observation at a mesh corner, observations on the expansion's
+    /// edge, and a lattice of stride 1–16 at a random offset.
+    #[test]
+    fn region_analysis_equals_each_points_own_box_analysis(
+        (nx, ny) in (4usize..=21, 3usize..=14),
+        (xi, eta) in (0usize..=3, 0usize..=3),
+        nens in proptest::sample::select(vec![2usize, 3, 32]),
+        corner in 0usize..4,
+        (stride, offset) in (1usize..=16, (0usize..16, 0usize..16)),
+        rect in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
+        seed in any::<u64>(),
+    ) {
+        let mesh = Mesh::new(nx, ny);
+        let full = RegionRect::full(mesh);
+        let radius = LocalizationRadius { xi, eta };
+        let la = LocalAnalysis::new(radius);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gs = GaussianSampler::new();
+        let states = Matrix::from_fn(mesh.n(), nens, |i, _| {
+            1.5 + (mesh.point(i).ix as f64 * 0.5).sin() + 0.5 * gs.sample(&mut rng)
+        });
+        let x0 = rect.0 % nx;
+        let x1 = x0 + 1 + rect.1 % (nx - x0);
+        let y0 = rect.2 % ny;
+        let y1 = y0 + 1 + rect.3 % (ny - y0);
+        let target = RegionRect::new(x0, x1, y0, y1);
+        let expansion = target.expand(radius, mesh);
+        let on_edge = |p: &GridPoint| {
+            (p.ix == expansion.x0 || p.ix + 1 == expansion.x1)
+                || (p.iy == expansion.y0 || p.iy + 1 == expansion.y1)
+        };
+        let lattice = |p: &GridPoint| {
+            let on = |i: usize, o: usize| i >= o && (i - o).is_multiple_of(stride);
+            on(p.ix, offset.0 % nx) && on(p.iy, offset.1 % ny)
+        };
+        let corner = GridPoint {
+            ix: if corner % 2 == 0 { 0 } else { nx - 1 },
+            iy: if corner / 2 == 0 { 0 } else { ny - 1 },
+        };
+        let networks: [Vec<GridPoint>; 4] = [
+            vec![],
+            vec![corner],
+            expansion.iter_points().filter(on_edge).step_by(3).collect(),
+            mesh.iter_points().filter(lattice).collect(),
+        ];
+        for (kind, points) in networks.into_iter().enumerate() {
+            let op = ObservationOperator::new(ObservationNetwork::from_points(mesh, points));
+            let m = op.len();
+            let values: Vec<f64> = (0..m).map(|k| (k as f64 * 0.23).cos()).collect();
+            let observations = Observations::new(
+                op,
+                values,
+                vec![0.1; m],
+                PerturbedObservations::new(seed ^ 0xBEEF, nens),
+            );
+            for target in [target, full] {
+                let expansion = target.expand(radius, mesh);
+                let xb = states.select_rows(&full.local_indices_of(&expansion));
+                let obs = observations.localize(&expansion);
+                let xa = la.analyze(mesh, &target, &expansion, &xb, &obs).unwrap();
+                for (i, p) in target.iter_points().enumerate() {
+                    let own = RegionRect::new(p.ix, p.ix + 1, p.iy, p.iy + 1);
+                    let boxr = own.expand(radius, mesh);
+                    let xb_box = states.select_rows(&full.local_indices_of(&boxr));
+                    let obs_box = observations.localize(&boxr);
+                    let want = la.analyze(mesh, &own, &boxr, &xb_box, &obs_box).unwrap();
+                    prop_assert_eq!(
+                        bits(xa.row(i)),
+                        bits(want.row(0)),
+                        "network {} point {:?} of {:?}", kind, p, target
+                    );
+                }
+            }
+        }
+    }
+}

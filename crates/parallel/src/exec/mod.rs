@@ -74,7 +74,7 @@ pub(crate) mod setup;
 pub(crate) mod writeback;
 
 use crate::campaign::CampaignExecutor;
-use crate::program::{check, CycleOp, Emitter, Geometry};
+use crate::program::{check, CycleOp, Emitter, Geometry, ObservedPoints};
 use crate::report::ExecutionReport;
 use enkf_core::{BatchedKernel, EnkfError, Ensemble, Result};
 use enkf_fault::{FaultConfig, FaultInjector, SubstrateError};
@@ -267,7 +267,9 @@ impl<'a> Cycle<'a> {
             radius: setup.analysis.radius,
             dropped: &dropped,
             view: monitor.map(|mon| mon.view()),
-            network: Some(setup.observations.operator().network()),
+            network: Some(ObservedPoints::Listed(
+                setup.observations.operator().network(),
+            )),
         };
         let mut stream = Vec::new();
         program

@@ -7,10 +7,10 @@ pub(crate) mod penkf;
 pub(crate) mod senkf;
 
 use crate::exec::{compute_dilation, resolve_dropout};
-use crate::program::{CycleOp, Emitter, Geometry, ModelVariant};
+use crate::program::{CycleOp, Emitter, Geometry, ModelVariant, ObservedPoints};
 use crate::report::PhaseBreakdown;
 use enkf_fault::{FaultConfig, FaultInjector};
-use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork};
+use enkf_grid::{FileLayout, LocalizationRadius, Mesh};
 use enkf_health::HealthMonitor;
 use enkf_net::{ModeledNet, NetParams};
 use enkf_pfs::{ModeledPfs, PfsParams};
@@ -186,10 +186,10 @@ fn price_variant<T>(
         }
     }
     // Only D-EnKF's exchanged blocks are sized by the observation network
-    // (`ScenarioBuilder`'s uniform one).
+    // (`ScenarioBuilder`'s uniform one), counted without building it.
     let network = matches!(variant, ModelVariant::DEnkf { .. })
-        .then(|| ObservationNetwork::uniform(mesh, cfg.obs_stride));
-    price_cycle(cfg, variant, network.as_ref(), opts, fcfg, monitor, tail)
+        .then_some(ObservedPoints::Uniform(cfg.obs_stride));
+    price_cycle(cfg, variant, network, opts, fcfg, monitor, tail)
 }
 
 /// The DES interpreter of a cycle program — the only code that adds cycle
@@ -226,7 +226,7 @@ fn price_variant<T>(
 pub(crate) fn price_cycle<T>(
     cfg: &ModelConfig,
     program: &impl Emitter,
-    network: Option<&ObservationNetwork>,
+    network: Option<ObservedPoints<'_>>,
     opts: SEnkfModelOptions,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,
@@ -254,7 +254,7 @@ fn price_in<T>(
     arena: &mut Arena,
     cfg: &ModelConfig,
     program: &impl Emitter,
-    network: Option<&ObservationNetwork>,
+    network: Option<ObservedPoints<'_>>,
     opts: SEnkfModelOptions,
     fcfg: &FaultConfig,
     monitor: Option<&HealthMonitor>,

@@ -219,7 +219,46 @@ pub struct Geometry<'a> {
     pub view: Option<&'a RouteView>,
     /// The observation network; sizes D-EnKF's exchanged blocks. The other
     /// variants ignore it.
-    pub network: Option<&'a ObservationNetwork>,
+    pub network: Option<ObservedPoints<'a>>,
+}
+
+/// Where the observation network's points lie, as D-EnKF's emission counts
+/// them: listed, or on a uniform lattice that is never listed.
+#[derive(Debug, Clone, Copy)]
+pub enum ObservedPoints<'a> {
+    /// A network's points (the real executors pass their scenario's).
+    Listed(&'a ObservationNetwork),
+    /// [`ObservationNetwork::uniform`] of this stride, counted without
+    /// building it (the pricer's).
+    Uniform(usize),
+}
+
+impl ObservedPoints<'_> {
+    /// The observed points each sub-domain of `decomp` holds, by rank: one
+    /// pass over a listed network, O(1) per sub-domain of a lattice.
+    fn per_subdomain(&self, decomp: &Decomposition) -> Vec<usize> {
+        match *self {
+            ObservedPoints::Listed(network) => {
+                let mut counts = vec![0; decomp.num_subdomains()];
+                for &p in network.points() {
+                    if decomp.mesh().contains(p) {
+                        counts[decomp.rank_of(decomp.owner_of(p))] += 1;
+                    }
+                }
+                counts
+            }
+            ObservedPoints::Uniform(stride) => {
+                // Multiples of `stride` in `lo..hi`: those below `hi` minus
+                // those below `lo`.
+                let axis = |lo: usize, hi: usize| hi.div_ceil(stride) - lo.div_ceil(stride);
+                let in_rect = |r: RegionRect| axis(r.x0, r.x1) * axis(r.y0, r.y1);
+                decomp
+                    .iter_ids()
+                    .map(|id| in_rect(decomp.subdomain(id)))
+                    .collect()
+            }
+        }
+    }
 }
 
 impl Geometry<'_> {
@@ -611,13 +650,7 @@ fn emit_denkf(
         .network
         .ok_or("the D-EnKF program needs the observation network")?;
     let shards = decomp.num_subdomains();
-    // Each shard's observed rows, counted in one pass over the network.
-    let mut obs_rows = vec![0usize; shards];
-    for &p in network.points() {
-        if decomp.mesh().contains(p) {
-            obs_rows[decomp.rank_of(decomp.owner_of(p))] += 1;
-        }
-    }
+    let obs_rows = network.per_subdomain(decomp);
     let m_total: usize = obs_rows.iter().sum();
     let alive = geo.alive_in(0..geo.members);
     let order = geo.member_order(0..geo.members);
@@ -668,6 +701,25 @@ fn emit_denkf(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A uniform network's per-sub-domain counts are those of a scan
+        /// over its listed points, on any mesh, stride and decomposition:
+        /// the sub-domains start at every residue of the stride.
+        #[test]
+        fn uniform_counts_equal_the_scan_of_its_points(
+            (nsdx, nsdy) in (1usize..=5, 1usize..=6),
+            (cx, cy) in (1usize..=9, 1usize..=9),
+            stride in 1usize..=12,
+        ) {
+            let mesh = Mesh::new(nsdx * cx, nsdy * cy);
+            let network = ObservationNetwork::uniform(mesh, stride);
+            let decomp = Decomposition::new(mesh, nsdx, nsdy).unwrap();
+            let scan = ObservedPoints::Listed(&network).per_subdomain(&decomp);
+            prop_assert_eq!(ObservedPoints::Uniform(stride).per_subdomain(&decomp), scan);
+        }
+    }
 
     /// Each rule of [`check`], broken once by mutating a well-formed
     /// program, is refused with its own error.
@@ -681,7 +733,7 @@ mod tests {
             radius: LocalizationRadius { xi: 1, eta: 1 },
             dropped: &[],
             view: None,
-            network: Some(&network),
+            network: Some(ObservedPoints::Listed(&network)),
         };
         let emit = |variant: ModelVariant| {
             let mut ops = Vec::new();

@@ -10,7 +10,7 @@ use enkf_data::{write_ensemble, ScenarioBuilder};
 use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy};
 use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork};
 use enkf_health::{HealthMonitor, HealthParams, RouteView};
-use enkf_parallel::program::check;
+use enkf_parallel::program::{check, ObservedPoints};
 use enkf_parallel::{
     model_cycle, run_cycle, AssimilationSetup, CampaignExecutor, CycleOp, Emitter, Geometry,
     ModelConfig, ModelVariant,
@@ -307,7 +307,7 @@ proptest! {
             radius: case.radius,
             dropped: &dropped,
             view: Some(&view),
-            network: Some(&network),
+            network: Some(ObservedPoints::Listed(&network)),
         };
         for variant in case.variants() {
             let (compute, io) = variant.rank_counts();
@@ -342,7 +342,7 @@ proptest! {
             radius: case.radius,
             dropped: &[],
             view: None,
-            network: Some(scenario.observations.operator().network()),
+            network: Some(ObservedPoints::Listed(scenario.observations.operator().network())),
         };
         let none = FaultConfig::none();
         for exec in case.executors(BatchedKernel::Cholesky) {

@@ -49,9 +49,11 @@ cargo test -q --locked --workspace
 echo "==> allocation regression: steady-state data plane (full-level reads, and the"
 echo "    executors' surface reads from a freshly spawned thread through the store's"
 echo "    pooled bounce buffer) and both local-analysis point kernels are alloc-free,"
-echo "    untraced modelled cycles allocate nothing per task (release)"
+echo "    untraced modelled cycles allocate nothing per task (release); enkf-core's"
+echo "    whole suite runs in release, the build the benchmark runs: the allocation"
+echo "    pins, the lane and sparse-path bit-identity oracles"
 cargo test -q --release --test dataplane_alloc_free
-cargo test -q --release -p enkf-core --test alloc_free
+cargo test -q --release -p enkf-core
 cargo test -q --release --test model_alloc
 
 echo "==> the file store in release, the build the benchmark runs: surface and"

@@ -198,7 +198,7 @@ fn analyze_bars(
         // What `LocalAnalysis::analyze` does per call, minus its output
         // matrix.
         rank.gram
-            .rebuild(&rank.xb, &rank.expansion, analysis.radius);
+            .rebuild(&rank.xb, &rank.expansion, &rank.obs, analysis.radius);
         for p in rank.target.iter_points() {
             let io = PointInputs {
                 mesh,
