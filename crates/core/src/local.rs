@@ -5,8 +5,6 @@ use enkf_grid::{GridPoint, LocalizationRadius, Mesh, RegionRect};
 use enkf_linalg::kernel::gemm::dot;
 use enkf_linalg::kernel::lanes::{check_pivots, factor_lanes, solve_lanes, tri, LaneOps};
 use enkf_linalg::{Matrix, ModCholWorkspace, ModifiedCholesky};
-use rayon::prelude::*;
-use std::sync::{Mutex, PoisonError};
 
 /// Observations restricted to an expansion region: the local pieces
 /// `H_{[i,j]}`, `Yˢ_{[i,j]}`, `R_{[i,j]}` of Eq. 6. Built by
@@ -236,8 +234,12 @@ impl LocalAnalysis {
     /// holds no observation keeps its background row (`Xᵃ = Xᵇ` there) and
     /// builds no box. The anomalies and banded Gram table ([`AnomalyGram`])
     /// of the rows the analysed boxes read are computed once, from these
-    /// same `obs`, and shared read-only by the workers; each worker owns
-    /// one [`LocalAnalysisWorkspace`] and reuses it across all its points.
+    /// same `obs`, and one [`LocalAnalysisWorkspace`] serves every point.
+    /// The call runs on its caller's thread: a rank is the unit of
+    /// parallelism.
+    ///
+    /// An ensemble of fewer than 2 members (`xb` with 0 or 1 columns) is a
+    /// typed [`EnkfError::Linalg`] error once any target point is observed.
     pub fn analyze(
         &self,
         mesh: Mesh,
@@ -292,11 +294,9 @@ impl LocalAnalysis {
             index: &index,
             gram: &gram,
         };
-        par_point_chunks(&mut out, LocalAnalysisWorkspace::new, |first, chunk, ws| {
-            let rows = chunk.len() / xb.ncols();
-            self.analyze_rows(&io, rows, |row| target.point_at(first + row), ws, chunk)
-                .map_err(|(row, e)| (first + row, e))
-        })?;
+        let ws = &mut LocalAnalysisWorkspace::new();
+        let point_at = |row| target.point_at(row);
+        self.analyze_rows(&io, target.npoints(), point_at, ws, out.as_mut_slice())?;
         Ok(out)
     }
 
@@ -329,16 +329,16 @@ impl LocalAnalysis {
         out: &mut [f64],
     ) -> Result<()> {
         let nens = io.xb.ncols();
-        for (row, &p) in out.chunks_exact_mut(nens).zip(points) {
-            row.copy_from_slice(io.xb.row(io.expansion.local_index(p)));
+        for (row, &p) in points.iter().enumerate() {
+            let background = io.xb.row(io.expansion.local_index(p));
+            out[row * nens..(row + 1) * nens].copy_from_slice(background);
         }
         self.analyze_rows(io, points.len(), |row| points[row], ws, out)
-            .map_err(|(_, e)| e)
     }
 
     /// [`LocalAnalysis::analyze_points_into`] over `rows` points whose rows
-    /// of `out` hold their backgrounds: a failure is `(row, error)` of the
-    /// lowest failing row.
+    /// of `out` hold their backgrounds: a failure is the lowest failing
+    /// row's error.
     fn analyze_rows(
         &self,
         io: &PointInputs<'_>,
@@ -346,7 +346,7 @@ impl LocalAnalysis {
         point_at: impl Fn(usize) -> GridPoint,
         ws: &mut LocalAnalysisWorkspace,
         out: &mut [f64],
-    ) -> RowResult {
+    ) -> Result<()> {
         let mut first_err = None;
         for row in 0..rows {
             let Some(id) = ws.localize(self, io, point_at(row), row) else {
@@ -369,7 +369,7 @@ impl LocalAnalysis {
                 keep_first(&mut first_err, self.run_lanes(io, &[id], ws, out));
             }
         }
-        first_err.map_or(Ok(()), Err)
+        first_err.map_or(Ok(()), |(_, e)| Err(e))
     }
 
     /// One lane pass over the queued points `ids` (one, or
@@ -420,39 +420,6 @@ pub struct PointInputs<'a> {
 /// A point loop's outcome: a failure is `(row, error)`.
 type RowResult = std::result::Result<(), (usize, EnkfError)>;
 
-/// Run `f(first row, rows, workspace)` over `out`'s rows split into one
-/// contiguous chunk per rayon worker, each worker creating a single
-/// workspace for its whole chunk. The error of the lowest failing row is
-/// returned.
-fn par_point_chunks<W>(
-    out: &mut Matrix,
-    new_workspace: impl Fn() -> W + Sync,
-    f: impl Fn(usize, &mut [f64], &mut W) -> RowResult + Sync,
-) -> Result<()> {
-    let nens = out.ncols();
-    if out.nrows() == 0 || nens == 0 {
-        return Ok(());
-    }
-    let chunk_rows = out.nrows().div_ceil(rayon::current_num_threads()).max(1);
-    // The slot is a plain `Option`, valid whatever a panicking holder did,
-    // so a poisoned lock is still good to use.
-    let first_err = Mutex::new(None);
-    out.as_mut_slice()
-        .par_chunks_mut(chunk_rows * nens)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let r = f(ci * chunk_rows, chunk, &mut new_workspace());
-            keep_first(
-                &mut first_err.lock().unwrap_or_else(PoisonError::into_inner),
-                r,
-            );
-        });
-    let first_err = first_err
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    first_err.map_or(Ok(()), |(_, e)| Err(e))
-}
-
 /// Keep in `slot` the failure of the lowest row.
 fn keep_first(slot: &mut Option<(usize, EnkfError)>, r: RowResult) {
     if let Err(e) = r {
@@ -464,7 +431,7 @@ fn keep_first(slot: &mut Option<(usize, EnkfError)>, r: RowResult) {
 
 /// The anomalies of an expansion's background and the banded table of
 /// their inner products, computed once per point-wise
-/// [`LocalAnalysis::analyze`] call and shared read-only by its workers.
+/// [`LocalAnalysis::analyze`] call and read by every point it analyses.
 ///
 /// Every entry of every modified-Cholesky regression's normal equations is
 /// an inner product `uₐ · u_b` of two anomaly rows, and a row's anomalies
@@ -569,6 +536,7 @@ impl AnomalyGram {
         let (nens, band, centre, stride) = (self.nens, self.band, self.centre, self.stride);
         let inv = 1.0 / nens as f64;
         let reached = self.rows.iter().filter(|&&r| r != Self::UNREACHED).count();
+        let mut next = 0;
         self.anomalies.clear();
         self.anomalies.reserve(reached * nens);
         self.table.clear();
@@ -579,7 +547,9 @@ impl AnomalyGram {
             if self.rows[a] == Self::UNREACHED {
                 continue;
             }
-            let ra = self.anomalies.len() / nens;
+            // Counted, not read off `anomalies`, which is empty when N = 0.
+            let ra = next;
+            next += 1;
             self.rows[a] = ra;
             // The anomalies as `row_means_into` and `subtract_row_vector`
             // form them.
@@ -641,10 +611,11 @@ impl AnomalyGram {
     }
 }
 
-/// Per-thread scratch buffers for the point-wise local analysis.
+/// Scratch buffers for the point-wise local analysis.
 ///
-/// One instance per worker, reused across every grid point the worker
-/// analyzes; once the buffers have grown to the largest box, the point
+/// One instance per [`LocalAnalysis::analyze`] call (or per caller of
+/// [`LocalAnalysis::analyze_points_into`]), reused across every grid point
+/// it analyzes; once the buffers have grown to the largest box, the point
 /// kernels perform no heap allocation (`tests/alloc_free.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct LocalAnalysisWorkspace {
@@ -789,7 +760,7 @@ impl<const W: usize> LaneWorkspace<W> {
         for v in (0..nbar).flat_map(row) {
             sum_sq = sum_sq.add(v.mul(*v));
         }
-        let denom = (nens - 1).max(1) as f64;
+        let denom = nens.saturating_sub(1).max(1) as f64;
         let mean_var = sum_sq.div([denom * nbar as f64; W]);
         let lambda = [la.ridge; W].mul(mean_var);
         let lambda = lambda.max([f64::MIN_POSITIVE; W]);
@@ -1149,6 +1120,48 @@ mod tests {
         for target in [RegionRect::new(8, 8, 0, 4), RegionRect::new(2, 5, 3, 3)] {
             let xa = la.analyze(mesh, &target, &full, &xb, &obs).unwrap();
             assert_eq!(xa.shape(), (0, 4), "{target:?}");
+        }
+    }
+
+    #[test]
+    fn too_few_members_is_a_typed_error() {
+        let mesh = Mesh::new(8, 6);
+        let full = RegionRect::full(mesh);
+        let la = LocalAnalysis::new(LocalizationRadius { xi: 1, eta: 1 });
+        for nens in [0, 1] {
+            let xb = random_xb(full.npoints(), nens, 7);
+            let obs = make_obs(mesh, 2, &full, 3, nens);
+            let gram = AnomalyGram::build(&xb, &full, &obs, la.radius);
+            assert!(gram.anomalies.is_empty() == (nens == 0), "N = {nens}");
+            let err = la.analyze(mesh, &full, &full, &xb, &obs).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EnkfError::Linalg(enkf_linalg::LinalgError::DimMismatch { .. })
+                ),
+                "N = {nens}: {err:?}"
+            );
+            // No observation in reach: every row keeps its (empty) background.
+            let xa = la.analyze(mesh, &full, &full, &xb, &LocalObservations::default());
+            assert_eq!(xa.unwrap().shape(), (full.npoints(), nens), "N = {nens}");
+            // The per-point entry fails the same way.
+            let index = LocalObsIndex::build(&obs, &full, 1);
+            let io = PointInputs {
+                mesh,
+                expansion: &full,
+                xb: &xb,
+                obs: &obs,
+                index: &index,
+                gram: &gram,
+            };
+            let p = GridPoint { ix: 2, iy: 2 };
+            let mut ws = LocalAnalysisWorkspace::new();
+            let mut row = vec![0.0; nens];
+            let err = la.analyze_points_into(&io, &[p], &mut ws, &mut row);
+            assert!(
+                matches!(err, Err(EnkfError::Linalg(_))),
+                "N = {nens}: {err:?}"
+            );
         }
     }
 

@@ -31,14 +31,13 @@
 //!   folded from `0.0` in ascending `l`, added to the output in ascending
 //!   chunk order.
 //!
-//! Splitting only `m`/`n` hands every recursion leaf a **disjoint** region
-//! of `C`, so `rayon::join` parallelism (taken when the subproblem carries
-//! at least `super::tiles::PAR_FLOPS` flops and more than one worker exists)
-//! cannot reorder any element's accumulation: results are bit-identical
-//! across thread counts, including fully serial.
+//! The recursion runs on its caller's thread and never forks: the rank is
+//! the unit of parallelism. Splitting only `m`/`n` leaves each output
+//! element's accumulation inside one leaf, so the split points cannot
+//! change any bit.
 
 use super::lanes::lane_entry;
-use super::tiles::{BASE, MATVEC_MR, MR, NR, NT_KC, NT_NR, PAR_FLOPS};
+use super::tiles::{BASE, MATVEC_MR, MR, NR, NT_KC, NT_NR};
 
 /// Which operand a product reads transposed. It decides only the pointer
 /// and stride arithmetic of [`tuned`].
@@ -57,39 +56,24 @@ pub enum Layout {
 /// contiguous). Callers wanting `c = a·b` zero `c` first (`Matrix::resize`
 /// does). Allocation-free; deterministic per the module contract.
 pub fn nn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    tuned(Layout::Nn, a, b, c, m, k, n, threaded(), PAR_FLOPS)
+    tuned(Layout::Nn, a, b, c, m, k, n)
 }
 
 /// `c += aᵀ·b` with `a` `k×m` (its columns are the logical left rows),
 /// `b` `k×n`, `c` `m×n`.
 pub(crate) fn tn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    tuned(Layout::Tn, a, b, c, m, k, n, threaded(), PAR_FLOPS)
+    tuned(Layout::Tn, a, b, c, m, k, n)
 }
 
 /// `c += a·bᵀ` with `a` `m×k`, `b` `n×k`, `c` `m×n`.
 pub(crate) fn nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    tuned(Layout::Nt, a, b, c, m, k, n, threaded(), PAR_FLOPS)
+    tuned(Layout::Nt, a, b, c, m, k, n)
 }
 
-fn threaded() -> bool {
-    rayon::current_num_threads() > 1
-}
-
-/// [`nn`], [`tn`] or [`nt`] with explicit parallel-dispatch knobs (tests
-/// force or forbid the `join` path with a tiny/huge `par_flops`).
+/// [`nn`], [`tn`] or [`nt`] by [`Layout`] (the tests' one entry to all
+/// three).
 #[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn tuned(
-    layout: Layout,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-    par: bool,
-    par_flops: usize,
-) {
+pub fn tuned(layout: Layout, a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "{layout:?}: lhs buffer size");
     assert_eq!(b.len(), k * n, "{layout:?}: rhs buffer size");
     assert_eq!(c.len(), m * n, "{layout:?}: out buffer size");
@@ -112,13 +96,7 @@ pub fn tuned(
         n,
         k,
     };
-    let product = Product {
-        layout,
-        whole,
-        par,
-        par_flops,
-    };
-    rec(&product, 0, 0, m, n);
+    rec(&Product { layout, whole }, 0, 0, m, n);
 }
 
 /// One base-case block: `C(0..m, 0..n) += Σ_l A(i, l)·B(l, j)` with the
@@ -126,9 +104,9 @@ pub fn tuned(
 /// is `a[i·lda + l]`, or `a[l·lda + i]` when `TN` (`a` stored `k×m`).
 ///
 /// Invariant: every address a body forms from a panel lies in the buffers
-/// [`tuned`] checked, and no other thread touches the panel's block of
-/// `c`. Only [`rec`] builds panels, inside the checked shape, and its forks
-/// write disjoint blocks; that invariant is what lets the bodies be safe
+/// [`tuned`] checked, and nothing else touches the panel's block of `c`
+/// while a body runs. Only [`rec`] builds panels, inside the checked shape,
+/// one at a time; that invariant is what lets the bodies be safe
 /// functions.
 #[derive(Clone, Copy)]
 struct Panel<const TN: bool = false> {
@@ -160,14 +138,7 @@ impl<const TN: bool> Panel<TN> {
 struct Product {
     layout: Layout,
     whole: Panel,
-    par: bool,
-    par_flops: usize,
 }
-
-// SAFETY: the raw pointers are the only fields that are not plain values:
-// `a` and `b` are only read, and the two halves of every fork write
-// disjoint blocks of `c` (the `Panel` invariant).
-unsafe impl Sync for Product {}
 
 impl Product {
     /// The panel of the `m×n` block at `(i0, j0)`.
@@ -193,8 +164,8 @@ impl Product {
     }
 }
 
-/// `C(i0.., j0..) += …` over an `m×n` block: halve the larger dimension,
-/// forking above `par_flops`, until the block fits one base-case panel.
+/// `C(i0.., j0..) += …` over an `m×n` block: halve the larger dimension
+/// until the block fits one base-case panel.
 fn rec(p: &Product, i0: usize, j0: usize, m: usize, n: usize) {
     if m <= BASE && n <= BASE {
         match p.layout {
@@ -204,23 +175,14 @@ fn rec(p: &Product, i0: usize, j0: usize, m: usize, n: usize) {
         }
         return;
     }
-    let halves = if m >= n {
+    if m >= n {
         let h = m / 2;
-        [(i0, j0, h, n), (i0 + h, j0, m - h, n)]
+        rec(p, i0, j0, h, n);
+        rec(p, i0 + h, j0, m - h, n);
     } else {
         let h = n / 2;
-        [(i0, j0, m, h), (i0, j0 + h, m, n - h)]
-    };
-    let [lo, hi] = halves.map(|(i, j, m, n)| move || rec(p, i, j, m, n));
-    let flops = 2usize
-        .saturating_mul(m)
-        .saturating_mul(n)
-        .saturating_mul(p.whole.k);
-    if p.par && flops >= p.par_flops {
-        rayon::join(lo, hi);
-    } else {
-        lo();
-        hi();
+        rec(p, i0, j0, m, h);
+        rec(p, i0, j0 + h, m, n - h);
     }
 }
 

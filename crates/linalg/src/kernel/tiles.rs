@@ -63,13 +63,6 @@ pub(crate) const NT_NR: usize = 4;
 /// order, so per-row results are bit-identical to a single chain).
 pub(crate) const MATVEC_MR: usize = 4;
 
-/// Minimum flops (`2·m·n·k`) before the recursion forks a `rayon::join`.
-/// Below this the spawn overhead of the vendored shim's scoped thread
-/// outweighs the parallelism; above it the two halves write disjoint `C`
-/// regions and accumulation order per element is unchanged, so thread
-/// count never affects bits.
-pub(crate) const PAR_FLOPS: usize = 1 << 23;
-
 /// Legacy block edge of the pre-kernel-layer blocked loops, kept for the
 /// verbatim reference implementations in [`crate::kernel::reference`].
 pub(crate) const LEGACY_BLOCK: usize = 64;

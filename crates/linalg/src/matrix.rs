@@ -263,10 +263,8 @@ impl Matrix {
         Ok(())
     }
 
-    /// Matrix product `self * other` via the cache-oblivious kernel layer.
-    ///
-    /// The recursion forks `rayon::join` once a subproblem carries enough
-    /// flops (`kernel::tiles::PAR_FLOPS`); below that the serial path wins.
+    /// Matrix product `self * other` via the cache-oblivious kernel layer,
+    /// on the caller's thread.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_into(other, &mut out)?;
@@ -622,8 +620,8 @@ mod tests {
 
     #[test]
     fn large_parallel_tr_matmul_matches_transpose() {
-        // Large enough to cross PAR_THRESHOLD and the flop cutoff; includes
-        // exact zeros to cover the removed skip branch.
+        // Large enough for the recursion to split down to many base-case
+        // panels; includes exact zeros to cover the removed skip branch.
         let n = 300;
         let a = Matrix::from_fn(n, n, |i, j| (((i * 7 + j * 13) % 17) as f64 - 8.0).max(0.0));
         let b = Matrix::from_fn(n, n, |i, j| ((i * 3 + j * 5) % 11) as f64 - 5.0);

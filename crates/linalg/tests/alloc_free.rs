@@ -9,10 +9,11 @@
 //! tiles in registers/stack arrays, and `EigenWorkspace` reuses its
 //! scratch.
 //!
-//! Problem sizes stay below `kernel::tiles::PAR_FLOPS` so the recursion
-//! never forks — the shim's `rayon::join` spawns a real scoped thread,
-//! which allocates by design and is exactly what the flop gate exists to
-//! amortize away.
+//! The GEMM runs on its caller's thread at every size: a rank is the unit
+//! of parallelism, so no library product spawns a worker. A shape large
+//! enough to be worth forking (256³) is in the steady-state pass beside a
+//! small one, and spawning a thread would show there as allocations on the
+//! calling thread.
 
 use enkf_linalg::{EigenWorkspace, GaussianSampler, Matrix};
 use rand::rngs::StdRng;
@@ -22,8 +23,7 @@ use std::cell::Cell;
 
 /// System allocator wrapper counting every allocation-side call of the
 /// calling thread. The count is per thread because the harness runs the
-/// tests of this file side by side, and because a scoped worker's own
-/// allocations say nothing about the thread that armed the count.
+/// tests of this file side by side.
 struct CountingAlloc;
 
 thread_local! {
@@ -89,42 +89,49 @@ fn gemm_pass(
 
 #[test]
 fn gemm_and_eigensolve_steady_state_is_allocation_free() {
-    // 96³ keeps 2·m·n·k below PAR_FLOPS (no fork) while still crossing
-    // block boundaries of every microkernel (96 = 24 MR tiles, 12 NR
-    // tiles, 1.5 NT_KC chunks).
-    let n = 96;
-    let a = random_matrix(n, n, 7);
-    let b = random_matrix(n, n, 8);
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-    let mut sym = random_matrix(n, n, 9);
+    // 96³ crosses block boundaries of every microkernel (96 = 24 MR
+    // tiles, 12 NR tiles, 1.5 NT_KC chunks); 256³ (2·m·n·k ≈ 3.4·10⁷
+    // flops) splits down to many base-case panels.
+    let sizes = [96, 256];
+    let inputs = sizes.map(|n| {
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
+        (random_matrix(n, n, 7), random_matrix(n, n, 8), x)
+    });
+    let mut sym = random_matrix(sizes[0], sizes[0], 9);
     sym.symmetrize();
 
-    let mut nn = Matrix::zeros(1, 1);
-    let mut tn = Matrix::zeros(1, 1);
-    let mut nt = Matrix::zeros(1, 1);
-    let mut mv = Vec::new();
+    let mut outs = sizes.map(|_| {
+        let out = || Matrix::zeros(1, 1);
+        (out(), out(), out(), Vec::new())
+    });
     let mut ws = EigenWorkspace::new();
+    let mut pass = || -> [u64; 2] {
+        std::array::from_fn(|s| {
+            let ((a, b, x), (nn, tn, nt, mv)) = (&inputs[s], &mut outs[s]);
+            gemm_pass(a, b, x, nn, tn, nt, mv).to_bits()
+        })
+    };
 
     // Warm pass: outputs and workspace grow to their final sizes.
-    let warm = gemm_pass(&a, &b, &x, &mut nn, &mut tn, &mut nt, &mut mv);
+    let warm = pass();
     ws.decompose(&sym).unwrap();
     let warm_eigen = ws.values()[0];
 
     let before = allocations();
-    let steady = gemm_pass(&a, &b, &x, &mut nn, &mut tn, &mut nt, &mut mv);
+    let steady = pass();
     let after_gemm = allocations();
     ws.decompose(&sym).unwrap();
     let after_eigen = allocations();
 
     assert_eq!(
-        (warm.to_bits(), warm_eigen.to_bits()),
-        (steady.to_bits(), ws.values()[0].to_bits()),
+        (warm, warm_eigen.to_bits()),
+        (steady, ws.values()[0].to_bits()),
         "passes must be deterministic"
     );
     assert_eq!(
         after_gemm - before,
         0,
-        "steady-state GEMM/matvec must not touch the allocator"
+        "steady-state GEMM/matvec must not touch the allocator (96³ and 256³)"
     );
     assert_eq!(
         after_eigen - after_gemm,

@@ -1,10 +1,9 @@
 //! Kernel conformance suite — the contract CI runs under both feature
 //! combinations (default, `--no-default-features`):
 //!
-//! 1. **Bit-identity**: every GEMM flavour (including the forced fork
-//!    path that splits across scoped threads) reproduces
-//!    `kernel::reference` byte-for-byte on fixed shapes chosen to cross
-//!    every tile boundary.
+//! 1. **Bit-identity**: every GEMM flavour reproduces `kernel::reference`
+//!    byte-for-byte on fixed shapes chosen to cross every tile boundary
+//!    and the recursive split.
 //! 2. **Run-to-run determinism**: two invocations of any kernel produce
 //!    identical FNV-64 digests.
 //! 3. **The zero skip is NN's alone**: exact zeros of `A` opposite
@@ -37,9 +36,8 @@ fn random_matrix(r: usize, c: usize, seed: u64) -> Matrix {
 }
 
 /// Shapes crossing every boundary the kernels care about: the recursive
-/// split (>128 rows/cols, forcing real `rayon::join` forks with the flop
-/// gate lowered), partial MR/NR edge tiles, k past one NT chunk, and
-/// degenerate single-row/column outputs.
+/// split (>128 rows/cols), partial MR/NR edge tiles, k past one NT chunk,
+/// and degenerate single-row/column outputs.
 const SHAPES: &[(usize, usize, usize)] = &[
     (200, 17, 150),
     (300, 3, 40),
@@ -56,8 +54,8 @@ fn assert_bits(new: &[f64], old: &[f64], what: &str) {
     }
 }
 
-/// Run all three GEMM flavours through the tuned entry points with the
-/// fork gate lowered to 1 flop, so split shapes exercise real threads.
+/// Run all three GEMM flavours through the one entry point, each beside
+/// its `kernel::reference` oracle.
 fn run_all(m: usize, k: usize, n: usize, seed: u64) -> [(Vec<f64>, Vec<f64>); 3] {
     let a_nn = random_matrix(m, k, seed);
     let b_nn = random_matrix(k, n, seed ^ 1);
@@ -79,8 +77,6 @@ fn run_all(m: usize, k: usize, n: usize, seed: u64) -> [(Vec<f64>, Vec<f64>); 3]
         m,
         k,
         n,
-        true,
-        1,
     );
     reference::nn(a_nn.as_slice(), b_nn.as_slice(), &mut out[0].1, m, k, n);
     gemm::tuned(
@@ -91,8 +87,6 @@ fn run_all(m: usize, k: usize, n: usize, seed: u64) -> [(Vec<f64>, Vec<f64>); 3]
         m,
         k,
         n,
-        true,
-        1,
     );
     reference::tn(a_tn.as_slice(), b_tn.as_slice(), &mut out[1].1, m, k, n);
     gemm::tuned(
@@ -103,8 +97,6 @@ fn run_all(m: usize, k: usize, n: usize, seed: u64) -> [(Vec<f64>, Vec<f64>); 3]
         m,
         k,
         n,
-        true,
-        1,
     );
     reference::nt(a_nt.as_slice(), b_nt.as_slice(), &mut out[2].1, m, k, n);
     out
@@ -143,8 +135,7 @@ fn kernels_are_run_to_run_deterministic() {
 type Oracle = fn(&[f64], &[f64], &mut [f64], usize, usize, usize);
 
 /// Exact zeros of `A` opposite `±∞`/NaN entries of `B`, on shapes that cross
-/// the edge tiles, an NT contraction chunk and the 128-panel split, with
-/// every split forked. `nn` skips exact-zero `A` terms, as `reference::nn`
+/// the edge tiles, an NT contraction chunk and the 128-panel split. `nn` skips exact-zero `A` terms, as `reference::nn`
 /// does, so its output stays finite; `tn` and `nt` add them, so `0·∞` and
 /// `0·NaN` propagate NaN. Gaussian inputs cannot tell skip from no skip;
 /// this case fails if the skip moves to the wrong layout.
@@ -173,7 +164,7 @@ fn zero_skip_is_nn_only() {
             let (lhs, rhs) = (lhs.as_slice(), rhs.as_slice());
             let mut got = vec![0.0; m * n];
             let mut want = vec![0.0; m * n];
-            gemm::tuned(layout, lhs, rhs, &mut got, m, k, n, true, 1);
+            gemm::tuned(layout, lhs, rhs, &mut got, m, k, n);
             oracle(lhs, rhs, &mut want, m, k, n);
             let what = format!("{layout:?} {m}x{k}x{n}");
             assert_bits(&got, &want, &what);

@@ -1,6 +1,5 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use enkf_linalg::kernel::gemm::{self, Layout};
 use enkf_linalg::kernel::{lanes, reference};
 use enkf_linalg::{
     Cholesky, GaussianSampler, Ldlt, LinalgError, Matrix, ModifiedCholesky,
@@ -46,9 +45,8 @@ fn sparse_matrix(r: usize, c: usize, rng: &mut StdRng, gs: &mut GaussianSampler)
 
 /// GEMM shape triples including degenerate 1×N, N×1 and fully empty
 /// operands (any of m, k, n may be 0). The output dimensions occasionally
-/// exceed `kernel::tiles::BASE` so the recursive split — and,
-/// with the fork threshold forced down, the actual `rayon::join` path —
-/// gets exercised too.
+/// exceed `kernel::tiles::BASE` so the recursive split gets exercised
+/// too.
 fn gemm_shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     // Draws ≥ 34 are remapped past BASE so ~15% of cases recurse.
     let dim = || (0usize..=39).prop_map(|d| if d >= 34 { d + 95 } else { d });
@@ -287,8 +285,7 @@ proptest! {
 
 // Bit-identity of the kernel layer against the pre-refactor blocked loops
 // (`kernel::reference`), across rectangular, degenerate and empty shapes,
-// and with the fork threshold forced to 1 flop so the `rayon::join`
-// recursion actually runs. Under default features every element must match
+// split ones included. Under default features every element must match
 // to the last bit; these properties are what lets the rest of the codebase
 // treat the GEMM rewrite as a pure perf change.
 proptest! {
@@ -304,11 +301,6 @@ proptest! {
         reference::nn(a.as_slice(), b.as_slice(), &mut oracle, m, k, n);
         let fast = a.matmul(&b).unwrap();
         assert_bits(fast.as_slice(), &oracle)?;
-        // Forcing every split to fork must not change a single bit: the
-        // recursion only partitions the output, never the accumulation.
-        let mut forked = vec![0.0; m * n];
-        gemm::tuned(Layout::Nn, a.as_slice(), b.as_slice(), &mut forked, m, k, n, true, 1);
-        assert_bits(&forked, fast.as_slice())?;
     }
 
     #[test]
@@ -321,9 +313,6 @@ proptest! {
         reference::tn(a.as_slice(), b.as_slice(), &mut oracle, m, k, n);
         let fast = a.tr_matmul(&b).unwrap();
         assert_bits(fast.as_slice(), &oracle)?;
-        let mut forked = vec![0.0; m * n];
-        gemm::tuned(Layout::Tn, a.as_slice(), b.as_slice(), &mut forked, m, k, n, true, 1);
-        assert_bits(&forked, fast.as_slice())?;
     }
 
     #[test]
@@ -336,9 +325,6 @@ proptest! {
         reference::nt(a.as_slice(), b.as_slice(), &mut oracle, m, k, n);
         let fast = a.matmul_tr(&b).unwrap();
         assert_bits(fast.as_slice(), &oracle)?;
-        let mut forked = vec![0.0; m * n];
-        gemm::tuned(Layout::Nt, a.as_slice(), b.as_slice(), &mut forked, m, k, n, true, 1);
-        assert_bits(&forked, fast.as_slice())?;
     }
 
     #[test]

@@ -30,6 +30,14 @@ fi
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
+echo "==> one level of parallelism: no library or facade source names rayon (a rank is"
+echo "    the only unit of compute parallelism; the rayon dependency lines stay until"
+echo "    the next lock refresh removes them with shims/rayon, and this step with them)"
+if grep -rn rayon crates/*/src src; then
+    echo "the files above name rayon: a rank must not spawn compute threads" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
