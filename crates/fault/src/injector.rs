@@ -114,24 +114,10 @@ impl FaultInjector {
         (0..members).filter(|&m| self.is_unrecoverable(m)).collect()
     }
 
-    /// Service multiplier for operations on `member`'s file, from the
-    /// slowdown of the OST it stripes to (`member % num_osts`). 1.0 when
-    /// healthy; stacked slowdowns multiply.
-    pub fn file_slowdown(&self, member: usize) -> f64 {
-        let ost = member % self.cfg.plan.num_osts;
-        self.cfg
-            .plan
-            .ost_slowdowns
-            .iter()
-            .filter(|s| s.ost == ost)
-            .map(|s| s.factor)
-            .product()
-    }
-
-    /// Service multiplier for operations on OST `ost` directly (1.0 when
-    /// healthy; stacked slowdowns multiply). Adaptive read routing uses
-    /// this to price a replica path that stripes to a different OST than
-    /// the member's primary.
+    /// Service multiplier for operations on OST `ost` (1.0 when healthy;
+    /// stacked slowdowns multiply): a member's file is served at its
+    /// [`crate::ost_of`] OST's factor, or at its replica's when the read
+    /// is rerouted.
     pub fn ost_factor(&self, ost: usize) -> f64 {
         self.cfg
             .plan
@@ -160,7 +146,7 @@ impl FaultInjector {
             .plan
             .msg_faults
             .iter()
-            .any(|m| m.from == from && m.to == to && m.dropped)
+            .any(|m| m.from == from && m.to == to)
     }
 
     /// The stage at which `rank` crashes, if scheduled (earliest wins).
@@ -191,7 +177,7 @@ mod tests {
         let inj = FaultInjector::new(FaultConfig::none());
         assert_eq!(inj.read_fail_attempts(0), 0);
         assert!(inj.unrecoverable_members(16).is_empty());
-        assert_eq!(inj.file_slowdown(3), 1.0);
+        assert_eq!(inj.ost_factor(crate::ost_of(3)), 1.0);
         assert_eq!(inj.compute_dilation(7), 1.0);
         assert!(!inj.message_dropped(0, 1));
         assert_eq!(inj.crash_stage(2), None);
@@ -225,12 +211,14 @@ mod tests {
 
     #[test]
     fn slowdown_targets_files_by_striping() {
-        let plan = FaultPlan::new(3).with_num_osts(4).with_ost_slowdown(1, 3.0);
+        let plan = FaultPlan::new(3).with_ost_slowdown(1, 3.0);
         let inj = FaultInjector::new(FaultConfig::degraded(plan));
-        assert_eq!(inj.file_slowdown(1), 3.0);
-        assert_eq!(inj.file_slowdown(5), 3.0);
-        assert_eq!(inj.file_slowdown(0), 1.0);
-        assert_eq!(inj.file_slowdown(2), 1.0);
+        let file = |member| inj.ost_factor(crate::ost_of(member));
+        assert_eq!(file(1), 3.0);
+        assert_eq!(file(1 + crate::OSTS), 3.0);
+        assert_eq!(file(0), 1.0);
+        assert_eq!(file(2), 1.0);
+        assert_eq!(crate::replica_of(crate::OSTS - 1), 0, "replicas wrap");
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //!   a given stage). A plan is plain data: the same plan injected into the
 //!   real (threaded) executor and the modeled (DES) executor produces the
 //!   same fault/retry/dropout event sequence.
+//! * [`OSTS`], [`ost_of`], [`replica_of`] — the one storage layout: member
+//!   files striped round-robin over a fixed set of OSTs, each OST's
+//!   replica on the next. The fault plan, the health monitor's routing and
+//!   the modeled file system all place files by it, so there is nothing to
+//!   keep in step between them.
 //! * [`RetryPolicy`] — bounded retry with exponential backoff. The delays
 //!   are a pure function of the attempt, so they are bit-reproducible across
 //!   executors and appear in DES virtual time exactly as scheduled.
@@ -48,5 +53,5 @@ mod retry;
 
 pub use error::{ReadError, SubstrateError};
 pub use injector::{FaultConfig, FaultInjector};
-pub use plan::{seeded_unit, FaultPlan, RankCrash};
+pub use plan::{ost_of, replica_of, seeded_unit, FaultPlan, RankCrash, OSTS};
 pub use retry::RetryPolicy;

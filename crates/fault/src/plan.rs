@@ -1,4 +1,20 @@
-//! The typed, deterministic schedule of injectable faults.
+//! The typed, deterministic schedule of injectable faults, and the one
+//! storage layout they land on.
+
+/// Object storage targets the member files are striped over.
+pub const OSTS: usize = 6;
+
+/// The OST member `member`'s file stripes to: round-robin placement, the
+/// "two different files may be stored in either the same disk or two
+/// physical disks" distribution of §4.1.3.
+pub fn ost_of(member: usize) -> usize {
+    member % OSTS
+}
+
+/// The OST holding the replica of `ost`'s files: the next one.
+pub fn replica_of(ost: usize) -> usize {
+    (ost + 1) % OSTS
+}
 
 /// `fail_attempts` value meaning "never succeeds": the member is
 /// unrecoverable under any finite retry budget.
@@ -15,25 +31,24 @@ pub struct ReadFault {
     pub fail_attempts: u32,
 }
 
-/// Every operation on OST `ost` is slowed by `factor` (≥ 1). Member files
-/// stripe to OSTs as `member % num_osts`, matching `ModeledPfs`.
+/// Every operation on OST `ost` is slowed by `factor` (≥ 1); member files
+/// land on OSTs by [`ost_of`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OstSlowdown {
-    /// OST index in `0..num_osts`.
+    /// OST index in `0..OSTS`.
     pub ost: usize,
     /// Service-time multiplier (1.0 = healthy).
     pub factor: f64,
 }
 
-/// Messages from `from` to `to` are silently dropped.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Messages from `from` to `to` are silently dropped: they never arrive,
+/// which surfaces as a receive timeout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgFault {
     /// Sender rank.
     pub from: usize,
     /// Receiver rank.
     pub to: usize,
-    /// The message never arrives (surfaces as a receive timeout).
-    pub dropped: bool,
 }
 
 /// Rank `rank` computes `dilation` times slower than its peers.
@@ -72,21 +87,19 @@ pub struct CycleCrash {
 
 /// A deterministic, seeded fault plan: plain data describing which faults
 /// fire where. The same plan drives both executors — decisions are pure
-/// functions of the plan (see `FaultInjector`), never of runtime state.
-#[derive(Debug, Clone, PartialEq)]
+/// functions of the plan (see `FaultInjector`), never of runtime state. A
+/// slowed OST slows the member files [`ost_of`] places on it, on the real
+/// and the modeled file system alike.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed this plan was generated from (recorded for reproducibility; the
     /// schedule below is already fully expanded).
     pub seed: u64,
-    /// File→OST striping modulus used to resolve which member files land on
-    /// a slowed OST. Must match the modeled PFS's `num_osts` when comparing
-    /// executors.
-    pub num_osts: usize,
     /// Injected read failures.
     pub read_faults: Vec<ReadFault>,
     /// Degraded OSTs.
     pub ost_slowdowns: Vec<OstSlowdown>,
-    /// Delayed / dropped messages.
+    /// Dropped messages.
     pub msg_faults: Vec<MsgFault>,
     /// Ranks with dilated compute.
     pub stragglers: Vec<Straggler>,
@@ -96,21 +109,6 @@ pub struct FaultPlan {
     /// Ignored by single-cycle executors; a supervisor resolves them with
     /// [`FaultPlan::for_cycle_attempt`].
     pub cycle_crashes: Vec<CycleCrash>,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            seed: 0,
-            num_osts: 6, // PfsParams::tianhe2_like striping
-            read_faults: Vec::new(),
-            ost_slowdowns: Vec::new(),
-            msg_faults: Vec::new(),
-            stragglers: Vec::new(),
-            crashes: Vec::new(),
-            cycle_crashes: Vec::new(),
-        }
-    }
 }
 
 impl FaultPlan {
@@ -126,13 +124,6 @@ impl FaultPlan {
     // text composed by the caller, never parsed input, so an out-of-range
     // argument is a bug at the call site — rejected where it is written,
     // not carried into a run.
-
-    /// Override the file→OST striping modulus.
-    pub fn with_num_osts(mut self, num_osts: usize) -> Self {
-        assert!(num_osts > 0, "num_osts must be positive");
-        self.num_osts = num_osts;
-        self
-    }
 
     /// Reads of `member` fail `fail_attempts` times, then recover.
     pub fn with_read_fault(mut self, member: usize, fail_attempts: u32) -> Self {
@@ -161,11 +152,7 @@ impl FaultPlan {
 
     /// Messages `from → to` never arrive.
     pub fn with_msg_drop(mut self, from: usize, to: usize) -> Self {
-        self.msg_faults.push(MsgFault {
-            from,
-            to,
-            dropped: true,
-        });
+        self.msg_faults.push(MsgFault { from, to });
         self
     }
 
@@ -276,8 +263,7 @@ mod tests {
         assert_eq!(plan.read_faults.len(), 2);
         assert_eq!(plan.read_faults[1].fail_attempts, UNRECOVERABLE);
         assert_eq!(plan.ost_slowdowns.len(), 1);
-        assert_eq!(plan.msg_faults.len(), 1);
-        assert!(plan.msg_faults[0].dropped);
+        assert_eq!(plan.msg_faults, vec![MsgFault { from: 1, to: 3 }]);
         assert_eq!(plan.stragglers.len(), 1);
         assert_eq!(plan.crashes, vec![RankCrash { rank: 4, stage: 1 }]);
     }

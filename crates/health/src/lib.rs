@@ -31,7 +31,7 @@
 //! dilation ratio of every observed span is itself a pure plan function.
 //! The monitor consumes those ratios — not noisy wall-clock durations — and
 //! folds them in sorted key order, so the per-cycle means, the EWMA
-//! baselines, the suspicion scores, and hence the blacklist/speculation
+//! baselines, the suspicion scores, and hence the blacklist/reroute
 //! decisions are byte-reproducible across reruns and identical between the
 //! threaded executors and the single-threaded DES weave. A production
 //! deployment would feed measured ratios instead; the detector math is

@@ -5,33 +5,12 @@ use std::collections::BTreeMap;
 use std::f64::consts::LN_10;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Where the monitored files live: the two values that differ between
-/// deployments. The detector's own tuning is not configurable — see the
-/// constants beside the private `Detector`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthParams {
-    /// File→OST striping modulus (must match `FaultPlan::num_osts` /
-    /// `PfsParams::num_osts` for routing to mean anything).
-    pub num_osts: usize,
-    /// Replica placement shift: replica of OST `o` is `(o + shift) % num_osts`.
-    pub replica_shift: usize,
-}
-
-impl Default for HealthParams {
-    fn default() -> Self {
-        HealthParams::with_num_osts(6) // PfsParams::tianhe2_like striping
-    }
-}
-
-impl HealthParams {
-    /// Defaults with an explicit striping modulus.
-    pub fn with_num_osts(num_osts: usize) -> Self {
-        HealthParams {
-            num_osts,
-            replica_shift: 1,
-        }
-    }
-}
+/// The monitor's parameters: none. The files it watches lie where
+/// [`enkf_fault::ost_of`] puts them, and the detector's own tuning is not
+/// configurable either — see the constants beside the private `Detector`.
+/// The type stays as the value a campaign's health switch holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HealthParams {}
 
 /// Where a monitored target currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +145,7 @@ pub struct HealthSnapshot {
     pub suspected_osts: Vec<usize>,
     /// Ranks whose compute dilation is past the suspicion threshold.
     pub suspected_ranks: Vec<usize>,
-    /// Striping modulus (for capacity math).
+    /// OSTs in the file system, [`enkf_fault::OSTS`] (for capacity math).
     pub num_osts: usize,
 }
 
@@ -199,7 +178,6 @@ impl HealthSnapshot {
 /// folds at the cycle boundary). Within a cycle the view never changes.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    params: HealthParams,
     cycle: u32,
     osts: BTreeMap<usize, Detector>,
     ranks: BTreeMap<usize, Detector>,
@@ -226,15 +204,13 @@ impl HealthMonitor {
     }
 
     /// A monitor with all targets healthy.
-    pub fn new(params: HealthParams) -> Self {
-        let view = RouteView::healthy(params.num_osts, params.replica_shift);
+    pub fn new(_: HealthParams) -> Self {
         HealthMonitor {
-            params,
             cycle: 0,
             osts: BTreeMap::new(),
             ranks: BTreeMap::new(),
             acc: Mutex::new(CycleAcc::default()),
-            view,
+            view: RouteView::default(),
         }
     }
 
@@ -335,7 +311,7 @@ impl HealthMonitor {
                 .filter(|(_, d)| d.suspected)
                 .map(|(&r, _)| r)
                 .collect(),
-            num_osts: self.params.num_osts,
+            num_osts: enkf_fault::OSTS,
         }
     }
 }
@@ -344,12 +320,8 @@ impl HealthMonitor {
 mod tests {
     use super::*;
 
-    fn params() -> HealthParams {
-        HealthParams::with_num_osts(4)
-    }
-
-    /// Feed one cycle of reads: every OST observes `members_per_ost`
-    /// members at the given ratios (index = ost).
+    /// Feed one cycle of reads: OST `ost` observes member `ost` at
+    /// `ratios[ost]`.
     fn feed(mon: &HealthMonitor, ratios: &[f64]) {
         for (ost, &r) in ratios.iter().enumerate() {
             mon.observe_read(ost, ost, r); // member = ost for simplicity
@@ -358,9 +330,9 @@ mod tests {
 
     #[test]
     fn healthy_cycles_never_trip() {
-        let mut mon = HealthMonitor::new(params());
+        let mut mon = HealthMonitor::new(HealthParams::default());
         for _ in 0..6 {
-            feed(&mon, &[1.0, 1.0, 1.0, 1.0]);
+            feed(&mon, &[1.0; 6]);
             let snap = mon.end_cycle();
             assert!(snap.is_clean(), "healthy substrate must stay clean");
             assert!(snap.suspected_osts.is_empty());
@@ -370,19 +342,19 @@ mod tests {
 
     #[test]
     fn severe_slowdown_blacklists_in_one_cycle() {
-        let mut mon = HealthMonitor::new(params());
-        feed(&mon, &[1.0, 4.0, 1.0, 1.0]);
+        let mut mon = HealthMonitor::new(HealthParams::default());
+        feed(&mon, &[1.0, 4.0, 1.0, 1.0, 1.0, 1.0]);
         let snap = mon.end_cycle();
         assert_eq!(snap.blacklisted_osts, vec![1]);
         assert!(mon.view().blacklisted.contains(&1));
-        assert_eq!(snap.capacity_factor(), 0.75);
+        assert_eq!(snap.capacity_factor(), 5.0 / 6.0);
         assert!(snap.suspected_osts.is_empty(), "blacklisted, not suspect");
     }
 
     #[test]
     fn mild_slowdown_needs_accrued_evidence() {
-        let mut mon = HealthMonitor::new(params());
-        feed(&mon, &[1.0, 1.5, 1.0, 1.0]);
+        let mut mon = HealthMonitor::new(HealthParams::default());
+        feed(&mon, &[1.0, 1.5, 1.0, 1.0, 1.0, 1.0]);
         let snap = mon.end_cycle();
         assert!(
             snap.blacklisted_osts.is_empty(),
@@ -390,7 +362,7 @@ mod tests {
         );
         assert_eq!(snap.suspected_osts, vec![1]);
         assert!(snap.is_clean(), "a suspect stays in rotation");
-        feed(&mon, &[1.0, 1.5, 1.0, 1.0]);
+        feed(&mon, &[1.0, 1.5, 1.0, 1.0, 1.0, 1.0]);
         let snap = mon.end_cycle();
         assert_eq!(
             snap.blacklisted_osts,
@@ -402,17 +374,17 @@ mod tests {
 
     #[test]
     fn probation_and_reintegration_round_trip() {
-        let mut mon = HealthMonitor::new(params());
-        feed(&mon, &[1.0, 6.0, 1.0, 1.0]);
+        let mut mon = HealthMonitor::new(HealthParams::default());
+        feed(&mon, &[1.0, 6.0, 1.0, 1.0, 1.0, 1.0]);
         assert_eq!(mon.end_cycle().blacklisted_osts, vec![1]);
         // Term served (probation_cycles = 1): next boundary moves to probe.
-        feed(&mon, &[1.0, 1.0, 1.0, 1.0]); // OST 1 routed away: no reads for it
+        feed(&mon, &[1.0; 6]); // OST 1 routed away: no reads for it
         let snap = mon.end_cycle();
         assert!(snap.blacklisted_osts.is_empty());
         assert_eq!(snap.probation_osts, vec![1]);
         assert!(!mon.view().blacklisted.contains(&1), "probe reads allowed");
         // The probe comes back healthy: reintegrated.
-        feed(&mon, &[1.0, 1.0, 1.0, 1.0]);
+        feed(&mon, &[1.0; 6]);
         let snap = mon.end_cycle();
         assert!(snap.is_clean(), "reintegrated");
         assert!(snap.suspected_osts.is_empty());
@@ -421,19 +393,19 @@ mod tests {
 
     #[test]
     fn failed_probe_reblacklists() {
-        let mut mon = HealthMonitor::new(params());
-        feed(&mon, &[1.0, 6.0, 1.0, 1.0]);
+        let mut mon = HealthMonitor::new(HealthParams::default());
+        feed(&mon, &[1.0, 6.0, 1.0, 1.0, 1.0, 1.0]);
         mon.end_cycle();
-        feed(&mon, &[1.0, 1.0, 1.0, 1.0]);
+        feed(&mon, &[1.0; 6]);
         mon.end_cycle(); // → probation
-        feed(&mon, &[1.0, 6.0, 1.0, 1.0]); // probe still degraded
+        feed(&mon, &[1.0, 6.0, 1.0, 1.0, 1.0, 1.0]); // probe still degraded
         let snap = mon.end_cycle();
         assert_eq!(snap.blacklisted_osts, vec![1]);
     }
 
     #[test]
     fn straggling_rank_is_suspected_then_cleared() {
-        let mut mon = HealthMonitor::new(params());
+        let mut mon = HealthMonitor::new(HealthParams::default());
         mon.observe_compute(2, 3.0);
         let snap = mon.end_cycle();
         assert_eq!(snap.suspected_ranks, vec![2]);
@@ -452,16 +424,16 @@ mod tests {
     #[test]
     fn detection_is_a_pure_function_of_the_observation_multiset() {
         let run = |order_flip: bool| {
-            let mut mon = HealthMonitor::new(params());
+            let mut mon = HealthMonitor::new(HealthParams::default());
             let mut snaps = Vec::new();
             for c in 0..5 {
                 let members: Vec<usize> = if order_flip {
-                    (0..8).rev().collect()
+                    (0..12).rev().collect()
                 } else {
-                    (0..8).collect()
+                    (0..12).collect()
                 };
                 for m in members {
-                    let ost = m % 4;
+                    let ost = enkf_fault::ost_of(m);
                     let ratio = if ost == 2 && c >= 1 { 3.0 } else { 1.0 };
                     mon.observe_read(ost, m, ratio);
                 }

@@ -1,5 +1,6 @@
 //! The frozen per-cycle routing decision table.
 
+use enkf_fault::{ost_of, replica_of};
 use std::collections::BTreeSet;
 
 /// How a member's read should be issued this cycle. Decided once per
@@ -14,9 +15,10 @@ pub enum ReadRoute {
     /// `replica_wins` picks the serving path deterministically: the replica
     /// when it is not blacklisted and its expected dilation is no larger
     /// (ties go to the replica, the healthier bet by construction), else
-    /// the primary. No duplicate read is issued; the reroute is charged as
-    /// one zero-duration cancelled marker span.
-    Speculate {
+    /// the primary. No duplicate read is issued — the choice is made before
+    /// the read, not raced — and the reroute is charged as one
+    /// zero-duration cancelled marker span.
+    Reroute {
         /// OST index of the replica path.
         replica: usize,
         /// Whether the read is served by the replica.
@@ -25,42 +27,21 @@ pub enum ReadRoute {
 }
 
 /// The blacklist as the executors consume it: which OSTs are out of
-/// rotation this cycle, and how replicas are assigned. Frozen between cycle
-/// boundaries — within a cycle every rank (and the model weave) routes from
-/// the same table.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// rotation this cycle (files and replicas lie where
+/// [`enkf_fault::ost_of`] and [`enkf_fault::replica_of`] put them). Frozen
+/// between cycle boundaries — within a cycle every rank (and the model
+/// weave) routes from the same table. The default is the all-healthy view,
+/// on which every route is [`ReadRoute::Primary`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteView {
-    /// File→OST striping modulus (must match `FaultPlan::num_osts`).
-    pub num_osts: usize,
-    /// Replica placement: the replica of OST `o` is `(o + shift) % num_osts`.
-    pub replica_shift: usize,
     /// OSTs currently out of rotation.
     pub blacklisted: BTreeSet<usize>,
 }
 
 impl RouteView {
-    /// An all-healthy view: every route is [`ReadRoute::Primary`].
-    pub(crate) fn healthy(num_osts: usize, replica_shift: usize) -> Self {
-        RouteView {
-            num_osts,
-            replica_shift,
-            blacklisted: BTreeSet::new(),
-        }
-    }
-
     /// Whether no OST is blacklisted (the passthrough fast path).
     pub(crate) fn is_clean(&self) -> bool {
         self.blacklisted.is_empty()
-    }
-
-    /// The OST member `member`'s file stripes to.
-    pub fn ost_of(&self, member: usize) -> usize {
-        member % self.num_osts
-    }
-
-    /// The replica OST of `ost`.
-    pub fn replica_of(&self, ost: usize) -> usize {
-        (ost + self.replica_shift) % self.num_osts
     }
 
     /// Route a read of `member`, given the expected service dilation of the
@@ -68,13 +49,13 @@ impl RouteView {
     /// `FaultInjector::ost_factor`). Pure: both executors call this with
     /// identical arguments and get identical routes.
     pub fn route(&self, member: usize, primary_factor: f64, replica_factor: f64) -> ReadRoute {
-        let ost = self.ost_of(member);
+        let ost = ost_of(member);
         if !self.blacklisted.contains(&ost) {
             return ReadRoute::Primary;
         }
-        let replica = self.replica_of(ost);
+        let replica = replica_of(ost);
         let replica_wins = !self.blacklisted.contains(&replica) && replica_factor <= primary_factor;
-        ReadRoute::Speculate {
+        ReadRoute::Reroute {
             replica,
             replica_wins,
         }
@@ -84,7 +65,7 @@ impl RouteView {
     /// healthy OSTs first, members on blacklisted OSTs last, original order
     /// preserved within each class. The trace digest is an order-free
     /// multiset, so this is conformance-neutral; in time (wall or virtual)
-    /// it moves the slow tail where speculation and pipelining can hide it.
+    /// it moves the slow tail where rerouting and pipelining can hide it.
     pub fn reorder(&self, members: &[usize]) -> Vec<usize> {
         if self.is_clean() {
             return members.to_vec();
@@ -92,7 +73,7 @@ impl RouteView {
         let (cool, hot): (Vec<usize>, Vec<usize>) = members
             .iter()
             .copied()
-            .partition(|&m| !self.blacklisted.contains(&self.ost_of(m)));
+            .partition(|&m| !self.blacklisted.contains(&ost_of(m)));
         let mut out = cool;
         out.extend(hot);
         out
@@ -105,8 +86,6 @@ mod tests {
 
     fn view(blacklisted: &[usize]) -> RouteView {
         RouteView {
-            num_osts: 4,
-            replica_shift: 1,
             blacklisted: blacklisted.iter().copied().collect(),
         }
     }
@@ -115,19 +94,19 @@ mod tests {
     fn clean_view_routes_everything_primary() {
         let v = view(&[]);
         assert!(v.is_clean());
-        for m in 0..8 {
+        for m in 0..2 * enkf_fault::OSTS {
             assert_eq!(v.route(m, 5.0, 1.0), ReadRoute::Primary);
         }
         assert_eq!(v.reorder(&[3, 1, 2]), vec![3, 1, 2]);
     }
 
     #[test]
-    fn blacklisted_ost_speculates_and_replica_wins_ties() {
+    fn blacklisted_ost_reroutes_and_replica_wins_ties() {
         let v = view(&[1]);
         // Member 1 stripes to OST 1 (blacklisted), replica is OST 2.
         assert_eq!(
             v.route(1, 4.0, 1.0),
-            ReadRoute::Speculate {
+            ReadRoute::Reroute {
                 replica: 2,
                 replica_wins: true
             }
@@ -135,15 +114,15 @@ mod tests {
         // Tie goes to the replica.
         assert_eq!(
             v.route(1, 1.0, 1.0),
-            ReadRoute::Speculate {
+            ReadRoute::Reroute {
                 replica: 2,
                 replica_wins: true
             }
         );
-        // A slower replica loses the race.
+        // A slower replica is not chosen.
         assert_eq!(
             v.route(1, 2.0, 3.0),
-            ReadRoute::Speculate {
+            ReadRoute::Reroute {
                 replica: 2,
                 replica_wins: false
             }
@@ -153,11 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn blacklisted_replica_loses_the_race() {
+    fn blacklisted_replica_is_never_chosen() {
         let v = view(&[1, 2]);
         assert_eq!(
-            v.route(5, 4.0, 1.0),
-            ReadRoute::Speculate {
+            v.route(7, 4.0, 1.0),
+            ReadRoute::Reroute {
                 replica: 2,
                 replica_wins: false
             }
@@ -167,7 +146,10 @@ mod tests {
     #[test]
     fn reorder_is_stable_and_moves_hot_members_last() {
         let v = view(&[1]);
-        // OST of member = member % 4; members 1 and 5 are hot.
-        assert_eq!(v.reorder(&[0, 1, 2, 3, 4, 5]), vec![0, 2, 3, 4, 1, 5]);
+        // Members 1 and 7 stripe to OST 1: they are hot.
+        assert_eq!(
+            v.reorder(&[0, 1, 2, 3, 4, 5, 6, 7, 8]),
+            vec![0, 2, 3, 4, 5, 6, 8, 1, 7]
+        );
     }
 }

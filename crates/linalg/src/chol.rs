@@ -1,9 +1,8 @@
-//! Cholesky and LDLᵀ factorizations with triangular solves.
+//! The Cholesky factorization with triangular solves.
 //!
 //! The local analysis (Eq. 6) solves SPD systems with the matrix
 //! `B̂⁻¹ + Hᵀ R⁻¹ H`; operationally this is done with a Cholesky
-//! factorization (paper §2.3). LDLᵀ is provided as the square-root-free
-//! variant used by the modified-Cholesky covariance estimator.
+//! factorization (paper §2.3).
 
 use crate::kernel::lanes::{check_pivots, factor_lanes, solve_lanes, tri};
 use crate::{LinalgError, Matrix, Result};
@@ -105,55 +104,6 @@ impl Cholesky {
             out.set_col(j, &x);
         }
         out
-    }
-}
-
-/// Square-root-free factorization `A = L D Lᵀ` with unit lower-triangular `L`.
-#[derive(Debug, Clone)]
-pub struct Ldlt {
-    l: Matrix,
-    d: Vec<f64>,
-}
-
-impl Ldlt {
-    /// Factor a symmetric matrix. Pivots may be any nonzero value, so this
-    /// also handles indefinite (but still factorizable) matrices; a zero
-    /// pivot is reported as [`LinalgError::NotPositiveDefinite`].
-    pub fn factor(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { shape: a.shape() });
-        }
-        let n = a.nrows();
-        let mut l = Matrix::identity(n);
-        let mut d = vec![0.0; n];
-        for j in 0..n {
-            let mut dj = a[(j, j)];
-            for k in 0..j {
-                dj -= l[(j, k)] * l[(j, k)] * d[k];
-            }
-            if dj == 0.0 || !dj.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite(j));
-            }
-            d[j] = dj;
-            for i in (j + 1)..n {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)] * d[k];
-                }
-                l[(i, j)] = sum / dj;
-            }
-        }
-        Ok(Ldlt { l, d })
-    }
-
-    /// Borrow the diagonal of `D`.
-    pub fn d(&self) -> &[f64] {
-        &self.d
-    }
-
-    /// Reassemble `L D Lᵀ` (diagnostics / tests).
-    pub fn reconstruct(&self) -> Matrix {
-        self.l.sandwich(|j| self.d[j])
     }
 }
 
@@ -280,31 +230,5 @@ mod tests {
             Cholesky::factor(&a),
             Err(LinalgError::NotPositiveDefinite(2))
         ));
-    }
-
-    #[test]
-    fn ldlt_reconstructs() {
-        let a = spd(9);
-        let f = Ldlt::factor(&a).unwrap();
-        assert!(f.reconstruct().approx_eq(&a, 1e-9));
-    }
-
-    #[test]
-    fn ldlt_unit_diagonal() {
-        let a = spd(5);
-        let f = Ldlt::factor(&a).unwrap();
-        for i in 0..5 {
-            assert_eq!(f.l[(i, i)], 1.0);
-        }
-        assert!(f.d().iter().all(|&d| d > 0.0));
-    }
-
-    #[test]
-    fn ldlt_handles_indefinite() {
-        // Symmetric indefinite but LDLT-factorizable without pivoting.
-        let a = Matrix::from_vec(2, 2, vec![2.0, 3.0, 3.0, 1.0]).unwrap();
-        let f = Ldlt::factor(&a).unwrap();
-        assert!(f.reconstruct().approx_eq(&a, 1e-12));
-        assert!(f.d()[1] < 0.0);
     }
 }

@@ -1,8 +1,8 @@
 //! Dense linear algebra kernels for the S-EnKF reproduction.
 //!
 //! The paper's local analysis (Eq. 6) needs a small set of dense operations:
-//! matrix products, symmetric positive-definite factorizations (Cholesky and
-//! LDLᵀ), triangular solves, and the *modified Cholesky* estimator of the
+//! matrix products, the symmetric positive-definite (Cholesky) factorization,
+//! triangular solves, and the *modified Cholesky* estimator of the
 //! inverse background-error covariance matrix used by P-EnKF
 //! (Nino-Ruiz, Sandu & Deng, SISC 2018). Operational implementations call
 //! LAPACK/CuBLAS; this crate implements the same kernels from scratch so the
@@ -32,7 +32,7 @@ pub(crate) mod modchol;
 pub(crate) mod rng;
 pub(crate) mod sherman;
 
-pub use chol::{Cholesky, Ldlt};
+pub use chol::Cholesky;
 pub use eigen::EigenWorkspace;
 pub use lstsq::ridge_least_squares;
 pub use matrix::Matrix;

@@ -402,23 +402,6 @@ impl Matrix {
                 .all(|(&a, &b)| (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs())))
     }
 
-    /// `self · diag(d) · selfᵀ`, `d(j)` scaling column `j`: the reassembly
-    /// of an eigen- or LDLᵀ factorization. The operands' shapes agree by
-    /// construction, so this calls the kernel directly.
-    pub(crate) fn sandwich(&self, d: impl Fn(usize) -> f64) -> Matrix {
-        let (r, c) = self.shape();
-        let mut scaled = self.clone();
-        for j in 0..c {
-            let dj = d(j);
-            for i in 0..r {
-                scaled[(i, j)] *= dj;
-            }
-        }
-        let mut out = Matrix::zeros(r, r);
-        gemm::nt(&scaled.data, &self.data, &mut out.data, r, c, r);
-        out
-    }
-
     /// Symmetrize in place: `self = (self + selfᵀ) / 2`. Useful before a
     /// Cholesky factorization of a product that is symmetric only up to
     /// rounding.

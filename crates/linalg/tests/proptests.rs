@@ -2,8 +2,7 @@
 
 use enkf_linalg::kernel::{lanes, reference};
 use enkf_linalg::{
-    Cholesky, GaussianSampler, Ldlt, LinalgError, Matrix, ModifiedCholesky,
-    ShermanMorrisonWorkspace,
+    Cholesky, GaussianSampler, LinalgError, Matrix, ModifiedCholesky, ShermanMorrisonWorkspace,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -90,13 +89,6 @@ proptest! {
         for (ri, bi) in r.iter().zip(&b) {
             prop_assert!((ri - bi).abs() < 1e-7 * (1.0 + bi.abs()));
         }
-    }
-
-    #[test]
-    fn ldlt_matches_cholesky_for_spd(a in spd_strategy(10)) {
-        let f = Ldlt::factor(&a).unwrap();
-        prop_assert!(f.d().iter().all(|&d| d > 0.0));
-        prop_assert!(f.reconstruct().approx_eq(&a, 1e-8));
     }
 
     #[test]

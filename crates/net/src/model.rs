@@ -17,17 +17,6 @@ pub struct NetParams {
 }
 
 impl NetParams {
-    /// A TH Express-2-like configuration: ~200 µs effective startup (rendezvous under congestion), ~300 MB/s
-    /// effective per-endpoint bandwidth (the link shared across a node's 24
-    /// ranks under congestion), which makes the communication phase comparable to the
-    /// file-reading phase as the paper's Figure 9 reports.
-    pub fn tianhe2_like() -> Self {
-        NetParams {
-            alpha: 2.0e-4,
-            beta: 1.0 / 0.3e9,
-        }
-    }
-
     /// Cost of one point-to-point message of `bytes` bytes: `a + b·s`.
     pub fn p2p(&self, bytes: u64) -> f64 {
         self.alpha + self.beta * bytes as f64
@@ -118,7 +107,10 @@ mod tests {
 
     #[test]
     fn bandwidth_share_scales_transfer_not_startup() {
-        let p = NetParams::tianhe2_like();
+        let p = NetParams {
+            alpha: 2.0e-4,
+            beta: 1.0 / 0.3e9,
+        };
         let quarter = p.with_bandwidth_share(0.25);
         assert_eq!(quarter.alpha, p.alpha);
         assert!((quarter.beta - 4.0 * p.beta).abs() < 1e-18);

@@ -632,9 +632,11 @@ mod tests {
     }
 
     /// The operation digest of a program alone: every `Read`, `Send` and
-    /// `Compute` as the span both interpreters record for it.
+    /// `Compute` as the span both interpreters record for it, in the role
+    /// of its rank.
     fn projected_digest(program: &impl Emitter, geo: &Geometry<'_>) -> String {
         let mut trace = Trace::new("program");
+        let (compute, _) = program.ranks(geo.layout.mesh(), geo.members).unwrap();
         program
             .emit(geo, &mut |rank, op| {
                 let (layout, stage) = (&geo.layout, op.stage());
@@ -660,7 +662,12 @@ mod tests {
                     member,
                     ..OpTag::default()
                 };
-                trace.push(Span::new(rank, Role::Compute, op, 0.0, 0.0, tag));
+                let role = if rank < compute {
+                    Role::Compute
+                } else {
+                    Role::Io
+                };
+                trace.push(Span::new(rank, role, op, 0.0, 0.0, tag));
                 Ok(())
             })
             .unwrap();
@@ -690,11 +697,37 @@ mod tests {
         }
     }
 
+    /// The paper's machine pricing the tests' geometry.
+    fn model_config() -> ModelConfig {
+        ModelConfig {
+            workload: Workload {
+                nx: MESH.0,
+                ny: MESH.1,
+                members: MEMBERS,
+                h: 8,
+                xi: RADIUS.xi,
+                eta: RADIUS.eta,
+            },
+            ..ModelConfig::paper()
+        }
+    }
+
+    /// The tests' fault-free geometry, as the program sees it.
+    fn geometry(layout: FileLayout) -> Geometry<'static> {
+        Geometry {
+            layout,
+            members: MEMBERS,
+            radius: RADIUS,
+            dropped: &[],
+            view: None,
+            network: None,
+        }
+    }
+
     #[test]
     fn a_fifth_program_runs_through_both_interpreters() {
         let (_scratch, store, scenario) = harness();
         let setup = setup(&store, &scenario);
-        let (mesh, members, radius, layout) = (setup.mesh(), MEMBERS, RADIUS, store.layout());
         let program = TwoReaders {
             nsdx: 3,
             nsdy: 2,
@@ -707,46 +740,138 @@ mod tests {
         assert!(report.compute_ranks.read > 0.0 && report.compute_ranks.comm > 0.0);
         // (a) the serial point-wise reference, (b) P-EnKF on the same mesh:
         // the analysis does not depend on who read what or in how many stages.
-        let reference = serial_enkf(&scenario.ensemble, &scenario.observations, radius).unwrap();
+        let reference = serial_enkf(&scenario.ensemble, &scenario.observations, RADIUS).unwrap();
         assert!(analysis.states().approx_eq(reference.states(), 1e-12));
         let (penkf, _) = PEnkf { nsdx: 3, nsdy: 2 }.run(&setup).unwrap();
         assert!(analysis.states().approx_eq(penkf.states(), 1e-12));
 
         // (c) what the threaded interpreter traced is what the pricer traced
         // is what the program says.
-        let cfg = ModelConfig {
-            workload: Workload {
-                nx: mesh.nx(),
-                ny: mesh.ny(),
-                members,
-                h: 8,
-                xi: radius.xi,
-                eta: radius.eta,
-            },
-            ..ModelConfig::paper()
-        };
-        let (outcome, model) = price_cycle(
-            &cfg,
-            &program,
-            None,
-            Default::default(),
-            &none,
-            None,
-            collect,
-        )
-        .unwrap();
+        let opts = Default::default();
+        let (outcome, model) =
+            price_cycle(&model_config(), &program, None, opts, &none, None, collect).unwrap();
         assert_eq!(outcome.num_compute_ranks, 6);
-        let geo = Geometry {
-            layout,
-            members,
-            radius,
-            dropped: &[],
-            view: None,
-            network: None,
-        };
-        let projected = projected_digest(&program, &geo);
+        let projected = projected_digest(&program, &geometry(store.layout()));
         assert_eq!(projected, real.digest(), "real trace");
         assert_eq!(projected, model.digest(), "model trace");
+    }
+
+    /// The smallest program whose I/O rank awaits and computes: compute
+    /// rank 0 reads every member whole and sends the bundle to I/O rank 1,
+    /// which analyzes the whole mesh from it. `Some` shape moves one op off
+    /// the program's two ranks or its one stage.
+    struct IoRank(Option<Beyond>);
+
+    /// Where [`IoRank`] leaves its bounds.
+    #[derive(Debug, Clone, Copy)]
+    enum Beyond {
+        /// A read runs on rank 2.
+        Rank,
+        /// Rank 0 sends to rank 2.
+        Peer,
+        /// Rank 0 sends at stage 1.
+        Stage,
+    }
+
+    impl Emitter for IoRank {
+        fn name(&self) -> &'static str {
+            "io-rank"
+        }
+
+        fn layers(&self) -> usize {
+            1
+        }
+
+        fn ranks(&self, _: Mesh, _: usize) -> Result<(usize, usize), String> {
+            Ok((1, 1))
+        }
+
+        fn emit(
+            &self,
+            geo: &Geometry<'_>,
+            sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+        ) -> Result<(), String> {
+            let region = RegionRect::full(geo.layout.mesh());
+            let read = |member| CycleOp::Read {
+                stage: None,
+                member,
+                region,
+            };
+            if let Some(Beyond::Rank) = self.0 {
+                sink(2, read(0))?;
+            }
+            for member in 0..geo.members {
+                sink(0, read(member))?;
+            }
+            let (stage, to) = match self.0 {
+                Some(Beyond::Peer) => (None, 2),
+                Some(Beyond::Stage) => (Some(1), 1),
+                _ => (None, 1),
+            };
+            let payload = Payload::Blocks {
+                region,
+                members: geo.members,
+            };
+            sink(0, CycleOp::Send { stage, to, payload })?;
+            sink(1, CycleOp::Await { stage, sends: 1 })?;
+            let compute = CycleOp::Compute {
+                stage: None,
+                target: region,
+                expansion: region,
+                work: region.npoints(),
+                update: Update::Local,
+            };
+            sink(1, compute)
+        }
+    }
+
+    /// An I/O rank that awaits and computes runs on both interpreters: the
+    /// pricer gives every rank, not only the compute ranks, a NIC.
+    #[test]
+    fn an_io_rank_may_await_and_compute() {
+        let (_scratch, store, scenario) = harness();
+        let setup = setup(&store, &scenario);
+        let (program, none) = (IoRank(None), FaultConfig::none());
+        let (analysis, report, real) = Cycle::run(&setup, &program, None, &none, None).unwrap();
+        assert_eq!((report.num_compute_ranks, report.num_io_ranks), (1, 1));
+        let reference = serial_enkf(&scenario.ensemble, &scenario.observations, RADIUS).unwrap();
+        assert!(analysis.states().approx_eq(reference.states(), 1e-12));
+        let opts = Default::default();
+        let (outcome, model) =
+            price_cycle(&model_config(), &program, None, opts, &none, None, collect).unwrap();
+        assert_eq!((outcome.num_compute_ranks, outcome.num_io_ranks), (1, 1));
+        let projected = projected_digest(&program, &geometry(store.layout()));
+        assert_eq!(projected, real.digest(), "real trace");
+        assert_eq!(projected, model.digest(), "model trace");
+    }
+
+    /// An op on a rank the program does not have, a send to one, or an op
+    /// staged past the program's layers is refused, typed, by both
+    /// interpreters — before either indexes a rank or a mailbox by it.
+    #[test]
+    fn an_op_beyond_the_programs_ranks_or_stages_is_refused() {
+        let (_scratch, store, scenario) = harness();
+        let setup = setup(&store, &scenario);
+        let none = FaultConfig::none();
+        for (shape, expected) in [
+            (Beyond::Rank, "runs on no rank"),
+            (Beyond::Peer, "sends to no peer"),
+            (Beyond::Stage, "staged past the program's layers"),
+        ] {
+            let program = IoRank(Some(shape));
+            let real = Cycle::run(&setup, &program, None, &none, None).map(|_| ());
+            assert!(
+                matches!(&real, Err(EnkfError::GeometryMismatch(e)) if e.contains(expected)),
+                "{shape:?}: {real:?}"
+            );
+            let opts = Default::default();
+            let model = price_cycle(&model_config(), &program, None, opts, &none, None, collect);
+            assert!(
+                model.as_ref().is_err_and(|e| e.contains(expected)),
+                "{shape:?}: {:?}",
+                model.map(|(out, _)| out)
+            );
+        }
     }
 
     /// A program that awaits one bundle more than it is sent is refused,
@@ -886,18 +1011,7 @@ mod tests {
     fn an_await_must_gate_the_next_op_of_its_rank() {
         let (_scratch, store, scenario) = harness();
         let setup = setup(&store, &scenario);
-        let mesh = setup.mesh();
-        let cfg = ModelConfig {
-            workload: Workload {
-                nx: mesh.nx(),
-                ny: mesh.ny(),
-                members: MEMBERS,
-                h: 8,
-                xi: RADIUS.xi,
-                eta: RADIUS.eta,
-            },
-            ..ModelConfig::paper()
-        };
+        let cfg = model_config();
         let none = FaultConfig::none();
         for shape in [
             Misplaced::TwoAwaits,

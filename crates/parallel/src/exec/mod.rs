@@ -277,7 +277,7 @@ impl<'a> Cycle<'a> {
                 stream.push((rank, op));
                 Ok(())
             })
-            .and_then(|()| check(&geo, ranks, &stream))
+            .and_then(|()| check(&geo, ranks, program.layers(), &stream))
             .map_err(EnkfError::GeometryMismatch)?;
         let mut ops = vec![Vec::new(); ranks];
         for (rank, op) in stream {
@@ -290,7 +290,7 @@ impl<'a> Cycle<'a> {
             alive: (0..setup.members)
                 .filter(|m| !dropped.contains(m))
                 .collect(),
-            timeout: (!plan.crashes.is_empty() || plan.msg_faults.iter().any(|m| m.dropped))
+            timeout: (!plan.crashes.is_empty() || !plan.msg_faults.is_empty())
                 .then_some(cfg.recv_timeout),
             injector,
             dropped,

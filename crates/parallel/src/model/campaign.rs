@@ -38,8 +38,9 @@ use crate::exec::resolve_dropout;
 use crate::program::{Emitter, ModelVariant};
 use crate::supervisor::{Action, Supervisor};
 use enkf_ckpt::fnv64;
-use enkf_fault::{FaultConfig, FaultInjector, RankCrash, RetryPolicy, SubstrateError};
+use enkf_fault::{FaultConfig, FaultInjector, RankCrash, RetryPolicy, SubstrateError, OSTS};
 use enkf_health::{HealthMonitor, HealthSnapshot};
+use enkf_pfs::STREAMS_PER_OST;
 use enkf_trace::{Op, OpTag, Role, Span, Trace};
 
 /// Campaign-level plan for the model.
@@ -152,7 +153,7 @@ pub fn model_campaign_adaptive(
     let member_service = cfg.pfs.read_service(1, member_bytes);
     let (compute_ranks, io_ranks) = variant.rank_counts();
     let pipelined = camp.pipelined && camp.checkpoint;
-    let streams = cfg.pfs.num_osts * cfg.pfs.streams_per_ost;
+    let streams = OSTS * STREAMS_PER_OST;
     let sized = |members: usize, share: f64| {
         let mut cfg = cfg.with_bandwidth_share(share);
         cfg.workload.members = members;
@@ -164,16 +165,15 @@ pub fn model_campaign_adaptive(
     let price = |key: (usize, FaultConfig)| -> Result<Priced, String> {
         let (cycle, trace) = cycle_model(key.0, &key.1, None)?;
         // Pipelined pricing: the background writer steals one of the
-        // machine's `S = num_osts · streams_per_ost` PFS streams while it
+        // machine's `S = OSTS · STREAMS_PER_OST` PFS streams while it
         // drains, so the overlapped cycle runs against `(S−1)/S` of it.
         // Only its makespan is read, so no trace is built.
         let share = (streams - 1) as f64 / streams as f64;
-        let shared_makespan = match pipelined && streams > 1 {
-            true => {
-                let shared = sized(key.0, share);
-                Some(model_outcome(&shared, variant, Default::default(), &key.1, None)?.makespan)
-            }
-            false => None,
+        let shared_makespan = if pipelined {
+            let shared = sized(key.0, share);
+            Some(model_outcome(&shared, variant, Default::default(), &key.1, None)?.makespan)
+        } else {
+            None
         };
         Ok(Priced {
             digest: fnv64(trace.digest().as_bytes()),

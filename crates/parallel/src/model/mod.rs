@@ -7,7 +7,7 @@ pub(crate) mod penkf;
 pub(crate) mod senkf;
 
 use crate::exec::{compute_dilation, resolve_dropout};
-use crate::program::{CycleOp, Emitter, Geometry, ModelVariant, ObservedPoints};
+use crate::program::{out_of_bounds, CycleOp, Emitter, Geometry, ModelVariant, ObservedPoints};
 use crate::report::PhaseBreakdown;
 use enkf_fault::{FaultConfig, FaultInjector};
 use enkf_grid::{FileLayout, LocalizationRadius, Mesh};
@@ -195,11 +195,12 @@ fn price_variant<T>(
 /// The DES interpreter of a cycle program — the only code that adds cycle
 /// tasks. Agent ids coincide with the real executor's rank numbering
 /// (compute ranks, then I/O ranks), so span and fault-event rank fields
-/// compare across executors; one NIC per compute rank is the ingestion port. Each
+/// compare across executors; one NIC per rank is its ingestion port. Each
 /// op is priced as it is emitted, in emission order, without a heap
-/// allocation per task:
+/// allocation per task; an op off the program's ranks or stages is refused
+/// first, as [`crate::program::check`] refuses it:
 ///
-/// * `Read` — the retry/speculation weave of [`ModeledPfs::add_member_read`],
+/// * `Read` — the retry/reroute weave of [`ModeledPfs::add_member_read`],
 ///   charged the layout's seeks and bytes for the region;
 /// * `Send` — one `Comm` task on the sender holding the receiver's NIC for
 ///   `a + b·bytes` (a plan that drops messages is
@@ -273,11 +274,13 @@ fn price_in<T>(
         return Err("the modeled run cannot complete: the plan crashes a rank".into());
     }
     let dropped = resolve_dropout(&injector, w.members).map_err(|e| e.to_string())?;
-    let drops_messages = fcfg.plan.msg_faults.iter().any(|m| m.dropped);
+    let drops_messages = !fcfg.plan.msg_faults.is_empty();
 
-    let pfs = ModeledPfs::register(&mut arena.sim, cfg.pfs);
-    let net = ModeledNet::register(&mut arena.sim, c2);
     let ranks = c2 + c1;
+    let pfs = ModeledPfs::register(&mut arena.sim, cfg.pfs);
+    // The I/O ranks' NICs follow the compute ranks', so no OST or compute
+    // NIC changes its resource id.
+    let net = ModeledNet::register(&mut arena.sim, ranks);
     let agents = arena.sim.add_agents(ranks);
     // One mailbox per (rank, stage).
     let layers = program.layers();
@@ -303,6 +306,9 @@ fn price_in<T>(
         network,
     };
     program.emit(&geo, &mut |rank, op| {
+        if let Some(broken) = out_of_bounds(rank, &op, ranks, layers) {
+            return Err(format!("rank {rank}'s {op:?} {broken}"));
+        }
         let agent = agents[rank];
         let io = rank >= c2;
         // An `Await` gates the rank's next op, which must be the `Compute`
@@ -370,6 +376,7 @@ fn price_in<T>(
                 } else {
                     let ingest = sends as f64 * cfg.net.p2p(mail.bundle_bytes);
                     let tag = OpTag {
+                        io,
                         stage,
                         bytes: mail.bundle_bytes,
                         ..OpTag::default()
@@ -389,6 +396,7 @@ fn price_in<T>(
                     .get_or_insert_with(|| compute_dilation(&injector, monitor, rank));
                 let service = cfg.compute_cost_per_point * work as f64 * dilation;
                 let tag = OpTag {
+                    io,
                     stage,
                     ..OpTag::default()
                 };
@@ -657,7 +665,7 @@ mod tests {
         let (out, _) = model_traced(&cfg, variant)?;
         let busy = out.compute_mean.read * out.num_compute_ranks as f64
             + out.io_mean.read * out.num_io_ranks as f64;
-        let streams = (cfg.pfs.num_osts * cfg.pfs.streams_per_ost) as f64;
+        let streams = (enkf_fault::OSTS * enkf_pfs::STREAMS_PER_OST) as f64;
         Ok((out.makespan, busy / (streams * out.makespan)))
     }
 

@@ -146,7 +146,7 @@ pub enum Update {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CycleOp {
     /// Read `region` of member `member`'s file (retried, routed and
-    /// speculated by `enkf_pfs`, identically on both paths).
+    /// rerouted by `enkf_pfs`, identically on both paths).
     Read {
         /// Multi-stage index, `None` for single-stage variants.
         stage: Option<usize>,
@@ -275,10 +275,33 @@ impl Geometry<'_> {
     }
 }
 
+/// Why `rank`'s `op` lies outside a program of `ranks` ranks and `layers`
+/// stages — it runs on no rank, sends to no rank, or is staged past the
+/// last layer — or `None`. Both interpreters refuse such an op before they
+/// index anything by it.
+pub(crate) fn out_of_bounds(
+    rank: usize,
+    op: &CycleOp,
+    ranks: usize,
+    layers: usize,
+) -> Option<&'static str> {
+    if rank >= ranks {
+        Some("runs on no rank of the program")
+    } else if matches!(*op, CycleOp::Send { to, .. } if to >= ranks) {
+        Some("sends to no peer")
+    } else if op.stage().is_some_and(|l| l >= layers) {
+        Some("is staged past the program's layers")
+    } else {
+        None
+    }
+}
+
 /// Check an emitted `program` — `(rank, op)` in emission order over
-/// `ranks` ranks — against the rules both interpreters rely on, before
-/// either runs it:
+/// `ranks` ranks and `layers` stages — against the rules both
+/// interpreters rely on, before either runs it:
 ///
+/// * **bounds** — every op runs on a rank of the program, sends to one,
+///   and is staged below `layers`;
 /// * **balance** — every `Await { stage, sends: n }` of rank `r` is fed by
 ///   exactly `n` earlier `Send`s to `(r, stage)`, and every `Send` is
 ///   awaited. The emission order is then a schedule that never blocks, so
@@ -296,7 +319,12 @@ impl Geometry<'_> {
 /// * **staged `Await`s** — one rank's `Await`s are all staged or all not;
 /// * **tiling** — the `Compute` targets cover every mesh point exactly
 ///   once.
-pub fn check(geo: &Geometry<'_>, ranks: usize, program: &[(usize, CycleOp)]) -> Result<(), String> {
+pub fn check(
+    geo: &Geometry<'_>,
+    ranks: usize,
+    layers: usize,
+    program: &[(usize, CycleOp)],
+) -> Result<(), String> {
     let mesh = geo.layout.mesh();
     let mut in_flight: BTreeMap<(usize, Option<usize>), Vec<Payload>> = BTreeMap::new();
     let mut acquired: BTreeMap<(usize, Option<usize>), Vec<RegionRect>> = BTreeMap::new();
@@ -304,9 +332,11 @@ pub fn check(geo: &Geometry<'_>, ranks: usize, program: &[(usize, CycleOp)]) -> 
     let mut gated = vec![false; ranks];
     let mut covered = vec![false; mesh.n()];
     for &(rank, op) in program {
+        if let Some(broken) = out_of_bounds(rank, &op, ranks, layers) {
+            return Err(format!("rank {rank}'s {op:?} {broken}"));
+        }
         let (stage, held) = (op.stage(), acquired.entry((rank, op.stage())).or_default());
         let broken = match op {
-            _ if rank >= ranks => "runs on no rank of the program",
             CycleOp::Read { .. } | CycleOp::Send { .. } | CycleOp::Await { .. } if gated[rank] => {
                 "follows an Await before the Compute it gates"
             }
@@ -323,7 +353,7 @@ pub fn check(geo: &Geometry<'_>, ranks: usize, program: &[(usize, CycleOp)]) -> 
                 }) = payload;
                 in_flight.entry((to, stage)).or_default().push(payload);
                 let last = held.len().checked_sub(members).map(|from| &held[from..]);
-                if to >= ranks || to == rank {
+                if to == rank {
                     "sends to no peer"
                 } else if !last.is_some_and(|last| last.iter().all(|b| b.contains_rect(&region))) {
                     "sends without blocks covering its region"
@@ -745,15 +775,15 @@ mod tests {
         };
         let lenkf = emit(ModelVariant::LEnkf { nsdx: 2, nsdy: 2 }).unwrap();
         let denkf = emit(ModelVariant::DEnkf { shards: 4 }).unwrap();
-        assert_eq!(check(&geo, 4, &lenkf), Ok(()));
-        assert_eq!(check(&geo, 4, &denkf), Ok(()));
+        assert_eq!(check(&geo, 4, 1, &lenkf), Ok(()));
+        assert_eq!(check(&geo, 4, 1, &denkf), Ok(()));
 
         let mutated = |ops: &[(usize, CycleOp)], f: &dyn Fn(CycleOp) -> Option<CycleOp>| {
             let ops: Vec<_> = ops
                 .iter()
                 .filter_map(|&(r, op)| Some((r, f(op)?)))
                 .collect();
-            check(&geo, 4, &ops).unwrap_err()
+            check(&geo, 4, 1, &ops).unwrap_err()
         };
         let refusals = [
             // An Await one long: the rank would wait forever.
@@ -796,6 +826,8 @@ mod tests {
         for (refusal, word) in refusals.iter().zip(expected) {
             assert!(refusal.contains(word), "{refusal}");
         }
-        assert!(check(&geo, 3, &lenkf).unwrap_err().contains("to no peer"));
+        assert!(check(&geo, 3, 1, &lenkf)
+            .unwrap_err()
+            .contains("to no peer"));
     }
 }

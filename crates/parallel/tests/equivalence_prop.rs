@@ -7,7 +7,7 @@
 
 use enkf_core::{serial_denkf, serial_enkf, BatchedKernel, LocalAnalysis};
 use enkf_data::{write_ensemble, ScenarioBuilder};
-use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy};
+use enkf_fault::{FaultConfig, FaultPlan, RetryPolicy, OSTS};
 use enkf_grid::{FileLayout, LocalizationRadius, Mesh, ObservationNetwork};
 use enkf_health::{HealthMonitor, HealthParams, RouteView};
 use enkf_parallel::program::{check, ObservedPoints};
@@ -167,7 +167,7 @@ impl Storm {
     }
 
     /// A monitor that has already seen the slow OST misbehave for a cycle
-    /// (so it is blacklisted and reads of its members speculate), or none.
+    /// (so it is blacklisted and reads of its members reroute), or none.
     fn monitor(&self) -> Option<HealthMonitor> {
         self.monitored.then(|| {
             let mut mon = HealthMonitor::new(HealthParams::default());
@@ -290,15 +290,13 @@ proptest! {
     fn programs_are_balanced_and_cover_the_mesh(
         case in case_strategy(),
         drop_mask in 0usize..64,
-        hot_mask in 0usize..16,
+        hot_mask in 0usize..1 << OSTS,
     ) {
         let mut dropped: Vec<usize> =
             (0..case.members).filter(|k| drop_mask >> k & 1 == 1).collect();
         dropped.truncate(case.members - 2);
         let view = RouteView {
-            num_osts: 4,
-            replica_shift: 1,
-            blacklisted: (0..4).filter(|o| hot_mask >> o & 1 == 1).collect(),
+            blacklisted: (0..OSTS).filter(|o| hot_mask >> o & 1 == 1).collect(),
         };
         let network = ObservationNetwork::uniform(case.mesh, OBS_STRIDE);
         let geo = Geometry {
@@ -311,7 +309,7 @@ proptest! {
         };
         for variant in case.variants() {
             let (compute, io) = variant.rank_counts();
-            let checked = check(&geo, compute + io, &program(&variant, &geo));
+            let checked = check(&geo, compute + io, variant.layers(), &program(&variant, &geo));
             prop_assert!(checked.is_ok(), "{:?}: {:?}", variant, checked);
         }
     }

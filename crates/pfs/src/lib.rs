@@ -32,7 +32,7 @@ pub mod resilient;
 pub(crate) mod scratch;
 pub(crate) mod store;
 
-pub use model::{ModeledPfs, PfsParams};
+pub use model::{ModeledPfs, PfsParams, STREAMS_PER_OST};
 pub use readahead::{read_stages_ahead, read_stages_ahead_adaptive, ReadAheadError, StageRead};
 pub use resilient::{read_region_adaptive, read_region_resilient};
 pub use scratch::ScratchDir;

@@ -8,15 +8,18 @@
 //! counts (Figures 1 and 5), and concurrent-group reading saturates once
 //! the groups cover the OSTs (Figure 10).
 
+use enkf_fault::OSTS;
 use enkf_sim::{ResourceId, Simulation};
 
-/// Parameters of the modeled parallel file system.
+/// Concurrent streams one OST serves before readers queue. With
+/// [`enkf_fault::OSTS`] OSTs it fixes the file system's stream capacity.
+pub const STREAMS_PER_OST: usize = 4;
+
+/// The timing of the modeled parallel file system; its layout —
+/// [`enkf_fault::OSTS`] OSTs of [`STREAMS_PER_OST`] streams, members placed
+/// by [`enkf_fault::ost_of`] — is fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PfsParams {
-    /// Number of object storage targets files are distributed over.
-    pub num_osts: usize,
-    /// Concurrent streams one OST serves before readers queue.
-    pub streams_per_ost: usize,
     /// Seconds per disk addressing operation (seek).
     pub seek_time: f64,
     /// Seconds per byte transferred on one stream (1 / per-stream bandwidth).
@@ -31,8 +34,6 @@ impl PfsParams {
     /// ~8,000 ranks while bar reading stays transfer-bound (EXPERIMENTS.md).
     pub fn tianhe2_like() -> Self {
         PfsParams {
-            num_osts: 6,
-            streams_per_ost: 4,
             seek_time: 2.0e-4,
             byte_time: 1.0 / 300.0e6,
         }
@@ -68,24 +69,20 @@ impl PfsParams {
 #[derive(Debug, Clone)]
 pub struct ModeledPfs {
     params: PfsParams,
-    osts: Vec<ResourceId>,
+    osts: [ResourceId; OSTS],
 }
 
 impl ModeledPfs {
     /// Register the OSTs in a simulation.
     pub fn register(sim: &mut Simulation, params: PfsParams) -> Self {
-        assert!(params.num_osts > 0 && params.streams_per_ost > 0);
-        let osts = (0..params.num_osts)
-            .map(|_| sim.add_resource(params.streams_per_ost))
-            .collect();
+        let osts = std::array::from_fn(|_| sim.add_resource(STREAMS_PER_OST));
         ModeledPfs { params, osts }
     }
 
-    /// OST hosting ensemble-member file `k`: round-robin placement, the
-    /// "two different files may be stored in either the same disk or two
-    /// physical disks" distribution of §4.1.3.
-    pub fn ost_of_file(&self, file: usize) -> ResourceId {
-        self.osts[file % self.osts.len()]
+    /// The resource of OST `ost` (`0..OSTS`); a member's file is on
+    /// [`enkf_fault::ost_of`]`(member)`.
+    pub(crate) fn ost(&self, ost: usize) -> ResourceId {
+        self.osts[ost]
     }
 
     /// Service time of one read (delegates to the parameter set).
@@ -102,8 +99,6 @@ mod tests {
     #[test]
     fn read_service_combines_seek_and_transfer() {
         let p = PfsParams {
-            num_osts: 1,
-            streams_per_ost: 1,
             seek_time: 0.01,
             byte_time: 1e-6,
         };
@@ -111,38 +106,34 @@ mod tests {
         assert_eq!(p.read_service(0, 0), 0.0);
     }
 
+    /// A seek-free file system at 1 µs per byte: a 1 MB read takes 1 s.
+    fn transfer_only(sim: &mut Simulation) -> ModeledPfs {
+        let params = PfsParams {
+            seek_time: 0.0,
+            byte_time: 1e-6,
+        };
+        ModeledPfs::register(sim, params)
+    }
+
     #[test]
     fn round_robin_placement() {
         let mut sim = Simulation::new();
-        let pfs = ModeledPfs::register(
-            &mut sim,
-            PfsParams {
-                num_osts: 3,
-                ..PfsParams::tianhe2_like()
-            },
-        );
-        assert_eq!(pfs.ost_of_file(0), pfs.ost_of_file(3));
-        assert_ne!(pfs.ost_of_file(0), pfs.ost_of_file(1));
+        let pfs = transfer_only(&mut sim);
+        let file = |member| pfs.ost(enkf_fault::ost_of(member));
+        assert_eq!(file(0), file(OSTS));
+        assert_ne!(file(0), file(1));
     }
 
     #[test]
     fn ost_contention_queues_excess_readers() {
         let mut sim = Simulation::new();
-        let params = PfsParams {
-            num_osts: 1,
-            streams_per_ost: 2,
-            seek_time: 0.0,
-            byte_time: 1e-6,
-        };
-        let pfs = ModeledPfs::register(&mut sim, params);
-        // 4 readers of 1 MB each on a 2-stream OST: 2 waves of 1 s.
-        for _ in 0..4 {
+        let pfs = transfer_only(&mut sim);
+        // 2 × STREAMS_PER_OST readers of 1 MB each on one OST: 2 waves of 1 s.
+        for _ in 0..2 * STREAMS_PER_OST {
             let a = sim.add_agent();
             let service = pfs.read_service(0, 1_000_000);
-            sim.add_task(
-                Task::new(a, Kind::Read, service).with_resources(vec![pfs.ost_of_file(0)]),
-            )
-            .unwrap();
+            sim.add_task(Task::new(a, Kind::Read, service).with_resources(vec![pfs.ost(0)]))
+                .unwrap();
         }
         let rep = sim.run().unwrap();
         assert!(
@@ -155,20 +146,15 @@ mod tests {
     #[test]
     fn different_osts_do_not_contend() {
         let mut sim = Simulation::new();
-        let params = PfsParams {
-            num_osts: 2,
-            streams_per_ost: 1,
-            seek_time: 0.0,
-            byte_time: 1e-6,
-        };
-        let pfs = ModeledPfs::register(&mut sim, params);
-        for file in 0..2 {
-            let a = sim.add_agent();
-            let service = pfs.read_service(0, 1_000_000);
-            sim.add_task(
-                Task::new(a, Kind::Read, service).with_resources(vec![pfs.ost_of_file(file)]),
-            )
-            .unwrap();
+        let pfs = transfer_only(&mut sim);
+        // A full OST's worth of readers on each of two OSTs: one wave.
+        for ost in 0..2 {
+            for _ in 0..STREAMS_PER_OST {
+                let a = sim.add_agent();
+                let service = pfs.read_service(0, 1_000_000);
+                sim.add_task(Task::new(a, Kind::Read, service).with_resources(vec![pfs.ost(ost)]))
+                    .unwrap();
+            }
         }
         let rep = sim.run().unwrap();
         assert!((rep.makespan - 1.0).abs() < 1e-9);
@@ -180,7 +166,6 @@ mod tests {
         let half = p.with_bandwidth_share(0.5);
         assert!((half.byte_time - 2.0 * p.byte_time).abs() < 1e-24);
         assert_eq!(half.seek_time, p.seek_time);
-        assert_eq!(half.num_osts, p.num_osts);
         // A full share is the identity.
         assert_eq!(p.with_bandwidth_share(1.0), p);
     }

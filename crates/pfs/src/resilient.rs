@@ -24,7 +24,7 @@
 
 use crate::model::ModeledPfs;
 use crate::store::{FileStore, RegionData};
-use enkf_fault::{FaultInjector, ReadError, SubstrateError};
+use enkf_fault::{ost_of, replica_of, FaultInjector, ReadError, SubstrateError};
 use enkf_grid::RegionRect;
 use enkf_health::{HealthMonitor, ReadRoute};
 use enkf_sim::engine::SimError;
@@ -55,21 +55,20 @@ enum StepCost {
     Service(ReadPath),
 }
 
-/// The path serving a member read: the OST (`None` = wherever the file
-/// stripes, no monitor attached) and its service-dilation factor.
+/// The path serving a member read: the OST and its service-dilation factor.
 #[derive(Clone, Copy)]
 struct ReadPath {
-    ost: Option<usize>,
+    ost: usize,
     factor: f64,
 }
 
 /// Decide and drive one read of `member`, whose tag on a first try (role,
-/// stage, member, bytes, seeks) is `read`. Without a monitor the read is served by the
-/// member's own OST at the plan's slowdown. With one, the frozen view
-/// routes it: on a blacklisted primary OST the deterministic
-/// [`ReadRoute::Speculate::replica_wins`] picks the serving path (the
-/// replica, when it is healthy and no slower), no duplicate read is
-/// issued, and the reroute leaves a zero-duration
+/// stage, member, bytes, seeks) is `read`. The primary path is the
+/// member's own OST ([`ost_of`]) at the plan's slowdown of it. A monitor
+/// only decides the reroute: when its frozen view blacklists the primary,
+/// the deterministic [`ReadRoute::Reroute::replica_wins`] picks the serving
+/// path (the replica, when it is healthy and no slower), no duplicate read
+/// is issued, and the reroute leaves a zero-duration
 /// [`FaultKind::Cancelled`] marker. Then the
 /// [`enkf_fault::RetryPolicy::attempts`] run: attempts
 /// `0..fail_attempts` of the plan are [`FaultKind::Injected`] failures,
@@ -90,39 +89,27 @@ fn weave_read<E>(
         attempt,
         ..read
     };
-    let path = match monitor {
-        None => ReadPath {
-            ost: None,
-            factor: injector.file_slowdown(member),
-        },
-        Some(mon) => {
-            let view = mon.view();
-            let ost = view.ost_of(member);
-            let primary = ReadPath {
-                ost: Some(ost),
-                factor: injector.ost_factor(ost),
-            };
-            let replica_factor = injector.ost_factor(view.replica_of(ost));
-            match view.route(member, primary.factor, replica_factor) {
-                ReadRoute::Primary => primary,
-                ReadRoute::Speculate {
-                    replica,
-                    replica_wins,
-                } => {
-                    let winner = if replica_wins {
-                        ReadPath {
-                            ost: Some(replica),
-                            factor: replica_factor,
-                        }
-                    } else {
-                        primary
-                    };
-                    step(fault(FaultKind::Cancelled, 0), StepCost::Pause(0.0))?;
-                    winner
-                }
-            }
-        }
+    let ost = ost_of(member);
+    let mut path = ReadPath {
+        ost,
+        factor: injector.ost_factor(ost),
     };
+    if let Some(mon) = monitor {
+        let replica_factor = injector.ost_factor(replica_of(ost));
+        if let ReadRoute::Reroute {
+            replica,
+            replica_wins,
+        } = mon.view().route(member, path.factor, replica_factor)
+        {
+            if replica_wins {
+                path = ReadPath {
+                    ost: replica,
+                    factor: replica_factor,
+                };
+            }
+            step(fault(FaultKind::Cancelled, 0), StepCost::Pause(0.0))?;
+        }
+    }
     let retry = injector.retry();
     let fails = injector.read_fail_attempts(member);
     for attempt in 0..retry.attempts() {
@@ -137,8 +124,8 @@ fn weave_read<E>(
         if attempt < fails {
             step(fault(FaultKind::Injected, attempt), StepCost::Service(path))?;
         } else if step(OpTag { attempt, ..read }, StepCost::Service(path))? {
-            if let (Some(mon), Some(ost)) = (monitor, path.ost) {
-                mon.observe_read(ost, member, path.factor);
+            if let Some(mon) = monitor {
+                mon.observe_read(path.ost, member, path.factor);
             }
             return Ok(true);
         }
@@ -157,10 +144,8 @@ fn weave_read<E>(
 /// is the cause of [`SubstrateError::RetriesExhausted`], so degraded mode
 /// completes N−1 instead of stalling.
 ///
-/// `monitor == None` never speculates: the spans are those of a plain
-/// retried read (the no-fault parity guarantee). The monitor's `num_osts`
-/// must match the fault plan's striping modulus for routing to price paths
-/// correctly.
+/// `monitor == None` never reroutes: the spans are those of a plain
+/// retried read (the no-fault parity guarantee).
 pub fn read_region_adaptive(
     store: &FileStore,
     tracer: &mut RankTracer,
@@ -248,10 +233,8 @@ impl ModeledPfs {
             let kind = tag.fault.map_or(Kind::Read, |_| Kind::Fault);
             match cost {
                 StepCost::Pause(pause) => sim.add_task_parts(agent, kind, pause, &[], &[], tag)?,
-                // The file's own stripe without a monitor, else the routed
-                // OST (`ost_of_file` is the striping modulus either way).
                 StepCost::Service(path) => {
-                    let ost = [self.ost_of_file(path.ost.unwrap_or(member))];
+                    let ost = [self.ost(path.ost)];
                     sim.add_task_parts(agent, kind, base * path.factor, &ost, &[], tag)?
                 }
             };
@@ -320,14 +303,12 @@ mod tests {
     }
 
     /// The modeled arm's read of member 1 under `plan` and `mon`'s view on
-    /// a seek-free 4-OST file system: the serving path's dilation (the
-    /// makespan over the undilated service — the reroute's cancelled marker
-    /// is free) and the trace.
+    /// a seek-free file system: the serving path's dilation (the makespan
+    /// over the undilated service — the reroute's cancelled marker is free)
+    /// and the trace.
     fn modeled_read(plan: &FaultPlan, mon: &HealthMonitor) -> (f64, enkf_trace::Trace) {
         let mut sim = Simulation::new();
         let params = crate::PfsParams {
-            num_osts: 4,
-            streams_per_ost: 1,
             seek_time: 0.0,
             byte_time: 1e-6,
         };
@@ -468,12 +449,10 @@ mod tests {
     #[test]
     fn adaptive_with_clean_view_matches_resilient_and_observes() {
         let (_s, st) = store();
-        let plan = FaultPlan::new(5)
-            .with_num_osts(4)
-            .with_ost_slowdown(1, 1.0001);
+        let plan = FaultPlan::new(5).with_ost_slowdown(1, 1.0001);
         let cfg = FaultConfig::degraded(plan);
         let inj = FaultInjector::new(cfg.clone());
-        let mon = enkf_health::HealthMonitor::new(enkf_health::HealthParams::with_num_osts(4));
+        let mon = HealthMonitor::new(enkf_health::HealthParams::default());
         let mut t = tracer();
         let d = read_full_adaptive(&st, &mut t, None, 1, &inj, Some(&mon)).unwrap();
         assert_eq!(d.len(), 32);
@@ -481,7 +460,7 @@ mod tests {
         assert!(trace.digest().contains("op=read"));
         assert!(
             !trace.digest().contains("op=fault"),
-            "no speculation on a clean view"
+            "no reroute on a clean view"
         );
         // The serving OST's dilation ratio was observed.
         let inj_ref = FaultInjector::new(cfg);
@@ -492,12 +471,12 @@ mod tests {
     }
 
     #[test]
-    fn blacklisted_ost_speculates_to_the_replica() {
+    fn blacklisted_ost_reroutes_to_the_replica() {
         let (_s, st) = store();
         // OST 1 is 4× slow; member 1 stripes to it, replica is OST 2.
-        let plan = FaultPlan::new(9).with_num_osts(4).with_ost_slowdown(1, 4.0);
+        let plan = FaultPlan::new(9).with_ost_slowdown(1, 4.0);
         let inj = FaultInjector::new(FaultConfig::degraded(plan.clone()));
-        let mut mon = enkf_health::HealthMonitor::new(enkf_health::HealthParams::with_num_osts(4));
+        let mut mon = HealthMonitor::new(enkf_health::HealthParams::default());
         // Warm-up cycle: the monitor sees the dilation and blacklists OST 1.
         mon.observe_read(1, 1, 4.0);
         let snap = mon.end_cycle();
@@ -521,11 +500,10 @@ mod tests {
     fn blacklisted_replica_keeps_the_primary_as_winner() {
         let (_s, st) = store();
         let plan = FaultPlan::new(9)
-            .with_num_osts(4)
             .with_ost_slowdown(1, 4.0)
             .with_ost_slowdown(2, 8.0);
         let inj = FaultInjector::new(FaultConfig::degraded(plan.clone()));
-        let mut mon = enkf_health::HealthMonitor::new(enkf_health::HealthParams::with_num_osts(4));
+        let mut mon = HealthMonitor::new(enkf_health::HealthParams::default());
         mon.observe_read(1, 1, 4.0);
         mon.observe_read(2, 2, 8.0);
         let snap = mon.end_cycle();

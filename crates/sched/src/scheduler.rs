@@ -42,33 +42,25 @@
 
 use enkf_ckpt::fnv64;
 use enkf_health::HealthSnapshot;
-use enkf_net::NetParams;
-use enkf_pfs::PfsParams;
 use std::collections::BTreeMap;
 
 use crate::fair::{min_share_floor, rank_shares, weighted_max_min, Demand};
 use crate::job::{JobId, JobSpec, Planner, StepCost};
 use crate::tenant::{TenantId, TenantSpec};
 
-/// What the whole simulated machine offers.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What the whole simulated machine offers the scheduler: its ranks. The
+/// file system and interconnect a campaign sees are priced from that
+/// campaign's own `JobModel` configuration, sliced by its bandwidth share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterCapacity {
     /// Total compute ranks.
     pub ranks: usize,
-    /// The full-machine parallel file system.
-    pub pfs: PfsParams,
-    /// The full-machine interconnect.
-    pub net: NetParams,
 }
 
 impl ClusterCapacity {
     /// A Tianhe-2-like machine with `ranks` processors.
     pub fn tianhe2_like(ranks: usize) -> Self {
-        ClusterCapacity {
-            ranks,
-            pfs: PfsParams::tianhe2_like(),
-            net: NetParams::tianhe2_like(),
-        }
+        ClusterCapacity { ranks }
     }
 }
 

@@ -319,9 +319,10 @@ fn health_snapshot_reprices_running_shares() {
 
     // One of six OSTs blacklists: detect it through a real monitor so the
     // snapshot is the genuine campaign artifact, not a hand-built one.
-    let mut mon = HealthMonitor::new(HealthParams::with_num_osts(6));
-    for m in 0..6 {
-        mon.observe_read(m % 6, m, if m % 6 == 2 { 5.0 } else { 1.0 });
+    let mut mon = HealthMonitor::new(HealthParams::default());
+    for m in 0..enkf_fault::OSTS {
+        let ost = enkf_fault::ost_of(m);
+        mon.observe_read(ost, m, if ost == 2 { 5.0 } else { 1.0 });
     }
     let snap = mon.end_cycle();
     assert_eq!(snap.blacklisted_osts, vec![2]);

@@ -116,7 +116,7 @@ impl Op {
 }
 
 /// What a fault event is. The first three are the steps of a member read's
-/// retry/speculation schedule that an [`Op::Fault`] span can cover (its
+/// retry/reroute schedule that an [`Op::Fault`] span can cover (its
 /// [`Span::fault`]); the last two exist only in the projection
 /// ([`Trace::fault_events`]). Ordered so sorted event lists read naturally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -182,7 +182,7 @@ pub struct Span {
     pub tenant: Option<u32>,
     /// Job id within the tenant, set together with `tenant`.
     pub job: Option<u32>,
-    /// Which step of a read's retry/speculation schedule an [`Op::Fault`]
+    /// Which step of a read's retry/reroute schedule an [`Op::Fault`]
     /// span covers; `None` on every other span. Excluded from digests, like
     /// `attempt`: the digest counts the span either way.
     pub fault: Option<FaultKind>,

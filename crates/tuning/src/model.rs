@@ -172,9 +172,10 @@ fn log_factor(x: usize) -> f64 {
 }
 
 /// The paper's `log(·)` disk-contention factor of Eq. (7), clamped below
-/// at 1. The base is a calibration constant; base 4 — the number of
-/// concurrent streams one OST serves on the modeled file system — matches
-/// the discrete-event substrate (Figure 12's model-vs-test comparison).
+/// at 1. The base is a calibration constant; base 4 —
+/// `enkf_pfs::STREAMS_PER_OST`, the concurrent streams one OST serves on
+/// the modeled file system, which this crate cannot name — matches the
+/// discrete-event substrate (Figure 12's model-vs-test comparison).
 fn contention_factor(x: usize) -> f64 {
     (x as f64).log(4.0).max(1.0)
 }

@@ -5,7 +5,7 @@
 //! (Xiao, Wang, Wan, Hong & Tan, PPoPP 2019). It re-exports the public API
 //! of every workspace crate so downstream users depend on one package:
 //!
-//! * [`linalg`] — dense matrices, Cholesky/LDLᵀ, the modified-Cholesky
+//! * [`linalg`] — dense matrices, Cholesky, the modified-Cholesky
 //!   inverse-covariance estimator, Gaussian sampling.
 //! * [`grid`] — lat–lon meshes, domain decomposition, localization boxes,
 //!   layers, bars, and file-layout regions.
@@ -17,7 +17,7 @@
 //!   policies, degraded (N−1) execution, typed substrate errors.
 //! * [`health`] — online health monitoring and adaptive degradation:
 //!   deterministic failure detectors, OST blacklisting with probation,
-//!   speculative read routing, and a per-cycle health snapshot.
+//!   deterministic read rerouting, and a per-cycle health snapshot.
 //! * [`pfs`] — the parallel file system substrate (OSTs, striping, seek and
 //!   transfer costs; real local-disk backend plus a DES-modeled backend).
 //! * [`ckpt`] — durable, self-verifying campaign checkpoints (atomic

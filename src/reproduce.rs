@@ -18,13 +18,14 @@
 
 use crate::core::LocalAnalysis;
 use crate::data::CycleConfig;
-use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
+use crate::fault::{FaultConfig, FaultPlan, RetryPolicy, OSTS};
 use crate::grid::{LocalizationRadius, Mesh};
 use crate::health::{HealthMonitor, HealthParams};
 use crate::net::NetParams;
 use crate::parallel::{model_campaign_adaptive, model_cycle, CampaignConfig, CampaignExecutor};
 use crate::parallel::{CampaignModelPlan, Emitter, ModelConfig, ModelOutcome, ModelVariant};
 use crate::parallel::{PhaseBreakdown, SEnkfModelOptions};
+use crate::pfs::STREAMS_PER_OST;
 use crate::sched::{simulate, ClusterCapacity, DesPlanner, JobModel, JobSpec, SchedConfig};
 use crate::sched::{SharePolicy, TenantSpec};
 use crate::trace::Trace;
@@ -362,7 +363,7 @@ fn reading(variant: ModelVariant, files: usize) -> Res<(f64, f64)> {
     let (out, _) = cycle(&cfg, variant, &FaultConfig::none())?;
     let (compute, io) = (out.num_compute_ranks as f64, out.num_io_ranks as f64);
     let busy = out.compute_mean.read * compute + out.io_mean.read * io;
-    let streams = (cfg.pfs.num_osts * cfg.pfs.streams_per_ost) as f64;
+    let streams = (OSTS * STREAMS_PER_OST) as f64;
     Ok((out.makespan, busy / (streams * out.makespan)))
 }
 
@@ -447,7 +448,7 @@ fn fig10(_: &Sweeps) -> Res<Table> {
 
 fn fig10_holds(t: &Table) -> Res<()> {
     let ncg = t.col("ncg")?;
-    let osts = ModelConfig::paper().pfs.num_osts as f64;
+    let osts = OSTS as f64;
     for name in ["read_s (nsdy=10)", "read_s (nsdy=20)"] {
         let read = t.col(name)?;
         let pos = |g| ncg.iter().position(|&n| n == g).unwrap_or(usize::MAX);
@@ -631,7 +632,7 @@ fn ablation_groups(_: &Sweeps) -> Res<Table> {
 
 fn groups_hold(t: &Table) -> Res<()> {
     let (ncg, runtime) = (t.col("ncg")?, t.col("makespan_s")?);
-    let osts = ModelConfig::paper().pfs.num_osts as f64;
+    let osts = OSTS as f64;
     let upto = ncg.iter().take_while(|&&n| n <= osts).count();
     let falls = upto > 1 && steps(&runtime[..upto], |a, b| b <= a);
     ensure(falls, "a group more slows the cycle")
@@ -675,7 +676,7 @@ fn fig14(_: &Sweeps) -> Res<Table> {
         // seeded factor in [1, 1 + (severity − 1)/4].
         let ranks = params.total_processors().max(8000);
         let mut plan = FaultPlan::jitter(14, ranks, 1.0 + (severity - 1.0) / 4.0);
-        for ost in 0..plan.num_osts {
+        for ost in 0..OSTS {
             plan = plan.with_ost_slowdown(ost, severity);
         }
         let fcfg = FaultConfig::degraded(plan).with_retry(RetryPolicy::none());
@@ -846,7 +847,7 @@ fn adaptive(s: &Sweeps) -> Res<Table> {
     let v = ModelVariant::SEnkf(params);
     let runs = each([0.0f64, 1.0, 2.0, 3.0], |severity| {
         // Two of the six OSTs slowed by 1 + severity; their replicas (OSTs
-        // 2 and 5) stay healthy, so speculation has somewhere to go.
+        // 2 and 5) stay healthy, so a reroute has somewhere to go.
         let mut plan = FaultPlan::new(10);
         for ost in [1, 4].into_iter().filter(|_| severity > 0.0) {
             plan = plan.with_ost_slowdown(ost, 1.0 + severity);

@@ -10,12 +10,12 @@
 //! 1. **Digest identity** — per cycle, the real and modeled trace digests
 //!    and fault digests (the fault-event projection of the same traces)
 //!    are byte-identical, *including* the adaptive
-//!    decisions (read reordering, speculation, retry schedules) the
+//!    decisions (read reordering, reroutes, retry schedules) the
 //!    evolving route view injects.
 //! 2. **Health conformance** — the per-cycle [`HealthSnapshot`]s (every
 //!    verdict: blacklisted, probation and suspect OSTs, suspect ranks)
 //!    agree between the two worlds: the detector is a pure function of the
-//!    observed spans and the seed. The speculative reads the verdicts
+//!    observed spans and the seed. The rerouted reads the verdicts
 //!    cause are `FaultKind::Cancelled` spans, inside the digests of (1).
 //! 3. **Replay** — re-running the identical storm from scratch reproduces
 //!    every artifact bit for bit (no wall-clock leaks into any decision).
@@ -134,7 +134,7 @@ where
         cycle_fault_digests: Vec::new(),
         snapshots: Vec::new(),
     };
-    let (mut real_speculated, mut model_speculated) = (false, false);
+    let (mut real_rerouted, mut model_rerouted) = (false, false);
     for cycle in 0..CYCLES {
         let fcfg = storm_cfg(cycle);
         let (rt, real_dropped) = real(&setup, &fcfg, Some(&real_mon));
@@ -149,8 +149,8 @@ where
             "{label}: cycle {cycle} trace digest diverged"
         );
         assert_eq!(rl, ml, "{label}: cycle {cycle} fault digest diverged");
-        real_speculated |= has_cancelled_read(&rt);
-        model_speculated |= has_cancelled_read(&mt);
+        real_rerouted |= has_cancelled_read(&rt);
+        model_rerouted |= has_cancelled_read(&mt);
         let rs = real_mon.end_cycle();
         let ms = model_mon.end_cycle();
         assert_eq!(rs, ms, "{label}: cycle {cycle} health snapshot diverged");
@@ -164,9 +164,9 @@ where
         "{label}: the storm never degraded anything — soak is vacuous"
     );
     assert!(
-        real_speculated && model_speculated,
-        "{label}: no speculative read on the real ({real_speculated}) or \
-         model ({model_speculated}) side — soak is vacuous"
+        real_rerouted && model_rerouted,
+        "{label}: no rerouted read on the real ({real_rerouted}) or \
+         model ({model_rerouted}) side — soak is vacuous"
     );
     arts
 }
@@ -307,6 +307,6 @@ fn chaos_soak_campaign_real_vs_model() {
     );
     assert!(
         has_cancelled_read(&report.trace) && has_cancelled_read(&model_trace),
-        "campaign storm never speculated a read — soak is vacuous"
+        "campaign storm never rerouted a read — soak is vacuous"
     );
 }
