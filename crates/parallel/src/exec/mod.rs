@@ -2,10 +2,11 @@
 //!
 //! [`run_cycle`] is the one entry point. `Cycle::run` is the prologue and
 //! epilogue every cycle shares: it validates, resolves the fault plan,
-//! emits the program ([`crate::program`]) once and checks it
-//! ([`crate::program::check`]) before any thread starts, runs the one rank
-//! body (`interp`) on every rank thread, and folds the rank results into
-//! the analysis, the trace and the report.
+//! emits the program ([`crate::program`]) once into per-rank op lists,
+//! holding each op to [`crate::program::check`]'s rules as it comes and the
+//! whole program before any thread starts, runs the one rank body
+//! (`interp`) on every rank thread, and folds the rank results into the
+//! analysis, the trace and the report.
 //!
 //! The rank body executes any checked program. It keeps the rank's block
 //! table and its observed rows, and derives the thread structure from the
@@ -74,7 +75,7 @@ pub(crate) mod setup;
 pub(crate) mod writeback;
 
 use crate::campaign::CampaignExecutor;
-use crate::program::{check, CycleOp, Emitter, Geometry, ObservedPoints};
+use crate::program::{Checker, CycleOp, Emitter, Geometry, ObservedPoints};
 use crate::report::ExecutionReport;
 use enkf_core::{BatchedKernel, EnkfError, Ensemble, Result};
 use enkf_fault::{FaultConfig, FaultInjector, SubstrateError};
@@ -237,11 +238,12 @@ pub(crate) struct Cycle<'a> {
 impl<'a> Cycle<'a> {
     /// Run one cycle of `program`: validate, resolve the fault plan (fail
     /// fast when degraded mode is off or would leave fewer than two
-    /// members), emit and [`check`] the program — a program that breaks a
-    /// rule is a typed [`EnkfError::GeometryMismatch`] before any thread
-    /// starts — run the rank body on every rank thread, and fold the rank
-    /// results: spans into the trace (of which the per-class phase report
-    /// is a projection), `Compute` results into the analysis ensemble. The
+    /// members), emit the program, stepping [`crate::program::check`]'s
+    /// rules over each op — a program that breaks a rule is a typed
+    /// [`EnkfError::GeometryMismatch`] before any thread starts — run the
+    /// rank body on every rank thread, and fold the rank results: spans
+    /// into the trace (of which the per-class phase report is a
+    /// projection), `Compute` results into the analysis ensemble. The
     /// cycle's error is that of the first failed rank, in rank order, that
     /// failed on its own: a rank merely told to stop by a failing peer
     /// ([`SubstrateError::PeerAborted`]) echoes that peer's error and is
@@ -271,18 +273,16 @@ impl<'a> Cycle<'a> {
                 setup.observations.operator().network(),
             )),
         };
-        let mut stream = Vec::new();
+        let (mut ops, mut rules) = (vec![Vec::new(); ranks], Checker::default());
+        rules.reset(&geo, ranks, program.layers());
         program
             .emit(&geo, &mut |rank, op| {
-                stream.push((rank, op));
+                rules.step(rank, &op)?;
+                ops[rank].push(op);
                 Ok(())
             })
-            .and_then(|()| check(&geo, ranks, program.layers(), &stream))
+            .and_then(|()| rules.finish())
             .map_err(EnkfError::GeometryMismatch)?;
-        let mut ops = vec![Vec::new(); ranks];
-        for (rank, op) in stream {
-            ops[rank].push(op);
-        }
         let plan = &cfg.plan;
         let cycle = Cycle {
             setup,

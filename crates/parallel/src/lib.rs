@@ -9,12 +9,12 @@
 //!   ([`run_cycle`]): ranks are OS threads ([`enkf_net::Cluster`]), ensemble
 //!   members are real files ([`enkf_pfs::FileStore`]), block data travels
 //!   over channels. One interpreter runs every variant's program, checked
-//!   before any thread starts ([`program::check`]); the
-//!   ops' stages alone decide what overlaps, so S-EnKF's helper thread
-//!   genuinely overlaps reception with the main thread's local analyses
-//!   (Fig. 8) while L-/P-EnKF run strictly in order. Produces a bit-exact
-//!   analysis ensemble plus wall-clock phase timings. Used for correctness
-//!   and small-scale measurements.
+//!   before any thread starts ([`program::check`]'s rules, which the
+//!   pricer steps too); the ops' stages alone decide what overlaps, so
+//!   S-EnKF's helper thread genuinely overlaps reception with the main
+//!   thread's local analyses (Fig. 8) while L-/P-EnKF run strictly in
+//!   order. Produces a bit-exact analysis ensemble plus wall-clock phase
+//!   timings. Used for correctness and small-scale measurements.
 //! * `model` — the **DES backend** *prices* the program ([`model_cycle`]):
 //!   each op becomes tasks in the discrete-event engine
 //!   ([`enkf_sim::Simulation`]) against modeled OSTs and NICs, which is how

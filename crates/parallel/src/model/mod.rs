@@ -7,7 +7,7 @@ pub(crate) mod penkf;
 pub(crate) mod senkf;
 
 use crate::exec::{compute_dilation, resolve_dropout};
-use crate::program::{out_of_bounds, CycleOp, Emitter, Geometry, ModelVariant, ObservedPoints};
+use crate::program::{Checker, CycleOp, Emitter, Geometry, ModelVariant, ObservedPoints};
 use crate::report::PhaseBreakdown;
 use enkf_fault::{FaultConfig, FaultInjector};
 use enkf_grid::{FileLayout, LocalizationRadius, Mesh};
@@ -27,8 +27,6 @@ use std::cell::Cell;
 struct Mailbox {
     /// The entry of the latest send in [`Arena::sends`] ([`END`]: none).
     latest: u32,
-    /// Sends in the list.
-    count: usize,
     /// Bytes of the latest send (every bundle of a fault-free stage is the
     /// same size) — what a helper-less rank ingests per message.
     bundle_bytes: u64,
@@ -40,7 +38,6 @@ const END: u32 = u32::MAX;
 /// A mailbox no send has reached.
 const EMPTY: Mailbox = Mailbox {
     latest: END,
-    count: 0,
     bundle_bytes: 0,
 };
 
@@ -49,15 +46,16 @@ const EMPTY: Mailbox = Mailbox {
 #[derive(Default)]
 struct Arena {
     sim: Simulation,
+    /// The program's rules, stepped before each op is priced.
+    rules: Checker,
     /// Every send addressed to a mailbox (and every ingestion task of a
     /// rank without the helper thread): its task and the entry of the
     /// list's previous one ([`END`]: none).
     sends: Vec<(u32, u32)>,
     /// One mailbox per `(rank, stage)`.
     mailboxes: Vec<Mailbox>,
-    /// Per rank, while an `Await` is pending: the list that gates its next
-    /// `Compute`.
-    gate: Vec<Option<u32>>,
+    /// Per rank: the list that gates its next `Compute` ([`END`]: none).
+    gate: Vec<u32>,
     /// Per rank: its straggler factor, once the first `Compute` asked.
     dilations: Vec<Option<f64>>,
     /// The dependencies of the task being added.
@@ -197,8 +195,10 @@ fn price_variant<T>(
 /// (compute ranks, then I/O ranks), so span and fault-event rank fields
 /// compare across executors; one NIC per rank is its ingestion port. Each
 /// op is priced as it is emitted, in emission order, without a heap
-/// allocation per task; an op off the program's ranks or stages is refused
-/// first, as [`crate::program::check`] refuses it:
+/// allocation per task. Each op is first held to [`crate::program::check`]'s
+/// rules, stepped as the threaded interpreter steps them, and the whole
+/// program is judged before the run: the pricer refuses what `run_cycle`
+/// refuses, with the same message, and relies on every rule:
 ///
 /// * `Read` — the retry/reroute weave of [`ModeledPfs::add_member_read`],
 ///   charged the layout's seeks and bytes for the region;
@@ -209,9 +209,7 @@ fn price_variant<T>(
 ///   dependencies (receivers' blocked waits surface as DES wait time, not
 ///   tasks, matching the real wait spans' exclusion from the digest);
 ///   without the helper thread an explicit ingestion task on the rank
-///   serializes the communication with the computation. That `Compute`
-///   must be the rank's next op: any other op first, or none, is refused,
-///   as [`crate::program::check`] refuses it;
+///   serializes the communication with the computation;
 /// * `Compute` — `c · work`, dilated by the rank's straggler factor, which
 ///   is reported to the monitor once per rank.
 ///
@@ -221,9 +219,9 @@ fn price_variant<T>(
 /// ([`enkf_trace::class_phases`]); `tail` decides whether they are also
 /// collected into the trace.
 ///
-/// The graph, the mailboxes (one list of sends for all of them) and the
-/// per-rank gates are built in this thread's `ARENA`, cleared rather than
-/// freed between calls.
+/// The graph, the rules' state, the mailboxes (one list of sends for all of
+/// them) and the per-rank gates are built in this thread's `ARENA`,
+/// cleared rather than freed between calls.
 pub(crate) fn price_cycle<T>(
     cfg: &ModelConfig,
     program: &impl Emitter,
@@ -289,7 +287,7 @@ fn price_in<T>(
     arena.mailboxes.clear();
     arena.mailboxes.resize(ranks * layers, EMPTY);
     arena.gate.clear();
-    arena.gate.resize(ranks, None);
+    arena.gate.resize(ranks, END);
     arena.dilations.clear();
     arena.dilations.resize(ranks, None);
     let sim_err = |e: SimError| e.to_string();
@@ -305,19 +303,11 @@ fn price_in<T>(
         view: monitor.map(|mon| mon.view()),
         network,
     };
+    arena.rules.reset(&geo, ranks, layers);
     program.emit(&geo, &mut |rank, op| {
-        if let Some(broken) = out_of_bounds(rank, &op, ranks, layers) {
-            return Err(format!("rank {rank}'s {op:?} {broken}"));
-        }
+        arena.rules.step(rank, &op)?;
         let agent = agents[rank];
         let io = rank >= c2;
-        // An `Await` gates the rank's next op, which must be the `Compute`
-        // it feeds: the real rank blocks before any other op too.
-        if arena.gate[rank].is_some() && !matches!(op, CycleOp::Compute { .. }) {
-            return Err(format!(
-                "rank {rank}'s {op:?} follows an Await before the Compute it gates"
-            ));
-        }
         let sim = &mut arena.sim;
         match op {
             CycleOp::Read {
@@ -359,18 +349,10 @@ fn price_in<T>(
                 // simulation's own records do.
                 arena.sends.push((send as u32, mail.latest));
                 mail.latest = (arena.sends.len() - 1) as u32;
-                mail.count += 1;
                 mail.bundle_bytes = bytes;
             }
             CycleOp::Await { stage, sends } => {
                 let mail = std::mem::replace(&mut arena.mailboxes[slot(rank, stage)], EMPTY);
-                if mail.count != sends {
-                    return Err(format!(
-                        "unbalanced program: rank {rank} awaits {sends} sends at stage \
-                         {stage:?}, {} were addressed to it",
-                        mail.count
-                    ));
-                }
                 let gate = if opts.helper_thread {
                     mail.latest
                 } else {
@@ -389,7 +371,7 @@ fn price_in<T>(
                     arena.sends.push((ingestion as u32, END));
                     (arena.sends.len() - 1) as u32
                 };
-                arena.gate[rank] = Some(gate);
+                arena.gate[rank] = gate;
             }
             CycleOp::Compute { stage, work, .. } => {
                 let dilation = *arena.dilations[rank]
@@ -400,8 +382,8 @@ fn price_in<T>(
                     stage,
                     ..OpTag::default()
                 };
-                let gate = arena.gate[rank].take();
-                arena.collect(gate.unwrap_or(END));
+                let gate = std::mem::replace(&mut arena.gate[rank], END);
+                arena.collect(gate);
                 arena
                     .sim
                     .add_task_parts(agent, Kind::Compute, service, &[], &arena.deps, tag)
@@ -410,9 +392,7 @@ fn price_in<T>(
         }
         Ok(())
     })?;
-    if let Some(rank) = arena.gate.iter().position(Option::is_some) {
-        return Err(format!("rank {rank}'s last Await gates no Compute"));
-    }
+    arena.rules.finish()?;
 
     let sim = &mut arena.sim;
     let report = sim.run().map_err(sim_err)?;

@@ -8,12 +8,16 @@
 //! consume it:
 //!
 //! * the threaded interpreter ([`crate::exec::run_cycle`]) runs the emitter
-//!   once, splits the stream by rank, and executes each rank's ops — its
-//!   only source of regions, peers, bundle sizes, member order and
+//!   once into per-rank op lists, and executes each rank's ops — its only
+//!   source of regions, peers, bundle sizes, member order and
 //!   expected-message counts;
 //! * the DES pricer ([`crate::model::model_cycle`]) turns each op into
 //!   tasks as it is emitted, so a 1200-rank model never materialises the
 //!   program.
+//!
+//! Both step one checker of [`check`]'s rules over each op as it is
+//! emitted, and judge the whole program before a rank thread starts or the
+//! DES runs: they refuse the same programs with the same messages.
 //!
 //! **Insertion-order rule.** `enkf-sim` breaks ties between simultaneously
 //! ready tasks on `TaskId`, so the order the pricer adds tasks in is part
@@ -55,8 +59,7 @@
 //! followed, on its rank, by the `Compute` it gates and no other op first,
 //! all of one rank's `Await`s are staged or none is (a helper thread owns
 //! the rank's inbox, or the rank itself does), and observed rows are
-//! received by unstaged `Await`s only. [`check`] enforces the static rules
-//! before any thread starts.
+//! received by unstaged `Await`s only. [`check`] lists every rule.
 
 use enkf_grid::{
     Decomposition, FileLayout, LocalizationRadius, Mesh, ObservationNetwork, RegionRect,
@@ -64,7 +67,6 @@ use enkf_grid::{
 };
 use enkf_health::RouteView;
 use enkf_tuning::Params;
-use std::collections::BTreeMap;
 
 /// Which variant a program describes (and a modeled campaign drives).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,33 +277,17 @@ impl Geometry<'_> {
     }
 }
 
-/// Why `rank`'s `op` lies outside a program of `ranks` ranks and `layers`
-/// stages — it runs on no rank, sends to no rank, or is staged past the
-/// last layer — or `None`. Both interpreters refuse such an op before they
-/// index anything by it.
-pub(crate) fn out_of_bounds(
-    rank: usize,
-    op: &CycleOp,
-    ranks: usize,
-    layers: usize,
-) -> Option<&'static str> {
-    if rank >= ranks {
-        Some("runs on no rank of the program")
-    } else if matches!(*op, CycleOp::Send { to, .. } if to >= ranks) {
-        Some("sends to no peer")
-    } else if op.stage().is_some_and(|l| l >= layers) {
-        Some("is staged past the program's layers")
-    } else {
-        None
-    }
-}
-
 /// Check an emitted `program` — `(rank, op)` in emission order over
 /// `ranks` ranks and `layers` stages — against the rules both
-/// interpreters rely on, before either runs it:
+/// interpreters rely on, before either runs it. This is a fold of the
+/// crate's one streaming checker of these rules, which each interpreter
+/// steps itself as the emitter produces the ops (O(1) amortised per op)
+/// and asks for its verdict on the whole program before anything runs.
+/// Its refusals read `rank r's <op> <rule broken>`, or name the unbalanced
+/// or untiled program.
 ///
-/// * **bounds** — every op runs on a rank of the program, sends to one,
-///   and is staged below `layers`;
+/// * **bounds** — every op runs on a rank of the program, sends to another
+///   one, and is staged below `layers`;
 /// * **balance** — every `Await { stage, sends: n }` of rank `r` is fed by
 ///   exactly `n` earlier `Send`s to `(r, stage)`, and every `Send` is
 ///   awaited. The emission order is then a schedule that never blocks, so
@@ -311,12 +297,16 @@ pub(crate) fn out_of_bounds(
 ///   rows follows, on its rank, `Read`s or unstaged `Await`s of its stage
 ///   whose last `members` blocks cover its region (a dropped member's
 ///   `Read` yields no block, received observed rows are no block);
+/// * **observed rows** — are sent unstaged: only an unstaged `Await`
+///   files them;
 /// * **gates** — an `Await` is followed, on its rank, by a `Compute` before
 ///   any other op: the pricer makes the awaited messages that `Compute`'s
 ///   dependencies, so a `Read`, a `Send` or a second `Await` in between,
 ///   or no `Compute` at all, would be priced without the wait the real
 ///   rank blocks on;
 /// * **staged `Await`s** — one rank's `Await`s are all staged or all not;
+/// * **batched updates** — a [`Update::Batched`] `Compute`'s `expansion`
+///   is its `target`;
 /// * **tiling** — the `Compute` targets cover every mesh point exactly
 ///   once.
 pub fn check(
@@ -325,96 +315,210 @@ pub fn check(
     layers: usize,
     program: &[(usize, CycleOp)],
 ) -> Result<(), String> {
-    let mesh = geo.layout.mesh();
-    let mut in_flight: BTreeMap<(usize, Option<usize>), Vec<Payload>> = BTreeMap::new();
-    let mut acquired: BTreeMap<(usize, Option<usize>), Vec<RegionRect>> = BTreeMap::new();
-    let mut staged_awaits: BTreeMap<usize, bool> = BTreeMap::new();
-    let mut gated = vec![false; ranks];
-    let mut covered = vec![false; mesh.n()];
-    for &(rank, op) in program {
-        if let Some(broken) = out_of_bounds(rank, &op, ranks, layers) {
-            return Err(format!("rank {rank}'s {op:?} {broken}"));
+    let mut rules = Checker::default();
+    rules.reset(geo, ranks, layers);
+    for (rank, op) in program {
+        rules.step(*rank, op)?;
+    }
+    rules.finish()
+}
+
+/// [`check`]'s rules as a stream: [`Checker::step`] takes one op at O(1)
+/// amortised (a `Compute`, per row of its target), [`Checker::finish`]
+/// judges what only the whole program shows. The state is flat, and
+/// [`Checker::reset`] keeps every buffer's capacity for the next program.
+#[derive(Default)]
+pub(crate) struct Checker {
+    layers: usize,
+    mesh: RegionRect,
+    dropped: Vec<usize>,
+    /// Per `(rank, stage)`, rank-major, unstaged first: the sends addressed
+    /// to it that no `Await` consumed yet, and its block table.
+    sends: Vec<u32>,
+    held: Vec<Runs>,
+    /// Per rank: the blocks of the unstaged bundles sent to it, which its
+    /// next `Await` files (the helper thread gathers staged ones straight
+    /// into their stage's `X̄ᵇ`).
+    received: Vec<Runs>,
+    /// Per rank: whether its `Await`s are staged (`None`: it has none
+    /// yet), and whether one gates its next op.
+    awaits: Vec<(Option<bool>, bool)>,
+    /// Per mesh row: its analyzed points, as sorted disjoint `[x0, x1)`
+    /// spans (a span that ends where the next one starts grows instead);
+    /// and how many points are analyzed.
+    covered: Vec<Vec<(usize, usize)>>,
+    tiled: usize,
+}
+
+impl Checker {
+    /// Start on a program of `ranks` ranks and `layers` stages over `geo`.
+    pub(crate) fn reset(&mut self, geo: &Geometry<'_>, ranks: usize, layers: usize) {
+        let (mesh, slots) = (RegionRect::full(geo.layout.mesh()), ranks * (layers + 1));
+        (self.layers, self.mesh, self.tiled) = (layers, mesh, 0);
+        self.dropped.clear();
+        self.dropped.extend_from_slice(geo.dropped);
+        self.sends.clear();
+        self.sends.resize(slots, 0);
+        // Tables past this program's slots keep their buffers for the next.
+        for (tables, n) in [(&mut self.held, slots), (&mut self.received, ranks)] {
+            tables.resize_with(n.max(tables.len()), Runs::default);
+            tables[..n].iter_mut().for_each(Runs::clear);
         }
-        let (stage, held) = (op.stage(), acquired.entry((rank, op.stage())).or_default());
-        let broken = match op {
-            CycleOp::Read { .. } | CycleOp::Send { .. } | CycleOp::Await { .. } if gated[rank] => {
-                "follows an Await before the Compute it gates"
-            }
-            CycleOp::Read { member, region, .. } => {
-                if !geo.dropped.contains(&member) {
-                    held.push(region);
+        self.awaits.clear();
+        self.awaits.resize(ranks, (None, false));
+        self.covered
+            .resize_with(mesh.y1.max(self.covered.len()), Vec::new);
+        self.covered[..mesh.y1].iter_mut().for_each(Vec::clear);
+    }
+
+    /// Check `rank`'s next `op` against every op emitted before it.
+    pub(crate) fn step(&mut self, rank: usize, op: &CycleOp) -> Result<(), String> {
+        let (stage, layers, ranks) = (op.stage(), self.layers, self.awaits.len());
+        // The slot of `(rank, stage)` in `sends` and `held`.
+        let slot = |rank: usize| rank * (layers + 1) + stage.map_or(0, |l| l + 1);
+        let broken = match *op {
+            _ if rank >= ranks => "runs on no rank of the program",
+            CycleOp::Send { to, .. } if to >= ranks || to == rank => "sends to no peer",
+            _ if stage.is_some_and(|l| l >= layers) => "is staged past the program's layers",
+            CycleOp::Compute {
+                target,
+                expansion,
+                update,
+                ..
+            } => {
+                self.awaits[rank].1 = false;
+                match update {
+                    Update::Batched if expansion != target => {
+                        "applies a batched update beyond its target"
+                    }
+                    _ => self.tile(&target),
                 }
-                ""
+            }
+            _ if self.awaits[rank].1 => "follows an Await before the Compute it gates",
+            CycleOp::Read { member, region, .. } => {
+                let blocks = usize::from(!self.dropped.contains(&member));
+                self.held[slot(rank)].acquire(region, blocks)
             }
             CycleOp::Send { to, payload, .. } => {
                 let (Payload::Blocks { region, members }
                 | Payload::Observed {
                     region, members, ..
                 }) = payload;
-                in_flight.entry((to, stage)).or_default().push(payload);
-                let last = held.len().checked_sub(members).map(|from| &held[from..]);
-                if to == rank {
-                    "sends to no peer"
-                } else if !last.is_some_and(|last| last.iter().all(|b| b.contains_rect(&region))) {
-                    "sends without blocks covering its region"
-                } else {
-                    ""
+                self.sends[slot(to)] += 1;
+                match payload {
+                    _ if !self.held[slot(rank)].cover(&region, members) => {
+                        "sends without blocks covering its region"
+                    }
+                    Payload::Observed { .. } if stage.is_some() => {
+                        "sends observed rows to a staged Await"
+                    }
+                    Payload::Blocks { .. } if stage.is_none() => {
+                        self.received[to].acquire(region, members)
+                    }
+                    _ => "",
                 }
             }
             CycleOp::Await { sends, .. } => {
-                let fed = in_flight.remove(&(rank, stage)).unwrap_or_default();
-                // Unstaged bundles enter the table; the helper thread
-                // gathers staged ones straight into their stage's `X̄ᵇ`.
-                for payload in fed.iter().filter(|_| stage.is_none()) {
-                    if let Payload::Blocks { region, members } = *payload {
-                        held.extend(std::iter::repeat_n(region, members));
-                    }
-                }
-                if fed.len() != sends {
+                let fed = std::mem::take(&mut self.sends[slot(rank)]);
+                if fed as usize != sends {
                     return Err(format!(
-                        "unbalanced program: rank {rank}'s {op:?} is fed {}",
-                        fed.len()
+                        "unbalanced program: rank {rank}'s {op:?} is fed {fed}"
                     ));
                 }
-                gated[rank] = true;
-                let staged = *staged_awaits.entry(rank).or_insert(stage.is_some());
-                if staged != stage.is_some() {
-                    "mixes staged and unstaged Awaits"
-                } else {
-                    ""
+                if stage.is_none() {
+                    let received = &mut self.received[rank];
+                    let latest = std::mem::take(&mut received.latest);
+                    for (region, n) in received.earlier.drain(..).chain([latest]) {
+                        self.held[slot(rank)].acquire(region, n);
+                    }
                 }
-            }
-            CycleOp::Compute { target, .. } => {
-                gated[rank] = false;
-                let inside = RegionRect::full(mesh).contains_rect(&target);
-                let mut points = target.iter_points();
-                if !inside || points.any(|p| std::mem::replace(&mut covered[mesh.index(p)], true)) {
-                    "analyzes a point twice or outside the mesh"
-                } else {
-                    ""
+                let (staged, gated) = &mut self.awaits[rank];
+                *gated = true;
+                match *staged.get_or_insert(stage.is_some()) == stage.is_some() {
+                    true => "",
+                    false => "mixes staged and unstaged Awaits",
                 }
             }
         };
-        if !broken.is_empty() {
-            return Err(format!("rank {rank}'s {op:?} {broken}"));
+        match broken {
+            "" => Ok(()),
+            broken => Err(format!("rank {rank}'s {op:?} {broken}")),
         }
     }
-    if let Some(((to, stage), sends)) = in_flight.first_key_value() {
-        let n = sends.len();
-        return Err(format!(
-            "unbalanced program: rank {to} never awaits {n} sends of {stage:?}"
-        ));
+
+    /// Mark `t`'s points analyzed, row by row: the rule this breaks, if
+    /// any.
+    fn tile(&mut self, t: &RegionRect) -> &'static str {
+        let inside = self.mesh.contains_rect(t);
+        let mut clash = !inside;
+        for y in (t.y0..t.y1).filter(|_| inside && t.x0 < t.x1) {
+            let row = &mut self.covered[y];
+            // The spans left of `t`, then the first that could overlap it.
+            let i = row.partition_point(|&(_, x1)| x1 <= t.x0);
+            clash |= row.get(i).is_some_and(|&(x0, _)| x0 < t.x1);
+            match row.get_mut(i.wrapping_sub(1)) {
+                Some((_, x1)) if *x1 == t.x0 => *x1 = t.x1,
+                _ => row.insert(i, (t.x0, t.x1)),
+            }
+            self.tiled += t.x1 - t.x0;
+        }
+        match clash {
+            true => "analyzes a point twice or outside the mesh",
+            false => "",
+        }
     }
-    let missed = covered.iter().filter(|&&c| !c).count();
-    if missed > 0 {
-        return Err(format!(
-            "the Compute targets miss {missed} of {} points",
-            mesh.n()
-        ));
+
+    /// Judge what only the whole program shows: sends no `Await`
+    /// consumed, points no `Compute` analyzed, an `Await` gating nothing.
+    pub(crate) fn finish(&self) -> Result<(), String> {
+        let (stages, points) = (self.layers + 1, self.mesh.npoints());
+        let unawaited = self.sends.iter().position(|&n| n > 0);
+        let gated = self.awaits.iter().position(|&(_, gated)| gated);
+        Err(match (unawaited, points - self.tiled, gated) {
+            (Some(s), ..) => {
+                let (to, n, stage) = (s / stages, self.sends[s], (s % stages).checked_sub(1));
+                format!("unbalanced program: rank {to} never awaits {n} sends of {stage:?}")
+            }
+            (None, 0, None) => return Ok(()),
+            (None, 0, Some(rank)) => format!("rank {rank}'s last Await gates no Compute"),
+            (None, missed, _) => format!("the Compute targets miss {missed} of {points} points"),
+        })
     }
-    match gated.iter().position(|&g| g) {
-        Some(rank) => Err(format!("rank {rank}'s last Await gates no Compute")),
-        None => Ok(()),
+}
+
+/// Blocks in the order a `(rank, stage)` acquired them, run-length encoded
+/// as `(region, blocks)` runs: the latest inline, so that a table of one
+/// region never leaves its slot, and the earlier ones.
+#[derive(Default)]
+struct Runs {
+    latest: (RegionRect, usize),
+    earlier: Vec<(RegionRect, usize)>,
+}
+
+impl Runs {
+    fn clear(&mut self) {
+        self.latest.1 = 0;
+        self.earlier.clear();
+    }
+
+    /// Append `blocks` blocks of `region`: a rule no append breaks.
+    fn acquire(&mut self, region: RegionRect, blocks: usize) -> &'static str {
+        if self.latest.0 != region && blocks > 0 {
+            let spilled = std::mem::replace(&mut self.latest, (region, 0));
+            self.earlier.extend((spilled.1 > 0).then_some(spilled));
+        }
+        self.latest.1 += blocks;
+        ""
+    }
+
+    /// Whether the last `members` blocks cover `region`, walked run by run
+    /// from the latest until they do.
+    fn cover(&self, region: &RegionRect, members: usize) -> bool {
+        let runs = std::iter::once(&self.latest).chain(self.earlier.iter().rev());
+        let mut covering = runs.take_while(|(block, _)| block.contains_rect(region));
+        // The blocks still missing, `None` once there are none.
+        let missing = covering.try_fold(members, |left, &(_, n)| (left > n).then(|| left - n));
+        members == 0 || missing.is_none()
     }
 }
 
@@ -749,10 +853,114 @@ mod tests {
             let scan = ObservedPoints::Listed(&network).per_subdomain(&decomp);
             prop_assert_eq!(ObservedPoints::Uniform(stride).per_subdomain(&decomp), scan);
         }
+
+        /// The row spans judge tiling as a grid of flags does, whatever
+        /// the order of the targets: a shuffled grid of cuts, its last
+        /// target dropped or not, and extra targets anywhere among them —
+        /// overlapping, adjacent, empty or past the mesh's edge.
+        #[test]
+        fn tiling_is_judged_as_a_grid_of_flags_judges_it(
+            xs in proptest::collection::vec(1usize..9, 0..5),
+            ys in proptest::collection::vec(1usize..6, 0..3),
+            (order, drop_last) in (any::<u64>(), any::<bool>()),
+            extras in proptest::collection::vec(
+                (0usize..10, 0usize..4, 0usize..7, 0usize..3, 0usize..64),
+                0..4,
+            ),
+        ) {
+            let mesh = Mesh::new(9, 6);
+            // The spans between `0`, the sorted `inner` cuts and `n`.
+            let cuts = |inner: &[usize], n| {
+                let mut bounds = [&[0], inner, &[n]].concat();
+                bounds.sort_unstable();
+                bounds.dedup();
+                bounds.windows(2).map(|w| (w[0], w[1])).collect::<Vec<_>>()
+            };
+            let mut targets: Vec<RegionRect> = cuts(&ys, 6)
+                .into_iter()
+                .flat_map(|(y0, y1)| {
+                    let row = cuts(&xs, 9).into_iter();
+                    row.map(move |(x0, x1)| RegionRect::new(x0, x1, y0, y1))
+                })
+                .collect();
+            let key = |t: &RegionRect| ((t.x0 * 31 + t.y0) as u64).wrapping_mul(order | 1);
+            targets.sort_by_key(|t| key(t).rotate_left(17));
+            if drop_last {
+                targets.pop();
+            }
+            for (x0, w, y0, h, at) in extras {
+                let extra = RegionRect::new(x0, x0 + w, y0, y0 + h);
+                targets.insert(at % (targets.len() + 1), extra);
+            }
+            let compute = |target| CycleOp::Compute {
+                stage: None,
+                target,
+                expansion: target,
+                work: 0,
+                update: Update::Local,
+            };
+            let ops: Vec<_> = targets.iter().map(|&target| (0, compute(target))).collect();
+            // The verdict of one flag per point.
+            let (mut seen, full) = (vec![false; mesh.n()], RegionRect::full(mesh));
+            let clash = targets.iter().find(|target| {
+                let mut points = target.iter_points();
+                !full.contains_rect(target)
+                    || points.any(|p| std::mem::replace(&mut seen[mesh.index(p)], true))
+            });
+            let missed = seen.iter().filter(|&&s| !s).count();
+            let flags = match clash {
+                Some(&target) => Err(format!(
+                    "rank 0's {:?} analyzes a point twice or outside the mesh",
+                    compute(target)
+                )),
+                None if missed > 0 => {
+                    Err(format!("the Compute targets miss {missed} of 54 points"))
+                }
+                None => Ok(()),
+            };
+            let geo = Geometry {
+                layout: FileLayout::new(mesh, 1),
+                members: 1,
+                radius: LocalizationRadius { xi: 0, eta: 0 },
+                dropped: &[],
+                view: None,
+                network: None,
+            };
+            prop_assert_eq!(check(&geo, 1, 1, &ops), flags);
+        }
+    }
+
+    /// A fixed op list as a one-stage program of `ranks` compute ranks.
+    struct Replay<'a> {
+        ops: &'a [(usize, CycleOp)],
+        ranks: usize,
+    }
+
+    impl Emitter for Replay<'_> {
+        fn name(&self) -> &'static str {
+            "replay"
+        }
+
+        fn layers(&self) -> usize {
+            1
+        }
+
+        fn ranks(&self, _: Mesh, _: usize) -> Result<(usize, usize), String> {
+            Ok((self.ranks, 0))
+        }
+
+        fn emit(
+            &self,
+            _: &Geometry<'_>,
+            sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+        ) -> Result<(), String> {
+            self.ops.iter().try_for_each(|&(rank, op)| sink(rank, op))
+        }
     }
 
     /// Each rule of [`check`], broken once by mutating a well-formed
-    /// program, is refused with its own error.
+    /// program, is refused with its own error — by `check` and by the
+    /// pricer alike, with the same message.
     #[test]
     fn check_refuses_every_broken_rule() {
         let mesh = Mesh::new(12, 8);
@@ -765,6 +973,28 @@ mod tests {
             view: None,
             network: Some(ObservedPoints::Listed(&network)),
         };
+        let cfg = crate::model::ModelConfig {
+            workload: enkf_tuning::Workload {
+                nx: 12,
+                ny: 8,
+                members: 4,
+                h: 8,
+                xi: 1,
+                eta: 1,
+            },
+            ..crate::model::ModelConfig::paper()
+        };
+        // `check`'s verdict on `ops` over `ranks` ranks, after asserting
+        // that the pricer's is the same.
+        let judged = |ops: &[(usize, CycleOp)], ranks: usize| {
+            let none = enkf_fault::FaultConfig::none();
+            let (program, opts) = (Replay { ops, ranks }, Default::default());
+            let tail = crate::model::collect;
+            let priced = crate::model::price_cycle(&cfg, &program, None, opts, &none, None, tail);
+            let checked = check(&geo, ranks, 1, ops);
+            assert_eq!(priced.map(|_| ()), checked, "{ops:?}");
+            checked
+        };
         let emit = |variant: ModelVariant| {
             let mut ops = Vec::new();
             let mut sink = |rank, op| {
@@ -775,15 +1005,32 @@ mod tests {
         };
         let lenkf = emit(ModelVariant::LEnkf { nsdx: 2, nsdy: 2 }).unwrap();
         let denkf = emit(ModelVariant::DEnkf { shards: 4 }).unwrap();
-        assert_eq!(check(&geo, 4, 1, &lenkf), Ok(()));
-        assert_eq!(check(&geo, 4, 1, &denkf), Ok(()));
+        assert_eq!(judged(&lenkf, 4), Ok(()));
+        assert_eq!(judged(&denkf, 4), Ok(()));
 
         let mutated = |ops: &[(usize, CycleOp)], f: &dyn Fn(CycleOp) -> Option<CycleOp>| {
             let ops: Vec<_> = ops
                 .iter()
                 .filter_map(|&(r, op)| Some((r, f(op)?)))
                 .collect();
-            check(&geo, 4, 1, &ops).unwrap_err()
+            judged(&ops, 4).unwrap_err()
+        };
+        // `ops` with `op` of `rank` inserted after its op that `at` picks.
+        let inserted = |ops: &[(usize, CycleOp)], rank, at: fn(&CycleOp) -> bool, op| {
+            let mut ops = ops.to_vec();
+            let i = ops.iter().rposition(|(r, o)| *r == rank && at(o)).unwrap();
+            ops.insert(i + 1, (rank, op));
+            judged(&ops, 4).unwrap_err()
+        };
+        let compute = |op: &CycleOp| matches!(op, CycleOp::Compute { .. });
+        let full = RegionRect::full(mesh);
+        let unawaited = CycleOp::Send {
+            stage: None,
+            to: 1,
+            payload: Payload::Blocks {
+                region: full,
+                members: 1,
+            },
         };
         let refusals = [
             // An Await one long: the rank would wait forever.
@@ -794,9 +1041,52 @@ mod tests {
                 }),
                 op => Some(op),
             }),
+            // A send no Await consumes, after every op.
+            judged(&[&lenkf[..], &[(0, unawaited)]].concat(), 4).unwrap_err(),
+            // Rank 1 awaits unstaged, then staged.
+            inserted(
+                &lenkf,
+                1,
+                compute,
+                CycleOp::Await {
+                    stage: Some(0),
+                    sends: 0,
+                },
+            ),
             // Observed rows sent before the blocks they derive from.
             mutated(&denkf, &|op| match op {
                 CycleOp::Read { .. } => None,
+                op => Some(op),
+            }),
+            // Observed rows sent to a staged Await (reads staged alike).
+            mutated(&denkf, &|op| match op {
+                CycleOp::Read { member, region, .. } => Some(CycleOp::Read {
+                    stage: Some(0),
+                    member,
+                    region,
+                }),
+                CycleOp::Send { to, payload, .. } => Some(CycleOp::Send {
+                    stage: Some(0),
+                    to,
+                    payload,
+                }),
+                op => Some(op),
+            }),
+            // A batched update of the whole mesh's background.
+            mutated(&denkf, &|op| match op {
+                CycleOp::Compute {
+                    stage,
+                    target,
+                    work,
+                    update,
+                    ..
+                } => Some(CycleOp::Compute {
+                    stage,
+                    target,
+                    expansion: full,
+                    work,
+                    update,
+                }),
                 op => Some(op),
             }),
             // A Compute dropped: its points are never analyzed.
@@ -808,26 +1098,32 @@ mod tests {
             mutated(&denkf, &|op| match op {
                 CycleOp::Compute {
                     stage,
-                    expansion,
                     work,
                     update,
                     ..
                 } => Some(CycleOp::Compute {
                     stage,
-                    target: RegionRect::full(mesh),
-                    expansion,
+                    target: full,
+                    expansion: full,
                     work,
                     update,
                 }),
                 op => Some(op),
             }),
         ];
-        let expected = ["unbalanced", "without", "miss", "twice"];
-        for (refusal, word) in refusals.iter().zip(expected) {
-            assert!(refusal.contains(word), "{refusal}");
+        let expected = [
+            "is fed 4",
+            "never awaits 1 sends",
+            "mixes staged and unstaged",
+            "without",
+            "sends observed rows to a staged Await",
+            "batched update beyond its target",
+            "miss",
+            "twice",
+        ];
+        for (refusal, words) in refusals.iter().zip(expected) {
+            assert!(refusal.contains(words), "{refusal}");
         }
-        assert!(check(&geo, 3, 1, &lenkf)
-            .unwrap_err()
-            .contains("to no peer"));
+        assert!(judged(&lenkf, 3).unwrap_err().contains("to no peer"));
     }
 }

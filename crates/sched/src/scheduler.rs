@@ -64,15 +64,14 @@ impl ClusterCapacity {
     }
 }
 
-/// How running campaigns split the machine.
+/// How running campaigns split the machine: weighted max-min fair share
+/// is the one policy. The type and [`SchedConfig::policy`] stay because the
+/// frozen `perf/` harness names `SharePolicy::FairShare`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharePolicy {
     /// Weighted max-min fair share with SLA-guarding admission — the
     /// scheduler this crate is about.
     FairShare,
-    /// The naive baseline: every running job gets `1/k`, admission is
-    /// first-fit on ranks, no SLA gating. Benched as "fair-share off".
-    EqualSplit,
 }
 
 /// Scheduler configuration.
@@ -363,20 +362,13 @@ impl<P: Planner> Scheduler<P> {
             .collect()
     }
 
-    /// Current bandwidth share of each member of `ids` under the policy.
+    /// Current bandwidth share of each member of `ids`: their weighted
+    /// max-min fair share.
     fn shares_of(&self, ids: &[JobId]) -> Vec<f64> {
         if ids.is_empty() {
             return Vec::new();
         }
-        match self.cfg.policy {
-            SharePolicy::FairShare => weighted_max_min(self.health_factor, &self.bw_demands(ids)),
-            SharePolicy::EqualSplit => {
-                let even = self.health_factor / ids.len() as f64;
-                ids.iter()
-                    .map(|id| even.min(self.jobs[id].spec.bw_demand))
-                    .collect()
-            }
-        }
+        weighted_max_min(self.health_factor, &self.bw_demands(ids))
     }
 
     /// Recompute every running job's share (membership changed or a cycle
@@ -495,19 +487,17 @@ impl<P: Planner> Scheduler<P> {
                 {
                     continue;
                 }
-                if self.cfg.policy == SharePolicy::FairShare {
-                    // A tenant's *first* running job may exceed its grant —
-                    // integer grants can fall below the smallest job size
-                    // (many tenants, few ranks) and fairness must never
-                    // become starvation. Beyond that, the grant binds.
-                    let grant = grants[&tenant];
-                    let used = self.tenant_ranks_running(tenant);
-                    if used > 0 && used + ranks > grant {
-                        continue;
-                    }
-                    if !self.sla_admits(id) {
-                        continue;
-                    }
+                // A tenant's *first* running job may exceed its grant —
+                // integer grants can fall below the smallest job size (many
+                // tenants, few ranks) and fairness must never become
+                // starvation. Beyond that, the grant binds.
+                let grant = grants[&tenant];
+                let used = self.tenant_ranks_running(tenant);
+                if used > 0 && used + ranks > grant {
+                    continue;
+                }
+                if !self.sla_admits(id) {
+                    continue;
                 }
                 admitted = Some(id);
                 break;

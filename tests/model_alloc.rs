@@ -14,11 +14,12 @@
 //!   observed rows on the uniform network's lattice, so it builds no
 //!   network and is held to this bound too.
 //!
-//! Beside them, a warm call at the 1,200-rank S-EnKF point the benchmark
-//! prices (`des_paper_scale`, 406,080 tasks) stays within a fixed budget
-//! of allocation calls and bytes, set from a measurement: the pricer's
-//! mailboxes share one list of sends in the thread's arena instead of
-//! owning a vector each.
+//! Beside them, a warm call at each of the four 1,200-rank points the
+//! benchmark prices (`des_paper_scale`; S-EnKF has 406,080 tasks) stays
+//! within a fixed budget of allocation calls and bytes, set from a
+//! measurement: the pricer's mailboxes share one list of sends in the
+//! thread's arena instead of owning a vector each, and the program's rules
+//! the pricer steps keep their state there too.
 
 use s_enkf::parallel::{
     model_cycle, model_denkf, model_lenkf, model_penkf, model_senkf, ModelConfig, ModelOutcome,
@@ -142,25 +143,39 @@ fn warm_untraced_calls_allocate_nothing_per_task() {
         );
     }
 
-    // The benchmark's point: the 1,200-rank S-EnKF cycle of
-    // `des_paper_scale` (406,080 tasks), autotuned as the perf ledger
-    // tunes it. A warm call allocates per call, per stage or per contended
-    // resource, never per task or per mailbox.
+    // The benchmark's points: the four 1,200-rank cycles of
+    // `des_paper_scale`, S-EnKF autotuned as the perf ledger tunes it. A
+    // warm call allocates per call, per stage or per contended resource,
+    // never per task, per mailbox, or per `(rank, stage)` or mesh row of
+    // the program's rules: the arena keeps them all. Bounds set from a
+    // measurement before the rules
+    // moved into the arena — S-EnKF 321 allocations and 1,957,824 bytes
+    // (the list the cleared resources' queues wait in grows once, in this
+    // first warm call), P-EnKF 4 and 68,160, L-EnKF 5 and 135,360, D-EnKF
+    // 5 and 8,640 — which the rules leave unchanged. A vector per mailbox
+    // (51,840 of them) would make ~10⁵ calls, a fresh queue per contended
+    // NIC and OST ~1,100 more.
     let paper = ModelConfig::paper();
     let tuned = autotune(&paper.cost_params(), 1_200, 1e-3).unwrap().params;
-    model_senkf(&paper, tuned).unwrap();
-    let (calls, bytes) = (
-        ALLOCATIONS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-    );
-    model_senkf(&paper, tuned).unwrap();
-    let calls = ALLOCATIONS.load(Ordering::SeqCst) - calls;
-    let bytes = BYTES.load(Ordering::SeqCst) - bytes;
-    println!("paper-scale SEnkf({tuned:?}): {calls} allocations, {bytes} bytes");
-    // Measured: 322 allocations, 1,957,488 bytes (the list the cleared
-    // resources' queues wait in grows once, in this first warm call). A
-    // vector per mailbox (51,840 of them) would make ~10⁵, a fresh queue
-    // per contended NIC and OST ~1,100 more.
-    assert!(calls <= 400, "paper-scale S-EnKF: {calls} allocations");
-    assert!(bytes <= 2_000_000, "paper-scale S-EnKF: {bytes} bytes");
+    for (variant, max_calls, max_bytes) in [
+        (ModelVariant::SEnkf(tuned), 400, 2_000_000),
+        (ModelVariant::PEnkf { nsdx: 30, nsdy: 40 }, 8, 80_000),
+        (ModelVariant::LEnkf { nsdx: 30, nsdy: 40 }, 8, 150_000),
+        (ModelVariant::DEnkf { shards: 120 }, 8, 10_000),
+    ] {
+        untraced(&paper, variant);
+        let (calls, bytes) = (
+            ALLOCATIONS.load(Ordering::SeqCst),
+            BYTES.load(Ordering::SeqCst),
+        );
+        untraced(&paper, variant);
+        let calls = ALLOCATIONS.load(Ordering::SeqCst) - calls;
+        let bytes = BYTES.load(Ordering::SeqCst) - bytes;
+        println!("paper-scale {variant:?}: {calls} allocations, {bytes} bytes");
+        assert!(
+            calls <= max_calls,
+            "paper-scale {variant:?}: {calls} allocations"
+        );
+        assert!(bytes <= max_bytes, "paper-scale {variant:?}: {bytes} bytes");
+    }
 }
