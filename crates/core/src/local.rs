@@ -1,7 +1,7 @@
 //! The domain-localized analysis (Eq. 6) on a sub-domain, layer, or point.
 
 use crate::{EnkfError, Result};
-use enkf_grid::{GridPoint, LocalizationRadius, Mesh, RegionRect};
+use enkf_grid::{GridPoint, LocalizationRadius, Mesh, ObsIndex, RegionRect};
 use enkf_linalg::kernel::gemm::dot;
 use enkf_linalg::kernel::lanes::{check_pivots, factor_lanes, solve_lanes, tri, LaneOps};
 use enkf_linalg::{Matrix, ModCholWorkspace, ModifiedCholesky};
@@ -84,7 +84,9 @@ impl LocalObservations {
     }
 }
 
-/// Bucket-grid index over an expansion's local observations.
+/// The bucket-grid index ([`ObsIndex`]) over an expansion's local
+/// observations: local row `r` lies at the expansion's point
+/// `local_rows[r]`.
 ///
 /// Built once per [`LocalAnalysis::analyze`] call (or per assimilation
 /// cycle by a caller that keeps it around), it makes the per-grid-point
@@ -95,13 +97,7 @@ impl LocalObservations {
 #[derive(Debug, Clone)]
 pub struct LocalObsIndex {
     outer: RegionRect,
-    cell: usize,
-    ncx: usize,
-    ncy: usize,
-    /// CSR bucket offsets into `items`, length `ncx * ncy + 1`.
-    starts: Vec<usize>,
-    /// Local observation row numbers grouped by bucket.
-    items: Vec<usize>,
+    grid: ObsIndex,
 }
 
 impl LocalObsIndex {
@@ -109,42 +105,17 @@ impl LocalObsIndex {
     /// grid points per edge. Pick `cell` on the order of the localization
     /// radius so a box query touches O(1) buckets.
     pub fn build(obs: &LocalObservations, outer: &RegionRect, cell: usize) -> Self {
-        assert!(cell > 0, "bucket edge must be positive");
-        let ncx = outer.width().div_ceil(cell).max(1);
-        let ncy = outer.height().div_ceil(cell).max(1);
-        let nb = ncx * ncy;
-        let bucket = |outer_idx: usize| {
-            let p = outer.point_at(outer_idx);
-            ((p.iy - outer.y0) / cell) * ncx + (p.ix - outer.x0) / cell
-        };
-        let mut starts = vec![0usize; nb + 1];
-        for &idx in &obs.local_rows {
-            starts[bucket(idx) + 1] += 1;
-        }
-        for b in 0..nb {
-            starts[b + 1] += starts[b];
-        }
-        let mut fill = starts.clone();
-        let mut items = vec![0usize; obs.local_rows.len()];
-        for (r, &idx) in obs.local_rows.iter().enumerate() {
-            let b = bucket(idx);
-            items[fill[b]] = r;
-            fill[b] += 1;
-        }
+        let points = obs.local_rows.iter().map(|&i| outer.point_at(i));
         LocalObsIndex {
             outer: *outer,
-            cell,
-            ncx,
-            ncy,
-            starts,
-            items,
+            grid: ObsIndex::build(points.collect(), outer, cell),
         }
     }
 
     /// Indexed [`LocalObservations::sub_localize`] into caller-owned
     /// buffers: byte-identical output, O(obs in `inner`) cost, and no
     /// allocation once `scratch`/`out` reach steady-state capacity.
-    pub(crate) fn sub_localize_into(
+    pub fn sub_localize_into(
         &self,
         obs: &LocalObservations,
         inner: &RegionRect,
@@ -152,29 +123,10 @@ impl LocalObsIndex {
         out: &mut LocalObservations,
     ) {
         debug_assert!(self.outer.contains_rect(inner));
+        self.grid.query_into(inner, scratch);
         out.local_rows.clear();
         out.values.clear();
         out.error_var.clear();
-        scratch.clear();
-        if !inner.is_empty() && !self.items.is_empty() {
-            let bx0 = (inner.x0 - self.outer.x0) / self.cell;
-            let bx1 = ((inner.x1 - 1 - self.outer.x0) / self.cell).min(self.ncx - 1);
-            let by0 = (inner.y0 - self.outer.y0) / self.cell;
-            let by1 = ((inner.y1 - 1 - self.outer.y0) / self.cell).min(self.ncy - 1);
-            for by in by0..=by1 {
-                for bx in bx0..=bx1 {
-                    let b = by * self.ncx + bx;
-                    for &r in &self.items[self.starts[b]..self.starts[b + 1]] {
-                        if inner.contains(self.outer.point_at(obs.local_rows[r])) {
-                            scratch.push(r);
-                        }
-                    }
-                }
-            }
-            // Buckets are visited in bucket order; the linear scan emits
-            // rows in ascending source order — restore it.
-            scratch.sort_unstable();
-        }
         out.perturbed.resize(scratch.len(), obs.perturbed.ncols());
         for (out_r, &r) in scratch.iter().enumerate() {
             let p = self.outer.point_at(obs.local_rows[r]);
@@ -1260,38 +1212,6 @@ mod tests {
         let expansion = target.expand(radius, mesh);
         let err2 = la.analyze(mesh, &target, &expansion, &xb, &empty);
         assert!(matches!(err2, Err(EnkfError::GeometryMismatch(_))));
-    }
-
-    #[test]
-    fn indexed_sub_localize_is_byte_identical_to_linear() {
-        let mesh = Mesh::new(9, 7);
-        let outer = RegionRect::new(2, 9, 1, 7);
-        let obs = make_obs(mesh, 2, &outer, 5, 4);
-        assert!(!obs.is_empty());
-        let mut scratch = vec![3usize; 2];
-        let mut out = LocalObservations {
-            local_rows: vec![9],
-            values: vec![1.0],
-            error_var: vec![1.0],
-            perturbed: Matrix::zeros(1, 1),
-        };
-        for cell in [1usize, 2, 3, 8] {
-            let index = LocalObsIndex::build(&obs, &outer, cell);
-            for inner in [
-                RegionRect::new(3, 6, 2, 5),
-                outer,
-                RegionRect::new(4, 4, 1, 7),
-                RegionRect::new(8, 9, 6, 7),
-                RegionRect::new(2, 3, 1, 2),
-            ] {
-                index.sub_localize_into(&obs, &inner, &mut scratch, &mut out);
-                assert_eq!(
-                    out,
-                    obs.sub_localize(&outer, &inner),
-                    "cell {cell}, inner {inner:?}"
-                );
-            }
-        }
     }
 
     #[test]

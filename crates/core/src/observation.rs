@@ -186,8 +186,9 @@ impl Observations {
             let mesh = self.operator.mesh();
             let m = self.len().max(1);
             let spacing = (mesh.n() as f64 / m as f64).sqrt().ceil() as usize;
+            let points = self.operator.network().points().to_vec();
             ObsCache {
-                index: ObsIndex::build(self.operator.network(), spacing.clamp(2, 64)),
+                index: ObsIndex::build(points, &RegionRect::full(mesh), spacing.clamp(2, 64)),
                 perturbed: self.perturbed_matrix(),
             }
         })
@@ -270,8 +271,18 @@ impl Observations {
     /// the cost is O(obs in region) after the first call of a cycle. The
     /// result is byte-identical to [`Observations::localize_linear`].
     pub fn localize(&self, region: &RegionRect) -> crate::local::LocalObservations {
+        self.localize_rows(region).1
+    }
+
+    /// [`Observations::localize`], with the global index (row of `H`) of
+    /// each local row: one indexed query serves both.
+    pub fn localize_rows(
+        &self,
+        region: &RegionRect,
+    ) -> (Vec<usize>, crate::local::LocalObservations) {
         let cache = self.cache();
-        let idx = cache.index.indices_in(region);
+        let mut idx = Vec::new();
+        cache.index.query_into(region, &mut idx);
         let points = self.operator.network().points();
         let mut local_rows = Vec::with_capacity(idx.len());
         let mut values = Vec::with_capacity(idx.len());
@@ -285,12 +296,13 @@ impl Observations {
         for (r, &k) in idx.iter().enumerate() {
             perturbed.row_mut(r).copy_from_slice(cache.perturbed.row(k));
         }
-        crate::local::LocalObservations {
+        let local = crate::local::LocalObservations {
             local_rows,
             values,
             error_var,
             perturbed,
-        }
+        };
+        (idx, local)
     }
 
     /// Reference implementation of [`Observations::localize`]: a linear

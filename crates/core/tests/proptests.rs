@@ -279,6 +279,39 @@ fn letkf(ensemble: &Ensemble, observations: &Observations, radius: LocalizationR
     Ensemble::new(mesh, xa)
 }
 
+/// Observations of a random sparse network on `mesh`: point `k` observed
+/// iff `mask[k % mask.len()]`, four perturbed members.
+fn sparse_observations(mesh: Mesh, mask: &[bool], seed: u64) -> Observations {
+    let points: Vec<GridPoint> = RegionRect::full(mesh)
+        .iter_points()
+        .enumerate()
+        .filter(|(k, _)| mask[k % mask.len()])
+        .map(|(_, p)| p)
+        .collect();
+    let net = ObservationNetwork::from_points(mesh, points);
+    let op = ObservationOperator::new(net);
+    let m = op.len();
+    let values: Vec<f64> = (0..m).map(|k| (k as f64 * 0.31).sin()).collect();
+    Observations::new(
+        op,
+        values,
+        vec![0.2; m],
+        PerturbedObservations::new(seed, 4),
+    )
+}
+
+/// A rectangle inside `r`, from four arbitrary numbers.
+fn rect_in(r: RegionRect, c: (usize, usize, usize, usize)) -> RegionRect {
+    // `[a, b)` with `lo ≤ a ≤ b ≤ hi`.
+    let within = |lo: usize, hi: usize, a: usize, b: usize| {
+        let a = lo + a % (hi - lo + 1);
+        (a, a + b % (hi - a + 1))
+    };
+    let (x0, x1) = within(r.x0, r.x1, c.0, c.1);
+    let (y0, y1) = within(r.y0, r.y1, c.2, c.3);
+    RegionRect::new(x0, x1, y0, y1)
+}
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -422,24 +455,8 @@ proptest! {
         rect in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
         seed in any::<u64>(),
     ) {
-        // A random sparse network: keep point k iff mask[k % mask.len()].
         let mesh = Mesh::new(mx * 3, my * 3);
-        let points: Vec<GridPoint> = RegionRect::full(mesh)
-            .iter_points()
-            .enumerate()
-            .filter(|(k, _)| mask[k % mask.len()])
-            .map(|(_, p)| p)
-            .collect();
-        let net = ObservationNetwork::from_points(mesh, points);
-        let op = ObservationOperator::new(net);
-        let m = op.len();
-        let values: Vec<f64> = (0..m).map(|k| (k as f64 * 0.31).sin()).collect();
-        let observations = Observations::new(
-            op,
-            values,
-            vec![0.2; m],
-            PerturbedObservations::new(seed, 4),
-        );
+        let observations = sparse_observations(mesh, &mask, seed);
         // A random (possibly empty) region plus the edge cases: degenerate
         // and full-mesh.
         let x0 = rect.0 % (mesh.nx() + 1);
@@ -456,6 +473,86 @@ proptest! {
                 observations.localize_linear(&region),
                 "region {:?}", region
             );
+        }
+    }
+
+    /// The indexed re-localization of an expansion's observations to an
+    /// inner rectangle, [`LocalObsIndex::sub_localize_into`], is
+    /// byte-identical to the linear [`LocalObservations::sub_localize`],
+    /// into dirty reused buffers: on a random sparse network, a random
+    /// expansion, buckets of 1 point to wider than the expansion, and inner
+    /// rectangles that are random, empty, one point, a block of whole
+    /// buckets or the whole expansion — and on fixed cases of a strided
+    /// network over an interior expansion.
+    #[test]
+    fn indexed_sub_localize_matches_linear_scan(
+        (mx, my) in (2usize..=5, 2usize..=5),
+        mask in proptest::collection::vec(any::<bool>(), 1..200),
+        corners in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
+        (cell, seed) in (any::<usize>(), any::<u64>()),
+        rect in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
+        buckets in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
+    ) {
+        let mesh = Mesh::new(mx * 3, my * 3);
+        let outer = rect_in(RegionRect::full(mesh), corners);
+        let obs = sparse_observations(mesh, &mask, seed).localize(&outer);
+        let cell = 1 + cell % (outer.width().max(outer.height()) + 2);
+        // A block of whole buckets, clipped to `outer` as its last ones are.
+        let edge = |lo: usize, hi: usize, b: usize| (lo + b * cell).min(hi);
+        let (nbx, nby) = (outer.width().div_ceil(cell), outer.height().div_ceil(cell));
+        let block = rect_in(RegionRect::new(0, nbx, 0, nby), buckets);
+        let whole = RegionRect::new(
+            edge(outer.x0, outer.x1, block.x0),
+            edge(outer.x0, outer.x1, block.x1),
+            edge(outer.y0, outer.y1, block.y0),
+            edge(outer.y0, outer.y1, block.y1),
+        );
+        let random = rect_in(outer, rect);
+        let one = RegionRect::new(random.x0, random.x0 + 1, random.y0, random.y0 + 1);
+        let random_inners = vec![
+            random,
+            RegionRect::new(random.x0, random.x0, outer.y0, outer.y1),
+            one.intersect(&outer),
+            whole,
+            outer,
+        ];
+        let mut cases = vec![(obs, outer, cell, random_inners)];
+        // The fixed cases: a stride-2 network of a 9 × 7 mesh over an
+        // interior expansion, at bucket edges from 1 to wider than it.
+        let fixed_mesh = Mesh::new(9, 7);
+        let fixed_outer = RegionRect::new(2, 9, 1, 7);
+        let op = ObservationOperator::new(ObservationNetwork::uniform(fixed_mesh, 2));
+        let m = op.len();
+        let values: Vec<f64> = (0..m).map(|k| (k as f64 * 0.3).sin()).collect();
+        let strided = Observations::new(op, values, vec![0.1; m], PerturbedObservations::new(5, 4));
+        let fixed_inners = vec![
+            RegionRect::new(3, 6, 2, 5),
+            fixed_outer,
+            RegionRect::new(4, 4, 1, 7),
+            RegionRect::new(8, 9, 6, 7),
+            RegionRect::new(2, 3, 1, 2),
+        ];
+        for fixed_cell in [1, 2, 3, 8] {
+            let obs = strided.localize(&fixed_outer);
+            cases.push((obs, fixed_outer, fixed_cell, fixed_inners.clone()));
+        }
+        let mut scratch = vec![3usize; 2];
+        let mut out = LocalObservations {
+            local_rows: vec![9],
+            values: vec![1.0],
+            error_var: vec![1.0],
+            perturbed: Matrix::zeros(1, 1),
+        };
+        for (obs, outer, cell, inners) in &cases {
+            let index = LocalObsIndex::build(obs, outer, *cell);
+            for inner in inners {
+                index.sub_localize_into(obs, inner, &mut scratch, &mut out);
+                prop_assert_eq!(
+                    &out,
+                    &obs.sub_localize(outer, inner),
+                    "cell {}, inner {:?} of {:?}", cell, inner, outer
+                );
+            }
         }
     }
 

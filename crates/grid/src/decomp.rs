@@ -129,7 +129,7 @@ impl Decomposition {
     }
 
     /// Sub-domain height `n_y / n_sdy` in grid rows.
-    pub fn sub_height(&self) -> usize {
+    pub(crate) fn sub_height(&self) -> usize {
         self.mesh.ny() / self.nsdy
     }
 

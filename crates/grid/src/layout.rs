@@ -54,18 +54,11 @@ impl FileLayout {
         self.mesh.n() as u64 * self.bytes_per_point
     }
 
-    /// Contiguous byte segments covering a region, in file order, with
-    /// adjacent segments merged. Full-width regions always collapse to a
-    /// single segment; a `w`-column region of `r` rows yields `r` segments.
-    pub fn segments(&self, region: &RegionRect) -> Vec<ByteSegment> {
-        let mut out: Vec<ByteSegment> = Vec::with_capacity(self.seek_count(region));
-        self.for_each_segment(region, |seg| out.push(seg));
-        out
-    }
-
-    /// Visit the segments of [`FileLayout::segments`] in file order without
-    /// allocating — the form the steady-state read loop uses so a warm
-    /// region read touches the heap zero times.
+    /// Visit the contiguous byte segments covering a region, in file
+    /// order, with adjacent segments merged, without allocating — so a warm
+    /// region read touches the heap zero times. Full-width regions always
+    /// collapse to a single segment; a `w`-column region of `r` rows yields
+    /// `r` segments.
     pub fn for_each_segment(&self, region: &RegionRect, mut f: impl FnMut(ByteSegment)) {
         if region.is_empty() {
             return;
@@ -116,6 +109,13 @@ impl FileLayout {
 mod tests {
     use super::*;
 
+    /// The segments `for_each_segment` visits.
+    fn segments(l: &FileLayout, region: &RegionRect) -> Vec<ByteSegment> {
+        let mut out = Vec::new();
+        l.for_each_segment(region, |seg| out.push(seg));
+        out
+    }
+
     fn layout() -> FileLayout {
         FileLayout::new(Mesh::new(8, 4), 16)
     }
@@ -130,7 +130,7 @@ mod tests {
     fn full_width_region_is_single_segment() {
         let l = layout();
         let bar = RegionRect::new(0, 8, 1, 3);
-        let segs = l.segments(&bar);
+        let segs = segments(&l, &bar);
         assert_eq!(segs.len(), 1);
         assert_eq!(
             segs[0],
@@ -146,7 +146,7 @@ mod tests {
     fn partial_width_region_is_one_segment_per_row() {
         let l = layout();
         let block = RegionRect::new(2, 5, 1, 4);
-        let segs = l.segments(&block);
+        let segs = segments(&l, &block);
         assert_eq!(segs.len(), 3);
         for (k, seg) in segs.iter().enumerate() {
             assert_eq!(seg.offset, ((1 + k as u64) * 8 + 2) * 16);
@@ -159,7 +159,7 @@ mod tests {
     fn segment_bytes_sum_to_region_bytes() {
         let l = layout();
         let r = RegionRect::new(1, 7, 0, 4);
-        let total: u64 = l.segments(&r).iter().map(|s| s.len).sum();
+        let total: u64 = segments(&l, &r).iter().map(|s| s.len).sum();
         assert_eq!(total, l.region_bytes(&r));
     }
 
@@ -167,14 +167,14 @@ mod tests {
     fn empty_region_has_no_segments() {
         let l = layout();
         let r = RegionRect::new(3, 3, 0, 4);
-        assert!(l.segments(&r).is_empty());
+        assert!(segments(&l, &r).is_empty());
         assert_eq!(l.seek_count(&r), 0);
     }
 
     #[test]
     fn whole_file_is_one_segment() {
         let l = layout();
-        let segs = l.segments(&RegionRect::full(l.mesh()));
+        let segs = segments(&l, &RegionRect::full(l.mesh()));
         assert_eq!(
             segs,
             vec![ByteSegment {
@@ -192,7 +192,7 @@ mod tests {
             RegionRect::new(1, 4, 1, 3),
             RegionRect::new(0, 4, 0, 4),
         ] {
-            assert_eq!(l.seek_count(&r), l.segments(&r).len());
+            assert_eq!(l.seek_count(&r), segments(&l, &r).len());
         }
     }
 }

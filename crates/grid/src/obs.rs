@@ -1,11 +1,15 @@
-//! Observation-network geometry.
+//! Observation-network geometry, and the one spatial index over it.
 //!
 //! The observational operator `H ∈ R^{m×n}` of the paper selects (and in
 //! general interpolates) `m ≪ n` observed components from the model state.
 //! Geometrically an observation network is a set of observed grid points;
 //! this module provides the regular (strided) networks the experiments use
 //! and the restriction of a network to an expansion `D̄` — yielding the
-//! local operator `H_{[i,j]}` with `m̄_sd` rows.
+//! local operator `H_{[i,j]}` with `m̄_sd` rows. [`ObsIndex`] answers every
+//! "which observations lie in this box" query of the workspace: over the
+//! network for an expansion, and over an expansion's observations for a
+//! grid point's box. [`ObservationNetwork::indices_in`] is its linear-scan
+//! oracle.
 
 use crate::{GridPoint, Mesh, RegionRect};
 use serde::{Deserialize, Serialize};
@@ -90,102 +94,100 @@ impl ObservationNetwork {
     }
 }
 
-/// Bucket-grid spatial index over an observation network.
+/// The bucket-grid spatial index: which of a set of points lie in a box.
 ///
-/// Built once per assimilation cycle, it answers "which observations fall
-/// inside this rectangle" in O(obs in box) instead of O(all obs) — the query
-/// every localization box issues per grid point. Results are byte-identical
-/// to [`ObservationNetwork::indices_in`]: the same indices, ascending.
+/// It indexes any points inside an outer rectangle — item `k` lying at the
+/// `k`-th point it was built from — in square buckets anchored at the
+/// rectangle's corner, and answers a box query in O(items in the box)
+/// instead of O(all items). A bucket the box holds whole is copied as is;
+/// only the partial buckets at the box's rim are filtered point by point.
+/// Hits come back ascending, the order a linear scan gives them.
+///
+/// It has two uses: over an observation network's points inside the mesh
+/// (`enkf_core::Observations::localize`, buckets of about the mean
+/// observation spacing), and over an expansion's observations
+/// (`enkf_core::LocalObsIndex`, which re-localizes them to each grid
+/// point's box, buckets of about the localization radius).
 #[derive(Debug, Clone)]
 pub struct ObsIndex {
+    outer: RegionRect,
     cell: usize,
+    /// Buckets per row.
     ncx: usize,
-    ncy: usize,
     /// CSR bucket offsets into `items`, length `ncx * ncy + 1`.
     starts: Vec<usize>,
-    /// Observation indices grouped by bucket (network order within each).
+    /// Item numbers grouped by bucket (ascending within each).
     items: Vec<usize>,
-    /// Copy of the network's points for the partial-bucket filter.
+    /// Each item's point, for the partial-bucket filter.
     points: Vec<GridPoint>,
 }
 
 impl ObsIndex {
-    /// Index a network with square buckets of `cell` grid points per edge.
-    ///
-    /// Pick `cell` on the order of the localization radius so a typical box
-    /// query touches O(1) buckets.
-    pub fn build(net: &ObservationNetwork, cell: usize) -> Self {
+    /// Index `points`, every one inside `outer`, with square buckets of
+    /// `cell` grid points per edge. Pick `cell` so that a typical query
+    /// touches O(1) buckets.
+    pub fn build(points: Vec<GridPoint>, outer: &RegionRect, cell: usize) -> Self {
         assert!(cell > 0, "bucket edge must be positive");
-        let mesh = net.mesh();
-        let ncx = mesh.nx().div_ceil(cell).max(1);
-        let ncy = mesh.ny().div_ceil(cell).max(1);
-        let nb = ncx * ncy;
-        let bucket = |p: GridPoint| (p.iy / cell) * ncx + p.ix / cell;
-        // Counting sort into CSR layout; network order survives per bucket.
+        assert!(
+            points.iter().all(|&p| outer.contains(p)),
+            "indexed point outside its outer rectangle"
+        );
+        let ncx = outer.width().div_ceil(cell).max(1);
+        let nb = ncx * outer.height().div_ceil(cell).max(1);
+        let bucket = |p: GridPoint| ((p.iy - outer.y0) / cell) * ncx + (p.ix - outer.x0) / cell;
+        // Counting sort into CSR layout; item order survives per bucket.
         let mut starts = vec![0usize; nb + 1];
-        for &p in net.points() {
+        for &p in &points {
             starts[bucket(p) + 1] += 1;
         }
         for b in 0..nb {
             starts[b + 1] += starts[b];
         }
         let mut fill = starts.clone();
-        let mut items = vec![0usize; net.len()];
-        for (k, &p) in net.points().iter().enumerate() {
+        let mut items = vec![0usize; points.len()];
+        for (k, &p) in points.iter().enumerate() {
             let b = bucket(p);
             items[fill[b]] = k;
             fill[b] += 1;
         }
         ObsIndex {
+            outer: *outer,
             cell,
             ncx,
-            ncy,
             starts,
             items,
-            points: net.points().to_vec(),
+            points,
         }
     }
 
-    /// Observation indices inside `region`, ascending, written into a
-    /// caller-owned buffer (allocation-free at steady state).
-    pub(crate) fn indices_in_into(&self, region: &RegionRect, out: &mut Vec<usize>) {
+    /// The items whose points lie inside `region`, ascending, written into
+    /// a caller-owned buffer (allocation-free at steady state). The part of
+    /// `region` outside the outer rectangle holds none.
+    pub fn query_into(&self, region: &RegionRect, out: &mut Vec<usize>) {
         out.clear();
-        if region.is_empty() || self.points.is_empty() {
+        let (o, cell) = (&self.outer, self.cell);
+        let r = region.intersect(o);
+        if r.is_empty() || self.items.is_empty() {
             return;
         }
-        let bx0 = region.x0 / self.cell;
-        let bx1 = ((region.x1 - 1) / self.cell).min(self.ncx - 1);
-        let by0 = region.y0 / self.cell;
-        let by1 = ((region.y1 - 1) / self.cell).min(self.ncy - 1);
-        for by in by0..=by1 {
-            for bx in bx0..=bx1 {
+        // Bucket `b`'s span along an axis of `outer` from `lo` to `hi`.
+        let span = |b: usize, lo: usize, hi: usize| (lo + b * cell, (lo + (b + 1) * cell).min(hi));
+        for by in (r.y0 - o.y0) / cell..=(r.y1 - 1 - o.y0) / cell {
+            let (y0, y1) = span(by, o.y0, o.y1);
+            for bx in (r.x0 - o.x0) / cell..=(r.x1 - 1 - o.x0) / cell {
+                let (x0, x1) = span(bx, o.x0, o.x1);
                 let b = by * self.ncx + bx;
                 let seg = &self.items[self.starts[b]..self.starts[b + 1]];
-                let bucket_inside = bx * self.cell >= region.x0
-                    && (bx + 1) * self.cell <= region.x1
-                    && by * self.cell >= region.y0
-                    && (by + 1) * self.cell <= region.y1;
-                if bucket_inside {
+                if r.contains_rect(&RegionRect { x0, x1, y0, y1 }) {
                     out.extend_from_slice(seg);
                 } else {
-                    out.extend(
-                        seg.iter()
-                            .copied()
-                            .filter(|&k| region.contains(self.points[k])),
-                    );
+                    out.extend(seg.iter().copied().filter(|&k| r.contains(self.points[k])));
                 }
             }
         }
-        // Buckets are visited in row-major bucket order, not network order;
+        // Buckets are visited in row-major bucket order, not item order;
         // restore the ascending order the linear scan produces.
         out.sort_unstable();
-    }
-
-    /// Observation indices inside `region`, ascending (allocating variant).
-    pub fn indices_in(&self, region: &RegionRect) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.indices_in_into(region, &mut out);
-        out
     }
 }
 
@@ -251,12 +253,18 @@ mod tests {
         assert!(net.indices_in(&empty).is_empty());
     }
 
+    /// The network's index with `cell`-point buckets over the whole mesh.
+    fn network_index(net: &ObservationNetwork, cell: usize) -> ObsIndex {
+        ObsIndex::build(net.points().to_vec(), &RegionRect::full(net.mesh()), cell)
+    }
+
     #[test]
     fn obs_index_matches_linear_scan() {
         let mesh = Mesh::new(13, 9);
         let net = ObservationNetwork::strided(mesh, 2, 3, 1, 0);
+        let mut out = Vec::new();
         for cell in [1usize, 2, 4, 16] {
-            let index = ObsIndex::build(&net, cell);
+            let index = network_index(&net, cell);
             assert_eq!(index.items.len(), net.len());
             for region in [
                 RegionRect::new(0, 13, 0, 9),
@@ -265,8 +273,9 @@ mod tests {
                 RegionRect::new(0, 1, 8, 9),
                 RegionRect::new(12, 13, 0, 1),
             ] {
+                index.query_into(&region, &mut out);
                 assert_eq!(
-                    index.indices_in(&region),
+                    out,
                     net.indices_in(&region),
                     "cell {cell}, region {region:?}"
                 );
@@ -278,11 +287,11 @@ mod tests {
     fn obs_index_reuses_query_buffer() {
         let mesh = Mesh::new(8, 8);
         let net = ObservationNetwork::uniform(mesh, 2);
-        let index = ObsIndex::build(&net, 3);
+        let index = network_index(&net, 3);
         let mut out = vec![42; 7];
-        index.indices_in_into(&RegionRect::new(0, 4, 0, 4), &mut out);
+        index.query_into(&RegionRect::new(0, 4, 0, 4), &mut out);
         assert_eq!(out, net.indices_in(&RegionRect::new(0, 4, 0, 4)));
-        index.indices_in_into(&RegionRect::new(4, 4, 0, 8), &mut out);
+        index.query_into(&RegionRect::new(4, 4, 0, 8), &mut out);
         assert!(out.is_empty());
     }
 
@@ -290,8 +299,33 @@ mod tests {
     fn obs_index_on_empty_network() {
         let mesh = Mesh::new(4, 4);
         let net = ObservationNetwork::from_points(mesh, Vec::new());
-        let index = ObsIndex::build(&net, 2);
+        let index = network_index(&net, 2);
         assert!(index.items.is_empty());
-        assert!(index.indices_in(&RegionRect::full(mesh)).is_empty());
+        let mut out = vec![1];
+        index.query_into(&RegionRect::full(mesh), &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn obs_index_counts_only_its_outer_rectangle() {
+        // Items inside an interior rectangle, bucketed from its corner; a
+        // query reaching past it sees only its part inside.
+        let outer = RegionRect::new(3, 10, 2, 7);
+        let points: Vec<_> = outer.iter_points().step_by(3).collect();
+        let index = ObsIndex::build(points.clone(), &outer, 2);
+        let mut out = Vec::new();
+        let query = RegionRect::new(0, 6, 0, 5);
+        index.query_into(&query, &mut out);
+        let scan: Vec<usize> = (0..points.len())
+            .filter(|&k| query.contains(points[k]))
+            .collect();
+        assert_eq!(out, scan);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its outer rectangle")]
+    fn obs_index_refuses_a_point_outside_its_outer_rectangle() {
+        let outer = RegionRect::new(2, 4, 2, 4);
+        ObsIndex::build(vec![GridPoint { ix: 4, iy: 2 }], &outer, 1);
     }
 }

@@ -76,7 +76,7 @@ proptest! {
 
     #[test]
     fn layers_partition_each_subdomain(decomp in decomp_strategy(), lseed in any::<u64>()) {
-        let sub_h = decomp.sub_height();
+        let sub_h = decomp.mesh().ny() / decomp.nsdy();
         let divisors: Vec<usize> = (1..=sub_h).filter(|l| sub_h.is_multiple_of(*l)).collect();
         let layers = divisors[(lseed as usize) % divisors.len()];
         for id in decomp.iter_ids() {
@@ -103,7 +103,7 @@ proptest! {
         lseed in any::<u64>(),
     ) {
         let radius = LocalizationRadius { xi, eta };
-        let sub_h = decomp.sub_height();
+        let sub_h = decomp.mesh().ny() / decomp.nsdy();
         let divisors: Vec<usize> = (1..=sub_h).filter(|l| sub_h.is_multiple_of(*l)).collect();
         let layers = divisors[(lseed as usize) % divisors.len()];
         for j in 0..decomp.nsdy() {
@@ -130,7 +130,8 @@ proptest! {
         let radius = LocalizationRadius { xi, eta };
         for id in decomp.iter_ids() {
             let region = decomp.expansion(id, radius);
-            let segs = layout.segments(&region);
+            let mut segs = Vec::new();
+            layout.for_each_segment(&region, |seg| segs.push(seg));
             // Total bytes match; segments are disjoint, ordered, in-file.
             let total: u64 = segs.iter().map(|s| s.len).sum();
             prop_assert_eq!(total, layout.region_bytes(&region));
@@ -166,34 +167,72 @@ proptest! {
         }
     }
 
+    /// The one bucket grid answers every box query as the linear scan of
+    /// [`ObservationNetwork::indices_in`] does — the same items, ascending
+    /// — for both of its uses: a random set of distinct points, listed in a
+    /// random order, inside a random outer rectangle of the mesh (the whole
+    /// mesh is the network's use, an interior one an expansion's), buckets
+    /// of 1 point to wider than the outer rectangle, and queries that are
+    /// empty, one point, exactly a block of whole buckets, the whole outer
+    /// rectangle, or any rectangle of the mesh.
     #[test]
-    fn obs_index_matches_linear_scan_on_random_networks(
+    fn obs_index_matches_linear_scan_on_random_points(
         mesh in mesh_strategy(),
+        corners in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
         mask in proptest::collection::vec(any::<bool>(), 1..400),
-        cell in 1usize..9,
+        (order, cell) in (any::<u64>(), any::<usize>()),
         rect in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
+        buckets in (any::<usize>(), any::<usize>(), any::<usize>(), any::<usize>()),
     ) {
-        // A random sparse network: keep point k iff mask[k % mask.len()].
-        let points: Vec<_> = RegionRect::full(mesh)
+        // `[a, b)` with `lo ≤ a ≤ b ≤ hi`, from two arbitrary numbers.
+        let within = |lo: usize, hi: usize, a: usize, b: usize| {
+            let a = lo + a % (hi - lo + 1);
+            (a, a + b % (hi - a + 1))
+        };
+        let rect_in = |r: RegionRect, c: (usize, usize, usize, usize)| {
+            let (x0, x1) = within(r.x0, r.x1, c.0, c.1);
+            let (y0, y1) = within(r.y0, r.y1, c.2, c.3);
+            RegionRect::new(x0, x1, y0, y1)
+        };
+        let full = RegionRect::full(mesh);
+        let outer = rect_in(full, corners);
+        // Distinct points of `outer`: point k kept iff mask[k % mask.len()],
+        // listed in an order scrambled by `order`.
+        let mut points: Vec<_> = outer
             .iter_points()
             .enumerate()
             .filter(|(k, _)| mask[k % mask.len()])
             .map(|(_, p)| p)
             .collect();
-        let net = ObservationNetwork::from_points(mesh, points);
-        let index = ObsIndex::build(&net, cell);
-        // A random (possibly empty) region inside the mesh, plus the edge
-        // cases: empty and full-mesh.
-        let x0 = rect.0 % (mesh.nx() + 1);
-        let x1 = x0 + rect.1 % (mesh.nx() + 1 - x0);
-        let y0 = rect.2 % (mesh.ny() + 1);
-        let y1 = y0 + rect.3 % (mesh.ny() + 1 - y0);
+        points.sort_by_key(|p| (mesh.index(*p) as u64 ^ order).wrapping_mul(order | 1));
+        let cell = 1 + cell % (outer.width().max(outer.height()) + 2);
+        let net = ObservationNetwork::from_points(mesh, points.clone());
+        let index = ObsIndex::build(points.clone(), &outer, cell);
+        // A block of whole buckets, clipped to `outer` as its last ones are.
+        let (ncx, ncy) = (outer.width().div_ceil(cell), outer.height().div_ceil(cell));
+        let (bx0, bx1) = within(0, ncx, buckets.0, buckets.1);
+        let (by0, by1) = within(0, ncy, buckets.2, buckets.3);
+        let edge = |lo: usize, hi: usize, b: usize| (lo + b * cell).min(hi);
+        let whole = RegionRect::new(
+            edge(outer.x0, outer.x1, bx0),
+            edge(outer.x0, outer.x1, bx1),
+            edge(outer.y0, outer.y1, by0),
+            edge(outer.y0, outer.y1, by1),
+        );
+        let (x0, _) = within(outer.x0, outer.x1.max(outer.x0 + 1) - 1, rect.0, 0);
+        let (y0, _) = within(outer.y0, outer.y1.max(outer.y0 + 1) - 1, rect.2, 0);
+        let mut out = vec![usize::MAX; 3];
         for region in [
-            RegionRect::new(x0, x1, y0, y1),
-            RegionRect::new(x0, x0, y0, y1),
-            RegionRect::full(mesh),
+            rect_in(full, rect),
+            rect_in(outer, rect),
+            RegionRect::new(x0, x0, y0, outer.y1),
+            RegionRect::new(x0, x0 + 1, y0, y0 + 1).intersect(&full),
+            whole,
+            outer,
+            full,
         ] {
-            prop_assert_eq!(index.indices_in(&region), net.indices_in(&region));
+            index.query_into(&region, &mut out);
+            prop_assert_eq!(&out, &net.indices_in(&region), "{:?} in {:?}", region, outer);
         }
     }
 }

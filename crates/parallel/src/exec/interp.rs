@@ -32,10 +32,10 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 /// What the helper thread tells its rank: stage `.0` is complete — `.1` is
-/// its `X̄ᵇ` with the `.2` member columns the stage's bundles carried — or
-/// the typed error that ended ingestion (an aborting peer with its reason,
-/// a receive timeout, exited peers, a bundle that fits no stage).
-type Handover = std::result::Result<(usize, Matrix, usize), SubstrateError>;
+/// its `X̄ᵇ` with the member columns the stage's bundles carried — or the
+/// typed error that ended ingestion (an aborting peer with its reason, a
+/// receive timeout, exited peers, a bundle that fits no stage).
+type Handover = std::result::Result<(usize, Matrix), SubstrateError>;
 
 /// The helper thread of a rank with staged `Await`s (Fig. 8): receive the
 /// `sends` bundles of every stage in `stages` (with its `X̄ᵇ` region),
@@ -54,7 +54,7 @@ fn ingest(
         rank,
         detail: format!("received a bundle {detail}"),
     };
-    let mut open: BTreeMap<usize, (Matrix, usize, usize)> = BTreeMap::new();
+    let mut open: BTreeMap<usize, (Matrix, usize)> = BTreeMap::new();
     for _ in 0..stages.values().map(|&(sends, _)| sends).sum() {
         let Msg::Blocks {
             stage: Some(l),
@@ -70,15 +70,14 @@ fn ingest(
         let bundle: Vec<(usize, RegionData)> = members.into_iter().zip(data).collect();
         let (cols, views) = columns(&bundle, alive, &region)
             .ok_or_else(|| misfit("that does not fit its stage"))?;
-        let (xb, pending, filled) = open
+        let (xb, pending) = open
             .entry(l)
-            .or_insert_with(|| (Matrix::zeros(region.npoints(), alive.len()), sends, 0));
+            .or_insert_with(|| (Matrix::zeros(region.npoints(), alive.len()), sends));
         gather_surface_into(xb, &cols, &views);
         *pending = pending.saturating_sub(1);
-        *filled += cols.len();
         if *pending == 0 {
-            if let Some((xb, _, filled)) = open.remove(&l) {
-                if tx.send(Ok((l, xb, filled))).is_err() {
+            if let Some((xb, _)) = open.remove(&l) {
+                if tx.send(Ok((l, xb))).is_err() {
                     break; // the rank bailed out
                 }
             }
@@ -110,17 +109,8 @@ impl ObsRows {
         let (cols, views) = columns(blocks, alive, region)
             .filter(|_| blocks.len() == alive.len())
             .ok_or_else(|| format!("{region:?} lacks one block per survivor"))?;
-        // `localize` and `indices_in` enumerate the same ascending global
-        // order, so `rows[r]` is the global index of local row `r`.
-        let obs = observations.localize(region);
-        let rows = observations.operator().network().indices_in(region);
-        if rows.len() != obs.len() {
-            return Err(format!(
-                "{region:?}: {} rows localized, {} indexed",
-                obs.len(),
-                rows.len()
-            ));
-        }
+        // `rows[r]` is the global index of local row `r`.
+        let (rows, obs) = observations.localize_rows(region);
         let n = alive.len();
         let (mut s, mut d) = (Matrix::zeros(rows.len(), n), Matrix::zeros(rows.len(), n));
         let mut hx = vec![0.0; n];
@@ -199,7 +189,7 @@ struct Held {
     own_rows: BTreeMap<Option<usize>, (RegionRect, ObsRows)>,
     peer_rows: BTreeMap<Option<usize>, Vec<ObsRows>>,
     /// Stages the helper handed over, until their `Compute` takes them.
-    ready: BTreeMap<usize, (Matrix, usize)>,
+    ready: BTreeMap<usize, Matrix>,
     /// The rank's straggler dilation, drawn at its first `Compute`.
     dilation: Option<f64>,
     analyzed: Vec<(RegionRect, Matrix)>,
@@ -382,10 +372,10 @@ pub(crate) fn run_rank(
             CycleOp::Await { stage: Some(l), .. } => {
                 let (rx, _) = helper.as_ref().ok_or_else(foreign)?;
                 while !held.ready.contains_key(&l) {
-                    let (done, xb, filled) = tracer
+                    let (done, xb) = tracer
                         .wait(Some(l), || rx.recv())
                         .map_err(|_| failed("helper thread terminated early".into()))??;
-                    held.ready.insert(done, (xb, filled));
+                    held.ready.insert(done, xb);
                 }
             }
             CycleOp::Compute {
@@ -406,18 +396,10 @@ pub(crate) fn run_rank(
                         Some(own.into_iter().chain(peers).collect::<Vec<_>>())
                     }
                 };
-                let (xb, filled) = stage.and_then(|l| held.ready.remove(&l)).unzip();
+                // `check` proved the stage's blocks and bundles are one per
+                // survivor, each covering `expansion`.
+                let xb = stage.and_then(|l| held.ready.remove(&l));
                 let acquired = held.blocks.get(&stage).map_or(&[][..], Vec::as_slice);
-                // Typed, not a panic: a protocol violation (a missing,
-                // shadowed or foreign block) must tear this rank down
-                // cleanly, like every other substrate failure.
-                let have = filled.unwrap_or(0) + acquired.len();
-                if have != alive.len() {
-                    let n = alive.len();
-                    return Err(failed(format!(
-                        "stage {stage:?} holds {have} of {n} member blocks"
-                    )));
-                }
                 let (cols, views) = columns(acquired, alive, &expansion).ok_or_else(foreign)?;
                 let dilation = *held
                     .dilation
@@ -524,111 +506,16 @@ mod tests {
     use crate::exec::setup::AssimilationSetup;
     use crate::exec::Cycle;
     use crate::model::{collect, price_cycle, ModelConfig};
+    use crate::program::tests::{short_of_a_bundle, Replay, TwoReaders, LAYERS};
     use crate::program::{CycleOp, Emitter, Geometry, Payload, Update};
     use crate::PEnkf;
     use enkf_core::{serial_enkf, EnkfError, LocalAnalysis};
     use enkf_data::{write_ensemble, ScenarioBuilder};
     use enkf_fault::FaultConfig;
-    use enkf_grid::{Decomposition, FileLayout, LocalizationRadius, Mesh, RegionRect};
+    use enkf_grid::{FileLayout, LocalizationRadius, Mesh, RegionRect};
     use enkf_pfs::{FileStore, ScratchDir};
     use enkf_trace::{Op, OpTag, Role, Span, Trace};
     use enkf_tuning::Workload;
-
-    /// The fifth program — one no executor file knows. Every rank owns a
-    /// sub-domain analyzed in `LAYERS` stages; ranks 0 and 1 are also the
-    /// *readers*: per stage, reader `r` reads its half of the members (whole
-    /// files, for simplicity) and scatters every other rank its layer
-    /// expansion of them, bundled. So a reader mixes staged `Read`s, `Send`s,
-    /// `Await`s (one bundle, from the other reader) and `Compute`s whose
-    /// `X̄ᵇ` is half read, half received; the other ranks await two bundles
-    /// per stage. Ignores the dropout set (the test runs fault-free).
-    struct TwoReaders {
-        nsdx: usize,
-        nsdy: usize,
-        /// Bundles every non-reader awaits per stage beyond the two sent to
-        /// it: 0 for the balanced program.
-        extra: usize,
-    }
-    const LAYERS: usize = 2;
-
-    impl TwoReaders {
-        fn decomp(&self, mesh: Mesh, members: usize) -> Result<Decomposition, String> {
-            let decomp =
-                Decomposition::new(mesh, self.nsdx, self.nsdy).map_err(|e| e.to_string())?;
-            decomp.check_layers(LAYERS).map_err(|e| e.to_string())?;
-            if decomp.num_subdomains() < 2 || !members.is_multiple_of(2) {
-                return Err("two readers need two ranks and an even ensemble".into());
-            }
-            Ok(decomp)
-        }
-    }
-
-    impl Emitter for TwoReaders {
-        fn name(&self) -> &'static str {
-            "two-readers"
-        }
-
-        fn layers(&self) -> usize {
-            LAYERS
-        }
-
-        fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String> {
-            Ok((self.decomp(mesh, members)?.num_subdomains(), 0))
-        }
-
-        fn emit(
-            &self,
-            geo: &Geometry<'_>,
-            sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
-        ) -> Result<(), String> {
-            let decomp = self.decomp(geo.layout.mesh(), geo.members)?;
-            let half = geo.members / 2;
-            for reader in 0..2 {
-                for l in 0..LAYERS {
-                    let stage = Some(l);
-                    for member in reader * half..(reader + 1) * half {
-                        let region = RegionRect::full(decomp.mesh());
-                        sink(
-                            reader,
-                            CycleOp::Read {
-                                stage,
-                                member,
-                                region,
-                            },
-                        )?;
-                    }
-                    for (to, id) in decomp.iter_ids().enumerate() {
-                        if to != reader {
-                            let payload = Payload::Blocks {
-                                region: decomp.layer_expansion(id, l, LAYERS, geo.radius),
-                                members: half,
-                            };
-                            sink(reader, CycleOp::Send { stage, to, payload })?;
-                        }
-                    }
-                }
-            }
-            for (rank, id) in decomp.iter_ids().enumerate() {
-                for l in 0..LAYERS {
-                    let stage = Some(l);
-                    let sends = if rank < 2 { 1 } else { 2 + self.extra };
-                    sink(rank, CycleOp::Await { stage, sends })?;
-                    let target = decomp.layer(id, l, LAYERS);
-                    sink(
-                        rank,
-                        CycleOp::Compute {
-                            stage,
-                            target,
-                            expansion: decomp.layer_expansion(id, l, LAYERS, geo.radius),
-                            work: target.npoints(),
-                            update: Update::Local,
-                        },
-                    )?;
-                }
-            }
-            Ok(())
-        }
-    }
 
     /// The operation digest of a program alone: every `Read`, `Send` and
     /// `Compute` as the span both interpreters record for it, in the role
@@ -723,6 +610,8 @@ mod tests {
         }
     }
 
+    /// The fifth program, [`TwoReaders`] — one no executor file knows —
+    /// runs through both interpreters.
     #[test]
     fn a_fifth_program_runs_through_both_interpreters() {
         let (_scratch, store, scenario) = harness();
@@ -1027,5 +916,32 @@ mod tests {
             let model = price_cycle(&cfg, &program, None, opts, &none, None, collect);
             assert_eq!(model.map(|_| ()), Err(real), "{shape:?}");
         }
+    }
+
+    /// A balanced program whose `Compute` is short of one member's block
+    /// — rank 2 of [`TwoReaders`] sent and awaiting one stage-0 bundle
+    /// fewer — is refused, typed and with the same message, by both
+    /// interpreters before any thread starts: the rank body no longer
+    /// counts blocks.
+    #[test]
+    fn a_compute_short_of_a_bundle_is_refused_before_any_thread_starts() {
+        let (_scratch, store, scenario) = harness();
+        let ops = short_of_a_bundle(&geometry(store.layout()));
+        let (ranks, layers) = (BALANCED.nsdx * BALANCED.nsdy, LAYERS);
+        let program = Replay {
+            ops: &ops,
+            ranks,
+            layers,
+        };
+        let none = FaultConfig::none();
+        let expected = "rank 2's Compute { stage: Some(0)";
+        let real = match Cycle::run(&setup(&store, &scenario), &program, None, &none, None) {
+            Err(EnkfError::GeometryMismatch(e)) if e.starts_with(expected) => e,
+            other => panic!("{:?}", other.map(|_| ())),
+        };
+        assert!(real.ends_with("covering its expansion"), "{real}");
+        let opts = Default::default();
+        let model = price_cycle(&model_config(), &program, None, opts, &none, None, collect);
+        assert_eq!(model.map(|_| ()), Err(real));
     }
 }

@@ -33,9 +33,13 @@
 //! for that stage — so it must follow the `Read`s or unstaged `Await`s of
 //! its stage whose blocks cover that region — and bundles them into one
 //! message. A `Compute` assembles `X̄ᵇ` over its `expansion` from one block
-//! per surviving member of its stage, whichever way each arrived. A stage's
-//! blocks are released after the rank's last `Send` or `Compute` of that
-//! stage.
+//! per surviving member of its stage, whichever way each arrived: from a
+//! `Read`, from an unstaged `Await`, or in a staged bundle — which the
+//! helper thread gathers straight into that `X̄ᵇ`, so it counts toward the
+//! `Compute` of its stage and never enters the table a `Send` draws on.
+//! [`check`] proves this before anything runs, so the rank body counts no
+//! blocks. A stage's blocks are released after the rank's last `Send` or
+//! `Compute` of that stage.
 //!
 //! **Stage = permission to overlap.** An op with `stage: None` runs
 //! strictly at its place in the rank's program — Fig. 4's sequential
@@ -307,6 +311,12 @@ impl Geometry<'_> {
 /// * **staged `Await`s** — one rank's `Await`s are all staged or all not;
 /// * **batched updates** — a [`Update::Batched`] `Compute`'s `expansion`
 ///   is its `target`;
+/// * **what a `Compute` consumes** — in program order, a `Compute` finds
+///   exactly one block per surviving member for its stage, each covering
+///   its `expansion`: those its rank's `Read`s and unstaged `Await`s
+///   acquired for the stage and, for a staged one, the blocks of every
+///   staged bundle sent to its `(rank, stage)` before it (the helper thread
+///   gathers them straight into its `X̄ᵇ`; a `Send` cannot draw on them);
 /// * **tiling** — the `Compute` targets cover every mesh point exactly
 ///   once.
 pub fn check(
@@ -332,13 +342,16 @@ pub(crate) struct Checker {
     layers: usize,
     mesh: RegionRect,
     dropped: Vec<usize>,
+    /// Surviving members: the blocks every `Compute` assembles.
+    alive: usize,
     /// Per `(rank, stage)`, rank-major, unstaged first: the sends addressed
-    /// to it that no `Await` consumed yet, and its block table.
+    /// to it that no `Await` consumed yet, its block table, and the blocks
+    /// of the bundles sent to it — unstaged ones until an `Await` files
+    /// them, staged ones until the stage's `Compute` counts them (the
+    /// helper thread gathers them straight into its `X̄ᵇ`; they never enter
+    /// the block table).
     sends: Vec<u32>,
     held: Vec<Runs>,
-    /// Per rank: the blocks of the unstaged bundles sent to it, which its
-    /// next `Await` files (the helper thread gathers staged ones straight
-    /// into their stage's `X̄ᵇ`).
     received: Vec<Runs>,
     /// Per rank: whether its `Await`s are staged (`None`: it has none
     /// yet), and whether one gates its next op.
@@ -357,12 +370,13 @@ impl Checker {
         (self.layers, self.mesh, self.tiled) = (layers, mesh, 0);
         self.dropped.clear();
         self.dropped.extend_from_slice(geo.dropped);
+        self.alive = geo.alive_in(0..geo.members);
         self.sends.clear();
         self.sends.resize(slots, 0);
         // Tables past this program's slots keep their buffers for the next.
-        for (tables, n) in [(&mut self.held, slots), (&mut self.received, ranks)] {
-            tables.resize_with(n.max(tables.len()), Runs::default);
-            tables[..n].iter_mut().for_each(Runs::clear);
+        for tables in [&mut self.held, &mut self.received] {
+            tables.resize_with(slots.max(tables.len()), Runs::default);
+            tables[..slots].iter_mut().for_each(Runs::clear);
         }
         self.awaits.clear();
         self.awaits.resize(ranks, (None, false));
@@ -387,9 +401,20 @@ impl Checker {
                 ..
             } => {
                 self.awaits[rank].1 = false;
+                // The blocks it finds — its table's and, staged, the
+                // bundles of its stage, which it takes — if every one
+                // covers `expansion`.
+                let bundles = stage.map(|_| std::mem::take(&mut self.received[slot(rank)]));
+                let runs = bundles.iter().chain([&self.held[slot(rank)]]);
+                let found = runs.flat_map(Runs::runs).try_fold(0, |found, &(block, n)| {
+                    (n == 0 || block.contains_rect(&expansion)).then_some(found + n)
+                });
                 match update {
                     Update::Batched if expansion != target => {
                         "applies a batched update beyond its target"
+                    }
+                    _ if found != Some(self.alive) => {
+                        "holds not one block per surviving member covering its expansion"
                     }
                     _ => self.tile(&target),
                 }
@@ -412,9 +437,7 @@ impl Checker {
                     Payload::Observed { .. } if stage.is_some() => {
                         "sends observed rows to a staged Await"
                     }
-                    Payload::Blocks { .. } if stage.is_none() => {
-                        self.received[to].acquire(region, members)
-                    }
+                    Payload::Blocks { .. } => self.received[slot(to)].acquire(region, members),
                     _ => "",
                 }
             }
@@ -426,7 +449,7 @@ impl Checker {
                     ));
                 }
                 if stage.is_none() {
-                    let received = &mut self.received[rank];
+                    let received = &mut self.received[slot(rank)];
                     let latest = std::mem::take(&mut received.latest);
                     for (region, n) in received.earlier.drain(..).chain([latest]) {
                         self.held[slot(rank)].acquire(region, n);
@@ -511,10 +534,15 @@ impl Runs {
         ""
     }
 
+    /// The runs, from the latest back.
+    fn runs(&self) -> impl Iterator<Item = &(RegionRect, usize)> {
+        std::iter::once(&self.latest).chain(self.earlier.iter().rev())
+    }
+
     /// Whether the last `members` blocks cover `region`, walked run by run
     /// from the latest until they do.
     fn cover(&self, region: &RegionRect, members: usize) -> bool {
-        let runs = std::iter::once(&self.latest).chain(self.earlier.iter().rev());
+        let runs = self.runs();
         let mut covering = runs.take_while(|(block, _)| block.contains_rect(region));
         // The blocks still missing, `None` once there are none.
         let missing = covering.try_fold(members, |left, &(_, n)| (left > n).then(|| left - n));
@@ -833,7 +861,7 @@ fn emit_denkf(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -918,9 +946,10 @@ mod tests {
                 }
                 None => Ok(()),
             };
+            // No members: the targets need no blocks.
             let geo = Geometry {
                 layout: FileLayout::new(mesh, 1),
-                members: 1,
+                members: 0,
                 radius: LocalizationRadius { xi: 0, eta: 0 },
                 dropped: &[],
                 view: None,
@@ -930,10 +959,12 @@ mod tests {
         }
     }
 
-    /// A fixed op list as a one-stage program of `ranks` compute ranks.
-    struct Replay<'a> {
-        ops: &'a [(usize, CycleOp)],
-        ranks: usize,
+    /// A fixed op list as a program of `ranks` compute ranks and `layers`
+    /// stages.
+    pub(crate) struct Replay<'a> {
+        pub(crate) ops: &'a [(usize, CycleOp)],
+        pub(crate) ranks: usize,
+        pub(crate) layers: usize,
     }
 
     impl Emitter for Replay<'_> {
@@ -942,7 +973,7 @@ mod tests {
         }
 
         fn layers(&self) -> usize {
-            1
+            self.layers
         }
 
         fn ranks(&self, _: Mesh, _: usize) -> Result<(usize, usize), String> {
@@ -956,6 +987,130 @@ mod tests {
         ) -> Result<(), String> {
             self.ops.iter().try_for_each(|&(rank, op)| sink(rank, op))
         }
+    }
+
+    /// A program no executor file knows. Every rank owns a sub-domain
+    /// analyzed in `LAYERS` stages; ranks 0 and 1 are also the *readers*:
+    /// per stage, reader `r` reads its half of the members (whole files,
+    /// for simplicity) and scatters every other rank its layer expansion of
+    /// them, bundled. So a reader mixes staged `Read`s, `Send`s, `Await`s
+    /// (one bundle, from the other reader) and `Compute`s whose `X̄ᵇ` is
+    /// half read, half received; the other ranks await two bundles per
+    /// stage. Ignores the dropout set.
+    pub(crate) struct TwoReaders {
+        pub(crate) nsdx: usize,
+        pub(crate) nsdy: usize,
+        /// Bundles every non-reader awaits per stage beyond the two sent to
+        /// it: 0 for the balanced program.
+        pub(crate) extra: usize,
+    }
+    pub(crate) const LAYERS: usize = 2;
+
+    impl TwoReaders {
+        fn decomp(&self, mesh: Mesh, members: usize) -> Result<Decomposition, String> {
+            let decomp =
+                Decomposition::new(mesh, self.nsdx, self.nsdy).map_err(|e| e.to_string())?;
+            decomp.check_layers(LAYERS).map_err(|e| e.to_string())?;
+            if decomp.num_subdomains() < 2 || !members.is_multiple_of(2) {
+                return Err("two readers need two ranks and an even ensemble".into());
+            }
+            Ok(decomp)
+        }
+    }
+
+    impl Emitter for TwoReaders {
+        fn name(&self) -> &'static str {
+            "two-readers"
+        }
+
+        fn layers(&self) -> usize {
+            LAYERS
+        }
+
+        fn ranks(&self, mesh: Mesh, members: usize) -> Result<(usize, usize), String> {
+            Ok((self.decomp(mesh, members)?.num_subdomains(), 0))
+        }
+
+        fn emit(
+            &self,
+            geo: &Geometry<'_>,
+            sink: &mut impl FnMut(usize, CycleOp) -> Result<(), String>,
+        ) -> Result<(), String> {
+            let decomp = self.decomp(geo.layout.mesh(), geo.members)?;
+            let half = geo.members / 2;
+            for reader in 0..2 {
+                for l in 0..LAYERS {
+                    let stage = Some(l);
+                    for member in reader * half..(reader + 1) * half {
+                        let region = RegionRect::full(decomp.mesh());
+                        sink(
+                            reader,
+                            CycleOp::Read {
+                                stage,
+                                member,
+                                region,
+                            },
+                        )?;
+                    }
+                    for (to, id) in decomp.iter_ids().enumerate() {
+                        if to != reader {
+                            let payload = Payload::Blocks {
+                                region: decomp.layer_expansion(id, l, LAYERS, geo.radius),
+                                members: half,
+                            };
+                            sink(reader, CycleOp::Send { stage, to, payload })?;
+                        }
+                    }
+                }
+            }
+            for (rank, id) in decomp.iter_ids().enumerate() {
+                for l in 0..LAYERS {
+                    let stage = Some(l);
+                    let sends = if rank < 2 { 1 } else { 2 + self.extra };
+                    sink(rank, CycleOp::Await { stage, sends })?;
+                    let target = decomp.layer(id, l, LAYERS);
+                    sink(
+                        rank,
+                        CycleOp::Compute {
+                            stage,
+                            target,
+                            expansion: decomp.layer_expansion(id, l, LAYERS, geo.radius),
+                            work: target.npoints(),
+                            update: Update::Local,
+                        },
+                    )?;
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// The balanced 3 × 2 [`TwoReaders`] program on `geo`, less reader 0's
+    /// stage-0 bundle to rank 2, whose stage-0 `Await` expects one bundle
+    /// fewer: balanced, but rank 2's stage-0 `Compute` holds half its
+    /// members' blocks.
+    pub(crate) fn short_of_a_bundle(geo: &Geometry<'_>) -> Vec<(usize, CycleOp)> {
+        let mut ops = Vec::new();
+        let program = TwoReaders {
+            nsdx: 3,
+            nsdy: 2,
+            extra: 0,
+        };
+        let mut sink = |rank, op| {
+            ops.push((rank, op));
+            Ok(())
+        };
+        program.emit(geo, &mut sink).unwrap();
+        let stage = Some(0);
+        let send = |&(rank, op): &(usize, CycleOp)| matches!(op, CycleOp::Send { stage: s, to: 2, .. } if rank == 0 && s == stage);
+        ops.remove(ops.iter().position(send).unwrap());
+        for (rank, op) in &mut ops {
+            match op {
+                CycleOp::Await { stage: s, sends } if *rank == 2 && *s == stage => *sends -= 1,
+                _ => {}
+            }
+        }
+        ops
     }
 
     /// Each rule of [`check`], broken once by mutating a well-formed
@@ -984,17 +1139,18 @@ mod tests {
             },
             ..crate::model::ModelConfig::paper()
         };
-        // `check`'s verdict on `ops` over `ranks` ranks, after asserting
-        // that the pricer's is the same.
-        let judged = |ops: &[(usize, CycleOp)], ranks: usize| {
+        // `check`'s verdict on `ops` over `ranks` ranks and `layers`
+        // stages, after asserting that the pricer's is the same.
+        let staged = |ops: &[(usize, CycleOp)], ranks: usize, layers: usize| {
             let none = enkf_fault::FaultConfig::none();
-            let (program, opts) = (Replay { ops, ranks }, Default::default());
-            let tail = crate::model::collect;
+            let program = Replay { ops, ranks, layers };
+            let (opts, tail) = (Default::default(), crate::model::collect);
             let priced = crate::model::price_cycle(&cfg, &program, None, opts, &none, None, tail);
-            let checked = check(&geo, ranks, 1, ops);
+            let checked = check(&geo, ranks, layers, ops);
             assert_eq!(priced.map(|_| ()), checked, "{ops:?}");
             checked
         };
+        let judged = |ops: &[(usize, CycleOp)], ranks: usize| staged(ops, ranks, 1);
         let emit = |variant: ModelVariant| {
             let mut ops = Vec::new();
             let mut sink = |rank, op| {
@@ -1095,21 +1251,24 @@ mod tests {
                 op => Some(op),
             }),
             // Every rank analyzes the whole mesh: points analyzed twice.
-            mutated(&denkf, &|op| match op {
+            mutated(&lenkf, &|op| match op {
                 CycleOp::Compute {
                     stage,
+                    expansion,
                     work,
                     update,
                     ..
                 } => Some(CycleOp::Compute {
                     stage,
                     target: full,
-                    expansion: full,
+                    expansion,
                     work,
                     update,
                 }),
                 op => Some(op),
             }),
+            // Rank 2's stage-0 Compute short of one bundle.
+            staged(&short_of_a_bundle(&geo), 6, LAYERS).unwrap_err(),
         ];
         let expected = [
             "is fed 4",
@@ -1120,6 +1279,9 @@ mod tests {
             "batched update beyond its target",
             "miss",
             "twice",
+            "rank 2's Compute { stage: Some(0), target: RegionRect { x0: 8, x1: 12, y0: 0, y1: 2 }, \
+             expansion: RegionRect { x0: 7, x1: 12, y0: 0, y1: 3 }, work: 8, update: Local } \
+             holds not one block per surviving member covering its expansion",
         ];
         for (refusal, words) in refusals.iter().zip(expected) {
             assert!(refusal.contains(words), "{refusal}");

@@ -291,7 +291,9 @@ proptest! {
         let before = store.stats();
 
         // Cut member 0 somewhere inside the region's last segment.
-        let last = *layout.segments(&region).last().unwrap();
+        let mut last = None;
+        layout.for_each_segment(&region, |seg| last = Some(seg));
+        let last = last.unwrap();
         let cut = last.offset + (keep * last.len as f64) as u64;
         let file = std::fs::OpenOptions::new().write(true).open(store.member_path(0)).unwrap();
         file.set_len(cut).unwrap();
@@ -376,7 +378,9 @@ proptest! {
         prop_assert_eq!(store.pool().free_slabs(), pooled);
         let before = store.stats();
 
-        let last = *layout.segments(&region).last().unwrap();
+        let mut last = None;
+        layout.for_each_segment(&region, |seg| last = Some(seg));
+        let last = last.unwrap();
         let cut = last.offset + (keep * last.len as f64) as u64;
         let file = std::fs::OpenOptions::new().write(true).open(store.member_path(0)).unwrap();
         file.set_len(cut).unwrap();

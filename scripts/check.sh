@@ -58,10 +58,11 @@ echo "==> allocation regression: steady-state data plane (full-level reads, and 
 echo "    executors' surface reads from a freshly spawned thread through the store's"
 echo "    pooled bounce buffer) and both local-analysis point kernels are alloc-free,"
 echo "    untraced modelled cycles allocate nothing per task (release); enkf-core's"
-echo "    whole suite runs in release, the build the benchmark runs: the allocation"
-echo "    pins, the lane and sparse-path bit-identity oracles"
+echo "    and enkf-grid's whole suites run in release, the build the benchmark runs:"
+echo "    the allocation pins, the lane and sparse-path bit-identity oracles, and the"
+echo "    bucket grid's linear-scan oracles over the network and over an expansion"
 cargo test -q --release --test dataplane_alloc_free
-cargo test -q --release -p enkf-core
+cargo test -q --release -p enkf-core -p enkf-grid
 cargo test -q --release --test model_alloc
 
 echo "==> the file store in release, the build the benchmark runs: surface and"
